@@ -140,7 +140,7 @@ func run(in io.Reader, out, errw io.Writer, prevPath, maxRegress string) error {
 			fmt.Fprintf(errw, "benchjson: ns/op gates skipped: cpu %q differs from snapshot %q\n", doc.CPU, prev.CPU)
 		}
 		for _, gate := range strings.Split(maxRegress, ",") {
-			if err := checkGate(strings.TrimSpace(gate), &doc, prev, cpuMatch, errw); err != nil {
+			if err := checkGate(strings.TrimSpace(gate), &doc, prev, cpuMatch); err != nil {
 				return err
 			}
 		}
@@ -150,7 +150,7 @@ func run(in io.Reader, out, errw io.Writer, prevPath, maxRegress string) error {
 
 // checkGate enforces one -max-regress entry: name:factor (ns/op) or
 // name:allocs:factor (allocs/op).
-func checkGate(gate string, doc, prev *Doc, cpuMatch bool, errw io.Writer) error {
+func checkGate(gate string, doc, prev *Doc, cpuMatch bool) error {
 	parts := strings.Split(gate, ":")
 	var (
 		name, metric string
@@ -173,10 +173,11 @@ func checkGate(gate string, doc, prev *Doc, cpuMatch bool, errw io.Writer) error
 		return fmt.Errorf("-max-regress: %s missing from current run", name)
 	}
 	if old == nil {
-		// A benchmark newly added to the suite has no previous value to
-		// gate against; it joins the snapshot now and gates next time.
-		fmt.Fprintf(errw, "benchjson: gate skipped: %s missing from prev\n", name)
-		return nil
+		// A gate without a previous value guards nothing, and a warning
+		// nobody reads let one stay that way for two PRs. The document is
+		// already written, so regenerating the snapshot (which then holds
+		// the benchmark) and rerunning clears this.
+		return fmt.Errorf("-max-regress: %s missing from the -prev snapshot; regenerate it (scripts/bench_sim.sh) so the gate has a baseline", name)
 	}
 	switch metric {
 	case "ns":

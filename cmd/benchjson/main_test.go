@@ -67,10 +67,11 @@ func TestRunEmitsDocAndSpeedups(t *testing.T) {
 }
 
 // A gated benchmark that is present in the current run but absent from
-// the -prev snapshot must not fail the run: it has no previous value to
-// compare against (first appearance — it joins the snapshot now and
-// gates next time). The skip must be loud on stderr, not silent.
-func TestGateSkippedOnFirstAppearance(t *testing.T) {
+// the -prev snapshot fails the run: a gate with no baseline guards
+// nothing (a stale snapshot kept one skipped for two PRs while this was
+// a warning). The document is still written first, so regenerating the
+// snapshot is the fix.
+func TestGateFailsWhenMissingFromPrev(t *testing.T) {
 	prev := writePrev(t, Doc{
 		CPU: "Testing CPU @ 2.00GHz",
 		Benchmarks: []Entry{
@@ -80,12 +81,11 @@ func TestGateSkippedOnFirstAppearance(t *testing.T) {
 	var out, errw bytes.Buffer
 	err := run(strings.NewReader(benchOut), &out, &errw, prev,
 		"BenchmarkBVDeliver:allocs:1.10,BenchmarkMultiBroadcastParallel/workers=4:allocs:1.10")
-	if err != nil {
-		t.Fatalf("first-appearance gate must not fail the run: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkMultiBroadcastParallel/workers=4 missing from the -prev snapshot") {
+		t.Fatalf("want a missing-from-prev error, got %v", err)
 	}
-	want := "benchjson: gate skipped: BenchmarkMultiBroadcastParallel/workers=4 missing from prev\n"
-	if errw.String() != want {
-		t.Fatalf("stderr = %q, want %q", errw.String(), want)
+	if !json.Valid(out.Bytes()) {
+		t.Fatalf("document not written before gate error")
 	}
 }
 

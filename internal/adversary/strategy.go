@@ -21,7 +21,10 @@ type View interface {
 	Threshold() int
 	// Supply returns the number of future Vtrue deliveries id would
 	// receive if the adversary stays idle: the pending send counts of
-	// id's decided good neighbors (including the source).
+	// id's decided good neighbors (including the source). It is defined
+	// for undecided nodes only — supply is what could still lift a node
+	// to the threshold, and engines stop maintaining it once a node has
+	// decided — so the value for a decided node is unspecified.
 	Supply(id grid.NodeID) int
 	// BadBudgetLeft returns the remaining message budget of a bad node.
 	BadBudgetLeft(id grid.NodeID) int
@@ -72,7 +75,8 @@ type StateSource interface {
 	DecidedMask() []bool
 	// CorrectCounts returns the per-node counts of Vtrue copies received.
 	CorrectCounts() []int32
-	// SupplyCounts returns the per-node outstanding Vtrue supply.
+	// SupplyCounts returns the per-node outstanding Vtrue supply. As with
+	// View.Supply, only the entries of undecided nodes are defined.
 	SupplyCounts() []int32
 }
 
@@ -86,14 +90,22 @@ func viewNeighbors(v View, dst []grid.NodeID, id grid.NodeID) []grid.NodeID {
 }
 
 // DeliveryDriven is an optional Strategy refinement: a strategy whose
-// DeliveryDriven method returns true promises to never transmit in a slot
-// whose tentative deliveries are empty. The fast simulation engine uses
-// the promise to skip idle slots wholesale (the slot counter still
-// advances, so results are unchanged); strategies that jam spontaneously
-// (e.g. Spammer) must not implement it, or must return false.
+// DeliveryDriven method returns true promises that Jams depends only on
+// the tentative deliveries addressed to undecided good receivers — the
+// only deliveries that can still change a node's state — and on View
+// state about those receivers and the bad nodes. Removing every delivery
+// to a bad or already-decided receiver from the tentative list must not
+// change the jams returned, and an empty list must return nil.
+//
+// The fast simulation engine leans on both halves: it skips idle slots
+// wholesale (the slot counter still advances, so results are unchanged),
+// and on threshold runs it materialises only that subset of each slot's
+// deliveries for the strategy to see. Idle, Corruptor and Targeted keep
+// the promise; strategies that jam spontaneously (e.g. Spammer) must not
+// implement the interface, or must return false.
 type DeliveryDriven interface {
-	// DeliveryDriven reports whether Jams is guaranteed to return nil
-	// whenever the tentative delivery list is empty.
+	// DeliveryDriven reports whether Jams is a function of the deliveries
+	// to undecided good receivers alone (nil when there are none).
 	DeliveryDriven() bool
 }
 
@@ -207,6 +219,9 @@ func (c *corruptorCore) jams(v View, tentative []radio.Delivery) []radio.Tx {
 		if c.isVictim != nil && !c.isVictim(v, u) {
 			continue
 		}
+		if !c.canJam(v, u) {
+			continue // no bad neighbor with budget left: nobody could deny u
+		}
 		var banked, sup int
 		if correct != nil {
 			banked, sup = int(correct[u]), int(supply[u])
@@ -221,10 +236,7 @@ func (c *corruptorCore) jams(v View, tentative []radio.Delivery) []radio.Tx {
 		if c.checkFeasible && sup+1 > c.badBudgetNear(v, u) {
 			continue // blocking u is hopeless; do not waste budget
 		}
-		jammer := c.pickJammer(v, u, d.From, nil)
-		if jammer == grid.None {
-			continue
-		}
+		jammer := c.pickJammer(v, u, d.From, nil) // exists: canJam held
 		c.entries = append(c.entries, denyEntry{u: u, from: d.From, jammer: jammer, must: must})
 	}
 	if len(c.entries) == 0 {
@@ -339,6 +351,18 @@ next:
 		}
 	}
 	return jammer
+}
+
+// canJam reports whether some bad neighbor of u has budget left — the
+// precondition of pickJammer finding anyone, checked first because most
+// receivers have no bad neighbor at all.
+func (c *corruptorCore) canJam(v View, u grid.NodeID) bool {
+	for _, nb := range c.badNeighbors(v, u) {
+		if v.BadBudgetLeft(nb) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // ensureCache sizes the bad-neighbor cache to the topology.

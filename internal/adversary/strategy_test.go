@@ -1,10 +1,13 @@
 package adversary
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"bftbcast/internal/grid"
 	"bftbcast/internal/radio"
+	"bftbcast/internal/stats"
 	"bftbcast/internal/topo"
 )
 
@@ -273,5 +276,77 @@ func TestStrategyNames(t *testing.T) {
 	}
 	if NewSpammer().Name() != "spammer" {
 		t.Error("Spammer name")
+	}
+}
+
+// TestDeliveryDrivenReadsFrontierOnly pins the DeliveryDriven contract
+// the fast engine's frontier slots rest on: a slot's jams are the same
+// whether the strategy is handed every tentative delivery or only those
+// to undecided good receivers — with the supply and correct counts of
+// every other node poisoned on the second call, since View.Supply is
+// defined for undecided nodes only.
+func TestDeliveryDrivenReadsFrontierOnly(t *testing.T) {
+	strategies := map[string]func(victims []bool) Strategy{
+		"corruptor":      func([]bool) Strategy { return NewCorruptor() },
+		"corruptor/drop": func([]bool) Strategy { return &Corruptor{Drop: true} },
+		"targeted":       func(v []bool) Strategy { return NewTargeted(v) },
+		"idle":           func([]bool) Strategy { return Idle{} },
+	}
+	jammed := 0
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := stats.NewRNG(seed)
+		v := newFakeView(t)
+		n := v.tor.Size()
+		victims := make([]bool, n)
+		for i := 0; i < n; i++ {
+			id := grid.NodeID(i)
+			switch {
+			case rng.Intn(12) == 0:
+				v.bad[id] = true
+				v.budget[id] = rng.Intn(4)
+			case rng.Intn(2) == 0:
+				v.decided[id] = true
+			default:
+				v.correct[id] = rng.Intn(v.threshold)
+				v.supply[id] = rng.Intn(8)
+				victims[i] = rng.Intn(3) == 0
+			}
+		}
+		// Two transmitters far enough apart to share no receiver; the
+		// full list holds every neighbor of each, ascending by receiver.
+		var full, frontier []radio.Delivery
+		for _, from := range []grid.NodeID{v.tor.ID(3, 3), v.tor.ID(10, 10)} {
+			for _, to := range v.tor.AppendNeighbors(nil, from) {
+				full = append(full, radio.Delivery{To: to, Value: radio.ValueTrue, From: from})
+			}
+		}
+		sort.Slice(full, func(i, j int) bool { return full[i].To < full[j].To })
+		for _, d := range full {
+			if !v.bad[d.To] && !v.decided[d.To] {
+				frontier = append(frontier, d)
+			}
+		}
+		for name, mk := range strategies {
+			want := append([]radio.Tx(nil), mk(victims).Jams(v, 0, full)...)
+			poisoned := *v
+			poisoned.correct = map[grid.NodeID]int{}
+			poisoned.supply = map[grid.NodeID]int{}
+			for i := 0; i < n; i++ {
+				id := grid.NodeID(i)
+				if v.bad[id] || v.decided[id] {
+					poisoned.correct[id], poisoned.supply[id] = 1<<20, -1<<20
+				} else {
+					poisoned.correct[id], poisoned.supply[id] = v.correct[id], v.supply[id]
+				}
+			}
+			got := mk(victims).Jams(&poisoned, 0, frontier)
+			if !reflect.DeepEqual(append([]radio.Tx(nil), got...), want) {
+				t.Fatalf("seed %d %s: jams on the frontier %v, on the full list %v", seed, name, got, want)
+			}
+			jammed += len(want)
+		}
+	}
+	if jammed == 0 {
+		t.Fatal("no strategy jammed in any scenario; the comparison is vacuous")
 	}
 }

@@ -123,6 +123,13 @@ type Job struct {
 	cancel     context.CancelFunc // set while running
 	subs       []*Subscriber
 	finished   chan struct{} // closed on terminal state
+	ckptGen    uint64        // generation of the last snapshot taken (see checkpointJob)
+
+	// ckptMu serialises this job's checkpoint writers — they share one
+	// temp path — and guards ckptOnDisk, the generation of the snapshot
+	// the checkpoint file holds. Taken after mu is released, never with it.
+	ckptMu     sync.Mutex
+	ckptOnDisk uint64
 }
 
 // ID returns the job's identifier.

@@ -630,9 +630,17 @@ func (m *Manager) parkJob(job *Job) {
 	_ = m.checkpointJob(job)
 }
 
-// checkpointJob atomically persists the job's current record.
+// checkpointJob atomically persists the job's current record. Callers
+// race (concurrent CompleteLease calls, a final fold against Cancel), so
+// each snapshot takes a generation under job.mu — generations order the
+// snapshots exactly as the state they captured — and the write itself is
+// serialised per job: a snapshot that reaches the writer after a newer
+// one has been committed is dropped, never renamed over it, so the file
+// only ever moves forward and a terminal record stays terminal.
 func (m *Manager) checkpointJob(job *Job) error {
 	job.mu.Lock()
+	job.ckptGen++
+	gen := job.ckptGen
 	cp := &checkpoint{
 		ID:        job.id,
 		Seq:       job.seq,
@@ -662,8 +670,17 @@ func (m *Manager) checkpointJob(job *Job) error {
 	if err != nil {
 		return fmt.Errorf("jobs: encode checkpoint %s: %w", job.id, err)
 	}
+	job.ckptMu.Lock()
+	defer job.ckptMu.Unlock()
+	if gen < job.ckptOnDisk {
+		return nil
+	}
 	m.ckptWrites.Add(1)
-	return writeCheckpointBytes(m.cfg.Dir, job.id, data)
+	if err := writeCheckpointBytes(m.cfg.Dir, job.id, data); err != nil {
+		return err
+	}
+	job.ckptOnDisk = gen
+	return nil
 }
 
 // newIDLocked mints a fresh job ID; m.mu is held.

@@ -108,13 +108,18 @@ func TestCheckpointIntervalCoalescing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer mustClose(t, m)
 		job, err := m.Submit(smallGrid(81, 8))
 		if err != nil {
+			mustClose(t, m)
 			t.Fatal(err)
 		}
-		if err := job.Wait(context.Background()); err != nil {
-			t.Fatal(err)
+		waitErr := job.Wait(context.Background())
+		// Wait returns when the job turns terminal, which is before its
+		// terminal checkpoint is written; Close joins the runner, so
+		// the count below includes it.
+		mustClose(t, m)
+		if waitErr != nil {
+			t.Fatal(waitErr)
 		}
 		return m.ckptWrites.Load()
 	}

@@ -514,3 +514,55 @@ func TestCancelQueuedNeverStarted(t *testing.T) {
 		t.Fatalf("restored state = %q, want cancelled", got)
 	}
 }
+
+// TestConcurrentCheckpointWriters pins the one-writer-per-checkpoint
+// rule: many goroutines checkpoint one job while it is cancelled under
+// them. No writer may fail (they used to lose each other's shared temp
+// file) and the file must end on the terminal record — a snapshot taken
+// before the cancel that reaches the disk after it is dropped, not
+// renamed over the newer one.
+func TestConcurrentCheckpointWriters(t *testing.T) {
+	m, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, m)
+	job, err := m.SubmitSharded(smallGrid(55, 8), ShardOptions{LeasePoints: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const writers, rounds = 8, 40
+	errs := make(chan error, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if w == 0 && i == rounds/2 {
+					if err := m.Cancel(job.ID()); err != nil {
+						errs <- err
+						return
+					}
+				}
+				if err := m.checkpointJob(job); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	cps, err := readCheckpoints(m.cfg.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cps) != 1 || cps[0].State != StateCancelled {
+		t.Fatalf("checkpoint on disk = %+v, want the one cancelled record", cps)
+	}
+}

@@ -1,7 +1,8 @@
 // Package plan compiles a topology into the immutable artifacts every
 // execution backend re-derives per run when left to its own devices: the
 // CSR-flattened adjacency (with sorted per-node neighbor lists), the
-// distance-2 TDMA coloring and schedule, the per-color node classes, the
+// distance-2 TDMA coloring and schedule (and whether the coloring really
+// is distance-2 on that adjacency), the per-color node classes, the
 // closed-neighborhood ball sizes and a diameter hint.
 //
 // A Plan is computed exactly once per topology and shared by reference:
@@ -40,6 +41,9 @@ type Plan struct {
 	tdma    *sched.TDMA
 	tdmaErr error
 	classes [][]grid.NodeID // per color, ascending node ids
+	// disjoint records that the coloring was checked to be distance-2
+	// on this adjacency — see DisjointClasses.
+	disjoint bool
 
 	maxDegree int
 	diamHint  int
@@ -165,8 +169,29 @@ func Compute(t topo.Topology) *Plan {
 		for i, c := range colors {
 			p.classes[c] = append(p.classes[c], grid.NodeID(i))
 		}
+		p.disjoint = classesDisjoint(p.adj, colors, p.classes)
 	}
 	return p
+}
+
+// classesDisjoint checks, in one pass over the CSR, that the coloring is
+// distance-2 on adj: walking each class's transmitters in turn, no
+// receiver is reached twice within one class and none carries the class's
+// own color. stamp[u] holds the last class (plus one) that reached u.
+func classesDisjoint(adj *radio.Adjacency, colors []int32, classes [][]grid.NodeID) bool {
+	stamp := make([]int32, len(colors))
+	for c, class := range classes {
+		mark := int32(c) + 1
+		for _, from := range class {
+			for _, to := range adj.Neighbors(from) {
+				if stamp[to] == mark || colors[to] == int32(c) {
+					return false
+				}
+				stamp[to] = mark
+			}
+		}
+	}
+	return true
 }
 
 // Topo returns the compiled topology.
@@ -218,6 +243,18 @@ func (p *Plan) Period() int {
 // class (shared storage, read-only), or nil when the topology has no
 // valid coloring.
 func (p *Plan) ColorClasses() [][]grid.NodeID { return p.classes }
+
+// DisjointClasses reports whether Compute verified the coloring to be
+// distance-2 on the compiled adjacency: within every color class the
+// transmitters' receiver sets are pairwise disjoint and contain no member
+// of the class. That is the whole premise of the TDMA schedule — a slot
+// of good transmissions has no collision and no transmitter in range of
+// another — and every shipped topology satisfies it; the bit exists so
+// an engine may drop collision bookkeeping and half-duplex masking from
+// its jam-free slots because the property was checked, not assumed. A
+// topology whose Coloring() breaks it (or has none) reports false and
+// keeps full resolution, so its collisions are still counted.
+func (p *Plan) DisjointClasses() bool { return p.disjoint }
 
 // Sharding returns the per-color shard artifact, computing it on first
 // call (from any goroutine; later calls return the same value). Plans of

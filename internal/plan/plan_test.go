@@ -10,6 +10,7 @@ import (
 	"bftbcast/internal/grid"
 	"bftbcast/internal/sched"
 	"bftbcast/internal/topo"
+	"bftbcast/internal/topo/topotest"
 )
 
 // topologies returns one instance of every topology kind the engines
@@ -117,7 +118,50 @@ func TestPlanConformance(t *testing.T) {
 			if total != n {
 				t.Fatalf("classes cover %d nodes, want %d", total, n)
 			}
+
+			// Every shipped topology's coloring is distance-2, and the
+			// plan has checked it.
+			if !p.DisjointClasses() {
+				t.Fatalf("coloring of %v not verified distance-2", tp)
+			}
 		})
+	}
+}
+
+// TestPlanMiscolored feeds Compute colorings that are not distance-2 —
+// two same-colored nodes sharing a receiver, and two same-colored
+// neighbors — and requires the verified bit to stay off: engines drop
+// collision bookkeeping on the strength of it.
+func TestPlanMiscolored(t *testing.T) {
+	b := topo.MustNewBounded(12, 12, 1)
+	for name, pair := range map[string][2]topo.NodeID{
+		"common receiver": {b.ID(4, 4), b.ID(6, 4)},
+		"neighbors":       {b.ID(4, 4), b.ID(5, 4)},
+	} {
+		p := Compute(topotest.Miscolored(b, pair[0], pair[1]))
+		if _, err := p.TDMA(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if p.DisjointClasses() {
+			t.Errorf("%s: miscolored plan reports a verified coloring", name)
+		}
+	}
+}
+
+// BenchmarkDisjointCheckRGG100k prices the verification pass on the
+// benchmark's 100k-node RGG: one walk over the CSR, paid once per
+// topology inside Compute (set-up time, never a run's).
+func BenchmarkDisjointCheckRGG100k(b *testing.B) {
+	g, err := topo.NewConnectedRGG(100_000, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := Compute(g)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !classesDisjoint(p.adj, p.Colors(), p.classes) {
+			b.Fatal("RGG coloring not distance-2")
+		}
 	}
 }
 
@@ -244,7 +288,7 @@ func TestPlanColoringError(t *testing.T) {
 	if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 		t.Fatalf("TDMA error %v, sched.New error %v", gotErr, wantErr)
 	}
-	if p.Colors() != nil || p.Period() != 0 || p.ColorClasses() != nil {
+	if p.Colors() != nil || p.Period() != 0 || p.ColorClasses() != nil || p.DisjointClasses() {
 		t.Fatal("coloring artifacts must be absent when the coloring fails")
 	}
 }

@@ -216,6 +216,15 @@ func (m *Medium) ensureBits() {
 	m.summary = make([]uint64, (nw+63)/64)
 }
 
+// touch sets to's bit in the touched bitset (sized by ensureBits).
+func (m *Medium) touch(to grid.NodeID) {
+	wi := uint32(to) >> 6
+	if m.words[wi] == 0 {
+		m.summary[wi>>6] |= 1 << (wi & 63)
+	}
+	m.words[wi] |= 1 << (uint32(to) & 63)
+}
+
 // nextEpoch advances the per-slot scratch epoch, resetting the stamps on
 // wraparound (extremely long runs).
 func (m *Medium) nextEpoch() int32 {
@@ -301,11 +310,7 @@ func (m *Medium) Resolve(txs []Tx, deliver func(Delivery)) error {
 				m.jamVal[to] = ValueNone
 				m.jammed[to] = false
 				if useBits {
-					wi := uint32(to) >> 6
-					if m.words[wi] == 0 {
-						m.summary[wi>>6] |= 1 << (wi & 63)
-					}
-					m.words[wi] |= 1 << (uint32(to) & 63)
+					m.touch(to)
 				}
 			}
 			if tx.Jam {
@@ -446,6 +451,67 @@ func (m *Medium) emitBits(deliver func(Delivery)) {
 	}
 }
 
+// ResolveDisjoint is the collision-free resolve: it appends to dst, in
+// ascending receiver id order, the delivery of every receiver in range of
+// one of txs for which skip is false, and returns the extended slice.
+//
+// It does no collision bookkeeping and no half-duplex masking, so the
+// caller must guarantee both are dead work: txs are good (non-jam)
+// transmissions whose receiver sets are pairwise disjoint and contain no
+// transmitter of the slot — one TDMA color class under a verified
+// distance-2 coloring (plan.DisjointClasses). Under that premise the
+// result is exactly Resolve's deliveries minus the skipped receivers.
+// Slots that carry a jam, and callers that need every delivery or the
+// GoodGoodCollisions count, use Resolve.
+func (m *Medium) ResolveDisjoint(txs []Tx, skip []bool, dst []Delivery) ([]Delivery, error) {
+	for i := range txs {
+		tx := &txs[i]
+		if int(tx.From) < 0 || int(tx.From) >= len(m.mark) {
+			return dst, fmt.Errorf("radio: transmitter %d out of range", tx.From)
+		}
+		if tx.Value == ValueNone || tx.Jam {
+			return dst, fmt.Errorf("radio: transmission from %d is not a plain good transmission", tx.From)
+		}
+	}
+	if len(txs) == 1 {
+		tx := &txs[0]
+		for _, to := range m.adj.SortedNeighbors(tx.From) {
+			if !skip[to] {
+				dst = append(dst, Delivery{To: to, Value: tx.Value, From: tx.From})
+			}
+		}
+		return dst, nil
+	}
+	// Several transmitters: record each surviving receiver's sole signal
+	// and let the touched bitset hand them back in id order, as Resolve
+	// does for its big slots. Every field emit reads is written here, so
+	// the pass needs no epoch.
+	m.ensureBits()
+	for i := range txs {
+		tx := &txs[i]
+		for _, to := range m.adj.Neighbors(tx.From) {
+			if skip[to] {
+				continue
+			}
+			m.nGood[to] = 1
+			m.goodVal[to] = tx.Value
+			m.goodFrom[to] = tx.From
+			m.jammed[to] = false
+			m.touch(to)
+		}
+	}
+	return m.drainBits(dst), nil
+}
+
+// drainBits appends the delivery of every receiver in the touched bitset
+// to dst in ascending id order, clearing the bitset.
+func (m *Medium) drainBits(dst []Delivery) []Delivery {
+	m.out = dst
+	m.emitBits(nil)
+	dst, m.out = m.out, nil
+	return dst
+}
+
 // ShardBegin opens a sharded resolution pass: the engine's in-run
 // parallel path (see sim.Config.RunWorkers) marks disjoint subsets of one
 // slot's transmissions from worker goroutines via ShardMark, then
@@ -519,8 +585,5 @@ func (m *Medium) ShardMark(txs []Tx) error {
 // receiver id order — exactly the deliveries and order Resolve would
 // produce for the same transmissions.
 func (m *Medium) ShardCollect(dst []Delivery) []Delivery {
-	m.out = dst
-	m.emitBits(nil)
-	dst, m.out = m.out, nil
-	return dst
+	return m.drainBits(dst)
 }

@@ -9,13 +9,37 @@
 // custom Machine such as the Section 5 reactive protocol. Each slot the
 // engine: (1) emits the transmissions of the slot's color class (every
 // node with pending sends, transmitting its protocol value); (2)
-// resolves them into tentative deliveries; (3) asks the adversary
-// strategy for jamming transmissions; (4) re-resolves and hands the
-// final deliveries to the protocol instance as one batch; (5) schedules
-// the sends the instance returns (acceptance relays, retransmissions),
-// clamped against per-node budgets. The run ends when no transmissions
-// remain pending: either every good node has decided Vtrue (Completed)
-// or the broadcast has stalled.
+// resolves them into the slot's tentative deliveries; (3) shows those to
+// the adversary strategy, which answers with jamming transmissions; (4)
+// if it jammed, resolves transmissions and jams together into the final
+// deliveries, otherwise the tentative ones are final; (5) hands the final
+// deliveries to the protocol instance as one batch and schedules the
+// sends it returns (acceptance relays, retransmissions), clamped against
+// per-node budgets. The run ends when no transmissions remain pending:
+// either every good node has decided Vtrue (Completed) or the broadcast
+// has stalled.
+//
+// # Frontier slots
+//
+// Protocol B relays 2·t·mf+1 copies but accepts after t·mf+1, so nine
+// deliveries in ten reach a node that has already decided, where a
+// threshold protocol does nothing but count the receipt. A threshold run
+// therefore works on the slot's frontier — the deliveries to undecided
+// good receivers — instead of all of them: step 2 materialises only the
+// frontier (radio.Medium.ResolveDisjoint with the decided mask), step 3
+// shows only the frontier to the strategy, and when the strategy returns
+// no jam, step 5 delivers only the frontier and the rest of the slot is
+// booked as plain Correct/Wrong bumps on the instance's state arrays. A
+// slot that is jammed discards its frontier and goes through steps 4–5 in
+// full like any other, so jam semantics have one implementation.
+// frontierEligible lists when a run qualifies — in short, when no one
+// could observe the difference: the built-in threshold instance, no
+// OnDeliver observer, the sequential body (RunWorkers <= 1), a strategy
+// that is a function of the frontier (adversary.DeliveryDriven), and a
+// coloring the plan has verified to be distance-2, which is what makes a
+// jam-free slot collision-free by check rather than by assumption. Every
+// other run — custom machines, observed runs, Spammer, sharded runs,
+// unverified colorings — takes steps 2–5 over all deliveries.
 //
 // # Fast path
 //
@@ -117,7 +141,9 @@ type Config struct {
 	// machine surfaces: every final delivery of the radio medium for the
 	// threshold protocols (including deliveries to bad nodes, which the
 	// protocol layer then ignores), every payload delivery for the
-	// reactive machine.
+	// reactive machine. Observing deliveries means materialising all of
+	// them: a threshold run with this hook set resolves every slot in
+	// full instead of its frontier (see the package comment).
 	OnDeliver func(slot int, d radio.Delivery)
 }
 
@@ -228,6 +254,12 @@ type Runner struct {
 
 	trackSupply bool // supply bookkeeping is only needed by strategies
 	curSlot     int
+
+	// frontier selects the frontier-only slot body for this run (see the
+	// package comment and frontierEligible); frontierSlots counts the
+	// slots that completed on it (exposed to tests, see export_test.go).
+	frontier      bool
+	frontierSlots int
 
 	// Scratch reused across slots.
 	txs       []radio.Tx
@@ -493,6 +525,8 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	r.cfg = cfg
 	r.bad = bad
 	r.trackSupply = cfg.Strategy != nil
+	r.frontier = r.frontierEligible()
+	r.frontierSlots = 0
 	for i := 0; i < n; i++ {
 		id := grid.NodeID(i)
 		if bad[i] {
@@ -673,7 +707,12 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 			r.tentative = r.tentative[:0]
 			if len(txs) > 0 {
 				var err error
-				if r.tentative, err = r.medium.ResolveAppend(txs, r.tentative); err != nil {
+				if r.frontier {
+					err = r.resolveFrontier(txs)
+				} else {
+					r.tentative, err = r.medium.ResolveAppend(txs, r.tentative)
+				}
+				if err != nil {
 					return nil, err
 				}
 			}
@@ -685,16 +724,23 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 		}
 
 		if len(jams) > 0 {
-			// Re-resolve with the jams included; ResolveAppend reports
+			// Resolve in full with the jams included; ResolveAppend reports
 			// the same deliveries in the same ascending-receiver order a
 			// callback resolve would. Jam slots always resolve and deliver
-			// sequentially — jam receivers cut across any sharding.
+			// sequentially and completely — jam receivers cut across any
+			// sharding, and a frontier run's slot drops its frontier here
+			// and is delivered like any other engine's.
 			r.txs = append(r.txs, jams...)
 			r.tentative = r.tentative[:0]
 			var err error
 			if r.tentative, err = r.medium.ResolveAppend(r.txs, r.tentative); err != nil {
 				return nil, err
 			}
+		} else if r.frontier && len(r.txs) > 0 {
+			// Jam-free: the frontier is the final batch. Book the rest of
+			// the slot before Deliver decides anyone new.
+			r.bookLate(r.txs)
+			r.frontierSlots++
 		}
 
 		// Hand the slot's final deliveries to the protocol as one batch
@@ -722,12 +768,14 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 }
 
 // consumePending removes one pending transmission from id, debiting the
-// neighbors' supply when id was a Vtrue supplier.
+// neighbors' supply when id was a Vtrue supplier — except on a frontier
+// run, where resolveFrontier debits the undecided receivers it visits
+// anyway and nobody reads the supply of the rest.
 func (r *Runner) consumePending(id grid.NodeID) {
 	r.pending[id]--
 	r.colorPending[r.colors[id]]--
 	r.pendingTotal--
-	if r.supplies[id] {
+	if r.supplies[id] && !r.frontier {
 		for _, nb := range r.neighbors(id) {
 			r.supply[nb]--
 		}
@@ -919,6 +967,64 @@ func (r *Runner) shardFoldWorker(w int) {
 	s := &r.shards[w]
 	s.sends, s.journal = r.foldInst.DeliverShard(
 		r.curSlot, r.tentative[s.lo:s.hi], s.sends[:0], s.journal[:0])
+}
+
+// frontierEligible decides, per run, whether the slot body may resolve,
+// show to the adversary and deliver only the slot's frontier — the
+// deliveries to undecided good receivers. It may when nothing can see the
+// difference: the built-in threshold instance (a delivery to a decided or
+// bad node is at most a receipt-counter bump there; custom machines see
+// every delivery), no OnDeliver observer, the sequential body, a strategy
+// whose jams depend on the frontier alone (adversary.DeliveryDriven), and
+// a plan that verified the coloring — without which a jam-free slot could
+// still hold collisions that only full resolution counts.
+func (r *Runner) frontierEligible() bool {
+	return r.cfg.Machine == nil && r.cfg.OnDeliver == nil && r.cfg.RunWorkers <= 1 &&
+		r.plan.DisjointClasses() && r.deliveryDriven()
+}
+
+// resolveFrontier fills r.tentative with the slot's frontier in
+// ascending receiver order, and debits the Vtrue supply of exactly those
+// receivers (see consumePending): supply is defined for undecided
+// receivers only, and each is debited here in every slot it is reached
+// while undecided, just as the per-transmission walk would have.
+func (r *Runner) resolveFrontier(txs []radio.Tx) error {
+	ds, err := r.medium.ResolveDisjoint(txs, r.st.Decided, r.tentative)
+	if err != nil {
+		return err
+	}
+	w := 0
+	for _, d := range ds {
+		if r.bad[d.To] {
+			continue
+		}
+		if r.supplies[d.From] {
+			r.supply[d.To]--
+		}
+		ds[w] = d
+		w++
+	}
+	r.tentative = ds[:w]
+	return nil
+}
+
+// bookLate books the deliveries of a jam-free frontier slot that are not
+// on the frontier. Bad nodes never decide, so a decided receiver is a
+// good one, and all the protocol does with its delivery is count the
+// receipt; deliveries to bad nodes have no effect at all.
+func (r *Runner) bookLate(txs []radio.Tx) {
+	decided := r.st.Decided
+	for i := range txs {
+		counts := r.st.Wrong
+		if txs[i].Value == radio.ValueTrue {
+			counts = r.st.Correct
+		}
+		for _, to := range r.neighbors(txs[i].From) {
+			if decided[to] {
+				counts[to]++
+			}
+		}
+	}
 }
 
 // validateJams enforces the adversary rules: jams must come from distinct

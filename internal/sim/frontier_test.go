@@ -1,0 +1,253 @@
+package sim_test
+
+// The frontier slot body (see the package comment) lives inside the fast
+// engine next to the body it shortcuts, so besides the fast-vs-ref oracle
+// it gets a differential test of its own: every configuration runs twice
+// on one Runner — bare, which takes the frontier path when eligible, and
+// with a no-op OnDeliver attached, which forces full resolution — and the
+// two legs must agree on the whole Result and on the slot-start, OnSend
+// and OnAccept streams. The Runner's frontier-slot counter proves which path each leg
+// took, so neither half of the comparison can go vacuous.
+
+import (
+	"reflect"
+	"testing"
+
+	"bftbcast/internal/adversary"
+	"bftbcast/internal/core"
+	"bftbcast/internal/grid"
+	"bftbcast/internal/protocol"
+	"bftbcast/internal/radio"
+	"bftbcast/internal/sim"
+	"bftbcast/internal/sim/simtest"
+	"bftbcast/internal/topo"
+	"bftbcast/internal/topo/topotest"
+)
+
+// frontierLeg is one observed run: Result, event stream, and how many of
+// its slots completed on the frontier path.
+type frontierLeg struct {
+	res    *sim.Result
+	events []event
+	slots  int
+}
+
+// runFrontierLeg runs cfg on r with every observer hook logging (see
+// observe) except OnDeliver, which is replaced by onDeliver: nil leaves
+// the run eligible for the frontier path, anything else forces full
+// resolution without adding events to the log.
+func runFrontierLeg(r *sim.Runner, cfg sim.Config, onDeliver func(int, radio.Delivery)) (frontierLeg, error) {
+	log := observe(&cfg)
+	cfg.OnDeliver = onDeliver
+	res, err := r.Run(cfg)
+	return frontierLeg{res: res, events: *log, slots: r.FrontierSlots()}, err
+}
+
+// diffFrontier runs build's config bare and with a no-op OnDeliver on r
+// and fails unless both legs agree; it returns the bare leg (nil when the
+// engine rejected the config on both).
+func diffFrontier(t *testing.T, r *sim.Runner, desc string, build func() sim.Config) *frontierLeg {
+	t.Helper()
+	bare, bareErr := runFrontierLeg(r, build(), nil)
+	full, fullErr := runFrontierLeg(r, build(), func(int, radio.Delivery) {})
+	if (bareErr != nil) != (fullErr != nil) {
+		t.Fatalf("%s: error divergence: bare=%v observed=%v", desc, bareErr, fullErr)
+	}
+	if bareErr != nil {
+		return nil
+	}
+	if full.slots != 0 {
+		t.Fatalf("%s: %d frontier slots with OnDeliver attached", desc, full.slots)
+	}
+	if err := simtest.DiffResults(bare.res, full.res); err != nil {
+		t.Fatalf("%s: frontier vs full resolution: %v", desc, err)
+	}
+	if !reflect.DeepEqual(bare.events, full.events) {
+		t.Fatalf("%s: slot/send/accept streams differ (%d vs %d events)",
+			desc, len(bare.events), len(full.events))
+	}
+	return &bare
+}
+
+func TestFrontierMatchesFullResolution(t *testing.T) {
+	cases := 150
+	if testing.Short() {
+		cases = 40
+	}
+	gen, err := simtest.NewGen(0xF207)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := sim.NewRunner()
+	var jammed, dropped, idle, spammed int
+	for i := 0; i < cases; i++ {
+		c := gen.Next()
+		// Besides the case as drawn, run its Drop-jammer twin (Corruptor
+		// and Targeted) or its explicit-Idle twin (placement without a
+		// strategy), which the generator does not draw by itself.
+		variants := []func() sim.Config{c.Build, func() sim.Config {
+			cfg := c.Build()
+			switch s := cfg.Strategy.(type) {
+			case *adversary.Corruptor:
+				s.Drop = true
+			case *adversary.Targeted:
+				s.Drop = true
+			case nil:
+				cfg.Strategy = adversary.Idle{}
+			}
+			return cfg
+		}}
+		for v, build := range variants {
+			bare := diffFrontier(t, runner, c.Desc, build)
+			if bare == nil {
+				continue
+			}
+			cfg := build()
+			if _, spam := cfg.Strategy.(*adversary.Spammer); spam {
+				if bare.slots != 0 {
+					t.Fatalf("%s: Spammer run took %d frontier slots", c.Desc, bare.slots)
+				}
+				spammed++
+				continue
+			}
+			if bare.slots == 0 {
+				t.Fatalf("%s (variant %d): eligible run took no frontier slot", c.Desc, v)
+			}
+			if bare.res.BadMessages > 0 {
+				jammed++
+				if v == 1 {
+					dropped++
+				}
+			}
+			if _, ok := cfg.Strategy.(adversary.Idle); ok {
+				idle++
+			}
+		}
+	}
+	if jammed == 0 || dropped == 0 || idle == 0 || spammed == 0 {
+		t.Fatalf("degenerate case mix: jammed=%d dropped=%d idle=%d spammed=%d",
+			jammed, dropped, idle, spammed)
+	}
+}
+
+// TestFrontierFigure2 holds the frontier path to the Figure 2
+// construction, the run whose outcome hangs on every single jam decision
+// (p = (r+1,1) must end exactly one copy short of the threshold).
+func TestFrontierFigure2(t *testing.T) {
+	tor := grid.MustNew(45, 45, 4)
+	p := sim.Figure2Params
+	spec, err := core.NewFullBudget(p, p.M0()+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := diffFrontier(t, sim.NewRunner(), "figure 2", func() sim.Config {
+		return sim.Config{
+			Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0),
+			Placement: adversary.Figure2Lattice(4),
+			Strategy:  adversary.NewTargeted(sim.Figure2Victims(tor)),
+		}
+	})
+	if bare.slots == 0 || bare.res.BadMessages == 0 {
+		t.Fatalf("frontier slots=%d bad messages=%d, want both > 0", bare.slots, bare.res.BadMessages)
+	}
+	if !bare.res.Stalled || bare.res.DecidedGood != 84 {
+		t.Fatalf("stalled=%v decided=%d, want the Figure 2 stall at 84", bare.res.Stalled, bare.res.DecidedGood)
+	}
+}
+
+// TestFrontierIneligibleRuns pins the runs that must stay on full
+// resolution: a custom Machine (even the threshold one, which must then
+// reproduce the built-in instance's Result), the multi-broadcast machine
+// behind the facade's WithBroadcasts, and a sharded run.
+func TestFrontierIneligibleRuns(t *testing.T) {
+	tor := grid.MustNew(20, 20, 2)
+	p := core.Params{R: 2, T: 2, MF: 2}
+	spec, err := core.NewProtocolB(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Targeted skips the Corruptor's feasibility gate, so it does jam
+	// protocol B (and loses).
+	victims := make([]bool, tor.Size())
+	for i := range victims {
+		victims[i] = i%5 == 0
+	}
+	build := func() sim.Config {
+		return sim.Config{
+			Topo: tor, Params: p, Spec: spec,
+			Placement: adversary.Random{T: 2, Density: 0.06, Seed: 11},
+			Strategy:  adversary.NewTargeted(victims),
+		}
+	}
+	runner := sim.NewRunner()
+	want, err := runner.Run(build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runner.FrontierSlots() == 0 || want.BadMessages == 0 {
+		t.Fatalf("baseline: frontier slots=%d bad messages=%d, want both > 0",
+			runner.FrontierSlots(), want.BadMessages)
+	}
+
+	defer sim.SetMinShardWork(1)()
+	legs := []struct {
+		name      string
+		mutate    func(*sim.Config)
+		sameAsSeq bool
+	}{
+		{"custom machine", func(c *sim.Config) { c.Machine = protocol.NewThreshold(c.Spec) }, true},
+		{"multi machine", func(c *sim.Config) { c.Machine = &protocol.Multi{Spec: c.Spec, M: 3} }, false},
+		{"run workers", func(c *sim.Config) { c.RunWorkers = 2 }, true},
+	}
+	for _, leg := range legs {
+		cfg := build()
+		leg.mutate(&cfg)
+		got, err := runner.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", leg.name, err)
+		}
+		if n := runner.FrontierSlots(); n != 0 {
+			t.Errorf("%s: took %d frontier slots, want full resolution", leg.name, n)
+		}
+		if leg.sameAsSeq {
+			if err := simtest.DiffResults(got, want); err != nil {
+				t.Errorf("%s: diverged from the frontier run: %v", leg.name, err)
+			}
+		}
+	}
+}
+
+// TestFrontierNeedsVerifiedColoring runs the fast engine on a coloring
+// that is not distance-2: two nodes two hops apart share a color, so
+// their relays collide at the receivers between them. The plan leaves
+// the coloring unverified, the engine must therefore resolve every slot
+// in full — not one frontier slot — and its Result, collisions counted,
+// must still be the reference engine's.
+func TestFrontierNeedsVerifiedColoring(t *testing.T) {
+	b := topo.MustNewBounded(12, 12, 1)
+	tp := topotest.Miscolored(b, b.ID(4, 4), b.ID(6, 4))
+	p := core.Params{R: 1, T: 0, MF: 0}
+	spec, err := core.NewFullBudget(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Config{Topo: tp, Params: p, Spec: spec, Source: b.ID(5, 1)}
+	runner := sim.NewRunner()
+	fast, err := runner.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runner.FrontierSlots(); n != 0 {
+		t.Fatalf("%d frontier slots on an unverified coloring", n)
+	}
+	if fast.GoodGoodCollisions == 0 {
+		t.Fatal("the shared color produced no collision; the test topology is not doing its job")
+	}
+	dense, err := simtest.RefRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := simtest.DiffResults(fast, dense); err != nil {
+		t.Fatalf("fast vs reference on the miscolored grid: %v", err)
+	}
+}

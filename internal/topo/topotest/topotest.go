@@ -202,3 +202,26 @@ func Run(t *testing.T, tp topo.Topology) {
 		t.Errorf("%v: eccentricity of node 0 is %d hops > DiameterHint %d", tp, far, hint)
 	}
 }
+
+// Miscolored wraps tp in a topology that is tp in every respect except
+// that its Coloring gives b the color of a — a broken TDMA schedule when
+// the two share a receiver. Tests use it to hold engines to their
+// behavior on a coloring that is not distance-2 (Run rejects it).
+func Miscolored(tp topo.Topology, a, b topo.NodeID) topo.Topology {
+	return &miscolored{Topology: tp, a: a, b: b}
+}
+
+type miscolored struct {
+	topo.Topology
+	a, b topo.NodeID
+}
+
+func (m *miscolored) Coloring() ([]int32, int, error) {
+	colors, period, err := m.Topology.Coloring()
+	if err != nil {
+		return nil, 0, err
+	}
+	colors = append([]int32(nil), colors...)
+	colors[m.b] = colors[m.a]
+	return colors, period, nil
+}

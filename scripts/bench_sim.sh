@@ -28,6 +28,11 @@
 #     BenchmarkMultiBroadcast, the workers=4 leg of
 #     BenchmarkMultiBroadcastParallel, or BenchmarkJobThroughput
 #     regressed by more than 10% in allocs/op.
+# A gated benchmark that the checked-in snapshot does not hold fails the
+# run too (after the output is written): a gate without a baseline
+# guards nothing. Regenerating the snapshot is the fix — the first
+# regeneration after adding a gated benchmark therefore exits non-zero
+# with the new snapshot in place, and the next run gates against it.
 # Allocation gates are machine-independent; they guard the protocol
 # layer's zero-alloc delivery contract, the large-scale fast path's
 # steady-state reuse (PR 6 took RGG100kRun from ~200k allocs/op to
