@@ -12,9 +12,7 @@ package bftbcast_test
 
 import (
 	"context"
-	"fmt"
 	"io"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -313,10 +311,7 @@ func BenchmarkRGG100kRun(b *testing.B) {
 // protocol-B broadcast on a connected random geometric graph of 2^20
 // nodes (the RGG constructor's cap). The graph and its compiled plan are
 // built once outside the timer; the measured op is the full broadcast to
-// completion on the sequential path (the 1-CPU CI runners cannot measure
-// a parallel speedup; TestParallelRunWorkersReportParity proves the
-// sharded path is bit-identical, so its multi-core gain is pure wall
-// clock). Skipped in -short runs: graph construction alone takes
+// completion. Skipped in -short runs: graph construction alone takes
 // seconds.
 func BenchmarkRGG1MRun(b *testing.B) {
 	if testing.Short() {
@@ -403,66 +398,12 @@ func BenchmarkMultiBroadcast(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiBroadcastParallel is the sharded multi-broadcast tier:
-// the BenchmarkMultiBroadcast workload (45×45 torus, M=32, fault-free)
-// swept over RunWorkers 1/2/4. M=32 lifts the work estimate past the
-// engine's default gate, so the ≥2-worker variants exercise the
-// folding seam (protocol.ShardFoldingInstance) on every fat slot. One
-// workers=1 run outside the timer pins the Report every parallel
-// iteration must reproduce exactly — on CI's single-CPU box the
-// speedup is not measurable, so the snapshot gates allocations and
-// this bit-identity, not wall clock (DESIGN.md §11).
-func BenchmarkMultiBroadcastParallel(b *testing.B) {
-	tor, err := bftbcast.NewTorus(45, 45, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := bftbcast.Params{R: 2, T: 2, MF: 2}
-	spec, err := bftbcast.NewProtocolB(params)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base, err := bftbcast.NewScenario(
-		bftbcast.WithTopology(tor), bftbcast.WithParams(params), bftbcast.WithSpec(spec),
-		bftbcast.WithBroadcasts(32))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	want, err := bftbcast.EngineFast.Run(ctx, base)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !want.Completed || want.Multi == nil {
-		b.Fatalf("sequential baseline failed: %+v", want)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		sc, err := base.With(bftbcast.WithRunWorkers(workers))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rep, err := bftbcast.EngineFast.Run(ctx, sc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !reflect.DeepEqual(rep, want) {
-					b.Fatalf("workers=%d diverged from sequential:\npar: %+v\nseq: %+v", workers, rep, want)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkRGG25kMulti is the large-M irregular-topology tier: 16
 // concurrent protocol-B instances on a connected random geometric graph
-// of 25,600 nodes, fault-free, sharded over 4 workers. Where the torus
-// tier stresses the folding seam's hook-free fast fold on a regular
-// schedule, this one runs it over the RGG's greedy coloring — uneven
-// color classes, per-color degree estimates, and M=16 gate scaling all
-// in play at a scale where the flat M×N arenas dominate memory traffic.
+// of 25,600 nodes, fault-free. Where the torus tier runs the batching on
+// a regular schedule, this one runs it over the RGG's greedy coloring —
+// uneven color classes — at a scale where the flat M×N arenas dominate
+// memory traffic.
 func BenchmarkRGG25kMulti(b *testing.B) {
 	g, err := bftbcast.NewRGG(25_600, 7)
 	if err != nil {
@@ -478,7 +419,6 @@ func BenchmarkRGG25kMulti(b *testing.B) {
 		bftbcast.WithParams(params),
 		bftbcast.WithSpec(spec),
 		bftbcast.WithBroadcasts(16),
-		bftbcast.WithRunWorkers(4),
 	)
 	if err != nil {
 		b.Fatal(err)

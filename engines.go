@@ -148,15 +148,14 @@ func loweredConfig(sc *Scenario) (sim.Config, protocol.Machine, error) {
 // including the Observer-to-callback bridge.
 func simConfig(sc *Scenario) sim.Config {
 	cfg := sim.Config{
-		Topo:       sc.Topo,
-		Params:     sc.Params,
-		Spec:       sc.Spec,
-		Source:     sc.Source,
-		Placement:  sc.Placement,
-		Strategy:   sc.Strategy,
-		Seed:       sc.Seed,
-		MaxSlots:   sc.MaxSlots,
-		RunWorkers: sc.RunWorkers,
+		Topo:      sc.Topo,
+		Params:    sc.Params,
+		Spec:      sc.Spec,
+		Source:    sc.Source,
+		Placement: sc.Placement,
+		Strategy:  sc.Strategy,
+		Seed:      sc.Seed,
+		MaxSlots:  sc.MaxSlots,
 	}
 	if obs := sc.Observer; obs != nil {
 		cfg.OnSlotStart = obs.SlotStart

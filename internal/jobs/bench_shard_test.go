@@ -58,17 +58,25 @@ func timeShardedGrid(b *testing.B, executors int) (time.Duration, []byte) {
 	return elapsed, agg
 }
 
-// minGridTime takes the fastest of three whole-grid samples, which is
-// enough to reject scheduler noise on a loaded box.
-func minGridTime(b *testing.B, executors int) (time.Duration, []byte) {
+// minGridTimes takes whole-grid samples of each executor count in turn,
+// rounds times over, and returns every count's fastest sample with its
+// aggregate. Alternating the counts puts a noisy stretch of a loaded box
+// on all of them at once instead of on whichever was measured then, so
+// ratios of the minima hold still.
+func minGridTimes(b *testing.B, rounds int, executors ...int) ([]time.Duration, [][]byte) {
 	b.Helper()
-	best, agg := timeShardedGrid(b, executors)
-	for i := 0; i < 2; i++ {
-		if d, _ := timeShardedGrid(b, executors); d < best {
-			best = d
+	best := make([]time.Duration, len(executors))
+	aggs := make([][]byte, len(executors))
+	for r := 0; r < rounds; r++ {
+		for k, e := range executors {
+			d, agg := timeShardedGrid(b, e)
+			if r == 0 || d < best[k] {
+				best[k] = d
+			}
+			aggs[k] = agg
 		}
 	}
-	return best, agg
+	return best, aggs
 }
 
 // BenchmarkShardedGridThroughput measures the in-process sharded path
@@ -82,9 +90,9 @@ func minGridTime(b *testing.B, executors int) (time.Duration, []byte) {
 //   - scaling: four executors must beat one (skipped on GOMAXPROCS=1,
 //     where extra executors cannot help).
 func BenchmarkShardedGridThroughput(b *testing.B) {
-	base, wantAgg := minGridTime(b, 0)
-	one, gotAgg := minGridTime(b, 1)
-	if !bytes.Equal(gotAgg, wantAgg) {
+	times, aggs := minGridTimes(b, 5, 0, 1)
+	base, one := times[0], times[1]
+	if wantAgg, gotAgg := aggs[0], aggs[1]; !bytes.Equal(gotAgg, wantAgg) {
 		b.Fatalf("sharded aggregate diverged from unsharded:\n%s\nvs\n%s", gotAgg, wantAgg)
 	}
 	if ratio := one.Seconds() / base.Seconds(); ratio > 1.10 {
@@ -92,8 +100,8 @@ func BenchmarkShardedGridThroughput(b *testing.B) {
 			ratio, one, base)
 	}
 	if runtime.GOMAXPROCS(0) > 1 {
-		four, _ := minGridTime(b, 4)
-		if four >= one {
+		times, _ := minGridTimes(b, 3, 4)
+		if four := times[0]; four >= one {
 			b.Fatalf("sharding did not scale: executors=4 took %v, executors=1 took %v", four, one)
 		}
 	}

@@ -303,8 +303,8 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 		tokens <- struct{}{}
 	}
 	m1, err := Open(Config{
-		Dir:    dir,
-		Engine: &throttleEngine{inner: bftbcast.EngineFast, tokens: tokens},
+		Dir:     dir,
+		Engine:  &throttleEngine{inner: bftbcast.EngineFast, tokens: tokens},
 		Workers: 2, CheckpointEvery: 1, StreamBuffer: 2, Observe: observe,
 	})
 	if err != nil {
@@ -381,6 +381,82 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRunWorkersFieldAcceptedAndIgnored is the wire-compatibility check
+// for the retired "run_workers" scenario field: stored grid documents may
+// still carry it, DecodeGridSpec rejects unknown fields and Open refuses a
+// directory holding an undecodable spec, so the field must keep decoding.
+// A document with "run_workers": 4 decodes, a checkpoint holding it is
+// parked mid-job, reopened and resumed, and its final aggregate equals
+// that of the same grid without the field. A negative value is still a
+// bad limit.
+func TestRunWorkersFieldAcceptedAndIgnored(t *testing.T) {
+	const points = 8
+	doc := []byte(`{"base":{"topology":{"kind":"torus","w":15,"h":15,"r":2},"t":1,"mf":2,
+		"adversary":"random","density":0.08,"run_workers":4,"seed":31},"seeds":8}`)
+	grid, err := bftbcast.DecodeGridSpec(doc)
+	if err != nil {
+		t.Fatalf("grid document carrying run_workers: %v", err)
+	}
+	bad := bytes.Replace(doc, []byte(`"run_workers":4`), []byte(`"run_workers":-1`), 1)
+	if _, err := bftbcast.DecodeGridSpec(bad); !errors.Is(err, bftbcast.ErrBadLimits) {
+		t.Fatalf("run_workers -1: got %v, want ErrBadLimits", err)
+	}
+
+	dir := t.TempDir()
+	tokens := make(chan struct{}, points)
+	for i := 0; i < 3; i++ {
+		tokens <- struct{}{}
+	}
+	m1, err := Open(Config{
+		Dir:     dir,
+		Engine:  &throttleEngine{inner: bftbcast.EngineFast, tokens: tokens},
+		Workers: 2, CheckpointEvery: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := m1.Submit(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "some checkpointed progress", func() bool { return job.Status().Aggregate.Done >= 2 })
+	mustClose(t, m1)
+
+	cps, err := readCheckpoints(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cps) != 1 || cps[0].State != StateQueued || cps[0].Aggregate.Done >= points ||
+		!bytes.Contains(cps[0].Spec, []byte(`"run_workers":4`)) {
+		t.Fatalf("parked checkpoint is not a mid-job record carrying run_workers: %+v spec=%s", cps[0], cps[0].Spec)
+	}
+
+	m2, err := Open(Config{Dir: dir, Workers: 2})
+	if err != nil {
+		t.Fatalf("reopening a directory whose spec carries run_workers: %v", err)
+	}
+	defer mustClose(t, m2)
+	resumed, err := m2.Get(job.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := resumed.AggregateJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	plain, err := bftbcast.DecodeGridSpec(bytes.Replace(doc, []byte(`"run_workers":4,`), nil, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := controlAggregate(t, plain); !bytes.Equal(got, want) {
+		t.Fatalf("aggregate with run_workers differs from the one without:\n%s\nvs\n%s", got, want)
+	}
+}
+
 // TestSubscriberLossyTail pins the lossy-tail contract: a subscriber
 // that never drains stalls nothing, loses the overflow (counted), and
 // its channel closes when the job ends.
@@ -388,8 +464,8 @@ func TestSubscriberLossyTail(t *testing.T) {
 	const points = 24
 	tokens := make(chan struct{}, points)
 	m, err := Open(Config{
-		Dir:    t.TempDir(),
-		Engine: &throttleEngine{inner: bftbcast.EngineFast, tokens: tokens},
+		Dir:     t.TempDir(),
+		Engine:  &throttleEngine{inner: bftbcast.EngineFast, tokens: tokens},
 		Workers: 2, StreamBuffer: 2,
 	})
 	if err != nil {

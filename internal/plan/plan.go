@@ -47,37 +47,6 @@ type Plan struct {
 
 	maxDegree int
 	diamHint  int
-
-	// sharding is the per-color shard artifact backing in-run parallelism
-	// (sim.Config.RunWorkers), built lazily on first use so sequential
-	// runs pay zero extra compile cost — see Sharding.
-	shardOnce sync.Once
-	sharding  *Sharding
-}
-
-// Sharding is the per-color shard artifact of a compiled plan, derived
-// from the CSR adjacency: the engine's in-run parallel path splits a
-// slot's active transmitters — all of one TDMA color class — into
-// receiver-disjoint shards, and this artifact carries the per-color
-// degree aggregates that size and gate those shards. Receiver
-// disjointness itself needs no precomputation: two same-color nodes are
-// at distance > 2r under the distance-2 coloring, so ANY partition of a
-// color class splits the receivers too (see DESIGN.md §11).
-//
-// It is built lazily by Plan.Sharding (never by Compute/For), so
-// sequential-only users pay nothing, and it lives on the Plan: plan cache
-// eviction or Purge drops it with its plan, and a recomputed plan starts
-// without it until the next parallel run.
-type Sharding struct {
-	// ClassDeg[c] is the total CSR degree of color class c — an upper
-	// bound on the deliveries any slot of that color can produce.
-	ClassDeg []int64
-	// AvgDeg[c] is the mean degree over class c, rounded up (>= 1 for
-	// non-empty classes); engines estimate a slot's delivery volume as
-	// pending·AvgDeg when gating the parallel path.
-	AvgDeg []int32
-	// MaxClassDeg is the largest ClassDeg over all colors.
-	MaxClassDeg int64
 }
 
 // maxCached bounds the cache so a host that churns through distinct
@@ -255,37 +224,3 @@ func (p *Plan) ColorClasses() [][]grid.NodeID { return p.classes }
 // topology whose Coloring() breaks it (or has none) reports false and
 // keeps full resolution, so its collisions are still counted.
 func (p *Plan) DisjointClasses() bool { return p.disjoint }
-
-// Sharding returns the per-color shard artifact, computing it on first
-// call (from any goroutine; later calls return the same value). Plans of
-// topologies without a valid coloring return an artifact with nil
-// ClassDeg. Sequential runs never call this, so compiling a plan costs
-// exactly what it did before the artifact existed (see
-// TestShardingLazy).
-func (p *Plan) Sharding() *Sharding {
-	p.shardOnce.Do(func() {
-		sh := &Sharding{}
-		if p.tdmaErr == nil {
-			sh.ClassDeg = make([]int64, len(p.classes))
-			sh.AvgDeg = make([]int32, len(p.classes))
-			for c, class := range p.classes {
-				var deg int64
-				for _, id := range class {
-					deg += int64(p.adj.Degree(id))
-				}
-				sh.ClassDeg[c] = deg
-				if len(class) > 0 {
-					sh.AvgDeg[c] = int32((deg + int64(len(class)) - 1) / int64(len(class)))
-					if sh.AvgDeg[c] < 1 {
-						sh.AvgDeg[c] = 1
-					}
-				}
-				if deg > sh.MaxClassDeg {
-					sh.MaxClassDeg = deg
-				}
-			}
-		}
-		p.sharding = sh
-	})
-	return p.sharding
-}

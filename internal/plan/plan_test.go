@@ -292,93 +292,3 @@ func TestPlanColoringError(t *testing.T) {
 		t.Fatal("coloring artifacts must be absent when the coloring fails")
 	}
 }
-
-// TestShardingLazy pins the laziness contract of the per-color shard
-// artifact: compiling a plan must not build it (sequential users pay
-// zero), the first Sharding call builds it once and caches it on the
-// plan, its numbers match a naive recomputation, and Purge drops it with
-// its plan so a recompiled plan starts without it.
-func TestShardingLazy(t *testing.T) {
-	for name, tp := range topologies(t) {
-		t.Run(name, func(t *testing.T) {
-			Purge()
-			p := For(tp)
-			if p.sharding != nil {
-				t.Fatal("compiling a plan built the shard artifact eagerly")
-			}
-
-			sh := p.Sharding()
-			if sh == nil || sh.ClassDeg == nil {
-				t.Fatalf("Sharding() = %+v on a colorable topology", sh)
-			}
-			if got := p.Sharding(); got != sh {
-				t.Fatal("second Sharding() call rebuilt the artifact")
-			}
-
-			// Naive recomputation over the color classes.
-			if len(sh.ClassDeg) != len(p.classes) || len(sh.AvgDeg) != len(p.classes) {
-				t.Fatalf("artifact sized %d/%d classes, want %d",
-					len(sh.ClassDeg), len(sh.AvgDeg), len(p.classes))
-			}
-			var maxDeg int64
-			for c, class := range p.classes {
-				var deg int64
-				for _, id := range class {
-					deg += int64(len(p.adj.Neighbors(id)))
-				}
-				if sh.ClassDeg[c] != deg {
-					t.Fatalf("ClassDeg[%d] = %d, want %d", c, sh.ClassDeg[c], deg)
-				}
-				if len(class) > 0 {
-					want := int32((deg + int64(len(class)) - 1) / int64(len(class)))
-					if want < 1 {
-						want = 1
-					}
-					if sh.AvgDeg[c] != want {
-						t.Fatalf("AvgDeg[%d] = %d, want %d", c, sh.AvgDeg[c], want)
-					}
-				}
-				if deg > maxDeg {
-					maxDeg = deg
-				}
-			}
-			if sh.MaxClassDeg != maxDeg {
-				t.Fatalf("MaxClassDeg = %d, want %d", sh.MaxClassDeg, maxDeg)
-			}
-
-			// Purge drops the plan and its artifact together.
-			Purge()
-			p2 := For(tp)
-			if p2 == p {
-				t.Fatal("Purge did not evict the plan")
-			}
-			if p2.sharding != nil {
-				t.Fatal("recompiled plan inherited a shard artifact")
-			}
-		})
-	}
-}
-
-// TestShardingConcurrent hammers first-call Sharding from many
-// goroutines: all callers must observe the same artifact (the sync.Once
-// seam), checked under -race in CI.
-func TestShardingConcurrent(t *testing.T) {
-	Purge()
-	p := For(grid.MustNew(15, 15, 2))
-	const workers = 8
-	got := make([]*Sharding, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			got[w] = p.Sharding()
-		}(w)
-	}
-	wg.Wait()
-	for w := 1; w < workers; w++ {
-		if got[w] != got[0] {
-			t.Fatalf("worker %d saw a different artifact", w)
-		}
-	}
-}

@@ -66,20 +66,14 @@ func ForEachWorker(workers, n int, fn func(worker, i int) error) error {
 	return nil
 }
 
-// Ordered runs fn(0), ..., fn(n-1) on a pool of workers and calls
-// emit(i) in strict index order, each as soon as every index <= i has
-// completed. fn stores its result in a caller-owned slot; emit then
-// streams the slots without reordering, so consumers observe the same
-// deterministic sequence a sequential run would produce. emit runs on a
-// dedicated goroutine and never blocks the workers: a slow consumer
-// delays emission, not computation. Ordered returns once every index has
-// been emitted.
-func Ordered(workers, n int, fn func(i int) error, emit func(i int)) error {
-	return OrderedWorker(workers, n, func(_, i int) error { return fn(i) }, emit)
-}
-
-// OrderedWorker is Ordered with the worker identity passed to fn (see
-// ForEachWorker).
+// OrderedWorker runs fn(w, 0), ..., fn(w, n-1) on a pool of workers (w
+// is the worker identity, see ForEachWorker) and calls emit(i) in strict
+// index order, each as soon as every index <= i has completed. fn stores
+// its result in a caller-owned slot; emit then streams the slots without
+// reordering, so consumers observe the same deterministic sequence a
+// sequential run would produce. emit runs on a dedicated goroutine and
+// never blocks the workers: a slow consumer delays emission, not
+// computation. OrderedWorker returns once every index has been emitted.
 func OrderedWorker(workers, n int, fn func(worker, i int) error, emit func(i int)) error {
 	if n <= 0 {
 		return nil
@@ -122,69 +116,4 @@ func OrderedWorker(workers, n int, fn func(worker, i int) error, emit func(i int
 	})
 	<-emitted
 	return err
-}
-
-// Gang is a bounded set of persistent worker goroutines for repeated
-// fork-join phases: Run dispatches one function to every worker and
-// returns after all of them finish, so a caller can run thousands of
-// short parallel phases (one or two per simulation slot) without
-// spawning goroutines per phase. Worker 0 is the calling goroutine
-// itself; NewGang(w) starts w-1 auxiliary goroutines, which park between
-// phases and exit on Close.
-//
-// A Gang is owned by one coordinator goroutine: Run and Close must not
-// be called concurrently, and Run must not be called after Close. The
-// WaitGroup barrier inside Run orders everything the workers wrote
-// before everything the coordinator reads after, so phase functions can
-// fill disjoint shards of shared state without further synchronization.
-type Gang struct {
-	ch    []chan func(int)
-	wg    sync.WaitGroup // phase barrier
-	lives sync.WaitGroup // auxiliary goroutine lifetimes
-}
-
-// NewGang starts a gang of the given size (minimum 1; a 1-gang runs
-// phases inline and starts no goroutines).
-func NewGang(workers int) *Gang {
-	if workers < 1 {
-		workers = 1
-	}
-	g := &Gang{ch: make([]chan func(int), workers-1)}
-	g.lives.Add(len(g.ch))
-	for i := range g.ch {
-		g.ch[i] = make(chan func(int))
-		go func(w int, ch <-chan func(int)) {
-			defer g.lives.Done()
-			for fn := range ch {
-				fn(w)
-				g.wg.Done()
-			}
-		}(i+1, g.ch[i])
-	}
-	return g
-}
-
-// Workers returns the gang size, the calling goroutine included.
-func (g *Gang) Workers() int { return len(g.ch) + 1 }
-
-// Run executes fn(w) once per worker w in [0, Workers()) — fn(0) on the
-// calling goroutine — and returns when every call has finished.
-func (g *Gang) Run(fn func(w int)) {
-	g.wg.Add(len(g.ch))
-	for _, ch := range g.ch {
-		ch <- fn
-	}
-	fn(0)
-	g.wg.Wait()
-}
-
-// Close terminates the auxiliary goroutines and returns once they have
-// all exited; the Gang is dead afterwards. Closing promptly — including
-// on the error/cancellation paths of a run — is what keeps engine
-// cancellation leak-free (see sim's parallel cancellation test).
-func (g *Gang) Close() {
-	for _, ch := range g.ch {
-		close(ch)
-	}
-	g.lives.Wait()
 }

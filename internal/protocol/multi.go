@@ -251,12 +251,10 @@ func (m *Multi) Attach(env Env) (Instance, error) {
 // multiInstance is one multi-broadcast run's state. Per-instance arrays
 // are flat, sized M·n and laid out receiver-major (indexed u·m+j): node
 // u's M instance slots are one contiguous row, so the per-delivery
-// batch application walks one cache-friendly row per endpoint — and,
-// decisively for the sharded path, every row is owned by exactly one
-// receiver, making concurrent shards with disjoint receivers race-free
-// without locks. The aggregate State arrays are the engine-facing
-// summary (Decided = all M instances decided, Value = the on-air value,
-// Correct/Wrong = protocol-level entry counts).
+// batch application walks one cache-friendly row per endpoint. The
+// aggregate State arrays are the engine-facing summary (Decided = all M
+// instances decided, Value = the on-air value, Correct/Wrong =
+// protocol-level entry counts).
 type multiInstance struct {
 	machine   *Multi
 	spec      core.Spec
@@ -347,30 +345,14 @@ func (mi *multiInstance) release(j, slot int, buf []Send) []Send {
 }
 
 // schedule requests enough physical transmissions at u to cover `want`
-// further entry carries, reusing sends already outstanding. Sequential
-// paths (release, Deliver) use it; sharded workers use scheduleShard,
-// whose BatchedSends delta is folded later.
+// further entry carries, reusing sends already outstanding.
 func (mi *multiInstance) schedule(u grid.NodeID, want int, buf []Send) []Send {
-	n := len(buf)
-	buf = mi.scheduleShard(u, want, buf)
-	if len(buf) > n {
-		mi.batchedSends += buf[n].N
-	}
-	return buf
-}
-
-// scheduleShard is schedule minus the BatchedSends count: both its
-// writes (physOutstanding, the appended Send) are indexed by u, so
-// concurrent shards with disjoint receivers stay race-free. The
-// coordinator recovers the BatchedSends delta exactly as the sum of
-// Send.N over the merged buffers (schedule appends one Send per
-// positive need and counts precisely that need).
-func (mi *multiInstance) scheduleShard(u grid.NodeID, want int, buf []Send) []Send {
 	need := want - int(mi.physOutstanding[u])
 	if need <= 0 {
 		return buf
 	}
 	mi.physOutstanding[u] += int32(need)
+	mi.batchedSends += need
 	return append(buf, Send{ID: u, N: need})
 }
 
@@ -470,35 +452,13 @@ func (mi *multiInstance) senderBatch(slot int, w grid.NodeID) [2]int32 {
 	return span
 }
 
-// applyEntry runs one instance-j entry on the sequential path: the
-// instance-tagged deliver hook, the shared receiver-local core, the
-// BatchedSends count, and — on a threshold crossing — the global
-// acceptance fold with its hooks. The sharded path runs the same core
-// in the workers and defers the rest to ShardFold, so the two paths
-// cannot drift apart on the transition itself.
+// applyEntry runs the counts-threshold rule for one instance-j entry of
+// value v delivered to good node u, scheduling the acceptance relay
+// through the shared physical-send pool.
 func (mi *multiInstance) applyEntry(slot, j int, from, u grid.NodeID, v radio.Value, hooks *Hooks, buf []Send) []Send {
 	if mi.machine.OnInstanceDeliver != nil {
 		mi.machine.OnInstanceDeliver(slot, j, from, u, v)
 	}
-	n := len(buf)
-	buf, crossed := mi.applyEntryCore(j, u, v, buf)
-	for _, s := range buf[n:] {
-		mi.batchedSends += s.N
-	}
-	if crossed {
-		mi.foldDecide(slot, Decide{Instance: int32(j), ID: u, Value: v}, hooks)
-	}
-	return buf
-}
-
-// applyEntryCore is the receiver-local half of the counts-threshold
-// rule for one instance-j entry of value v delivered to good node u:
-// receipt counters, the (receiver,instance,value) count, the
-// decided/value row, relay bookkeeping and physical-send scheduling —
-// every write indexed by u. It reports whether the entry crossed the
-// acceptance threshold; the caller owns the global fallout (counters,
-// per-instance aggregates, hooks — see foldDecide).
-func (mi *multiInstance) applyEntryCore(j int, u grid.NodeID, v radio.Value, buf []Send) ([]Send, bool) {
 	if v == radio.ValueTrue {
 		mi.st.Correct[u]++
 	} else {
@@ -512,150 +472,24 @@ func (mi *multiInstance) applyEntryCore(j int, u grid.NodeID, v radio.Value, buf
 	ci := idx*(MaxTrackedValue+1) + int(tracked)
 	mi.counts[ci]++
 	if mi.decided[idx] || mi.counts[ci] != mi.threshold {
-		return buf, false
+		return buf
 	}
 	mi.decided[idx] = true
 	mi.value[idx] = v
-	mi.relayRemaining[idx] += int32(mi.spec.Sends(u))
-	return mi.scheduleShard(u, int(mi.relayRemaining[idx]), buf), true
-}
-
-// foldDecide applies the cross-receiver fallout of one acceptance: the
-// run-global counters, the per-instance aggregates, and the accept
-// hooks — in the exact order the pre-shard sequential path fired them.
-func (mi *multiInstance) foldDecide(slot int, dc Decide, hooks *Hooks) {
-	j, u, v := int(dc.Instance), dc.ID, dc.Value
 	mi.decisions++
-	mi.naiveSends += mi.spec.Sends(u)
 	mi.noteDecided(j, u, v, slot)
+	sends := mi.spec.Sends(u)
+	mi.naiveSends += sends
+	mi.relayRemaining[idx] += int32(sends)
+	buf = mi.schedule(u, int(mi.relayRemaining[idx]), buf)
 	if hooks.OnAccept != nil {
 		hooks.OnAccept(slot, u, v)
 	}
 	if mi.machine.OnInstanceDecide != nil {
 		mi.machine.OnInstanceDecide(slot, j, u, v)
 	}
+	return buf
 }
-
-// WorkHint implements WorkHinter: one delivery from a sender owing all
-// M instances expands into M protocol entries, so the engine's
-// pending×degree delivery estimate understates a multi slot's work by
-// up to M. Reporting M errs on the sharding side for lightly-loaded
-// senders, which is the right bias: the fork-join barrier is per slot,
-// while a missed M=32 slot costs 32× the estimated work sequentially.
-func (mi *multiInstance) WorkHint() int { return mi.m }
-
-// ShardPrepass implements ShardFoldingInstance: the sender-indexed half
-// of Deliver, run coordinator-sequentially before the shards. It pops
-// every transmitting sender's batch (relay decrements on the sender's
-// own row, the physical-send consume, the EntriesCarried count, the
-// slot-stamped span into the arena). Senders of a slot are never
-// receivers of the same slot — the TDMA coloring admits one color per
-// slot and same-color nodes are non-adjacent — so nothing here touches
-// state the receiver shards write. The engine only shards jam-free
-// slots, so every d.From is a good node.
-func (mi *multiInstance) ShardPrepass(slot int, ds []radio.Delivery) {
-	mi.batchArena = mi.batchArena[:0]
-	for _, d := range ds {
-		if mi.bad != nil && mi.bad[d.From] {
-			continue // unreachable on the jam-free shard path; kept for safety
-		}
-		mi.senderBatch(slot, d.From)
-	}
-}
-
-// DeliverShard implements ShardFoldingInstance: the receiver-local half
-// of Deliver over one receiver-disjoint shard. Each entry of the
-// sender's prepass-popped batch runs applyEntryCore — whose writes are
-// all indexed by the receiver, one contiguous u·m row per array — and
-// threshold crossings are journaled for the coordinator's fold instead
-// of updating the cross-receiver aggregates. A collision-free slot
-// delivers to each receiver at most once, so a receiver's entire slot
-// transition lives in exactly one shard whatever the chunking.
-func (mi *multiInstance) DeliverShard(slot int, ds []radio.Delivery, buf []Send, journal []Decide) ([]Send, []Decide) {
-	for _, d := range ds {
-		u := d.To
-		if mi.bad != nil && mi.bad[u] {
-			continue // adversary nodes do not run the protocol
-		}
-		w := d.From
-		if mi.batchStamp[w] != slot {
-			continue // sender not popped by ShardPrepass (outside the jam-free contract)
-		}
-		span := mi.batchSpan[w]
-		row := int(w) * mi.m
-		for _, j32 := range mi.batchArena[span[0]:span[1]] {
-			j := int(j32)
-			v := mi.value[row+j]
-			var crossed bool
-			buf, crossed = mi.applyEntryCore(j, u, v, buf)
-			if crossed {
-				journal = append(journal, Decide{Instance: j32, ID: u, Value: v})
-			}
-		}
-	}
-	return buf, journal
-}
-
-// ShardFold implements ShardFoldingInstance: the coordinator's
-// sequential epilogue over the merged shard artifacts. BatchedSends is
-// recovered as the sum of the merged Send.N (exactly what scheduleShard
-// admitted); each journaled acceptance folds its global counters and
-// per-instance aggregates via foldDecide. With any hook attached, the
-// fold replays the whole batch in delivery order — raw deliver hook,
-// then the sender's batch entries in ascending instance order with the
-// instance-tagged deliver hook, pairing the journal head's (instance,
-// receiver) against the walked entry to fire the accept hooks at the
-// exact per-entry point the sequential path did. The pairing is exact,
-// not heuristic: chunks concatenate in ascending-receiver order, a
-// receiver hears one transmission per collision-free slot, and a
-// (j, u) pair decides at most once — so the journal is a subsequence
-// of the walked entry stream. Without hooks the walk is skipped and
-// the fold costs O(sends + decides), independent of batch size.
-func (mi *multiInstance) ShardFold(slot int, ds []radio.Delivery, sends []Send, journal []Decide, hooks *Hooks) {
-	for _, s := range sends {
-		mi.batchedSends += s.N
-	}
-	if hooks.OnDeliver == nil && hooks.OnAccept == nil &&
-		mi.machine.OnInstanceDeliver == nil && mi.machine.OnInstanceDecide == nil {
-		for _, dc := range journal {
-			mi.foldDecide(slot, dc, hooks)
-		}
-		return
-	}
-	k := 0
-	for _, d := range ds {
-		if hooks.OnDeliver != nil {
-			hooks.OnDeliver(slot, d)
-		}
-		u := d.To
-		if mi.bad != nil && mi.bad[u] {
-			continue
-		}
-		w := d.From
-		if mi.batchStamp[w] != slot {
-			continue
-		}
-		span := mi.batchSpan[w]
-		row := int(w) * mi.m
-		for _, j32 := range mi.batchArena[span[0]:span[1]] {
-			j := int(j32)
-			if mi.machine.OnInstanceDeliver != nil {
-				mi.machine.OnInstanceDeliver(slot, j, w, u, mi.value[row+j])
-			}
-			if k < len(journal) && journal[k].Instance == j32 && journal[k].ID == u {
-				mi.foldDecide(slot, journal[k], hooks)
-				k++
-			}
-		}
-	}
-}
-
-// The fast engine's in-run parallel path shards multi-broadcast runs
-// through the prepass/shard/fold seam, with the work gate scaled by M.
-var (
-	_ ShardFoldingInstance = (*multiInstance)(nil)
-	_ WorkHinter           = (*multiInstance)(nil)
-)
 
 // GoodBudget implements Instance: instance sources are unlimited (the
 // engine already leaves the scenario source unlimited; secondary

@@ -172,97 +172,3 @@ type Instance interface {
 	// instance publish run statistics to its machine.
 	Finish(slots int)
 }
-
-// ShardedInstance is an optional Instance refinement for engines that
-// shard one slot's deliveries across worker goroutines (the fast
-// engine's in-run parallel path, sim.Config.RunWorkers). An instance may
-// implement it when its per-delivery transition touches only
-// per-receiver state — the counts-threshold machine qualifies: receipt
-// counters, per-(node,value) counts and the decided/value arrays are all
-// indexed by the receiver, so shards with disjoint receivers commute and
-// the merged outcome is bit-identical to one sequential Deliver over the
-// whole batch.
-//
-// Engines guarantee receiver disjointness from the TDMA schedule (one
-// slot's transmitters share no receivers under the distance-2 coloring)
-// and fire the run's Hooks themselves by replaying the merged batch in
-// canonical ascending-receiver order; DeliverShard therefore takes no
-// hooks. Instances that cannot offer this (the reactive machine's NACK
-// aggregation is cross-receiver) simply don't implement the interface
-// and run sequentially whatever RunWorkers says.
-type ShardedInstance interface {
-	Instance
-	// DeliverShard applies one receiver-disjoint shard of a slot's final
-	// deliveries, appending the sends to schedule to buf (ascending
-	// receiver order in, ascending out). It must be safe to call
-	// concurrently with other DeliverShard calls over disjoint receivers,
-	// and never with any other Instance method.
-	DeliverShard(ds []radio.Delivery, buf []Send) []Send
-}
-
-// Decide records one per-instance acceptance produced inside a sharded
-// delivery: instance index, deciding node, accepted value. Workers
-// journal decides instead of touching cross-receiver aggregates; the
-// coordinator folds the merged journal in delivery order (see
-// ShardFoldingInstance).
-type Decide struct {
-	Instance int32
-	ID       grid.NodeID
-	Value    radio.Value
-}
-
-// WorkHinter is an optional Instance refinement for the sharding work
-// gate: WorkHint reports roughly how many protocol-level entries one
-// radio delivery expands into, so the engine can scale its
-// pending×degree delivery estimate into an entry estimate. Instances
-// without the method count as hint 1 (one entry per delivery — the
-// threshold machine's shape); the multi-broadcast machine reports M,
-// letting M=32 slots clear the gate even when raw delivery counts sit
-// under it.
-type WorkHinter interface {
-	// WorkHint returns the approximate entries applied per delivery
-	// (>= 1; non-positive values are treated as 1).
-	WorkHint() int
-}
-
-// ShardFoldingInstance is the second sharded-delivery seam, for
-// machines whose per-delivery transition is receiver-local only after a
-// sender-side prepass and whose aggregates need a coordinator fold —
-// the multi-broadcast machine is the motivating case: batch pops are
-// sender-indexed (one pop per transmission, shared by all its
-// receivers), entry application is receiver-indexed, and the batching
-// economics counters are global. The engine drives a sharded slot as:
-//
-//  1. ShardPrepass, sequentially on the coordinator: all sender-indexed
-//     state transitions for the slot's (jam-free, hence good-sender)
-//     delivery batch. Senders of a slot are never receivers of the same
-//     slot under the distance-2 TDMA coloring, so the prepass commutes
-//     with the receiver-side shards that follow.
-//  2. DeliverShard, concurrently over receiver-disjoint chunks: the
-//     receiver-local transitions, journaling each acceptance instead of
-//     updating cross-receiver aggregates. Like
-//     ShardedInstance.DeliverShard it must be safe concurrently with
-//     itself over disjoint receivers and with nothing else.
-//  3. ShardFold, sequentially, with the shards' sends and journals
-//     merged in chunk (= ascending receiver = sequential delivery)
-//     order: the global/per-instance counter folds and the full hook
-//     replay — the folding instance owns its event interleaving, so
-//     the engine does not replay hooks itself on this path.
-//
-// The engine only shards jam-free slots, so deliveries from bad senders
-// never reach this seam (they still reach Deliver on the sequential
-// fallback).
-type ShardFoldingInstance interface {
-	Instance
-	// ShardPrepass applies the sender-indexed transitions of one slot's
-	// final delivery batch (coordinator-sequential, before any shard).
-	ShardPrepass(slot int, ds []radio.Delivery)
-	// DeliverShard applies one receiver-disjoint shard of the batch,
-	// appending sends to buf and acceptances to journal (delivery order
-	// in, delivery order out).
-	DeliverShard(slot int, ds []radio.Delivery, buf []Send, journal []Decide) ([]Send, []Decide)
-	// ShardFold folds the merged shard artifacts (coordinator-
-	// sequential, after all shards): global counters, per-instance
-	// aggregates, and the hook replay over the full batch ds.
-	ShardFold(slot int, ds []radio.Delivery, sends []Send, journal []Decide, hooks *Hooks)
-}

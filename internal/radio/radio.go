@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"bftbcast/internal/grid"
 	"bftbcast/internal/topo"
@@ -510,80 +509,4 @@ func (m *Medium) drainBits(dst []Delivery) []Delivery {
 	m.emitBits(nil)
 	dst, m.out = m.out, nil
 	return dst
-}
-
-// ShardBegin opens a sharded resolution pass: the engine's in-run
-// parallel path (see sim.Config.RunWorkers) marks disjoint subsets of one
-// slot's transmissions from worker goroutines via ShardMark, then
-// collects the deliveries on its coordinator goroutine via ShardCollect.
-//
-// The pass is restricted to good (non-jam) transmissions of one TDMA
-// color class: under a valid distance-2 coloring the transmitters'
-// receiver sets are pairwise disjoint, so all per-receiver scratch writes
-// are data-race free and the outcome is independent of how transmissions
-// are sharded. Feeding transmissions that violate the coloring (two
-// transmitters sharing a receiver) is a schedule bug; a same-goroutine
-// violation is still counted as a GoodGoodCollision, a cross-goroutine
-// one is a data race and the outcome is unspecified.
-func (m *Medium) ShardBegin() {
-	m.ensureBits()
-	m.nextEpoch()
-}
-
-// ShardMark marks the receivers of one shard of good transmissions. It
-// may be called concurrently from multiple goroutines between ShardBegin
-// and ShardCollect, provided the shards' transmitters come from one
-// collision-free color class (see ShardBegin). It returns an error for
-// transmissions Resolve would reject.
-func (m *Medium) ShardMark(txs []Tx) error {
-	epoch := m.epoch
-	for i := range txs {
-		tx := &txs[i]
-		from := tx.From
-		if tx.Value == ValueNone {
-			return fmt.Errorf("radio: transmission from %d carries ValueNone", from)
-		}
-		if int(from) < 0 || int(from) >= len(m.mark) {
-			return fmt.Errorf("radio: transmitter %d out of range", from)
-		}
-		if tx.Jam {
-			return fmt.Errorf("radio: jam from %d in a sharded pass (jam slots resolve sequentially)", from)
-		}
-		v := tx.Value
-		for _, to := range m.adj.Neighbors(from) {
-			if m.mark[to] != epoch {
-				// Sole toucher under a valid schedule: plain per-receiver
-				// writes, only the shared bitset words need atomics. The
-				// summary load/or pair is written to discard both atomic
-				// results: summary ends up set iff the word is non-zero
-				// (a racing first-toucher sets it redundantly, which is
-				// idempotent), and the value-returning atomic.OrUint64
-				// intrinsic is miscompiled by go1.24.0 on amd64 — the
-				// register holding the OR result is reused as the receiver
-				// pointer in the following instruction.
-				wi := uint32(to) >> 6
-				if atomic.LoadUint64(&m.words[wi]) == 0 {
-					atomic.OrUint64(&m.summary[wi>>6], 1<<(wi&63))
-				}
-				atomic.OrUint64(&m.words[wi], 1<<(uint32(to)&63))
-				m.mark[to] = epoch
-				m.nGood[to] = 1
-				m.goodVal[to] = v
-				m.goodFrom[to] = from
-				m.jammed[to] = false
-			} else {
-				m.nGood[to]++ // same-shard schedule violation → collision
-			}
-		}
-	}
-	return nil
-}
-
-// ShardCollect closes a sharded resolution pass after every ShardMark
-// call has completed (the engine's phase barrier orders the marks before
-// the collect), appending the slot's deliveries to dst in ascending
-// receiver id order — exactly the deliveries and order Resolve would
-// produce for the same transmissions.
-func (m *Medium) ShardCollect(dst []Delivery) []Delivery {
-	return m.drainBits(dst)
 }

@@ -34,12 +34,12 @@
 // full like any other, so jam semantics have one implementation.
 // frontierEligible lists when a run qualifies — in short, when no one
 // could observe the difference: the built-in threshold instance, no
-// OnDeliver observer, the sequential body (RunWorkers <= 1), a strategy
-// that is a function of the frontier (adversary.DeliveryDriven), and a
-// coloring the plan has verified to be distance-2, which is what makes a
-// jam-free slot collision-free by check rather than by assumption. Every
-// other run — custom machines, observed runs, Spammer, sharded runs,
-// unverified colorings — takes steps 2–5 over all deliveries.
+// OnDeliver observer, a strategy that is a function of the frontier
+// (adversary.DeliveryDriven), and a coloring the plan has verified to be
+// distance-2, which is what makes a jam-free slot collision-free by check
+// rather than by assumption. Every other run — custom machines, observed
+// runs, Spammer, unverified colorings — takes steps 2–5 over all
+// deliveries.
 //
 // # Fast path
 //
@@ -66,21 +66,11 @@ import (
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
 	"bftbcast/internal/plan"
-	"bftbcast/internal/pool"
 	"bftbcast/internal/protocol"
 	"bftbcast/internal/radio"
 	"bftbcast/internal/sched"
 	"bftbcast/internal/topo"
 )
-
-// minShardWork gates the in-run parallel path per slot: a slot is
-// sharded only when its estimated delivery volume — pending transmissions
-// times the color class's mean degree (plan.Sharding) — reaches this many
-// deliveries. Below it the fork-join barrier costs more than the work;
-// small slots run the sequential path, which is bit-identical anyway.
-// A variable (not a const) so tests can force tiny slots through the
-// parallel path (see export_test.go).
-var minShardWork int64 = 4096
 
 // maxTrackedValue bounds the distinct broadcast values the threshold
 // protocols track per node; the engine reuses it to validate jam values.
@@ -112,19 +102,6 @@ type Config struct {
 	// MaxSlots caps the run; 0 picks a generous default derived from the
 	// protocol sizing and torus size.
 	MaxSlots int
-	// RunWorkers > 1 shards each big slot of this run — delivery
-	// resolution and protocol state transitions — across that many worker
-	// goroutines (see DESIGN.md §11). The TDMA coloring makes any split
-	// of one slot's transmitters receiver-disjoint, and the engine merges
-	// every shard artifact in canonical ascending-receiver order, so the
-	// Result and the observer stream are bit-identical to the sequential
-	// path for every worker count. <= 1 (the default) runs today's
-	// sequential path; protocol machines that implement neither
-	// protocol.ShardedInstance (threshold) nor
-	// protocol.ShardFoldingInstance (multi-broadcast) run sequentially
-	// whatever this says, and the dense reference engine
-	// (internal/sim/ref) ignores it entirely.
-	RunWorkers int
 	// OnAccept, when non-nil, observes every acceptance.
 	OnAccept func(slot int, id grid.NodeID, v radio.Value)
 	// OnSlotStart, when non-nil, observes every executed slot before its
@@ -268,53 +245,7 @@ type Runner struct {
 	jamSeen   []int32 // epoch stamps replacing validateJams' map
 	jamEpoch  int32
 
-	// In-run parallelism (Config.RunWorkers > 1, see DESIGN.md §11).
-	// gang is the run's bounded worker set, armed by RunContext only when
-	// the instance implements one of the two sharded-delivery seams —
-	// protocol.ShardedInstance (shardInst: the engine replays hooks from
-	// the merged batch) or protocol.ShardFoldingInstance (foldInst: the
-	// instance folds its own aggregates and hooks from the merged journal,
-	// the multi-broadcast shape) — and closed when the run returns (any
-	// path). shards is the per-worker scratch, shardAvg the plan's
-	// per-color mean degree (the slot-gating estimate), workHint the
-	// instance's entries-per-delivery scale for the gate
-	// (protocol.WorkHinter, default 1), shardColor the slot's color for
-	// the phase closures — which are method values stored once so the
-	// per-slot gang.Run calls don't allocate. shardSlots/shardEntries
-	// count the slots and deliveries that actually took the sharded
-	// delivery path this run (exposed to tests, see export_test.go).
-	gang         *pool.Gang
-	shardInst    protocol.ShardedInstance
-	foldInst     protocol.ShardFoldingInstance
-	shards       []shardState
-	shardAvg     []int32
-	workHint     int64
-	shardColor   int
-	phaseEmit    func(w int)
-	phaseDeliver func(w int)
-	phaseFold    func(w int)
-	journal      []protocol.Decide
-	shardSlots   int
-	shardEntries int64
-
 	res Result
-}
-
-// shardState is one gang worker's slice of a sharded slot: its segment
-// [lo, hi) of the color queue (phase A) or of the tentative deliveries
-// (phase B), its private output buffers, and the counter deltas the
-// coordinator folds into the shared totals at the phase barrier. Padded
-// so neighboring workers' hot counters don't share a cache line.
-type shardState struct {
-	txs      []radio.Tx       // phase A: this worker's emitted transmissions
-	sends    []protocol.Send  // phase B: this worker's protocol sends
-	journal  []protocol.Decide // phase B (folding seam): this worker's acceptances
-	lo, hi   int              // segment bounds in the queue / delivery batch
-	kept     int              // phase A: queue entries kept after compaction
-	good     int              // phase A: GoodMessages delta
-	consumed int64            // phase A: colorPending/pendingTotal delta
-	err      error            // first error this worker hit
-	_        [64]byte
 }
 
 // NewRunner returns an empty Runner; the first Run sizes it.
@@ -471,57 +402,6 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		OnAccept:  cfg.OnAccept,
 	}
 
-	// Arm the in-run parallel path when asked for and the instance
-	// supports one of the sharded-delivery seams. The gang lives for
-	// exactly one run: the deferred Close joins its goroutines on every
-	// exit — normal, error or cancellation — so parallel runs never leak
-	// workers (see TestParallelCancel).
-	r.shardSlots, r.shardEntries = 0, 0
-	if cfg.RunWorkers > 1 {
-		si, sharded := r.inst.(protocol.ShardedInstance)
-		fi, folding := r.inst.(protocol.ShardFoldingInstance)
-		if sharded || folding {
-			if sh := r.plan.Sharding(); sh.ClassDeg != nil {
-				if sharded {
-					r.shardInst = si
-				} else {
-					r.foldInst = fi
-				}
-				r.shardAvg = sh.AvgDeg
-				// The work gate estimates deliveries; instances whose
-				// deliveries expand into several protocol entries (the
-				// multi machine's M) scale the estimate so fat-entry slots
-				// shard even at low delivery counts.
-				r.workHint = 1
-				if wh, ok := r.inst.(protocol.WorkHinter); ok {
-					if h := wh.WorkHint(); h > 1 {
-						r.workHint = int64(h)
-					}
-				}
-				r.gang = pool.NewGang(cfg.RunWorkers)
-				// Keep (don't clear) the per-worker buffers across runs;
-				// shardSlot resets the bookkeeping fields per slot.
-				if w := r.gang.Workers(); cap(r.shards) >= w {
-					r.shards = r.shards[:w]
-				} else {
-					r.shards = make([]shardState, w)
-				}
-				if r.phaseEmit == nil {
-					r.phaseEmit = r.shardEmitMark
-					r.phaseDeliver = r.shardDeliverWorker
-					r.phaseFold = r.shardFoldWorker
-				}
-				defer func() {
-					r.gang.Close()
-					r.gang = nil
-					r.shardInst = nil
-					r.foldInst = nil
-					r.shardAvg = nil
-				}()
-			}
-		}
-	}
-
 	r.cfg = cfg
 	r.bad = bad
 	r.trackSupply = cfg.Strategy != nil
@@ -660,61 +540,47 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 			r.cfg.OnSlotStart(slot)
 		}
 
-		// Big slots of a parallel run go through the sharded path:
-		// emission, delivery resolution and (below) the protocol
-		// transitions fan out over the gang, with every artifact merged in
-		// the sequential order. Estimated-small slots stay sequential —
-		// the outputs are bit-identical either way, only the wall clock
-		// differs.
-		sharded := r.gang != nil && r.colorPending[color] > 0 &&
-			r.colorPending[color]*int64(r.shardAvg[color])*r.workHint >= minShardWork
-		if sharded {
-			if err := r.shardSlot(slot, color); err != nil {
-				return nil, err
-			}
-		} else {
-			txs := r.txs[:0]
-			if r.colorPending[color] > 0 {
-				q := r.active[color]
-				w := 0
-				for _, id := range q {
-					if r.pending[id] <= 0 {
-						continue // lazily drop drained entries
-					}
-					if !r.goodBudget[id].TrySpend() {
-						// Budget exhausted below the protocol's send count:
-						// drop the remaining pendings (can happen only when
-						// a spec sends more than its own budget).
-						r.dropPending(id)
-						continue
-					}
-					r.consumePending(id)
-					r.sent[id]++
-					r.res.GoodMessages++
-					if r.cfg.OnSend != nil {
-						r.cfg.OnSend(slot, id, r.st.Value[id], false)
-					}
-					txs = append(txs, radio.Tx{From: id, Value: r.st.Value[id]})
-					if r.pending[id] > 0 {
-						q[w] = id
-						w++
-					}
+		txs := r.txs[:0]
+		if r.colorPending[color] > 0 {
+			q := r.active[color]
+			w := 0
+			for _, id := range q {
+				if r.pending[id] <= 0 {
+					continue // lazily drop drained entries
 				}
-				r.active[color] = q[:w]
+				if !r.goodBudget[id].TrySpend() {
+					// Budget exhausted below the protocol's send count:
+					// drop the remaining pendings (can happen only when
+					// a spec sends more than its own budget).
+					r.dropPending(id)
+					continue
+				}
+				r.consumePending(id)
+				r.sent[id]++
+				r.res.GoodMessages++
+				if r.cfg.OnSend != nil {
+					r.cfg.OnSend(slot, id, r.st.Value[id], false)
+				}
+				txs = append(txs, radio.Tx{From: id, Value: r.st.Value[id]})
+				if r.pending[id] > 0 {
+					q[w] = id
+					w++
+				}
 			}
-			r.txs = txs
+			r.active[color] = q[:w]
+		}
+		r.txs = txs
 
-			r.tentative = r.tentative[:0]
-			if len(txs) > 0 {
-				var err error
-				if r.frontier {
-					err = r.resolveFrontier(txs)
-				} else {
-					r.tentative, err = r.medium.ResolveAppend(txs, r.tentative)
-				}
-				if err != nil {
-					return nil, err
-				}
+		r.tentative = r.tentative[:0]
+		if len(txs) > 0 {
+			var err error
+			if r.frontier {
+				err = r.resolveFrontier(txs)
+			} else {
+				r.tentative, err = r.medium.ResolveAppend(txs, r.tentative)
+			}
+			if err != nil {
+				return nil, err
 			}
 		}
 
@@ -726,10 +592,8 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 		if len(jams) > 0 {
 			// Resolve in full with the jams included; ResolveAppend reports
 			// the same deliveries in the same ascending-receiver order a
-			// callback resolve would. Jam slots always resolve and deliver
-			// sequentially and completely — jam receivers cut across any
-			// sharding, and a frontier run's slot drops its frontier here
-			// and is delivered like any other engine's.
+			// callback resolve would. A frontier run's slot drops its
+			// frontier here and is delivered like any other engine's.
 			r.txs = append(r.txs, jams...)
 			r.tentative = r.tentative[:0]
 			var err error
@@ -748,14 +612,10 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 		// non-empty batch so every engine ticks the same slot stream.
 		if len(r.tentative) > 0 {
 			r.sendBuf = r.sendBuf[:0]
-			if sharded && len(jams) == 0 {
-				r.shardDeliver(slot)
-			} else {
-				var err error
-				r.sendBuf, err = r.inst.Deliver(slot, r.tentative, &r.hooks, r.sendBuf)
-				if err != nil {
-					return nil, err
-				}
+			var err error
+			r.sendBuf, err = r.inst.Deliver(slot, r.tentative, &r.hooks, r.sendBuf)
+			if err != nil {
+				return nil, err
 			}
 			r.sendBuf = r.inst.Tick(slot, r.sendBuf)
 			r.applySends(r.sendBuf)
@@ -798,188 +658,17 @@ func (r *Runner) dropPending(id grid.NodeID) {
 	}
 }
 
-// shardSlot runs one slot's emission and delivery resolution across the
-// gang (phase A): each worker walks a contiguous segment of the color
-// queue, emitting its transmissions and marking their receivers in the
-// medium's shared bitset, then the coordinator stitches the compacted
-// queue segments, folds the counter deltas, concatenates the
-// transmissions in worker (= queue) order, replays the OnSend events and
-// collects the deliveries.
-//
-// Everything a worker writes is private to it: transmitters are
-// partitioned by segment, their receiver sets (and hence the supply
-// entries they debit) are pairwise disjoint under the TDMA distance-2
-// coloring, and the shared counters are folded at the barrier. Segment
-// concatenation preserves queue order, so the transmissions, the OnSend
-// stream, the compacted queue and the ascending-receiver deliveries are
-// exactly the sequential path's.
-func (r *Runner) shardSlot(slot, color int) error {
-	q := r.active[color]
-	workers := r.gang.Workers()
-	for w := 0; w < workers; w++ {
-		s := &r.shards[w]
-		s.lo = w * len(q) / workers
-		s.hi = (w + 1) * len(q) / workers
-		s.kept = 0
-		s.good = 0
-		s.consumed = 0
-		s.err = nil
-		s.txs = s.txs[:0]
-	}
-	r.shardColor = color
-	r.medium.ShardBegin()
-	r.gang.Run(r.phaseEmit)
-
-	var err error
-	pos := 0
-	txs := r.txs[:0]
-	for w := 0; w < workers; w++ {
-		s := &r.shards[w]
-		if s.err != nil && err == nil {
-			err = s.err
-		}
-		pos += copy(q[pos:], q[s.lo:s.lo+s.kept])
-		r.colorPending[color] -= s.consumed
-		r.pendingTotal -= s.consumed
-		r.res.GoodMessages += s.good
-		txs = append(txs, s.txs...)
-	}
-	r.active[color] = q[:pos]
-	r.txs = txs
-	if r.cfg.OnSend != nil {
-		for i := range txs {
-			r.cfg.OnSend(slot, txs[i].From, txs[i].Value, false)
-		}
-	}
-	// Collect even on error: emission clears the medium's touched bitset,
-	// so a reused Runner's next slot starts clean.
-	r.tentative = r.medium.ShardCollect(r.tentative[:0])
-	return err
-}
-
-// shardEmitMark is the gang's phase A worker: the sequential emission
-// loop over one queue segment, with the shared-counter updates deferred
-// to the coordinator's fold (consumed, good) and the queue compacted in
-// place within the segment.
-func (r *Runner) shardEmitMark(w int) {
-	s := &r.shards[w]
-	q := r.active[r.shardColor]
-	kept := s.lo
-	for _, id := range q[s.lo:s.hi] {
-		if r.pending[id] <= 0 {
-			continue // lazily drop drained entries
-		}
-		if !r.goodBudget[id].TrySpend() {
-			// dropPending, minus the shared counters (folded at the
-			// barrier).
-			p := r.pending[id]
-			r.pending[id] = 0
-			s.consumed += int64(p)
-			if r.supplies[id] {
-				for _, nb := range r.neighbors(id) {
-					r.supply[nb] -= p
-				}
-			}
-			continue
-		}
-		r.pending[id]--
-		s.consumed++
-		if r.supplies[id] {
-			for _, nb := range r.neighbors(id) {
-				r.supply[nb]--
-			}
-		}
-		r.sent[id]++
-		s.good++
-		s.txs = append(s.txs, radio.Tx{From: id, Value: r.st.Value[id]})
-		if r.pending[id] > 0 {
-			q[kept] = id
-			kept++
-		}
-	}
-	s.kept = kept - s.lo
-	s.err = r.medium.ShardMark(s.txs)
-}
-
-// shardDeliver is phase B: the slot's final deliveries fan out to the
-// instance's DeliverShard in equal-count chunks — any chunking is
-// receiver-disjoint, since each receiver appears at most once per
-// collision-free slot — and the coordinator merges the returned sends in
-// chunk (= ascending receiver) order. On the plain sharded seam the
-// coordinator then replays the observer hooks over the merged batch:
-// acceptances surface as the sends appended in delivery order, so a
-// lockstep walk pairs each OnAccept with the delivery that caused it,
-// reproducing the sequential event stream. On the folding seam the
-// sender-indexed prepass runs first, workers journal acceptances, and
-// the instance's ShardFold owns the counter folds and hook replay (it
-// knows which sends belong to which instance). Only jam-free slots are
-// sharded, so Collided deliveries never reach this path.
-func (r *Runner) shardDeliver(slot int) {
-	deliveries := len(r.tentative)
-	workers := r.gang.Workers()
-	for w := 0; w < workers; w++ {
-		s := &r.shards[w]
-		s.lo = w * deliveries / workers
-		s.hi = (w + 1) * deliveries / workers
-	}
-	r.shardSlots++
-	r.shardEntries += int64(deliveries) * r.workHint
-	if r.foldInst != nil {
-		r.foldInst.ShardPrepass(slot, r.tentative)
-		r.gang.Run(r.phaseFold)
-		r.journal = r.journal[:0]
-		for w := 0; w < workers; w++ {
-			r.sendBuf = append(r.sendBuf, r.shards[w].sends...)
-			r.journal = append(r.journal, r.shards[w].journal...)
-		}
-		r.foldInst.ShardFold(slot, r.tentative, r.sendBuf, r.journal, &r.hooks)
-		return
-	}
-	r.gang.Run(r.phaseDeliver)
-	for w := 0; w < workers; w++ {
-		r.sendBuf = append(r.sendBuf, r.shards[w].sends...)
-	}
-	if r.hooks.OnDeliver != nil || r.hooks.OnAccept != nil {
-		j := 0
-		for _, d := range r.tentative {
-			if r.hooks.OnDeliver != nil {
-				r.hooks.OnDeliver(slot, d)
-			}
-			if j < len(r.sendBuf) && r.sendBuf[j].ID == d.To {
-				if r.hooks.OnAccept != nil {
-					r.hooks.OnAccept(slot, d.To, d.Value)
-				}
-				j++
-			}
-		}
-	}
-}
-
-// shardDeliverWorker is the gang's phase B worker (sharded seam).
-func (r *Runner) shardDeliverWorker(w int) {
-	s := &r.shards[w]
-	s.sends = r.shardInst.DeliverShard(r.tentative[s.lo:s.hi], s.sends[:0])
-}
-
-// shardFoldWorker is the gang's phase B worker (folding seam): same
-// chunk, but acceptances are journaled for the coordinator's fold.
-func (r *Runner) shardFoldWorker(w int) {
-	s := &r.shards[w]
-	s.sends, s.journal = r.foldInst.DeliverShard(
-		r.curSlot, r.tentative[s.lo:s.hi], s.sends[:0], s.journal[:0])
-}
-
 // frontierEligible decides, per run, whether the slot body may resolve,
 // show to the adversary and deliver only the slot's frontier — the
 // deliveries to undecided good receivers. It may when nothing can see the
 // difference: the built-in threshold instance (a delivery to a decided or
 // bad node is at most a receipt-counter bump there; custom machines see
-// every delivery), no OnDeliver observer, the sequential body, a strategy
-// whose jams depend on the frontier alone (adversary.DeliveryDriven), and
-// a plan that verified the coloring — without which a jam-free slot could
-// still hold collisions that only full resolution counts.
+// every delivery), no OnDeliver observer, a strategy whose jams depend on
+// the frontier alone (adversary.DeliveryDriven), and a plan that verified
+// the coloring — without which a jam-free slot could still hold collisions
+// that only full resolution counts.
 func (r *Runner) frontierEligible() bool {
-	return r.cfg.Machine == nil && r.cfg.OnDeliver == nil && r.cfg.RunWorkers <= 1 &&
+	return r.cfg.Machine == nil && r.cfg.OnDeliver == nil &&
 		r.plan.DisjointClasses() && r.deliveryDriven()
 }
 

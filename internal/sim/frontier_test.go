@@ -24,6 +24,35 @@ import (
 	"bftbcast/internal/topo/topotest"
 )
 
+// event is one observer callback, flattened for comparison.
+type event struct {
+	kind        string
+	slot        int
+	id          grid.NodeID
+	to          grid.NodeID
+	v           radio.Value
+	adversarial bool
+}
+
+// observe wires every observer callback of cfg to append into a fresh
+// event log and returns the log.
+func observe(cfg *sim.Config) *[]event {
+	log := &[]event{}
+	cfg.OnSlotStart = func(slot int) {
+		*log = append(*log, event{kind: "slot", slot: slot})
+	}
+	cfg.OnSend = func(slot int, from grid.NodeID, v radio.Value, adversarial bool) {
+		*log = append(*log, event{kind: "send", slot: slot, id: from, v: v, adversarial: adversarial})
+	}
+	cfg.OnDeliver = func(slot int, d radio.Delivery) {
+		*log = append(*log, event{kind: "deliver", slot: slot, id: d.From, to: d.To, v: d.Value})
+	}
+	cfg.OnAccept = func(slot int, id grid.NodeID, v radio.Value) {
+		*log = append(*log, event{kind: "accept", slot: slot, id: id, v: v})
+	}
+	return log
+}
+
 // frontierLeg is one observed run: Result, event stream, and how many of
 // its slots completed on the frontier path.
 type frontierLeg struct {
@@ -157,8 +186,8 @@ func TestFrontierFigure2(t *testing.T) {
 
 // TestFrontierIneligibleRuns pins the runs that must stay on full
 // resolution: a custom Machine (even the threshold one, which must then
-// reproduce the built-in instance's Result), the multi-broadcast machine
-// behind the facade's WithBroadcasts, and a sharded run.
+// reproduce the built-in instance's Result) and the multi-broadcast
+// machine behind the facade's WithBroadcasts.
 func TestFrontierIneligibleRuns(t *testing.T) {
 	tor := grid.MustNew(20, 20, 2)
 	p := core.Params{R: 2, T: 2, MF: 2}
@@ -189,7 +218,6 @@ func TestFrontierIneligibleRuns(t *testing.T) {
 			runner.FrontierSlots(), want.BadMessages)
 	}
 
-	defer sim.SetMinShardWork(1)()
 	legs := []struct {
 		name      string
 		mutate    func(*sim.Config)
@@ -197,7 +225,6 @@ func TestFrontierIneligibleRuns(t *testing.T) {
 	}{
 		{"custom machine", func(c *sim.Config) { c.Machine = protocol.NewThreshold(c.Spec) }, true},
 		{"multi machine", func(c *sim.Config) { c.Machine = &protocol.Multi{Spec: c.Spec, M: 3} }, false},
-		{"run workers", func(c *sim.Config) { c.RunWorkers = 2 }, true},
 	}
 	for _, leg := range legs {
 		cfg := build()

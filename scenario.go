@@ -47,15 +47,6 @@ type Scenario struct {
 	// MaxSlots caps slot-level and actor runs; 0 picks a generous
 	// engine-derived default.
 	MaxSlots int
-	// RunWorkers > 1 shards each big slot of a fast-engine run across
-	// that many worker goroutines (in-run parallelism, DESIGN.md §11).
-	// Reports and observer streams are bit-identical to the sequential
-	// run for every worker count; 0 or 1 runs sequentially. The fast
-	// engine's threshold protocol path parallelizes, with or without
-	// Broadcasts (multi-broadcast slots shard through the folding seam,
-	// DESIGN.md §12) — the reactive protocol and the other engines
-	// ignore it.
-	RunWorkers int
 	// Broadcasts is the number of concurrent broadcast instances
 	// (multi-broadcast traffic mode, DESIGN.md §12): M distinct sources
 	// — the Scenario's Source plus M-1 good nodes drawn
@@ -171,7 +162,8 @@ var (
 	ErrBadParams = errors.New("bftbcast: bad scenario Params")
 	// ErrBadSource rejects a source node outside the topology.
 	ErrBadSource = errors.New("bftbcast: scenario source out of range")
-	// ErrBadLimits rejects a negative MaxSlots or RunWorkers.
+	// ErrBadLimits rejects a negative MaxSlots (or, in a ScenarioSpec, a
+	// negative run_workers).
 	ErrBadLimits = errors.New("bftbcast: negative scenario limit")
 	// ErrBadProtocol rejects an unknown ProtocolID.
 	ErrBadProtocol = errors.New("bftbcast: unknown protocol")
@@ -208,9 +200,6 @@ func (sc *Scenario) validate() error {
 	}
 	if sc.MaxSlots < 0 {
 		return fmt.Errorf("%w: MaxSlots %d must be >= 0", ErrBadLimits, sc.MaxSlots)
-	}
-	if sc.RunWorkers < 0 {
-		return fmt.Errorf("%w: RunWorkers %d must be >= 0", ErrBadLimits, sc.RunWorkers)
 	}
 	switch sc.Protocol {
 	case "", ProtocolThreshold, ProtocolReactive:
@@ -280,13 +269,6 @@ func WithSeed(seed uint64) ScenarioOption {
 // WithMaxSlots caps the run length of the slot-level and actor engines.
 func WithMaxSlots(n int) ScenarioOption {
 	return func(sc *Scenario) { sc.MaxSlots = n }
-}
-
-// WithRunWorkers shards each big slot of a fast-engine run across n
-// worker goroutines (see Scenario.RunWorkers). Results are bit-identical
-// for every n; 0 or 1 runs sequentially.
-func WithRunWorkers(n int) ScenarioOption {
-	return func(sc *Scenario) { sc.RunWorkers = n }
 }
 
 // WithBroadcasts sets the number of concurrent broadcast instances (see

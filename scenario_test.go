@@ -51,7 +51,6 @@ func TestScenarioTypedValidationErrors(t *testing.T) {
 		{"negative mf", bftbcast.ErrBadParams, []bftbcast.ScenarioOption{topo, bftbcast.WithParams(bftbcast.Params{R: 1, T: 0, MF: -1})}},
 		{"t too large", bftbcast.ErrBadParams, []bftbcast.ScenarioOption{topo, bftbcast.WithParams(bftbcast.Params{R: 1, T: 99, MF: 1})}},
 		{"negative max slots", bftbcast.ErrBadLimits, []bftbcast.ScenarioOption{topo, bftbcast.WithMaxSlots(-1)}},
-		{"negative run workers", bftbcast.ErrBadLimits, []bftbcast.ScenarioOption{topo, bftbcast.WithRunWorkers(-1)}},
 		{"unknown protocol", bftbcast.ErrBadProtocol, []bftbcast.ScenarioOption{topo, bftbcast.WithProtocol("warp")}},
 		{"negative broadcasts", bftbcast.ErrBadBroadcasts, []bftbcast.ScenarioOption{topo, bftbcast.WithBroadcasts(-1)}},
 		{"broadcasts exceed nodes", bftbcast.ErrBadBroadcasts, []bftbcast.ScenarioOption{topo, bftbcast.WithBroadcasts(1001)}},

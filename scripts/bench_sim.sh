@@ -25,9 +25,8 @@
 #     the benchmark itself, so it holds on every run, not just vs the
 #     snapshot), in ns/op, or
 #   - BenchmarkBVDeliver, BenchmarkRGG100kRun, BenchmarkRGG1MRun,
-#     BenchmarkMultiBroadcast, the workers=4 leg of
-#     BenchmarkMultiBroadcastParallel, or BenchmarkJobThroughput
-#     regressed by more than 10% in allocs/op.
+#     BenchmarkMultiBroadcast or BenchmarkJobThroughput regressed by
+#     more than 10% in allocs/op.
 # A gated benchmark that the checked-in snapshot does not hold fails the
 # run too (after the output is written): a gate without a baseline
 # guards nothing. Regenerating the snapshot is the fix — the first
@@ -36,9 +35,9 @@
 # Allocation gates are machine-independent; they guard the protocol
 # layer's zero-alloc delivery contract, the large-scale fast path's
 # steady-state reuse (PR 6 took RGG100kRun from ~200k allocs/op to
-# ~130), the sharded multi-broadcast fold (PR 9), and the job service's
-# per-point spec expansion (PR 9 cut it ~17% by killing the option-
-# closure churn).
+# ~130), the multi-broadcast machine's flat arenas, and the job
+# service's per-point spec expansion (PR 9 cut it ~17% by killing the
+# option-closure churn).
 #
 # Usage: scripts/bench_sim.sh [benchtime] [output]
 #   benchtime  go test -benchtime value (default 10x: the sweep is
@@ -53,7 +52,7 @@ OUT="${2:-BENCH_sim.json}"
 PREVFLAGS=""
 if [ -f BENCH_sim.json ]; then
   cp BENCH_sim.json /tmp/bench_prev.json
-  PREVFLAGS="-prev /tmp/bench_prev.json -max-regress BenchmarkSweep45Scenario:1.10,BenchmarkBVDeliver:1.25,BenchmarkBVDeliver:allocs:1.10,BenchmarkRGG100kRun:1.10,BenchmarkRGG100kRun:allocs:1.10,BenchmarkRGG1MRun:1.15,BenchmarkRGG1MRun:allocs:1.10,BenchmarkMultiBroadcast:1.10,BenchmarkMultiBroadcast:allocs:1.10,BenchmarkMultiBroadcastParallel/workers=4:allocs:1.10,BenchmarkJobThroughput:1.15,BenchmarkJobThroughput:allocs:1.10,BenchmarkShardedGridThroughput/executors=1:1.15,BenchmarkShardedGridThroughput/executors=1:allocs:1.10"
+  PREVFLAGS="-prev /tmp/bench_prev.json -max-regress BenchmarkSweep45Scenario:1.10,BenchmarkBVDeliver:1.25,BenchmarkBVDeliver:allocs:1.10,BenchmarkRGG100kRun:1.10,BenchmarkRGG100kRun:allocs:1.10,BenchmarkRGG1MRun:1.15,BenchmarkRGG1MRun:allocs:1.10,BenchmarkMultiBroadcast:1.10,BenchmarkMultiBroadcast:allocs:1.10,BenchmarkJobThroughput:1.15,BenchmarkJobThroughput:allocs:1.10,BenchmarkShardedGridThroughput/executors=1:1.15,BenchmarkShardedGridThroughput/executors=1:allocs:1.10"
 fi
 
 go build -o /tmp/benchjson ./cmd/benchjson
@@ -64,7 +63,7 @@ go build -o /tmp/benchjson ./cmd/benchjson
 RAW=/tmp/bench_raw.txt
 run_suite() {
   go test -run '^$' -timeout 1800s \
-    -bench 'Benchmark(Sweep45(Sequential|Parallel|DenseRef|Runner|Scenario)|ReactiveSweep|Sweep160Scenario|RGG100kRun|MultiBroadcast|MultiBroadcastParallel|RGG25kMulti)$' \
+    -bench 'Benchmark(Sweep45(Sequential|Parallel|DenseRef|Runner|Scenario)|ReactiveSweep|Sweep160Scenario|RGG100kRun|MultiBroadcast|RGG25kMulti)$' \
     -benchmem -benchtime "$BENCHTIME" . > "$RAW"
   # The million-node run is ~3s/op: fixed at -benchtime 1x so the
   # large-scale tier stays a few seconds instead of scaling with the

@@ -46,8 +46,12 @@ type ScenarioSpec struct {
 	PayloadBits int    `json:"payload_bits,omitempty"`
 	// Broadcasts >= 2 enables multi-broadcast traffic (threshold only).
 	Broadcasts int `json:"broadcasts,omitempty"`
-	// MaxSlots and RunWorkers are the Scenario run limits.
-	MaxSlots   int `json:"max_slots,omitempty"`
+	// MaxSlots is the Scenario run limit.
+	MaxSlots int `json:"max_slots,omitempty"`
+	// RunWorkers is accepted and ignored: it selected an in-run parallel
+	// path whose results were bit-identical for every value, and stored
+	// checkpoints may still carry it. A negative value is still rejected
+	// (ErrBadLimits).
 	RunWorkers int `json:"run_workers,omitempty"`
 	// Seed drives the engine randomness, the adversary placement and —
 	// through deterministic derivation — every replica of a GridSpec.
@@ -80,12 +84,14 @@ func (s *ScenarioSpec) scenarioOn(tp Topology, t, mf int, density float64, broad
 		// constructor tripped over it first.
 		return nil, fmt.Errorf("%w: %w: %w", ErrBadSpec, ErrBadParams, err)
 	}
+	if s.RunWorkers < 0 {
+		return nil, fmt.Errorf("%w: %w: run_workers %d must be >= 0", ErrBadSpec, ErrBadLimits, s.RunWorkers)
+	}
 	sc := &Scenario{
 		Topo:       tp,
 		Params:     params,
 		Seed:       seed,
 		MaxSlots:   s.MaxSlots,
-		RunWorkers: s.RunWorkers,
 		Broadcasts: broadcasts,
 	}
 
