@@ -347,6 +347,34 @@ func BenchmarkRGG1MRun(b *testing.B) {
 	}
 }
 
+// BenchmarkRGGBuild is the topology layer under the RGG tiers above,
+// which all build their graph outside the timer: place the nodes, grow
+// the radius until connected, CSR adjacency, component sweep, greedy
+// distance-2 coloring. n=1M is run at -benchtime 1x like RGG1MRun and
+// skipped in -short runs.
+func BenchmarkRGGBuild(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{{"n=100k", 100_000}, {"n=1M", 1 << 20}} {
+		b.Run(tc.name, func(b *testing.B) {
+			if tc.n > 100_000 && testing.Short() {
+				b.Skip("million-node benchmark skipped in -short mode")
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g, err := bftbcast.NewRGG(tc.n, 7)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if g.Size() != tc.n {
+					b.Fatalf("built %d nodes, want %d", g.Size(), tc.n)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkMultiBroadcast is the multi-broadcast traffic tier: 32
 // concurrent protocol-B instances (distinct sources, staggered starts)
 // multiplexed over one TDMA slot stream on a 45×45 torus, fault-free so

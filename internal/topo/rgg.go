@@ -3,16 +3,18 @@ package topo
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
 	"bftbcast/internal/stats"
 )
 
-// maxRGGNodes caps the node count. The CSR adjacency and the BFS-based
-// distance queries scale linearly, so the cap is a sanity bound well
-// above the large-scale benchmark tier (the ~100k-node single-run), not
-// a structural limit.
+// maxRGGNodes caps the node count. Construction, the CSR adjacency and
+// the BFS-based distance queries all scale linearly in nodes plus edges,
+// so the cap is a sanity bound, not a structural limit: the largest
+// benchmark tier (BenchmarkRGG1MRun, BenchmarkRGGBuild/n=1M) builds
+// exactly this many nodes.
 const maxRGGNodes = 1 << 20
 
 // distTableMaxNodes bounds the all-pairs hop-distance table: up to this
@@ -76,7 +78,7 @@ func NewRGG(n int, radius float64, seed uint64) (*RGG, error) {
 	if n < 2 || n > maxRGGNodes {
 		return nil, fmt.Errorf("topo: rgg node count %d outside [2, %d]", n, maxRGGNodes)
 	}
-	if radius <= 0 {
+	if !(radius > 0) { // also refuses NaN
 		return nil, fmt.Errorf("topo: rgg radius %v must be positive", radius)
 	}
 	xs, ys := rggPoints(n, seed)
@@ -86,6 +88,9 @@ func NewRGG(n int, radius float64, seed uint64) (*RGG, error) {
 // NewConnectedRGG places n nodes from the seed and grows the connection
 // radius from the standard connectivity threshold Θ(√(log n / n)) until
 // the graph is connected. The construction is deterministic in (n, seed).
+// A radius attempt costs the adjacency and one component sweep; only the
+// accepted radius is finished (hop table, coloring), so the result is
+// exactly NewRGG at that radius.
 func NewConnectedRGG(n int, seed uint64) (*RGG, error) {
 	if n < 2 || n > maxRGGNodes {
 		return nil, fmt.Errorf("topo: rgg node count %d outside [2, %d]", n, maxRGGNodes)
@@ -93,11 +98,12 @@ func NewConnectedRGG(n int, seed uint64) (*RGG, error) {
 	xs, ys := rggPoints(n, seed)
 	radius := 1.1 * math.Sqrt(math.Log(float64(n))/(math.Pi*float64(n)))
 	for {
-		g, err := newRGGFromPoints(xs, ys, radius)
+		g, err := newRGGAdjacency(xs, ys, radius)
 		if err != nil {
 			return nil, err
 		}
-		if g.Connected() {
+		if maxEcc, components := g.componentSweep(); components == 1 {
+			g.finish(maxEcc)
 			return g, nil
 		}
 		radius *= 1.25
@@ -121,22 +127,42 @@ func rggPoints(n int, seed uint64) (xs, ys []float64) {
 }
 
 func newRGGFromPoints(xs, ys []float64, radius float64) (*RGG, error) {
-	n := len(xs)
-	g := &RGG{n: n, radius: radius, xs: xs, ys: ys}
+	g, err := newRGGAdjacency(xs, ys, radius)
+	if err != nil {
+		return nil, err
+	}
+	maxEcc := 0
+	if g.n > distTableMaxNodes {
+		maxEcc, _ = g.componentSweep()
+	}
+	g.finish(maxEcc)
+	return g, nil
+}
+
+// newRGGAdjacency builds the part of an RGG a radius attempt needs: the
+// layout and the CSR adjacency, enough for componentSweep. finish
+// completes it.
+func newRGGAdjacency(xs, ys []float64, radius float64) (*RGG, error) {
+	g := &RGG{n: len(xs), radius: radius, xs: xs, ys: ys}
 	if err := g.buildAdjacency(); err != nil {
 		return nil, err
 	}
-	if n <= distTableMaxNodes {
+	return g, nil
+}
+
+// finish adds what depends on the accepted radius only: the all-pairs
+// table with the exact diameter for small graphs or, above the table
+// threshold, the diameter bound from componentSweep's maxEcc (2·ecc(seed)
+// bounds each component's diameter from above, and the hint must cover
+// the largest: NewRGG may legitimately return a disconnected graph), then
+// the coloring.
+func (g *RGG) finish(maxEcc int) {
+	if g.n <= distTableMaxNodes {
 		g.computeDistances()
 	} else {
-		// One BFS per component: 2·ecc(seed) bounds each component's
-		// diameter from above, and the hint must cover the largest (the
-		// graph may legitimately be disconnected before NewConnectedRGG
-		// grows the radius).
-		g.diamHint = 2*g.maxComponentEccentricity() + 2
+		g.diamHint = 2*maxEcc + 2
 	}
 	g.computeColoring()
-	return g, nil
 }
 
 // maxRGGEdges caps the total directed edge count so the int32 CSR
@@ -147,39 +173,35 @@ const maxRGGEdges = math.MaxInt32
 
 // buildAdjacency fills the CSR via uniform-grid cell bucketing: with a
 // cell side of at least the connection radius, every neighbor of a node
-// lies in its 3×3 cell block. Candidate checks are O(n·density) instead
-// of the naive all-pairs O(n²), and each per-node list is sorted
-// ascending, matching the order the pair loop produced.
+// lies in its 3×3 cell block. The nodes are counting-sorted into cell
+// order together with their coordinates, so the block of a cell is three
+// contiguous slot ranges (one per cell row) and every distance check
+// reads sequential memory. A degree pass sizes the rows exactly — and
+// refuses a graph beyond maxRGGEdges before any row storage exists — and
+// a fill pass stores each row sorted ascending, the order the naive pair
+// loop produces.
 func (g *RGG) buildAdjacency() error {
 	n := g.n
 	// Cell side >= radius keeps the 3×3 block sufficient; capping the
 	// grid at ~√n per axis bounds the bucket arrays by O(n) even for
 	// tiny radii.
 	cells := int(1 / g.radius)
-	if max := int(math.Sqrt(float64(n))) + 1; cells > max {
-		cells = max
-	}
-	if cells < 1 {
-		cells = 1
-	}
-	cellXY := func(i int) (cx, cy int) {
-		cx = int(g.xs[i] * float64(cells))
+	cells = max(1, min(cells, int(math.Sqrt(float64(n)))+1))
+	cellOf := func(i int) int {
+		cx := int(g.xs[i] * float64(cells))
 		if cx >= cells {
 			cx = cells - 1
 		}
-		cy = int(g.ys[i] * float64(cells))
+		cy := int(g.ys[i] * float64(cells))
 		if cy >= cells {
 			cy = cells - 1
 		}
-		return cx, cy
-	}
-	cellOf := func(i int) int {
-		cx, cy := cellXY(i)
 		return cy*cells + cx
 	}
 
-	// Counting sort of the nodes into cells (deterministic: ids stay
-	// ascending within each cell).
+	// Counting sort into cell order (deterministic: ids stay ascending
+	// within each cell): slot p holds node items[p] at (px[p], py[p]) and
+	// cell c owns slots start[c]..start[c+1].
 	start := make([]int32, cells*cells+1)
 	for i := 0; i < n; i++ {
 		start[cellOf(i)+1]++
@@ -188,51 +210,121 @@ func (g *RGG) buildAdjacency() error {
 		start[c+1] += start[c]
 	}
 	items := make([]NodeID, n)
-	fill := make([]int32, cells*cells)
+	px, py := make([]float64, n), make([]float64, n)
+	next := slices.Clone(start[:cells*cells])
 	for i := 0; i < n; i++ {
 		c := cellOf(i)
-		items[start[c]+fill[c]] = NodeID(i)
-		fill[c]++
+		p := next[c]
+		next[c]++
+		items[p], px[p], py[p] = NodeID(i), g.xs[i], g.ys[i]
 	}
 
-	g.off = make([]int32, n+1)
-	g.nbrs = g.nbrs[:0]
+	// eachRow calls visit for every slot p, in slot order, with the
+	// nodes within the radius of p's node: unsorted, in scratch storage
+	// that is valid for the call. It stops when visit returns false.
 	r2 := g.radius * g.radius
-	for i := 0; i < n; i++ {
-		cx, cy := cellXY(i)
-		row := len(g.nbrs)
-		for dy := -1; dy <= 1; dy++ {
-			ny := cy + dy
-			if ny < 0 || ny >= cells {
-				continue
-			}
-			for dx := -1; dx <= 1; dx++ {
-				nx := cx + dx
-				if nx < 0 || nx >= cells {
-					continue
+	eachRow := func(visit func(p int32, row []NodeID) bool) {
+		var row []NodeID
+		for cy := 0; cy < cells; cy++ {
+			for cx := 0; cx < cells; cx++ {
+				// The block's slot ranges, shared by every slot of the cell.
+				var block [3][2]int32
+				spans, candidates := 0, 0
+				lo, hi := max(cx-1, 0), min(cx+1, cells-1)
+				for ny := max(cy-1, 0); ny <= min(cy+1, cells-1); ny++ {
+					block[spans] = [2]int32{start[ny*cells+lo], start[ny*cells+hi+1]}
+					candidates += int(block[spans][1] - block[spans][0])
+					spans++
 				}
-				c := ny*cells + nx
-				for _, j := range items[start[c]:start[c+1]] {
-					if int(j) == i {
-						continue
+				if len(row) < candidates {
+					row = make([]NodeID, candidates)
+				}
+				c := cy*cells + cx
+				for p := start[c]; p < start[c+1]; p++ {
+					d := 0
+					for _, span := range block[:spans] {
+						lo, hi := span[0], span[1]
+						if lo <= p && p < hi { // p's own cell row: skip p itself
+							d += within(row[d:], items[lo:p], px[lo:p], py[lo:p], px[p], py[p], r2)
+							lo = p + 1
+						}
+						d += within(row[d:], items[lo:hi], px[lo:hi], py[lo:hi], px[p], py[p], r2)
 					}
-					ddx, ddy := g.xs[i]-g.xs[j], g.ys[i]-g.ys[j]
-					if ddx*ddx+ddy*ddy <= r2 {
-						g.nbrs = append(g.nbrs, j)
+					if !visit(p, row[:d]) {
+						return
 					}
 				}
 			}
-		}
-		slices.Sort(g.nbrs[row:])
-		if len(g.nbrs) > maxRGGEdges {
-			return fmt.Errorf("topo: rgg n=%d radius=%v exceeds %d edges (CSR offset limit)", g.n, g.radius, maxRGGEdges)
-		}
-		g.off[i+1] = int32(len(g.nbrs))
-		if d := len(g.nbrs) - row; d > g.maxDeg {
-			g.maxDeg = d
 		}
 	}
+
+	// Per-node state is kept by slot between the passes (rowOf: the
+	// degree, then the row's CSR offset), so the id-ordered arrays are
+	// touched once per node, in the two loops below and by the row copy.
+	rowOf := make([]int32, n)
+	var edges int64
+	eachRow(func(p int32, row []NodeID) bool {
+		rowOf[p] = int32(len(row))
+		g.maxDeg = max(g.maxDeg, len(row))
+		edges += int64(len(row))
+		return edges <= maxRGGEdges
+	})
+	if edges > maxRGGEdges {
+		return fmt.Errorf("topo: rgg n=%d radius=%v exceeds %d edges (CSR offset limit)", g.n, g.radius, maxRGGEdges)
+	}
+	g.off = make([]int32, n+1)
+	for p, i := range items {
+		g.off[i+1] = rowOf[p]
+	}
+	for i := 0; i < n; i++ {
+		g.off[i+1] += g.off[i]
+	}
+	for p, i := range items {
+		rowOf[p] = g.off[i]
+	}
+	g.nbrs = make([]NodeID, edges)
+	eachRow(func(p int32, row []NodeID) bool {
+		sortRow(row)
+		copy(g.nbrs[rowOf[p]:], row)
+		return true
+	})
 	return nil
+}
+
+// within stores in dst the nodes among items, placed at (px, py), that
+// lie within squared distance r2 of (x, y), and returns how many. Every
+// candidate is stored and the cursor advances only on a hit — dst needs
+// room for all of them — because a hit is a coin flip per candidate and a
+// branch on it would mispredict a third of the time.
+func within(dst, items []NodeID, px, py []float64, x, y, r2 float64) int {
+	d := 0
+	for q, j := range items {
+		ddx, ddy := x-px[q], y-py[q]
+		dst[d] = j
+		hit := 0
+		if ddx*ddx+ddy*ddy <= r2 {
+			hit = 1
+		}
+		d += hit
+	}
+	return d
+}
+
+// sortRow sorts a row ascending. At connectivity-threshold radii a row
+// is a dozen ids, where a plain insertion sort runs in half the time of
+// the general sort's dispatch and partitioning; longer rows take that.
+func sortRow(row []NodeID) {
+	if len(row) > 32 {
+		slices.Sort(row)
+		return
+	}
+	for k := 1; k < len(row); k++ {
+		v, j := row[k], k
+		for ; j > 0 && row[j-1] > v; j-- {
+			row[j] = row[j-1]
+		}
+		row[j] = v
+	}
 }
 
 // neighbors returns the CSR row of id (ascending, shared storage).
@@ -330,40 +422,37 @@ func (g *RGG) bfsDist(a, b NodeID) int {
 	return unreachableHop
 }
 
-// maxComponentEccentricity sweeps every connected component once (one
-// BFS from the lowest-id unvisited node) and returns the largest seed
-// eccentricity found — an O(n+E) pass whose doubled value bounds the
-// hop diameter of every component.
-func (g *RGG) maxComponentEccentricity() int {
-	s := g.getScratch()
-	defer g.scratch.Put(s)
-	epoch := s.epoch
-	maxEcc := 0
-	q := s.queue[:0]
+// componentSweep visits every connected component once (one BFS from
+// its lowest-id node) and returns the largest seed eccentricity found —
+// whose doubled value bounds the hop diameter of every component — and
+// the number of components, in a single O(n+E) pass. The BFS advances
+// level by level, so the eccentricity is the level count and the only
+// per-node state is a visited bit: n/8 bytes, cache-resident where the
+// per-query scratch (stamps and depths) is not.
+func (g *RGG) componentSweep() (maxEcc, components int) {
+	seen := make([]uint64, (g.n+63)/64)
+	queue := make([]NodeID, 0, g.n) // every node is queued once, within its component
 	for src := 0; src < g.n; src++ {
-		if s.seen[src] == epoch {
+		if seen[src>>6]&(1<<(src&63)) != 0 {
 			continue
 		}
-		s.seen[src] = epoch
-		s.depth[src] = 0
-		q = append(q[:0], NodeID(src))
-		for head := 0; head < len(q); head++ {
-			u := q[head]
-			du := s.depth[u]
-			if int(du) > maxEcc {
-				maxEcc = int(du)
-			}
-			for _, v := range g.neighbors(u) {
-				if s.seen[v] != epoch {
-					s.seen[v] = epoch
-					s.depth[v] = du + 1
-					q = append(q, v)
+		components++
+		seen[src>>6] |= 1 << (src & 63)
+		queue = append(queue[:0], NodeID(src))
+		levels := 0
+		for head := 0; head < len(queue); levels++ {
+			for end := len(queue); head < end; head++ {
+				for _, v := range g.neighbors(queue[head]) {
+					if seen[v>>6]&(1<<(v&63)) == 0 {
+						seen[v>>6] |= 1 << (v & 63)
+						queue = append(queue, v)
+					}
 				}
 			}
 		}
+		maxEcc = max(maxEcc, levels-1)
 	}
-	s.queue = q[:0]
-	return maxEcc
+	return maxEcc, components
 }
 
 // Connected reports whether every node is reachable from node 0.
@@ -376,62 +465,59 @@ func (g *RGG) Connected() bool {
 		}
 		return true
 	}
-	s := g.getScratch()
-	defer g.scratch.Put(s)
-	epoch := s.epoch
-	s.seen[0] = epoch
-	q := append(s.queue[:0], 0)
-	reached := 1
-	for head := 0; head < len(q); head++ {
-		for _, v := range g.neighbors(q[head]) {
-			if s.seen[v] != epoch {
-				s.seen[v] = epoch
-				reached++
-				q = append(q, v)
-			}
-		}
-	}
-	s.queue = q[:0]
-	return reached == g.n
+	_, components := g.componentSweep()
+	return components == 1
 }
 
 // computeColoring greedily assigns each node (in id order) the smallest
 // color not used within hop distance 2. Two same-colored nodes are
 // therefore at hop distance >= 3 and share no receiver, which makes the
-// schedule collision-free. The two-hop walk reads the CSR rows directly
-// and tracks used colors in an id-stamped array — no per-node map, which
-// is what keeps the pass linear-ish at the 100k-node tier.
+// schedule collision-free.
+//
+// Instead of walking every two-hop path, each node v carries mask[v],
+// the bitset of colors held so far by v and by its neighbors. The colors
+// within two hops of i are then the union of mask[v] over v in N(i) — i
+// itself is still uncolored and contributes nothing — so choosing i's
+// color reads, and publishing it writes, one mask per neighbor: O(deg)
+// per node where the walk is O(deg²). The masks are construction
+// scratch, one uint64 per node until a neighborhood needs more than 64
+// colors.
 func (g *RGG) computeColoring() {
 	n := g.n
 	g.colors = make([]int32, n)
-	for i := range g.colors {
-		g.colors[i] = -1
-	}
-	usedAt := make([]int32, 0, 4*g.maxDeg)
+	words := 1 // mask width; node v's mask is mask[v*words:(v+1)*words]
+	mask := make([]uint64, n)
+	forbidden := make([]uint64, words)
 	for i := 0; i < n; i++ {
-		stamp := int32(i) + 1
-		mark := func(c int32) {
-			if c < 0 {
-				return
-			}
-			for int(c) >= len(usedAt) {
-				usedAt = append(usedAt, 0)
-			}
-			usedAt[c] = stamp
-		}
-		for _, v := range g.neighbors(NodeID(i)) {
-			mark(g.colors[v])
-			for _, w := range g.neighbors(v) {
-				mark(g.colors[w])
+		row := g.neighbors(NodeID(i))
+		clear(forbidden)
+		for _, v := range row {
+			for w, m := range mask[int(v)*words : (int(v)+1)*words] {
+				forbidden[w] |= m
 			}
 		}
-		var c int32
-		for int(c) < len(usedAt) && usedAt[c] == stamp {
-			c++
+		c := 64 * words
+		for w, f := range forbidden {
+			if f != math.MaxUint64 {
+				c = 64*w + bits.TrailingZeros64(^f)
+				break
+			}
 		}
-		g.colors[i] = c
-		if int(c)+1 > g.period {
-			g.period = int(c) + 1
+		if c == 64*words {
+			// Every color the masks can name is taken: double their width.
+			wide := make([]uint64, 2*words*n)
+			for v := 0; v < n; v++ {
+				copy(wide[2*words*v:], mask[words*v:words*(v+1)])
+			}
+			mask, words = wide, 2*words
+			forbidden = make([]uint64, words)
+		}
+		g.colors[i] = int32(c)
+		g.period = max(g.period, c+1)
+		w, bit := c>>6, uint64(1)<<(c&63)
+		mask[i*words+w] |= bit
+		for _, v := range row {
+			mask[int(v)*words+w] |= bit
 		}
 	}
 }

@@ -50,8 +50,12 @@ func TestRGGBFSMatchesTable(t *testing.T) {
 		}
 		// The eccentricity bound must dominate the exact diameter.
 		exact := g.DiameterHint() - 2
-		if bound := 2 * big.maxComponentEccentricity(); bound < exact {
+		ecc, components := big.componentSweep()
+		if bound := 2 * ecc; bound < exact {
 			t.Fatalf("n=%d: 2·ecc=%d below exact diameter %d", n, bound, exact)
+		}
+		if components != 1 {
+			t.Fatalf("n=%d: sweep counts %d components in a connected graph", n, components)
 		}
 	}
 }

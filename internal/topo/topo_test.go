@@ -1,6 +1,7 @@
 package topo_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -156,5 +157,8 @@ func TestFactory(t *testing.T) {
 	}
 	if _, err := topo.NewRGG(10, -1, 1); err == nil {
 		t.Fatal("rgg with negative radius must fail")
+	}
+	if _, err := topo.NewRGG(10, math.NaN(), 1); err == nil {
+		t.Fatal("rgg with NaN radius must fail")
 	}
 }

@@ -3,8 +3,10 @@
 # dense sim/ref baseline, the harness parallel variant, the re-platformed
 # reactive-protocol sweep, the multi-broadcast traffic tier, the
 # protocol-layer BVDeliver hot path, the large-scale tier: the
-# 160×160 torus sweep, the 100k-node RGG single-run, and the
-# million-node RGG single-run — plus the job-service tier, the
+# 160×160 torus sweep, the 100k-node RGG single-run, the
+# million-node RGG single-run, and the construction of both graphs
+# (BenchmarkRGGBuild, the topo layer those runs keep outside their
+# timers) — plus the job-service tier, the
 # end-to-end submit/run/aggregate/wait path of internal/jobs behind
 # cmd/bftsimd and the sharded lease-protocol variant of the same grid)
 # and emit BENCH_sim.json, the
@@ -15,7 +17,8 @@
 # speedups are recorded against it and the run FAILS (the CI gates) if:
 #   - BenchmarkSweep45Scenario, BenchmarkRGG100kRun or
 #     BenchmarkMultiBroadcast regressed by more than 10%, or
-#     BenchmarkRGG1MRun or BenchmarkJobThroughput by more than 15%,
+#     BenchmarkRGG1MRun, BenchmarkRGGBuild/n=100k or
+#     BenchmarkJobThroughput by more than 15%,
 #     or BenchmarkBVDeliver by more than 25% (generous: the op is
 #     microseconds, so scheduler noise dominates — the 0.65 vs_prev
 #     scare in PR 8's snapshot was exactly such noise), or the
@@ -52,7 +55,7 @@ OUT="${2:-BENCH_sim.json}"
 PREVFLAGS=""
 if [ -f BENCH_sim.json ]; then
   cp BENCH_sim.json /tmp/bench_prev.json
-  PREVFLAGS="-prev /tmp/bench_prev.json -max-regress BenchmarkSweep45Scenario:1.10,BenchmarkBVDeliver:1.25,BenchmarkBVDeliver:allocs:1.10,BenchmarkRGG100kRun:1.10,BenchmarkRGG100kRun:allocs:1.10,BenchmarkRGG1MRun:1.15,BenchmarkRGG1MRun:allocs:1.10,BenchmarkMultiBroadcast:1.10,BenchmarkMultiBroadcast:allocs:1.10,BenchmarkJobThroughput:1.15,BenchmarkJobThroughput:allocs:1.10,BenchmarkShardedGridThroughput/executors=1:1.15,BenchmarkShardedGridThroughput/executors=1:allocs:1.10"
+  PREVFLAGS="-prev /tmp/bench_prev.json -max-regress BenchmarkSweep45Scenario:1.10,BenchmarkBVDeliver:1.25,BenchmarkBVDeliver:allocs:1.10,BenchmarkRGG100kRun:1.10,BenchmarkRGG100kRun:allocs:1.10,BenchmarkRGG1MRun:1.15,BenchmarkRGG1MRun:allocs:1.10,BenchmarkRGGBuild/n=100k:1.15,BenchmarkMultiBroadcast:1.10,BenchmarkMultiBroadcast:allocs:1.10,BenchmarkJobThroughput:1.15,BenchmarkJobThroughput:allocs:1.10,BenchmarkShardedGridThroughput/executors=1:1.15,BenchmarkShardedGridThroughput/executors=1:allocs:1.10"
 fi
 
 go build -o /tmp/benchjson ./cmd/benchjson
@@ -65,12 +68,20 @@ run_suite() {
   go test -run '^$' -timeout 1800s \
     -bench 'Benchmark(Sweep45(Sequential|Parallel|DenseRef|Runner|Scenario)|ReactiveSweep|Sweep160Scenario|RGG100kRun|MultiBroadcast|RGG25kMulti)$' \
     -benchmem -benchtime "$BENCHTIME" . > "$RAW"
-  # The million-node run is ~3s/op: fixed at -benchtime 1x so the
-  # large-scale tier stays a few seconds instead of scaling with the
-  # caller's benchtime. The run is deterministic, so one iteration is a
-  # comparable sample.
+  go test -run '^$' -timeout 1800s \
+    -bench 'BenchmarkRGGBuild$/^n=100k$' \
+    -benchmem -benchtime "$BENCHTIME" . >> "$RAW"
+  # The million-node run and the million-node build are seconds per op:
+  # fixed at -benchtime 1x so the large-scale tier stays a few seconds
+  # instead of scaling with the caller's benchtime. Both are
+  # deterministic, so one iteration is a comparable sample. (Two
+  # invocations: a -bench pattern with a sub-benchmark element skips
+  # benchmarks that have no sub-benchmarks.)
   go test -run '^$' -timeout 1800s \
     -bench 'BenchmarkRGG1MRun$' \
+    -benchmem -benchtime 1x . >> "$RAW"
+  go test -run '^$' -timeout 1800s \
+    -bench 'BenchmarkRGGBuild$/^n=1M$' \
     -benchmem -benchtime 1x . >> "$RAW"
   # The protocol-layer delivery hot path lives in internal/bv; its
   # allocs/op line joins the same document so the allocation gate can
