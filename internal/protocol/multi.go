@@ -3,6 +3,7 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
@@ -45,6 +46,20 @@ import (
 // From) cannot be attributed to an instance and are counted once in
 // every started instance — the strongest consistent reading of a
 // forged copy.
+//
+// Batch application. A batch is a pair of instance masks (entries
+// carried, and those worth ValueTrue), and each receiver keeps a mask of
+// the instances it has decided. Protocol B relays 2·t·mf+1 copies but
+// accepts after t·mf+1, so nearly every carried entry reaches a pair
+// that decided long ago: such an entry can only bump the receiver's
+// Correct/Wrong counter — the pair's per-value tallies are never read
+// again — and is booked by popcount, a word of instances at a time.
+// Only entries for instances the receiver has not decided run the
+// threshold rule, in ascending instance order, so acceptances, Sends,
+// OnAccept and OnInstanceDecide come in the order of an entry-by-entry
+// application. OnInstanceDeliver, when set, fires once per carried
+// entry, late or live, in ascending instance order, each acceptance
+// right after the entry that caused it (DESIGN.md §12).
 //
 // With M = 1 the machine is bit-identical to ThresholdInstance: every
 // batch has exactly one entry (a node's observed transmissions never
@@ -191,6 +206,7 @@ func (m *Multi) Attach(env Env) (Instance, error) {
 		bad:       env.Bad,
 		goodTotal: good,
 		threshold: int32(m.Spec.Threshold),
+		words:     (m.M + 63) / 64,
 	}
 	mi.st.Decided = make([]bool, n)
 	mi.st.Value = make([]radio.Value, n)
@@ -199,9 +215,13 @@ func (m *Multi) Attach(env Env) (Instance, error) {
 
 	stride := m.M * n
 	mi.counts = make([]int32, stride*(MaxTrackedValue+1))
-	mi.decided = make([]bool, stride)
 	mi.value = make([]radio.Value, stride)
 	mi.relayRemaining = make([]int32, stride)
+
+	mi.decided = make([]uint64, n*mi.words)
+	mi.owing = make([]uint64, n*mi.words)
+	mi.batch = make([]carriedWord, n*mi.words)
+	mi.started = make([]uint64, mi.words)
 
 	mi.decidedCount = make([]int32, n)
 	mi.hasWrong = make([]bool, n)
@@ -211,7 +231,6 @@ func (m *Multi) Attach(env Env) (Instance, error) {
 	for i := range mi.batchStamp {
 		mi.batchStamp[i] = -1
 	}
-	mi.batchSpan = make([][2]int32, n)
 
 	// Draw the instance sources (distinct good nodes; instance 0 is the
 	// scenario source) and the staggered start slots (within one TDMA
@@ -250,10 +269,15 @@ func (m *Multi) Attach(env Env) (Instance, error) {
 
 // multiInstance is one multi-broadcast run's state. Per-instance arrays
 // are flat, sized M·n and laid out receiver-major (indexed u·m+j): node
-// u's M instance slots are one contiguous row, so the per-delivery
-// batch application walks one cache-friendly row per endpoint. The
-// aggregate State arrays are the engine-facing summary (Decided = all M
-// instances decided, Value = the on-air value, Correct/Wrong =
+// u's M instance slots are one contiguous row. Which instances a node
+// has decided, which it still owes entries for, and which its current
+// transmission carries are instance masks — ⌈M/64⌉ words per node, bit
+// j%64 of word j/64 — so a delivery is applied a word at a time: the
+// carried entries that land on an already-decided (receiver, instance)
+// pair, almost all of them once the first copies have gone round, are
+// booked as two popcounts, and only the rest walk the threshold rule.
+// The aggregate State arrays are the engine-facing summary (Decided =
+// all M instances decided, Value = the on-air value, Correct/Wrong =
 // protocol-level entry counts).
 type multiInstance struct {
 	machine   *Multi
@@ -262,29 +286,37 @@ type multiInstance struct {
 	bad       []bool
 	goodTotal int
 	threshold int32
+	words     int // mask words per node, ⌈m/64⌉
 
 	st State
 
-	counts         []int32       // [(u*m+j)*(MaxTrackedValue+1) + tracked]
-	decided        []bool        // [u*m+j]
+	// counts is per-value receipt tallies of the pairs still undecided:
+	// once (u, j) decides nothing reads its tallies again, so entries
+	// landing on it are not tallied. One plane per tracked value, so a
+	// run that only ever hears ValueTrue works in 4 bytes per pair.
+	counts         []int32       // [tracked*m*n + u*m+j]
 	value          []radio.Value // [u*m+j] accepted value
 	relayRemaining []int32       // [u*m+j] entries u still owes instance j
+
+	// Instance masks, [u*words+k].
+	decided []uint64 // u accepted (or, as its source, released) instance j
+	owing   []uint64 // relayRemaining[u*m+j] > 0
 
 	decidedCount    []int32 // per node: instances decided
 	hasWrong        []bool  // per node: some instance accepted a wrong value
 	physOutstanding []int32 // per node: scheduled, not-yet-observed physical sends
 	isSource        []bool  // per node: is an instance source
 
-	// Per-slot transmission observation: batchStamp[u] is the last slot
-	// u's transmission was popped in (-1 initially), batchSpan[u] its
-	// entry window into batchArena. The arena is reset per Deliver call
-	// (pops only live within one slot's batch).
+	// Per-slot transmission observation: batchStamp[w] is the last slot
+	// good sender w's transmission was popped in (-1 initially) and
+	// batch[w*words+k] what it carries in that slot. A bad sender's row
+	// holds the forged copy being applied (see Deliver).
 	batchStamp []int
-	batchSpan  [][2]int32
-	batchArena []int32
+	batch      []carriedWord
 
 	inst     []MultiInstanceStats
-	released int // instances released so far
+	released int      // instances released so far
+	started  []uint64 // the released instances, as a mask
 
 	batchedSends   int
 	naiveSends     int
@@ -292,6 +324,15 @@ type multiInstance struct {
 	decisions      int
 
 	maxSends int // cached Sizing scan; 0 until computed
+}
+
+// carriedWord is one word of a transmission's entry batch: the instances
+// it carries an entry for, and the subset whose entry is ValueTrue.
+type carriedWord struct{ all, tru uint64 }
+
+// maskBit locates instance j in node u's row of an instance mask.
+func (mi *multiInstance) maskBit(u grid.NodeID, j int) (word int, bit uint64) {
+	return int(u)*mi.words + j>>6, 1 << (j & 63)
 }
 
 // State implements Instance.
@@ -333,14 +374,16 @@ func (mi *multiInstance) releaseDue(slot int, buf []Send) []Send {
 func (mi *multiInstance) release(j, slot int, buf []Send) []Send {
 	mi.inst[j].ReleaseSlot = slot
 	mi.released++
+	mi.started[j>>6] |= 1 << (j & 63)
 	src := mi.inst[j].Source
 	idx := int(src)*mi.m + j
-	mi.decided[idx] = true
 	mi.value[idx] = radio.ValueTrue
 	mi.noteDecided(j, src, radio.ValueTrue, slot)
-	repeats := mi.spec.SourceRepeats
+	repeats := mi.spec.SourceRepeats // >= 1 (Spec.Validate)
 	mi.naiveSends += repeats
 	mi.relayRemaining[idx] = int32(repeats)
+	word, bit := mi.maskBit(src, j)
+	mi.owing[word] |= bit
 	return mi.schedule(src, repeats, buf)
 }
 
@@ -356,10 +399,12 @@ func (mi *multiInstance) schedule(u grid.NodeID, want int, buf []Send) []Send {
 	return append(buf, Send{ID: u, N: need})
 }
 
-// noteDecided updates the per-node and per-instance aggregates for a
-// decided (j, u) pair: the all-instances Decided mask, the sticky
-// on-air Value, and the instance's completion bookkeeping.
+// noteDecided marks the (j, u) pair decided and updates the per-node
+// and per-instance aggregates: the all-instances Decided flag, the
+// sticky on-air Value, and the instance's completion bookkeeping.
 func (mi *multiInstance) noteDecided(j int, u grid.NodeID, v radio.Value, slot int) {
+	word, bit := mi.maskBit(u, j)
+	mi.decided[word] |= bit
 	mi.decidedCount[u]++
 	if int(mi.decidedCount[u]) == mi.m {
 		mi.st.Decided[u] = true
@@ -385,11 +430,11 @@ func (mi *multiInstance) noteDecided(j int, u grid.NodeID, v radio.Value, slot i
 // a good sender's first delivery of the slot pops its transmission
 // batch (the instances it still owes entries, decremented once per
 // transmission — before the bad-receiver skip, since the transmission
-// happened regardless of who heard it); then the batch entries (or the
-// forged copy, once per started instance) run the per-instance
-// threshold rule at the receiver.
+// happened regardless of who heard it); a forged or jammed copy cannot
+// be attributed to an instance, so it is a batch carrying its value
+// once in every started instance — the strongest consistent reading;
+// either batch is then applied at the receiver.
 func (mi *multiInstance) Deliver(slot int, ds []radio.Delivery, hooks *Hooks, buf []Send) ([]Send, error) {
-	mi.batchArena = mi.batchArena[:0]
 	for _, d := range ds {
 		if hooks.OnDeliver != nil {
 			hooks.OnDeliver(slot, d)
@@ -397,90 +442,142 @@ func (mi *multiInstance) Deliver(slot int, ds []radio.Delivery, hooks *Hooks, bu
 		u := d.To
 		w := d.From
 		if mi.bad != nil && mi.bad[w] {
-			// Forged/jammed copy: not attributable to an instance, so it
-			// counts once in every started instance at the receiver.
 			if mi.bad[u] {
 				continue // adversary nodes do not run the protocol
 			}
-			for j := 0; j < mi.m; j++ {
-				if mi.inst[j].ReleaseSlot < 0 {
-					continue
+			for k, started := range mi.started {
+				c := carriedWord{all: started}
+				if d.Value == radio.ValueTrue {
+					c.tru = started
 				}
-				buf = mi.applyEntry(slot, j, w, u, d.Value, hooks, buf)
+				mi.batch[int(w)*mi.words+k] = c
 			}
+			buf = mi.applyBatch(slot, w, u, nil, d.Value, hooks, buf)
 			continue
 		}
-		span := mi.senderBatch(slot, w)
+		if mi.batchStamp[w] != slot {
+			mi.popBatch(slot, w)
+		}
 		if mi.bad != nil && mi.bad[u] {
 			continue // adversary nodes do not run the protocol
 		}
 		row := int(w) * mi.m
-		for _, j32 := range mi.batchArena[span[0]:span[1]] {
-			j := int(j32)
-			buf = mi.applyEntry(slot, j, w, u, mi.value[row+j], hooks, buf)
-		}
+		buf = mi.applyBatch(slot, w, u, mi.value[row:row+mi.m], radio.ValueNone, hooks, buf)
 	}
 	return buf, nil
 }
 
-// senderBatch observes w's transmission on its first delivery of the
-// slot: pop one owed entry from every instance with relayRemaining
-// left, and consume one outstanding physical send. Later deliveries of
-// the same transmission reuse the popped span. The popped set is
-// slot-deterministic: w transmits at most once per slot and, being
-// half-duplex, cannot accept (and so cannot change its owed entries)
-// in a slot it transmits in.
-func (mi *multiInstance) senderBatch(slot int, w grid.NodeID) [2]int32 {
-	if mi.batchStamp[w] == slot {
-		return mi.batchSpan[w]
-	}
+// popBatch observes good sender w's transmission on its first delivery
+// of the slot: pop one owed entry from every instance w owes (clearing
+// the owing bit of an instance it has now paid off), record what the
+// transmission carries, and consume one outstanding physical send.
+// Later deliveries of the same transmission reuse the recorded batch.
+// The popped set is slot-deterministic: w transmits at most once per
+// slot and, being half-duplex, cannot accept (and so cannot change its
+// owed entries or their values) in a slot it transmits in.
+func (mi *multiInstance) popBatch(slot int, w grid.NodeID) {
 	mi.batchStamp[w] = slot
-	start := int32(len(mi.batchArena))
 	row := int(w) * mi.m
-	for j := 0; j < mi.m; j++ {
-		if mi.relayRemaining[row+j] > 0 {
-			mi.relayRemaining[row+j]--
-			mi.batchArena = append(mi.batchArena, int32(j))
+	for k, lo := 0, int(w)*mi.words; k < mi.words; k++ {
+		c := carriedWord{all: mi.owing[lo+k]}
+		for rest := c.all; rest != 0; rest &= rest - 1 {
+			bit := rest & -rest
+			idx := row + k<<6 + bits.TrailingZeros64(rest)
+			if mi.value[idx] == radio.ValueTrue {
+				c.tru |= bit
+			}
+			mi.relayRemaining[idx]--
+			if mi.relayRemaining[idx] == 0 {
+				mi.owing[lo+k] &^= bit
+			}
 		}
+		mi.batch[lo+k] = c
+		mi.entriesCarried += bits.OnesCount64(c.all)
 	}
-	span := [2]int32{start, int32(len(mi.batchArena))}
-	mi.batchSpan[w] = span
-	mi.entriesCarried += int(span[1] - span[0])
 	if mi.physOutstanding[w] > 0 {
 		mi.physOutstanding[w]--
 	}
-	return span
 }
 
-// applyEntry runs the counts-threshold rule for one instance-j entry of
-// value v delivered to good node u, scheduling the acceptance relay
-// through the shared physical-send pool.
-func (mi *multiInstance) applyEntry(slot, j int, from, u grid.NodeID, v radio.Value, hooks *Hooks, buf []Send) []Send {
-	if mi.machine.OnInstanceDeliver != nil {
-		mi.machine.OnInstanceDeliver(slot, j, from, u, v)
+// applyBatch applies the batch recorded in sender w's row to good
+// receiver u: one entry per carried instance j, worth vals[j] (a good
+// sender's accepted values) or, with vals nil, the forged value. An
+// entry landing on an instance u has already decided can only bump u's
+// receipt counters, so those are booked by popcount, a word at a time,
+// and only the entries that can still change state walk the threshold
+// rule, in ascending instance order. With OnInstanceDeliver set the
+// walk covers every carried entry instead — the hook fires per entry,
+// late or live, in ascending instance order — and books the late ones
+// as it passes them; either way the same counters move by the same
+// amounts.
+func (mi *multiInstance) applyBatch(slot int, w, u grid.NodeID, vals []radio.Value, forged radio.Value, hooks *Hooks, buf []Send) []Send {
+	observe := mi.machine.OnInstanceDeliver
+	batch := mi.batch[int(w)*mi.words:][:mi.words]
+	decided := mi.decided[int(u)*mi.words:][:mi.words]
+	for k, c := range batch {
+		late := c.all & decided[k]
+		walk := c.all &^ late
+		if observe != nil {
+			walk = c.all
+		} else {
+			mi.st.Correct[u] += int32(bits.OnesCount64(late & c.tru))
+			mi.st.Wrong[u] += int32(bits.OnesCount64(late &^ c.tru))
+		}
+		for ; walk != 0; walk &= walk - 1 {
+			bit := walk & -walk
+			j := k<<6 + bits.TrailingZeros64(walk)
+			v := forged
+			if vals != nil {
+				v = vals[j]
+			}
+			if observe != nil {
+				observe(slot, j, w, u, v)
+				if late&bit != 0 {
+					mi.countEntry(u, v)
+					continue
+				}
+			}
+			buf = mi.applyLive(slot, j, u, v, hooks, buf)
+		}
 	}
+	return buf
+}
+
+// countEntry books one received entry of value v in u's receipt
+// counters.
+func (mi *multiInstance) countEntry(u grid.NodeID, v radio.Value) {
 	if v == radio.ValueTrue {
 		mi.st.Correct[u]++
 	} else {
 		mi.st.Wrong[u]++
 	}
+}
+
+// applyLive runs the counts-threshold rule for one instance-j entry of
+// value v delivered to good node u, undecided in j, scheduling the
+// acceptance relay through the shared physical-send pool.
+func (mi *multiInstance) applyLive(slot, j int, u grid.NodeID, v radio.Value, hooks *Hooks, buf []Send) []Send {
+	mi.countEntry(u, v)
 	tracked := v
 	if tracked < 0 || tracked > MaxTrackedValue {
 		tracked = MaxTrackedValue // clamp exotic values into the last bucket
 	}
 	idx := int(u)*mi.m + j
-	ci := idx*(MaxTrackedValue+1) + int(tracked)
+	ci := int(tracked)*mi.m*mi.n + idx
 	mi.counts[ci]++
-	if mi.decided[idx] || mi.counts[ci] != mi.threshold {
+	if mi.counts[ci] != mi.threshold {
 		return buf
 	}
-	mi.decided[idx] = true
 	mi.value[idx] = v
 	mi.decisions++
 	mi.noteDecided(j, u, v, slot)
 	sends := mi.spec.Sends(u)
 	mi.naiveSends += sends
 	mi.relayRemaining[idx] += int32(sends)
+	if mi.relayRemaining[idx] > 0 {
+		word, bit := mi.maskBit(u, j)
+		mi.owing[word] |= bit
+	}
 	buf = mi.schedule(u, int(mi.relayRemaining[idx]), buf)
 	if hooks.OnAccept != nil {
 		hooks.OnAccept(slot, u, v)

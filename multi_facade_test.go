@@ -205,3 +205,54 @@ func TestMultiSweep(t *testing.T) {
 		}
 	}
 }
+
+// instanceCounter is a minimal InstanceObserver.
+type instanceCounter struct {
+	bftbcast.BaseObserver
+	delivers, decides int
+}
+
+func (c *instanceCounter) DeliverInstance(int, int, bftbcast.NodeID, bftbcast.NodeID, bftbcast.Value) {
+	c.delivers++
+}
+
+func (c *instanceCounter) DecideInstance(int, int, bftbcast.NodeID, bftbcast.Value) { c.decides++ }
+
+// TestMultiObservedMatchesUnobserved runs one multi-broadcast scenario
+// with no observer, a plain Observer and an InstanceObserver: the
+// machine books late entries differently when the per-instance delivery
+// hook is attached, and the Reports must not show it. M = 65 keeps the
+// second mask word in play.
+func TestMultiObservedMatchesUnobserved(t *testing.T) {
+	ctx := context.Background()
+	const m = 65
+	for _, kind := range []string{"torus", "rgg"} {
+		run := func(o bftbcast.Observer) *bftbcast.Report {
+			sc := multiScenario(t, kind, m, 2, true)
+			if o != nil {
+				var err error
+				if sc, err = sc.With(bftbcast.WithObserver(o)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := bftbcast.EngineFast.Run(ctx, sc)
+			if err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			return rep
+		}
+		rawDelivers := 0
+		counter := &instanceCounter{}
+		bare := run(nil)
+		plain := run(bftbcast.FuncObserver{OnDeliver: func(int, bftbcast.NodeID, bftbcast.NodeID, bftbcast.Value) { rawDelivers++ }})
+		tagged := run(counter)
+		if !reflect.DeepEqual(bare, plain) || !reflect.DeepEqual(bare, tagged) {
+			t.Fatalf("%s: observers changed the Report:\nnone:     %+v\nplain:    %+v\ninstance: %+v", kind, bare, plain, tagged)
+		}
+		checkMultiExtension(t, bare, m)
+		if counter.decides != bare.Multi.Decisions || counter.delivers < bare.Multi.EntriesCarried || rawDelivers == 0 {
+			t.Fatalf("%s: %d DecideInstance events for %d decisions, %d DeliverInstance events for %d entries carried, %d raw deliveries",
+				kind, counter.decides, bare.Multi.Decisions, counter.delivers, bare.Multi.EntriesCarried, rawDelivers)
+		}
+	}
+}
