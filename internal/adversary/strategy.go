@@ -15,7 +15,12 @@ type View interface {
 	IsBad(id grid.NodeID) bool
 	// IsDecided reports whether id has accepted a value.
 	IsDecided(id grid.NodeID) bool
-	// CorrectCount returns how many copies of Vtrue id has received.
+	// CorrectCount returns how many copies of Vtrue id has received. Like
+	// Supply it is defined for undecided nodes only: what a node banked
+	// matters until it crosses the threshold, and engines may stop
+	// counting a node's receipts here once it has decided (their results
+	// count them by other means), so the value for a decided node is
+	// unspecified.
 	CorrectCount(id grid.NodeID) int
 	// Threshold returns the protocol's acceptance threshold t·mf+1.
 	Threshold() int
@@ -74,6 +79,8 @@ type StateSource interface {
 	// DecidedMask returns the per-node decided flags.
 	DecidedMask() []bool
 	// CorrectCounts returns the per-node counts of Vtrue copies received.
+	// As with View.CorrectCount, only the entries of undecided nodes are
+	// defined.
 	CorrectCounts() []int32
 	// SupplyCounts returns the per-node outstanding Vtrue supply. As with
 	// View.Supply, only the entries of undecided nodes are defined.
@@ -162,13 +169,15 @@ type corruptorCore struct {
 	nbrScratch   []grid.NodeID // neighbor walks (scratch)
 	jamBuf       []radio.Tx    // emitted jams (scratch; engine consumes before the next slot)
 
-	// badNbr caches, per queried victim, its bad neighbors (a handful of
-	// ids out of a full neighborhood walk). Bad-set membership is fixed
-	// for a whole run and strategies are single-run objects (Spammer
-	// leans on the same convention), so the cache never invalidates;
-	// budgets are re-read live. Spans index badNbrArena.
-	badNbrSpan  [][2]int32
-	badNbrArena []grid.NodeID
+	// badOff/badNbrs index every node's bad neighbors in CSR form: those
+	// of u are badNbrs[badOff[u]:badOff[u+1]], ascending. The index is
+	// built once, from the bad side — adjacency is symmetric, so walking
+	// the rows of the bad nodes alone finds every (victim, bad neighbor)
+	// pair. Bad-set membership is fixed for a whole run and strategies are
+	// single-run objects (Spammer leans on the same convention), so it
+	// never invalidates; budgets are re-read live.
+	badOff  []int32
+	badNbrs []grid.NodeID
 }
 
 type denyEntry struct {
@@ -186,10 +195,11 @@ func (c *corruptorCore) jams(v View, tentative []radio.Delivery) []radio.Tx {
 	tor := v.Topo()
 	n := tor.Size()
 	if len(c.coveredEpoch) != n {
+		// First slot on this topology: size the scratch, drop any index.
 		c.coveredEpoch = make([]int32, n)
 		c.epoch = 0
+		c.badOff = nil
 	}
-	c.ensureCache(n)
 	c.epoch++
 	threshold := v.Threshold()
 
@@ -304,26 +314,55 @@ func (c *corruptorCore) isUsed(id grid.NodeID) bool {
 	return false
 }
 
-// badNeighbors returns the bad neighbors of u, filtering the full
-// neighborhood walk once per victim per run and answering later queries
-// from the cache. Victims are queried on every delivery they hear, so
-// this turns the corruptor's per-delivery cost from a neighborhood walk
-// into a scan of the few cached bad ids.
+// badNeighbors returns the bad neighbors of u from the index, building it
+// on first use. Victims are queried on every delivery they hear, so the
+// corruptor's per-delivery cost is a scan of a few bad ids, not a
+// neighborhood walk. The order differs from the row's; canJam, pickJammer
+// (ties broken by id) and badBudgetNear do not depend on it.
 func (c *corruptorCore) badNeighbors(v View, u grid.NodeID) []grid.NodeID {
-	c.ensureCache(v.Topo().Size())
-	sp := c.badNbrSpan[u]
-	if sp[0] < 0 {
-		lo := int32(len(c.badNbrArena))
-		c.nbrScratch = viewNeighbors(v, c.nbrScratch[:0], u)
-		for _, nb := range c.nbrScratch {
-			if v.IsBad(nb) {
-				c.badNbrArena = append(c.badNbrArena, nb)
-			}
-		}
-		sp = [2]int32{lo, int32(len(c.badNbrArena))}
-		c.badNbrSpan[u] = sp
+	if c.badOff == nil {
+		c.buildBadIndex(v)
 	}
-	return c.badNbrArena[sp[0]:sp[1]]
+	return c.badNbrs[c.badOff[u]:c.badOff[u+1]]
+}
+
+// buildBadIndex fills badOff/badNbrs with one counting pass and one fill
+// pass over the rows of the bad nodes, O(|bad|·degree) in all.
+func (c *corruptorCore) buildBadIndex(v View) {
+	n := v.Topo().Size()
+	isBad := v.IsBad
+	if ss, ok := v.(StateSource); ok {
+		mask := ss.BadMask()
+		isBad = func(id grid.NodeID) bool { return mask[id] }
+	}
+	var bad []grid.NodeID
+	for i := 0; i < n; i++ {
+		if isBad(grid.NodeID(i)) {
+			bad = append(bad, grid.NodeID(i))
+		}
+	}
+	// Counts go in two places up, so that after the prefix sum off[u+1] is
+	// where u's list starts; the fill pass advances it to where the list
+	// ends, which is where u+1's starts.
+	off := make([]int32, n+2)
+	for _, b := range bad {
+		c.nbrScratch = viewNeighbors(v, c.nbrScratch[:0], b)
+		for _, u := range c.nbrScratch {
+			off[u+2]++
+		}
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	c.badNbrs = make([]grid.NodeID, off[n+1])
+	for _, b := range bad {
+		c.nbrScratch = viewNeighbors(v, c.nbrScratch[:0], b)
+		for _, u := range c.nbrScratch {
+			c.badNbrs[off[u+1]] = b
+			off[u+1]++
+		}
+	}
+	c.badOff = off[:n+1]
 }
 
 // pickJammer returns the bad neighbor of u with remaining budget that is
@@ -363,18 +402,6 @@ func (c *corruptorCore) canJam(v View, u grid.NodeID) bool {
 		}
 	}
 	return false
-}
-
-// ensureCache sizes the bad-neighbor cache to the topology.
-func (c *corruptorCore) ensureCache(n int) {
-	if len(c.badNbrSpan) == n {
-		return
-	}
-	c.badNbrSpan = make([][2]int32, n)
-	for i := range c.badNbrSpan {
-		c.badNbrSpan[i][0] = -1
-	}
-	c.badNbrArena = c.badNbrArena[:0]
 }
 
 // badBudgetNear sums the remaining budget of the bad nodes within range

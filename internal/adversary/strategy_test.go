@@ -283,8 +283,8 @@ func TestStrategyNames(t *testing.T) {
 // the fast engine's frontier slots rest on: a slot's jams are the same
 // whether the strategy is handed every tentative delivery or only those
 // to undecided good receivers — with the supply and correct counts of
-// every other node poisoned on the second call, since View.Supply is
-// defined for undecided nodes only.
+// every other node poisoned on the second call, since View.Supply and
+// View.CorrectCount are defined for undecided nodes only.
 func TestDeliveryDrivenReadsFrontierOnly(t *testing.T) {
 	strategies := map[string]func(victims []bool) Strategy{
 		"corruptor":      func([]bool) Strategy { return NewCorruptor() },
@@ -328,20 +328,25 @@ func TestDeliveryDrivenReadsFrontierOnly(t *testing.T) {
 		}
 		for name, mk := range strategies {
 			want := append([]radio.Tx(nil), mk(victims).Jams(v, 0, full)...)
-			poisoned := *v
-			poisoned.correct = map[grid.NodeID]int{}
-			poisoned.supply = map[grid.NodeID]int{}
-			for i := 0; i < n; i++ {
-				id := grid.NodeID(i)
-				if v.bad[id] || v.decided[id] {
-					poisoned.correct[id], poisoned.supply[id] = 1<<20, -1<<20
-				} else {
-					poisoned.correct[id], poisoned.supply[id] = v.correct[id], v.supply[id]
+			// Poison both ways round: a frontier engine's CorrectCount of a
+			// decided node stops at its decision (too low), a full one's
+			// keeps growing (too high), and neither may matter.
+			for _, poison := range [][2]int{{1 << 20, -1 << 20}, {-1 << 20, 1 << 20}} {
+				poisoned := *v
+				poisoned.correct = map[grid.NodeID]int{}
+				poisoned.supply = map[grid.NodeID]int{}
+				for i := 0; i < n; i++ {
+					id := grid.NodeID(i)
+					if v.bad[id] || v.decided[id] {
+						poisoned.correct[id], poisoned.supply[id] = poison[0], poison[1]
+					} else {
+						poisoned.correct[id], poisoned.supply[id] = v.correct[id], v.supply[id]
+					}
 				}
-			}
-			got := mk(victims).Jams(&poisoned, 0, frontier)
-			if !reflect.DeepEqual(append([]radio.Tx(nil), got...), want) {
-				t.Fatalf("seed %d %s: jams on the frontier %v, on the full list %v", seed, name, got, want)
+				got := mk(victims).Jams(&poisoned, 0, frontier)
+				if !reflect.DeepEqual(append([]radio.Tx(nil), got...), want) {
+					t.Fatalf("seed %d %s: jams on the frontier %v, on the full list %v", seed, name, got, want)
+				}
 			}
 			jammed += len(want)
 		}

@@ -28,18 +28,41 @@
 // good receivers — instead of all of them: step 2 materialises only the
 // frontier (radio.Medium.ResolveDisjoint with the decided mask), step 3
 // shows only the frontier to the strategy, and when the strategy returns
-// no jam, step 5 delivers only the frontier and the rest of the slot is
-// booked as plain Correct/Wrong bumps on the instance's state arrays. A
-// slot that is jammed discards its frontier and goes through steps 4–5 in
-// full like any other, so jam semantics have one implementation.
+// no jam, step 5 delivers only the frontier. A slot that is jammed
+// discards its frontier and goes through steps 4–5 in full like any
+// other, so jam semantics have one implementation.
+//
+// Most transmissions have no frontier at all: the sender's row is
+// settled — every neighbor bad or decided — by the time its redundant
+// copies go out (85 % of the transmissions of a 100k-node run). live[v]
+// counts v's undecided good neighbors, starting at v's degree less its bad
+// neighbors and losing one over the decider's row at every decision, and
+// step 2 resolves only the transmissions with live[from] > 0; a settled
+// row is never read during the run. Decisions are seen through their
+// sends: the built-in instance returns exactly one Send per decision,
+// the bootstrap source included, so the walk that credits the decider's
+// supply to its neighbors (addPending) is the walk that debits live.
+//
+// What the rest of a jam-free slot delivered is not booked per receiver
+// but per sender: one lateTx[from]++ per transmission. That is exact — a
+// jam-free slot of a verified distance-2 color class is collision-free
+// and no transmitter is in range of another, so each transmission reached
+// the sender's whole row, and a good sender's value is fixed once it
+// decides — and finish turns it into Result.Correct/Wrong with one
+// scatter of lateTx[v] over v's row, added to a per-receiver tally of what
+// the jammed slots delivered. During the run the instance's Correct and
+// Wrong counters are complete for undecided nodes only, which is all
+// adversary.View promises a strategy.
+//
 // frontierEligible lists when a run qualifies — in short, when no one
-// could observe the difference: the built-in threshold instance, no
-// OnDeliver observer, a strategy that is a function of the frontier
+// could observe the difference: the built-in threshold instance (which is
+// also what the one-Send-per-decision coupling rests on), no OnDeliver
+// observer, a strategy that is a function of the frontier
 // (adversary.DeliveryDriven), and a coloring the plan has verified to be
 // distance-2, which is what makes a jam-free slot collision-free by check
 // rather than by assumption. Every other run — custom machines, observed
 // runs, Spammer, unverified colorings — takes steps 2–5 over all
-// deliveries.
+// deliveries and keeps none of this state.
 //
 // # Fast path
 //
@@ -234,12 +257,25 @@ type Runner struct {
 
 	// frontier selects the frontier-only slot body for this run (see the
 	// package comment and frontierEligible); frontierSlots counts the
-	// slots that completed on it (exposed to tests, see export_test.go).
+	// slots that completed on it and settledTxs the transmissions of those
+	// slots whose row was never read (exposed to tests, see export_test.go).
 	frontier      bool
 	frontierSlots int
+	settledTxs    int
+
+	// Frontier-run state (see the package comment). live[v] counts v's
+	// undecided good neighbors — v's row is settled once it reaches 0.
+	// lateTx[v] counts v's transmissions in jam-free slots, jamCorrect and
+	// jamWrong what the jammed slots delivered to each receiver; finish
+	// assembles Result.Correct/Wrong from the three.
+	live       []int32
+	lateTx     []int32
+	jamCorrect []int32
+	jamWrong   []int32
 
 	// Scratch reused across slots.
 	txs       []radio.Tx
+	liveTxs   []radio.Tx // the slot's transmissions from rows not yet settled
 	tentative []radio.Delivery
 	sendBuf   []protocol.Send
 	jamSeen   []int32 // epoch stamps replacing validateJams' map
@@ -292,6 +328,10 @@ func (r *Runner) retarget(t topo.Topology) error {
 	r.badBudget = resized(r.badBudget, n)
 	r.jamSeen = resized(r.jamSeen, n)
 	r.jamEpoch = 0
+	r.live = resized(r.live, n)
+	r.lateTx = resized(r.lateTx, n)
+	r.jamCorrect = resized(r.jamCorrect, n)
+	r.jamWrong = resized(r.jamWrong, n)
 	period := schedule.Period()
 	if cap(r.active) >= period {
 		r.active = r.active[:period]
@@ -316,6 +356,9 @@ func (r *Runner) reset() {
 	clear(r.supply)
 	clear(r.goodBudget)
 	clear(r.badBudget)
+	clear(r.lateTx)
+	clear(r.jamCorrect)
+	clear(r.jamWrong)
 	for c := range r.active {
 		r.active[c] = r.active[c][:0]
 	}
@@ -406,7 +449,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	r.bad = bad
 	r.trackSupply = cfg.Strategy != nil
 	r.frontier = r.frontierEligible()
-	r.frontierSlots = 0
+	r.frontierSlots, r.settledTxs = 0, 0
 	for i := 0; i < n; i++ {
 		id := grid.NodeID(i)
 		if bad[i] {
@@ -419,6 +462,10 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			continue
 		}
 		r.goodBudget[i] = radio.NewBudget(r.inst.GoodBudget(id))
+	}
+
+	if r.frontier {
+		r.initLive()
 	}
 
 	// Bootstrap: the instance pre-decides the source and schedules its
@@ -444,23 +491,54 @@ func (r *Runner) neighbors(id grid.NodeID) []grid.NodeID {
 	return r.medium.Neighbors(id)
 }
 
+// initLive starts every live counter at the node's good-neighbor count:
+// its degree, less one per bad neighbor — debited from the bad side, so
+// only the bad nodes' rows are walked. Decisions take it from there (see
+// addPending).
+func (r *Runner) initLive() {
+	for i := range r.live {
+		r.live[i] = int32(len(r.neighbors(grid.NodeID(i))))
+	}
+	for i, b := range r.bad {
+		if !b {
+			continue
+		}
+		for _, nb := range r.neighbors(grid.NodeID(i)) {
+			r.live[nb]--
+		}
+	}
+}
+
 // addPending schedules n more transmissions at id and, when id supplies
-// Vtrue, credits the supply estimate of its neighbors.
+// Vtrue, credits the supply estimate of its neighbors. On a frontier run
+// the call also stands for id's decision — the threshold instance returns
+// exactly one Send per decision, the bootstrap source included, even when
+// Sends(id) or the remaining budget leaves n at 0 — so the same walk takes
+// id out of its neighbors' live counts.
 func (r *Runner) addPending(id grid.NodeID, n int) {
-	if n <= 0 {
-		return
+	if n > 0 {
+		c := r.colors[id]
+		if r.pending[id] <= 0 {
+			r.active[c] = append(r.active[c], id)
+		}
+		r.pending[id] += int32(n)
+		r.colorPending[c] += int64(n)
+		r.pendingTotal += int64(n)
 	}
-	c := r.colors[id]
-	if r.pending[id] <= 0 {
-		r.active[c] = append(r.active[c], id)
-	}
-	r.pending[id] += int32(n)
-	r.colorPending[c] += int64(n)
-	r.pendingTotal += int64(n)
-	if r.trackSupply && r.st.Value[id] == radio.ValueTrue && !r.bad[id] {
+	var credit int32
+	if n > 0 && r.trackSupply && r.st.Value[id] == radio.ValueTrue && !r.bad[id] {
 		r.supplies[id] = true
+		credit = int32(n)
+	}
+	switch {
+	case r.frontier:
 		for _, nb := range r.neighbors(id) {
-			r.supply[nb] += int32(n)
+			r.supply[nb] += credit
+			r.live[nb]--
+		}
+	case credit > 0:
+		for _, nb := range r.neighbors(id) {
+			r.supply[nb] += credit
 		}
 	}
 }
@@ -600,11 +678,17 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 			if r.tentative, err = r.medium.ResolveAppend(r.txs, r.tentative); err != nil {
 				return nil, err
 			}
+			if r.frontier {
+				r.tallyJammed(r.tentative)
+			}
 		} else if r.frontier && len(r.txs) > 0 {
-			// Jam-free: the frontier is the final batch. Book the rest of
-			// the slot before Deliver decides anyone new.
-			r.bookLate(r.txs)
+			// Jam-free: the frontier is the final batch, and everything
+			// else the slot delivered is one ledger bump per transmission.
+			if err := r.ledger(r.txs); err != nil {
+				return nil, err
+			}
 			r.frontierSlots++
+			r.settledTxs += len(r.txs) - len(r.liveTxs)
 		}
 
 		// Hand the slot's final deliveries to the protocol as one batch
@@ -662,11 +746,13 @@ func (r *Runner) dropPending(id grid.NodeID) {
 // show to the adversary and deliver only the slot's frontier — the
 // deliveries to undecided good receivers. It may when nothing can see the
 // difference: the built-in threshold instance (a delivery to a decided or
-// bad node is at most a receipt-counter bump there; custom machines see
-// every delivery), no OnDeliver observer, a strategy whose jams depend on
-// the frontier alone (adversary.DeliveryDriven), and a plan that verified
-// the coloring — without which a jam-free slot could still hold collisions
-// that only full resolution counts.
+// bad node is at most a receipt-counter bump there, and every decision
+// comes back as exactly one Send, which is how the live counters learn of
+// it; custom machines see every delivery and send as they please), no
+// OnDeliver observer, a strategy whose jams depend on the frontier alone
+// (adversary.DeliveryDriven), and a plan that verified the coloring —
+// without which a jam-free slot could still hold collisions that only
+// full resolution counts.
 func (r *Runner) frontierEligible() bool {
 	return r.cfg.Machine == nil && r.cfg.OnDeliver == nil &&
 		r.plan.DisjointClasses() && r.deliveryDriven()
@@ -676,9 +762,21 @@ func (r *Runner) frontierEligible() bool {
 // ascending receiver order, and debits the Vtrue supply of exactly those
 // receivers (see consumePending): supply is defined for undecided
 // receivers only, and each is debited here in every slot it is reached
-// while undecided, just as the per-transmission walk would have.
+// while undecided, just as the per-transmission walk would have. Only the
+// rows that still have an undecided good neighbor are resolved; a settled
+// row has nothing to put on the frontier and is never read.
 func (r *Runner) resolveFrontier(txs []radio.Tx) error {
-	ds, err := r.medium.ResolveDisjoint(txs, r.st.Decided, r.tentative)
+	live := r.liveTxs[:0]
+	for i := range txs {
+		if r.live[txs[i].From] > 0 {
+			live = append(live, txs[i])
+		}
+	}
+	r.liveTxs = live
+	if len(live) == 0 {
+		return nil
+	}
+	ds, err := r.medium.ResolveDisjoint(live, r.st.Decided, r.tentative)
 	if err != nil {
 		return err
 	}
@@ -697,21 +795,31 @@ func (r *Runner) resolveFrontier(txs []radio.Tx) error {
 	return nil
 }
 
-// bookLate books the deliveries of a jam-free frontier slot that are not
-// on the frontier. Bad nodes never decide, so a decided receiver is a
-// good one, and all the protocol does with its delivery is count the
-// receipt; deliveries to bad nodes have no effect at all.
-func (r *Runner) bookLate(txs []radio.Tx) {
-	decided := r.st.Decided
+// ledger books a jam-free frontier slot: one bump per transmission. The
+// slot is collision-free (a verified distance-2 color class), so each
+// transmission reached the sender's whole row, and a good sender's value
+// is fixed once it decides — finish turns the per-sender counts back into
+// per-receiver receipts. It also makes ResolveDisjoint's check for the
+// rows that method no longer sees.
+func (r *Runner) ledger(txs []radio.Tx) error {
 	for i := range txs {
-		counts := r.st.Wrong
-		if txs[i].Value == radio.ValueTrue {
-			counts = r.st.Correct
+		if txs[i].Value == radio.ValueNone {
+			return fmt.Errorf("sim: transmission from %d is not a plain good transmission", txs[i].From)
 		}
-		for _, to := range r.neighbors(txs[i].From) {
-			if decided[to] {
-				counts[to]++
-			}
+		r.lateTx[txs[i].From]++
+	}
+	return nil
+}
+
+// tallyJammed books the final deliveries of a jammed slot of a frontier
+// run, which reach the protocol in full, the way Deliver counts them (bad
+// receivers too; frontierReceipts drops those at the end).
+func (r *Runner) tallyJammed(ds []radio.Delivery) {
+	for _, d := range ds {
+		if d.Value == radio.ValueTrue {
+			r.jamCorrect[d.To]++
+		} else {
+			r.jamWrong[d.To]++
 		}
 	}
 }
@@ -795,11 +903,43 @@ func (r *Runner) finish(slot, maxSlots int) *Result {
 	// retroactively corrupt this Result (see TestResultNotAliased).
 	res.Decided = append([]bool(nil), r.st.Decided...)
 	res.DecidedValue = append([]radio.Value(nil), r.st.Value...)
-	res.Correct = append([]int32(nil), r.st.Correct...)
-	res.Wrong = append([]int32(nil), r.st.Wrong...)
+	if r.frontier {
+		res.Correct, res.Wrong = r.frontierReceipts()
+	} else {
+		res.Correct = append([]int32(nil), r.st.Correct...)
+		res.Wrong = append([]int32(nil), r.st.Wrong...)
+	}
 	res.Sent = append([]int32(nil), r.sent...)
 	out := *res
 	return &out
+}
+
+// frontierReceipts assembles a frontier run's per-receiver receipt counts:
+// the jammed slots' tally plus each sender's jam-free transmissions
+// scattered over its row by the value it sent (see ledger). The instance's
+// own counters miss what a node received in jam-free slots after it
+// decided and are not used.
+func (r *Runner) frontierReceipts() (correct, wrong []int32) {
+	correct = append([]int32(nil), r.jamCorrect...)
+	wrong = append([]int32(nil), r.jamWrong...)
+	for i, k := range r.lateTx {
+		if k == 0 {
+			continue
+		}
+		counts := wrong
+		if r.st.Value[i] == radio.ValueTrue {
+			counts = correct
+		}
+		for _, to := range r.neighbors(grid.NodeID(i)) {
+			counts[to] += k
+		}
+	}
+	for i, b := range r.bad {
+		if b {
+			correct[i], wrong[i] = 0, 0 // adversary nodes do not run the protocol
+		}
+	}
+	return correct, wrong
 }
 
 // runnerView adapts the Runner to adversary.View.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"bftbcast/internal/adversary"
@@ -330,5 +331,33 @@ func TestResultAccounting(t *testing.T) {
 		if res.Correct[i] < int32(miniParams.Threshold()) {
 			t.Fatalf("node %d decided with %d < threshold copies", i, res.Correct[i])
 		}
+	}
+}
+
+// TestFrontierRejectsValuelessTransmission corrupts the protocol state
+// under a run: a decided node whose row has settled loses its value while
+// it still has relays pending. The frontier path never resolves that row,
+// so the ledger has to make ResolveDisjoint's check itself — the
+// transmission must fail the run, not be booked as a wrong copy.
+func TestFrontierRejectsValuelessTransmission(t *testing.T) {
+	tor := grid.MustNew(20, 20, 2)
+	r := NewRunner()
+	poisoned := grid.None
+	_, err := r.Run(Config{
+		Topo: tor, Params: miniParams, Spec: protocolB(t, miniParams),
+		OnSlotStart: func(int) {
+			for id := range r.pending {
+				if poisoned == grid.None && r.pending[id] > 0 && r.live[id] == 0 {
+					poisoned = grid.NodeID(id)
+					r.st.Value[id] = radio.ValueNone
+				}
+			}
+		},
+	})
+	if poisoned == grid.None {
+		t.Fatal("no settled row ever had a transmission pending")
+	}
+	if err == nil || !strings.Contains(err.Error(), "not a plain good transmission") {
+		t.Fatalf("valueless transmission from settled row %d: err = %v", poisoned, err)
 	}
 }

@@ -1,10 +1,42 @@
 package sim
 
+import (
+	"fmt"
+
+	"bftbcast/internal/grid"
+)
+
 // FrontierSlots exposes how many slots of the last run completed on the
 // frontier path (see the package comment), so tests can prove a
 // configuration took it — or stayed off it — instead of inferring that
 // from timing.
 func (r *Runner) FrontierSlots() int { return r.frontierSlots }
+
+// SettledTxs exposes how many transmissions of the last run's frontier
+// slots came from a settled row, which the engine books without reading.
+func (r *Runner) SettledTxs() int { return r.settledTxs }
+
+// CheckLive recounts every node's undecided good neighbors and returns an
+// error for the first whose live counter disagrees. It is meant to be
+// called from an observer hook of a run in progress; runs that are not on
+// the frontier path keep no counters and always pass.
+func (r *Runner) CheckLive() error {
+	if !r.frontier {
+		return nil
+	}
+	for i := range r.live {
+		var want int32
+		for _, nb := range r.neighbors(grid.NodeID(i)) {
+			if !r.bad[nb] && !r.st.Decided[nb] {
+				want++
+			}
+		}
+		if r.live[i] != want {
+			return fmt.Errorf("slot %d: live[%d] = %d, recount %d", r.curSlot, i, r.live[i], want)
+		}
+	}
+	return nil
+}
 
 // Figure2Params and Figure2Victims hand the Figure 2 construction (see
 // figure2_test.go) to the external test package.

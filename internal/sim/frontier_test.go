@@ -7,7 +7,9 @@ package sim_test
 // with a no-op OnDeliver attached, which forces full resolution — and the
 // two legs must agree on the whole Result and on the slot-start, OnSend
 // and OnAccept streams. The Runner's frontier-slot counter proves which path each leg
-// took, so neither half of the comparison can go vacuous.
+// took, so neither half of the comparison can go vacuous. The bare leg
+// also has its live counters — what lets it skip settled rows — recounted
+// from scratch at every executed slot.
 
 import (
 	"reflect"
@@ -53,23 +55,38 @@ func observe(cfg *sim.Config) *[]event {
 	return log
 }
 
-// frontierLeg is one observed run: Result, event stream, and how many of
-// its slots completed on the frontier path.
+// frontierLeg is one observed run: Result, event stream, how many of its
+// slots completed on the frontier path, and how many transmissions of
+// those slots were booked without reading their (settled) row.
 type frontierLeg struct {
-	res    *sim.Result
-	events []event
-	slots  int
+	res     *sim.Result
+	events  []event
+	slots   int
+	settled int
 }
 
 // runFrontierLeg runs cfg on r with every observer hook logging (see
 // observe) except OnDeliver, which is replaced by onDeliver: nil leaves
 // the run eligible for the frontier path, anything else forces full
-// resolution without adding events to the log.
+// resolution without adding events to the log. Every executed slot starts
+// with a recount of the Runner's live counters; the first disagreement is
+// returned as the run's error.
 func runFrontierLeg(r *sim.Runner, cfg sim.Config, onDeliver func(int, radio.Delivery)) (frontierLeg, error) {
 	log := observe(&cfg)
 	cfg.OnDeliver = onDeliver
+	var liveErr error
+	logSlot := cfg.OnSlotStart
+	cfg.OnSlotStart = func(slot int) {
+		logSlot(slot)
+		if liveErr == nil {
+			liveErr = r.CheckLive()
+		}
+	}
 	res, err := r.Run(cfg)
-	return frontierLeg{res: res, events: *log, slots: r.FrontierSlots()}, err
+	if err == nil {
+		err = liveErr
+	}
+	return frontierLeg{res: res, events: *log, slots: r.FrontierSlots(), settled: r.SettledTxs()}, err
 }
 
 // diffFrontier runs build's config bare and with a no-op OnDeliver on r
@@ -85,8 +102,9 @@ func diffFrontier(t *testing.T, r *sim.Runner, desc string, build func() sim.Con
 	if bareErr != nil {
 		return nil
 	}
-	if full.slots != 0 {
-		t.Fatalf("%s: %d frontier slots with OnDeliver attached", desc, full.slots)
+	if full.slots != 0 || full.settled != 0 {
+		t.Fatalf("%s: %d frontier slots, %d settled transmissions with OnDeliver attached",
+			desc, full.slots, full.settled)
 	}
 	if err := simtest.DiffResults(bare.res, full.res); err != nil {
 		t.Fatalf("%s: frontier vs full resolution: %v", desc, err)
@@ -96,6 +114,28 @@ func diffFrontier(t *testing.T, r *sim.Runner, desc string, build func() sim.Con
 			desc, len(bare.events), len(full.events))
 	}
 	return &bare
+}
+
+// gappySpec thins spec out: every fifth node relays nothing at all
+// (Sends == 0), and every seventh has no budget, so the engine clamps its
+// relay to 0. Either way the node decides without ever getting a pending
+// transmission, and must still leave its neighbors' live counts.
+func gappySpec(spec core.Spec) core.Spec {
+	sends, budget := spec.Sends, spec.Budget
+	spec.Name += "/gappy"
+	spec.Sends = func(id grid.NodeID) int {
+		if id%5 == 0 {
+			return 0
+		}
+		return sends(id)
+	}
+	spec.Budget = func(id grid.NodeID) int {
+		if id%7 == 0 {
+			return 0
+		}
+		return budget(id)
+	}
+	return spec
 }
 
 func TestFrontierMatchesFullResolution(t *testing.T) {
@@ -108,12 +148,13 @@ func TestFrontierMatchesFullResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	runner := sim.NewRunner()
-	var jammed, dropped, idle, spammed int
+	var jammed, dropped, idle, spammed, stalled, timedOut int
 	for i := 0; i < cases; i++ {
 		c := gen.Next()
 		// Besides the case as drawn, run its Drop-jammer twin (Corruptor
 		// and Targeted) or its explicit-Idle twin (placement without a
-		// strategy), which the generator does not draw by itself.
+		// strategy), which the generator does not draw by itself, and its
+		// twin on a spec with silent and budgetless nodes.
 		variants := []func() sim.Config{c.Build, func() sim.Config {
 			cfg := c.Build()
 			switch s := cfg.Strategy.(type) {
@@ -125,6 +166,10 @@ func TestFrontierMatchesFullResolution(t *testing.T) {
 				cfg.Strategy = adversary.Idle{}
 			}
 			return cfg
+		}, func() sim.Config {
+			cfg := c.Build()
+			cfg.Spec = gappySpec(cfg.Spec)
+			return cfg
 		}}
 		for v, build := range variants {
 			bare := diffFrontier(t, runner, c.Desc, build)
@@ -133,14 +178,27 @@ func TestFrontierMatchesFullResolution(t *testing.T) {
 			}
 			cfg := build()
 			if _, spam := cfg.Strategy.(*adversary.Spammer); spam {
-				if bare.slots != 0 {
-					t.Fatalf("%s: Spammer run took %d frontier slots", c.Desc, bare.slots)
+				if bare.slots != 0 || bare.settled != 0 {
+					t.Fatalf("%s: Spammer run took %d frontier slots, settled %d transmissions",
+						c.Desc, bare.slots, bare.settled)
 				}
 				spammed++
 				continue
 			}
 			if bare.slots == 0 {
 				t.Fatalf("%s (variant %d): eligible run took no frontier slot", c.Desc, v)
+			}
+			// A row settles once its whole neighborhood has decided, which
+			// any run that gets somewhere reaches; only one cut short by
+			// MaxSlots or starved by the spec may end before that.
+			if bare.settled == 0 && bare.res.Completed {
+				t.Fatalf("%s (variant %d): completed without one settled transmission", c.Desc, v)
+			}
+			if bare.res.Stalled {
+				stalled++
+			}
+			if bare.res.TimedOut {
+				timedOut++
 			}
 			if bare.res.BadMessages > 0 {
 				jammed++
@@ -153,9 +211,11 @@ func TestFrontierMatchesFullResolution(t *testing.T) {
 			}
 		}
 	}
-	if jammed == 0 || dropped == 0 || idle == 0 || spammed == 0 {
-		t.Fatalf("degenerate case mix: jammed=%d dropped=%d idle=%d spammed=%d",
-			jammed, dropped, idle, spammed)
+	// The -short matrix happens to draw no MaxSlots cut on an eligible leg.
+	if jammed == 0 || dropped == 0 || idle == 0 || spammed == 0 || stalled == 0 ||
+		(timedOut == 0 && !testing.Short()) {
+		t.Fatalf("degenerate case mix: jammed=%d dropped=%d idle=%d spammed=%d stalled=%d timedOut=%d",
+			jammed, dropped, idle, spammed, stalled, timedOut)
 	}
 }
 
@@ -181,6 +241,39 @@ func TestFrontierFigure2(t *testing.T) {
 	}
 	if !bare.res.Stalled || bare.res.DecidedGood != 84 {
 		t.Fatalf("stalled=%v decided=%d, want the Figure 2 stall at 84", bare.res.Stalled, bare.res.DecidedGood)
+	}
+}
+
+// TestFrontierWrongValueRelays runs the ledger's other bucket: under a
+// threshold of 1 a jam that lands on an undecided node makes it accept the
+// jammer's value and relay that, the wrong value spreads like the right
+// one, and Result.Wrong is mostly ledger.
+func TestFrontierWrongValueRelays(t *testing.T) {
+	tor := grid.MustNew(20, 20, 2)
+	p := core.Params{R: 2, T: 2, MF: 6}
+	three := func(grid.NodeID) int { return 3 }
+	spec := core.Spec{Name: "one-copy", SourceRepeats: 3, Threshold: 1, Sends: three, Budget: three, MaxSends: 3}
+	everyone := make([]bool, tor.Size())
+	for i := range everyone {
+		everyone[i] = true
+	}
+	bare := diffFrontier(t, sim.NewRunner(), "wrong-value relays", func() sim.Config {
+		return sim.Config{
+			Topo: tor, Params: p, Spec: spec,
+			Placement: adversary.Random{T: 2, Density: 0.2, Seed: 5},
+			Strategy:  &adversary.Targeted{Victims: everyone, WrongValue: 3},
+		}
+	})
+	if bare.res.WrongDecisions == 0 || bare.settled == 0 {
+		t.Fatalf("wrong decisions=%d settled transmissions=%d, want both > 0",
+			bare.res.WrongDecisions, bare.settled)
+	}
+	var wrong int32
+	for _, w := range bare.res.Wrong {
+		wrong += w
+	}
+	if int(wrong) <= 24*bare.res.BadMessages { // a jam reaches 24 receivers at most
+		t.Fatalf("%d wrong receipts from %d jams: no wrong value was relayed", wrong, bare.res.BadMessages)
 	}
 }
 
@@ -213,9 +306,9 @@ func TestFrontierIneligibleRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runner.FrontierSlots() == 0 || want.BadMessages == 0 {
-		t.Fatalf("baseline: frontier slots=%d bad messages=%d, want both > 0",
-			runner.FrontierSlots(), want.BadMessages)
+	if runner.FrontierSlots() == 0 || runner.SettledTxs() == 0 || want.BadMessages == 0 {
+		t.Fatalf("baseline: frontier slots=%d settled transmissions=%d bad messages=%d, want all > 0",
+			runner.FrontierSlots(), runner.SettledTxs(), want.BadMessages)
 	}
 
 	legs := []struct {
@@ -233,8 +326,9 @@ func TestFrontierIneligibleRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", leg.name, err)
 		}
-		if n := runner.FrontierSlots(); n != 0 {
-			t.Errorf("%s: took %d frontier slots, want full resolution", leg.name, n)
+		if n, settled := runner.FrontierSlots(), runner.SettledTxs(); n != 0 || settled != 0 {
+			t.Errorf("%s: took %d frontier slots and settled %d transmissions, want full resolution",
+				leg.name, n, settled)
 		}
 		if leg.sameAsSeq {
 			if err := simtest.DiffResults(got, want); err != nil {
