@@ -181,7 +181,8 @@ func BenchmarkSweep45Scenario(b *testing.B) {
 // attacks, one seed per point) through the public Sweep harness on one
 // worker. Before the protocol seam the reactive runtime had no sweep
 // path at all; this records what reactive scenarios cost on the shared
-// engine stack (AUED encode/decode per data round dominates).
+// engine stack (radio resolution and the coding layer's RNG draws carry
+// it since the rounds stopped expanding sub-bits nobody observes).
 func BenchmarkReactiveSweep(b *testing.B) {
 	tor, err := bftbcast.NewTorus(15, 15, 2)
 	if err != nil {
@@ -196,6 +197,7 @@ func BenchmarkReactiveSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scenarios := make([]*bftbcast.Scenario, 8)
@@ -580,24 +582,33 @@ func BenchmarkAUEDVerify(b *testing.B) {
 }
 
 // BenchmarkReactiveBroadcast measures a full Breactive run under
-// disruption attacks.
+// disruption attacks, through the path the reactive workloads run: one
+// Scenario on the fast engine.
 func BenchmarkReactiveBroadcast(b *testing.B) {
 	tor, err := bftbcast.NewTorus(15, 15, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
+	sc, err := bftbcast.NewScenario(
+		bftbcast.WithTopology(tor),
+		bftbcast.WithParams(bftbcast.Params{R: 2, T: 1, MF: 3}),
+		bftbcast.WithProtocol(bftbcast.ProtocolReactive),
+		bftbcast.WithReactive(bftbcast.ReactiveSpec{MMax: 64, PayloadBits: 16, Policy: bftbcast.PolicyDisrupt}),
+		bftbcast.WithPlacement(bftbcast.RandomPlacement{T: 1, Density: 0.06, Seed: 5}),
+		bftbcast.WithSeed(9),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := bftbcast.RunReactive(bftbcast.ReactiveConfig{
-			Topo: tor, T: 1, MF: 3, MMax: 64, PayloadBits: 16,
-			Placement: bftbcast.RandomPlacement{T: 1, Density: 0.06, Seed: 5},
-			Policy:    bftbcast.PolicyDisrupt,
-			Seed:      9,
-		})
+		rep, err := bftbcast.EngineFast.Run(ctx, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Completed {
+		if !rep.Completed {
 			b.Fatal("reactive broadcast failed")
 		}
 	}

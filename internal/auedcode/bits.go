@@ -26,6 +26,14 @@
 // signal/silence, L = 2·log2 n + log2 t + log2 mmax. Energy in any
 // sub-slot makes the receiver read 1, so erasing a 1 requires an exact
 // pattern guess: probability 1/(2^L - 1).
+//
+// Word layout: a BitString stores bit i in bit i%64 of word i/64, and
+// bits past the length stay zero. Everything that touches a run of bits —
+// the count of a segment, a count field, one bit's L sub-slots, the
+// payload copy — goes through loadBits/storeBits, which move up to 64
+// bits with two shifts and a mask even when the run straddles a word
+// boundary; runs longer than a word (L may exceed 64) go chunk by chunk.
+// Bit i's sub-slots are the run [i·L, (i+1)·L), generally unaligned.
 package auedcode
 
 import (
@@ -82,13 +90,67 @@ func (b BitString) PopCount() int {
 	return total
 }
 
+// checkRange panics unless [from, to) lies inside the string, as indexing
+// each bit of the run would.
+func (b BitString) checkRange(from, to int) {
+	if from < 0 || to > b.n {
+		panic(fmt.Sprintf("auedcode: bit range [%d,%d) out of range [0,%d)", from, to, b.n))
+	}
+}
+
+// loadBits returns the n bits (1 <= n <= 64) at [at, at+n), bit at+j in
+// bit j of the result. The range must lie inside the string.
+func (b BitString) loadBits(at, n int) uint64 {
+	wi, sh := at/64, uint(at)%64
+	v := b.words[wi] >> sh
+	if int(sh)+n > 64 {
+		v |= b.words[wi+1] << (64 - sh)
+	}
+	return v & (^uint64(0) >> uint(64-n))
+}
+
+// storeBits overwrites the n bits (1 <= n <= 64) at [at, at+n) with the
+// low n bits of v, leaving every other bit alone: one masked write, or
+// two when the run straddles a word boundary.
+func (b BitString) storeBits(at, n int, v uint64) {
+	mask := ^uint64(0) >> uint(64-n)
+	v &= mask
+	wi, sh := at/64, uint(at)%64
+	b.words[wi] = b.words[wi]&^(mask<<sh) | v<<sh
+	if int(sh)+n > 64 {
+		b.words[wi+1] = b.words[wi+1]&^(mask>>(64-sh)) | v>>(64-sh)
+	}
+}
+
+// copyBits overwrites dst[dstAt, dstAt+n) with src[srcAt, srcAt+n).
+func copyBits(dst BitString, dstAt int, src BitString, srcAt, n int) {
+	for j := 0; j < n; j += 64 {
+		m := min(64, n-j)
+		dst.storeBits(dstAt+j, m, src.loadBits(srcAt+j, m))
+	}
+}
+
 // PopCountRange returns the number of 1-bits in [from, to).
 func (b BitString) PopCountRange(from, to int) int {
+	if from >= to {
+		return 0
+	}
+	b.checkRange(from, to)
 	total := 0
-	for i := from; i < to; i++ {
-		total += b.Get(i)
+	for at := from; at < to; at += 64 {
+		total += bits.OnesCount64(b.loadBits(at, min(64, to-at)))
 	}
 	return total
+}
+
+// anyRange reports whether any bit of [from, to) is set.
+func (b BitString) anyRange(from, to int) bool {
+	for at := from; at < to; at += 64 {
+		if b.loadBits(at, min(64, to-at)) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Clone returns an independent copy.
@@ -143,23 +205,35 @@ func (b BitString) IsZero() bool {
 	return true
 }
 
-// WriteUint stores the width lowest bits of v at [at, at+width), MSB
-// first.
-func (b BitString) WriteUint(v uint, at, width int) {
-	for i := 0; i < width; i++ {
-		bit := int(v>>(uint(width-1-i))) & 1
-		b.Set(at+i, bit)
+// checkField panics unless [at, at+width) lies inside the string and fits
+// a uint.
+func (b BitString) checkField(at, width int) {
+	if width > 64 {
+		panic(fmt.Sprintf("auedcode: field width %d exceeds 64", width))
 	}
+	b.checkRange(at, at+width)
+}
+
+// WriteUint stores the width lowest bits of v at [at, at+width), MSB
+// first; width is at most 64.
+func (b BitString) WriteUint(v uint, at, width int) {
+	if width <= 0 {
+		return
+	}
+	b.checkField(at, width)
+	// MSB first: position at+i takes bit width-1-i of v, the bit reversal
+	// of the field.
+	b.storeBits(at, width, bits.Reverse64(uint64(v))>>uint(64-width))
 }
 
 // ReadUint reads width bits at [at, at+width) as an MSB-first unsigned
-// integer.
+// integer; width is at most 64.
 func (b BitString) ReadUint(at, width int) uint {
-	var v uint
-	for i := 0; i < width; i++ {
-		v = v<<1 | uint(b.Get(at+i))
+	if width <= 0 {
+		return 0
 	}
-	return v
+	b.checkField(at, width)
+	return uint(bits.Reverse64(b.loadBits(at, width)) >> uint(64-width))
 }
 
 // String renders the bits as a 0/1 string (diagnostics and tests).

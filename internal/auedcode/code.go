@@ -86,9 +86,7 @@ func (c *Code) EncodeBits(payload BitString) (BitString, error) {
 	}
 	w := NewBitString(c.n)
 	w.Set(0, 1) // guard bit
-	for i := 0; i < c.k; i++ {
-		w.Set(1+i, payload.Get(i))
-	}
+	copyBits(w, 1, payload, 0, c.k)
 	at := c.segs[0]
 	prevStart, prevLen := 0, c.segs[0]
 	for _, segLen := range c.segs[1:] {
@@ -108,7 +106,7 @@ func (c *Code) Verify(w BitString) error {
 		return fmt.Errorf("%w: length %d, want %d", ErrIntegrity, w.Len(), c.n)
 	}
 	if w.Get(0) != 1 {
-		return fmt.Errorf("%w: guard bit cleared", ErrIntegrity)
+		return &integrityError{}
 	}
 	at := c.segs[0]
 	prevStart, prevLen := 0, c.segs[0]
@@ -116,7 +114,7 @@ func (c *Code) Verify(w BitString) error {
 		want := uint(w.PopCountRange(prevStart, prevStart+prevLen))
 		got := w.ReadUint(at, segLen)
 		if got != want {
-			return fmt.Errorf("%w: segment S%d holds %d, expected %d", ErrIntegrity, i+1, got, want)
+			return &integrityError{seg: i + 1, got: got, want: want}
 		}
 		prevStart, prevLen = at, segLen
 		at += segLen
@@ -124,15 +122,32 @@ func (c *Code) Verify(w BitString) error {
 	return nil
 }
 
+// integrityError is the invariant a K-bit word violates: seg 0 is the
+// guard bit, seg i > 0 the count segment Si, which holds got where its
+// predecessor has want 1-bits. It wraps ErrIntegrity and formats its
+// message only when asked, so a receiver that just tests for nil (every
+// attacked round of the reactive machine) never builds the string.
+type integrityError struct {
+	seg       int
+	got, want uint
+}
+
+func (e *integrityError) Error() string {
+	if e.seg == 0 {
+		return fmt.Sprintf("%v: guard bit cleared", ErrIntegrity)
+	}
+	return fmt.Sprintf("%v: segment S%d holds %d, expected %d", ErrIntegrity, e.seg, e.got, e.want)
+}
+
+func (e *integrityError) Unwrap() error { return ErrIntegrity }
+
 // DecodeBits verifies w and extracts the payload.
 func (c *Code) DecodeBits(w BitString) (BitString, error) {
 	if err := c.Verify(w); err != nil {
 		return BitString{}, err
 	}
 	payload := NewBitString(c.k)
-	for i := 0; i < c.k; i++ {
-		payload.Set(i, w.Get(1+i))
-	}
+	copyBits(payload, 0, w, 1, c.k)
 	return payload, nil
 }
 

@@ -2,6 +2,7 @@ package auedcode
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bftbcast/internal/stats"
 )
@@ -24,31 +25,52 @@ func (c *Code) Encode(payload BitString, rng *stats.RNG) (*Codeword, error) {
 	if err != nil {
 		return nil, err
 	}
-	sub := NewBitString(c.n * c.l)
-	for i := 0; i < c.n; i++ {
-		if bitsW.Get(i) == 0 {
-			continue
-		}
-		c.randomPattern(sub, i, rng)
-	}
-	return &Codeword{code: c, Bits: bitsW, Sub: sub}, nil
+	cw := &Codeword{code: c, Bits: bitsW, Sub: NewBitString(c.n * c.l)}
+	cw.drawPatterns(rng)
+	return cw, nil
 }
 
-// randomPattern fills bit i's sub-slots with a uniformly random non-zero
-// pattern.
-func (c *Code) randomPattern(sub BitString, bit int, rng *stats.RNG) {
-	base := bit * c.l
-	for {
-		nonzero := false
-		for j := 0; j < c.l; j++ {
-			v := 0
-			if rng.Bool() {
-				v = 1
-				nonzero = true
-			}
-			sub.Set(base+j, v)
+// Redraw re-randomises the sub-bit patterns in place for the next
+// transmission of the same bit-level word: Sub and rng end up exactly as
+// a fresh Encode of the payload would leave them, with no allocation.
+func (cw *Codeword) Redraw(rng *stats.RNG) {
+	// The draws overwrite only the 1-bits' runs; the 0-bits' sub-slots
+	// must read silent whatever was done to the exported Sub since.
+	clear(cw.Sub.words)
+	cw.drawPatterns(rng)
+}
+
+// drawPatterns draws a pattern into Sub for every 1-bit of the bit-level
+// word, in ascending bit order.
+func (cw *Codeword) drawPatterns(rng *stats.RNG) {
+	l := cw.code.l
+	for wi, w := range cw.Bits.words {
+		for ; w != 0; w &= w - 1 {
+			bit := wi*64 + bits.TrailingZeros64(w)
+			drawPattern(rng, l, cw.Sub, bit*l)
 		}
-		if nonzero {
+	}
+}
+
+// drawPattern is the one pattern-draw kernel: sub[at, at+l) becomes a
+// uniformly random non-zero pattern, redrawn whole while all-zero. The
+// stream invariant every caller relies on is one rng.Uint64() per
+// sub-bit, its low bit the signal, sub-bit j before sub-bit j+1. Up to 64
+// sub-bits accumulate in a register and overwrite sub[at+j, …) in one
+// masked write.
+func drawPattern(rng *stats.RNG, l int, sub BitString, at int) {
+	for {
+		var signal uint64
+		for j := 0; j < l; j += 64 {
+			n := min(64, l-j)
+			var p uint64
+			for k := 0; k < n; k++ {
+				p |= (rng.Uint64() & 1) << uint(k)
+			}
+			sub.storeBits(at+j, n, p)
+			signal |= p
+		}
+		if signal != 0 {
 			return
 		}
 	}
@@ -62,12 +84,8 @@ func (c *Code) DecodeSub(sub BitString) (BitString, error) {
 	}
 	out := NewBitString(c.n)
 	for i := 0; i < c.n; i++ {
-		base := i * c.l
-		for j := 0; j < c.l; j++ {
-			if sub.Get(base+j) == 1 {
-				out.Set(i, 1)
-				break
-			}
+		if sub.anyRange(i*c.l, (i+1)*c.l) {
+			out.Set(i, 1)
 		}
 	}
 	return out, nil
@@ -112,8 +130,9 @@ func (cw *Codeword) AttackCancel(bit int, guess BitString) (BitString, error) {
 	}
 	out := cw.Sub.Clone()
 	base := bit * cw.code.l
-	for j := 0; j < cw.code.l; j++ {
-		out.Set(base+j, out.Get(base+j)^guess.Get(j))
+	for j := 0; j < cw.code.l; j += 64 {
+		n := min(64, cw.code.l-j)
+		out.storeBits(base+j, n, out.loadBits(base+j, n)^guess.loadBits(j, n))
 	}
 	return out, nil
 }
@@ -124,28 +143,13 @@ func (cw *Codeword) AttackCancel(bit int, guess BitString) (BitString, error) {
 // (probability 1/(2^L − 1) against a transmitted 1-bit).
 func (cw *Codeword) AttackCancelRandom(bit int, rng *stats.RNG) (BitString, bool, error) {
 	guess := NewBitString(cw.code.l)
-	for guess.IsZero() {
-		for j := 0; j < cw.code.l; j++ {
-			v := 0
-			if rng.Bool() {
-				v = 1
-			}
-			guess.Set(j, v)
-		}
-	}
+	drawPattern(rng, cw.code.l, guess, 0)
 	out, err := cw.AttackCancel(bit, guess)
 	if err != nil {
 		return BitString{}, false, err
 	}
 	base := bit * cw.code.l
-	erased := true
-	for j := 0; j < cw.code.l; j++ {
-		if out.Get(base+j) == 1 {
-			erased = false
-			break
-		}
-	}
-	return out, erased, nil
+	return out, !out.anyRange(base, base+cw.code.l), nil
 }
 
 // ForgeProbability returns the design bound on an undetectable

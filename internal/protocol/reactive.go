@@ -17,6 +17,16 @@
 // changes sends, deliveries or decisions, only how long the sender keeps
 // listening afterwards.
 //
+// A round costs what it has to do. Deliver brings a slot's batch into
+// (sender, receiver) order with one counting pass over the senders
+// instead of a sort. A value's payload and bit-level codeword are built
+// once, on its first round; every later round redraws the K·L sub-bit
+// patterns into the same storage with word-wide writes — the draws are
+// part of the machine's pinned RNG stream whether or not an attacker is
+// there to observe them. Only an attacked round copies and decodes
+// sub-bits; a receiver outside an attack hears the codeword intact. After
+// a value's first round, a round without an attack allocates nothing.
+//
 // Relative to the frozen sequential runtime the observable difference is
 // scheduling: local broadcasts proceed concurrently in TDMA slot order
 // (the engines' time base) instead of one-at-a-time in NextRelay order,
@@ -148,6 +158,7 @@ func (m *Reactive) Attach(env Env) (Instance, error) {
 		t:      t,
 		mf:     mf,
 		served: make([]bool, len(adj.Nbrs)),
+		fill:   make([]int32, n),
 		rs: ReactiveStats{
 			DataSends:        make([]int32, n),
 			NackSends:        make([]int32, n),
@@ -192,9 +203,21 @@ type reactiveInstance struct {
 	// indexed by position in the adjacency's sorted rows.
 	served []bool
 
-	rounds []radio.Delivery // canonical per-slot scratch (sorted by From, To)
-	ones   []int            // forge-attack scratch: 1-bit positions of the codeword
-	rs     ReactiveStats
+	rounds  []radio.Delivery // canonical per-slot scratch (sorted by From, To)
+	fill    []int32          // per-node bucket cursor of the canonicalisation; all zero between slots
+	senders []grid.NodeID    // the slot's distinct senders
+	codes   []valueCode      // coding state per transmitted value (a run has one or two)
+	ones    []int            // forge-attack scratch: 1-bit positions of the codeword
+	rs      ReactiveStats
+}
+
+// valueCode is what every data round of one value shares: the k-bit
+// payload and the codeword, whose bit level is fixed and whose sub-bit
+// storage each round redraws in place.
+type valueCode struct {
+	v       radio.Value
+	payload auedcode.BitString
+	cw      *auedcode.Codeword
 }
 
 // State implements Instance.
@@ -207,31 +230,56 @@ func (e *reactiveInstance) Bootstrap(buf []Send) []Send {
 	return append(buf, Send{ID: e.env.Source, N: 1})
 }
 
-// Deliver implements Instance. The batch is canonicalized by (sender,
-// receiver) so results are identical whichever engine produced it — the
-// fast engine's merged receiver order and the dense reference engine's
-// per-transmission walks feed the same rounds to the same RNG stream.
+// Deliver implements Instance. Results must not depend on which engine
+// produced the batch — the fast engine hands over one merged
+// ascending-receiver list, the dense reference engine per-transmission
+// walks — so the batch is first brought into (sender, receiver) order and
+// then fed to the RNG stream one sender's round at a time. That takes one
+// counting pass, not a sort: count per sender into the per-node scratch,
+// order the slot's handful of distinct senders, scatter stably into the
+// senders' buckets. A bucket keeps the batch's receiver order, which the
+// fast, reference and actor engines all emit ascending (the order oracle
+// asserts it on their batches); the walk that finds a bucket's end checks
+// that, and the sort behind it serves only a caller outside those engines.
 func (e *reactiveInstance) Deliver(slot int, ds []radio.Delivery, hooks *Hooks, buf []Send) ([]Send, error) {
-	if len(ds) == 0 {
-		return buf, nil
-	}
-	e.rounds = append(e.rounds[:0], ds...)
-	slices.SortFunc(e.rounds, func(a, b radio.Delivery) int {
-		if a.From != b.From {
-			return int(a.From - b.From)
+	senders := e.senders[:0]
+	for _, d := range ds {
+		if e.fill[d.From] == 0 {
+			senders = append(senders, d.From)
 		}
-		return int(a.To - b.To)
-	})
+		e.fill[d.From]++
+	}
+	slices.Sort(senders)
+	e.senders = senders
+	// Turn the counts into each bucket's write cursor.
+	at := int32(0)
+	for _, s := range senders {
+		at, e.fill[s] = at+e.fill[s], at
+	}
+	e.rounds = slices.Grow(e.rounds[:0], len(ds))[:len(ds)]
+	for _, d := range ds {
+		e.rounds[e.fill[d.From]] = d
+		e.fill[d.From]++
+	}
+	for _, s := range senders {
+		e.fill[s] = 0
+	}
 	for lo := 0; lo < len(e.rounds); {
-		hi := lo
+		hi := lo + 1
+		inOrder := true
 		for hi < len(e.rounds) && e.rounds[hi].From == e.rounds[lo].From {
+			inOrder = inOrder && e.rounds[hi-1].To <= e.rounds[hi].To
 			hi++
 		}
+		round := e.rounds[lo:hi]
+		lo = hi
+		if !inOrder {
+			slices.SortFunc(round, func(a, b radio.Delivery) int { return int(a.To - b.To) })
+		}
 		var err error
-		if buf, err = e.dataRound(slot, e.rounds[lo:hi], hooks, buf); err != nil {
+		if buf, err = e.dataRound(slot, round, hooks, buf); err != nil {
 			return buf, err
 		}
-		lo = hi
 	}
 	return buf, nil
 }
@@ -248,21 +296,23 @@ func (e *reactiveInstance) dataRound(slot int, ds []radio.Delivery, hooks *Hooks
 	v := ds[0].Value
 	e.rs.MessageRounds++
 	e.rs.DataSends[sender]++
-	payload := e.payloadFor(v)
-	cw, err := e.code.Encode(payload, e.rng)
+	vc, err := e.encode(v)
 	if err != nil {
 		return buf, err
 	}
-	attacked, attacker, err := e.attackRound(slot, sender, cw, hooks)
+	payload := vc.payload
+	attacked, attacker, err := e.attackRound(slot, e.armedNeighbor(sender), vc.cw, hooks)
 	if err != nil {
 		return buf, err
 	}
 	var (
 		attackedGot auedcode.BitString
-		attackedErr error
+		attackedOK  bool
 	)
 	if attacker != grid.None {
-		attackedGot, attackedErr = e.code.ReceiveSub(attacked)
+		// Only the verdict matters; the integrity error stays unformatted.
+		got, err := e.code.ReceiveSub(attacked)
+		attackedGot, attackedOK = got, err == nil
 	}
 	tor := e.env.Plan.Topo()
 	row := e.adj.SortedNeighbors(sender)
@@ -279,12 +329,12 @@ func (e *reactiveInstance) dataRound(slot int, ds []radio.Delivery, hooks *Hooks
 		for edge < len(row) && row[edge] < to {
 			edge++
 		}
-		got, derr := payload, error(nil)
+		got, ok := payload, true
 		if attacker != grid.None && tor.Dist(to, attacker) <= tor.Range() {
-			got, derr = attackedGot, attackedErr
+			got, ok = attackedGot, attackedOK
 		}
 		switch {
-		case derr == nil && got.Equal(payload):
+		case ok && got.Equal(payload):
 			if !e.serve(rowOff, edge, row, to) {
 				break
 			}
@@ -293,7 +343,7 @@ func (e *reactiveInstance) dataRound(slot int, ds []radio.Delivery, hooks *Hooks
 			}
 			e.countPayload(to, v)
 			buf = e.cpDeliver(slot, to, sender, v, hooks, buf)
-		case derr == nil:
+		case ok:
 			// An undetected forgery: the receiver trusts a wrong payload.
 			if !e.serve(rowOff, edge, row, to) {
 				break
@@ -354,11 +404,31 @@ func (e *reactiveInstance) cpDeliver(slot int, to, from grid.NodeID, v radio.Val
 	return append(buf, Send{ID: to, N: 1})
 }
 
-// attackRound lets one bad node in range attack the round's sub-bit
-// patterns. It returns the attacked sub-bit string and the attacker
-// (grid.None when no attack happened).
-func (e *reactiveInstance) attackRound(slot int, sender grid.NodeID, cw *auedcode.Codeword, hooks *Hooks) (auedcode.BitString, grid.NodeID, error) {
-	attacker := e.armedNeighbor(sender)
+// encode returns v's coding state holding this round's encoding: the
+// value's first round builds the payload and the codeword (Encode), later
+// rounds redraw its sub-bit patterns in place — the same draws from the
+// RNG stream either way.
+func (e *reactiveInstance) encode(v radio.Value) (*valueCode, error) {
+	for i := range e.codes {
+		if vc := &e.codes[i]; vc.v == v {
+			vc.cw.Redraw(e.rng)
+			return vc, nil
+		}
+	}
+	payload := e.payloadFor(v)
+	cw, err := e.code.Encode(payload, e.rng)
+	if err != nil {
+		return nil, err
+	}
+	e.codes = append(e.codes, valueCode{v: v, payload: payload, cw: cw})
+	return &e.codes[len(e.codes)-1], nil
+}
+
+// attackRound lets attacker, the armed bad node in the sender's range
+// (grid.None when there is none), attack the round's sub-bit patterns. It
+// returns the attacked sub-bit string and the attacker (grid.None when no
+// attack happened).
+func (e *reactiveInstance) attackRound(slot int, attacker grid.NodeID, cw *auedcode.Codeword, hooks *Hooks) (auedcode.BitString, grid.NodeID, error) {
 	if attacker == grid.None {
 		return auedcode.BitString{}, grid.None, nil
 	}

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # bench_sim.sh — run the engine sweep benchmarks (sparse fast path vs the
 # dense sim/ref baseline, the harness parallel variant, the re-platformed
-# reactive-protocol sweep, the multi-broadcast traffic tier, the
+# reactive-protocol sweep and single run, the two-level AUED coder under
+# them, the multi-broadcast traffic tier, the
 # protocol-layer BVDeliver hot path, the large-scale tier: the
 # 160×160 torus sweep, the 100k-node RGG single-run, the
 # million-node RGG single-run, and the construction of both graphs
@@ -66,8 +67,14 @@ go build -o /tmp/benchjson ./cmd/benchjson
 RAW=/tmp/bench_raw.txt
 run_suite() {
   go test -run '^$' -timeout 1800s \
-    -bench 'Benchmark(Sweep45(Sequential|Parallel|DenseRef|Runner|Scenario)|ReactiveSweep|Sweep160Scenario|RGG100kRun|MultiBroadcast|RGG25kMulti)$' \
+    -bench 'Benchmark(Sweep45(Sequential|Parallel|DenseRef|Runner|Scenario)|ReactiveSweep|ReactiveBroadcast|Sweep160Scenario|RGG100kRun|MultiBroadcast|RGG25kMulti)$' \
     -benchmem -benchtime "$BENCHTIME" . > "$RAW"
+  # The coder under the reactive rows: an encode is microseconds and a
+  # verify tens of nanoseconds, so a fixed 20000 iterations instead of
+  # the caller's benchtime, which would time a handful of clock ticks.
+  go test -run '^$' -timeout 600s \
+    -bench 'BenchmarkAUED(Encode|Verify)$' \
+    -benchmem -benchtime 20000x . >> "$RAW"
   go test -run '^$' -timeout 1800s \
     -bench 'BenchmarkRGGBuild$/^n=100k$' \
     -benchmem -benchtime "$BENCHTIME" . >> "$RAW"
