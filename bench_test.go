@@ -17,8 +17,10 @@ import (
 	"testing"
 
 	"bftbcast"
+	"bftbcast/internal/actor"
 	"bftbcast/internal/auedcode"
 	"bftbcast/internal/exper"
+	"bftbcast/internal/pool"
 	"bftbcast/internal/sim"
 	"bftbcast/internal/sim/ref"
 	"bftbcast/internal/stats"
@@ -100,7 +102,7 @@ func BenchmarkE12MultiBroadcast(b *testing.B) { benchExperiment(b, "E12") }
 // harness speedup (sequential vs parallel) and the engine speedup
 // (sparse fast path vs the dense sim/ref baseline; tracked across PRs
 // in BENCH_sim.json via cmd/benchjson).
-func benchSweep45(b *testing.B, workers int, run func(bftbcast.SimConfig) (*bftbcast.SimResult, error)) {
+func benchSweep45(b *testing.B, workers int, run func(sim.Config) (*sim.Result, error)) {
 	b.Helper()
 	tor, err := bftbcast.NewTorus(45, 45, 4)
 	if err != nil {
@@ -114,8 +116,8 @@ func benchSweep45(b *testing.B, workers int, run func(bftbcast.SimConfig) (*bftb
 	const points = 8
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := exper.ForEach(workers, points, func(j int) error {
-			res, err := run(bftbcast.SimConfig{
+		if err := pool.ForEach(workers, points, func(j int) error {
+			res, err := run(sim.Config{
 				Topo: tor, Params: params, Spec: spec,
 				Placement: bftbcast.RandomPlacement{T: 2, Density: 0.05, Seed: uint64(j + 1)},
 				Strategy:  bftbcast.NewCorruptor(),
@@ -135,10 +137,10 @@ func benchSweep45(b *testing.B, workers int, run func(bftbcast.SimConfig) (*bftb
 
 // BenchmarkSweep45Sequential is the 45×45 sweep on one worker through
 // the sparse fast engine (the production path).
-func BenchmarkSweep45Sequential(b *testing.B) { benchSweep45(b, 1, bftbcast.RunSim) }
+func BenchmarkSweep45Sequential(b *testing.B) { benchSweep45(b, 1, sim.Run) }
 
 // BenchmarkSweep45Parallel is the same sweep on runtime.NumCPU() workers.
-func BenchmarkSweep45Parallel(b *testing.B) { benchSweep45(b, runtime.NumCPU(), bftbcast.RunSim) }
+func BenchmarkSweep45Parallel(b *testing.B) { benchSweep45(b, runtime.NumCPU(), sim.Run) }
 
 // BenchmarkSweep45DenseRef is the same sweep through the dense reference
 // engine (internal/sim/ref): the frozen pre-optimization baseline the
@@ -158,7 +160,7 @@ func BenchmarkSweep45Runner(b *testing.B) {
 // <2% overhead over direct sim.Run (BenchmarkSweep45Sequential).
 func BenchmarkSweep45Scenario(b *testing.B) {
 	ctx := context.Background()
-	benchSweep45(b, 1, func(cfg bftbcast.SimConfig) (*bftbcast.SimResult, error) {
+	benchSweep45(b, 1, func(cfg sim.Config) (*sim.Result, error) {
 		sc, err := bftbcast.NewScenario(
 			bftbcast.WithTopology(cfg.Topo),
 			bftbcast.WithParams(cfg.Params),
@@ -502,7 +504,7 @@ func BenchmarkProtocolBRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := bftbcast.RunSim(bftbcast.SimConfig{
+		res, err := sim.Run(sim.Config{
 			Topo: tor, Params: params, Spec: spec,
 			Placement: bftbcast.RandomPlacement{T: 3, Density: 0.1, Seed: 7},
 			Strategy:  bftbcast.NewCorruptor(),
@@ -530,7 +532,7 @@ func BenchmarkActorRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := bftbcast.RunActor(bftbcast.ActorConfig{Topo: tor, Params: params, Spec: spec})
+		res, err := actor.Run(actor.Config{Topo: tor, Params: params, Spec: spec})
 		if err != nil {
 			b.Fatal(err)
 		}

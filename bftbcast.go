@@ -28,9 +28,8 @@
 // # API layering
 //
 // A backend-neutral Scenario (topology, fault model, protocol,
-// adversary, seed, limits) is executed by an Engine — one of the four
-// backends EngineFast, EngineRef, EngineActor, EngineReactive — into a
-// unified Report; an Observer streams slot/send/deliver/decide events;
+// adversary, seed, limits) is executed by an Engine — one of the three
+// backends EngineFast, EngineRef, EngineActor — into a unified Report; an Observer streams slot/send/deliver/decide events;
 // Sweep runs many Scenarios over a deterministic worker pool with a
 // streaming results channel. See DESIGN.md §8.
 //
@@ -50,9 +49,6 @@
 //	)
 //	rep, _ := bftbcast.EngineFast.Run(context.Background(), sc)
 //	fmt.Println(rep.Completed, rep.AvgGoodSends)
-//
-// The pre-Scenario entry points (RunSim, RunActor, RunReactive and
-// their Config types) remain as thin deprecated wrappers.
 package bftbcast
 
 import (
@@ -62,11 +58,9 @@ import (
 	"bftbcast/internal/bv"
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
-	"bftbcast/internal/koo"
 	"bftbcast/internal/radio"
 	"bftbcast/internal/reactive"
 	"bftbcast/internal/sim"
-	"bftbcast/internal/sim/ref"
 	"bftbcast/internal/topo"
 )
 
@@ -106,34 +100,16 @@ const (
 	NoNode     = grid.None
 )
 
-// Simulation types.
+// Report extension types.
 type (
-	// SimConfig configures a slot-level simulation run.
-	//
-	// Deprecated: describe runs with a Scenario (NewScenario) and
-	// execute them through an Engine.
-	SimConfig = sim.Config
-	// SimResult is the slot-level engines' outcome; it doubles as the
-	// Report.Sim extension.
+	// SimResult is the slot-level engines' outcome, the Report.Sim
+	// extension.
 	SimResult = sim.Result
-	// SimRunner is a reusable simulation engine: state is allocated once
-	// and reset-and-reused across runs (see NewSimRunner).
-	SimRunner = sim.Runner
-	// ActorConfig configures the concurrent (goroutine-per-node) run.
-	//
-	// Deprecated: describe runs with a Scenario (NewScenario) and
-	// execute them through EngineActor.
-	ActorConfig = actor.Config
-	// ActorResult is the actor runtime's outcome; it doubles as the
-	// Report.Actor extension.
+	// ActorResult is the actor runtime's outcome, the Report.Actor
+	// extension.
 	ActorResult = actor.Result
-	// ReactiveConfig configures a Breactive (unknown-mf) run.
-	//
-	// Deprecated: describe runs with a Scenario (NewScenario plus
-	// WithReactive) and execute them through EngineReactive.
-	ReactiveConfig = reactive.Config
-	// ReactiveResult is the reactive runtime's outcome; it doubles as
-	// the Report.Reactive extension.
+	// ReactiveResult is the reactive protocol's run record, the
+	// Report.Reactive extension.
 	ReactiveResult = reactive.Result
 	// AttackPolicy selects the reactive adversary's behavior.
 	AttackPolicy = reactive.AttackPolicy
@@ -208,7 +184,7 @@ func NewBheter(p Params, t *Torus, cross Cross) (Spec, error) {
 
 // NewKooBaseline returns the repetition baseline (2tmf+1 per node) the
 // paper compares against.
-func NewKooBaseline(p Params) (Spec, error) { return koo.NewBaseline(p) }
+func NewKooBaseline(p Params) (Spec, error) { return core.NewKooBaseline(p) }
 
 // NewFullBudget returns the maximal-effort protocol with budget m used by
 // the impossibility experiments.
@@ -223,43 +199,6 @@ func NewTargeted(victims []bool) Strategy { return adversary.NewTargeted(victims
 
 // NewSpammer returns the wrong-value spammer (correctness stress).
 func NewSpammer() Strategy { return adversary.NewSpammer() }
-
-// RunSim executes a slot-level simulation (see SimConfig) through the
-// sparse fast engine, drawing a reusable runner from an internal pool.
-//
-// Deprecated: use EngineFast.Run with a Scenario, which adds context
-// cancellation and the unified Report. RunSim remains a thin wrapper
-// with identical behavior.
-func RunSim(cfg SimConfig) (*SimResult, error) { return sim.Run(cfg) }
-
-// RunSimRef executes the same simulation through the dense reference
-// engine (internal/sim/ref): slower, deliberately simple, and verified
-// bit-identical to RunSim by the differential-testing oracle. Useful for
-// cross-checking when debugging engine behavior (bftsim -engine ref).
-//
-// Deprecated: use EngineRef.Run with a Scenario. RunSimRef remains a
-// thin wrapper with identical behavior.
-func RunSimRef(cfg SimConfig) (*SimResult, error) { return ref.Run(cfg) }
-
-// NewSimRunner returns a dedicated reusable simulation engine for tight
-// sweep loops where even pooled-runner handoff matters; most callers can
-// just use EngineFast (or the Sweep harness).
-func NewSimRunner() *SimRunner { return sim.NewRunner() }
-
-// RunActor executes the fault-free concurrent runtime (see ActorConfig).
-//
-// Deprecated: use EngineActor.Run with a Scenario, which adds context
-// cancellation (with goroutine teardown) and the unified Report.
-// RunActor remains a thin wrapper with identical behavior.
-func RunActor(cfg ActorConfig) (*ActorResult, error) { return actor.Run(cfg) }
-
-// RunReactive executes protocol Breactive with the AUED code (unknown
-// mf; see ReactiveConfig).
-//
-// Deprecated: use EngineReactive.Run with a Scenario (WithReactive for
-// the coding and policy knobs). RunReactive remains a thin wrapper with
-// identical behavior.
-func RunReactive(cfg ReactiveConfig) (*ReactiveResult, error) { return reactive.Run(cfg) }
 
 // NewCode builds the Section 5 two-level AUED code for k-bit payloads.
 func NewCode(k, n, t, mmax int) (*Code, error) { return auedcode.NewCode(k, n, t, mmax) }

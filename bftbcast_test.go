@@ -1,13 +1,10 @@
 package bftbcast_test
 
-// Facade coverage, including the deprecated pre-Scenario entry points
-// (RunSim, RunSimRef, RunActor, RunReactive and their Config types):
-// the wrappers must keep compiling and delegating with no behavior
-// change. CI's staticcheck runs with -tests=false, so the intentional
-// deprecated calls here are not flagged; non-test code must use the
-// Scenario/Engine API.
+// Facade coverage: the constructors, bounds and engines as a library
+// user reaches them.
 
 import (
+	"context"
 	"testing"
 
 	"bftbcast"
@@ -23,16 +20,24 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := bftbcast.RunSim(bftbcast.SimConfig{
-		Topo: tor, Params: params, Spec: spec,
-		Placement: bftbcast.RandomPlacement{T: 3, Density: 0.1, Seed: 1},
-		Strategy:  bftbcast.NewCorruptor(),
-	})
+	sc, err := bftbcast.NewScenario(
+		bftbcast.WithTopology(tor),
+		bftbcast.WithParams(params),
+		bftbcast.WithSpec(spec),
+		bftbcast.WithAdversary(
+			bftbcast.RandomPlacement{T: 3, Density: 0.1, Seed: 1},
+			bftbcast.NewCorruptor(),
+		),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Completed || res.WrongDecisions != 0 {
-		t.Fatalf("quickstart run failed: %+v", res)
+	rep, err := bftbcast.EngineFast.Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Completed || rep.WrongDecisions != 0 {
+		t.Fatalf("quickstart run failed: %+v", rep)
 	}
 }
 
@@ -56,17 +61,23 @@ func TestFacadeReactive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := bftbcast.RunReactive(bftbcast.ReactiveConfig{
-		Topo: tor, T: 1, MF: 2, MMax: 32, PayloadBits: 16,
-		Placement: bftbcast.RandomPlacement{T: 1, Density: 0.05, Seed: 2},
-		Policy:    bftbcast.PolicyDisrupt,
-		Seed:      3,
-	})
+	sc, err := bftbcast.NewScenario(
+		bftbcast.WithTopology(tor),
+		bftbcast.WithParams(bftbcast.Params{T: 1, MF: 2}),
+		bftbcast.WithProtocol(bftbcast.ProtocolReactive),
+		bftbcast.WithReactive(bftbcast.ReactiveSpec{MMax: 32, PayloadBits: 16, Policy: bftbcast.PolicyDisrupt}),
+		bftbcast.WithPlacement(bftbcast.RandomPlacement{T: 1, Density: 0.05, Seed: 2}),
+		bftbcast.WithSeed(3),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Completed {
-		t.Fatalf("reactive run failed: %+v", res)
+	rep, err := bftbcast.EngineFast.Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Completed || rep.Reactive == nil || rep.Reactive.MessageRounds == 0 {
+		t.Fatalf("reactive run failed: %+v", rep)
 	}
 }
 
@@ -80,12 +91,17 @@ func TestFacadeActor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := bftbcast.RunActor(bftbcast.ActorConfig{Topo: tor, Params: params, Spec: spec})
+	sc, err := bftbcast.NewScenario(
+		bftbcast.WithTopology(tor), bftbcast.WithParams(params), bftbcast.WithSpec(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Completed {
-		t.Fatal("actor run failed")
+	rep, err := bftbcast.EngineActor.Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Completed || rep.Actor == nil {
+		t.Fatalf("actor run failed: %+v", rep)
 	}
 }
 
@@ -134,28 +150,27 @@ func TestFacadeEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := bftbcast.SimConfig{
-		Topo: tor, Params: params, Spec: spec,
-		Placement: bftbcast.RandomPlacement{T: 2, Density: 0.06, Seed: 4},
-	}
-
-	fast, err := bftbcast.RunSim(cfg)
+	sc, err := bftbcast.NewScenario(
+		bftbcast.WithTopology(tor), bftbcast.WithParams(params), bftbcast.WithSpec(spec),
+		bftbcast.WithPlacement(bftbcast.RandomPlacement{T: 2, Density: 0.06, Seed: 4}),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := bftbcast.RunSimRef(cfg)
+	ctx := context.Background()
+	fast, err := bftbcast.EngineFast.Run(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := bftbcast.NewSimRunner()
-	reused, err := runner.Run(cfg)
+	dense, err := bftbcast.EngineRef.Run(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range []*bftbcast.SimResult{dense, reused} {
-		if res.Completed != fast.Completed || res.Slots != fast.Slots ||
-			res.GoodMessages != fast.GoodMessages {
-			t.Fatalf("engines disagree: fast=%+v other=%+v", fast, res)
-		}
+	if fast.Engine != "fast" || dense.Engine != "ref" {
+		t.Fatalf("engine labels %q/%q", fast.Engine, dense.Engine)
+	}
+	if dense.Completed != fast.Completed || dense.Slots != fast.Slots ||
+		dense.GoodMessages != fast.GoodMessages {
+		t.Fatalf("engines disagree: fast=%+v ref=%+v", fast, dense)
 	}
 }

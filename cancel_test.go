@@ -17,11 +17,27 @@ import (
 	"bftbcast"
 )
 
-// cancelScenario is modest but multi-slot on every backend.
-func cancelScenario(t *testing.T, engine bftbcast.Engine) *bftbcast.Scenario {
+// runCase is one (engine, protocol) cell of the cancellation and observer
+// tests: the three backends on the threshold protocol, plus the reactive
+// protocol on the fast engine.
+type runCase struct {
+	name   string
+	engine bftbcast.Engine
+}
+
+func runCases() []runCase {
+	var cases []runCase
+	for _, e := range bftbcast.Engines() {
+		cases = append(cases, runCase{e.Name(), e})
+	}
+	return append(cases, runCase{"reactive", bftbcast.EngineFast})
+}
+
+// cancelScenario is modest but multi-slot for every runCase name.
+func cancelScenario(t *testing.T, name string) *bftbcast.Scenario {
 	t.Helper()
 	opts := []bftbcast.ScenarioOption{bftbcast.WithSeed(5)}
-	switch engine.Name() {
+	switch name {
 	case "reactive":
 		tor, err := bftbcast.NewTorus(15, 15, 2)
 		if err != nil {
@@ -30,6 +46,7 @@ func cancelScenario(t *testing.T, engine bftbcast.Engine) *bftbcast.Scenario {
 		opts = append(opts,
 			bftbcast.WithTopology(tor),
 			bftbcast.WithParams(bftbcast.Params{R: 2, T: 1, MF: 3}),
+			bftbcast.WithProtocol(bftbcast.ProtocolReactive),
 			bftbcast.WithPlacement(bftbcast.RandomPlacement{T: 1, Density: 0.06, Seed: 5}),
 		)
 	default:
@@ -47,7 +64,7 @@ func cancelScenario(t *testing.T, engine bftbcast.Engine) *bftbcast.Scenario {
 			bftbcast.WithParams(params),
 			bftbcast.WithSpec(spec),
 		)
-		if engine.Name() != "actor" {
+		if name != "actor" {
 			opts = append(opts, bftbcast.WithAdversary(
 				bftbcast.RandomPlacement{T: 2, Density: 0.05, Seed: 5},
 				bftbcast.NewCorruptor(),
@@ -62,9 +79,10 @@ func cancelScenario(t *testing.T, engine bftbcast.Engine) *bftbcast.Scenario {
 }
 
 func TestEngineCancellation(t *testing.T) {
-	for _, engine := range bftbcast.Engines() {
-		t.Run(engine.Name(), func(t *testing.T) {
-			sc := cancelScenario(t, engine)
+	for _, rc := range runCases() {
+		engine := rc.engine
+		t.Run(rc.name, func(t *testing.T) {
+			sc := cancelScenario(t, rc.name)
 
 			// Sanity: the scenario completes without cancellation, in
 			// many more than the handful of slots the mid-run test
@@ -122,7 +140,7 @@ func midRunCancel(t *testing.T, engine bftbcast.Engine, sc *bftbcast.Scenario) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if engine.Name() != "actor" && sc.Strategy != nil {
+	if sc.Strategy != nil {
 		// Strategies are single-run; give the observed run a fresh one.
 		scObs, err = scObs.With(bftbcast.WithStrategy(bftbcast.NewCorruptor()))
 		if err != nil {
@@ -141,7 +159,7 @@ func midRunCancel(t *testing.T, engine bftbcast.Engine, sc *bftbcast.Scenario) {
 // runtime mid-run and checks the goroutine count returns to its
 // baseline: the coordinator must stop and join every node.
 func TestActorCancellationNoGoroutineLeak(t *testing.T) {
-	sc := cancelScenario(t, bftbcast.EngineActor)
+	sc := cancelScenario(t, "actor")
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -39,7 +39,7 @@ func run() error {
 	parallel := flag.Bool("parallel", false, "run experiments and sweep points on a worker pool")
 	workers := flag.Int("workers", 0, "worker pool size with -parallel or -sweep (0 = NumCPU)")
 	sweepN := flag.Int("sweep", 0, "instead of the experiment suite, run an n-point protocol-B density sweep through the public Sweep API")
-	engineName := flag.String("engine", "fast", "execution backend for -sweep: fast | ref | actor | reactive")
+	engineName := flag.String("engine", "fast", "execution backend for -sweep: fast | ref | actor")
 	flag.Parse()
 
 	if *sweepN > 0 {
@@ -116,11 +116,7 @@ func runSweep(n int, engineName string, workers int, seed uint64) error {
 		opts := []bftbcast.ScenarioOption{bftbcast.WithSeed(seed + uint64(i))}
 		if densities[i] > 0 && engineName != "actor" {
 			placement := bftbcast.RandomPlacement{T: params.T, Density: densities[i], Seed: seed + uint64(i)}
-			if engineName == "reactive" {
-				opts = append(opts, bftbcast.WithPlacement(placement))
-			} else {
-				opts = append(opts, bftbcast.WithAdversary(placement, bftbcast.NewCorruptor()))
-			}
+			opts = append(opts, bftbcast.WithAdversary(placement, bftbcast.NewCorruptor()))
 		}
 		scenarios[i], err = base.With(opts...)
 		if err != nil {

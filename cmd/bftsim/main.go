@@ -4,12 +4,13 @@
 //
 // Engine and protocol are orthogonal: -engine picks the execution
 // backend (fast | ref | actor), -protocol picks the node-level state
-// machine (b | bheter | koo | full | reactive). Every combination runs
-// through the same Scenario/Engine code path; invalid combinations are
-// rejected with actionable errors (the actor backend is fault-free, the
-// reactive protocol drives its adversary through -policy, …).
-// -engine reactive is a deprecated alias for -engine fast -protocol
-// reactive.
+// machine (b | bheter | koo | full | reactive). The flags fill a
+// bftbcast.ScenarioSpec — the same document bftsimd accepts as JSON — so
+// protocol, adversary and policy names are resolved in one place, and
+// every combination runs through the same Scenario/Engine code path;
+// invalid combinations are rejected with actionable errors (the actor
+// backend is fault-free, the reactive protocol drives its adversary
+// through -policy, …).
 //
 // Examples:
 //
@@ -48,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bftsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		engineName = fs.String("engine", "fast", "execution backend: fast | ref | actor (reactive = deprecated alias for fast+reactive)")
+		engineName = fs.String("engine", "fast", "execution backend: fast | ref | actor")
 		topology   = fs.String("topology", "torus", "topology: torus | grid (bounded, border effects) | rgg (random geometric graph)")
 		w          = fs.Int("w", 20, "grid width (torus: multiple of 2r+1)")
 		h          = fs.Int("h", 20, "grid height (torus: multiple of 2r+1)")
@@ -77,16 +78,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	// The deprecated -engine reactive alias: fast engine + reactive
-	// protocol. An explicit static -protocol alongside it contradicts
-	// the alias.
-	if *engineName == "reactive" {
-		if set["protocol"] && *protoName != "reactive" {
-			return fmt.Errorf("-engine reactive always runs the reactive protocol and cannot run -protocol %s; pick -engine fast|ref|actor for static protocols", *protoName)
-		}
-		fmt.Fprintln(stderr, "bftsim: -engine reactive is deprecated; use -protocol reactive (optionally with -engine fast|ref|actor)")
-		*protoName = "reactive"
-	}
 	engine, err := bftbcast.NewEngine(*engineName)
 	if err != nil {
 		return err
@@ -105,67 +96,28 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-broadcasts runs the threshold protocol family only (got -protocol reactive)")
 	}
 
-	tp, err := bftbcast.NewTopology(bftbcast.TopologySpec{
-		Kind: *topology, W: *w, H: *h, R: *r, Nodes: *n, Seed: *seed,
-	})
+	spec := bftbcast.ScenarioSpec{
+		Topology: bftbcast.TopologySpec{
+			Kind: *topology, W: *w, H: *h, R: *r, Nodes: *n, Seed: *seed,
+		},
+		T: *t, MF: *mf,
+		Protocol: *protoName, M: *m,
+		Adversary: *adv, Density: *density,
+		Broadcasts: *broadcasts,
+		Seed:       *seed,
+	}
+	if reactive {
+		spec.Policy, spec.MMax, spec.PayloadBits = *policy, *mmax, *k
+	}
+	sc, err := spec.Scenario()
 	if err != nil {
 		return err
-	}
-
-	// The fault-model range follows the topology (an rgg always has hop
-	// range 1, whatever -r says).
-	params := bftbcast.Params{R: tp.Range(), T: *t, MF: *mf}
-	opts := []bftbcast.ScenarioOption{
-		bftbcast.WithTopology(tp),
-		bftbcast.WithParams(params),
-		bftbcast.WithSeed(*seed),
-	}
-	if set["broadcasts"] {
-		opts = append(opts, bftbcast.WithBroadcasts(*broadcasts))
-	}
-
-	if reactive {
-		pol, err := parsePolicy(*policy)
-		if err != nil {
-			return err
-		}
-		opts = append(opts,
-			bftbcast.WithProtocol(bftbcast.ProtocolReactive),
-			bftbcast.WithReactive(bftbcast.ReactiveSpec{
-				MMax: *mmax, PayloadBits: *k, Policy: pol,
-			}))
-		switch *adv {
-		case "none":
-		case "random":
-			opts = append(opts, bftbcast.WithPlacement(
-				bftbcast.RandomPlacement{T: *t, Density: *density, Seed: *seed}))
-		default:
-			return fmt.Errorf("-adversary %s drives bad nodes through a jamming strategy, which the reactive protocol replaces with -policy; use -adversary none or random", *adv)
-		}
-	} else {
-		spec, err := buildSpec(*protoName, params, tp, *topology, *m)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, bftbcast.WithSpec(spec))
-		advOpt, err := buildAdversary(*adv, tp, *topology, params, *density, *seed, *h, *r)
-		if err != nil {
-			return err
-		}
-		if advOpt != nil {
-			opts = append(opts, advOpt)
-		}
 	}
 
 	var tracer *bftbcast.TraceObserver
 	if *traceFlag {
 		tracer = bftbcast.NewTraceObserver(stdout)
-		opts = append(opts, bftbcast.WithObserver(tracer))
-	}
-
-	sc, err := bftbcast.NewScenario(opts...)
-	if err != nil {
-		return err
+		sc.Observer = tracer
 	}
 
 	ctx := context.Background()
@@ -184,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	fmt.Fprintf(stdout, "engine=%s protocol=%s topology=%q t=%d mf=%d\n", rep.Engine, *protoName, tp, params.T, params.MF)
+	fmt.Fprintf(stdout, "engine=%s protocol=%s topology=%q t=%d mf=%d\n", rep.Engine, *protoName, sc.Topo, sc.Params.T, sc.Params.MF)
 	fmt.Fprintf(stdout, "completed=%v stalled=%v timedOut=%v slots=%d\n",
 		rep.Completed, rep.Stalled, rep.TimedOut, rep.Slots)
 	fmt.Fprintf(stdout, "decided=%d/%d wrongDecisions=%d\n", rep.DecidedGood, rep.TotalGood, rep.WrongDecisions)
@@ -203,84 +155,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if rr := rep.Reactive; rr != nil {
 		fmt.Fprintf(stdout, "reactive: rounds=%d forged=%d L=%d K=%d maxMsgs/node=%d (bound %d) maxSubSlots=%d (Theorem4 %d)\n",
 			rr.MessageRounds, rr.ForgedDeliveries, rr.SubBitLength, rr.CodewordBits,
-			rr.MaxNodeMessages, 2*(params.T*params.MF+1), rr.MaxNodeSubSlots, rr.Theorem4SubSlots)
+			rr.MaxNodeMessages, 2*(sc.Params.T*sc.Params.MF+1), rr.MaxNodeSubSlots, rr.Theorem4SubSlots)
 	}
 	return nil
-}
-
-// buildSpec resolves the -protocol flag for the static protocols.
-func buildSpec(protocol string, params bftbcast.Params, tp bftbcast.Topology, topology string, m int) (bftbcast.Spec, error) {
-	switch protocol {
-	case "b":
-		return bftbcast.NewProtocolB(params)
-	case "bheter":
-		tor, ok := tp.(*bftbcast.Torus)
-		if !ok {
-			return bftbcast.Spec{}, fmt.Errorf("-protocol bheter is a torus construction (got -topology %s)", topology)
-		}
-		return bftbcast.NewBheter(params, tor, bftbcast.Cross{Center: tor.ID(0, 0), HalfWidth: params.R})
-	case "koo":
-		return bftbcast.NewKooBaseline(params)
-	case "full":
-		if m <= 0 {
-			return bftbcast.Spec{}, fmt.Errorf("-protocol full needs -m")
-		}
-		return bftbcast.NewFullBudget(params, m)
-	default:
-		return bftbcast.Spec{}, fmt.Errorf("unknown protocol %q (want b, bheter, koo, full or reactive)", protocol)
-	}
-}
-
-// buildAdversary resolves the -adversary flag into a scenario option
-// (nil for -adversary none).
-func buildAdversary(adv string, tp bftbcast.Topology, topology string, params bftbcast.Params, density float64, seed uint64, h, r int) (bftbcast.ScenarioOption, error) {
-	switch adv {
-	case "none":
-		return nil, nil
-	case "random":
-		return bftbcast.WithAdversary(
-			bftbcast.RandomPlacement{T: params.T, Density: density, Seed: seed},
-			bftbcast.NewCorruptor(),
-		), nil
-	case "sandwich":
-		tor, ok := tp.(*bftbcast.Torus)
-		if !ok {
-			return nil, fmt.Errorf("-adversary sandwich is a torus construction (got -topology %s)", topology)
-		}
-		sw := bftbcast.SandwichPlacement{YLow: h/3 + 1, YHigh: h/3 + 1 + 3*r, T: params.T}
-		return bftbcast.WithAdversary(sw, bftbcast.NewTargeted(sw.VictimBand(tor))), nil
-	case "figure2":
-		tor, ok := tp.(*bftbcast.Torus)
-		if !ok {
-			return nil, fmt.Errorf("-adversary figure2 is a torus construction (got -topology %s)", topology)
-		}
-		victims := make([]bool, tor.Size())
-		for _, pr := range [][2]int{
-			{r + 1, 1}, {1, r + 1}, {r + 1, -1}, {1, -(r + 1)},
-			{-(r + 1), 1}, {-1, r + 1}, {-(r + 1), -1}, {-1, -(r + 1)},
-		} {
-			victims[tor.ID(pr[0], pr[1])] = true
-		}
-		return bftbcast.WithAdversary(
-			bftbcast.LatticePlacement{Offsets: [][2]int{{r, -r}}},
-			bftbcast.NewTargeted(victims),
-		), nil
-	default:
-		return nil, fmt.Errorf("unknown adversary %q", adv)
-	}
-}
-
-func parsePolicy(policy string) (bftbcast.AttackPolicy, error) {
-	switch policy {
-	case "disrupt":
-		return bftbcast.PolicyDisrupt, nil
-	case "forge":
-		return bftbcast.PolicyForge, nil
-	case "nackspam":
-		return bftbcast.PolicyNackSpam, nil
-	case "mixed":
-		return bftbcast.PolicyMixed, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", policy)
-	}
 }

@@ -2,9 +2,12 @@ package main
 
 // Flag-matrix coverage for the orthogonal -engine × -protocol CLI: every
 // valid combination runs end to end on a small scenario, every invalid
-// combination fails with an actionable error naming the offending flags.
+// combination fails with an actionable error naming the offending flag
+// or spec field.
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -66,26 +69,6 @@ func TestReactiveAdversarialMatrix(t *testing.T) {
 	}
 }
 
-// TestDeprecatedReactiveEngineAlias pins the -engine reactive alias:
-// still runs (as fast+reactive, reporting engine=reactive), warns on
-// stderr, and rejects a contradictory static -protocol.
-func TestDeprecatedReactiveEngineAlias(t *testing.T) {
-	out, errOut, err := runCLI(t, append([]string{"-engine", "reactive"}, small...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "engine=reactive") || !strings.Contains(out, "protocol=reactive") {
-		t.Fatalf("alias did not run the reactive protocol:\n%s", out)
-	}
-	if !strings.Contains(errOut, "deprecated") {
-		t.Fatalf("alias did not warn: %q", errOut)
-	}
-	if _, _, err := runCLI(t, append([]string{"-engine", "reactive", "-protocol", "b"}, small...)...); err == nil ||
-		!strings.Contains(err.Error(), "-engine reactive") {
-		t.Fatalf("alias with -protocol b: err = %v, want conflict", err)
-	}
-}
-
 // TestInvalidCombinations checks the actionable rejections.
 func TestInvalidCombinations(t *testing.T) {
 	cases := []struct {
@@ -94,14 +77,18 @@ func TestInvalidCombinations(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"unknown engine", []string{"-engine", "warp"}, "unknown engine"},
+		{"reactive is not an engine", []string{"-engine", "reactive"}, "-protocol reactive"},
 		{"unknown protocol", []string{"-protocol", "gossip"}, "unknown protocol"},
 		{"unknown policy", []string{"-protocol", "reactive", "-policy", "zap"}, "unknown policy"},
 		{"policy without reactive", []string{"-protocol", "b", "-policy", "forge"}, "-policy only applies to -protocol reactive"},
 		{"mmax without reactive", []string{"-protocol", "koo", "-mmax", "32"}, "-mmax only applies to -protocol reactive"},
 		{"m with reactive", []string{"-protocol", "reactive", "-m", "9"}, "-m only applies to -protocol full"},
-		{"full without m", []string{"-protocol", "full"}, "-protocol full needs -m"},
+		{"full without m", []string{"-protocol", "full"}, "protocol full needs m > 0"},
 		{"bheter off-torus", []string{"-protocol", "bheter", "-topology", "rgg", "-n", "100", "-t", "1"}, "torus construction"},
-		{"jamming adversary with reactive", []string{"-protocol", "reactive", "-adversary", "sandwich"}, "use -adversary none or random"},
+		{"jamming adversary with reactive", []string{"-protocol", "reactive", "-adversary", "sandwich"}, "use adversary none or random"},
+		{"sandwich off-torus", []string{"-adversary", "sandwich", "-topology", "grid"}, "torus construction"},
+		{"figure2 off-torus", []string{"-adversary", "figure2", "-topology", "rgg", "-n", "100", "-t", "1"}, "torus construction"},
+		{"unknown adversary", []string{"-adversary", "gremlin"}, "unknown adversary"},
 		{"actor with adversary", []string{"-engine", "actor", "-adversary", "random"}, "fault-free"},
 		{"strategy adversary on actor via reactive", []string{"-engine", "actor", "-protocol", "reactive", "-adversary", "random"}, "fault-free"},
 		{"broadcasts with reactive", []string{"-protocol", "reactive", "-broadcasts", "4"}, "-broadcasts runs the threshold protocol family"},
@@ -159,5 +146,45 @@ func TestTraceFlag(t *testing.T) {
 	}
 	if !strings.Contains(out, `"kind":"accept"`) {
 		t.Fatalf("trace output missing accept events:\n%s", out[:min(400, len(out))])
+	}
+}
+
+// TestGoldenOutput holds the command's whole output to files recorded
+// from the binary of the commit before bftsim stopped resolving
+// protocol, adversary and policy names itself (testdata/golden/NAME.txt
+// is that binary's stdout for the flags below): filling a ScenarioSpec
+// must build exactly the scenarios the private name tables built.
+func TestGoldenOutput(t *testing.T) {
+	reactive := "-w 15 -h 15 -r 2 -t 1 -mf 3 -protocol reactive -adversary random -density 0.06 -seed 5 -policy "
+	cases := map[string]string{
+		"random-torus":      "-w 20 -h 20 -r 2 -t 3 -mf 2 -adversary random -density 0.1 -seed 5",
+		"random-grid":       "-topology grid -w 20 -h 20 -r 2 -t 3 -mf 2 -adversary random -density 0.1 -seed 5",
+		"random-rgg":        "-topology rgg -n 300 -t 1 -mf 2 -adversary random -density 0.1 -seed 5",
+		"sandwich":          "-w 20 -h 20 -r 2 -t 3 -mf 2 -adversary sandwich",
+		"figure2":           "-w 45 -h 45 -r 4 -t 1 -mf 1000 -protocol full -m 59 -adversary figure2",
+		"reactive-disrupt":  reactive + "disrupt",
+		"reactive-forge":    reactive + "forge",
+		"reactive-nackspam": reactive + "nackspam",
+		"reactive-mixed":    reactive + "mixed",
+		"reactive-rgg-ref":  "-engine ref -topology rgg -n 300 -t 1 -mf 2 -protocol reactive -adversary random -density 0.05 -seed 7",
+		"broadcasts8":       "-w 45 -h 45 -r 2 -t 2 -mf 2 -broadcasts 8",
+		"bheter-random":     "-w 15 -h 15 -r 2 -t 1 -mf 2 -protocol bheter -adversary random -seed 3",
+		"koo-ref-random":    "-engine ref -w 15 -h 15 -r 2 -t 1 -mf 2 -protocol koo -adversary random -seed 3",
+		"actor-grid":        "-engine actor -topology grid -w 20 -h 20 -r 2 -t 2 -mf 2",
+	}
+	for name, args := range cases {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := runCLI(t, strings.Fields(args)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Fatalf("bftsim %s\ngot:\n%swant:\n%s", args, got, want)
+			}
+		})
 	}
 }

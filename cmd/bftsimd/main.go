@@ -145,7 +145,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		drain(mgr, *drainAfter)
 		return err
 	}
-	srv := &http.Server{Handler: newHandler(mgr, *leasePoints, *leaseTTL)}
+	srv := newServer(newHandler(mgr, *leasePoints, *leaseTTL))
 	fmt.Fprintf(stdout, "bftsimd listening on %s (checkpoints in %s)\n", ln.Addr(), *dir)
 
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
@@ -170,6 +170,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("drain: %w", derr)
 	}
 	return serr
+}
+
+// The coordinator's connection timeouts. Without the first, one client
+// that opens a socket and never finishes its request headers holds a
+// goroutine and a descriptor for as long as it likes; the second retires
+// keep-alive connections nobody uses. There is no ReadTimeout or
+// WriteTimeout on purpose: GET /v1/jobs/{id}/results streams for the life
+// of a job.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer wraps the handler in the coordinator's http.Server.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 func drain(mgr *jobs.Manager, budget time.Duration) error {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -246,6 +247,93 @@ func TestHandlerBackpressureAndCancel(t *testing.T) {
 			t.Fatalf("running job never cancelled: %+v", st)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestServerDropsStalledHeaderKeepsResultsTail pins the coordinator's
+// connection timeouts: a client that never finishes its request headers
+// is disconnected after ReadHeaderTimeout, while a /results tail that was
+// open the whole time — a response that legitimately outlives any request
+// timeout — still streams to its summary line afterwards. The server is
+// the one main builds; only the header timeout is shortened to the
+// test's patience.
+func TestServerDropsStalledHeaderKeepsResultsTail(t *testing.T) {
+	eng := &blockingEngine{release: make(chan struct{})}
+	mgr, err := jobs.Open(jobs.Config{Dir: t.TempDir(), Engine: eng, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(newHandler(mgr, 64, 30*time.Second))
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 2*time.Minute ||
+		srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Fatalf("server timeouts: header %v idle %v read %v write %v; want 10s, 2m and no read/write timeout",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, srv.ReadTimeout, srv.WriteTimeout)
+	}
+	const headerTimeout = 300 * time.Millisecond
+	srv.ReadHeaderTimeout = headerTimeout
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := mgr.Close(ctx); err != nil {
+			t.Errorf("manager close: %v", err)
+		}
+		srv.Close()
+	})
+	base := "http://" + ln.Addr().String()
+
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(gridDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := decodeStatus(t, resp.Body)
+	resp.Body.Close()
+	tail, err := http.Get(base + "/v1/jobs/" + st.ID + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Body.Close()
+
+	// The stalled client: a request line and one header, never the blank
+	// line that ends them.
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /v1/jobs HTTP/1.1\r\nHost: stalled\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(10 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled connection was not closed by the server: %v", err)
+	}
+	if held := time.Since(start); held < headerTimeout {
+		t.Fatalf("stalled connection closed after %v, before the %v header timeout", held, headerTimeout)
+	}
+
+	// The tail has now been open for longer than the timeout that just
+	// fired; let the job run and read it to the end.
+	close(eng.release)
+	sc := bufio.NewScanner(tail.Body)
+	points, sawSummary := 0, false
+	for sc.Scan() {
+		if bytes.Contains(sc.Bytes(), []byte(`"summary"`)) {
+			sawSummary = true
+			break
+		}
+		points++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("results tail broke: %v", err)
+	}
+	if !sawSummary || points != st.Total {
+		t.Fatalf("results tail: %d of %d points, summary=%v", points, st.Total, sawSummary)
 	}
 }
 

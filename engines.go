@@ -19,10 +19,8 @@ import (
 // goroutine-per-node concurrent runtime, fault-free only) — and each of
 // them drives the Scenario's protocol state machine (Scenario.Protocol):
 // the threshold family from Spec, or the Section 5 reactive protocol.
-// EngineReactive remains as a deprecated alias for "the fast engine with
-// ProtocolReactive".
 type Engine interface {
-	// Name identifies the engine ("fast", "ref", "actor", "reactive").
+	// Name identifies the engine ("fast", "ref", "actor").
 	Name() string
 	// Run executes the scenario. Cancellation is cooperative: every
 	// backend checks ctx once per slot and returns ctx.Err() when it
@@ -42,32 +40,24 @@ var (
 	// EngineActor is the goroutine-per-node concurrent runtime. It is
 	// fault-free only and rejects scenarios with an adversary.
 	EngineActor Engine = actorEngine{}
-	// EngineReactive runs the Section 5 protocol for unknown adversary
-	// budgets (AUED coding + NACK-driven retransmission + certified
-	// propagation) on the fast engine.
-	//
-	// Deprecated: the reactive protocol is a Scenario property now, not
-	// a backend — set WithProtocol(ProtocolReactive) and run on any
-	// engine. EngineReactive remains as a thin alias that forces the
-	// protocol and reports Engine "reactive".
-	EngineReactive Engine = reactiveEngine{}
 )
 
-// Engines returns the execution backends (including the deprecated
-// reactive alias).
+// Engines returns the execution backends.
 func Engines() []Engine {
-	return []Engine{EngineFast, EngineRef, EngineActor, EngineReactive}
+	return []Engine{EngineFast, EngineRef, EngineActor}
 }
 
-// NewEngine resolves a backend by name ("fast", "ref", "actor",
-// "reactive"); it backs the -engine flag of cmd/bftsim.
+// NewEngine resolves a backend by name ("fast", "ref", "actor"); it backs
+// the -engine flag of cmd/bftsim. The reactive protocol is a Scenario
+// property (WithProtocol(ProtocolReactive), -protocol reactive), not a
+// backend.
 func NewEngine(name string) (Engine, error) {
 	for _, e := range Engines() {
 		if e.Name() == name {
 			return e, nil
 		}
 	}
-	return nil, fmt.Errorf("bftbcast: unknown engine %q (want fast, ref, actor or reactive)", name)
+	return nil, fmt.Errorf("bftbcast: unknown engine %q (want fast, ref or actor; the reactive protocol runs on any of them: -protocol reactive, WithProtocol(ProtocolReactive))", name)
 }
 
 // scenarioMachine resolves the Scenario's protocol selection: nil for
@@ -94,13 +84,6 @@ func scenarioMachine(sc *Scenario) (protocol.Machine, error) {
 	}
 	if sc.Strategy != nil {
 		return nil, fmt.Errorf("bftbcast: the reactive protocol drives bad nodes through Reactive.Policy, not a Strategy")
-	}
-	// The quiet-window and per-broadcast round-cap knobs only exist in
-	// the sequential scheduler: on the engine stack a local broadcast
-	// ends when a data round draws no NACK, and runs are capped by
-	// MaxSlots. Reject them instead of silently changing semantics.
-	if sc.Reactive.QuietWindow != 0 || sc.Reactive.MaxRoundsPerBroadcast != 0 {
-		return nil, fmt.Errorf("bftbcast: ReactiveSpec.QuietWindow and MaxRoundsPerBroadcast only apply to the deprecated sequential RunReactive wrapper; on the engines use WithMaxSlots to cap runs (see DESIGN.md §10)")
 	}
 	mmax := sc.Reactive.MMax
 	if mmax == 0 {
@@ -181,12 +164,6 @@ func (fastEngine) Name() string { return "fast" }
 
 // Run implements Engine.
 func (e fastEngine) Run(ctx context.Context, sc *Scenario) (*Report, error) {
-	return e.run(ctx, sc, "fast")
-}
-
-// run executes sc, reporting under the given engine name (the reactive
-// alias reuses this path under its legacy name).
-func (e fastEngine) run(ctx context.Context, sc *Scenario, name string) (*Report, error) {
 	sc, err := sc.normalized()
 	if err != nil {
 		return nil, err
@@ -204,7 +181,7 @@ func (e fastEngine) run(ctx context.Context, sc *Scenario, name string) (*Report
 	if err != nil {
 		return nil, err
 	}
-	return finishReport(reportFromSim(name, res), machine), nil
+	return finishReport(reportFromSim("fast", res), machine), nil
 }
 
 // pinned implements workerPinned: each sweep worker gets an engine with
@@ -273,17 +250,4 @@ func (actorEngine) Run(ctx context.Context, sc *Scenario) (*Report, error) {
 		return nil, err
 	}
 	return finishReport(reportFromActor(res, sc.Source), machine), nil
-}
-
-type reactiveEngine struct{}
-
-// Name implements Engine.
-func (reactiveEngine) Name() string { return "reactive" }
-
-// Run implements Engine: force ProtocolReactive and execute on the fast
-// engine (the deprecated alias path).
-func (reactiveEngine) Run(ctx context.Context, sc *Scenario) (*Report, error) {
-	forced := *sc
-	forced.Protocol = ProtocolReactive
-	return fastEngine{}.run(ctx, &forced, "reactive")
 }

@@ -14,57 +14,15 @@ import (
 	"bftbcast/internal/topo/topotest"
 )
 
-// sliceView is a View over flat per-node state on any topology: the bare
-// form, which strategies reach through the per-node methods and
-// Topology.AppendNeighbors only.
-type sliceView struct {
-	tp        topo.Topology
-	bad       []bool
-	decided   []bool
-	correct   []int32
-	supply    []int32
-	budget    []int
-	threshold int
-}
-
-func (v *sliceView) Topo() topo.Topology              { return v.tp }
-func (v *sliceView) IsBad(id grid.NodeID) bool        { return v.bad[id] }
-func (v *sliceView) IsDecided(id grid.NodeID) bool    { return v.decided[id] }
-func (v *sliceView) CorrectCount(id grid.NodeID) int  { return int(v.correct[id]) }
-func (v *sliceView) Threshold() int                   { return v.threshold }
-func (v *sliceView) Supply(id grid.NodeID) int        { return int(v.supply[id]) }
-func (v *sliceView) BadBudgetLeft(id grid.NodeID) int { return v.budget[id] }
-
-// bulkView is sliceView with both optional refinements, the form the
-// engines hand out.
-type bulkView struct {
-	*sliceView
-	adj *radio.Adjacency
-}
-
-func (v bulkView) Neighbors(id grid.NodeID) []grid.NodeID { return v.adj.Neighbors(id) }
-func (v bulkView) BadMask() []bool                        { return v.bad }
-func (v bulkView) DecidedMask() []bool                    { return v.decided }
-func (v bulkView) CorrectCounts() []int32                 { return v.correct }
-func (v bulkView) SupplyCounts() []int32                  { return v.supply }
-
-var (
-	_ View           = (*sliceView)(nil)
-	_ NeighborSource = bulkView{}
-	_ StateSource    = bulkView{}
-)
-
 // rowFilterIndex is the bad-neighbor cache as it was before the index:
-// each node's own row, filtered through IsBad, in row order — here for
-// every node at once, laid out the way corruptorCore stores its index.
-func rowFilterIndex(v View) (off []int32, nbrs []grid.NodeID) {
-	n := v.Topo().Size()
+// each node's own row, filtered through the bad mask, in row order — here
+// for every node at once, laid out the way corruptorCore stores its index.
+func rowFilterIndex(v *View) (off []int32, nbrs []grid.NodeID) {
+	n := v.Topo.Size()
 	off = make([]int32, n+1)
-	var row []grid.NodeID
 	for u := 0; u < n; u++ {
-		row = viewNeighbors(v, row[:0], grid.NodeID(u))
-		for _, nb := range row {
-			if v.IsBad(nb) {
+		for _, nb := range v.Adj.Neighbors(grid.NodeID(u)) {
+			if v.Bad[nb] {
 				nbrs = append(nbrs, nb)
 			}
 		}
@@ -101,68 +59,62 @@ func TestBadNeighborIndexMatchesRowFilter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, bulk := range []bool{false, true} {
-				for name, mk := range strategies {
-					desc := fmt.Sprintf("%v seed %d bulk=%v %s", tp, seed, bulk, name)
-					rng := stats.NewRNG(seed)
-					sv := &sliceView{
-						tp: tp, bad: bad, threshold: 4,
-						decided: make([]bool, n), correct: make([]int32, n),
-						supply: make([]int32, n), budget: make([]int, n),
+			for name, mk := range strategies {
+				desc := fmt.Sprintf("%v seed %d %s", tp, seed, name)
+				rng := stats.NewRNG(seed)
+				v := &View{
+					Topo: tp, Adj: plan.For(tp).Adjacency(), Bad: bad, Threshold: 4,
+					Decided: make([]bool, n), Correct: make([]int32, n),
+					Supply: make([]int32, n), Budget: make([]radio.Budget, n),
+				}
+				victims := make([]bool, n)
+				for i := 0; i < n; i++ {
+					if bad[i] {
+						v.Budget[i] = radio.NewBudget(rng.Intn(6))
+						continue
 					}
-					victims := make([]bool, n)
-					for i := 0; i < n; i++ {
-						if bad[i] {
-							sv.budget[i] = rng.Intn(6)
-							continue
-						}
-						sv.decided[i] = rng.Intn(3) == 0
-						sv.correct[i] = int32(rng.Intn(sv.threshold))
-						sv.supply[i] = int32(rng.Intn(5))
-						victims[i] = rng.Intn(2) == 0
-					}
-					var v View = sv
-					if bulk {
-						v = bulkView{sv, plan.For(tp).Adjacency()}
-					}
+					v.Decided[i] = rng.Intn(3) == 0
+					v.Correct[i] = int32(rng.Intn(v.Threshold))
+					v.Supply[i] = int32(rng.Intn(5))
+					victims[i] = rng.Intn(2) == 0
+				}
 
-					indexStrategy, index := mk(victims)
-					filterStrategy, filter := mk(victims)
-					filter.coveredEpoch = make([]int32, n) // sized, so jams keeps the lists below
-					filter.badOff, filter.badNbrs = rowFilterIndex(v)
+				indexStrategy, index := mk(victims)
+				filterStrategy, filter := mk(victims)
+				filter.coveredEpoch = make([]int32, n) // sized, so jams keeps the lists below
+				filter.badOff, filter.badNbrs = rowFilterIndex(v)
 
-					for u := 0; u < n; u++ {
-						want := slices.Clone(filter.badNeighbors(v, grid.NodeID(u)))
-						if !slices.IsSorted(want) {
-							reordered++
-						}
-						slices.Sort(want)
-						if got := index.badNeighbors(v, grid.NodeID(u)); !slices.Equal(got, want) {
-							t.Fatalf("%s: bad neighbors of %d: index %v, row filter %v", desc, u, got, want)
-						}
-						indexed += len(want)
+				for u := 0; u < n; u++ {
+					want := slices.Clone(filter.badNeighbors(v, grid.NodeID(u)))
+					if !slices.IsSorted(want) {
+						reordered++
 					}
+					slices.Sort(want)
+					if got := index.badNeighbors(v, grid.NodeID(u)); !slices.Equal(got, want) {
+						t.Fatalf("%s: bad neighbors of %d: index %v, row filter %v", desc, u, got, want)
+					}
+					indexed += len(want)
+				}
 
-					for slot := 0; slot < 30; slot++ {
-						tentative := randomSlot(tp, rng)
-						got := slices.Clone(indexStrategy.Jams(v, slot, tentative))
-						want := slices.Clone(filterStrategy.Jams(v, slot, tentative))
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s slot %d: jams with the index %v, with the row filter %v", desc, slot, got, want)
-						}
-						// Move the state on the way an engine would: jams cost
-						// budget, and what got through is banked.
-						for _, j := range got {
-							sv.budget[j.From]--
-						}
-						for _, d := range tentative {
-							if !bad[d.To] && !sv.decided[d.To] && len(got) == 0 {
-								sv.correct[d.To]++
-								sv.decided[d.To] = int(sv.correct[d.To]) >= sv.threshold
-							}
-						}
-						jammed += len(got)
+				for slot := 0; slot < 30; slot++ {
+					tentative := randomSlot(tp, rng)
+					got := slices.Clone(indexStrategy.Jams(v, slot, tentative))
+					want := slices.Clone(filterStrategy.Jams(v, slot, tentative))
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s slot %d: jams with the index %v, with the row filter %v", desc, slot, got, want)
 					}
+					// Move the state on the way an engine would: jams cost
+					// budget, and what got through is banked.
+					for _, j := range got {
+						v.Budget[j.From].TrySpend()
+					}
+					for _, d := range tentative {
+						if !bad[d.To] && !v.Decided[d.To] && len(got) == 0 {
+							v.Correct[d.To]++
+							v.Decided[d.To] = int(v.Correct[d.To]) >= v.Threshold
+						}
+					}
+					jammed += len(got)
 				}
 			}
 		}

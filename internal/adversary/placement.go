@@ -288,6 +288,25 @@ func Figure2Lattice(r int) Lattice {
 	return Lattice{Offsets: [][2]int{{r, -r}}}
 }
 
+// Figure2Victims returns the victim mask of the Figure 2 construction on
+// t, for the Targeted strategy: the eight mirror nodes adjacent to the
+// decided square, (±(r+1), ±1) and (±1, ±(r+1)). Each frontier bad node
+// of Figure2Lattice(r) guards the pair inside its window (at r=4, (4,5)
+// guards p=(5,1) and p'=(1,5)); every other frontier node then starves on
+// the side effects of those jams, because its residual (un-jammed) supply
+// stays below the threshold.
+func Figure2Victims(t *grid.Torus) []bool {
+	r := t.Range()
+	victims := make([]bool, t.Size())
+	for _, pr := range [][2]int{
+		{r + 1, 1}, {1, r + 1}, {r + 1, -1}, {1, -(r + 1)},
+		{-(r + 1), 1}, {-1, r + 1}, {-(r + 1), -1}, {-1, -(r + 1)},
+	} {
+		victims[t.ID(pr[0], pr[1])] = true
+	}
+	return victims
+}
+
 // Random marks nodes uniformly at random subject to the t-local bound,
 // using greedy rejection: nodes are visited in a random permutation and
 // marked whenever doing so keeps every window count at most T. Density

@@ -7,32 +7,39 @@ import (
 )
 
 // View is the adversary's (omniscient, worst-case) read access to the
-// simulation state. The engine implements it.
-type View interface {
-	// Topo returns the network topology.
-	Topo() topo.Topology
-	// IsBad reports whether id is adversary-controlled.
-	IsBad(id grid.NodeID) bool
-	// IsDecided reports whether id has accepted a value.
-	IsDecided(id grid.NodeID) bool
-	// CorrectCount returns how many copies of Vtrue id has received. Like
+// simulation state: the engine fills one per run and hands it to Jams by
+// pointer. Every slice is indexed by NodeID and is the engine's own
+// storage — shared, live between slots, and read-only to strategies.
+type View struct {
+	// Topo is the network topology.
+	Topo topo.Topology
+	// Adj is the engine's flattened neighbor lists (the compiled plan's
+	// CSR), so strategies walk neighborhoods without per-node coordinate
+	// arithmetic.
+	Adj *radio.Adjacency
+	// Bad marks the adversary-controlled nodes.
+	Bad []bool
+	// Decided marks the nodes that have accepted a value.
+	Decided []bool
+	// Correct counts the copies of Vtrue each node has received. Like
 	// Supply it is defined for undecided nodes only: what a node banked
 	// matters until it crosses the threshold, and engines may stop
 	// counting a node's receipts here once it has decided (their results
-	// count them by other means), so the value for a decided node is
+	// count them by other means), so the entry of a decided node is
 	// unspecified.
-	CorrectCount(id grid.NodeID) int
-	// Threshold returns the protocol's acceptance threshold t·mf+1.
-	Threshold() int
-	// Supply returns the number of future Vtrue deliveries id would
-	// receive if the adversary stays idle: the pending send counts of
-	// id's decided good neighbors (including the source). It is defined
-	// for undecided nodes only — supply is what could still lift a node
-	// to the threshold, and engines stop maintaining it once a node has
-	// decided — so the value for a decided node is unspecified.
-	Supply(id grid.NodeID) int
-	// BadBudgetLeft returns the remaining message budget of a bad node.
-	BadBudgetLeft(id grid.NodeID) int
+	Correct []int32
+	// Supply is the number of future Vtrue deliveries each node would
+	// receive if the adversary stays idle: the pending send counts of its
+	// decided good neighbors (including the source). It is defined for
+	// undecided nodes only — supply is what could still lift a node to
+	// the threshold, and engines stop maintaining it once a node has
+	// decided — so the entry of a decided node is unspecified.
+	Supply []int32
+	// Budget holds the message budgets of the bad nodes (Left is what a
+	// jammer can still spend); the entries of good nodes are zero.
+	Budget []radio.Budget
+	// Threshold is the protocol's acceptance threshold t·mf+1.
+	Threshold int
 }
 
 // Strategy decides the adversarial transmissions of each slot. Jams is
@@ -52,48 +59,7 @@ type Strategy interface {
 	// Name identifies the strategy in reports.
 	Name() string
 	// Jams picks this slot's adversarial transmissions.
-	Jams(v View, slot int, tentative []radio.Delivery) []radio.Tx
-}
-
-// NeighborSource is an optional View refinement: a view that exposes the
-// engine's flattened (compiled-plan CSR) neighbor lists. Strategies use
-// it to walk neighborhoods without per-node coordinate arithmetic; views
-// that do not implement it fall back to Topology.AppendNeighbors, which
-// yields the same nodes in the same order.
-type NeighborSource interface {
-	// Neighbors returns the neighbor list of id in the topology's
-	// deterministic iteration order. The slice is shared storage and
-	// must not be modified.
-	Neighbors(id grid.NodeID) []grid.NodeID
-}
-
-// StateSource is an optional View refinement: a view that exposes the
-// engine's per-node protocol state as shared read-only slices, indexed by
-// NodeID. Hot strategies (the corruptor inspects every tentative Vtrue
-// delivery of every slot) index the arrays directly instead of making
-// several interface calls per delivery; views that do not implement it
-// fall back to the per-node View methods with identical semantics.
-type StateSource interface {
-	// BadMask returns the bad-node mask.
-	BadMask() []bool
-	// DecidedMask returns the per-node decided flags.
-	DecidedMask() []bool
-	// CorrectCounts returns the per-node counts of Vtrue copies received.
-	// As with View.CorrectCount, only the entries of undecided nodes are
-	// defined.
-	CorrectCounts() []int32
-	// SupplyCounts returns the per-node outstanding Vtrue supply. As with
-	// View.Supply, only the entries of undecided nodes are defined.
-	SupplyCounts() []int32
-}
-
-// viewNeighbors appends the neighbors of id to dst via the view's shared
-// CSR when available, falling back to a topology walk.
-func viewNeighbors(v View, dst []grid.NodeID, id grid.NodeID) []grid.NodeID {
-	if ns, ok := v.(NeighborSource); ok {
-		return append(dst, ns.Neighbors(id)...)
-	}
-	return v.Topo().AppendNeighbors(dst, id)
+	Jams(v *View, slot int, tentative []radio.Delivery) []radio.Tx
 }
 
 // DeliveryDriven is an optional Strategy refinement: a strategy whose
@@ -123,7 +89,7 @@ type Idle struct{}
 func (Idle) Name() string { return "idle" }
 
 // Jams implements Strategy.
-func (Idle) Jams(View, int, []radio.Delivery) []radio.Tx { return nil }
+func (Idle) Jams(*View, int, []radio.Delivery) []radio.Tx { return nil }
 
 // DeliveryDriven implements DeliveryDriven: Idle never transmits at all.
 func (Idle) DeliveryDriven() bool { return true }
@@ -156,7 +122,7 @@ type corruptorCore struct {
 	wrongValue radio.Value
 	drop       bool
 	// isVictim filters denial candidates (already known undecided+good).
-	isVictim func(v View, id grid.NodeID) bool
+	isVictim func(id grid.NodeID) bool
 	// checkFeasible gates spending on the remaining nearby adversary
 	// budget being able to finish the job; the proof constructions
 	// guarantee feasibility and disable the check.
@@ -166,7 +132,6 @@ type corruptorCore struct {
 	epoch        int32
 	entries      []denyEntry
 	used         []grid.NodeID // jammers spent this slot (scratch)
-	nbrScratch   []grid.NodeID // neighbor walks (scratch)
 	jamBuf       []radio.Tx    // emitted jams (scratch; engine consumes before the next slot)
 
 	// badOff/badNbrs index every node's bad neighbors in CSR form: those
@@ -188,12 +153,11 @@ type denyEntry struct {
 	shared bool // two or more needy victims share (jammer, from)
 }
 
-func (c *corruptorCore) jams(v View, tentative []radio.Delivery) []radio.Tx {
+func (c *corruptorCore) jams(v *View, tentative []radio.Delivery) []radio.Tx {
 	if len(tentative) == 0 {
 		return nil
 	}
-	tor := v.Topo()
-	n := tor.Size()
+	n := len(v.Bad)
 	if len(c.coveredEpoch) != n {
 		// First slot on this topology: size the scratch, drop any index.
 		c.coveredEpoch = make([]int32, n)
@@ -201,43 +165,27 @@ func (c *corruptorCore) jams(v View, tentative []radio.Delivery) []radio.Tx {
 		c.badOff = nil
 	}
 	c.epoch++
-	threshold := v.Threshold()
+	threshold := v.Threshold
 
-	// Pass 1: collect candidate denials with their preferred jammer. With
-	// a bulk StateSource view the per-delivery state reads are pure array
-	// indexing (the nil checks predict perfectly); the expensive jammer
-	// choice only runs for the survivors.
-	var bad, decided []bool
-	var correct, supply []int32
-	if ss, ok := v.(StateSource); ok {
-		bad, decided = ss.BadMask(), ss.DecidedMask()
-		correct, supply = ss.CorrectCounts(), ss.SupplyCounts()
-	}
+	// Pass 1: collect candidate denials with their preferred jammer. The
+	// per-delivery state reads are pure array indexing; the expensive
+	// jammer choice only runs for the survivors.
 	c.entries = c.entries[:0]
 	for _, d := range tentative {
 		if d.Value != radio.ValueTrue {
 			continue
 		}
 		u := d.To
-		if bad != nil {
-			if bad[u] || decided[u] {
-				continue
-			}
-		} else if v.IsBad(u) || v.IsDecided(u) {
+		if v.Bad[u] || v.Decided[u] {
 			continue
 		}
-		if c.isVictim != nil && !c.isVictim(v, u) {
+		if c.isVictim != nil && !c.isVictim(u) {
 			continue
 		}
 		if !c.canJam(v, u) {
 			continue // no bad neighbor with budget left: nobody could deny u
 		}
-		var banked, sup int
-		if correct != nil {
-			banked, sup = int(correct[u]), int(supply[u])
-		} else {
-			banked, sup = v.CorrectCount(u), v.Supply(u)
-		}
+		banked, sup := int(v.Correct[u]), int(v.Supply[u])
 		must := banked+1 >= threshold
 		needy := banked+1+sup >= threshold
 		if !must && !needy {
@@ -285,7 +233,7 @@ func (c *corruptorCore) jams(v View, tentative []radio.Delivery) []radio.Tx {
 			continue // lone needy victim: defer to its crossing slot
 		}
 		jammer := e.jammer
-		if c.isUsed(jammer) || v.BadBudgetLeft(jammer) <= 0 {
+		if c.isUsed(jammer) || v.Budget[jammer].Left() <= 0 {
 			jammer = c.pickJammer(v, e.u, e.from, c.used)
 			if jammer == grid.None {
 				continue
@@ -295,8 +243,7 @@ func (c *corruptorCore) jams(v View, tentative []radio.Delivery) []radio.Tx {
 		jams = append(jams, radio.Tx{From: jammer, Value: wrong, Jam: true, Drop: c.drop})
 		// Everything within range of the jammer is corrupted this slot.
 		c.coveredEpoch[jammer] = c.epoch
-		c.nbrScratch = viewNeighbors(v, c.nbrScratch[:0], jammer)
-		for _, nb := range c.nbrScratch {
+		for _, nb := range v.Adj.Neighbors(jammer) {
 			c.coveredEpoch[nb] = c.epoch
 		}
 	}
@@ -319,7 +266,7 @@ func (c *corruptorCore) isUsed(id grid.NodeID) bool {
 // corruptor's per-delivery cost is a scan of a few bad ids, not a
 // neighborhood walk. The order differs from the row's; canJam, pickJammer
 // (ties broken by id) and badBudgetNear do not depend on it.
-func (c *corruptorCore) badNeighbors(v View, u grid.NodeID) []grid.NodeID {
+func (c *corruptorCore) badNeighbors(v *View, u grid.NodeID) []grid.NodeID {
 	if c.badOff == nil {
 		c.buildBadIndex(v)
 	}
@@ -328,16 +275,11 @@ func (c *corruptorCore) badNeighbors(v View, u grid.NodeID) []grid.NodeID {
 
 // buildBadIndex fills badOff/badNbrs with one counting pass and one fill
 // pass over the rows of the bad nodes, O(|bad|·degree) in all.
-func (c *corruptorCore) buildBadIndex(v View) {
-	n := v.Topo().Size()
-	isBad := v.IsBad
-	if ss, ok := v.(StateSource); ok {
-		mask := ss.BadMask()
-		isBad = func(id grid.NodeID) bool { return mask[id] }
-	}
+func (c *corruptorCore) buildBadIndex(v *View) {
+	n := len(v.Bad)
 	var bad []grid.NodeID
-	for i := 0; i < n; i++ {
-		if isBad(grid.NodeID(i)) {
+	for i, b := range v.Bad {
+		if b {
 			bad = append(bad, grid.NodeID(i))
 		}
 	}
@@ -346,8 +288,7 @@ func (c *corruptorCore) buildBadIndex(v View) {
 	// ends, which is where u+1's starts.
 	off := make([]int32, n+2)
 	for _, b := range bad {
-		c.nbrScratch = viewNeighbors(v, c.nbrScratch[:0], b)
-		for _, u := range c.nbrScratch {
+		for _, u := range v.Adj.Neighbors(b) {
 			off[u+2]++
 		}
 	}
@@ -356,8 +297,7 @@ func (c *corruptorCore) buildBadIndex(v View) {
 	}
 	c.badNbrs = make([]grid.NodeID, off[n+1])
 	for _, b := range bad {
-		c.nbrScratch = viewNeighbors(v, c.nbrScratch[:0], b)
-		for _, u := range c.nbrScratch {
+		for _, u := range v.Adj.Neighbors(b) {
 			c.badNbrs[off[u+1]] = b
 			off[u+1]++
 		}
@@ -369,13 +309,12 @@ func (c *corruptorCore) buildBadIndex(v View) {
 // closest to the transmitter (ties broken by id), skipping nodes in
 // exclude. Proximity to the transmitter maximizes how many of the
 // transmission's other receivers the jam also covers.
-func (c *corruptorCore) pickJammer(v View, u, from grid.NodeID, exclude []grid.NodeID) grid.NodeID {
-	tor := v.Topo()
+func (c *corruptorCore) pickJammer(v *View, u, from grid.NodeID, exclude []grid.NodeID) grid.NodeID {
 	jammer := grid.None
 	best := int(^uint(0) >> 1)
 next:
 	for _, nb := range c.badNeighbors(v, u) {
-		if v.BadBudgetLeft(nb) <= 0 {
+		if v.Budget[nb].Left() <= 0 {
 			continue
 		}
 		for _, x := range exclude {
@@ -383,7 +322,7 @@ next:
 				continue next
 			}
 		}
-		dist := tor.Dist(nb, from)
+		dist := v.Topo.Dist(nb, from)
 		if dist < best || (dist == best && nb < jammer) {
 			best = dist
 			jammer = nb
@@ -395,9 +334,9 @@ next:
 // canJam reports whether some bad neighbor of u has budget left — the
 // precondition of pickJammer finding anyone, checked first because most
 // receivers have no bad neighbor at all.
-func (c *corruptorCore) canJam(v View, u grid.NodeID) bool {
+func (c *corruptorCore) canJam(v *View, u grid.NodeID) bool {
 	for _, nb := range c.badNeighbors(v, u) {
-		if v.BadBudgetLeft(nb) > 0 {
+		if v.Budget[nb].Left() > 0 {
 			return true
 		}
 	}
@@ -406,10 +345,10 @@ func (c *corruptorCore) canJam(v View, u grid.NodeID) bool {
 
 // badBudgetNear sums the remaining budget of the bad nodes within range
 // of u (the only ones that can deny deliveries to u).
-func (c *corruptorCore) badBudgetNear(v View, u grid.NodeID) int {
+func (c *corruptorCore) badBudgetNear(v *View, u grid.NodeID) int {
 	budget := 0
 	for _, nb := range c.badNeighbors(v, u) {
-		budget += v.BadBudgetLeft(nb)
+		budget += v.Budget[nb].Left()
 	}
 	return budget
 }
@@ -437,7 +376,7 @@ func (c *Corruptor) Name() string { return "corruptor" }
 func (c *Corruptor) DeliveryDriven() bool { return true }
 
 // Jams implements Strategy.
-func (c *Corruptor) Jams(v View, _ int, tentative []radio.Delivery) []radio.Tx {
+func (c *Corruptor) Jams(v *View, _ int, tentative []radio.Delivery) []radio.Tx {
 	c.core.wrongValue = c.WrongValue
 	c.core.drop = c.Drop
 	c.core.checkFeasible = true
@@ -471,11 +410,11 @@ func (t *Targeted) Name() string { return "targeted" }
 func (t *Targeted) DeliveryDriven() bool { return true }
 
 // Jams implements Strategy.
-func (t *Targeted) Jams(v View, _ int, tentative []radio.Delivery) []radio.Tx {
+func (t *Targeted) Jams(v *View, _ int, tentative []radio.Delivery) []radio.Tx {
 	t.core.wrongValue = t.WrongValue
 	t.core.drop = t.Drop
 	t.core.checkFeasible = false
-	t.core.isVictim = func(_ View, id grid.NodeID) bool {
+	t.core.isVictim = func(id grid.NodeID) bool {
 		return int(id) < len(t.Victims) && t.Victims[id]
 	}
 	return t.core.jams(v, tentative)
@@ -501,12 +440,11 @@ func NewSpammer() *Spammer { return &Spammer{} }
 func (s *Spammer) Name() string { return "spammer" }
 
 // Jams implements Strategy.
-func (s *Spammer) Jams(v View, _ int, _ []radio.Delivery) []radio.Tx {
+func (s *Spammer) Jams(v *View, _ int, _ []radio.Delivery) []radio.Tx {
 	if !s.primed {
 		s.primed = true
-		tor := v.Topo()
-		for i := 0; i < tor.Size(); i++ {
-			if v.IsBad(grid.NodeID(i)) {
+		for i, b := range v.Bad {
+			if b {
 				s.badList = append(s.badList, grid.NodeID(i))
 			}
 		}
@@ -517,7 +455,7 @@ func (s *Spammer) Jams(v View, _ int, _ []radio.Delivery) []radio.Tx {
 	}
 	jams := s.jamBuf[:0]
 	for _, b := range s.badList {
-		if v.BadBudgetLeft(b) > 0 {
+		if v.Budget[b].Left() > 0 {
 			jams = append(jams, radio.Tx{From: b, Value: wrong, Jam: true})
 		}
 	}

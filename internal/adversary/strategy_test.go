@@ -8,11 +8,11 @@ import (
 	"bftbcast/internal/grid"
 	"bftbcast/internal/radio"
 	"bftbcast/internal/stats"
-	"bftbcast/internal/topo"
 )
 
-// fakeView is a scriptable adversary.View for unit-testing strategies
-// without the simulation engine.
+// fakeView scripts the state a strategy sees, for unit-testing strategies
+// without the simulation engine; view renders it as the View an engine
+// would fill.
 type fakeView struct {
 	tor       *grid.Torus
 	bad       map[grid.NodeID]bool
@@ -23,15 +23,27 @@ type fakeView struct {
 	threshold int
 }
 
-func (v *fakeView) Topo() topo.Topology              { return v.tor }
-func (v *fakeView) IsBad(id grid.NodeID) bool        { return v.bad[id] }
-func (v *fakeView) IsDecided(id grid.NodeID) bool    { return v.decided[id] }
-func (v *fakeView) CorrectCount(id grid.NodeID) int  { return v.correct[id] }
-func (v *fakeView) Threshold() int                   { return v.threshold }
-func (v *fakeView) Supply(id grid.NodeID) int        { return v.supply[id] }
-func (v *fakeView) BadBudgetLeft(id grid.NodeID) int { return v.budget[id] }
-
-var _ View = (*fakeView)(nil)
+// view snapshots the scripted state into a View. Strategies cache only
+// what is fixed for a run (the bad set), so a fresh snapshot per Jams
+// call reads like one engine's live arrays.
+func (f *fakeView) view() *View {
+	n := f.tor.Size()
+	v := &View{
+		Topo: f.tor, Adj: radio.NewAdjacency(f.tor),
+		Bad: make([]bool, n), Decided: make([]bool, n),
+		Correct: make([]int32, n), Supply: make([]int32, n),
+		Budget: make([]radio.Budget, n), Threshold: f.threshold,
+	}
+	for i := 0; i < n; i++ {
+		id := grid.NodeID(i)
+		v.Bad[i], v.Decided[i] = f.bad[id], f.decided[id]
+		v.Correct[i], v.Supply[i] = int32(f.correct[id]), int32(f.supply[id])
+		if f.bad[id] {
+			v.Budget[i] = radio.NewBudget(f.budget[id])
+		}
+	}
+	return v
+}
 
 func newFakeView(t *testing.T) *fakeView {
 	t.Helper()
@@ -49,7 +61,7 @@ func newFakeView(t *testing.T) *fakeView {
 func TestIdleNeverJams(t *testing.T) {
 	v := newFakeView(t)
 	d := []radio.Delivery{{To: 1, Value: radio.ValueTrue, From: 2}}
-	if jams := (Idle{}).Jams(v, 0, d); jams != nil {
+	if jams := (Idle{}).Jams(v.view(), 0, d); jams != nil {
 		t.Fatalf("Idle jammed: %v", jams)
 	}
 }
@@ -65,7 +77,7 @@ func TestCorruptorDeniesCrossingDelivery(t *testing.T) {
 	v.supply[victim] = 3
 
 	c := NewCorruptor()
-	jams := c.Jams(v, 0, []radio.Delivery{{To: victim, Value: radio.ValueTrue, From: from}})
+	jams := c.Jams(v.view(), 0, []radio.Delivery{{To: victim, Value: radio.ValueTrue, From: from}})
 	if len(jams) != 1 {
 		t.Fatalf("jams = %v, want exactly one", jams)
 	}
@@ -88,11 +100,11 @@ func TestCorruptorAllowsBelowThreshold(t *testing.T) {
 
 	c := NewCorruptor()
 	d := []radio.Delivery{{To: victim, Value: radio.ValueTrue, From: v.tor.ID(6, 5)}}
-	if jams := c.Jams(v, 0, d); len(jams) != 0 {
+	if jams := c.Jams(v.view(), 0, d); len(jams) != 0 {
 		t.Fatalf("lone needy victim jammed early: %v", jams)
 	}
 	v.supply[victim] = 0 // cannot ever reach threshold
-	if jams := c.Jams(v, 1, d); len(jams) != 0 {
+	if jams := c.Jams(v.view(), 1, d); len(jams) != 0 {
 		t.Fatalf("hopeless victim jammed: %v", jams)
 	}
 }
@@ -110,7 +122,7 @@ func TestCorruptorFeasibilityGate(t *testing.T) {
 
 	c := NewCorruptor()
 	d := []radio.Delivery{{To: victim, Value: radio.ValueTrue, From: v.tor.ID(6, 5)}}
-	if jams := c.Jams(v, 0, d); len(jams) != 0 {
+	if jams := c.Jams(v.view(), 0, d); len(jams) != 0 {
 		t.Fatalf("hopeless blocking attempted: %v", jams)
 	}
 	// The Targeted variant has no such gate: the construction
@@ -118,7 +130,7 @@ func TestCorruptorFeasibilityGate(t *testing.T) {
 	victims := make([]bool, v.tor.Size())
 	victims[victim] = true
 	tg := NewTargeted(victims)
-	if jams := tg.Jams(v, 0, d); len(jams) != 1 {
+	if jams := tg.Jams(v.view(), 0, d); len(jams) != 1 {
 		t.Fatalf("targeted did not jam: %v", jams)
 	}
 }
@@ -138,7 +150,7 @@ func TestCorruptorSharedPreemptiveDenial(t *testing.T) {
 		v.supply[u] = 5 // needy (0+1+5 >= threshold) and feasibly blockable
 	}
 	c := NewCorruptor()
-	jams := c.Jams(v, 0, []radio.Delivery{
+	jams := c.Jams(v.view(), 0, []radio.Delivery{
 		{To: u1, Value: radio.ValueTrue, From: from},
 		{To: u2, Value: radio.ValueTrue, From: from},
 	})
@@ -161,7 +173,7 @@ func TestCorruptorSkipsDecidedBadAndWrongValues(t *testing.T) {
 	v.bad[badRx] = true
 
 	c := NewCorruptor()
-	jams := c.Jams(v, 0, []radio.Delivery{
+	jams := c.Jams(v.view(), 0, []radio.Delivery{
 		{To: decided, Value: radio.ValueTrue, From: v.tor.ID(6, 5)},
 		{To: badRx, Value: radio.ValueTrue, From: v.tor.ID(6, 6)},
 		{To: v.tor.ID(3, 5), Value: radio.ValueFalse, From: v.tor.ID(3, 6)},
@@ -182,7 +194,7 @@ func TestCorruptorRespectsBudget(t *testing.T) {
 
 	c := NewCorruptor()
 	d := []radio.Delivery{{To: victim, Value: radio.ValueTrue, From: v.tor.ID(6, 5)}}
-	if jams := c.Jams(v, 0, d); len(jams) != 0 {
+	if jams := c.Jams(v.view(), 0, d); len(jams) != 0 {
 		t.Fatalf("broke bad node jammed: %v", jams)
 	}
 }
@@ -204,7 +216,7 @@ func TestTargetedIgnoresNonVictims(t *testing.T) {
 	victims := make([]bool, v.tor.Size())
 	victims[victim] = true
 	tg := NewTargeted(victims)
-	jams := tg.Jams(v, 0, []radio.Delivery{
+	jams := tg.Jams(v.view(), 0, []radio.Delivery{
 		{To: victim, Value: radio.ValueTrue, From: v.tor.ID(6, 5)},
 		{To: other, Value: radio.ValueTrue, From: v.tor.ID(7, 8)},
 	})
@@ -224,17 +236,17 @@ func TestPickJammerPrefersTransmitterProximity(t *testing.T) {
 	v.budget[near] = 1
 	v.budget[far] = 1
 	core := &corruptorCore{}
-	if got := core.pickJammer(v, victim, from, nil); got != near {
+	if got := core.pickJammer(v.view(), victim, from, nil); got != near {
 		t.Fatalf("pickJammer = %d, want %d", got, near)
 	}
 	// Excluding the near one falls back to the far one.
-	if got := core.pickJammer(v, victim, from, []grid.NodeID{near}); got != far {
+	if got := core.pickJammer(v.view(), victim, from, []grid.NodeID{near}); got != far {
 		t.Fatalf("pickJammer with exclude = %d, want %d", got, far)
 	}
 	// No budget anywhere: none.
 	v.budget[near] = 0
 	v.budget[far] = 0
-	if got := core.pickJammer(v, victim, from, nil); got != grid.None {
+	if got := core.pickJammer(v.view(), victim, from, nil); got != grid.None {
 		t.Fatalf("pickJammer broke = %d, want None", got)
 	}
 }
@@ -248,7 +260,7 @@ func TestSpammerSpendsEveryBadNode(t *testing.T) {
 	v.budget[b1] = 1
 	v.budget[b2] = 3
 	s := NewSpammer()
-	jams := s.Jams(v, 0, nil)
+	jams := s.Jams(v.view(), 0, nil)
 	if len(jams) != 2 {
 		t.Fatalf("jams = %v, want 2", jams)
 	}
@@ -259,7 +271,7 @@ func TestSpammerSpendsEveryBadNode(t *testing.T) {
 	}
 	// Exhausted nodes drop out.
 	v.budget[b1] = 0
-	if jams := s.Jams(v, 1, nil); len(jams) != 1 || jams[0].From != b2 {
+	if jams := s.Jams(v.view(), 1, nil); len(jams) != 1 || jams[0].From != b2 {
 		t.Fatalf("jams after exhaustion = %v", jams)
 	}
 }
@@ -284,7 +296,7 @@ func TestStrategyNames(t *testing.T) {
 // whether the strategy is handed every tentative delivery or only those
 // to undecided good receivers — with the supply and correct counts of
 // every other node poisoned on the second call, since View.Supply and
-// View.CorrectCount are defined for undecided nodes only.
+// View.Correct are defined for undecided nodes only.
 func TestDeliveryDrivenReadsFrontierOnly(t *testing.T) {
 	strategies := map[string]func(victims []bool) Strategy{
 		"corruptor":      func([]bool) Strategy { return NewCorruptor() },
@@ -327,8 +339,8 @@ func TestDeliveryDrivenReadsFrontierOnly(t *testing.T) {
 			}
 		}
 		for name, mk := range strategies {
-			want := append([]radio.Tx(nil), mk(victims).Jams(v, 0, full)...)
-			// Poison both ways round: a frontier engine's CorrectCount of a
+			want := append([]radio.Tx(nil), mk(victims).Jams(v.view(), 0, full)...)
+			// Poison both ways round: a frontier engine's Correct count of a
 			// decided node stops at its decision (too low), a full one's
 			// keeps growing (too high), and neither may matter.
 			for _, poison := range [][2]int{{1 << 20, -1 << 20}, {-1 << 20, 1 << 20}} {
@@ -343,7 +355,7 @@ func TestDeliveryDrivenReadsFrontierOnly(t *testing.T) {
 						poisoned.correct[id], poisoned.supply[id] = v.correct[id], v.supply[id]
 					}
 				}
-				got := mk(victims).Jams(&poisoned, 0, frontier)
+				got := mk(victims).Jams(poisoned.view(), 0, frontier)
 				if !reflect.DeepEqual(append([]radio.Tx(nil), got...), want) {
 					t.Fatalf("seed %d %s: jams on the frontier %v, on the full list %v", seed, name, got, want)
 				}

@@ -1,4 +1,4 @@
-package koo
+package core_test
 
 import (
 	"testing"
@@ -9,9 +9,9 @@ import (
 	"bftbcast/internal/sim"
 )
 
-func TestNewBaselineNumbers(t *testing.T) {
+func TestNewKooBaselineNumbers(t *testing.T) {
 	p := core.Params{R: 4, T: 1, MF: 1000}
-	spec, err := NewBaseline(p)
+	spec, err := core.NewKooBaseline(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,18 +26,18 @@ func TestNewBaselineNumbers(t *testing.T) {
 	}
 }
 
-func TestNewBaselineRejectsBadParams(t *testing.T) {
-	if _, err := NewBaseline(core.Params{R: 0}); err == nil {
+func TestNewKooBaselineRejectsBadParams(t *testing.T) {
+	if _, err := core.NewKooBaseline(core.Params{R: 0}); err == nil {
 		t.Fatal("invalid params accepted")
 	}
 }
 
-func TestBaselineCompletesUnderAttack(t *testing.T) {
+func TestKooBaselineCompletesUnderAttack(t *testing.T) {
 	// The baseline is message-hungry but correct: it completes under the
 	// same adversary protocol B handles.
 	tor := grid.MustNew(20, 20, 2)
 	p := core.Params{R: 2, T: 3, MF: 2}
-	spec, err := NewBaseline(p)
+	spec, err := core.NewKooBaseline(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,6 +127,29 @@ func NewFullBudget(p Params, m int) (Spec, error) {
 	}, nil
 }
 
+// NewKooBaseline builds the baseline scheme the paper compares protocol B
+// against (Sections 1.3 and 3): the repetition protocol suggested by Koo,
+// Bhandari, Katz and Vaidya (PODC'06), adapted to the message-budget
+// model. The source and every good node repeat the accepted value
+// 2·t·mf+1 times (KooBudget), so each node overcomes the worst-case t·mf
+// collisions of its own neighborhood single-handedly; acceptance needs
+// t·mf+1 copies. Protocol B is ½(r(2r+1)−t) times cheaper because nearby
+// good nodes share that work.
+func NewKooBaseline(p Params) (Spec, error) {
+	if err := p.Validate(); err != nil {
+		return Spec{}, err
+	}
+	repeats := p.KooBudget()
+	return Spec{
+		Name:          "koo-baseline",
+		SourceRepeats: p.SourceRepeats(),
+		Threshold:     p.Threshold(),
+		Sends:         constSends(repeats),
+		Budget:        constSends(repeats),
+		MaxSends:      repeats,
+	}, nil
+}
+
 // AverageBudget returns the mean of Budget over all nodes of t except the
 // source (the base station is unbounded). It is the metric Theorem 3
 // improves: Bheter's average approaches m0 while protocol B's is 2·m0.

@@ -7,6 +7,7 @@ import (
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
 	"bftbcast/internal/metrics"
+	"bftbcast/internal/pool"
 	"bftbcast/internal/sim"
 	"bftbcast/internal/topo"
 )
@@ -94,7 +95,7 @@ func runE11(opts Options) (*Outcome, error) {
 			badCount:    res.BadCount,
 		}, nil
 	}
-	if err := ForEach(opts.Workers, len(cases)*(seeds+1), func(i int) error {
+	if err := pool.ForEach(opts.Workers, len(cases)*(seeds+1), func(i int) error {
 		ci, si := i/(seeds+1), i%(seeds+1)
 		if si == 0 {
 			r, err := runOne(cases[ci], 0, false)

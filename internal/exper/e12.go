@@ -7,6 +7,7 @@ import (
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
 	"bftbcast/internal/metrics"
+	"bftbcast/internal/pool"
 	"bftbcast/internal/protocol"
 	"bftbcast/internal/sim"
 	"bftbcast/internal/topo"
@@ -114,7 +115,7 @@ func runE12(opts Options) (*Outcome, error) {
 		}
 		return pr, nil
 	}
-	if err := ForEach(opts.Workers, len(points), func(i int) error {
+	if err := pool.ForEach(opts.Workers, len(points), func(i int) error {
 		r, err := runPoint(i/(len(ms)*2), (i/2)%len(ms), i%2)
 		points[i] = r
 		return err

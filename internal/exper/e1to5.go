@@ -6,8 +6,8 @@ import (
 	"bftbcast/internal/adversary"
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
-	"bftbcast/internal/koo"
 	"bftbcast/internal/metrics"
+	"bftbcast/internal/pool"
 	"bftbcast/internal/sim"
 )
 
@@ -82,7 +82,7 @@ func runE1(opts Options) (*Outcome, error) {
 		frac               float64
 	}
 	pts := make([]point, len(ms))
-	if err := ForEach(opts.Workers, len(ms), func(i int) error {
+	if err := pool.ForEach(opts.Workers, len(ms), func(i int) error {
 		completed, frac, err := runStripe(p, ms[i], true)
 		if err != nil {
 			return err
@@ -117,18 +117,6 @@ func runE1(opts Options) (*Outcome, error) {
 	return o, nil
 }
 
-// figure2Victims is the construction's actively guarded mirror-pair set.
-func figure2Victims(tor *grid.Torus) []bool {
-	victims := make([]bool, tor.Size())
-	for _, pr := range [][2]int{
-		{5, 1}, {1, 5}, {5, -1}, {1, -5},
-		{-5, 1}, {-1, 5}, {-5, -1}, {-1, -5},
-	} {
-		victims[tor.ID(pr[0], pr[1])] = true
-	}
-	return victims
-}
-
 func runE2(Options) (*Outcome, error) {
 	o := &Outcome{ID: "E2", Title: "Figure 2", Passed: true}
 	p := core.Params{R: 4, T: 1, MF: 1000}
@@ -144,7 +132,7 @@ func runE2(Options) (*Outcome, error) {
 	res, err := sim.Run(sim.Config{
 		Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0),
 		Placement: adversary.Figure2Lattice(4),
-		Strategy:  adversary.NewTargeted(figure2Victims(tor)),
+		Strategy:  adversary.NewTargeted(adversary.Figure2Victims(tor)),
 	})
 	if err != nil {
 		return nil, err
@@ -191,7 +179,7 @@ func runE3(opts Options) (*Outcome, error) {
 		bOK, kOK     bool
 	}
 	results := make([]result, len(cases))
-	if err := ForEach(opts.Workers, len(cases), func(i int) error {
+	if err := pool.ForEach(opts.Workers, len(cases), func(i int) error {
 		p := cases[i]
 		side := 2*p.R + 1
 		tor, err := grid.New(4*side, 4*side, p.R)
@@ -202,7 +190,7 @@ func runE3(opts Options) (*Outcome, error) {
 		if err != nil {
 			return err
 		}
-		kspec, err := koo.NewBaseline(p)
+		kspec, err := core.NewKooBaseline(p)
 		if err != nil {
 			return err
 		}
@@ -266,7 +254,7 @@ func runE4(opts Options) (*Outcome, error) {
 		maxT = 6
 	}
 	completedAt := make([]bool, maxT+1)
-	if err := ForEach(opts.Workers, maxT, func(i int) error {
+	if err := pool.ForEach(opts.Workers, maxT, func(i int) error {
 		t := i + 1
 		completed, _, err := runStripe(core.Params{R: r, T: t, MF: mf}, m, true)
 		completedAt[t] = completed

@@ -304,7 +304,7 @@ func runE9(Options) (*Outcome, error) {
 	res, err := sim.Run(sim.Config{
 		Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0),
 		Placement: adversary.Figure2Lattice(4),
-		Strategy:  adversary.NewTargeted(figure2Victims(tor)),
+		Strategy:  adversary.NewTargeted(adversary.Figure2Victims(tor)),
 	})
 	if err != nil {
 		return nil, err

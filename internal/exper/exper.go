@@ -7,7 +7,7 @@
 // pass/fail verdict on the paper's claim shape, so the suite doubles as
 // an integration test and as the benchmark harness behind bench_test.go
 // and cmd/bftbench. Independent sweep points run through a deterministic
-// worker pool (ForEach) sized by Options.Workers.
+// worker pool (pool.ForEach) sized by Options.Workers.
 package exper
 
 import (

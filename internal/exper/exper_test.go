@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"bftbcast/internal/pool"
 	"bftbcast/internal/sim"
 	"bftbcast/internal/sim/simtest"
 )
@@ -98,7 +99,7 @@ func TestSweepInvariantsRandomized(t *testing.T) {
 		cases[i] = gen.Next()
 	}
 	errs := make([]error, points)
-	if err := ForEach(4, points, func(i int) error {
+	if err := pool.ForEach(4, points, func(i int) error {
 		cfg := cases[i].Build()
 		res, err := sim.Run(cfg)
 		if err != nil {

@@ -70,7 +70,7 @@ func goldenE2Config(t *testing.T) sim.Config {
 	return sim.Config{
 		Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0),
 		Placement: adversary.Figure2Lattice(4),
-		Strategy:  adversary.NewTargeted(figure2Victims(tor)),
+		Strategy:  adversary.NewTargeted(adversary.Figure2Victims(tor)),
 	}
 }
 

@@ -6,19 +6,6 @@ import (
 	"bftbcast/internal/pool"
 )
 
-// ForEach runs fn(0), ..., fn(n-1) on a pool of the given number of
-// worker goroutines (<= 1 runs inline). Each index writes its outputs
-// into caller-owned slots, so results are deterministic regardless of
-// scheduling; the error reported is the one from the lowest failing
-// index, again independent of scheduling. All indices are attempted even
-// when one fails (runs are cheap and side-effect free).
-//
-// The pool itself lives in internal/pool, which also backs the public
-// streaming sweep harness (bftbcast.Sweep).
-func ForEach(workers, n int, fn func(i int) error) error {
-	return pool.ForEach(workers, n, fn)
-}
-
 // RunMany executes the given experiments through the Options' worker
 // pool and returns their outcomes in input order, with errors wrapped
 // in the failing experiment's ID. The total worker budget is split
@@ -41,7 +28,7 @@ func RunMany(es []Experiment, opts Options) ([]*Outcome, error) {
 	childOpts := opts
 	childOpts.Workers = inner
 	outs := make([]*Outcome, len(es))
-	err := ForEach(outer, len(es), func(i int) error {
+	err := pool.ForEach(outer, len(es), func(i int) error {
 		o, err := es[i].Run(childOpts)
 		outs[i] = o
 		if err != nil {

@@ -3,49 +3,9 @@ package exper
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 )
-
-// TestForEachCoversAllIndices: every index runs exactly once at any
-// worker count.
-func TestForEachCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 64} {
-		const n = 37
-		var hits [n]atomic.Int32
-		if err := ForEach(workers, n, func(i int) error {
-			hits[i].Add(1)
-			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
-			}
-		}
-	}
-}
-
-// TestForEachReportsLowestIndexError: the returned error is the one
-// from the lowest failing index, independent of scheduling.
-func TestForEachReportsLowestIndexError(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		err := ForEach(workers, 20, func(i int) error {
-			if i == 5 || i == 13 {
-				return fmt.Errorf("boom %d", i)
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "boom 5" {
-			t.Fatalf("workers=%d: err = %v, want boom 5", workers, err)
-		}
-	}
-	if err := ForEach(4, 0, func(int) error { return errors.New("never") }); err != nil {
-		t.Fatalf("n=0: %v", err)
-	}
-}
 
 // TestRunManyDeterministicAcrossWorkerCounts: the quick suite renders
 // byte-identically on 1 worker and on a pool.

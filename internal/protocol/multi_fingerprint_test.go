@@ -107,17 +107,17 @@ type wrongValueJammer struct {
 
 func (*wrongValueJammer) Name() string { return "wrong-value-jammer" }
 
-func (w *wrongValueJammer) Jams(v adversary.View, slot int, _ []radio.Delivery) []radio.Tx {
+func (w *wrongValueJammer) Jams(v *adversary.View, slot int, _ []radio.Delivery) []radio.Tx {
 	if w.bad == nil {
-		for i := 0; i < v.Topo().Size(); i++ {
-			if v.IsBad(grid.NodeID(i)) {
+		for i, b := range v.Bad {
+			if b {
 				w.bad = append(w.bad, grid.NodeID(i))
 			}
 		}
 	}
 	w.buf = w.buf[:0]
 	for _, b := range w.bad {
-		if (slot+int(b))%11 == 0 && v.BadBudgetLeft(b) > 0 {
+		if (slot+int(b))%11 == 0 && v.Budget[b].Left() > 0 {
 			w.buf = append(w.buf, radio.Tx{From: b, Value: radio.ValueFalse + w.next, Jam: true})
 			w.next = (w.next + 1) % (protocol.MaxTrackedValue - radio.ValueFalse + 1)
 		}

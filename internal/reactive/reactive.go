@@ -15,14 +15,16 @@
 // tolerates t < ½r(2r+1) with probability at least 1 − 1/n (Theorem 4).
 //
 // This package is the FROZEN sequential runtime: it executes local
-// broadcasts one at a time in NextRelay order, as the seed did, and
-// backs the deprecated RunReactive facade wrapper plus the E8/E10
-// experiments' ablation knobs (QuietWindow). The production path is the
-// reactive protocol machine in internal/protocol, which runs the same
-// NACK/AUED semantics concurrently on the shared engine stack (TDMA
-// slot time, Sweep, cancellation, observers, differential oracles); its
-// per-seed traces differ from this runtime by scheduling only. Do not
-// extend this package — grow the machine instead.
+// broadcasts one at a time in NextRelay order, as the seed did. It is
+// reference code: experiments E8 and E10 run it (E10 for the QuietWindow
+// ablation only it has), the machine's cross-check test compares
+// outcomes against it, and the facade borrows its Result type for the
+// Report.Reactive extension; nothing else reaches it. The production
+// path is the reactive protocol machine in internal/protocol, which runs
+// the same NACK/AUED semantics concurrently on the shared engine stack
+// (TDMA slot time, Sweep, cancellation, observers, differential
+// oracles); its per-seed traces differ from this runtime by scheduling
+// only. Do not extend this package — grow the machine instead.
 package reactive
 
 import (

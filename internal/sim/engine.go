@@ -255,6 +255,10 @@ type Runner struct {
 	trackSupply bool // supply bookkeeping is only needed by strategies
 	curSlot     int
 
+	// view is what the run's Strategy sees: the run's own arrays, filled
+	// once per run (and only when there is a strategy to show them to).
+	view adversary.View
+
 	// frontier selects the frontier-only slot body for this run (see the
 	// package comment and frontierEligible); frontierSlots counts the
 	// slots that completed on it and settledTxs the transmissions of those
@@ -448,6 +452,13 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	r.cfg = cfg
 	r.bad = bad
 	r.trackSupply = cfg.Strategy != nil
+	if r.trackSupply {
+		r.view = adversary.View{
+			Topo: r.topo, Adj: r.medium.Adjacency(),
+			Bad: bad, Decided: r.st.Decided, Correct: r.st.Correct, Supply: r.supply,
+			Budget: r.badBudget, Threshold: r.inst.Threshold(),
+		}
+	}
 	r.frontier = r.frontierEligible()
 	r.frontierSlots, r.settledTxs = 0, 0
 	for i := 0; i < n; i++ {
@@ -478,6 +489,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// caller's placement, strategy, callbacks or machine between runs.
 	r.cfg = Config{}
 	r.bad = nil
+	r.view = adversary.View{}
 	r.builtin.Unbind()
 	r.inst = nil
 	r.st = nil
@@ -599,7 +611,6 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 		maxSlots = r.defaultMaxSlots()
 	}
 	canSkip := r.deliveryDriven()
-	view := runnerView{r}
 	slot := 0
 	for r.pendingTotal > 0 && slot < maxSlots {
 		if err := ctx.Err(); err != nil {
@@ -664,7 +675,7 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 
 		var jams []radio.Tx
 		if r.cfg.Strategy != nil {
-			jams = r.validateJams(r.cfg.Strategy.Jams(view, slot, r.tentative))
+			jams = r.validateJams(r.cfg.Strategy.Jams(&r.view, slot, r.tentative))
 		}
 
 		if len(jams) > 0 {
@@ -940,55 +951,4 @@ func (r *Runner) frontierReceipts() (correct, wrong []int32) {
 		}
 	}
 	return correct, wrong
-}
-
-// runnerView adapts the Runner to adversary.View.
-type runnerView struct{ r *Runner }
-
-var (
-	_ adversary.View           = runnerView{}
-	_ adversary.NeighborSource = runnerView{}
-	_ adversary.StateSource    = runnerView{}
-)
-
-// Topo implements adversary.View.
-func (v runnerView) Topo() topo.Topology { return v.r.topo }
-
-// Neighbors implements adversary.NeighborSource: strategies walk the
-// compiled plan's CSR instead of recomputing neighborhoods.
-func (v runnerView) Neighbors(id grid.NodeID) []grid.NodeID { return v.r.neighbors(id) }
-
-// BadMask implements adversary.StateSource.
-func (v runnerView) BadMask() []bool { return v.r.bad }
-
-// DecidedMask implements adversary.StateSource.
-func (v runnerView) DecidedMask() []bool { return v.r.st.Decided }
-
-// CorrectCounts implements adversary.StateSource.
-func (v runnerView) CorrectCounts() []int32 { return v.r.st.Correct }
-
-// SupplyCounts implements adversary.StateSource.
-func (v runnerView) SupplyCounts() []int32 { return v.r.supply }
-
-// IsBad implements adversary.View.
-func (v runnerView) IsBad(id grid.NodeID) bool { return v.r.bad[id] }
-
-// IsDecided implements adversary.View.
-func (v runnerView) IsDecided(id grid.NodeID) bool { return v.r.st.Decided[id] }
-
-// CorrectCount implements adversary.View.
-func (v runnerView) CorrectCount(id grid.NodeID) int { return int(v.r.st.Correct[id]) }
-
-// Threshold implements adversary.View.
-func (v runnerView) Threshold() int { return v.r.inst.Threshold() }
-
-// Supply implements adversary.View.
-func (v runnerView) Supply(id grid.NodeID) int { return int(v.r.supply[id]) }
-
-// BadBudgetLeft implements adversary.View.
-func (v runnerView) BadBudgetLeft(id grid.NodeID) int {
-	if !v.r.bad[id] {
-		return 0
-	}
-	return v.r.badBudget[id].Left()
 }

@@ -38,9 +38,6 @@ func (r *Runner) CheckLive() error {
 	return nil
 }
 
-// Figure2Params and Figure2Victims hand the Figure 2 construction (see
-// figure2_test.go) to the external test package.
-var (
-	Figure2Params  = figure2Params
-	Figure2Victims = figure2Victims
-)
+// Figure2Params hands the Figure 2 parameters (see figure2_test.go) to
+// the external test package.
+var Figure2Params = figure2Params

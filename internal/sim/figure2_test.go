@@ -12,25 +12,6 @@ import (
 // r=4, t=1, mf=1000, so m0 = ceil(2001/35) = 58 and m = m0+1 = 59.
 var figure2Params = core.Params{R: 4, T: 1, MF: 1000}
 
-// figure2Victims returns the construction's actively-guarded victims: the
-// eight mirror nodes adjacent to the decided square. Each frontier bad
-// node guards the pair inside its window (e.g. (4,5) guards p=(5,1) and
-// p'=(1,5)); every other frontier node then starves on the side effects of
-// those jams, because its residual (un-jammed) supply stays below the
-// threshold.
-func figure2Victims(tor *grid.Torus) []bool {
-	victims := make([]bool, tor.Size())
-	for _, pr := range [][2]int{
-		{5, 1}, {1, 5},
-		{5, -1}, {1, -5},
-		{-5, 1}, {-1, 5},
-		{-5, -1}, {-1, -5},
-	} {
-		victims[tor.ID(pr[0], pr[1])] = true
-	}
-	return victims
-}
-
 // TestFigure2Stall reproduces Figure 2 end to end: with m = m0+1 = 59 the
 // broadcast reaches exactly the source's neighborhood plus the four gray
 // nodes at (±(r+1),0),(0,±(r+1)) and then stalls, with the frontier node
@@ -49,7 +30,7 @@ func TestFigure2Stall(t *testing.T) {
 	res := run(t, Config{
 		Topo: tor, Params: p, Spec: spec, Source: src,
 		Placement: adversary.Figure2Lattice(4),
-		Strategy:  adversary.NewTargeted(figure2Victims(tor)),
+		Strategy:  adversary.NewTargeted(adversary.Figure2Victims(tor)),
 	})
 	checkInvariants(t, res)
 	if !res.Stalled {
@@ -105,7 +86,7 @@ func TestFigure2StallAtM0(t *testing.T) {
 	res := run(t, Config{
 		Topo: tor, Params: figure2Params, Spec: spec, Source: tor.ID(0, 0),
 		Placement: adversary.Figure2Lattice(4),
-		Strategy:  adversary.NewTargeted(figure2Victims(tor)),
+		Strategy:  adversary.NewTargeted(adversary.Figure2Victims(tor)),
 	})
 	checkInvariants(t, res)
 	if !res.Stalled || res.DecidedGood != 84 {
@@ -128,7 +109,7 @@ func TestFigure2ProtocolBCompletes(t *testing.T) {
 	res := run(t, Config{
 		Topo: tor, Params: figure2Params, Spec: spec, Source: tor.ID(0, 0),
 		Placement: adversary.Figure2Lattice(4),
-		Strategy:  adversary.NewTargeted(figure2Victims(tor)),
+		Strategy:  adversary.NewTargeted(adversary.Figure2Victims(tor)),
 	})
 	checkInvariants(t, res)
 	if !res.Completed {

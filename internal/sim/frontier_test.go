@@ -233,7 +233,7 @@ func TestFrontierFigure2(t *testing.T) {
 		return sim.Config{
 			Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0),
 			Placement: adversary.Figure2Lattice(4),
-			Strategy:  adversary.NewTargeted(sim.Figure2Victims(tor)),
+			Strategy:  adversary.NewTargeted(adversary.Figure2Victims(tor)),
 		}
 	})
 	if bare.slots == 0 || bare.res.BadMessages == 0 {

@@ -76,15 +76,15 @@ type rogueStrategy struct{ fired bool }
 
 func (r *rogueStrategy) Name() string { return "rogue" }
 
-func (r *rogueStrategy) Jams(v adversary.View, slot int, tentative []radio.Delivery) []radio.Tx {
+func (r *rogueStrategy) Jams(v *adversary.View, slot int, tentative []radio.Delivery) []radio.Tx {
 	if r.fired || len(tentative) == 0 {
 		return nil
 	}
 	r.fired = true
-	tor := v.Topo()
+	tor := v.Topo
 	var bad, good grid.NodeID = grid.None, grid.None
 	for i := 0; i < tor.Size(); i++ {
-		if v.IsBad(grid.NodeID(i)) {
+		if v.Bad[i] {
 			if bad == grid.None {
 				bad = grid.NodeID(i)
 			}

@@ -180,7 +180,11 @@ func (e *machineEngine) run(ctx context.Context) (*sim.Result, error) {
 		deliveries []radio.Delivery
 		sendBuf    []protocol.Send
 	)
-	view := machineView{e}
+	view := &adversary.View{
+		Topo: e.tor, Adj: e.plan.Adjacency(),
+		Bad: e.bad, Decided: e.st.Decided, Correct: e.st.Correct, Supply: e.supply,
+		Budget: e.badBudget, Threshold: e.inst.Threshold(),
+	}
 	slot := 0
 	for ; e.pendingTotal > 0 && slot < maxSlots; slot++ {
 		if err := ctx.Err(); err != nil {
@@ -346,54 +350,4 @@ func (e *machineEngine) finish(slot, maxSlots int) *sim.Result {
 	res.Wrong = append([]int32(nil), e.st.Wrong...)
 	res.Sent = append([]int32(nil), e.sent...)
 	return res
-}
-
-// machineView adapts the machine-driven engine to adversary.View.
-type machineView struct{ e *machineEngine }
-
-var (
-	_ adversary.View           = machineView{}
-	_ adversary.NeighborSource = machineView{}
-	_ adversary.StateSource    = machineView{}
-)
-
-// Topo implements adversary.View.
-func (v machineView) Topo() topo.Topology { return v.e.tor }
-
-// Neighbors implements adversary.NeighborSource.
-func (v machineView) Neighbors(id grid.NodeID) []grid.NodeID { return v.e.plan.Neighbors(id) }
-
-// BadMask implements adversary.StateSource.
-func (v machineView) BadMask() []bool { return v.e.bad }
-
-// DecidedMask implements adversary.StateSource.
-func (v machineView) DecidedMask() []bool { return v.e.st.Decided }
-
-// CorrectCounts implements adversary.StateSource.
-func (v machineView) CorrectCounts() []int32 { return v.e.st.Correct }
-
-// SupplyCounts implements adversary.StateSource.
-func (v machineView) SupplyCounts() []int32 { return v.e.supply }
-
-// IsBad implements adversary.View.
-func (v machineView) IsBad(id grid.NodeID) bool { return v.e.bad[id] }
-
-// IsDecided implements adversary.View.
-func (v machineView) IsDecided(id grid.NodeID) bool { return v.e.st.Decided[id] }
-
-// CorrectCount implements adversary.View.
-func (v machineView) CorrectCount(id grid.NodeID) int { return int(v.e.st.Correct[id]) }
-
-// Threshold implements adversary.View.
-func (v machineView) Threshold() int { return v.e.inst.Threshold() }
-
-// Supply implements adversary.View.
-func (v machineView) Supply(id grid.NodeID) int { return int(v.e.supply[id]) }
-
-// BadBudgetLeft implements adversary.View.
-func (v machineView) BadBudgetLeft(id grid.NodeID) int {
-	if !v.e.bad[id] {
-		return 0
-	}
-	return v.e.badBudget[id].Left()
 }

@@ -210,7 +210,11 @@ func (e *engine) run(ctx context.Context) (*sim.Result, error) {
 		txs       []radio.Tx
 		tentative []radio.Delivery
 	)
-	view := engineView{e}
+	view := &adversary.View{
+		Topo: e.tor, Adj: e.plan.Adjacency(),
+		Bad: e.bad, Decided: e.decided, Correct: e.correct, Supply: e.supply,
+		Budget: e.badBudget, Threshold: e.cfg.Spec.Threshold,
+	}
 	slot := 0
 	for ; e.pendingTotal > 0 && slot < maxSlots; slot++ {
 		if err := ctx.Err(); err != nil {
@@ -419,56 +423,4 @@ func (e *engine) finish(slot, maxSlots int) *sim.Result {
 	res.Wrong = append([]int32(nil), e.wrong...)
 	res.Sent = append([]int32(nil), e.sent...)
 	return res
-}
-
-// engineView adapts the engine to adversary.View.
-type engineView struct{ e *engine }
-
-var (
-	_ adversary.View           = engineView{}
-	_ adversary.NeighborSource = engineView{}
-	_ adversary.StateSource    = engineView{}
-)
-
-// Topo implements adversary.View.
-func (v engineView) Topo() topo.Topology { return v.e.tor }
-
-// Neighbors implements adversary.NeighborSource via the shared compiled
-// plan, keeping strategies on the same code path as the fast engine (the
-// CSR lists the same nodes in the same order a topology walk would).
-func (v engineView) Neighbors(id grid.NodeID) []grid.NodeID { return v.e.plan.Neighbors(id) }
-
-// BadMask implements adversary.StateSource.
-func (v engineView) BadMask() []bool { return v.e.bad }
-
-// DecidedMask implements adversary.StateSource.
-func (v engineView) DecidedMask() []bool { return v.e.decided }
-
-// CorrectCounts implements adversary.StateSource.
-func (v engineView) CorrectCounts() []int32 { return v.e.correct }
-
-// SupplyCounts implements adversary.StateSource.
-func (v engineView) SupplyCounts() []int32 { return v.e.supply }
-
-// IsBad implements adversary.View.
-func (v engineView) IsBad(id grid.NodeID) bool { return v.e.bad[id] }
-
-// IsDecided implements adversary.View.
-func (v engineView) IsDecided(id grid.NodeID) bool { return v.e.decided[id] }
-
-// CorrectCount implements adversary.View.
-func (v engineView) CorrectCount(id grid.NodeID) int { return int(v.e.correct[id]) }
-
-// Threshold implements adversary.View.
-func (v engineView) Threshold() int { return v.e.cfg.Spec.Threshold }
-
-// Supply implements adversary.View.
-func (v engineView) Supply(id grid.NodeID) int { return int(v.e.supply[id]) }
-
-// BadBudgetLeft implements adversary.View.
-func (v engineView) BadBudgetLeft(id grid.NodeID) int {
-	if !v.e.bad[id] {
-		return 0
-	}
-	return v.e.badBudget[id].Left()
 }

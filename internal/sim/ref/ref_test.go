@@ -43,17 +43,10 @@ func TestRefFigure2Stall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victims := make([]bool, tor.Size())
-	for _, pr := range [][2]int{
-		{5, 1}, {1, 5}, {5, -1}, {1, -5},
-		{-5, 1}, {-1, 5}, {-5, -1}, {-1, -5},
-	} {
-		victims[tor.ID(pr[0], pr[1])] = true
-	}
 	res, err := ref.Run(sim.Config{
 		Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0),
 		Placement: adversary.Figure2Lattice(4),
-		Strategy:  adversary.NewTargeted(victims),
+		Strategy:  adversary.NewTargeted(adversary.Figure2Victims(tor)),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,13 +1,11 @@
-// Package trace records structured simulation events (acceptances,
-// stalls, attacks) as JSON Lines or in memory, for the CLI tools and for
-// post-run analysis.
+// Package trace writes structured simulation events (acceptances, stalls,
+// completion) as JSON Lines, for the CLI tools and for post-run analysis.
 package trace
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // Event is one timestamped simulation occurrence.
@@ -25,30 +23,18 @@ const (
 	KindDone   = "done"
 )
 
-// Recorder consumes events. Implementations must be safe for sequential
-// use; the simulation engines are single-threaded.
-type Recorder interface {
-	Record(Event) error
-}
-
-// Nop discards all events.
-type Nop struct{}
-
-// Record implements Recorder.
-func (Nop) Record(Event) error { return nil }
-
 // JSONL streams events as JSON Lines to a writer.
 type JSONL struct {
 	enc *json.Encoder
 	n   int
 }
 
-// NewJSONL returns a JSONL recorder writing to w.
+// NewJSONL returns a JSONL writer on w.
 func NewJSONL(w io.Writer) *JSONL {
 	return &JSONL{enc: json.NewEncoder(w)}
 }
 
-// Record implements Recorder.
+// Record writes one event as a line.
 func (j *JSONL) Record(e Event) error {
 	if err := j.enc.Encode(e); err != nil {
 		return fmt.Errorf("trace: encoding event: %w", err)
@@ -59,44 +45,3 @@ func (j *JSONL) Record(e Event) error {
 
 // Count returns the number of events written.
 func (j *JSONL) Count() int { return j.n }
-
-// Memory buffers events in a bounded slice (oldest dropped when Cap is
-// exceeded; Cap <= 0 means unbounded). Safe for concurrent use, so the
-// actor runtime can share one.
-type Memory struct {
-	Cap int
-
-	mu     sync.Mutex
-	events []Event
-	drops  int
-}
-
-// Record implements Recorder.
-func (m *Memory) Record(e Event) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.Cap > 0 && len(m.events) >= m.Cap {
-		copy(m.events, m.events[1:])
-		m.events[len(m.events)-1] = e
-		m.drops++
-		return nil
-	}
-	m.events = append(m.events, e)
-	return nil
-}
-
-// Events returns a copy of the buffered events.
-func (m *Memory) Events() []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Event, len(m.events))
-	copy(out, m.events)
-	return out
-}
-
-// Dropped returns how many events were evicted by the cap.
-func (m *Memory) Dropped() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.drops
-}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -33,45 +32,5 @@ func TestJSONLRecords(t *testing.T) {
 	}
 	if got != events[0] {
 		t.Fatalf("round trip: %+v != %+v", got, events[0])
-	}
-}
-
-func TestNop(t *testing.T) {
-	if err := (Nop{}).Record(Event{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMemoryCapEviction(t *testing.T) {
-	m := &Memory{Cap: 2}
-	for i := 0; i < 5; i++ {
-		if err := m.Record(Event{Slot: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := m.Events()
-	if len(got) != 2 || got[0].Slot != 3 || got[1].Slot != 4 {
-		t.Fatalf("events = %+v", got)
-	}
-	if m.Dropped() != 3 {
-		t.Fatalf("Dropped = %d", m.Dropped())
-	}
-}
-
-func TestMemoryConcurrent(t *testing.T) {
-	m := &Memory{}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				_ = m.Record(Event{Slot: g*100 + i})
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := len(m.Events()); got != 800 {
-		t.Fatalf("got %d events, want 800", got)
 	}
 }

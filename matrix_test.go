@@ -10,7 +10,6 @@ package bftbcast_test
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"bftbcast"
@@ -185,29 +184,6 @@ func TestMatrixFaultFreeActor(t *testing.T) {
 						fastRep.Reactive, actRep.Reactive)
 				}
 			})
-		}
-	}
-}
-
-// TestReactiveSequentialKnobsRejected pins that the sequential-only
-// ReactiveSpec knobs fail loudly on the engine stack instead of being
-// silently dropped (they changed run semantics on the pre-seam
-// EngineReactive).
-func TestReactiveSequentialKnobsRejected(t *testing.T) {
-	ctx := context.Background()
-	for _, spec := range []bftbcast.ReactiveSpec{
-		{QuietWindow: 3},
-		{MaxRoundsPerBroadcast: 9},
-	} {
-		sc, err := matrixScenario(t, "torus", "reactive", 1, false).With(bftbcast.WithReactive(spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, engine := range []bftbcast.Engine{bftbcast.EngineFast, bftbcast.EngineRef, bftbcast.EngineActor, bftbcast.EngineReactive} {
-			if _, err := engine.Run(ctx, sc); err == nil ||
-				!strings.Contains(err.Error(), "RunReactive") {
-				t.Fatalf("%s with %+v: err = %v, want sequential-knob rejection", engine.Name(), spec, err)
-			}
 		}
 	}
 }

@@ -6,10 +6,9 @@ import (
 	"bftbcast/internal/trace"
 )
 
-// Observer receives the streaming event feed of an Engine run. All four
-// backends emit the same four events; the slot argument is the engine's
-// time notion (TDMA slot for the simulation and actor engines, global
-// data-round index for the reactive engine).
+// Observer receives the streaming event feed of an Engine run. All
+// backends emit the same four events; the slot argument is the TDMA
+// slot.
 //
 // Events are delivered synchronously on the engine's coordinator
 // goroutine, in deterministic order for the deterministic engines, so

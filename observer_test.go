@@ -38,13 +38,14 @@ func (c *countingObserver) Decide(slot int, id bftbcast.NodeID, v bftbcast.Value
 	c.decides++
 }
 
-// TestObserverCountsMatchReport runs each engine observed and checks
+// TestObserverCountsMatchReport runs each runCase observed and checks
 // (a) the event stream is consistent with the unified Report and (b)
 // observing does not change the Report.
 func TestObserverCountsMatchReport(t *testing.T) {
-	for _, engine := range bftbcast.Engines() {
-		t.Run(engine.Name(), func(t *testing.T) {
-			sc := cancelScenario(t, engine) // reuse the multi-slot scenarios
+	for _, rc := range runCases() {
+		engine := rc.engine
+		t.Run(rc.name, func(t *testing.T) {
+			sc := cancelScenario(t, rc.name) // reuse the multi-slot scenarios
 			ctx := context.Background()
 
 			plain, err := engine.Run(ctx, freshScenario(t, sc))
@@ -66,8 +67,8 @@ func TestObserverCountsMatchReport(t *testing.T) {
 				t.Fatalf("degenerate stream: %+v", obs)
 			}
 			wantSends := observed.GoodMessages + observed.BadMessages
-			if engine.Name() == "reactive" {
-				// The reactive engine's Send feed covers data rounds and
+			if observed.Reactive != nil {
+				// The reactive protocol's Send feed covers data rounds and
 				// adversarial messages; NACKs are protocol-internal.
 				wantSends = sumInt32(observed.Reactive.DataSends) + observed.BadMessages
 			}
@@ -117,7 +118,7 @@ func TestFuncAndMultiObserver(t *testing.T) {
 		bftbcast.FuncObserver{OnDecide: func(int, bftbcast.NodeID, bftbcast.Value) { a++ }},
 		bftbcast.FuncObserver{OnDecide: func(int, bftbcast.NodeID, bftbcast.Value) { b++ }},
 	)
-	sc := freshScenario(t, cancelScenario(t, bftbcast.EngineFast), bftbcast.WithObserver(obs))
+	sc := freshScenario(t, cancelScenario(t, "fast"), bftbcast.WithObserver(obs))
 	rep, err := bftbcast.EngineFast.Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@ import "bftbcast/internal/protocol"
 // executing backend produces (exactly one of them is non-nil).
 type Report struct {
 	// Engine is the name of the backend that produced the report
-	// ("fast", "ref", "actor", "reactive").
+	// ("fast", "ref", "actor").
 	Engine string
 
 	// Completed is true when every good node decided Vtrue.

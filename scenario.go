@@ -9,8 +9,8 @@ import (
 // experiment: the network topology, the fault model, the protocol, the
 // adversary, and the run limits. Any Engine executes a Scenario and
 // returns a unified *Report, so the same description drives the sparse
-// simulation engine, the dense reference engine, the goroutine-per-node
-// actor runtime, and the Section 5 reactive runtime (see NewEngine).
+// simulation engine, the dense reference engine and the goroutine-per-node
+// actor runtime (see NewEngine).
 //
 // Build Scenarios with NewScenario and functional options; derive sweep
 // variants with With. The zero fields have engine-side defaults: Source
@@ -38,10 +38,10 @@ type Scenario struct {
 	Placement Placement
 	// Strategy drives what bad nodes transmit in the slot-level engines;
 	// nil means they stay silent. The actor engine (fault-free) and the
-	// reactive engine (policy-driven, see Reactive) reject it.
+	// reactive protocol (policy-driven, see Reactive) reject it.
 	Strategy Strategy
-	// Seed drives the engine-level randomness of backends that have any
-	// (the reactive engine's coding patterns). Placements carry their
+	// Seed drives the run-level randomness of protocols that have any
+	// (the reactive protocol's coding patterns). Placements carry their
 	// own seeds.
 	Seed uint64
 	// MaxSlots caps slot-level and actor runs; 0 picks a generous
@@ -56,7 +56,7 @@ type Scenario struct {
 	// single-broadcast run; >= 2 requires the threshold protocol family
 	// and populates the Report.Multi extension.
 	Broadcasts int
-	// Reactive tunes the reactive backend; its zero value picks the
+	// Reactive tunes the reactive protocol; its zero value picks the
 	// documented defaults.
 	Reactive ReactiveSpec
 	// Observer, when non-nil, streams engine events (see Observer).
@@ -92,18 +92,6 @@ type ReactiveSpec struct {
 	PayloadBits int
 	// Policy selects the adversary behavior (0 = PolicyDisrupt).
 	Policy AttackPolicy
-	// QuietWindow overrides the (2r+1)²−1 NACK-free rounds required to
-	// finish a local broadcast (0 = paper default). It only exists in
-	// the deprecated sequential RunReactive wrapper: on the shared
-	// engine stack a local broadcast ends when a data round draws no
-	// NACK, which the quiet window cannot change (see DESIGN.md §10),
-	// so engines reject a nonzero value instead of silently ignoring
-	// it.
-	QuietWindow int
-	// MaxRoundsPerBroadcast caps one local broadcast (0 = generous
-	// default). Deprecated sequential RunReactive wrapper only; the
-	// engines cap runs with MaxSlots and reject a nonzero value.
-	MaxRoundsPerBroadcast int
 }
 
 // ScenarioOption mutates a Scenario under construction (see NewScenario
@@ -279,7 +267,7 @@ func WithBroadcasts(m int) ScenarioOption {
 	return func(sc *Scenario) { sc.Broadcasts = m }
 }
 
-// WithReactive tunes the reactive backend.
+// WithReactive tunes the reactive protocol.
 func WithReactive(r ReactiveSpec) ScenarioOption {
 	return func(sc *Scenario) { sc.Reactive = r }
 }

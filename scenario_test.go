@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bftbcast"
+	"bftbcast/internal/sim"
 )
 
 func TestNewScenarioValidation(t *testing.T) {
@@ -104,7 +105,7 @@ func TestScenarioWithDoesNotMutateBase(t *testing.T) {
 }
 
 func TestNewEngine(t *testing.T) {
-	for _, want := range []string{"fast", "ref", "actor", "reactive"} {
+	for _, want := range []string{"fast", "ref", "actor"} {
 		e, err := bftbcast.NewEngine(want)
 		if err != nil {
 			t.Fatal(err)
@@ -116,8 +117,12 @@ func TestNewEngine(t *testing.T) {
 	if _, err := bftbcast.NewEngine("warp"); err == nil {
 		t.Fatal("unknown engine: want an error")
 	}
-	if got := len(bftbcast.Engines()); got != 4 {
-		t.Fatalf("Engines() returned %d backends, want 4", got)
+	// The reactive protocol is not a backend; the error says where it went.
+	if _, err := bftbcast.NewEngine("reactive"); err == nil || !strings.Contains(err.Error(), "-protocol reactive") {
+		t.Fatalf("NewEngine(reactive): err = %v, want a pointer to -protocol reactive", err)
+	}
+	if got := len(bftbcast.Engines()); got != 3 {
+		t.Fatalf("Engines() returned %d backends, want 3", got)
 	}
 }
 
@@ -208,14 +213,19 @@ func TestEngineScenarioMismatch(t *testing.T) {
 		!strings.Contains(err.Error(), "fault-free") {
 		t.Fatalf("actor engine on adversarial scenario: err = %v, want fault-free rejection", err)
 	}
-	if _, err := bftbcast.EngineReactive.Run(ctx, adversarial); err == nil ||
+	reactive, err := adversarial.With(bftbcast.WithProtocol(bftbcast.ProtocolReactive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bftbcast.EngineFast.Run(ctx, reactive); err == nil ||
 		!strings.Contains(err.Error(), "Policy") {
-		t.Fatalf("reactive engine with Strategy: err = %v, want policy rejection", err)
+		t.Fatalf("reactive protocol with Strategy: err = %v, want policy rejection", err)
 	}
 }
 
-// TestLegacyAndScenarioAgree pins the wrapper contract: a legacy RunSim
-// call and the Scenario/Engine path produce bit-identical results.
+// TestLegacyAndScenarioAgree pins the lowering contract: the path that
+// predates the facade — a raw sim.Config through sim.Run — and the
+// Scenario/Engine path produce bit-identical results.
 func TestLegacyAndScenarioAgree(t *testing.T) {
 	params := bftbcast.Params{R: 2, T: 3, MF: 2}
 	tor, err := bftbcast.NewTorus(20, 20, params.R)
@@ -226,8 +236,7 @@ func TestLegacyAndScenarioAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	//lint:ignore SA1019 the deprecated wrapper is the subject under test
-	res, err := bftbcast.RunSim(bftbcast.SimConfig{
+	res, err := sim.Run(sim.Config{
 		Topo: tor, Params: params, Spec: spec,
 		Placement: bftbcast.RandomPlacement{T: 3, Density: 0.1, Seed: 1},
 		Strategy:  bftbcast.NewCorruptor(),
@@ -254,6 +263,6 @@ func TestLegacyAndScenarioAgree(t *testing.T) {
 	if rep.Completed != res.Completed || rep.Slots != res.Slots ||
 		rep.GoodMessages != res.GoodMessages || rep.BadMessages != res.BadMessages ||
 		rep.DecidedGood != res.DecidedGood || rep.AvgGoodSends != res.AvgGoodSends {
-		t.Fatalf("legacy and scenario paths diverge:\nlegacy: %+v\nreport: %+v", res, rep)
+		t.Fatalf("sim.Run and scenario paths diverge:\nsim.Run: %+v\nreport:  %+v", res, rep)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 
+	"bftbcast/internal/adversary"
 	"bftbcast/internal/stats"
 )
 
@@ -19,10 +20,8 @@ var ErrBadSpec = errors.New("bftbcast: bad scenario spec")
 
 // ScenarioSpec is the JSON-codable description of one Scenario: the
 // topology by name, the fault model, the protocol and adversary by
-// name, and the run limits. It captures exactly the scenario space of
-// cmd/bftsim's flags that is topology-portable (the torus-only
-// constructions sandwich/figure2 stay CLI-only), and it is the base
-// point of a GridSpec.
+// name, and the run limits. It is what cmd/bftsim fills from its flags
+// and the base point of a GridSpec.
 type ScenarioSpec struct {
 	// Topology selects the network by name: kind "torus" (default),
 	// "grid" or "rgg", sized by W/H/R (grids) or Nodes+Seed (rgg).
@@ -35,8 +34,14 @@ type ScenarioSpec struct {
 	Protocol string `json:"protocol,omitempty"`
 	// M is the good-node budget of the "full" protocol.
 	M int `json:"m,omitempty"`
-	// Adversary is "none" (default) or "random" (RandomPlacement with
-	// Density plus the budget-aware corruptor for threshold protocols).
+	// Adversary is "none" (default), "random" (RandomPlacement with
+	// Density plus the budget-aware corruptor for threshold protocols),
+	// or one of the paper's torus constructions with their targeted
+	// strategy: "sandwich" (Theorem 1: two stripes isolating a band of
+	// rows, placed from the torus height and range) and "figure2" (the
+	// Figure 2 lattice guarding the eight mirror victims). Like "bheter"
+	// the constructions are torus-only, and they jam, so they do not
+	// combine with the policy-driven "reactive" protocol.
 	Adversary string  `json:"adversary,omitempty"`
 	Density   float64 `json:"density,omitempty"`
 	// Policy, MMax and PayloadBits tune the reactive protocol
@@ -121,8 +126,24 @@ func (s *ScenarioSpec) scenarioOn(tp Topology, t, mf int, density float64, broad
 			// single-run: every expanded point gets its own corruptor.
 			sc.Strategy = NewCorruptor()
 		}
+	case "sandwich", "figure2":
+		if reactive {
+			return nil, fmt.Errorf("%w: adversary %s drives bad nodes through a jamming strategy, which the reactive protocol replaces with policy; use adversary none or random", ErrBadSpec, s.Adversary)
+		}
+		tor, ok := tp.(*Torus)
+		if !ok {
+			return nil, fmt.Errorf("%w: adversary %s is a torus construction (got topology %q)", ErrBadSpec, s.Adversary, s.Topology.Kind)
+		}
+		if s.Adversary == "sandwich" {
+			low := tor.Height()/3 + 1
+			sw := SandwichPlacement{YLow: low, YHigh: low + 3*tor.Range(), T: t}
+			sc.Placement, sc.Strategy = sw, NewTargeted(sw.VictimBand(tor))
+		} else {
+			sc.Placement = adversary.Figure2Lattice(tor.Range())
+			sc.Strategy = NewTargeted(adversary.Figure2Victims(tor))
+		}
 	default:
-		return nil, fmt.Errorf("%w: unknown adversary %q (want none or random)", ErrBadSpec, s.Adversary)
+		return nil, fmt.Errorf("%w: unknown adversary %q (want none, random, sandwich or figure2)", ErrBadSpec, s.Adversary)
 	}
 
 	// validate fills the remaining defaults in place, exactly as

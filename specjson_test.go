@@ -247,3 +247,71 @@ func TestScenariosRange(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarioSpecTorusConstructions covers the two adversary names that
+// are the paper's torus constructions: accepted on a torus, rejected
+// with ErrBadSpec on every other topology and with the policy-driven
+// reactive protocol, lossless through the grid codec, and — for figure2
+// at the paper's parameters — the same 84-node stall the engine-level
+// TestFigure2Stall reproduces from hand-built parts.
+func TestScenarioSpecTorusConstructions(t *testing.T) {
+	torus := bftbcast.TopologySpec{Kind: "torus", W: 20, H: 20, R: 2}
+	for _, adv := range []string{"sandwich", "figure2"} {
+		ok := &bftbcast.ScenarioSpec{Topology: torus, T: 1, MF: 2, Adversary: adv}
+		sc, err := ok.Scenario()
+		if err != nil {
+			t.Fatalf("%s on a torus: %v", adv, err)
+		}
+		if sc.Placement == nil || sc.Strategy == nil || sc.Strategy.Name() != "targeted" {
+			t.Fatalf("%s: placement %v, strategy %v, want a placement with the targeted strategy", adv, sc.Placement, sc.Strategy)
+		}
+		rejected := map[string]*bftbcast.ScenarioSpec{
+			"grid":     {Topology: bftbcast.TopologySpec{Kind: "grid", W: 20, H: 20, R: 2}, T: 1, MF: 2, Adversary: adv},
+			"rgg":      {Topology: bftbcast.TopologySpec{Kind: "rgg", Nodes: 100, Seed: 1}, T: 1, MF: 2, Adversary: adv},
+			"reactive": {Topology: torus, T: 1, MF: 2, Adversary: adv, Protocol: "reactive"},
+		}
+		for name, spec := range rejected {
+			if _, err := spec.Scenario(); !errors.Is(err, bftbcast.ErrBadSpec) {
+				t.Errorf("%s with %s: err = %v, want ErrBadSpec", adv, name, err)
+			}
+		}
+
+		g := &bftbcast.GridSpec{Base: *ok, Seeds: 2, T: []int{1, 2}}
+		data, err := g.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := bftbcast.DecodeGridSpec(data)
+		if err != nil {
+			t.Fatalf("%s grid did not decode: %v", adv, err)
+		}
+		if !reflect.DeepEqual(g, back) {
+			t.Fatalf("%s grid changed in the round trip:\n%+v\nvs\n%+v", adv, g, back)
+		}
+	}
+
+	// Figure 2 as a document: r=4, t=1, mf=1000, every node spending
+	// m = m0+1 = 59.
+	fig := &bftbcast.ScenarioSpec{
+		Topology: bftbcast.TopologySpec{Kind: "torus", W: 45, H: 45, R: 4},
+		T:        1, MF: 1000, Protocol: "full", M: bftbcast.M0(4, 1, 1000) + 1, Adversary: "figure2",
+	}
+	sc, err := fig.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := bftbcast.EngineFast.Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Stalled || rep.DecidedGood != 84 || rep.WrongDecisions != 0 {
+		t.Fatalf("figure2 spec: stalled=%v decided=%d wrong=%d, want the 84-node stall",
+			rep.Stalled, rep.DecidedGood, rep.WrongDecisions)
+	}
+	tor := sc.Topo.(*bftbcast.Torus)
+	p := tor.ID(5, 1) // the figure's example node, held one copy short
+	if rep.Decided[p] || rep.Sim.Correct[p] != int32(sc.Params.Threshold()-1) {
+		t.Fatalf("p=(5,1): decided=%v correct=%d, want undecided at threshold-1=%d",
+			rep.Decided[p], rep.Sim.Correct[p], sc.Params.Threshold()-1)
+	}
+}
