@@ -1,18 +1,19 @@
 // Command bftsimd is the long-running sweep service: an HTTP daemon
-// that accepts JSON scenario-grid jobs, runs them FIFO on the shared
-// engine stack with bounded in-flight work, checkpoints progress so a
-// killed daemon resumes without recomputing completed points, and
-// streams per-point results as NDJSON while a constant-memory
-// aggregate summarizes jobs of any size.
+// that accepts JSON scenario-grid jobs, cuts each grid's deterministic
+// point list into contiguous ranges that workers lease, run and hand
+// back, folds completed ranges in point order into a constant-memory
+// aggregate, checkpoints progress so a killed daemon resumes without
+// recomputing completed ranges, and streams per-point results as NDJSON
+// as they fold.
 //
 // API (all under -addr):
 //
 //	POST /v1/jobs                submit a grid document (see GridSpec);
 //	                             202 + job status, 400 on a bad spec,
 //	                             503 when the queue is full or draining.
-//	                             ?sharded=1 opens the job in sharded
-//	                             (lease-serving) mode; ?lease_points=
-//	                             and ?lease_ttl= tune the geometry
+//	                             ?sharded=1 lets external workers lease
+//	                             the job's ranges; ?lease_points= and
+//	                             ?lease_ttl= tune the geometry
 //	GET  /v1/jobs                list all known jobs, submission order
 //	GET  /v1/jobs/{id}           one job's status + aggregate summary
 //	GET  /v1/jobs/{id}/results   NDJSON live tail: one line per point,
@@ -20,25 +21,26 @@
 //	POST /v1/jobs/{id}/cancel    cancel a queued or running job
 //	POST /v1/jobs/{id}/lease     pull the next open range of a sharded
 //	                             job (200 grant, 204 none open now,
-//	                             410 job finished)
+//	                             410 job finished, 409 not sharded)
 //	POST /v1/jobs/{id}/partial   deliver a completed range's records
 //	GET  /v1/jobs/{id}/aggregate raw aggregate state bytes
 //	GET  /healthz                liveness
 //
-// Sharded mode partitions a grid's deterministic point list into
-// contiguous lease ranges that any number of workers pull, execute and
-// post back; the coordinator folds partials in global point order, so
-// the final aggregate is byte-identical to an unsharded run. Leases
-// carry deadlines: a worker that dies mid-range simply lets its lease
-// expire and the range is re-issued (points are deterministic and
-// idempotent). `bftsimd -worker -coordinator URL` is the matching pull
-// worker; `-shard-executors K` runs K in-process workers through the
-// same protocol on one box.
+// Every job runs the same way; ?sharded=1 only says who may pull. A
+// plain submission waits in submission order for the -inflight window
+// and is leased by the daemon's own -workers executors, in ranges sized
+// from the grid. A sharded one serves leases at once to any number of
+// outside workers: `bftsimd -worker -coordinator URL` is the matching
+// pull worker, and `-shard-executors K` adds K in-process ones. Either
+// way the coordinator folds ranges in global point order, so the final
+// aggregate is byte-identical however the work was spread. Outside
+// leases carry deadlines: a worker that dies mid-range simply lets its
+// lease expire and the range is re-issued (points are deterministic and
+// idempotent).
 //
-// SIGTERM/SIGINT drain gracefully: running jobs are checkpointed and
-// parked, queued jobs stay queued (sharded jobs keep their completed
-// ranges), and a daemon restarted on the same -dir picks all of them
-// up where they stopped. -retain/-retain-age garbage-collect terminal
+// SIGTERM/SIGINT drain gracefully: every unfinished job is parked with
+// its folded prefix and its completed ranges checkpointed, and a daemon
+// restarted on the same -dir picks all of them up where they stopped. -retain/-retain-age garbage-collect terminal
 // job checkpoints.
 //
 // Example (one coordinator, two remote workers):
@@ -86,9 +88,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		addr         = fs.String("addr", "127.0.0.1:8580", "listen address (port 0 picks a free port)")
 		dir          = fs.String("dir", "bftsimd-jobs", "checkpoint directory; reopening resumes its jobs")
 		engineName   = fs.String("engine", "fast", "execution backend: fast | ref | actor")
-		workers      = fs.Int("workers", 0, "sweep worker pool (0 = NumCPU)")
-		queue        = fs.Int("queue", 64, "queued-job capacity; beyond it submissions get 503")
-		inflight     = fs.Int("inflight", 1, "jobs running concurrently")
+		workers      = fs.Int("workers", 0, "in-process executors running the ranges of non-sharded jobs; in -worker mode, the sweep pool of one leased range (0 = NumCPU)")
+		queue        = fs.Int("queue", 64, "non-sharded jobs that may wait for their first range; beyond it submissions get 503")
+		inflight     = fs.Int("inflight", 1, "admission window: the first N non-sharded jobs in submission order are leasable")
 		ckptEvery    = fs.Int("checkpoint-every", 64, "checkpoint cadence in completed points")
 		ckptInterval = fs.Duration("checkpoint-interval", 250*time.Millisecond, "min time between mid-run checkpoint writes (negative = every count)")
 		drainAfter   = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on shutdown")
@@ -308,7 +310,8 @@ func (s *server) cancel(w http.ResponseWriter, r *http.Request) {
 // lease grants the next open range of a sharded job: 200 with a
 // LeaseGrant, 204 when nothing is open right now (poll again — an
 // expiring lease may reopen a range), 410 when the job is terminal,
-// 409 for a FIFO job, 503 while draining.
+// 409 for a job only the daemon's own executors lease, 503 while
+// draining.
 func (s *server) lease(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Worker string `json:"worker"`
@@ -375,8 +378,9 @@ func (s *server) partial(w http.ResponseWriter, r *http.Request) {
 }
 
 // aggregate returns the job's raw aggregate state — the exact bytes
-// the byte-identity acceptance compares between sharded and unsharded
-// runs (Status rounds through float formatting; this does not).
+// the byte-identity acceptance compares between runs spread over
+// different workers (Status rounds through float formatting; this does
+// not).
 func (s *server) aggregate(w http.ResponseWriter, r *http.Request) {
 	job, err := s.mgr.Get(r.PathValue("id"))
 	if err != nil {

@@ -644,3 +644,68 @@ func TestRunBadFlags(t *testing.T) {
 		t.Fatal("unknown flag: want an error")
 	}
 }
+
+// TestWorkerEvictsFinishedJobs pins the pull worker's per-job cache: the
+// decoded spec and compiled topology of a job live only while the
+// coordinator lists the job as sharded and running — the poll that finds
+// it finished (or gone) drops them, so a long-lived worker does not
+// accumulate a topology per job it ever leased.
+func TestWorkerEvictsFinishedJobs(t *testing.T) {
+	ts, _ := newTestServer(t, jobs.Config{Workers: 1})
+	resp, err := http.Post(ts.URL+"/v1/jobs?sharded=1&lease_points=2", "application/json", strings.NewReader(gridDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := decodeStatus(t, resp.Body)
+	resp.Body.Close()
+
+	w := newWorker(ts.URL, "w-evict", bftbcast.EngineFast, 1)
+	ctx := context.Background()
+	if worked, err := w.pullOnce(ctx); err != nil || !worked {
+		t.Fatalf("first pull: worked=%v err=%v", worked, err)
+	}
+	if w.jobs[st.ID] == nil {
+		t.Fatal("a running job's spec and topology are not cached between its leases")
+	}
+	if worked, err := w.pullOnce(ctx); err != nil || !worked {
+		t.Fatalf("second pull: worked=%v err=%v", worked, err)
+	}
+	waitState(t, ts.URL, st.ID, jobs.StateDone)
+	if worked, err := w.pullOnce(ctx); err != nil || worked {
+		t.Fatalf("pull with nothing leasable: worked=%v err=%v", worked, err)
+	}
+	if len(w.jobs) != 0 {
+		t.Fatalf("worker still caches %d job(s) after the coordinator listed them finished", len(w.jobs))
+	}
+}
+
+// TestWorkerRequestTimeout pins that a coordinator which accepts a
+// request and never answers cannot wedge the worker: the client runWorker
+// builds carries requestTimeout, and a pull against a stalled server
+// returns an error once it lapses. Only the timeout's length is
+// shortened to the test's patience.
+func TestWorkerRequestTimeout(t *testing.T) {
+	release := make(chan struct{})
+	stalled := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-release }))
+	defer stalled.Close()
+	defer close(release)
+
+	w := newWorker(stalled.URL, "w-timeout", bftbcast.EngineFast, 1)
+	if w.client.Timeout != requestTimeout || requestTimeout <= 0 {
+		t.Fatalf("worker client timeout = %v, want the %v request timeout", w.client.Timeout, requestTimeout)
+	}
+	w.client.Timeout = 200 * time.Millisecond
+	done := make(chan error, 1)
+	go func() {
+		_, err := w.pullOnce(context.Background())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("pull against a coordinator that never answers returned no error")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("pull against a coordinator that never answers did not time out")
+	}
+}

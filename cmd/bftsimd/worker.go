@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -14,17 +15,17 @@ import (
 	"bftbcast/internal/jobs"
 )
 
-// worker is the pull half of the sharded protocol: it polls one
-// coordinator for lease-serving jobs, runs granted ranges on the local
+// worker is the pull half of the lease protocol: it polls one
+// coordinator for sharded running jobs, runs granted ranges on the local
 // engine and posts the partials back. Specs and compiled topologies
-// are cached per job, so consecutive leases of one grid share a plan.
+// are cached per job for as long as the coordinator lists the job as
+// leasable, so consecutive leases of one grid share a plan.
 type worker struct {
 	base    string // coordinator URL, no trailing slash
 	id      string
 	eng     bftbcast.Engine
 	workers int
 	client  *http.Client
-	stderr  io.Writer
 	jobs    map[string]*workerJob
 }
 
@@ -33,21 +34,32 @@ type workerJob struct {
 	tp   bftbcast.Topology
 }
 
+// requestTimeout bounds each list, lease and partial request from
+// connect to the last body byte — the mirror of the coordinator's
+// ReadHeaderTimeout. Without it a coordinator that accepts a connection
+// and never answers (a stopped process, a wedged proxy) holds the worker
+// until it is killed; with it the request fails, the loop logs and polls
+// again, and an undelivered partial's lease expires and re-issues.
+const requestTimeout = 30 * time.Second
+
+func newWorker(coordinator, id string, eng bftbcast.Engine, workers int) *worker {
+	return &worker{
+		base:    strings.TrimRight(coordinator, "/"),
+		id:      id,
+		eng:     eng,
+		workers: workers,
+		client:  &http.Client{Timeout: requestTimeout},
+		jobs:    make(map[string]*workerJob),
+	}
+}
+
 // runWorker is the loop behind `bftsimd -worker`: pull, run, post,
 // sleep when idle. It returns nil when ctx fires (a clean SIGTERM
 // exit) — a lease abandoned mid-range simply expires at the
 // coordinator and re-issues, which is safe because every point is
 // deterministic and idempotent.
 func runWorker(ctx context.Context, stdout, stderr io.Writer, coordinator, id string, eng bftbcast.Engine, workers int, poll time.Duration) error {
-	w := &worker{
-		base:    strings.TrimRight(coordinator, "/"),
-		id:      id,
-		eng:     eng,
-		workers: workers,
-		client:  &http.Client{},
-		stderr:  stderr,
-		jobs:    make(map[string]*workerJob),
-	}
+	w := newWorker(coordinator, id, eng, workers)
 	fmt.Fprintf(stdout, "bftsimd worker %s pulling from %s\n", id, w.base)
 	for {
 		worked, err := w.pullOnce(ctx)
@@ -77,8 +89,16 @@ func (w *worker) pullOnce(ctx context.Context) (bool, error) {
 	if err := w.getJSON(ctx, "/v1/jobs", &list); err != nil {
 		return false, err
 	}
+	leasable := func(st jobs.Status) bool { return st.Sharded && st.State == jobs.StateRunning }
+	// A job that finished, was cancelled or aged out of the list will
+	// never grant again: drop its decoded spec and compiled topology.
+	for id := range w.jobs {
+		if !slices.ContainsFunc(list, func(st jobs.Status) bool { return st.ID == id && leasable(st) }) {
+			delete(w.jobs, id)
+		}
+	}
 	for _, st := range list {
-		if !st.Sharded || st.State != jobs.StateRunning {
+		if !leasable(st) {
 			continue
 		}
 		grant, ok, err := w.lease(ctx, st.ID)

@@ -1,18 +1,15 @@
 package jobs
 
-import (
-	"bftbcast"
-	"bftbcast/internal/stats"
-)
+import "bftbcast/internal/stats"
 
 // Aggregate is the constant-memory running summary of a job's completed
-// points: scalar tallies, mergeable moment summaries for the per-point
+// points: scalar tallies, streaming moment summaries for the per-point
 // metrics, and a fixed-size quantile sketch for slots-to-decide. Its
 // size is bounded by the sketch geometry (a few KB) no matter how many
 // points it absorbs — a million-point job's checkpoint stays small.
 //
-// Done doubles as the resume offset: points are folded in strictly in
-// sweep-point order, so an Aggregate restored from a checkpoint with
+// Done doubles as the fold cursor: points are folded in strictly in
+// point order, so an Aggregate restored from a checkpoint with
 // Done == k is byte-for-byte the state an uninterrupted run had after
 // point k-1, and resuming at point k reproduces the uninterrupted
 // run's final aggregate exactly (every point is deterministic given
@@ -21,7 +18,7 @@ import (
 // Construct with NewAggregate or decode from a checkpoint; the zero
 // value lacks its sketch.
 type Aggregate struct {
-	// Done counts the points folded in — the job's resume offset.
+	// Done counts the points folded in — the job's fold cursor.
 	Done int64 `json:"done"`
 
 	Completed int64 `json:"completed"`
@@ -42,24 +39,19 @@ type Aggregate struct {
 	SlotsToDecide *stats.QSketch `json:"slots_to_decide"`
 }
 
-// NewAggregate returns an empty aggregate ready for Add.
+// NewAggregate returns an empty aggregate ready for AddRecord.
 func NewAggregate() *Aggregate {
 	return &Aggregate{SlotsToDecide: stats.NewQSketch()}
-}
-
-// Add folds one point's report into the aggregate.
-func (a *Aggregate) Add(rep *bftbcast.Report) {
-	a.AddRecord(reportRecord(rep))
 }
 
 // AddRecord folds one point's record into the aggregate. A PointRecord
 // carries exactly the report fields the aggregate consumes, and JSON
 // round-trips its float field losslessly — so a record folded here
 // after a network hop produces the same float state as folding the
-// report locally. The sharded lease protocol leans on that: partials
-// carry records, and the coordinator replays them in global point
-// order through this one fold, making a sharded run's aggregate
-// byte-identical to an unsharded sequential run's.
+// report locally. The lease protocol leans on that: partials carry
+// records, and the job replays them in global point order through this
+// one fold, making the aggregate byte-identical to a sequential run's
+// however many workers computed the ranges.
 func (a *Aggregate) AddRecord(rec PointRecord) {
 	a.Done++
 	if rec.Completed {
@@ -79,25 +71,6 @@ func (a *Aggregate) AddRecord(rec PointRecord) {
 	a.GoodMessages.Add(float64(rec.GoodMessages))
 	a.BadMessages.Add(float64(rec.BadMessages))
 	a.AvgSends.Add(rec.AvgGoodSends)
-}
-
-// Merge folds another aggregate into the receiver; o is unchanged.
-// Counts and the sketch merge exactly; the moment summaries merge up
-// to float rounding. Merging shard aggregates is how a partitioned
-// job would combine its workers' summaries without retaining points.
-func (a *Aggregate) Merge(o *Aggregate) {
-	a.Done += o.Done
-	a.Completed += o.Completed
-	a.Stalled += o.Stalled
-	a.TimedOut += o.TimedOut
-	a.WrongDecisions += o.WrongDecisions
-	a.DecidedGood += o.DecidedGood
-	a.TotalGood += o.TotalGood
-	a.Slots.Merge(o.Slots)
-	a.GoodMessages.Merge(o.GoodMessages)
-	a.BadMessages.Merge(o.BadMessages)
-	a.AvgSends.Merge(o.AvgSends)
-	a.SlotsToDecide.Merge(o.SlotsToDecide)
 }
 
 // Summary is the JSON-friendly digest of an Aggregate a status endpoint

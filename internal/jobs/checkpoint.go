@@ -11,10 +11,10 @@ import (
 
 // checkpoint is the on-disk record of one job: identity, lifecycle
 // state, the verbatim grid document (so a restarted daemon re-expands
-// the exact same point list), and the constant-size aggregate whose
-// Done field is the resume offset. One JSON file per job, replaced
-// atomically, so a crash between writes leaves the previous complete
-// record, never a torn one.
+// the exact same point list), the constant-size aggregate whose Done
+// field is the fold cursor, and the range state around it. One JSON
+// file per job, replaced atomically, so a crash between writes leaves
+// the previous complete record, never a torn one.
 type checkpoint struct {
 	ID        string          `json:"id"`
 	Seq       uint64          `json:"seq"`
@@ -26,23 +26,27 @@ type checkpoint struct {
 	// FinishedNS is the terminal-state wall time in UnixNano (0 while
 	// non-terminal) — what the retention sweep ages against.
 	FinishedNS int64 `json:"finished_ns,omitempty"`
-	// Shard marks a sharded job and records its lease geometry plus the
-	// ranges completed out of order (the reorder buffer), so a restarted
-	// coordinator resumes without rescheduling completed ranges.
-	// Outstanding leases are deliberately NOT persisted: a restarted
-	// coordinator simply re-issues open ranges, and a late partial from
-	// a pre-restart lease still folds because completion is keyed by
-	// range, not lease.
+	// Shard is every record's range state. Only a record written before
+	// all jobs were leased jobs lacks it; Open's legacy rule covers those.
 	Shard *shardCheckpoint `json:"shard,omitempty"`
 }
 
-// shardCheckpoint is the sharded half of a checkpoint. Aggregate.Done
-// remains the fold cursor (always a range boundary); Pending holds the
-// completed-but-unfoldable ranges ahead of it.
+// shardCheckpoint records a job's lease geometry — kept across reopens,
+// so Aggregate.Done (the fold cursor) stays a range boundary whatever
+// the next process is configured with — who may lease it, and the
+// ranges completed out of order (the reorder buffer), so a restarted
+// manager does not recompute them. Outstanding leases are deliberately
+// NOT persisted: a restarted manager simply re-issues open ranges, and
+// a late partial from a pre-restart lease still folds because
+// completion is keyed by range, not lease.
 type shardCheckpoint struct {
-	LeasePoints int            `json:"lease_points"`
-	LeaseTTLMS  int64          `json:"lease_ttl_ms"`
-	Pending     []pendingRange `json:"pending,omitempty"`
+	LeasePoints int   `json:"lease_points"`
+	LeaseTTLMS  int64 `json:"lease_ttl_ms"`
+	// Local marks a job only the manager's own Workers executors lease;
+	// absent (as in every record an older daemon wrote with this block),
+	// the job is sharded.
+	Local   bool           `json:"local,omitempty"`
+	Pending []pendingRange `json:"pending,omitempty"`
 }
 
 // pendingRange is one out-of-order completed range with its records.
@@ -86,7 +90,7 @@ func writeCheckpointBytes(dir, id string, data []byte) error {
 }
 
 // readCheckpoints loads every job checkpoint in dir, sorted by Seq —
-// the submission order a restarted manager re-enqueues in. Stray .tmp
+// the submission order a restarted manager queues them in. Stray .tmp
 // files (a crash mid-write) are ignored; an undecodable checkpoint is
 // an error, not a silent skip, because dropping a job's record would
 // silently lose submitted work.

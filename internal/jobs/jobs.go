@@ -1,18 +1,25 @@
-// Package jobs is the long-running sweep service behind cmd/bftsimd: a
-// FIFO job queue with a bounded in-flight window and submit-time
-// backpressure, per-job checkpoint files recording the completed-point
-// prefix plus a constant-memory aggregate, and live per-point
-// subscriptions for streaming results.
+// Package jobs is the long-running sweep service behind cmd/bftsimd. A
+// job is a grid's deterministic point list cut into contiguous ranges:
+// workers lease ranges, run them and hand back per-point records, and
+// the job folds completed ranges into a constant-memory aggregate
+// strictly in point order, publishing each record to live subscribers
+// as it folds. Who may lease is the one thing that differs between
+// jobs — the manager's own Workers executors for a plain submission,
+// external pull workers (and ShardExecutors) for a sharded one.
+// Submissions queue in order behind a bounded in-flight window with
+// submit-time backpressure, and every job keeps one checkpoint file:
+// the fold cursor, the aggregate and the ranges completed ahead of it.
 //
 // The resume guarantee rests on two deterministic layers beneath this
 // package: a GridSpec always expands to the same point list (so a
 // restarted daemon re-derives the exact scenarios from the checkpointed
-// spec document), and a Sweep streams points in index order (so the
-// aggregate absorbs reports in one fixed order and its float state is
-// byte-identical between an interrupted-and-resumed run and an
-// uninterrupted one). A killed daemon therefore resumes every
-// non-terminal job at its checkpointed offset without recomputing a
-// completed point and without perturbing the final aggregate.
+// spec document), and ranges fold in index order however they were
+// computed (so the aggregate absorbs records in one fixed order and its
+// float state is byte-identical between an interrupted-and-resumed run,
+// an uninterrupted one and one spread over many workers). A killed
+// daemon therefore resumes every non-terminal job at its checkpointed
+// cursor, recomputing only the ranges that were in flight or completed
+// after the last checkpoint, without perturbing the final aggregate.
 package jobs
 
 import (
@@ -23,6 +30,7 @@ import (
 	"time"
 
 	"bftbcast"
+	"bftbcast/internal/stats"
 )
 
 // State is a job's lifecycle state. Queued and running jobs are
@@ -67,15 +75,10 @@ type PointRecord struct {
 
 // pointRecord digests one sweep point (pt.Report must be non-nil).
 func pointRecord(jobID string, pt bftbcast.SweepPoint) PointRecord {
-	rec := reportRecord(pt.Report)
-	rec.Job = jobID
-	rec.Index = pt.Index
-	return rec
-}
-
-// reportRecord digests a report's aggregate-relevant fields.
-func reportRecord(rep *bftbcast.Report) PointRecord {
+	rep := pt.Report
 	return PointRecord{
+		Job:            jobID,
+		Index:          pt.Index,
 		Completed:      rep.Completed,
 		Stalled:        rep.Stalled,
 		TimedOut:       rep.TimedOut,
@@ -96,8 +99,8 @@ type Status struct {
 	// Total is the job's point count; Aggregate.Done of them are done.
 	Total int    `json:"total"`
 	Err   string `json:"err,omitempty"`
-	// Sharded marks a lease-serving job: workers pull ranges of it via
-	// the lease endpoints instead of the manager running it FIFO.
+	// Sharded marks a job whose ranges external workers pull via the
+	// lease endpoints; the manager's own executors run the others.
 	Sharded bool `json:"sharded,omitempty"`
 
 	Aggregate Summary `json:"aggregate"`
@@ -111,16 +114,37 @@ type Job struct {
 	spec     *bftbcast.GridSpec
 	specJSON json.RawMessage
 	total    int
-	m        *Manager
+	// sharded says who may lease the job's ranges: external workers and
+	// the manager's ShardExecutors when set, only the manager's Workers
+	// executors otherwise. opts is the lease geometry. Both are fixed at
+	// submission and checkpointed.
+	sharded bool
+	opts    ShardOptions
+	// ctx is what the job's in-process ranges run under: finishJob
+	// cancels it (Cancel, a failed range, completion) and a drain does
+	// through the manager's base context. Nil on a job loaded terminal.
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	mu         sync.Mutex
-	state      State
-	agg        *Aggregate
-	shard      *shardState // non-nil for lease-serving (sharded) jobs
+	mu    sync.Mutex
+	state State
+	agg   *Aggregate
+	// cursor is the fold cursor over the range partition, pending the
+	// reorder buffer (completed ranges by Lo awaiting their predecessors)
+	// and leases the outstanding grants by range Lo — at most one per
+	// range. Leases are memory-only: a restarted manager forgets them and
+	// re-issues open ranges; pending ranges ARE checkpointed. All three,
+	// and the compiled topology the in-process executors share, are
+	// dropped when the job stops serving leases (terminal or parked).
+	cursor     stats.RangeCursor
+	pending    map[int][]PointRecord
+	leases     map[int]*lease
+	leaseSeq   uint64
+	topo       bftbcast.Topology
+	sinceCkpt  int       // points completed since the last mid-run checkpoint
+	lastCkpt   time.Time // when that checkpoint (or the submission's) was taken
 	errMsg     string
-	userCancel bool
-	finishedAt time.Time          // set on terminal state (retention age)
-	cancel     context.CancelFunc // set while running
+	finishedAt time.Time // set on terminal state (retention age)
 	subs       []*Subscriber
 	finished   chan struct{} // closed on terminal state
 	ckptGen    uint64        // generation of the last snapshot taken (see checkpointJob)
@@ -147,7 +171,7 @@ func (j *Job) Status() Status {
 		State:     j.state,
 		Total:     j.total,
 		Err:       j.errMsg,
-		Sharded:   j.shard != nil,
+		Sharded:   j.sharded,
 		Aggregate: j.agg.Summary(),
 	}
 }

@@ -196,7 +196,9 @@ func TestSubmitRejectsBadSpec(t *testing.T) {
 }
 
 // TestUserCancelRunning pins that cancelling a running job terminates
-// it as cancelled (not failed) and ends its live tails.
+// it as cancelled (not failed), ends its live tails and stops its
+// in-flight range through the job's context: once Cancel has returned,
+// the engine sees no further Run call for the job.
 func TestUserCancelRunning(t *testing.T) {
 	eng := &gateEngine{tokens: make(chan struct{})}
 	m, err := Open(Config{Dir: t.TempDir(), Engine: eng, Workers: 1})
@@ -211,19 +213,34 @@ func TestUserCancelRunning(t *testing.T) {
 	}
 	sub := job.Subscribe(8)
 	waitFor(t, "job running", func() bool { return job.Status().State == StateRunning })
+	waitFor(t, "first point inside the engine", func() bool { return len(eng.startOrder()) == 1 })
 	if err := m.Cancel(job.ID()); err != nil {
 		t.Fatal(err)
 	}
+	if got := job.Status().State; got != StateCancelled {
+		t.Fatalf("state = %q as Cancel returns, want cancelled", got)
+	}
 	if err := job.Wait(context.Background()); err != nil {
 		t.Fatalf("cancelled job Wait: %v", err)
-	}
-	if got := job.Status().State; got != StateCancelled {
-		t.Fatalf("state = %q, want cancelled", got)
 	}
 	for range sub.Points() {
 	}
 	if err := m.Cancel(job.ID()); err != nil {
 		t.Fatalf("cancelling a terminal job must be a no-op: %v", err)
+	}
+	// A second job runs to completion behind the cancelled one: by then
+	// the executor has long left the cancelled job's range, and the
+	// engine has seen that job's first point and nothing more of it.
+	next, err := m.Submit(smallGrid(8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.tokens <- struct{}{}
+	if err := next.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.startOrder(); len(got) != 2 || got[0] != 7 || got[1] != 8 {
+		t.Fatalf("engine saw Run for seeds %v, want [7 8]: no point of the cancelled job after its first", got)
 	}
 }
 
@@ -305,7 +322,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	m1, err := Open(Config{
 		Dir:     dir,
 		Engine:  &throttleEngine{inner: bftbcast.EngineFast, tokens: tokens},
-		Workers: 2, CheckpointEvery: 1, StreamBuffer: 2, Observe: observe,
+		Workers: 2, CheckpointEvery: 1, Observe: observe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +346,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 		t.Fatalf("parked checkpoint state=%q done=%d — the kill did not interrupt mid-job", cps[0].State, doneAtKill)
 	}
 
-	m2, err := Open(Config{Dir: dir, Workers: 2, CheckpointEvery: 1, StreamBuffer: 2, Observe: observe})
+	m2, err := Open(Config{Dir: dir, Workers: 2, CheckpointEvery: 1, Observe: observe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,10 +424,11 @@ func TestRunWorkersFieldAcceptedAndIgnored(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tokens <- struct{}{}
 	}
+	// One executor: the three tokens go to points 0, 1, 2 in that order.
 	m1, err := Open(Config{
 		Dir:     dir,
 		Engine:  &throttleEngine{inner: bftbcast.EngineFast, tokens: tokens},
-		Workers: 2, CheckpointEvery: 1,
+		Workers: 1, CheckpointEvery: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -466,7 +484,7 @@ func TestSubscriberLossyTail(t *testing.T) {
 	m, err := Open(Config{
 		Dir:     t.TempDir(),
 		Engine:  &throttleEngine{inner: bftbcast.EngineFast, tokens: tokens},
-		Workers: 2, StreamBuffer: 2,
+		Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -517,7 +535,7 @@ func TestAggregateConstantMemory(t *testing.T) {
 	var size10k int
 	for i := 0; i < 100_000; i++ {
 		slots := int(rng.Uint64()%2000) + 1
-		agg.Add(&bftbcast.Report{
+		agg.AddRecord(PointRecord{
 			Completed: true, Slots: slots, TotalGood: 221, DecidedGood: 221,
 			GoodMessages: slots * 3, BadMessages: int(rng.Uint64() % 50),
 			AvgGoodSends: float64(slots%5) + 0.5,
@@ -543,50 +561,6 @@ func TestAggregateConstantMemory(t *testing.T) {
 	p50 := agg.SlotsToDecide.Quantile(0.5)
 	if rel := math.Abs(p50-1000) / 1000; rel > 0.05 {
 		t.Fatalf("p50 = %g, want ~1000 for uniform [1, 2000]", p50)
-	}
-}
-
-// TestAggregateMergeMatchesSequential pins mergeability: shard
-// aggregates merged in order equal the sequential aggregate — counts
-// and sketch exactly, moments to float rounding.
-func TestAggregateMergeMatchesSequential(t *testing.T) {
-	rng := stats.NewRNG(5)
-	reports := make([]*bftbcast.Report, 3000)
-	for i := range reports {
-		slots := int(rng.Uint64()%300) + 1
-		reports[i] = &bftbcast.Report{
-			Completed: i%7 != 0, Stalled: i%7 == 0, Slots: slots,
-			TotalGood: 100, DecidedGood: 100 - i%3, WrongDecisions: 0,
-			GoodMessages: slots * 2, AvgGoodSends: float64(slots) / 3,
-		}
-	}
-	seq := NewAggregate()
-	for _, rep := range reports {
-		seq.Add(rep)
-	}
-	merged := NewAggregate()
-	for lo := 0; lo < len(reports); lo += 1000 {
-		shard := NewAggregate()
-		for _, rep := range reports[lo : lo+1000] {
-			shard.Add(rep)
-		}
-		merged.Merge(shard)
-	}
-	if merged.Done != seq.Done || merged.Completed != seq.Completed ||
-		merged.Stalled != seq.Stalled || merged.DecidedGood != seq.DecidedGood {
-		t.Fatalf("merged tallies diverge: %+v vs %+v", merged, seq)
-	}
-	seqSketch, _ := json.Marshal(seq.SlotsToDecide)
-	mergedSketch, _ := json.Marshal(merged.SlotsToDecide)
-	if !bytes.Equal(seqSketch, mergedSketch) {
-		t.Fatal("sketch merge is not exact")
-	}
-	approx := func(a, b float64) bool {
-		return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b))
-	}
-	if !approx(merged.Slots.Mean, seq.Slots.Mean) || !approx(merged.Slots.M2, seq.Slots.M2) ||
-		!approx(merged.AvgSends.Mean, seq.AvgSends.Mean) {
-		t.Fatalf("moment merge diverges: %+v vs %+v", merged.Slots, seq.Slots)
 	}
 }
 

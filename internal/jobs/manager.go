@@ -8,17 +8,20 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"bftbcast"
+	"bftbcast/internal/stats"
 )
 
 var (
-	// ErrQueueFull is Submit's backpressure signal: the pending queue is
-	// at capacity and the client should retry later (HTTP 503).
+	// ErrQueueFull is Submit's backpressure signal: MaxQueue jobs are
+	// already waiting and the client should retry later (HTTP 503).
 	ErrQueueFull = errors.New("jobs: queue full")
 	// ErrClosed rejects submissions to a draining or closed manager.
 	ErrClosed = errors.New("jobs: manager closed")
@@ -33,21 +36,23 @@ type Config struct {
 	// missing. A manager opened on a previous manager's Dir resumes its
 	// non-terminal jobs.
 	Dir string
-	// Engine executes the sweeps (nil means bftbcast.EngineFast).
+	// Engine executes the points (nil means bftbcast.EngineFast).
 	Engine bftbcast.Engine
-	// Workers is the sweep worker-pool size (<= 0 means NumCPU).
+	// Workers is the number of in-process executors that lease ranges of
+	// non-sharded jobs (<= 0 means NumCPU). They never lease a sharded
+	// job.
 	Workers int
-	// MaxQueue bounds the pending queue; Submit fails with ErrQueueFull
-	// beyond it (<= 0 means 64).
+	// MaxQueue bounds the non-sharded jobs waiting for their first
+	// range; Submit fails with ErrQueueFull beyond it (<= 0 means 64).
 	MaxQueue int
-	// MaxRunning bounds the in-flight window (<= 0 means 1: strict FIFO).
+	// MaxRunning bounds the admission window: only the first MaxRunning
+	// non-sharded jobs in submission order are leasable (<= 0 means 1:
+	// strict FIFO).
 	MaxRunning int
 	// CheckpointEvery is the checkpoint cadence in completed points
-	// (<= 0 means 64). A crash recomputes at most this many points.
+	// (<= 0 means 64). A crash recomputes the ranges in flight plus at
+	// most this many completed points.
 	CheckpointEvery int
-	// StreamBuffer bounds each running sweep's result channel (<= 0
-	// means 16), keeping a job's undrained-report retention constant.
-	StreamBuffer int
 	// CheckpointInterval coalesces mid-run checkpoint fsyncs: once the
 	// CheckpointEvery point count is reached, the write still waits
 	// until this much wall time has passed since the last one (0 means
@@ -55,10 +60,9 @@ type Config struct {
 	// jobs stop paying an fsync per CheckpointEvery points; the crash
 	// recompute bound loosens to the points done in one interval.
 	CheckpointInterval time.Duration
-	// ShardExecutors runs this many in-process lease executors: local
-	// workers that pull ranges of sharded jobs through the same lease
-	// protocol remote daemons use, giving one multi-core box grid-level
-	// scaling through a single code path (0 means none).
+	// ShardExecutors runs this many in-process executors that lease
+	// ranges of sharded jobs, next to whatever remote workers pull them
+	// (0 means none).
 	ShardExecutors int
 	// Retain, when > 0, bounds how many terminal jobs are kept: the
 	// retention sweep deletes the oldest-finished checkpoints beyond it.
@@ -82,6 +86,9 @@ func (c *Config) fill() error {
 	if c.Engine == nil {
 		c.Engine = bftbcast.EngineFast
 	}
+	if c.Workers <= 0 {
+		c.Workers = runtime.NumCPU()
+	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 64
 	}
@@ -90,9 +97,6 @@ func (c *Config) fill() error {
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 64
-	}
-	if c.StreamBuffer <= 0 {
-		c.StreamBuffer = 16
 	}
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 250 * time.Millisecond
@@ -103,29 +107,39 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// Manager owns the job queue, the checkpoint directory and the
-// scheduler. Open it, Submit jobs, and Close it to drain.
+// localLeasePoints derives the range size of a non-sharded job from its
+// point count: about eight ranges per executor, so a handful of heavy
+// points still spreads over all Workers and the tail of a grid stays
+// short, capped at the sharded default of 64 so a large grid's ranges
+// stay small units of recompute.
+func (c *Config) localLeasePoints(total int) int {
+	return min(max(total/(8*c.Workers), 1), 64)
+}
+
+// Manager owns the jobs, the checkpoint directory and the in-process
+// executors. Open it, Submit jobs, and Close it to drain.
 type Manager struct {
 	cfg        Config
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	shardCond *sync.Cond // wakes idle shard executors
-	shardGen  uint64     // bumped whenever shard work may have appeared
-	jobs      map[string]*Job
-	queue     []*Job
-	nextSeq   uint64
-	running   int
-	closed    bool
+	mu   sync.Mutex
+	wake *sync.Cond // idle executors wait here; see nextLease
+	jobs map[string]*Job
+	// live holds the non-terminal jobs in submission order. It is the
+	// queue (MaxQueue counts its non-sharded entries still waiting for a
+	// first range), the admission window (its first MaxRunning
+	// non-sharded entries are leasable) and the executors' scan list.
+	live    []*Job
+	nextSeq uint64
+	closed  bool
 
 	// ckptWrites counts checkpoint files written — the coalescing
 	// tests' observation seam.
 	ckptWrites atomic.Int64
 
-	wg        sync.WaitGroup
-	schedDone chan struct{}
+	wg      sync.WaitGroup
+	drained chan struct{} // closed once Close has parked every live job
 }
 
 // now reads the manager's clock.
@@ -147,9 +161,9 @@ func (m *Manager) intervalElapsed(last *time.Time) bool {
 }
 
 // Open creates (or reopens) a manager on cfg.Dir. Checkpointed jobs
-// are reloaded: terminal jobs stay queryable, and queued or running
-// jobs are re-enqueued in their original submission order, each
-// resuming at its checkpointed offset.
+// are reloaded: terminal jobs stay queryable, and non-terminal jobs go
+// back on the live list in their original submission order, each
+// resuming at its checkpointed fold cursor and reorder buffer.
 func Open(cfg Config) (*Manager, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -167,59 +181,30 @@ func Open(cfg Config) (*Manager, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*Job),
-		schedDone:  make(chan struct{}),
+		drained:    make(chan struct{}),
 	}
-	m.cond = sync.NewCond(&m.mu)
-	m.shardCond = sync.NewCond(&m.mu)
+	m.wake = sync.NewCond(&m.mu)
 	for _, cp := range cps {
-		spec, err := bftbcast.DecodeGridSpec(cp.Spec)
+		job, err := m.restoreJob(cp)
 		if err != nil {
 			cancel()
-			return nil, fmt.Errorf("jobs: checkpoint %s holds an invalid spec: %w", cp.ID, err)
-		}
-		job := &Job{
-			id:       cp.ID,
-			seq:      cp.Seq,
-			spec:     spec,
-			specJSON: append(json.RawMessage(nil), cp.Spec...),
-			total:    spec.NPoints(),
-			m:        m,
-			state:    cp.State,
-			agg:      cp.Aggregate,
-			errMsg:   cp.Err,
-			finished: make(chan struct{}),
-		}
-		if cp.FinishedNS > 0 {
-			job.finishedAt = time.Unix(0, cp.FinishedNS)
-		}
-		if cp.Shard != nil {
-			if err := restoreShard(job, cp); err != nil {
-				cancel()
-				return nil, err
-			}
-		}
-		switch {
-		case cp.State.Terminal():
-			close(job.finished)
-		case job.shard != nil:
-			// A sharded job resumes serving leases immediately — it never
-			// sits in the FIFO queue; workers pulling ranges drive it.
-			job.state = StateRunning
-		default:
-			// A job checkpointed as running died with its daemon; it is
-			// queued again and resumes at its aggregate's offset.
-			job.state = StateQueued
-			m.queue = append(m.queue, job)
+			return nil, err
 		}
 		m.jobs[cp.ID] = job
+		if !cp.State.Terminal() {
+			m.live = append(m.live, job)
+		}
 		if cp.Seq >= m.nextSeq {
 			m.nextSeq = cp.Seq + 1
 		}
 	}
-	go m.schedule()
+	for i := 0; i < cfg.Workers; i++ {
+		m.wg.Add(1)
+		go m.runExecutor(fmt.Sprintf("local-%d", i), false)
+	}
 	for i := 0; i < cfg.ShardExecutors; i++ {
 		m.wg.Add(1)
-		go m.runExecutor(i)
+		go m.runExecutor(fmt.Sprintf("exec-%d", i), true)
 	}
 	if cfg.ShardExecutors > 0 || cfg.Retain > 0 || cfg.RetainAge > 0 {
 		m.wg.Add(1)
@@ -228,38 +213,89 @@ func Open(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// restoreShard rebuilds a sharded job's coordinator state from its
-// checkpoint: the fold cursor at the aggregate's offset plus the
-// out-of-order completed ranges. Leases are not restored — open ranges
-// are simply re-issued, and late partials from pre-restart leases
-// still fold because completion is keyed by range.
-func restoreShard(job *Job, cp *checkpoint) error {
-	opts := ShardOptions{
-		LeasePoints: cp.Shard.LeasePoints,
-		LeaseTTL:    time.Duration(cp.Shard.LeaseTTLMS) * time.Millisecond,
+// restoreJob rebuilds a job from its checkpoint. A terminal record loads
+// as it is. A non-terminal one gets its range state back: the fold
+// cursor at the aggregate's offset plus the out-of-order completed
+// ranges. Leases are not restored — open ranges are simply re-issued,
+// and late partials from pre-restart leases still fold because
+// completion is keyed by range.
+func (m *Manager) restoreJob(cp *checkpoint) (*Job, error) {
+	spec, err := bftbcast.DecodeGridSpec(cp.Spec)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: checkpoint %s holds an invalid spec: %w", cp.ID, err)
 	}
-	if opts.LeasePoints <= 0 {
-		return fmt.Errorf("jobs: checkpoint %s: bad lease geometry %d", cp.ID, opts.LeasePoints)
-	}
-	sh := newShardState(job.total, opts)
-	done := int(cp.Aggregate.Done)
-	if done < 0 || done > job.total || (done%sh.opts.LeasePoints != 0 && done != job.total) {
-		return fmt.Errorf("jobs: checkpoint %s: fold cursor %d off the range grid", cp.ID, done)
-	}
-	sh.cursor.Done = done
-	for _, pr := range cp.Shard.Pending {
-		if !sh.cursor.MarkPending(pr.Lo) || len(pr.Points) != pr.Hi-pr.Lo {
-			return fmt.Errorf("jobs: checkpoint %s: bad pending range [%d,%d)", cp.ID, pr.Lo, pr.Hi)
+	total := spec.NPoints()
+	sc := cp.Shard
+	if sc == nil {
+		// Legacy rule: a record without a shard block comes from a daemon
+		// that streamed non-sharded jobs point by point and resumed them
+		// at Aggregate.Done, an offset with no place on a range grid. An
+		// unfinished one restarts at point 0 on a fresh aggregate; every
+		// point is deterministic, so it ends on the same bytes.
+		sc = &shardCheckpoint{LeasePoints: m.cfg.localLeasePoints(total), Local: true}
+		if !cp.State.Terminal() {
+			cp.Aggregate = NewAggregate()
 		}
-		sh.pending[pr.Lo] = pr.Points
 	}
-	job.shard = sh
-	return nil
+	if sc.LeasePoints <= 0 {
+		return nil, fmt.Errorf("jobs: checkpoint %s: bad lease geometry %d", cp.ID, sc.LeasePoints)
+	}
+	job := &Job{
+		id:       cp.ID,
+		seq:      cp.Seq,
+		spec:     spec,
+		specJSON: append(json.RawMessage(nil), cp.Spec...),
+		total:    total,
+		sharded:  !sc.Local,
+		opts:     ShardOptions{LeasePoints: sc.LeasePoints, LeaseTTL: time.Duration(sc.LeaseTTLMS) * time.Millisecond},
+		state:    cp.State,
+		agg:      cp.Aggregate,
+		errMsg:   cp.Err,
+		finished: make(chan struct{}),
+	}
+	if cp.FinishedNS > 0 {
+		job.finishedAt = time.Unix(0, cp.FinishedNS)
+	}
+	if cp.State.Terminal() {
+		close(job.finished)
+		return job, nil
+	}
+	m.openRanges(job)
+	done := int(cp.Aggregate.Done)
+	if done < 0 || done > total || (done%sc.LeasePoints != 0 && done != total) {
+		return nil, fmt.Errorf("jobs: checkpoint %s: fold cursor %d off the range grid", cp.ID, done)
+	}
+	job.cursor.Done = done
+	for _, pr := range sc.Pending {
+		if !job.cursor.MarkPending(pr.Lo) || len(pr.Points) != pr.Hi-pr.Lo {
+			return nil, fmt.Errorf("jobs: checkpoint %s: bad pending range [%d,%d)", cp.ID, pr.Lo, pr.Hi)
+		}
+		job.pending[pr.Lo] = pr.Points
+	}
+	return job, nil
 }
 
-// tick is the shard/retention heartbeat: it wakes idle executors (an
-// expired lease only reopens lazily, on the next lease scan) and runs
-// the retention sweep, once a second until the manager closes.
+// openRanges gives a non-terminal job what it serves leases from: the
+// range partition of its point list, an empty reorder buffer and lease
+// table, and the context its in-process ranges run under. A sharded job
+// is lease-serving from the first request; the others turn running on
+// their first grant.
+func (m *Manager) openRanges(job *Job) {
+	job.opts.fill()
+	job.cursor = stats.NewRangeCursor(job.total, job.opts.LeasePoints)
+	job.pending = make(map[int][]PointRecord)
+	job.leases = make(map[int]*lease)
+	job.ctx, job.cancel = context.WithCancel(m.baseCtx)
+	job.lastCkpt = m.now()
+	job.state = StateQueued
+	if job.sharded {
+		job.state = StateRunning
+	}
+}
+
+// tick is the lease/retention heartbeat: it wakes idle shard executors
+// (an expired outside lease only reopens lazily, on the next lease scan)
+// and runs the retention sweep, once a second until the manager closes.
 func (m *Manager) tick() {
 	defer m.wg.Done()
 	t := time.NewTicker(time.Second)
@@ -269,25 +305,38 @@ func (m *Manager) tick() {
 		case <-m.baseCtx.Done():
 			return
 		case <-t.C:
-			m.shardWake()
+			m.mu.Lock()
+			m.wake.Broadcast()
+			m.mu.Unlock()
 			m.sweepRetention()
 		}
 	}
 }
 
 // Submit validates the grid, persists it as a queued checkpoint and
-// enqueues it. The spec document is re-encoded and owned by the job;
-// the caller's GridSpec is not retained. Fails with ErrQueueFull when
-// the pending queue is at capacity and ErrClosed on a draining
-// manager; validation failures pass through the spec's typed errors
-// (bftbcast.ErrBadSpec et al.).
+// puts it on the live list for the manager's own Workers executors:
+// they lease its ranges once it is inside the admission window. The
+// spec document is re-encoded and owned by the job; the caller's
+// GridSpec is not retained. Fails with ErrQueueFull when MaxQueue jobs
+// are already waiting and ErrClosed on a draining manager; validation
+// failures pass through the spec's typed errors (bftbcast.ErrBadSpec
+// et al.).
 func (m *Manager) Submit(spec *bftbcast.GridSpec) (*Job, error) {
-	return m.submit(spec, nil)
+	return m.submit(spec, ShardOptions{}, false)
 }
 
-// submit is the shared submission path; a non-nil shard opens the job
-// in sharded (lease-serving) mode instead of the FIFO queue.
-func (m *Manager) submit(spec *bftbcast.GridSpec, shard *ShardOptions) (*Job, error) {
+// SubmitSharded validates and persists a grid like Submit, but opens
+// its ranges to external workers: the job bypasses the queue and the
+// admission window and immediately serves leases over the lease
+// endpoints (and to ShardExecutors). It completes when the last range
+// folds, however many workers pulled the leases.
+func (m *Manager) SubmitSharded(spec *bftbcast.GridSpec, opts ShardOptions) (*Job, error) {
+	return m.submit(spec, opts, true)
+}
+
+// submit is the one submission path; sharded says who may lease the job
+// and, when false, opts is derived from the grid.
+func (m *Manager) submit(spec *bftbcast.GridSpec, opts ShardOptions, sharded bool) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -301,13 +350,17 @@ func (m *Manager) submit(spec *bftbcast.GridSpec, shard *ShardOptions) (*Job, er
 	if err != nil {
 		return nil, err
 	}
+	total := owned.NPoints()
+	if !sharded {
+		opts = ShardOptions{LeasePoints: m.cfg.localLeasePoints(total)}
+	}
 
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if shard == nil && len(m.queue) >= m.cfg.MaxQueue {
+	if !sharded && m.queuedLocked() >= m.cfg.MaxQueue {
 		m.mu.Unlock()
 		return nil, ErrQueueFull
 	}
@@ -321,23 +374,21 @@ func (m *Manager) submit(spec *bftbcast.GridSpec, shard *ShardOptions) (*Job, er
 		seq:      m.nextSeq,
 		spec:     owned,
 		specJSON: doc,
-		total:    owned.NPoints(),
-		m:        m,
-		state:    StateQueued,
+		total:    total,
+		sharded:  sharded,
+		opts:     opts,
 		agg:      NewAggregate(),
 		finished: make(chan struct{}),
 	}
-	if shard != nil {
-		job.shard = newShardState(job.total, *shard)
-		job.state = StateRunning // lease-serving from the first request
-	}
+	m.openRanges(job)
 	m.nextSeq++
 	m.jobs[id] = job
 	m.mu.Unlock()
 
-	// Persist before the scheduler can see the job, so an accepted
+	// Persist before any executor can see the job, so an accepted
 	// submission survives an immediate crash.
 	if err := m.checkpointJob(job); err != nil {
+		job.cancel()
 		m.mu.Lock()
 		delete(m.jobs, id)
 		m.mu.Unlock()
@@ -345,19 +396,24 @@ func (m *Manager) submit(spec *bftbcast.GridSpec, shard *ShardOptions) (*Job, er
 	}
 
 	m.mu.Lock()
-	if shard == nil {
-		m.queue = append(m.queue, job)
-		m.cond.Signal()
-	} else {
-		m.shardGen++
-		m.shardCond.Broadcast()
-	}
+	m.live = append(m.live, job)
+	m.wake.Broadcast()
 	m.mu.Unlock()
-	if shard != nil && job.total == 0 {
-		// A degenerate empty grid has no range to lease; finish it here.
-		m.finishJob(job, StateDone, nil)
-	}
 	return job, nil
+}
+
+// queuedLocked counts the non-sharded live jobs no executor has leased
+// from yet; m.mu is held.
+func (m *Manager) queuedLocked() int {
+	n := 0
+	for _, job := range m.live {
+		job.mu.Lock()
+		if job.state == StateQueued {
+			n++
+		}
+		job.mu.Unlock()
+	}
+	return n
 }
 
 // Get returns a job by ID.
@@ -383,221 +439,57 @@ func (m *Manager) Jobs() []*Job {
 	return out
 }
 
-// Cancel terminates a job: a queued job is removed from the queue and
-// finalized immediately, a running one has its context cancelled (the
-// runner finalizes it). Cancelling a terminal job is a no-op.
+// Cancel terminates a job as cancelled, whether or not a range of it was
+// ever leased; its in-process ranges stop through the job's context.
+// Cancelling a terminal job is a no-op.
 func (m *Manager) Cancel(id string) error {
-	m.mu.Lock()
-	job, ok := m.jobs[id]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownJob, id)
+	job, err := m.Get(id)
+	if err != nil {
+		return err
 	}
-	for i, q := range m.queue {
-		if q == job {
-			m.queue = append(m.queue[:i], m.queue[i+1:]...)
-			break
-		}
-	}
-	m.mu.Unlock()
-
-	job.mu.Lock()
-	if job.state.Terminal() {
-		job.mu.Unlock()
-		return nil
-	}
-	job.userCancel = true
-	if cancel := job.cancel; cancel != nil {
-		job.mu.Unlock()
-		cancel()
-		return nil
-	}
-	job.mu.Unlock()
 	m.finishJob(job, StateCancelled, nil)
 	return nil
 }
 
-// Close drains the manager: no new submissions, the scheduler stops,
-// and running jobs are interrupted and parked back to queued — their
-// checkpoints record the completed prefix, so the next Open resumes
-// them without recomputing a completed point. Close returns when the
-// drain finishes or ctx fires (the drain keeps finishing in the
-// background either way).
+// Close drains the manager: no new submissions or lease traffic, the
+// in-process executors are interrupted, and every live job is parked
+// back to queued — its checkpoint records the folded prefix and the
+// reorder buffer, so the next Open resumes it without recomputing a
+// completed range. Close returns when the drain finishes or ctx fires
+// (the drain keeps finishing in the background either way).
 func (m *Manager) Close(ctx context.Context) error {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-	} else {
-		m.closed = true
-		m.cond.Broadcast()
-		m.shardCond.Broadcast()
-		m.mu.Unlock()
+	first := !m.closed
+	m.closed = true
+	m.wake.Broadcast()
+	m.mu.Unlock()
+	if first {
 		m.baseCancel()
-	}
-	done := make(chan struct{})
-	go func() {
-		<-m.schedDone
-		m.wg.Wait()
-		// Sharded jobs have no runner to park them: once the executors
-		// and any remote partial folds have stopped (closed rejects
-		// CompleteLease), park each live one so its reorder buffer
-		// survives to the next Open.
-		m.mu.Lock()
-		sharded := m.shardedJobsLocked()
-		m.mu.Unlock()
-		for _, job := range sharded {
-			job.mu.Lock()
-			terminal := job.state.Terminal()
-			job.mu.Unlock()
-			if !terminal {
+		go func() {
+			// Once the executors have stopped, nothing folds any more
+			// (closed refuses outside partials), so what is parked is final.
+			m.wg.Wait()
+			m.mu.Lock()
+			live := append([]*Job(nil), m.live...)
+			m.mu.Unlock()
+			for _, job := range live {
 				m.parkJob(job)
 			}
-		}
-		close(done)
-	}()
+			close(m.drained)
+		}()
+	}
 	select {
-	case <-done:
+	case <-m.drained:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// schedule is the FIFO dispatcher: it launches queue heads while the
-// in-flight window has room and exits when the manager closes.
-func (m *Manager) schedule() {
-	defer close(m.schedDone)
-	for {
-		m.mu.Lock()
-		for !m.closed && (m.running >= m.cfg.MaxRunning || len(m.queue) == 0) {
-			m.cond.Wait()
-		}
-		if m.closed {
-			m.mu.Unlock()
-			return
-		}
-		job := m.queue[0]
-		m.queue[0] = nil
-		m.queue = m.queue[1:]
-		m.running++
-		m.wg.Add(1)
-		m.mu.Unlock()
-		go func() {
-			defer m.wg.Done()
-			m.runJob(job)
-			m.mu.Lock()
-			m.running--
-			m.cond.Signal()
-			m.mu.Unlock()
-		}()
-	}
-}
-
-// runJob executes one job from its resume offset to a terminal state
-// (or parks it when the manager drains).
-func (m *Manager) runJob(job *Job) {
-	ctx, cancel := context.WithCancel(m.baseCtx)
-	defer cancel()
-
-	job.mu.Lock()
-	if job.state.Terminal() {
-		// Cancelled in the gap between dequeue and start.
-		job.mu.Unlock()
-		return
-	}
-	job.state = StateRunning
-	job.cancel = cancel
-	skip := int(job.agg.Done)
-	job.mu.Unlock()
-
-	if err := m.checkpointJob(job); err != nil {
-		m.finishJob(job, StateFailed, err)
-		return
-	}
-
-	// Expand only the tail still to run — a deep resume of a large grid
-	// does not pay for the completed prefix's scenarios.
-	scenarios, err := job.spec.Scenarios(skip, job.total)
-	if err != nil {
-		m.finishJob(job, StateFailed, err)
-		return
-	}
-	if m.cfg.Observe != nil {
-		for i := range scenarios {
-			sc, err := scenarios[i].With(bftbcast.WithObserver(m.cfg.Observe(job.id, skip+i)))
-			if err != nil {
-				m.finishJob(job, StateFailed, err)
-				return
-			}
-			scenarios[i] = sc
-		}
-	}
-
-	sweep := &bftbcast.Sweep{
-		Engine:    m.cfg.Engine,
-		Workers:   m.cfg.Workers,
-		Scenarios: scenarios,
-		Buffer:    m.cfg.StreamBuffer,
-	}
-	stream := sweep.Stream(ctx)
-	var runErr error
-	since, received := 0, 0
-	lastCkpt := m.now()
-	for pt := range stream {
-		if pt.Err != nil {
-			runErr = pt.Err
-			break
-		}
-		pt.Index += skip // job-global point index
-		rec := pointRecord(job.id, pt)
-		job.mu.Lock()
-		job.agg.Add(pt.Report)
-		job.publishLocked(rec)
-		job.mu.Unlock()
-		received++
-		since++
-		if since >= m.cfg.CheckpointEvery && m.intervalElapsed(&lastCkpt) {
-			since = 0
-			if err := m.checkpointJob(job); err != nil {
-				runErr = err
-				break
-			}
-		}
-	}
-	if runErr != nil {
-		// The bounded stream's abandonment contract: cancel, then drain
-		// whatever the emitter still delivers so it shuts down cleanly.
-		cancel()
-		for range stream {
-		}
-	}
-
-	job.mu.Lock()
-	user := job.userCancel
-	job.mu.Unlock()
-	switch {
-	case runErr == nil && received == len(scenarios):
-		m.finishJob(job, StateDone, nil)
-	case user:
-		m.finishJob(job, StateCancelled, nil)
-	case m.baseCtx.Err() != nil:
-		m.parkJob(job)
-	case runErr != nil:
-		m.finishJob(job, StateFailed, runErr)
-	default:
-		// A bounded stream may close short without an error point when
-		// its ctx is cancelled mid-delivery (the emitter drops instead
-		// of parking); the user/drain cases above own that. Reaching
-		// here means the stream ended early with no cancellation in
-		// sight — fail loudly rather than record a partial job as done.
-		m.finishJob(job, StateFailed,
-			fmt.Errorf("jobs: stream ended after %d of %d points", received, len(scenarios)))
-	}
-}
-
-// finishJob moves a job to a terminal state, ends its live tails and
-// checkpoints the final record. Idempotent: the sharded path can race
-// a final-range fold against Cancel, and only the first finisher wins.
+// finishJob moves a job to a terminal state, ends its live tails, stops
+// its in-process ranges, takes it off the live list and checkpoints the
+// final record. Idempotent: a final-range fold can race Cancel, and only
+// the first finisher wins.
 func (m *Manager) finishJob(job *Job, state State, runErr error) {
 	job.mu.Lock()
 	if job.state.Terminal() {
@@ -605,29 +497,51 @@ func (m *Manager) finishJob(job *Job, state State, runErr error) {
 		return
 	}
 	job.state = state
-	job.cancel = nil
 	job.finishedAt = m.now()
 	if runErr != nil {
 		job.errMsg = runErr.Error()
 	}
-	job.closeSubsLocked()
+	job.stopServingLocked()
 	close(job.finished)
 	job.mu.Unlock()
+	job.cancel()
+
+	m.mu.Lock()
+	if i := slices.Index(m.live, job); i >= 0 {
+		m.live = slices.Delete(m.live, i, i+1)
+	}
+	// The admission window moved: the next queued job may be leasable.
+	m.wake.Broadcast()
+	m.mu.Unlock()
 	// The terminal checkpoint is best-effort: the in-memory state is
 	// already final, and a write failure here must not wedge the job.
 	_ = m.checkpointJob(job)
 }
 
 // parkJob returns a drain-interrupted job to the queued state on disk
-// and in memory — not terminal, so the next Open resumes it. Its live
-// tails end (the process is going away).
+// and in memory — not terminal, so the next Open resumes it — with its
+// reorder buffer in the record.
 func (m *Manager) parkJob(job *Job) {
 	job.mu.Lock()
+	if job.state.Terminal() {
+		job.mu.Unlock()
+		return
+	}
 	job.state = StateQueued
-	job.cancel = nil
-	job.closeSubsLocked()
 	job.mu.Unlock()
 	_ = m.checkpointJob(job)
+	job.mu.Lock()
+	job.stopServingLocked()
+	job.mu.Unlock()
+}
+
+// stopServingLocked ends the job's live tails and releases what only a
+// lease-serving job needs — the reorder buffer, the lease table and the
+// compiled topology (hundreds of MB on a large RGG), none of which may
+// stay pinned for as long as the record is retained; j.mu is held.
+func (j *Job) stopServingLocked() {
+	j.closeSubsLocked()
+	j.cursor.Pending, j.pending, j.leases, j.topo = nil, nil, nil, nil
 }
 
 // checkpointJob atomically persists the job's current record. Callers
@@ -641,6 +555,15 @@ func (m *Manager) checkpointJob(job *Job) error {
 	job.mu.Lock()
 	job.ckptGen++
 	gen := job.ckptGen
+	sc := &shardCheckpoint{
+		LeasePoints: job.opts.LeasePoints,
+		LeaseTTLMS:  job.opts.LeaseTTL.Milliseconds(),
+		Local:       !job.sharded,
+	}
+	for _, lo := range job.cursor.Pending {
+		hi, _ := job.cursor.Bounds(lo)
+		sc.Pending = append(sc.Pending, pendingRange{Lo: lo, Hi: hi, Points: job.pending[lo]})
+	}
 	cp := &checkpoint{
 		ID:        job.id,
 		Seq:       job.seq,
@@ -649,20 +572,10 @@ func (m *Manager) checkpointJob(job *Job) error {
 		Spec:      job.specJSON,
 		Err:       job.errMsg,
 		Aggregate: job.agg,
+		Shard:     sc,
 	}
 	if !job.finishedAt.IsZero() {
 		cp.FinishedNS = job.finishedAt.UnixNano()
-	}
-	if sh := job.shard; sh != nil {
-		sc := &shardCheckpoint{
-			LeasePoints: sh.opts.LeasePoints,
-			LeaseTTLMS:  sh.opts.LeaseTTL.Milliseconds(),
-		}
-		for _, lo := range sh.cursor.Pending {
-			hi, _ := sh.cursor.Bounds(lo)
-			sc.Pending = append(sc.Pending, pendingRange{Lo: lo, Hi: hi, Points: sh.pending[lo]})
-		}
-		cp.Shard = sc
 	}
 	// Marshal under the lock: the aggregate mutates as points land.
 	data, err := json.Marshal(cp)

@@ -9,8 +9,7 @@ import (
 // with Retain > 0 only the newest-finished Retain terminal jobs are
 // kept, and with RetainAge > 0 terminal jobs finished longer ago are
 // expired; the two compose. Victims leave the in-memory job table and
-// their checkpoint files are deleted — queued, running and sharded
-// live jobs are never touched. Called from the manager's ticker and
+// their checkpoint files are deleted — live jobs are never touched. Called from the manager's ticker and
 // directly by tests.
 func (m *Manager) sweepRetention() {
 	if m.cfg.Retain <= 0 && m.cfg.RetainAge <= 0 {

@@ -99,12 +99,15 @@ func TestRetentionSweep(t *testing.T) {
 
 // TestCheckpointIntervalCoalescing pins the fsync-amortization
 // satellite: with the interval in force a fast job writes only its
-// lifecycle checkpoints (submit, running, terminal), while a negative
-// interval restores the pure count cadence.
+// lifecycle checkpoints (submit, terminal), while a negative interval
+// restores the pure count cadence — one write per completed range that
+// is not the last, on top of those two.
 func TestCheckpointIntervalCoalescing(t *testing.T) {
 	clock := newFakeClock() // frozen: the interval never elapses
 	run := func(interval time.Duration) int64 {
-		m, err := Open(Config{Dir: t.TempDir(), CheckpointEvery: 1, CheckpointInterval: interval, Now: clock.Now})
+		// One executor and eight single-point ranges: completions arrive
+		// in order, so the count below is exact.
+		m, err := Open(Config{Dir: t.TempDir(), Workers: 1, CheckpointEvery: 1, CheckpointInterval: interval, Now: clock.Now})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,18 +118,18 @@ func TestCheckpointIntervalCoalescing(t *testing.T) {
 		}
 		waitErr := job.Wait(context.Background())
 		// Wait returns when the job turns terminal, which is before its
-		// terminal checkpoint is written; Close joins the runner, so
-		// the count below includes it.
+		// terminal checkpoint is written; Close joins the executor that
+		// writes it, so the count below includes it.
 		mustClose(t, m)
 		if waitErr != nil {
 			t.Fatal(waitErr)
 		}
 		return m.ckptWrites.Load()
 	}
-	if got := run(time.Hour); got != 3 {
-		t.Fatalf("coalesced run wrote %d checkpoints, want 3 (submit, running, terminal)", got)
+	if got := run(time.Hour); got != 2 {
+		t.Fatalf("coalesced run wrote %d checkpoints, want 2 (submit, terminal)", got)
 	}
-	if got := run(-1); got < 3+8 {
-		t.Fatalf("count-cadence run wrote %d checkpoints, want >= 11", got)
+	if got := run(-1); got != 2+7 {
+		t.Fatalf("count-cadence run wrote %d checkpoints, want 9", got)
 	}
 }

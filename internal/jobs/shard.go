@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"bftbcast"
-	"bftbcast/internal/stats"
 )
 
 var (
@@ -20,7 +18,8 @@ var (
 	// ErrJobDone tells a leasing worker the job reached a terminal state
 	// and will never hand out work again (HTTP 410).
 	ErrJobDone = errors.New("jobs: job is terminal")
-	// ErrNotSharded rejects lease traffic against a FIFO job (HTTP 409).
+	// ErrNotSharded rejects outside lease traffic against a job only the
+	// manager's own executors may lease (HTTP 409).
 	ErrNotSharded = errors.New("jobs: job is not sharded")
 	// ErrBadPartial rejects a partial whose range or points do not match
 	// the job's partition (HTTP 400).
@@ -34,11 +33,14 @@ type ShardOptions struct {
 	// grid's point list is partitioned into contiguous ranges of this
 	// size; each lease covers exactly one range.
 	LeasePoints int `json:"lease_points"`
-	// LeaseTTL bounds how long a worker may sit on a lease (<= 0 means
-	// 30s). Past the deadline the range is re-issued to the next asker —
-	// safe because every point is deterministic and idempotent, so two
-	// workers racing on one range produce identical records and the
-	// second completion is dropped.
+	// LeaseTTL bounds how long an outside worker may sit on a lease (<= 0
+	// means 30s). Past the deadline the range is re-issued to the next
+	// asker — safe because every point is deterministic and idempotent,
+	// so two workers racing on one range produce identical records and
+	// the second completion is dropped. A range held by one of the
+	// manager's own executors never expires: the holder cannot die
+	// without the process, and re-issuing a slow range would only compute
+	// it twice.
 	LeaseTTL time.Duration `json:"-"`
 }
 
@@ -77,94 +79,73 @@ type Partial struct {
 }
 
 // lease is one outstanding grant, keyed by its range start in
-// shardState.leases — at most one live lease per range.
+// Job.leases. inProcess marks a holder that lives in this process.
 type lease struct {
-	id       string
-	worker   string
-	deadline time.Time
+	id        string
+	worker    string
+	deadline  time.Time
+	inProcess bool
 }
 
-// shardState is a sharded job's coordinator half: the fold cursor, the
-// out-of-order completed ranges awaiting their predecessors, and the
-// outstanding leases. Guarded by the job's mu. Leases are memory-only —
-// a restarted coordinator forgets them and simply re-issues open
-// ranges; pending ranges ARE checkpointed, so completed work survives.
-type shardState struct {
-	opts      ShardOptions
-	cursor    stats.RangeCursor
-	pending   map[int][]PointRecord // completed ranges by Lo, not yet folded
-	leases    map[int]*lease        // outstanding grants by range Lo
-	leaseSeq  uint64
-	topo      bftbcast.Topology // lazily compiled, shared by local executors
-	sinceCkpt int
-	lastCkpt  time.Time
-}
-
-func newShardState(total int, opts ShardOptions) *shardState {
-	opts.fill()
-	return &shardState{
-		opts:    opts,
-		cursor:  stats.NewRangeCursor(total, opts.LeasePoints),
-		pending: make(map[int][]PointRecord),
-		leases:  make(map[int]*lease),
+// lookup resolves a job for outside lease traffic: ErrClosed while
+// draining, ErrUnknownJob, and ErrNotSharded for a job that only the
+// manager's own executors lease.
+func (m *Manager) lookup(jobID string) (*Job, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return nil, ErrClosed
 	}
-}
-
-// SubmitSharded validates and persists a grid like Submit, but opens
-// it in sharded mode: the job bypasses the FIFO queue and immediately
-// serves leases over its partitioned point list. It completes when the
-// last range folds, however many workers (remote daemons or local
-// shard executors) pulled the leases.
-func (m *Manager) SubmitSharded(spec *bftbcast.GridSpec, opts ShardOptions) (*Job, error) {
-	return m.submit(spec, &opts)
+	job, ok := m.jobs[jobID]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, jobID)
+	}
+	if !job.sharded {
+		return nil, ErrNotSharded
+	}
+	return job, nil
 }
 
 // Lease issues the next open range of a sharded job to worker. It
 // reclaims expired leases first, so a died worker's range is re-issued
 // here, lazily, with no background scan.
 func (m *Manager) Lease(jobID, worker string) (LeaseGrant, error) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return LeaseGrant{}, ErrClosed
+	job, err := m.lookup(jobID)
+	if err != nil {
+		return LeaseGrant{}, err
 	}
-	job, ok := m.jobs[jobID]
-	m.mu.Unlock()
-	if !ok {
-		return LeaseGrant{}, fmt.Errorf("%w: %q", ErrUnknownJob, jobID)
-	}
-	return m.leaseJob(job, worker)
+	return m.leaseJob(job, worker, false)
 }
 
 // leaseJob grants one range of job to worker, or a sentinel error.
-func (m *Manager) leaseJob(job *Job, worker string) (LeaseGrant, error) {
+func (m *Manager) leaseJob(job *Job, worker string, inProcess bool) (LeaseGrant, error) {
 	now := m.now()
 	job.mu.Lock()
 	defer job.mu.Unlock()
-	sh := job.shard
-	if sh == nil {
-		return LeaseGrant{}, ErrNotSharded
-	}
 	if job.state.Terminal() {
 		return LeaseGrant{}, ErrJobDone
 	}
-	for lo, l := range sh.leases {
-		if now.After(l.deadline) {
-			delete(sh.leases, lo)
+	if job.ctx.Err() != nil {
+		return LeaseGrant{}, ErrClosed
+	}
+	for lo, l := range job.leases {
+		if !l.inProcess && now.After(l.deadline) {
+			delete(job.leases, lo)
 		}
 	}
-	lo, ok := sh.cursor.NextOpen(func(lo int) bool {
-		_, held := sh.leases[lo]
+	lo, ok := job.cursor.NextOpen(func(lo int) bool {
+		_, held := job.leases[lo]
 		return held
 	})
 	if !ok {
 		return LeaseGrant{}, ErrNoWork
 	}
-	hi, _ := sh.cursor.Bounds(lo)
-	sh.leaseSeq++
-	id := fmt.Sprintf("%s-%d-%d", job.id, lo, sh.leaseSeq)
-	deadline := now.Add(sh.opts.LeaseTTL)
-	sh.leases[lo] = &lease{id: id, worker: worker, deadline: deadline}
+	hi, _ := job.cursor.Bounds(lo)
+	job.leaseSeq++
+	id := fmt.Sprintf("%s-%d-%d", job.id, lo, job.leaseSeq)
+	deadline := now.Add(job.opts.LeaseTTL)
+	job.leases[lo] = &lease{id: id, worker: worker, deadline: deadline, inProcess: inProcess}
+	job.state = StateRunning
 	return LeaseGrant{
 		JobID:    job.id,
 		LeaseID:  id,
@@ -175,48 +156,45 @@ func (m *Manager) leaseJob(job *Job, worker string) (LeaseGrant, error) {
 	}, nil
 }
 
-// CompleteLease folds a worker's finished range into the job. The
-// partial parks in the reorder buffer until every earlier range has
-// folded, then the cascade replays its records through the aggregate
-// in global point order — so the final aggregate is byte-identical to
-// an unsharded sequential run. Duplicate completions (an expired lease
-// re-issued, both workers finishing) are dropped without double-
-// counting, and a partial against an already-terminal job is a no-op.
+// CompleteLease folds a worker's finished range into a sharded job; see
+// completeLease.
 func (m *Manager) CompleteLease(jobID string, p Partial) error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return ErrClosed
+	job, err := m.lookup(jobID)
+	if err != nil {
+		return err
 	}
-	job, ok := m.jobs[jobID]
-	m.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownJob, jobID)
-	}
+	return m.completeLease(job, p)
+}
 
+// completeLease folds a finished range into the job. The partial parks
+// in the reorder buffer until every earlier range has folded, then the
+// cascade replays its records through the aggregate in global point
+// order — so the final aggregate is byte-identical to a sequential run.
+// Duplicate completions (an expired lease re-issued, both workers
+// finishing) are dropped without double-counting, and a partial against
+// an already-terminal job is a no-op.
+func (m *Manager) completeLease(job *Job, p Partial) error {
 	job.mu.Lock()
-	sh := job.shard
-	if sh == nil {
-		job.mu.Unlock()
-		return ErrNotSharded
-	}
 	if job.state.Terminal() {
 		job.mu.Unlock()
 		return nil
 	}
-	hi, ok := sh.cursor.Bounds(p.Lo)
+	if job.ctx.Err() != nil {
+		// Draining: the job is parked, or about to be, as it stands.
+		job.mu.Unlock()
+		return ErrClosed
+	}
+	hi, ok := job.cursor.Bounds(p.Lo)
 	if !ok || hi != p.Hi {
 		job.mu.Unlock()
 		return fmt.Errorf("%w: [%d,%d) is not a partition range", ErrBadPartial, p.Lo, p.Hi)
 	}
-	delete(sh.leases, p.Lo)
 	if p.Err != "" {
 		job.mu.Unlock()
 		m.finishJob(job, StateFailed, fmt.Errorf("jobs: range [%d,%d): %s", p.Lo, p.Hi, p.Err))
-		m.shardWake()
 		return nil
 	}
-	if sh.cursor.Contains(p.Lo) {
+	if job.cursor.Contains(p.Lo) {
 		// Duplicate completion of a folded or pending range: the records
 		// are deterministic, so the copies are identical — drop this one.
 		job.mu.Unlock()
@@ -232,157 +210,123 @@ func (m *Manager) CompleteLease(jobID string, p Partial) error {
 			return fmt.Errorf("%w: point %d carries index %d", ErrBadPartial, p.Lo+i, p.Points[i].Index)
 		}
 	}
-	sh.cursor.MarkPending(p.Lo)
-	sh.pending[p.Lo] = p.Points
+	delete(job.leases, p.Lo)
+	job.cursor.MarkPending(p.Lo)
+	job.pending[p.Lo] = p.Points
+	job.sinceCkpt += len(p.Points)
 	// Cascade: fold every range now sitting at the prefix, replaying
-	// records in exactly the order an unsharded run added them.
+	// records in exactly the order a sequential run adds them.
 	for {
-		lo, _, ok := sh.cursor.NextFoldable()
+		lo, _, ok := job.cursor.NextFoldable()
 		if !ok {
 			break
 		}
-		for i := range sh.pending[lo] {
-			rec := sh.pending[lo][i]
+		for _, rec := range job.pending[lo] {
 			rec.Job = job.id
 			job.agg.AddRecord(rec)
 			job.publishLocked(rec)
-			sh.sinceCkpt++
 		}
-		delete(sh.pending, lo)
-		sh.cursor.Fold(lo)
+		delete(job.pending, lo)
+		job.cursor.Fold(lo)
 	}
-	done := sh.cursor.Complete()
-	ckpt := !done && sh.sinceCkpt >= m.cfg.CheckpointEvery && m.intervalElapsed(&sh.lastCkpt)
+	done := job.cursor.Complete()
+	ckpt := !done && job.sinceCkpt >= m.cfg.CheckpointEvery && m.intervalElapsed(&job.lastCkpt)
 	if ckpt {
-		sh.sinceCkpt = 0
+		job.sinceCkpt = 0
 	}
 	job.mu.Unlock()
 
 	if done {
 		m.finishJob(job, StateDone, nil)
-		m.shardWake()
 	} else if ckpt {
 		if err := m.checkpointJob(job); err != nil {
 			m.finishJob(job, StateFailed, err)
-			m.shardWake()
 		}
 	}
 	return nil
 }
 
-// shardWake nudges the local shard executors to rescan for work.
-func (m *Manager) shardWake() {
-	m.mu.Lock()
-	m.shardGen++
-	m.shardCond.Broadcast()
-	m.mu.Unlock()
-}
-
-// shardedJobs snapshots the lease-serving jobs in submission order;
-// m.mu is held.
-func (m *Manager) shardedJobsLocked() []*Job {
-	var out []*Job
-	for _, job := range m.jobs {
-		if job.shard != nil {
-			out = append(out, job)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
-}
-
-// runExecutor is one in-process shard executor: it pulls leases from
-// any sharded job through the exact protocol a remote worker uses and
-// runs each range on a single pinned sweep worker — K executors give a
-// multi-core box grid-level scaling through the one lease code path.
-func (m *Manager) runExecutor(i int) {
+// runExecutor is one in-process executor: it leases ranges through the
+// same grant and completion path an outside worker's requests take and
+// runs each on a single pinned sweep worker. Workers of them serve the
+// non-sharded jobs inside the admission window, ShardExecutors of them
+// the sharded jobs; neither kind ever leases from the other's.
+func (m *Manager) runExecutor(worker string, sharded bool) {
 	defer m.wg.Done()
-	worker := fmt.Sprintf("exec-%d", i)
 	for {
-		job, grant, ok := m.nextLease(worker)
+		job, grant, ok := m.nextLease(worker, sharded)
 		if !ok {
 			return
 		}
-		recs, err := m.runLease(job, grant)
-		if err != nil {
-			if m.baseCtx.Err() != nil {
-				// Drain: abandon the lease; it expires and re-issues after
-				// the coordinator reopens.
-				return
-			}
-			_ = m.CompleteLease(job.id, Partial{
-				LeaseID: grant.LeaseID, Worker: worker,
-				Lo: grant.Lo, Hi: grant.Hi, Err: err.Error(),
-			})
-			continue
+		p := Partial{LeaseID: grant.LeaseID, Worker: worker, Lo: grant.Lo, Hi: grant.Hi}
+		tp, err := job.topology()
+		if err == nil {
+			p.Points, err = RunRange(job.ctx, m.cfg.Engine, 1, job.id, job.spec, tp, grant.Lo, grant.Hi, m.cfg.Observe)
 		}
-		_ = m.CompleteLease(job.id, Partial{
-			LeaseID: grant.LeaseID, Worker: worker,
-			Lo: grant.Lo, Hi: grant.Hi, Points: recs,
-		})
+		if err != nil {
+			if job.ctx.Err() != nil {
+				// Cancelled, failed elsewhere or draining: the range goes
+				// the way of the job's other leases.
+				continue
+			}
+			p.Err = err.Error()
+		}
+		_ = m.completeLease(job, p)
 	}
 }
 
-// nextLease blocks until some sharded job grants a range or the
-// manager closes.
-func (m *Manager) nextLease(worker string) (*Job, LeaseGrant, bool) {
+// nextLease blocks until a job this executor may serve grants a range,
+// or the manager closes. Scanning under m.mu makes scan-then-wait
+// atomic against every event that can open work — a submission, a job
+// leaving the window, the tick — since each broadcasts under m.mu.
+func (m *Manager) nextLease(worker string, sharded bool) (*Job, LeaseGrant, bool) {
 	m.mu.Lock()
-	for {
-		if m.closed {
-			m.mu.Unlock()
-			return nil, LeaseGrant{}, false
-		}
-		jobs := m.shardedJobsLocked()
-		gen := m.shardGen
-		m.mu.Unlock()
-		for _, job := range jobs {
-			grant, err := m.leaseJob(job, worker)
-			if err == nil {
+	defer m.mu.Unlock()
+	for !m.closed {
+		window := m.cfg.MaxRunning
+		for _, job := range m.live {
+			if job.sharded != sharded {
+				continue
+			}
+			if !sharded {
+				if window == 0 {
+					break
+				}
+				window--
+			}
+			if grant, err := m.leaseJob(job, worker, true); err == nil {
 				return job, grant, true
 			}
 		}
-		m.mu.Lock()
-		if m.shardGen == gen && !m.closed {
-			m.shardCond.Wait()
-		}
+		m.wake.Wait()
 	}
+	return nil, LeaseGrant{}, false
 }
 
-// runLease executes one granted range against the job's shared
-// compiled topology.
-func (m *Manager) runLease(job *Job, grant LeaseGrant) ([]PointRecord, error) {
-	tp, err := job.shardTopo()
-	if err != nil {
-		return nil, err
-	}
-	return RunRange(m.baseCtx, m.cfg.Engine, 1, job.id, job.spec, tp, grant.Lo, grant.Hi, m.cfg.Observe)
-}
-
-// shardTopo compiles the job's topology once; every lease of the job
-// shares it, so a small lease size does not recompile the plan per
-// range.
-func (j *Job) shardTopo() (bftbcast.Topology, error) {
+// topology compiles the job's topology once; every in-process range of
+// the job shares it, so a small lease size does not recompile the plan
+// per range.
+func (j *Job) topology() (bftbcast.Topology, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.shard != nil && j.shard.topo != nil {
-		return j.shard.topo, nil
+	if err := j.ctx.Err(); err != nil {
+		return nil, err // the job stopped serving; do not pin a topology for it
 	}
-	tp, err := bftbcast.NewTopology(j.spec.Base.Topology)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", bftbcast.ErrBadSpec, err)
+	if j.topo == nil {
+		tp, err := bftbcast.NewTopology(j.spec.Base.Topology)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", bftbcast.ErrBadSpec, err)
+		}
+		j.topo = tp
 	}
-	if j.shard != nil {
-		j.shard.topo = tp
-	}
-	return tp, nil
+	return j.topo, nil
 }
 
 // RunRange expands and executes points [lo, hi) of spec on tp and
 // returns their records in point order — the worker half of the lease
-// protocol, shared by the in-process shard executors and the remote
-// -worker mode of cmd/bftsimd. observe, when non-nil, is attached to
-// every point exactly as the unsharded runner attaches it (a test seam
-// for asserting a range is computed once).
+// protocol, shared by the in-process executors and the remote -worker
+// mode of cmd/bftsimd. observe, when non-nil, is attached to every
+// point (a test seam for asserting a range is computed once).
 func RunRange(ctx context.Context, eng bftbcast.Engine, workers int, jobID string, spec *bftbcast.GridSpec, tp bftbcast.Topology, lo, hi int, observe func(jobID string, index int) bftbcast.Observer) ([]PointRecord, error) {
 	scenarios, err := spec.ScenariosOn(tp, lo, hi)
 	if err != nil {

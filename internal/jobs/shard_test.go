@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -52,23 +53,26 @@ func runGrant(t *testing.T, g LeaseGrant) []PointRecord {
 	return recs
 }
 
-// controlAggregate runs grid unsharded in a fresh manager and returns
-// its final aggregate bytes — the byte-identity reference.
+// controlAggregate is the byte-identity reference, and it goes nowhere
+// near a Manager: expand every point of grid, run each on EngineFast one
+// after another and fold the records in index order. Its output is
+// pinned to the aggregates the last daemon with a separate unsharded
+// path produced (TestAggregatesMatchParentGoldens).
 func controlAggregate(t *testing.T, grid *bftbcast.GridSpec) []byte {
 	t.Helper()
-	m, err := Open(Config{Dir: t.TempDir(), Workers: 2})
+	scenarios, err := grid.Scenarios(0, grid.NPoints())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mustClose(t, m)
-	job, err := m.Submit(grid)
-	if err != nil {
-		t.Fatal(err)
+	agg := NewAggregate()
+	for i, sc := range scenarios {
+		rep, err := bftbcast.EngineFast.Run(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg.AddRecord(pointRecord("", bftbcast.SweepPoint{Index: i, Report: rep}))
 	}
-	if err := job.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	data, err := job.AggregateJSON()
+	data, err := json.Marshal(agg)
 	if err != nil {
 		t.Fatal(err)
 	}

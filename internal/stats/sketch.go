@@ -6,21 +6,19 @@ import (
 	"math"
 )
 
-// Moments is a constant-size, mergeable summary of a float64 stream:
-// count, mean, second central moment, min and max. Add is Welford's
-// online update; Merge is the Chan et al. pairwise combination, so
-// shards can be summarized independently and combined without retaining
-// samples. Feeding values in one fixed order is bit-deterministic,
-// which is what the jobs layer's in-order aggregation relies on for
-// byte-identical checkpoints across interrupted and uninterrupted runs.
+// Moments is a constant-size summary of a float64 stream: count, mean,
+// second central moment, min and max. Add is Welford's online update.
+// Feeding values in one fixed order is bit-deterministic, which is what
+// the jobs layer's in-order aggregation relies on for byte-identical
+// checkpoints across interrupted, uninterrupted and many-worker runs.
 //
 // The zero value is an empty summary ready for Add.
 type Moments struct {
 	N    int64   `json:"n"`
 	Mean float64 `json:"mean"`
 	// M2 is the sum of squared deviations from the mean (N * population
-	// variance); it is the internal state that makes variance mergeable
-	// and is exported only so checkpoints round-trip.
+	// variance); it is the internal state behind Variance and is
+	// exported only so checkpoints round-trip.
 	M2  float64 `json:"m2"`
 	Min float64 `json:"min"`
 	Max float64 `json:"max"`
@@ -42,30 +40,6 @@ func (m *Moments) Add(x float64) {
 	}
 	if x > m.Max {
 		m.Max = x
-	}
-}
-
-// Merge folds another summary into the receiver; o is unchanged. The
-// result summarizes the concatenation of both streams (up to float
-// rounding in Mean/M2; counts and extrema are exact).
-func (m *Moments) Merge(o Moments) {
-	if o.N == 0 {
-		return
-	}
-	if m.N == 0 {
-		*m = o
-		return
-	}
-	n := float64(m.N + o.N)
-	d := o.Mean - m.Mean
-	m.M2 += o.M2 + d*d*float64(m.N)*float64(o.N)/n
-	m.Mean += d * float64(o.N) / n
-	m.N += o.N
-	if o.Min < m.Min {
-		m.Min = o.Min
-	}
-	if o.Max > m.Max {
-		m.Max = o.Max
 	}
 }
 
@@ -96,9 +70,7 @@ const (
 // [gamma^i, gamma^(i+1)) with gamma = (1+alpha)/(1-alpha), so any
 // quantile is answered from bucket counts with relative error at most
 // alpha. The bucket array is fixed at construction — the sketch is
-// constant-memory no matter how many values it absorbs — and Merge is
-// exact bucket-wise integer addition, so merging shards in any order
-// yields the identical sketch one sequential pass would.
+// constant-memory no matter how many values it absorbs.
 //
 // Construct with NewQSketch; the zero value is not ready for use.
 type QSketch struct {
@@ -140,15 +112,6 @@ func (s *QSketch) Add(x float64) {
 		i = len(s.buckets) - 1
 	}
 	s.buckets[i]++
-}
-
-// Merge folds another sketch into the receiver; o is unchanged.
-func (s *QSketch) Merge(o *QSketch) {
-	s.count += o.count
-	s.zero += o.zero
-	for i, c := range o.buckets {
-		s.buckets[i] += c
-	}
 }
 
 // Quantile returns the estimated q-th quantile (q in [0, 1]) with

@@ -34,47 +34,6 @@ func TestMomentsMatchesSummarize(t *testing.T) {
 	}
 }
 
-// TestMomentsMerge splits a stream at every possible cut point and
-// checks the merged summary matches the single-pass one: the
-// mergeability contract the checkpoint story depends on.
-func TestMomentsMerge(t *testing.T) {
-	rng := NewRNG(11)
-	xs := make([]float64, 200)
-	var whole Moments
-	for i := range xs {
-		xs[i] = rng.Float64()*100 - 20
-		whole.Add(xs[i])
-	}
-	for cut := 0; cut <= len(xs); cut += 13 {
-		var a, b Moments
-		for _, x := range xs[:cut] {
-			a.Add(x)
-		}
-		for _, x := range xs[cut:] {
-			b.Add(x)
-		}
-		a.Merge(b)
-		if a.N != whole.N || a.Min != whole.Min || a.Max != whole.Max {
-			t.Fatalf("cut %d: counts/extrema diverge", cut)
-		}
-		if math.Abs(a.Mean-whole.Mean) > 1e-9 || math.Abs(a.StdDev()-whole.StdDev()) > 1e-9 {
-			t.Fatalf("cut %d: mean/stddev diverge: merged (%g, %g) vs whole (%g, %g)",
-				cut, a.Mean, a.StdDev(), whole.Mean, whole.StdDev())
-		}
-	}
-	// Merging into/with an empty summary is the identity.
-	var empty Moments
-	empty.Merge(whole)
-	if empty != whole {
-		t.Fatalf("empty.Merge(whole) = %+v, want %+v", empty, whole)
-	}
-	before := whole
-	whole.Merge(Moments{})
-	if whole != before {
-		t.Fatalf("whole.Merge(empty) changed the summary")
-	}
-}
-
 // TestQSketchAccuracy checks the advertised relative-error bound against
 // exact quantiles of a skewed sample.
 func TestQSketchAccuracy(t *testing.T) {
@@ -116,36 +75,6 @@ func TestQSketchZeroAndSaturation(t *testing.T) {
 	}
 	if s.Count() != 11 {
 		t.Fatalf("count %d, want 11", s.Count())
-	}
-}
-
-// TestQSketchMergeExact merges shard sketches and requires the result be
-// identical — not approximately equal — to the single-pass sketch:
-// bucket counts are integers, so mergeability is exact.
-func TestQSketchMergeExact(t *testing.T) {
-	rng := NewRNG(5)
-	whole := NewQSketch()
-	shards := []*QSketch{NewQSketch(), NewQSketch(), NewQSketch()}
-	for i := 0; i < 5000; i++ {
-		x := math.Exp(rng.Float64() * 8)
-		whole.Add(x)
-		shards[i%len(shards)].Add(x)
-	}
-	merged := NewQSketch()
-	// Merge in reverse order to prove order independence.
-	for i := len(shards) - 1; i >= 0; i-- {
-		merged.Merge(shards[i])
-	}
-	a, err := json.Marshal(whole)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("merged sketch differs from single-pass sketch:\n%s\nvs\n%s", a, b)
 	}
 }
 

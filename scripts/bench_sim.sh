@@ -24,10 +24,7 @@
 #     microseconds, so scheduler noise dominates — the 0.65 vs_prev
 #     scare in PR 8's snapshot was exactly such noise), or the
 #     executors=1 leg of BenchmarkShardedGridThroughput by more than
-#     15% (disk-sensitive like JobThroughput; the absolute ≤1.10×
-#     coordinator-overhead gate vs the unsharded run is asserted inside
-#     the benchmark itself, so it holds on every run, not just vs the
-#     snapshot), in ns/op, or
+#     15% (disk-sensitive like JobThroughput), in ns/op, or
 #   - BenchmarkBVDeliver, BenchmarkRGG100kRun, BenchmarkRGG1MRun,
 #     BenchmarkMultiBroadcast or BenchmarkJobThroughput regressed by
 #     more than 10% in allocs/op.
@@ -98,10 +95,10 @@ run_suite() {
     -benchmem -benchtime "$BENCHTIME" ./internal/bv >> "$RAW"
   # The job-service tier: end-to-end submit → checkpointing run →
   # constant-memory aggregation → wait for a 64-point grid, the path
-  # every bftsimd job takes — plus the sharded lease-protocol variant
-  # of the same grid (local executors pulling 4-point leases), whose
-  # coordinator-overhead gate runs inside the benchmark. Gated loosely
-  # (15%): the checkpoint fsyncs make both disk-sensitive.
+  # every bftsimd job takes — plus the sharded variant of the same grid
+  # (shard executors pulling 4-point leases; it asserts that four of
+  # them beat one). Gated loosely (15%): the checkpoint fsyncs make both
+  # disk-sensitive.
   go test -run '^$' -timeout 600s \
     -bench 'Benchmark(JobThroughput|ShardedGridThroughput)$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/jobs >> "$RAW"
