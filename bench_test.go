@@ -81,8 +81,8 @@ func BenchmarkE8ReactiveBudget(b *testing.B) { benchExperiment(b, "E8") }
 // check on the Figure 2 stall.
 func BenchmarkE9Lemma4Propagation(b *testing.B) { benchExperiment(b, "E9") }
 
-// BenchmarkE10Ablations regenerates the quiet-window, sub-bit-length and
-// segment-chain ablations.
+// BenchmarkE10Ablations regenerates the sub-bit-length and segment-chain
+// ablations.
 func BenchmarkE10Ablations(b *testing.B) { benchExperiment(b, "E10") }
 
 // BenchmarkE11Topologies runs the topology-generality comparison (torus

@@ -55,11 +55,10 @@ import (
 	"bftbcast/internal/actor"
 	"bftbcast/internal/adversary"
 	"bftbcast/internal/auedcode"
-	"bftbcast/internal/bv"
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
+	"bftbcast/internal/protocol"
 	"bftbcast/internal/radio"
-	"bftbcast/internal/reactive"
 	"bftbcast/internal/sim"
 	"bftbcast/internal/topo"
 )
@@ -109,18 +108,20 @@ type (
 	// extension.
 	ActorResult = actor.Result
 	// ReactiveResult is the reactive protocol's run record, the
-	// Report.Reactive extension.
-	ReactiveResult = reactive.Result
+	// Report.Reactive extension: what only the protocol machine knows
+	// (rounds, per-node data and NACK sends, the Theorem 4 quantities).
+	// Completion and decisions are the Report's own fields.
+	ReactiveResult = protocol.ReactiveStats
 	// AttackPolicy selects the reactive adversary's behavior.
-	AttackPolicy = reactive.AttackPolicy
+	AttackPolicy = protocol.AttackPolicy
 )
 
 // Reactive attack policies.
 const (
-	PolicyDisrupt  = reactive.PolicyDisrupt
-	PolicyForge    = reactive.PolicyForge
-	PolicyNackSpam = reactive.PolicyNackSpam
-	PolicyMixed    = reactive.PolicyMixed
+	PolicyDisrupt  = protocol.PolicyDisrupt
+	PolicyForge    = protocol.PolicyForge
+	PolicyNackSpam = protocol.PolicyNackSpam
+	PolicyMixed    = protocol.PolicyMixed
 )
 
 // Adversary types.
@@ -223,4 +224,4 @@ func Theorem4Budget(n, t, mf, mmax, k int) int {
 
 // CPAMaxT returns the certified-propagation fault threshold
 // (t < ½r(2r+1)) that Breactive inherits.
-func CPAMaxT(r int) int { return bv.MaxToleratedT(r) }
+func CPAMaxT(r int) int { return protocol.CPMaxT(r) }

@@ -77,7 +77,7 @@ func decodeStatus(t *testing.T, r io.Reader) jobs.Status {
 // submit, stream to completion, status, list, and the error statuses
 // for bad specs and unknown jobs.
 func TestHandlerLifecycle(t *testing.T) {
-	ts, _ := newTestServer(t, jobs.Config{Workers: 2, CheckpointEvery: 1})
+	ts, mgr := newTestServer(t, jobs.Config{Workers: 2, CheckpointEvery: 1})
 
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(gridDoc))
 	if err != nil {
@@ -160,6 +160,12 @@ func TestHandlerLifecycle(t *testing.T) {
 	}{
 		{"POST", "/v1/jobs", `{"base": {"topology": {"Kind": "warp"}}}`, http.StatusBadRequest},
 		{"POST", "/v1/jobs", `not json`, http.StatusBadRequest},
+		// Grids with a corner the reactive protocol cannot run (r = 2
+		// caps t at 4; mmax must cover mf; the payload needs a bit) are
+		// refused at submit time, not after the runnable points.
+		{"POST", "/v1/jobs", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "mf": 2, "protocol": "reactive"}, "t": [1, 2, 3, 4, 5]}`, http.StatusBadRequest},
+		{"POST", "/v1/jobs", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "t": 1, "mf": 100, "mmax": 10, "protocol": "reactive"}}`, http.StatusBadRequest},
+		{"POST", "/v1/jobs", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "t": 1, "mf": 2, "payload_bits": -3, "protocol": "reactive"}}`, http.StatusBadRequest},
 		{"GET", "/v1/jobs/jdoesnotexist", "", http.StatusNotFound},
 		{"GET", "/v1/jobs/jdoesnotexist/results", "", http.StatusNotFound},
 		{"POST", "/v1/jobs/jdoesnotexist/cancel", "", http.StatusNotFound},
@@ -176,6 +182,10 @@ func TestHandlerLifecycle(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 		}
+	}
+	// None of the refused submissions left a job behind.
+	if got := len(mgr.Jobs()); got != 1 {
+		t.Errorf("%d jobs after the refused submissions, want 1", got)
 	}
 }
 

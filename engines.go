@@ -64,10 +64,10 @@ func NewEngine(name string) (Engine, error) {
 // the default single-broadcast threshold protocol (the engines execute
 // Spec through their built-in instance), or a freshly built machine —
 // reactive, or the multi-broadcast multiplexer for Broadcasts >= 2.
-// Machines are single-run-in-flight, so every Run builds its own.
-func scenarioMachine(sc *Scenario) (protocol.Machine, error) {
+// Machines are single-run-in-flight, so every Run builds its own. The
+// Scenario has been validated, so no combination is left to refuse.
+func scenarioMachine(sc *Scenario) protocol.Machine {
 	if sc.Broadcasts > 1 {
-		// validate() already rejected the reactive combination.
 		m := &protocol.Multi{Spec: sc.Spec, M: sc.Broadcasts}
 		if io, ok := sc.Observer.(InstanceObserver); ok {
 			m.OnInstanceDeliver = func(slot, instance int, from, to grid.NodeID, v radio.Value) {
@@ -77,26 +77,13 @@ func scenarioMachine(sc *Scenario) (protocol.Machine, error) {
 				io.DecideInstance(slot, instance, id, v)
 			}
 		}
-		return m, nil
+		return m
 	}
 	if sc.Protocol != ProtocolReactive {
-		return nil, nil
+		return nil
 	}
-	if sc.Strategy != nil {
-		return nil, fmt.Errorf("bftbcast: the reactive protocol drives bad nodes through Reactive.Policy, not a Strategy")
-	}
-	mmax := sc.Reactive.MMax
-	if mmax == 0 {
-		mmax = 64
-		if sc.Params.MF > mmax {
-			mmax = sc.Params.MF
-		}
-	}
-	payload := sc.Reactive.PayloadBits
-	if payload == 0 {
-		payload = 16
-	}
-	return &protocol.Reactive{MMax: mmax, PayloadBits: payload, Policy: sc.Reactive.Policy}, nil
+	m := sc.reactiveMachine()
+	return &m
 }
 
 // finishReport decorates an engine report with the machine's run record
@@ -115,16 +102,13 @@ func finishReport(rep *Report, machine protocol.Machine) *Report {
 
 // loweredConfig resolves the Scenario's protocol machine and lowers the
 // Scenario to the slot-level engines' config in one step.
-func loweredConfig(sc *Scenario) (sim.Config, protocol.Machine, error) {
-	machine, err := scenarioMachine(sc)
-	if err != nil {
-		return sim.Config{}, nil, err
-	}
+func loweredConfig(sc *Scenario) (sim.Config, protocol.Machine) {
+	machine := scenarioMachine(sc)
 	cfg := simConfig(sc)
 	if machine != nil {
 		cfg.Machine = machine
 	}
-	return cfg, machine, nil
+	return cfg, machine
 }
 
 // simConfig lowers a Scenario to the slot-level engines' config,
@@ -168,10 +152,7 @@ func (e fastEngine) Run(ctx context.Context, sc *Scenario) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, machine, err := loweredConfig(sc)
-	if err != nil {
-		return nil, err
-	}
+	cfg, machine := loweredConfig(sc)
 	var res *sim.Result
 	if e.runner != nil {
 		res, err = e.runner.RunContext(ctx, cfg)
@@ -199,10 +180,7 @@ func (refEngine) Run(ctx context.Context, sc *Scenario) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, machine, err := loweredConfig(sc)
-	if err != nil {
-		return nil, err
-	}
+	cfg, machine := loweredConfig(sc)
 	res, err := ref.RunContext(ctx, cfg)
 	if err != nil {
 		return nil, err
@@ -224,10 +202,7 @@ func (actorEngine) Run(ctx context.Context, sc *Scenario) (*Report, error) {
 	if sc.Placement != nil || sc.Strategy != nil {
 		return nil, fmt.Errorf("bftbcast: the actor engine is fault-free; run adversarial scenarios on the fast or ref engine")
 	}
-	machine, err := scenarioMachine(sc)
-	if err != nil {
-		return nil, err
-	}
+	machine := scenarioMachine(sc)
 	cfg := actor.Config{
 		Topo:     sc.Topo,
 		Params:   sc.Params,

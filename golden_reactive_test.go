@@ -1,14 +1,12 @@
 package bftbcast_test
 
-// Seed-pinned golden-trace regression test for the re-platformed
-// reactive protocol, through the Observer path on the fast engine. The
-// trace pins the Section 5 runtime's observable behavior on the shared
-// engine stack — acceptance order in TDMA slot time — which is the
-// documented delta against the frozen sequential runtime (DESIGN.md
-// §10): local broadcasts proceed concurrently in slot order instead of
-// one-at-a-time, so decisions carry slot timestamps rather than
-// data-round indices. Any engine or machine refactor that shifts an
-// acceptance by one slot fails here byte for byte.
+// Seed-pinned golden-trace regression test for the reactive protocol,
+// through the Observer path on the fast engine. The trace pins the
+// Section 5 machine's observable behavior on the shared engine stack:
+// local broadcasts proceed concurrently in TDMA slot order, so every
+// acceptance carries a slot timestamp (DESIGN.md §10). Any engine or
+// machine refactor that shifts an acceptance by one slot fails here
+// byte for byte.
 //
 // Regenerate after an intentional behavior change with:
 //

@@ -21,6 +21,9 @@ type Code struct {
 	l    int   // sub-bits per bit
 }
 
+// MaxPayloadBits is the largest payload NewCode lays out.
+const MaxPayloadBits = 1 << 20
+
 // NewCode builds the layout for k-bit payloads on a network of n nodes
 // with at most t bad nodes per neighborhood and a loose adversary budget
 // bound mmax. The sub-bit length is L = 2·log2 n + log2 t + log2 mmax
@@ -29,7 +32,7 @@ func NewCode(k, n, t, mmax int) (*Code, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("auedcode: payload must have at least 1 bit, got %d", k)
 	}
-	if k > 1<<20 {
+	if k > MaxPayloadBits {
 		return nil, fmt.Errorf("auedcode: payload of %d bits is unreasonably large", k)
 	}
 	if n < 1 || t < 1 || mmax < 1 {

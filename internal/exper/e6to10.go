@@ -10,7 +10,7 @@ import (
 	"bftbcast/internal/geometry"
 	"bftbcast/internal/grid"
 	"bftbcast/internal/metrics"
-	"bftbcast/internal/reactive"
+	"bftbcast/internal/protocol"
 	"bftbcast/internal/sim"
 	"bftbcast/internal/stats"
 )
@@ -20,7 +20,7 @@ func init() {
 	register(Experiment{ID: "E7", Title: "Figure 9: AUED coding scheme (overhead, detection, forgery)", Run: runE7})
 	register(Experiment{ID: "E8", Title: "Theorem 4: Breactive message budgets with unknown mf", Run: runE8})
 	register(Experiment{ID: "E9", Title: "Lemma 4: decided-neighborhood sufficiency (contrapositive)", Run: runE9})
-	register(Experiment{ID: "E10", Title: "Ablations: quiet window, sub-bit length, segment chain", Run: runE10})
+	register(Experiment{ID: "E10", Title: "Ablations: sub-bit length, segment chain", Run: runE10})
 }
 
 func runE6(opts Options) (*Outcome, error) {
@@ -233,6 +233,9 @@ func runE7(opts Options) (*Outcome, error) {
 	return o, nil
 }
 
+// runE8 measures Theorem 4 on the reactive protocol machine — the code
+// every Scenario, bftsim run and bftsimd job executes — through sim.Run,
+// exactly as E12 drives protocol.Multi.
 func runE8(opts Options) (*Outcome, error) {
 	o := &Outcome{ID: "E8", Title: "Theorem 4 budgets", Passed: true}
 	tor, err := grid.New(15, 15, 2)
@@ -244,41 +247,42 @@ func runE8(opts Options) (*Outcome, error) {
 		"max sub-slots", "Theorem 4 budget", "forged")
 	type cse struct {
 		t, mf  int
-		policy reactive.AttackPolicy
+		policy protocol.AttackPolicy
 	}
 	cases := []cse{
-		{1, 3, reactive.PolicyDisrupt},
-		{1, 3, reactive.PolicyNackSpam},
-		{3, 2, reactive.PolicyDisrupt},
+		{1, 3, protocol.PolicyDisrupt},
+		{1, 3, protocol.PolicyNackSpam},
+		{3, 2, protocol.PolicyDisrupt},
 	}
 	if !opts.Quick {
-		cases = append(cases, cse{1, 6, reactive.PolicyMixed}, cse{4, 2, reactive.PolicyDisrupt})
+		cases = append(cases, cse{1, 6, protocol.PolicyMixed}, cse{4, 2, protocol.PolicyDisrupt})
 	}
 	for _, c := range cases {
-		res, err := reactive.Run(reactive.Config{
-			Topo: tor, T: c.t, MF: c.mf, MMax: 64, PayloadBits: 16,
-			Source:    tor.ID(0, 0),
+		machine := &protocol.Reactive{MMax: 64, PayloadBits: 16, Policy: c.policy}
+		res, err := sim.Run(sim.Config{
+			Topo: tor, Params: core.Params{R: 2, T: c.t, MF: c.mf}, Source: tor.ID(0, 0),
 			Placement: adversary.Random{T: c.t, Density: 0.06, Seed: opts.Seed + 80},
-			Policy:    c.policy,
 			Seed:      opts.Seed + 81,
+			Machine:   machine,
 		})
 		if err != nil {
 			return nil, err
 		}
+		rs := machine.TakeStats()
 		bound := 2 * (c.t*c.mf + 1)
 		tbl.AddRow(metrics.Itoa(c.t), metrics.Itoa(c.mf), c.policy.String(),
-			metrics.Btoa(res.Completed), metrics.Itoa(res.MaxNodeMessages),
-			metrics.Itoa(bound), metrics.Itoa(res.MaxNodeSubSlots),
-			metrics.Itoa(res.Theorem4SubSlots), metrics.Itoa(res.ForgedDeliveries))
+			metrics.Btoa(res.Completed), metrics.Itoa(rs.MaxNodeMessages),
+			metrics.Itoa(bound), metrics.Itoa(rs.MaxNodeSubSlots),
+			metrics.Itoa(rs.Theorem4SubSlots), metrics.Itoa(rs.ForgedDeliveries))
 		if !res.Completed {
 			o.fail("Breactive failed at t=%d mf=%d policy=%s", c.t, c.mf, c.policy)
 		}
-		if res.MaxNodeMessages > bound {
-			o.fail("message cost %d exceeds 2(tmf+1)=%d", res.MaxNodeMessages, bound)
+		if rs.MaxNodeMessages > bound {
+			o.fail("message cost %d exceeds 2(tmf+1)=%d", rs.MaxNodeMessages, bound)
 		}
-		if res.MaxNodeSubSlots > res.Theorem4SubSlots {
+		if rs.MaxNodeSubSlots > rs.Theorem4SubSlots {
 			o.fail("sub-slot cost %d exceeds the Theorem 4 budget %d",
-				res.MaxNodeSubSlots, res.Theorem4SubSlots)
+				rs.MaxNodeSubSlots, rs.Theorem4SubSlots)
 		}
 	}
 	o.Tables = append(o.Tables, tbl)
@@ -347,34 +351,16 @@ func runE9(Options) (*Outcome, error) {
 	return o, nil
 }
 
+// runE10 ablates the two design choices of the coding layer. The
+// sender's quiet window — stop after (2r+1)²−1 NACK-free rounds — is not
+// ablated: the protocol machine ends a local broadcast at the first data
+// round that draws no NACK, and the window only sets how long the sender
+// keeps listening after that, so every window length gives the same
+// sends, deliveries and decisions (DESIGN.md §10).
 func runE10(opts Options) (*Outcome, error) {
 	o := &Outcome{ID: "E10", Title: "Ablations", Passed: true}
-	tor, err := grid.New(15, 15, 2)
-	if err != nil {
-		return nil, err
-	}
 
-	// Ablation 1: quiet-window length under NACK spam.
-	quiet := metrics.NewTable("Quiet-window ablation (NACK spam, t=1, mf=3; paper: (2r+1)^2-1 = 24)",
-		"quiet window", "completed", "data rounds", "max msgs/node")
-	for _, qw := range []int{1, 4, 24, 48} {
-		res, err := reactive.Run(reactive.Config{
-			Topo: tor, T: 1, MF: 3, MMax: 64, PayloadBits: 16,
-			Source:      tor.ID(0, 0),
-			Placement:   adversary.Random{T: 1, Density: 0.06, Seed: opts.Seed + 100},
-			Policy:      reactive.PolicyNackSpam,
-			Seed:        opts.Seed + 101,
-			QuietWindow: qw,
-		})
-		if err != nil {
-			return nil, err
-		}
-		quiet.AddRow(metrics.Itoa(qw), metrics.Btoa(res.Completed),
-			metrics.Itoa(res.MessageRounds), metrics.Itoa(res.MaxNodeMessages))
-	}
-	o.Tables = append(o.Tables, quiet)
-
-	// Ablation 2: sub-bit length L vs forgery probability.
+	// Ablation 1: sub-bit length L vs forgery probability.
 	rng := stats.NewRNG(opts.Seed + 102)
 	lt := metrics.NewTable("Sub-bit length ablation: measured erasure rate vs 2^-L design",
 		"L", "trials", "measured", "design 1/(2^L-1)")
@@ -422,7 +408,7 @@ func runE10(opts Options) (*Outcome, error) {
 	}
 	o.Tables = append(o.Tables, lt)
 
-	// Ablation 3: why the whole segment chain matters. With a single
+	// Ablation 2: why the whole segment chain matters. With a single
 	// count segment, the "10000000" payload is forgeable by up-flips
 	// alone (0010 -> 0011 after adding a payload bit); the full chain
 	// forces the impossible 01 -> 10 transition one level down.

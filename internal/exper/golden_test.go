@@ -30,7 +30,7 @@ import (
 	"bftbcast/internal/trace"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the golden trace files under testdata/")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files under testdata/")
 
 // goldenE1Config is the E1 run traced: the stripe construction at the
 // impossibility boundary m = m0 − 4, the sweep's canonical failing point
@@ -123,11 +123,11 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
 		if !bytes.Equal(gotLines[i], wantLines[i]) {
-			t.Fatalf("trace diverges from %s at line %d:\n got: %s\nwant: %s",
+			t.Fatalf("output diverges from %s at line %d:\n got: %s\nwant: %s",
 				path, i+1, gotLines[i], wantLines[i])
 		}
 	}
-	t.Fatalf("trace length differs from %s: got %d lines, want %d lines%s",
+	t.Fatalf("output length differs from %s: got %d lines, want %d lines%s",
 		path, len(gotLines), len(wantLines),
 		fmt.Sprintf(" (first extra: %.120s)", firstExtra(gotLines, wantLines)))
 }

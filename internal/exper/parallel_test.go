@@ -7,27 +7,44 @@ import (
 	"testing"
 )
 
+// renderSuite runs every experiment through RunMany and concatenates the
+// outcomes as bftbench prints them.
+func renderSuite(t *testing.T, opts Options) []byte {
+	t.Helper()
+	outs, err := RunMany(All(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	for _, o := range outs {
+		if _, err := o.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
 // TestRunManyDeterministicAcrossWorkerCounts: the quick suite renders
 // byte-identically on 1 worker and on a pool.
 func TestRunManyDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick suite twice")
 	}
-	es := All()
-	render := func(workers int) string {
-		outs, err := RunMany(es, Options{Quick: true, Seed: 42, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		for _, o := range outs {
-			if _, err := o.WriteTo(&buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return buf.String()
+	seq := renderSuite(t, Options{Quick: true, Seed: 42, Workers: 1})
+	par := renderSuite(t, Options{Quick: true, Seed: 42, Workers: 8})
+	if !bytes.Equal(seq, par) {
+		t.Fatal("parallel harness output differs from sequential")
 	}
-	if seq, par := render(1), render(8); seq != par {
+}
+
+// TestSuiteGoldenSeed42 pins the text of `bftbench -seed 42` (and of
+// `-parallel`): every table of E1–E12 byte for byte. A change that is
+// meant to move a number re-records the file with -update-golden and
+// shows the diff; anything else that moves it is a regression.
+func TestSuiteGoldenSeed42(t *testing.T) {
+	seq := renderSuite(t, Options{Seed: 42})
+	checkGolden(t, "suite_seed42.txt", seq)
+	if par := renderSuite(t, Options{Seed: 42, Workers: 4}); !bytes.Equal(seq, par) {
 		t.Fatal("parallel harness output differs from sequential")
 	}
 }

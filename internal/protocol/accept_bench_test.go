@@ -1,0 +1,70 @@
+package protocol_test
+
+import (
+	"testing"
+
+	"bftbcast/internal/grid"
+	"bftbcast/internal/protocol"
+	"bftbcast/internal/radio"
+)
+
+// certified builds the certified-propagation acceptance the reactive
+// machine attaches: t+1 distinct in-window relayers, source direct.
+func certified(tb testing.TB, tor *grid.Torus, t int) *protocol.Acceptance {
+	tb.Helper()
+	acc, err := protocol.NewAcceptance(protocol.AcceptConfig{
+		Topo: tor, Source: 0, Threshold: t + 1, Distinct: true, SourceDirect: true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return acc
+}
+
+// BenchmarkBVDeliver measures the certified-propagation Deliver hot path
+// (the Bhandari–Vaidya rule; the name is the ledger row's) over the flat
+// relay arena: one full pass in which every non-source node of a 30×30
+// torus receives t+1 in-window relays of Vtrue and accepts.
+func BenchmarkBVDeliver(b *testing.B) {
+	tor := grid.MustNew(30, 30, 2)
+	const t = 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		acc := certified(b, tor, t)
+		b.StartTimer()
+		for id := 1; id < tor.Size(); id++ {
+			to := grid.NodeID(id)
+			n := 0
+			tor.ForEachNeighbor(to, func(nb grid.NodeID) {
+				if n <= t && nb != to {
+					acc.Deliver(to, nb, radio.ValueTrue)
+					n++
+				}
+			})
+		}
+		if got := acc.DecidedCount(); got != tor.Size() {
+			b.Fatalf("decided %d of %d", got, tor.Size())
+		}
+	}
+}
+
+// TestDeliverAllocs guards the flat relay storage: a duplicate relay —
+// every retransmission round of the reactive machine delivers one per
+// receiver — must not allocate at all.
+func TestDeliverAllocs(t *testing.T) {
+	tor := grid.MustNew(15, 15, 2)
+	acc := certified(t, tor, 2)
+	to := tor.ID(7, 7)
+	from := tor.ID(7, 8)
+	if acc.Deliver(to, from, radio.ValueTrue) {
+		t.Fatal("single relay must not certify with t=2")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if acc.Deliver(to, from, radio.ValueTrue) {
+			t.Fatal("duplicate relay must not certify")
+		}
+	}); allocs != 0 {
+		t.Fatalf("duplicate Deliver allocated %.1f times per call, want 0", allocs)
+	}
+}

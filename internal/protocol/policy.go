@@ -3,8 +3,7 @@ package protocol
 import "fmt"
 
 // AttackPolicy selects how the reactive adversary's bad nodes spend
-// their (unknown to the protocol) budget. It lives here with the
-// reactive machine; package reactive aliases it for compatibility.
+// their (unknown to the protocol) budget.
 type AttackPolicy int
 
 // Attack policies.
@@ -26,9 +25,8 @@ const (
 	// spend two budget units, and because the spam spend advances the
 	// same rotation, runs with ample budget mostly interleave
 	// disruption and spam (forging lands only when a spend fails at
-	// budget exhaustion). This is the reference runtime's behavior,
-	// kept identical here so the two schedulers stay cross-checkable;
-	// use PolicyForge for a forgery-focused adversary.
+	// budget exhaustion). Use PolicyForge for a forgery-focused
+	// adversary.
 	PolicyMixed
 )
 

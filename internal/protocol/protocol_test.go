@@ -6,8 +6,7 @@ package protocol_test
 // pin the two foundations they build on: (a) driving the engine through
 // an explicitly attached Threshold machine is bit-identical to the
 // engine's built-in Spec path, and (b) the unified Acceptance core keeps
-// the certified-propagation semantics the bv wrapper and the reactive
-// machine rely on.
+// the certified-propagation semantics the reactive machine relies on.
 
 import (
 	"reflect"
@@ -181,26 +180,49 @@ func TestAcceptanceCountsMode(t *testing.T) {
 	}
 }
 
-// TestAcceptanceDistinctMode pins the certified-propagation rule through
-// the unified core: distinct relayers, duplicate suppression, window
-// certification and direct-source acceptance.
+// TestCPMaxT pins the certified-propagation threshold ⌈½r(2r+1)⌉−1.
+func TestCPMaxT(t *testing.T) {
+	for _, tc := range []struct{ r, want int }{
+		{1, 1},  // ceil(3/2)-1
+		{2, 4},  // ceil(10/2)-1
+		{3, 10}, // ceil(21/2)-1
+		{4, 17}, // ceil(36/2)-1
+	} {
+		if got := protocol.CPMaxT(tc.r); got != tc.want {
+			t.Errorf("CPMaxT(%d) = %d, want %d", tc.r, got, tc.want)
+		}
+	}
+}
+
+// TestAcceptanceDistinctMode pins the certified-propagation rule
+// (Bhandari–Vaidya, after Koo) through the unified core: distinct
+// relayers, duplicate suppression, window certification, direct-source
+// acceptance, per-value tracking, the OnAccept callback and a full
+// fault-free propagation.
 func TestAcceptanceDistinctMode(t *testing.T) {
 	tor, err := grid.New(15, 15, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const faultT = 2
-	acc, err := protocol.NewAcceptance(protocol.AcceptConfig{
-		Topo: tor, Source: 0, Threshold: faultT + 1,
-		Distinct: true, SourceDirect: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, bad := range []protocol.AcceptConfig{
+		{Source: 0, Threshold: 1, Distinct: true},                                  // no topology
+		{Topo: tor, Source: grid.NodeID(tor.Size()), Threshold: 1, Distinct: true}, // source outside it
+		{Topo: tor, Source: 0, Threshold: 0, Distinct: true},                       // nothing to count to
+	} {
+		if _, err := protocol.NewAcceptance(bad); err == nil {
+			t.Fatalf("NewAcceptance(%+v) accepted", bad)
+		}
 	}
+	acc := certified(t, tor, 2)
+	var accepted []grid.NodeID
+	acc.OnAccept = func(id grid.NodeID, _ radio.Value) { accepted = append(accepted, id) }
 	// Direct reception from the source accepts outright.
 	nb := tor.ID(1, 0)
 	if !acc.Deliver(nb, 0, radio.ValueTrue) {
 		t.Fatal("direct source reception must accept")
+	}
+	if v, ok := acc.DecidedValue(nb); !ok || v != radio.ValueTrue {
+		t.Fatalf("source neighbor state = (%v, %v)", v, ok)
 	}
 	// t+1 distinct in-window relayers certify; duplicates do not count.
 	to := tor.ID(7, 7)
@@ -217,12 +239,63 @@ func TestAcceptanceDistinctMode(t *testing.T) {
 	if acc.Deliver(to, relayers[1], radio.ValueTrue) {
 		t.Fatal("two relayers certified with t=2")
 	}
+	if _, ok := acc.DecidedValue(to); ok {
+		t.Fatal("decided with only t relayers")
+	}
 	if !acc.Deliver(to, relayers[2], radio.ValueTrue) {
 		t.Fatal("three in-window relayers must certify with t=2")
 	}
-	// Out-of-range relays are rejected.
+	// OnAccept fired once per accepting node, in order.
+	if want := []grid.NodeID{nb, to}; !reflect.DeepEqual(accepted, want) {
+		t.Fatalf("OnAccept calls = %v, want %v", accepted, want)
+	}
+	// Out-of-range relays are rejected and leave no record.
 	far := tor.ID(0, 7)
 	if acc.Deliver(tor.ID(12, 12), far, radio.ValueTrue) {
 		t.Fatal("out-of-range relay accepted")
+	}
+	if acc.PendingRelayers(tor.ID(12, 12), radio.ValueTrue) != 0 {
+		t.Fatal("out-of-range relayer recorded")
+	}
+
+	// Relayers at opposite corners of the receiver's neighborhood —
+	// (5,5) and (9,9), 2r apart on both axes — fit no window but the one
+	// centred at the receiver; that one holds both, so they certify.
+	acc = certified(t, tor, 1)
+	acc.Deliver(to, tor.ID(5, 5), radio.ValueTrue)
+	if !acc.Deliver(to, tor.ID(9, 9), radio.ValueTrue) {
+		t.Fatal("two relayers within a common window should certify for t=1")
+	}
+
+	// Values are tracked separately: a relayer of another value does not
+	// advance certification.
+	acc = certified(t, tor, 1)
+	acc.Deliver(to, tor.ID(6, 7), radio.ValueTrue)
+	if acc.Deliver(to, tor.ID(8, 7), radio.ValueFalse) {
+		t.Fatal("mixed values certified")
+	}
+	if !acc.Deliver(to, tor.ID(7, 6), radio.ValueTrue) {
+		t.Fatal("second ValueTrue relayer should certify")
+	}
+
+	// Full propagation over a fault-free torus, driven by hand: every
+	// decided node relays once to its neighborhood, and everyone decides
+	// on the source's value (t=1 needs two same-window relayers,
+	// available once the front is two nodes thick).
+	acc = certified(t, tor, 1)
+	relay := []grid.NodeID{acc.Source()}
+	acc.OnAccept = func(id grid.NodeID, _ radio.Value) { relay = append(relay, id) }
+	for i := 0; i < len(relay); i++ {
+		sender := relay[i]
+		v, _ := acc.DecidedValue(sender)
+		tor.ForEachNeighbor(sender, func(to grid.NodeID) { acc.Deliver(to, sender, v) })
+	}
+	if got := acc.DecidedCount(); got != tor.Size() {
+		t.Fatalf("decided %d/%d", got, tor.Size())
+	}
+	for i, v := range acc.Value {
+		if v != radio.ValueTrue {
+			t.Fatalf("node %d decided %v", i, v)
+		}
 	}
 }

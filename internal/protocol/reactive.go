@@ -1,7 +1,8 @@
 // The Section 5 reactive protocol (Breactive) as a protocol.Machine:
 // certified propagation over a reactive reliable local broadcast built
-// on the two-level AUED code, re-platformed onto the shared slot-level
-// engine stack.
+// on the two-level AUED code, run on the shared slot-level engine stack.
+// It is the repository's only Section 5 implementation: the facade,
+// bftsim, bftsimd jobs, bench/ and experiment E8 all execute it.
 //
 // Mapping onto engine slots: a node that accepts schedules ONE local
 // broadcast; each of its TDMA slots transmits one data message round
@@ -12,10 +13,10 @@
 // retransmission at the sender via the returned Send. A local broadcast
 // therefore ends exactly when a data round draws no NACK — which, with
 // deterministic policies, happens precisely when the in-range attackers'
-// budgets are exhausted, making the explicit quiet-window countdown of
-// the sequential runtime (internal/reactive) unnecessary: it never
-// changes sends, deliveries or decisions, only how long the sender keeps
-// listening afterwards.
+// budgets are exhausted. The paper's sender additionally listens for
+// (2r+1)²−1 NACK-free rounds before it stops; that quiet window is not
+// modelled, because it never changes sends, deliveries or decisions,
+// only how long the sender keeps listening afterwards (DESIGN.md §10).
 //
 // A round costs what it has to do. Deliver brings a slot's batch into
 // (sender, receiver) order with one counting pass over the senders
@@ -27,14 +28,12 @@
 // sub-bits; a receiver outside an attack hears the codeword intact. After
 // a value's first round, a round without an attack allocates nothing.
 //
-// Relative to the frozen sequential runtime the observable difference is
-// scheduling: local broadcasts proceed concurrently in TDMA slot order
-// (the engines' time base) instead of one-at-a-time in NextRelay order,
-// so per-seed traces differ (the delta is pinned by the golden reactive
-// trace in the facade tests) while the protocol's guarantees — certified
+// Local broadcasts proceed concurrently in TDMA slot order (the engines'
+// time base); the per-seed event stream is pinned by the golden reactive
+// trace in the facade tests, and the protocol's guarantees — certified
 // propagation, Theorem 4 message bounds, forgery probability — are
-// preserved and additionally hold under Sweep, cancellation, observers
-// and the fast/ref/actor differential oracles.
+// asserted on this machine under Sweep, cancellation, observers and the
+// fast/ref/actor differential oracles.
 package protocol
 
 import (
@@ -69,7 +68,9 @@ type Reactive struct {
 }
 
 // ReactiveStats is the run record a reactive instance publishes at
-// Finish, backing the facade's ReactiveResult extension.
+// Finish; the facade hands it out as Report.Reactive (ReactiveResult).
+// It holds what only the machine knows: completion, decisions and the
+// bad-node count are the engine result's own fields.
 type ReactiveStats struct {
 	LocalBroadcasts int
 	MessageRounds   int // data rounds across all local broadcasts
@@ -106,26 +107,38 @@ func (m *Reactive) TakeStats() *ReactiveStats {
 	return s
 }
 
+// CheckParams is the reactive parameter rule, the one place it lives:
+// t within the certified-propagation threshold for radio range r
+// (0 <= t <= CPMaxT(r)), a non-negative adversary budget mf that the
+// protocol's loose bound covers (MMax >= max(1, mf)), and a payload the
+// code can carry (1 <= PayloadBits <= auedcode.MaxPayloadBits). Attach
+// enforces it, and Scenario validation calls it on the defaulted machine
+// so an impossible corner of a grid is refused at submit time.
+func (m *Reactive) CheckParams(r, t, mf int) error {
+	if t < 0 || t > CPMaxT(r) {
+		return fmt.Errorf("protocol: reactive t=%d outside [0,%d] for r=%d", t, CPMaxT(r), r)
+	}
+	if mf < 0 {
+		return fmt.Errorf("protocol: reactive mf=%d must be >= 0", mf)
+	}
+	if m.MMax < 1 || m.MMax < mf {
+		return fmt.Errorf("protocol: reactive mmax=%d must be >= max(1, mf=%d)", m.MMax, mf)
+	}
+	if m.PayloadBits < 1 || m.PayloadBits > auedcode.MaxPayloadBits {
+		return fmt.Errorf("protocol: reactive payload bits %d outside [1,%d]", m.PayloadBits, auedcode.MaxPayloadBits)
+	}
+	return nil
+}
+
 // Attach implements Machine.
 func (m *Reactive) Attach(env Env) (Instance, error) {
 	if env.Plan == nil {
 		return nil, fmt.Errorf("protocol: reactive machine needs a plan")
 	}
 	tor := env.Plan.Topo()
-	r := tor.Range()
-	t := env.Params.T
-	if t < 0 || t > CPMaxT(r) {
-		return nil, fmt.Errorf("protocol: reactive t=%d outside [0,%d] for r=%d", t, CPMaxT(r), r)
-	}
-	mf := env.Params.MF
-	if mf < 0 {
-		return nil, fmt.Errorf("protocol: reactive mf=%d must be >= 0", mf)
-	}
-	if m.MMax < 1 || m.MMax < mf {
-		return nil, fmt.Errorf("protocol: reactive mmax=%d must be >= max(1, mf=%d)", m.MMax, mf)
-	}
-	if m.PayloadBits < 1 {
-		return nil, fmt.Errorf("protocol: reactive payload bits %d", m.PayloadBits)
+	t, mf := env.Params.T, env.Params.MF
+	if err := m.CheckParams(tor.Range(), t, mf); err != nil {
+		return nil, err
 	}
 	n := tor.Size()
 	tEff := t
@@ -510,8 +523,7 @@ func (e *reactiveInstance) spamNack(slot int, sender grid.NodeID, hooks *Hooks) 
 }
 
 // armedNeighbor returns the first bad neighbor of sender with remaining
-// budget (the compiled plan's CSR order, as the sequential runtime
-// walked), or grid.None.
+// budget, in the compiled plan's CSR order, or grid.None.
 func (e *reactiveInstance) armedNeighbor(sender grid.NodeID) grid.NodeID {
 	if e.env.Bad == nil {
 		return grid.None

@@ -136,7 +136,7 @@ func reportFromActor(res *ActorResult, source NodeID) *Report {
 }
 
 // attachReactive decorates an engine report with the reactive machine's
-// run record: the ReactiveResult extension (replacing the backend's own
+// run record: the Reactive extension (replacing the backend's own
 // extension, so exactly one stays non-nil) and the adversary's attack
 // spend as BadMessages (machine-internal attacks are not radio jams, so
 // the engine itself counts none). Core fields stay engine-native: Slots
@@ -148,27 +148,7 @@ func attachReactive(rep *Report, rs *protocol.ReactiveStats) {
 	}
 	rep.BadMessages = rs.AttacksSpent
 	rep.Sim, rep.Actor = nil, nil
-	rep.Reactive = &ReactiveResult{
-		Completed:        rep.Completed,
-		WrongDecisions:   rep.WrongDecisions,
-		DecidedGood:      rep.DecidedGood,
-		TotalGood:        rep.TotalGood,
-		BadCount:         rep.BadCount,
-		LocalBroadcasts:  rs.LocalBroadcasts,
-		MessageRounds:    rs.MessageRounds,
-		DataSends:        rs.DataSends,
-		NackSends:        rs.NackSends,
-		MaxNodeMessages:  rs.MaxNodeMessages,
-		MaxNodeSubSlots:  rs.MaxNodeSubSlots,
-		Theorem4SubSlots: rs.Theorem4SubSlots,
-		ForgedDeliveries: rs.ForgedDeliveries,
-		AttacksSpent:     rs.AttacksSpent,
-		CodewordBits:     rs.CodewordBits,
-		SubBitLength:     rs.SubBitLength,
-		Decided:          rep.Decided,
-		DecidedValue:     rep.DecidedValue,
-		Bad:              rs.Bad,
-	}
+	rep.Reactive = rs
 }
 
 // attachMulti decorates an engine report with the multi-broadcast

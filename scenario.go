@@ -3,6 +3,8 @@ package bftbcast
 import (
 	"errors"
 	"fmt"
+
+	"bftbcast/internal/protocol"
 )
 
 // Scenario is the backend-neutral description of one broadcast
@@ -146,15 +148,19 @@ var (
 	// ErrNoTopology rejects a Scenario without a topology.
 	ErrNoTopology = errors.New("bftbcast: scenario needs a topology (WithTopology)")
 	// ErrBadParams rejects a nonsensical fault model — r < 1, t outside
-	// [0, r(2r+1)), or a negative mf. The wrapped cause names the field.
+	// [0, r(2r+1)), a negative mf — or, for ProtocolReactive, parameters
+	// the protocol cannot run with: t above CPAMaxT(r), MMax below
+	// max(1, mf), PayloadBits outside the code's range. The wrapped cause
+	// names the field.
 	ErrBadParams = errors.New("bftbcast: bad scenario Params")
 	// ErrBadSource rejects a source node outside the topology.
 	ErrBadSource = errors.New("bftbcast: scenario source out of range")
 	// ErrBadLimits rejects a negative MaxSlots (or, in a ScenarioSpec, a
 	// negative run_workers).
 	ErrBadLimits = errors.New("bftbcast: negative scenario limit")
-	// ErrBadProtocol rejects an unknown ProtocolID.
-	ErrBadProtocol = errors.New("bftbcast: unknown protocol")
+	// ErrBadProtocol rejects an unknown ProtocolID, or a Strategy on
+	// ProtocolReactive (whose adversary acts through Reactive.Policy).
+	ErrBadProtocol = errors.New("bftbcast: bad scenario Protocol")
 	// ErrBadBroadcasts rejects a nonsensical Broadcasts count: negative,
 	// more instances than nodes, or the multi-broadcast × reactive
 	// conflict (the reactive protocol is single-broadcast).
@@ -195,6 +201,15 @@ func (sc *Scenario) validate() error {
 		return fmt.Errorf("%w: %q (want %q or %q)",
 			ErrBadProtocol, sc.Protocol, ProtocolThreshold, ProtocolReactive)
 	}
+	if sc.Protocol == ProtocolReactive {
+		if sc.Strategy != nil {
+			return fmt.Errorf("%w: the reactive protocol drives bad nodes through Reactive.Policy, not a Strategy", ErrBadProtocol)
+		}
+		m := sc.reactiveMachine()
+		if err := m.CheckParams(sc.Topo.Range(), sc.Params.T, sc.Params.MF); err != nil {
+			return fmt.Errorf("%w: %w", ErrBadParams, err)
+		}
+	}
 	if sc.Broadcasts < 0 {
 		return fmt.Errorf("%w: %d must be >= 0", ErrBadBroadcasts, sc.Broadcasts)
 	}
@@ -207,6 +222,19 @@ func (sc *Scenario) validate() error {
 		}
 	}
 	return nil
+}
+
+// reactiveMachine returns the ProtocolReactive machine the Scenario
+// describes, ReactiveSpec's documented defaults filled.
+func (sc *Scenario) reactiveMachine() protocol.Reactive {
+	m := protocol.Reactive{MMax: sc.Reactive.MMax, PayloadBits: sc.Reactive.PayloadBits, Policy: sc.Reactive.Policy}
+	if m.MMax == 0 {
+		m.MMax = max(64, sc.Params.MF)
+	}
+	if m.PayloadBits == 0 {
+		m.PayloadBits = 16
+	}
+	return m
 }
 
 // WithTopology sets the network topology.

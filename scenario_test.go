@@ -42,6 +42,7 @@ func TestScenarioTypedValidationErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := bftbcast.WithTopology(tor)
+	reactive := bftbcast.WithProtocol(bftbcast.ProtocolReactive)
 	cases := []struct {
 		name string
 		want error
@@ -56,6 +57,13 @@ func TestScenarioTypedValidationErrors(t *testing.T) {
 		{"negative broadcasts", bftbcast.ErrBadBroadcasts, []bftbcast.ScenarioOption{topo, bftbcast.WithBroadcasts(-1)}},
 		{"broadcasts exceed nodes", bftbcast.ErrBadBroadcasts, []bftbcast.ScenarioOption{topo, bftbcast.WithBroadcasts(1001)}},
 		{"broadcasts with reactive", bftbcast.ErrBadBroadcasts, []bftbcast.ScenarioOption{topo, bftbcast.WithProtocol(bftbcast.ProtocolReactive), bftbcast.WithBroadcasts(2)}},
+		// The reactive parameter rule, on the defaulted ReactiveSpec
+		// (r = 1: t at most CPAMaxT(1) = 1, inside Params' own t < 3).
+		{"reactive t above the certified-propagation threshold", bftbcast.ErrBadParams, []bftbcast.ScenarioOption{topo, reactive, bftbcast.WithParams(bftbcast.Params{R: 1, T: 2, MF: 1})}},
+		{"reactive mmax below mf", bftbcast.ErrBadParams, []bftbcast.ScenarioOption{topo, reactive, bftbcast.WithParams(bftbcast.Params{R: 1, T: 1, MF: 100}), bftbcast.WithReactive(bftbcast.ReactiveSpec{MMax: 10})}},
+		{"reactive negative payload", bftbcast.ErrBadParams, []bftbcast.ScenarioOption{topo, reactive, bftbcast.WithReactive(bftbcast.ReactiveSpec{PayloadBits: -3})}},
+		{"reactive oversized payload", bftbcast.ErrBadParams, []bftbcast.ScenarioOption{topo, reactive, bftbcast.WithReactive(bftbcast.ReactiveSpec{PayloadBits: 1<<20 + 1})}},
+		{"reactive with a strategy", bftbcast.ErrBadProtocol, []bftbcast.ScenarioOption{topo, reactive, bftbcast.WithStrategy(bftbcast.NewCorruptor())}},
 	}
 	for _, tc := range cases {
 		_, err := bftbcast.NewScenario(tc.opts...)
@@ -80,6 +88,10 @@ func TestScenarioTypedValidationErrors(t *testing.T) {
 	}
 	if err := sc.Validate(); err != nil {
 		t.Fatalf("valid scenario: Validate = %v", err)
+	}
+	// MMax 0 defaults to max(64, mf), so a large mf alone is admissible.
+	if _, err := sc.With(reactive, bftbcast.WithParams(bftbcast.Params{R: 1, T: 1, MF: 100})); err != nil {
+		t.Fatalf("reactive scenario with the default mmax: %v", err)
 	}
 }
 
@@ -213,13 +225,16 @@ func TestEngineScenarioMismatch(t *testing.T) {
 		!strings.Contains(err.Error(), "fault-free") {
 		t.Fatalf("actor engine on adversarial scenario: err = %v, want fault-free rejection", err)
 	}
-	reactive, err := adversarial.With(bftbcast.WithProtocol(bftbcast.ProtocolReactive))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bftbcast.EngineFast.Run(ctx, reactive); err == nil ||
+	// A Strategy on the reactive protocol is refused when the Scenario
+	// is built, and again by the engine for a hand-built one.
+	if _, err := adversarial.With(bftbcast.WithProtocol(bftbcast.ProtocolReactive)); !errors.Is(err, bftbcast.ErrBadProtocol) ||
 		!strings.Contains(err.Error(), "Policy") {
-		t.Fatalf("reactive protocol with Strategy: err = %v, want policy rejection", err)
+		t.Fatalf("reactive protocol with Strategy: With err = %v, want policy rejection", err)
+	}
+	handBuilt := *adversarial
+	handBuilt.Protocol = bftbcast.ProtocolReactive
+	if _, err := bftbcast.EngineFast.Run(ctx, &handBuilt); !errors.Is(err, bftbcast.ErrBadProtocol) {
+		t.Fatalf("reactive protocol with Strategy: Run err = %v, want ErrBadProtocol", err)
 	}
 }
 

@@ -87,12 +87,12 @@ run_suite() {
   go test -run '^$' -timeout 1800s \
     -bench 'BenchmarkRGGBuild$/^n=1M$' \
     -benchmem -benchtime 1x . >> "$RAW"
-  # The protocol-layer delivery hot path lives in internal/bv; its
-  # allocs/op line joins the same document so the allocation gate can
-  # guard it.
+  # The certified-propagation delivery hot path (protocol.Acceptance in
+  # distinct mode); its allocs/op line joins the same document so the
+  # allocation gate can guard it.
   go test -run '^$' -timeout 600s \
     -bench 'BenchmarkBVDeliver$' \
-    -benchmem -benchtime "$BENCHTIME" ./internal/bv >> "$RAW"
+    -benchmem -benchtime "$BENCHTIME" ./internal/protocol >> "$RAW"
   # The job-service tier: end-to-end submit → checkpointing run →
   # constant-memory aggregation → wait for a 64-point grid, the path
   # every bftsimd job takes — plus the sharded variant of the same grid

@@ -43,10 +43,16 @@ func TestGridSpecDecodeValidate(t *testing.T) {
 		{"negative mf axis", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "t": 1}, "mf": [-3]}`, bftbcast.ErrBadParams},
 		{"t axis too large", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "mf": 1}, "t": [99]}`, bftbcast.ErrBadParams},
 		{"reactive x broadcasts", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "t": 1, "mf": 2, "protocol": "reactive"}, "broadcasts": [4]}`, bftbcast.ErrBadBroadcasts},
+		// Corners the reactive protocol cannot run (r = 2: t at most 4),
+		// refused at decode time and not at the first such point.
+		{"reactive t axis above the certified-propagation threshold", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "mf": 2, "protocol": "reactive"}, "t": [1, 2, 3, 4, 5]}`, bftbcast.ErrBadParams},
+		{"reactive mmax below mf", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "t": 1, "mf": 100, "mmax": 10, "protocol": "reactive"}}`, bftbcast.ErrBadParams},
+		{"reactive negative payload", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "t": 1, "mf": 2, "payload_bits": -3, "protocol": "reactive"}}`, bftbcast.ErrBadParams},
 	}
 	for _, tc := range bad {
-		if _, err := bftbcast.DecodeGridSpec([]byte(tc.doc)); !errors.Is(err, tc.want) {
-			t.Errorf("%s: error = %v, want errors.Is(%v)", tc.name, err, tc.want)
+		_, err := bftbcast.DecodeGridSpec([]byte(tc.doc))
+		if !errors.Is(err, tc.want) || !errors.Is(err, bftbcast.ErrBadSpec) {
+			t.Errorf("%s: error = %v, want errors.Is(%v) and ErrBadSpec", tc.name, err, tc.want)
 		}
 	}
 }
