@@ -1,0 +1,247 @@
+package bftbcast_test
+
+// The allocation contracts of the hot paths: upper bounds on heap
+// allocations per operation, which do not depend on the machine and
+// which no timing benchmark can hold (bench/ measures the time; these
+// hold what the time rests on — reused runner state, flat arenas, one
+// spec expansion per point). They live in one file, engine, protocol and
+// job layer alike, so that one build-tagged constant (raceEnabled)
+// covers them all: the race detector allocates on its own.
+//
+// Each bound is a literal about 1.10× what the commit that introduced
+// it read (noted beside it); testing.AllocsPerRun runs the operation
+// once unmeasured first, which fills the runner pool and the plan cache.
+// A change that trips one either fixes the allocation it added or moves
+// the literal and says why.
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"bftbcast"
+	"bftbcast/internal/grid"
+	"bftbcast/internal/jobs"
+	"bftbcast/internal/protocol"
+	"bftbcast/internal/radio"
+)
+
+func TestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	t.Run("RGG100kRun", allocsRGG100kRun)
+	t.Run("MultiBroadcast", allocsMultiBroadcast)
+	t.Run("BVDeliver", allocsBVDeliver)
+	t.Run("Sweep", allocsSweep)
+	t.Run("JobGrid", allocsJobGrid)
+}
+
+// allocsAtMost fails t when op allocates more than bound times per run,
+// averaged over runs measured runs after one warm-up run.
+func allocsAtMost(t *testing.T, runs int, bound float64, op func()) {
+	t.Helper()
+	if got := testing.AllocsPerRun(runs, op); got > bound {
+		t.Fatalf("%.0f allocs per run, the contract is at most %.0f", got, bound)
+	}
+}
+
+// allocsRGG100kRun holds the large-scale fast path's steady-state
+// reuse: one adversarial protocol-B broadcast on a connected 100,000-node
+// random geometric graph (t=1 random placement, corruptor), scenario and
+// a fresh corruptor with its bad-neighbor index included — strategies are
+// single-run objects — allocates a few dozen times, not in proportion to
+// nodes or slots (it was ~200k before the runner kept its arenas).
+func allocsRGG100kRun(t *testing.T) {
+	g, err := bftbcast.NewRGG(100_000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := bftbcast.Params{R: 1, T: 1, MF: 2}
+	spec, err := bftbcast.NewProtocolB(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// Read 29–32 when introduced.
+	allocsAtMost(t, 5, 35, func() {
+		sc, err := bftbcast.NewScenario(
+			bftbcast.WithTopology(g),
+			bftbcast.WithParams(params),
+			bftbcast.WithSpec(spec),
+			bftbcast.WithAdversary(bftbcast.RandomPlacement{T: 1, Density: 0.02, Seed: 3}, bftbcast.NewCorruptor()),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := bftbcast.EngineFast.Run(ctx, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Completed || rep.WrongDecisions != 0 {
+			t.Fatalf("100k broadcast failed: completed=%v wrong=%d", rep.Completed, rep.WrongDecisions)
+		}
+	})
+}
+
+// allocsMultiBroadcast holds the multi-broadcast machine's flat
+// arenas: 32 concurrent protocol-B instances on a fault-free 45×45 torus
+// allocate per run, not per instance, node or delivery.
+func allocsMultiBroadcast(t *testing.T) {
+	tor, err := bftbcast.NewTorus(45, 45, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := bftbcast.Params{R: 2, T: 2, MF: 2}
+	spec, err := bftbcast.NewProtocolB(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := bftbcast.NewScenario(
+		bftbcast.WithTopology(tor), bftbcast.WithParams(params), bftbcast.WithSpec(spec),
+		bftbcast.WithBroadcasts(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// Read 33 when introduced.
+	allocsAtMost(t, 10, 36, func() {
+		rep, err := bftbcast.EngineFast.Run(ctx, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Completed || rep.WrongDecisions != 0 || rep.Multi == nil {
+			t.Fatalf("multi broadcast failed: %+v", rep)
+		}
+	})
+}
+
+// allocsBVDeliver holds the flat relay arena of certified
+// propagation (the Bhandari–Vaidya rule the reactive machine accepts by):
+// one pass in which every non-source node of a 30×30 torus receives t+1
+// in-window relays and accepts allocates only when the arena grows —
+// nothing per node, per delivery or per acceptance.
+func allocsBVDeliver(t *testing.T) {
+	tor := grid.MustNew(30, 30, 2)
+	const faults, runs = 2, 20
+	// An Acceptance serves one pass, so each run (and the warm-up) gets
+	// its own, built outside the measurement.
+	accs := make([]*protocol.Acceptance, runs+1)
+	for i := range accs {
+		var err error
+		accs[i], err = protocol.NewAcceptance(protocol.AcceptConfig{
+			Topo: tor, Source: 0, Threshold: faults + 1, Distinct: true, SourceDirect: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	// Read 15 when introduced.
+	allocsAtMost(t, runs, 16, func() {
+		acc := accs[next]
+		next++
+		for id := 1; id < tor.Size(); id++ {
+			to := grid.NodeID(id)
+			n := 0
+			tor.ForEachNeighbor(to, func(nb grid.NodeID) {
+				if n <= faults && nb != to {
+					acc.Deliver(to, nb, radio.ValueTrue)
+					n++
+				}
+			})
+		}
+		if got := acc.DecidedCount(); got != tor.Size() {
+			t.Fatalf("decided %d of %d", got, tor.Size())
+		}
+	})
+}
+
+// allocsSweep holds the sweep's pinned per-worker runner: 8
+// adversarial protocol-B points on a 45×45 torus (r=4, degree 80)
+// through Sweep on one worker — scenarios, strategies, reports and one
+// runner warm-up included — stay at a few dozen allocations per point.
+func allocsSweep(t *testing.T) {
+	tor, err := bftbcast.NewTorus(45, 45, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := bftbcast.Params{R: 4, T: 2, MF: 2}
+	spec, err := bftbcast.NewProtocolB(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := bftbcast.NewScenario(
+		bftbcast.WithTopology(tor), bftbcast.WithParams(params), bftbcast.WithSpec(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// Read 624 when introduced: ≈400 for the stream and a cold runner,
+	// ≈28 a point.
+	allocsAtMost(t, 5, 686, func() {
+		scenarios := make([]*bftbcast.Scenario, 8)
+		for j := range scenarios {
+			scenarios[j], err = base.With(bftbcast.WithAdversary(
+				bftbcast.RandomPlacement{T: params.T, Density: 0.05, Seed: uint64(j + 1)},
+				bftbcast.NewCorruptor(),
+			))
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		pts, err := (&bftbcast.Sweep{Workers: 1, Scenarios: scenarios}).Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, pt := range pts {
+			if !pt.Report.Completed {
+				t.Fatalf("sweep point %d did not complete", j)
+			}
+		}
+	})
+}
+
+// allocsJobGrid holds the job service's per-point cost — one spec
+// expansion, one record, one fold per point, a pinned engine per leased
+// range: a 64-point grid (15×15 torus, 16 seeds × t∈{1,2} × mf∈{1,2})
+// submitted to a jobs.Manager with checkpointing on and run to
+// completion by two in-process executors, which lease it in 4-point
+// ranges.
+func allocsJobGrid(t *testing.T) {
+	m, err := jobs.Open(jobs.Config{Dir: t.TempDir(), Workers: 2, MaxQueue: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := m.Close(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	spec := &bftbcast.GridSpec{
+		Base: bftbcast.ScenarioSpec{
+			Topology:  bftbcast.TopologySpec{Kind: "torus", W: 15, H: 15, R: 2},
+			Adversary: "random",
+			Density:   0.08,
+			Seed:      9,
+		},
+		Seeds: 16,
+		T:     []int{1, 2},
+		MF:    []int{1, 2},
+	}
+	// Read 4405–4412 when introduced.
+	allocsAtMost(t, 10, 4850, func() {
+		job, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := job.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if st := job.Status(); st.State != jobs.StateDone || st.Aggregate.Done != 64 {
+			t.Fatalf("job ended %s with %d of 64 points", st.State, st.Aggregate.Done)
+		}
+	})
+}

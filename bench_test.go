@@ -1,26 +1,28 @@
 package bftbcast_test
 
-// One benchmark per paper experiment (E1–E12, see DESIGN.md §5 and
+// go test -bench conveniences for looking at one thing while working:
+// one benchmark per paper experiment (E1–E12, see DESIGN.md §5 and
 // EXPERIMENTS.md), each running the corresponding reproduction through
-// the exper harness, plus micro-benchmarks of the core primitives and a
-// sequential-vs-parallel benchmark of the experiment harness itself. Run
-// with: go test -bench=. -benchmem
+// the exper harness and failing when the claim shape does not reproduce;
+// the dense-reference vs sparse-engine pair; the tiers above what bench/
+// runs (160×160 sweep, 2^20-node run, RGG construction, large-M RGG); and
+// micro-benchmarks of the core primitives. Run with: go test -bench=.
+// -benchmem
 //
-// Every experiment benchmark also validates the reproduced claim shape
-// (the harness marks the outcome failed otherwise), so `-bench` doubles
-// as a full reproduction check.
+// Nothing here is recorded or gated. Performance claims are measured
+// with the repository benchmark (go run -C bench ., BENCHMARK.json),
+// which owns the workloads that used to be rows here; allocation
+// contracts are tests (allocs_test.go).
 
 import (
 	"context"
 	"io"
-	"runtime"
 	"testing"
 
 	"bftbcast"
 	"bftbcast/internal/actor"
 	"bftbcast/internal/auedcode"
 	"bftbcast/internal/exper"
-	"bftbcast/internal/pool"
 	"bftbcast/internal/sim"
 	"bftbcast/internal/sim/ref"
 	"bftbcast/internal/stats"
@@ -93,16 +95,13 @@ func BenchmarkE11Topologies(b *testing.B) { benchExperiment(b, "E11") }
 // comparison (batched sends vs M sequential single-broadcast runs).
 func BenchmarkE12MultiBroadcast(b *testing.B) { benchExperiment(b, "E12") }
 
-// --- Engine speedup and harness parallelism guardrails ---
+// --- Engine speedup ---
 
-// benchSweep45 runs an 8-point sweep of protocol B on a 45×45 torus
-// (r=4, random adversary, one seed per point) through the experiment
-// harness's worker pool, with a pluggable engine entry point. The
-// variants execute identical work, so their time ratios measure the
-// harness speedup (sequential vs parallel) and the engine speedup
-// (sparse fast path vs the dense sim/ref baseline; tracked across PRs
-// in BENCH_sim.json via cmd/benchjson).
-func benchSweep45(b *testing.B, workers int, run func(sim.Config) (*sim.Result, error)) {
+// benchSweep45 runs 8 points of protocol B on a 45×45 torus (r=4, random
+// adversary, one seed per point) with a pluggable engine entry point.
+// The two variants execute identical work, so their time ratio is the
+// engine speedup: sparse fast path vs the dense sim/ref baseline.
+func benchSweep45(b *testing.B, run func(sim.Config) (*sim.Result, error)) {
 	b.Helper()
 	tor, err := bftbcast.NewTorus(45, 45, 4)
 	if err != nil {
@@ -116,113 +115,30 @@ func benchSweep45(b *testing.B, workers int, run func(sim.Config) (*sim.Result, 
 	const points = 8
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pool.ForEach(workers, points, func(j int) error {
+		for j := 0; j < points; j++ {
 			res, err := run(sim.Config{
 				Topo: tor, Params: params, Spec: spec,
 				Placement: bftbcast.RandomPlacement{T: 2, Density: 0.05, Seed: uint64(j + 1)},
 				Strategy:  bftbcast.NewCorruptor(),
 			})
 			if err != nil {
-				return err
+				b.Fatal(err)
 			}
 			if !res.Completed {
-				b.Errorf("sweep point %d did not complete", j)
+				b.Fatalf("sweep point %d did not complete", j)
 			}
-			return nil
-		}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkSweep45Sequential is the 45×45 sweep on one worker through
-// the sparse fast engine (the production path).
-func BenchmarkSweep45Sequential(b *testing.B) { benchSweep45(b, 1, sim.Run) }
-
-// BenchmarkSweep45Parallel is the same sweep on runtime.NumCPU() workers.
-func BenchmarkSweep45Parallel(b *testing.B) { benchSweep45(b, runtime.NumCPU(), sim.Run) }
+// BenchmarkSweep45Sequential is the 45×45 sweep through the sparse fast
+// engine (the production path).
+func BenchmarkSweep45Sequential(b *testing.B) { benchSweep45(b, sim.Run) }
 
 // BenchmarkSweep45DenseRef is the same sweep through the dense reference
 // engine (internal/sim/ref): the frozen pre-optimization baseline the
 // fast path's single-core speedup is measured against.
-func BenchmarkSweep45DenseRef(b *testing.B) { benchSweep45(b, 1, ref.Run) }
-
-// BenchmarkSweep45Runner is the sweep on one worker with one explicitly
-// reused sim.Runner, the allocation-free steady state of the fast path.
-func BenchmarkSweep45Runner(b *testing.B) {
-	r := sim.NewRunner()
-	benchSweep45(b, 1, r.Run)
-}
-
-// BenchmarkSweep45Scenario is the same sweep through the public
-// Scenario/Engine adapter (EngineFast.Run), including per-point Scenario
-// construction and Report wrapping: the guard that the API redesign adds
-// <2% overhead over direct sim.Run (BenchmarkSweep45Sequential).
-func BenchmarkSweep45Scenario(b *testing.B) {
-	ctx := context.Background()
-	benchSweep45(b, 1, func(cfg sim.Config) (*sim.Result, error) {
-		sc, err := bftbcast.NewScenario(
-			bftbcast.WithTopology(cfg.Topo),
-			bftbcast.WithParams(cfg.Params),
-			bftbcast.WithSpec(cfg.Spec),
-			bftbcast.WithAdversary(cfg.Placement, cfg.Strategy),
-		)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := bftbcast.EngineFast.Run(ctx, sc)
-		if err != nil {
-			return nil, err
-		}
-		return rep.Sim, nil
-	})
-}
-
-// BenchmarkReactiveSweep is the re-platformed Section 5 tier: an 8-point
-// sweep of the reactive protocol (15×15 torus, t=1, mf=3, disruption
-// attacks, one seed per point) through the public Sweep harness on one
-// worker. Before the protocol seam the reactive runtime had no sweep
-// path at all; this records what reactive scenarios cost on the shared
-// engine stack (radio resolution and the coding layer's RNG draws carry
-// it since the rounds stopped expanding sub-bits nobody observes).
-func BenchmarkReactiveSweep(b *testing.B) {
-	tor, err := bftbcast.NewTorus(15, 15, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base, err := bftbcast.NewScenario(
-		bftbcast.WithTopology(tor),
-		bftbcast.WithParams(bftbcast.Params{R: 2, T: 1, MF: 3}),
-		bftbcast.WithProtocol(bftbcast.ProtocolReactive),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scenarios := make([]*bftbcast.Scenario, 8)
-		for j := range scenarios {
-			scenarios[j], err = base.With(
-				bftbcast.WithSeed(uint64(j+1)),
-				bftbcast.WithPlacement(bftbcast.RandomPlacement{T: 1, Density: 0.06, Seed: uint64(j + 1)}),
-			)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		pts, err := (&bftbcast.Sweep{Workers: 1, Scenarios: scenarios}).Run(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j, pt := range pts {
-			if !pt.Report.Completed {
-				b.Fatalf("reactive sweep point %d did not complete", j)
-			}
-		}
-	}
-}
+func BenchmarkSweep45DenseRef(b *testing.B) { benchSweep45(b, ref.Run) }
 
 // --- Large-scale tier (compiled topology plans) ---
 
@@ -272,52 +188,6 @@ func BenchmarkSweep160Scenario(b *testing.B) {
 	}
 }
 
-// BenchmarkRGG100kRun is the 100k-node scale proof: one adversarial
-// protocol-B broadcast (random t=1 placement, corruptor strategy) on a
-// connected random geometric graph of 100,000 nodes. The graph and its
-// compiled plan are built once outside the timer; the measured op is the
-// full broadcast to completion, scenario included — strategies are
-// single-run objects, so every iteration gets a fresh corruptor and pays
-// for its bad-neighbor index. One run outside the timer fills the runner
-// pool first (see benchMulti). Before the table-free RGG fast path this
-// topology was unconstructible (the all-pairs hop table alone would be
-// 20 GB).
-func BenchmarkRGG100kRun(b *testing.B) {
-	g, err := bftbcast.NewRGG(100_000, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := bftbcast.Params{R: 1, T: 1, MF: 2}
-	spec, err := bftbcast.NewProtocolB(params)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	run := func() {
-		sc, err := bftbcast.NewScenario(
-			bftbcast.WithTopology(g),
-			bftbcast.WithParams(params),
-			bftbcast.WithSpec(spec),
-			bftbcast.WithAdversary(bftbcast.RandomPlacement{T: 1, Density: 0.02, Seed: 3}, bftbcast.NewCorruptor()),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := bftbcast.EngineFast.Run(ctx, sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rep.Completed || rep.WrongDecisions != 0 {
-			b.Fatalf("100k broadcast failed: completed=%v wrong=%d", rep.Completed, rep.WrongDecisions)
-		}
-	}
-	run()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-}
-
 // BenchmarkRGG1MRun is the million-node scale proof: one fault-free
 // protocol-B broadcast on a connected random geometric graph of 2^20
 // nodes (the RGG constructor's cap). The graph and its compiled plan are
@@ -358,8 +228,8 @@ func BenchmarkRGG1MRun(b *testing.B) {
 	}
 }
 
-// BenchmarkRGGBuild is the topology layer under the RGG tiers above,
-// which all build their graph outside the timer: place the nodes, grow
+// BenchmarkRGGBuild is the topology layer under the RGG tiers, which
+// all build their graph outside the timer: place the nodes, grow
 // the radius until connected, CSR adjacency, component sweep, greedy
 // distance-2 coloring. n=1M is run at -benchtime 1x like RGG1MRun and
 // skipped in -short runs.
@@ -386,86 +256,16 @@ func BenchmarkRGGBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiBroadcast is the multi-broadcast traffic tier: 32
-// concurrent protocol-B instances (distinct sources, staggered starts)
-// multiplexed over one TDMA slot stream on a 45×45 torus, fault-free so
-// the run is deterministic. One single-broadcast run outside the timer
-// records the naive per-instance cost; every iteration asserts the
-// batched send total stays strictly below 32× that baseline — the
-// message-efficiency claim the traffic mode exists for (DESIGN.md §12).
-func BenchmarkMultiBroadcast(b *testing.B) {
-	tor, err := bftbcast.NewTorus(45, 45, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := bftbcast.Params{R: 2, T: 2, MF: 2}
-	spec, err := bftbcast.NewProtocolB(params)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base, err := bftbcast.NewScenario(
-		bftbcast.WithTopology(tor), bftbcast.WithParams(params), bftbcast.WithSpec(spec))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	singleRep, err := bftbcast.EngineFast.Run(ctx, base)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !singleRep.Completed {
-		b.Fatal("single-broadcast baseline did not complete")
-	}
-	const m = 32
-	sc, err := base.With(bftbcast.WithBroadcasts(m))
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchMulti(b, sc, func(rep *bftbcast.Report) {
-		if rep.Multi.BatchedSends >= m*singleRep.GoodMessages {
-			b.Fatalf("no batching win: %d batched sends vs %d×%d single-broadcast sends",
-				rep.Multi.BatchedSends, m, singleRep.GoodMessages)
-		}
-	})
-}
-
-// benchMulti times fault-free multi-broadcast runs of sc on the fast
-// engine. One run outside the timer fills the runner pool and the plan
-// cache first — without it allocs/op reads one of two values, depending
-// on whether a collection emptied the pool before the timed loop. Next
-// to ns/op it reports the multi-broadcast accounting of
-// Levin/Kowalski/Segal (PAPERS.md): amortised slots per broadcast,
-// instance entries per physical send, and batched over naive sends.
-func benchMulti(b *testing.B, sc *bftbcast.Scenario, check func(*bftbcast.Report)) {
-	b.Helper()
-	ctx := context.Background()
-	var rep *bftbcast.Report
-	run := func() {
-		var err error
-		if rep, err = bftbcast.EngineFast.Run(ctx, sc); err != nil {
-			b.Fatal(err)
-		}
-		if !rep.Completed || rep.WrongDecisions != 0 || rep.Multi == nil {
-			b.Fatalf("multi broadcast failed: %+v", rep)
-		}
-		check(rep)
-	}
-	run()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-	b.ReportMetric(float64(rep.Slots)/float64(rep.Multi.M), "slots/bcast")
-	b.ReportMetric(float64(rep.Multi.EntriesCarried)/float64(rep.Multi.BatchedSends), "entries/send")
-	b.ReportMetric(float64(rep.Multi.BatchedSends)/float64(rep.Multi.NaiveSends), "batched/naive")
-}
-
 // BenchmarkRGG25kMulti is the large-M irregular-topology tier: 16
 // concurrent protocol-B instances on a connected random geometric graph
-// of 25,600 nodes, fault-free. Where the torus tier runs the batching on
-// a regular schedule, this one runs it over the RGG's greedy coloring —
-// uneven color classes — at a scale where the flat M×N arenas dominate
-// memory traffic.
+// of 25,600 nodes, fault-free. Where bench/'s multi32-torus45 runs the
+// batching on a regular schedule, this one runs it over the RGG's greedy
+// coloring — uneven color classes — at a scale where the flat M×N arenas
+// dominate memory traffic. One run outside the timer fills the runner
+// pool and the plan cache. Next to ns/op it reports the multi-broadcast
+// accounting of Levin/Kowalski/Segal (PAPERS.md): amortised slots per
+// broadcast, instance entries per physical send, and batched over naive
+// sends.
 func BenchmarkRGG25kMulti(b *testing.B) {
 	g, err := bftbcast.NewRGG(25_600, 7)
 	if err != nil {
@@ -485,7 +285,24 @@ func BenchmarkRGG25kMulti(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchMulti(b, sc, func(*bftbcast.Report) {})
+	ctx := context.Background()
+	var rep *bftbcast.Report
+	run := func() {
+		if rep, err = bftbcast.EngineFast.Run(ctx, sc); err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Completed || rep.WrongDecisions != 0 || rep.Multi == nil {
+			b.Fatalf("multi broadcast failed: %+v", rep)
+		}
+	}
+	run()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(rep.Slots)/float64(rep.Multi.M), "slots/bcast")
+	b.ReportMetric(float64(rep.Multi.EntriesCarried)/float64(rep.Multi.BatchedSends), "entries/send")
+	b.ReportMetric(float64(rep.Multi.BatchedSends)/float64(rep.Multi.NaiveSends), "batched/naive")
 }
 
 // --- Micro-benchmarks of the core primitives ---
@@ -579,39 +396,6 @@ func BenchmarkAUEDVerify(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := code.Verify(w); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReactiveBroadcast measures a full Breactive run under
-// disruption attacks, through the path the reactive workloads run: one
-// Scenario on the fast engine.
-func BenchmarkReactiveBroadcast(b *testing.B) {
-	tor, err := bftbcast.NewTorus(15, 15, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc, err := bftbcast.NewScenario(
-		bftbcast.WithTopology(tor),
-		bftbcast.WithParams(bftbcast.Params{R: 2, T: 1, MF: 3}),
-		bftbcast.WithProtocol(bftbcast.ProtocolReactive),
-		bftbcast.WithReactive(bftbcast.ReactiveSpec{MMax: 64, PayloadBits: 16, Policy: bftbcast.PolicyDisrupt}),
-		bftbcast.WithPlacement(bftbcast.RandomPlacement{T: 1, Density: 0.06, Seed: 5}),
-		bftbcast.WithSeed(9),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := bftbcast.EngineFast.Run(ctx, sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rep.Completed {
-			b.Fatal("reactive broadcast failed")
 		}
 	}
 }

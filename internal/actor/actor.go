@@ -1,10 +1,14 @@
-// Package actor is a concurrent runtime for the threshold broadcast
-// protocols: every node runs as its own goroutine communicating over
-// channels, with slots synchronized by a coordinator. It executes the
-// same protocol semantics as the sequential engine (package sim) in the
-// fault-free setting and is checked for equivalence against it; its
-// purpose is to exercise the protocols under Go's race detector with real
-// message passing, the way a deployment harness would.
+// Package actor is a concurrent runtime for the broadcast protocols:
+// every node runs as its own goroutine that owns the transmission
+// mechanics — its pending counter, transmit value and sent tally — and
+// answers a coordinator over channels, slot by slot. The protocol brain
+// is a protocol.Instance the coordinator drives after each slot's
+// delivery barrier (machines are single-goroutine by contract), so
+// acceptances and Observer events come out in delivery order, the same
+// on every run and the same as the sequential engine's (package sim),
+// against which the runtime is checked in the fault-free setting. Its
+// purpose is to exercise the protocols under Go's race detector with
+// real channel traffic, the way a deployment harness would.
 //
 // Adversarial strategies are not supported here: the worst-case adversary
 // of package adversary is omniscient and deliberately sequential, which
@@ -31,14 +35,13 @@ type Config struct {
 	// Topo is the network topology (grid.Torus, topo.Bounded, topo.RGG).
 	Topo   topo.Topology
 	Params core.Params
-	// Spec is the threshold protocol, run on the fully distributed
-	// per-node state machines below. Ignored when Machine is set.
+	// Spec is the threshold protocol; it runs as
+	// protocol.NewThreshold(Spec). Ignored when Machine is set.
 	Spec core.Spec
-	// Machine, when non-nil, selects a custom protocol state machine
-	// driven by the coordinator (see machine.go); the node goroutines
-	// keep the transmission mechanics.
+	// Machine, when non-nil, is the protocol state machine to run
+	// instead (protocol.Multi, protocol.Reactive, a custom one).
 	Machine protocol.Machine
-	// Seed drives machine-level randomness (Machine runs only).
+	// Seed drives machine-level randomness.
 	Seed     uint64
 	Source   grid.NodeID
 	MaxSlots int
@@ -50,9 +53,10 @@ type Config struct {
 	// OnDeliver, when non-nil, observes every delivery of the radio
 	// medium.
 	OnDeliver func(slot int, d radio.Delivery)
-	// OnAccept, when non-nil, observes every acceptance. It runs on the
-	// coordinator goroutine after the slot's delivery barrier, so
-	// observers need no synchronization of their own.
+	// OnAccept, when non-nil, observes every acceptance. Like the other
+	// callbacks it runs on the coordinator goroutine, in the order the
+	// slot's deliveries are handed to the protocol, so observers need no
+	// synchronization of their own.
 	OnAccept func(slot int, id grid.NodeID, v radio.Value)
 }
 
@@ -72,49 +76,33 @@ type Result struct {
 	DecidedValue []radio.Value
 }
 
+// node is the per-goroutine transmission actor.
+type node struct {
+	value   radio.Value
+	pending int
+	sent    int32
+	cmds    chan command
+}
+
 type cmdKind int
 
 const (
 	cmdQuery cmdKind = iota + 1
-	cmdDeliver
+	cmdSched
 	cmdStop
 )
 
 type command struct {
 	kind  cmdKind
 	value radio.Value
-	reply chan txReply
-	wg    *sync.WaitGroup
+	n     int
+	reply chan reply
 }
 
-type txReply struct {
+type reply struct {
 	emit  bool
 	value radio.Value
-	state nodeState // filled on stop
-}
-
-type nodeState struct {
-	decided bool
-	value   radio.Value
-	sent    int32
-}
-
-type acceptMsg struct {
-	id    grid.NodeID
-	sends int
-	value radio.Value
-}
-
-// node is the per-goroutine protocol state machine.
-type node struct {
-	id        grid.NodeID
-	threshold int32
-	sends     int
-	counts    map[radio.Value]int32
-	st        nodeState
-	pending   int
-	cmds      chan command
-	accepts   chan<- acceptMsg
+	sent  int32
 }
 
 func (n *node) run(wg *sync.WaitGroup) {
@@ -122,32 +110,22 @@ func (n *node) run(wg *sync.WaitGroup) {
 	for cmd := range n.cmds {
 		switch cmd.kind {
 		case cmdQuery:
-			r := txReply{}
+			r := reply{}
 			if n.pending > 0 {
 				n.pending--
-				n.st.sent++
-				r = txReply{emit: true, value: n.st.value}
+				n.sent++
+				r = reply{emit: true, value: n.value}
 			}
 			cmd.reply <- r
-		case cmdDeliver:
-			n.deliver(cmd.value)
-			cmd.wg.Done()
+		case cmdSched:
+			n.value = cmd.value
+			n.pending += cmd.n
+			cmd.reply <- reply{}
 		case cmdStop:
-			cmd.reply <- txReply{state: n.st}
+			cmd.reply <- reply{sent: n.sent}
 			return
 		}
 	}
-}
-
-func (n *node) deliver(v radio.Value) {
-	n.counts[v]++
-	if n.st.decided || n.counts[v] != n.threshold {
-		return
-	}
-	n.st.decided = true
-	n.st.value = v
-	n.pending = n.sends
-	n.accepts <- acceptMsg{id: n.id, sends: n.sends, value: v}
 }
 
 // Run executes the configured broadcast with one goroutine per node.
@@ -163,23 +141,21 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Machine != nil {
-		return runMachine(ctx, cfg)
-	}
 	if cfg.Topo == nil {
 		return nil, errors.New("actor: config needs a topology")
 	}
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Spec.Validate(); err != nil {
-		return nil, err
+	if cfg.Machine == nil {
+		if err := cfg.Spec.Validate(); err != nil {
+			return nil, err
+		}
+		cfg.Machine = protocol.NewThreshold(cfg.Spec)
 	}
 	if cfg.Params.R != cfg.Topo.Range() {
 		return nil, fmt.Errorf("actor: params r=%d but topology r=%d", cfg.Params.R, cfg.Topo.Range())
 	}
-	// Topology-derived artifacts (schedule, color classes, the medium's
-	// CSR adjacency) come from the shared compiled plan.
 	p := plan.For(cfg.Topo)
 	schedule, err := p.TDMA()
 	if err != nil {
@@ -190,50 +166,99 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("actor: source %d out of range", cfg.Source)
 	}
 
-	accepts := make(chan acceptMsg, n)
-	nodes := make([]*node, n)
-	var nodeWG sync.WaitGroup
-	for i := 0; i < n; i++ {
-		id := grid.NodeID(i)
-		nodes[i] = &node{
-			id:        id,
-			threshold: int32(cfg.Spec.Threshold),
-			sends:     cfg.Spec.Sends(id),
-			counts:    make(map[radio.Value]int32, 2),
-			cmds:      make(chan command, 1),
-			accepts:   accepts,
+	inst, err := cfg.Machine.Attach(protocol.Env{
+		Plan:   p,
+		Params: cfg.Params,
+		Source: cfg.Source,
+		Seed:   cfg.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	st := inst.State()
+	hooks := protocol.Hooks{
+		OnDeliver: cfg.OnDeliver,
+		OnAccept:  cfg.OnAccept,
+	}
+	if cfg.OnSend != nil {
+		// The fault-free runtime has no adversarial sends; bridge the
+		// machine's hook to the actor callback shape anyway.
+		hooks.OnSend = func(slot int, from grid.NodeID, v radio.Value, _ bool) {
+			cfg.OnSend(slot, from, v)
 		}
 	}
-	// The source starts decided with the repeat budget pending.
-	src := nodes[cfg.Source]
-	src.st.decided = true
-	src.st.value = radio.ValueTrue
-	src.pending = cfg.Spec.SourceRepeats
 
+	nodes := make([]*node, n)
+	// One reply channel per node, allocated once and reused every slot:
+	// the coordinator fully drains each slot's replies before the next
+	// command reaches the node, so a buffered(1) channel never carries
+	// two outstanding replies.
+	replies := make([]chan reply, n)
+	var nodeWG sync.WaitGroup
+	for i := 0; i < n; i++ {
+		nodes[i] = &node{cmds: make(chan command, 1)}
+		replies[i] = make(chan reply, 1)
+	}
 	nodeWG.Add(n)
 	for _, nd := range nodes {
 		go nd.run(&nodeWG)
 	}
 
 	colorNodes := p.ColorClasses() // shared, read-only
+	medium := radio.NewMediumShared(p.Adjacency())
 
 	maxSlots := cfg.MaxSlots
 	if maxSlots <= 0 {
-		maxSlots = schedule.Period() * (cfg.Spec.SourceRepeats +
-			cfg.Topo.DiameterHint()*(maxSends(cfg)+1) + 2*schedule.Period())
+		sourceSends, maxSends := inst.Sizing()
+		maxSlots = schedule.Period() * (sourceSends +
+			cfg.Topo.DiameterHint()*(maxSends+1) + 2*schedule.Period())
 	}
 
-	medium := radio.NewMediumShared(p.Adjacency())
-	pendingTotal := int64(cfg.Spec.SourceRepeats)
+	// Per-node message budgets, enforced at scheduling time on the
+	// coordinator (the node goroutines own emission, so the slot
+	// engines' emission-time TrySpend has no home here): clamping every
+	// Send against the remaining budget yields the same emission stream,
+	// because pending sends drain in order. The source stays unlimited,
+	// mirroring the slot engines.
+	budget := make([]int, n)
+	for i := range budget {
+		if grid.NodeID(i) == cfg.Source {
+			budget[i] = -1
+		} else {
+			budget[i] = inst.GoodBudget(grid.NodeID(i))
+		}
+	}
+	schedReply := make(chan reply, 1)
+	var pendingTotal int64
+	schedule1 := func(s protocol.Send) {
+		sn := s.N
+		if left := budget[s.ID]; left >= 0 {
+			if sn > left {
+				sn = left
+			}
+			budget[s.ID] = left - sn
+		}
+		if sn <= 0 {
+			return
+		}
+		nodes[s.ID].cmds <- command{kind: cmdSched, value: st.Value[s.ID], n: sn, reply: schedReply}
+		<-schedReply
+		pendingTotal += int64(sn)
+	}
+	for _, s := range inst.Bootstrap(nil) {
+		schedule1(s)
+	}
+
 	var (
 		txs        []radio.Tx
 		deliveries []radio.Delivery
-		replyChs   []chan txReply
+		sendBuf    []protocol.Send
+		runErr     error
+		goodMsgs   int
 	)
-	var ctxErr error
 	slot := 0
 	for ; pendingTotal > 0 && slot < maxSlots; slot++ {
-		if ctxErr = ctx.Err(); ctxErr != nil {
+		if runErr = ctx.Err(); runErr != nil {
 			break
 		}
 		if cfg.OnSlotStart != nil {
@@ -242,95 +267,72 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		color := schedule.SlotColor(slot)
 		// Query the slot's color class concurrently.
 		candidates := colorNodes[color]
-		replyChs = replyChs[:0]
 		for _, id := range candidates {
-			ch := make(chan txReply, 1)
-			replyChs = append(replyChs, ch)
-			nodes[id].cmds <- command{kind: cmdQuery, reply: ch}
+			nodes[id].cmds <- command{kind: cmdQuery, reply: replies[id]}
 		}
 		txs = txs[:0]
-		for i, ch := range replyChs {
-			r := <-ch
+		for _, id := range candidates {
+			r := <-replies[id]
 			if r.emit {
 				pendingTotal--
+				goodMsgs++
 				if cfg.OnSend != nil {
-					cfg.OnSend(slot, candidates[i], r.value)
+					cfg.OnSend(slot, id, r.value)
 				}
-				txs = append(txs, radio.Tx{From: candidates[i], Value: r.value})
+				txs = append(txs, radio.Tx{From: id, Value: r.value})
 			}
 		}
 		if len(txs) == 0 {
 			continue
 		}
 		deliveries = deliveries[:0]
-		if err := medium.Resolve(txs, func(d radio.Delivery) {
-			deliveries = append(deliveries, d)
-		}); err != nil {
-			return nil, err
+		if deliveries, err = medium.ResolveAppend(txs, deliveries); err != nil {
+			runErr = err
+			break
 		}
-		var slotWG sync.WaitGroup
-		slotWG.Add(len(deliveries))
-		for _, d := range deliveries {
-			if cfg.OnDeliver != nil {
-				cfg.OnDeliver(slot, d)
-			}
-			nodes[d.To].cmds <- command{kind: cmdDeliver, value: d.Value, wg: &slotWG}
+		if len(deliveries) == 0 {
+			continue
 		}
-		slotWG.Wait()
-		// Collect the slot's acceptances (buffered; no acceptances can
-		// be in flight after the barrier).
-		for {
-			select {
-			case a := <-accepts:
-				pendingTotal += int64(a.sends)
-				if cfg.OnAccept != nil {
-					cfg.OnAccept(slot, a.id, a.value)
-				}
-			default:
-				goto drained
-			}
+		sendBuf = sendBuf[:0]
+		if sendBuf, err = inst.Deliver(slot, deliveries, &hooks, sendBuf); err != nil {
+			runErr = err
+			break
 		}
-	drained:
+		sendBuf = inst.Tick(slot, sendBuf)
+		for _, s := range sendBuf {
+			schedule1(s)
+		}
 	}
 
 	// Stop all nodes and gather final states. The stop sweep runs on
-	// cancellation too, so a cancelled run leaves no goroutines behind.
+	// cancellation and machine errors too, so no failure mode leaves
+	// node goroutines behind.
 	res := &Result{
 		Slots: slot, TotalGood: n,
 		TimedOut:     pendingTotal > 0 && slot >= maxSlots,
+		GoodMessages: goodMsgs,
 		Sent:         make([]int32, n),
-		Decided:      make([]bool, n),
-		DecidedValue: make([]radio.Value, n),
 	}
-	stopCh := make(chan txReply, 1)
-	completed := true
+	stopCh := make(chan reply, 1)
 	for i, nd := range nodes {
 		nd.cmds <- command{kind: cmdStop, reply: stopCh}
-		st := (<-stopCh).state
-		res.Sent[i] = st.sent
-		res.GoodMessages += int(st.sent)
-		res.Decided[i] = st.decided
-		res.DecidedValue[i] = st.value
-		if st.decided && st.value == radio.ValueTrue {
+		res.Sent[i] = (<-stopCh).sent
+	}
+	nodeWG.Wait()
+	if runErr != nil {
+		return nil, runErr
+	}
+	inst.Finish(slot)
+	res.Decided = append([]bool(nil), st.Decided...)
+	res.DecidedValue = append([]radio.Value(nil), st.Value...)
+	completed := true
+	for i := 0; i < n; i++ {
+		if res.Decided[i] && res.DecidedValue[i] == radio.ValueTrue {
 			res.DecidedGood++
 		} else {
 			completed = false
 		}
 	}
-	nodeWG.Wait()
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
 	res.Completed = completed && pendingTotal == 0
 	return res, nil
-}
-
-func maxSends(cfg Config) int {
-	maxS := 0
-	for i := 0; i < cfg.Topo.Size(); i++ {
-		if s := cfg.Spec.Sends(grid.NodeID(i)); s > maxS {
-			maxS = s
-		}
-	}
-	return maxS
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -564,35 +563,4 @@ func TestAggregateConstantMemory(t *testing.T) {
 	if rel := math.Abs(p50-1000) / 1000; rel > 0.05 {
 		t.Fatalf("p50 = %g, want ~1000 for uniform [1, 2000]", p50)
 	}
-}
-
-// BenchmarkJobThroughput measures end-to-end job-service throughput:
-// submit a 64-point grid, run it on the real fast engine with
-// checkpointing on, wait for completion.
-func BenchmarkJobThroughput(b *testing.B) {
-	m, err := Open(Config{Dir: b.TempDir(), Workers: runtime.NumCPU(), MaxQueue: 1024})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		_ = m.Close(ctx)
-	}()
-	grid := smallGrid(9, 16)
-	grid.T = []int{1, 2}
-	grid.MF = []int{1, 2}
-	points := grid.NPoints() // 64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		job, err := m.Submit(grid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := job.Wait(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(points*b.N)/b.Elapsed().Seconds(), "points/s")
 }

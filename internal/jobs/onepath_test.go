@@ -32,6 +32,16 @@ func daemonGrid4k(seed uint64) *bftbcast.GridSpec {
 	}
 }
 
+// benchGrid is the 64-point grid of the recorded aggregate_bench64.json
+// (and of the job-level allocation contract, TestAllocs/JobGrid in the
+// root package).
+func benchGrid() *bftbcast.GridSpec {
+	grid := smallGrid(9, 16)
+	grid.T = []int{1, 2}
+	grid.MF = []int{1, 2}
+	return grid
+}
+
 // finalAggregate waits job to done and returns its aggregate bytes.
 func finalAggregate(t *testing.T, job *Job) []byte {
 	t.Helper()

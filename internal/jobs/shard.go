@@ -343,33 +343,24 @@ func RunRange(ctx context.Context, eng bftbcast.Engine, workers int, jobID strin
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sweep := &bftbcast.Sweep{Engine: eng, Workers: workers, Scenarios: scenarios, Buffer: 16}
-	stream := sweep.Stream(cctx)
+	sweep := &bftbcast.Sweep{Engine: eng, Workers: workers, Scenarios: scenarios}
 	recs := make([]PointRecord, hi-lo)
-	got := 0
 	var runErr error
-	for pt := range stream {
-		if pt.Err != nil {
+	for pt := range sweep.Stream(cctx) {
+		switch {
+		case runErr != nil:
+			// Draining: the stream closes once every worker has stopped.
+		case pt.Err != nil:
 			runErr = pt.Err
-			break
+			cancel() // the points still to run fail fast
+		default:
+			i := pt.Index
+			pt.Index += lo
+			recs[i] = pointRecord(jobID, pt)
 		}
-		i := pt.Index
-		pt.Index += lo
-		recs[i] = pointRecord(jobID, pt)
-		got++
 	}
 	if runErr != nil {
-		// Bounded-stream abandonment contract: cancel, then drain.
-		cancel()
-		for range stream {
-		}
 		return nil, runErr
-	}
-	if got != hi-lo {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("jobs: range [%d,%d) ended after %d points", lo, hi, got)
 	}
 	return recs, nil
 }

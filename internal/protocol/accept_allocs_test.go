@@ -21,34 +21,6 @@ func certified(tb testing.TB, tor *grid.Torus, t int) *protocol.Acceptance {
 	return acc
 }
 
-// BenchmarkBVDeliver measures the certified-propagation Deliver hot path
-// (the Bhandari–Vaidya rule; the name is the ledger row's) over the flat
-// relay arena: one full pass in which every non-source node of a 30×30
-// torus receives t+1 in-window relays of Vtrue and accepts.
-func BenchmarkBVDeliver(b *testing.B) {
-	tor := grid.MustNew(30, 30, 2)
-	const t = 2
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		acc := certified(b, tor, t)
-		b.StartTimer()
-		for id := 1; id < tor.Size(); id++ {
-			to := grid.NodeID(id)
-			n := 0
-			tor.ForEachNeighbor(to, func(nb grid.NodeID) {
-				if n <= t && nb != to {
-					acc.Deliver(to, nb, radio.ValueTrue)
-					n++
-				}
-			})
-		}
-		if got := acc.DecidedCount(); got != tor.Size() {
-			b.Fatalf("decided %d of %d", got, tor.Size())
-		}
-	}
-}
-
 // TestDeliverAllocs guards the flat relay storage: a duplicate relay —
 // every retransmission round of the reactive machine delivers one per
 // receiver — must not allocate at all.

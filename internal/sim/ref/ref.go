@@ -9,8 +9,7 @@
 // differential-testing oracle (internal/sim/simtest) runs randomized
 // configurations through Run here and through the fast engine and
 // asserts bit-identical Results; the sweep benchmarks in bench_test.go
-// run the same workload through both to track the fast path's speedup
-// (BENCH_sim.json).
+// run the same workload through both to show the fast path's speedup.
 //
 // Do not optimize this package: its value is that it stays the fixed
 // point the fast engine is measured and verified against.

@@ -8,8 +8,10 @@ package bftbcast_test
 // Scenario, any backend, the same answer.
 
 import (
+	"cmp"
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bftbcast"
@@ -185,6 +187,119 @@ func TestMatrixFaultFreeActor(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// streamEvent is one Send ('s'), Deliver ('d') or Decide ('a') event of
+// an observed run; a Decide carries its node in to.
+type streamEvent struct {
+	kind     byte
+	slot     int
+	from, to bftbcast.NodeID
+	v        bftbcast.Value
+}
+
+// recordStream runs sc on engine with a recording Observer attached.
+func recordStream(t *testing.T, engine bftbcast.Engine, sc *bftbcast.Scenario) []streamEvent {
+	t.Helper()
+	var evs []streamEvent
+	observed, err := sc.With(bftbcast.WithObserver(bftbcast.FuncObserver{
+		OnSend: func(slot int, from bftbcast.NodeID, v bftbcast.Value, _ bool) {
+			evs = append(evs, streamEvent{'s', slot, from, from, v})
+		},
+		OnDeliver: func(slot int, from, to bftbcast.NodeID, v bftbcast.Value) {
+			evs = append(evs, streamEvent{'d', slot, from, to, v})
+		},
+		OnDecide: func(slot int, id bftbcast.NodeID, v bftbcast.Value) {
+			evs = append(evs, streamEvent{'a', slot, id, id, v})
+		},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := engine.Run(context.Background(), observed)
+	if err != nil {
+		t.Fatalf("%s: %v", engine.Name(), err)
+	}
+	if !rep.Completed {
+		t.Fatalf("%s: fault-free run did not complete", engine.Name())
+	}
+	return evs
+}
+
+func decidesOf(evs []streamEvent) []streamEvent {
+	var out []streamEvent
+	for _, e := range evs {
+		if e.kind == 'a' {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// slotSorted returns evs with every slot's events in one canonical
+// order, so that two streams compare equal when each slot holds the same
+// multiset of events.
+func slotSorted(evs []streamEvent) []streamEvent {
+	out := slices.Clone(evs)
+	slices.SortFunc(out, func(a, b streamEvent) int {
+		return cmp.Or(
+			cmp.Compare(a.slot, b.slot),
+			cmp.Compare(a.kind, b.kind),
+			cmp.Compare(a.from, b.from),
+			cmp.Compare(a.to, b.to),
+			cmp.Compare(a.v, b.v),
+		)
+	})
+	return out
+}
+
+// TestMatrixObserverStreams pins what an Observer sees across engines,
+// on a fault-free torus for each protocol machine (threshold B, the
+// multi-broadcast multiplexer, reactive). Every engine repeats its own
+// Send/Deliver/Decide stream run after run; the Decide sequence is one
+// and the same on fast, ref and actor; ref and actor, which both walk a
+// slot's colour class in node order, agree on the whole stream; fast
+// emits a slot's transmissions in queue order, so against ref it is
+// held to the same events per slot, in any order.
+func TestMatrixObserverStreams(t *testing.T) {
+	for _, tc := range []struct {
+		name, proto string
+		broadcasts  int
+	}{
+		{"b", "b", 1},
+		{"broadcasts4", "b", 4},
+		{"reactive", "reactive", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := matrixScenario(t, "torus", tc.proto, 7, false).With(bftbcast.WithBroadcasts(tc.broadcasts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams := map[string][]streamEvent{}
+			for _, engine := range bftbcast.Engines() {
+				first := recordStream(t, engine, sc)
+				if len(decidesOf(first)) == 0 {
+					t.Fatalf("%s: no Decide event", engine.Name())
+				}
+				for run := 1; run < 5; run++ {
+					if again := recordStream(t, engine, sc); !reflect.DeepEqual(first, again) {
+						t.Fatalf("%s: run %d saw a different event stream than run 0", engine.Name(), run)
+					}
+				}
+				streams[engine.Name()] = first
+			}
+			fast, ref, act := streams["fast"], streams["ref"], streams["actor"]
+			if !reflect.DeepEqual(act, ref) { // the Decide sequence included
+				t.Fatal("actor and ref disagree on the Send/Deliver/Decide stream")
+			}
+			if !reflect.DeepEqual(decidesOf(fast), decidesOf(ref)) {
+				t.Fatal("fast and ref disagree on the Decide sequence")
+			}
+			if !reflect.DeepEqual(slotSorted(fast), slotSorted(ref)) {
+				t.Fatal("fast and ref disagree on some slot's set of events")
+			}
+		})
 	}
 }
 

@@ -80,7 +80,7 @@ func (s *ScenarioSpec) Scenario() (*Scenario, error) {
 // fills the Scenario struct directly instead of going through the
 // functional options: grid expansion calls this once per point, and
 // the ~10 option closures per point were the dominant allocation churn
-// of job submission (BenchmarkJobThroughput).
+// of job submission (TestAllocs/JobGrid holds the result).
 func (s *ScenarioSpec) scenarioOn(tp Topology, t, mf int, density float64, broadcasts int, seed uint64) (*Scenario, error) {
 	params := Params{R: tp.Range(), T: t, MF: mf}
 	if err := params.Validate(); err != nil {

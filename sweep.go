@@ -36,17 +36,6 @@ type Sweep struct {
 	Workers int
 	// Scenarios are the sweep points, streamed back in this order.
 	Scenarios []*Scenario
-	// Buffer, when > 0, caps the Stream channel at that many undrained
-	// points instead of the default whole-sweep buffer: a slow consumer
-	// then back-pressures the emitter (computation keeps running; only
-	// completed Reports queue up), so a long-running sweep holds
-	// O(Buffer + Workers) completed Reports instead of O(len(Scenarios))
-	// — the mode the bftsimd job daemon runs in. Bounded streams trade
-	// away the abandon-safety of the default: walking away from the
-	// channel without cancelling ctx would park the emitter forever, so
-	// in bounded mode abandon only after cancelling ctx (the emitter
-	// then drops undelivered points and shuts down cleanly).
-	Buffer int
 }
 
 // workerPinned is implemented by engines that can hand out a dedicated
@@ -59,11 +48,10 @@ type workerPinned interface {
 
 // Stream launches the sweep and returns a channel that yields one
 // SweepPoint per Scenario, in scenario order, each as soon as it (and
-// every earlier point) has finished. By default the channel is buffered
-// for the whole sweep and closes after the last point, so abandoning it
-// leaks nothing; cancelling ctx makes the remaining points fail fast
-// with ctx.Err(). Setting Buffer bounds the channel instead (see its
-// doc for the abandonment contract in that mode).
+// every earlier point) has finished. The channel is buffered for the
+// whole sweep and closes after the last point, so abandoning it leaks
+// nothing; cancelling ctx makes the remaining points fail fast with
+// ctx.Err().
 //
 // Engines that support it (EngineFast) are pinned per worker: each pool
 // worker runs its points on a private reusable engine, while the
@@ -100,13 +88,7 @@ func (s *Sweep) Stream(ctx context.Context) <-chan SweepPoint {
 	}
 	scenarios := s.Scenarios
 	points := make([]SweepPoint, len(scenarios))
-	buf := len(scenarios)
-	bounded := s.Buffer > 0 && s.Buffer < buf
-	if bounded {
-		buf = s.Buffer
-	}
-	ch := make(chan SweepPoint, buf)
-	dropped := false
+	ch := make(chan SweepPoint, len(scenarios))
 	go func() {
 		defer close(ch)
 		_ = pool.OrderedWorker(workers, len(scenarios), func(w, i int) error {
@@ -119,33 +101,10 @@ func (s *Sweep) Stream(ctx context.Context) <-chan SweepPoint {
 			points[i] = pt
 			return nil
 		}, func(i int) {
-			// Release the ordering slot's Report as soon as the point is
-			// handed over, so a bounded stream retains no more than the
-			// channel holds.
-			pt := points[i]
+			ch <- points[i] // never blocks: the channel holds the sweep
+			// Release the ordering slot: from here the consumer decides
+			// how long the Report lives.
 			points[i] = SweepPoint{}
-			if !bounded {
-				ch <- pt // never blocks: the channel holds the sweep
-				return
-			}
-			if dropped {
-				return
-			}
-			select {
-			case ch <- pt: // prefer delivery whenever the buffer has room,
-				return // even if ctx is already cancelled
-			default:
-			}
-			select {
-			case ch <- pt:
-			case <-ctx.Done():
-				// Bounded mode's abandonment contract: once ctx is
-				// cancelled the emitter stops delivering instead of
-				// parking on a channel nobody may be reading. Later
-				// points are dropped too, so a consumer never sees a
-				// gap in the middle of the stream.
-				dropped = true
-			}
 		})
 	}()
 	return ch

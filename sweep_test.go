@@ -273,66 +273,6 @@ func TestSweepStreamCancelNoLeak(t *testing.T) {
 	waitNoGoroutineGrowth(t, before)
 }
 
-// TestSweepStreamBounded pins the bounded-buffer mode: the channel's
-// capacity is the requested bound (not the whole sweep), every point
-// still arrives in order, and the reports are identical to an unbounded
-// stream — the regression test for the daemon's constant-memory mode.
-func TestSweepStreamBounded(t *testing.T) {
-	const n, buffer = 10, 2
-	scenarios := sweepScenarios(t, n)
-	unbounded := bftbcast.Sweep{Workers: 2, Scenarios: scenarios}
-	baseline, err := unbounded.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	bounded := bftbcast.Sweep{Workers: 2, Scenarios: sweepScenarios(t, n), Buffer: buffer}
-	ch := bounded.Stream(context.Background())
-	if got := cap(ch); got != buffer {
-		t.Fatalf("bounded stream channel capacity = %d, want %d", got, buffer)
-	}
-	var got int
-	for pt := range ch {
-		if pt.Err != nil {
-			t.Fatalf("point %d: %v", pt.Index, pt.Err)
-		}
-		if pt.Index != got {
-			t.Fatalf("out-of-order point %d at position %d", pt.Index, got)
-		}
-		if !reflect.DeepEqual(pt.Report, baseline[pt.Index].Report) {
-			t.Fatalf("point %d differs from the unbounded stream", pt.Index)
-		}
-		got++
-		time.Sleep(time.Millisecond) // a slow consumer exercises the backpressure path
-	}
-	if got != n {
-		t.Fatalf("bounded stream yielded %d points, want %d", got, n)
-	}
-
-	// A Buffer at or above the sweep size falls back to the abandon-safe
-	// whole-sweep buffer.
-	wide := bftbcast.Sweep{Workers: 1, Scenarios: sweepScenarios(t, 3), Buffer: 64}
-	if got := cap(wide.Stream(context.Background())); got != 3 {
-		t.Fatalf("oversized Buffer: channel capacity = %d, want 3", got)
-	}
-}
-
-// TestSweepStreamBoundedCancelAbandonNoLeak abandons a bounded stream
-// after cancelling its context — the documented way out — with the
-// emitter blocked on a full channel: the producer side must drop the
-// undelivered points and shut down instead of parking forever.
-func TestSweepStreamBoundedCancelAbandonNoLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	func() {
-		sweep := bftbcast.Sweep{Workers: 2, Scenarios: sweepScenarios(t, 8), Buffer: 1}
-		ch := sweep.Stream(ctx)
-		<-ch // one point, leaving the emitter to fill the 1-slot buffer and block
-		cancel()
-	}()
-	waitNoGoroutineGrowth(t, before)
-}
-
 // TestSweepCancellation cancels mid-sweep — deterministically, from an
 // Observer inside point 5's own run on a sequential pool: the stream
 // must still close after yielding one point per scenario, with point 5
