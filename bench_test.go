@@ -349,7 +349,7 @@ func BenchmarkActorRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := actor.Run(actor.Config{Topo: tor, Params: params, Spec: spec})
+		res, err := actor.Run(sim.Config{Topo: tor, Params: params, Spec: spec})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -52,7 +52,6 @@
 package bftbcast
 
 import (
-	"bftbcast/internal/actor"
 	"bftbcast/internal/adversary"
 	"bftbcast/internal/auedcode"
 	"bftbcast/internal/core"
@@ -101,12 +100,9 @@ const (
 
 // Report extension types.
 type (
-	// SimResult is the slot-level engines' outcome, the Report.Sim
+	// SimResult is the engines' shared outcome type, the Report.Sim
 	// extension.
 	SimResult = sim.Result
-	// ActorResult is the actor runtime's outcome, the Report.Actor
-	// extension.
-	ActorResult = actor.Result
 	// ReactiveResult is the reactive protocol's run record, the
 	// Report.Reactive extension: what only the protocol machine knows
 	// (rounds, per-node data and NACK sends, the Theorem 4 quantities).

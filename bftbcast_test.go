@@ -100,7 +100,7 @@ func TestFacadeActor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Completed || rep.Actor == nil {
+	if !rep.Completed || rep.Engine != "actor" || rep.Sim == nil {
 		t.Fatalf("actor run failed: %+v", rep)
 	}
 }

@@ -5,13 +5,13 @@
 //
 // Usage:
 //
-//	bftbench [-experiment E2] [-quick] [-seed 42] [-parallel] [-workers N]
+//	bftbench [-experiment E2] [-quick] [-seed 42] [-workers N]
 //	bftbench -sweep 12 [-engine fast] [-workers N] [-seed 42]
 //
-// With -parallel the experiments and their inner sweep points run on a
-// pool of runtime.NumCPU() workers (override with -workers). Every run
-// derives its RNG seed from -seed and the sweep index, so the printed
-// results are identical for any worker count.
+// With -workers N the experiments and their inner sweep points run on a
+// pool of N workers (0 = runtime.NumCPU(); the default 1 is sequential).
+// Every run derives its RNG seed from -seed and the sweep index, so the
+// printed results are identical for any worker count.
 package main
 
 import (
@@ -36,23 +36,19 @@ func run() error {
 	id := flag.String("experiment", "", "run a single experiment (E1..E12); empty = all")
 	quick := flag.Bool("quick", false, "smaller sweeps")
 	seed := flag.Uint64("seed", 42, "random seed")
-	parallel := flag.Bool("parallel", false, "run experiments and sweep points on a worker pool")
-	workers := flag.Int("workers", 0, "worker pool size with -parallel or -sweep (0 = NumCPU)")
+	workers := flag.Int("workers", 1, "worker pool size for experiments, sweep points and -sweep (1 = sequential, 0 = NumCPU)")
 	sweepN := flag.Int("sweep", 0, "instead of the experiment suite, run an n-point protocol-B density sweep through the public Sweep API")
 	engineName := flag.String("engine", "fast", "execution backend for -sweep: fast | ref | actor")
 	flag.Parse()
 
+	if *workers <= 0 {
+		*workers = runtime.NumCPU()
+	}
 	if *sweepN > 0 {
 		return runSweep(*sweepN, *engineName, *workers, *seed)
 	}
 
-	opts := exper.Options{Quick: *quick, Seed: *seed}
-	if *parallel {
-		opts.Workers = *workers
-		if opts.Workers <= 0 {
-			opts.Workers = runtime.NumCPU()
-		}
-	}
+	opts := exper.Options{Quick: *quick, Seed: *seed, Workers: *workers}
 	experiments := exper.All()
 	if *id != "" {
 		e, ok := exper.ByID(*id)

@@ -33,13 +33,14 @@ type Engine interface {
 var (
 	// EngineFast is the sparse slot-level simulation engine (the
 	// production path; reuses pooled engine state across runs).
-	EngineFast Engine = fastEngine{}
+	EngineFast Engine = &engine{name: "fast", run: sim.RunContext,
+		pin: func() runFunc { return sim.NewRunner().RunContext }}
 	// EngineRef is the dense reference engine: slower, deliberately
 	// simple, verified bit-identical to EngineFast.
-	EngineRef Engine = refEngine{}
+	EngineRef Engine = &engine{name: "ref", run: ref.RunContext}
 	// EngineActor is the goroutine-per-node concurrent runtime. It is
 	// fault-free only and rejects scenarios with an adversary.
-	EngineActor Engine = actorEngine{}
+	EngineActor Engine = &engine{name: "actor", run: actor.RunContext}
 )
 
 // Engines returns the execution backends.
@@ -87,9 +88,7 @@ func scenarioMachine(sc *Scenario) protocol.Machine {
 }
 
 // finishReport decorates an engine report with the machine's run record
-// (a no-op for the default threshold protocol). Every engine funnels its
-// report through here so a protocol's Report extension cannot be dropped
-// by one backend.
+// (a no-op for the default threshold protocol), whichever backend ran.
 func finishReport(rep *Report, machine protocol.Machine) *Report {
 	switch m := machine.(type) {
 	case *protocol.Reactive:
@@ -100,20 +99,12 @@ func finishReport(rep *Report, machine protocol.Machine) *Report {
 	return rep
 }
 
-// loweredConfig resolves the Scenario's protocol machine and lowers the
-// Scenario to the slot-level engines' config in one step.
-func loweredConfig(sc *Scenario) (sim.Config, protocol.Machine) {
+// simConfig lowers a Scenario to the engines' config — the one lowering
+// — including the Observer-to-callback bridge and the protocol machine,
+// which it also returns for finishReport (nil for the default
+// single-broadcast threshold protocol).
+func simConfig(sc *Scenario) (sim.Config, protocol.Machine) {
 	machine := scenarioMachine(sc)
-	cfg := simConfig(sc)
-	if machine != nil {
-		cfg.Machine = machine
-	}
-	return cfg, machine
-}
-
-// simConfig lowers a Scenario to the slot-level engines' config,
-// including the Observer-to-callback bridge.
-func simConfig(sc *Scenario) sim.Config {
 	cfg := sim.Config{
 		Topo:      sc.Topo,
 		Params:    sc.Params,
@@ -123,6 +114,7 @@ func simConfig(sc *Scenario) sim.Config {
 		Strategy:  sc.Strategy,
 		Seed:      sc.Seed,
 		MaxSlots:  sc.MaxSlots,
+		Machine:   machine,
 	}
 	if obs := sc.Observer; obs != nil {
 		cfg.OnSlotStart = obs.SlotStart
@@ -132,97 +124,46 @@ func simConfig(sc *Scenario) sim.Config {
 		cfg.OnDeliver = func(slot int, d radio.Delivery) { obs.Deliver(slot, d.From, d.To, d.Value) }
 		cfg.OnAccept = func(slot int, id grid.NodeID, v radio.Value) { obs.Decide(slot, id, v) }
 	}
-	return cfg
+	return cfg, machine
 }
 
-type fastEngine struct {
-	// runner, when non-nil, is a dedicated simulation engine owned by a
-	// single goroutine: Sweep pins one per worker so a whole sweep runs
-	// allocation-free without sync.Pool churn. The shared EngineFast
-	// value has no runner and draws from the pool per Run.
-	runner *sim.Runner
+// runFunc is the one contract the three backends implement.
+type runFunc func(context.Context, sim.Config) (*sim.Result, error)
+
+// engine adapts a backend to Engine: normalize, lower, run, lift.
+type engine struct {
+	name string
+	run  runFunc
+	// pin, when non-nil, returns a run function over reusable state owned
+	// by one goroutine (a dedicated sim.Runner): Sweep pins one per
+	// worker so a whole sweep runs allocation-free without sync.Pool
+	// churn. The shared values run unpinned.
+	pin func() runFunc
 }
 
 // Name implements Engine.
-func (fastEngine) Name() string { return "fast" }
+func (e *engine) Name() string { return e.name }
 
 // Run implements Engine.
-func (e fastEngine) Run(ctx context.Context, sc *Scenario) (*Report, error) {
+func (e *engine) Run(ctx context.Context, sc *Scenario) (*Report, error) {
 	sc, err := sc.normalized()
 	if err != nil {
 		return nil, err
 	}
-	cfg, machine := loweredConfig(sc)
-	var res *sim.Result
-	if e.runner != nil {
-		res, err = e.runner.RunContext(ctx, cfg)
-	} else {
-		res, err = sim.RunContext(ctx, cfg)
-	}
+	cfg, machine := simConfig(sc)
+	res, err := e.run(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return finishReport(reportFromSim("fast", res), machine), nil
+	return finishReport(reportFromSim(e.name, res), machine), nil
 }
 
-// pinned implements workerPinned: each sweep worker gets an engine with
-// its own reusable Runner (see Sweep.Stream).
-func (fastEngine) pinned() Engine { return fastEngine{runner: sim.NewRunner()} }
-
-type refEngine struct{}
-
-// Name implements Engine.
-func (refEngine) Name() string { return "ref" }
-
-// Run implements Engine.
-func (refEngine) Run(ctx context.Context, sc *Scenario) (*Report, error) {
-	sc, err := sc.normalized()
-	if err != nil {
-		return nil, err
+// pinned returns the engine a sweep worker runs its points on: one with
+// its own reusable run state where the backend has any (see
+// Sweep.Stream), e itself otherwise.
+func (e *engine) pinned() Engine {
+	if e.pin == nil {
+		return e
 	}
-	cfg, machine := loweredConfig(sc)
-	res, err := ref.RunContext(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return finishReport(reportFromSim("ref", res), machine), nil
-}
-
-type actorEngine struct{}
-
-// Name implements Engine.
-func (actorEngine) Name() string { return "actor" }
-
-// Run implements Engine.
-func (actorEngine) Run(ctx context.Context, sc *Scenario) (*Report, error) {
-	sc, err := sc.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if sc.Placement != nil || sc.Strategy != nil {
-		return nil, fmt.Errorf("bftbcast: the actor engine is fault-free; run adversarial scenarios on the fast or ref engine")
-	}
-	machine := scenarioMachine(sc)
-	cfg := actor.Config{
-		Topo:     sc.Topo,
-		Params:   sc.Params,
-		Spec:     sc.Spec,
-		Source:   sc.Source,
-		Seed:     sc.Seed,
-		MaxSlots: sc.MaxSlots,
-	}
-	if machine != nil {
-		cfg.Machine = machine
-	}
-	if obs := sc.Observer; obs != nil {
-		cfg.OnSlotStart = obs.SlotStart
-		cfg.OnSend = func(slot int, from grid.NodeID, v radio.Value) { obs.Send(slot, from, v, false) }
-		cfg.OnDeliver = func(slot int, d radio.Delivery) { obs.Deliver(slot, d.From, d.To, d.Value) }
-		cfg.OnAccept = func(slot int, id grid.NodeID, v radio.Value) { obs.Decide(slot, id, v) }
-	}
-	res, err := actor.RunContext(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return finishReport(reportFromActor(res, sc.Source), machine), nil
+	return &engine{name: e.name, run: e.pin()}
 }

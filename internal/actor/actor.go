@@ -10,10 +10,12 @@
 // purpose is to exercise the protocols under Go's race detector with
 // real channel traffic, the way a deployment harness would.
 //
-// Adversarial strategies are not supported here: the worst-case adversary
-// of package adversary is omniscient and deliberately sequential, which
-// contradicts a concurrent runtime by construction. Use sim.Run for
-// adversarial experiments.
+// It implements the engines' one contract — sim.Config in, *sim.Result
+// out — for fault-free configs. Adversaries are not supported: the
+// worst-case adversary of package adversary is omniscient and
+// deliberately sequential, which contradicts a concurrent runtime by
+// construction, so a Config with a Placement or Strategy is refused. Use
+// sim.Run for adversarial experiments.
 package actor
 
 import (
@@ -22,59 +24,12 @@ import (
 	"fmt"
 	"sync"
 
-	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
 	"bftbcast/internal/plan"
 	"bftbcast/internal/protocol"
 	"bftbcast/internal/radio"
-	"bftbcast/internal/topo"
+	"bftbcast/internal/sim"
 )
-
-// Config describes a fault-free concurrent run.
-type Config struct {
-	// Topo is the network topology (grid.Torus, topo.Bounded, topo.RGG).
-	Topo   topo.Topology
-	Params core.Params
-	// Spec is the threshold protocol; it runs as
-	// protocol.NewThreshold(Spec). Ignored when Machine is set.
-	Spec core.Spec
-	// Machine, when non-nil, is the protocol state machine to run
-	// instead (protocol.Multi, protocol.Reactive, a custom one).
-	Machine protocol.Machine
-	// Seed drives machine-level randomness.
-	Seed     uint64
-	Source   grid.NodeID
-	MaxSlots int
-	// OnSlotStart, when non-nil, observes every coordinated slot.
-	OnSlotStart func(slot int)
-	// OnSend, when non-nil, observes every transmission (the fault-free
-	// runtime has no adversarial sends).
-	OnSend func(slot int, from grid.NodeID, v radio.Value)
-	// OnDeliver, when non-nil, observes every delivery of the radio
-	// medium.
-	OnDeliver func(slot int, d radio.Delivery)
-	// OnAccept, when non-nil, observes every acceptance. Like the other
-	// callbacks it runs on the coordinator goroutine, in the order the
-	// slot's deliveries are handed to the protocol, so observers need no
-	// synchronization of their own.
-	OnAccept func(slot int, id grid.NodeID, v radio.Value)
-}
-
-// Result mirrors the sequential engine's outcome for the fields the
-// fault-free setting produces.
-type Result struct {
-	Completed bool
-	// TimedOut is true when MaxSlots elapsed with transmissions pending,
-	// mirroring the slot-level engines' classification.
-	TimedOut     bool
-	Slots        int
-	DecidedGood  int
-	TotalGood    int
-	GoodMessages int // total transmissions, source included
-	Sent         []int32
-	Decided      []bool
-	DecidedValue []radio.Value
-}
 
 // node is the per-goroutine transmission actor.
 type node struct {
@@ -128,8 +83,12 @@ func (n *node) run(wg *sync.WaitGroup) {
 	}
 }
 
-// Run executes the configured broadcast with one goroutine per node.
-func Run(cfg Config) (*Result, error) {
+// Run executes the configured broadcast with one goroutine per node. Spec
+// runs as protocol.NewThreshold(Spec) unless cfg.Machine is set; the
+// callbacks run on the coordinator goroutine, in the order the slot's
+// deliveries are handed to the protocol, so observers need no
+// synchronization of their own.
+func Run(cfg sim.Config) (*sim.Result, error) {
 	return RunContext(context.Background(), cfg)
 }
 
@@ -137,9 +96,12 @@ func Run(cfg Config) (*Result, error) {
 // checks ctx once per slot; on cancellation it stops every node
 // goroutine, waits for them to exit (no leaks), and returns ctx.Err().
 // A nil ctx behaves like context.Background().
-func RunContext(ctx context.Context, cfg Config) (*Result, error) {
+func RunContext(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if cfg.Placement != nil || cfg.Strategy != nil {
+		return nil, errors.New("actor: the actor engine is fault-free; run adversarial scenarios on the fast or ref engine")
 	}
 	if cfg.Topo == nil {
 		return nil, errors.New("actor: config needs a topology")
@@ -177,15 +139,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	st := inst.State()
 	hooks := protocol.Hooks{
+		OnSend:    cfg.OnSend,
 		OnDeliver: cfg.OnDeliver,
 		OnAccept:  cfg.OnAccept,
-	}
-	if cfg.OnSend != nil {
-		// The fault-free runtime has no adversarial sends; bridge the
-		// machine's hook to the actor callback shape anyway.
-		hooks.OnSend = func(slot int, from grid.NodeID, v radio.Value, _ bool) {
-			cfg.OnSend(slot, from, v)
-		}
 	}
 
 	nodes := make([]*node, n)
@@ -254,8 +210,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		deliveries []radio.Delivery
 		sendBuf    []protocol.Send
 		runErr     error
-		goodMsgs   int
 	)
+	res := &sim.Result{TotalGood: n, Sent: make([]int32, n)}
 	slot := 0
 	for ; pendingTotal > 0 && slot < maxSlots; slot++ {
 		if runErr = ctx.Err(); runErr != nil {
@@ -275,9 +231,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			r := <-replies[id]
 			if r.emit {
 				pendingTotal--
-				goodMsgs++
+				res.GoodMessages++
 				if cfg.OnSend != nil {
-					cfg.OnSend(slot, id, r.value)
+					cfg.OnSend(slot, id, r.value, false)
 				}
 				txs = append(txs, radio.Tx{From: id, Value: r.value})
 			}
@@ -307,12 +263,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// Stop all nodes and gather final states. The stop sweep runs on
 	// cancellation and machine errors too, so no failure mode leaves
 	// node goroutines behind.
-	res := &Result{
-		Slots: slot, TotalGood: n,
-		TimedOut:     pendingTotal > 0 && slot >= maxSlots,
-		GoodMessages: goodMsgs,
-		Sent:         make([]int32, n),
-	}
 	stopCh := make(chan reply, 1)
 	for i, nd := range nodes {
 		nd.cmds <- command{kind: cmdStop, reply: stopCh}
@@ -323,16 +273,34 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, runErr
 	}
 	inst.Finish(slot)
+
+	// The slot engines' classification (sim.Runner.finish) with no bad
+	// nodes: Completed is "every node decided Vtrue", whatever is still
+	// pending at the slot cap.
+	res.Slots = slot
+	res.TimedOut = pendingTotal > 0 && slot >= maxSlots
+	res.GoodGoodCollisions = medium.GoodGoodCollisions
 	res.Decided = append([]bool(nil), st.Decided...)
 	res.DecidedValue = append([]radio.Value(nil), st.Value...)
-	completed := true
+	res.Correct = append([]int32(nil), st.Correct...)
+	res.Wrong = append([]int32(nil), st.Wrong...)
+	var sumSends int
 	for i := 0; i < n; i++ {
-		if res.Decided[i] && res.DecidedValue[i] == radio.ValueTrue {
+		if res.Decided[i] {
 			res.DecidedGood++
-		} else {
-			completed = false
+			if res.DecidedValue[i] != radio.ValueTrue {
+				res.WrongDecisions++
+			}
+		}
+		if grid.NodeID(i) != cfg.Source {
+			sumSends += int(res.Sent[i])
+			res.MaxGoodSends = max(res.MaxGoodSends, int(res.Sent[i]))
 		}
 	}
-	res.Completed = completed && pendingTotal == 0
+	res.Completed = res.DecidedGood == n && res.WrongDecisions == 0
+	res.Stalled = !res.Completed && !res.TimedOut
+	if n > 1 {
+		res.AvgGoodSends = float64(sumSends) / float64(n-1)
+	}
 	return res, nil
 }

@@ -1,12 +1,15 @@
 package actor
 
 import (
+	"strings"
 	"testing"
 
+	"bftbcast/internal/adversary"
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
 	"bftbcast/internal/sim"
 	"bftbcast/internal/sim/simtest"
+	"bftbcast/internal/topo"
 )
 
 func TestConcurrentBroadcastCompletes(t *testing.T) {
@@ -16,7 +19,7 @@ func TestConcurrentBroadcastCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0)})
+	res, err := Run(sim.Config{Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +30,7 @@ func TestConcurrentBroadcastCompletes(t *testing.T) {
 
 func TestEquivalenceWithSequentialEngine(t *testing.T) {
 	// The actor runtime must produce exactly the sequential engine's
-	// outcome on fault-free runs: same decisions, same per-node send
-	// counts, same slot count.
+	// Result on fault-free runs, every field of it.
 	for _, tc := range []struct {
 		w, h int
 		p    core.Params
@@ -48,20 +50,12 @@ func TestEquivalenceWithSequentialEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		conc, err := Run(Config{Topo: tor, Params: tc.p, Spec: spec, Source: src})
+		conc, err := Run(sim.Config{Topo: tor, Params: tc.p, Spec: spec, Source: src})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if conc.Completed != seq.Completed || conc.DecidedGood != seq.DecidedGood {
-			t.Fatalf("%+v: outcome mismatch: actor %+v vs sim %+v", tc.p, conc, seq)
-		}
-		if conc.Slots != seq.Slots {
-			t.Fatalf("%+v: slots %d vs %d", tc.p, conc.Slots, seq.Slots)
-		}
-		for i := range conc.Sent {
-			if conc.Sent[i] != seq.Sent[i] {
-				t.Fatalf("%+v: node %d sent %d vs %d", tc.p, i, conc.Sent[i], seq.Sent[i])
-			}
+		if err := simtest.DiffResults(seq, conc); err != nil {
+			t.Fatalf("%+v: sim vs actor: %v", tc.p, err)
 		}
 	}
 }
@@ -73,17 +67,25 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(Config{Params: p, Spec: spec}); err == nil {
+	if _, err := Run(sim.Config{Params: p, Spec: spec}); err == nil {
 		t.Fatal("nil torus accepted")
 	}
-	if _, err := Run(Config{Topo: tor, Params: core.Params{R: 3, T: 1, MF: 1}, Spec: spec}); err == nil {
+	if _, err := Run(sim.Config{Topo: tor, Params: core.Params{R: 3, T: 1, MF: 1}, Spec: spec}); err == nil {
 		t.Fatal("range mismatch accepted")
 	}
-	if _, err := Run(Config{Topo: tor, Params: p, Spec: spec, Source: grid.NodeID(tor.Size())}); err == nil {
+	if _, err := Run(sim.Config{Topo: tor, Params: p, Spec: spec, Source: grid.NodeID(tor.Size())}); err == nil {
 		t.Fatal("bad source accepted")
 	}
-	if _, err := Run(Config{Topo: tor, Params: p, Spec: core.Spec{}}); err == nil {
+	if _, err := Run(sim.Config{Topo: tor, Params: p, Spec: core.Spec{}}); err == nil {
 		t.Fatal("invalid spec accepted")
+	}
+	for name, cfg := range map[string]sim.Config{
+		"placement": {Topo: tor, Params: p, Spec: spec, Placement: adversary.None{}},
+		"strategy":  {Topo: tor, Params: p, Spec: spec, Strategy: adversary.NewCorruptor()},
+	} {
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "fault-free") {
+			t.Fatalf("%s: err = %v, want the fault-free rejection", name, err)
+		}
 	}
 }
 
@@ -94,22 +96,22 @@ func TestTimeoutReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0), MaxSlots: 3})
+	res, err := Run(sim.Config{Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0), MaxSlots: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed {
-		t.Fatal("3-slot run cannot complete")
+	if res.Completed || !res.TimedOut || res.Stalled || res.Slots != 3 {
+		t.Fatalf("3-slot run: completed=%v timedOut=%v stalled=%v slots=%d", res.Completed, res.TimedOut, res.Stalled, res.Slots)
 	}
 }
 
 // TestRandomizedEquivalence extends the hand-picked equivalence cases
 // above to the fuzzed fault-free matrix of internal/sim/simtest: on
 // every generated topology (torus, bounded grid, RGG), spec and source,
-// the concurrent runtime must reproduce the sequential engine's outcome
-// exactly — decisions, per-node send counts and slot count. It runs
-// under -race in CI, so it doubles as the race check for the actor
-// runtime's channel protocol.
+// the concurrent runtime must reproduce the sequential engine's Result
+// exactly, field by field (simtest.DiffResults, the fast-vs-ref oracle's
+// comparison). It runs under -race in CI, so it doubles as the race check
+// for the actor runtime's channel protocol.
 func TestRandomizedEquivalence(t *testing.T) {
 	cases := 30
 	if testing.Short() {
@@ -126,23 +128,53 @@ func TestRandomizedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d (%s): sim: %v", i, c.Desc, err)
 		}
-		conc, err := Run(Config{
-			Topo: cfg.Topo, Params: cfg.Params, Spec: cfg.Spec,
-			Source: cfg.Source, MaxSlots: cfg.MaxSlots,
-		})
+		conc, err := Run(c.Build())
 		if err != nil {
 			t.Fatalf("case %d (%s): actor: %v", i, c.Desc, err)
 		}
-		if conc.Completed != seq.Completed || conc.DecidedGood != seq.DecidedGood ||
-			conc.TotalGood != seq.TotalGood || conc.Slots != seq.Slots {
-			t.Fatalf("case %d (%s): actor %+v disagrees with sim (completed=%v decided=%d/%d slots=%d)",
-				i, c.Desc, conc, seq.Completed, seq.DecidedGood, seq.TotalGood, seq.Slots)
+		if err := simtest.DiffResults(seq, conc); err != nil {
+			t.Fatalf("case %d (%s): sim vs actor: %v", i, c.Desc, err)
 		}
-		for n := range conc.Sent {
-			if conc.Sent[n] != seq.Sent[n] {
-				t.Fatalf("case %d (%s): node %d sent %d (actor) vs %d (sim)",
-					i, c.Desc, n, conc.Sent[n], seq.Sent[n])
-			}
+	}
+}
+
+// TestRunOnNonTorusTopologies is the actor half of package sim's test of
+// the same name: on the bounded grid and on a connected RGG the
+// concurrent runtime must complete and agree with the sequential engine.
+func TestRunOnNonTorusTopologies(t *testing.T) {
+	bounded, err := topo.NewBounded(15, 15, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rgg, err := topo.NewConnectedRGG(150, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		tp topo.Topology
+		p  core.Params
+	}{
+		{bounded, core.Params{R: 2, T: 2, MF: 2}},
+		{rgg, core.Params{R: 1, T: 1, MF: 2}},
+	} {
+		spec, err := core.NewProtocolB(tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := sim.Config{Topo: tc.tp, Params: tc.p, Spec: spec, Source: 0}
+		seq, err := sim.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conc, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !conc.Completed {
+			t.Fatalf("%v: actor run incomplete: %d/%d", tc.tp, conc.DecidedGood, conc.TotalGood)
+		}
+		if err := simtest.DiffResults(seq, conc); err != nil {
+			t.Fatalf("%v: sim vs actor: %v", tc.tp, err)
 		}
 	}
 }

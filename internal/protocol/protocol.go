@@ -57,8 +57,10 @@ import (
 // MaxTrackedValue bounds the distinct broadcast values a counts-mode
 // acceptance tracks per node. The protocols use ValueTrue and
 // adversaries typically a single wrong value; a handful of extra slots
-// accommodates multi-value attacks. internal/sim/ref's frozen copy must
-// stay equal for bit-identical results.
+// accommodates multi-value attacks. internal/sim/ref keeps its own copy of
+// the constant beside its own copy of the counts-mode rule (ref's
+// threshold.go, the one acceptance this package does not supply); the two
+// must stay equal for bit-identical results.
 const MaxTrackedValue = 7
 
 // Env is one run's environment, handed to Machine.Attach by the engine.

@@ -82,7 +82,7 @@ func TestBudgetClampParityFastVsActor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	actRes, err := actor.Run(actor.Config{
+	actRes, err := actor.Run(sim.Config{
 		Topo: tor, Params: params, Machine: protocol.NewThreshold(tight),
 	})
 	if err != nil {

@@ -188,7 +188,7 @@ func TestReactiveDeliverOrderInvariant(t *testing.T) {
 	t.Run("actor", func(t *testing.T) {
 		cfg, m := reactiveConfig(t, protocol.PolicyDisrupt, 1)
 		pair := &orderPair{t: t, spec: *m}
-		res, err := actor.Run(actor.Config{Topo: cfg.Topo, Params: cfg.Params, Machine: pair, Seed: cfg.Seed})
+		res, err := actor.Run(sim.Config{Topo: cfg.Topo, Params: cfg.Params, Machine: pair, Seed: cfg.Seed})
 		if err != nil {
 			t.Fatal(err)
 		}

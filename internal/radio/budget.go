@@ -43,6 +43,3 @@ func (b *Budget) Left() int {
 	}
 	return b.limit - b.used
 }
-
-// Limit returns the configured limit (negative = unlimited).
-func (b *Budget) Limit() int { return b.limit }

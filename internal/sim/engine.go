@@ -73,10 +73,11 @@
 // Runner so sweeps pay no per-run allocation beyond the Result — the
 // Runner keeps one protocol.ThresholdInstance across runs and rebinds it
 // per run, so the default protocol path allocates nothing either. The
-// original dense engine is preserved verbatim in internal/sim/ref as the
-// reference implementation; the differential-testing oracle
-// (internal/sim/simtest, wired up in oracle_test.go) asserts bit-identical
-// Results between the two over randomized configurations.
+// original dense scan, resolver and acceptance rule are preserved in
+// internal/sim/ref as the reference implementation; the
+// differential-testing oracle (internal/sim/simtest, wired up in
+// oracle_test.go) asserts bit-identical Results between the two over
+// randomized configurations.
 package sim
 
 import (
@@ -101,13 +102,17 @@ import (
 // results.
 const maxTrackedValue = protocol.MaxTrackedValue
 
-// Config describes one simulation run.
+// Config describes one simulation run. It is the input half of the one
+// contract every engine implements — func(ctx, Config) (*Result, error):
+// RunContext here, ref.RunContext, actor.RunContext (which refuses a
+// Placement or Strategy).
 type Config struct {
 	// Topo is the network topology (grid.Torus, topo.Bounded, topo.RGG).
 	Topo   topo.Topology
 	Params core.Params
 	// Spec is the threshold protocol under test, executed through the
-	// built-in protocol.ThresholdInstance. Ignored when Machine is set.
+	// built-in protocol.ThresholdInstance (ref: through its own frozen
+	// acceptance). Ignored when Machine is set.
 	Spec core.Spec
 	// Machine, when non-nil, selects a custom protocol state machine
 	// (e.g. the Section 5 reactive protocol) instead of the Spec-derived

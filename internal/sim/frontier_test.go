@@ -21,6 +21,7 @@ import (
 	"bftbcast/internal/protocol"
 	"bftbcast/internal/radio"
 	"bftbcast/internal/sim"
+	"bftbcast/internal/sim/ref"
 	"bftbcast/internal/sim/simtest"
 	"bftbcast/internal/topo"
 	"bftbcast/internal/topo/topotest"
@@ -364,7 +365,7 @@ func TestFrontierNeedsVerifiedColoring(t *testing.T) {
 	if fast.GoodGoodCollisions == 0 {
 		t.Fatal("the shared color produced no collision; the test topology is not doing its job")
 	}
-	dense, err := simtest.RefRun(cfg)
+	dense, err := ref.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"bftbcast/internal/sim"
+	"bftbcast/internal/sim/ref"
 	"bftbcast/internal/sim/simtest"
 )
 
@@ -75,13 +76,13 @@ func TestOracleRunnerReuse(t *testing.T) {
 		fast, err := runner.Run(c.Build())
 		if err != nil {
 			// The reference engine must reject the config too.
-			if _, refErr := simtest.RefRun(c.Build()); refErr == nil {
+			if _, refErr := ref.Run(c.Build()); refErr == nil {
 				t.Fatalf("case %d (%s): runner errored (%v), reference did not", i, c.Desc, err)
 			}
 			continue
 		}
 		simtest.CheckInvariants(t, c.Build(), fast)
-		dense, err := simtest.RefRun(c.Build())
+		dense, err := ref.Run(c.Build())
 		if err != nil {
 			t.Fatalf("case %d (%s): reference errored: %v", i, c.Desc, err)
 		}

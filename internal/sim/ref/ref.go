@@ -1,18 +1,28 @@
 // Package ref is the dense reference implementation of the slot-level
-// simulation engine: a faithful, deliberately simple copy of the engine
-// as it stood before the sparse fast path (package sim) replaced it.
+// simulation engine: the fixed, deliberately simple point the sparse
+// fast path (package sim) is measured and verified against.
 //
-// Its job is to be obviously correct, not fast. Every slot it scans the
-// whole color class of the TDMA schedule for pending transmitters and
-// resolves the radio medium with a straightforward per-neighbor walk
-// (see medium.go, a frozen copy of the original resolver). The
+// Its job is to be obviously correct, not fast. There is one slot loop
+// (this file). Every slot it scans the whole color class of the TDMA
+// schedule for pending transmitters, resolves the radio medium with a
+// straightforward per-neighbor walk, hands the slot's final deliveries to
+// a protocol.Instance and schedules the sends it returns. The
 // differential-testing oracle (internal/sim/simtest) runs randomized
 // configurations through Run here and through the fast engine and
-// asserts bit-identical Results; the sweep benchmarks in bench_test.go
-// run the same workload through both to show the fast path's speedup.
+// asserts bit-identical Results.
 //
-// Do not optimize this package: its value is that it stays the fixed
-// point the fast engine is measured and verified against.
+// Frozen here, independent of what the fast path uses: the resolver
+// (medium.go, a copy of the original radio.Medium), the dense scan, and
+// the threshold acceptance a Spec run attaches (threshold.go: the counts
+// table, the clamp, the threshold crossing and the Spec.Sends relay,
+// written out as they were inlined before the protocol seam). Shared with
+// the other engines: the Machine/Instance seam itself — a Config.Machine
+// (protocol.Multi, protocol.Reactive) runs the same machine code on every
+// engine, so for those the oracle checks the loops, not the machine — and
+// the compiled plan's coloring. testdata/ref_fingerprints.txt pins the
+// loop's Results to the ones the former inline engine produced.
+//
+// Do not optimize this package.
 package ref
 
 import (
@@ -23,6 +33,7 @@ import (
 	"bftbcast/internal/adversary"
 	"bftbcast/internal/grid"
 	"bftbcast/internal/plan"
+	"bftbcast/internal/protocol"
 	"bftbcast/internal/radio"
 	"bftbcast/internal/sched"
 	"bftbcast/internal/sim"
@@ -39,17 +50,16 @@ type engine struct {
 	tor      topo.Topology
 	plan     *plan.Plan
 	schedule *sched.TDMA
-	medium   *medium
+	medium   *medium // the frozen dense resolver
+
+	inst  protocol.Instance
+	st    *protocol.State
+	hooks protocol.Hooks
 
 	bad        []bool
-	decided    []bool
-	decidedVal []radio.Value
-	counts     []int32 // [node*(maxTrackedValue+1) + value]
-	correct    []int32
-	wrong      []int32
 	sent       []int32
 	pending    []int32
-	supplies   []bool // node currently contributes to neighbors' supply
+	supplies   []bool
 	supply     []int32
 	goodBudget []radio.Budget
 	badBudget  []radio.Budget
@@ -69,33 +79,19 @@ func Run(cfg sim.Config) (*sim.Result, error) {
 
 // RunContext is Run with cooperative cancellation, checked once per
 // slot, mirroring sim.RunContext. A nil ctx behaves like
-// context.Background().
-//
-// A Config with a custom protocol Machine runs through the machine-driven
-// dense loop (machine.go); Spec runs keep the frozen inline path below,
-// which stays the fixed point the fast engine is verified against.
+// context.Background(). A Config without a Machine runs its Spec through
+// the package's own frozen acceptance (threshold.go).
 func RunContext(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Machine != nil {
-		return runMachine(ctx, cfg)
+	if cfg.Machine == nil {
+		cfg.Machine = denseThreshold{spec: cfg.Spec}
 	}
-	e, err := newEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.run(ctx)
-}
-
-func newEngine(cfg sim.Config) (*engine, error) {
 	if cfg.Topo == nil {
 		return nil, errors.New("ref: config needs a topology")
 	}
 	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Params.R != cfg.Topo.Range() {
@@ -103,7 +99,7 @@ func newEngine(cfg sim.Config) (*engine, error) {
 	}
 	// The schedule comes from the shared compiled plan — the same colors
 	// sched.New would derive, computed once per topology. The dense
-	// resolver below stays frozen; only the derivation is shared.
+	// resolver stays frozen; only the derivation is shared.
 	p := plan.For(cfg.Topo)
 	schedule, err := p.TDMA()
 	if err != nil {
@@ -126,18 +122,31 @@ func newEngine(cfg sim.Config) (*engine, error) {
 		return nil, err
 	}
 
+	inst, err := cfg.Machine.Attach(protocol.Env{
+		Plan:   p,
+		Params: cfg.Params,
+		Source: cfg.Source,
+		Bad:    bad,
+		Seed:   cfg.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	e := &engine{
-		cfg:        cfg,
-		tor:        cfg.Topo,
-		plan:       p,
-		schedule:   schedule,
-		medium:     newMedium(cfg.Topo),
+		cfg:      cfg,
+		tor:      cfg.Topo,
+		plan:     p,
+		schedule: schedule,
+		medium:   newMedium(cfg.Topo),
+		inst:     inst,
+		st:       inst.State(),
+		hooks: protocol.Hooks{
+			OnSend:    cfg.OnSend,
+			OnDeliver: cfg.OnDeliver,
+			OnAccept:  cfg.OnAccept,
+		},
 		bad:        bad,
-		decided:    make([]bool, n),
-		decidedVal: make([]radio.Value, n),
-		counts:     make([]int32, n*(maxTrackedValue+1)),
-		correct:    make([]int32, n),
-		wrong:      make([]int32, n),
 		sent:       make([]int32, n),
 		pending:    make([]int32, n),
 		supplies:   make([]bool, n),
@@ -156,20 +165,13 @@ func newEngine(cfg sim.Config) (*engine, error) {
 			e.goodBudget[i] = radio.Unlimited()
 			continue
 		}
-		e.goodBudget[i] = radio.NewBudget(cfg.Spec.Budget(id))
+		e.goodBudget[i] = radio.NewBudget(inst.GoodBudget(id))
 	}
 
-	e.colorNodes = make([][]grid.NodeID, schedule.Period())
-	for i := 0; i < n; i++ {
-		c := schedule.ColorOf(grid.NodeID(i))
-		e.colorNodes[c] = append(e.colorNodes[c], grid.NodeID(i))
-	}
+	e.colorNodes = p.ColorClasses() // shared, read-only
 
-	// Base station: decided on Vtrue, repeats it SourceRepeats times.
-	e.decided[cfg.Source] = true
-	e.decidedVal[cfg.Source] = radio.ValueTrue
-	e.addPending(cfg.Source, cfg.Spec.SourceRepeats)
-	return e, nil
+	e.applySends(inst.Bootstrap(nil))
+	return e.run(ctx)
 }
 
 // addPending schedules n more transmissions at id and, when id supplies
@@ -180,7 +182,7 @@ func (e *engine) addPending(id grid.NodeID, n int) {
 	}
 	e.pending[id] += int32(n)
 	e.pendingTotal += int64(n)
-	if e.decidedVal[id] == radio.ValueTrue && !e.bad[id] {
+	if e.st.Value[id] == radio.ValueTrue && !e.bad[id] {
 		e.supplies[id] = true
 		e.tor.ForEachNeighbor(id, func(nb grid.NodeID) {
 			e.supply[nb] += int32(n)
@@ -188,16 +190,23 @@ func (e *engine) addPending(id grid.NodeID, n int) {
 	}
 }
 
-func (e *engine) defaultMaxSlots() int {
-	maxSends := 0
-	for i := 0; i < e.tor.Size(); i++ {
-		if s := e.cfg.Spec.Sends(grid.NodeID(i)); s > maxSends {
-			maxSends = s
+// applySends schedules the instance's returned sends, clamped against
+// the per-node budgets.
+func (e *engine) applySends(sends []protocol.Send) {
+	for _, s := range sends {
+		n := s.N
+		if left := e.goodBudget[s.ID].Left(); left >= 0 && n > left {
+			n = left
 		}
+		e.addPending(s.ID, n)
 	}
+}
+
+func (e *engine) defaultMaxSlots() int {
+	sourceSends, maxSends := e.inst.Sizing()
 	period := e.schedule.Period()
 	hops := e.tor.DiameterHint()
-	return period * (e.cfg.Spec.SourceRepeats + hops*(maxSends+1) + 2*period)
+	return period * (sourceSends + hops*(maxSends+1) + 2*period)
 }
 
 func (e *engine) run(ctx context.Context) (*sim.Result, error) {
@@ -206,13 +215,14 @@ func (e *engine) run(ctx context.Context) (*sim.Result, error) {
 		maxSlots = e.defaultMaxSlots()
 	}
 	var (
-		txs       []radio.Tx
-		tentative []radio.Delivery
+		txs        []radio.Tx
+		deliveries []radio.Delivery
+		sendBuf    []protocol.Send
 	)
 	view := &adversary.View{
 		Topo: e.tor, Adj: e.plan.Adjacency(),
-		Bad: e.bad, Decided: e.decided, Correct: e.correct, Supply: e.supply,
-		Budget: e.badBudget, Threshold: e.cfg.Spec.Threshold,
+		Bad: e.bad, Decided: e.st.Decided, Correct: e.st.Correct, Supply: e.supply,
+		Budget: e.badBudget, Threshold: e.inst.Threshold(),
 	}
 	slot := 0
 	for ; e.pendingTotal > 0 && slot < maxSlots; slot++ {
@@ -239,15 +249,15 @@ func (e *engine) run(ctx context.Context) (*sim.Result, error) {
 			e.sent[id]++
 			e.res.GoodMessages++
 			if e.cfg.OnSend != nil {
-				e.cfg.OnSend(slot, id, e.decidedVal[id], false)
+				e.cfg.OnSend(slot, id, e.st.Value[id], false)
 			}
-			txs = append(txs, radio.Tx{From: id, Value: e.decidedVal[id]})
+			txs = append(txs, radio.Tx{From: id, Value: e.st.Value[id]})
 		}
 
-		tentative = tentative[:0]
+		deliveries = deliveries[:0]
 		if len(txs) > 0 {
 			if err := e.medium.resolve(txs, func(d radio.Delivery) {
-				tentative = append(tentative, d)
+				deliveries = append(deliveries, d)
 			}); err != nil {
 				return nil, err
 			}
@@ -255,23 +265,31 @@ func (e *engine) run(ctx context.Context) (*sim.Result, error) {
 
 		var jams []radio.Tx
 		if e.cfg.Strategy != nil {
-			jams = e.validateJams(slot, e.cfg.Strategy.Jams(view, slot, tentative))
+			jams = e.validateJams(slot, e.cfg.Strategy.Jams(view, slot, deliveries))
+		}
+		if len(jams) > 0 {
+			txs = append(txs, jams...)
+			deliveries = deliveries[:0]
+			if err := e.medium.resolve(txs, func(d radio.Delivery) {
+				deliveries = append(deliveries, d)
+			}); err != nil {
+				return nil, err
+			}
 		}
 
-		if len(jams) == 0 {
-			for _, d := range tentative {
-				e.deliver(slot, d)
+		if len(deliveries) > 0 {
+			sendBuf = sendBuf[:0]
+			var err error
+			sendBuf, err = e.inst.Deliver(slot, deliveries, &e.hooks, sendBuf)
+			if err != nil {
+				return nil, err
 			}
-			continue
-		}
-		txs = append(txs, jams...)
-		if err := e.medium.resolve(txs, func(d radio.Delivery) {
-			e.deliver(slot, d)
-		}); err != nil {
-			return nil, err
+			sendBuf = e.inst.Tick(slot, sendBuf)
+			e.applySends(sendBuf)
 		}
 	}
 
+	e.inst.Finish(slot)
 	return e.finish(slot, maxSlots), nil
 }
 
@@ -335,50 +353,6 @@ func (e *engine) validateJams(slot int, jams []radio.Tx) []radio.Tx {
 	return valid
 }
 
-// deliver applies one final delivery to the receiver's counters and
-// processes a threshold crossing.
-func (e *engine) deliver(slot int, d radio.Delivery) {
-	if e.cfg.OnDeliver != nil {
-		e.cfg.OnDeliver(slot, d)
-	}
-	u := d.To
-	if e.bad[u] {
-		return // adversary nodes do not run the protocol
-	}
-	if d.Value == radio.ValueTrue {
-		e.correct[u]++
-	} else {
-		e.wrong[u]++
-	}
-	v := d.Value
-	if v < 0 || v > maxTrackedValue {
-		v = maxTrackedValue // clamp exotic values into the last bucket
-	}
-	idx := int(u)*(maxTrackedValue+1) + int(v)
-	e.counts[idx]++
-	if e.decided[u] || e.counts[idx] != int32(e.cfg.Spec.Threshold) {
-		return
-	}
-	e.accept(slot, u, d.Value)
-}
-
-// accept commits node u to value v and schedules its relays.
-func (e *engine) accept(slot int, u grid.NodeID, v radio.Value) {
-	e.decided[u] = true
-	e.decidedVal[u] = v
-	if v != radio.ValueTrue {
-		e.res.WrongDecisions++
-	}
-	sends := e.cfg.Spec.Sends(u)
-	if left := e.goodBudget[u].Left(); left >= 0 && sends > left {
-		sends = left
-	}
-	e.addPending(u, sends)
-	if e.cfg.OnAccept != nil {
-		e.cfg.OnAccept(slot, u, v)
-	}
-}
-
 func (e *engine) finish(slot, maxSlots int) *sim.Result {
 	res := &e.res
 	res.Slots = slot
@@ -393,10 +367,11 @@ func (e *engine) finish(slot, maxSlots int) *sim.Result {
 			continue
 		}
 		res.TotalGood++
-		if e.decided[i] {
+		if e.st.Decided[i] {
 			res.DecidedGood++
-			if e.decidedVal[i] != radio.ValueTrue {
+			if e.st.Value[i] != radio.ValueTrue {
 				allTrue = false
+				res.WrongDecisions++
 			}
 		} else {
 			allTrue = false
@@ -414,12 +389,10 @@ func (e *engine) finish(slot, maxSlots int) *sim.Result {
 	if goodNonSource > 0 {
 		res.AvgGoodSends = float64(sumSends) / float64(goodNonSource)
 	}
-	// The engine is single-use, so handing out its internal slices would
-	// be safe; copies keep the Result contract identical to sim.Run's.
-	res.Decided = append([]bool(nil), e.decided...)
-	res.DecidedValue = append([]radio.Value(nil), e.decidedVal...)
-	res.Correct = append([]int32(nil), e.correct...)
-	res.Wrong = append([]int32(nil), e.wrong...)
+	res.Decided = append([]bool(nil), e.st.Decided...)
+	res.DecidedValue = append([]radio.Value(nil), e.st.Value...)
+	res.Correct = append([]int32(nil), e.st.Correct...)
+	res.Wrong = append([]int32(nil), e.st.Wrong...)
 	res.Sent = append([]int32(nil), e.sent...)
 	return res
 }

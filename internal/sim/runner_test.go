@@ -7,6 +7,7 @@ import (
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
 	"bftbcast/internal/sim"
+	"bftbcast/internal/sim/ref"
 	"bftbcast/internal/sim/simtest"
 	"bftbcast/internal/topo"
 )
@@ -71,7 +72,7 @@ func TestResultNotAliased(t *testing.T) {
 	if err := simtest.DiffResults(got, pooled); err != nil {
 		t.Fatalf("pooled Run diverged from dedicated Runner: %v", err)
 	}
-	dense, err := simtest.RefRun(first)
+	dense, err := ref.Run(first)
 	if err != nil {
 		t.Fatal(err)
 	}

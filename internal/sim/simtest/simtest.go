@@ -233,9 +233,6 @@ func DiffEngines(c Case) (*sim.Result, error) {
 	return fast, nil
 }
 
-// RefRun runs a config through the dense reference engine.
-func RefRun(cfg sim.Config) (*sim.Result, error) { return ref.Run(cfg) }
-
 // DiffResults compares two Results field by field, reporting the first
 // mismatch by name (reflect.DeepEqual alone would report "not equal").
 func DiffResults(fast, dense *sim.Result) error {

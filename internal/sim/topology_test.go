@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"bftbcast/internal/actor"
 	"bftbcast/internal/adversary"
 	"bftbcast/internal/core"
 	"bftbcast/internal/topo"
@@ -11,8 +10,9 @@ import (
 
 // TestRunOnNonTorusTopologies exercises the topology seam at the engine
 // level: protocol B must complete fault-free on the bounded grid and on
-// a connected RGG, with zero schedule violations, and the concurrent
-// actor runtime must agree with the sequential engine on both.
+// a connected RGG, with zero schedule violations. (The actor runtime's
+// agreement on both is internal/actor's test of the same name: actor
+// imports this package.)
 func TestRunOnNonTorusTopologies(t *testing.T) {
 	bounded, err := topo.NewBounded(15, 15, 2)
 	if err != nil {
@@ -43,19 +43,6 @@ func TestRunOnNonTorusTopologies(t *testing.T) {
 			if !seq.Completed || seq.WrongDecisions != 0 || seq.GoodGoodCollisions != 0 {
 				t.Fatalf("%v: completed=%v wrong=%d collisions=%d",
 					tc.tp, seq.Completed, seq.WrongDecisions, seq.GoodGoodCollisions)
-			}
-			conc, err := actor.Run(actor.Config{Topo: tc.tp, Params: tc.p, Spec: spec, Source: 0})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !conc.Completed || conc.Slots != seq.Slots || conc.DecidedGood != seq.DecidedGood {
-				t.Fatalf("%v: actor (completed=%v slots=%d decided=%d) disagrees with sim (slots=%d decided=%d)",
-					tc.tp, conc.Completed, conc.Slots, conc.DecidedGood, seq.Slots, seq.DecidedGood)
-			}
-			for i := range seq.Sent {
-				if seq.Sent[i] != conc.Sent[i] {
-					t.Fatalf("%v: node %d sent %d (sim) vs %d (actor)", tc.tp, i, seq.Sent[i], conc.Sent[i])
-				}
 			}
 		})
 	}

@@ -37,6 +37,3 @@ func New(s Spec) (Topology, error) {
 		return nil, fmt.Errorf("topo: unknown topology kind %q (want torus, grid or rgg)", s.Kind)
 	}
 }
-
-// Kinds lists the topology names New accepts.
-func Kinds() []string { return []string{"torus", "grid", "rgg"} }

@@ -150,8 +150,9 @@ func TestMatrixFastVsRef(t *testing.T) {
 }
 
 // TestMatrixFaultFreeActor asserts that the fault-free actor runtime
-// agrees with the fast engine on every Report field the concurrent
-// runtime produces, for both protocol families on every topology.
+// agrees with the fast engine on the whole Report (modulo the engine
+// name) — the Sim extension with its per-node receipt counters, or the
+// Reactive one, included — for both protocol families on every topology.
 func TestMatrixFaultFreeActor(t *testing.T) {
 	ctx := context.Background()
 	for _, kind := range []string{"torus", "grid", "rgg"} {
@@ -169,23 +170,68 @@ func TestMatrixFaultFreeActor(t *testing.T) {
 					t.Fatalf("fault-free cell did not complete: fast=%v actor=%v",
 						fastRep.Completed, actRep.Completed)
 				}
-				if fastRep.Slots != actRep.Slots ||
-					fastRep.TotalGood != actRep.TotalGood ||
-					fastRep.DecidedGood != actRep.DecidedGood ||
-					fastRep.WrongDecisions != actRep.WrongDecisions ||
-					fastRep.GoodMessages != actRep.GoodMessages ||
-					fastRep.AvgGoodSends != actRep.AvgGoodSends ||
-					fastRep.MaxGoodSends != actRep.MaxGoodSends ||
-					!reflect.DeepEqual(fastRep.Decided, actRep.Decided) ||
-					!reflect.DeepEqual(fastRep.DecidedValue, actRep.DecidedValue) ||
-					!reflect.DeepEqual(fastRep.Sent, actRep.Sent) {
+				if (proto == "reactive") != (fastRep.Sim == nil) {
+					t.Fatalf("wrong Report extension: %+v", fastRep)
+				}
+				actRep.Engine = fastRep.Engine
+				if !reflect.DeepEqual(fastRep, actRep) {
 					t.Fatalf("fast and actor reports diverge:\nfast:  %+v\nactor: %+v", fastRep, actRep)
 				}
-				if proto == "reactive" && !reflect.DeepEqual(fastRep.Reactive, actRep.Reactive) {
-					t.Fatalf("reactive extensions diverge:\nfast:  %+v\nactor: %+v",
-						fastRep.Reactive, actRep.Reactive)
-				}
 			})
+		}
+	}
+}
+
+// TestMatrixSlotCap pins the engines' classification of a run cut off by
+// WithMaxSlots right after its last decision: every node has decided
+// Vtrue, so the run is Completed, and relays are still pending at the
+// cap, so it is TimedOut too — on every engine (the actor used to report
+// such a run as not completed).
+func TestMatrixSlotCap(t *testing.T) {
+	ctx := context.Background()
+	tor, err := bftbcast.NewTorus(15, 15, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := bftbcast.Params{R: 2, T: 1, MF: 1}
+	spec, err := bftbcast.NewProtocolB(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := -1
+	sc, err := bftbcast.NewScenario(
+		bftbcast.WithTopology(tor), bftbcast.WithParams(params), bftbcast.WithSpec(spec),
+		bftbcast.WithObserver(bftbcast.FuncObserver{
+			OnDecide: func(slot int, _ bftbcast.NodeID, _ bftbcast.Value) { last = slot },
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bftbcast.EngineFast.Run(ctx, sc); err != nil {
+		t.Fatal(err)
+	}
+	if last < 0 {
+		t.Fatal("no Decide event")
+	}
+	capped, err := sc.With(bftbcast.WithObserver(nil), bftbcast.WithMaxSlots(last+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *bftbcast.Report
+	for _, engine := range bftbcast.Engines() {
+		rep, err := engine.Run(ctx, capped)
+		if err != nil {
+			t.Fatalf("%s: %v", engine.Name(), err)
+		}
+		if !rep.Completed || !rep.TimedOut || rep.Stalled || rep.Slots != last+1 || rep.DecidedGood != rep.TotalGood {
+			t.Fatalf("%s: completed=%v timedOut=%v stalled=%v slots=%d decided=%d/%d, want a completed, timed-out run of %d slots",
+				engine.Name(), rep.Completed, rep.TimedOut, rep.Stalled, rep.Slots, rep.DecidedGood, rep.TotalGood, last+1)
+		}
+		rep.Engine = ""
+		if first == nil {
+			first = rep
+		} else if !reflect.DeepEqual(first, rep) {
+			t.Fatalf("%s disagrees with fast on the capped run:\nfast: %+v\n%s: %+v", engine.Name(), first, engine.Name(), rep)
 		}
 	}
 }

@@ -80,7 +80,7 @@ func TestMultiFastVsRef(t *testing.T) {
 // multi-broadcast run.
 func checkMultiExtension(t *testing.T, rep *bftbcast.Report, m int) {
 	t.Helper()
-	if rep.Multi == nil || rep.Sim != nil || rep.Actor != nil || rep.Reactive != nil {
+	if rep.Multi == nil || rep.Sim != nil || rep.Reactive != nil {
 		t.Fatalf("multi run carries the wrong extension: %+v", rep)
 	}
 	mr := rep.Multi

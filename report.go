@@ -2,11 +2,11 @@ package bftbcast
 
 import "bftbcast/internal/protocol"
 
-// Report is the unified outcome of an Engine run. The core fields are
-// populated by every backend with the same meaning, so cross-engine
-// comparisons (and the fast-vs-ref differential oracle) work on one
-// type; the typed extension pointers carry whatever extra detail the
-// executing backend produces (exactly one of them is non-nil).
+// Report is the unified outcome of an Engine run. Every backend returns
+// the same result type underneath, so the core fields and the extension
+// mean the same whichever engine ran (and the cross-engine oracles compare
+// one type); the typed extension pointers carry the protocol's extra
+// detail (exactly one of them is non-nil).
 type Report struct {
 	// Engine is the name of the backend that produced the report
 	// ("fast", "ref", "actor").
@@ -41,13 +41,11 @@ type Report struct {
 	AvgGoodSends float64 // mean Sent over good non-source nodes
 	MaxGoodSends int
 
-	// Backend extensions: exactly one is non-nil. Reactive-protocol runs
-	// carry the Reactive extension and multi-broadcast runs the Multi
-	// extension, whichever engine executed them.
-	Sim      *SimResult      // "fast" and "ref", single-broadcast threshold protocols
-	Actor    *ActorResult    // "actor", single-broadcast threshold protocols
-	Reactive *ReactiveResult // ProtocolReactive runs (any engine)
-	Multi    *MultiResult    // multi-broadcast runs, Broadcasts >= 2 (any engine)
+	// Protocol extensions: exactly one is non-nil, whichever engine
+	// executed the run.
+	Sim      *SimResult      // single-broadcast threshold protocols
+	Reactive *ReactiveResult // ProtocolReactive runs
+	Multi    *MultiResult    // multi-broadcast runs, Broadcasts >= 2
 }
 
 // MultiInstance is one broadcast instance's outcome inside a
@@ -85,8 +83,8 @@ type MultiResult struct {
 	DecisionsPerSlot float64
 }
 
-// reportFromSim wraps a slot-level engine result. The per-node slices
-// are shared with the SimResult, which already owns fresh copies.
+// reportFromSim lifts an engine result — the one lifting. The per-node
+// slices are shared with the SimResult, which already owns fresh copies.
 func reportFromSim(engine string, res *SimResult) *Report {
 	return &Report{
 		Engine:         engine,
@@ -109,35 +107,9 @@ func reportFromSim(engine string, res *SimResult) *Report {
 	}
 }
 
-// reportFromActor wraps an actor runtime result (fault-free: every node
-// is good and there are no adversarial messages).
-func reportFromActor(res *ActorResult, source NodeID) *Report {
-	rep := &Report{
-		Engine:       "actor",
-		Completed:    res.Completed,
-		Stalled:      !res.Completed && !res.TimedOut,
-		TimedOut:     res.TimedOut,
-		Slots:        res.Slots,
-		TotalGood:    res.TotalGood,
-		DecidedGood:  res.DecidedGood,
-		GoodMessages: res.GoodMessages,
-		Decided:      res.Decided,
-		DecidedValue: res.DecidedValue,
-		Sent:         res.Sent,
-		Actor:        res,
-	}
-	for i, v := range res.DecidedValue {
-		if res.Decided[i] && v != ValueTrue {
-			rep.WrongDecisions++
-		}
-	}
-	rep.AvgGoodSends, rep.MaxGoodSends = sendStats(res.Sent, nil, source)
-	return rep
-}
-
 // attachReactive decorates an engine report with the reactive machine's
-// run record: the Reactive extension (replacing the backend's own
-// extension, so exactly one stays non-nil) and the adversary's attack
+// run record: the Reactive extension (replacing the Sim extension, so
+// exactly one stays non-nil) and the adversary's attack
 // spend as BadMessages (machine-internal attacks are not radio jams, so
 // the engine itself counts none). Core fields stay engine-native: Slots
 // is TDMA slot time and Sent counts data transmissions; per-node NACKs
@@ -147,19 +119,19 @@ func attachReactive(rep *Report, rs *protocol.ReactiveStats) {
 		return
 	}
 	rep.BadMessages = rs.AttacksSpent
-	rep.Sim, rep.Actor = nil, nil
+	rep.Sim = nil
 	rep.Reactive = rs
 }
 
 // attachMulti decorates an engine report with the multi-broadcast
-// machine's run record (replacing the backend's own extension, so
-// exactly one stays non-nil). Core fields stay engine-native: Slots is
+// machine's run record (replacing the Sim extension, so exactly one
+// stays non-nil). Core fields stay engine-native: Slots is
 // TDMA slot time, GoodMessages counts physical batched transmissions.
 func attachMulti(rep *Report, ms *protocol.MultiStats) {
 	if ms == nil {
 		return
 	}
-	rep.Sim, rep.Actor = nil, nil
+	rep.Sim = nil
 	res := &MultiResult{
 		M:              ms.M,
 		Instances:      ms.Instances,
@@ -172,23 +144,4 @@ func attachMulti(rep *Report, ms *protocol.MultiStats) {
 		res.DecisionsPerSlot = float64(ms.Decisions) / float64(rep.Slots)
 	}
 	rep.Multi = res
-}
-
-// sendStats computes the mean and max sends over good non-source nodes.
-func sendStats(sent []int32, bad []bool, source NodeID) (avg float64, maxSends int) {
-	var sum, n int
-	for i, s := range sent {
-		if NodeID(i) == source || (bad != nil && bad[i]) {
-			continue
-		}
-		n++
-		sum += int(s)
-		if int(s) > maxSends {
-			maxSends = int(s)
-		}
-	}
-	if n > 0 {
-		avg = float64(sum) / float64(n)
-	}
-	return avg, maxSends
 }

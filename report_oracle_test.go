@@ -60,7 +60,7 @@ func TestReportDifferentialOracle(t *testing.T) {
 		if fastRep.Engine != "fast" || refRep.Engine != "ref" {
 			t.Fatalf("case %d: engine names %q/%q", i, fastRep.Engine, refRep.Engine)
 		}
-		if fastRep.Sim == nil || refRep.Sim == nil || fastRep.Actor != nil || fastRep.Reactive != nil {
+		if fastRep.Sim == nil || refRep.Sim == nil || fastRep.Reactive != nil {
 			t.Fatalf("case %d: wrong extension population", i)
 		}
 		// The unified core (and the Sim extension) must be bit-identical

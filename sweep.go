@@ -38,14 +38,6 @@ type Sweep struct {
 	Scenarios []*Scenario
 }
 
-// workerPinned is implemented by engines that can hand out a dedicated
-// per-worker instance owning reusable run state. Sweep pins one instance
-// per pool worker, so a sweep never loses its warmed engine state to
-// pool churn and every point runs on the same worker's allocations.
-type workerPinned interface {
-	pinned() Engine
-}
-
 // Stream launches the sweep and returns a channel that yields one
 // SweepPoint per Scenario, in scenario order, each as soon as it (and
 // every earlier point) has finished. The channel is buffered for the
@@ -53,10 +45,11 @@ type workerPinned interface {
 // nothing; cancelling ctx makes the remaining points fail fast with
 // ctx.Err().
 //
-// Engines that support it (EngineFast) are pinned per worker: each pool
-// worker runs its points on a private reusable engine, while the
-// topology-derived artifacts (the compiled plan) stay shared across all
-// workers. Reports are identical for any worker count either way.
+// EngineFast is pinned per worker: each pool worker runs its points on a
+// private reusable engine, so a sweep never loses its warmed engine state
+// to pool churn, while the topology-derived artifacts (the compiled plan)
+// stay shared across all workers. Reports are identical for any worker
+// count either way.
 func (s *Sweep) Stream(ctx context.Context) <-chan SweepPoint {
 	if ctx == nil {
 		ctx = context.Background()
@@ -80,10 +73,9 @@ func (s *Sweep) Stream(ctx context.Context) <-chan SweepPoint {
 	}
 	perWorker := make([]Engine, workers)
 	for w := range perWorker {
-		if p, ok := eng.(workerPinned); ok {
-			perWorker[w] = p.pinned()
-		} else {
-			perWorker[w] = eng
+		perWorker[w] = eng
+		if e, ok := eng.(*engine); ok {
+			perWorker[w] = e.pinned()
 		}
 	}
 	scenarios := s.Scenarios
