@@ -22,8 +22,8 @@
 //     with border effects, a random geometric graph) behind the
 //     Topology interface;
 //   - the experiment harness regenerating every quantitative claim of
-//     the paper (see EXPERIMENTS.md), parallelized over a
-//     deterministic worker pool.
+//     the paper (see EXPERIMENTS.md): each experiment's runs are
+//     Scenarios, swept in order over the deterministic Sweep pool.
 //
 // # API layering
 //

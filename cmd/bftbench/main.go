@@ -8,10 +8,11 @@
 //	bftbench [-experiment E2] [-quick] [-seed 42] [-workers N]
 //	bftbench -sweep 12 [-engine fast] [-workers N] [-seed 42]
 //
-// With -workers N the experiments and their inner sweep points run on a
-// pool of N workers (0 = runtime.NumCPU(); the default 1 is sequential).
-// Every run derives its RNG seed from -seed and the sweep index, so the
-// printed results are identical for any worker count.
+// The experiments run in order; with -workers N each one sweeps its
+// points on N workers (0 = runtime.NumCPU(); the default 1 is
+// sequential), and so does -sweep. Every run derives its RNG seed from
+// -seed and the sweep index, so the printed results are identical for
+// any worker count.
 package main
 
 import (
@@ -36,7 +37,7 @@ func run() error {
 	id := flag.String("experiment", "", "run a single experiment (E1..E12); empty = all")
 	quick := flag.Bool("quick", false, "smaller sweeps")
 	seed := flag.Uint64("seed", 42, "random seed")
-	workers := flag.Int("workers", 1, "worker pool size for experiments, sweep points and -sweep (1 = sequential, 0 = NumCPU)")
+	workers := flag.Int("workers", 1, "sweep workers of each experiment, and of -sweep (1 = sequential, 0 = NumCPU)")
 	sweepN := flag.Int("sweep", 0, "instead of the experiment suite, run an n-point protocol-B density sweep through the public Sweep API")
 	engineName := flag.String("engine", "fast", "execution backend for -sweep: fast | ref | actor")
 	flag.Parse()

@@ -2,20 +2,14 @@ package exper
 
 import (
 	"fmt"
+	"strconv"
 
+	"bftbcast"
 	"bftbcast/internal/adversary"
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
-	"bftbcast/internal/metrics"
-	"bftbcast/internal/pool"
-	"bftbcast/internal/protocol"
-	"bftbcast/internal/sim"
 	"bftbcast/internal/topo"
 )
-
-func init() {
-	register(Experiment{ID: "E12", Title: "Multi-broadcast traffic: batched sends vs M sequential single-broadcast runs", Run: runE12})
-}
 
 // runE12 measures the message economics of the multi-broadcast traffic
 // mode (protocol.Multi, DESIGN.md §12): M concurrent protocol-B
@@ -53,119 +47,114 @@ func runE12(opts Options) (*Outcome, error) {
 		{rgg, rggParams, false},
 	}
 
-	type pointRes struct {
-		completed int // instances whose good nodes all decided
-		batched   int
-		naive     int
-		seqSum    int // fault-free only: measured total of M sequential runs
-		entries   int
-		decisions int
-		slots     int
-		wrong     int
-		multiOK   bool
-	}
-	// Every topology × M × {fault-free, corruptor} point is independent;
-	// the M sequential baseline runs of a fault-free point execute inside
-	// that point.
-	points := make([]pointRes, len(cases)*len(ms)*2)
-	runPoint := func(ci, mi, adv int) (pointRes, error) {
-		c, m := cases[ci], ms[mi]
+	// Every topology × M × {fault-free, corruptor} point, in that order:
+	// point i runs cases[i/(2·len(ms))] with M = ms[(i/2)%len(ms)], under
+	// the corruptor when i is odd.
+	var scs []*bftbcast.Scenario
+	for ci, c := range cases {
 		spec, err := core.NewProtocolB(c.p)
 		if err != nil {
-			return pointRes{}, err
+			return nil, err
 		}
-		machine := &protocol.Multi{Spec: spec, M: m}
-		cfg := sim.Config{
-			Topo: c.tp, Params: c.p, Spec: spec, Source: 0,
-			Seed:    opts.Seed + uint64(ci*100+mi*10+adv),
-			Machine: machine,
-		}
-		if adv == 1 {
-			cfg.Placement = adversary.Random{T: c.p.T, Density: 0.05, Seed: cfg.Seed}
-			cfg.Strategy = adversary.NewCorruptor()
-		}
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return pointRes{}, err
-		}
-		st := machine.TakeStats()
-		pr := pointRes{
-			batched: st.BatchedSends, naive: st.NaiveSends,
-			entries: st.EntriesCarried, decisions: st.Decisions,
-			slots: res.Slots, wrong: res.WrongDecisions, multiOK: res.Completed,
-		}
-		for _, inst := range st.Instances {
-			if inst.Completed {
-				pr.completed++
-			}
-		}
-		if adv == 0 {
-			// The sequential baseline: one classic single-broadcast run
-			// per drawn instance source.
-			for _, inst := range st.Instances {
-				sres, err := sim.Run(sim.Config{Topo: c.tp, Params: c.p, Spec: spec, Source: inst.Source})
+		for mi, m := range ms {
+			for adv := 0; adv < 2; adv++ {
+				seed := opts.Seed + uint64(ci*100+mi*10+adv)
+				with := []bftbcast.ScenarioOption{
+					bftbcast.WithTopology(c.tp), bftbcast.WithParams(c.p), bftbcast.WithSpec(spec),
+					bftbcast.WithBroadcasts(m), bftbcast.WithSeed(seed),
+				}
+				if adv == 1 {
+					with = append(with, bftbcast.WithAdversary(
+						adversary.Random{T: c.p.T, Density: 0.05, Seed: seed}, adversary.NewCorruptor()))
+				}
+				sc, err := bftbcast.NewScenario(with...)
 				if err != nil {
-					return pointRes{}, err
+					return nil, err
 				}
-				if !sres.Completed {
-					return pointRes{}, fmt.Errorf("sequential baseline from source %d stalled", inst.Source)
-				}
-				pr.seqSum += sres.GoodMessages
+				scs = append(scs, sc)
 			}
 		}
-		return pr, nil
 	}
-	if err := pool.ForEach(opts.Workers, len(points), func(i int) error {
-		r, err := runPoint(i/(len(ms)*2), (i/2)%len(ms), i%2)
-		points[i] = r
-		return err
-	}); err != nil {
+	reps, err := sweep(opts, scs...)
+	if err != nil {
 		return nil, err
 	}
 
-	tbl := metrics.NewTable(
+	// The sequential baseline of a fault-free point: one classic
+	// single-broadcast run per instance source it drew, all fault-free
+	// points in one second sweep.
+	var seqScs []*bftbcast.Scenario
+	var seqPoint []int // the point each sequential run belongs to
+	for i := 0; i < len(reps); i += 2 {
+		for _, inst := range reps[i].Multi.Instances {
+			sc, err := bftbcast.NewScenario(bftbcast.WithTopology(scs[i].Topo),
+				bftbcast.WithParams(scs[i].Params), bftbcast.WithSpec(scs[i].Spec), bftbcast.WithSource(inst.Source))
+			if err != nil {
+				return nil, err
+			}
+			seqScs = append(seqScs, sc)
+			seqPoint = append(seqPoint, i)
+		}
+	}
+	seqReps, err := sweep(opts, seqScs...)
+	if err != nil {
+		return nil, err
+	}
+	seqSum := make([]int, len(reps)) // fault-free points only
+	for k, rep := range seqReps {
+		if !rep.Completed {
+			return nil, fmt.Errorf("sequential baseline from source %d stalled", seqScs[k].Source)
+		}
+		seqSum[seqPoint[k]] += rep.GoodMessages
+	}
+
+	tbl := newTable(
 		"M concurrent protocol-B instances over one TDMA schedule vs M sequential runs from the same sources",
 		"topology", "M", "adversary", "completed", "batched sends", "naive (M runs)", "ratio", "entries/send", "decisions/slot")
-	for i, r := range points {
+	for i, rep := range reps {
 		c, m, adv := cases[i/(len(ms)*2)], ms[(i/2)%len(ms)], i%2
+		r := rep.Multi
 		advName := "none"
 		if adv == 1 {
 			advName = "corruptor"
 		}
-		var ratio, eps, dps float64
-		if r.naive > 0 {
-			ratio = float64(r.batched) / float64(r.naive)
+		completed := 0 // instances whose good nodes all decided
+		for _, inst := range r.Instances {
+			if inst.Completed {
+				completed++
+			}
 		}
-		if r.batched > 0 {
-			eps = float64(r.entries) / float64(r.batched)
+		var ratio, eps float64
+		if r.NaiveSends > 0 {
+			ratio = float64(r.BatchedSends) / float64(r.NaiveSends)
 		}
-		if r.slots > 0 {
-			dps = float64(r.decisions) / float64(r.slots)
+		if r.BatchedSends > 0 {
+			eps = float64(r.EntriesCarried) / float64(r.BatchedSends)
 		}
-		tbl.AddRow(c.tp.String(), metrics.Itoa(m), advName,
-			fmt.Sprintf("%d/%d", r.completed, m),
-			metrics.Itoa(r.batched), metrics.Itoa(r.naive),
-			metrics.Ftoa(ratio, 3), metrics.Ftoa(eps, 2), metrics.Ftoa(dps, 3))
+		tbl.addRow(c.tp.String(), strconv.Itoa(m), advName,
+			fmt.Sprintf("%d/%d", completed, m),
+			strconv.Itoa(r.BatchedSends), strconv.Itoa(r.NaiveSends),
+			ftoa(ratio, 3), ftoa(eps, 2), ftoa(r.DecisionsPerSlot, 3))
 
-		if r.wrong != 0 {
-			o.fail("%v M=%d adv=%s: %d wrong decisions (Lemma 1 holds per instance)", c.tp, m, advName, r.wrong)
+		if rep.WrongDecisions != 0 {
+			o.fail("%v M=%d adv=%s: %d wrong decisions (Lemma 1 holds per instance)", c.tp, m, advName, rep.WrongDecisions)
 		}
 		if adv == 0 {
-			if r.completed != m || !r.multiOK {
-				o.fail("%v M=%d: fault-free multi run left %d/%d instances undecided", c.tp, m, m-r.completed, m)
+			if completed != m || !rep.Completed {
+				o.fail("%v M=%d: fault-free multi run left %d/%d instances undecided", c.tp, m, m-completed, m)
 			}
-			if r.naive != r.seqSum {
-				o.fail("%v M=%d: naive accounting %d != measured %d of M sequential runs", c.tp, m, r.naive, r.seqSum)
+			if r.NaiveSends != seqSum[i] {
+				o.fail("%v M=%d: naive accounting %d != measured %d of M sequential runs", c.tp, m, r.NaiveSends, seqSum[i])
 			}
-			if r.batched >= r.seqSum {
-				o.fail("%v M=%d: no batching win: %d batched vs %d sequential sends", c.tp, m, r.batched, r.seqSum)
+			if r.BatchedSends >= seqSum[i] {
+				o.fail("%v M=%d: no batching win: %d batched vs %d sequential sends", c.tp, m, r.BatchedSends, seqSum[i])
 			}
 		} else {
-			if c.guaranteed && (r.completed != m || !r.multiOK) {
-				o.fail("%v M=%d corruptor: %d/%d instances decided, contradicting Theorem 2 per instance", c.tp, m, r.completed, m)
+			if c.guaranteed && (completed != m || !rep.Completed) {
+				o.fail("%v M=%d corruptor: %d/%d instances decided, contradicting Theorem 2 per instance", c.tp, m, completed, m)
 			}
-			if r.multiOK && r.batched >= r.naive {
-				o.fail("%v M=%d corruptor: no batching win: %d batched vs %d naive", c.tp, m, r.batched, r.naive)
+			if rep.Completed && r.BatchedSends >= r.NaiveSends {
+				o.fail("%v M=%d corruptor: no batching win: %d batched vs %d naive", c.tp, m, r.BatchedSends, r.NaiveSends)
 			}
 		}
 	}

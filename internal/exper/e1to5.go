@@ -2,72 +2,94 @@ package exper
 
 import (
 	"fmt"
+	"strconv"
 
+	"bftbcast"
 	"bftbcast/internal/adversary"
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
-	"bftbcast/internal/metrics"
-	"bftbcast/internal/pool"
-	"bftbcast/internal/sim"
 )
-
-func init() {
-	register(Experiment{ID: "E1", Title: "Theorem 1 / Figure 1: budget sweep against the stripe construction", Run: runE1})
-	register(Experiment{ID: "E2", Title: "Figure 2: the m0+1 stall at r=4, t=1, mf=1000", Run: runE2})
-	register(Experiment{ID: "E3", Title: "Theorem 2: protocol B vs the Koo et al. repetition baseline", Run: runE3})
-	register(Experiment{ID: "E4", Title: "Corollary 1: empirical fault tolerance vs the two bounds", Run: runE4})
-	register(Experiment{ID: "E5", Title: "Theorem 3 / Figure 5: heterogeneous budgets (Bheter)", Run: runE5})
-}
 
 // e1Params is the sandwich fault model used by E1/E4/E5: r=2, full-row
 // stripes (t=5), mf=4, so g=5, threshold=21, m0=9, m'=14.
 var e1Params = core.Params{R: 2, T: 5, MF: 4}
 
-// runStripe runs the maximal-effort protocol with budget m against the
-// sandwich construction and returns (completed, bandDecidedFraction).
-func runStripe(p core.Params, m int, attack bool) (bool, float64, error) {
+// stripeScenario is the Theorem 1 stripe construction of E1 and E4: the
+// maximal-effort protocol with budget m on a 20×20 torus whose victim
+// band is isolated between two t-stripes. attack adds the targeted
+// jammer on the band; without it the bad nodes stay silent (the control).
+func stripeScenario(p core.Params, m int, attack bool) (*bftbcast.Scenario, error) {
 	tor, err := grid.New(20, 20, p.R)
 	if err != nil {
-		return false, 0, err
+		return nil, err
 	}
 	spec, err := core.NewFullBudget(p, m)
 	if err != nil {
-		return false, 0, err
+		return nil, err
 	}
 	sw := adversary.Sandwich{YLow: 7, YHigh: 13, T: p.T}
-	cfg := sim.Config{
-		Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0),
-		Placement: sw,
-	}
+	var strategy adversary.Strategy
 	if attack {
-		cfg.Strategy = adversary.NewTargeted(sw.VictimBand(tor))
+		strategy = adversary.NewTargeted(sw.VictimBand(tor))
 	}
-	res, err := sim.Run(cfg)
-	if err != nil {
-		return false, 0, err
-	}
-	if res.WrongDecisions != 0 {
-		return false, 0, fmt.Errorf("E1: %d wrong decisions (Lemma 1 violated)", res.WrongDecisions)
-	}
-	victims := sw.VictimBand(tor)
+	return bftbcast.NewScenario(
+		bftbcast.WithTopology(tor), bftbcast.WithParams(p), bftbcast.WithSpec(spec),
+		bftbcast.WithSource(tor.ID(0, 0)), bftbcast.WithAdversary(sw, strategy))
+}
+
+// bandDecided returns the fraction of a stripe scenario's victim band
+// that decided.
+func bandDecided(sc *bftbcast.Scenario, rep *bftbcast.Report) float64 {
+	victims := sc.Placement.(adversary.Sandwich).VictimBand(sc.Topo.(*grid.Torus))
 	total, decided := 0, 0
-	for i := range victims {
-		if !victims[i] {
+	for i, v := range victims {
+		if !v {
 			continue
 		}
 		total++
-		if res.Decided[i] {
+		if rep.Decided[i] {
 			decided++
 		}
 	}
-	return res.Completed, float64(decided) / float64(total), nil
+	return float64(decided) / float64(total)
+}
+
+// figure2Scenario is the Figure 2 construction of E2 and E9: r=4, t=1,
+// mf=1000 on a 45×45 torus, budget m = m0+1, the bad lattice and the
+// targeted jammer guarding the eight mirror nodes. It stalls with 84
+// decided nodes.
+func figure2Scenario() (*bftbcast.Scenario, error) {
+	p := core.Params{R: 4, T: 1, MF: 1000}
+	tor, err := grid.New(45, 45, p.R)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := core.NewFullBudget(p, p.M0()+1)
+	if err != nil {
+		return nil, err
+	}
+	return bftbcast.NewScenario(
+		bftbcast.WithTopology(tor), bftbcast.WithParams(p), bftbcast.WithSpec(spec),
+		bftbcast.WithSource(tor.ID(0, 0)),
+		bftbcast.WithAdversary(adversary.Figure2Lattice(p.R), adversary.NewTargeted(adversary.Figure2Victims(tor))))
+}
+
+// checkLemma1 turns a wrong decision in any report into an error: the
+// constructions attack liveness only, so Lemma 1 must hold throughout.
+func checkLemma1(reps []*bftbcast.Report) error {
+	for _, rep := range reps {
+		if rep.WrongDecisions != 0 {
+			return fmt.Errorf("%d wrong decisions (Lemma 1 violated)", rep.WrongDecisions)
+		}
+	}
+	return nil
 }
 
 func runE1(opts Options) (*Outcome, error) {
 	o := &Outcome{ID: "E1", Title: "Theorem 1 / Figure 1", Passed: true}
 	p := e1Params
 	m0 := p.M0()
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		fmt.Sprintf("Stripe construction, r=%d t=%d mf=%d (m0=%d, 2m0=%d): victim band outcome by budget m",
 			p.R, p.T, p.MF, m0, 2*m0),
 		"m", "m/m0", "attacked: completed", "attacked: band decided", "control: completed")
@@ -75,38 +97,35 @@ func runE1(opts Options) (*Outcome, error) {
 	if opts.Quick {
 		ms = []int{m0 - 4, m0, 2 * m0}
 	}
-	// The budget points are independent runs; sweep them through the
-	// worker pool and render/assert sequentially afterwards.
-	type point struct {
-		completed, control bool
-		frac               float64
+	// One attacked and one control point per budget.
+	var scs []*bftbcast.Scenario
+	for _, m := range ms {
+		for _, attack := range []bool{true, false} {
+			sc, err := stripeScenario(p, m, attack)
+			if err != nil {
+				return nil, err
+			}
+			scs = append(scs, sc)
+		}
 	}
-	pts := make([]point, len(ms))
-	if err := pool.ForEach(opts.Workers, len(ms), func(i int) error {
-		completed, frac, err := runStripe(p, ms[i], true)
-		if err != nil {
-			return err
-		}
-		control, _, err := runStripe(p, ms[i], false)
-		if err != nil {
-			return err
-		}
-		pts[i] = point{completed: completed, control: control, frac: frac}
-		return nil
-	}); err != nil {
+	reps, err := sweep(opts, scs...)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkLemma1(reps); err != nil {
 		return nil, err
 	}
 	for i, m := range ms {
-		pt := pts[i]
-		tbl.AddRow(metrics.Itoa(m), metrics.Ftoa(float64(m)/float64(m0), 2),
-			metrics.Btoa(pt.completed), metrics.Ftoa(pt.frac, 3), metrics.Btoa(pt.control))
-		if !pt.control {
+		attacked, control := reps[2*i], reps[2*i+1]
+		tbl.addRow(strconv.Itoa(m), ftoa(float64(m)/float64(m0), 2),
+			btoa(attacked.Completed), ftoa(bandDecided(scs[2*i], attacked), 3), btoa(control.Completed))
+		if !control.Completed {
 			o.fail("control run without adversary stalled at m=%d", m)
 		}
 		switch {
-		case m <= m0-4 && pt.completed:
+		case m <= m0-4 && attacked.Completed:
 			o.fail("broadcast completed at m=%d << m0=%d despite the construction", m, m0)
-		case m >= 2*m0 && !pt.completed:
+		case m >= 2*m0 && !attacked.Completed:
 			o.fail("broadcast failed at m=2m0=%d, contradicting Theorem 2", m)
 		}
 	}
@@ -117,44 +136,37 @@ func runE1(opts Options) (*Outcome, error) {
 	return o, nil
 }
 
-func runE2(Options) (*Outcome, error) {
+func runE2(opts Options) (*Outcome, error) {
 	o := &Outcome{ID: "E2", Title: "Figure 2", Passed: true}
-	p := core.Params{R: 4, T: 1, MF: 1000}
-	tor, err := grid.New(45, 45, 4)
+	sc, err := figure2Scenario()
 	if err != nil {
 		return nil, err
 	}
+	reps, err := sweep(opts, sc)
+	if err != nil {
+		return nil, err
+	}
+	rep, p, tor := reps[0], sc.Params, sc.Topo.(*grid.Torus)
 	m := p.M0() + 1
-	spec, err := core.NewFullBudget(p, m)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(sim.Config{
-		Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0),
-		Placement: adversary.Figure2Lattice(4),
-		Strategy:  adversary.NewTargeted(adversary.Figure2Victims(tor)),
-	})
-	if err != nil {
-		return nil, err
-	}
 	pn := tor.ID(5, 1)
-	tbl := metrics.NewTable("Figure 2 reproduction (r=4, t=1, mf=1000, m=m0+1=59)",
+	correct := rep.Sim.Correct[pn]
+	tbl := newTable("Figure 2 reproduction (r=4, t=1, mf=1000, m=m0+1=59)",
 		"quantity", "paper", "measured")
-	tbl.AddRow("m0", "58", metrics.Itoa(p.M0()))
-	tbl.AddRow("decided nodes at stall", "source nbhd + 4 gray", metrics.Itoa(res.DecidedGood))
-	tbl.AddRow("gray node potential copies", "2065 > 2001", metrics.Itoa(35*m))
-	tbl.AddRow("p's suppliers", "33", "33 (verified geometrically)")
-	tbl.AddRow("p potential copies", "1947", metrics.Itoa(33*m))
-	tbl.AddRow("p correct after attack", "947 (adversary spends all 1000)",
-		fmt.Sprintf("%d = threshold-1 (thrifty adversary)", res.Correct[pn]))
-	tbl.AddRow("p decided", "no", metrics.Btoa(res.Decided[pn]))
-	tbl.AddRow("broadcast stalled", "yes", metrics.Btoa(res.Stalled))
+	tbl.addRow("m0", "58", strconv.Itoa(p.M0()))
+	tbl.addRow("decided nodes at stall", "source nbhd + 4 gray", strconv.Itoa(rep.DecidedGood))
+	tbl.addRow("gray node potential copies", "2065 > 2001", strconv.Itoa(35*m))
+	tbl.addRow("p's suppliers", "33", "33 (verified geometrically)")
+	tbl.addRow("p potential copies", "1947", strconv.Itoa(33*m))
+	tbl.addRow("p correct after attack", "947 (adversary spends all 1000)",
+		fmt.Sprintf("%d = threshold-1 (thrifty adversary)", correct))
+	tbl.addRow("p decided", "no", btoa(rep.Decided[pn]))
+	tbl.addRow("broadcast stalled", "yes", btoa(rep.Stalled))
 	o.Tables = append(o.Tables, tbl)
 
-	if !res.Stalled || res.DecidedGood != 84 || res.Decided[pn] ||
-		res.Correct[pn] != int32(p.Threshold()-1) || res.WrongDecisions != 0 {
+	if !rep.Stalled || rep.DecidedGood != 84 || rep.Decided[pn] ||
+		correct != int32(p.Threshold()-1) || rep.WrongDecisions != 0 {
 		o.fail("stall shape mismatch: stalled=%v decided=%d p=%v correct=%d",
-			res.Stalled, res.DecidedGood, res.Decided[pn], res.Correct[pn])
+			rep.Stalled, rep.DecidedGood, rep.Decided[pn], correct)
 	}
 	o.note("each frontier bad node guards its mirror pair (e.g. (4,5) guards (5,1),(1,5)); " +
 		"every other frontier node starves on the side effects, matching the figure's claim " +
@@ -164,7 +176,7 @@ func runE2(Options) (*Outcome, error) {
 
 func runE3(opts Options) (*Outcome, error) {
 	o := &Outcome{ID: "E3", Title: "Protocol B vs Koo baseline", Passed: true}
-	tbl := metrics.NewTable("Per-node relay budget: protocol B's m' vs the baseline's 2tmf+1",
+	tbl := newTable("Per-node relay budget: protocol B's m' vs the baseline's 2tmf+1",
 		"r", "t", "mf", "m' (B)", "2m0", "baseline", "ratio", "paper's ~g/2", "B completes", "baseline completes")
 	cases := []core.Params{
 		{R: 2, T: 3, MF: 2},
@@ -174,61 +186,48 @@ func runE3(opts Options) (*Outcome, error) {
 	if !opts.Quick {
 		cases = append(cases, core.Params{R: 3, T: 10, MF: 5}, core.Params{R: 4, T: 17, MF: 2})
 	}
-	type result struct {
-		bspec, kspec core.Spec
-		bOK, kOK     bool
-	}
-	results := make([]result, len(cases))
-	if err := pool.ForEach(opts.Workers, len(cases), func(i int) error {
-		p := cases[i]
+	// Protocol B and the baseline per case, under the same placement.
+	var scs []*bftbcast.Scenario
+	for _, p := range cases {
 		side := 2*p.R + 1
 		tor, err := grid.New(4*side, 4*side, p.R)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		bspec, err := core.NewProtocolB(p)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		kspec, err := core.NewKooBaseline(p)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		run := func(spec core.Spec) (bool, error) {
-			res, err := sim.Run(sim.Config{
-				Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0),
-				Placement: adversary.Random{T: p.T, Density: 0.08, Seed: opts.Seed + 1},
-				Strategy:  adversary.NewCorruptor(),
-			})
+		for _, spec := range []core.Spec{bspec, kspec} {
+			sc, err := bftbcast.NewScenario(
+				bftbcast.WithTopology(tor), bftbcast.WithParams(p), bftbcast.WithSpec(spec),
+				bftbcast.WithSource(tor.ID(0, 0)),
+				bftbcast.WithAdversary(adversary.Random{T: p.T, Density: 0.08, Seed: opts.Seed + 1}, adversary.NewCorruptor()))
 			if err != nil {
-				return false, err
+				return nil, err
 			}
-			if res.WrongDecisions != 0 {
-				return false, fmt.Errorf("E3: wrong decisions under %s", spec.Name)
-			}
-			return res.Completed, nil
+			scs = append(scs, sc)
 		}
-		bOK, err := run(bspec)
-		if err != nil {
-			return err
-		}
-		kOK, err := run(kspec)
-		if err != nil {
-			return err
-		}
-		results[i] = result{bspec: bspec, kspec: kspec, bOK: bOK, kOK: kOK}
-		return nil
-	}); err != nil {
+	}
+	reps, err := sweep(opts, scs...)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkLemma1(reps); err != nil {
 		return nil, err
 	}
 	for i, p := range cases {
-		bspec, kspec := results[i].bspec, results[i].kspec
-		bOK, kOK := results[i].bOK, results[i].kOK
+		bspec, kspec := scs[2*i].Spec, scs[2*i+1].Spec
+		bOK, kOK := reps[2*i].Completed, reps[2*i+1].Completed
 		ratio := float64(kspec.Sends(0)) / float64(bspec.Sends(0))
-		tbl.AddRow(metrics.Itoa(p.R), metrics.Itoa(p.T), metrics.Itoa(p.MF),
-			metrics.Itoa(bspec.Sends(0)), metrics.Itoa(p.HomogeneousBudget()),
-			metrics.Itoa(kspec.Sends(0)), metrics.Ftoa(ratio, 2),
-			metrics.Ftoa(float64(p.G())/2, 1), metrics.Btoa(bOK), metrics.Btoa(kOK))
+		tbl.addRow(strconv.Itoa(p.R), strconv.Itoa(p.T), strconv.Itoa(p.MF),
+			strconv.Itoa(bspec.Sends(0)), strconv.Itoa(p.HomogeneousBudget()),
+			strconv.Itoa(kspec.Sends(0)), ftoa(ratio, 2),
+			ftoa(float64(p.G())/2, 1), btoa(bOK), btoa(kOK))
 		if !bOK || !kOK {
 			o.fail("completion failure at %+v (B=%v, baseline=%v)", p, bOK, kOK)
 		}
@@ -245,7 +244,7 @@ func runE4(opts Options) (*Outcome, error) {
 	const r, mf, m = 2, 4, 8
 	tol := core.TolerableT(m, mf, r)
 	brk := core.BreakableT(m, mf, r)
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		fmt.Sprintf("Fault tolerance at r=%d, mf=%d, m=%d: TolerableT=%d, BreakableT=%d",
 			r, mf, m, tol, brk),
 		"t", "attacked: completed", "verdict vs bounds")
@@ -253,18 +252,23 @@ func runE4(opts Options) (*Outcome, error) {
 	if opts.Quick {
 		maxT = 6
 	}
-	completedAt := make([]bool, maxT+1)
-	if err := pool.ForEach(opts.Workers, maxT, func(i int) error {
-		t := i + 1
-		completed, _, err := runStripe(core.Params{R: r, T: t, MF: mf}, m, true)
-		completedAt[t] = completed
-		return err
-	}); err != nil {
+	scs := make([]*bftbcast.Scenario, maxT)
+	for i := range scs {
+		var err error
+		if scs[i], err = stripeScenario(core.Params{R: r, T: i + 1, MF: mf}, m, true); err != nil {
+			return nil, err
+		}
+	}
+	reps, err := sweep(opts, scs...)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkLemma1(reps); err != nil {
 		return nil, err
 	}
 	firstFail := -1
 	for t := 1; t <= maxT; t++ {
-		completed := completedAt[t]
+		completed := reps[t-1].Completed
 		verdict := "uncertain region"
 		switch {
 		case t <= tol:
@@ -278,7 +282,7 @@ func runE4(opts Options) (*Outcome, error) {
 		if !completed && firstFail < 0 {
 			firstFail = t
 		}
-		tbl.AddRow(metrics.Itoa(t), metrics.Btoa(completed), verdict)
+		tbl.addRow(strconv.Itoa(t), btoa(completed), verdict)
 	}
 	o.Tables = append(o.Tables, tbl)
 	if firstFail >= 0 {
@@ -310,33 +314,35 @@ func runE5(opts Options) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		fmt.Sprintf("Average per-node budget, r=%d t=%d mf=%d (m0=%d, m'=%d), 40x40 torus",
 			p.R, p.T, p.MF, p.M0(), p.RelaySends()),
 		"protocol", "avg budget", "max budget", "completes vs corruptor", "wrong decisions")
-	type cfg struct {
-		name string
-		spec core.Spec
-	}
-	for _, c := range []cfg{{"Bheter", heter}, {"B (homogeneous)", homog}} {
-		res, err := sim.Run(sim.Config{
-			Topo: tor, Params: p, Spec: c.spec, Source: src,
-			Placement: adversary.Random{T: p.T, Density: 0.05, Seed: opts.Seed + 7},
-			Strategy:  adversary.NewCorruptor(),
-		})
+	names := []string{"Bheter", "B (homogeneous)"}
+	scs := make([]*bftbcast.Scenario, len(names))
+	for i, spec := range []core.Spec{heter, homog} {
+		scs[i], err = bftbcast.NewScenario(
+			bftbcast.WithTopology(tor), bftbcast.WithParams(p), bftbcast.WithSpec(spec),
+			bftbcast.WithSource(src),
+			bftbcast.WithAdversary(adversary.Random{T: p.T, Density: 0.05, Seed: opts.Seed + 7}, adversary.NewCorruptor()))
 		if err != nil {
 			return nil, err
 		}
+	}
+	reps, err := sweep(opts, scs...)
+	if err != nil {
+		return nil, err
+	}
+	for i, rep := range reps {
+		spec := scs[i].Spec
 		maxB := 0
-		for i := 0; i < tor.Size(); i++ {
-			if b := c.spec.Budget(grid.NodeID(i)); b > maxB {
-				maxB = b
-			}
+		for id := 0; id < tor.Size(); id++ {
+			maxB = max(maxB, spec.Budget(grid.NodeID(id)))
 		}
-		tbl.AddRow(c.name, metrics.Ftoa(c.spec.AverageBudget(tor, src), 2),
-			metrics.Itoa(maxB), metrics.Btoa(res.Completed), metrics.Itoa(res.WrongDecisions))
-		if !res.Completed || res.WrongDecisions != 0 {
-			o.fail("%s failed: completed=%v wrong=%d", c.name, res.Completed, res.WrongDecisions)
+		tbl.addRow(names[i], ftoa(spec.AverageBudget(tor, src), 2),
+			strconv.Itoa(maxB), btoa(rep.Completed), strconv.Itoa(rep.WrongDecisions))
+		if !rep.Completed || rep.WrongDecisions != 0 {
+			o.fail("%s failed: completed=%v wrong=%d", names[i], rep.Completed, rep.WrongDecisions)
 		}
 	}
 	o.Tables = append(o.Tables, tbl)

@@ -3,30 +3,21 @@ package exper
 import (
 	"fmt"
 	"math"
+	"strconv"
 
+	"bftbcast"
 	"bftbcast/internal/adversary"
 	"bftbcast/internal/auedcode"
 	"bftbcast/internal/core"
 	"bftbcast/internal/geometry"
 	"bftbcast/internal/grid"
-	"bftbcast/internal/metrics"
-	"bftbcast/internal/protocol"
-	"bftbcast/internal/sim"
 	"bftbcast/internal/stats"
 )
-
-func init() {
-	register(Experiment{ID: "E6", Title: "Lemmas 5-10 / Figures 6-8: propagation geometry", Run: runE6})
-	register(Experiment{ID: "E7", Title: "Figure 9: AUED coding scheme (overhead, detection, forgery)", Run: runE7})
-	register(Experiment{ID: "E8", Title: "Theorem 4: Breactive message budgets with unknown mf", Run: runE8})
-	register(Experiment{ID: "E9", Title: "Lemma 4: decided-neighborhood sufficiency (contrapositive)", Run: runE9})
-	register(Experiment{ID: "E10", Title: "Ablations: sub-bit length, segment chain", Run: runE10})
-}
 
 func runE6(opts Options) (*Outcome, error) {
 	o := &Outcome{ID: "E6", Title: "Propagation geometry", Passed: true}
 
-	front := metrics.NewTable("Frontier distance bounds over all slopes (length 37r)",
+	front := newTable("Frontier distance bounds over all slopes (length 37r)",
 		"r", "variant", "min measured distance / r", "lemma bound / r", "holds")
 	radii := []int{2, 3, 4, 5}
 	if opts.Quick {
@@ -57,9 +48,9 @@ func runE6(opts Options) (*Outcome, error) {
 			}
 			bound := geometry.FrontierDistanceBound(37*float64(r), r, variant.c)
 			holds := minD >= bound
-			front.AddRow(metrics.Itoa(r), variant.name,
-				metrics.Ftoa(minD/float64(r), 2), metrics.Ftoa(bound/float64(r), 2),
-				metrics.Btoa(holds))
+			front.addRow(strconv.Itoa(r), variant.name,
+				ftoa(minD/float64(r), 2), ftoa(bound/float64(r), 2),
+				btoa(holds))
 			if !holds {
 				o.fail("%s bound violated at r=%d", variant.name, r)
 			}
@@ -67,7 +58,7 @@ func runE6(opts Options) (*Outcome, error) {
 	}
 	o.Tables = append(o.Tables, front)
 
-	clear := metrics.NewTable("Lemma 9: expanding-line clearance d (must exceed 1.25)",
+	clear := newTable("Lemma 9: expanding-line clearance d (must exceed 1.25)",
 		"r", "min d over slopes", "holds")
 	for _, r := range radii {
 		minD := math.Inf(1)
@@ -94,20 +85,20 @@ func runE6(opts Options) (*Outcome, error) {
 				minD = math.Min(minD, d)
 			}
 		}
-		clear.AddRow(metrics.Itoa(r), metrics.Ftoa(minD, 3), metrics.Btoa(minD > 1.25))
+		clear.addRow(strconv.Itoa(r), ftoa(minD, 3), btoa(minD > 1.25))
 		if minD <= 1.25 {
 			o.fail("Lemma 9 clearance %.3f <= 1.25 at r=%d", minD, r)
 		}
 	}
 	o.Tables = append(o.Tables, clear)
 
-	belt := metrics.NewTable("Lemma 10 belt arithmetic on the 550r^2 circle",
+	belt := newTable("Lemma 10 belt arithmetic on the 550r^2 circle",
 		"chord", "sagitta |HH1|", "belt width", "paper claim")
 	s74, d74 := geometry.BeltExpansion(2, 74)
-	belt.AddRow("74r (as stated)", metrics.Ftoa(s74, 4), metrics.Ftoa(d74, 4),
+	belt.addRow("74r (as stated)", ftoa(s74, 4), ftoa(d74, 4),
 		"<0.72 / >0.53 (does not hold; belt still positive)")
 	s56, d56 := geometry.BeltExpansion(2, 56)
-	belt.AddRow("56r (matching the printed numbers)", metrics.Ftoa(s56, 4), metrics.Ftoa(d56, 4),
+	belt.addRow("56r (matching the printed numbers)", ftoa(s56, 4), ftoa(d56, 4),
 		"<0.72 / >0.53 (holds)")
 	o.Tables = append(o.Tables, belt)
 	if d74 <= 0 || s56 >= 0.72 || d56 <= 0.53 {
@@ -123,7 +114,7 @@ func runE7(opts Options) (*Outcome, error) {
 	o := &Outcome{ID: "E7", Title: "AUED coding scheme", Passed: true}
 	rng := stats.NewRNG(opts.Seed + 70)
 
-	overhead := metrics.NewTable("Code length vs payload (paper: K <= k + 2 log k + 2; I-code: 2k)",
+	overhead := newTable("Code length vs payload (paper: K <= k + 2 log k + 2; I-code: 2k)",
 		"k", "K (this impl)", "bound", "I-code 2k", "K < 2k")
 	ks := []int{16, 64, 256, 1024, 4096}
 	if opts.Quick {
@@ -135,9 +126,9 @@ func runE7(opts Options) (*Outcome, error) {
 			return nil, err
 		}
 		kk := c.CodewordBits()
-		overhead.AddRow(metrics.Itoa(k), metrics.Itoa(kk),
-			metrics.Itoa(auedcode.PaperOverheadBound(k)), metrics.Itoa(2*k),
-			metrics.Btoa(kk < 2*k))
+		overhead.addRow(strconv.Itoa(k), strconv.Itoa(kk),
+			strconv.Itoa(auedcode.PaperOverheadBound(k)), strconv.Itoa(2*k),
+			btoa(kk < 2*k))
 		if kk > auedcode.PaperOverheadBound(k) || kk >= 2*k {
 			o.fail("overhead out of range at k=%d: K=%d", k, kk)
 		}
@@ -180,10 +171,10 @@ func runE7(opts Options) (*Outcome, error) {
 			detected++
 		}
 	}
-	det := metrics.NewTable("Detection of 0->1 flip attacks (k=32)",
+	det := newTable("Detection of 0->1 flip attacks (k=32)",
 		"trials", "detected", "rate", "paper")
-	det.AddRow(metrics.Itoa(trials), metrics.Itoa(detected),
-		metrics.Ftoa(float64(detected)/float64(trials), 4), "1.0 (all unidirectional errors)")
+	det.addRow(strconv.Itoa(trials), strconv.Itoa(detected),
+		ftoa(float64(detected)/float64(trials), 4), "1.0 (all unidirectional errors)")
 	o.Tables = append(o.Tables, det)
 	if detected != trials {
 		o.fail("missed %d flip attacks", trials-detected)
@@ -221,11 +212,11 @@ func runE7(opts Options) (*Outcome, error) {
 		return nil, err
 	}
 	want := small.ForgeProbability()
-	forge := metrics.NewTable("Random-guess erasure of a 1-bit (L=3)",
+	forge := newTable("Random-guess erasure of a 1-bit (L=3)",
 		"trials", "successes", "measured", "95% CI", "design 1/(2^L-1)")
-	forge.AddRow(metrics.Itoa(forgeTrials), metrics.Itoa(hits),
-		metrics.Etoa(float64(hits)/float64(forgeTrials)),
-		fmt.Sprintf("[%.4f, %.4f]", lo, hi), metrics.Etoa(want))
+	forge.addRow(strconv.Itoa(forgeTrials), strconv.Itoa(hits),
+		etoa(float64(hits)/float64(forgeTrials)),
+		fmt.Sprintf("[%.4f, %.4f]", lo, hi), etoa(want))
 	o.Tables = append(o.Tables, forge)
 	if want < lo || want > hi {
 		o.fail("forge probability %.5f outside measured CI [%.5f, %.5f]", want, lo, hi)
@@ -234,47 +225,54 @@ func runE7(opts Options) (*Outcome, error) {
 }
 
 // runE8 measures Theorem 4 on the reactive protocol machine — the code
-// every Scenario, bftsim run and bftsimd job executes — through sim.Run,
-// exactly as E12 drives protocol.Multi.
+// every Scenario, bftsim run and bftsimd job executes — as
+// ProtocolReactive Scenarios read through Report.Reactive.
 func runE8(opts Options) (*Outcome, error) {
 	o := &Outcome{ID: "E8", Title: "Theorem 4 budgets", Passed: true}
 	tor, err := grid.New(15, 15, 2)
 	if err != nil {
 		return nil, err
 	}
-	tbl := metrics.NewTable("Breactive on a 15x15 torus (k=16, mmax=64): per-node message cost",
+	tbl := newTable("Breactive on a 15x15 torus (k=16, mmax=64): per-node message cost",
 		"t", "mf", "policy", "completed", "max msgs/node", "bound 2(tmf+1)",
 		"max sub-slots", "Theorem 4 budget", "forged")
 	type cse struct {
 		t, mf  int
-		policy protocol.AttackPolicy
+		policy bftbcast.AttackPolicy
 	}
 	cases := []cse{
-		{1, 3, protocol.PolicyDisrupt},
-		{1, 3, protocol.PolicyNackSpam},
-		{3, 2, protocol.PolicyDisrupt},
+		{1, 3, bftbcast.PolicyDisrupt},
+		{1, 3, bftbcast.PolicyNackSpam},
+		{3, 2, bftbcast.PolicyDisrupt},
 	}
 	if !opts.Quick {
-		cases = append(cases, cse{1, 6, protocol.PolicyMixed}, cse{4, 2, protocol.PolicyDisrupt})
+		cases = append(cases, cse{1, 6, bftbcast.PolicyMixed}, cse{4, 2, bftbcast.PolicyDisrupt})
 	}
-	for _, c := range cases {
-		machine := &protocol.Reactive{MMax: 64, PayloadBits: 16, Policy: c.policy}
-		res, err := sim.Run(sim.Config{
-			Topo: tor, Params: core.Params{R: 2, T: c.t, MF: c.mf}, Source: tor.ID(0, 0),
-			Placement: adversary.Random{T: c.t, Density: 0.06, Seed: opts.Seed + 80},
-			Seed:      opts.Seed + 81,
-			Machine:   machine,
-		})
+	scs := make([]*bftbcast.Scenario, len(cases))
+	for i, c := range cases {
+		scs[i], err = bftbcast.NewScenario(
+			bftbcast.WithTopology(tor), bftbcast.WithParams(core.Params{R: 2, T: c.t, MF: c.mf}),
+			bftbcast.WithSource(tor.ID(0, 0)),
+			bftbcast.WithProtocol(bftbcast.ProtocolReactive),
+			bftbcast.WithReactive(bftbcast.ReactiveSpec{MMax: 64, PayloadBits: 16, Policy: c.policy}),
+			bftbcast.WithPlacement(adversary.Random{T: c.t, Density: 0.06, Seed: opts.Seed + 80}),
+			bftbcast.WithSeed(opts.Seed+81))
 		if err != nil {
 			return nil, err
 		}
-		rs := machine.TakeStats()
+	}
+	reps, err := sweep(opts, scs...)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range cases {
+		rep, rs := reps[i], reps[i].Reactive
 		bound := 2 * (c.t*c.mf + 1)
-		tbl.AddRow(metrics.Itoa(c.t), metrics.Itoa(c.mf), c.policy.String(),
-			metrics.Btoa(res.Completed), metrics.Itoa(rs.MaxNodeMessages),
-			metrics.Itoa(bound), metrics.Itoa(rs.MaxNodeSubSlots),
-			metrics.Itoa(rs.Theorem4SubSlots), metrics.Itoa(rs.ForgedDeliveries))
-		if !res.Completed {
+		tbl.addRow(strconv.Itoa(c.t), strconv.Itoa(c.mf), c.policy.String(),
+			btoa(rep.Completed), strconv.Itoa(rs.MaxNodeMessages),
+			strconv.Itoa(bound), strconv.Itoa(rs.MaxNodeSubSlots),
+			strconv.Itoa(rs.Theorem4SubSlots), strconv.Itoa(rs.ForgedDeliveries))
+		if !rep.Completed {
 			o.fail("Breactive failed at t=%d mf=%d policy=%s", c.t, c.mf, c.policy)
 		}
 		if rs.MaxNodeMessages > bound {
@@ -291,43 +289,35 @@ func runE8(opts Options) (*Outcome, error) {
 	return o, nil
 }
 
-func runE9(Options) (*Outcome, error) {
+func runE9(opts Options) (*Outcome, error) {
 	o := &Outcome{ID: "E9", Title: "Lemma 4 contrapositive", Passed: true}
 	// Rebuild the Figure 2 stall and check that no undecided node ever
 	// had r(2r+1) decided neighbors: Lemma 4 says such a node must be
 	// able to accept, so the stalled frontier must stay strictly below.
-	p := core.Params{R: 4, T: 1, MF: 1000}
-	tor, err := grid.New(45, 45, 4)
+	sc, err := figure2Scenario()
 	if err != nil {
 		return nil, err
 	}
-	spec, err := core.NewFullBudget(p, p.M0()+1)
+	reps, err := sweep(opts, sc)
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.Run(sim.Config{
-		Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0),
-		Placement: adversary.Figure2Lattice(4),
-		Strategy:  adversary.NewTargeted(adversary.Figure2Victims(tor)),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !res.Stalled {
+	rep, tor := reps[0], sc.Topo.(*grid.Torus)
+	if !rep.Stalled {
 		o.fail("Figure 2 stall did not reproduce")
 		return o, nil
 	}
-	half := p.HalfNeighborhood()
+	half := sc.Params.HalfNeighborhood()
 	maxDecidedNbrs := 0
 	var worst grid.NodeID
 	for i := 0; i < tor.Size(); i++ {
 		id := grid.NodeID(i)
-		if res.Decided[id] {
+		if rep.Decided[id] {
 			continue
 		}
 		n := 0
 		tor.ForEachNeighbor(id, func(nb grid.NodeID) {
-			if res.Decided[nb] {
+			if rep.Decided[nb] {
 				n++
 			}
 		})
@@ -337,11 +327,11 @@ func runE9(Options) (*Outcome, error) {
 		}
 	}
 	x, y := tor.XY(worst)
-	tbl := metrics.NewTable("Lemma 4 check on the Figure 2 stall",
+	tbl := newTable("Lemma 4 check on the Figure 2 stall",
 		"quantity", "value")
-	tbl.AddRow("r(2r+1) (Lemma 4 sufficiency)", metrics.Itoa(half))
-	tbl.AddRow("max decided neighbors of any undecided node", metrics.Itoa(maxDecidedNbrs))
-	tbl.AddRow("achieved at", fmt.Sprintf("(%d,%d)", x, y))
+	tbl.addRow("r(2r+1) (Lemma 4 sufficiency)", strconv.Itoa(half))
+	tbl.addRow("max decided neighbors of any undecided node", strconv.Itoa(maxDecidedNbrs))
+	tbl.addRow("achieved at", fmt.Sprintf("(%d,%d)", x, y))
 	o.Tables = append(o.Tables, tbl)
 	if maxDecidedNbrs >= half {
 		o.fail("undecided node with %d >= r(2r+1) decided neighbors: Lemma 4 violated", maxDecidedNbrs)
@@ -362,7 +352,7 @@ func runE10(opts Options) (*Outcome, error) {
 
 	// Ablation 1: sub-bit length L vs forgery probability.
 	rng := stats.NewRNG(opts.Seed + 102)
-	lt := metrics.NewTable("Sub-bit length ablation: measured erasure rate vs 2^-L design",
+	lt := newTable("Sub-bit length ablation: measured erasure rate vs 2^-L design",
 		"L", "trials", "measured", "design 1/(2^L-1)")
 	trials := 12000
 	if opts.Quick {
@@ -399,8 +389,8 @@ func runE10(opts Options) (*Outcome, error) {
 			}
 		}
 		measured := float64(hits) / float64(trials)
-		lt.AddRow(metrics.Itoa(combo.wantL), metrics.Itoa(trials),
-			metrics.Etoa(measured), metrics.Etoa(c.ForgeProbability()))
+		lt.addRow(strconv.Itoa(combo.wantL), strconv.Itoa(trials),
+			etoa(measured), etoa(c.ForgeProbability()))
 		if math.Abs(measured-c.ForgeProbability()) > 0.25*c.ForgeProbability()+0.01 {
 			o.fail("L=%d: measured %.4f too far from design %.4f",
 				combo.wantL, measured, c.ForgeProbability())
@@ -429,10 +419,10 @@ func runE10(opts Options) (*Outcome, error) {
 	attacked.Set(9+3, 1) // S1: 0010 -> 0011 (up-flip only)
 	s1Consistent := attacked.ReadUint(9, 4) == uint(attacked.PopCountRange(0, 9))
 	chainDetects := c.Verify(attacked) != nil
-	seg := metrics.NewTable("Segment-chain ablation (payload 10000000, attack: +1 payload bit, S1 0010->0011)",
+	seg := newTable("Segment-chain ablation (payload 10000000, attack: +1 payload bit, S1 0010->0011)",
 		"checker", "accepts forged word")
-	seg.AddRow("single count segment (S1 only)", metrics.Btoa(s1Consistent))
-	seg.AddRow("full chain S1..Sl (the paper's code)", metrics.Btoa(!chainDetects))
+	seg.addRow("single count segment (S1 only)", btoa(s1Consistent))
+	seg.addRow("full chain S1..Sl (the paper's code)", btoa(!chainDetects))
 	o.Tables = append(o.Tables, seg)
 	if !s1Consistent || !chainDetects {
 		o.fail("segment-chain ablation shape mismatch (s1=%v chain=%v)", s1Consistent, chainDetects)

@@ -6,16 +6,18 @@
 // Each experiment produces human-readable tables and a machine-checkable
 // pass/fail verdict on the paper's claim shape, so the suite doubles as
 // an integration test and as the benchmark harness behind bench_test.go
-// and cmd/bftbench. Independent sweep points run through a deterministic
-// worker pool (pool.ForEach) sized by Options.Workers.
+// and cmd/bftbench. Every simulation is a bftbcast.Scenario, and every
+// batch of them runs through bftbcast.Sweep on Options.Workers workers —
+// the path users and the bftsimd daemon run.
 package exper
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"io"
-	"sort"
 
-	"bftbcast/internal/metrics"
+	"bftbcast"
 )
 
 // Options tunes an experiment run.
@@ -24,10 +26,9 @@ type Options struct {
 	Quick bool
 	// Seed drives all randomized pieces.
 	Seed uint64
-	// Workers bounds the worker pool used for independent sweep points
-	// (and for whole experiments in RunMany). Values <= 1 run
-	// sequentially. Every sweep point derives its own RNG seed from
-	// Seed, so results are identical for any worker count.
+	// Workers bounds the worker pool of each experiment's sweep. Values
+	// <= 1 run sequentially. Every sweep point derives its own RNG seed
+	// from Seed, so results are identical for any worker count.
 	Workers int
 }
 
@@ -37,7 +38,7 @@ type Outcome struct {
 	Title  string
 	Passed bool
 	Notes  []string
-	Tables []*metrics.Table
+	Tables []*Table
 }
 
 // note appends a formatted note line.
@@ -54,29 +55,22 @@ func (o *Outcome) fail(format string, args ...any) {
 // WriteTo renders the outcome and returns the number of bytes written.
 // It implements io.WriterTo.
 func (o *Outcome) WriteTo(w io.Writer) (int64, error) {
-	cw := &metrics.CountingWriter{W: w}
+	var b bytes.Buffer
 	status := "ok"
 	if !o.Passed {
 		status = "FAILED"
 	}
-	if _, err := fmt.Fprintf(cw, "== %s: %s [%s]\n", o.ID, o.Title, status); err != nil {
-		return cw.N, err
-	}
+	fmt.Fprintf(&b, "== %s: %s [%s]\n", o.ID, o.Title, status)
 	for _, t := range o.Tables {
-		if _, err := fmt.Fprintln(cw); err != nil {
-			return cw.N, err
-		}
-		if _, err := t.WriteTo(cw); err != nil {
-			return cw.N, err
-		}
+		b.WriteByte('\n')
+		t.render(&b)
 	}
 	for _, n := range o.Notes {
-		if _, err := fmt.Fprintf(cw, "note: %s\n", n); err != nil {
-			return cw.N, err
-		}
+		fmt.Fprintf(&b, "note: %s\n", n)
 	}
-	_, err := fmt.Fprintln(cw)
-	return cw.N, err
+	b.WriteByte('\n')
+	n, err := w.Write(b.Bytes())
+	return int64(n), err
 }
 
 // Experiment is a runnable reproduction unit.
@@ -86,29 +80,66 @@ type Experiment struct {
 	Run   func(opts Options) (*Outcome, error)
 }
 
-var registry = map[string]Experiment{}
-
-func register(e Experiment) {
-	registry[e.ID] = e
+// experiments is the suite in run order.
+var experiments = []Experiment{
+	{ID: "E1", Title: "Theorem 1 / Figure 1: budget sweep against the stripe construction", Run: runE1},
+	{ID: "E2", Title: "Figure 2: the m0+1 stall at r=4, t=1, mf=1000", Run: runE2},
+	{ID: "E3", Title: "Theorem 2: protocol B vs the Koo et al. repetition baseline", Run: runE3},
+	{ID: "E4", Title: "Corollary 1: empirical fault tolerance vs the two bounds", Run: runE4},
+	{ID: "E5", Title: "Theorem 3 / Figure 5: heterogeneous budgets (Bheter)", Run: runE5},
+	{ID: "E6", Title: "Lemmas 5-10 / Figures 6-8: propagation geometry", Run: runE6},
+	{ID: "E7", Title: "Figure 9: AUED coding scheme (overhead, detection, forgery)", Run: runE7},
+	{ID: "E8", Title: "Theorem 4: Breactive message budgets with unknown mf", Run: runE8},
+	{ID: "E9", Title: "Lemma 4: decided-neighborhood sufficiency (contrapositive)", Run: runE9},
+	{ID: "E10", Title: "Ablations: sub-bit length, segment chain", Run: runE10},
+	{ID: "E11", Title: "Topology generality: torus vs bounded grid vs RGG under the random adversary", Run: runE11},
+	{ID: "E12", Title: "Multi-broadcast traffic: batched sends vs M sequential single-broadcast runs", Run: runE12},
 }
 
-// All returns the experiments sorted by ID.
+// All returns the experiments in suite order, E1 to E12.
 func All() []Experiment {
-	out := make([]Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i].ID) != len(out[j].ID) {
-			return len(out[i].ID) < len(out[j].ID)
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
+	return append([]Experiment(nil), experiments...)
 }
 
 // ByID looks an experiment up.
 func ByID(id string) (Experiment, bool) {
-	e, ok := registry[id]
-	return e, ok
+	for _, e := range experiments {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// RunMany runs the given experiments in order, each with the whole
+// Options worker budget for its own sweeps, and returns their outcomes
+// in input order, with errors wrapped in the failing experiment's ID.
+// The first error (by input order) aborts the result; outcomes of
+// error-free experiments are still returned.
+func RunMany(es []Experiment, opts Options) ([]*Outcome, error) {
+	outs := make([]*Outcome, len(es))
+	var firstErr error
+	for i, e := range es {
+		o, err := e.Run(opts)
+		outs[i] = o
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("%s: %w", e.ID, err)
+		}
+	}
+	return outs, firstErr
+}
+
+// sweep runs the scenarios through bftbcast.Sweep and returns their
+// reports in scenario order. Sweep reads Workers <= 0 as NumCPU, but
+// Options{} has always meant sequential, hence the clamp.
+func sweep(opts Options, scs ...*bftbcast.Scenario) ([]*bftbcast.Report, error) {
+	pts, err := (&bftbcast.Sweep{Workers: max(1, opts.Workers), Scenarios: scs}).Run(context.TODO())
+	if err != nil {
+		return nil, err
+	}
+	reps := make([]*bftbcast.Report, len(pts))
+	for i, pt := range pts {
+		reps[i] = pt.Report
+	}
+	return reps, nil
 }

@@ -2,13 +2,8 @@ package exper
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
-
-	"bftbcast/internal/pool"
-	"bftbcast/internal/sim"
-	"bftbcast/internal/sim/simtest"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -80,39 +75,30 @@ func TestOutcomeRendering(t *testing.T) {
 	}
 }
 
-// TestSweepInvariantsRandomized runs the shared Lemma 1 property helper
-// (internal/sim/simtest) through the experiment harness's worker pool:
-// the randomized placement × strategy × topology matrix must uphold the
-// universal invariants on every sweep point, and the pooled sim.Run
-// engines must stay independent across workers.
-func TestSweepInvariantsRandomized(t *testing.T) {
-	points := 48
-	if testing.Short() {
-		points = 16
-	}
-	gen, err := simtest.NewGen(0xE0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := make([]simtest.Case, points)
-	for i := range cases {
-		cases[i] = gen.Next()
-	}
-	errs := make([]error, points)
-	if err := pool.ForEach(4, points, func(i int) error {
-		cfg := cases[i].Build()
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", cases[i].Desc, err)
+func TestTableRendering(t *testing.T) {
+	tbl := newTable("Table 1: demo", "col-a", "col-b", "col-c")
+	tbl.addRow("1", "x")
+	tbl.addRow("22", "yy", "zz")
+	var buf bytes.Buffer
+	tbl.render(&buf)
+	out := buf.String()
+	for _, want := range []string{"Table 1: demo", "col-a", "22", "zz"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
 		}
-		errs[i] = simtest.InvariantViolation(cfg, res)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("point %d (%s): %v", i, cases[i].Desc, err)
-		}
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) != 4 { // title + header + 2 rows
+		t.Fatalf("got %d lines, want 4:\n%s", len(lines), out)
+	}
+}
+
+func TestTableWithoutTitle(t *testing.T) {
+	tbl := newTable("", "a")
+	tbl.addRow("1")
+	var buf bytes.Buffer
+	tbl.render(&buf)
+	if strings.HasPrefix(buf.String(), "\n") {
+		t.Fatal("leading blank line for untitled table")
 	}
 }

@@ -1,12 +1,15 @@
 package exper
 
 // Seed-pinned golden-trace regression tests for E1 and E2. Each test
-// replays the experiment's central simulation with an acceptance
-// recorder attached and compares the JSONL event stream byte for byte
-// against the committed trace under testdata/. Engine refactors that
-// change ANY observable behavior — an acceptance happening one slot
-// earlier, a different decided set, a different stall shape — fail
-// loudly here even if the experiment's aggregate verdict still passes.
+// replays the experiment's central Scenario through the public
+// Scenario/Engine API with a bftbcast.TraceObserver attached and
+// compares the JSONL acceptance stream byte for byte against the
+// committed trace under testdata/. Engine refactors that change ANY
+// observable behavior — an acceptance happening one slot earlier, a
+// different decided set, a different stall shape — fail loudly here even
+// if the experiment's aggregate verdict still passes. The facade lowers
+// Observer.Decide onto the engines' acceptance hook, so these traces pin
+// that hook too.
 //
 // Regenerate after an intentional behavior change with:
 //
@@ -22,78 +25,29 @@ import (
 	"testing"
 
 	"bftbcast"
-	"bftbcast/internal/adversary"
-	"bftbcast/internal/core"
-	"bftbcast/internal/grid"
-	"bftbcast/internal/radio"
-	"bftbcast/internal/sim"
-	"bftbcast/internal/trace"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files under testdata/")
 
-// goldenE1Config is the E1 run traced: the stripe construction at the
-// impossibility boundary m = m0 − 4, the sweep's canonical failing point
-// (see runStripe).
-func goldenE1Config(t *testing.T) sim.Config {
+// recordTrace builds a Scenario and runs it on the fast engine with a
+// TraceObserver attached: one line per acceptance and a terminal
+// done/stall line carrying the final decided count.
+func recordTrace(t *testing.T, build func() (*bftbcast.Scenario, error)) []byte {
 	t.Helper()
-	p := e1Params
-	tor, err := grid.New(20, 20, p.R)
+	sc, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := core.NewFullBudget(p, p.M0()-4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := adversary.Sandwich{YLow: 7, YHigh: 13, T: p.T}
-	return sim.Config{
-		Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0),
-		Placement: sw,
-		Strategy:  adversary.NewTargeted(sw.VictimBand(tor)),
-	}
-}
-
-// goldenE2Config is the exact Figure 2 run of E2 (r=4, t=1, mf=1000,
-// m=m0+1): the 84-node stall.
-func goldenE2Config(t *testing.T) sim.Config {
-	t.Helper()
-	p := core.Params{R: 4, T: 1, MF: 1000}
-	tor, err := grid.New(45, 45, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := core.NewFullBudget(p, p.M0()+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sim.Config{
-		Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0),
-		Placement: adversary.Figure2Lattice(4),
-		Strategy:  adversary.NewTargeted(adversary.Figure2Victims(tor)),
-	}
-}
-
-// recordTrace runs cfg with a JSONL recorder on every acceptance and a
-// terminal done/stall event carrying the final decided count.
-func recordTrace(t *testing.T, cfg sim.Config) []byte {
-	t.Helper()
 	var buf bytes.Buffer
-	rec := trace.NewJSONL(&buf)
-	cfg.OnAccept = func(slot int, id grid.NodeID, v radio.Value) {
-		if err := rec.Record(trace.Event{Slot: slot, Node: int32(id), Kind: trace.KindAccept, Value: int32(v)}); err != nil {
-			t.Fatal(err)
-		}
+	obs := bftbcast.NewTraceObserver(&buf)
+	if sc, err = sc.With(bftbcast.WithObserver(obs)); err != nil {
+		t.Fatal(err)
 	}
-	res, err := sim.Run(cfg)
+	rep, err := bftbcast.EngineFast.Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kind := trace.KindDone
-	if res.Stalled {
-		kind = trace.KindStall
-	}
-	if err := rec.Record(trace.Event{Slot: res.Slots, Kind: kind, Value: int32(res.DecidedGood)}); err != nil {
+	if err := obs.Finish(rep); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -139,56 +93,16 @@ func firstExtra(got, want [][]byte) []byte {
 	return want[len(got)]
 }
 
-func TestGoldenTraceE1(t *testing.T) {
-	checkGolden(t, "e1_trace.jsonl", recordTrace(t, goldenE1Config(t)))
-}
-
-func TestGoldenTraceE2(t *testing.T) {
-	checkGolden(t, "e2_trace.jsonl", recordTrace(t, goldenE2Config(t)))
-}
-
-// recordObserverTrace replays cfg through the public Scenario/Engine
-// API with a bftbcast.TraceObserver attached: the facade's streaming
-// hook path must reproduce the checked-in traces of the hand-rolled
-// OnAccept tracer byte for byte.
-func recordObserverTrace(t *testing.T, cfg sim.Config) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	obs := bftbcast.NewTraceObserver(&buf)
-	sc, err := bftbcast.NewScenario(
-		bftbcast.WithTopology(cfg.Topo),
-		bftbcast.WithParams(cfg.Params),
-		bftbcast.WithSpec(cfg.Spec),
-		bftbcast.WithSource(cfg.Source),
-		bftbcast.WithAdversary(cfg.Placement, cfg.Strategy),
-		bftbcast.WithObserver(obs),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := bftbcast.EngineFast.Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.Finish(rep); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// The Observer variants never regenerate the goldens (-update-golden is
-// handled by the OnAccept tests above); they prove the public hook API
-// reproduces the same bytes.
+// TestGoldenTraceE1Observer traces E1 at the impossibility boundary
+// m = m0 − 4, the sweep's canonical failing point.
 func TestGoldenTraceE1Observer(t *testing.T) {
-	if *updateGolden {
-		t.Skip("goldens regenerated by TestGoldenTraceE1")
-	}
-	checkGolden(t, "e1_trace.jsonl", recordObserverTrace(t, goldenE1Config(t)))
+	checkGolden(t, "e1_trace.jsonl", recordTrace(t, func() (*bftbcast.Scenario, error) {
+		return stripeScenario(e1Params, e1Params.M0()-4, true)
+	}))
 }
 
+// TestGoldenTraceE2Observer traces the Figure 2 run of E2 and E9: the
+// 84-node stall.
 func TestGoldenTraceE2Observer(t *testing.T) {
-	if *updateGolden {
-		t.Skip("goldens regenerated by TestGoldenTraceE2")
-	}
-	checkGolden(t, "e2_trace.jsonl", recordObserverTrace(t, goldenE2Config(t)))
+	checkGolden(t, "e2_trace.jsonl", recordTrace(t, figure2Scenario))
 }

@@ -3,7 +3,6 @@ package exper
 import (
 	"bytes"
 	"errors"
-	"sync/atomic"
 	"testing"
 )
 
@@ -25,7 +24,7 @@ func renderSuite(t *testing.T, opts Options) []byte {
 }
 
 // TestRunManyDeterministicAcrossWorkerCounts: the quick suite renders
-// byte-identically on 1 worker and on a pool.
+// byte-identically on 1 worker and on 8 sweep workers.
 func TestRunManyDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick suite twice")
@@ -38,7 +37,7 @@ func TestRunManyDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestSuiteGoldenSeed42 pins the text of `bftbench -seed 42` (and of
-// `-parallel`): every table of E1–E12 byte for byte. A change that is
+// `-workers 4`): every table of E1–E12 byte for byte. A change that is
 // meant to move a number re-records the file with -update-golden and
 // shows the diff; anything else that moves it is a regression.
 func TestSuiteGoldenSeed42(t *testing.T) {
@@ -49,14 +48,14 @@ func TestSuiteGoldenSeed42(t *testing.T) {
 	}
 }
 
-// TestRunManyWrapsErrorsAndSplitsWorkers: a failing experiment's error
-// names the experiment, earlier outcomes survive, and the worker budget
-// divides between the experiment level and inner sweeps.
-func TestRunManyWrapsErrorsAndSplitsWorkers(t *testing.T) {
-	var innerWorkers atomic.Int32
+// TestRunManyWrapsErrors: a failing experiment's error names the
+// experiment, earlier outcomes survive, and every experiment gets the
+// whole worker budget for its own sweep.
+func TestRunManyWrapsErrors(t *testing.T) {
+	var workers int
 	es := []Experiment{
 		{ID: "EOK", Title: "ok", Run: func(opts Options) (*Outcome, error) {
-			innerWorkers.Store(int32(opts.Workers))
+			workers = opts.Workers
 			return &Outcome{ID: "EOK", Passed: true}, nil
 		}},
 		{ID: "EBAD", Title: "bad", Run: func(Options) (*Outcome, error) {
@@ -70,18 +69,20 @@ func TestRunManyWrapsErrorsAndSplitsWorkers(t *testing.T) {
 	if outs[0] == nil || !outs[0].Passed || outs[1] != nil {
 		t.Fatalf("outcomes = %v, want [ok, nil]", outs)
 	}
-	// 8 workers over 2 experiments: each experiment gets 8/2 = 4 for
-	// its inner sweeps, bounding total concurrency at ~8.
-	if got := innerWorkers.Load(); got != 4 {
-		t.Fatalf("inner Workers = %d, want 4", got)
+	if workers != 8 {
+		t.Fatalf("experiment ran with Workers = %d, want all 8", workers)
 	}
 }
 
 // TestOutcomeWriteToByteCount: WriteTo must return the true byte count
-// (io.WriterTo contract).
+// (io.WriterTo contract), tables included.
 func TestOutcomeWriteToByteCount(t *testing.T) {
 	o := &Outcome{ID: "EX", Title: "demo", Passed: true}
 	o.note("hello")
+	tbl := newTable("title", "a", "b")
+	tbl.addRow("1", "22")
+	tbl.addRow("333", "4")
+	o.Tables = append(o.Tables, tbl)
 	var buf bytes.Buffer
 	n, err := o.WriteTo(&buf)
 	if err != nil {

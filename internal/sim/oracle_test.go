@@ -8,6 +8,7 @@ package sim_test
 // in ANY field of ANY run diverges here.
 
 import (
+	"sync"
 	"testing"
 
 	"bftbcast/internal/sim"
@@ -94,8 +95,7 @@ func TestOracleRunnerReuse(t *testing.T) {
 
 // TestRandomizedInvariants is the shared Lemma 1 property test: across
 // the fuzzed matrix of placements, strategies and topologies, no run may
-// produce a wrong decision or a good-good collision (exper's test suite
-// runs the same helper through its worker pool).
+// produce a wrong decision or a good-good collision.
 func TestRandomizedInvariants(t *testing.T) {
 	cases := 120
 	if testing.Short() {
@@ -113,5 +113,46 @@ func TestRandomizedInvariants(t *testing.T) {
 			t.Fatalf("case %d (%s): %v", i, c.Desc, err)
 		}
 		simtest.CheckInvariants(t, cfg, res)
+	}
+}
+
+// TestRandomizedInvariantsConcurrent runs the same property helper on
+// four goroutines at once: concurrent sim.Run calls draw engines from
+// the shared runner pool, and no run may see another's state.
+func TestRandomizedInvariantsConcurrent(t *testing.T) {
+	const workers = 4
+	points := 48
+	if testing.Short() {
+		points = 16
+	}
+	gen, err := simtest.NewGen(0xE0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := make([]simtest.Case, points)
+	for i := range cases {
+		cases[i] = gen.Next()
+	}
+	errs := make([]error, points)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < points; i += workers {
+				cfg := cases[i].Build()
+				res, err := sim.Run(cfg)
+				if err == nil {
+					err = simtest.InvariantViolation(cfg, res)
+				}
+				errs[i] = err
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("point %d (%s): %v", i, cases[i].Desc, err)
+		}
 	}
 }

@@ -6,8 +6,9 @@
 // (package sim) and the dense reference engine (package sim/ref) produce
 // bit-identical Results.
 //
-// It is imported by the test suites of sim, exper and actor; importing it
-// from non-test code is harmless but pulls in the reference engine.
+// It is imported by the test suites of sim, sim/ref, actor and the root
+// package; importing it from non-test code is harmless but pulls in the
+// reference engine.
 package simtest
 
 import (

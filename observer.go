@@ -1,9 +1,9 @@
 package bftbcast
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
-
-	"bftbcast/internal/trace"
 )
 
 // Observer receives the streaming event feed of an Engine run. All
@@ -147,40 +147,55 @@ func (m multiObserver) Decide(slot int, id NodeID, v Value) {
 // TraceObserver streams decisions as JSON Lines in the repository's
 // golden-trace format: one {"slot","node","kind":"accept","value"}
 // object per acceptance, and a terminal done/stall line written by
-// Finish. It replaces the hand-rolled tracer the golden E1/E2
-// regression tests used before the Observer API existed and reproduces
-// those checked-in traces byte-identically.
+// Finish. It records the golden E1/E2 traces (internal/exper) and the
+// reactive trace (testdata/), and backs bftsim -trace.
 type TraceObserver struct {
 	BaseObserver
-	rec *trace.JSONL
+	enc *json.Encoder
+	n   int
 	err error
+}
+
+// traceEvent is one trace line; its JSON tags are the golden-trace
+// format, so changing them changes every recorded trace.
+type traceEvent struct {
+	Slot  int    `json:"slot"`
+	Node  int32  `json:"node,omitempty"`
+	Kind  string `json:"kind"`
+	Value int32  `json:"value,omitempty"`
 }
 
 // NewTraceObserver returns a TraceObserver writing to w.
 func NewTraceObserver(w io.Writer) *TraceObserver {
-	return &TraceObserver{rec: trace.NewJSONL(w)}
+	return &TraceObserver{enc: json.NewEncoder(w)}
+}
+
+// record writes one event unless an earlier one failed.
+func (t *TraceObserver) record(e traceEvent) {
+	if t.err != nil {
+		return
+	}
+	if err := t.enc.Encode(e); err != nil {
+		t.err = fmt.Errorf("trace: encoding event: %w", err)
+		return
+	}
+	t.n++
 }
 
 // Decide implements Observer.
 func (t *TraceObserver) Decide(slot int, id NodeID, v Value) {
-	if t.err != nil {
-		return
-	}
-	t.err = t.rec.Record(trace.Event{Slot: slot, Node: int32(id), Kind: trace.KindAccept, Value: int32(v)})
+	t.record(traceEvent{Slot: slot, Node: int32(id), Kind: "accept", Value: int32(v)})
 }
 
 // Finish writes the terminal event for the run's Report — kind "done"
 // (or "stall" for a stalled run) with the final decided count — and
 // returns the first error of the whole stream.
 func (t *TraceObserver) Finish(rep *Report) error {
-	if t.err != nil {
-		return t.err
-	}
-	kind := trace.KindDone
+	kind := "done"
 	if rep.Stalled {
-		kind = trace.KindStall
+		kind = "stall"
 	}
-	t.err = t.rec.Record(trace.Event{Slot: rep.Slots, Kind: kind, Value: int32(rep.DecidedGood)})
+	t.record(traceEvent{Slot: rep.Slots, Kind: kind, Value: int32(rep.DecidedGood)})
 	return t.err
 }
 
@@ -188,4 +203,4 @@ func (t *TraceObserver) Finish(rep *Report) error {
 func (t *TraceObserver) Err() error { return t.err }
 
 // Count returns the number of events written so far.
-func (t *TraceObserver) Count() int { return t.rec.Count() }
+func (t *TraceObserver) Count() int { return t.n }

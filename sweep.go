@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-
-	"bftbcast/internal/pool"
+	"sync"
+	"sync/atomic"
 )
 
 // SweepPoint is the outcome of one Scenario of a Sweep. Exactly one of
@@ -18,9 +18,10 @@ type SweepPoint struct {
 	Err      error
 }
 
-// Sweep runs a list of Scenarios through one Engine on the
-// deterministic worker pool the experiment harness uses, streaming the
-// results in scenario order. Because every Scenario carries its own
+// Sweep runs a list of Scenarios through one Engine on a deterministic
+// worker pool, streaming the results in scenario order. It is the one
+// batch path: the experiment harness (E1–E12) and the bftsimd job ranges
+// run on it too. Because every Scenario carries its own
 // seeds, the reports are identical for any worker count; only the
 // wall-clock time changes.
 //
@@ -83,7 +84,7 @@ func (s *Sweep) Stream(ctx context.Context) <-chan SweepPoint {
 	ch := make(chan SweepPoint, len(scenarios))
 	go func() {
 		defer close(ch)
-		_ = pool.OrderedWorker(workers, len(scenarios), func(w, i int) error {
+		orderedWorker(workers, len(scenarios), func(w, i int) {
 			pt := SweepPoint{Index: i, Scenario: scenarios[i]}
 			if err := ctx.Err(); err != nil {
 				pt.Err = err // fail fast once cancelled
@@ -91,7 +92,6 @@ func (s *Sweep) Stream(ctx context.Context) <-chan SweepPoint {
 				pt.Report, pt.Err = perWorker[w].Run(ctx, scenarios[i])
 			}
 			points[i] = pt
-			return nil
 		}, func(i int) {
 			ch <- points[i] // never blocks: the channel holds the sweep
 			// Release the ordering slot: from here the consumer decides
@@ -115,4 +115,75 @@ func (s *Sweep) Run(ctx context.Context) ([]SweepPoint, error) {
 		}
 	}
 	return points, nil
+}
+
+// orderedWorker runs fn(w, 0), ..., fn(w, n-1) on a pool of workers
+// goroutines (<= 1 runs fn inline) and calls emit(i) in strict index
+// order, each as soon as every index <= i has completed. w in [0,
+// workers) names the goroutine running index i, and every call with the
+// same w runs on the same goroutine, so fn may use per-worker state (a
+// pinned engine) without synchronization. fn stores its result in a
+// caller-owned slot; emit then streams the slots without reordering, so
+// consumers observe the sequence a sequential run would produce. emit
+// runs on a dedicated goroutine and never blocks the workers: a slow
+// consumer delays emission, not computation. orderedWorker returns once
+// every index has been emitted.
+func orderedWorker(workers, n int, fn func(worker, i int), emit func(i int)) {
+	if n <= 0 {
+		return
+	}
+	var (
+		mu   sync.Mutex
+		cond = sync.NewCond(&mu)
+		done = make([]bool, n)
+	)
+	emitted := make(chan struct{})
+	go func() {
+		defer close(emitted)
+		next := 0
+		mu.Lock()
+		defer mu.Unlock()
+		for next < n {
+			for !done[next] {
+				cond.Wait()
+			}
+			// Emit outside the lock so workers can report completions
+			// while the consumer drains.
+			mu.Unlock()
+			emit(next)
+			mu.Lock()
+			next++
+		}
+	}()
+
+	work := func(w, i int) {
+		fn(w, i)
+		mu.Lock()
+		done[i] = true
+		mu.Unlock()
+		cond.Broadcast()
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			work(0, i)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func(w int) {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= n {
+						return
+					}
+					work(w, i)
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	<-emitted
 }
