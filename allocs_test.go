@@ -35,6 +35,7 @@ func TestAllocs(t *testing.T) {
 	t.Run("BVDeliver", allocsBVDeliver)
 	t.Run("Sweep", allocsSweep)
 	t.Run("JobGrid", allocsJobGrid)
+	t.Run("ReactiveRun", allocsReactiveRun)
 }
 
 // allocsAtMost fails t when op allocates more than bound times per run,
@@ -242,6 +243,41 @@ func allocsJobGrid(t *testing.T) {
 		}
 		if st := job.Status(); st.State != jobs.StateDone || st.Aggregate.Done != 64 {
 			t.Fatalf("job ended %s with %d of 64 points", st.State, st.Aggregate.Done)
+		}
+	})
+}
+
+// allocsReactiveRun holds the reactive machine's per-run arrays: one
+// reactive15-sweep-shaped point (15×15 torus, r=2, t=1, mf=3, density
+// 0.06, MMax 64, k=16) through Scenario → EngineFast allocates its
+// instance — the settled mask and its booking arrays included — once per
+// run, and nothing per slot, round or delivery.
+func allocsReactiveRun(t *testing.T) {
+	tor, err := bftbcast.NewTorus(15, 15, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := bftbcast.Params{R: 2, T: 1, MF: 3}
+	ctx := context.Background()
+	// Read 130 when introduced; the parent read 125, and the five more
+	// are the settled mask, Live and the armed/settledAt/lastBook arrays.
+	allocsAtMost(t, 20, 143, func() {
+		sc, err := bftbcast.NewScenario(
+			bftbcast.WithTopology(tor), bftbcast.WithParams(params),
+			bftbcast.WithProtocol(bftbcast.ProtocolReactive),
+			bftbcast.WithReactive(bftbcast.ReactiveSpec{MMax: 64, PayloadBits: 16}),
+			bftbcast.WithSeed(1),
+			bftbcast.WithPlacement(bftbcast.RandomPlacement{T: 1, Density: 0.06, Seed: 1}),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := bftbcast.EngineFast.Run(ctx, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Completed || rep.Reactive == nil {
+			t.Fatalf("reactive run failed: completed=%v", rep.Completed)
 		}
 	})
 }

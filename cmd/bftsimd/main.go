@@ -177,12 +177,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 // The coordinator's connection timeouts. Without the first, one client
 // that opens a socket and never finishes its request headers holds a
 // goroutine and a descriptor for as long as it likes; the second retires
-// keep-alive connections nobody uses. There is no ReadTimeout or
-// WriteTimeout on purpose: GET /v1/jobs/{id}/results streams for the life
-// of a job.
+// keep-alive connections nobody uses. There is no server-wide ReadTimeout
+// or WriteTimeout on purpose: GET /v1/jobs/{id}/results streams for the
+// life of a job. Every other handler sets its own read and write deadline
+// instead (server.deadlines), so a client that stalls a request body —
+// a submit, a 16 MB partial — is cut off too.
 const (
-	readHeaderTimeout = 10 * time.Second
-	idleTimeout       = 2 * time.Minute
+	readHeaderTimeout   = 10 * time.Second
+	idleTimeout         = 2 * time.Minute
+	requestReadTimeout  = 30 * time.Second
+	requestWriteTimeout = 30 * time.Second
 )
 
 // newServer wraps the handler in the coordinator's http.Server.
@@ -203,22 +207,45 @@ type server struct {
 	// ?lease_points= and ?lease_ttl= override per job.
 	leasePoints int
 	leaseTTL    time.Duration
+	// readTimeout/writeTimeout bound every request but the results
+	// stream, from the moment its handler starts (requestReadTimeout and
+	// requestWriteTimeout; tests shorten them).
+	readTimeout, writeTimeout time.Duration
 }
 
 // newHandler routes the daemon's API onto a manager.
 func newHandler(mgr *jobs.Manager, leasePoints int, leaseTTL time.Duration) http.Handler {
-	s := &server{mgr: mgr, leasePoints: leasePoints, leaseTTL: leaseTTL}
+	s := &server{mgr: mgr, leasePoints: leasePoints, leaseTTL: leaseTTL,
+		readTimeout: requestReadTimeout, writeTimeout: requestWriteTimeout}
+	return s.routes()
+}
+
+func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.health)
-	mux.HandleFunc("POST /v1/jobs", s.submit)
-	mux.HandleFunc("GET /v1/jobs", s.list)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.status)
+	mux.HandleFunc("GET /healthz", s.deadlines(s.health))
+	mux.HandleFunc("POST /v1/jobs", s.deadlines(s.submit))
+	mux.HandleFunc("GET /v1/jobs", s.deadlines(s.list))
+	mux.HandleFunc("GET /v1/jobs/{id}", s.deadlines(s.status))
 	mux.HandleFunc("GET /v1/jobs/{id}/results", s.results)
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.cancel)
-	mux.HandleFunc("POST /v1/jobs/{id}/lease", s.lease)
-	mux.HandleFunc("POST /v1/jobs/{id}/partial", s.partial)
-	mux.HandleFunc("GET /v1/jobs/{id}/aggregate", s.aggregate)
+	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.deadlines(s.cancel))
+	mux.HandleFunc("POST /v1/jobs/{id}/lease", s.deadlines(s.lease))
+	mux.HandleFunc("POST /v1/jobs/{id}/partial", s.deadlines(s.partial))
+	mux.HandleFunc("GET /v1/jobs/{id}/aggregate", s.deadlines(s.aggregate))
 	return mux
+}
+
+// deadlines gives a non-streaming handler its read and write deadline on
+// the connection; net/http clears both before it reads the connection's
+// next request. The setters fail only on a ResponseWriter that cannot
+// reach its connection, and then the request runs without one, as before.
+func (s *server) deadlines(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		rc := http.NewResponseController(w)
+		now := time.Now()
+		_ = rc.SetReadDeadline(now.Add(s.readTimeout))
+		_ = rc.SetWriteDeadline(now.Add(s.writeTimeout))
+		h(w, r)
+	}
 }
 
 func (s *server) health(w http.ResponseWriter, r *http.Request) {

@@ -347,6 +347,93 @@ func TestServerDropsStalledHeaderKeepsResultsTail(t *testing.T) {
 	}
 }
 
+// TestServerDropsStalledBodyKeepsResultsTail pins the per-request
+// deadlines: a client that sends a submit's headers and then stalls its
+// body is disconnected once the handler's read deadline passes, while a
+// /results tail opened before it — the one handler without deadlines —
+// still streams to its summary afterwards. The routes are newHandler's,
+// with the request deadlines shortened to the test's patience.
+func TestServerDropsStalledBodyKeepsResultsTail(t *testing.T) {
+	if requestReadTimeout <= 0 || requestWriteTimeout <= 0 {
+		t.Fatalf("request deadlines %v / %v, want both set", requestReadTimeout, requestWriteTimeout)
+	}
+	eng := &blockingEngine{release: make(chan struct{})}
+	mgr, err := jobs.Open(jobs.Config{Dir: t.TempDir(), Engine: eng, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 300 * time.Millisecond
+	s := &server{mgr: mgr, leasePoints: 64, leaseTTL: 30 * time.Second, readTimeout: timeout, writeTimeout: timeout}
+	srv := newServer(s.routes())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := mgr.Close(ctx); err != nil {
+			t.Errorf("manager close: %v", err)
+		}
+		srv.Close()
+	})
+	base := "http://" + ln.Addr().String()
+
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(gridDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := decodeStatus(t, resp.Body)
+	resp.Body.Close()
+	tail, err := http.Get(base + "/v1/jobs/" + st.ID + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Body.Close()
+
+	// The stalled client: a submit's complete headers and the first byte
+	// of a 100-byte body, never the rest.
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/jobs HTTP/1.1\r\nHost: stalled\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n{"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(10 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("stalled body was not cut off by the server: %v", err)
+		}
+	}
+	if held := time.Since(start); held < timeout {
+		t.Fatalf("stalled connection closed after %v, before the %v read deadline", held, timeout)
+	}
+
+	// The tail has been open for longer than both deadlines; let the job
+	// run and read it to the end.
+	close(eng.release)
+	sc := bufio.NewScanner(tail.Body)
+	points, sawSummary := 0, false
+	for sc.Scan() {
+		if bytes.Contains(sc.Bytes(), []byte(`"summary"`)) {
+			sawSummary = true
+			break
+		}
+		points++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("results tail broke: %v", err)
+	}
+	if !sawSummary || points != st.Total {
+		t.Fatalf("results tail: %d of %d points, summary=%v", points, st.Total, sawSummary)
+	}
+}
+
 // waitState polls a job's status endpoint until it reaches state.
 func waitState(t *testing.T, base, id string, state jobs.State) jobs.Status {
 	t.Helper()

@@ -357,6 +357,12 @@ func (mi *multiInstance) Tick(slot int, buf []Send) []Send {
 	return buf
 }
 
+// Book implements Instance. Multi publishes no settled mask — a receiver
+// settles only when all M instances decide — so it is never booked.
+func (mi *multiInstance) Book(int, []radio.Tx) error {
+	return errors.New("protocol: the multi machine publishes no settled mask")
+}
+
 // releaseDue starts every not-yet-released instance with
 // StartSlot <= slot, in instance order.
 func (mi *multiInstance) releaseDue(slot int, buf []Send) []Send {

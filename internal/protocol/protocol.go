@@ -37,6 +37,25 @@
 //     GoodBudget), and the radio medium. The instance owns acceptance
 //     state and nothing else.
 //
+// An instance may also publish a settled mask (State.Settled). A settled
+// receiver is a decided good node that no further delivery of a jam-free
+// slot can change beyond what the instance books by itself: for the
+// threshold instance every decided node, for the reactive machine a
+// decided node with no armed bad neighbour, so that no NACK can still be
+// owed. A node settles only inside Bootstrap or Deliver, and the call
+// that settles it returns a Send for it (N may be 0): that Send is how the
+// engine learns of the settlement, so the one walk over the node's row
+// that credits its supply also takes it out of its neighbours' count of
+// unsettled receivers. The fast engine then works on each jam-free slot's
+// frontier: it calls Book with all of the slot's transmissions and hands
+// Deliver only the deliveries to good receivers that were not settled
+// when the slot began. Book records the rest — the threshold instance one
+// ledger bump per transmission, the reactive machine the sender's round,
+// replayed in Deliver in sender order whether or not the round reached a
+// live receiver — and by Finish the State reads exactly as if every
+// delivery had been made. Instances without a mask (Multi) are handed
+// every delivery and never booked.
+//
 // # Hot-path rules
 //
 // Instances must not allocate per delivery in steady state: per-node
@@ -125,6 +144,11 @@ type State struct {
 	// copies.
 	Correct []int32
 	Wrong   []int32
+	// Settled, when non-nil, is the instance's settled mask (see the
+	// package comment): only decided good nodes are ever settled, a
+	// settled node stays settled, and every settlement comes with a Send
+	// for the node. It is nil for an instance that publishes no mask.
+	Settled []bool
 }
 
 // Machine is a reusable protocol description: the acceptance rule, the
@@ -152,14 +176,23 @@ type Instance interface {
 	// firing hooks per event, and appends the sends to schedule
 	// (acceptance relays, retransmissions) to buf.
 	Deliver(slot int, ds []radio.Delivery, hooks *Hooks, buf []Send) ([]Send, error)
-	// Tick runs immediately after each non-empty Deliver batch (same
-	// slot) and may append further sends to buf — a per-slot epilogue
-	// for machines that aggregate the batch before scheduling. The
-	// slot stream that ticks is identical on every engine (it is
-	// exactly the slots that delivered); slots without deliveries —
-	// including idle slots the fast engine skips wholesale — do not
-	// tick.
+	// Tick runs immediately after each Deliver call (same slot) and may
+	// append further sends to buf — a per-slot epilogue for machines
+	// that aggregate the batch before scheduling. The slot stream that
+	// ticks is identical on every engine (it is exactly the slots that
+	// delivered something in full, including the frontier slots whose
+	// handed-over batch is empty); slots without deliveries — including
+	// idle slots the fast engine skips wholesale — do not tick.
 	Tick(slot int, buf []Send) []Send
+	// Book accounts for a frontier slot before its Deliver call: txs is
+	// every transmission of a jam-free slot of one verified distance-2
+	// colour class, so each reached its sender's whole row, and the
+	// Deliver that follows (made, with its Tick, whenever some
+	// transmission had a receiver, even if the frontier is empty) carries
+	// only the deliveries to good receivers not settled at the slot's
+	// start. Only instances that publish State.Settled are booked; the
+	// others return an error.
+	Book(slot int, txs []radio.Tx) error
 	// GoodBudget returns the message budget the engine enforces for good
 	// node id; negative means unlimited. The engine always leaves the
 	// source unlimited.

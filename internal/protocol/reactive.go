@@ -28,6 +28,19 @@
 // sub-bits; a receiver outside an attack hears the codeword intact. After
 // a value's first round, a round without an attack allocates nothing.
 //
+// Most rounds reach receivers that have long accepted. The machine
+// publishes a settled mask — decided, with no armed bad neighbour, so no
+// NACK can still be owed — and the fast engine hands it only the rest of
+// each jam-free slot (see the protocol package comment). Book hands over
+// the slot's transmissions instead, and Deliver runs every sender's round
+// from them in sender order, so the pattern redraw, the attack and the
+// NACK spam of a round that reached no live receiver still happen, in the
+// same order, on the same RNG stream. What the skipped receivers would
+// have done is certain: they hear the payload intact (no attacker is in
+// their range), serve the edge once and count it, which Finish does for
+// every edge at once. A decided node that still has an armed bad
+// neighbour stays on the frontier, since a corrupted round makes it NACK.
+//
 // Local broadcasts proceed concurrently in TDMA slot order (the engines'
 // time base); the per-seed event stream is pinned by the golden reactive
 // trace in the facade tests, and the protocol's guarantees — certified
@@ -38,6 +51,7 @@ package protocol
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"bftbcast/internal/auedcode"
@@ -161,17 +175,21 @@ func (m *Reactive) Attach(env Env) (Instance, error) {
 	}
 	adj := env.Plan.Adjacency()
 	inst := &reactiveInstance{
-		m:      m,
-		env:    env,
-		code:   code,
-		acc:    acc,
-		adj:    adj,
-		rng:    stats.NewRNG(env.Seed),
-		policy: m.Policy,
-		t:      t,
-		mf:     mf,
-		served: make([]bool, len(adj.Nbrs)),
-		fill:   make([]int32, n),
+		m:         m,
+		env:       env,
+		code:      code,
+		acc:       acc,
+		adj:       adj,
+		rng:       stats.NewRNG(env.Seed),
+		policy:    m.Policy,
+		t:         t,
+		mf:        mf,
+		served:    make([]bool, len(adj.Nbrs)),
+		fill:      make([]int32, n),
+		armed:     make([]int32, n),
+		settledAt: make([]int32, n),
+		lastBook:  make([]int32, n),
+		bookSlot:  -1,
 		rs: ReactiveStats{
 			DataSends:        make([]int32, n),
 			NackSends:        make([]int32, n),
@@ -187,13 +205,25 @@ func (m *Reactive) Attach(env Env) (Instance, error) {
 	inst.st.Value = acc.Value
 	inst.st.Correct = make([]int32, n)
 	inst.st.Wrong = make([]int32, n)
+	inst.st.Settled = make([]bool, n)
+	for i := range inst.settledAt {
+		inst.settledAt[i] = math.MaxInt32
+	}
 	if env.Bad != nil {
 		inst.budget = make([]radio.Budget, n)
 		for i := range inst.budget {
 			if env.Bad[i] {
 				inst.budget[i] = radio.NewBudget(mf)
+				if mf > 0 {
+					for _, nb := range adj.Neighbors(grid.NodeID(i)) {
+						inst.armed[nb]++
+					}
+				}
 			}
 		}
+	}
+	if inst.armed[env.Source] == 0 {
+		inst.settle(env.Source, -1)
 	}
 	return inst, nil
 }
@@ -216,12 +246,35 @@ type reactiveInstance struct {
 	// indexed by position in the adjacency's sorted rows.
 	served []bool
 
-	rounds  []radio.Delivery // canonical per-slot scratch (sorted by From, To)
-	fill    []int32          // per-node bucket cursor of the canonicalisation; all zero between slots
-	senders []grid.NodeID    // the slot's distinct senders
-	codes   []valueCode      // coding state per transmitted value (a run has one or two)
-	ones    []int            // forge-attack scratch: 1-bit positions of the codeword
-	rs      ReactiveStats
+	// The settled mask (see the file comment). armed[u] counts u's bad
+	// neighbours with budget left; a decided node settles once it has
+	// none, since only an armed neighbour can corrupt what it hears, and a
+	// node that hears only clean payloads owes no NACK. settledAt[u] is
+	// the first slot whose frontier skips u: the slot after the one in
+	// which it settled (0 when it settled at Attach, MaxInt32 while it has
+	// not settled). lastBook[s] is one past the last booked slot that
+	// carried a round of s (0: none); Finish serves and counts every edge
+	// of s to a receiver skipped by then that no delivered round served.
+	armed     []int32
+	settledAt []int32
+	lastBook  []int32
+	disarmed  []grid.NodeID // nodes the current round's spending settled
+
+	rounds   []radio.Delivery // canonical per-slot scratch (sorted by From, To)
+	fill     []int32          // per-node bucket cursor of the canonicalisation; all zero between slots
+	heads    []roundHead      // the slot's rounds in sender order
+	bookSlot int              // the slot whose rounds heads holds from Book, -1 when none
+	codes    []valueCode      // coding state per transmitted value (a run has one or two)
+	ones     []int            // forge-attack scratch: 1-bit positions of the codeword
+	rs       ReactiveStats
+}
+
+// roundHead is one sender's round in a slot: its sender, the value it
+// transmits, and the end of its deliveries in the canonical batch.
+type roundHead struct {
+	from grid.NodeID
+	v    radio.Value
+	end  int32
 }
 
 // valueCode is what every data round of one value shares: the k-bit
@@ -252,61 +305,91 @@ func (e *reactiveInstance) Bootstrap(buf []Send) []Send {
 // order the slot's handful of distinct senders, scatter stably into the
 // senders' buckets. A bucket keeps the batch's receiver order, which the
 // fast, reference and actor engines all emit ascending (the order oracle
-// asserts it on their batches); the walk that finds a bucket's end checks
-// that, and the sort behind it serves only a caller outside those engines.
+// asserts it on their batches); each round checks that, and the sort
+// behind the check serves only a caller outside those engines.
+//
+// After a Book the slot's rounds are the booked transmissions, not the
+// senders found in the batch: every round runs its header — the pattern
+// redraw, the attack, the NACK spam — in sender order, with the frontier
+// deliveries of its sender, so the RNG stream and the budgets move as
+// under full delivery even for a round that reached no live receiver.
 func (e *reactiveInstance) Deliver(slot int, ds []radio.Delivery, hooks *Hooks, buf []Send) ([]Send, error) {
-	senders := e.senders[:0]
+	booked := slot == e.bookSlot
+	e.bookSlot = -1
+	if !booked {
+		e.heads = e.heads[:0]
+	}
 	for _, d := range ds {
-		if e.fill[d.From] == 0 {
-			senders = append(senders, d.From)
+		if e.fill[d.From] == 0 && !booked {
+			e.heads = append(e.heads, roundHead{from: d.From, v: d.Value})
 		}
 		e.fill[d.From]++
 	}
-	slices.Sort(senders)
-	e.senders = senders
-	// Turn the counts into each bucket's write cursor.
+	heads := e.heads
+	if !booked {
+		slices.SortFunc(heads, byFrom)
+	}
+	// Turn the counts into each bucket's write cursor, scatter, and read
+	// each bucket's end off its advanced cursor.
 	at := int32(0)
-	for _, s := range senders {
-		at, e.fill[s] = at+e.fill[s], at
+	for _, h := range heads {
+		at, e.fill[h.from] = at+e.fill[h.from], at
 	}
 	e.rounds = slices.Grow(e.rounds[:0], len(ds))[:len(ds)]
 	for _, d := range ds {
 		e.rounds[e.fill[d.From]] = d
 		e.fill[d.From]++
 	}
-	for _, s := range senders {
-		e.fill[s] = 0
+	for i := range heads {
+		heads[i].end = e.fill[heads[i].from]
+		e.fill[heads[i].from] = 0
 	}
-	for lo := 0; lo < len(e.rounds); {
-		hi := lo + 1
-		inOrder := true
-		for hi < len(e.rounds) && e.rounds[hi].From == e.rounds[lo].From {
-			inOrder = inOrder && e.rounds[hi-1].To <= e.rounds[hi].To
-			hi++
-		}
-		round := e.rounds[lo:hi]
-		lo = hi
-		if !inOrder {
-			slices.SortFunc(round, func(a, b radio.Delivery) int { return int(a.To - b.To) })
+	lo := int32(0)
+	for _, h := range heads {
+		round := e.rounds[lo:h.end]
+		lo = h.end
+		if !slices.IsSortedFunc(round, byTo) {
+			slices.SortFunc(round, byTo)
 		}
 		var err error
-		if buf, err = e.dataRound(slot, round, hooks, buf); err != nil {
+		if buf, err = e.dataRound(slot, h.from, h.v, round, hooks, buf); err != nil {
 			return buf, err
 		}
 	}
 	return buf, nil
 }
 
+func byFrom(a, b roundHead) int    { return int(a.from - b.from) }
+func byTo(a, b radio.Delivery) int { return int(a.To - b.To) }
+
+// Book implements Instance: it records the slot's rounds for the Deliver
+// that follows — every transmission with a receiver, in sender order —
+// and notes each sender's booked slot for Finish.
+func (e *reactiveInstance) Book(slot int, txs []radio.Tx) error {
+	heads := e.heads[:0]
+	for _, tx := range txs {
+		if e.adj.Degree(tx.From) == 0 {
+			continue // a full batch holds no round for it either
+		}
+		heads = append(heads, roundHead{from: tx.From, v: tx.Value})
+		e.lastBook[tx.From] = int32(slot + 1)
+	}
+	slices.SortFunc(heads, byFrom)
+	e.heads = heads
+	e.bookSlot = slot
+	return nil
+}
+
 // dataRound processes one sender's message round: encode, let one
 // in-range bad node attack or spam, decode per receiver, raise NACKs,
 // deliver clean (or undetectedly forged) payloads to certified
-// propagation, and schedule the retransmission a NACK forces.
-func (e *reactiveInstance) dataRound(slot int, ds []radio.Delivery, hooks *Hooks, buf []Send) ([]Send, error) {
-	sender := ds[0].From
+// propagation, and schedule the retransmission a NACK forces. ds holds
+// the round's deliveries in ascending receiver order — after a Book only
+// those to receivers that were not settled, possibly none.
+func (e *reactiveInstance) dataRound(slot int, sender grid.NodeID, v radio.Value, ds []radio.Delivery, hooks *Hooks, buf []Send) ([]Send, error) {
 	if e.env.bad(sender) {
 		return buf, nil // bad nodes act through the attack policies
 	}
-	v := ds[0].Value
 	e.rs.MessageRounds++
 	e.rs.DataSends[sender]++
 	vc, err := e.encode(v)
@@ -379,6 +462,12 @@ func (e *reactiveInstance) dataRound(slot int, ds []radio.Delivery, hooks *Hooks
 	if nackHeard {
 		buf = append(buf, Send{ID: sender, N: 1})
 	}
+	// Nodes the round's spending disarmed into settling tell the engine
+	// through a send that schedules nothing (see the seam contract).
+	for _, u := range e.disarmed {
+		buf = append(buf, Send{ID: u})
+	}
+	e.disarmed = e.disarmed[:0]
 	return buf, nil
 }
 
@@ -410,11 +499,38 @@ func (e *reactiveInstance) cpDeliver(slot int, to, from grid.NodeID, v radio.Val
 	if !e.acc.Deliver(to, from, v) {
 		return buf
 	}
+	if e.armed[to] == 0 {
+		e.settle(to, slot)
+	}
 	if hooks.OnAccept != nil {
 		hooks.OnAccept(slot, to, v)
 	}
 	e.rs.LocalBroadcasts++
 	return append(buf, Send{ID: to, N: 1})
+}
+
+// settle marks u settled in slot (see the armed field).
+func (e *reactiveInstance) settle(u grid.NodeID, slot int) {
+	e.st.Settled[u] = true
+	e.settledAt[u] = int32(slot + 1)
+}
+
+// spend takes one message from bad node x's budget. The message that
+// empties it disarms x, which settles every decided neighbour left with
+// no armed bad neighbour.
+func (e *reactiveInstance) spend(x grid.NodeID, slot int) bool {
+	if !e.budget[x].TrySpend() {
+		return false
+	}
+	if e.budget[x].Left() == 0 {
+		for _, nb := range e.adj.Neighbors(x) {
+			if e.armed[nb]--; e.armed[nb] == 0 && e.st.Decided[nb] {
+				e.settle(nb, slot)
+				e.disarmed = append(e.disarmed, nb)
+			}
+		}
+	}
+	return true
 }
 
 // encode returns v's coding state holding this round's encoding: the
@@ -459,7 +575,7 @@ func (e *reactiveInstance) attackRound(slot int, attacker grid.NodeID, cw *auedc
 	if policy == PolicyNackSpam {
 		return auedcode.BitString{}, grid.None, nil // handled in spamNack
 	}
-	if !e.budget[attacker].TrySpend() {
+	if !e.spend(attacker, slot) {
 		return auedcode.BitString{}, grid.None, nil
 	}
 	e.rs.AttacksSpent++
@@ -512,7 +628,7 @@ func (e *reactiveInstance) spamNack(slot int, sender grid.NodeID, hooks *Hooks) 
 	if spammer == grid.None {
 		return false
 	}
-	if !e.budget[spammer].TrySpend() {
+	if !e.spend(spammer, slot) {
 		return false
 	}
 	e.rs.AttacksSpent++
@@ -525,7 +641,7 @@ func (e *reactiveInstance) spamNack(slot int, sender grid.NodeID, hooks *Hooks) 
 // armedNeighbor returns the first bad neighbor of sender with remaining
 // budget, in the compiled plan's CSR order, or grid.None.
 func (e *reactiveInstance) armedNeighbor(sender grid.NodeID) grid.NodeID {
-	if e.env.Bad == nil {
+	if e.armed[sender] == 0 {
 		return grid.None
 	}
 	for _, nb := range e.env.Plan.Neighbors(sender) {
@@ -574,8 +690,29 @@ func (e *reactiveInstance) Sizing() (sourceSends, maxSends int) {
 	return 1, 2*(e.t*e.mf+1) + 16
 }
 
-// Finish implements Instance: publish the run record to the machine.
+// Finish implements Instance: book what the frontier slots skipped and
+// publish the run record to the machine. A receiver that was settled when
+// a booked round of s went out heard s's payload intact, so the edge is
+// served and counted once unless a delivered round already served it
+// (settledness is monotone, so s's last booked round decides).
 func (e *reactiveInstance) Finish(int) {
+	for s, last := range e.lastBook {
+		if last == 0 {
+			continue
+		}
+		counts := e.st.Wrong
+		if e.st.Value[s] == radio.ValueTrue {
+			counts = e.st.Correct
+		}
+		row := e.adj.SortedNeighbors(grid.NodeID(s))
+		served := e.served[e.adj.Off[s]:][:len(row)]
+		for k, to := range row {
+			if !served[k] && e.settledAt[to] < last {
+				served[k] = true
+				counts[to]++
+			}
+		}
+	}
 	rs := &e.rs
 	n := e.env.Plan.Size()
 	if e.env.Bad != nil {

@@ -137,6 +137,19 @@ func (o *orderPairInstance) Deliver(slot int, ds []radio.Delivery, _ *protocol.H
 func (o *orderPairInstance) Tick(slot int, buf []protocol.Send) []protocol.Send {
 	return o.insts[0].Tick(slot, buf)
 }
+
+// Book forwards a frontier slot to every instance: the lead's settled mask
+// is the one the engine reads, and the followers, fed the same slots,
+// settle the same nodes.
+func (o *orderPairInstance) Book(slot int, txs []radio.Tx) error {
+	for _, in := range o.insts {
+		if err := in.Book(slot, txs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (o *orderPairInstance) GoodBudget(id grid.NodeID) int { return o.insts[0].GoodBudget(id) }
 func (o *orderPairInstance) Threshold() int                { return o.insts[0].Threshold() }
 func (o *orderPairInstance) Sizing() (int, int)            { return o.insts[0].Sizing() }

@@ -41,14 +41,32 @@ func (m *Threshold) Attach(env Env) (Instance, error) {
 // reusable Runner can keep one across runs: Bind re-arms it for a new
 // (env, spec) pair, reusing every allocation when the topology size is
 // unchanged — the zero-alloc steady state of sweeps.
+//
+// Its settled mask is the decided mask: a decided node only counts what
+// it receives, and every decision, the source's at Bootstrap included,
+// already returns the relay Send that announces a settlement. A booked
+// slot is one ledger bump per transmission, lateTx[from]++, which is
+// exact because each transmission of a booked slot reached its sender's
+// whole row and a good sender's value is fixed once it decides; Finish
+// scatters lateTx[v] over v's row by Value[v].
+// The frontier Deliver that follows a Book counts its deliveries for the
+// adversary view as every batch does, so they are remembered in
+// dupCorrect/dupWrong and taken out again at Finish: Correct and Wrong
+// are complete for undecided nodes while the run lasts (all
+// adversary.View promises) and for every node after Finish.
 type ThresholdInstance struct {
 	spec     core.Spec
 	bad      []bool
 	source   grid.NodeID
+	adj      *radio.Adjacency
 	acc      Acceptance
-	st       State // Decided/Value alias acc's arrays; Correct/Wrong owned
+	st       State // Decided/Value/Settled alias acc's arrays; Correct/Wrong owned
 	n        int
 	maxSends int // -1 until computed (see Sizing)
+
+	lateTx               []int32
+	dupCorrect, dupWrong []int32
+	booked               int // the last booked slot, -1 before the first
 }
 
 // NewThresholdInstance returns an unbound instance; Bind arms it.
@@ -70,19 +88,30 @@ func (t *ThresholdInstance) Bind(env Env, spec core.Spec) error {
 	t.spec = spec
 	t.bad = env.Bad
 	t.source = env.Source
+	t.adj = env.Plan.Adjacency()
 	t.n = n
 	t.maxSends = -1
 	t.acc.bindCounts(env.Plan.Topo(), env.Source, spec.Threshold)
 	t.st.Decided = t.acc.Decided
 	t.st.Value = t.acc.Value
-	if len(t.st.Correct) != n {
-		t.st.Correct = make([]int32, n)
-		t.st.Wrong = make([]int32, n)
-	} else {
-		clear(t.st.Correct)
-		clear(t.st.Wrong)
-	}
+	t.st.Settled = t.acc.Decided
+	t.st.Correct = sized(t.st.Correct, n)
+	t.st.Wrong = sized(t.st.Wrong, n)
+	t.lateTx = sized(t.lateTx, n)
+	t.dupCorrect = sized(t.dupCorrect, n)
+	t.dupWrong = sized(t.dupWrong, n)
+	t.booked = -1
 	return nil
+}
+
+// sized returns s cleared at length n, reusing its backing array when the
+// length already matches.
+func sized[T any](s []T, n int) []T {
+	if len(s) != n {
+		return make([]T, n)
+	}
+	clear(s)
+	return s
 }
 
 // Unbind drops the per-run references (the bad mask) so a pooled engine
@@ -124,12 +153,31 @@ func (t *ThresholdInstance) Deliver(slot int, ds []radio.Delivery, hooks *Hooks,
 			}
 		}
 	}
+	if slot == t.booked {
+		// The ledger counts these deliveries too (see the type comment).
+		for _, d := range ds {
+			if d.Value == radio.ValueTrue {
+				t.dupCorrect[d.To]++
+			} else {
+				t.dupWrong[d.To]++
+			}
+		}
+	}
 	return buf, nil
 }
 
 // Tick implements Instance (threshold protocols are purely
 // delivery-driven).
 func (t *ThresholdInstance) Tick(_ int, buf []Send) []Send { return buf }
+
+// Book implements Instance: one ledger bump per transmission.
+func (t *ThresholdInstance) Book(slot int, txs []radio.Tx) error {
+	for i := range txs {
+		t.lateTx[txs[i].From]++
+	}
+	t.booked = slot
+	return nil
+}
 
 // GoodBudget implements Instance.
 func (t *ThresholdInstance) GoodBudget(id grid.NodeID) int { return t.spec.Budget(id) }
@@ -157,5 +205,30 @@ func (t *ThresholdInstance) Sizing() (sourceSends, maxSends int) {
 	return t.spec.SourceRepeats, t.maxSends
 }
 
-// Finish implements Instance (nothing to publish).
-func (t *ThresholdInstance) Finish(int) {}
+// Finish implements Instance: a run that was booked turns its ledger
+// into per-receiver receipts (see the type comment).
+func (t *ThresholdInstance) Finish(int) {
+	if t.booked < 0 {
+		return
+	}
+	st := &t.st
+	for i, k := range t.lateTx {
+		if k == 0 {
+			continue
+		}
+		counts := st.Wrong
+		if st.Value[i] == radio.ValueTrue {
+			counts = st.Correct
+		}
+		for _, to := range t.adj.Neighbors(grid.NodeID(i)) {
+			counts[to] += k
+		}
+	}
+	for i := range st.Correct {
+		st.Correct[i] -= t.dupCorrect[i]
+		st.Wrong[i] -= t.dupWrong[i]
+		if t.bad != nil && t.bad[i] {
+			st.Correct[i], st.Wrong[i] = 0, 0 // adversary nodes do not run the protocol
+		}
+	}
+}

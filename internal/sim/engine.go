@@ -21,48 +21,45 @@
 //
 // # Frontier slots
 //
-// Protocol B relays 2·t·mf+1 copies but accepts after t·mf+1, so nine
-// deliveries in ten reach a node that has already decided, where a
-// threshold protocol does nothing but count the receipt. A threshold run
-// therefore works on the slot's frontier — the deliveries to undecided
-// good receivers — instead of all of them: step 2 materialises only the
-// frontier (radio.Medium.ResolveDisjoint with the decided mask), step 3
-// shows only the frontier to the strategy, and when the strategy returns
-// no jam, step 5 delivers only the frontier. A slot that is jammed
-// discards its frontier and goes through steps 4–5 in full like any
-// other, so jam semantics have one implementation.
+// Protocol B relays 2·t·mf+1 copies but accepts after t·mf+1, and a
+// reactive node hears its neighbours' rounds long after it accepted, so
+// most deliveries reach a node for which they change nothing. An instance
+// that publishes a settled mask (protocol.State.Settled: decided, for the
+// threshold instance; decided with no armed bad neighbour, for the
+// reactive machine) therefore has its runs work on the slot's frontier —
+// the deliveries to good receivers it has not settled — instead of all of
+// them: step 2 materialises only the frontier
+// (radio.Medium.ResolveDisjoint with the settled mask), step 3 shows only
+// the frontier to the strategy, and when the strategy returns no jam, the
+// instance books the slot's transmissions (protocol.Instance.Book) and
+// step 5 delivers only the frontier. What the booking stands for is the
+// instance's business: one ledger bump per transmission for the threshold
+// instance, the sender's whole round — pattern redraw, attack, NACK spam,
+// in sender order — for the reactive machine, whose skipped edges are
+// served and counted at Finish. A slot that is jammed discards its
+// frontier and goes through steps 4–5 in full like any other, so jam
+// semantics have one implementation.
 //
 // Most transmissions have no frontier at all: the sender's row is
-// settled — every neighbor bad or decided — by the time its redundant
+// settled — every neighbor bad or settled — by the time its redundant
 // copies go out (85 % of the transmissions of a 100k-node run). live[v]
-// counts v's undecided good neighbors, starting at v's degree less its bad
-// neighbors and losing one over the decider's row at every decision, and
-// step 2 resolves only the transmissions with live[from] > 0; a settled
-// row is never read during the run. Decisions are seen through their
-// sends: the built-in instance returns exactly one Send per decision,
-// the bootstrap source included, so the walk that credits the decider's
-// supply to its neighbors (addPending) is the walk that debits live.
-//
-// What the rest of a jam-free slot delivered is not booked per receiver
-// but per sender: one lateTx[from]++ per transmission. That is exact — a
-// jam-free slot of a verified distance-2 color class is collision-free
-// and no transmitter is in range of another, so each transmission reached
-// the sender's whole row, and a good sender's value is fixed once it
-// decides — and finish turns it into Result.Correct/Wrong with one
-// scatter of lateTx[v] over v's row, added to a per-receiver tally of what
-// the jammed slots delivered. During the run the instance's Correct and
-// Wrong counters are complete for undecided nodes only, which is all
-// adversary.View promises a strategy.
+// counts v's good neighbors that have not settled, starting at v's degree
+// less its bad neighbors and losing one over the settler's row at every
+// settlement, and step 2 resolves only the transmissions with
+// live[from] > 0; a settled row is never read during the run. Settlements
+// are seen through sends: the seam has the instance return a Send for
+// every node it settles (with N = 0 when nothing is to be sent), so the
+// walk that credits the node's supply to its neighbors (addPending) is
+// the walk that debits live, and a settlement costs one row walk.
 //
 // frontierEligible lists when a run qualifies — in short, when no one
-// could observe the difference: the built-in threshold instance (which is
-// also what the one-Send-per-decision coupling rests on), no OnDeliver
-// observer, a strategy that is a function of the frontier
-// (adversary.DeliveryDriven), and a coloring the plan has verified to be
-// distance-2, which is what makes a jam-free slot collision-free by check
-// rather than by assumption. Every other run — custom machines, observed
-// runs, Spammer, unverified colorings — takes steps 2–5 over all
-// deliveries and keeps none of this state.
+// could observe the difference: an instance with a settled mask, no
+// OnDeliver observer, a strategy that is a function of the deliveries to
+// undecided receivers (adversary.DeliveryDriven), and a coloring the plan
+// has verified to be distance-2, which is what makes a jam-free slot
+// collision-free by check rather than by assumption. Every other run —
+// Multi, observed runs, Spammer, unverified colorings — takes steps 2–5
+// over all deliveries and keeps none of this state.
 //
 // # Fast path
 //
@@ -147,8 +144,8 @@ type Config struct {
 	// threshold protocols (including deliveries to bad nodes, which the
 	// protocol layer then ignores), every payload delivery for the
 	// reactive machine. Observing deliveries means materialising all of
-	// them: a threshold run with this hook set resolves every slot in
-	// full instead of its frontier (see the package comment).
+	// them: a run with this hook set resolves every slot in full instead
+	// of its frontier (see the package comment).
 	OnDeliver func(slot int, d radio.Delivery)
 }
 
@@ -273,14 +270,11 @@ type Runner struct {
 	settledTxs    int
 
 	// Frontier-run state (see the package comment). live[v] counts v's
-	// undecided good neighbors — v's row is settled once it reaches 0.
-	// lateTx[v] counts v's transmissions in jam-free slots, jamCorrect and
-	// jamWrong what the jammed slots delivered to each receiver; finish
-	// assembles Result.Correct/Wrong from the three.
-	live       []int32
-	lateTx     []int32
-	jamCorrect []int32
-	jamWrong   []int32
+	// good neighbors the instance has not settled — v's row is settled
+	// once it reaches 0; counted[v] records that v's settlement has been
+	// taken out of its neighbors' counts.
+	live    []int32
+	counted []bool
 
 	// Scratch reused across slots.
 	txs       []radio.Tx
@@ -338,9 +332,7 @@ func (r *Runner) retarget(t topo.Topology) error {
 	r.jamSeen = resized(r.jamSeen, n)
 	r.jamEpoch = 0
 	r.live = resized(r.live, n)
-	r.lateTx = resized(r.lateTx, n)
-	r.jamCorrect = resized(r.jamCorrect, n)
-	r.jamWrong = resized(r.jamWrong, n)
+	r.counted = resized(r.counted, n)
 	period := schedule.Period()
 	if cap(r.active) >= period {
 		r.active = r.active[:period]
@@ -365,9 +357,7 @@ func (r *Runner) reset() {
 	clear(r.supply)
 	clear(r.goodBudget)
 	clear(r.badBudget)
-	clear(r.lateTx)
-	clear(r.jamCorrect)
-	clear(r.jamWrong)
+	clear(r.counted)
 	for c := range r.active {
 		r.active[c] = r.active[c][:0]
 	}
@@ -510,7 +500,7 @@ func (r *Runner) neighbors(id grid.NodeID) []grid.NodeID {
 
 // initLive starts every live counter at the node's good-neighbor count:
 // its degree, less one per bad neighbor — debited from the bad side, so
-// only the bad nodes' rows are walked. Decisions take it from there (see
+// only the bad nodes' rows are walked. Settlements take it from there (see
 // addPending).
 func (r *Runner) initLive() {
 	for i := range r.live {
@@ -528,10 +518,10 @@ func (r *Runner) initLive() {
 
 // addPending schedules n more transmissions at id and, when id supplies
 // Vtrue, credits the supply estimate of its neighbors. On a frontier run
-// the call also stands for id's decision — the threshold instance returns
-// exactly one Send per decision, the bootstrap source included, even when
-// Sends(id) or the remaining budget leaves n at 0 — so the same walk takes
-// id out of its neighbors' live counts.
+// the call is also how the engine learns that id settled: an instance
+// returns a Send for every node it settles, from the call that settles it
+// (the seam contract; N may be 0), so the walk that credits id's supply
+// to its neighbors also takes id out of their live counts, once.
 func (r *Runner) addPending(id grid.NodeID, n int) {
 	if n > 0 {
 		c := r.colors[id]
@@ -548,7 +538,8 @@ func (r *Runner) addPending(id grid.NodeID, n int) {
 		credit = int32(n)
 	}
 	switch {
-	case r.frontier:
+	case r.frontier && r.st.Settled[id] && !r.counted[id]:
+		r.counted[id] = true
 		for _, nb := range r.neighbors(id) {
 			r.supply[nb] += credit
 			r.live[nb]--
@@ -665,13 +656,17 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 		}
 		r.txs = txs
 
+		// heard: the slot's full batch is non-empty, so the instance gets
+		// a Deliver call and a Tick, even when a frontier slot's is empty.
 		r.tentative = r.tentative[:0]
+		heard := false
 		if len(txs) > 0 {
 			var err error
 			if r.frontier {
-				err = r.resolveFrontier(txs)
+				heard, err = r.resolveFrontier(txs)
 			} else {
 				r.tentative, err = r.medium.ResolveAppend(txs, r.tentative)
+				heard = len(r.tentative) > 0
 			}
 			if err != nil {
 				return nil, err
@@ -694,13 +689,11 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 			if r.tentative, err = r.medium.ResolveAppend(r.txs, r.tentative); err != nil {
 				return nil, err
 			}
-			if r.frontier {
-				r.tallyJammed(r.tentative)
-			}
+			heard = len(r.tentative) > 0
 		} else if r.frontier && len(r.txs) > 0 {
-			// Jam-free: the frontier is the final batch, and everything
-			// else the slot delivered is one ledger bump per transmission.
-			if err := r.ledger(r.txs); err != nil {
+			// Jam-free: the frontier is the final batch, and the instance
+			// books the rest of what the slot delivered.
+			if err := r.inst.Book(slot, r.txs); err != nil {
 				return nil, err
 			}
 			r.frontierSlots++
@@ -708,9 +701,9 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 		}
 
 		// Hand the slot's final deliveries to the protocol as one batch
-		// and schedule the sends it returns. Tick is coupled to the
-		// non-empty batch so every engine ticks the same slot stream.
-		if len(r.tentative) > 0 {
+		// and schedule the sends it returns. Tick is coupled to a
+		// non-empty full batch so every engine ticks the same slot stream.
+		if heard {
 			r.sendBuf = r.sendBuf[:0]
 			var err error
 			r.sendBuf, err = r.inst.Deliver(slot, r.tentative, &r.hooks, r.sendBuf)
@@ -729,8 +722,9 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 
 // consumePending removes one pending transmission from id, debiting the
 // neighbors' supply when id was a Vtrue supplier — except on a frontier
-// run, where resolveFrontier debits the undecided receivers it visits
-// anyway and nobody reads the supply of the rest.
+// run, where resolveFrontier debits the unsettled receivers it visits
+// anyway and nobody reads the supply of the rest (settled nodes have
+// decided).
 func (r *Runner) consumePending(id grid.NodeID) {
 	r.pending[id]--
 	r.colorPending[r.colors[id]]--
@@ -760,17 +754,16 @@ func (r *Runner) dropPending(id grid.NodeID) {
 
 // frontierEligible decides, per run, whether the slot body may resolve,
 // show to the adversary and deliver only the slot's frontier — the
-// deliveries to undecided good receivers. It may when nothing can see the
-// difference: the built-in threshold instance (a delivery to a decided or
-// bad node is at most a receipt-counter bump there, and every decision
-// comes back as exactly one Send, which is how the live counters learn of
-// it; custom machines see every delivery and send as they please), no
-// OnDeliver observer, a strategy whose jams depend on the frontier alone
-// (adversary.DeliveryDriven), and a plan that verified the coloring —
-// without which a jam-free slot could still hold collisions that only
-// full resolution counts.
+// deliveries to good receivers the instance has not settled. It may when
+// nothing can see the difference: an instance that publishes a settled
+// mask (and books what the frontier leaves out; Multi publishes none), no
+// OnDeliver observer, a strategy whose jams depend on the deliveries to
+// undecided receivers alone (adversary.DeliveryDriven; a settled receiver
+// has decided), and a plan that verified the coloring — without which a
+// jam-free slot could still hold collisions that only full resolution
+// counts.
 func (r *Runner) frontierEligible() bool {
-	return r.cfg.Machine == nil && r.cfg.OnDeliver == nil &&
+	return r.st.Settled != nil && r.cfg.OnDeliver == nil &&
 		r.plan.DisjointClasses() && r.deliveryDriven()
 }
 
@@ -779,22 +772,30 @@ func (r *Runner) frontierEligible() bool {
 // receivers (see consumePending): supply is defined for undecided
 // receivers only, and each is debited here in every slot it is reached
 // while undecided, just as the per-transmission walk would have. Only the
-// rows that still have an undecided good neighbor are resolved; a settled
-// row has nothing to put on the frontier and is never read.
-func (r *Runner) resolveFrontier(txs []radio.Tx) error {
+// rows with a good neighbor the instance has not settled are resolved; a
+// settled row has nothing to put on the frontier and is never read, so the
+// valueless transmission ResolveDisjoint refuses is refused here for it.
+// heard reports whether any transmission had a receiver.
+func (r *Runner) resolveFrontier(txs []radio.Tx) (heard bool, err error) {
 	live := r.liveTxs[:0]
 	for i := range txs {
-		if r.live[txs[i].From] > 0 {
+		from := txs[i].From
+		switch {
+		case r.live[from] > 0:
 			live = append(live, txs[i])
+		case txs[i].Value == radio.ValueNone:
+			return false, fmt.Errorf("sim: transmission from %d is not a plain good transmission", from)
+		case !heard && len(r.neighbors(from)) > 0:
+			heard = true
 		}
 	}
 	r.liveTxs = live
 	if len(live) == 0 {
-		return nil
+		return heard, nil
 	}
-	ds, err := r.medium.ResolveDisjoint(live, r.st.Decided, r.tentative)
+	ds, err := r.medium.ResolveDisjoint(live, r.st.Settled, r.tentative)
 	if err != nil {
-		return err
+		return false, err
 	}
 	w := 0
 	for _, d := range ds {
@@ -808,36 +809,7 @@ func (r *Runner) resolveFrontier(txs []radio.Tx) error {
 		w++
 	}
 	r.tentative = ds[:w]
-	return nil
-}
-
-// ledger books a jam-free frontier slot: one bump per transmission. The
-// slot is collision-free (a verified distance-2 color class), so each
-// transmission reached the sender's whole row, and a good sender's value
-// is fixed once it decides — finish turns the per-sender counts back into
-// per-receiver receipts. It also makes ResolveDisjoint's check for the
-// rows that method no longer sees.
-func (r *Runner) ledger(txs []radio.Tx) error {
-	for i := range txs {
-		if txs[i].Value == radio.ValueNone {
-			return fmt.Errorf("sim: transmission from %d is not a plain good transmission", txs[i].From)
-		}
-		r.lateTx[txs[i].From]++
-	}
-	return nil
-}
-
-// tallyJammed books the final deliveries of a jammed slot of a frontier
-// run, which reach the protocol in full, the way Deliver counts them (bad
-// receivers too; frontierReceipts drops those at the end).
-func (r *Runner) tallyJammed(ds []radio.Delivery) {
-	for _, d := range ds {
-		if d.Value == radio.ValueTrue {
-			r.jamCorrect[d.To]++
-		} else {
-			r.jamWrong[d.To]++
-		}
-	}
+	return true, nil
 }
 
 // validateJams enforces the adversary rules: jams must come from distinct
@@ -919,41 +891,9 @@ func (r *Runner) finish(slot, maxSlots int) *Result {
 	// retroactively corrupt this Result (see TestResultNotAliased).
 	res.Decided = append([]bool(nil), r.st.Decided...)
 	res.DecidedValue = append([]radio.Value(nil), r.st.Value...)
-	if r.frontier {
-		res.Correct, res.Wrong = r.frontierReceipts()
-	} else {
-		res.Correct = append([]int32(nil), r.st.Correct...)
-		res.Wrong = append([]int32(nil), r.st.Wrong...)
-	}
+	res.Correct = append([]int32(nil), r.st.Correct...)
+	res.Wrong = append([]int32(nil), r.st.Wrong...)
 	res.Sent = append([]int32(nil), r.sent...)
 	out := *res
 	return &out
-}
-
-// frontierReceipts assembles a frontier run's per-receiver receipt counts:
-// the jammed slots' tally plus each sender's jam-free transmissions
-// scattered over its row by the value it sent (see ledger). The instance's
-// own counters miss what a node received in jam-free slots after it
-// decided and are not used.
-func (r *Runner) frontierReceipts() (correct, wrong []int32) {
-	correct = append([]int32(nil), r.jamCorrect...)
-	wrong = append([]int32(nil), r.jamWrong...)
-	for i, k := range r.lateTx {
-		if k == 0 {
-			continue
-		}
-		counts := wrong
-		if r.st.Value[i] == radio.ValueTrue {
-			counts = correct
-		}
-		for _, to := range r.neighbors(grid.NodeID(i)) {
-			counts[to] += k
-		}
-	}
-	for i, b := range r.bad {
-		if b {
-			correct[i], wrong[i] = 0, 0 // adversary nodes do not run the protocol
-		}
-	}
-	return correct, wrong
 }

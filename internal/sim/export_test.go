@@ -16,23 +16,29 @@ func (r *Runner) FrontierSlots() int { return r.frontierSlots }
 // slots came from a settled row, which the engine books without reading.
 func (r *Runner) SettledTxs() int { return r.settledTxs }
 
-// CheckLive recounts every node's undecided good neighbors and returns an
-// error for the first whose live counter disagrees. It is meant to be
-// called from an observer hook of a run in progress; runs that are not on
-// the frontier path keep no counters and always pass.
+// CheckLive recounts, against the instance's settled mask, every node's
+// good neighbors that are not settled and returns an error for the first
+// whose live counter disagrees — or for a settled node that is not a
+// decided good node. It is meant to be called from an observer hook of a
+// run in progress; runs that are not on the frontier path keep no
+// counters and always pass.
 func (r *Runner) CheckLive() error {
 	if !r.frontier {
 		return nil
 	}
+	st := r.st
 	for i := range r.live {
+		if st.Settled[i] && (!st.Decided[i] || r.bad[i]) {
+			return fmt.Errorf("slot %d: node %d is settled but not a decided good node", r.curSlot, i)
+		}
 		var want int32
 		for _, nb := range r.neighbors(grid.NodeID(i)) {
-			if !r.bad[nb] && !r.st.Decided[nb] {
+			if !r.bad[nb] && !st.Settled[nb] {
 				want++
 			}
 		}
 		if r.live[i] != want {
-			return fmt.Errorf("slot %d: live[%d] = %d, recount %d", r.curSlot, i, r.live[i], want)
+			return fmt.Errorf("slot %d: live[%d] = %d, recount against the settled mask %d", r.curSlot, i, r.live[i], want)
 		}
 	}
 	return nil

@@ -5,13 +5,17 @@ package sim_test
 // it gets a differential test of its own: every configuration runs twice
 // on one Runner — bare, which takes the frontier path when eligible, and
 // with a no-op OnDeliver attached, which forces full resolution — and the
-// two legs must agree on the whole Result and on the slot-start, OnSend
-// and OnAccept streams. The Runner's frontier-slot counter proves which path each leg
-// took, so neither half of the comparison can go vacuous. The bare leg
-// also has its live counters — what lets it skip settled rows — recounted
-// from scratch at every executed slot.
+// two legs must agree on the whole Result, on the reactive machine's run
+// record, and on the slot-start, OnSend and OnAccept streams. The Runner's
+// frontier-slot counter proves which path each leg took, so neither half
+// of the comparison can go vacuous. The bare leg also has the engine's
+// live counters — what lets it skip settled rows — recounted against the
+// instance's settled mask at every executed slot, and its safety
+// properties checked as it runs (simtest.Safety, on OnSend and OnAccept
+// only, so the leg stays on the frontier).
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -56,11 +60,13 @@ func observe(cfg *sim.Config) *[]event {
 	return log
 }
 
-// frontierLeg is one observed run: Result, event stream, how many of its
-// slots completed on the frontier path, and how many transmissions of
-// those slots were booked without reading their (settled) row.
+// frontierLeg is one observed run: Result, the reactive machine's run
+// record (nil for other protocols), event stream, how many of its slots
+// completed on the frontier path, and how many transmissions of those
+// slots were booked without reading their (settled) row.
 type frontierLeg struct {
 	res     *sim.Result
+	stats   *protocol.ReactiveStats
 	events  []event
 	slots   int
 	settled int
@@ -70,11 +76,20 @@ type frontierLeg struct {
 // observe) except OnDeliver, which is replaced by onDeliver: nil leaves
 // the run eligible for the frontier path, anything else forces full
 // resolution without adding events to the log. Every executed slot starts
-// with a recount of the Runner's live counters; the first disagreement is
-// returned as the run's error.
-func runFrontierLeg(r *sim.Runner, cfg sim.Config, onDeliver func(int, radio.Delivery)) (frontierLeg, error) {
+// with a recount of the engine's live counters against the instance's
+// settled mask; the first disagreement is returned as the run's error. A bare leg is also watched by a
+// simtest.Safety (noWrong: it decides no value but Vtrue), whose first
+// violation is returned the same way.
+func runFrontierLeg(r *sim.Runner, cfg sim.Config, onDeliver func(int, radio.Delivery), noWrong bool) (frontierLeg, error) {
 	log := observe(&cfg)
 	cfg.OnDeliver = onDeliver
+	var safety *simtest.Safety
+	if onDeliver == nil {
+		var err error
+		if safety, err = simtest.WatchSafety(&cfg, noWrong); err != nil {
+			return frontierLeg{}, err
+		}
+	}
 	var liveErr error
 	logSlot := cfg.OnSlotStart
 	cfg.OnSlotStart = func(slot int) {
@@ -87,16 +102,24 @@ func runFrontierLeg(r *sim.Runner, cfg sim.Config, onDeliver func(int, radio.Del
 	if err == nil {
 		err = liveErr
 	}
-	return frontierLeg{res: res, events: *log, slots: r.FrontierSlots(), settled: r.SettledTxs()}, err
+	if err == nil && safety != nil {
+		err = safety.Err()
+	}
+	leg := frontierLeg{res: res, events: *log, slots: r.FrontierSlots(), settled: r.SettledTxs()}
+	if m, ok := cfg.Machine.(*protocol.Reactive); ok {
+		leg.stats = m.TakeStats()
+	}
+	return leg, err
 }
 
 // diffFrontier runs build's config bare and with a no-op OnDeliver on r
 // and fails unless both legs agree; it returns the bare leg (nil when the
-// engine rejected the config on both).
-func diffFrontier(t *testing.T, r *sim.Runner, desc string, build func() sim.Config) *frontierLeg {
+// engine rejected the config on both). noWrong is the bare leg's Safety
+// setting.
+func diffFrontier(t *testing.T, r *sim.Runner, desc string, noWrong bool, build func() sim.Config) *frontierLeg {
 	t.Helper()
-	bare, bareErr := runFrontierLeg(r, build(), nil)
-	full, fullErr := runFrontierLeg(r, build(), func(int, radio.Delivery) {})
+	bare, bareErr := runFrontierLeg(r, build(), nil, noWrong)
+	full, fullErr := runFrontierLeg(r, build(), func(int, radio.Delivery) {}, noWrong)
 	if (bareErr != nil) != (fullErr != nil) {
 		t.Fatalf("%s: error divergence: bare=%v observed=%v", desc, bareErr, fullErr)
 	}
@@ -109,6 +132,9 @@ func diffFrontier(t *testing.T, r *sim.Runner, desc string, build func() sim.Con
 	}
 	if err := simtest.DiffResults(bare.res, full.res); err != nil {
 		t.Fatalf("%s: frontier vs full resolution: %v", desc, err)
+	}
+	if !reflect.DeepEqual(bare.stats, full.stats) {
+		t.Fatalf("%s: reactive run records differ:\nfrontier %+v\nfull     %+v", desc, bare.stats, full.stats)
 	}
 	if !reflect.DeepEqual(bare.events, full.events) {
 		t.Fatalf("%s: slot/send/accept streams differ (%d vs %d events)",
@@ -173,7 +199,7 @@ func TestFrontierMatchesFullResolution(t *testing.T) {
 			return cfg
 		}}
 		for v, build := range variants {
-			bare := diffFrontier(t, runner, c.Desc, build)
+			bare := diffFrontier(t, runner, c.Desc, true, build)
 			if bare == nil {
 				continue
 			}
@@ -230,7 +256,7 @@ func TestFrontierFigure2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := diffFrontier(t, sim.NewRunner(), "figure 2", func() sim.Config {
+	bare := diffFrontier(t, sim.NewRunner(), "figure 2", true, func() sim.Config {
 		return sim.Config{
 			Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0),
 			Placement: adversary.Figure2Lattice(4),
@@ -258,7 +284,7 @@ func TestFrontierWrongValueRelays(t *testing.T) {
 	for i := range everyone {
 		everyone[i] = true
 	}
-	bare := diffFrontier(t, sim.NewRunner(), "wrong-value relays", func() sim.Config {
+	bare := diffFrontier(t, sim.NewRunner(), "wrong-value relays", false, func() sim.Config {
 		return sim.Config{
 			Topo: tor, Params: p, Spec: spec,
 			Placement: adversary.Random{T: 2, Density: 0.2, Seed: 5},
@@ -278,10 +304,12 @@ func TestFrontierWrongValueRelays(t *testing.T) {
 	}
 }
 
-// TestFrontierIneligibleRuns pins the runs that must stay on full
-// resolution: a custom Machine (even the threshold one, which must then
-// reproduce the built-in instance's Result) and the multi-broadcast
-// machine behind the facade's WithBroadcasts.
+// TestFrontierIneligibleRuns pins which machines reach the frontier
+// through the seam: the threshold machine attached as a custom Machine
+// publishes the built-in instance's settled mask, so it takes the frontier
+// and must reproduce the built-in run's Result; the multi-broadcast
+// machine behind the facade's WithBroadcasts publishes none and stays on
+// full resolution.
 func TestFrontierIneligibleRuns(t *testing.T) {
 	tor := grid.MustNew(20, 20, 2)
 	p := core.Params{R: 2, T: 2, MF: 2}
@@ -307,35 +335,103 @@ func TestFrontierIneligibleRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runner.FrontierSlots() == 0 || runner.SettledTxs() == 0 || want.BadMessages == 0 {
+	wantSlots, wantSettled := runner.FrontierSlots(), runner.SettledTxs()
+	if wantSlots == 0 || wantSettled == 0 || want.BadMessages == 0 {
 		t.Fatalf("baseline: frontier slots=%d settled transmissions=%d bad messages=%d, want all > 0",
-			runner.FrontierSlots(), runner.SettledTxs(), want.BadMessages)
+			wantSlots, wantSettled, want.BadMessages)
 	}
 
-	legs := []struct {
-		name      string
-		mutate    func(*sim.Config)
-		sameAsSeq bool
-	}{
-		{"custom machine", func(c *sim.Config) { c.Machine = protocol.NewThreshold(c.Spec) }, true},
-		{"multi machine", func(c *sim.Config) { c.Machine = &protocol.Multi{Spec: c.Spec, M: 3} }, false},
+	custom := build()
+	custom.Machine = protocol.NewThreshold(spec)
+	got, err := runner.Run(custom)
+	if err != nil {
+		t.Fatalf("custom machine: %v", err)
 	}
-	for _, leg := range legs {
-		cfg := build()
-		leg.mutate(&cfg)
-		got, err := runner.Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", leg.name, err)
-		}
-		if n, settled := runner.FrontierSlots(), runner.SettledTxs(); n != 0 || settled != 0 {
-			t.Errorf("%s: took %d frontier slots and settled %d transmissions, want full resolution",
-				leg.name, n, settled)
-		}
-		if leg.sameAsSeq {
-			if err := simtest.DiffResults(got, want); err != nil {
-				t.Errorf("%s: diverged from the frontier run: %v", leg.name, err)
+	if n, settled := runner.FrontierSlots(), runner.SettledTxs(); n != wantSlots || settled != wantSettled {
+		t.Errorf("custom machine: %d frontier slots, %d settled transmissions; the built-in instance took %d, %d",
+			n, settled, wantSlots, wantSettled)
+	}
+	if err := simtest.DiffResults(got, want); err != nil {
+		t.Errorf("custom machine: diverged from the built-in run: %v", err)
+	}
+
+	multi := build()
+	multi.Machine = &protocol.Multi{Spec: spec, M: 3}
+	if _, err := runner.Run(multi); err != nil {
+		t.Fatalf("multi machine: %v", err)
+	}
+	if n, settled := runner.FrontierSlots(), runner.SettledTxs(); n != 0 || settled != 0 {
+		t.Errorf("multi machine: took %d frontier slots and settled %d transmissions, want full resolution", n, settled)
+	}
+}
+
+// TestFrontierReactive is the frontier differential over the reactive
+// machine, whose settled mask is "decided, with no armed bad neighbour":
+// every policy and a fault-free leg, on the torus, the bounded grid and
+// an RGG, over several seeds. Both legs must agree on the Result, on the
+// whole ReactiveStats and on the event streams, so the rounds whose
+// receivers had all settled still drew their patterns, attacked and
+// spammed in sender order, and the skipped edges were served and counted.
+func TestFrontierReactive(t *testing.T) {
+	seeds := uint64(4)
+	if testing.Short() {
+		seeds = 2
+	}
+	bounded := topo.MustNewBounded(14, 17, 2)
+	rgg, err := topo.NewConnectedRGG(150, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos := []struct {
+		name string
+		tp   topo.Topology
+		r    int
+	}{{"torus", grid.MustNew(15, 15, 2), 2}, {"grid", bounded, 2}, {"rgg", rgg, 1}}
+	policies := []protocol.AttackPolicy{
+		protocol.PolicyDisrupt, protocol.PolicyForge, protocol.PolicyNackSpam, protocol.PolicyMixed, 0,
+	}
+	runner := sim.NewRunner()
+	var ran, attacked, nacked, settledRounds int
+	for _, tc := range topos {
+		for _, policy := range policies {
+			for seed := uint64(1); seed <= seeds; seed++ {
+				desc := fmt.Sprintf("%s/%v/seed %d", tc.name, policy, seed)
+				if policy == 0 {
+					desc = fmt.Sprintf("%s/fault-free/seed %d", tc.name, seed)
+				}
+				build := func() sim.Config {
+					cfg := sim.Config{
+						Topo:    tc.tp,
+						Params:  core.Params{R: tc.r, T: 1, MF: 3},
+						Machine: &protocol.Reactive{MMax: 64, PayloadBits: 16, Policy: policy},
+						Seed:    seed,
+					}
+					if policy != 0 {
+						cfg.Placement = adversary.Random{T: 1, Density: 0.06, Seed: seed}
+					}
+					return cfg
+				}
+				bare := diffFrontier(t, runner, desc, true, build)
+				if bare == nil {
+					continue
+				}
+				ran++
+				if bare.slots == 0 {
+					t.Fatalf("%s: took no frontier slot", desc)
+				}
+				if bare.stats.AttacksSpent > 0 {
+					attacked++
+				}
+				for _, n := range bare.stats.NackSends {
+					nacked += int(n)
+				}
+				settledRounds += bare.settled
 			}
 		}
+	}
+	if ran < len(topos)*len(policies) || attacked == 0 || nacked == 0 || settledRounds == 0 {
+		t.Fatalf("degenerate case mix: ran=%d attacked=%d nacks=%d settled rounds=%d",
+			ran, attacked, nacked, settledRounds)
 	}
 }
 

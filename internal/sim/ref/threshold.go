@@ -1,6 +1,8 @@
 package ref
 
 import (
+	"errors"
+
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
 	"bftbcast/internal/protocol"
@@ -95,6 +97,12 @@ func (d *denseInstance) Deliver(slot int, ds []radio.Delivery, hooks *protocol.H
 }
 
 func (d *denseInstance) Tick(_ int, buf []protocol.Send) []protocol.Send { return buf }
+
+// Book implements protocol.Instance. The dense instance publishes no
+// settled mask: the reference engine delivers every slot in full.
+func (d *denseInstance) Book(int, []radio.Tx) error {
+	return errors.New("ref: the dense threshold instance publishes no settled mask")
+}
 
 func (d *denseInstance) GoodBudget(id grid.NodeID) int { return d.spec.Budget(id) }
 

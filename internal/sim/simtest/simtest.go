@@ -20,6 +20,8 @@ import (
 	"bftbcast/internal/adversary"
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
+	"bftbcast/internal/protocol"
+	"bftbcast/internal/radio"
 	"bftbcast/internal/sim"
 	"bftbcast/internal/sim/ref"
 	"bftbcast/internal/stats"
@@ -62,6 +64,119 @@ func CheckInvariants(t testing.TB, cfg sim.Config, res *sim.Result) {
 	t.Helper()
 	if err := InvariantViolation(cfg, res); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Safety checks a run's safety properties while it executes. It watches
+// the OnSend and OnAccept hooks only — never OnDeliver, whose presence
+// takes the fast engine off its frontier path — so the body it checks is
+// the one unobserved runs take. Err reports the first of these events:
+//
+//   - a good node accepts twice (the source is accepted from the start);
+//   - a bad node accepts;
+//   - a good transmission from a node that has not accepted, or carrying
+//     a value other than the one it accepted;
+//   - a good node sends more than its budget (the Spec's, for threshold
+//     runs; the source and other machines are unlimited);
+//   - a bad node transmits more than mf times, or a good node
+//     adversarially;
+//   - a decision on a value other than Vtrue, when the run asserts none.
+type Safety struct {
+	bad      []bool
+	budget   func(grid.NodeID) int // nil: unlimited
+	source   grid.NodeID
+	mf       int32
+	noWrong  bool
+	accepted []bool
+	value    []radio.Value
+	sends    []int32
+	err      error
+}
+
+// WatchSafety attaches a Safety to cfg, chaining any OnSend and OnAccept
+// hooks already set. It resolves cfg's placement (placements are
+// deterministic) to learn the bad set; noWrong makes a decision on a value
+// other than Vtrue a violation.
+func WatchSafety(cfg *sim.Config, noWrong bool) (*Safety, error) {
+	n := cfg.Topo.Size()
+	s := &Safety{
+		source:   cfg.Source,
+		mf:       int32(cfg.Params.MF),
+		noWrong:  noWrong,
+		accepted: make([]bool, n),
+		value:    make([]radio.Value, n),
+		sends:    make([]int32, n),
+		bad:      make([]bool, n),
+	}
+	if cfg.Placement != nil {
+		bad, err := cfg.Placement.Place(cfg.Topo, cfg.Source)
+		if err != nil {
+			return nil, err
+		}
+		s.bad = bad
+	}
+	switch m := cfg.Machine.(type) {
+	case nil:
+		s.budget = cfg.Spec.Budget
+	case *protocol.Threshold:
+		s.budget = m.Spec.Budget
+	}
+	if int(cfg.Source) >= 0 && int(cfg.Source) < n {
+		s.accepted[cfg.Source], s.value[cfg.Source] = true, radio.ValueTrue
+	}
+	onSend, onAccept := cfg.OnSend, cfg.OnAccept
+	cfg.OnSend = func(slot int, from grid.NodeID, v radio.Value, adversarial bool) {
+		if onSend != nil {
+			onSend(slot, from, v, adversarial)
+		}
+		s.send(slot, from, v, adversarial)
+	}
+	cfg.OnAccept = func(slot int, id grid.NodeID, v radio.Value) {
+		if onAccept != nil {
+			onAccept(slot, id, v)
+		}
+		s.accept(slot, id, v)
+	}
+	return s, nil
+}
+
+// Err returns the first violation the run committed, or nil.
+func (s *Safety) Err() error { return s.err }
+
+func (s *Safety) fail(format string, args ...any) {
+	if s.err == nil {
+		s.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (s *Safety) send(slot int, from grid.NodeID, v radio.Value, adversarial bool) {
+	s.sends[from]++
+	switch {
+	case adversarial && !s.bad[from]:
+		s.fail("slot %d: good node %d transmitted adversarially", slot, from)
+	case adversarial && s.sends[from] > s.mf:
+		s.fail("slot %d: bad node %d transmitted %d times, mf = %d", slot, from, s.sends[from], s.mf)
+	case adversarial:
+	case s.bad[from]:
+		s.fail("slot %d: bad node %d sent a protocol transmission", slot, from)
+	case !s.accepted[from] || v != s.value[from]:
+		s.fail("slot %d: node %d transmitted %d, accepted %d (decided %v)", slot, from, v, s.value[from], s.accepted[from])
+	case from != s.source && s.budget != nil && s.budget(from) >= 0 && int(s.sends[from]) > s.budget(from):
+		s.fail("slot %d: node %d sent %d messages, budget %d", slot, from, s.sends[from], s.budget(from))
+	}
+}
+
+func (s *Safety) accept(slot int, id grid.NodeID, v radio.Value) {
+	switch {
+	case s.bad[id]:
+		s.fail("slot %d: bad node %d accepted %d", slot, id, v)
+	case s.accepted[id]:
+		s.fail("slot %d: node %d accepted %d after %d", slot, id, v, s.value[id])
+	case s.noWrong && v != radio.ValueTrue:
+		s.fail("slot %d: node %d decided the wrong value %d", slot, id, v)
+	}
+	if !s.bad[id] && !s.accepted[id] {
+		s.accepted[id], s.value[id] = true, v
 	}
 }
 
@@ -216,11 +331,16 @@ func maxInt(a, b int) int {
 // DiffEngines runs the Case through the fast engine and the dense
 // reference engine and returns an error unless the Results are
 // bit-identical. It is the differential-testing oracle: any divergence —
-// a flag, a counter, a per-node slice entry — fails. On success it
-// returns the fast engine's Result (nil when both engines rejected the
-// config) so callers can inspect the case mix without a third run.
+// a flag, a counter, a per-node slice entry — fails. The fast run is
+// watched by a Safety that asserts Lemma 1 (no wrong decision) on top, so
+// the safety properties are checked during the run on the body unobserved
+// runs take. On success it returns the fast engine's Result (nil when
+// both engines rejected the config) so callers can inspect the case mix
+// without a third run.
 func DiffEngines(c Case) (*sim.Result, error) {
-	fast, fastErr := sim.Run(c.Build())
+	cfg := c.Build()
+	safety, watchErr := WatchSafety(&cfg, true)
+	fast, fastErr := sim.Run(cfg)
 	dense, denseErr := ref.Run(c.Build())
 	if (fastErr != nil) != (denseErr != nil) {
 		return nil, fmt.Errorf("%s: error divergence: fast=%v dense=%v", c.Desc, fastErr, denseErr)
@@ -228,7 +348,13 @@ func DiffEngines(c Case) (*sim.Result, error) {
 	if fastErr != nil {
 		return nil, nil // both rejected the config identically enough
 	}
+	if watchErr != nil {
+		return nil, fmt.Errorf("%s: the engines placed the adversary, the safety check could not: %w", c.Desc, watchErr)
+	}
 	if err := DiffResults(fast, dense); err != nil {
+		return nil, fmt.Errorf("%s: %w", c.Desc, err)
+	}
+	if err := safety.Err(); err != nil {
 		return nil, fmt.Errorf("%s: %w", c.Desc, err)
 	}
 	return fast, nil
