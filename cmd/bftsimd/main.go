@@ -38,6 +38,15 @@
 // lease expire and the range is re-issued (points are deterministic and
 // idempotent).
 //
+// A pull worker lists jobs only when it holds no grant: at start, and
+// after a lease finds nothing for it (204, 410, 409, 503). Otherwise it
+// stays on one job at two requests per range. While range k runs, one
+// background goroutine posts partial k-1 and then leases range k+1, so
+// the worker holds at most two grants and waits on the wire only when
+// the coordinator is slower than a range. -poll paces the listing alone.
+// On SIGTERM the worker waits for its request in flight and exits; the
+// grant it still holds expires and re-issues.
+//
 // SIGTERM/SIGINT drain gracefully: every unfinished job is parked with
 // its folded prefix and its completed ranges checkpointed, and a daemon
 // restarted on the same -dir picks all of them up where they stopped. -retain/-retain-age garbage-collect terminal
@@ -104,7 +113,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		workerMode  = fs.Bool("worker", false, "run as a pull worker of -coordinator instead of a daemon")
 		coordinator = fs.String("coordinator", "", "coordinator base URL for -worker mode")
 		workerID    = fs.String("worker-id", "", "worker name reported on leases (default host-pid)")
-		poll        = fs.Duration("poll", 500*time.Millisecond, "worker idle poll interval")
+		poll        = fs.Duration("poll", 500*time.Millisecond, "in -worker mode, the pause before listing jobs again when none had an open range")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -450,23 +459,32 @@ func (s *server) results(w http.ResponseWriter, r *http.Request) {
 	}
 	sub := job.Subscribe(256)
 	defer sub.Close()
+	if streamPoints(w, flusher, sub.Points(), r.Context().Done()) {
+		// Stream over: terminal job, or the daemon is draining.
+		_ = json.NewEncoder(w).Encode(resultsSummary{Summary: job.Status(), Dropped: sub.Dropped()})
+	}
+}
+
+// streamPoints writes records to w as NDJSON until points closes (true),
+// or done fires or a write fails (false). It flushes only once it has
+// drained what was queued: a range that folds many records at once goes
+// out in one flush, and a lone record still goes out at once.
+func streamPoints(w io.Writer, flusher http.Flusher, points <-chan jobs.PointRecord, done <-chan struct{}) bool {
 	enc := json.NewEncoder(w)
 	for {
 		select {
-		case rec, ok := <-sub.Points():
+		case rec, ok := <-points:
 			if !ok {
-				// Stream over: terminal job, or the daemon is draining.
-				_ = enc.Encode(resultsSummary{Summary: job.Status(), Dropped: sub.Dropped()})
-				return
+				return true
 			}
 			if err := enc.Encode(rec); err != nil {
-				return
+				return false
 			}
-			if flusher != nil {
+			if flusher != nil && len(points) == 0 {
 				flusher.Flush()
 			}
-		case <-r.Context().Done():
-			return
+		case <-done:
+			return false
 		}
 	}
 }

@@ -5,15 +5,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -47,12 +53,23 @@ func (e *blockingEngine) Run(ctx context.Context, sc *bftbcast.Scenario) (*bftbc
 
 func newTestServer(t *testing.T, cfg jobs.Config) (*httptest.Server, *jobs.Manager) {
 	t.Helper()
+	return newLoggedTestServer(t, cfg, nil)
+}
+
+// newLoggedTestServer is newTestServer with its lease-protocol requests
+// recorded in reqs (nil records nothing).
+func newLoggedTestServer(t *testing.T, cfg jobs.Config, reqs *requestLog) (*httptest.Server, *jobs.Manager) {
+	t.Helper()
 	cfg.Dir = t.TempDir()
 	mgr, err := jobs.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newHandler(mgr, 64, 30*time.Second))
+	h := newHandler(mgr, 64, 30*time.Second)
+	if reqs != nil {
+		h = reqs.wrap(h)
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -745,34 +762,408 @@ func TestRunBadFlags(t *testing.T) {
 // TestWorkerEvictsFinishedJobs pins the pull worker's per-job cache: the
 // decoded spec and compiled topology of a job live only while the
 // coordinator lists the job as sharded and running — the poll that finds
-// it finished (or gone) drops them, so a long-lived worker does not
-// accumulate a topology per job it ever leased.
+// it finished (or gone), or a lease answered 410, drops them, so a
+// long-lived worker does not accumulate a topology per job it ever
+// leased.
 func TestWorkerEvictsFinishedJobs(t *testing.T) {
-	ts, _ := newTestServer(t, jobs.Config{Workers: 1})
-	resp, err := http.Post(ts.URL+"/v1/jobs?sharded=1&lease_points=2", "application/json", strings.NewReader(gridDoc))
-	if err != nil {
-		t.Fatal(err)
+	ts, mgr := newTestServer(t, jobs.Config{Workers: 1})
+	submit := func() jobs.Status {
+		resp, err := http.Post(ts.URL+"/v1/jobs?sharded=1&lease_points=2", "application/json", strings.NewReader(gridDoc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return decodeStatus(t, resp.Body)
 	}
-	st := decodeStatus(t, resp.Body)
-	resp.Body.Close()
+	st := submit()
 
 	w := newWorker(ts.URL, "w-evict", bftbcast.EngineFast, 1)
+	errs := &syncBuffer{}
+	w.stderr = errs
 	ctx := context.Background()
+	// One pull runs both ranges: the worker stays on the job from lease
+	// to lease, and the lease that ends its run answers 204, not 410.
 	if worked, err := w.pullOnce(ctx); err != nil || !worked {
 		t.Fatalf("first pull: worked=%v err=%v", worked, err)
 	}
-	if w.jobs[st.ID] == nil {
-		t.Fatal("a running job's spec and topology are not cached between its leases")
-	}
-	if worked, err := w.pullOnce(ctx); err != nil || !worked {
-		t.Fatalf("second pull: worked=%v err=%v", worked, err)
-	}
 	waitState(t, ts.URL, st.ID, jobs.StateDone)
+	if w.jobs[st.ID] == nil {
+		t.Fatal("a job's spec and topology are not cached between its leases")
+	}
 	if worked, err := w.pullOnce(ctx); err != nil || worked {
 		t.Fatalf("pull with nothing leasable: worked=%v err=%v", worked, err)
 	}
 	if len(w.jobs) != 0 {
 		t.Fatalf("worker still caches %d job(s) after the coordinator listed them finished", len(w.jobs))
+	}
+
+	// A job cancelled while the worker runs its range: the lookahead
+	// lease answers 410, and that alone evicts it.
+	st = submit()
+	g, err := mgr.Lease(st.ID, "w-evict")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	w.drive(ctx, g)
+	if len(w.jobs) != 0 {
+		t.Fatalf("worker still caches %d job(s) after a lease answered 410", len(w.jobs))
+	}
+	if got := errs.String(); got != "" {
+		t.Fatalf("worker logged errors: %s", got)
+	}
+}
+
+// requestLog records the lease-protocol requests a coordinator serves —
+// job listings, leases and partials — with their answer, in order.
+type requestLog struct {
+	mu   sync.Mutex
+	reqs []string
+}
+
+// wrap returns h logging into l.
+func (l *requestLog) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		h.ServeHTTP(sw, r)
+		kind := ""
+		switch {
+		case r.Method == http.MethodGet && r.URL.Path == "/v1/jobs":
+			kind = "list"
+		case r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/lease"):
+			kind = "lease"
+		case r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/partial"):
+			kind = "partial"
+		default:
+			return
+		}
+		l.mu.Lock()
+		l.reqs = append(l.reqs, fmt.Sprintf("%s %d", kind, sw.code))
+		l.mu.Unlock()
+	})
+}
+
+func (l *requestLog) snapshot() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.reqs)
+}
+
+// statusWriter remembers the status a handler answered.
+type statusWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// Unwrap lets http.ResponseController reach the connection through it.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// partialProxy forwards every request to target and calls hold before
+// forwarding each partial, so a test can delay or stall the worker's
+// posts while its leases go through.
+func partialProxy(t *testing.T, target string, hold func()) *httptest.Server {
+	t.Helper()
+	u, err := url.Parse(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := httputil.NewSingleHostReverseProxy(u)
+	rp.ErrorLog = log.New(io.Discard, "", 0) // a cancelled worker's request is expected
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/partial") {
+			hold()
+		}
+		rp.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// sleepEngine runs the fast engine after a fixed pause, so a one-point
+// range takes a known wall time.
+type sleepEngine struct{ d time.Duration }
+
+func (e sleepEngine) Name() string { return "sleep" }
+
+func (e sleepEngine) Run(ctx context.Context, sc *bftbcast.Scenario) (*bftbcast.Report, error) {
+	select {
+	case <-time.After(e.d):
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return bftbcast.EngineFast.Run(ctx, sc)
+}
+
+// testClock is a manual clock for the coordinator's lease expiry.
+type testClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *testClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *testClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+}
+
+// gridDocSeeds is gridDoc with n seed replicas, so n points.
+func gridDocSeeds(n int) string {
+	return strings.Replace(gridDoc, `"seeds": 4`, fmt.Sprintf(`"seeds": %d`, n), 1)
+}
+
+// submitSharded submits doc as a sharded job of single-point ranges.
+func submitSharded(t *testing.T, base, doc, query string) jobs.Status {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/jobs?sharded=1&lease_points=1"+query, "application/json", strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("sharded submit status = %d", resp.StatusCode)
+	}
+	return decodeStatus(t, resp.Body)
+}
+
+// TestWorkerPipelineRequestCounts pins the worker's wire cost: one list
+// to find the job, then exactly one lease and one partial per range, all
+// in sequence — the lookahead lease goes out with the previous range's
+// partial — and one lease answered 204 that ends the run.
+func TestWorkerPipelineRequestCounts(t *testing.T) {
+	const n = 8
+	reqs := &requestLog{}
+	ts, _ := newLoggedTestServer(t, jobs.Config{Workers: 1}, reqs)
+	st := submitSharded(t, ts.URL, gridDocSeeds(n), "")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errs := &syncBuffer{}
+	workerErr := make(chan error, 1)
+	go func() {
+		workerErr <- runWorker(ctx, io.Discard, errs, ts.URL, "w-count", bftbcast.EngineFast, 1, 5*time.Millisecond)
+	}()
+	waitState(t, ts.URL, st.ID, jobs.StateDone)
+	cancel()
+	if err := <-workerErr; err != nil {
+		t.Fatalf("worker exit: %v", err)
+	}
+	if got := errs.String(); got != "" {
+		t.Fatalf("worker logged errors: %s", got)
+	}
+
+	want := []string{"list 200", "lease 200", "lease 200"}
+	for k := 0; k < n-2; k++ {
+		want = append(want, "partial 200", "lease 200")
+	}
+	want = append(want, "partial 200", "lease 204", "partial 200")
+	got := reqs.snapshot()
+	// What follows the last partial is idle discovery.
+	got = got[:min(len(got), len(want))]
+	if !slices.Equal(got, want) {
+		t.Fatalf("requests for %d ranges:\n%v\nwant\n%v", n, got, want)
+	}
+}
+
+// TestWorkerPipelineOverlapsPartials pins that partials are posted
+// behind the next range: with every partial's reply delayed by D and
+// every range taking D to run, a worker that waits out each reply needs
+// at least N·2D for N ranges; the pipelined one needs about (N+1)·D.
+func TestWorkerPipelineOverlapsPartials(t *testing.T) {
+	const (
+		n = 6
+		d = 100 * time.Millisecond
+	)
+	ts, _ := newTestServer(t, jobs.Config{Workers: 1})
+	proxy := partialProxy(t, ts.URL, func() { time.Sleep(d) })
+	st := submitSharded(t, ts.URL, gridDocSeeds(n), "")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	workerErr := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		workerErr <- runWorker(ctx, io.Discard, io.Discard, proxy.URL, "w-overlap", sleepEngine{d}, 1, 5*time.Millisecond)
+	}()
+	waitState(t, ts.URL, st.ID, jobs.StateDone)
+	elapsed := time.Since(start)
+	cancel()
+	if err := <-workerErr; err != nil {
+		t.Fatalf("worker exit: %v", err)
+	}
+	if serial := n * 2 * d; elapsed > serial*3/4 {
+		t.Fatalf("%d ranges took %v; a worker that waits out every partial needs %v", n, elapsed, serial)
+	}
+}
+
+// TestWorkerShutdownWithQueuedGrant cancels a worker while its partial
+// is in flight and it holds the grant after it: runWorker waits for the
+// post, returns nil and leaks no goroutine; the grant it abandoned
+// expires on the coordinator's clock and re-issues to a second worker,
+// and the job ends on the unsharded run's aggregate bytes.
+func TestWorkerShutdownWithQueuedGrant(t *testing.T) {
+	const n = 8
+	doc := gridDocSeeds(n)
+	clock := &testClock{now: time.Unix(1_700_000_000, 0)}
+	reqs := &requestLog{}
+	ts, mgr := newLoggedTestServer(t, jobs.Config{Workers: 2, Now: clock.Now}, reqs)
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	control := decodeStatus(t, resp.Body)
+	resp.Body.Close()
+	waitState(t, ts.URL, control.ID, jobs.StateDone)
+	want := getAggregate(t, ts.URL, control.ID)
+	st := submitSharded(t, ts.URL, doc, "&lease_ttl=10s")
+
+	held, hold := make(chan struct{}), make(chan struct{})
+	var posts atomic.Int32
+	proxy := partialProxy(t, ts.URL, func() {
+		if posts.Add(1) == 1 {
+			close(held)
+		}
+		<-hold
+	})
+	// Registered after the proxy, so a failing test unblocks it before
+	// the proxy's Close waits for its requests.
+	release := sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release)
+	http.DefaultClient.CloseIdleConnections()
+	before := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	workerErr := make(chan error, 1)
+	go func() {
+		workerErr <- runWorker(ctx, io.Discard, io.Discard, proxy.URL, "w-stop", bftbcast.EngineFast, 1, 5*time.Millisecond)
+	}()
+	// The first partial is in flight, and the worker already holds the
+	// grant of the range after it.
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the worker never posted a partial")
+	}
+	cancel()
+	select {
+	case err := <-workerErr:
+		t.Fatalf("runWorker returned %v with its partial still in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	select {
+	case err := <-workerErr:
+		if err != nil {
+			t.Fatalf("worker exit: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("runWorker did not return after its partial went through")
+	}
+	if got := posts.Load(); got != 1 {
+		t.Fatalf("the cancelled worker posted %d partials, want the one in flight", got)
+	}
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// A second worker runs every open range, then finds the abandoned
+	// one still leased until the clock passes its deadline.
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	worker2Err := make(chan error, 1)
+	go func() {
+		worker2Err <- runWorker(ctx2, io.Discard, io.Discard, ts.URL, "w-next", bftbcast.EngineFast, 1, 5*time.Millisecond)
+	}()
+	deadline = time.Now().Add(30 * time.Second)
+	for !slices.Contains(reqs.snapshot(), "lease 204") {
+		if time.Now().After(deadline) {
+			t.Fatal("the second worker never ran out of open ranges")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	job, err := mgr.Get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := job.Status().State; got != jobs.StateRunning {
+		t.Fatalf("job %s before the abandoned lease expired, want running", got)
+	}
+	clock.Advance(time.Minute)
+	waitState(t, ts.URL, st.ID, jobs.StateDone)
+	cancel2()
+	if err := <-worker2Err; err != nil {
+		t.Fatalf("second worker exit: %v", err)
+	}
+	if got := getAggregate(t, ts.URL, st.ID); !bytes.Equal(got, want) {
+		t.Fatalf("aggregate after the re-issue diverged:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// countingFlusher counts flushes.
+type countingFlusher struct{ n atomic.Int32 }
+
+func (f *countingFlusher) Flush() { f.n.Add(1) }
+
+// TestResultsFlushPerDrainedBatch pins the results stream's flush rule:
+// records already queued go out in one flush, not one each, while a lone
+// record is flushed before the stream waits for the next.
+func TestResultsFlushPerDrainedBatch(t *testing.T) {
+	points := make(chan jobs.PointRecord, 256)
+	for i := 0; i < 100; i++ {
+		points <- jobs.PointRecord{Index: i}
+	}
+	close(points)
+	var out bytes.Buffer
+	f := &countingFlusher{}
+	if !streamPoints(&out, f, points, nil) {
+		t.Fatal("stream of a closed channel did not report its end")
+	}
+	if lines := bytes.Count(out.Bytes(), []byte("\n")); lines != 100 {
+		t.Fatalf("%d lines for 100 records", lines)
+	}
+	if got := f.n.Load(); got >= 100 {
+		t.Fatalf("100 queued records took %d flushes", got)
+	}
+
+	points = make(chan jobs.PointRecord, 1)
+	points <- jobs.PointRecord{Index: 7}
+	lone := &syncBuffer{}
+	f = &countingFlusher{}
+	done := make(chan struct{})
+	ended := make(chan bool, 1)
+	go func() { ended <- streamPoints(lone, f, points, done) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for f.n.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("a lone record was never flushed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !strings.Contains(lone.String(), `"index":7`) {
+		t.Fatalf("flushed before writing the record: %q", lone.String())
+	}
+	close(done)
+	if <-ended {
+		t.Fatal("a stream cut off by its request reported its end")
 	}
 }
 

@@ -15,18 +15,23 @@ import (
 	"bftbcast/internal/jobs"
 )
 
-// worker is the pull half of the lease protocol: it polls one
-// coordinator for sharded running jobs, runs granted ranges on the local
-// engine and posts the partials back. Specs and compiled topologies
-// are cached per job for as long as the coordinator lists the job as
-// leasable, so consecutive leases of one grid share a plan.
+// worker is the pull half of the lease protocol. It finds a sharded
+// running job on one coordinator and then works through that job's
+// ranges back to back: it always holds the grant for its next range, and
+// while one range runs it posts the previous range's partial and leases
+// the range after in the background. Specs and compiled topologies are
+// cached per job until the coordinator says the job is over, so
+// consecutive leases of one grid share a plan.
 type worker struct {
 	base    string // coordinator URL, no trailing slash
 	id      string
 	eng     bftbcast.Engine
 	workers int
 	client  *http.Client
-	jobs    map[string]*workerJob
+	stderr  io.Writer // where failed requests and ranges are logged
+	// jobs is touched only by the goroutine running the worker loop,
+	// never by the background post+lease.
+	jobs map[string]*workerJob
 }
 
 type workerJob struct {
@@ -49,17 +54,19 @@ func newWorker(coordinator, id string, eng bftbcast.Engine, workers int) *worker
 		eng:     eng,
 		workers: workers,
 		client:  &http.Client{Timeout: requestTimeout},
+		stderr:  io.Discard,
 		jobs:    make(map[string]*workerJob),
 	}
 }
 
-// runWorker is the loop behind `bftsimd -worker`: pull, run, post,
-// sleep when idle. It returns nil when ctx fires (a clean SIGTERM
-// exit) — a lease abandoned mid-range simply expires at the
-// coordinator and re-issues, which is safe because every point is
+// runWorker is the loop behind `bftsimd -worker`: find a job, run its
+// ranges, sleep when no job has one open. It returns nil when ctx fires
+// (a clean SIGTERM exit) — the ranges it still holds simply expire at
+// the coordinator and re-issue, which is safe because every point is
 // deterministic and idempotent.
 func runWorker(ctx context.Context, stdout, stderr io.Writer, coordinator, id string, eng bftbcast.Engine, workers int, poll time.Duration) error {
 	w := newWorker(coordinator, id, eng, workers)
+	w.stderr = stderr
 	fmt.Fprintf(stdout, "bftsimd worker %s pulling from %s\n", id, w.base)
 	for {
 		worked, err := w.pullOnce(ctx)
@@ -67,9 +74,7 @@ func runWorker(ctx context.Context, stdout, stderr io.Writer, coordinator, id st
 			fmt.Fprintf(stdout, "bftsimd worker %s draining\n", id)
 			return nil
 		}
-		if err != nil {
-			fmt.Fprintf(stderr, "bftsimd worker: %v\n", err)
-		}
+		w.log(err)
 		if !worked {
 			select {
 			case <-ctx.Done():
@@ -81,9 +86,16 @@ func runWorker(ctx context.Context, stdout, stderr io.Writer, coordinator, id st
 	}
 }
 
-// pullOnce tries to lease and execute one range from any sharded
-// running job; it reports whether it did work (the caller sleeps
-// otherwise).
+func (w *worker) log(err error) {
+	if err != nil {
+		fmt.Fprintf(w.stderr, "bftsimd worker: %v\n", err)
+	}
+}
+
+// pullOnce lists the coordinator's jobs, leases a range from the first
+// sharded running one and runs that job's ranges until no grant is left
+// for this worker; it reports whether it ran any (the caller sleeps
+// otherwise). This is the only place the worker lists jobs.
 func (w *worker) pullOnce(ctx context.Context) (bool, error) {
 	var list []jobs.Status
 	if err := w.getJSON(ctx, "/v1/jobs", &list); err != nil {
@@ -101,55 +113,118 @@ func (w *worker) pullOnce(ctx context.Context) (bool, error) {
 		if !leasable(st) {
 			continue
 		}
-		grant, ok, err := w.lease(ctx, st.ID)
+		grant, code, err := w.lease(ctx, st.ID)
 		if err != nil {
 			return false, err
 		}
-		if !ok {
-			continue
+		if code == http.StatusOK {
+			w.drive(ctx, grant)
+			return true, nil
 		}
-		return true, w.execute(ctx, grant)
 	}
 	return false, nil
 }
 
-// lease asks the coordinator for a range of one job. The no-work
-// answers (204 empty, 410 finished, 409/503 not leasable now) are not
-// errors — the worker just moves on.
-func (w *worker) lease(ctx context.Context, jobID string) (jobs.LeaseGrant, bool, error) {
+// ahead is what the background half of drive brings back: the outcome
+// of posting the previous range's partial, then of leasing the next
+// range. code is the lease's HTTP status, 0 when none was sent.
+type ahead struct {
+	postErr  error
+	grant    jobs.LeaseGrant
+	code     int
+	leaseErr error
+}
+
+// drive runs one job's ranges back to back, starting with g. While a
+// range runs, a single background goroutine posts the partial of the
+// range before it and then leases a range to run next, so the worker
+// waits on the wire only when the coordinator is slower than a range;
+// there is never more than one such goroutine, and posts go out in range
+// order. drive returns — to discovery — once a lease brings back no
+// grant (204, 410, 409, 503 or an error), after posting the range in
+// hand. A failed range is posted at once and stops the lookahead: the
+// coordinator fails the job on it. When ctx fires, drive waits for the
+// request in flight and abandons the grant it holds.
+func (w *worker) drive(ctx context.Context, g jobs.LeaseGrant) {
+	next := w.postThenLease(ctx, g.JobID, nil)
+	for {
+		p, err := w.execute(ctx, g)
+		a := <-next
+		if ctx.Err() != nil {
+			return
+		}
+		w.log(a.postErr)
+		w.log(a.leaseErr)
+		if a.code == http.StatusGone {
+			delete(w.jobs, g.JobID)
+		}
+		if err != nil {
+			// The range never ran; its lease expires and re-issues.
+			w.log(err)
+			return
+		}
+		if p.Err != "" || a.code != http.StatusOK {
+			w.log(w.postPartial(ctx, g.JobID, p))
+			return
+		}
+		g = a.grant
+		next = w.postThenLease(ctx, g.JobID, &p)
+	}
+}
+
+// postThenLease starts the background half of drive: post p (when not
+// nil), then — unless ctx has fired — lease the job's next range. It
+// touches no worker state but the HTTP client.
+func (w *worker) postThenLease(ctx context.Context, jobID string, p *jobs.Partial) <-chan ahead {
+	out := make(chan ahead, 1)
+	go func() {
+		var a ahead
+		if p != nil {
+			a.postErr = w.postPartial(ctx, jobID, *p)
+		}
+		if ctx.Err() == nil {
+			a.grant, a.code, a.leaseErr = w.lease(ctx, jobID)
+		}
+		out <- a
+	}()
+	return out
+}
+
+// lease asks the coordinator for a range of one job and answers the HTTP
+// status. The no-work answers (204 empty, 410 finished, 409/503 not
+// leasable now) are not errors — the worker just moves on.
+func (w *worker) lease(ctx context.Context, jobID string) (jobs.LeaseGrant, int, error) {
 	body, err := json.Marshal(map[string]string{"worker": w.id})
 	if err != nil {
-		return jobs.LeaseGrant{}, false, err
+		return jobs.LeaseGrant{}, 0, err
 	}
 	var grant jobs.LeaseGrant
 	code, err := w.post(ctx, "/v1/jobs/"+jobID+"/lease", body, &grant)
 	if err != nil {
-		return grant, false, err
+		return grant, 0, err
 	}
 	switch code {
-	case http.StatusOK:
-		return grant, true, nil
-	case http.StatusNoContent, http.StatusGone, http.StatusConflict, http.StatusServiceUnavailable:
-		return grant, false, nil
+	case http.StatusOK, http.StatusNoContent, http.StatusGone, http.StatusConflict, http.StatusServiceUnavailable:
+		return grant, code, nil
 	default:
-		return grant, false, fmt.Errorf("lease %s: HTTP %d", jobID, code)
+		return grant, code, fmt.Errorf("lease %s: HTTP %d", jobID, code)
 	}
 }
 
-// execute runs one granted range and posts the partial. A point error
-// is reported to the coordinator (which fails the job — the error is
-// deterministic, every worker would hit it); a shutdown mid-range
-// abandons the lease instead.
-func (w *worker) execute(ctx context.Context, g jobs.LeaseGrant) error {
+// execute runs one granted range into its partial. A point error goes
+// into the partial (the coordinator fails the job — the error is
+// deterministic, every worker would hit it); a shutdown mid-range or a
+// spec this worker cannot build is an error, and the lease is abandoned.
+func (w *worker) execute(ctx context.Context, g jobs.LeaseGrant) (jobs.Partial, error) {
 	wj := w.jobs[g.JobID]
 	if wj == nil {
 		spec, err := bftbcast.DecodeGridSpec(g.Spec)
 		if err != nil {
-			return fmt.Errorf("lease %s spec: %w", g.LeaseID, err)
+			return jobs.Partial{}, fmt.Errorf("lease %s spec: %w", g.LeaseID, err)
 		}
 		tp, err := bftbcast.NewTopology(spec.Base.Topology)
 		if err != nil {
-			return fmt.Errorf("lease %s topology: %w", g.LeaseID, err)
+			return jobs.Partial{}, fmt.Errorf("lease %s topology: %w", g.LeaseID, err)
 		}
 		wj = &workerJob{spec: spec, tp: tp}
 		w.jobs[g.JobID] = wj
@@ -158,18 +233,20 @@ func (w *worker) execute(ctx context.Context, g jobs.LeaseGrant) error {
 	p := jobs.Partial{LeaseID: g.LeaseID, Worker: w.id, Lo: g.Lo, Hi: g.Hi}
 	if err != nil {
 		if ctx.Err() != nil {
-			return err
+			return p, err
 		}
 		p.Err = err.Error()
 	} else {
 		p.Points = recs
 	}
-	return w.postPartial(ctx, g.JobID, p)
+	return p, nil
 }
 
 // postPartial delivers a completed range, retrying transient failures;
 // a partial it cannot deliver is abandoned (the lease expires and the
-// range re-issues).
+// range re-issues). A request already sent is not cut short by ctx —
+// the range is computed, so a shutdown waits for it, bounded by
+// requestTimeout — but no retry starts after ctx fires.
 func (w *worker) postPartial(ctx context.Context, jobID string, p jobs.Partial) error {
 	body, err := json.Marshal(p)
 	if err != nil {
@@ -184,7 +261,7 @@ func (w *worker) postPartial(ctx context.Context, jobID string, p jobs.Partial) 
 			case <-time.After(time.Duration(attempt) * 500 * time.Millisecond):
 			}
 		}
-		code, err := w.post(ctx, "/v1/jobs/"+jobID+"/partial", body, nil)
+		code, err := w.post(context.WithoutCancel(ctx), "/v1/jobs/"+jobID+"/partial", body, nil)
 		if err != nil {
 			last = err
 			continue

@@ -184,9 +184,10 @@ func (j *Job) AggregateJSON() ([]byte, error) {
 	return json.Marshal(j.agg)
 }
 
-// Wait blocks until the job reaches a terminal state (or ctx fires)
-// and returns the job's error, if any. A job parked by a daemon drain
-// is not terminal — it stays queued for the next process.
+// Wait blocks until the job reaches a terminal state and its terminal
+// checkpoint write has been attempted (or ctx fires), and returns the
+// job's error, if any. A job parked by a daemon drain is not terminal —
+// it stays queued for the next process.
 func (j *Job) Wait(ctx context.Context) error {
 	select {
 	case <-j.finished:

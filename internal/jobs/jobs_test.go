@@ -295,6 +295,46 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWaitSeesTerminalCheckpoint pins that Wait returns only after the
+// terminal record was written: a caller that reads <id>.json as soon as
+// Wait returns finds the finished state and the whole aggregate, not a
+// mid-run record.
+func TestWaitSeesTerminalCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(Config{Dir: dir, Workers: 2, CheckpointEvery: 1, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, m)
+	for i := 0; i < 24; i++ {
+		job, err := m.Submit(smallGrid(uint64(300+i), 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := job.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		cps, err := readCheckpoints(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, cp := range cps {
+			if cp.ID != job.ID() {
+				continue
+			}
+			found = true
+			if cp.State != StateDone || cp.Aggregate.Done != 16 {
+				t.Fatalf("job %d: Wait returned with state %q done %d on disk, want the terminal record",
+					i, cp.State, cp.Aggregate.Done)
+			}
+		}
+		if !found {
+			t.Fatalf("job %d: no checkpoint on disk after Wait", i)
+		}
+	}
+}
+
 // TestCrashResumeByteIdentical is the resume satellite: a daemon
 // killed mid-job (drain after K checkpointed points) and restarted on
 // the same checkpoint directory finishes the job without recomputing

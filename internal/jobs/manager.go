@@ -487,9 +487,10 @@ func (m *Manager) Close(ctx context.Context) error {
 }
 
 // finishJob moves a job to a terminal state, ends its live tails, stops
-// its in-process ranges, takes it off the live list and checkpoints the
-// final record. Idempotent: a final-range fold can race Cancel, and only
-// the first finisher wins.
+// its in-process ranges, takes it off the live list, checkpoints the
+// final record and only then releases Wait, so a waiter finds the
+// terminal record on disk. Idempotent: a final-range fold can race
+// Cancel, and only the first finisher wins.
 func (m *Manager) finishJob(job *Job, state State, runErr error) {
 	job.mu.Lock()
 	if job.state.Terminal() {
@@ -502,7 +503,6 @@ func (m *Manager) finishJob(job *Job, state State, runErr error) {
 		job.errMsg = runErr.Error()
 	}
 	job.stopServingLocked()
-	close(job.finished)
 	job.mu.Unlock()
 	job.cancel()
 
@@ -514,8 +514,10 @@ func (m *Manager) finishJob(job *Job, state State, runErr error) {
 	m.wake.Broadcast()
 	m.mu.Unlock()
 	// The terminal checkpoint is best-effort: the in-memory state is
-	// already final, and a write failure here must not wedge the job.
+	// already final, and a write failure here must not wedge the job or
+	// its waiters.
 	_ = m.checkpointJob(job)
+	close(job.finished)
 }
 
 // parkJob returns a drain-interrupted job to the queued state on disk

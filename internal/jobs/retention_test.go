@@ -117,9 +117,6 @@ func TestCheckpointIntervalCoalescing(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitErr := job.Wait(context.Background())
-		// Wait returns when the job turns terminal, which is before its
-		// terminal checkpoint is written; Close joins the executor that
-		// writes it, so the count below includes it.
 		mustClose(t, m)
 		if waitErr != nil {
 			t.Fatal(waitErr)

@@ -3,10 +3,11 @@
 # real socket: boot it on a free port, submit a grid job over HTTP,
 # stream its NDJSON results to the summary line, cancel a second
 # long-running job, shard a grid across two separate pull-worker
-# processes (killing one mid-grid to force a lease re-issue) and require
-# the sharded aggregate to be byte-identical to the single-daemon run,
-# then SIGTERM the daemon and require a clean drain (exit 0, drain
-# notice in the log). The CI daemon-smoke job runs this; it needs only
+# processes (killing one mid-grid to force its leases — up to two, the
+# range it runs and the one it holds next — to re-issue), require the
+# sharded aggregate to be byte-identical to the single-daemon run and
+# the surviving worker to have logged no partial error, then SIGTERM the
+# daemon and require a clean drain (exit 0, drain notice in the log). The CI daemon-smoke job runs this; it needs only
 # sh, curl, cmp and the go toolchain.
 set -eu
 
@@ -131,7 +132,8 @@ W1=$!
 W2=$!
 
 # Kill worker 1 as soon as the grid has made progress but is not done:
-# whatever lease it holds is abandoned and must re-issue after its 2s
+# the leases it holds (the range it runs and, with its one range of
+# lookahead, the next) are abandoned and must re-issue after their 2s
 # TTL for the job to ever finish.
 i=0
 while [ $i -lt 600 ]; do
@@ -162,6 +164,13 @@ cmp -s "$DIR/control.json" "$DIR/sharded.json" || {
   diff "$DIR/control.json" "$DIR/sharded.json" >&2 || true
   exit 1
 }
+# Every partial the surviving worker posted, in the background or not,
+# was taken: a rejected or undeliverable one is logged as "partial ...".
+if grep -q "partial" "$DIR/w2.log"; then
+  echo "smoke_bftsimd: the surviving worker logged partial errors" >&2
+  cat "$DIR/w2.log" >&2
+  exit 1
+fi
 
 # The surviving worker drains cleanly on SIGTERM.
 kill -TERM "$W2"
