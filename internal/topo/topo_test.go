@@ -149,6 +149,20 @@ func TestFactory(t *testing.T) {
 	if _, err := topo.New(topo.Spec{Kind: "klein-bottle", W: 10, H: 10, R: 1}); err == nil {
 		t.Fatal("unknown kind must fail")
 	}
+	// Grids too large to compile are refused before anything is built:
+	// by node count, and by adjacency entries at a legal node count.
+	for _, s := range []topo.Spec{
+		{Kind: "torus", W: 3000000, H: 3000000, R: 1},
+		{Kind: "grid", W: 2048, H: 1024, R: 1},
+		{Kind: "torus", W: 1020, H: 1020, R: 127},
+	} {
+		if _, err := topo.New(s); err == nil {
+			t.Errorf("New(%+v) accepted an oversized grid", s)
+		}
+	}
+	if _, err := topo.New(topo.Spec{Kind: "torus", W: 1020, H: 1020, R: 2}); err != nil {
+		t.Errorf("a 2^20-scale torus at r = 2 must stay admitted: %v", err)
+	}
 	if _, err := topo.NewBounded(4, 20, 2); err == nil {
 		t.Fatal("bounded grid smaller than 2r+1 must fail")
 	}

@@ -253,11 +253,25 @@ func (g *GridSpec) Encode() ([]byte, error) {
 	return json.Marshal(g)
 }
 
-// NPoints returns the number of points the grid expands to.
+// maxGridPoints bounds the points one grid document may expand to. Every
+// point is folded by a job and replica seeds are drawn one by one, so the
+// bound keeps a ~100-byte body from asking for unbounded work; it is far
+// above any grid the repository submits (4 096 points).
+const maxGridPoints = 1 << 24
+
+// NPoints returns the number of points the grid expands to. A grid above
+// maxGridPoints, which Validate refuses, reports maxGridPoints+1, so the
+// count never overflows.
 func (g *GridSpec) NPoints() int {
 	n := g.replicas()
+	if n > maxGridPoints {
+		return maxGridPoints + 1
+	}
 	for _, axis := range []int{len(g.T), len(g.MF), len(g.Density), len(g.Broadcasts)} {
 		if axis > 0 {
+			if n > maxGridPoints/axis {
+				return maxGridPoints + 1
+			}
 			n *= axis
 		}
 	}
@@ -279,6 +293,9 @@ func (g *GridSpec) replicas() int {
 func (g *GridSpec) Validate() error {
 	if g.Seeds < 0 {
 		return fmt.Errorf("%w: seeds %d must be >= 0", ErrBadSpec, g.Seeds)
+	}
+	if g.NPoints() > maxGridPoints {
+		return fmt.Errorf("%w: the grid expands to more than %d points", ErrBadSpec, maxGridPoints)
 	}
 	tp, err := NewTopology(g.Base.Topology)
 	if err != nil {
@@ -312,19 +329,22 @@ func (g *GridSpec) Scenarios(lo, hi int) ([]*Scenario, error) {
 // range by range) share a single topology and its compiled plan instead
 // of rebuilding both per range. Only the points inside [lo, hi) are
 // built: replica blocks entirely outside the range are skipped without
-// walking their axis combinations, so expanding a narrow window of a
-// huge grid allocates O(hi-lo), not O(NPoints) (replica-seed derivation
-// is O(replicas) cheap RNG draws either way).
+// walking their axis combinations, and replica seeds are drawn only up
+// to the range's last replica, so expanding a window of a huge grid
+// allocates O(hi-lo), not O(NPoints).
 func (g *GridSpec) ScenariosOn(tp Topology, lo, hi int) ([]*Scenario, error) {
 	if g.Seeds < 0 {
 		return nil, fmt.Errorf("%w: seeds %d must be >= 0", ErrBadSpec, g.Seeds)
 	}
 	total := g.NPoints()
+	if total > maxGridPoints {
+		return nil, fmt.Errorf("%w: the grid expands to more than %d points", ErrBadSpec, maxGridPoints)
+	}
 	if lo < 0 || hi > total || lo > hi {
 		return nil, fmt.Errorf("%w: point range [%d,%d) outside grid of %d points", ErrBadSpec, lo, hi, total)
 	}
-	seeds := deriveSeeds(g.Base.Seed, g.replicas())
-	perReplica := total / len(seeds)
+	perReplica := total / g.replicas()
+	seeds := deriveSeeds(g.Base.Seed, (hi+perReplica-1)/perReplica)
 	out := make([]*Scenario, 0, hi-lo)
 	for ri, seed := range seeds {
 		base := ri * perReplica
@@ -386,10 +406,11 @@ func (g *GridSpec) forEachCombo(fn func(t, mf int, density float64, broadcasts i
 	return nil
 }
 
-// deriveSeeds expands a base seed into n replica seeds: replica 0 is
-// the base itself, later replicas are drawn from the repository's
-// deterministic RNG seeded with the base. Derivation depends only on
-// (base, n), so a re-expanded grid reproduces its points exactly.
+// deriveSeeds expands a base seed into the first n replica seeds:
+// replica 0 is the base itself, later replicas are drawn in order from
+// the repository's deterministic RNG seeded with the base. Replica i's
+// seed depends only on (base, i), so a re-expanded grid — or a prefix of
+// it — reproduces its points exactly.
 func deriveSeeds(base uint64, n int) []uint64 {
 	out := make([]uint64, n)
 	if n == 0 {

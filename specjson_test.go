@@ -48,6 +48,11 @@ func TestGridSpecDecodeValidate(t *testing.T) {
 		{"reactive t axis above the certified-propagation threshold", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "mf": 2, "protocol": "reactive"}, "t": [1, 2, 3, 4, 5]}`, bftbcast.ErrBadParams},
 		{"reactive mmax below mf", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "t": 1, "mf": 100, "mmax": 10, "protocol": "reactive"}}`, bftbcast.ErrBadParams},
 		{"reactive negative payload", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "t": 1, "mf": 2, "payload_bits": -3, "protocol": "reactive"}}`, bftbcast.ErrBadParams},
+		// Small bodies that used to be accepted and then exhausted the
+		// daemon's memory at the first range: the torus in its adjacency,
+		// the seeds in the replica-seed slice.
+		{"torus beyond the node bound", `{"base": {"topology": {"Kind": "torus", "W": 3000000, "H": 3000000, "R": 1}, "t": 1, "mf": 1}}`, bftbcast.ErrBadSpec},
+		{"seeds beyond the point bound", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "t": 1, "mf": 1}, "seeds": 100000000000}`, bftbcast.ErrBadSpec},
 	}
 	for _, tc := range bad {
 		_, err := bftbcast.DecodeGridSpec([]byte(tc.doc))
