@@ -2,10 +2,13 @@ package adversary
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"bftbcast/internal/grid"
+	"bftbcast/internal/stats"
+	"bftbcast/internal/topo"
 )
 
 func TestNonePlacement(t *testing.T) {
@@ -277,5 +280,44 @@ func TestValidateDetectsViolations(t *testing.T) {
 	}
 	if _, err := Validate(tor, bad, tor.ID(4, 4), 2); !errors.Is(err, ErrHitsSource) {
 		t.Fatal("bad source not detected")
+	}
+}
+
+// TestValidateMatchesMaxWindowCount pins Validate's bad-side count to
+// topo.MaxWindowCount's per-node scan on random markings of a torus, a
+// bounded grid and an RGG: the same maximum, and a refusal with the same
+// text exactly when the maximum exceeds t.
+func TestValidateMatchesMaxWindowCount(t *testing.T) {
+	rgg, err := topo.NewConnectedRGG(400, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(17)
+	for _, tp := range []topo.Topology{grid.MustNew(15, 15, 2), topo.MustNewBounded(13, 9, 2), rgg} {
+		for trial := 0; trial < 50; trial++ {
+			density := rng.Float64() * 0.3
+			bad := make([]bool, tp.Size())
+			for i := range bad {
+				bad[i] = rng.Bernoulli(density)
+			}
+			source := grid.NodeID(rng.Intn(tp.Size()))
+			bad[source] = false
+			want, err := topo.MaxWindowCount(tp, bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Validate(tp, bad, source, want)
+			if err != nil || got != want {
+				t.Fatalf("%v trial %d: Validate = %d, %v; MaxWindowCount = %d", tp, trial, got, err, want)
+			}
+			if want == 0 {
+				continue
+			}
+			got, err = Validate(tp, bad, source, want-1)
+			wantErr := fmt.Sprintf("adversary: placement has %d bad nodes in some neighborhood, bound is %d", want, want-1)
+			if got != want || err == nil || err.Error() != wantErr {
+				t.Fatalf("%v trial %d: Validate at t=%d = %d, %v; want %d, %q", tp, trial, want-1, got, err, want, wantErr)
+			}
+		}
 	}
 }

@@ -54,19 +54,17 @@ func (cw *Codeword) drawPatterns(rng *stats.RNG) {
 
 // drawPattern is the one pattern-draw kernel: sub[at, at+l) becomes a
 // uniformly random non-zero pattern, redrawn whole while all-zero. The
-// stream invariant every caller relies on is one rng.Uint64() per
-// sub-bit, its low bit the signal, sub-bit j before sub-bit j+1. Up to 64
-// sub-bits accumulate in a register and overwrite sub[at+j, …) in one
+// stream invariant every caller relies on is one generator step per
+// sub-bit, its low bit the signal, sub-bit j before sub-bit j+1 — what
+// one rng.Uint64() per sub-bit would give. Each chunk of up to 64
+// sub-bits is one rng.LowBits call and overwrites sub[at+j, …) in one
 // masked write.
 func drawPattern(rng *stats.RNG, l int, sub BitString, at int) {
 	for {
 		var signal uint64
 		for j := 0; j < l; j += 64 {
 			n := min(64, l-j)
-			var p uint64
-			for k := 0; k < n; k++ {
-				p |= (rng.Uint64() & 1) << uint(k)
-			}
+			p := rng.LowBits(n)
 			sub.storeBits(at+j, n, p)
 			signal |= p
 		}

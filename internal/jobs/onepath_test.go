@@ -285,6 +285,30 @@ func TestLegacyCheckpointsReopen(t *testing.T) {
 	})
 }
 
+// TestOpenRefusesInconsistentSketch pins that a checkpoint whose
+// slots-to-decide sketch claims counts its buckets do not hold is refused
+// when the directory is opened, instead of serving a quantile from past
+// the sketch's last bucket.
+func TestOpenRefusesInconsistentSketch(t *testing.T) {
+	dir, id := installFixture(t, "legacy_fifo_done.json")
+	path := checkpointPath(dir, id)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Replace(data, []byte(`"buckets":[[94,4]]`), []byte(`"buckets":[]`), 1)
+	if bytes.Equal(bad, data) {
+		t.Fatal("fixture no longer holds the sketch the test edits")
+	}
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := Open(Config{Dir: dir}); err == nil {
+		mustClose(t, m)
+		t.Fatal("a sketch with count 4 and no buckets was accepted")
+	}
+}
+
 // TestStoppedJobsReleaseRangeState pins that a job which stopped serving
 // leases — finished, or parked by a drain — no longer holds its compiled
 // topology, reorder buffer or lease table: a terminal record is retained

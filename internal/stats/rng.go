@@ -54,21 +54,48 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
+// LowBits returns the low bits of the next n Uint64 draws, draw k in bit
+// k, for 0 <= n <= 64, and leaves the generator exactly where n Uint64
+// calls would. It is Uint64's step with the state held in locals and
+// written back once: Uint64 is too large to inline, so a caller that
+// wants one bit per draw would otherwise pay a call per bit.
+func (r *RNG) LowBits(n int) uint64 {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var out uint64
+	for k := 0; k < n; k++ {
+		// Bit 0 of rotl(s1*5, 7)*9 is bit 57 of s1*5 (9 is odd). It
+		// enters at the top and is shifted down by later draws, so draw
+		// k ends in bit 64-n+k before the final shift.
+		out = out>>1 | s1*5>>57<<63
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return out >> uint(64-n)
+}
+
 // Intn returns a uniform integer in [0, n). It panics if n <= 0, mirroring
 // math/rand; callers validate n at configuration time.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("stats: Intn with non-positive n")
 	}
-	// Lemire's nearly-divisionless bounded sampling would be overkill
-	// here; simple modulo bias is negligible for the n (< 2^32) we use,
-	// but we still reject to keep draws exactly uniform.
+	// Draws below 2^64 mod n are rejected, which keeps the result exactly
+	// uniform. That threshold is itself below n, so it is computed (a
+	// second division) only for a draw below n, where v % n is v.
 	bound := uint64(n)
-	threshold := -bound % bound
 	for {
 		v := r.Uint64()
-		if v >= threshold {
+		if v >= bound {
 			return int(v % bound)
+		}
+		if v >= -bound%bound {
+			return int(v)
 		}
 	}
 }

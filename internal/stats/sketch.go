@@ -169,7 +169,10 @@ func (s *QSketch) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON implements json.Unmarshaler. The document's geometry
 // must match the package's fixed alpha: a sketch checkpointed by a
-// build with a different geometry cannot be resumed silently.
+// build with a different geometry cannot be resumed silently. The
+// counts must be what MarshalJSON writes: non-negative, the buckets
+// non-empty at strictly ascending indices, and count = zero + Σ buckets,
+// so a decoded sketch answers every quantile from its buckets.
 func (s *QSketch) UnmarshalJSON(data []byte) error {
 	var doc qsketchJSON
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -178,14 +181,27 @@ func (s *QSketch) UnmarshalJSON(data []byte) error {
 	if doc.Alpha != qsketchAlpha {
 		return fmt.Errorf("stats: QSketch alpha %g does not match this build's %g", doc.Alpha, qsketchAlpha)
 	}
+	if doc.Count < 0 || doc.Zero < 0 || doc.Zero > doc.Count {
+		return fmt.Errorf("stats: QSketch zero count %d not in [0, count %d]", doc.Zero, doc.Count)
+	}
 	fresh := NewQSketch()
 	fresh.count, fresh.zero = doc.Count, doc.Zero
+	sum, prev := doc.Zero, int64(-1)
 	for _, b := range doc.Buckets {
-		i := b[0]
-		if i < 0 || i >= int64(len(fresh.buckets)) {
-			return fmt.Errorf("stats: QSketch bucket index %d out of range [0, %d)", i, len(fresh.buckets))
+		i, c := b[0], b[1]
+		if i <= prev || i >= int64(len(fresh.buckets)) {
+			return fmt.Errorf("stats: QSketch bucket index %d not ascending in [0, %d)", i, len(fresh.buckets))
 		}
-		fresh.buckets[i] = b[1]
+		// sum <= count holds here, so the comparison cannot overflow.
+		if c <= 0 || c > doc.Count-sum {
+			return fmt.Errorf("stats: QSketch bucket %d count %d is not positive or exceeds count %d", i, c, doc.Count)
+		}
+		fresh.buckets[i] = c
+		sum += c
+		prev = i
+	}
+	if sum != doc.Count {
+		return fmt.Errorf("stats: QSketch count %d does not equal zero + buckets = %d", doc.Count, sum)
 	}
 	*s = *fresh
 	return nil

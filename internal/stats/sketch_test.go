@@ -120,3 +120,63 @@ func TestQSketchEmpty(t *testing.T) {
 		t.Fatalf("empty quantile = %g, want NaN", got)
 	}
 }
+
+// TestQSketchUnmarshalRejects lists documents the checkpoint decoder
+// must refuse. The first three used to decode: a count with no buckets
+// behind it (Quantile then fell through its bucket loop), negative
+// counts, and a duplicate bucket index that re-encoded as one bucket.
+func TestQSketchUnmarshalRejects(t *testing.T) {
+	for _, doc := range []string{
+		`{"alpha":0.025,"count":5,"zero":0,"buckets":[]}`,
+		`{"alpha":0.025,"count":-3,"zero":-1,"buckets":[[3,-2]]}`,
+		`{"alpha":0.025,"count":2,"zero":0,"buckets":[[7,1],[7,1]]}`,
+		`{"alpha":0.025,"count":2,"zero":0,"buckets":[[8,1],[7,1]]}`,
+		`{"alpha":0.025,"count":1,"zero":0,"buckets":[[512,1]]}`,
+		`{"alpha":0.025,"count":1,"zero":0,"buckets":[[-1,1]]}`,
+		`{"alpha":0.025,"count":1,"zero":0,"buckets":[[3,0],[4,1]]}`,
+		`{"alpha":0.025,"count":1,"zero":2,"buckets":[]}`,
+		`{"alpha":0.025,"count":3,"zero":1,"buckets":[[4,1]]}`,
+		`{"alpha":0.025,"count":9223372036854775807,"zero":1,"buckets":[[4,9223372036854775807]]}`,
+	} {
+		var s QSketch
+		if err := json.Unmarshal([]byte(doc), &s); err == nil {
+			t.Errorf("accepted %s", doc)
+		}
+	}
+}
+
+// FuzzQSketchJSON holds the sketch decoder, which reads every
+// checkpoint's aggregate back, to its contract: an error, or a sketch
+// whose MarshalJSON output decodes again to the same bytes and whose
+// quantiles all come from a bucket. The seed corpus
+// (testdata/fuzz/FuzzQSketchJSON) holds documents that used to be
+// accepted and a sketch marshalled from a real aggregate.
+func FuzzQSketchJSON(f *testing.F) {
+	limit := math.Pow(NewQSketch().gamma, qsketchBuckets)
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		var s QSketch
+		if err := json.Unmarshal(doc, &s); err != nil {
+			return
+		}
+		if s.Count() > 0 {
+			if q := s.Quantile(1); !(q < limit) {
+				t.Fatalf("Quantile(1) = %g, past the last bucket", q)
+			}
+		}
+		enc, err := json.Marshal(&s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back QSketch
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("re-decoding %s: %v", enc, err)
+		}
+		again, err := json.Marshal(&back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, again) {
+			t.Fatalf("re-encoding moved:\n%s\n%s", enc, again)
+		}
+	})
+}

@@ -266,3 +266,71 @@ func TestMeanStderr(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestLowBitsMatchesUint64 pins LowBits to its definition: the low bits
+// of n Uint64 draws, draw k in bit k, leaving the generator where those
+// n calls leave it (checked by one further draw from each).
+func TestLowBitsMatchesUint64(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		for n := 0; n <= 64; n++ {
+			a, b := NewRNG(seed), NewRNG(seed)
+			var want uint64
+			for k := 0; k < n; k++ {
+				want |= (a.Uint64() & 1) << uint(k)
+			}
+			if got := b.LowBits(n); got != want {
+				t.Fatalf("seed %d n %d: LowBits = %#x, want %#x", seed, n, got, want)
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("seed %d n %d: generators diverge after LowBits", seed, n)
+			}
+		}
+	}
+}
+
+// intnTwoDivisions is Intn as it was before it skipped the threshold
+// division: the threshold 2^64 mod n computed up front for every call.
+func intnTwoDivisions(r *RNG, n int) int {
+	bound := uint64(n)
+	threshold := -bound % bound
+	for {
+		v := r.Uint64()
+		if v >= threshold {
+			return int(v % bound)
+		}
+	}
+}
+
+// TestIntnMatchesTwoDivisionForm holds Intn's outputs and stream to the
+// two-division form. The bounds include some with 2^64 mod n near 2^62 or
+// above, so a quarter to a third of their draws is rejected, and small
+// ones, where a draw below n is the rare case.
+func TestIntnMatchesTwoDivisionForm(t *testing.T) {
+	bounds := []uint64{1, 2, 3, 22, 225, 1000, 1 << 32, 1<<32 + 1, 1<<62 + 1, 3 << 61, 1<<64/3 + 1, 1<<63 - 25}
+	for _, b := range bounds {
+		if int(b) <= 0 {
+			continue // not an int on this platform
+		}
+		a, c := NewRNG(b), NewRNG(b)
+		for i := 0; i < 20000; i++ {
+			if got, want := a.Intn(int(b)), intnTwoDivisions(c, int(b)); got != want {
+				t.Fatalf("bound %d draw %d: Intn = %d, want %d", b, i, got, want)
+			}
+		}
+		if a.Uint64() != c.Uint64() {
+			t.Fatalf("bound %d: generators diverge", b)
+		}
+	}
+	// Every bound below 300, a shorter stream each.
+	for n := 1; n < 300; n++ {
+		a, c := NewRNG(uint64(n)), NewRNG(uint64(n))
+		for i := 0; i < 200; i++ {
+			if a.Intn(n) != intnTwoDivisions(c, n) {
+				t.Fatalf("bound %d draw %d differs", n, i)
+			}
+		}
+		if a.Uint64() != c.Uint64() {
+			t.Fatalf("bound %d: generators diverge", n)
+		}
+	}
+}

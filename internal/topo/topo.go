@@ -104,8 +104,9 @@ func WindowCount(t Topology, marked []bool, id NodeID) (int, error) {
 // exposing their adjacency in CSR form (the RGG) are scanned directly
 // over the flat arrays. Both paths — and the generic fallback, which
 // hoists its neighbor callback out of the per-node loop — run without
-// per-node allocation, so placement validation stays off the allocation
-// profile of large-n runs.
+// per-node allocation. Per-run placement validation
+// (adversary.Validate) counts from the bad nodes' side instead; this
+// per-node scan is its reference.
 func MaxWindowCount(t Topology, marked []bool) (int, error) {
 	if fast, ok := t.(interface{ MaxWindowCount([]bool) (int, error) }); ok {
 		return fast.MaxWindowCount(marked)
