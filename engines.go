@@ -69,16 +69,7 @@ func NewEngine(name string) (Engine, error) {
 // Scenario has been validated, so no combination is left to refuse.
 func scenarioMachine(sc *Scenario) protocol.Machine {
 	if sc.Broadcasts > 1 {
-		m := &protocol.Multi{Spec: sc.Spec, M: sc.Broadcasts}
-		if io, ok := sc.Observer.(InstanceObserver); ok {
-			m.OnInstanceDeliver = func(slot, instance int, from, to grid.NodeID, v radio.Value) {
-				io.DeliverInstance(slot, instance, from, to, v)
-			}
-			m.OnInstanceDecide = func(slot, instance int, id grid.NodeID, v radio.Value) {
-				io.DecideInstance(slot, instance, id, v)
-			}
-		}
-		return m
+		return &protocol.Multi{Spec: sc.Spec, M: sc.Broadcasts}
 	}
 	if sc.Protocol != ProtocolReactive {
 		return nil
@@ -100,9 +91,10 @@ func finishReport(rep *Report, machine protocol.Machine) *Report {
 }
 
 // simConfig lowers a Scenario to the engines' config — the one lowering
-// — including the Observer-to-callback bridge and the protocol machine,
-// which it also returns for finishReport (nil for the default
-// single-broadcast threshold protocol).
+// — including the Observer-to-hooks bridge (an InstanceObserver also gets
+// Multi's per-instance events) and the protocol machine, which it also
+// returns for finishReport (nil for the default single-broadcast
+// threshold protocol).
 func simConfig(sc *Scenario) (sim.Config, protocol.Machine) {
 	machine := scenarioMachine(sc)
 	cfg := sim.Config{
@@ -117,12 +109,18 @@ func simConfig(sc *Scenario) (sim.Config, protocol.Machine) {
 		Machine:   machine,
 	}
 	if obs := sc.Observer; obs != nil {
-		cfg.OnSlotStart = obs.SlotStart
-		cfg.OnSend = func(slot int, from grid.NodeID, v radio.Value, adversarial bool) {
-			obs.Send(slot, from, v, adversarial)
+		cfg.Hooks = protocol.Hooks{
+			OnSlotStart: obs.SlotStart,
+			OnSend: func(slot int, from grid.NodeID, v radio.Value, adversarial bool) {
+				obs.Send(slot, from, v, adversarial)
+			},
+			OnDeliver: func(slot int, d radio.Delivery) { obs.Deliver(slot, d.From, d.To, d.Value) },
+			OnAccept:  func(slot int, id grid.NodeID, v radio.Value) { obs.Decide(slot, id, v) },
 		}
-		cfg.OnDeliver = func(slot int, d radio.Delivery) { obs.Deliver(slot, d.From, d.To, d.Value) }
-		cfg.OnAccept = func(slot int, id grid.NodeID, v radio.Value) { obs.Decide(slot, id, v) }
+		if io, ok := obs.(InstanceObserver); ok {
+			cfg.Hooks.OnInstanceDeliver = io.DeliverInstance
+			cfg.Hooks.OnInstanceDecide = io.DecideInstance
+		}
 	}
 	return cfg, machine
 }

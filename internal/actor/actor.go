@@ -11,9 +11,14 @@
 // real channel traffic, the way a deployment harness would.
 //
 // It implements the engines' one contract — sim.Config in, *sim.Result
-// out — for fault-free configs. Adversaries are not supported: the
-// worst-case adversary of package adversary is omniscient and
-// deliberately sequential, which contradicts a concurrent runtime by
+// out — for fault-free configs. The run frame every engine shares
+// (sim.Frame) validates the config, takes the plan, attaches the machine
+// (a Spec runs as protocol.NewThreshold), seeds the budgets, derives the
+// slot cap and classifies the final State; what is the actor's own is the
+// goroutines, the channel protocol, and the budget clamp at scheduling
+// time, since the node goroutines own emission. Adversaries are not
+// supported: the worst-case adversary of package adversary is omniscient
+// and deliberately sequential, which contradicts a concurrent runtime by
 // construction, so a Config with a Placement or Strategy is refused. Use
 // sim.Run for adversarial experiments.
 package actor
@@ -21,11 +26,9 @@ package actor
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 
-	"bftbcast/internal/grid"
-	"bftbcast/internal/plan"
+	"bftbcast/internal/core"
 	"bftbcast/internal/protocol"
 	"bftbcast/internal/radio"
 	"bftbcast/internal/sim"
@@ -84,8 +87,8 @@ func (n *node) run(wg *sync.WaitGroup) {
 }
 
 // Run executes the configured broadcast with one goroutine per node. Spec
-// runs as protocol.NewThreshold(Spec) unless cfg.Machine is set; the
-// callbacks run on the coordinator goroutine, in the order the slot's
+// runs as protocol.NewThreshold(Spec) unless cfg.Machine is set; the hooks
+// run on the coordinator goroutine, in the order the slot's
 // deliveries are handed to the protocol, so observers need no
 // synchronization of their own.
 func Run(cfg sim.Config) (*sim.Result, error) {
@@ -103,46 +106,11 @@ func RunContext(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	if cfg.Placement != nil || cfg.Strategy != nil {
 		return nil, errors.New("actor: the actor engine is fault-free; run adversarial scenarios on the fast or ref engine")
 	}
-	if cfg.Topo == nil {
-		return nil, errors.New("actor: config needs a topology")
-	}
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Machine == nil {
-		if err := cfg.Spec.Validate(); err != nil {
-			return nil, err
-		}
-		cfg.Machine = protocol.NewThreshold(cfg.Spec)
-	}
-	if cfg.Params.R != cfg.Topo.Range() {
-		return nil, fmt.Errorf("actor: params r=%d but topology r=%d", cfg.Params.R, cfg.Topo.Range())
-	}
-	p := plan.For(cfg.Topo)
-	schedule, err := p.TDMA()
-	if err != nil {
+	var f sim.Frame
+	if err := f.Begin(cfg, attachThreshold); err != nil {
 		return nil, err
 	}
 	n := cfg.Topo.Size()
-	if int(cfg.Source) < 0 || int(cfg.Source) >= n {
-		return nil, fmt.Errorf("actor: source %d out of range", cfg.Source)
-	}
-
-	inst, err := cfg.Machine.Attach(protocol.Env{
-		Plan:   p,
-		Params: cfg.Params,
-		Source: cfg.Source,
-		Seed:   cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	st := inst.State()
-	hooks := protocol.Hooks{
-		OnSend:    cfg.OnSend,
-		OnDeliver: cfg.OnDeliver,
-		OnAccept:  cfg.OnAccept,
-	}
 
 	nodes := make([]*node, n)
 	// One reply channel per node, allocated once and reused every slot:
@@ -160,48 +128,33 @@ func RunContext(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 		go nd.run(&nodeWG)
 	}
 
-	colorNodes := p.ColorClasses() // shared, read-only
-	medium := radio.NewMediumShared(p.Adjacency())
+	colorNodes := f.Plan.ColorClasses() // shared, read-only
+	medium := radio.NewMediumShared(f.Plan.Adjacency())
 
-	maxSlots := cfg.MaxSlots
-	if maxSlots <= 0 {
-		sourceSends, maxSends := inst.Sizing()
-		maxSlots = schedule.Period() * (sourceSends +
-			cfg.Topo.DiameterHint()*(maxSends+1) + 2*schedule.Period())
-	}
-
-	// Per-node message budgets, enforced at scheduling time on the
-	// coordinator (the node goroutines own emission, so the slot
-	// engines' emission-time TrySpend has no home here): clamping every
-	// Send against the remaining budget yields the same emission stream,
-	// because pending sends drain in order. The source stays unlimited,
-	// mirroring the slot engines.
-	budget := make([]int, n)
-	for i := range budget {
-		if grid.NodeID(i) == cfg.Source {
-			budget[i] = -1
-		} else {
-			budget[i] = inst.GoodBudget(grid.NodeID(i))
-		}
-	}
+	// The frame's per-node budgets, enforced at scheduling time on the
+	// coordinator (the node goroutines own emission, so the slot engines'
+	// emission-time TrySpend has no home here): clamping every Send
+	// against the remaining budget yields the same emission stream,
+	// because pending sends drain in order.
 	schedReply := make(chan reply, 1)
 	var pendingTotal int64
 	schedule1 := func(s protocol.Send) {
 		sn := s.N
-		if left := budget[s.ID]; left >= 0 {
-			if sn > left {
-				sn = left
-			}
-			budget[s.ID] = left - sn
+		b := &f.GoodBudget[s.ID]
+		if left := b.Left(); left >= 0 && sn > left {
+			sn = left
 		}
 		if sn <= 0 {
 			return
 		}
-		nodes[s.ID].cmds <- command{kind: cmdSched, value: st.Value[s.ID], n: sn, reply: schedReply}
+		for range sn {
+			b.TrySpend()
+		}
+		nodes[s.ID].cmds <- command{kind: cmdSched, value: f.St.Value[s.ID], n: sn, reply: schedReply}
 		<-schedReply
 		pendingTotal += int64(sn)
 	}
-	for _, s := range inst.Bootstrap(nil) {
+	for _, s := range f.Inst.Bootstrap(nil) {
 		schedule1(s)
 	}
 
@@ -211,16 +164,16 @@ func RunContext(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 		sendBuf    []protocol.Send
 		runErr     error
 	)
-	res := &sim.Result{TotalGood: n, Sent: make([]int32, n)}
+	hooks := &f.Cfg.Hooks
 	slot := 0
-	for ; pendingTotal > 0 && slot < maxSlots; slot++ {
+	for ; pendingTotal > 0 && slot < f.MaxSlots; slot++ {
 		if runErr = ctx.Err(); runErr != nil {
 			break
 		}
-		if cfg.OnSlotStart != nil {
-			cfg.OnSlotStart(slot)
+		if hooks.OnSlotStart != nil {
+			hooks.OnSlotStart(slot)
 		}
-		color := schedule.SlotColor(slot)
+		color := f.Plan.SlotColor(slot)
 		// Query the slot's color class concurrently.
 		candidates := colorNodes[color]
 		for _, id := range candidates {
@@ -231,9 +184,9 @@ func RunContext(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 			r := <-replies[id]
 			if r.emit {
 				pendingTotal--
-				res.GoodMessages++
-				if cfg.OnSend != nil {
-					cfg.OnSend(slot, id, r.value, false)
+				f.Res.GoodMessages++
+				if hooks.OnSend != nil {
+					hooks.OnSend(slot, id, r.value, false)
 				}
 				txs = append(txs, radio.Tx{From: id, Value: r.value})
 			}
@@ -241,20 +194,16 @@ func RunContext(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 		if len(txs) == 0 {
 			continue
 		}
-		deliveries = deliveries[:0]
-		if deliveries, err = medium.ResolveAppend(txs, deliveries); err != nil {
-			runErr = err
+		if deliveries, runErr = medium.ResolveAppend(txs, deliveries[:0]); runErr != nil {
 			break
 		}
 		if len(deliveries) == 0 {
 			continue
 		}
-		sendBuf = sendBuf[:0]
-		if sendBuf, err = inst.Deliver(slot, deliveries, &hooks, sendBuf); err != nil {
-			runErr = err
+		if sendBuf, runErr = f.Inst.Deliver(slot, deliveries, hooks, sendBuf[:0]); runErr != nil {
 			break
 		}
-		sendBuf = inst.Tick(slot, sendBuf)
+		sendBuf = f.Inst.Tick(slot, sendBuf)
 		for _, s := range sendBuf {
 			schedule1(s)
 		}
@@ -266,41 +215,17 @@ func RunContext(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	stopCh := make(chan reply, 1)
 	for i, nd := range nodes {
 		nd.cmds <- command{kind: cmdStop, reply: stopCh}
-		res.Sent[i] = (<-stopCh).sent
+		f.Sent[i] = (<-stopCh).sent
 	}
 	nodeWG.Wait()
 	if runErr != nil {
 		return nil, runErr
 	}
-	inst.Finish(slot)
+	return f.Finish(slot, pendingTotal > 0, medium.GoodGoodCollisions), nil
+}
 
-	// The slot engines' classification (sim.Runner.finish) with no bad
-	// nodes: Completed is "every node decided Vtrue", whatever is still
-	// pending at the slot cap.
-	res.Slots = slot
-	res.TimedOut = pendingTotal > 0 && slot >= maxSlots
-	res.GoodGoodCollisions = medium.GoodGoodCollisions
-	res.Decided = append([]bool(nil), st.Decided...)
-	res.DecidedValue = append([]radio.Value(nil), st.Value...)
-	res.Correct = append([]int32(nil), st.Correct...)
-	res.Wrong = append([]int32(nil), st.Wrong...)
-	var sumSends int
-	for i := 0; i < n; i++ {
-		if res.Decided[i] {
-			res.DecidedGood++
-			if res.DecidedValue[i] != radio.ValueTrue {
-				res.WrongDecisions++
-			}
-		}
-		if grid.NodeID(i) != cfg.Source {
-			sumSends += int(res.Sent[i])
-			res.MaxGoodSends = max(res.MaxGoodSends, int(res.Sent[i]))
-		}
-	}
-	res.Completed = res.DecidedGood == n && res.WrongDecisions == 0
-	res.Stalled = !res.Completed && !res.TimedOut
-	if n > 1 {
-		res.AvgGoodSends = float64(sumSends) / float64(n-1)
-	}
-	return res, nil
+// attachThreshold is the actor's Spec instance: the shared counts-threshold
+// machine.
+func attachThreshold(env protocol.Env, spec core.Spec) (protocol.Instance, error) {
+	return protocol.NewThreshold(spec).Attach(env)
 }

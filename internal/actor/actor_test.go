@@ -60,24 +60,14 @@ func TestEquivalenceWithSequentialEngine(t *testing.T) {
 	}
 }
 
+// TestValidation holds the actor's own refusal: it is fault-free. The
+// refusals every engine shares are package sim's TestConfigValidation.
 func TestValidation(t *testing.T) {
 	tor := grid.MustNew(10, 10, 2)
 	p := core.Params{R: 2, T: 1, MF: 1}
 	spec, err := core.NewProtocolB(p)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := Run(sim.Config{Params: p, Spec: spec}); err == nil {
-		t.Fatal("nil torus accepted")
-	}
-	if _, err := Run(sim.Config{Topo: tor, Params: core.Params{R: 3, T: 1, MF: 1}, Spec: spec}); err == nil {
-		t.Fatal("range mismatch accepted")
-	}
-	if _, err := Run(sim.Config{Topo: tor, Params: p, Spec: spec, Source: grid.NodeID(tor.Size())}); err == nil {
-		t.Fatal("bad source accepted")
-	}
-	if _, err := Run(sim.Config{Topo: tor, Params: p, Spec: core.Spec{}}); err == nil {
-		t.Fatal("invalid spec accepted")
 	}
 	for name, cfg := range map[string]sim.Config{
 		"placement": {Topo: tor, Params: p, Spec: spec, Placement: adversary.None{}},
@@ -110,8 +100,9 @@ func TestTimeoutReported(t *testing.T) {
 // every generated topology (torus, bounded grid, RGG), spec and source,
 // the concurrent runtime must reproduce the sequential engine's Result
 // exactly, field by field (simtest.DiffResults, the fast-vs-ref oracle's
-// comparison). It runs under -race in CI, so it doubles as the race check
-// for the actor runtime's channel protocol.
+// comparison), and a simtest.Safety watches every actor run. It runs under
+// -race in CI, so it doubles as the race check for the actor runtime's
+// channel protocol.
 func TestRandomizedEquivalence(t *testing.T) {
 	cases := 30
 	if testing.Short() {
@@ -123,13 +114,20 @@ func TestRandomizedEquivalence(t *testing.T) {
 	}
 	for i := 0; i < cases; i++ {
 		c := gen.NextFaultFree()
-		cfg := c.Build()
-		seq, err := sim.Run(cfg)
+		seq, err := sim.Run(c.Build())
 		if err != nil {
 			t.Fatalf("case %d (%s): sim: %v", i, c.Desc, err)
 		}
-		conc, err := Run(c.Build())
+		cfg := c.Build()
+		safety, err := simtest.WatchSafety(&cfg, true)
 		if err != nil {
+			t.Fatal(err)
+		}
+		conc, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("case %d (%s): actor: %v", i, c.Desc, err)
+		}
+		if err := safety.Err(); err != nil {
 			t.Fatalf("case %d (%s): actor: %v", i, c.Desc, err)
 		}
 		if err := simtest.DiffResults(seq, conc); err != nil {

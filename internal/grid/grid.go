@@ -47,7 +47,7 @@ var (
 // New validates the dimensions and returns a Torus. Each side must be at
 // least 2r+1 so neighborhoods do not self-overlap through the wrap; the
 // TDMA schedule additionally wants sides divisible by 2r+1 (see package
-// sched), but that is not required here.
+// plan), but that is not required here.
 func New(w, h, r int) (*Torus, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("%w (got r=%d)", ErrBadRange, r)

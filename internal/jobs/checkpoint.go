@@ -61,9 +61,11 @@ func checkpointPath(dir, id string) string {
 }
 
 // writeCheckpointBytes atomically replaces the job's checkpoint file
-// with the already-marshalled record: write-to-temp, fsync, rename —
-// the rename is the commit point, so a crash mid-write leaves the
-// previous complete checkpoint in place.
+// with the already-marshalled record: write-to-temp, fsync, rename, fsync
+// the directory — the rename is the commit point, so a crash mid-write
+// leaves the previous complete checkpoint in place, and the directory
+// sync makes the rename itself durable, so a power cut after the write
+// returns cannot lose a new job's only checkpoint.
 func writeCheckpointBytes(dir, id string, data []byte) error {
 	path := checkpointPath(dir, id)
 	tmp := path + ".tmp"
@@ -86,7 +88,24 @@ func writeCheckpointBytes(dir, id string, data []byte) error {
 		os.Remove(tmp)
 		return fmt.Errorf("jobs: checkpoint %s: %w", id, err)
 	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("jobs: checkpoint %s: %w", id, err)
+	}
 	return nil
+}
+
+// syncDir fsyncs directory dir, making the entries renamed into it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // readCheckpoints loads every job checkpoint in dir, sorted by Seq —

@@ -5,6 +5,14 @@
 // is distance-2 on that adjacency), the per-color node classes, the
 // closed-neighborhood ball sizes and a diameter hint.
 //
+// The plan owns the paper's "pre-determined time-slotted schedule such
+// that if all nodes follow the schedule then no collision will occur": the
+// topology's Coloring gives every node one of Period colors, two
+// same-colored nodes share no receiver, and slot s belongs to color s mod
+// Period (SlotColor). On the torus the coloring is the lattice
+// (x mod 2r+1) + (2r+1)·(y mod 2r+1), which needs both sides to be
+// multiples of 2r+1; other topologies bring their own coloring.
+//
 // A Plan is computed exactly once per topology and shared by reference:
 // the fast and reference slot engines, the actor runtime, the reactive
 // runtime, the adversary layer and every sweep worker all read the same
@@ -21,11 +29,11 @@
 package plan
 
 import (
+	"fmt"
 	"sync"
 
 	"bftbcast/internal/grid"
 	"bftbcast/internal/radio"
-	"bftbcast/internal/sched"
 	"bftbcast/internal/topo"
 )
 
@@ -38,9 +46,12 @@ type Plan struct {
 	n   int
 	adj *radio.Adjacency
 
-	tdma    *sched.TDMA
-	tdmaErr error
-	classes [][]grid.NodeID // per color, ascending node ids
+	// The TDMA schedule: slot s belongs to color s mod period. colors is
+	// nil and period 0 when the topology has no valid coloring (colorErr).
+	colors   []int32
+	period   int
+	colorErr error
+	classes  [][]grid.NodeID // per color, ascending node ids
 	// disjoint records that the coloring was checked to be distance-2
 	// on this adjacency — see DisjointClasses.
 	disjoint bool
@@ -121,11 +132,16 @@ func Compute(t topo.Topology) *Plan {
 			p.maxDegree = d
 		}
 	}
-	p.tdma, p.tdmaErr = sched.New(t)
-	if p.tdmaErr == nil {
-		colors := p.tdma.Colors()
-		p.classes = make([][]grid.NodeID, p.tdma.Period())
-		counts := make([]int32, p.tdma.Period())
+	colors, period, err := t.Coloring()
+	switch {
+	case err != nil:
+		p.colorErr = fmt.Errorf("plan: %w", err)
+	case period < 1 || len(colors) != p.n:
+		p.colorErr = fmt.Errorf("plan: invalid coloring from %v (period %d, %d colors)", t, period, len(colors))
+	default:
+		p.colors, p.period = colors, period
+		p.classes = make([][]grid.NodeID, period)
+		counts := make([]int32, period)
 		for _, c := range colors {
 			counts[c]++
 		}
@@ -186,26 +202,29 @@ func (p *Plan) MaxDegree() int { return p.maxDegree }
 // DiameterHint returns the topology's generous hop-diameter bound.
 func (p *Plan) DiameterHint() int { return p.diamHint }
 
-// TDMA returns the compiled collision-free schedule, or the topology's
-// coloring error (identical to what sched.New would report per run).
-func (p *Plan) TDMA() (*sched.TDMA, error) { return p.tdma, p.tdmaErr }
+// ColoringErr returns why the topology has no valid TDMA coloring, or nil
+// when the plan carries its schedule. It wraps the topology's own error
+// (grid.ErrNotDivisible for a torus whose sides are not multiples of
+// 2r+1).
+func (p *Plan) ColoringErr() error { return p.colorErr }
 
 // Colors returns the per-node TDMA color array (shared storage,
 // read-only), or nil when the topology has no valid coloring.
-func (p *Plan) Colors() []int32 {
-	if p.tdmaErr != nil {
-		return nil
-	}
-	return p.tdma.Colors()
-}
+func (p *Plan) Colors() []int32 { return p.colors }
 
-// Period returns the schedule period, or 0 when the topology has no valid
-// coloring.
-func (p *Plan) Period() int {
-	if p.tdmaErr != nil {
-		return 0
+// Period returns the schedule period — every node owns exactly one slot
+// class, and slot s belongs to class s mod Period — or 0 when the
+// topology has no valid coloring.
+func (p *Plan) Period() int { return p.period }
+
+// SlotColor returns the color class that owns absolute slot number slot
+// under the schedule. The plan must have a valid coloring.
+func (p *Plan) SlotColor(slot int) int {
+	c := slot % p.period
+	if c < 0 {
+		c += p.period
 	}
-	return p.tdma.Period()
+	return c
 }
 
 // ColorClasses returns, per color, the ascending node ids of that color

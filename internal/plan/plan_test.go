@@ -1,14 +1,15 @@
 package plan
 
 import (
+	"errors"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"bftbcast/internal/grid"
-	"bftbcast/internal/sched"
 	"bftbcast/internal/topo"
 	"bftbcast/internal/topo/topotest"
 )
@@ -78,22 +79,12 @@ func TestPlanConformance(t *testing.T) {
 			if got := p.Period(); got != wantPeriod {
 				t.Fatalf("plan period %d, want %d", got, wantPeriod)
 			}
-			wantSched, err := sched.New(tp)
-			if err != nil {
+			if err := p.ColoringErr(); err != nil {
 				t.Fatal(err)
-			}
-			gotSched, err := p.TDMA()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				if gotSched.ColorOf(grid.NodeID(i)) != wantSched.ColorOf(grid.NodeID(i)) {
-					t.Fatalf("node %d: schedule color mismatch", i)
-				}
 			}
 			for s := 0; s < 3*wantPeriod; s++ {
-				if gotSched.SlotColor(s) != wantSched.SlotColor(s) {
-					t.Fatalf("slot %d: slot color mismatch", s)
+				if got := p.SlotColor(s); got != s%wantPeriod {
+					t.Fatalf("slot %d: slot color %d, want %d", s, got, s%wantPeriod)
 				}
 			}
 
@@ -139,7 +130,7 @@ func TestPlanMiscolored(t *testing.T) {
 		"neighbors":       {b.ID(4, 4), b.ID(5, 4)},
 	} {
 		p := Compute(topotest.Miscolored(b, pair[0], pair[1]))
-		if _, err := p.TDMA(); err != nil {
+		if err := p.ColoringErr(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if p.DisjointClasses() {
@@ -275,20 +266,73 @@ func TestPlanCacheEvictionReleases(t *testing.T) {
 }
 
 // TestPlanColoringError checks that a topology without a valid coloring
-// compiles into a plan whose adjacency works and whose TDMA carries the
-// same error sched.New reports.
+// compiles into a plan whose adjacency works and whose coloring error
+// wraps the one Coloring() reports.
 func TestPlanColoringError(t *testing.T) {
 	tor := grid.MustNew(16, 15, 2) // 16 not divisible by 2r+1=5
 	p := Compute(tor)
 	if p.Neighbors(0) == nil {
 		t.Fatal("adjacency missing on coloring failure")
 	}
-	_, gotErr := p.TDMA()
-	_, wantErr := sched.New(tor)
-	if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
-		t.Fatalf("TDMA error %v, sched.New error %v", gotErr, wantErr)
+	gotErr := p.ColoringErr()
+	_, _, wantErr := tor.Coloring()
+	if gotErr == nil || wantErr == nil || !errors.Is(gotErr, grid.ErrNotDivisible) || !strings.Contains(gotErr.Error(), wantErr.Error()) {
+		t.Fatalf("coloring error %v, Coloring() error %v", gotErr, wantErr)
 	}
 	if p.Colors() != nil || p.Period() != 0 || p.ColorClasses() != nil || p.DisjointClasses() {
 		t.Fatal("coloring artifacts must be absent when the coloring fails")
+	}
+}
+
+// TestPlanPeriod checks the torus schedule's period, (2r+1)², and that a
+// torus whose sides are not multiples of 2r+1 has no schedule.
+func TestPlanPeriod(t *testing.T) {
+	for _, r := range []int{1, 2, 3, 4} {
+		side := 2*r + 1
+		p := Compute(grid.MustNew(3*side, 3*side, r))
+		if err := p.ColoringErr(); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Period(); got != side*side {
+			t.Fatalf("r=%d Period = %d, want %d", r, got, side*side)
+		}
+	}
+	for _, wh := range [][2]int{{10, 10}, {11, 10}, {10, 12}} {
+		err := Compute(grid.MustNew(wh[0], wh[1], 2)).ColoringErr()
+		if divisible := wh[0]%5 == 0 && wh[1]%5 == 0; (err == nil) != divisible {
+			t.Fatalf("%dx%d with r=2: coloring error %v", wh[0], wh[1], err)
+		}
+	}
+}
+
+// TestPlanSlotColor checks the schedule's slot classes on a torus: every
+// node owns exactly one slot per period, negative slots wrap, and two
+// nodes of one color are more than 2r apart, so they share no receiver.
+func TestPlanSlotColor(t *testing.T) {
+	tor := grid.MustNew(15, 15, 2)
+	p := Compute(tor)
+	colors := p.Colors()
+	for i := 0; i < tor.Size(); i++ {
+		owned := 0
+		for slot := 0; slot < p.Period(); slot++ {
+			if p.SlotColor(slot) == int(colors[i]) {
+				owned++
+			}
+		}
+		if owned != 1 {
+			t.Fatalf("node %d owns %d slots per period", i, owned)
+		}
+	}
+	if got := p.SlotColor(-1); got != p.Period()-1 {
+		t.Fatalf("SlotColor(-1) = %d, want %d", got, p.Period()-1)
+	}
+	for c, class := range p.ColorClasses() {
+		for i := range class {
+			for _, other := range class[i+1:] {
+				if tor.Dist(class[i], other) <= 2*tor.Range() {
+					t.Fatalf("color %d nodes %v and %v are within 2r", c, class[i], other)
+				}
+			}
+		}
 	}
 }

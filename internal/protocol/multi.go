@@ -56,9 +56,9 @@ import (
 // again — and is booked by popcount, a word of instances at a time.
 // Only entries for instances the receiver has not decided run the
 // threshold rule, in ascending instance order, so acceptances, Sends,
-// OnAccept and OnInstanceDecide come in the order of an entry-by-entry
-// application. OnInstanceDeliver, when set, fires once per carried
-// entry, late or live, in ascending instance order, each acceptance
+// Hooks.OnAccept and Hooks.OnInstanceDecide come in the order of an
+// entry-by-entry application. Hooks.OnInstanceDeliver, when set, fires
+// once per carried entry, late or live, in ascending instance order, each acceptance
 // right after the entry that caused it (DESIGN.md §12).
 //
 // With M = 1 the machine is bit-identical to ThresholdInstance: every
@@ -75,15 +75,6 @@ type Multi struct {
 	Spec core.Spec
 	// M is the number of concurrent broadcast instances (>= 1).
 	M int
-
-	// OnInstanceDeliver, when non-nil, observes each protocol-level
-	// entry applied at a good receiver: batched entries of a good
-	// sender's transmission, or a forged copy counted in every started
-	// instance. Fired after the raw OnDeliver hook.
-	OnInstanceDeliver func(slot, instance int, from, to grid.NodeID, v radio.Value)
-	// OnInstanceDecide, when non-nil, observes each per-instance
-	// acceptance (fired alongside the aggregate OnAccept hook).
-	OnInstanceDecide func(slot, instance int, id grid.NodeID, v radio.Value)
 
 	// stats is the last finished instance's run record (see TakeStats).
 	stats *MultiStats
@@ -511,13 +502,13 @@ func (mi *multiInstance) popBatch(slot int, w grid.NodeID) {
 // entry landing on an instance u has already decided can only bump u's
 // receipt counters, so those are booked by popcount, a word at a time,
 // and only the entries that can still change state walk the threshold
-// rule, in ascending instance order. With OnInstanceDeliver set the
+// rule, in ascending instance order. With hooks.OnInstanceDeliver set the
 // walk covers every carried entry instead — the hook fires per entry,
 // late or live, in ascending instance order — and books the late ones
 // as it passes them; either way the same counters move by the same
 // amounts.
 func (mi *multiInstance) applyBatch(slot int, w, u grid.NodeID, vals []radio.Value, forged radio.Value, hooks *Hooks, buf []Send) []Send {
-	observe := mi.machine.OnInstanceDeliver
+	observe := hooks.OnInstanceDeliver
 	batch := mi.batch[int(w)*mi.words:][:mi.words]
 	decided := mi.decided[int(u)*mi.words:][:mi.words]
 	for k, c := range batch {
@@ -588,8 +579,8 @@ func (mi *multiInstance) applyLive(slot, j int, u grid.NodeID, v radio.Value, ho
 	if hooks.OnAccept != nil {
 		hooks.OnAccept(slot, u, v)
 	}
-	if mi.machine.OnInstanceDecide != nil {
-		mi.machine.OnInstanceDecide(slot, j, u, v)
+	if hooks.OnInstanceDecide != nil {
+		hooks.OnInstanceDecide(slot, j, u, v)
 	}
 	return buf
 }

@@ -232,15 +232,15 @@ func fingerprintCell(t *testing.T, c multiCell) multiFingerprint {
 
 	cfg, m = c.config(t)
 	ev := newFingerprinter()
-	m.OnInstanceDeliver = func(slot, instance int, from, to grid.NodeID, v radio.Value) {
+	cfg.Hooks.OnInstanceDeliver = func(slot, instance int, from, to grid.NodeID, v radio.Value) {
 		out.Deliveries++
 		ev.add(1, int64(slot), int64(instance), int64(from), int64(to), int64(v))
 	}
-	m.OnInstanceDecide = func(slot, instance int, id grid.NodeID, v radio.Value) {
+	cfg.Hooks.OnInstanceDecide = func(slot, instance int, id grid.NodeID, v radio.Value) {
 		out.Decisions++
 		ev.add(2, int64(slot), int64(instance), int64(id), int64(v))
 	}
-	cfg.OnAccept = func(slot int, id grid.NodeID, v radio.Value) {
+	cfg.Hooks.OnAccept = func(slot int, id grid.NodeID, v radio.Value) {
 		ev.add(3, int64(slot), int64(id), int64(v))
 	}
 	res, err = sim.Run(cfg)
@@ -321,24 +321,22 @@ func TestMultiObservedMatchesUnobserved(t *testing.T) {
 		{"grid", 65, 3, legWrong},
 		{"torus", 130, 1, legWrong},
 	} {
-		run := func(hook func(*sim.Config, *protocol.Multi)) (*sim.Result, *protocol.MultiStats) {
+		run := func(hooks protocol.Hooks) (*sim.Result, *protocol.MultiStats) {
 			cfg, m := c.config(t)
-			hook(&cfg, m)
+			cfg.Hooks = hooks
 			res, err := sim.Run(cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", c.key(), err)
 			}
 			return res, m.TakeStats()
 		}
-		bare, bareStats := run(func(*sim.Config, *protocol.Multi) {})
-		raw, rawStats := run(func(cfg *sim.Config, _ *protocol.Multi) {
-			cfg.OnDeliver = func(int, radio.Delivery) {}
-		})
+		bare, bareStats := run(protocol.Hooks{})
+		raw, rawStats := run(protocol.Hooks{OnDeliver: func(int, radio.Delivery) {}})
 		entries := 0
-		tagged, taggedStats := run(func(cfg *sim.Config, m *protocol.Multi) {
-			cfg.OnDeliver = func(int, radio.Delivery) {}
-			m.OnInstanceDeliver = func(int, int, grid.NodeID, grid.NodeID, radio.Value) { entries++ }
-			m.OnInstanceDecide = func(int, int, grid.NodeID, radio.Value) {}
+		tagged, taggedStats := run(protocol.Hooks{
+			OnDeliver:         func(int, radio.Delivery) {},
+			OnInstanceDeliver: func(int, int, grid.NodeID, grid.NodeID, radio.Value) { entries++ },
+			OnInstanceDecide:  func(int, int, grid.NodeID, radio.Value) {},
 		})
 		if !reflect.DeepEqual(bare, raw) || !reflect.DeepEqual(bareStats, rawStats) {
 			t.Errorf("%s: a raw delivery hook changed the run", c.key())

@@ -295,10 +295,7 @@ func driveMultiAgainstRef(t *testing.T, pl *plan.Plan, params core.Params, spec 
 		bad[i] = rng.Intn(12) == 0
 	}
 	var got, want multiRecorder
-	machine := &Multi{Spec: spec, M: m, OnInstanceDecide: got.instanceDecide}
-	if observed {
-		machine.OnInstanceDeliver = got.instanceDeliver
-	}
+	machine := &Multi{Spec: spec, M: m}
 	inst, err := machine.Attach(Env{Plan: pl, Params: params, Bad: bad, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
@@ -310,6 +307,10 @@ func driveMultiAgainstRef(t *testing.T, pl *plan.Plan, params core.Params, spec 
 		ref.onInstanceDeliver = want.instanceDeliver
 	}
 	gotHooks, wantHooks := got.hooks(), want.hooks()
+	gotHooks.OnInstanceDecide = got.instanceDecide
+	if observed {
+		gotHooks.OnInstanceDeliver = got.instanceDeliver
+	}
 
 	pending := make([]int, n) // engine-side sends scheduled and not yet transmitted
 	firstWrong := make([]radio.Value, n)

@@ -110,21 +110,40 @@ type Send struct {
 	N  int
 }
 
-// Hooks carries the engine's observer callbacks into a Deliver batch.
-// The instance fires them per event, preserving the exact interleaving
-// the engines produced before the seam (deliver → decide → deliver …).
-// Any hook may be nil.
+// Hooks is the one set of observer callbacks of a run: sim.Config carries
+// it from the caller to the engine, which fires OnSlotStart and its own
+// transmissions' OnSend, and hands it to the instance with every Deliver
+// batch. The instance fires the rest per event, preserving the exact
+// interleaving the engines produced before the seam (deliver → decide →
+// deliver …). Any hook may be nil.
 type Hooks struct {
-	// OnSend observes machine-internal adversarial transmissions (the
-	// reactive machine's payload attacks and NACK spam). Protocol sends
-	// by good nodes are emitted — and observed — by the engine itself.
+	// OnSlotStart observes every slot the engine executes, before its
+	// transmissions are emitted. The fast engine skips idle slots wholesale
+	// when the strategy is delivery-driven; skipped slots produce no event
+	// (the slot counter still advances past them).
+	OnSlotStart func(slot int)
+	// OnSend observes every transmission: the engine's protocol sends by
+	// good nodes and validated adversarial jams (adversarial=true), and the
+	// machine-internal adversarial transmissions an instance fires itself
+	// (the reactive machine's payload attacks and NACK spam).
 	OnSend func(slot int, from grid.NodeID, v radio.Value, adversarial bool)
 	// OnDeliver observes the deliveries the machine surfaces: every raw
-	// radio delivery for counts-mode protocols, every clean (or
+	// radio delivery for counts-mode protocols (including deliveries to bad
+	// nodes, which the protocol then ignores), every clean (or
 	// undetectedly forged) payload delivery for the reactive machine.
+	// Observing deliveries means materialising all of them: the fast
+	// engine resolves every slot in full instead of its frontier.
 	OnDeliver func(slot int, d radio.Delivery)
 	// OnAccept observes every acceptance, at the delivery that caused it.
 	OnAccept func(slot int, id grid.NodeID, v radio.Value)
+	// OnInstanceDeliver observes each protocol-level entry a Multi run
+	// applies at a good receiver: a batched entry of a good sender's
+	// transmission, or a forged copy counted in every started instance.
+	// It fires after the raw OnDeliver.
+	OnInstanceDeliver func(slot, instance int, from, to grid.NodeID, v radio.Value)
+	// OnInstanceDecide observes each per-instance acceptance of a Multi
+	// run, right after the aggregate OnAccept.
+	OnInstanceDecide func(slot, instance int, id grid.NodeID, v radio.Value)
 }
 
 // State is the flat per-node-array contract between an Instance and its

@@ -1,14 +1,9 @@
 package radio
 
-import "errors"
-
-// ErrBudgetExhausted is returned by Budget.Spend when the message budget is
-// used up. Energy-constrained nodes in the model have a hard cap on the
-// number of messages they may ever transmit.
-var ErrBudgetExhausted = errors.New("radio: message budget exhausted")
-
-// Budget tracks the message budget of one node. A negative limit means
-// unlimited (the base station). The zero value is a zero budget.
+// Budget tracks the message budget of one node. Energy-constrained nodes
+// in the model have a hard cap on the number of messages they may ever
+// transmit; a negative limit means unlimited (the base station). The zero
+// value is a zero budget.
 type Budget struct {
 	limit int
 	used  int
@@ -20,21 +15,15 @@ func NewBudget(limit int) Budget { return Budget{limit: limit} }
 // Unlimited returns an unbounded budget (the base station's).
 func Unlimited() Budget { return Budget{limit: -1} }
 
-// Spend consumes one message. It returns ErrBudgetExhausted (and consumes
-// nothing) when the budget is gone.
-func (b *Budget) Spend() error {
+// TrySpend consumes one message and reports whether it succeeded; it
+// consumes nothing when the budget is gone.
+func (b *Budget) TrySpend() bool {
 	if b.limit >= 0 && b.used >= b.limit {
-		return ErrBudgetExhausted
+		return false
 	}
 	b.used++
-	return nil
+	return true
 }
-
-// TrySpend consumes one message and reports whether it succeeded.
-func (b *Budget) TrySpend() bool { return b.Spend() == nil }
-
-// Used returns the number of messages spent so far.
-func (b *Budget) Used() int { return b.used }
 
 // Left returns the remaining budget, or a negative value when unlimited.
 func (b *Budget) Left() int {

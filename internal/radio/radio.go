@@ -171,19 +171,10 @@ type Medium struct {
 	words   []uint64
 	summary []uint64
 
-	out []Delivery // ResolveAppend accumulator (nil in callback mode)
-
 	// GoodGoodCollisions counts receivers that observed two or more
 	// concurrent good transmissions, which a valid TDMA schedule makes
 	// impossible. A non-zero count indicates a schedule violation bug.
 	GoodGoodCollisions int
-}
-
-// NewMedium returns a Medium for t with its own freshly flattened
-// adjacency. Callers that already hold a compiled plan share its CSR via
-// NewMediumShared instead.
-func NewMedium(t topo.Topology) *Medium {
-	return NewMediumShared(NewAdjacency(t))
 }
 
 // NewMediumShared returns a Medium reading the shared adjacency adj. Only
@@ -254,29 +245,19 @@ func (m *Medium) Adjacency() *Adjacency { return m.adj }
 // is epoch-stamped and needs no clearing.
 func (m *Medium) ResetStats() { m.GoodGoodCollisions = 0 }
 
-// ResolveAppend is Resolve with the deliveries appended to dst instead of
-// reported through a callback, saving one indirect call per delivery on
-// the hot tentative-resolution path. It returns the extended slice.
+// ResolveAppend computes the deliveries produced by the slot's
+// transmissions and appends one to dst for each receiver that hears
+// something, in ascending receiver id order to keep runs deterministic. It
+// returns the extended slice. Transmitting nodes are half-duplex and never
+// receive in the same slot.
 func (m *Medium) ResolveAppend(txs []Tx, dst []Delivery) ([]Delivery, error) {
-	m.out = dst
-	err := m.Resolve(txs, nil)
-	dst, m.out = m.out, nil
-	return dst, err
-}
-
-// Resolve computes the deliveries produced by the slot's transmissions and
-// invokes deliver for each receiver that hears something (a nil deliver
-// appends to the ResolveAppend accumulator). Deliveries are reported in
-// ascending receiver id order to keep runs deterministic. Transmitting
-// nodes are half-duplex and never receive in the same slot.
-func (m *Medium) Resolve(txs []Tx, deliver func(Delivery)) error {
 	for i := range txs {
 		tx := &txs[i]
 		if tx.Value == ValueNone && !tx.Drop {
-			return fmt.Errorf("radio: transmission from %d carries ValueNone", tx.From)
+			return dst, fmt.Errorf("radio: transmission from %d carries ValueNone", tx.From)
 		}
 		if int(tx.From) < 0 || int(tx.From) >= len(m.mark) {
-			return fmt.Errorf("radio: transmitter %d out of range", tx.From)
+			return dst, fmt.Errorf("radio: transmitter %d out of range", tx.From)
 		}
 	}
 
@@ -284,8 +265,7 @@ func (m *Medium) Resolve(txs []Tx, deliver func(Delivery)) error {
 	// need no collision bookkeeping at all: the sole signal reaches every
 	// neighbor, already in ascending order via the sorted CSR.
 	if len(txs) == 1 {
-		m.resolveSingle(&txs[0], deliver)
-		return nil
+		return m.resolveSingle(&txs[0], dst), nil
 	}
 
 	epoch := m.nextEpoch()
@@ -337,33 +317,29 @@ func (m *Medium) Resolve(txs []Tx, deliver func(Delivery)) error {
 	// order in O(touched + n/4096) — replacing the sort that used to
 	// dominate large-n runs.
 	if useBits {
-		m.emitBits(deliver)
+		dst = m.emitBits(dst)
 	} else {
-		m.emitMerged(txs, deliver)
+		dst = m.emitMerged(txs, dst)
 	}
 
 	for i := range txs {
 		m.sending[txs[i].From] = false
 	}
-	return nil
+	return dst, nil
 }
 
-// resolveSingle emits the deliveries of a one-transmission slot: no
+// resolveSingle appends the deliveries of a one-transmission slot: no
 // collisions are possible, the transmitter is not its own neighbor, and
 // the sorted CSR hands out receivers in ascending id order directly.
-func (m *Medium) resolveSingle(tx *Tx, deliver func(Delivery)) {
+func (m *Medium) resolveSingle(tx *Tx, dst []Delivery) []Delivery {
 	from := tx.From
 	if tx.Jam && tx.Drop {
-		return // a lone dropping jam silences nothing that was sent
+		return dst // a lone dropping jam silences nothing that was sent
 	}
 	for _, to := range m.adj.SortedNeighbors(from) {
-		d := Delivery{To: to, Value: tx.Value, From: from, Collided: tx.Jam}
-		if deliver == nil {
-			m.out = append(m.out, d)
-		} else {
-			deliver(d)
-		}
+		dst = append(dst, Delivery{To: to, Value: tx.Value, From: from, Collided: tx.Jam})
 	}
+	return dst
 }
 
 // mergeMaxTx bounds the transmitter count for merge-based emission: the
@@ -375,7 +351,7 @@ const mergeMaxTx = 8
 // in ascending id order by k-way merge, emitting each receiver once. It
 // produces exactly the deliveries the sort-based path would, without
 // sorting.
-func (m *Medium) emitMerged(txs []Tx, deliver func(Delivery)) {
+func (m *Medium) emitMerged(txs []Tx, dst []Delivery) []Delivery {
 	var heads [mergeMaxTx][]grid.NodeID
 	for i := range txs {
 		heads[i] = m.adj.SortedNeighbors(txs[i].From)
@@ -389,48 +365,42 @@ func (m *Medium) emitMerged(txs []Tx, deliver func(Delivery)) {
 			}
 		}
 		if min < 0 {
-			return
+			return dst
 		}
 		for i := 0; i < k; i++ {
 			if len(heads[i]) > 0 && heads[i][0] == min {
 				heads[i] = heads[i][1:]
 			}
 		}
-		m.emit(min, deliver)
+		dst = m.emit(min, dst)
 	}
 }
 
-// emit reports the outcome of the slot at receiver to.
-func (m *Medium) emit(to grid.NodeID, deliver func(Delivery)) {
+// emit appends the outcome of the slot at receiver to, if it hears one.
+func (m *Medium) emit(to grid.NodeID, dst []Delivery) []Delivery {
 	if m.sending[to] {
-		return // half-duplex
+		return dst // half-duplex
 	}
-	var d Delivery
 	switch {
 	case m.jammed[to]:
 		v := m.jamVal[to]
 		if v == ValueNone {
-			return
+			return dst
 		}
-		d = Delivery{To: to, Value: v, From: m.jamFrom[to], Collided: true}
+		return append(dst, Delivery{To: to, Value: v, From: m.jamFrom[to], Collided: true})
 	case m.nGood[to] == 1:
-		d = Delivery{To: to, Value: m.goodVal[to], From: m.goodFrom[to]}
-	default:
-		if m.nGood[to] >= 2 {
-			m.GoodGoodCollisions++
-		}
-		return
+		return append(dst, Delivery{To: to, Value: m.goodVal[to], From: m.goodFrom[to]})
 	}
-	if deliver == nil {
-		m.out = append(m.out, d)
-	} else {
-		deliver(d)
+	if m.nGood[to] >= 2 {
+		m.GoodGoodCollisions++
 	}
+	return dst
 }
 
-// emitBits emits every receiver whose touched bit is set, in ascending id
-// order, clearing the bitset as it scans so the next slot starts clean.
-func (m *Medium) emitBits(deliver func(Delivery)) {
+// emitBits appends the delivery of every receiver whose touched bit is
+// set, in ascending id order, clearing the bitset as it scans so the next
+// slot starts clean.
+func (m *Medium) emitBits(dst []Delivery) []Delivery {
 	for si, sw := range m.summary {
 		if sw == 0 {
 			continue
@@ -443,11 +413,12 @@ func (m *Medium) emitBits(deliver func(Delivery)) {
 			m.words[wi] = 0
 			base := wi << 6
 			for w != 0 {
-				m.emit(grid.NodeID(base+bits.TrailingZeros64(w)), deliver)
+				dst = m.emit(grid.NodeID(base+bits.TrailingZeros64(w)), dst)
 				w &= w - 1
 			}
 		}
 	}
+	return dst
 }
 
 // ResolveDisjoint is the collision-free resolve: it appends to dst, in
@@ -459,9 +430,9 @@ func (m *Medium) emitBits(deliver func(Delivery)) {
 // transmissions whose receiver sets are pairwise disjoint and contain no
 // transmitter of the slot — one TDMA color class under a verified
 // distance-2 coloring (plan.DisjointClasses). Under that premise the
-// result is exactly Resolve's deliveries minus the skipped receivers.
-// Slots that carry a jam, and callers that need every delivery or the
-// GoodGoodCollisions count, use Resolve.
+// result is exactly ResolveAppend's deliveries minus the skipped
+// receivers. Slots that carry a jam, and callers that need every delivery
+// or the GoodGoodCollisions count, use ResolveAppend.
 func (m *Medium) ResolveDisjoint(txs []Tx, skip []bool, dst []Delivery) ([]Delivery, error) {
 	for i := range txs {
 		tx := &txs[i]
@@ -482,8 +453,8 @@ func (m *Medium) ResolveDisjoint(txs []Tx, skip []bool, dst []Delivery) ([]Deliv
 		return dst, nil
 	}
 	// Several transmitters: record each surviving receiver's sole signal
-	// and let the touched bitset hand them back in id order, as Resolve
-	// does for its big slots. Every field emit reads is written here, so
+	// and let the touched bitset hand them back in id order, as
+	// ResolveAppend does for its big slots. Every field emit reads is written here, so
 	// the pass needs no epoch.
 	m.ensureBits()
 	for i := range txs {
@@ -499,14 +470,5 @@ func (m *Medium) ResolveDisjoint(txs []Tx, skip []bool, dst []Delivery) ([]Deliv
 			m.touch(to)
 		}
 	}
-	return m.drainBits(dst), nil
-}
-
-// drainBits appends the delivery of every receiver in the touched bitset
-// to dst in ascending id order, clearing the bitset.
-func (m *Medium) drainBits(dst []Delivery) []Delivery {
-	m.out = dst
-	m.emitBits(nil)
-	dst, m.out = m.out, nil
-	return dst
+	return m.emitBits(dst), nil
 }

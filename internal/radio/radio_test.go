@@ -4,25 +4,33 @@ import (
 	"testing"
 
 	"bftbcast/internal/grid"
+	"bftbcast/internal/topo"
 )
 
 func collect(t *testing.T, m *Medium, txs []Tx) map[grid.NodeID]Delivery {
 	t.Helper()
+	ds, err := m.ResolveAppend(txs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := map[grid.NodeID]Delivery{}
-	if err := m.Resolve(txs, func(d Delivery) {
+	for _, d := range ds {
 		if _, dup := got[d.To]; dup {
 			t.Fatalf("double delivery to %d", d.To)
 		}
 		got[d.To] = d
-	}); err != nil {
-		t.Fatal(err)
 	}
 	return got
 }
 
+// newMedium returns a Medium over t's freshly flattened adjacency.
+func newMedium(t topo.Topology) *Medium {
+	return NewMediumShared(NewAdjacency(t))
+}
+
 func TestSingleTransmissionReachesWholeNeighborhood(t *testing.T) {
 	tor := grid.MustNew(10, 10, 2)
-	m := NewMedium(tor)
+	m := newMedium(tor)
 	src := tor.ID(5, 5)
 	got := collect(t, m, []Tx{{From: src, Value: ValueTrue}})
 	if len(got) != tor.NeighborhoodSize() {
@@ -43,7 +51,7 @@ func TestSingleTransmissionReachesWholeNeighborhood(t *testing.T) {
 
 func TestDisjointTransmittersDoNotCollide(t *testing.T) {
 	tor := grid.MustNew(20, 20, 2)
-	m := NewMedium(tor)
+	m := newMedium(tor)
 	a, b := tor.ID(2, 2), tor.ID(12, 12)
 	got := collect(t, m, []Tx{{From: a, Value: ValueTrue}, {From: b, Value: ValueFalse}})
 	if len(got) != 2*tor.NeighborhoodSize() {
@@ -56,7 +64,7 @@ func TestDisjointTransmittersDoNotCollide(t *testing.T) {
 
 func TestGoodGoodCollisionSilencesAndCounts(t *testing.T) {
 	tor := grid.MustNew(10, 10, 2)
-	m := NewMedium(tor)
+	m := newMedium(tor)
 	// Distance 2 apart: overlapping neighborhoods.
 	a, b := tor.ID(4, 4), tor.ID(6, 4)
 	got := collect(t, m, []Tx{{From: a, Value: ValueTrue}, {From: b, Value: ValueTrue}})
@@ -85,7 +93,7 @@ func TestGoodGoodCollisionSilencesAndCounts(t *testing.T) {
 
 func TestJamCorruptsAtCommonReceivers(t *testing.T) {
 	tor := grid.MustNew(12, 12, 2)
-	m := NewMedium(tor)
+	m := newMedium(tor)
 	good := tor.ID(5, 5)
 	bad := tor.ID(8, 5) // distance 3 <= 2r: overlapping receiver sets
 	got := collect(t, m, []Tx{
@@ -123,7 +131,7 @@ func TestJamCorruptsAtCommonReceivers(t *testing.T) {
 
 func TestJamDropSilences(t *testing.T) {
 	tor := grid.MustNew(12, 12, 2)
-	m := NewMedium(tor)
+	m := newMedium(tor)
 	good := tor.ID(5, 5)
 	bad := tor.ID(7, 5)
 	got := collect(t, m, []Tx{
@@ -144,7 +152,7 @@ func TestJamDropSilences(t *testing.T) {
 
 func TestFirstJamWins(t *testing.T) {
 	tor := grid.MustNew(12, 12, 2)
-	m := NewMedium(tor)
+	m := newMedium(tor)
 	got := collect(t, m, []Tx{
 		{From: tor.ID(5, 5), Value: Value(7), Jam: true},
 		{From: tor.ID(6, 5), Value: Value(9), Jam: true},
@@ -158,7 +166,7 @@ func TestFirstJamWins(t *testing.T) {
 
 func TestHalfDuplexTransmitterCannotReceive(t *testing.T) {
 	tor := grid.MustNew(12, 12, 2)
-	m := NewMedium(tor)
+	m := newMedium(tor)
 	a := tor.ID(5, 5)
 	b := tor.ID(6, 5) // neighbor of a, also transmitting
 	got := collect(t, m, []Tx{
@@ -175,9 +183,8 @@ func TestHalfDuplexTransmitterCannotReceive(t *testing.T) {
 
 func TestResolveRejectsValueNone(t *testing.T) {
 	tor := grid.MustNew(10, 10, 2)
-	m := NewMedium(tor)
-	err := m.Resolve([]Tx{{From: 0, Value: ValueNone}}, func(Delivery) {})
-	if err == nil {
+	m := newMedium(tor)
+	if _, err := m.ResolveAppend([]Tx{{From: 0, Value: ValueNone}}, nil); err == nil {
 		t.Fatal("ValueNone transmission should be rejected")
 	}
 }
@@ -190,11 +197,12 @@ func TestDeterministicDeliveryOrder(t *testing.T) {
 	}
 	var orders [2][]grid.NodeID
 	for trial := 0; trial < 2; trial++ {
-		m := NewMedium(tor)
-		if err := m.Resolve(txs, func(d Delivery) {
-			orders[trial] = append(orders[trial], d.To)
-		}); err != nil {
+		ds, err := newMedium(tor).ResolveAppend(txs, nil)
+		if err != nil {
 			t.Fatal(err)
+		}
+		for _, d := range ds {
+			orders[trial] = append(orders[trial], d.To)
 		}
 	}
 	if len(orders[0]) != len(orders[1]) {
@@ -212,7 +220,7 @@ func TestDeterministicDeliveryOrder(t *testing.T) {
 
 func TestMediumReusableAcrossSlots(t *testing.T) {
 	tor := grid.MustNew(10, 10, 2)
-	m := NewMedium(tor)
+	m := newMedium(tor)
 	for slot := 0; slot < 100; slot++ {
 		got := collect(t, m, []Tx{{From: tor.ID(slot%10, 0), Value: ValueTrue}})
 		if len(got) != tor.NeighborhoodSize() {
@@ -223,20 +231,19 @@ func TestMediumReusableAcrossSlots(t *testing.T) {
 
 func TestBudgetSpend(t *testing.T) {
 	b := NewBudget(2)
-	if err := b.Spend(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if !b.TrySpend() {
+			t.Fatalf("spend %d refused", i)
+		}
+		if b.Left() != 1-i {
+			t.Fatalf("after spend %d: Left = %d", i, b.Left())
+		}
 	}
-	if err := b.Spend(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Spend(); err != ErrBudgetExhausted {
-		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
-	}
-	if b.Used() != 2 {
-		t.Fatalf("Used = %d", b.Used())
+	if b.TrySpend() {
+		t.Fatal("spent past the limit")
 	}
 	if b.Left() != 0 {
-		t.Fatalf("Left = %d", b.Left())
+		t.Fatalf("Left = %d after a refused spend", b.Left())
 	}
 }
 
@@ -249,9 +256,6 @@ func TestBudgetUnlimited(t *testing.T) {
 	}
 	if b.Left() >= 0 {
 		t.Fatalf("Left = %d, want negative", b.Left())
-	}
-	if b.Used() != 10000 {
-		t.Fatalf("Used = %d", b.Used())
 	}
 }
 

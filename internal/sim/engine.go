@@ -61,6 +61,17 @@
 // Multi, observed runs, Spammer, unverified colorings — takes steps 2–5
 // over all deliveries and keeps none of this state.
 //
+// # Run frame
+//
+// Everything around a slot loop is written once, in Frame (frame.go), and
+// shared by all three engines — this one, the dense reference loop
+// (internal/sim/ref) and the goroutine-per-node runtime (internal/actor):
+// config validation, the compiled plan and its TDMA schedule, placement
+// and its t-local validation, machine attach, budget seeding, the default
+// slot cap, and the classification of the instance's final State into a
+// Result. What differs between the engines is only the loop and the state
+// it needs, and which instance a Spec run attaches.
+//
 // # Fast path
 //
 // This package is the sparse fast path: per-color active-sender queues
@@ -79,18 +90,14 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
 	"bftbcast/internal/adversary"
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
-	"bftbcast/internal/plan"
 	"bftbcast/internal/protocol"
 	"bftbcast/internal/radio"
-	"bftbcast/internal/sched"
-	"bftbcast/internal/topo"
 )
 
 // maxTrackedValue bounds the distinct broadcast values the threshold
@@ -98,91 +105,6 @@ import (
 // internal/sim/ref's frozen copy must stay equal for bit-identical
 // results.
 const maxTrackedValue = protocol.MaxTrackedValue
-
-// Config describes one simulation run. It is the input half of the one
-// contract every engine implements — func(ctx, Config) (*Result, error):
-// RunContext here, ref.RunContext, actor.RunContext (which refuses a
-// Placement or Strategy).
-type Config struct {
-	// Topo is the network topology (grid.Torus, topo.Bounded, topo.RGG).
-	Topo   topo.Topology
-	Params core.Params
-	// Spec is the threshold protocol under test, executed through the
-	// built-in protocol.ThresholdInstance (ref: through its own frozen
-	// acceptance). Ignored when Machine is set.
-	Spec core.Spec
-	// Machine, when non-nil, selects a custom protocol state machine
-	// (e.g. the Section 5 reactive protocol) instead of the Spec-derived
-	// threshold machine. The machine is attached per run.
-	Machine protocol.Machine
-	// Source is the base station (defaults to node (0,0)).
-	Source grid.NodeID
-	// Placement chooses the bad set; nil means no bad nodes.
-	Placement adversary.Placement
-	// Strategy drives the bad nodes; nil means they stay silent.
-	Strategy adversary.Strategy
-	// Seed drives machine-level randomness (the reactive machine's
-	// coding patterns); the threshold machine ignores it.
-	Seed uint64
-	// MaxSlots caps the run; 0 picks a generous default derived from the
-	// protocol sizing and torus size.
-	MaxSlots int
-	// OnAccept, when non-nil, observes every acceptance.
-	OnAccept func(slot int, id grid.NodeID, v radio.Value)
-	// OnSlotStart, when non-nil, observes every executed slot before its
-	// transmissions are emitted. The fast path skips idle slots wholesale
-	// when the strategy is delivery-driven; skipped slots produce no
-	// event (the slot counter still advances past them).
-	OnSlotStart func(slot int)
-	// OnSend, when non-nil, observes every transmission the engine
-	// admits: protocol sends by good nodes and (with adversarial=true)
-	// validated adversarial jams, plus machine-internal adversarial
-	// sends (the reactive machine's payload attacks and NACK spam).
-	OnSend func(slot int, from grid.NodeID, v radio.Value, adversarial bool)
-	// OnDeliver, when non-nil, observes every delivery the protocol
-	// machine surfaces: every final delivery of the radio medium for the
-	// threshold protocols (including deliveries to bad nodes, which the
-	// protocol layer then ignores), every payload delivery for the
-	// reactive machine. Observing deliveries means materialising all of
-	// them: a run with this hook set resolves every slot in full instead
-	// of its frontier (see the package comment).
-	OnDeliver func(slot int, d radio.Delivery)
-}
-
-// Result reports the outcome of a run. All slices are owned by the
-// caller: the engine copies its internal state into fresh slices before
-// returning, so Results stay valid however the engine is reused.
-type Result struct {
-	// Completed is true when every good node decided Vtrue.
-	Completed bool
-	// Stalled is true when transmissions drained with good nodes still
-	// undecided: the broadcast failed.
-	Stalled bool
-	// TimedOut is true when MaxSlots elapsed with work pending.
-	TimedOut bool
-
-	Slots          int
-	TotalGood      int
-	DecidedGood    int
-	WrongDecisions int // good nodes that accepted a value != Vtrue (Lemma 1: must be 0)
-
-	GoodMessages int // protocol transmissions, source included
-	BadMessages  int // adversarial transmissions
-	RejectedJams int // strategy bugs: jams from non-bad or broke nodes
-
-	GoodGoodCollisions int // schedule violations (must be 0)
-	BadCount           int
-
-	// Per-node final state, indexed by NodeID.
-	Decided      []bool
-	DecidedValue []radio.Value
-	Correct      []int32 // copies of Vtrue received
-	Wrong        []int32 // copies of other values received
-	Sent         []int32 // protocol messages sent (good nodes)
-
-	AvgGoodSends float64 // mean Sent over good non-source nodes
-	MaxGoodSends int
-}
 
 // runnerPool recycles Runners across Run calls, so sweeps that call Run
 // in a loop (or from the exper worker pool) reuse engine state instead of
@@ -209,42 +131,31 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 // Runner is a reusable simulation engine: all per-run state (counters,
 // budgets, color queues, scratch buffers) is allocated once and
 // reset-and-reused by every Run call, keyed to the configured topology.
-// Switching topologies between calls is allowed and re-derives the
-// schedule, the radio medium and the flattened adjacency.
+// Switching topologies between calls is allowed and re-derives the radio
+// medium and the per-node scratch.
 //
 // A Runner is not safe for concurrent use; create one per goroutine (the
 // package-level Run does this through a sync.Pool).
 type Runner struct {
-	// Per-topology state, rebuilt only when the topology changes. The
-	// compiled plan is shared across engines and sweep workers; the
-	// medium's scratch is private but its CSR adjacency is the plan's,
-	// and it doubles as the engine's neighbor table. colors aliases the
-	// plan's (read-only) coloring.
-	topo     topo.Topology
-	plan     *plan.Plan
-	schedule *sched.TDMA
-	medium   *radio.Medium
-	colors   []int32 // TDMA color per node (shared, read-only)
+	// Frame is the run's shared setup and finish (see Frame): config,
+	// plan, placement, instance, budgets, sent tallies and slot cap.
+	Frame
 
-	// Protocol seam. builtin is the Runner's reusable counts-threshold
-	// instance, rebound per run when Config.Machine is nil; custom
-	// machines are attached per run. inst/st are the current run's
-	// instance and its flat per-node state arrays (see protocol.State) —
-	// the engine indexes st directly on the hot paths.
+	// Per-topology state, rebuilt only when the plan changes. The medium's
+	// scratch is private but its CSR adjacency is the plan's, and it
+	// doubles as the engine's neighbor table. colors aliases the plan's
+	// (read-only) coloring.
+	medium *radio.Medium
+	colors []int32 // TDMA color per node (shared, read-only)
+
+	// builtin is the Runner's reusable counts-threshold instance, rebound
+	// per run when Config.Machine is nil.
 	builtin *protocol.ThresholdInstance
-	inst    protocol.Instance
-	st      *protocol.State
-	hooks   protocol.Hooks
 
 	// Per-run state, reset by Run.
-	cfg        Config
-	bad        []bool
-	sent       []int32
-	pending    []int32
-	supplies   []bool // node currently contributes to neighbors' supply
-	supply     []int32
-	goodBudget []radio.Budget
-	badBudget  []radio.Budget
+	pending  []int32
+	supplies []bool // node currently contributes to neighbors' supply
+	supply   []int32
 
 	// active[c] queues the nodes of color c with pending transmissions,
 	// in activation order with lazy removal; colorPending[c] is the exact
@@ -283,8 +194,6 @@ type Runner struct {
 	sendBuf   []protocol.Send
 	jamSeen   []int32 // epoch stamps replacing validateJams' map
 	jamEpoch  int32
-
-	res Result
 }
 
 // NewRunner returns an empty Runner; the first Run sizes it.
@@ -292,48 +201,24 @@ func NewRunner() *Runner {
 	return &Runner{builtin: protocol.NewThresholdInstance()}
 }
 
-// resized returns s cleared at length n, reusing its backing array when
-// it is big enough — the retarget path's buffer reuse, so a Runner that
-// hops between same-or-smaller topologies (a sweep over sizes, a pooled
-// Runner serving mixed configs) stops reallocating its per-node state.
-func resized[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		s = s[:n]
-		clear(s)
-		return s
-	}
-	return make([]T, n)
-}
-
-// retarget (re)builds the per-topology state when cfg.Topo differs from
-// the previous run's topology. The topology-derived artifacts (CSR
-// adjacency, coloring, schedule) come from the shared compiled plan, so
-// only the Runner's private scratch is (re)sized here — and reused when
-// the previous topology was at least as big.
-func (r *Runner) retarget(t topo.Topology) error {
-	p := plan.For(t)
-	schedule, err := p.TDMA()
-	if err != nil {
-		return err
-	}
-	r.topo = t
-	r.plan = p
-	r.schedule = schedule
+// retarget (re)builds the per-topology state when the run's plan differs
+// from the previous run's. The topology-derived artifacts (CSR adjacency,
+// coloring, schedule) come from the shared compiled plan, so only the
+// Runner's private scratch is (re)sized here — and reused when the
+// previous topology was at least as big.
+func (r *Runner) retarget() {
+	p := r.Plan
 	r.medium = radio.NewMediumShared(p.Adjacency())
-	n := t.Size()
 	r.colors = p.Colors()
-
-	r.sent = resized(r.sent, n)
+	n := p.Size()
 	r.pending = resized(r.pending, n)
 	r.supplies = resized(r.supplies, n)
 	r.supply = resized(r.supply, n)
-	r.goodBudget = resized(r.goodBudget, n)
-	r.badBudget = resized(r.badBudget, n)
 	r.jamSeen = resized(r.jamSeen, n)
 	r.jamEpoch = 0
 	r.live = resized(r.live, n)
 	r.counted = resized(r.counted, n)
-	period := schedule.Period()
+	period := p.Period()
 	if cap(r.active) >= period {
 		r.active = r.active[:period]
 		for c := range r.active {
@@ -344,26 +229,20 @@ func (r *Runner) retarget(t topo.Topology) error {
 	}
 	r.colorPending = resized(r.colorPending, period)
 	r.pendingTotal = 0
-	r.res = Result{}
-	return nil
 }
 
 // reset clears the per-run state for a fresh run on the current topology
-// (the protocol instance's state is reset by its own per-run binding).
+// (the frame and the protocol instance reset their own).
 func (r *Runner) reset() {
-	clear(r.sent)
 	clear(r.pending)
 	clear(r.supplies)
 	clear(r.supply)
-	clear(r.goodBudget)
-	clear(r.badBudget)
 	clear(r.counted)
 	for c := range r.active {
 		r.active[c] = r.active[c][:0]
 	}
 	clear(r.colorPending)
 	r.pendingTotal = 0
-	r.res = Result{}
 	r.medium.ResetStats()
 }
 
@@ -378,118 +257,22 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Topo == nil {
-		return nil, errors.New("sim: config needs a topology")
-	}
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Machine == nil {
-		if err := cfg.Spec.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Params.R != cfg.Topo.Range() {
-		return nil, fmt.Errorf("sim: params r=%d but topology r=%d", cfg.Params.R, cfg.Topo.Range())
-	}
-	if r.topo != cfg.Topo {
-		if err := r.retarget(cfg.Topo); err != nil {
-			return nil, err
-		}
-	} else {
-		r.reset()
-	}
-	n := cfg.Topo.Size()
-	if int(cfg.Source) < 0 || int(cfg.Source) >= n {
-		return nil, fmt.Errorf("sim: source %d out of range", cfg.Source)
-	}
-
-	placement := cfg.Placement
-	if placement == nil {
-		placement = adversary.None{}
-	}
-	bad, err := placement.Place(cfg.Topo, cfg.Source)
-	if err != nil {
-		return nil, fmt.Errorf("sim: placement %q: %w", placement.Name(), err)
-	}
-	if _, err := adversary.Validate(cfg.Topo, bad, cfg.Source, cfg.Params.T); err != nil {
-		return nil, err
-	}
-
-	// Bind the protocol: the reusable built-in threshold instance for
-	// Spec runs, a freshly attached machine otherwise.
-	env := protocol.Env{
-		Plan:   r.plan,
-		Params: cfg.Params,
-		Source: cfg.Source,
-		Bad:    bad,
-		Seed:   cfg.Seed,
-	}
-	if cfg.Machine != nil {
-		inst, err := cfg.Machine.Attach(env)
-		if err != nil {
-			return nil, err
-		}
-		r.inst = inst
-	} else {
-		if err := r.builtin.Bind(env, cfg.Spec); err != nil {
-			return nil, err
-		}
-		r.inst = r.builtin
-	}
-	r.st = r.inst.State()
-	r.hooks = protocol.Hooks{
-		OnSend:    cfg.OnSend,
-		OnDeliver: cfg.OnDeliver,
-		OnAccept:  cfg.OnAccept,
-	}
-
-	r.cfg = cfg
-	r.bad = bad
-	r.trackSupply = cfg.Strategy != nil
-	if r.trackSupply {
-		r.view = adversary.View{
-			Topo: r.topo, Adj: r.medium.Adjacency(),
-			Bad: bad, Decided: r.st.Decided, Correct: r.st.Correct, Supply: r.supply,
-			Budget: r.badBudget, Threshold: r.inst.Threshold(),
-		}
-	}
-	r.frontier = r.frontierEligible()
-	r.frontierSlots, r.settledTxs = 0, 0
-	for i := 0; i < n; i++ {
-		id := grid.NodeID(i)
-		if bad[i] {
-			r.badBudget[i] = radio.NewBudget(cfg.Params.MF)
-			r.res.BadCount++
-			continue
-		}
-		if id == cfg.Source {
-			r.goodBudget[i] = radio.Unlimited()
-			continue
-		}
-		r.goodBudget[i] = radio.NewBudget(r.inst.GoodBudget(id))
-	}
-
-	if r.frontier {
-		r.initLive()
-	}
-
-	// Bootstrap: the instance pre-decides the source and schedules its
-	// opening sends.
-	r.sendBuf = r.inst.Bootstrap(r.sendBuf[:0])
-	r.applySends(r.sendBuf)
-
-	res, err := r.run(ctx)
+	res, err := r.run(ctx, cfg)
 	// Drop the per-run references so a pooled Runner does not pin the
-	// caller's placement, strategy, callbacks or machine between runs.
-	r.cfg = Config{}
-	r.bad = nil
+	// caller's placement, strategy, hooks or machine between runs.
+	r.release()
 	r.view = adversary.View{}
 	r.builtin.Unbind()
-	r.inst = nil
-	r.st = nil
-	r.hooks = protocol.Hooks{}
 	return res, err
+}
+
+// bindBuiltin is the fast engine's Spec instance: the Runner's reusable
+// threshold instance, rebound to the run.
+func (r *Runner) bindBuiltin(env protocol.Env, spec core.Spec) (protocol.Instance, error) {
+	if err := r.builtin.Bind(env, spec); err != nil {
+		return nil, err
+	}
+	return r.builtin, nil
 }
 
 // neighbors returns the flattened neighbor list of id (the medium's CSR
@@ -506,7 +289,7 @@ func (r *Runner) initLive() {
 	for i := range r.live {
 		r.live[i] = int32(len(r.neighbors(grid.NodeID(i))))
 	}
-	for i, b := range r.bad {
+	for i, b := range r.Bad {
 		if !b {
 			continue
 		}
@@ -533,12 +316,12 @@ func (r *Runner) addPending(id grid.NodeID, n int) {
 		r.pendingTotal += int64(n)
 	}
 	var credit int32
-	if n > 0 && r.trackSupply && r.st.Value[id] == radio.ValueTrue && !r.bad[id] {
+	if n > 0 && r.trackSupply && r.St.Value[id] == radio.ValueTrue && !r.Bad[id] {
 		r.supplies[id] = true
 		credit = int32(n)
 	}
 	switch {
-	case r.frontier && r.st.Settled[id] && !r.counted[id]:
+	case r.frontier && r.St.Settled[id] && !r.counted[id]:
 		r.counted[id] = true
 		for _, nb := range r.neighbors(id) {
 			r.supply[nb] += credit
@@ -558,28 +341,21 @@ func (r *Runner) addPending(id grid.NodeID, n int) {
 func (r *Runner) applySends(sends []protocol.Send) {
 	for _, s := range sends {
 		n := s.N
-		if left := r.goodBudget[s.ID].Left(); left >= 0 && n > left {
+		if left := r.GoodBudget[s.ID].Left(); left >= 0 && n > left {
 			n = left
 		}
 		r.addPending(s.ID, n)
 	}
 }
 
-func (r *Runner) defaultMaxSlots() int {
-	sourceSends, maxSends := r.inst.Sizing()
-	period := r.schedule.Period()
-	hops := r.topo.DiameterHint()
-	return period * (sourceSends + hops*(maxSends+1) + 2*period)
-}
-
 // deliveryDriven reports whether the configured strategy never transmits
 // in a slot without tentative deliveries, which lets the engine skip idle
 // slots wholesale (see adversary.DeliveryDriven).
 func (r *Runner) deliveryDriven() bool {
-	if r.cfg.Strategy == nil {
+	if r.Cfg.Strategy == nil {
 		return true
 	}
-	dd, ok := r.cfg.Strategy.(adversary.DeliveryDriven)
+	dd, ok := r.Cfg.Strategy.(adversary.DeliveryDriven)
 	return ok && dd.DeliveryDriven()
 }
 
@@ -588,31 +364,55 @@ func (r *Runner) deliveryDriven() bool {
 // Since pendingTotal > 0 implies some color is busy, the scan is bounded
 // by one schedule period.
 func (r *Runner) nextBusySlot(slot, maxSlots int) int {
-	period := r.schedule.Period()
+	period := r.Plan.Period()
 	for d := 0; d < period; d++ {
 		s := slot + d
 		if s >= maxSlots {
 			return maxSlots
 		}
-		if r.colorPending[r.schedule.SlotColor(s)] > 0 {
+		if r.colorPending[r.Plan.SlotColor(s)] > 0 {
 			return s
 		}
 	}
 	return maxSlots
 }
 
-func (r *Runner) run(ctx context.Context) (*Result, error) {
-	maxSlots := r.cfg.MaxSlots
-	if maxSlots <= 0 {
-		maxSlots = r.defaultMaxSlots()
+func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
+	if err := r.Begin(cfg, r.bindBuiltin); err != nil {
+		return nil, err
 	}
+	if r.medium == nil || r.medium.Adjacency() != r.Plan.Adjacency() {
+		r.retarget()
+	} else {
+		r.reset()
+	}
+	r.trackSupply = cfg.Strategy != nil
+	if r.trackSupply {
+		r.view = adversary.View{
+			Topo: cfg.Topo, Adj: r.medium.Adjacency(),
+			Bad: r.Bad, Decided: r.St.Decided, Correct: r.St.Correct, Supply: r.supply,
+			Budget: r.BadBudget, Threshold: r.Inst.Threshold(),
+		}
+	}
+	r.frontier = r.frontierEligible()
+	r.frontierSlots, r.settledTxs = 0, 0
+	if r.frontier {
+		r.initLive()
+	}
+
+	// Bootstrap: the instance pre-decides the source and schedules its
+	// opening sends.
+	r.sendBuf = r.Inst.Bootstrap(r.sendBuf[:0])
+	r.applySends(r.sendBuf)
+
+	maxSlots := r.MaxSlots
 	canSkip := r.deliveryDriven()
 	slot := 0
 	for r.pendingTotal > 0 && slot < maxSlots {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		color := r.schedule.SlotColor(slot)
+		color := r.Plan.SlotColor(slot)
 		if r.colorPending[color] == 0 && canSkip {
 			// Nothing transmits and the strategy stays silent on empty
 			// slots: fast-forward to the next busy color. The slot
@@ -621,8 +421,8 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 			continue
 		}
 		r.curSlot = slot
-		if r.cfg.OnSlotStart != nil {
-			r.cfg.OnSlotStart(slot)
+		if r.Cfg.Hooks.OnSlotStart != nil {
+			r.Cfg.Hooks.OnSlotStart(slot)
 		}
 
 		txs := r.txs[:0]
@@ -633,7 +433,7 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 				if r.pending[id] <= 0 {
 					continue // lazily drop drained entries
 				}
-				if !r.goodBudget[id].TrySpend() {
+				if !r.GoodBudget[id].TrySpend() {
 					// Budget exhausted below the protocol's send count:
 					// drop the remaining pendings (can happen only when
 					// a spec sends more than its own budget).
@@ -641,12 +441,12 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 					continue
 				}
 				r.consumePending(id)
-				r.sent[id]++
-				r.res.GoodMessages++
-				if r.cfg.OnSend != nil {
-					r.cfg.OnSend(slot, id, r.st.Value[id], false)
+				r.Sent[id]++
+				r.Res.GoodMessages++
+				if r.Cfg.Hooks.OnSend != nil {
+					r.Cfg.Hooks.OnSend(slot, id, r.St.Value[id], false)
 				}
-				txs = append(txs, radio.Tx{From: id, Value: r.st.Value[id]})
+				txs = append(txs, radio.Tx{From: id, Value: r.St.Value[id]})
 				if r.pending[id] > 0 {
 					q[w] = id
 					w++
@@ -674,8 +474,8 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 		}
 
 		var jams []radio.Tx
-		if r.cfg.Strategy != nil {
-			jams = r.validateJams(r.cfg.Strategy.Jams(&r.view, slot, r.tentative))
+		if r.Cfg.Strategy != nil {
+			jams = r.validateJams(r.Cfg.Strategy.Jams(&r.view, slot, r.tentative))
 		}
 
 		if len(jams) > 0 {
@@ -693,7 +493,7 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 		} else if r.frontier && len(r.txs) > 0 {
 			// Jam-free: the frontier is the final batch, and the instance
 			// books the rest of what the slot delivered.
-			if err := r.inst.Book(slot, r.txs); err != nil {
+			if err := r.Inst.Book(slot, r.txs); err != nil {
 				return nil, err
 			}
 			r.frontierSlots++
@@ -706,18 +506,17 @@ func (r *Runner) run(ctx context.Context) (*Result, error) {
 		if heard {
 			r.sendBuf = r.sendBuf[:0]
 			var err error
-			r.sendBuf, err = r.inst.Deliver(slot, r.tentative, &r.hooks, r.sendBuf)
+			r.sendBuf, err = r.Inst.Deliver(slot, r.tentative, &r.Cfg.Hooks, r.sendBuf)
 			if err != nil {
 				return nil, err
 			}
-			r.sendBuf = r.inst.Tick(slot, r.sendBuf)
+			r.sendBuf = r.Inst.Tick(slot, r.sendBuf)
 			r.applySends(r.sendBuf)
 		}
 		slot++
 	}
 
-	r.inst.Finish(slot)
-	return r.finish(slot, maxSlots), nil
+	return r.Finish(slot, r.pendingTotal > 0, r.medium.GoodGoodCollisions), nil
 }
 
 // consumePending removes one pending transmission from id, debiting the
@@ -763,8 +562,8 @@ func (r *Runner) dropPending(id grid.NodeID) {
 // jam-free slot could still hold collisions that only full resolution
 // counts.
 func (r *Runner) frontierEligible() bool {
-	return r.st.Settled != nil && r.cfg.OnDeliver == nil &&
-		r.plan.DisjointClasses() && r.deliveryDriven()
+	return r.St.Settled != nil && r.Cfg.Hooks.OnDeliver == nil &&
+		r.Plan.DisjointClasses() && r.deliveryDriven()
 }
 
 // resolveFrontier fills r.tentative with the slot's frontier in
@@ -793,13 +592,13 @@ func (r *Runner) resolveFrontier(txs []radio.Tx) (heard bool, err error) {
 	if len(live) == 0 {
 		return heard, nil
 	}
-	ds, err := r.medium.ResolveDisjoint(live, r.st.Settled, r.tentative)
+	ds, err := r.medium.ResolveDisjoint(live, r.St.Settled, r.tentative)
 	if err != nil {
 		return false, err
 	}
 	w := 0
 	for _, d := range ds {
-		if r.bad[d.To] {
+		if r.Bad[d.To] {
 			continue
 		}
 		if r.supplies[d.From] {
@@ -828,72 +627,24 @@ func (r *Runner) validateJams(jams []radio.Tx) []radio.Tx {
 	valid := jams[:0]
 	for _, j := range jams {
 		switch {
-		case int(j.From) < 0 || int(j.From) >= r.topo.Size(),
-			!r.bad[j.From],
+		case int(j.From) < 0 || int(j.From) >= r.Plan.Size(),
+			!r.Bad[j.From],
 			r.jamSeen[j.From] == r.jamEpoch,
 			!j.Jam,
 			!j.Drop && (j.Value <= 0 || j.Value > maxTrackedValue):
-			r.res.RejectedJams++
+			r.Res.RejectedJams++
 			continue
 		}
-		if !r.badBudget[j.From].TrySpend() {
-			r.res.RejectedJams++
+		if !r.BadBudget[j.From].TrySpend() {
+			r.Res.RejectedJams++
 			continue
 		}
 		r.jamSeen[j.From] = r.jamEpoch
-		r.res.BadMessages++
-		if r.cfg.OnSend != nil {
-			r.cfg.OnSend(r.curSlot, j.From, j.Value, true)
+		r.Res.BadMessages++
+		if r.Cfg.Hooks.OnSend != nil {
+			r.Cfg.Hooks.OnSend(r.curSlot, j.From, j.Value, true)
 		}
 		valid = append(valid, j)
 	}
 	return valid
-}
-
-func (r *Runner) finish(slot, maxSlots int) *Result {
-	res := &r.res
-	res.Slots = slot
-	res.TimedOut = r.pendingTotal > 0 && slot >= maxSlots
-	res.GoodGoodCollisions = r.medium.GoodGoodCollisions
-
-	var sumSends, goodNonSource int
-	allTrue := true
-	for i := 0; i < r.topo.Size(); i++ {
-		id := grid.NodeID(i)
-		if r.bad[i] {
-			continue
-		}
-		res.TotalGood++
-		if r.st.Decided[i] {
-			res.DecidedGood++
-			if r.st.Value[i] != radio.ValueTrue {
-				allTrue = false
-				res.WrongDecisions++
-			}
-		} else {
-			allTrue = false
-		}
-		if id != r.cfg.Source {
-			goodNonSource++
-			sumSends += int(r.sent[i])
-			if int(r.sent[i]) > res.MaxGoodSends {
-				res.MaxGoodSends = int(r.sent[i])
-			}
-		}
-	}
-	res.Completed = allTrue && res.DecidedGood == res.TotalGood
-	res.Stalled = !res.Completed && !res.TimedOut
-	if goodNonSource > 0 {
-		res.AvgGoodSends = float64(sumSends) / float64(goodNonSource)
-	}
-	// Copy the per-node state out of the engine: the Runner's own slices
-	// are reset and reused by the next run, and handing them out would
-	// retroactively corrupt this Result (see TestResultNotAliased).
-	res.Decided = append([]bool(nil), r.st.Decided...)
-	res.DecidedValue = append([]radio.Value(nil), r.st.Value...)
-	res.Correct = append([]int32(nil), r.st.Correct...)
-	res.Wrong = append([]int32(nil), r.st.Wrong...)
-	res.Sent = append([]int32(nil), r.sent...)
-	out := *res
-	return &out
 }

@@ -7,6 +7,7 @@ import (
 	"bftbcast/internal/adversary"
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
+	"bftbcast/internal/protocol"
 	"bftbcast/internal/radio"
 )
 
@@ -237,57 +238,16 @@ func TestAcceptCallback(t *testing.T) {
 		Params: p,
 		Spec:   spec,
 		Source: tor.ID(0, 0),
-		OnAccept: func(slot int, id grid.NodeID, v radio.Value) {
+		Hooks: protocol.Hooks{OnAccept: func(slot int, id grid.NodeID, v radio.Value) {
 			if v != radio.ValueTrue {
 				t.Fatalf("accepted %v", v)
 			}
 			accepts++
-		},
+		}},
 	})
 	checkInvariants(t, res)
 	if accepts != res.DecidedGood-1 { // source never "accepts"
 		t.Fatalf("accepts = %d, decided = %d", accepts, res.DecidedGood)
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	tor := grid.MustNew(20, 20, 2)
-	good := Config{Topo: tor, Params: miniParams, Spec: protocolB(t, miniParams)}
-
-	bad := good
-	bad.Topo = nil
-	if _, err := Run(bad); err == nil {
-		t.Fatal("nil torus accepted")
-	}
-
-	bad = good
-	bad.Params = core.Params{R: 3, T: 0, MF: 0} // mismatched with torus r=2
-	bad.Spec = protocolB(t, core.Params{R: 3, T: 0, MF: 0})
-	if _, err := Run(bad); err == nil {
-		t.Fatal("params/torus range mismatch accepted")
-	}
-
-	bad = good
-	bad.Source = grid.NodeID(tor.Size())
-	if _, err := Run(bad); err == nil {
-		t.Fatal("out-of-range source accepted")
-	}
-
-	// Placement violating the t-bound must be rejected.
-	bad = good
-	bad.Params = core.Params{R: 2, T: 1, MF: 4}
-	bad.Spec = protocolB(t, bad.Params)
-	bad.Placement = adversary.Random{T: 3, Density: 0.2, Seed: 3} // t=3 > params.T=1
-	if _, err := Run(bad); err == nil {
-		t.Fatal("placement exceeding params.T accepted")
-	}
-
-	// Schedule requires divisible sides.
-	tor2 := grid.MustNew(21, 20, 2)
-	bad = good
-	bad.Topo = tor2
-	if _, err := Run(bad); err == nil {
-		t.Fatal("non-divisible torus accepted")
 	}
 }
 
@@ -345,14 +305,14 @@ func TestFrontierRejectsValuelessTransmission(t *testing.T) {
 	poisoned := grid.None
 	_, err := r.Run(Config{
 		Topo: tor, Params: miniParams, Spec: protocolB(t, miniParams),
-		OnSlotStart: func(int) {
+		Hooks: protocol.Hooks{OnSlotStart: func(int) {
 			for id := range r.pending {
 				if poisoned == grid.None && r.pending[id] > 0 && r.live[id] == 0 {
 					poisoned = grid.NodeID(id)
-					r.st.Value[id] = radio.ValueNone
+					r.St.Value[id] = radio.ValueNone
 				}
 			}
-		},
+		}},
 	})
 	if poisoned == grid.None {
 		t.Fatal("no settled row ever had a transmission pending")

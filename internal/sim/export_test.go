@@ -26,14 +26,14 @@ func (r *Runner) CheckLive() error {
 	if !r.frontier {
 		return nil
 	}
-	st := r.st
+	st := r.St
 	for i := range r.live {
-		if st.Settled[i] && (!st.Decided[i] || r.bad[i]) {
+		if st.Settled[i] && (!st.Decided[i] || r.Bad[i]) {
 			return fmt.Errorf("slot %d: node %d is settled but not a decided good node", r.curSlot, i)
 		}
 		var want int32
 		for _, nb := range r.neighbors(grid.NodeID(i)) {
-			if !r.bad[nb] && !st.Settled[nb] {
+			if !r.Bad[nb] && !st.Settled[nb] {
 				want++
 			}
 		}

@@ -45,16 +45,16 @@ type event struct {
 // event log and returns the log.
 func observe(cfg *sim.Config) *[]event {
 	log := &[]event{}
-	cfg.OnSlotStart = func(slot int) {
+	cfg.Hooks.OnSlotStart = func(slot int) {
 		*log = append(*log, event{kind: "slot", slot: slot})
 	}
-	cfg.OnSend = func(slot int, from grid.NodeID, v radio.Value, adversarial bool) {
+	cfg.Hooks.OnSend = func(slot int, from grid.NodeID, v radio.Value, adversarial bool) {
 		*log = append(*log, event{kind: "send", slot: slot, id: from, v: v, adversarial: adversarial})
 	}
-	cfg.OnDeliver = func(slot int, d radio.Delivery) {
+	cfg.Hooks.OnDeliver = func(slot int, d radio.Delivery) {
 		*log = append(*log, event{kind: "deliver", slot: slot, id: d.From, to: d.To, v: d.Value})
 	}
-	cfg.OnAccept = func(slot int, id grid.NodeID, v radio.Value) {
+	cfg.Hooks.OnAccept = func(slot int, id grid.NodeID, v radio.Value) {
 		*log = append(*log, event{kind: "accept", slot: slot, id: id, v: v})
 	}
 	return log
@@ -82,7 +82,7 @@ type frontierLeg struct {
 // violation is returned the same way.
 func runFrontierLeg(r *sim.Runner, cfg sim.Config, onDeliver func(int, radio.Delivery), noWrong bool) (frontierLeg, error) {
 	log := observe(&cfg)
-	cfg.OnDeliver = onDeliver
+	cfg.Hooks.OnDeliver = onDeliver
 	var safety *simtest.Safety
 	if onDeliver == nil {
 		var err error
@@ -91,8 +91,8 @@ func runFrontierLeg(r *sim.Runner, cfg sim.Config, onDeliver func(int, radio.Del
 		}
 	}
 	var liveErr error
-	logSlot := cfg.OnSlotStart
-	cfg.OnSlotStart = func(slot int) {
+	logSlot := cfg.Hooks.OnSlotStart
+	cfg.Hooks.OnSlotStart = func(slot int) {
 		logSlot(slot)
 		if liveErr == nil {
 			liveErr = r.CheckLive()

@@ -12,62 +12,49 @@
 // asserts bit-identical Results.
 //
 // Frozen here, independent of what the fast path uses: the resolver
-// (medium.go, a copy of the original radio.Medium), the dense scan, and
-// the threshold acceptance a Spec run attaches (threshold.go: the counts
-// table, the clamp, the threshold crossing and the Spec.Sends relay,
-// written out as they were inlined before the protocol seam). Shared with
-// the other engines: the Machine/Instance seam itself — a Config.Machine
-// (protocol.Multi, protocol.Reactive) runs the same machine code on every
-// engine, so for those the oracle checks the loops, not the machine — and
-// the compiled plan's coloring. testdata/ref_fingerprints.txt pins the
-// loop's Results to the ones the former inline engine produced.
+// (medium.go, a copy of the original radio.Medium), the dense scan, the
+// jam validation, and the threshold acceptance a Spec run attaches
+// (threshold.go: the counts table, the clamp, the threshold crossing and
+// the Spec.Sends relay, written out as they were inlined before the
+// protocol seam). From the run frame every engine shares (sim.Frame):
+// config validation, the compiled plan and its schedule, placement and its
+// validation, machine attach, budget seeding, the default slot cap and
+// the classification of the final State into a Result — and the
+// Machine/Instance seam itself, so a Config.Machine (protocol.Multi,
+// protocol.Reactive) runs the same machine code on every engine and for
+// those the oracle checks the loops, not the machine.
+// testdata/ref_fingerprints.txt pins the loop's Results to the ones the
+// former inline engine produced.
 //
 // Do not optimize this package.
 package ref
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"bftbcast/internal/adversary"
+	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
-	"bftbcast/internal/plan"
 	"bftbcast/internal/protocol"
 	"bftbcast/internal/radio"
-	"bftbcast/internal/sched"
 	"bftbcast/internal/sim"
-	"bftbcast/internal/topo"
 )
 
 // maxTrackedValue mirrors the fast engine's per-node value-tracking bound.
 // The two constants must stay equal for bit-identical results.
 const maxTrackedValue = 7
 
-// engine is the mutable run state.
+// engine is the mutable run state: the shared frame plus what the dense
+// loop needs.
 type engine struct {
-	cfg      sim.Config
-	tor      topo.Topology
-	plan     *plan.Plan
-	schedule *sched.TDMA
-	medium   *medium // the frozen dense resolver
+	sim.Frame
+	medium *medium // the frozen dense resolver
 
-	inst  protocol.Instance
-	st    *protocol.State
-	hooks protocol.Hooks
+	pending  []int32
+	supplies []bool
+	supply   []int32
 
-	bad        []bool
-	sent       []int32
-	pending    []int32
-	supplies   []bool
-	supply     []int32
-	goodBudget []radio.Budget
-	badBudget  []radio.Budget
-
-	colorNodes   [][]grid.NodeID
 	pendingTotal int64
-
-	res sim.Result
 }
 
 // Run executes the configured simulation through the dense reference
@@ -85,93 +72,22 @@ func RunContext(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Machine == nil {
-		cfg.Machine = denseThreshold{spec: cfg.Spec}
-	}
-	if cfg.Topo == nil {
-		return nil, errors.New("ref: config needs a topology")
-	}
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Params.R != cfg.Topo.Range() {
-		return nil, fmt.Errorf("ref: params r=%d but topology r=%d", cfg.Params.R, cfg.Topo.Range())
-	}
-	// The schedule comes from the shared compiled plan — the same colors
-	// sched.New would derive, computed once per topology. The dense
-	// resolver stays frozen; only the derivation is shared.
-	p := plan.For(cfg.Topo)
-	schedule, err := p.TDMA()
-	if err != nil {
+	e := &engine{}
+	if err := e.Begin(cfg, attachDense); err != nil {
 		return nil, err
 	}
 	n := cfg.Topo.Size()
-	if int(cfg.Source) < 0 || int(cfg.Source) >= n {
-		return nil, fmt.Errorf("ref: source %d out of range", cfg.Source)
-	}
-
-	placement := cfg.Placement
-	if placement == nil {
-		placement = adversary.None{}
-	}
-	bad, err := placement.Place(cfg.Topo, cfg.Source)
-	if err != nil {
-		return nil, fmt.Errorf("ref: placement %q: %w", placement.Name(), err)
-	}
-	if _, err := adversary.Validate(cfg.Topo, bad, cfg.Source, cfg.Params.T); err != nil {
-		return nil, err
-	}
-
-	inst, err := cfg.Machine.Attach(protocol.Env{
-		Plan:   p,
-		Params: cfg.Params,
-		Source: cfg.Source,
-		Bad:    bad,
-		Seed:   cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	e := &engine{
-		cfg:      cfg,
-		tor:      cfg.Topo,
-		plan:     p,
-		schedule: schedule,
-		medium:   newMedium(cfg.Topo),
-		inst:     inst,
-		st:       inst.State(),
-		hooks: protocol.Hooks{
-			OnSend:    cfg.OnSend,
-			OnDeliver: cfg.OnDeliver,
-			OnAccept:  cfg.OnAccept,
-		},
-		bad:        bad,
-		sent:       make([]int32, n),
-		pending:    make([]int32, n),
-		supplies:   make([]bool, n),
-		supply:     make([]int32, n),
-		goodBudget: make([]radio.Budget, n),
-		badBudget:  make([]radio.Budget, n),
-	}
-	for i := 0; i < n; i++ {
-		id := grid.NodeID(i)
-		if bad[i] {
-			e.badBudget[i] = radio.NewBudget(cfg.Params.MF)
-			e.res.BadCount++
-			continue
-		}
-		if id == cfg.Source {
-			e.goodBudget[i] = radio.Unlimited()
-			continue
-		}
-		e.goodBudget[i] = radio.NewBudget(inst.GoodBudget(id))
-	}
-
-	e.colorNodes = p.ColorClasses() // shared, read-only
-
-	e.applySends(inst.Bootstrap(nil))
+	e.medium = newMedium(cfg.Topo)
+	e.pending = make([]int32, n)
+	e.supplies = make([]bool, n)
+	e.supply = make([]int32, n)
+	e.applySends(e.Inst.Bootstrap(nil))
 	return e.run(ctx)
+}
+
+// attachDense attaches the frozen acceptance a Spec run executes.
+func attachDense(env protocol.Env, spec core.Spec) (protocol.Instance, error) {
+	return denseThreshold{spec: spec}.Attach(env)
 }
 
 // addPending schedules n more transmissions at id and, when id supplies
@@ -182,9 +98,9 @@ func (e *engine) addPending(id grid.NodeID, n int) {
 	}
 	e.pending[id] += int32(n)
 	e.pendingTotal += int64(n)
-	if e.st.Value[id] == radio.ValueTrue && !e.bad[id] {
+	if e.St.Value[id] == radio.ValueTrue && !e.Bad[id] {
 		e.supplies[id] = true
-		e.tor.ForEachNeighbor(id, func(nb grid.NodeID) {
+		e.Cfg.Topo.ForEachNeighbor(id, func(nb grid.NodeID) {
 			e.supply[nb] += int32(n)
 		})
 	}
@@ -195,50 +111,40 @@ func (e *engine) addPending(id grid.NodeID, n int) {
 func (e *engine) applySends(sends []protocol.Send) {
 	for _, s := range sends {
 		n := s.N
-		if left := e.goodBudget[s.ID].Left(); left >= 0 && n > left {
+		if left := e.GoodBudget[s.ID].Left(); left >= 0 && n > left {
 			n = left
 		}
 		e.addPending(s.ID, n)
 	}
 }
 
-func (e *engine) defaultMaxSlots() int {
-	sourceSends, maxSends := e.inst.Sizing()
-	period := e.schedule.Period()
-	hops := e.tor.DiameterHint()
-	return period * (sourceSends + hops*(maxSends+1) + 2*period)
-}
-
 func (e *engine) run(ctx context.Context) (*sim.Result, error) {
-	maxSlots := e.cfg.MaxSlots
-	if maxSlots <= 0 {
-		maxSlots = e.defaultMaxSlots()
-	}
+	cfg := &e.Cfg
 	var (
 		txs        []radio.Tx
 		deliveries []radio.Delivery
 		sendBuf    []protocol.Send
 	)
 	view := &adversary.View{
-		Topo: e.tor, Adj: e.plan.Adjacency(),
-		Bad: e.bad, Decided: e.st.Decided, Correct: e.st.Correct, Supply: e.supply,
-		Budget: e.badBudget, Threshold: e.inst.Threshold(),
+		Topo: cfg.Topo, Adj: e.Plan.Adjacency(),
+		Bad: e.Bad, Decided: e.St.Decided, Correct: e.St.Correct, Supply: e.supply,
+		Budget: e.BadBudget, Threshold: e.Inst.Threshold(),
 	}
 	slot := 0
-	for ; e.pendingTotal > 0 && slot < maxSlots; slot++ {
+	for ; e.pendingTotal > 0 && slot < e.MaxSlots; slot++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if e.cfg.OnSlotStart != nil {
-			e.cfg.OnSlotStart(slot)
+		if cfg.Hooks.OnSlotStart != nil {
+			cfg.Hooks.OnSlotStart(slot)
 		}
-		color := e.schedule.SlotColor(slot)
+		color := e.Plan.SlotColor(slot)
 		txs = txs[:0]
-		for _, id := range e.colorNodes[color] {
-			if e.pending[id] <= 0 || e.bad[id] {
+		for _, id := range e.Plan.ColorClasses()[color] {
+			if e.pending[id] <= 0 || e.Bad[id] {
 				continue
 			}
-			if !e.goodBudget[id].TrySpend() {
+			if !e.GoodBudget[id].TrySpend() {
 				// Budget exhausted below the protocol's send count:
 				// drop the remaining pendings (can happen only when a
 				// spec sends more than its own budget).
@@ -246,12 +152,12 @@ func (e *engine) run(ctx context.Context) (*sim.Result, error) {
 				continue
 			}
 			e.consumePending(id)
-			e.sent[id]++
-			e.res.GoodMessages++
-			if e.cfg.OnSend != nil {
-				e.cfg.OnSend(slot, id, e.st.Value[id], false)
+			e.Sent[id]++
+			e.Res.GoodMessages++
+			if cfg.Hooks.OnSend != nil {
+				cfg.Hooks.OnSend(slot, id, e.St.Value[id], false)
 			}
-			txs = append(txs, radio.Tx{From: id, Value: e.st.Value[id]})
+			txs = append(txs, radio.Tx{From: id, Value: e.St.Value[id]})
 		}
 
 		deliveries = deliveries[:0]
@@ -264,8 +170,8 @@ func (e *engine) run(ctx context.Context) (*sim.Result, error) {
 		}
 
 		var jams []radio.Tx
-		if e.cfg.Strategy != nil {
-			jams = e.validateJams(slot, e.cfg.Strategy.Jams(view, slot, deliveries))
+		if cfg.Strategy != nil {
+			jams = e.validateJams(slot, cfg.Strategy.Jams(view, slot, deliveries))
 		}
 		if len(jams) > 0 {
 			txs = append(txs, jams...)
@@ -280,17 +186,16 @@ func (e *engine) run(ctx context.Context) (*sim.Result, error) {
 		if len(deliveries) > 0 {
 			sendBuf = sendBuf[:0]
 			var err error
-			sendBuf, err = e.inst.Deliver(slot, deliveries, &e.hooks, sendBuf)
+			sendBuf, err = e.Inst.Deliver(slot, deliveries, &cfg.Hooks, sendBuf)
 			if err != nil {
 				return nil, err
 			}
-			sendBuf = e.inst.Tick(slot, sendBuf)
+			sendBuf = e.Inst.Tick(slot, sendBuf)
 			e.applySends(sendBuf)
 		}
 	}
 
-	e.inst.Finish(slot)
-	return e.finish(slot, maxSlots), nil
+	return e.Finish(slot, e.pendingTotal > 0, e.medium.goodGoodCollisions), nil
 }
 
 // consumePending removes one pending transmission from id, debiting the
@@ -299,7 +204,7 @@ func (e *engine) consumePending(id grid.NodeID) {
 	e.pending[id]--
 	e.pendingTotal--
 	if e.supplies[id] {
-		e.tor.ForEachNeighbor(id, func(nb grid.NodeID) {
+		e.Cfg.Topo.ForEachNeighbor(id, func(nb grid.NodeID) {
 			e.supply[nb]--
 		})
 	}
@@ -314,7 +219,7 @@ func (e *engine) dropPending(id grid.NodeID) {
 	e.pending[id] = 0
 	e.pendingTotal -= int64(p)
 	if e.supplies[id] {
-		e.tor.ForEachNeighbor(id, func(nb grid.NodeID) {
+		e.Cfg.Topo.ForEachNeighbor(id, func(nb grid.NodeID) {
 			e.supply[nb] -= p
 		})
 	}
@@ -331,68 +236,24 @@ func (e *engine) validateJams(slot int, jams []radio.Tx) []radio.Tx {
 	seen := make(map[grid.NodeID]bool, len(jams))
 	for _, j := range jams {
 		switch {
-		case int(j.From) < 0 || int(j.From) >= e.tor.Size(),
-			!e.bad[j.From],
+		case int(j.From) < 0 || int(j.From) >= e.Cfg.Topo.Size(),
+			!e.Bad[j.From],
 			seen[j.From],
 			!j.Jam,
 			!j.Drop && (j.Value <= 0 || j.Value > maxTrackedValue):
-			e.res.RejectedJams++
+			e.Res.RejectedJams++
 			continue
 		}
-		if !e.badBudget[j.From].TrySpend() {
-			e.res.RejectedJams++
+		if !e.BadBudget[j.From].TrySpend() {
+			e.Res.RejectedJams++
 			continue
 		}
 		seen[j.From] = true
-		e.res.BadMessages++
-		if e.cfg.OnSend != nil {
-			e.cfg.OnSend(slot, j.From, j.Value, true)
+		e.Res.BadMessages++
+		if e.Cfg.Hooks.OnSend != nil {
+			e.Cfg.Hooks.OnSend(slot, j.From, j.Value, true)
 		}
 		valid = append(valid, j)
 	}
 	return valid
-}
-
-func (e *engine) finish(slot, maxSlots int) *sim.Result {
-	res := &e.res
-	res.Slots = slot
-	res.TimedOut = e.pendingTotal > 0 && slot >= maxSlots
-	res.GoodGoodCollisions = e.medium.goodGoodCollisions
-
-	var sumSends, goodNonSource int
-	allTrue := true
-	for i := 0; i < e.tor.Size(); i++ {
-		id := grid.NodeID(i)
-		if e.bad[i] {
-			continue
-		}
-		res.TotalGood++
-		if e.st.Decided[i] {
-			res.DecidedGood++
-			if e.st.Value[i] != radio.ValueTrue {
-				allTrue = false
-				res.WrongDecisions++
-			}
-		} else {
-			allTrue = false
-		}
-		if id != e.cfg.Source {
-			goodNonSource++
-			sumSends += int(e.sent[i])
-			if int(e.sent[i]) > res.MaxGoodSends {
-				res.MaxGoodSends = int(e.sent[i])
-			}
-		}
-	}
-	res.Completed = allTrue && res.DecidedGood == res.TotalGood
-	res.Stalled = !res.Completed && !res.TimedOut
-	if goodNonSource > 0 {
-		res.AvgGoodSends = float64(sumSends) / float64(goodNonSource)
-	}
-	res.Decided = append([]bool(nil), e.st.Decided...)
-	res.DecidedValue = append([]radio.Value(nil), e.st.Value...)
-	res.Correct = append([]int32(nil), e.st.Correct...)
-	res.Wrong = append([]int32(nil), e.st.Wrong...)
-	res.Sent = append([]int32(nil), e.sent...)
-	return res
 }

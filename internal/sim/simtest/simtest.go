@@ -12,6 +12,7 @@
 package simtest
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -67,10 +68,12 @@ func CheckInvariants(t testing.TB, cfg sim.Config, res *sim.Result) {
 	}
 }
 
-// Safety checks a run's safety properties while it executes. It watches
-// the OnSend and OnAccept hooks only — never OnDeliver, whose presence
-// takes the fast engine off its frontier path — so the body it checks is
-// the one unobserved runs take. Err reports the first of these events:
+// Safety checks a run's safety properties while it executes, on any
+// engine: it watches the OnSend and OnAccept hooks of Config.Hooks, which
+// the fast, reference and actor engines all fire. It never sets OnDeliver,
+// whose presence takes the fast engine off its frontier path, so the body
+// it checks is the one unobserved runs take. Err reports the first of
+// these events:
 //
 //   - a good node accepts twice (the source is accepted from the start);
 //   - a bad node accepts;
@@ -93,8 +96,8 @@ type Safety struct {
 	err      error
 }
 
-// WatchSafety attaches a Safety to cfg, chaining any OnSend and OnAccept
-// hooks already set. It resolves cfg's placement (placements are
+// WatchSafety attaches a Safety to cfg.Hooks, chaining any OnSend and
+// OnAccept hooks already set. It resolves cfg's placement (placements are
 // deterministic) to learn the bad set; noWrong makes a decision on a value
 // other than Vtrue a violation.
 func WatchSafety(cfg *sim.Config, noWrong bool) (*Safety, error) {
@@ -124,14 +127,14 @@ func WatchSafety(cfg *sim.Config, noWrong bool) (*Safety, error) {
 	if int(cfg.Source) >= 0 && int(cfg.Source) < n {
 		s.accepted[cfg.Source], s.value[cfg.Source] = true, radio.ValueTrue
 	}
-	onSend, onAccept := cfg.OnSend, cfg.OnAccept
-	cfg.OnSend = func(slot int, from grid.NodeID, v radio.Value, adversarial bool) {
+	onSend, onAccept := cfg.Hooks.OnSend, cfg.Hooks.OnAccept
+	cfg.Hooks.OnSend = func(slot int, from grid.NodeID, v radio.Value, adversarial bool) {
 		if onSend != nil {
 			onSend(slot, from, v, adversarial)
 		}
 		s.send(slot, from, v, adversarial)
 	}
-	cfg.OnAccept = func(slot int, id grid.NodeID, v radio.Value) {
+	cfg.Hooks.OnAccept = func(slot int, id grid.NodeID, v radio.Value) {
 		if onAccept != nil {
 			onAccept(slot, id, v)
 		}
@@ -331,30 +334,35 @@ func maxInt(a, b int) int {
 // DiffEngines runs the Case through the fast engine and the dense
 // reference engine and returns an error unless the Results are
 // bit-identical. It is the differential-testing oracle: any divergence —
-// a flag, a counter, a per-node slice entry — fails. The fast run is
-// watched by a Safety that asserts Lemma 1 (no wrong decision) on top, so
-// the safety properties are checked during the run on the body unobserved
-// runs take. On success it returns the fast engine's Result (nil when
-// both engines rejected the config) so callers can inspect the case mix
-// without a third run.
+// a flag, a counter, a per-node slice entry — fails. Each run is watched
+// by its own Safety that asserts Lemma 1 (no wrong decision) on top, so
+// the safety properties are checked during both runs, the fast one on the
+// body unobserved runs take; a violation is reported before any
+// divergence it causes. On success it returns the fast engine's Result
+// (nil when both engines rejected the config) so callers can inspect the
+// case mix without a third run.
 func DiffEngines(c Case) (*sim.Result, error) {
-	cfg := c.Build()
+	cfg, denseCfg := c.Build(), c.Build()
 	safety, watchErr := WatchSafety(&cfg, true)
+	denseSafety, denseWatchErr := WatchSafety(&denseCfg, true)
 	fast, fastErr := sim.Run(cfg)
-	dense, denseErr := ref.Run(c.Build())
+	dense, denseErr := ref.Run(denseCfg)
 	if (fastErr != nil) != (denseErr != nil) {
 		return nil, fmt.Errorf("%s: error divergence: fast=%v dense=%v", c.Desc, fastErr, denseErr)
 	}
 	if fastErr != nil {
 		return nil, nil // both rejected the config identically enough
 	}
-	if watchErr != nil {
-		return nil, fmt.Errorf("%s: the engines placed the adversary, the safety check could not: %w", c.Desc, watchErr)
-	}
-	if err := DiffResults(fast, dense); err != nil {
-		return nil, fmt.Errorf("%s: %w", c.Desc, err)
+	if err := errors.Join(watchErr, denseWatchErr); err != nil {
+		return nil, fmt.Errorf("%s: the engines placed the adversary, the safety check could not: %w", c.Desc, err)
 	}
 	if err := safety.Err(); err != nil {
+		return nil, fmt.Errorf("%s: fast: %w", c.Desc, err)
+	}
+	if err := denseSafety.Err(); err != nil {
+		return nil, fmt.Errorf("%s: ref: %w", c.Desc, err)
+	}
+	if err := DiffResults(fast, dense); err != nil {
 		return nil, fmt.Errorf("%s: %w", c.Desc, err)
 	}
 	return fast, nil
