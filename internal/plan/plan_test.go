@@ -283,56 +283,3 @@ func TestPlanColoringError(t *testing.T) {
 		t.Fatal("coloring artifacts must be absent when the coloring fails")
 	}
 }
-
-// TestPlanPeriod checks the torus schedule's period, (2r+1)², and that a
-// torus whose sides are not multiples of 2r+1 has no schedule.
-func TestPlanPeriod(t *testing.T) {
-	for _, r := range []int{1, 2, 3, 4} {
-		side := 2*r + 1
-		p := Compute(grid.MustNew(3*side, 3*side, r))
-		if err := p.ColoringErr(); err != nil {
-			t.Fatal(err)
-		}
-		if got := p.Period(); got != side*side {
-			t.Fatalf("r=%d Period = %d, want %d", r, got, side*side)
-		}
-	}
-	for _, wh := range [][2]int{{10, 10}, {11, 10}, {10, 12}} {
-		err := Compute(grid.MustNew(wh[0], wh[1], 2)).ColoringErr()
-		if divisible := wh[0]%5 == 0 && wh[1]%5 == 0; (err == nil) != divisible {
-			t.Fatalf("%dx%d with r=2: coloring error %v", wh[0], wh[1], err)
-		}
-	}
-}
-
-// TestPlanSlotColor checks the schedule's slot classes on a torus: every
-// node owns exactly one slot per period, negative slots wrap, and two
-// nodes of one color are more than 2r apart, so they share no receiver.
-func TestPlanSlotColor(t *testing.T) {
-	tor := grid.MustNew(15, 15, 2)
-	p := Compute(tor)
-	colors := p.Colors()
-	for i := 0; i < tor.Size(); i++ {
-		owned := 0
-		for slot := 0; slot < p.Period(); slot++ {
-			if p.SlotColor(slot) == int(colors[i]) {
-				owned++
-			}
-		}
-		if owned != 1 {
-			t.Fatalf("node %d owns %d slots per period", i, owned)
-		}
-	}
-	if got := p.SlotColor(-1); got != p.Period()-1 {
-		t.Fatalf("SlotColor(-1) = %d, want %d", got, p.Period()-1)
-	}
-	for c, class := range p.ColorClasses() {
-		for i := range class {
-			for _, other := range class[i+1:] {
-				if tor.Dist(class[i], other) <= 2*tor.Range() {
-					t.Fatalf("color %d nodes %v and %v are within 2r", c, class[i], other)
-				}
-			}
-		}
-	}
-}

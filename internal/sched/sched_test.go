@@ -1,35 +1,36 @@
-package sched
+// Package sched_test checks the TDMA schedule that plan.Plan compiles
+// for a torus: its period, its slot classes and the collision freedom of
+// one color. The schedule itself lives in internal/plan.
+package sched_test
 
 import (
+	"errors"
 	"testing"
 
 	"bftbcast/internal/grid"
+	"bftbcast/internal/plan"
 )
 
 func TestNewRequiresDivisibleSides(t *testing.T) {
-	tor := grid.MustNew(10, 10, 2) // 2r+1 = 5 divides 10
-	if _, err := New(tor); err != nil {
+	if err := plan.Compute(grid.MustNew(10, 10, 2)).ColoringErr(); err != nil { // 2r+1 = 5 divides 10
 		t.Fatalf("unexpected error: %v", err)
 	}
-	tor2 := grid.MustNew(11, 10, 2)
-	if _, err := New(tor2); err == nil {
-		t.Fatal("11x10 with r=2 should be rejected")
-	}
-	tor3 := grid.MustNew(10, 12, 2)
-	if _, err := New(tor3); err == nil {
-		t.Fatal("10x12 with r=2 should be rejected")
+	for _, wh := range [][2]int{{11, 10}, {10, 12}} {
+		err := plan.Compute(grid.MustNew(wh[0], wh[1], 2)).ColoringErr()
+		if !errors.Is(err, grid.ErrNotDivisible) {
+			t.Fatalf("%dx%d with r=2: coloring error %v, want grid.ErrNotDivisible", wh[0], wh[1], err)
+		}
 	}
 }
 
 func TestPeriod(t *testing.T) {
 	for _, r := range []int{1, 2, 3, 4} {
 		side := 2*r + 1
-		tor := grid.MustNew(3*side, 3*side, r)
-		s, err := New(tor)
-		if err != nil {
+		p := plan.Compute(grid.MustNew(3*side, 3*side, r))
+		if err := p.ColoringErr(); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Period(); got != side*side {
+		if got := p.Period(); got != side*side {
 			t.Fatalf("r=%d Period = %d, want %d", r, got, side*side)
 		}
 	}
@@ -37,20 +38,20 @@ func TestPeriod(t *testing.T) {
 
 func TestEveryNodeOwnsOneSlotPerPeriod(t *testing.T) {
 	tor := grid.MustNew(15, 15, 2)
-	s, err := New(tor)
-	if err != nil {
+	p := plan.Compute(tor)
+	if err := p.ColoringErr(); err != nil {
 		t.Fatal(err)
 	}
+	colors := p.Colors()
 	for i := 0; i < tor.Size(); i++ {
-		id := grid.NodeID(i)
 		owned := 0
-		for slot := 0; slot < s.Period(); slot++ {
-			if s.Owns(id, slot) {
+		for slot := 0; slot < p.Period(); slot++ {
+			if p.SlotColor(slot) == int(colors[i]) {
 				owned++
 			}
 		}
 		if owned != 1 {
-			t.Fatalf("node %d owns %d slots per period", id, owned)
+			t.Fatalf("node %d owns %d slots per period", i, owned)
 		}
 	}
 }
@@ -59,20 +60,15 @@ func TestSameColorNodesNeverShareReceivers(t *testing.T) {
 	// The collision-freedom invariant: two distinct nodes with the same
 	// color must have no common node within range r of both.
 	tor := grid.MustNew(15, 15, 2)
-	s, err := New(tor)
-	if err != nil {
+	p := plan.Compute(tor)
+	if err := p.ColoringErr(); err != nil {
 		t.Fatal(err)
 	}
-	byColor := make(map[int][]grid.NodeID)
-	for i := 0; i < tor.Size(); i++ {
-		id := grid.NodeID(i)
-		byColor[s.ColorOf(id)] = append(byColor[s.ColorOf(id)], id)
-	}
-	for color, nodes := range byColor {
-		for i := 0; i < len(nodes); i++ {
-			for j := i + 1; j < len(nodes); j++ {
-				if tor.Dist(nodes[i], nodes[j]) <= 2*tor.Range() {
-					t.Fatalf("color %d nodes %v and %v are within 2r", color, nodes[i], nodes[j])
+	for c, class := range p.ColorClasses() {
+		for i := range class {
+			for _, other := range class[i+1:] {
+				if tor.Dist(class[i], other) <= 2*tor.Range() {
+					t.Fatalf("color %d nodes %v and %v are within 2r", c, class[i], other)
 				}
 			}
 		}
@@ -80,38 +76,11 @@ func TestSameColorNodesNeverShareReceivers(t *testing.T) {
 }
 
 func TestSlotColorHandlesNegative(t *testing.T) {
-	tor := grid.MustNew(9, 9, 1)
-	s, err := New(tor)
-	if err != nil {
+	p := plan.Compute(grid.MustNew(9, 9, 1))
+	if err := p.ColoringErr(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.SlotColor(-1); got != s.Period()-1 {
-		t.Fatalf("SlotColor(-1) = %d, want %d", got, s.Period()-1)
-	}
-}
-
-func TestNextSlotFor(t *testing.T) {
-	tor := grid.MustNew(9, 9, 1)
-	s, err := New(tor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < tor.Size(); i++ {
-		id := grid.NodeID(i)
-		for from := 0; from < 2*s.Period(); from++ {
-			slot := s.NextSlotFor(id, from)
-			if slot < from || slot >= from+s.Period() {
-				t.Fatalf("NextSlotFor(%d,%d) = %d out of window", id, from, slot)
-			}
-			if !s.Owns(id, slot) {
-				t.Fatalf("NextSlotFor(%d,%d) = %d not owned", id, from, slot)
-			}
-			// No earlier owned slot in [from, slot).
-			for x := from; x < slot; x++ {
-				if s.Owns(id, x) {
-					t.Fatalf("NextSlotFor missed earlier slot %d", x)
-				}
-			}
-		}
+	if got := p.SlotColor(-1); got != p.Period()-1 {
+		t.Fatalf("SlotColor(-1) = %d, want %d", got, p.Period()-1)
 	}
 }
