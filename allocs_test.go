@@ -152,8 +152,14 @@ func allocsBVDeliver(t *testing.T) {
 				}
 			})
 		}
-		if got := acc.DecidedCount(); got != tor.Size() {
-			t.Fatalf("decided %d of %d", got, tor.Size())
+		decided := 0
+		for _, d := range acc.Decided {
+			if d {
+				decided++
+			}
+		}
+		if decided != tor.Size() {
+			t.Fatalf("decided %d of %d", decided, tor.Size())
 		}
 	})
 }

@@ -101,7 +101,7 @@ func BenchmarkE12MultiBroadcast(b *testing.B) { benchExperiment(b, "E12") }
 // adversary, one seed per point) with a pluggable engine entry point.
 // The two variants execute identical work, so their time ratio is the
 // engine speedup: sparse fast path vs the dense sim/ref baseline.
-func benchSweep45(b *testing.B, run func(sim.Config) (*sim.Result, error)) {
+func benchSweep45(b *testing.B, run func(context.Context, sim.Config) (*sim.Result, error)) {
 	b.Helper()
 	tor, err := bftbcast.NewTorus(45, 45, 4)
 	if err != nil {
@@ -116,7 +116,7 @@ func benchSweep45(b *testing.B, run func(sim.Config) (*sim.Result, error)) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < points; j++ {
-			res, err := run(sim.Config{
+			res, err := run(context.Background(), sim.Config{
 				Topo: tor, Params: params, Spec: spec,
 				Placement: bftbcast.RandomPlacement{T: 2, Density: 0.05, Seed: uint64(j + 1)},
 				Strategy:  bftbcast.NewCorruptor(),
@@ -133,12 +133,12 @@ func benchSweep45(b *testing.B, run func(sim.Config) (*sim.Result, error)) {
 
 // BenchmarkSweep45Sequential is the 45×45 sweep through the sparse fast
 // engine (the production path).
-func BenchmarkSweep45Sequential(b *testing.B) { benchSweep45(b, sim.Run) }
+func BenchmarkSweep45Sequential(b *testing.B) { benchSweep45(b, sim.RunContext) }
 
 // BenchmarkSweep45DenseRef is the same sweep through the dense reference
 // engine (internal/sim/ref): the frozen pre-optimization baseline the
 // fast path's single-core speedup is measured against.
-func BenchmarkSweep45DenseRef(b *testing.B) { benchSweep45(b, ref.Run) }
+func BenchmarkSweep45DenseRef(b *testing.B) { benchSweep45(b, ref.RunContext) }
 
 // --- Large-scale tier (compiled topology plans) ---
 
@@ -321,7 +321,7 @@ func BenchmarkProtocolBRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.Config{
+		res, err := sim.RunContext(context.Background(), sim.Config{
 			Topo: tor, Params: params, Spec: spec,
 			Placement: bftbcast.RandomPlacement{T: 3, Density: 0.1, Seed: 7},
 			Strategy:  bftbcast.NewCorruptor(),
@@ -349,7 +349,7 @@ func BenchmarkActorRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := actor.Run(sim.Config{Topo: tor, Params: params, Spec: spec})
+		res, err := actor.RunContext(context.Background(), sim.Config{Topo: tor, Params: params, Spec: spec})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -78,9 +78,6 @@ type (
 	RGG = topo.RGG
 	// NodeID identifies a node (dense, usable as array index).
 	NodeID = grid.NodeID
-	// Rect is a rectangular node region ([x1..x2, y1..y2] in the
-	// paper's notation; see Span).
-	Rect = grid.Rect
 	// Cross is the Figure 5 cross-shaped region used by Bheter.
 	Cross = grid.Cross
 	// Value is a broadcast value; ValueTrue is the source's.
@@ -165,9 +162,6 @@ func NewRGG(n int, seed uint64) (*RGG, error) { return topo.NewConnectedRGG(n, s
 // NewTopology builds a topology by name ("torus", "grid", "rgg"); it
 // backs the -topology flag of cmd/bftsim.
 func NewTopology(s TopologySpec) (Topology, error) { return topo.New(s) }
-
-// Span builds the node region [x1..x2, y1..y2].
-func Span(x1, x2, y1, y2 int) Rect { return grid.Span(x1, x2, y1, y2) }
 
 // NewProtocolB returns the Section 3 protocol (Theorem 2: works whenever
 // every good node has budget m >= 2*m0).

@@ -135,9 +135,6 @@ func TestFacadeBheterAndBaseline(t *testing.T) {
 	if _, err := bftbcast.NewFullBudget(p, 3); err != nil {
 		t.Fatal(err)
 	}
-	if bftbcast.Span(0, 4, 0, 4).Area() != 25 {
-		t.Fatal("Span area")
-	}
 }
 
 func TestFacadeEngines(t *testing.T) {

@@ -20,7 +20,7 @@
 // supported: the worst-case adversary of package adversary is omniscient
 // and deliberately sequential, which contradicts a concurrent runtime by
 // construction, so a Config with a Placement or Strategy is refused. Use
-// sim.Run for adversarial experiments.
+// sim.RunContext for adversarial experiments.
 package actor
 
 import (
@@ -86,19 +86,14 @@ func (n *node) run(wg *sync.WaitGroup) {
 	}
 }
 
-// Run executes the configured broadcast with one goroutine per node. Spec
-// runs as protocol.NewThreshold(Spec) unless cfg.Machine is set; the hooks
-// run on the coordinator goroutine, in the order the slot's
+// RunContext executes the configured broadcast with one goroutine per
+// node. Spec runs as protocol.NewThreshold(Spec) unless cfg.Machine is
+// set; the hooks run on the coordinator goroutine, in the order the slot's
 // deliveries are handed to the protocol, so observers need no
-// synchronization of their own.
-func Run(cfg sim.Config) (*sim.Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cooperative cancellation: the coordinator
-// checks ctx once per slot; on cancellation it stops every node
-// goroutine, waits for them to exit (no leaks), and returns ctx.Err().
-// A nil ctx behaves like context.Background().
+// synchronization of their own. The coordinator checks ctx once per
+// slot; on cancellation it stops every node goroutine, waits for them to
+// exit (no leaks), and returns ctx.Err(). A nil ctx behaves like
+// context.Background().
 func RunContext(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

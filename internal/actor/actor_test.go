@@ -1,6 +1,7 @@
 package actor
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestConcurrentBroadcastCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(sim.Config{Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0)})
+	res, err := RunContext(context.Background(), sim.Config{Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +47,11 @@ func TestEquivalenceWithSequentialEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := tor.ID(tc.srcX, tc.srcX)
-		seq, err := sim.Run(sim.Config{Topo: tor, Params: tc.p, Spec: spec, Source: src})
+		seq, err := sim.RunContext(context.Background(), sim.Config{Topo: tor, Params: tc.p, Spec: spec, Source: src})
 		if err != nil {
 			t.Fatal(err)
 		}
-		conc, err := Run(sim.Config{Topo: tor, Params: tc.p, Spec: spec, Source: src})
+		conc, err := RunContext(context.Background(), sim.Config{Topo: tor, Params: tc.p, Spec: spec, Source: src})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func TestValidation(t *testing.T) {
 		"placement": {Topo: tor, Params: p, Spec: spec, Placement: adversary.None{}},
 		"strategy":  {Topo: tor, Params: p, Spec: spec, Strategy: adversary.NewCorruptor()},
 	} {
-		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "fault-free") {
+		if _, err := RunContext(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "fault-free") {
 			t.Fatalf("%s: err = %v, want the fault-free rejection", name, err)
 		}
 	}
@@ -86,7 +87,7 @@ func TestTimeoutReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(sim.Config{Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0), MaxSlots: 3})
+	res, err := RunContext(context.Background(), sim.Config{Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0), MaxSlots: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestRandomizedEquivalence(t *testing.T) {
 	}
 	for i := 0; i < cases; i++ {
 		c := gen.NextFaultFree()
-		seq, err := sim.Run(c.Build())
+		seq, err := sim.RunContext(context.Background(), c.Build())
 		if err != nil {
 			t.Fatalf("case %d (%s): sim: %v", i, c.Desc, err)
 		}
@@ -123,7 +124,7 @@ func TestRandomizedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		conc, err := Run(cfg)
+		conc, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("case %d (%s): actor: %v", i, c.Desc, err)
 		}
@@ -160,11 +161,11 @@ func TestRunOnNonTorusTopologies(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := sim.Config{Topo: tc.tp, Params: tc.p, Spec: spec, Source: 0}
-		seq, err := sim.Run(cfg)
+		seq, err := sim.RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		conc, err := Run(cfg)
+		conc, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

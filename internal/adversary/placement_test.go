@@ -111,11 +111,11 @@ func TestLatticeExactlyOnePerWindow(t *testing.T) {
 	if got := Count(bad); got != 25 {
 		t.Fatalf("Count = %d, want 25", got)
 	}
-	counts, err := tor.WindowCounts(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range counts {
+	for i := 0; i < tor.Size(); i++ {
+		c, err := tor.WindowCount(bad, grid.NodeID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if c != 1 {
 			t.Fatalf("window of node %d has %d bad nodes, want exactly 1", i, c)
 		}

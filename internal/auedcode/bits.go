@@ -81,15 +81,6 @@ func (b BitString) Set(i, v int) {
 	}
 }
 
-// PopCount returns the number of 1-bits.
-func (b BitString) PopCount() int {
-	total := 0
-	for _, w := range b.words {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
 // checkRange panics unless [from, to) lies inside the string, as indexing
 // each bit of the run would.
 func (b BitString) checkRange(from, to int) {
@@ -171,28 +162,6 @@ func (b BitString) Equal(o BitString) bool {
 		}
 	}
 	return true
-}
-
-// Or merges o into b (b |= o). Lengths must match.
-func (b BitString) Or(o BitString) {
-	if b.n != o.n {
-		panic("auedcode: Or on mismatched lengths")
-	}
-	for i := range b.words {
-		b.words[i] |= o.words[i]
-	}
-}
-
-// Xor applies o to b (b ^= o). Lengths must match. It models the
-// superposition of an "inverted signal" with the transmitted one: a
-// correct guess cancels a signal, a wrong guess creates one.
-func (b BitString) Xor(o BitString) {
-	if b.n != o.n {
-		panic("auedcode: Xor on mismatched lengths")
-	}
-	for i := range b.words {
-		b.words[i] ^= o.words[i]
-	}
 }
 
 // IsZero reports whether all bits are zero.

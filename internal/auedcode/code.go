@@ -164,6 +164,6 @@ func PaperOverheadBound(k int) int {
 	return k + 2*stats.Log2Ceil(k) + 9
 }
 
-// ICodeLength returns the length of the I-code alternative the paper
+// iCodeLength returns the length of the I-code alternative the paper
 // compares against, which doubles the message: 2k.
-func ICodeLength(k int) int { return 2 * k }
+func iCodeLength(k int) int { return 2 * k }

@@ -92,8 +92,8 @@ func TestOverheadWithinPaperBound(t *testing.T) {
 		if got, bound := c.CodewordBits(), PaperOverheadBound(k); got > bound {
 			t.Errorf("k=%d: codeword %d bits exceeds paper bound %d", k, got, bound)
 		}
-		if k >= 16 && c.CodewordBits() >= ICodeLength(k) {
-			t.Errorf("k=%d: codeword %d not shorter than I-code %d", k, c.CodewordBits(), ICodeLength(k))
+		if k >= 16 && c.CodewordBits() >= iCodeLength(k) {
+			t.Errorf("k=%d: codeword %d not shorter than I-code %d", k, c.CodewordBits(), iCodeLength(k))
 		}
 	}
 }

@@ -74,9 +74,9 @@ func drawPattern(rng *stats.RNG, l int, sub BitString, at int) {
 	}
 }
 
-// DecodeSub collapses a received sub-bit string to bit level: a bit is 1
+// decodeSub collapses a received sub-bit string to bit level: a bit is 1
 // when any of its sub-slots carries signal.
-func (c *Code) DecodeSub(sub BitString) (BitString, error) {
+func (c *Code) decodeSub(sub BitString) (BitString, error) {
 	if sub.Len() != c.n*c.l {
 		return BitString{}, fmt.Errorf("auedcode: sub-bit string has %d bits, want %d", sub.Len(), c.n*c.l)
 	}
@@ -92,7 +92,7 @@ func (c *Code) DecodeSub(sub BitString) (BitString, error) {
 // ReceiveSub decodes and verifies a received sub-bit string, returning
 // the payload or ErrIntegrity.
 func (c *Code) ReceiveSub(sub BitString) (BitString, error) {
-	bitsW, err := c.DecodeSub(sub)
+	bitsW, err := c.decodeSub(sub)
 	if err != nil {
 		return BitString{}, err
 	}
@@ -114,12 +114,12 @@ func (cw *Codeword) AttackFlipUp(bit int) (BitString, error) {
 	return out, nil
 }
 
-// AttackCancel attempts to erase the given bit by transmitting the
+// attackCancel attempts to erase the given bit by transmitting the
 // inverse of a guessed pattern: sub-slots where the guess matches the
 // transmitted signal are cancelled, sub-slots where it does not acquire
 // new signal. The result at the receiver is transmitted XOR guess, so the
 // erasure succeeds only when the guess equals the pattern exactly.
-func (cw *Codeword) AttackCancel(bit int, guess BitString) (BitString, error) {
+func (cw *Codeword) attackCancel(bit int, guess BitString) (BitString, error) {
 	if bit < 0 || bit >= cw.code.n {
 		return BitString{}, fmt.Errorf("auedcode: bit %d out of range", bit)
 	}
@@ -142,7 +142,7 @@ func (cw *Codeword) AttackCancel(bit int, guess BitString) (BitString, error) {
 func (cw *Codeword) AttackCancelRandom(bit int, rng *stats.RNG) (BitString, bool, error) {
 	guess := NewBitString(cw.code.l)
 	drawPattern(rng, cw.code.l, guess, 0)
-	out, err := cw.AttackCancel(bit, guess)
+	out, err := cw.attackCancel(bit, guess)
 	if err != nil {
 		return BitString{}, false, err
 	}

@@ -122,11 +122,11 @@ func TestAttackCancelExactGuessErases(t *testing.T) {
 	for j := 0; j < c.SubBitLength(); j++ {
 		guess.Set(j, cw.Sub.Get(bit*c.SubBitLength()+j))
 	}
-	sub, err := cw.AttackCancel(bit, guess)
+	sub, err := cw.attackCancel(bit, guess)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitsW, err := c.DecodeSub(sub)
+	bitsW, err := c.decodeSub(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +158,11 @@ func TestAttackCancelWrongGuessLeavesOne(t *testing.T) {
 		guess.Set(j, cw.Sub.Get(bit*c.SubBitLength()+j))
 	}
 	guess.Set(0, 1-guess.Get(0))
-	sub, err := cw.AttackCancel(bit, guess)
+	sub, err := cw.attackCancel(bit, guess)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitsW, err := c.DecodeSub(sub)
+	bitsW, err := c.decodeSub(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestAttackValidation(t *testing.T) {
 	if _, err := cw.AttackFlipUp(c.CodewordBits()); err == nil {
 		t.Fatal("out-of-range bit accepted")
 	}
-	if _, err := cw.AttackCancel(0, NewBitString(1)); err == nil {
+	if _, err := cw.attackCancel(0, NewBitString(1)); err == nil {
 		t.Fatal("short guess accepted")
 	}
 }

@@ -150,28 +150,28 @@ func TestWordwisePatternsMatchPerBitReference(t *testing.T) {
 				sameStream(t, "Encode/Redraw", got, ref)
 
 				// Decoding, clean and with a flipped-up silent bit.
-				if d, err := c.DecodeSub(cw.Sub); err != nil || !d.Equal(refDecodeSub(c, cw.Sub)) || !d.Equal(bitsW) {
-					t.Fatalf("L=%d k=%d: DecodeSub differs from the per-bit reference (err %v)", l, k, err)
+				if d, err := c.decodeSub(cw.Sub); err != nil || !d.Equal(refDecodeSub(c, cw.Sub)) || !d.Equal(bitsW) {
+					t.Fatalf("L=%d k=%d: decodeSub differs from the per-bit reference (err %v)", l, k, err)
 				}
 				for bit := 0; bit < c.n; bit++ {
 					up, err := cw.AttackFlipUp(bit)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if d, _ := c.DecodeSub(up); !d.Equal(refDecodeSub(c, up)) {
-						t.Fatalf("L=%d k=%d bit %d: DecodeSub of a flip-up differs", l, k, bit)
+					if d, _ := c.decodeSub(up); !d.Equal(refDecodeSub(c, up)) {
+						t.Fatalf("L=%d k=%d bit %d: decodeSub of a flip-up differs", l, k, bit)
 					}
 				}
 
 				// Cancel attacks on every bit, with a chosen and a drawn guess.
 				for bit := 0; bit < c.n; bit++ {
 					guess := refRandomGuess(l, seedRNG)
-					out, err := cw.AttackCancel(bit, guess)
+					out, err := cw.attackCancel(bit, guess)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !out.Equal(refAttackCancel(cw, bit, guess)) {
-						t.Fatalf("L=%d k=%d bit %d: AttackCancel differs from the per-bit reference", l, k, bit)
+						t.Fatalf("L=%d k=%d bit %d: attackCancel differs from the per-bit reference", l, k, bit)
 					}
 					wantOut := refAttackCancel(cw, bit, refRandomGuess(l, ref))
 					out, erased, err := cw.AttackCancelRandom(bit, got)

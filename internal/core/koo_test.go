@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"bftbcast/internal/adversary"
@@ -41,7 +42,7 @@ func TestKooBaselineCompletesUnderAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(sim.Config{
+	res, err := sim.RunContext(context.Background(), sim.Config{
 		Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0),
 		Placement: adversary.Random{T: 3, Density: 0.1, Seed: 3},
 		Strategy:  adversary.NewCorruptor(),

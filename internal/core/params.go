@@ -90,12 +90,6 @@ func (p Params) HomogeneousBudget() int { return 2 * p.M0() }
 // paper compares: it is ½(r(2r+1)−t) times larger than protocol B's.
 func (p Params) KooBudget() int { return p.SourceRepeats() }
 
-// SavingsFactor returns the paper's headline comparison ½·g: how many
-// times cheaper protocol B's relay count is than the Koo baseline.
-func (p Params) SavingsFactor() float64 {
-	return float64(p.KooBudget()) / float64(p.RelaySends())
-}
-
 // BreakableT returns the Corollary 1 necessary bound: given m and mf, any
 // t strictly greater than (m·r(2r+1) − 1)/(2·mf + m) allows the adversary
 // to defeat every broadcast protocol. The returned value is the largest

@@ -99,10 +99,10 @@ func TestSavingsFactorMatchesPaper(t *testing.T) {
 	// (2tmf+1) / ceil((2tmf+1)/ceil(g/2)), which approaches ceil(g/2)
 	// from below as mf grows.
 	p := Params{R: 4, T: 1, MF: 1000}
-	got := p.SavingsFactor()
+	got := float64(p.KooBudget()) / float64(p.RelaySends())
 	want := float64(p.G()) / 2 // 17.5
 	if got < want*0.95 || got > want*1.1 {
-		t.Fatalf("SavingsFactor = %v, want about %v", got, want)
+		t.Fatalf("KooBudget/RelaySends = %v, want about %v", got, want)
 	}
 }
 

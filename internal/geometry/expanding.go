@@ -29,8 +29,8 @@ func NewExpandingLine(e Point, h float64, r int, length float64) (ExpandingLine,
 	return ExpandingLine{E: e, H: h, R: r, Length: length}, nil
 }
 
-// EndPoint returns E', the right endpoint.
-func (el ExpandingLine) EndPoint() Point {
+// endPoint returns E', the right endpoint.
+func (el ExpandingLine) endPoint() Point {
 	dx := el.Length / math.Hypot(1, el.H)
 	return Point{el.E.X + dx, el.E.Y + el.H*dx}
 }
@@ -74,7 +74,7 @@ func (el ExpandingLine) Clearance() (d float64, frontier Point, err error) {
 	seg2 := math.Hypot(float64(r), float64(rho2))
 	dx2 := length / seg2 * float64(r)
 	dy2 := length / seg2 * float64(rho2)
-	ep := el.EndPoint()
+	ep := el.endPoint()
 	start2 := Point{ep.X - dx2, ep.Y - dy2}
 	upper, err := buildFloat(start2, rho2, r, length)
 	if err != nil {

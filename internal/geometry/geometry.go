@@ -79,8 +79,8 @@ func (cl CommittedLine) SegmentLength() float64 {
 	return math.Hypot(float64(cl.R), float64(cl.Rho))
 }
 
-// Slope returns ρ/r.
-func (cl CommittedLine) Slope() float64 { return float64(cl.Rho) / float64(cl.R) }
+// slope returns ρ/r.
+func (cl CommittedLine) slope() float64 { return float64(cl.Rho) / float64(cl.R) }
 
 // dir returns the unit direction vector of the line (left to right).
 func (cl CommittedLine) dir() Point {
@@ -94,12 +94,12 @@ func (cl CommittedLine) At(s float64) Point {
 	return Point{cl.P0.X + d.X*s, cl.P0.Y + d.Y*s}
 }
 
-// End returns the right endpoint Pl.
-func (cl CommittedLine) End() Point { return cl.At(cl.Length) }
+// end returns the right endpoint Pl.
+func (cl CommittedLine) end() Point { return cl.At(cl.Length) }
 
-// LatticePoint returns P_i = (x0 + i·r, y0 + i·ρ), the i-th node on the
+// latticePoint returns P_i = (x0 + i·r, y0 + i·ρ), the i-th node on the
 // line (meaningful for the integer variant).
-func (cl CommittedLine) LatticePoint(i int) Point {
+func (cl CommittedLine) latticePoint(i int) Point {
 	return Point{cl.P0.X + float64(i*cl.R), cl.P0.Y + float64(i*cl.Rho)}
 }
 
@@ -129,8 +129,8 @@ func (cl CommittedLine) Frontier() (v Point, dLeft, dRight float64, err error) {
 	if l <= 3 {
 		return Point{}, 0, 0, fmt.Errorf("%w (l=%d)", ErrTooShort, l)
 	}
-	a := cl.LatticePoint(1)
-	b := cl.LatticePoint(l - 1)
+	a := cl.latticePoint(1)
+	b := cl.latticePoint(l - 1)
 	v = frontierOf(a, b, cl.Rho, cl.R)
 	return v, a.Dist(v), b.Dist(v), nil
 }
@@ -175,14 +175,14 @@ func FrontierDistanceBound(length float64, r, c int) float64 {
 	return (math.Floor(length/(2*math.Sqrt2*float64(r))) - float64(c)) * float64(r)
 }
 
-// AboveLine returns the signed vertical clearance of v above the infinite
+// aboveLine returns the signed vertical clearance of v above the infinite
 // line through p with slope s (positive when v is strictly above).
-func AboveLine(v, p Point, s float64) float64 {
+func aboveLine(v, p Point, s float64) float64 {
 	return v.Y - (p.Y + s*(v.X-p.X))
 }
 
 // PerpDistance returns the perpendicular distance from v to the infinite
 // line through p with slope s, signed positive when v lies above.
 func PerpDistance(v, p Point, s float64) float64 {
-	return AboveLine(v, p, s) / math.Hypot(1, s)
+	return aboveLine(v, p, s) / math.Hypot(1, s)
 }

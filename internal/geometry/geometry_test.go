@@ -29,18 +29,18 @@ func TestLatticePointsLieOnLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i <= 6; i++ {
-		p := cl.LatticePoint(i)
+		p := cl.latticePoint(i)
 		want := Point{3 + float64(3*i), 7 + float64(-2*i)}
 		if p != want {
 			t.Fatalf("P%d = %v, want %v", i, p, want)
 		}
 		// On the line: (y - y0) = slope (x - x0).
-		if got := AboveLine(p, cl.P0, cl.Slope()); math.Abs(got) > 1e-9 {
+		if got := aboveLine(p, cl.P0, cl.slope()); math.Abs(got) > 1e-9 {
 			t.Fatalf("P%d off the line by %v", i, got)
 		}
 	}
-	if got, want := cl.End(), cl.LatticePoint(6); got.Dist(want) > 1e-9 {
-		t.Fatalf("End = %v, want %v", got, want)
+	if got, want := cl.end(), cl.latticePoint(6); got.Dist(want) > 1e-9 {
+		t.Fatalf("end = %v, want %v", got, want)
 	}
 	if got := cl.Segments(); got != 6 {
 		t.Fatalf("Segments = %d, want 6", got)
@@ -61,7 +61,7 @@ func TestFrontierAboveAndBounds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if above := AboveLine(v, cl.P0, cl.Slope()); above <= 0 {
+				if above := aboveLine(v, cl.P0, cl.slope()); above <= 0 {
 					t.Fatalf("r=%d rho=%d l=%d: frontier below line (%v)", r, rho, l, above)
 				}
 				bound := FrontierDistanceBound(cl.Length, r, 1)
@@ -84,7 +84,7 @@ func TestShiftedFrontierBounds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if AboveLine(v, cl.P0, cl.Slope()) <= 0 {
+			if aboveLine(v, cl.P0, cl.slope()) <= 0 {
 				t.Fatalf("r=%d rho=%d: shifted frontier not above", r, rho)
 			}
 			bound := FrontierDistanceBound(cl.Length, r, 2)

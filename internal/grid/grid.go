@@ -94,26 +94,19 @@ func (t *Torus) Range() int { return t.r }
 // Size returns the number of nodes, W*H.
 func (t *Torus) Size() int { return t.w * t.h }
 
-// NeighborhoodSize returns (2r+1)²−1, the number of nodes within range of
-// any node.
-func (t *Torus) NeighborhoodSize() int {
-	side := 2*t.r + 1
-	return side*side - 1
-}
-
 // HalfNeighborhood returns r(2r+1), the paper's recurring quantity: the
 // number of neighborhood nodes strictly on one side of an axis-aligned
 // line through the centre.
 func (t *Torus) HalfNeighborhood() int { return t.r * (2*t.r + 1) }
 
 // Degree returns the number of neighbors of id. On the torus every
-// neighborhood is full-sized, so this equals NeighborhoodSize for all
-// nodes (part of the topo.Topology contract).
-func (t *Torus) Degree(NodeID) int { return t.NeighborhoodSize() }
+// neighborhood is full-sized, so this equals MaxDegree for all nodes
+// (part of the topo.Topology contract).
+func (t *Torus) Degree(NodeID) int { return t.MaxDegree() }
 
-// MaxDegree returns the largest degree over all nodes, (2r+1)²−1 on the
-// torus (part of the topo.Topology contract).
-func (t *Torus) MaxDegree() int { return t.NeighborhoodSize() }
+// MaxDegree returns (2r+1)²−1, the number of nodes within range of any
+// node on the torus (part of the topo.Topology contract).
+func (t *Torus) MaxDegree() int { return (2*t.r+1)*(2*t.r+1) - 1 }
 
 // Coloring returns the collision-free TDMA coloring of the torus: node
 // (x, y) owns color (x mod 2r+1) + (2r+1)·(y mod 2r+1) with period
@@ -194,12 +187,6 @@ func (t *Torus) Dist(a, b NodeID) int {
 	}
 	return dy
 }
-
-// InRange reports whether b is within radio range of a (excluding a == b,
-// which is "in range" trivially; a node does not receive its own
-// transmissions in the model, so callers that care should exclude
-// equality themselves).
-func (t *Torus) InRange(a, b NodeID) bool { return t.Dist(a, b) <= t.r }
 
 // ForEachNeighbor calls fn for every node within range r of id, excluding
 // id itself. Iteration order is deterministic (row-major by offset).

@@ -130,8 +130,8 @@ func TestNeighborhoodSizeExact(t *testing.T) {
 		side := 2*r + 1
 		tor := MustNew(side*3, side*3, r)
 		want := side*side - 1
-		if got := tor.NeighborhoodSize(); got != want {
-			t.Fatalf("r=%d NeighborhoodSize = %d, want %d", r, got, want)
+		if got := tor.MaxDegree(); got != want {
+			t.Fatalf("r=%d MaxDegree = %d, want %d", r, got, want)
 		}
 		nbrs := tor.Neighbors(tor.ID(0, 0))
 		if len(nbrs) != want {
@@ -173,7 +173,7 @@ func TestNeighborSymmetry(t *testing.T) {
 	// over the full torus.
 	for a := NodeID(0); int(a) < tor.Size(); a++ {
 		tor.ForEachNeighbor(a, func(b NodeID) {
-			if !tor.InRange(b, a) {
+			if tor.Dist(b, a) > tor.Range() {
 				t.Fatalf("asymmetric neighborhood: %d->%d", a, b)
 			}
 		})

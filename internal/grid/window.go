@@ -34,7 +34,7 @@ func (t *Torus) WindowCount(marked []bool, id NodeID) (int, error) {
 // The implementation uses separable prefix sums (first horizontal strips,
 // then vertical), so it runs in O(W·H) independent of r.
 func (t *Torus) MaxWindowCount(marked []bool) (int, error) {
-	counts, err := t.WindowCounts(marked)
+	counts, err := t.windowCounts(marked)
 	if err != nil {
 		return 0, err
 	}
@@ -47,9 +47,9 @@ func (t *Torus) MaxWindowCount(marked []bool) (int, error) {
 	return maxC, nil
 }
 
-// WindowCounts returns, for every node, the number of marked nodes in its
+// windowCounts returns, for every node, the number of marked nodes in its
 // closed neighborhood window. The result is indexed by NodeID.
-func (t *Torus) WindowCounts(marked []bool) ([]int32, error) {
+func (t *Torus) windowCounts(marked []bool) ([]int32, error) {
 	if len(marked) != t.Size() {
 		return nil, fmt.Errorf("grid: marked has %d entries, want %d", len(marked), t.Size())
 	}

@@ -46,7 +46,7 @@ func TestWindowCountsMatchBruteForce(t *testing.T) {
 			if got != want {
 				t.Fatalf("%v trial %d: MaxWindowCount = %d, brute = %d", tor, trial, got, want)
 			}
-			counts, err := tor.WindowCounts(marked)
+			counts, err := tor.windowCounts(marked)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +56,7 @@ func TestWindowCountsMatchBruteForce(t *testing.T) {
 					t.Fatal(err)
 				}
 				if int(counts[i]) != n {
-					t.Fatalf("WindowCounts[%d] = %d, WindowCount = %d", i, counts[i], n)
+					t.Fatalf("windowCounts[%d] = %d, WindowCount = %d", i, counts[i], n)
 				}
 			}
 		}
@@ -76,7 +76,7 @@ func TestWindowCountsProperty(t *testing.T) {
 				total++
 			}
 		}
-		counts, err := tor.WindowCounts(marked)
+		counts, err := tor.windowCounts(marked)
 		if err != nil {
 			return false
 		}
@@ -101,7 +101,7 @@ func TestWindowCountSizeValidation(t *testing.T) {
 	if _, err := tor.WindowCount(make([]bool, 7), 0); err == nil {
 		t.Fatal("wrong-size marked should error")
 	}
-	if _, err := tor.WindowCounts(make([]bool, 7)); err == nil {
+	if _, err := tor.windowCounts(make([]bool, 7)); err == nil {
 		t.Fatal("wrong-size marked should error")
 	}
 }

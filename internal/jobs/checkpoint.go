@@ -132,9 +132,6 @@ func readCheckpoints(dir string) ([]*checkpoint, error) {
 		if err := json.Unmarshal(data, cp); err != nil {
 			return nil, fmt.Errorf("jobs: decode checkpoint %s: %w", name, err)
 		}
-		if cp.Aggregate == nil {
-			cp.Aggregate = NewAggregate()
-		}
 		cps = append(cps, cp)
 	}
 	sort.Slice(cps, func(i, j int) bool { return cps[i].Seq < cps[j].Seq })

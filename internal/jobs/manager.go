@@ -220,6 +220,9 @@ func Open(cfg Config) (*Manager, error) {
 // and late partials from pre-restart leases still fold because
 // completion is keyed by range.
 func (m *Manager) restoreJob(cp *checkpoint) (*Job, error) {
+	if cp.Aggregate == nil {
+		cp.Aggregate = NewAggregate()
+	}
 	spec, err := bftbcast.DecodeGridSpec(cp.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: checkpoint %s holds an invalid spec: %w", cp.ID, err)
@@ -267,7 +270,7 @@ func (m *Manager) restoreJob(cp *checkpoint) (*Job, error) {
 	}
 	job.cursor.Done = done
 	for _, pr := range sc.Pending {
-		if !job.cursor.MarkPending(pr.Lo) || len(pr.Points) != pr.Hi-pr.Lo {
+		if checkRange(&job.cursor, pr.Lo, pr.Hi, pr.Points) != nil || !job.cursor.MarkPending(pr.Lo) {
 			return nil, fmt.Errorf("jobs: checkpoint %s: bad pending range [%d,%d)", cp.ID, pr.Lo, pr.Hi)
 		}
 		job.pending[pr.Lo] = pr.Points
@@ -557,30 +560,8 @@ func (m *Manager) checkpointJob(job *Job) error {
 	job.mu.Lock()
 	job.ckptGen++
 	gen := job.ckptGen
-	sc := &shardCheckpoint{
-		LeasePoints: job.opts.LeasePoints,
-		LeaseTTLMS:  job.opts.LeaseTTL.Milliseconds(),
-		Local:       !job.sharded,
-	}
-	for _, lo := range job.cursor.Pending {
-		hi, _ := job.cursor.Bounds(lo)
-		sc.Pending = append(sc.Pending, pendingRange{Lo: lo, Hi: hi, Points: job.pending[lo]})
-	}
-	cp := &checkpoint{
-		ID:        job.id,
-		Seq:       job.seq,
-		State:     job.state,
-		Total:     job.total,
-		Spec:      job.specJSON,
-		Err:       job.errMsg,
-		Aggregate: job.agg,
-		Shard:     sc,
-	}
-	if !job.finishedAt.IsZero() {
-		cp.FinishedNS = job.finishedAt.UnixNano()
-	}
 	// Marshal under the lock: the aggregate mutates as points land.
-	data, err := json.Marshal(cp)
+	data, err := json.Marshal(job.recordLocked())
 	job.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("jobs: encode checkpoint %s: %w", job.id, err)
@@ -596,6 +577,34 @@ func (m *Manager) checkpointJob(job *Job) error {
 	}
 	job.ckptOnDisk = gen
 	return nil
+}
+
+// recordLocked is the job's checkpoint record as it stands, sharing the
+// live aggregate and range records; j.mu is held until it is marshalled.
+func (j *Job) recordLocked() *checkpoint {
+	sc := &shardCheckpoint{
+		LeasePoints: j.opts.LeasePoints,
+		LeaseTTLMS:  j.opts.LeaseTTL.Milliseconds(),
+		Local:       !j.sharded,
+	}
+	for _, lo := range j.cursor.Pending {
+		hi, _ := j.cursor.Bounds(lo)
+		sc.Pending = append(sc.Pending, pendingRange{Lo: lo, Hi: hi, Points: j.pending[lo]})
+	}
+	cp := &checkpoint{
+		ID:        j.id,
+		Seq:       j.seq,
+		State:     j.state,
+		Total:     j.total,
+		Spec:      j.specJSON,
+		Err:       j.errMsg,
+		Aggregate: j.agg,
+		Shard:     sc,
+	}
+	if !j.finishedAt.IsZero() {
+		cp.FinishedNS = j.finishedAt.UnixNano()
+	}
+	return cp
 }
 
 // newIDLocked mints a fresh job ID; m.mu is held.

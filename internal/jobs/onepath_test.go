@@ -161,7 +161,9 @@ func (c *pointCounter) count(jobID string, index int) int {
 // point 0 on a fresh aggregate and ends on the reference bytes. A mid-run
 // sharded record resumes where it was — pending range kept, folded prefix
 // not recomputed. A finished record loads untouched. A record that has a
-// shard block and a fold cursor off its range grid still refuses.
+// shard block and a fold cursor off its range grid still refuses, and so
+// does one whose pending range is off the lease grid or holds a record
+// off its index.
 func TestLegacyCheckpointsReopen(t *testing.T) {
 	t.Run("fifo mid-run", func(t *testing.T) {
 		dir, id := installFixture(t, "legacy_fifo_midrun.json")
@@ -265,24 +267,57 @@ func TestLegacyCheckpointsReopen(t *testing.T) {
 	})
 
 	t.Run("off-grid cursor with a shard block", func(t *testing.T) {
-		dir, id := installFixture(t, "legacy_sharded_midrun.json")
-		path := checkpointPath(dir, id)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad := bytes.Replace(data, []byte(`"aggregate":{"done":3,`), []byte(`"aggregate":{"done":4,`), 1)
-		if bytes.Equal(bad, data) {
-			t.Fatal("fixture no longer holds the fold cursor the test edits")
-		}
-		if err := os.WriteFile(path, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		dir := editFixture(t, "legacy_sharded_midrun.json", `"aggregate":{"done":3,`, `"aggregate":{"done":4,`)
 		if m, err := Open(Config{Dir: dir}); err == nil {
 			mustClose(t, m)
 			t.Fatal("a fold cursor off the range grid was accepted")
 		}
 	})
+
+	t.Run("short pending range", func(t *testing.T) {
+		// Pending [6,9) cut to [6,8) with its last record: consistent
+		// with itself, but not a range of the 3-point lease grid.
+		dir := editFixture(t, "legacy_sharded_midrun.json", `"hi":9`, `"hi":8`, pendingRecord8, "")
+		if m, err := Open(Config{Dir: dir}); err == nil {
+			mustClose(t, m)
+			t.Fatal("a pending range off the lease grid was accepted")
+		}
+	})
+
+	t.Run("pending record off its index", func(t *testing.T) {
+		dir := editFixture(t, "legacy_sharded_midrun.json", `"index":7,`, `"index":8,`)
+		if m, err := Open(Config{Dir: dir}); err == nil {
+			mustClose(t, m)
+			t.Fatal("a pending record off its index was accepted")
+		}
+	})
+}
+
+// pendingRecord8 is the last record of legacy_sharded_midrun.json's
+// pending range [6,9), with the comma that joins it to the one before.
+const pendingRecord8 = `,{"job":"je9ba7fff5a5c","index":8,"completed":true,"slots":114,"total_good":220,"decided_good":220,"good_messages":224,"bad_messages":1,"avg_good_sends":1}`
+
+// editFixture installs fixture name with each old/new pair of edits
+// applied once, and fails if the fixture no longer holds an old string.
+func editFixture(t *testing.T, name string, edits ...string) (dir string) {
+	t.Helper()
+	dir, id := installFixture(t, name)
+	path := checkpointPath(dir, id)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i+1 < len(edits); i += 2 {
+		edited := bytes.Replace(data, []byte(edits[i]), []byte(edits[i+1]), 1)
+		if bytes.Equal(edited, data) {
+			t.Fatalf("fixture %s no longer holds %s", name, edits[i])
+		}
+		data = edited
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }
 
 // TestOpenRefusesInconsistentSketch pins that a checkpoint whose
@@ -290,19 +325,7 @@ func TestLegacyCheckpointsReopen(t *testing.T) {
 // when the directory is opened, instead of serving a quantile from past
 // the sketch's last bucket.
 func TestOpenRefusesInconsistentSketch(t *testing.T) {
-	dir, id := installFixture(t, "legacy_fifo_done.json")
-	path := checkpointPath(dir, id)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := bytes.Replace(data, []byte(`"buckets":[[94,4]]`), []byte(`"buckets":[]`), 1)
-	if bytes.Equal(bad, data) {
-		t.Fatal("fixture no longer holds the sketch the test edits")
-	}
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir := editFixture(t, "legacy_fifo_done.json", `"buckets":[[94,4]]`, `"buckets":[]`)
 	if m, err := Open(Config{Dir: dir}); err == nil {
 		mustClose(t, m)
 		t.Fatal("a sketch with count 4 and no buckets was accepted")

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bftbcast"
+	"bftbcast/internal/stats"
 )
 
 var (
@@ -184,8 +185,7 @@ func (m *Manager) completeLease(job *Job, p Partial) error {
 		job.mu.Unlock()
 		return ErrClosed
 	}
-	hi, ok := job.cursor.Bounds(p.Lo)
-	if !ok || hi != p.Hi {
+	if hi, ok := job.cursor.Bounds(p.Lo); !ok || hi != p.Hi {
 		job.mu.Unlock()
 		return fmt.Errorf("%w: [%d,%d) is not a partition range", ErrBadPartial, p.Lo, p.Hi)
 	}
@@ -200,15 +200,9 @@ func (m *Manager) completeLease(job *Job, p Partial) error {
 		job.mu.Unlock()
 		return nil
 	}
-	if len(p.Points) != p.Hi-p.Lo {
+	if err := checkRange(&job.cursor, p.Lo, p.Hi, p.Points); err != nil {
 		job.mu.Unlock()
-		return fmt.Errorf("%w: %d points for range [%d,%d)", ErrBadPartial, len(p.Points), p.Lo, p.Hi)
-	}
-	for i := range p.Points {
-		if p.Points[i].Index != p.Lo+i {
-			job.mu.Unlock()
-			return fmt.Errorf("%w: point %d carries index %d", ErrBadPartial, p.Lo+i, p.Points[i].Index)
-		}
+		return fmt.Errorf("%w: %v", ErrBadPartial, err)
 	}
 	delete(job.leases, p.Lo)
 	job.cursor.MarkPending(p.Lo)
@@ -241,6 +235,24 @@ func (m *Manager) completeLease(job *Job, p Partial) error {
 	} else if ckpt {
 		if err := m.checkpointJob(job); err != nil {
 			m.finishJob(job, StateFailed, err)
+		}
+	}
+	return nil
+}
+
+// checkRange requires [lo, hi) to be a range of c's partition and recs to
+// hold exactly its records, indices lo…hi−1 in order — of a partial and of
+// a checkpoint's pending range alike.
+func checkRange(c *stats.RangeCursor, lo, hi int, recs []PointRecord) error {
+	if end, ok := c.Bounds(lo); !ok || end != hi {
+		return fmt.Errorf("[%d,%d) is not a partition range", lo, hi)
+	}
+	if len(recs) != hi-lo {
+		return fmt.Errorf("%d points for range [%d,%d)", len(recs), lo, hi)
+	}
+	for i := range recs {
+		if recs[i].Index != lo+i {
+			return fmt.Errorf("point %d carries index %d", lo+i, recs[i].Index)
 		}
 	}
 	return nil

@@ -155,17 +155,6 @@ func (a *Acceptance) DecidedValue(id grid.NodeID) (radio.Value, bool) {
 	return a.Value[id], a.Decided[id]
 }
 
-// DecidedCount returns how many nodes have accepted a value.
-func (a *Acceptance) DecidedCount() int {
-	n := 0
-	for _, d := range a.Decided {
-		if d {
-			n++
-		}
-	}
-	return n
-}
-
 // Deliver processes one received copy of value v at node to, claimed by
 // sender from. It returns true when the delivery caused to to accept.
 // Deliveries to already-decided nodes are ignored; distinct mode
@@ -255,20 +244,4 @@ func (a *Acceptance) accept(id grid.NodeID, v radio.Value) {
 	if a.OnAccept != nil {
 		a.OnAccept(id, v)
 	}
-}
-
-// PendingRelayers returns how many distinct relayers of v node id has
-// recorded (diagnostics; distinct mode only).
-func (a *Acceptance) PendingRelayers(id grid.NodeID, v radio.Value) int {
-	if a.relayStamp[id] != a.relayEpoch {
-		return 0
-	}
-	span := a.relaySpan[id]
-	n := 0
-	for _, e := range a.relayArena[span[0]:span[1]] {
-		if e.v == v {
-			n++
-		}
-	}
-	return n
 }

@@ -9,6 +9,7 @@ package protocol_test
 // Deliver; this can, at every M the word masks care about.
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"flag"
@@ -220,7 +221,7 @@ func multiFingerprintCells() []multiCell {
 func fingerprintCell(t *testing.T, c multiCell) multiFingerprint {
 	t.Helper()
 	cfg, m := c.config(t)
-	res, err := sim.Run(cfg)
+	res, err := sim.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", c.key(), err)
 	}
@@ -243,7 +244,7 @@ func fingerprintCell(t *testing.T, c multiCell) multiFingerprint {
 	cfg.Hooks.OnAccept = func(slot int, id grid.NodeID, v radio.Value) {
 		ev.add(3, int64(slot), int64(id), int64(v))
 	}
-	res, err = sim.Run(cfg)
+	res, err = sim.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("%s observed: %v", c.key(), err)
 	}
@@ -324,7 +325,7 @@ func TestMultiObservedMatchesUnobserved(t *testing.T) {
 		run := func(hooks protocol.Hooks) (*sim.Result, *protocol.MultiStats) {
 			cfg, m := c.config(t)
 			cfg.Hooks = hooks
-			res, err := sim.Run(cfg)
+			res, err := sim.RunContext(context.Background(), cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", c.key(), err)
 			}

@@ -8,6 +8,7 @@ package protocol_test
 // overlap).
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -76,7 +77,7 @@ func TestMultiSourceDraws(t *testing.T) {
 	}
 	run := func(seed uint64) *protocol.MultiStats {
 		m := &protocol.Multi{Spec: spec, M: 6}
-		res, err := sim.Run(sim.Config{
+		res, err := sim.RunContext(context.Background(), sim.Config{
 			Topo: tor, Params: params, Machine: m,
 			Placement: adversary.Random{T: params.T, Density: 0.05, Seed: seed},
 			Seed:      seed,
@@ -130,14 +131,14 @@ func TestMultiM1BitIdentical(t *testing.T) {
 				base.Placement = adversary.Random{T: params.T, Density: 0.05, Seed: seed}
 				base.Strategy = adversary.NewCorruptor()
 			}
-			want, err := sim.Run(base)
+			want, err := sim.RunContext(context.Background(), base)
 			if err != nil {
 				t.Fatalf("seed %d threshold: %v", seed, err)
 			}
 			multi := base
 			multi.Spec = core.Spec{}
 			multi.Machine = &protocol.Multi{Spec: spec, M: 1}
-			got, err := sim.Run(multi)
+			got, err := sim.RunContext(context.Background(), multi)
 			if err != nil {
 				t.Fatalf("seed %d multi: %v", seed, err)
 			}
@@ -159,7 +160,7 @@ func TestMultiFaultFreeCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &protocol.Multi{Spec: spec, M: 8}
-	res, err := sim.Run(sim.Config{Topo: tor, Params: params, Machine: m, Seed: 3})
+	res, err := sim.RunContext(context.Background(), sim.Config{Topo: tor, Params: params, Machine: m, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package protocol_test
 // the certified-propagation semantics the reactive machine relies on.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -40,14 +41,14 @@ func TestThresholdMachineSeamEquality(t *testing.T) {
 			Placement: adversary.Random{T: 2, Density: 0.05, Seed: seed},
 			Strategy:  adversary.NewCorruptor(),
 		}
-		specRes, err := sim.Run(base)
+		specRes, err := sim.RunContext(context.Background(), base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		viaMachine := base
 		viaMachine.Machine = protocol.NewThreshold(spec)
 		viaMachine.Strategy = adversary.NewCorruptor() // strategies are single-run
-		machineRes, err := sim.Run(viaMachine)
+		machineRes, err := sim.RunContext(context.Background(), viaMachine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,13 +77,13 @@ func TestBudgetClampParityFastVsActor(t *testing.T) {
 		Budget:        func(grid.NodeID) int { return 1 },
 		MaxSends:      3,
 	}
-	fastRes, err := sim.Run(sim.Config{
+	fastRes, err := sim.RunContext(context.Background(), sim.Config{
 		Topo: tor, Params: params, Machine: protocol.NewThreshold(tight),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	actRes, err := actor.Run(sim.Config{
+	actRes, err := actor.RunContext(context.Background(), sim.Config{
 		Topo: tor, Params: params, Machine: protocol.NewThreshold(tight),
 	})
 	if err != nil {
@@ -125,11 +126,11 @@ func TestThresholdInstanceRebindReuse(t *testing.T) {
 	}
 	cfg := sim.Config{Topo: tor, Params: params, Spec: spec}
 	r := sim.NewRunner()
-	if _, err := r.Run(cfg); err != nil {
+	if _, err := r.RunContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := r.Run(cfg); err != nil {
+		if _, err := r.RunContext(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -233,9 +234,6 @@ func TestAcceptanceDistinctMode(t *testing.T) {
 	if acc.Deliver(to, relayers[0], radio.ValueTrue) {
 		t.Fatal("duplicate relayer advanced certification")
 	}
-	if n := acc.PendingRelayers(to, radio.ValueTrue); n != 1 {
-		t.Fatalf("pending relayers = %d, want 1", n)
-	}
 	if acc.Deliver(to, relayers[1], radio.ValueTrue) {
 		t.Fatal("two relayers certified with t=2")
 	}
@@ -249,13 +247,17 @@ func TestAcceptanceDistinctMode(t *testing.T) {
 	if want := []grid.NodeID{nb, to}; !reflect.DeepEqual(accepted, want) {
 		t.Fatalf("OnAccept calls = %v, want %v", accepted, want)
 	}
-	// Out-of-range relays are rejected and leave no record.
-	far := tor.ID(0, 7)
-	if acc.Deliver(tor.ID(12, 12), far, radio.ValueTrue) {
+	// Out-of-range relays are rejected and leave no record: after one,
+	// t in-range relayers still fall short of t+1.
+	far, victim := tor.ID(0, 7), tor.ID(12, 12)
+	if acc.Deliver(victim, far, radio.ValueTrue) {
 		t.Fatal("out-of-range relay accepted")
 	}
-	if acc.PendingRelayers(tor.ID(12, 12), radio.ValueTrue) != 0 {
-		t.Fatal("out-of-range relayer recorded")
+	if acc.Deliver(victim, tor.ID(12, 13), radio.ValueTrue) || acc.Deliver(victim, tor.ID(13, 12), radio.ValueTrue) {
+		t.Fatal("out-of-range relayer counted toward certification")
+	}
+	if !acc.Deliver(victim, tor.ID(11, 12), radio.ValueTrue) {
+		t.Fatal("three in-window relayers must certify with t=2")
 	}
 
 	// Relayers at opposite corners of the receiver's neighborhood —
@@ -290,8 +292,14 @@ func TestAcceptanceDistinctMode(t *testing.T) {
 		v, _ := acc.DecidedValue(sender)
 		tor.ForEachNeighbor(sender, func(to grid.NodeID) { acc.Deliver(to, sender, v) })
 	}
-	if got := acc.DecidedCount(); got != tor.Size() {
-		t.Fatalf("decided %d/%d", got, tor.Size())
+	decided := 0
+	for _, d := range acc.Decided {
+		if d {
+			decided++
+		}
+	}
+	if decided != tor.Size() {
+		t.Fatalf("decided %d/%d", decided, tor.Size())
 	}
 	for i, v := range acc.Value {
 		if v != radio.ValueTrue {

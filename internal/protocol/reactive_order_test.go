@@ -4,6 +4,7 @@ package protocol_test
 // allocation contract of its data rounds.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -84,7 +85,11 @@ func (o *orderPairInstance) permute(which int, ds []radio.Delivery) []radio.Deli
 			return int(b.From - a.From)
 		})
 	case "random":
-		o.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		shuffled := make([]radio.Delivery, len(out))
+		for i, j := range o.rng.Perm(len(out)) {
+			shuffled[i] = out[j]
+		}
+		out = shuffled
 	}
 	return out
 }
@@ -183,11 +188,11 @@ func TestReactiveDeliverOrderInvariant(t *testing.T) {
 	} {
 		t.Run(policy.String(), func(t *testing.T) {
 			for seed := uint64(1); seed <= 4; seed++ {
-				for name, run := range map[string]func(sim.Config) (*sim.Result, error){"fast": sim.Run, "ref": ref.Run} {
+				for name, run := range map[string]func(context.Context, sim.Config) (*sim.Result, error){"fast": sim.RunContext, "ref": ref.RunContext} {
 					cfg, m := reactiveConfig(t, policy, seed)
 					pair := &orderPair{t: t, spec: *m}
 					cfg.Machine = pair
-					res, err := run(cfg)
+					res, err := run(context.Background(), cfg)
 					if err != nil {
 						t.Fatalf("%s seed %d: %v", name, seed, err)
 					}
@@ -201,7 +206,7 @@ func TestReactiveDeliverOrderInvariant(t *testing.T) {
 	t.Run("actor", func(t *testing.T) {
 		cfg, m := reactiveConfig(t, protocol.PolicyDisrupt, 1)
 		pair := &orderPair{t: t, spec: *m}
-		res, err := actor.Run(sim.Config{Topo: cfg.Topo, Params: cfg.Params, Machine: pair, Seed: cfg.Seed})
+		res, err := actor.RunContext(context.Background(), sim.Config{Topo: cfg.Topo, Params: cfg.Params, Machine: pair, Seed: cfg.Seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ package protocol_test
 // reliability target holds over a batch of independent seeds.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -65,7 +66,7 @@ func (r reactiveRun) config(t *testing.T) (sim.Config, *protocol.Reactive) {
 func (r reactiveRun) run(t *testing.T) (*sim.Result, *protocol.ReactiveStats) {
 	t.Helper()
 	cfg, m := r.config(t)
-	res, err := sim.Run(cfg)
+	res, err := sim.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("%+v: %v", r, err)
 	}

@@ -33,8 +33,8 @@ func TestSingleTransmissionReachesWholeNeighborhood(t *testing.T) {
 	m := newMedium(tor)
 	src := tor.ID(5, 5)
 	got := collect(t, m, []Tx{{From: src, Value: ValueTrue}})
-	if len(got) != tor.NeighborhoodSize() {
-		t.Fatalf("delivered to %d nodes, want %d", len(got), tor.NeighborhoodSize())
+	if len(got) != tor.MaxDegree() {
+		t.Fatalf("delivered to %d nodes, want %d", len(got), tor.MaxDegree())
 	}
 	for to, d := range got {
 		if d.Value != ValueTrue || d.Collided {
@@ -54,8 +54,8 @@ func TestDisjointTransmittersDoNotCollide(t *testing.T) {
 	m := newMedium(tor)
 	a, b := tor.ID(2, 2), tor.ID(12, 12)
 	got := collect(t, m, []Tx{{From: a, Value: ValueTrue}, {From: b, Value: ValueFalse}})
-	if len(got) != 2*tor.NeighborhoodSize() {
-		t.Fatalf("delivered to %d nodes, want %d", len(got), 2*tor.NeighborhoodSize())
+	if len(got) != 2*tor.MaxDegree() {
+		t.Fatalf("delivered to %d nodes, want %d", len(got), 2*tor.MaxDegree())
 	}
 	if m.GoodGoodCollisions != 0 {
 		t.Fatalf("unexpected good-good collisions: %d", m.GoodGoodCollisions)
@@ -223,7 +223,7 @@ func TestMediumReusableAcrossSlots(t *testing.T) {
 	m := newMedium(tor)
 	for slot := 0; slot < 100; slot++ {
 		got := collect(t, m, []Tx{{From: tor.ID(slot%10, 0), Value: ValueTrue}})
-		if len(got) != tor.NeighborhoodSize() {
+		if len(got) != tor.MaxDegree() {
 			t.Fatalf("slot %d: %d deliveries", slot, len(got))
 		}
 	}

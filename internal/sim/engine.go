@@ -106,21 +106,16 @@ import (
 // results.
 const maxTrackedValue = protocol.MaxTrackedValue
 
-// runnerPool recycles Runners across Run calls, so sweeps that call Run
-// in a loop (or from the exper worker pool) reuse engine state instead of
-// reallocating it per point.
+// runnerPool recycles Runners across RunContext calls, so sweeps that
+// call it in a loop (or from the exper worker pool) reuse engine state
+// instead of reallocating it per point.
 var runnerPool = sync.Pool{New: func() any { return NewRunner() }}
 
-// Run executes the configured simulation and returns its Result. It
-// draws a reusable Runner from an internal pool, so repeated calls on
-// same-sized topologies avoid per-run allocation of the engine state.
-func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cooperative cancellation: the engine checks ctx
-// once per executed slot and returns ctx.Err() when it fires, honoring
-// deadlines. A nil ctx behaves like context.Background().
+// RunContext executes the configured simulation and returns its Result.
+// It draws a reusable Runner from an internal pool, so repeated calls on
+// same-sized topologies avoid per-run allocation of the engine state. The
+// engine checks ctx once per executed slot and returns ctx.Err() when it
+// fires, honoring deadlines. A nil ctx behaves like context.Background().
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	r := runnerPool.Get().(*Runner)
 	res, err := r.RunContext(ctx, cfg)
@@ -246,13 +241,9 @@ func (r *Runner) reset() {
 	r.medium.ResetStats()
 }
 
-// Run executes one simulation, reusing the Runner's allocations.
-func (r *Runner) Run(cfg Config) (*Result, error) {
-	return r.RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cooperative cancellation, checked once per
-// executed slot. A nil ctx behaves like context.Background().
+// RunContext executes one simulation, reusing the Runner's allocations,
+// with cooperative cancellation checked once per executed slot. A nil ctx
+// behaves like context.Background().
 func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

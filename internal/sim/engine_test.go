@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func protocolB(t *testing.T, p core.Params) core.Spec {
 
 func run(t *testing.T, cfg Config) *Result {
 	t.Helper()
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestFrontierRejectsValuelessTransmission(t *testing.T) {
 	tor := grid.MustNew(20, 20, 2)
 	r := NewRunner()
 	poisoned := grid.None
-	_, err := r.Run(Config{
+	_, err := r.RunContext(context.Background(), Config{
 		Topo: tor, Params: miniParams, Spec: protocolB(t, miniParams),
 		Hooks: protocol.Hooks{OnSlotStart: func(int) {
 			for id := range r.pending {

@@ -15,6 +15,7 @@ package sim_test
 // only, so the leg stays on the frontier).
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -98,7 +99,7 @@ func runFrontierLeg(r *sim.Runner, cfg sim.Config, onDeliver func(int, radio.Del
 			liveErr = r.CheckLive()
 		}
 	}
-	res, err := r.Run(cfg)
+	res, err := r.RunContext(context.Background(), cfg)
 	if err == nil {
 		err = liveErr
 	}
@@ -331,7 +332,7 @@ func TestFrontierIneligibleRuns(t *testing.T) {
 		}
 	}
 	runner := sim.NewRunner()
-	want, err := runner.Run(build())
+	want, err := runner.RunContext(context.Background(), build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func TestFrontierIneligibleRuns(t *testing.T) {
 
 	custom := build()
 	custom.Machine = protocol.NewThreshold(spec)
-	got, err := runner.Run(custom)
+	got, err := runner.RunContext(context.Background(), custom)
 	if err != nil {
 		t.Fatalf("custom machine: %v", err)
 	}
@@ -357,7 +358,7 @@ func TestFrontierIneligibleRuns(t *testing.T) {
 
 	multi := build()
 	multi.Machine = &protocol.Multi{Spec: spec, M: 3}
-	if _, err := runner.Run(multi); err != nil {
+	if _, err := runner.RunContext(context.Background(), multi); err != nil {
 		t.Fatalf("multi machine: %v", err)
 	}
 	if n, settled := runner.FrontierSlots(), runner.SettledTxs(); n != 0 || settled != 0 {
@@ -451,7 +452,7 @@ func TestFrontierNeedsVerifiedColoring(t *testing.T) {
 	}
 	cfg := sim.Config{Topo: tp, Params: p, Spec: spec, Source: b.ID(5, 1)}
 	runner := sim.NewRunner()
-	fast, err := runner.Run(cfg)
+	fast, err := runner.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +462,7 @@ func TestFrontierNeedsVerifiedColoring(t *testing.T) {
 	if fast.GoodGoodCollisions == 0 {
 		t.Fatal("the shared color produced no collision; the test topology is not doing its job")
 	}
-	dense, err := ref.Run(cfg)
+	dense, err := ref.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,13 @@ package sim_test
 
 // The differential-testing oracle: randomized configurations over the
 // topology × placement × strategy × spec matrix run through the sparse
-// fast engine (sim.Run) and the dense reference engine (sim/ref.Run),
-// asserting bit-identical Results. The fast engine's correctness story
+// fast engine (sim.RunContext) and the dense reference engine
+// (sim/ref.RunContext), asserting bit-identical Results. The fast engine's correctness story
 // leans on this test: any optimization that changes observable behavior
 // in ANY field of ANY run diverges here.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -74,16 +75,16 @@ func TestOracleRunnerReuse(t *testing.T) {
 	runner := sim.NewRunner()
 	for i := 0; i < cases; i++ {
 		c := gen.Next()
-		fast, err := runner.Run(c.Build())
+		fast, err := runner.RunContext(context.Background(), c.Build())
 		if err != nil {
 			// The reference engine must reject the config too.
-			if _, refErr := ref.Run(c.Build()); refErr == nil {
+			if _, refErr := ref.RunContext(context.Background(), c.Build()); refErr == nil {
 				t.Fatalf("case %d (%s): runner errored (%v), reference did not", i, c.Desc, err)
 			}
 			continue
 		}
 		simtest.CheckInvariants(t, c.Build(), fast)
-		dense, err := ref.Run(c.Build())
+		dense, err := ref.RunContext(context.Background(), c.Build())
 		if err != nil {
 			t.Fatalf("case %d (%s): reference errored: %v", i, c.Desc, err)
 		}
@@ -108,7 +109,7 @@ func TestRandomizedInvariants(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		c := gen.Next()
 		cfg := c.Build()
-		res, err := sim.Run(cfg)
+		res, err := sim.RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("case %d (%s): %v", i, c.Desc, err)
 		}
@@ -117,8 +118,8 @@ func TestRandomizedInvariants(t *testing.T) {
 }
 
 // TestRandomizedInvariantsConcurrent runs the same property helper on
-// four goroutines at once: concurrent sim.Run calls draw engines from
-// the shared runner pool, and no run may see another's state.
+// four goroutines at once: concurrent sim.RunContext calls draw engines
+// from the shared runner pool, and no run may see another's state.
 func TestRandomizedInvariantsConcurrent(t *testing.T) {
 	const workers = 4
 	points := 48
@@ -141,7 +142,7 @@ func TestRandomizedInvariantsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < points; i += workers {
 				cfg := cases[i].Build()
-				res, err := sim.Run(cfg)
+				res, err := sim.RunContext(context.Background(), cfg)
 				if err == nil {
 					err = simtest.InvariantViolation(cfg, res)
 				}

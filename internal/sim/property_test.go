@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -34,7 +35,7 @@ func TestRunInvariantsProperty(t *testing.T) {
 			cfg.Placement = adversary.Random{T: tt, Density: float64(density%20+1) / 100, Seed: seed}
 			cfg.Strategy = adversary.NewCorruptor()
 		}
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			return false
 		}
@@ -106,7 +107,7 @@ func TestEngineRejectsInvalidJams(t *testing.T) {
 	tor := grid.MustNew(20, 20, 2)
 	p := core.Params{R: 2, T: 2, MF: 5}
 	spec := protocolB(t, p)
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0),
 		Placement: adversary.Random{T: 2, Density: 0.05, Seed: 9},
 		Strategy:  &rogueStrategy{},
@@ -128,7 +129,7 @@ func TestEngineRejectsInvalidJams(t *testing.T) {
 // TestTimedOutFlag exercises the MaxSlots cap.
 func TestTimedOutFlag(t *testing.T) {
 	tor := grid.MustNew(20, 20, 2)
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Topo: tor, Params: miniParams, Spec: protocolB(t, miniParams),
 		Source: tor.ID(0, 0), MaxSlots: 10,
 	})

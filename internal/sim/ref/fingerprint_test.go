@@ -2,10 +2,10 @@ package ref_test
 
 // TestRefFingerprints pins the reference engine to itself across the
 // retirement of its inline slot loop. testdata/ref_fingerprints.txt holds
-// one FNV-1a fingerprint per case over every field of ref.Run's Result,
-// recorded at commit 7ddc375 — the last one where a Spec run went through
-// the inline engine (ref.go's run/deliver/accept) — by a throwaway
-// program, not kept, that printed refFingerprintCases through
+// one FNV-1a fingerprint per case over every field of ref.RunContext's
+// Result, recorded at commit 7ddc375 — the last one where a Spec run went
+// through the inline engine (ref.go's run/deliver/accept) — by a
+// throwaway program, not kept, that printed refFingerprintCases through
 // resultFingerprint below. The test recomputes them on the one remaining
 // loop, so "new ref == old ref" is shown without going through the fast
 // engine. A new sim.Result field moves every fingerprint: re-record from a
@@ -13,6 +13,7 @@ package ref_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -129,10 +130,10 @@ func refFingerprintCases(t *testing.T) []simtest.Case {
 }
 
 // refFingerprintLine is one table line: the fingerprint (or "rejected"
-// when ref.Run refused the config), then the case description, which
-// also catches a drifted generator before anyone compares hashes.
+// when ref.RunContext refused the config), then the case description,
+// which also catches a drifted generator before anyone compares hashes.
 func refFingerprintLine(c simtest.Case) (string, *sim.Result) {
-	res, err := ref.Run(c.Build())
+	res, err := ref.RunContext(context.Background(), c.Build())
 	if err != nil {
 		return "rejected " + c.Desc, nil
 	}

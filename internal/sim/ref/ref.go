@@ -57,17 +57,12 @@ type engine struct {
 	pendingTotal int64
 }
 
-// Run executes the configured simulation through the dense reference
-// engine and returns its Result. The semantics are identical to sim.Run;
-// only the evaluation strategy differs.
-func Run(cfg sim.Config) (*sim.Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cooperative cancellation, checked once per
-// slot, mirroring sim.RunContext. A nil ctx behaves like
-// context.Background(). A Config without a Machine runs its Spec through
-// the package's own frozen acceptance (threshold.go).
+// RunContext executes the configured simulation through the dense
+// reference engine and returns its Result. The semantics are identical to
+// sim.RunContext; only the evaluation strategy differs. Cancellation is
+// checked once per slot. A nil ctx behaves like context.Background(). A
+// Config without a Machine runs its Spec through the package's own frozen
+// acceptance (threshold.go).
 func RunContext(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

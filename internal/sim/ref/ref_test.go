@@ -1,6 +1,7 @@
 package ref_test
 
 import (
+	"context"
 	"testing"
 
 	"bftbcast/internal/adversary"
@@ -22,7 +23,7 @@ func TestRefProtocolBCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ref.Run(sim.Config{
+	res, err := ref.RunContext(context.Background(), sim.Config{
 		Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0),
 		Placement: adversary.Random{T: 3, Density: 0.1, Seed: 13},
 		Strategy:  adversary.NewCorruptor(),
@@ -43,7 +44,7 @@ func TestRefFigure2Stall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ref.Run(sim.Config{
+	res, err := ref.RunContext(context.Background(), sim.Config{
 		Topo: tor, Params: p, Spec: spec, Source: tor.ID(0, 0),
 		Placement: adversary.Figure2Lattice(4),
 		Strategy:  adversary.NewTargeted(adversary.Figure2Victims(tor)),
@@ -64,10 +65,10 @@ func TestRefValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Run(sim.Config{Params: p, Spec: spec}); err == nil {
+	if _, err := ref.RunContext(context.Background(), sim.Config{Params: p, Spec: spec}); err == nil {
 		t.Fatal("nil topology accepted")
 	}
-	if _, err := ref.Run(sim.Config{Topo: tor, Params: p, Spec: spec, Source: grid.NodeID(tor.Size())}); err == nil {
+	if _, err := ref.RunContext(context.Background(), sim.Config{Topo: tor, Params: p, Spec: spec, Source: grid.NodeID(tor.Size())}); err == nil {
 		t.Fatal("out-of-range source accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"testing"
 
 	"bftbcast/internal/adversary"
@@ -33,7 +34,7 @@ func TestResultNotAliased(t *testing.T) {
 	second.Placement = adversary.Random{T: 2, Density: 0.08, Seed: 77}
 
 	r := sim.NewRunner()
-	got, err := r.Run(first)
+	got, err := r.RunContext(context.Background(), first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestResultNotAliased(t *testing.T) {
 	}
 	third := sim.Config{Topo: bounded, Params: p, Spec: spec, Source: 0}
 	for _, cfg := range []sim.Config{second, third, second} {
-		if _, err := r.Run(cfg); err != nil {
+		if _, err := r.RunContext(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,14 +66,14 @@ func TestResultNotAliased(t *testing.T) {
 
 	// The package-level Run (pooled runners) must return identical
 	// results to a dedicated Runner and to the reference engine.
-	pooled, err := sim.Run(first)
+	pooled, err := sim.RunContext(context.Background(), first)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := simtest.DiffResults(got, pooled); err != nil {
 		t.Fatalf("pooled Run diverged from dedicated Runner: %v", err)
 	}
-	dense, err := ref.Run(first)
+	dense, err := ref.RunContext(context.Background(), first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,22 +94,22 @@ func TestRunnerValidation(t *testing.T) {
 	}
 	good := sim.Config{Topo: tor, Params: p, Spec: spec}
 	r := sim.NewRunner()
-	if _, err := r.Run(good); err != nil {
+	if _, err := r.RunContext(context.Background(), good); err != nil {
 		t.Fatal(err)
 	}
 
 	bad := good
 	bad.Topo = nil
-	if _, err := r.Run(bad); err == nil {
+	if _, err := r.RunContext(context.Background(), bad); err == nil {
 		t.Fatal("nil topology accepted")
 	}
 	bad = good
 	bad.Source = grid.NodeID(tor.Size())
-	if _, err := r.Run(bad); err == nil {
+	if _, err := r.RunContext(context.Background(), bad); err == nil {
 		t.Fatal("out-of-range source accepted")
 	}
 	// A failed run must not poison the next good one.
-	res, err := r.Run(good)
+	res, err := r.RunContext(context.Background(), good)
 	if err != nil {
 		t.Fatal(err)
 	}

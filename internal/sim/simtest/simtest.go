@@ -12,6 +12,7 @@
 package simtest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -345,8 +346,8 @@ func DiffEngines(c Case) (*sim.Result, error) {
 	cfg, denseCfg := c.Build(), c.Build()
 	safety, watchErr := WatchSafety(&cfg, true)
 	denseSafety, denseWatchErr := WatchSafety(&denseCfg, true)
-	fast, fastErr := sim.Run(cfg)
-	dense, denseErr := ref.Run(denseCfg)
+	fast, fastErr := sim.RunContext(context.Background(), cfg)
+	dense, denseErr := ref.RunContext(context.Background(), denseCfg)
 	if (fastErr != nil) != (denseErr != nil) {
 		return nil, fmt.Errorf("%s: error divergence: fast=%v dense=%v", c.Desc, fastErr, denseErr)
 	}

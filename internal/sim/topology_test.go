@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"bftbcast/internal/adversary"
@@ -36,7 +37,7 @@ func TestRunOnNonTorusTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := Run(Config{Topo: tc.tp, Params: tc.p, Spec: spec, Source: 0})
+			seq, err := RunContext(context.Background(), Config{Topo: tc.tp, Params: tc.p, Spec: spec, Source: 0})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +65,7 @@ func TestTorusPlacementsRejectOtherTopologies(t *testing.T) {
 		adversary.Sandwich{YLow: 3, YHigh: 12, T: 2},
 		adversary.Figure2Lattice(2),
 	} {
-		_, err := Run(Config{
+		_, err := RunContext(context.Background(), Config{
 			Topo: bounded, Params: core.Params{R: 2, T: 2, MF: 2}, Spec: spec,
 			Placement: placement,
 		})

@@ -32,13 +32,6 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-// Split derives an independent child generator. It is used to hand each
-// subsystem (adversary, coding layer, workload) its own stream so that
-// adding draws in one subsystem does not perturb another.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xd2b74407b1ce6e93)
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.
@@ -128,12 +121,4 @@ func (r *RNG) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -43,17 +43,14 @@ func (m *Moments) Add(x float64) {
 	}
 }
 
-// Variance returns the sample variance (n-1 denominator), 0 for fewer
-// than two samples.
-func (m Moments) Variance() float64 {
+// StdDev returns the sample standard deviation (n-1 denominator), 0 for
+// fewer than two samples.
+func (m Moments) StdDev() float64 {
 	if m.N < 2 {
 		return 0
 	}
-	return m.M2 / float64(m.N-1)
+	return math.Sqrt(m.M2 / float64(m.N-1))
 }
-
-// StdDev returns the sample standard deviation.
-func (m Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
 
 // The QSketch geometry: quantile estimates carry at most qsketchAlpha
 // relative error, and the fixed bucket array covers values up to
@@ -92,9 +89,6 @@ func NewQSketch() *QSketch {
 	}
 }
 
-// RelativeError returns the sketch's quantile error bound alpha.
-func (s *QSketch) RelativeError() float64 { return qsketchAlpha }
-
 // Count returns the number of values absorbed.
 func (s *QSketch) Count() int64 { return s.count }
 
@@ -115,7 +109,7 @@ func (s *QSketch) Add(x float64) {
 }
 
 // Quantile returns the estimated q-th quantile (q in [0, 1]) with
-// relative error at most RelativeError. It returns NaN for an empty
+// relative error at most qsketchAlpha. It returns NaN for an empty
 // sketch. Values from the zero bucket ([0,1)) are reported as 0.
 func (s *QSketch) Quantile(q float64) float64 {
 	if s.count == 0 {

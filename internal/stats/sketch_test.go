@@ -9,7 +9,7 @@ import (
 )
 
 // TestMomentsMatchesSummarize cross-checks the streaming summary against
-// the batch Summarize on a random sample.
+// the batch summarize on a random sample.
 func TestMomentsMatchesSummarize(t *testing.T) {
 	rng := NewRNG(7)
 	xs := make([]float64, 1000)
@@ -18,7 +18,7 @@ func TestMomentsMatchesSummarize(t *testing.T) {
 		xs[i] = rng.Float64()*500 + 1
 		m.Add(xs[i])
 	}
-	want, err := Summarize(xs)
+	want, err := summarize(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestQSketchAccuracy(t *testing.T) {
 		s.Add(xs[i])
 	}
 	sort.Float64s(xs)
-	alpha := s.RelativeError()
+	alpha := qsketchAlpha
 	for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1} {
 		exact := Percentile(xs, q)
 		got := s.Quantile(q)

@@ -120,19 +120,8 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := NewRNG(1)
-	child := parent.Split()
-	// Child draws must not be a prefix of parent draws.
-	p0 := parent.Uint64()
-	c0 := child.Uint64()
-	if p0 == c0 {
-		t.Fatal("split child mirrors parent")
-	}
-}
-
 func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4, 5})
+	s, err := summarize([]float64{1, 2, 3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +137,14 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	if _, err := Summarize(nil); err != ErrNoSamples {
+	if _, err := summarize(nil); err != ErrNoSamples {
 		t.Fatalf("err = %v, want ErrNoSamples", err)
 	}
 }
 
 func TestSummarizeDoesNotMutateInput(t *testing.T) {
 	xs := []float64{5, 1, 3}
-	if _, err := Summarize(xs); err != nil {
+	if _, err := summarize(xs); err != nil {
 		t.Fatal(err)
 	}
 	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
@@ -249,22 +238,6 @@ func TestCeilDivPanics(t *testing.T) {
 		}
 	}()
 	CeilDiv(1, 0)
-}
-
-func TestMeanStderr(t *testing.T) {
-	mean, se, err := MeanStderr([]float64{2, 4, 6, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean != 5 {
-		t.Fatalf("mean = %v", mean)
-	}
-	if se <= 0 {
-		t.Fatalf("stderr = %v", se)
-	}
-	if _, _, err := MeanStderr(nil); err != ErrNoSamples {
-		t.Fatalf("err = %v", err)
-	}
 }
 
 // TestLowBitsMatchesUint64 pins LowBits to its definition: the low bits

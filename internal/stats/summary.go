@@ -9,8 +9,8 @@ import (
 // ErrNoSamples is returned by summaries computed over empty sample sets.
 var ErrNoSamples = errors.New("stats: no samples")
 
-// Summary holds basic descriptive statistics of a float64 sample.
-type Summary struct {
+// summary holds basic descriptive statistics of a float64 sample.
+type summary struct {
 	N      int
 	Mean   float64
 	Min    float64
@@ -21,11 +21,11 @@ type Summary struct {
 	P99    float64
 }
 
-// Summarize computes a Summary over xs. It returns ErrNoSamples when xs is
-// empty.
-func Summarize(xs []float64) (Summary, error) {
+// summarize computes a summary over xs. It returns ErrNoSamples when xs is
+// empty. It is the two-pass reference the streaming Moments is held to.
+func summarize(xs []float64) (summary, error) {
 	if len(xs) == 0 {
-		return Summary{}, ErrNoSamples
+		return summary{}, ErrNoSamples
 	}
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
@@ -45,7 +45,7 @@ func Summarize(xs []float64) (Summary, error) {
 	if len(sorted) > 1 {
 		sd = math.Sqrt(ss / float64(len(sorted)-1))
 	}
-	return Summary{
+	return summary{
 		N:      len(sorted),
 		Mean:   mean,
 		Min:    sorted[0],
@@ -102,19 +102,6 @@ func WilsonInterval(k, n int) (lo, hi float64, err error) {
 		hi = 1
 	}
 	return lo, hi, nil
-}
-
-// MeanStderr returns the sample mean and its standard error.
-// It returns ErrNoSamples when xs is empty.
-func MeanStderr(xs []float64) (mean, stderr float64, err error) {
-	s, err := Summarize(xs)
-	if err != nil {
-		return 0, 0, err
-	}
-	if s.N > 1 {
-		stderr = s.StdDev / math.Sqrt(float64(s.N))
-	}
-	return s.Mean, stderr, nil
 }
 
 // Log2Ceil returns ceil(log2(x)) for x >= 1, and 0 for x <= 1.

@@ -525,9 +525,6 @@ func (g *RGG) computeColoring() {
 // Radius returns the Euclidean connection radius.
 func (g *RGG) Radius() float64 { return g.radius }
 
-// Position returns the coordinates of id in the unit square.
-func (g *RGG) Position(id NodeID) (x, y float64) { return g.xs[id], g.ys[id] }
-
 // Size returns the number of nodes.
 func (g *RGG) Size() int { return g.n }
 

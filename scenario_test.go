@@ -239,7 +239,7 @@ func TestEngineScenarioMismatch(t *testing.T) {
 }
 
 // TestLegacyAndScenarioAgree pins the lowering contract: the path that
-// predates the facade — a raw sim.Config through sim.Run — and the
+// predates the facade — a raw sim.Config through sim.RunContext — and the
 // Scenario/Engine path produce bit-identical results.
 func TestLegacyAndScenarioAgree(t *testing.T) {
 	params := bftbcast.Params{R: 2, T: 3, MF: 2}
@@ -251,7 +251,7 @@ func TestLegacyAndScenarioAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(sim.Config{
+	res, err := sim.RunContext(context.Background(), sim.Config{
 		Topo: tor, Params: params, Spec: spec,
 		Placement: bftbcast.RandomPlacement{T: 3, Density: 0.1, Seed: 1},
 		Strategy:  bftbcast.NewCorruptor(),
@@ -278,6 +278,6 @@ func TestLegacyAndScenarioAgree(t *testing.T) {
 	if rep.Completed != res.Completed || rep.Slots != res.Slots ||
 		rep.GoodMessages != res.GoodMessages || rep.BadMessages != res.BadMessages ||
 		rep.DecidedGood != res.DecidedGood || rep.AvgGoodSends != res.AvgGoodSends {
-		t.Fatalf("sim.Run and scenario paths diverge:\nsim.Run: %+v\nreport:  %+v", res, rep)
+		t.Fatalf("sim.RunContext and scenario paths diverge:\nsim:    %+v\nreport: %+v", res, rep)
 	}
 }
