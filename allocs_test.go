@@ -131,7 +131,7 @@ func allocsBVDeliver(t *testing.T) {
 	for i := range accs {
 		var err error
 		accs[i], err = protocol.NewAcceptance(protocol.AcceptConfig{
-			Topo: tor, Source: 0, Threshold: faults + 1, Distinct: true, SourceDirect: true,
+			Topo: tor, Source: 0, Threshold: faults + 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -164,10 +164,10 @@ func allocsBVDeliver(t *testing.T) {
 	})
 }
 
-// allocsSweep holds the sweep's pinned per-worker runner: 8
-// adversarial protocol-B points on a 45×45 torus (r=4, degree 80)
-// through Sweep on one worker — scenarios, strategies, reports and one
-// runner warm-up included — stay at a few dozen allocations per point.
+// allocsSweep holds a pooled-runner sweep: 8 adversarial protocol-B
+// points on a 45×45 torus (r=4, degree 80) through Sweep on one worker —
+// scenarios, strategies and reports included, the runner drawn warm from
+// the fast engine's pool — stay at a few dozen allocations per point.
 func allocsSweep(t *testing.T) {
 	tor, err := bftbcast.NewTorus(45, 45, 4)
 	if err != nil {
@@ -184,9 +184,9 @@ func allocsSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Read 624 when introduced: ≈400 for the stream and a cold runner,
-	// ≈28 a point.
-	allocsAtMost(t, 5, 686, func() {
+	// Read 230 when introduced, ≈28 a point; the parent, which built a
+	// cold runner per Sweep, read 618.
+	allocsAtMost(t, 5, 253, func() {
 		scenarios := make([]*bftbcast.Scenario, 8)
 		for j := range scenarios {
 			scenarios[j], err = base.With(bftbcast.WithAdversary(
@@ -210,8 +210,8 @@ func allocsSweep(t *testing.T) {
 }
 
 // allocsJobGrid holds the job service's per-point cost — one spec
-// expansion, one record, one fold per point, a pinned engine per leased
-// range: a 64-point grid (15×15 torus, 16 seeds × t∈{1,2} × mf∈{1,2})
+// expansion, one record, one fold per point, and pooled runners reused
+// across leased ranges: a 64-point grid (15×15 torus, 16 seeds × t∈{1,2} × mf∈{1,2})
 // submitted to a jobs.Manager with checkpointing on and run to
 // completion by two in-process executors, which lease it in 4-point
 // ranges.
@@ -238,8 +238,9 @@ func allocsJobGrid(t *testing.T) {
 		T:     []int{1, 2},
 		MF:    []int{1, 2},
 	}
-	// Read 4405–4412 when introduced.
-	allocsAtMost(t, 10, 4850, func() {
+	// Read 2062–2063 when introduced; the parent, which built a cold
+	// runner per leased range, read 4378–4385.
+	allocsAtMost(t, 10, 2270, func() {
 		job, err := m.Submit(spec)
 		if err != nil {
 			t.Fatal(err)

@@ -144,8 +144,8 @@ func BenchmarkSweep45DenseRef(b *testing.B) { benchSweep45(b, ref.RunContext) }
 
 // BenchmarkSweep160Scenario is the large-scale sweep tier: 8 points of
 // protocol B on a 160×160 torus (25.6k nodes, r=2, random adversary +
-// corruptor) through the public Sweep harness with its pinned per-worker
-// runner, one worker so timings compare across machines. The compiled
+// corruptor) through the public Sweep harness with its pooled runner,
+// one worker so timings compare across machines. The compiled
 // topology plan is built once for the whole benchmark; every point and
 // every iteration reuses it.
 func BenchmarkSweep160Scenario(b *testing.B) {

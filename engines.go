@@ -33,8 +33,7 @@ type Engine interface {
 var (
 	// EngineFast is the sparse slot-level simulation engine (the
 	// production path; reuses pooled engine state across runs).
-	EngineFast Engine = &engine{name: "fast", run: sim.RunContext,
-		pin: func() runFunc { return sim.NewRunner().RunContext }}
+	EngineFast Engine = &engine{name: "fast", run: sim.RunContext}
 	// EngineRef is the dense reference engine: slower, deliberately
 	// simple, verified bit-identical to EngineFast.
 	EngineRef Engine = &engine{name: "ref", run: ref.RunContext}
@@ -132,11 +131,6 @@ type runFunc func(context.Context, sim.Config) (*sim.Result, error)
 type engine struct {
 	name string
 	run  runFunc
-	// pin, when non-nil, returns a run function over reusable state owned
-	// by one goroutine (a dedicated sim.Runner): Sweep pins one per
-	// worker so a whole sweep runs allocation-free without sync.Pool
-	// churn. The shared values run unpinned.
-	pin func() runFunc
 }
 
 // Name implements Engine.
@@ -154,14 +148,4 @@ func (e *engine) Run(ctx context.Context, sc *Scenario) (*Report, error) {
 		return nil, err
 	}
 	return finishReport(reportFromSim(e.name, res), machine), nil
-}
-
-// pinned returns the engine a sweep worker runs its points on: one with
-// its own reusable run state where the backend has any (see
-// Sweep.Stream), e itself otherwise.
-func (e *engine) pinned() Engine {
-	if e.pin == nil {
-		return e
-	}
-	return &engine{name: e.name, run: e.pin()}
 }

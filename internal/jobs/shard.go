@@ -260,7 +260,7 @@ func checkRange(c *stats.RangeCursor, lo, hi int, recs []PointRecord) error {
 
 // runExecutor is one in-process executor: it leases ranges through the
 // same grant and completion path an outside worker's requests take and
-// runs each on a single pinned sweep worker. Workers of them serve the
+// runs each on a one-worker sweep. Workers of them serve the
 // non-sharded jobs inside the admission window, ShardExecutors of them
 // the sharded jobs; neither kind ever leases from the other's.
 func (m *Manager) runExecutor(worker string, sharded bool) {

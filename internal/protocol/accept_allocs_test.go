@@ -9,11 +9,11 @@ import (
 )
 
 // certified builds the certified-propagation acceptance the reactive
-// machine attaches: t+1 distinct in-window relayers, source direct.
+// machine attaches: t+1 distinct in-window relayers.
 func certified(tb testing.TB, tor *grid.Torus, t int) *protocol.Acceptance {
 	tb.Helper()
 	acc, err := protocol.NewAcceptance(protocol.AcceptConfig{
-		Topo: tor, Source: 0, Threshold: t + 1, Distinct: true, SourceDirect: true,
+		Topo: tor, Source: 0, Threshold: t + 1,
 	})
 	if err != nil {
 		tb.Fatal(err)

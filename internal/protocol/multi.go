@@ -313,8 +313,6 @@ type multiInstance struct {
 	naiveSends     int
 	entriesCarried int
 	decisions      int
-
-	maxSends int // cached Sizing scan; 0 until computed
 }
 
 // carriedWord is one word of a transmission's entry batch: the instances
@@ -609,18 +607,7 @@ func (mi *multiInstance) Threshold() int { return mi.spec.Threshold }
 // by the horizon's slack terms). With M = 1 this is exactly the
 // threshold instance's sizing.
 func (mi *multiInstance) Sizing() (sourceSends, maxSends int) {
-	if mi.maxSends == 0 {
-		if mi.spec.MaxSends > 0 {
-			mi.maxSends = mi.spec.MaxSends
-		} else {
-			for i := 0; i < mi.n; i++ {
-				if s := mi.spec.Sends(grid.NodeID(i)); s > mi.maxSends {
-					mi.maxSends = s
-				}
-			}
-		}
-	}
-	return mi.spec.SourceRepeats, mi.m * mi.maxSends
+	return mi.spec.SourceRepeats, mi.m * specMaxSends(mi.spec, mi.n)
 }
 
 // Finish implements Instance: publish the run record to the machine.

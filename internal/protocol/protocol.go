@@ -3,16 +3,15 @@
 // execution engines (internal/sim, internal/sim/ref, internal/actor) and
 // the protocols they run.
 //
-// The paper defines one acceptance state machine — threshold acceptance,
-// optionally with window certification — parameterized by budgets:
+// The paper has two acceptance rules, and each has one owner here:
 // protocol B, Bheter and the Koo baseline count copies against the
-// t·mf+1 threshold (package core builds their Specs), while certified
-// propagation (Bhandari–Vaidya, the layer protocol Breactive runs on)
-// counts t+1 distinct relayers inside one radio ball. Both modes live in
-// one implementation here (Acceptance); the engines drive it through the
-// Machine/Instance seam, so every engine×protocol×topology×adversary
-// combination runs on the same engine stack and can be cross-checked by
-// the differential oracles.
+// t·mf+1 threshold (package core builds their Specs; ThresholdInstance
+// runs them), while certified propagation (Bhandari–Vaidya, the layer
+// protocol Breactive runs on) counts t+1 distinct relayers inside one
+// radio ball (Acceptance, which the Reactive machine runs). The engines
+// drive both through the Machine/Instance seam, so every
+// engine×protocol×topology×adversary combination runs on the same engine
+// stack and can be cross-checked by the differential oracles.
 //
 // # Seam contract
 //
@@ -73,11 +72,11 @@ import (
 	"bftbcast/internal/radio"
 )
 
-// MaxTrackedValue bounds the distinct broadcast values a counts-mode
-// acceptance tracks per node. The protocols use ValueTrue and
+// MaxTrackedValue bounds the distinct broadcast values the copies rule
+// (ThresholdInstance) tracks per node. The protocols use ValueTrue and
 // adversaries typically a single wrong value; a handful of extra slots
 // accommodates multi-value attacks. internal/sim/ref keeps its own copy of
-// the constant beside its own copy of the counts-mode rule (ref's
+// the constant beside its own copy of the copies rule (ref's
 // threshold.go, the one acceptance this package does not supply); the two
 // must stay equal for bit-identical results.
 const MaxTrackedValue = 7
@@ -128,8 +127,8 @@ type Hooks struct {
 	// (the reactive machine's payload attacks and NACK spam).
 	OnSend func(slot int, from grid.NodeID, v radio.Value, adversarial bool)
 	// OnDeliver observes the deliveries the machine surfaces: every raw
-	// radio delivery for counts-mode protocols (including deliveries to bad
-	// nodes, which the protocol then ignores), every clean (or
+	// radio delivery for the copies-rule protocols (including deliveries
+	// to bad nodes, which the protocol then ignores), every clean (or
 	// undetectedly forged) payload delivery for the reactive machine.
 	// Observing deliveries means materialising all of them: the fast
 	// engine resolves every slot in full instead of its frontier.

@@ -3,10 +3,11 @@ package protocol_test
 // Seam-equality and acceptance-core tests for the protocol layer. The
 // heavyweight differential matrices (fast vs ref vs actor across
 // protocols and topologies) live in the facade's matrix tests; here we
-// pin the two foundations they build on: (a) driving the engine through
-// an explicitly attached Threshold machine is bit-identical to the
-// engine's built-in Spec path, and (b) the unified Acceptance core keeps
-// the certified-propagation semantics the reactive machine relies on.
+// pin the foundations they build on: (a) driving the engine through an
+// explicitly attached Threshold machine is bit-identical to the engine's
+// built-in Spec path, and (b) each of the two acceptance rules — the
+// copies rule of ThresholdInstance and the certified propagation of
+// Acceptance, which the reactive machine relies on — keeps its semantics.
 
 import (
 	"context"
@@ -17,6 +18,7 @@ import (
 	"bftbcast/internal/adversary"
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
+	"bftbcast/internal/plan"
 	"bftbcast/internal/protocol"
 	"bftbcast/internal/radio"
 	"bftbcast/internal/sim"
@@ -142,41 +144,68 @@ func TestThresholdInstanceRebindReuse(t *testing.T) {
 	}
 }
 
-// TestAcceptanceCountsMode pins the copies-threshold rule: accept at
-// exactly Threshold copies of one value, never twice, exotic values
-// clamp into the last tracked bucket.
+// TestAcceptanceCountsMode pins the copies rule ThresholdInstance owns:
+// accept at exactly Threshold copies of one value, never twice, exotic
+// values clamp into the last tracked bucket, and the source is
+// pre-decided on ValueTrue.
 func TestAcceptanceCountsMode(t *testing.T) {
 	tor, err := grid.New(12, 12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := protocol.NewAcceptance(protocol.AcceptConfig{
-		Topo: tor, Source: 0, Threshold: 3,
-	})
-	if err != nil {
+	one := func(grid.NodeID) int { return 1 }
+	spec := core.Spec{Name: "copies", SourceRepeats: 1, Threshold: 3, Sends: one, Budget: one}
+	env := protocol.Env{Plan: plan.For(tor), Source: 0}
+	inst := protocol.NewThresholdInstance()
+	if err := inst.Bind(env, spec); err != nil {
 		t.Fatal(err)
 	}
+	st := inst.State()
+	// deliver hands k copies of v to node to in one batch and returns the
+	// nodes that accepted, in order.
+	deliver := func(to grid.NodeID, v radio.Value, k int) []grid.NodeID {
+		t.Helper()
+		ds := make([]radio.Delivery, k)
+		for i := range ds {
+			ds[i] = radio.Delivery{To: to, Value: v, From: grid.NodeID(i + 1)}
+		}
+		sends, err := inst.Deliver(0, ds, &protocol.Hooks{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []grid.NodeID
+		for _, s := range sends {
+			ids = append(ids, s.ID)
+		}
+		return ids
+	}
+	if !st.Decided[0] || st.Value[0] != radio.ValueTrue {
+		t.Fatalf("source state = (%v, %v), want pre-decided on ValueTrue", st.Value[0], st.Decided[0])
+	}
+	if got := deliver(0, radio.ValueFalse, 3); got != nil || st.Value[0] != radio.ValueTrue {
+		t.Fatalf("pre-decided source accepted %v (value %v)", got, st.Value[0])
+	}
 	to := grid.NodeID(5)
-	if acc.Deliver(to, 1, radio.ValueFalse) || acc.Deliver(to, 2, radio.ValueFalse) {
+	if got := deliver(to, radio.ValueFalse, 2); got != nil {
 		t.Fatal("accepted below threshold")
 	}
-	if !acc.Deliver(to, 3, radio.ValueFalse) {
-		t.Fatal("did not accept at threshold")
+	if got := deliver(to, radio.ValueFalse, 1); len(got) != 1 || got[0] != to {
+		t.Fatalf("accepted %v at threshold, want [%d]", got, to)
 	}
-	if v, ok := acc.DecidedValue(to); !ok || v != radio.ValueFalse {
-		t.Fatalf("decided (%v, %v), want (ValueFalse, true)", v, ok)
+	if !st.Decided[to] || st.Value[to] != radio.ValueFalse {
+		t.Fatalf("decided (%v, %v), want (ValueFalse, true)", st.Value[to], st.Decided[to])
 	}
-	if acc.Deliver(to, 4, radio.ValueFalse) || acc.Deliver(to, 4, radio.ValueTrue) {
+	if deliver(to, radio.ValueFalse, 1) != nil || deliver(to, radio.ValueTrue, 3) != nil || st.Value[to] != radio.ValueFalse {
 		t.Fatal("re-accepted a decided node")
 	}
 	// Exotic values share the clamp bucket.
-	u := grid.NodeID(7)
-	acc2, err := protocol.NewAcceptance(protocol.AcceptConfig{Topo: tor, Source: 0, Threshold: 2})
-	if err != nil {
+	spec.Threshold = 2
+	if err := inst.Bind(env, spec); err != nil {
 		t.Fatal(err)
 	}
-	acc2.Deliver(u, 1, radio.Value(protocol.MaxTrackedValue+5))
-	if !acc2.Deliver(u, 2, radio.Value(protocol.MaxTrackedValue+9)) {
+	u := grid.NodeID(7)
+	deliver(u, radio.Value(protocol.MaxTrackedValue+5), 1)
+	if got := deliver(u, radio.Value(protocol.MaxTrackedValue+9), 1); len(got) != 1 || got[0] != u {
 		t.Fatal("clamped values must share one bucket")
 	}
 }
@@ -196,19 +225,19 @@ func TestCPMaxT(t *testing.T) {
 }
 
 // TestAcceptanceDistinctMode pins the certified-propagation rule
-// (Bhandari–Vaidya, after Koo) through the unified core: distinct
+// (Bhandari–Vaidya, after Koo) that Acceptance owns: distinct
 // relayers, duplicate suppression, window certification, direct-source
-// acceptance, per-value tracking, the OnAccept callback and a full
-// fault-free propagation.
+// acceptance, per-value tracking, acceptance order and a full fault-free
+// propagation.
 func TestAcceptanceDistinctMode(t *testing.T) {
 	tor, err := grid.New(15, 15, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []protocol.AcceptConfig{
-		{Source: 0, Threshold: 1, Distinct: true},                                  // no topology
-		{Topo: tor, Source: grid.NodeID(tor.Size()), Threshold: 1, Distinct: true}, // source outside it
-		{Topo: tor, Source: 0, Threshold: 0, Distinct: true},                       // nothing to count to
+		{Source: 0, Threshold: 1},                                  // no topology
+		{Topo: tor, Source: grid.NodeID(tor.Size()), Threshold: 1}, // source outside it
+		{Topo: tor, Source: 0, Threshold: 0},                       // nothing to count to
 	} {
 		if _, err := protocol.NewAcceptance(bad); err == nil {
 			t.Fatalf("NewAcceptance(%+v) accepted", bad)
@@ -216,36 +245,42 @@ func TestAcceptanceDistinctMode(t *testing.T) {
 	}
 	acc := certified(t, tor, 2)
 	var accepted []grid.NodeID
-	acc.OnAccept = func(id grid.NodeID, _ radio.Value) { accepted = append(accepted, id) }
+	deliver := func(to, from grid.NodeID, v radio.Value) bool {
+		ok := acc.Deliver(to, from, v)
+		if ok {
+			accepted = append(accepted, to)
+		}
+		return ok
+	}
 	// Direct reception from the source accepts outright.
 	nb := tor.ID(1, 0)
-	if !acc.Deliver(nb, 0, radio.ValueTrue) {
+	if !deliver(nb, 0, radio.ValueTrue) {
 		t.Fatal("direct source reception must accept")
 	}
-	if v, ok := acc.DecidedValue(nb); !ok || v != radio.ValueTrue {
-		t.Fatalf("source neighbor state = (%v, %v)", v, ok)
+	if !acc.Decided[nb] || acc.Value[nb] != radio.ValueTrue {
+		t.Fatalf("source neighbor state = (%v, %v)", acc.Value[nb], acc.Decided[nb])
 	}
 	// t+1 distinct in-window relayers certify; duplicates do not count.
 	to := tor.ID(7, 7)
 	relayers := []grid.NodeID{tor.ID(7, 8), tor.ID(8, 7), tor.ID(6, 7)}
-	if acc.Deliver(to, relayers[0], radio.ValueTrue) {
+	if deliver(to, relayers[0], radio.ValueTrue) {
 		t.Fatal("one relayer certified with t=2")
 	}
-	if acc.Deliver(to, relayers[0], radio.ValueTrue) {
+	if deliver(to, relayers[0], radio.ValueTrue) {
 		t.Fatal("duplicate relayer advanced certification")
 	}
-	if acc.Deliver(to, relayers[1], radio.ValueTrue) {
+	if deliver(to, relayers[1], radio.ValueTrue) {
 		t.Fatal("two relayers certified with t=2")
 	}
-	if _, ok := acc.DecidedValue(to); ok {
+	if acc.Decided[to] {
 		t.Fatal("decided with only t relayers")
 	}
-	if !acc.Deliver(to, relayers[2], radio.ValueTrue) {
+	if !deliver(to, relayers[2], radio.ValueTrue) {
 		t.Fatal("three in-window relayers must certify with t=2")
 	}
-	// OnAccept fired once per accepting node, in order.
+	// Deliver reported each accepting node once, in order.
 	if want := []grid.NodeID{nb, to}; !reflect.DeepEqual(accepted, want) {
-		t.Fatalf("OnAccept calls = %v, want %v", accepted, want)
+		t.Fatalf("acceptances = %v, want %v", accepted, want)
 	}
 	// Out-of-range relays are rejected and leave no record: after one,
 	// t in-range relayers still fall short of t+1.
@@ -285,12 +320,15 @@ func TestAcceptanceDistinctMode(t *testing.T) {
 	// on the source's value (t=1 needs two same-window relayers,
 	// available once the front is two nodes thick).
 	acc = certified(t, tor, 1)
-	relay := []grid.NodeID{acc.Source()}
-	acc.OnAccept = func(id grid.NodeID, _ radio.Value) { relay = append(relay, id) }
+	relay := []grid.NodeID{0} // the source
 	for i := 0; i < len(relay); i++ {
 		sender := relay[i]
-		v, _ := acc.DecidedValue(sender)
-		tor.ForEachNeighbor(sender, func(to grid.NodeID) { acc.Deliver(to, sender, v) })
+		v := acc.Value[sender]
+		tor.ForEachNeighbor(sender, func(to grid.NodeID) {
+			if acc.Deliver(to, sender, v) {
+				relay = append(relay, to)
+			}
+		})
 	}
 	decided := 0
 	for _, d := range acc.Decided {

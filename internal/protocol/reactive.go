@@ -164,11 +164,9 @@ func (m *Reactive) Attach(env Env) (Instance, error) {
 		return nil, err
 	}
 	acc, err := NewAcceptance(AcceptConfig{
-		Topo:         tor,
-		Source:       env.Source,
-		Threshold:    t + 1,
-		Distinct:     true,
-		SourceDirect: true,
+		Topo:      tor,
+		Source:    env.Source,
+		Threshold: t + 1,
 	})
 	if err != nil {
 		return nil, err

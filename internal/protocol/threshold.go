@@ -36,11 +36,12 @@ func (m *Threshold) Attach(env Env) (Instance, error) {
 	return inst, nil
 }
 
-// ThresholdInstance is the counts-mode Instance over the shared
-// Acceptance core. It is exported (with Bind) so the fast engine's
-// reusable Runner can keep one across runs: Bind re-arms it for a new
-// (env, spec) pair, reusing every allocation when the topology size is
-// unchanged — the zero-alloc steady state of sweeps.
+// ThresholdInstance is the Instance of the copies rule: a good node
+// accepts a value at exactly Threshold = t·mf+1 received copies of it.
+// It is exported (with Bind) so the fast engine's reusable Runner can
+// keep one across runs: Bind re-arms it for a new (env, spec) pair,
+// reusing every allocation when the topology size is unchanged — the
+// zero-alloc steady state of sweeps.
 //
 // Its settled mask is the decided mask: a decided node only counts what
 // it receives, and every decision, the source's at Bootstrap included,
@@ -55,14 +56,15 @@ func (m *Threshold) Attach(env Env) (Instance, error) {
 // are complete for undecided nodes while the run lasts (all
 // adversary.View promises) and for every node after Finish.
 type ThresholdInstance struct {
-	spec     core.Spec
-	bad      []bool
-	source   grid.NodeID
-	adj      *radio.Adjacency
-	acc      Acceptance
-	st       State // Decided/Value/Settled alias acc's arrays; Correct/Wrong owned
-	n        int
-	maxSends int // -1 until computed (see Sizing)
+	spec   core.Spec
+	bad    []bool
+	source grid.NodeID
+	adj    *radio.Adjacency
+	st     State // Settled aliases Decided
+	n      int
+	// counts[u*(MaxTrackedValue+1)+v] is the copies of value v node u
+	// received; exotic values share the last bucket.
+	counts []int32
 
 	lateTx               []int32
 	dupCorrect, dupWrong []int32
@@ -90,11 +92,12 @@ func (t *ThresholdInstance) Bind(env Env, spec core.Spec) error {
 	t.source = env.Source
 	t.adj = env.Plan.Adjacency()
 	t.n = n
-	t.maxSends = -1
-	t.acc.bindCounts(env.Plan.Topo(), env.Source, spec.Threshold)
-	t.st.Decided = t.acc.Decided
-	t.st.Value = t.acc.Value
-	t.st.Settled = t.acc.Decided
+	t.counts = sized(t.counts, n*(MaxTrackedValue+1))
+	t.st.Decided = sized(t.st.Decided, n)
+	t.st.Value = sized(t.st.Value, n)
+	t.st.Decided[env.Source] = true
+	t.st.Value[env.Source] = radio.ValueTrue
+	t.st.Settled = t.st.Decided
 	t.st.Correct = sized(t.st.Correct, n)
 	t.st.Wrong = sized(t.st.Wrong, n)
 	t.lateTx = sized(t.lateTx, n)
@@ -128,7 +131,8 @@ func (t *ThresholdInstance) Bootstrap(buf []Send) []Send {
 
 // Deliver implements Instance. The loop body preserves the exact
 // per-delivery order the fast engine used before the seam: observer
-// event, receipt counters, threshold crossing (Acceptance), relay
+// event, receipt counters, the copies rule (bump the value's counter,
+// accept an undecided node exactly at the threshold crossing), relay
 // scheduling, decide event — so observer streams and results stay
 // bit-identical.
 func (t *ThresholdInstance) Deliver(slot int, ds []radio.Delivery, hooks *Hooks, buf []Send) ([]Send, error) {
@@ -146,11 +150,20 @@ func (t *ThresholdInstance) Deliver(slot int, ds []radio.Delivery, hooks *Hooks,
 		} else {
 			st.Wrong[u]++
 		}
-		if t.acc.deliverCounts(u, d.Value) {
-			buf = append(buf, Send{ID: u, N: t.spec.Sends(u)})
-			if hooks.OnAccept != nil {
-				hooks.OnAccept(slot, u, d.Value)
-			}
+		tracked := d.Value
+		if tracked < 0 || tracked > MaxTrackedValue {
+			tracked = MaxTrackedValue
+		}
+		idx := int(u)*(MaxTrackedValue+1) + int(tracked)
+		t.counts[idx]++
+		if st.Decided[u] || t.counts[idx] != int32(t.spec.Threshold) {
+			continue
+		}
+		st.Decided[u] = true
+		st.Value[u] = d.Value
+		buf = append(buf, Send{ID: u, N: t.spec.Sends(u)})
+		if hooks.OnAccept != nil {
+			hooks.OnAccept(slot, u, d.Value)
 		}
 	}
 	if slot == t.booked {
@@ -185,24 +198,25 @@ func (t *ThresholdInstance) GoodBudget(id grid.NodeID) int { return t.spec.Budge
 // Threshold implements Instance.
 func (t *ThresholdInstance) Threshold() int { return t.spec.Threshold }
 
-// Sizing implements Instance. The max-sends scan is O(n) but runs at
-// most once per Bind — and not at all for the built-in specs, which
-// carry their maximum as the Spec.MaxSends hint.
+// Sizing implements Instance.
 func (t *ThresholdInstance) Sizing() (sourceSends, maxSends int) {
-	if t.maxSends < 0 {
-		if t.spec.MaxSends > 0 {
-			t.maxSends = t.spec.MaxSends
-		} else {
-			m := 0
-			for i := 0; i < t.n; i++ {
-				if s := t.spec.Sends(grid.NodeID(i)); s > m {
-					m = s
-				}
-			}
-			t.maxSends = m
+	return t.spec.SourceRepeats, specMaxSends(t.spec, t.n)
+}
+
+// specMaxSends is the maximum of spec.Sends over n nodes: the
+// Spec.MaxSends hint the built-in specs carry, or an O(n) scan. The
+// engines call Sizing at most once per run.
+func specMaxSends(spec core.Spec, n int) int {
+	if spec.MaxSends > 0 {
+		return spec.MaxSends
+	}
+	m := 0
+	for i := 0; i < n; i++ {
+		if s := spec.Sends(grid.NodeID(i)); s > m {
+			m = s
 		}
 	}
-	return t.spec.SourceRepeats, t.maxSends
+	return m
 }
 
 // Finish implements Instance: a run that was booked turns its ledger

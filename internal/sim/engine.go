@@ -106,9 +106,10 @@ import (
 // results.
 const maxTrackedValue = protocol.MaxTrackedValue
 
-// runnerPool recycles Runners across RunContext calls, so sweeps that
-// call it in a loop (or from the exper worker pool) reuse engine state
-// instead of reallocating it per point.
+// runnerPool recycles Runners across RunContext calls: it is the one
+// reuse path of the fast engine, so every Sweep worker, every leased range
+// of a job and every direct caller reuses warm engine state instead of
+// reallocating it per point.
 var runnerPool = sync.Pool{New: func() any { return NewRunner() }}
 
 // RunContext executes the configured simulation and returns its Result.
@@ -129,8 +130,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 // Switching topologies between calls is allowed and re-derives the radio
 // medium and the per-node scratch.
 //
-// A Runner is not safe for concurrent use; create one per goroutine (the
-// package-level Run does this through a sync.Pool).
+// A Runner is not safe for concurrent use; the package-level RunContext
+// hands each call its own through runnerPool. Callers that hold one
+// directly (benchmarks timing a warm engine) keep it to one goroutine.
 type Runner struct {
 	// Frame is the run's shared setup and finish (see Frame): config,
 	// plan, placement, instance, budgets, sent tallies and slot cap.

@@ -12,9 +12,8 @@ import (
 // denseThreshold is the protocol.Machine a Spec run attaches: the
 // acceptance rule exactly as the dense engine inlined it before the
 // protocol seam existed, written out here instead of borrowed from
-// protocol.ThresholdInstance / protocol.Acceptance, so that the fast
-// engine's Spec path is still checked against an independent
-// implementation. Package protocol is imported for the seam types only.
+// protocol.ThresholdInstance, so that the fast engine's Spec path is
+// still checked against an independent implementation. Package protocol is imported for the seam types only.
 type denseThreshold struct {
 	spec core.Spec
 }

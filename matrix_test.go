@@ -352,7 +352,7 @@ func TestMatrixObserverStreams(t *testing.T) {
 // TestReactiveSweep runs a reactive policy×seed sweep through the public
 // Sweep harness on 1 and 3 workers: reports must be identical for any
 // worker count (each point derives its own machine and seeds), proving
-// the re-platformed protocol composes with worker-pinned engines.
+// the re-platformed protocol composes with pooled engines.
 func TestReactiveSweep(t *testing.T) {
 	base := matrixScenario(t, "torus", "reactive", 1, true)
 	var scenarios []*bftbcast.Scenario

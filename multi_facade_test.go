@@ -171,8 +171,8 @@ func TestMultiFaultFreeActor(t *testing.T) {
 // TestMultiSweep runs a multi-broadcast M × seed sweep through the
 // public Sweep harness on 1 and 4 workers: reports must be identical for
 // any worker count (each point derives its instance sources and staggers
-// from its own seed), proving the traffic mode composes with
-// worker-pinned engines.
+// from its own seed), proving the traffic mode composes with pooled
+// engines.
 func TestMultiSweep(t *testing.T) {
 	var scenarios []*bftbcast.Scenario
 	build := func() []*bftbcast.Scenario {

@@ -46,11 +46,11 @@ type Sweep struct {
 // nothing; cancelling ctx makes the remaining points fail fast with
 // ctx.Err().
 //
-// EngineFast is pinned per worker: each pool worker runs its points on a
-// private reusable engine, so a sweep never loses its warmed engine state
-// to pool churn, while the topology-derived artifacts (the compiled plan)
-// stay shared across all workers. Reports are identical for any worker
-// count either way.
+// EngineFast runs draw their reusable engine state from the fast
+// engine's one runner pool, and the topology-derived artifacts (the
+// compiled plan) are shared across all workers, so a job's successive
+// sweeps reuse warm state too. Reports are identical for any worker
+// count.
 func (s *Sweep) Stream(ctx context.Context) <-chan SweepPoint {
 	if ctx == nil {
 		ctx = context.Background()
@@ -63,33 +63,17 @@ func (s *Sweep) Stream(ctx context.Context) <-chan SweepPoint {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if len(s.Scenarios) < workers {
-		// Pinned engines are warmed per worker; never build more of them
-		// than there are points to run (min 1 keeps the pool well-formed
-		// for an empty sweep).
-		workers = len(s.Scenarios)
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	perWorker := make([]Engine, workers)
-	for w := range perWorker {
-		perWorker[w] = eng
-		if e, ok := eng.(*engine); ok {
-			perWorker[w] = e.pinned()
-		}
-	}
 	scenarios := s.Scenarios
 	points := make([]SweepPoint, len(scenarios))
 	ch := make(chan SweepPoint, len(scenarios))
 	go func() {
 		defer close(ch)
-		orderedWorker(workers, len(scenarios), func(w, i int) {
+		orderedWorker(workers, len(scenarios), func(i int) {
 			pt := SweepPoint{Index: i, Scenario: scenarios[i]}
 			if err := ctx.Err(); err != nil {
 				pt.Err = err // fail fast once cancelled
 			} else {
-				pt.Report, pt.Err = perWorker[w].Run(ctx, scenarios[i])
+				pt.Report, pt.Err = eng.Run(ctx, scenarios[i])
 			}
 			points[i] = pt
 		}, func(i int) {
@@ -117,18 +101,15 @@ func (s *Sweep) Run(ctx context.Context) ([]SweepPoint, error) {
 	return points, nil
 }
 
-// orderedWorker runs fn(w, 0), ..., fn(w, n-1) on a pool of workers
-// goroutines (<= 1 runs fn inline) and calls emit(i) in strict index
-// order, each as soon as every index <= i has completed. w in [0,
-// workers) names the goroutine running index i, and every call with the
-// same w runs on the same goroutine, so fn may use per-worker state (a
-// pinned engine) without synchronization. fn stores its result in a
+// orderedWorker runs fn(0), ..., fn(n-1) on a pool of workers goroutines
+// (<= 1 runs fn inline) and calls emit(i) in strict index order, each as
+// soon as every index <= i has completed. fn stores its result in a
 // caller-owned slot; emit then streams the slots without reordering, so
 // consumers observe the sequence a sequential run would produce. emit
 // runs on a dedicated goroutine and never blocks the workers: a slow
 // consumer delays emission, not computation. orderedWorker returns once
 // every index has been emitted.
-func orderedWorker(workers, n int, fn func(worker, i int), emit func(i int)) {
+func orderedWorker(workers, n int, fn, emit func(i int)) {
 	if n <= 0 {
 		return
 	}
@@ -156,8 +137,8 @@ func orderedWorker(workers, n int, fn func(worker, i int), emit func(i int)) {
 		}
 	}()
 
-	work := func(w, i int) {
-		fn(w, i)
+	work := func(i int) {
+		fn(i)
 		mu.Lock()
 		done[i] = true
 		mu.Unlock()
@@ -165,23 +146,23 @@ func orderedWorker(workers, n int, fn func(worker, i int), emit func(i int)) {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			work(0, i)
+			work(i)
 		}
 	} else {
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(workers)
 		for w := 0; w < workers; w++ {
-			go func(w int) {
+			go func() {
 				defer wg.Done()
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= n {
 						return
 					}
-					work(w, i)
+					work(i)
 				}
-			}(w)
+			}()
 		}
 		wg.Wait()
 	}

@@ -80,10 +80,10 @@ func TestSweepStreamOrderAndDeterminism(t *testing.T) {
 }
 
 // TestSweepPinnedRunnerMixedTopologies interleaves three topologies
-// (two torus sizes and an RGG) through the same sweep: each pinned
-// per-worker Runner must retarget correctly mid-sweep, and the reports
-// must stay identical for any worker count — the reuse guarantee the
-// pinned-runner optimization must not break.
+// (two torus sizes and an RGG) through the same sweep: a pooled Runner
+// that last ran another topology must retarget correctly mid-sweep, and
+// the reports must stay identical for any worker count — the reuse
+// guarantee the runner pool must not break.
 func TestSweepPinnedRunnerMixedTopologies(t *testing.T) {
 	params := bftbcast.Params{R: 2, T: 2, MF: 2}
 	spec, err := bftbcast.NewProtocolB(params)
@@ -184,10 +184,9 @@ func TestSweepRun(t *testing.T) {
 }
 
 // TestSweepWorkerCounts pins the worker-count seam: Workers of 0 (auto),
-// 1 (sequential) and more than len(Scenarios) — which must clamp to the
-// scenario count instead of building pinned engines that never run a
-// point — all yield identical reports, and an empty sweep closes cleanly
-// for any Workers value.
+// 1 (sequential) and more than len(Scenarios) — whose surplus workers
+// find no point to run — all yield identical reports, and an empty sweep
+// closes cleanly for any Workers value.
 func TestSweepWorkerCounts(t *testing.T) {
 	const n = 3
 	var baseline []bftbcast.SweepPoint
