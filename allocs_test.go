@@ -50,9 +50,9 @@ func allocsAtMost(t *testing.T, runs int, bound float64, op func()) {
 // allocsRGG100kRun holds the large-scale fast path's steady-state
 // reuse: one adversarial protocol-B broadcast on a connected 100,000-node
 // random geometric graph (t=1 random placement, corruptor), scenario and
-// a fresh corruptor with its bad-neighbor index included — strategies are
-// single-run objects — allocates a few dozen times, not in proportion to
-// nodes or slots (it was ~200k before the runner kept its arenas).
+// a fresh corruptor included — strategies are single-run objects —
+// allocates a dozen or two times, not in proportion to nodes or slots (it
+// was ~200k before the runner kept its arenas).
 func allocsRGG100kRun(t *testing.T) {
 	g, err := bftbcast.NewRGG(100_000, 7)
 	if err != nil {
@@ -64,8 +64,9 @@ func allocsRGG100kRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Read 29–32 when introduced.
-	allocsAtMost(t, 5, 35, func() {
+	// Read 16 since the run frame keeps the jammers' reach; 29–32 when
+	// the corruptor built a per-run bad-neighbor index.
+	allocsAtMost(t, 5, 18, func() {
 		sc, err := bftbcast.NewScenario(
 			bftbcast.WithTopology(g),
 			bftbcast.WithParams(params),
@@ -184,9 +185,10 @@ func allocsSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Read 230 when introduced, ≈28 a point; the parent, which built a
-	// cold runner per Sweep, read 618.
-	allocsAtMost(t, 5, 253, func() {
+	// Read 174, ≈22 a point, since the run frame keeps the jammers'
+	// reach; 230 with the corruptor's per-run bad-neighbor index, 618 when
+	// Sweep built a cold runner per call.
+	allocsAtMost(t, 5, 192, func() {
 		scenarios := make([]*bftbcast.Scenario, 8)
 		for j := range scenarios {
 			scenarios[j], err = base.With(bftbcast.WithAdversary(
@@ -238,9 +240,10 @@ func allocsJobGrid(t *testing.T) {
 		T:     []int{1, 2},
 		MF:    []int{1, 2},
 	}
-	// Read 2062–2063 when introduced; the parent, which built a cold
-	// runner per leased range, read 4378–4385.
-	allocsAtMost(t, 10, 2270, func() {
+	// Read 1710–1712 since the run frame keeps the jammers' reach;
+	// 2062–2064 with the corruptor's per-run bad-neighbor index, 4378–4385
+	// when a cold runner was built per leased range.
+	allocsAtMost(t, 10, 1885, func() {
 		job, err := m.Submit(spec)
 		if err != nil {
 			t.Fatal(err)

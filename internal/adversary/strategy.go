@@ -38,6 +38,13 @@ type View struct {
 	// Budget holds the message budgets of the bad nodes (Left is what a
 	// jammer can still spend); the entries of good nodes are zero.
 	Budget []radio.Budget
+	// Reach is, for each node, the budget its bad neighbors have left:
+	// the sum of Budget[b].Left() over the bad b in its row, so Reach[u]
+	// > 0 exactly when some jammer can still deny u a delivery. Budgets
+	// never go negative (mf >= 0), so the engine keeps it exact by
+	// seeding it from the bad rows and debiting the jammer's row at
+	// every jam it spends.
+	Reach []int32
 	// Threshold is the protocol's acceptance threshold t·mf+1.
 	Threshold int
 }
@@ -52,9 +59,9 @@ type View struct {
 // budget; the engine deducts one budget unit per jam and rejects invalid
 // ones (counting them in the run result, where tests assert zero).
 //
-// Strategy values are single-run objects: implementations cache per-run
-// facts between slots (the corruptor's bad-neighbor lists, the
-// spammer's bad list), so construct a fresh Strategy for every run.
+// Strategy values are single-run objects: implementations may cache
+// per-run facts between slots (the spammer's bad list), so construct a
+// fresh Strategy for every run.
 type Strategy interface {
 	// Name identifies the strategy in reports.
 	Name() string
@@ -121,7 +128,8 @@ func (Idle) DeliveryDriven() bool { return true }
 type corruptorCore struct {
 	wrongValue radio.Value
 	drop       bool
-	// isVictim filters denial candidates (already known undecided+good).
+	// isVictim filters denial candidates (already known undecided+good);
+	// nil admits every one.
 	isVictim func(id grid.NodeID) bool
 	// checkFeasible gates spending on the remaining nearby adversary
 	// budget being able to finish the job; the proof constructions
@@ -133,16 +141,6 @@ type corruptorCore struct {
 	entries      []denyEntry
 	used         []grid.NodeID // jammers spent this slot (scratch)
 	jamBuf       []radio.Tx    // emitted jams (scratch; engine consumes before the next slot)
-
-	// badOff/badNbrs index every node's bad neighbors in CSR form: those
-	// of u are badNbrs[badOff[u]:badOff[u+1]], ascending. The index is
-	// built once, from the bad side — adjacency is symmetric, so walking
-	// the rows of the bad nodes alone finds every (victim, bad neighbor)
-	// pair. Bad-set membership is fixed for a whole run and strategies are
-	// single-run objects (Spammer leans on the same convention), so it
-	// never invalidates; budgets are re-read live.
-	badOff  []int32
-	badNbrs []grid.NodeID
 }
 
 type denyEntry struct {
@@ -159,10 +157,9 @@ func (c *corruptorCore) jams(v *View, tentative []radio.Delivery) []radio.Tx {
 	}
 	n := len(v.Bad)
 	if len(c.coveredEpoch) != n {
-		// First slot on this topology: size the scratch, drop any index.
+		// First slot on this topology: size the scratch.
 		c.coveredEpoch = make([]int32, n)
 		c.epoch = 0
-		c.badOff = nil
 	}
 	c.epoch++
 	threshold := v.Threshold
@@ -182,7 +179,7 @@ func (c *corruptorCore) jams(v *View, tentative []radio.Delivery) []radio.Tx {
 		if c.isVictim != nil && !c.isVictim(u) {
 			continue
 		}
-		if !c.canJam(v, u) {
+		if v.Reach[u] <= 0 {
 			continue // no bad neighbor with budget left: nobody could deny u
 		}
 		banked, sup := int(v.Correct[u]), int(v.Supply[u])
@@ -191,10 +188,10 @@ func (c *corruptorCore) jams(v *View, tentative []radio.Delivery) []radio.Tx {
 		if !must && !needy {
 			continue
 		}
-		if c.checkFeasible && sup+1 > c.badBudgetNear(v, u) {
+		if c.checkFeasible && sup+1 > int(v.Reach[u]) {
 			continue // blocking u is hopeless; do not waste budget
 		}
-		jammer := c.pickJammer(v, u, d.From, nil) // exists: canJam held
+		jammer := pickJammer(v, u, d.From, nil) // exists: Reach[u] > 0
 		c.entries = append(c.entries, denyEntry{u: u, from: d.From, jammer: jammer, must: must})
 	}
 	if len(c.entries) == 0 {
@@ -234,7 +231,7 @@ func (c *corruptorCore) jams(v *View, tentative []radio.Delivery) []radio.Tx {
 		}
 		jammer := e.jammer
 		if c.isUsed(jammer) || v.Budget[jammer].Left() <= 0 {
-			jammer = c.pickJammer(v, e.u, e.from, c.used)
+			jammer = pickJammer(v, e.u, e.from, c.used)
 			if jammer == grid.None {
 				continue
 			}
@@ -261,60 +258,18 @@ func (c *corruptorCore) isUsed(id grid.NodeID) bool {
 	return false
 }
 
-// badNeighbors returns the bad neighbors of u from the index, building it
-// on first use. Victims are queried on every delivery they hear, so the
-// corruptor's per-delivery cost is a scan of a few bad ids, not a
-// neighborhood walk. The order differs from the row's; canJam, pickJammer
-// (ties broken by id) and badBudgetNear do not depend on it.
-func (c *corruptorCore) badNeighbors(v *View, u grid.NodeID) []grid.NodeID {
-	if c.badOff == nil {
-		c.buildBadIndex(v)
-	}
-	return c.badNbrs[c.badOff[u]:c.badOff[u+1]]
-}
-
-// buildBadIndex fills badOff/badNbrs with one counting pass and one fill
-// pass over the rows of the bad nodes, O(|bad|·degree) in all.
-func (c *corruptorCore) buildBadIndex(v *View) {
-	n := len(v.Bad)
-	var bad []grid.NodeID
-	for i, b := range v.Bad {
-		if b {
-			bad = append(bad, grid.NodeID(i))
-		}
-	}
-	// Counts go in two places up, so that after the prefix sum off[u+1] is
-	// where u's list starts; the fill pass advances it to where the list
-	// ends, which is where u+1's starts.
-	off := make([]int32, n+2)
-	for _, b := range bad {
-		for _, u := range v.Adj.Neighbors(b) {
-			off[u+2]++
-		}
-	}
-	for i := 2; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	c.badNbrs = make([]grid.NodeID, off[n+1])
-	for _, b := range bad {
-		for _, u := range v.Adj.Neighbors(b) {
-			c.badNbrs[off[u+1]] = b
-			off[u+1]++
-		}
-	}
-	c.badOff = off[:n+1]
-}
-
 // pickJammer returns the bad neighbor of u with remaining budget that is
 // closest to the transmitter (ties broken by id), skipping nodes in
 // exclude. Proximity to the transmitter maximizes how many of the
-// transmission's other receivers the jam also covers.
-func (c *corruptorCore) pickJammer(v *View, u, from grid.NodeID, exclude []grid.NodeID) grid.NodeID {
+// transmission's other receivers the jam also covers. It walks u's row,
+// but only for a victim that passed every gate; the (distance, id)
+// minimum does not depend on the walk order.
+func pickJammer(v *View, u, from grid.NodeID, exclude []grid.NodeID) grid.NodeID {
 	jammer := grid.None
 	best := int(^uint(0) >> 1)
 next:
-	for _, nb := range c.badNeighbors(v, u) {
-		if v.Budget[nb].Left() <= 0 {
+	for _, nb := range v.Adj.Neighbors(u) {
+		if !v.Bad[nb] || v.Budget[nb].Left() <= 0 {
 			continue
 		}
 		for _, x := range exclude {
@@ -329,28 +284,6 @@ next:
 		}
 	}
 	return jammer
-}
-
-// canJam reports whether some bad neighbor of u has budget left — the
-// precondition of pickJammer finding anyone, checked first because most
-// receivers have no bad neighbor at all.
-func (c *corruptorCore) canJam(v *View, u grid.NodeID) bool {
-	for _, nb := range c.badNeighbors(v, u) {
-		if v.Budget[nb].Left() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// badBudgetNear sums the remaining budget of the bad nodes within range
-// of u (the only ones that can deny deliveries to u).
-func (c *corruptorCore) badBudgetNear(v *View, u grid.NodeID) int {
-	budget := 0
-	for _, nb := range c.badNeighbors(v, u) {
-		budget += v.Budget[nb].Left()
-	}
-	return budget
 }
 
 // Corruptor is the general-purpose greedy denial strategy: any undecided
@@ -414,10 +347,14 @@ func (t *Targeted) Jams(v *View, _ int, tentative []radio.Delivery) []radio.Tx {
 	t.core.wrongValue = t.WrongValue
 	t.core.drop = t.Drop
 	t.core.checkFeasible = false
-	t.core.isVictim = func(id grid.NodeID) bool {
-		return int(id) < len(t.Victims) && t.Victims[id]
+	if t.core.isVictim == nil {
+		t.core.isVictim = t.isVictim // bound once: a method value escapes
 	}
 	return t.core.jams(v, tentative)
+}
+
+func (t *Targeted) isVictim(id grid.NodeID) bool {
+	return int(id) < len(t.Victims) && t.Victims[id]
 }
 
 // Spammer makes every bad node inject a wrong value in every slot until

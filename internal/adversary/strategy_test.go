@@ -32,7 +32,7 @@ func (f *fakeView) view() *View {
 		Topo: f.tor, Adj: radio.NewAdjacency(f.tor),
 		Bad: make([]bool, n), Decided: make([]bool, n),
 		Correct: make([]int32, n), Supply: make([]int32, n),
-		Budget: make([]radio.Budget, n), Threshold: f.threshold,
+		Budget: make([]radio.Budget, n), Reach: make([]int32, n), Threshold: f.threshold,
 	}
 	for i := 0; i < n; i++ {
 		id := grid.NodeID(i)
@@ -40,6 +40,9 @@ func (f *fakeView) view() *View {
 		v.Correct[i], v.Supply[i] = int32(f.correct[id]), int32(f.supply[id])
 		if f.bad[id] {
 			v.Budget[i] = radio.NewBudget(f.budget[id])
+			for _, nb := range v.Adj.Neighbors(id) {
+				v.Reach[nb] += int32(f.budget[id])
+			}
 		}
 	}
 	return v
@@ -225,6 +228,31 @@ func TestTargetedIgnoresNonVictims(t *testing.T) {
 	}
 }
 
+// TestTargetedJamsAllocatesNothing holds DESIGN §6's "no per-slot
+// allocations" for the construction adversary: once its scratch is sized,
+// a Targeted.Jams call that denies a crossing delivery allocates nothing
+// (it used to rebuild its victim filter, a closure that escaped, on every
+// call).
+func TestTargetedJamsAllocatesNothing(t *testing.T) {
+	v := newFakeView(t)
+	victim := v.tor.ID(5, 5)
+	badNode := v.tor.ID(4, 5)
+	v.bad[badNode] = true
+	v.budget[badNode] = 10
+	v.correct[victim] = v.threshold - 1
+	victims := make([]bool, v.tor.Size())
+	victims[victim] = true
+	tg := NewTargeted(victims)
+	view := v.view()
+	d := []radio.Delivery{{To: victim, Value: radio.ValueTrue, From: v.tor.ID(6, 5)}}
+	if jams := tg.Jams(view, 0, d); len(jams) != 1 {
+		t.Fatalf("jams = %v, want the victim's", jams)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tg.Jams(view, 1, d) }); allocs != 0 {
+		t.Fatalf("warm Targeted.Jams allocated %.1f times per call, want 0", allocs)
+	}
+}
+
 func TestPickJammerPrefersTransmitterProximity(t *testing.T) {
 	v := newFakeView(t)
 	victim := v.tor.ID(5, 5)
@@ -235,18 +263,17 @@ func TestPickJammerPrefersTransmitterProximity(t *testing.T) {
 	v.bad[far] = true
 	v.budget[near] = 1
 	v.budget[far] = 1
-	core := &corruptorCore{}
-	if got := core.pickJammer(v.view(), victim, from, nil); got != near {
+	if got := pickJammer(v.view(), victim, from, nil); got != near {
 		t.Fatalf("pickJammer = %d, want %d", got, near)
 	}
 	// Excluding the near one falls back to the far one.
-	if got := core.pickJammer(v.view(), victim, from, []grid.NodeID{near}); got != far {
+	if got := pickJammer(v.view(), victim, from, []grid.NodeID{near}); got != far {
 		t.Fatalf("pickJammer with exclude = %d, want %d", got, far)
 	}
 	// No budget anywhere: none.
 	v.budget[near] = 0
 	v.budget[far] = 0
-	if got := core.pickJammer(v.view(), victim, from, nil); got != grid.None {
+	if got := pickJammer(v.view(), victim, from, nil); got != grid.None {
 		t.Fatalf("pickJammer broke = %d, want None", got)
 	}
 }

@@ -49,7 +49,8 @@ func (m *Threshold) Attach(env Env) (Instance, error) {
 // slot is one ledger bump per transmission, lateTx[from]++, which is
 // exact because each transmission of a booked slot reached its sender's
 // whole row and a good sender's value is fixed once it decides; Finish
-// scatters lateTx[v] over v's row by Value[v].
+// adds lateTx[v] to the receipts of v's row by Value[v] — on a torus as a
+// box sum (see boxFold), elsewhere by scattering over each row.
 // The frontier Deliver that follows a Book counts its deliveries for the
 // adversary view as every batch does, so they are remembered in
 // dupCorrect/dupWrong and taken out again at Finish: Correct and Wrong
@@ -60,7 +61,8 @@ type ThresholdInstance struct {
 	bad    []bool
 	source grid.NodeID
 	adj    *radio.Adjacency
-	st     State // Settled aliases Decided
+	tor    *grid.Torus // the plan's topology when it is a torus, else nil
+	st     State       // Settled aliases Decided
 	n      int
 	// counts[u*(MaxTrackedValue+1)+v] is the copies of value v node u
 	// received; exotic values share the last bucket.
@@ -68,7 +70,8 @@ type ThresholdInstance struct {
 
 	lateTx               []int32
 	dupCorrect, dupWrong []int32
-	booked               int // the last booked slot, -1 before the first
+	booked               int     // the last booked slot, -1 before the first
+	box                  []int32 // boxFold's scratch: n row sums, then W column sums
 }
 
 // NewThresholdInstance returns an unbound instance; Bind arms it.
@@ -91,6 +94,7 @@ func (t *ThresholdInstance) Bind(env Env, spec core.Spec) error {
 	t.bad = env.Bad
 	t.source = env.Source
 	t.adj = env.Plan.Adjacency()
+	t.tor, _ = env.Plan.Topo().(*grid.Torus)
 	t.n = n
 	t.counts = sized(t.counts, n*(MaxTrackedValue+1))
 	t.st.Decided = sized(t.st.Decided, n)
@@ -226,16 +230,21 @@ func (t *ThresholdInstance) Finish(int) {
 		return
 	}
 	st := &t.st
-	for i, k := range t.lateTx {
-		if k == 0 {
-			continue
-		}
-		counts := st.Wrong
-		if st.Value[i] == radio.ValueTrue {
-			counts = st.Correct
-		}
-		for _, to := range t.adj.Neighbors(grid.NodeID(i)) {
-			counts[to] += k
+	if t.tor != nil {
+		t.boxFold(st.Correct, true)
+		t.boxFold(st.Wrong, false)
+	} else {
+		for i, k := range t.lateTx {
+			if k == 0 {
+				continue
+			}
+			counts := st.Wrong
+			if st.Value[i] == radio.ValueTrue {
+				counts = st.Correct
+			}
+			for _, to := range t.adj.Neighbors(grid.NodeID(i)) {
+				counts[to] += k
+			}
 		}
 	}
 	for i := range st.Correct {
@@ -244,5 +253,69 @@ func (t *ThresholdInstance) Finish(int) {
 		if t.bad != nil && t.bad[i] {
 			st.Correct[i], st.Wrong[i] = 0, 0 // adversary nodes do not run the protocol
 		}
+	}
+}
+
+// boxFold adds to dst[u], for every node u of the torus, the ledger of
+// u's neighbors whose value class is correct (Value is Vtrue) or not. A
+// torus row is the (2r+1)×(2r+1) box around u less u itself, so the sum
+// is separable: a wrap-around sliding window along each line, then one
+// down each column over the line sums, then u's own entry taken out —
+// O(n) whatever r is, against the scatter's O(n·deg). Both windows cover
+// distinct cells because each side is at least 2r+1.
+func (t *ThresholdInstance) boxFold(dst []int32, correct bool) {
+	w, h, r := t.tor.Width(), t.tor.Height(), t.tor.Range()
+	n := w * h
+	if len(t.box) != n+w {
+		t.box = make([]int32, n+w)
+	}
+	lines, cols := t.box[:n], t.box[n:]
+	ledger := func(i int) int32 {
+		if (t.st.Value[i] == radio.ValueTrue) == correct {
+			return t.lateTx[i]
+		}
+		return 0
+	}
+	nonzero := false
+	for y := 0; y < h; y++ {
+		line := y * w
+		var s int32
+		for dx := -r; dx <= r; dx++ {
+			s += ledger(line + (dx+w)%w)
+		}
+		in, out := r+1, w-r // the columns that enter and leave next
+		for x := 0; x < w; x++ {
+			lines[line+x] = s
+			nonzero = nonzero || s != 0
+			s += ledger(line+in) - ledger(line+out)
+			if in++; in == w {
+				in = 0
+			}
+			if out++; out == w {
+				out = 0
+			}
+		}
+	}
+	if !nonzero {
+		return
+	}
+	clear(cols)
+	for dy := -r; dy <= r; dy++ {
+		line := (dy + h) % h * w
+		for x := range cols {
+			cols[x] += lines[line+x]
+		}
+	}
+	in, out := r+1, h-r // the lines that enter and leave next
+	for y := 0; y < h; y++ {
+		line := y * w
+		for x, s := range cols {
+			dst[line+x] += s - ledger(line+x)
+		}
+		enter, leave := (in%h)*w, (out%h)*w
+		for x := range cols {
+			cols[x] += lines[enter+x] - lines[leave+x]
+		}
+		in, out = in+1, out+1
 	}
 }

@@ -384,7 +384,7 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 		r.view = adversary.View{
 			Topo: cfg.Topo, Adj: r.medium.Adjacency(),
 			Bad: r.Bad, Decided: r.St.Decided, Correct: r.St.Correct, Supply: r.supply,
-			Budget: r.BadBudget, Threshold: r.Inst.Threshold(),
+			Budget: r.BadBudget, Reach: r.Reach, Threshold: r.Inst.Threshold(),
 		}
 	}
 	r.frontier = r.frontierEligible()
@@ -606,8 +606,9 @@ func (r *Runner) resolveFrontier(txs []radio.Tx) (heard bool, err error) {
 
 // validateJams enforces the adversary rules: jams must come from distinct
 // bad nodes with remaining budget, carry a trackable value, and each costs
-// one budget unit. Duplicate senders are detected with an epoch-stamped
-// array instead of a per-slot map.
+// one budget unit (Frame.SpendJam, which keeps the view's Reach). Duplicate
+// senders are detected with an epoch-stamped array instead of a per-slot
+// map.
 func (r *Runner) validateJams(jams []radio.Tx) []radio.Tx {
 	if len(jams) == 0 {
 		return nil
@@ -628,7 +629,7 @@ func (r *Runner) validateJams(jams []radio.Tx) []radio.Tx {
 			r.Res.RejectedJams++
 			continue
 		}
-		if !r.BadBudget[j.From].TrySpend() {
+		if !r.SpendJam(j.From) {
 			r.Res.RejectedJams++
 			continue
 		}

@@ -85,7 +85,8 @@ type Result struct {
 // Frame is the part of a run every engine shares: everything around the
 // slot loop. Begin validates the Config, takes the compiled plan, places
 // and validates the bad set, attaches the protocol instance, seeds the
-// per-node budgets and derives the slot cap; the engine then runs its own
+// per-node budgets (and, for a Strategy, their reach) and derives the
+// slot cap; the engine then runs its own
 // loop over the frame's state, bumping Sent and the Res counters; Finish
 // lifts the instance's State into the Result. The frame's slices are
 // reused across runs when the topology size allows, so an engine that
@@ -106,6 +107,10 @@ type Frame struct {
 	// unlimited) and BadBudget each bad node's mf.
 	GoodBudget []radio.Budget
 	BadBudget  []radio.Budget
+	// Reach is adversary.View.Reach: per node, the budget its bad
+	// neighbors have left. Begin seeds it when the run has a Strategy and
+	// SpendJam debits it; without a Strategy it is not maintained.
+	Reach []int32
 	// Sent counts each good node's protocol transmissions.
 	Sent []int32
 	// MaxSlots caps the loop: Cfg.MaxSlots, or a default derived from the
@@ -174,12 +179,20 @@ func (f *Frame) Begin(cfg Config, attachSpec func(protocol.Env, core.Spec) (prot
 	f.Sent = resized(f.Sent, n)
 	f.GoodBudget = resized(f.GoodBudget, n)
 	f.BadBudget = resized(f.BadBudget, n)
+	if cfg.Strategy != nil {
+		f.Reach = resized(f.Reach, n)
+	}
 	for i := 0; i < n; i++ {
 		id := grid.NodeID(i)
 		switch {
 		case bad[i]:
 			f.BadBudget[i] = radio.NewBudget(cfg.Params.MF)
 			f.Res.BadCount++
+			if cfg.Strategy != nil {
+				for _, nb := range f.Plan.Adjacency().Neighbors(id) {
+					f.Reach[nb] += int32(cfg.Params.MF)
+				}
+			}
 		case id == cfg.Source:
 			f.GoodBudget[i] = radio.Unlimited()
 		default:
@@ -194,6 +207,19 @@ func (f *Frame) Begin(cfg Config, attachSpec func(protocol.Env, core.Spec) (prot
 		f.MaxSlots = period * (sourceSends + f.Plan.DiameterHint()*(maxSends+1) + 2*period)
 	}
 	return nil
+}
+
+// SpendJam spends one unit of bad node id's budget for a jam and debits
+// Reach over id's row; it reports false, spending nothing, when id is
+// broke. Every engine's jam validation spends through it.
+func (f *Frame) SpendJam(id grid.NodeID) bool {
+	if !f.BadBudget[id].TrySpend() {
+		return false
+	}
+	for _, nb := range f.Plan.Adjacency().Neighbors(id) {
+		f.Reach[nb]--
+	}
+	return true
 }
 
 // Finish ends a run that stopped after slots slots: it tells the instance,

@@ -18,7 +18,8 @@
 // the Spec.Sends relay, written out as they were inlined before the
 // protocol seam). From the run frame every engine shares (sim.Frame):
 // config validation, the compiled plan and its schedule, placement and its
-// validation, machine attach, budget seeding, the default slot cap and
+// validation, machine attach, budget seeding, the adversary's Reach (jams
+// are spent through Frame.SpendJam), the default slot cap and
 // the classification of the final State into a Result — and the
 // Machine/Instance seam itself, so a Config.Machine (protocol.Multi,
 // protocol.Reactive) runs the same machine code on every engine and for
@@ -123,7 +124,7 @@ func (e *engine) run(ctx context.Context) (*sim.Result, error) {
 	view := &adversary.View{
 		Topo: cfg.Topo, Adj: e.Plan.Adjacency(),
 		Bad: e.Bad, Decided: e.St.Decided, Correct: e.St.Correct, Supply: e.supply,
-		Budget: e.BadBudget, Threshold: e.Inst.Threshold(),
+		Budget: e.BadBudget, Reach: e.Reach, Threshold: e.Inst.Threshold(),
 	}
 	slot := 0
 	for ; e.pendingTotal > 0 && slot < e.MaxSlots; slot++ {
@@ -222,7 +223,7 @@ func (e *engine) dropPending(id grid.NodeID) {
 
 // validateJams enforces the adversary rules: jams must come from distinct
 // bad nodes with remaining budget, carry a trackable value, and each costs
-// one budget unit.
+// one budget unit (spent through the frame, which keeps the view's Reach).
 func (e *engine) validateJams(slot int, jams []radio.Tx) []radio.Tx {
 	if len(jams) == 0 {
 		return nil
@@ -239,7 +240,7 @@ func (e *engine) validateJams(slot int, jams []radio.Tx) []radio.Tx {
 			e.Res.RejectedJams++
 			continue
 		}
-		if !e.BadBudget[j.From].TrySpend() {
+		if !e.SpendJam(j.From) {
 			e.Res.RejectedJams++
 			continue
 		}
