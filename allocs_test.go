@@ -106,8 +106,7 @@ func allocsMultiBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Read 33 when introduced.
-	allocsAtMost(t, 10, 36, func() {
+	run := func() {
 		rep, err := bftbcast.EngineFast.Run(ctx, sc)
 		if err != nil {
 			t.Fatal(err)
@@ -115,7 +114,22 @@ func allocsMultiBroadcast(t *testing.T) {
 		if !rep.Completed || rep.WrongDecisions != 0 || rep.Multi == nil {
 			t.Fatalf("multi broadcast failed: %+v", rep)
 		}
+	}
+	// Read 33 when introduced.
+	allocsAtMost(t, 10, 36, run)
+	// The machine allocates the receipt-count plane of a value on its
+	// first tally, so a fault-free run, which only ever counts ValueTrue,
+	// holds one of the eight: ≈0.97 MB a run, 2.78 MB with every plane
+	// allocated up front.
+	const maxBytes = 1_300_000
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			run()
+		}
 	})
+	if got := res.AllocedBytesPerOp(); got > maxBytes {
+		t.Fatalf("%d bytes allocated per run, the contract is at most %d", got, maxBytes)
+	}
 }
 
 // allocsBVDeliver holds the flat relay arena of certified

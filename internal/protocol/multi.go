@@ -61,6 +61,12 @@ import (
 // once per carried entry, late or live, in ascending instance order, each acceptance
 // right after the entry that caused it (DESIGN.md §12).
 //
+// Booked slots. The machine books whole slots (State.BooksSlots): on an
+// unobserved run without a strategy, Book gets each slot as its
+// transmissions and applies it without building a delivery, and the
+// Deliver that follows, with no deliveries, makes the acceptances Book
+// found in the order a resolved batch would have (see Book).
+//
 // With M = 1 the machine is bit-identical to ThresholdInstance: every
 // batch has exactly one entry (a node's observed transmissions never
 // exceed its scheduled sends), physOutstanding is zero at a node's
@@ -203,16 +209,22 @@ func (m *Multi) Attach(env Env) (Instance, error) {
 	mi.st.Value = make([]radio.Value, n)
 	mi.st.Correct = make([]int32, n)
 	mi.st.Wrong = make([]int32, n)
+	mi.st.BooksSlots = true
+	mi.adj = env.Plan.Adjacency()
 
 	stride := m.M * n
-	mi.counts = make([]int32, stride*(MaxTrackedValue+1))
 	mi.value = make([]radio.Value, stride)
 	mi.relayRemaining = make([]int32, stride)
 
-	mi.decided = make([]uint64, n*mi.words)
-	mi.owing = make([]uint64, n*mi.words)
+	// Every mask, per node and per run, is carved from one arena.
+	nm, nt := n*mi.words, (n+63)/64
+	masks := make([]uint64, 3*nm+mi.words+nt+(nt+63)/64)
+	mi.decided, masks = masks[:nm:nm], masks[nm:]
+	mi.owing, masks = masks[:nm:nm], masks[nm:]
+	mi.fresh, masks = masks[:nm:nm], masks[nm:]
+	mi.started, masks = masks[:mi.words:mi.words], masks[mi.words:]
+	mi.touched, mi.touchedSum = masks[:nt:nt], masks[nt:]
 	mi.batch = make([]carriedWord, n*mi.words)
-	mi.started = make([]uint64, mi.words)
 
 	mi.decidedCount = make([]int32, n)
 	mi.hasWrong = make([]bool, n)
@@ -277,21 +289,29 @@ type multiInstance struct {
 	bad       []bool
 	goodTotal int
 	threshold int32
-	words     int // mask words per node, ⌈m/64⌉
+	words     int              // mask words per node, ⌈m/64⌉
+	adj       *radio.Adjacency // the plan's rows, walked by Book
 
 	st State
 
 	// counts is per-value receipt tallies of the pairs still undecided:
 	// once (u, j) decides nothing reads its tallies again, so entries
-	// landing on it are not tallied. One plane per tracked value, so a
-	// run that only ever hears ValueTrue works in 4 bytes per pair.
-	counts         []int32       // [tracked*m*n + u*m+j]
-	value          []radio.Value // [u*m+j] accepted value
-	relayRemaining []int32       // [u*m+j] entries u still owes instance j
+	// landing on it are not tallied. One plane per tracked value, each
+	// allocated on its first tally, so a run that only ever hears
+	// ValueTrue allocates and works in 4 bytes per pair.
+	counts         [MaxTrackedValue + 1][]int32 // [tracked][u*m+j]
+	value          []radio.Value                // [u*m+j] accepted value
+	relayRemaining []int32                      // [u*m+j] entries u still owes instance j
 
 	// Instance masks, [u*words+k].
 	decided []uint64 // u accepted (or, as its source, released) instance j
 	owing   []uint64 // relayRemaining[u*m+j] > 0
+	fresh   []uint64 // u crossed the threshold in j in a Book; Deliver accepts it
+
+	// touched has one bit per node holding a fresh bit and touchedSum one
+	// bit per word of touched, so Deliver finds the pending acceptances in
+	// ascending node order without a sort.
+	touched, touchedSum []uint64
 
 	decidedCount    []int32 // per node: instances decided
 	hasWrong        []bool  // per node: some instance accepted a wrong value
@@ -346,10 +366,83 @@ func (mi *multiInstance) Tick(slot int, buf []Send) []Send {
 	return buf
 }
 
-// Book implements Instance. Multi publishes no settled mask — a receiver
-// settles only when all M instances decide — so it is never booked.
-func (mi *multiInstance) Book(int, []radio.Tx) error {
-	return errors.New("protocol: the multi machine publishes no settled mask")
+// Book implements Instance for a booked slot (State.BooksSlots): every
+// transmission reaches its sender's whole row, and no hook observes a
+// delivery. A sender with a non-empty row pops its batch once — an
+// isolated sender is never observed, as in Deliver, and a row of bad
+// receivers only is still popped — and every good receiver in the row
+// gets the batch as applyBatch would apply it, except that a threshold
+// crossing is not accepted here: it is marked fresh (its value recorded)
+// for the Deliver that follows. A receiver hears one transmission per
+// slot and transmits none, so no pair crosses twice and nothing the rest
+// of the slot reads depends on the acceptances being deferred.
+func (mi *multiInstance) Book(slot int, txs []radio.Tx) error {
+	for i := range txs {
+		w := txs[i].From
+		row := mi.adj.Neighbors(w)
+		if len(row) == 0 {
+			continue
+		}
+		tru, other := mi.popBatch(slot, w)
+		batch := mi.batch[int(w)*mi.words:][:mi.words]
+		vals := mi.value[int(w)*mi.m:][:mi.m]
+		for _, u := range row {
+			if mi.bad != nil && mi.bad[u] {
+				continue // adversary nodes do not run the protocol
+			}
+			mi.st.Correct[u] += tru
+			mi.st.Wrong[u] += other
+			lo := int(u) * mi.words
+			for k, c := range batch {
+				for walk := c.all &^ mi.decided[lo+k]; walk != 0; walk &= walk - 1 {
+					j := k<<6 + bits.TrailingZeros64(walk)
+					if mi.tally(u, j, vals[j]) {
+						mi.value[int(u)*mi.m+j] = vals[j]
+						mi.fresh[lo+k] |= walk & -walk
+						mi.touch(u)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// touch marks u as holding a fresh acceptance.
+func (mi *multiInstance) touch(u grid.NodeID) {
+	wi := int(u) >> 6
+	if mi.touched[wi] == 0 {
+		mi.touchedSum[wi>>6] |= 1 << (wi & 63)
+	}
+	mi.touched[wi] |= 1 << (int(u) & 63)
+}
+
+// acceptBooked makes the acceptances the slot's Book left fresh, in
+// ascending (receiver, instance) order, and clears the marks as it goes.
+func (mi *multiInstance) acceptBooked(slot int, hooks *Hooks, buf []Send) []Send {
+	for si, sw := range mi.touchedSum {
+		if sw == 0 {
+			continue
+		}
+		mi.touchedSum[si] = 0
+		for ; sw != 0; sw &= sw - 1 {
+			wi := si<<6 + bits.TrailingZeros64(sw)
+			tw := mi.touched[wi]
+			mi.touched[wi] = 0
+			for ; tw != 0; tw &= tw - 1 {
+				u := grid.NodeID(wi<<6 + bits.TrailingZeros64(tw))
+				fresh := mi.fresh[int(u)*mi.words:][:mi.words]
+				for k, f := range fresh {
+					fresh[k] = 0
+					for ; f != 0; f &= f - 1 {
+						j := k<<6 + bits.TrailingZeros64(f)
+						buf = mi.accept(slot, j, u, mi.value[int(u)*mi.m+j], hooks, buf)
+					}
+				}
+			}
+		}
+	}
+	return buf
 }
 
 // releaseDue starts every not-yet-released instance with
@@ -428,7 +521,8 @@ func (mi *multiInstance) noteDecided(j int, u grid.NodeID, v radio.Value, slot i
 // happened regardless of who heard it); a forged or jammed copy cannot
 // be attributed to an instance, so it is a batch carrying its value
 // once in every started instance — the strongest consistent reading;
-// either batch is then applied at the receiver.
+// either batch is then applied at the receiver. After a booked slot's
+// Book, ds is empty and Deliver makes the acceptances Book left fresh.
 func (mi *multiInstance) Deliver(slot int, ds []radio.Delivery, hooks *Hooks, buf []Send) ([]Send, error) {
 	for _, d := range ds {
 		if hooks.OnDeliver != nil {
@@ -459,7 +553,7 @@ func (mi *multiInstance) Deliver(slot int, ds []radio.Delivery, hooks *Hooks, bu
 		row := int(w) * mi.m
 		buf = mi.applyBatch(slot, w, u, mi.value[row:row+mi.m], radio.ValueNone, hooks, buf)
 	}
-	return buf, nil
+	return mi.acceptBooked(slot, hooks, buf), nil
 }
 
 // popBatch observes good sender w's transmission on its first delivery
@@ -469,8 +563,9 @@ func (mi *multiInstance) Deliver(slot int, ds []radio.Delivery, hooks *Hooks, bu
 // Later deliveries of the same transmission reuse the recorded batch.
 // The popped set is slot-deterministic: w transmits at most once per
 // slot and, being half-duplex, cannot accept (and so cannot change its
-// owed entries or their values) in a slot it transmits in.
-func (mi *multiInstance) popBatch(slot int, w grid.NodeID) {
+// owed entries or their values) in a slot it transmits in. It returns how
+// many of the carried entries are worth ValueTrue and how many are not.
+func (mi *multiInstance) popBatch(slot int, w grid.NodeID) (tru, other int32) {
 	mi.batchStamp[w] = slot
 	row := int(w) * mi.m
 	for k, lo := 0, int(w)*mi.words; k < mi.words; k++ {
@@ -487,11 +582,15 @@ func (mi *multiInstance) popBatch(slot int, w grid.NodeID) {
 			}
 		}
 		mi.batch[lo+k] = c
-		mi.entriesCarried += bits.OnesCount64(c.all)
+		nt := bits.OnesCount64(c.tru)
+		tru += int32(nt)
+		other += int32(bits.OnesCount64(c.all) - nt)
 	}
+	mi.entriesCarried += int(tru + other)
 	if mi.physOutstanding[w] > 0 {
 		mi.physOutstanding[w]--
 	}
+	return tru, other
 }
 
 // applyBatch applies the batch recorded in sender w's row to good
@@ -549,20 +648,36 @@ func (mi *multiInstance) countEntry(u grid.NodeID, v radio.Value) {
 }
 
 // applyLive runs the counts-threshold rule for one instance-j entry of
-// value v delivered to good node u, undecided in j, scheduling the
-// acceptance relay through the shared physical-send pool.
+// value v delivered to good node u, undecided in j.
 func (mi *multiInstance) applyLive(slot, j int, u grid.NodeID, v radio.Value, hooks *Hooks, buf []Send) []Send {
 	mi.countEntry(u, v)
+	if !mi.tally(u, j, v) {
+		return buf
+	}
+	return mi.accept(slot, j, u, v, hooks, buf)
+}
+
+// tally counts one instance-j entry of value v at good node u, undecided
+// in j, and reports whether it brought v to the threshold.
+func (mi *multiInstance) tally(u grid.NodeID, j int, v radio.Value) bool {
 	tracked := v
 	if tracked < 0 || tracked > MaxTrackedValue {
 		tracked = MaxTrackedValue // clamp exotic values into the last bucket
 	}
-	idx := int(u)*mi.m + j
-	ci := int(tracked)*mi.m*mi.n + idx
-	mi.counts[ci]++
-	if mi.counts[ci] != mi.threshold {
-		return buf
+	plane := mi.counts[tracked]
+	if plane == nil {
+		plane = make([]int32, mi.m*mi.n)
+		mi.counts[tracked] = plane
 	}
+	idx := int(u)*mi.m + j
+	plane[idx]++
+	return plane[idx] == mi.threshold
+}
+
+// accept makes u's acceptance of v in instance j, scheduling the
+// acceptance relay through the shared physical-send pool.
+func (mi *multiInstance) accept(slot, j int, u grid.NodeID, v radio.Value, hooks *Hooks, buf []Send) []Send {
+	idx := int(u)*mi.m + j
 	mi.value[idx] = v
 	mi.decisions++
 	mi.noteDecided(j, u, v, slot)

@@ -18,6 +18,7 @@ import (
 	"bftbcast/internal/plan"
 	"bftbcast/internal/radio"
 	"bftbcast/internal/stats"
+	"bftbcast/internal/topo"
 )
 
 type multiRef struct {
@@ -54,6 +55,7 @@ func newMultiRef(mi *multiInstance) *multiRef {
 		st: State{
 			Decided: make([]bool, n), Value: make([]radio.Value, n),
 			Correct: make([]int32, n), Wrong: make([]int32, n),
+			BooksSlots: true,
 		},
 		counts:          make([]int32, stride*(MaxTrackedValue+1)),
 		decided:         make([]bool, stride),
@@ -245,6 +247,11 @@ func (rec *multiRecorder) instanceDecide(slot, j int, id grid.NodeID, v radio.Va
 // clamp bucket can hold. The threshold-1 leg lets those forged copies
 // decide good nodes, so good relays carry non-ValueTrue entries into
 // decided and undecided pairs alike.
+//
+// Its last leg takes slots as transmissions: twin instances of one attach
+// get the same random jam-free slots, one as Book + Deliver with no
+// deliveries, the other as the deliveries ResolveAppend makes of them
+// (see driveBookedTwins).
 func TestMultiDeliverMatchesPerEntryReference(t *testing.T) {
 	ms := []int{1, 2, 9, 32, 63, 64, 65, 130}
 	seeds := 3
@@ -285,6 +292,169 @@ func TestMultiDeliverMatchesPerEntryReference(t *testing.T) {
 			}
 		}
 	}
+
+	// The booked leg. On the torus, one leg has a random bad set and the
+	// scenario source at node 0; in the other the source's whole row is
+	// bad, so its transmissions reach no good receiver and must still be
+	// popped. On a sparse RGG the source has no neighbour at all, so its
+	// transmissions are never observed and must not be popped.
+	sparse, err := topo.NewRGG(300, 0.05, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isolated := grid.None
+	for i := 0; i < sparse.Size() && isolated == grid.None; i++ {
+		if sparse.Degree(grid.NodeID(i)) == 0 {
+			isolated = grid.NodeID(i)
+		}
+	}
+	if isolated == grid.None {
+		t.Fatal("the sparse RGG has no isolated node; the test topology is not doing its job")
+	}
+	const walled = 112 // the middle of the torus
+	for _, m := range []int{1, 32, 64, 65, 130} {
+		for _, leg := range []struct {
+			name string
+			pl   *plan.Plan
+			src  grid.NodeID
+		}{{"torus", plan.For(tor), 0}, {"bad-row", plan.For(tor), walled}, {"isolated", plan.For(sparse), isolated}} {
+			t.Run(fmt.Sprintf("booked/%s/M%d", leg.name, m), func(t *testing.T) {
+				n := leg.pl.Size()
+				rng := stats.NewRNG(uint64(m)*31 + uint64(leg.src))
+				bad := make([]bool, n)
+				for i := range bad {
+					bad[i] = rng.Intn(12) == 0
+				}
+				if leg.name == "bad-row" {
+					for _, nb := range leg.pl.Adjacency().Neighbors(walled) {
+						bad[nb] = true
+					}
+				}
+				bad[leg.src] = false
+				mi, sent := driveBookedTwins(t, leg.pl, protocolB, m, uint64(m), leg.src, bad)
+				left := mi.relayRemaining[int(leg.src)*m] // instance 0's source entries still owed
+				switch {
+				case sent[leg.src] < protocolB.SourceRepeats:
+					t.Fatalf("the source transmitted %d times, fewer than its %d repeats", sent[leg.src], protocolB.SourceRepeats)
+				case (leg.name == "torus" || m > 1) && mi.decisions == 0:
+					t.Fatal("degenerate drive: no decision")
+				case leg.name == "bad-row" && left != 0:
+					t.Fatalf("the walled source still owes %d entries: its transmissions were not popped", left)
+				case leg.name == "isolated" && left != int32(protocolB.SourceRepeats):
+					t.Fatalf("the isolated source owes %d of its %d entries: a transmission no one heard was popped", left, protocolB.SourceRepeats)
+				}
+			})
+		}
+	}
+}
+
+// driveBookedTwins attaches two instances to one environment and drives
+// them over the same random jam-free slots — a random subset of the
+// slot's colour class among the nodes with sends pending, each on air
+// with its State.Value. The booked twin gets every slot's transmissions
+// as Book and, when one had a receiver, Deliver with no deliveries; the
+// delivered twin gets the deliveries ResolveAppend makes of them. Both
+// observe OnAccept and OnInstanceDecide only. After every slot they must
+// return the same Sends in the same order, have fired the same events and
+// hold the same State; at the end they must publish the same MultiStats.
+// It returns the booked twin and how often each node transmitted.
+func driveBookedTwins(t *testing.T, pl *plan.Plan, spec core.Spec, m int, seed uint64, src grid.NodeID, bad []bool) (*multiInstance, []int) {
+	t.Helper()
+	n := pl.Size()
+	env := Env{Plan: pl, Source: src, Bad: bad, Seed: seed}
+	attach := func() (*Multi, *multiInstance) {
+		machine := &Multi{Spec: spec, M: m}
+		inst, err := machine.Attach(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return machine, inst.(*multiInstance)
+	}
+	bookedMachine, booked := attach()
+	deliveredMachine, delivered := attach()
+	var bookedRec, deliveredRec multiRecorder
+	hooksOf := func(rec *multiRecorder) *Hooks {
+		h := rec.hooks()
+		h.OnDeliver = nil
+		h.OnInstanceDecide = rec.instanceDecide
+		return h
+	}
+	bookedHooks, deliveredHooks := hooksOf(&bookedRec), hooksOf(&deliveredRec)
+
+	pending, sent := make([]int, n), make([]int, n)
+	compare := func(slot int, got, want []Send) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("slot %d: sends diverge:\n booked    %v\n delivered %v", slot, got, want)
+		}
+		if !reflect.DeepEqual(bookedRec.events, deliveredRec.events) {
+			t.Fatalf("slot %d: hook streams diverge:\n booked    %v\n delivered %v", slot, bookedRec.events, deliveredRec.events)
+		}
+		if !reflect.DeepEqual(booked.st, delivered.st) {
+			t.Fatalf("slot %d: State diverges", slot)
+		}
+		for _, s := range got {
+			pending[s.ID] += s.N
+		}
+		bookedRec.events, deliveredRec.events = bookedRec.events[:0], deliveredRec.events[:0]
+	}
+	compare(0, booked.Bootstrap(nil), delivered.Bootstrap(nil))
+
+	adj, colors := pl.Adjacency(), pl.Colors()
+	medium := radio.NewMediumShared(adj)
+	rng := stats.NewRNG(seed*1_000_033 + uint64(src))
+	var (
+		txs []radio.Tx
+		ds  []radio.Delivery
+		err error
+	)
+	for slot := 0; slot < 25*pl.Period(); slot++ {
+		color := pl.SlotColor(slot)
+		txs = txs[:0]
+		heard := false
+		for i := 0; i < n; i++ {
+			if int(colors[i]) != color || pending[i] == 0 || rng.Intn(5) == 0 {
+				continue
+			}
+			pending[i]--
+			sent[i]++
+			txs = append(txs, radio.Tx{From: grid.NodeID(i), Value: booked.st.Value[i]})
+			heard = heard || adj.Degree(grid.NodeID(i)) > 0
+		}
+		if len(txs) == 0 {
+			continue
+		}
+		if ds, err = medium.ResolveAppend(txs, ds[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if heard != (len(ds) > 0) {
+			t.Fatalf("slot %d: %d deliveries, but heard=%v", slot, len(ds), heard)
+		}
+		if err := booked.Book(slot, txs); err != nil {
+			t.Fatal(err)
+		}
+		if !heard {
+			continue
+		}
+		got, err := booked.Deliver(slot, nil, bookedHooks, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := delivered.Deliver(slot, ds, deliveredHooks, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compare(slot, booked.Tick(slot, got), delivered.Tick(slot, want))
+	}
+	if medium.GoodGoodCollisions != 0 {
+		t.Fatalf("%d collisions: the drive's slots were not one colour class", medium.GoodGoodCollisions)
+	}
+	booked.Finish(0)
+	delivered.Finish(0)
+	if got, want := bookedMachine.TakeStats(), deliveredMachine.TakeStats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("MultiStats diverge:\n booked    %+v\n delivered %+v", got, want)
+	}
+	return booked, sent
 }
 
 func driveMultiAgainstRef(t *testing.T, pl *plan.Plan, params core.Params, spec core.Spec, m int, seed uint64, observed bool) (correct, wrong int) {

@@ -52,8 +52,18 @@
 // ledger bump per transmission, the reactive machine the sender's round,
 // replayed in Deliver in sender order whether or not the round reached a
 // live receiver — and by Finish the State reads exactly as if every
-// delivery had been made. Instances without a mask (Multi) are handed
-// every delivery and never booked.
+// delivery had been made.
+//
+// An instance may instead flag that it books whole slots (State.BooksSlots,
+// the Multi machine). On a run with no Strategy, no per-delivery hook
+// (OnDeliver, OnInstanceDeliver) and a verified distance-2 colouring, every
+// slot is jam-free and collision-free, so the fast engine builds no
+// delivery at all: it hands the slot's transmissions to Book, which walks
+// each sender's row itself and leaves its acceptances pending, and then
+// calls Deliver with no deliveries, which makes them in ascending
+// (receiver, instance) order — the order a resolved batch would have
+// produced — firing the Sends and hooks. On any other run such an instance
+// is handed every delivery, as an instance with neither flag always is.
 //
 // # Hot-path rules
 //
@@ -167,6 +177,10 @@ type State struct {
 	// settled node stays settled, and every settlement comes with a Send
 	// for the node. It is nil for an instance that publishes no mask.
 	Settled []bool
+	// BooksSlots marks an instance that books whole slots (see the
+	// package comment and Instance.Book). An instance sets at most one of
+	// Settled and BooksSlots.
+	BooksSlots bool
 }
 
 // Machine is a reusable protocol description: the acceptance rule, the
@@ -192,7 +206,10 @@ type Instance interface {
 	Bootstrap(buf []Send) []Send
 	// Deliver consumes one slot's final radio deliveries in order,
 	// firing hooks per event, and appends the sends to schedule
-	// (acceptance relays, retransmissions) to buf.
+	// (acceptance relays, retransmissions) to buf. It is the only source
+	// of Sends and acceptance events: after a booked slot's Book (see
+	// Book) ds is empty and Deliver makes the acceptances Book left
+	// pending.
 	Deliver(slot int, ds []radio.Delivery, hooks *Hooks, buf []Send) ([]Send, error)
 	// Tick runs immediately after each Deliver call (same slot) and may
 	// append further sends to buf — a per-slot epilogue for machines
@@ -202,14 +219,17 @@ type Instance interface {
 	// handed-over batch is empty); slots without deliveries — including
 	// idle slots the fast engine skips wholesale — do not tick.
 	Tick(slot int, buf []Send) []Send
-	// Book accounts for a frontier slot before its Deliver call: txs is
-	// every transmission of a jam-free slot of one verified distance-2
-	// colour class, so each reached its sender's whole row, and the
-	// Deliver that follows (made, with its Tick, whenever some
-	// transmission had a receiver, even if the frontier is empty) carries
-	// only the deliveries to good receivers not settled at the slot's
-	// start. Only instances that publish State.Settled are booked; the
-	// others return an error.
+	// Book accounts for a slot before its Deliver call: txs is every
+	// transmission of a jam-free slot of one verified distance-2 colour
+	// class, so each reached its sender's whole row, and the Deliver that
+	// follows is made, with its Tick, whenever some transmission had a
+	// receiver. It has two cases. For an instance that publishes
+	// State.Settled (a frontier slot), that Deliver carries only the
+	// deliveries to good receivers not settled at the slot's start, and
+	// may be empty. For an instance with State.BooksSlots (a booked slot),
+	// it carries none: Book applies the whole slot, and Deliver makes the
+	// acceptances Book left pending. Instances with neither flag are never
+	// booked and return an error.
 	Book(slot int, txs []radio.Tx) error
 	// GoodBudget returns the message budget the engine enforces for good
 	// node id; negative means unlimited. The engine always leaves the

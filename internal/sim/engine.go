@@ -58,8 +58,20 @@
 // undecided receivers (adversary.DeliveryDriven), and a coloring the plan
 // has verified to be distance-2, which is what makes a jam-free slot
 // collision-free by check rather than by assumption. Every other run —
-// Multi, observed runs, Spammer, unverified colorings — takes steps 2–5
-// over all deliveries and keeps none of this state.
+// observed runs, Spammer, unverified colorings, and Multi unless it books
+// (below) — takes steps 2–5 over all deliveries and keeps none of this
+// state.
+//
+// # Booked slots
+//
+// An instance that books whole slots (protocol.State.BooksSlots: Multi)
+// goes one step further on a run with no Strategy, no per-delivery hook
+// (OnDeliver, OnInstanceDeliver) and a verified distance-2 coloring:
+// every slot is then jam-free and collision-free, so nothing needs a
+// delivery built. The engine skips steps 2–4, hands the slot's
+// transmissions to Book — which walks each sender's row itself — and, when
+// some transmission had a receiver, calls Deliver with no deliveries and
+// Tick (bookEligible lists the conditions).
 //
 // # Run frame
 //
@@ -176,6 +188,12 @@ type Runner struct {
 	frontier      bool
 	frontierSlots int
 	settledTxs    int
+
+	// booking selects the booked slot body for this run (see the package
+	// comment and bookEligible); bookedSlots counts the slots it booked
+	// (exposed to tests, see export_test.go).
+	booking     bool
+	bookedSlots int
 
 	// Frontier-run state (see the package comment). live[v] counts v's
 	// good neighbors the instance has not settled — v's row is settled
@@ -388,7 +406,8 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 	r.frontier = r.frontierEligible()
-	r.frontierSlots, r.settledTxs = 0, 0
+	r.booking = !r.frontier && r.bookEligible()
+	r.frontierSlots, r.settledTxs, r.bookedSlots = 0, 0, 0
 	if r.frontier {
 		r.initLive()
 	}
@@ -455,9 +474,12 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 		heard := false
 		if len(txs) > 0 {
 			var err error
-			if r.frontier {
+			switch {
+			case r.booking:
+				heard, err = r.bookSlot(slot, txs)
+			case r.frontier:
 				heard, err = r.resolveFrontier(txs)
-			} else {
+			default:
 				r.tentative, err = r.medium.ResolveAppend(txs, r.tentative)
 				heard = len(r.tentative) > 0
 			}
@@ -557,6 +579,37 @@ func (r *Runner) dropPending(id grid.NodeID) {
 func (r *Runner) frontierEligible() bool {
 	return r.St.Settled != nil && r.Cfg.Hooks.OnDeliver == nil &&
 		r.Plan.DisjointClasses() && r.deliveryDriven()
+}
+
+// bookEligible decides, per run, whether the slot body may hand each slot
+// to the instance as its transmissions (see the package comment): the
+// instance books whole slots, no Strategy can jam (so every slot is
+// jam-free), no hook asks to see a delivery, and the plan verified the
+// coloring, so a slot's transmissions reach their senders' whole rows
+// without a collision and no transmitter is in range of another.
+func (r *Runner) bookEligible() bool {
+	h := &r.Cfg.Hooks
+	return r.St.BooksSlots && r.Cfg.Strategy == nil && h.OnDeliver == nil &&
+		h.OnInstanceDeliver == nil && r.Plan.DisjointClasses()
+}
+
+// bookSlot hands a booking run's slot to the instance: it refuses a
+// valueless transmission, as ResolveAppend does, and books the rest.
+// heard reports whether any transmission had a receiver.
+func (r *Runner) bookSlot(slot int, txs []radio.Tx) (heard bool, err error) {
+	for i := range txs {
+		if txs[i].Value == radio.ValueNone {
+			return false, fmt.Errorf("sim: transmission from %d carries ValueNone", txs[i].From)
+		}
+		if !heard && len(r.neighbors(txs[i].From)) > 0 {
+			heard = true
+		}
+	}
+	if err := r.Inst.Book(slot, txs); err != nil {
+		return false, err
+	}
+	r.bookedSlots++
+	return heard, nil
 }
 
 // resolveFrontier fills r.tentative with the slot's frontier in

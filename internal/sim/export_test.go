@@ -47,3 +47,8 @@ func (r *Runner) CheckLive() error {
 // Figure2Params hands the Figure 2 parameters (see figure2_test.go) to
 // the external test package.
 var Figure2Params = figure2Params
+
+// BookedSlots exposes how many slots of the last run were booked whole
+// (see the package comment), so tests can prove a configuration took that
+// path — or stayed off it.
+func (r *Runner) BookedSlots() int { return r.bookedSlots }

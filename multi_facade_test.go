@@ -76,6 +76,59 @@ func TestMultiFastVsRef(t *testing.T) {
 	}
 }
 
+// TestMultiBookedFastVsRef is the facade-level oracle of the booked
+// slot body (DESIGN.md §12): a run with no strategy and no delivery
+// observer hands Multi each slot's transmissions instead of its
+// deliveries. Fault-free and placement-only cells (bad nodes that stay
+// silent) over the three matrix topologies must give the reference
+// engine's Report, the per-instance MultiResult included; M = 65 keeps a
+// second mask word in play. internal/sim's TestMultiBookedSlots proves
+// that these cells book their slots.
+func TestMultiBookedFastVsRef(t *testing.T) {
+	ctx := context.Background()
+	seeds := uint64(3)
+	if testing.Short() {
+		seeds = 1
+	}
+	for _, kind := range []string{"torus", "grid", "rgg"} {
+		for _, m := range []int{2, 5, 9, 65} {
+			for _, placed := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/M%d/placed=%v", kind, m, placed), func(t *testing.T) {
+					for seed := uint64(1); seed <= seeds; seed++ {
+						build := func() *bftbcast.Scenario {
+							sc := multiScenario(t, kind, m, seed, false)
+							if !placed {
+								return sc
+							}
+							sc, err := sc.With(bftbcast.WithPlacement(bftbcast.RandomPlacement{T: 1, Density: 0.05, Seed: seed}))
+							if err != nil {
+								t.Fatal(err)
+							}
+							return sc
+						}
+						fastRep, err := bftbcast.EngineFast.Run(ctx, build())
+						if err != nil {
+							t.Fatalf("seed %d fast: %v", seed, err)
+						}
+						refRep, err := bftbcast.EngineRef.Run(ctx, build())
+						if err != nil {
+							t.Fatalf("seed %d ref: %v", seed, err)
+						}
+						refRep.Engine = fastRep.Engine
+						if !reflect.DeepEqual(fastRep, refRep) {
+							t.Fatalf("seed %d: fast and ref reports diverge:\nfast: %+v\nref:  %+v", seed, fastRep, refRep)
+						}
+						if placed && fastRep.BadCount == 0 {
+							t.Fatalf("seed %d: the placement put no bad node", seed)
+						}
+						checkMultiExtension(t, fastRep, m)
+					}
+				})
+			}
+		}
+	}
+}
+
 // checkMultiExtension asserts the Report extension shape of a
 // multi-broadcast run.
 func checkMultiExtension(t *testing.T, rep *bftbcast.Report, m int) {
