@@ -177,6 +177,8 @@ func TestHandlerLifecycle(t *testing.T) {
 	}{
 		{"POST", "/v1/jobs", `{"base": {"topology": {"Kind": "warp"}}}`, http.StatusBadRequest},
 		{"POST", "/v1/jobs", `not json`, http.StatusBadRequest},
+		// 2r+1 overflows: once accepted, it panicked the executor.
+		{"POST", "/v1/jobs", `{"base":{"topology":{"kind":"grid","w":5,"h":5,"r":4611686018427387904}}}`, http.StatusBadRequest},
 		// Grids with a corner the reactive protocol cannot run (r = 2
 		// caps t at 4; mmax must cover mf; the payload needs a bit) are
 		// refused at submit time, not after the runnable points.

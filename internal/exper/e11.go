@@ -116,10 +116,12 @@ func runE11(opts Options) (*Outcome, error) {
 	shape := newTable("Topology structure (the torus has full-sized neighborhoods everywhere; the others do not)",
 		"topology", "nodes", "min degree", "max degree", "TDMA period", "diameter hint")
 	var rggPeriod int
+	var row []grid.NodeID
 	for _, c := range cases {
 		minDeg := c.tp.Size()
 		for i := 0; i < c.tp.Size(); i++ {
-			minDeg = min(minDeg, c.tp.Degree(grid.NodeID(i)))
+			row = c.tp.AppendNeighbors(row[:0], grid.NodeID(i))
+			minDeg = min(minDeg, len(row))
 		}
 		_, period, err := c.tp.Coloring()
 		if err != nil {

@@ -310,17 +310,19 @@ func runE9(opts Options) (*Outcome, error) {
 	half := sc.Params.HalfNeighborhood()
 	maxDecidedNbrs := 0
 	var worst grid.NodeID
+	var row []grid.NodeID
 	for i := 0; i < tor.Size(); i++ {
 		id := grid.NodeID(i)
 		if rep.Decided[id] {
 			continue
 		}
 		n := 0
-		tor.ForEachNeighbor(id, func(nb grid.NodeID) {
+		row = tor.AppendNeighbors(row[:0], id)
+		for _, nb := range row {
 			if rep.Decided[nb] {
 				n++
 			}
-		})
+		}
 		if n > maxDecidedNbrs {
 			maxDecidedNbrs = n
 			worst = id

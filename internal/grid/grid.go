@@ -10,7 +10,9 @@
 //
 // The torus (the paper's "to avoid edge effect we assume that the network
 // is toroidal") makes every neighborhood full-sized, which both the
-// protocols and the adversary constructions rely on.
+// protocols and the adversary constructions rely on. Torus is the
+// canonical topo.Topology: neighbors, the wrapped L∞ distance and the
+// lattice TDMA coloring. Bheter's cross-shaped region is Cross.
 package grid
 
 import (
@@ -99,11 +101,6 @@ func (t *Torus) Size() int { return t.w * t.h }
 // line through the centre.
 func (t *Torus) HalfNeighborhood() int { return t.r * (2*t.r + 1) }
 
-// Degree returns the number of neighbors of id. On the torus every
-// neighborhood is full-sized, so this equals MaxDegree for all nodes
-// (part of the topo.Topology contract).
-func (t *Torus) Degree(NodeID) int { return t.MaxDegree() }
-
 // MaxDegree returns (2r+1)²−1, the number of nodes within range of any
 // node on the torus (part of the topo.Topology contract).
 func (t *Torus) MaxDegree() int { return (2*t.r+1)*(2*t.r+1) - 1 }
@@ -188,54 +185,14 @@ func (t *Torus) Dist(a, b NodeID) int {
 	return dy
 }
 
-// ForEachNeighbor calls fn for every node within range r of id, excluding
-// id itself. Iteration order is deterministic (row-major by offset).
-func (t *Torus) ForEachNeighbor(id NodeID, fn func(NodeID)) {
-	x, y := t.XY(id)
-	for _, o := range t.offsets {
-		fn(t.ID(x+int(o.dx), y+int(o.dy)))
-	}
-}
-
-// Neighbors returns a fresh slice of the (2r+1)²−1 neighbors of id.
-func (t *Torus) Neighbors(id NodeID) []NodeID {
-	return t.AppendNeighbors(make([]NodeID, 0, len(t.offsets)), id)
-}
-
-// AppendNeighbors appends the neighbors of id to dst and returns it,
-// avoiding allocation when dst has capacity.
+// AppendNeighbors appends the (2r+1)²−1 neighbors of id to dst, row-major
+// by offset, and returns it (part of the topo.Topology contract).
 func (t *Torus) AppendNeighbors(dst []NodeID, id NodeID) []NodeID {
 	x, y := t.XY(id)
 	for _, o := range t.offsets {
 		dst = append(dst, t.ID(x+int(o.dx), y+int(o.dy)))
 	}
 	return dst
-}
-
-// ForEachWithin calls fn for every node within L∞ distance d of id,
-// excluding id itself. d may exceed r (used by the adversary, which cares
-// about distance 2r when picking collision targets).
-func (t *Torus) ForEachWithin(id NodeID, d int, fn func(NodeID)) {
-	if d >= t.w/2 || d >= t.h/2 {
-		// Windows this large can wrap onto themselves; fall back to a
-		// full scan with distance checks to avoid double-visiting.
-		for i := 0; i < t.Size(); i++ {
-			nid := NodeID(i)
-			if nid != id && t.Dist(id, nid) <= d {
-				fn(nid)
-			}
-		}
-		return
-	}
-	x, y := t.XY(id)
-	for dy := -d; dy <= d; dy++ {
-		for dx := -d; dx <= d; dx++ {
-			if dx == 0 && dy == 0 {
-				continue
-			}
-			fn(t.ID(x+dx, y+dy))
-		}
-	}
 }
 
 // String implements fmt.Stringer.

@@ -133,9 +133,9 @@ func TestNeighborhoodSizeExact(t *testing.T) {
 		if got := tor.MaxDegree(); got != want {
 			t.Fatalf("r=%d MaxDegree = %d, want %d", r, got, want)
 		}
-		nbrs := tor.Neighbors(tor.ID(0, 0))
+		nbrs := tor.AppendNeighbors(nil, tor.ID(0, 0))
 		if len(nbrs) != want {
-			t.Fatalf("r=%d len(Neighbors) = %d, want %d", r, len(nbrs), want)
+			t.Fatalf("r=%d len(AppendNeighbors) = %d, want %d", r, len(nbrs), want)
 		}
 		// All distinct, all within range, none equal to self.
 		seen := make(map[NodeID]bool, len(nbrs))
@@ -172,36 +172,9 @@ func TestNeighborSymmetry(t *testing.T) {
 	// b in N(a) iff a in N(b): follows from metric symmetry, check anyway
 	// over the full torus.
 	for a := NodeID(0); int(a) < tor.Size(); a++ {
-		tor.ForEachNeighbor(a, func(b NodeID) {
+		for _, b := range tor.AppendNeighbors(nil, a) {
 			if tor.Dist(b, a) > tor.Range() {
 				t.Fatalf("asymmetric neighborhood: %d->%d", a, b)
-			}
-		})
-	}
-}
-
-func TestForEachWithinMatchesBruteForce(t *testing.T) {
-	tor := MustNew(15, 15, 2)
-	for _, d := range []int{1, 2, 4, 7, 8} { // 7 >= w/2 triggers the scan path
-		id := tor.ID(3, 11)
-		got := map[NodeID]int{}
-		tor.ForEachWithin(id, d, func(nb NodeID) { got[nb]++ })
-		want := map[NodeID]bool{}
-		for i := 0; i < tor.Size(); i++ {
-			nb := NodeID(i)
-			if nb != id && tor.Dist(id, nb) <= d {
-				want[nb] = true
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("d=%d visited %d nodes, want %d", d, len(got), len(want))
-		}
-		for nb, c := range got {
-			if c != 1 {
-				t.Fatalf("d=%d node %d visited %d times", d, nb, c)
-			}
-			if !want[nb] {
-				t.Fatalf("d=%d visited out-of-range node %d", d, nb)
 			}
 		}
 	}

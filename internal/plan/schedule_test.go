@@ -1,22 +1,21 @@
-// Package sched_test checks the TDMA schedule that plan.Plan compiles
-// for a torus: its period, its slot classes and the collision freedom of
-// one color. The schedule itself lives in internal/plan.
-package sched_test
+package plan
+
+// The TDMA schedule a Plan compiles for a torus: its period, its slot
+// classes and the collision freedom of one color.
 
 import (
 	"errors"
 	"testing"
 
 	"bftbcast/internal/grid"
-	"bftbcast/internal/plan"
 )
 
 func TestNewRequiresDivisibleSides(t *testing.T) {
-	if err := plan.Compute(grid.MustNew(10, 10, 2)).ColoringErr(); err != nil { // 2r+1 = 5 divides 10
+	if err := Compute(grid.MustNew(10, 10, 2)).ColoringErr(); err != nil { // 2r+1 = 5 divides 10
 		t.Fatalf("unexpected error: %v", err)
 	}
 	for _, wh := range [][2]int{{11, 10}, {10, 12}} {
-		err := plan.Compute(grid.MustNew(wh[0], wh[1], 2)).ColoringErr()
+		err := Compute(grid.MustNew(wh[0], wh[1], 2)).ColoringErr()
 		if !errors.Is(err, grid.ErrNotDivisible) {
 			t.Fatalf("%dx%d with r=2: coloring error %v, want grid.ErrNotDivisible", wh[0], wh[1], err)
 		}
@@ -26,7 +25,7 @@ func TestNewRequiresDivisibleSides(t *testing.T) {
 func TestPeriod(t *testing.T) {
 	for _, r := range []int{1, 2, 3, 4} {
 		side := 2*r + 1
-		p := plan.Compute(grid.MustNew(3*side, 3*side, r))
+		p := Compute(grid.MustNew(3*side, 3*side, r))
 		if err := p.ColoringErr(); err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +37,7 @@ func TestPeriod(t *testing.T) {
 
 func TestEveryNodeOwnsOneSlotPerPeriod(t *testing.T) {
 	tor := grid.MustNew(15, 15, 2)
-	p := plan.Compute(tor)
+	p := Compute(tor)
 	if err := p.ColoringErr(); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +59,7 @@ func TestSameColorNodesNeverShareReceivers(t *testing.T) {
 	// The collision-freedom invariant: two distinct nodes with the same
 	// color must have no common node within range r of both.
 	tor := grid.MustNew(15, 15, 2)
-	p := plan.Compute(tor)
+	p := Compute(tor)
 	if err := p.ColoringErr(); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestSameColorNodesNeverShareReceivers(t *testing.T) {
 }
 
 func TestSlotColorHandlesNegative(t *testing.T) {
-	p := plan.Compute(grid.MustNew(9, 9, 1))
+	p := Compute(grid.MustNew(9, 9, 1))
 	if err := p.ColoringErr(); err != nil {
 		t.Fatal(err)
 	}

@@ -304,7 +304,7 @@ func TestMultiDeliverMatchesPerEntryReference(t *testing.T) {
 	}
 	isolated := grid.None
 	for i := 0; i < sparse.Size() && isolated == grid.None; i++ {
-		if sparse.Degree(grid.NodeID(i)) == 0 {
+		if len(sparse.AppendNeighbors(nil, grid.NodeID(i))) == 0 {
 			isolated = grid.NodeID(i)
 		}
 	}

@@ -324,11 +324,11 @@ func TestAcceptanceDistinctMode(t *testing.T) {
 	for i := 0; i < len(relay); i++ {
 		sender := relay[i]
 		v := acc.Value[sender]
-		tor.ForEachNeighbor(sender, func(to grid.NodeID) {
+		for _, to := range tor.AppendNeighbors(nil, sender) {
 			if acc.Deliver(to, sender, v) {
 				relay = append(relay, to)
 			}
-		})
+		}
 	}
 	decided := 0
 	for _, d := range acc.Decided {

@@ -69,7 +69,7 @@ type Delivery struct {
 // topology).
 type Adjacency struct {
 	// Off and Nbrs are the CSR layout: the neighbors of node i are
-	// Nbrs[Off[i]:Off[i+1]], in the topology's ForEachNeighbor order.
+	// Nbrs[Off[i]:Off[i+1]], in the topology's AppendNeighbors order.
 	Off  []int32
 	Nbrs []grid.NodeID
 	// sorted holds the same lists in ascending id order; it aliases Nbrs
@@ -86,7 +86,7 @@ type csrSource interface {
 
 // NewAdjacency flattens t's neighbor relation, aliasing the topology's
 // own CSR storage when it exposes one (the rows must match the
-// ForEachNeighbor order, which the plan conformance suite checks).
+// AppendNeighbors order, which the plan conformance suite checks).
 func NewAdjacency(t topo.Topology) *Adjacency {
 	n := t.Size()
 	a := &Adjacency{}

@@ -134,16 +134,18 @@ func TestFigure2SupplierCounts(t *testing.T) {
 	decided := make([]bool, tor.Size())
 	src := tor.ID(0, 0)
 	decided[src] = true
-	tor.ForEachNeighbor(src, func(nb grid.NodeID) { decided[nb] = true })
+	for _, nb := range tor.AppendNeighbors(nil, src) {
+		decided[nb] = true
+	}
 	grays := []grid.NodeID{tor.ID(5, 0), tor.ID(-5, 0), tor.ID(0, 5), tor.ID(0, -5)}
 
 	countSuppliers := func(u grid.NodeID) int {
 		n := 0
-		tor.ForEachNeighbor(u, func(nb grid.NodeID) {
+		for _, nb := range tor.AppendNeighbors(nil, u) {
 			if decided[nb] && !bad[nb] {
 				n++
 			}
-		})
+		}
 		return n
 	}
 

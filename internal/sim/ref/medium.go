@@ -27,6 +27,7 @@ type medium struct {
 	sending  []bool // half-duplex: transmitters cannot receive this slot
 
 	touched []grid.NodeID // receivers touched this slot
+	row     []grid.NodeID // scratch for one transmitter's neighbors
 
 	// goodGoodCollisions counts receivers that observed two or more
 	// concurrent good transmissions, which a valid TDMA schedule makes
@@ -73,8 +74,8 @@ func (m *medium) resolve(txs []radio.Tx, deliver func(radio.Delivery)) error {
 	}
 
 	for _, tx := range txs {
-		tx := tx
-		m.t.ForEachNeighbor(tx.From, func(to grid.NodeID) {
+		m.row = m.t.AppendNeighbors(m.row[:0], tx.From)
+		for _, to := range m.row {
 			if m.mark[to] != m.epoch {
 				m.mark[to] = m.epoch
 				m.nGood[to] = 0
@@ -93,12 +94,12 @@ func (m *medium) resolve(txs []radio.Tx, deliver func(radio.Delivery)) error {
 						m.jamVal[to] = tx.Value
 					}
 				}
-				return
+				continue
 			}
 			m.nGood[to]++
 			m.goodVal[to] = tx.Value
 			m.goodFrom[to] = tx.From
-		})
+		}
 	}
 
 	// Sort touched receivers for deterministic delivery order. The slice

@@ -54,6 +54,7 @@ type engine struct {
 	pending  []int32
 	supplies []bool
 	supply   []int32
+	row      []grid.NodeID // scratch for one node's neighbors
 
 	pendingTotal int64
 }
@@ -96,10 +97,17 @@ func (e *engine) addPending(id grid.NodeID, n int) {
 	e.pendingTotal += int64(n)
 	if e.St.Value[id] == radio.ValueTrue && !e.Bad[id] {
 		e.supplies[id] = true
-		e.Cfg.Topo.ForEachNeighbor(id, func(nb grid.NodeID) {
+		for _, nb := range e.neighbors(id) {
 			e.supply[nb] += int32(n)
-		})
+		}
 	}
+}
+
+// neighbors returns id's neighbors from the topology, in scratch storage
+// valid until the next call.
+func (e *engine) neighbors(id grid.NodeID) []grid.NodeID {
+	e.row = e.Cfg.Topo.AppendNeighbors(e.row[:0], id)
+	return e.row
 }
 
 // applySends schedules the instance's returned sends, clamped against
@@ -200,9 +208,9 @@ func (e *engine) consumePending(id grid.NodeID) {
 	e.pending[id]--
 	e.pendingTotal--
 	if e.supplies[id] {
-		e.Cfg.Topo.ForEachNeighbor(id, func(nb grid.NodeID) {
+		for _, nb := range e.neighbors(id) {
 			e.supply[nb]--
-		})
+		}
 	}
 }
 
@@ -215,9 +223,9 @@ func (e *engine) dropPending(id grid.NodeID) {
 	e.pending[id] = 0
 	e.pendingTotal -= int64(p)
 	if e.supplies[id] {
-		e.Cfg.Topo.ForEachNeighbor(id, func(nb grid.NodeID) {
+		for _, nb := range e.neighbors(id) {
 			e.supply[nb] -= p
-		})
+		}
 	}
 }
 

@@ -18,13 +18,13 @@ type Bounded struct {
 }
 
 // NewBounded validates the dimensions and returns a bounded grid. Each
-// side must be at least 2r+1 so that interior nodes exist.
+// side must be at least 2r+1 so that interior nodes exist; the bound is
+// checked as r <= (min(w, h)-1)/2, which cannot overflow for any r.
 func NewBounded(w, h, r int) (*Bounded, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("%w (got r=%d)", grid.ErrBadRange, r)
 	}
-	side := 2*r + 1
-	if w < side || h < side {
+	if r > (min(w, h)-1)/2 {
 		return nil, fmt.Errorf("topo: bounded grid sides must be at least 2r+1 (got %dx%d with r=%d)", w, h, r)
 	}
 	return &Bounded{w: w, h: h, r: r}, nil
@@ -73,15 +73,6 @@ func clip(c, d, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// Degree returns the number of neighbors of id: (2r+1)²−1 in the
-// interior, less near the boundary (down to (r+1)²−1 at a corner).
-func (b *Bounded) Degree(id NodeID) int {
-	x, y := b.XY(id)
-	x0, x1 := clip(x, b.r, b.w)
-	y0, y1 := clip(y, b.r, b.h)
-	return (x1-x0+1)*(y1-y0+1) - 1
-}
-
 // MaxDegree returns (2r+1)²−1, the interior neighborhood size.
 func (b *Bounded) MaxDegree() int {
 	side := 2*b.r + 1
@@ -106,32 +97,21 @@ func (b *Bounded) Dist(p, q NodeID) int {
 	return dy
 }
 
-// ForEachNeighbor calls fn for every node within range r of id,
-// excluding id itself, row-major.
-func (b *Bounded) ForEachNeighbor(id NodeID, fn func(NodeID)) {
-	b.ForEachWithin(id, b.r, fn)
-}
-
-// AppendNeighbors appends the neighbors of id to dst and returns it.
+// AppendNeighbors appends the nodes within range r of id, excluding id
+// itself, row-major: (2r+1)²−1 in the interior, fewer near the boundary
+// (down to (r+1)²−1 at a corner).
 func (b *Bounded) AppendNeighbors(dst []NodeID, id NodeID) []NodeID {
-	b.ForEachNeighbor(id, func(nb NodeID) { dst = append(dst, nb) })
-	return dst
-}
-
-// ForEachWithin calls fn for every node within L∞ distance d of id,
-// excluding id itself, row-major.
-func (b *Bounded) ForEachWithin(id NodeID, d int, fn func(NodeID)) {
 	x, y := b.XY(id)
-	x0, x1 := clip(x, d, b.w)
-	y0, y1 := clip(y, d, b.h)
+	x0, x1 := clip(x, b.r, b.w)
+	y0, y1 := clip(y, b.r, b.h)
 	for ny := y0; ny <= y1; ny++ {
 		for nx := x0; nx <= x1; nx++ {
-			if nx == x && ny == y {
-				continue
+			if nx != x || ny != y {
+				dst = append(dst, b.ID(nx, ny))
 			}
-			fn(b.ID(nx, ny))
 		}
 	}
+	return dst
 }
 
 // Coloring returns the same lattice coloring as the torus — color

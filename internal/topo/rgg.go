@@ -17,12 +17,11 @@ import (
 // exactly this many nodes.
 const maxRGGNodes = 1 << 20
 
-// distTableMaxNodes bounds the all-pairs hop-distance table: up to this
-// size the table (n² uint16) is cheap and makes Dist/ForEachWithin O(1)
-// lookups; above it the table would dwarf every other allocation
-// (100k nodes → 20 GB), so distances are answered by on-demand
-// breadth-first searches over the CSR adjacency instead.
-const distTableMaxNodes = 4096
+// exactDiameterMaxNodes bounds the graphs whose DiameterHint is the exact
+// hop diameter plus slack, from one BFS per source: O(n·(n+E)) at
+// construction, a few hundred million steps at this size. Larger graphs
+// take twice a seed eccentricity instead.
+const exactDiameterMaxNodes = 4096
 
 // RGG is an immutable random geometric graph: n nodes placed uniformly
 // at random in the unit square, with an edge between every pair at
@@ -35,10 +34,9 @@ const distTableMaxNodes = 4096
 //
 // The adjacency is stored once in CSR form (built by uniform-grid cell
 // bucketing, O(n·candidates) instead of the naive O(n²) pair loop) with
-// per-node neighbor lists ascending. Small graphs (n <= 4096) keep the
-// exact all-pairs hop-distance table; larger graphs answer Dist and
-// ForEachWithin with bounded BFS over pooled scratch, which keeps the
-// type safe for concurrent readers at any size.
+// per-node neighbor lists ascending. Dist is an early-exit BFS over
+// pooled scratch, which keeps the type safe for concurrent readers at any
+// size.
 type RGG struct {
 	n      int
 	radius float64
@@ -49,26 +47,23 @@ type RGG struct {
 	nbrs   []NodeID
 	maxDeg int
 
-	dist     []uint16 // all-pairs hop table; nil above distTableMaxNodes
-	diamHint int      // generous upper bound on the hop diameter
+	diamHint int // generous upper bound on the hop diameter
 
 	colors []int32
 	period int
 
-	scratch sync.Pool // *rggScratch, for table-free BFS queries
+	scratch sync.Pool // *rggScratch, for Dist queries
 }
 
 const unreachableHop = math.MaxUint16
 
-// rggScratch is the reusable state of one BFS query. Queries Get one from
-// the pool and Put it back when done; nested queries (a ForEachWithin
-// callback calling Dist) simply check out a second one.
+// rggScratch is the reusable state of one Dist query. Queries Get one
+// from the pool and Put it back when done, so concurrent queries each
+// check out their own.
 type rggScratch struct {
 	seen  []int32 // epoch stamps
 	epoch int32
-	depth []uint16
 	queue []NodeID
-	found []NodeID
 }
 
 // NewRGG places n nodes from the seed and connects every pair within the
@@ -89,7 +84,7 @@ func NewRGG(n int, radius float64, seed uint64) (*RGG, error) {
 // radius from the standard connectivity threshold Θ(√(log n / n)) until
 // the graph is connected. The construction is deterministic in (n, seed).
 // A radius attempt costs the adjacency and one component sweep; only the
-// accepted radius is finished (hop table, coloring), so the result is
+// accepted radius is finished (diameter hint, coloring), so the result is
 // exactly NewRGG at that radius.
 func NewConnectedRGG(n int, seed uint64) (*RGG, error) {
 	if n < 2 || n > maxRGGNodes {
@@ -132,7 +127,7 @@ func newRGGFromPoints(xs, ys []float64, radius float64) (*RGG, error) {
 		return nil, err
 	}
 	maxEcc := 0
-	if g.n > distTableMaxNodes {
+	if g.n > exactDiameterMaxNodes {
 		maxEcc, _ = g.componentSweep()
 	}
 	g.finish(maxEcc)
@@ -150,15 +145,14 @@ func newRGGAdjacency(xs, ys []float64, radius float64) (*RGG, error) {
 	return g, nil
 }
 
-// finish adds what depends on the accepted radius only: the all-pairs
-// table with the exact diameter for small graphs or, above the table
-// threshold, the diameter bound from componentSweep's maxEcc (2·ecc(seed)
-// bounds each component's diameter from above, and the hint must cover
-// the largest: NewRGG may legitimately return a disconnected graph), then
-// the coloring.
+// finish adds what depends on the accepted radius only: the exact
+// diameter for small graphs or, above exactDiameterMaxNodes, the bound
+// from componentSweep's maxEcc (2·ecc(seed) bounds each component's
+// diameter from above, and the hint must cover the largest: NewRGG may
+// legitimately return a disconnected graph), then the coloring.
 func (g *RGG) finish(maxEcc int) {
-	if g.n <= distTableMaxNodes {
-		g.computeDistances()
+	if g.n <= exactDiameterMaxNodes {
+		g.diamHint = g.diameter() + 2
 	} else {
 		g.diamHint = 2*maxEcc + 2
 	}
@@ -333,93 +327,36 @@ func (g *RGG) neighbors(id NodeID) []NodeID {
 }
 
 // CSR exposes the graph's own CSR adjacency (offsets + ascending
-// neighbor rows, matching the ForEachNeighbor order) so consumers like
+// neighbor rows, matching the AppendNeighbors order) so consumers like
 // radio.NewAdjacency can alias it instead of rebuilding an identical
 // copy. The arrays are shared storage and must not be modified.
 func (g *RGG) CSR() (off []int32, nbrs []NodeID) { return g.off, g.nbrs }
 
-// computeDistances runs one BFS per node to fill the all-pairs hop
-// distance table and the exact diameter (small graphs only).
-func (g *RGG) computeDistances() {
-	n := g.n
-	g.dist = make([]uint16, n*n)
-	queue := make([]NodeID, 0, n)
+// diameter returns the largest hop distance between two connected nodes:
+// one level-by-level BFS per source, each stamping its visits with its
+// own epoch, so nothing is stored per pair.
+func (g *RGG) diameter() int {
+	seen := make([]int32, g.n)
+	queue := make([]NodeID, 0, g.n)
 	diam := 0
-	for src := 0; src < n; src++ {
-		row := g.dist[src*n : (src+1)*n]
-		for i := range row {
-			row[i] = unreachableHop
-		}
-		row[src] = 0
+	for src := 0; src < g.n; src++ {
+		epoch := int32(src) + 1
+		seen[src] = epoch
 		queue = append(queue[:0], NodeID(src))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			du := row[u]
-			for _, v := range g.neighbors(u) {
-				if row[v] == unreachableHop {
-					row[v] = du + 1
-					queue = append(queue, v)
+		levels := 0
+		for head := 0; head < len(queue); levels++ {
+			for end := len(queue); head < end; head++ {
+				for _, v := range g.neighbors(queue[head]) {
+					if seen[v] != epoch {
+						seen[v] = epoch
+						queue = append(queue, v)
+					}
 				}
 			}
 		}
-		for _, d := range row {
-			if d != unreachableHop && int(d) > diam {
-				diam = int(d)
-			}
-		}
+		diam = max(diam, levels-1)
 	}
-	g.diamHint = diam + 2
-}
-
-// getScratch checks a sized BFS scratch out of the pool.
-func (g *RGG) getScratch() *rggScratch {
-	s, _ := g.scratch.Get().(*rggScratch)
-	if s == nil || len(s.seen) != g.n {
-		s = &rggScratch{
-			seen:  make([]int32, g.n),
-			depth: make([]uint16, g.n),
-			queue: make([]NodeID, 0, 256),
-		}
-	}
-	s.epoch++
-	if s.epoch < 0 {
-		s.epoch = 1
-		clear(s.seen)
-	}
-	return s
-}
-
-// bfsDist returns the hop distance from a to b by breadth-first search
-// with early exit, or unreachableHop when b is unreachable.
-func (g *RGG) bfsDist(a, b NodeID) int {
-	if a == b {
-		return 0
-	}
-	s := g.getScratch()
-	defer g.scratch.Put(s)
-	epoch := s.epoch
-	s.seen[a] = epoch
-	s.depth[a] = 0
-	q := append(s.queue[:0], a)
-	for head := 0; head < len(q); head++ {
-		u := q[head]
-		du := s.depth[u]
-		for _, v := range g.neighbors(u) {
-			if s.seen[v] == epoch {
-				continue
-			}
-			if v == b {
-				s.queue = q[:0]
-				return int(du) + 1
-			}
-			s.seen[v] = epoch
-			s.depth[v] = du + 1
-			q = append(q, v)
-		}
-	}
-	s.queue = q[:0]
-	return unreachableHop
+	return diam
 }
 
 // componentSweep visits every connected component once (one BFS from
@@ -457,14 +394,6 @@ func (g *RGG) componentSweep() (maxEcc, components int) {
 
 // Connected reports whether every node is reachable from node 0.
 func (g *RGG) Connected() bool {
-	if g.dist != nil {
-		for _, d := range g.dist[:g.n] {
-			if d == unreachableHop {
-				return false
-			}
-		}
-		return true
-	}
 	_, components := g.componentSweep()
 	return components == 1
 }
@@ -531,86 +460,52 @@ func (g *RGG) Size() int { return g.n }
 // Range returns 1: adjacency is the neighbor relation.
 func (g *RGG) Range() int { return 1 }
 
-// Degree returns the number of neighbors of id.
-func (g *RGG) Degree(id NodeID) int { return int(g.off[id+1] - g.off[id]) }
-
 // MaxDegree returns the largest degree over all nodes.
 func (g *RGG) MaxDegree() int { return g.maxDeg }
 
-// ForEachNeighbor calls fn for every neighbor of id, ascending.
-func (g *RGG) ForEachNeighbor(id NodeID, fn func(NodeID)) {
-	for _, v := range g.neighbors(id) {
-		fn(v)
-	}
-}
-
-// AppendNeighbors appends the neighbors of id to dst and returns it.
+// AppendNeighbors appends the neighbors of id to dst, ascending, and
+// returns it.
 func (g *RGG) AppendNeighbors(dst []NodeID, id NodeID) []NodeID {
 	return append(dst, g.neighbors(id)...)
 }
 
 // Dist returns the hop distance between two nodes; unreachable pairs
-// report a distance larger than any diameter. Small graphs answer from
-// the all-pairs table; large ones run an early-exit BFS (callers query
-// nearby pairs — a victim's neighborhood, a jammer and its transmitter —
-// so the search usually stops within a couple of rings).
+// report a distance larger than any diameter. It runs a level-by-level
+// BFS from a that stops at b. Callers query nearby pairs — a jammer and a
+// transmitter next to one victim, a delivery's sender and receiver — so
+// the search stops within a ring or two.
 func (g *RGG) Dist(a, b NodeID) int {
-	if g.dist != nil {
-		return int(g.dist[int(a)*g.n+int(b)])
+	if a == b {
+		return 0
 	}
-	return g.bfsDist(a, b)
-}
-
-// ForEachWithin calls fn for every node within hop distance d of id,
-// excluding id itself, ascending.
-func (g *RGG) ForEachWithin(id NodeID, d int, fn func(NodeID)) {
-	if g.dist != nil {
-		row := g.dist[int(id)*g.n : (int(id)+1)*g.n]
-		for i, hops := range row {
-			if NodeID(i) != id && int(hops) <= d {
-				fn(NodeID(i))
-			}
-		}
-		return
+	s, _ := g.scratch.Get().(*rggScratch)
+	if s == nil {
+		s = &rggScratch{seen: make([]int32, g.n)}
 	}
-	if d <= 0 {
-		return
-	}
-	if d == 1 {
-		for _, v := range g.neighbors(id) {
-			fn(v)
-		}
-		return
-	}
-	s := g.getScratch()
 	defer g.scratch.Put(s)
+	if s.epoch++; s.epoch < 0 {
+		s.epoch = 1
+		clear(s.seen)
+	}
 	epoch := s.epoch
-	s.seen[id] = epoch
-	s.depth[id] = 0
-	q := append(s.queue[:0], id)
-	s.found = s.found[:0]
-	for head := 0; head < len(q); head++ {
-		u := q[head]
-		du := s.depth[u]
-		if int(du) >= d {
-			continue
-		}
-		for _, v := range g.neighbors(u) {
-			if s.seen[v] != epoch {
-				s.seen[v] = epoch
-				s.depth[v] = du + 1
-				q = append(q, v)
-				s.found = append(s.found, v)
+	s.seen[a] = epoch
+	q := append(s.queue[:0], a)
+	for head, level := 0, 1; head < len(q); level++ {
+		for end := len(q); head < end; head++ {
+			for _, v := range g.neighbors(q[head]) {
+				if v == b {
+					s.queue = q[:0]
+					return level
+				}
+				if s.seen[v] != epoch {
+					s.seen[v] = epoch
+					q = append(q, v)
+				}
 			}
 		}
 	}
 	s.queue = q[:0]
-	slices.Sort(s.found)
-	// Nested queries from fn check out their own scratch, so s.found
-	// stays stable while we iterate.
-	for _, v := range s.found {
-		fn(v)
-	}
+	return unreachableHop
 }
 
 // Coloring returns the greedy distance-2 coloring computed at
@@ -622,8 +517,8 @@ func (g *RGG) Coloring() ([]int32, int, error) {
 }
 
 // DiameterHint returns a generous upper bound on the hop diameter: the
-// exact diameter plus slack when the all-pairs table exists, twice an
-// eccentricity plus slack above the table threshold.
+// exact diameter plus slack up to exactDiameterMaxNodes nodes, twice an
+// eccentricity plus slack above.
 func (g *RGG) DiameterHint() int { return g.diamHint }
 
 // String implements fmt.Stringer.

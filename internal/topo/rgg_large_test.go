@@ -5,76 +5,92 @@ import (
 	"testing"
 )
 
-// TestRGGBFSMatchesTable forces the table-free BFS query path on graphs
-// small enough to also carry the all-pairs table, and asserts that Dist,
-// ForEachWithin, Connected and the eccentricity-based diameter bound
-// agree with the exact table answers. This is the conformance bridge that
-// lets the 100k-node tier (where only the BFS path exists) trust the
-// same code the small-graph tests exercise.
+// allPairsHops is the test-local all-pairs hop table: one plain BFS per
+// source over the CSR rows, -1 where unreachable.
+func allPairsHops(g *RGG) [][]int {
+	hops := make([][]int, g.n)
+	for src := range hops {
+		row := make([]int, g.n)
+		for i := range row {
+			row[i] = -1
+		}
+		row[src] = 0
+		for q := []NodeID{NodeID(src)}; len(q) > 0; q = q[1:] {
+			for _, v := range g.neighbors(q[0]) {
+				if row[v] < 0 {
+					row[v] = row[q[0]] + 1
+					q = append(q, v)
+				}
+			}
+		}
+		hops[src] = row
+	}
+	return hops
+}
+
+// TestRGGBFSMatchesTable holds the early-exit BFS behind Dist, Connected,
+// the exact diameter and the eccentricity-based bound of the large tier
+// to a test-local all-pairs hop table, on connected graphs and on one
+// with isolated nodes. The 100k-node tier runs the same code.
 func TestRGGBFSMatchesTable(t *testing.T) {
+	sparse, err := NewRGG(150, 0.05, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []*RGG{sparse}
 	for _, n := range []int{40, 150, 400} {
 		g, err := NewConnectedRGG(n, uint64(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.dist == nil {
-			t.Fatalf("n=%d: expected all-pairs table below threshold", n)
-		}
-		// A shallow copy sharing the CSR but stripped of the table
-		// answers every query through BFS.
-		big := &RGG{
-			n: g.n, radius: g.radius, xs: g.xs, ys: g.ys,
-			off: g.off, nbrs: g.nbrs, maxDeg: g.maxDeg,
-			colors: g.colors, period: g.period,
-		}
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b += 7 {
-				want, got := g.Dist(NodeID(a), NodeID(b)), big.Dist(NodeID(a), NodeID(b))
-				if want != got {
-					t.Fatalf("n=%d Dist(%d,%d): table %d, bfs %d", n, a, b, want, got)
+		graphs = append(graphs, g)
+	}
+	for _, g := range graphs {
+		hops := allPairsHops(g)
+		connected, diam := true, 0
+		for a := range hops {
+			for b, want := range hops[a] {
+				if want < 0 {
+					connected = false
+					want = unreachableHop
+				}
+				diam = max(diam, hops[a][b])
+				if got := g.Dist(NodeID(a), NodeID(b)); got != want {
+					t.Fatalf("%v: Dist(%d,%d) = %d, table %d", g, a, b, got, want)
 				}
 			}
 		}
-		for id := 0; id < n; id += 11 {
-			for d := 0; d <= 4; d++ {
-				var want, got []NodeID
-				g.ForEachWithin(NodeID(id), d, func(v NodeID) { want = append(want, v) })
-				big.ForEachWithin(NodeID(id), d, func(v NodeID) { got = append(got, v) })
-				if !slices.Equal(want, got) {
-					t.Fatalf("n=%d ForEachWithin(%d,%d): table %v, bfs %v", n, id, d, want, got)
-				}
-			}
+		if g.Connected() != connected {
+			t.Fatalf("%v: Connected() = %v, table %v", g, g.Connected(), connected)
 		}
-		if !big.Connected() {
-			t.Fatalf("n=%d: BFS path reports disconnected", n)
+		if g.DiameterHint() != diam+2 {
+			t.Fatalf("%v: DiameterHint %d, exact diameter %d + 2", g, g.DiameterHint(), diam)
 		}
-		// The eccentricity bound must dominate the exact diameter.
-		exact := g.DiameterHint() - 2
-		ecc, components := big.componentSweep()
-		if bound := 2 * ecc; bound < exact {
-			t.Fatalf("n=%d: 2·ecc=%d below exact diameter %d", n, bound, exact)
+		ecc, components := g.componentSweep()
+		if bound := 2 * ecc; bound < diam {
+			t.Fatalf("%v: 2·ecc=%d below exact diameter %d", g, bound, diam)
 		}
-		if components != 1 {
-			t.Fatalf("n=%d: sweep counts %d components in a connected graph", n, components)
+		if (components == 1) != connected {
+			t.Fatalf("%v: sweep counts %d components, table connected=%v", g, components, connected)
 		}
+	}
+	if sparse.Connected() {
+		t.Fatal("the sparse case must have isolated nodes")
 	}
 }
 
-// TestRGGLargeTier builds a graph just above the table threshold and
-// checks the structural invariants the simulation engines rely on, plus
-// nested BFS queries (a ForEachWithin callback issuing Dist calls, the
-// bv certification pattern).
+// TestRGGLargeTier builds a graph just above the exact-diameter threshold
+// and checks the structural invariants the simulation engines rely on:
+// connectivity, symmetric ascending rows, a collision-free coloring and
+// BFS distances on two-hop paths.
 func TestRGGLargeTier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large RGG tier")
 	}
-	n := distTableMaxNodes + 500
+	n := exactDiameterMaxNodes + 500
 	g, err := NewConnectedRGG(n, 3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if g.dist != nil {
-		t.Fatal("expected no all-pairs table above threshold")
 	}
 	if !g.Connected() {
 		t.Fatal("NewConnectedRGG returned a disconnected graph")
@@ -91,7 +107,8 @@ func TestRGGLargeTier(t *testing.T) {
 			}
 		}
 	}
-	// Distance-2 coloring validity on a sample.
+	// On a sample: every node within two hops has another color and a
+	// BFS distance of one or two.
 	colors, period, err := g.Coloring()
 	if err != nil {
 		t.Fatal(err)
@@ -100,16 +117,21 @@ func TestRGGLargeTier(t *testing.T) {
 		t.Fatalf("period %d", period)
 	}
 	for i := 0; i < n; i += 97 {
-		g.ForEachWithin(NodeID(i), 2, func(v NodeID) {
-			if colors[v] == colors[i] {
-				t.Fatalf("distance-2 color clash %d/%d (color %d)", i, v, colors[i])
+		for _, v := range g.neighbors(NodeID(i)) {
+			if d := g.Dist(NodeID(i), v); d != 1 {
+				t.Fatalf("Dist(%d,%d)=%d between neighbors", i, v, d)
 			}
-		})
-	}
-	// Nested queries: Dist inside a ForEachWithin callback.
-	g.ForEachWithin(0, 2, func(v NodeID) {
-		if d := g.Dist(0, v); d < 1 || d > 2 {
-			t.Fatalf("Dist(0,%d)=%d inside ForEachWithin(0,2)", v, d)
+			for _, w := range g.neighbors(v) {
+				if w == NodeID(i) {
+					continue
+				}
+				if colors[w] == colors[i] || colors[v] == colors[i] {
+					t.Fatalf("distance-2 color clash around %d (color %d)", i, colors[i])
+				}
+				if d := g.Dist(NodeID(i), w); d < 1 || d > 2 {
+					t.Fatalf("Dist(%d,%d)=%d on a two-hop path", i, w, d)
+				}
+			}
 		}
-	})
+	}
 }

@@ -26,8 +26,8 @@ type refRGG struct {
 // refBuild is the construction the shipped one replaced, written the
 // plain way: the O(n²) pair loop for the adjacency (which is ascending by
 // construction), the id-stamped two-hop walk for the greedy distance-2
-// coloring, and one BFS per node (table tier) or per component (above
-// it) for the diameter hint.
+// coloring, and one BFS per node (up to exactDiameterMaxNodes) or per
+// component (above it) for the diameter hint.
 func refBuild(xs, ys []float64, radius float64) refRGG {
 	n := len(xs)
 	ref := refRGG{off: make([]int32, n+1)}
@@ -99,7 +99,7 @@ func refBuild(xs, ys []float64, radius float64) refRGG {
 		}
 		return ecc
 	}
-	if n <= distTableMaxNodes {
+	if n <= exactDiameterMaxNodes {
 		diam := 0
 		for src := 0; src < n; src++ {
 			diam = max(diam, bfs(src, make([]bool, n)))
@@ -250,8 +250,8 @@ func TestRGGGoldenFingerprints(t *testing.T) {
 	}
 }
 
-// TestRGGConnectedEqualsFixedRadius: NewConnectedRGG finishes (table,
-// coloring) only the radius it accepts, and what it returns is exactly
+// TestRGGConnectedEqualsFixedRadius: NewConnectedRGG finishes (diameter
+// hint, coloring) only the radius it accepts, and what it returns is exactly
 // NewRGG at that radius. The three cases each need at least one growth
 // step ((4096, 5) needs two).
 func TestRGGConnectedEqualsFixedRadius(t *testing.T) {
@@ -282,8 +282,8 @@ func TestRGGConnectedEqualsFixedRadius(t *testing.T) {
 			off: fixed.off, nbrs: fixed.nbrs, maxDeg: fixed.maxDeg,
 			colors: fixed.colors, period: fixed.period, diamHint: fixed.diamHint,
 		})
-		if !slices.Equal(g.dist, fixed.dist) || !slices.Equal(g.xs, fixed.xs) || !slices.Equal(g.ys, fixed.ys) {
-			t.Fatalf("%v: hop table or layout differs from NewRGG at the accepted radius", g)
+		if !slices.Equal(g.xs, fixed.xs) || !slices.Equal(g.ys, fixed.ys) {
+			t.Fatalf("%v: layout differs from NewRGG at the accepted radius", g)
 		}
 		if !g.Connected() {
 			t.Fatalf("%v: not connected", g)

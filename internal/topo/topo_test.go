@@ -2,6 +2,8 @@ package topo_test
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,7 +60,11 @@ func TestTorusBallSizes(t *testing.T) {
 		}
 		for _, d := range []int{r, 2 * r} {
 			count := 0
-			tor.ForEachWithin(tor.ID(3, 3), d, func(grid.NodeID) { count++ })
+			for i := 0; i < tor.Size(); i++ {
+				if dist := tor.Dist(tor.ID(3, 3), grid.NodeID(i)); dist > 0 && dist <= d {
+					count++
+				}
+			}
 			if want := (2*d+1)*(2*d+1) - 1; count != want {
 				t.Errorf("r=%d: ball(d=%d) has %d nodes, want (2d+1)²−1 = %d", r, d, count, want)
 			}
@@ -71,42 +77,91 @@ func TestTorusBallSizes(t *testing.T) {
 // drop to (r+1)²−1.
 func TestBoundedBorderDegrees(t *testing.T) {
 	b := topo.MustNewBounded(20, 20, 2)
-	if got, want := b.Degree(b.ID(10, 10)), 24; got != want {
+	degree := func(x, y int) int { return len(b.AppendNeighbors(nil, b.ID(x, y))) }
+	if got, want := degree(10, 10), 24; got != want {
 		t.Errorf("interior degree = %d, want %d", got, want)
 	}
-	if got, want := b.Degree(b.ID(0, 0)), 8; got != want {
+	if got, want := degree(0, 0), 8; got != want {
 		t.Errorf("corner degree = %d, want (r+1)²−1 = %d", got, want)
 	}
-	if got, want := b.Degree(b.ID(10, 0)), 14; got != want {
+	if got, want := degree(10, 0), 14; got != want {
 		t.Errorf("edge degree = %d, want (2r+1)(r+1)−1 = %d", got, want)
 	}
 }
 
-// TestGenericWindowCountMatchesTorusFastPath cross-checks the generic
-// ball counting helper against the torus's prefix-sum implementation.
-func TestGenericWindowCountMatchesTorusFastPath(t *testing.T) {
-	tor := grid.MustNew(15, 15, 2)
-	marked := make([]bool, tor.Size())
-	for i := 0; i < len(marked); i += 7 {
-		marked[i] = true
-	}
-	fast, err := topo.MaxWindowCount(tor, marked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := 0
-	for i := 0; i < tor.Size(); i++ {
-		c, err := topo.WindowCount(tor, marked, grid.NodeID(i))
-		if err != nil {
-			t.Fatal(err)
+// TestConformanceRejectsMiscolored holds Run's coloring rule to its
+// purpose: on each topology kind, giving one node the color of another
+// that shares a receiver with it must fail the suite.
+func TestConformanceRejectsMiscolored(t *testing.T) {
+	tor := grid.MustNew(15, 15, 1)
+	bounded := topo.MustNewBounded(15, 15, 1)
+	rgg := mustRGG(t, 200, 7)
+	// Two pairs of the RGG: one two hops apart, and an edge whose ends
+	// share no neighbor, so only their own closed neighborhoods hold both.
+	var twoHop, lonely []topo.NodeID
+	for a := topo.NodeID(0); int(a) < rgg.Size(); a++ {
+		na := rgg.AppendNeighbors(nil, a)
+		for _, b := range na {
+			shared := false
+			for _, w := range rgg.AppendNeighbors(nil, b) {
+				if slices.Contains(na, w) {
+					shared = true
+				} else if w != a && twoHop == nil {
+					twoHop = []topo.NodeID{a, w}
+				}
+			}
+			if !shared && lonely == nil {
+				lonely = []topo.NodeID{a, b}
+			}
 		}
-		if c > slow {
-			slow = c
+	}
+	if twoHop == nil || lonely == nil {
+		t.Fatalf("%v: no two-hop pair or no edge without a common neighbor", rgg)
+	}
+	for _, tc := range []struct {
+		tp   topo.Topology
+		a, b topo.NodeID
+	}{
+		{tor, tor.ID(0, 0), tor.ID(2, 0)},             // common receiver (1, 0)
+		{tor, tor.ID(0, 0), tor.ID(14, 14)},           // adjacent across the wrap
+		{bounded, bounded.ID(5, 5), bounded.ID(7, 7)}, // common receiver (6, 6)
+		{bounded, bounded.ID(0, 0), bounded.ID(1, 0)}, // adjacent on the border
+		{rgg, twoHop[0], twoHop[1]},                   // a common neighbor
+		{rgg, lonely[0], lonely[1]},                   // adjacent, no common neighbor
+	} {
+		if failsConformance(t, tc.tp) {
+			t.Fatalf("%v: the recorder fails the unmodified topology", tc.tp)
+		}
+		if !failsConformance(t, topotest.Miscolored(tc.tp, tc.a, tc.b)) {
+			t.Errorf("%v: Run accepted nodes %d and %d sharing a color", tc.tp, tc.a, tc.b)
 		}
 	}
-	if fast != slow {
-		t.Fatalf("torus fast path %d != generic count %d", fast, slow)
-	}
+}
+
+// failsConformance runs the suite on tp with a recorder in place of t and
+// reports whether it failed. The recorder's Fatalf ends only the
+// goroutine running the suite.
+func failsConformance(t *testing.T, tp topo.Topology) bool {
+	rec := &failRecorder{TB: t}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		topotest.Run(rec, tp)
+	}()
+	<-done
+	return rec.failed
+}
+
+type failRecorder struct {
+	testing.TB
+	failed bool
+}
+
+func (r *failRecorder) Helper()               {}
+func (r *failRecorder) Errorf(string, ...any) { r.failed = true }
+func (r *failRecorder) Fatalf(string, ...any) {
+	r.failed = true
+	runtime.Goexit()
 }
 
 // TestRGGDeterminism: same (n, seed) must give the same graph.
@@ -117,7 +172,7 @@ func TestRGGDeterminism(t *testing.T) {
 		t.Fatalf("rgg not deterministic: %v vs %v", a, b)
 	}
 	for i := 0; i < a.Size(); i++ {
-		if a.Degree(topo.NodeID(i)) != b.Degree(topo.NodeID(i)) {
+		if !slices.Equal(a.AppendNeighbors(nil, topo.NodeID(i)), b.AppendNeighbors(nil, topo.NodeID(i))) {
 			t.Fatalf("rgg not deterministic at node %d", i)
 		}
 	}
@@ -165,6 +220,9 @@ func TestFactory(t *testing.T) {
 	}
 	if _, err := topo.NewBounded(4, 20, 2); err == nil {
 		t.Fatal("bounded grid smaller than 2r+1 must fail")
+	}
+	if _, err := topo.NewBounded(5, 5, 1<<62); err == nil {
+		t.Fatal("a range whose 2r+1 overflows must fail")
 	}
 	if _, err := topo.NewRGG(1, 0.1, 1); err == nil {
 		t.Fatal("rgg with one node must fail")

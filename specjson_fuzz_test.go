@@ -4,15 +4,24 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"bftbcast/internal/plan"
 )
+
+// fuzzPlanMaxNodes bounds the accepted grids whose plan the fuzz target
+// compiles, so one input costs milliseconds.
+const fuzzPlanMaxNodes = 4096
 
 // FuzzDecodeGridSpec holds the grid decoder, which faces the daemon's
 // socket, to its contract on arbitrary bodies: DecodeGridSpec either
 // refuses with an error wrapping ErrBadSpec, or returns a grid of at most
 // maxGridPoints points whose Encode output decodes again and re-encodes
-// to the same bytes. The seed corpus (testdata/fuzz/FuzzDecodeGridSpec)
-// holds the smoke script's grids, the benchmark's daemon grid and two
-// small bodies that used to be accepted and then exhaust memory.
+// to the same bytes, and whose topology, at up to fuzzPlanMaxNodes
+// nodes, compiles to a plan. The seed corpus
+// (testdata/fuzz/FuzzDecodeGridSpec) holds the smoke script's grids, the
+// benchmark's daemon grid, two small bodies that used to be accepted and
+// then exhaust memory, and a bounded grid whose 2r+1 overflowed and
+// panicked the plan compiler.
 func FuzzDecodeGridSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		g, err := DecodeGridSpec(doc)
@@ -39,6 +48,13 @@ func FuzzDecodeGridSpec(f *testing.F) {
 		}
 		if !bytes.Equal(enc, again) {
 			t.Fatalf("re-encoding moved:\n%s\n%s", enc, again)
+		}
+		tp, err := NewTopology(g.Base.Topology)
+		if err != nil {
+			t.Fatalf("accepted grid's topology: %v", err)
+		}
+		if tp.Size() <= fuzzPlanMaxNodes {
+			plan.Compute(tp)
 		}
 	})
 }

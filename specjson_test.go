@@ -53,6 +53,9 @@ func TestGridSpecDecodeValidate(t *testing.T) {
 		// the seeds in the replica-seed slice.
 		{"torus beyond the node bound", `{"base": {"topology": {"Kind": "torus", "W": 3000000, "H": 3000000, "R": 1}, "t": 1, "mf": 1}}`, bftbcast.ErrBadSpec},
 		{"seeds beyond the point bound", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "t": 1, "mf": 1}, "seeds": 100000000000}`, bftbcast.ErrBadSpec},
+		// A bounded grid whose 2r+1 overflows: it used to pass the side
+		// check and panic the first executor inside plan.Compute.
+		{"bounded grid range overflowing 2r+1", `{"base":{"topology":{"kind":"grid","w":5,"h":5,"r":4611686018427387904}}}`, bftbcast.ErrBadSpec},
 	}
 	for _, tc := range bad {
 		_, err := bftbcast.DecodeGridSpec([]byte(tc.doc))
