@@ -48,14 +48,20 @@ func (m *Threshold) Attach(env Env) (Instance, error) {
 // already returns the relay Send that announces a settlement. A booked
 // slot is one ledger bump per transmission, lateTx[from]++, which is
 // exact because each transmission of a booked slot reached its sender's
-// whole row and a good sender's value is fixed once it decides; Finish
-// adds lateTx[v] to the receipts of v's row by Value[v] — on a torus as a
-// box sum (see boxFold), elsewhere by scattering over each row.
-// The frontier Deliver that follows a Book counts its deliveries for the
-// adversary view as every batch does, so they are remembered in
-// dupCorrect/dupWrong and taken out again at Finish: Correct and Wrong
-// are complete for undecided nodes while the run lasts (all
-// adversary.View promises) and for every node after Finish.
+// whole row and a good sender's value is fixed once it decides; the
+// engine books a settled transmitter's remaining sends the same way, all
+// at once (BookSends). Finish adds lateTx[v] to the receipts of v's row
+// by Value[v] — on a torus as a box sum (see boxFold), elsewhere by
+// scattering over each row.
+//
+// Every Deliver counts its deliveries into Correct and Wrong, so both are
+// complete for undecided nodes while the run lasts (all adversary.View
+// promises); Correct doubles as the copies counter of ValueTrue. The
+// ledger already counts the deliveries of booked slots, so from the first
+// booking on only the receipts of the slots that were not booked (jammed
+// ones) are kept again, in rcptCorrect/rcptWrong, which the first booking
+// seeds with everything received before it; Finish sets Correct and Wrong
+// to those receipts plus the ledger fold, complete for every node.
 type ThresholdInstance struct {
 	spec   core.Spec
 	bad    []bool
@@ -64,14 +70,16 @@ type ThresholdInstance struct {
 	tor    *grid.Torus // the plan's topology when it is a torus, else nil
 	st     State       // Settled aliases Decided
 	n      int
-	// counts[u*(MaxTrackedValue+1)+v] is the copies of value v node u
-	// received; exotic values share the last bucket.
+	// counts[u*(MaxTrackedValue+1)+v] is the copies of value v != ValueTrue
+	// node u received (Correct[u] counts ValueTrue); exotic values share
+	// the last bucket.
 	counts []int32
 
-	lateTx               []int32
-	dupCorrect, dupWrong []int32
-	booked               int     // the last booked slot, -1 before the first
-	box                  []int32 // boxFold's scratch: n row sums, then W column sums
+	lateTx                 []int32
+	rcptCorrect, rcptWrong []int32 // receipts outside booked slots, once ledger is set
+	ledger                 bool    // something was booked: Finish folds lateTx
+	booked                 int     // the last slot passed to Book, -1 before the first
+	box                    []int32 // boxFold's scratch: n row sums, then W column sums
 }
 
 // NewThresholdInstance returns an unbound instance; Bind arms it.
@@ -105,9 +113,9 @@ func (t *ThresholdInstance) Bind(env Env, spec core.Spec) error {
 	t.st.Correct = sized(t.st.Correct, n)
 	t.st.Wrong = sized(t.st.Wrong, n)
 	t.lateTx = sized(t.lateTx, n)
-	t.dupCorrect = sized(t.dupCorrect, n)
-	t.dupWrong = sized(t.dupWrong, n)
-	t.booked = -1
+	t.rcptCorrect = sized(t.rcptCorrect, n)
+	t.rcptWrong = sized(t.rcptWrong, n)
+	t.ledger, t.booked = false, -1
 	return nil
 }
 
@@ -149,18 +157,21 @@ func (t *ThresholdInstance) Deliver(slot int, ds []radio.Delivery, hooks *Hooks,
 		if t.bad != nil && t.bad[u] {
 			continue // adversary nodes do not run the protocol
 		}
+		var copies int32
 		if d.Value == radio.ValueTrue {
 			st.Correct[u]++
+			copies = st.Correct[u]
 		} else {
 			st.Wrong[u]++
+			tracked := d.Value
+			if tracked < 0 || tracked > MaxTrackedValue {
+				tracked = MaxTrackedValue
+			}
+			idx := int(u)*(MaxTrackedValue+1) + int(tracked)
+			t.counts[idx]++
+			copies = t.counts[idx]
 		}
-		tracked := d.Value
-		if tracked < 0 || tracked > MaxTrackedValue {
-			tracked = MaxTrackedValue
-		}
-		idx := int(u)*(MaxTrackedValue+1) + int(tracked)
-		t.counts[idx]++
-		if st.Decided[u] || t.counts[idx] != int32(t.spec.Threshold) {
+		if st.Decided[u] || copies != int32(t.spec.Threshold) {
 			continue
 		}
 		st.Decided[u] = true
@@ -170,13 +181,13 @@ func (t *ThresholdInstance) Deliver(slot int, ds []radio.Delivery, hooks *Hooks,
 			hooks.OnAccept(slot, u, d.Value)
 		}
 	}
-	if slot == t.booked {
-		// The ledger counts these deliveries too (see the type comment).
+	if t.ledger && slot != t.booked {
+		// The ledger does not count these (see the type comment).
 		for _, d := range ds {
 			if d.Value == radio.ValueTrue {
-				t.dupCorrect[d.To]++
+				t.rcptCorrect[d.To]++
 			} else {
-				t.dupWrong[d.To]++
+				t.rcptWrong[d.To]++
 			}
 		}
 	}
@@ -189,11 +200,33 @@ func (t *ThresholdInstance) Tick(_ int, buf []Send) []Send { return buf }
 
 // Book implements Instance: one ledger bump per transmission.
 func (t *ThresholdInstance) Book(slot int, txs []radio.Tx) error {
+	t.openLedger()
 	for i := range txs {
 		t.lateTx[txs[i].From]++
 	}
 	t.booked = slot
 	return nil
+}
+
+// BookSends books k transmissions of from outside any slot's Book, on
+// the same terms: each reaches from's whole row, jam-free. The fast
+// engine books a settled transmitter's remaining sends with it at once,
+// and takes one back (k = -1) for each that a jammed slot resolves in
+// full after all.
+func (t *ThresholdInstance) BookSends(from grid.NodeID, k int32) {
+	t.openLedger()
+	t.lateTx[from] += k
+}
+
+// openLedger starts the booked run's receipts at the first booking with
+// everything received so far (see the type comment).
+func (t *ThresholdInstance) openLedger() {
+	if t.ledger {
+		return
+	}
+	t.ledger = true
+	copy(t.rcptCorrect, t.st.Correct)
+	copy(t.rcptWrong, t.st.Wrong)
 }
 
 // GoodBudget implements Instance.
@@ -226,10 +259,12 @@ func specMaxSends(spec core.Spec, n int) int {
 // Finish implements Instance: a run that was booked turns its ledger
 // into per-receiver receipts (see the type comment).
 func (t *ThresholdInstance) Finish(int) {
-	if t.booked < 0 {
+	if !t.ledger {
 		return
 	}
 	st := &t.st
+	copy(st.Correct, t.rcptCorrect)
+	copy(st.Wrong, t.rcptWrong)
 	if t.tor != nil {
 		t.boxFold(st.Correct, true)
 		t.boxFold(st.Wrong, false)
@@ -247,10 +282,8 @@ func (t *ThresholdInstance) Finish(int) {
 			}
 		}
 	}
-	for i := range st.Correct {
-		st.Correct[i] -= t.dupCorrect[i]
-		st.Wrong[i] -= t.dupWrong[i]
-		if t.bad != nil && t.bad[i] {
+	for i, b := range t.bad {
+		if b {
 			st.Correct[i], st.Wrong[i] = 0, 0 // adversary nodes do not run the protocol
 		}
 	}

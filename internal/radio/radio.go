@@ -156,7 +156,7 @@ type Medium struct {
 	mark     []int32       // epoch stamp per node
 	nGood    []int16       // concurrent good transmissions heard
 	goodVal  []Value       // value of the (sole) good transmission heard
-	goodFrom []grid.NodeID // its transmitter
+	goodFrom []grid.NodeID // its transmitter (ResolveDisjoint: its index in txs)
 	jamVal   []Value       // value chosen by the first jam heard, ValueNone = drop
 	jamFrom  []grid.NodeID // the winning jammer
 	jammed   []bool
@@ -317,7 +317,7 @@ func (m *Medium) ResolveAppend(txs []Tx, dst []Delivery) ([]Delivery, error) {
 	// order in O(touched + n/4096) — replacing the sort that used to
 	// dominate large-n runs.
 	if useBits {
-		dst = m.emitBits(dst)
+		dst = m.emitBits(nil, dst)
 	} else {
 		dst = m.emitMerged(txs, dst)
 	}
@@ -399,8 +399,10 @@ func (m *Medium) emit(to grid.NodeID, dst []Delivery) []Delivery {
 
 // emitBits appends the delivery of every receiver whose touched bit is
 // set, in ascending id order, clearing the bitset as it scans so the next
-// slot starts clean.
-func (m *Medium) emitBits(dst []Delivery) []Delivery {
+// slot starts clean. With disjoint set (ResolveDisjoint), goodFrom holds
+// the index into disjoint of the one transmission each receiver hears;
+// otherwise emit reads the receiver's full resolution state.
+func (m *Medium) emitBits(disjoint []Tx, dst []Delivery) []Delivery {
 	for si, sw := range m.summary {
 		if sw == 0 {
 			continue
@@ -413,8 +415,14 @@ func (m *Medium) emitBits(dst []Delivery) []Delivery {
 			m.words[wi] = 0
 			base := wi << 6
 			for w != 0 {
-				dst = m.emit(grid.NodeID(base+bits.TrailingZeros64(w)), dst)
+				to := grid.NodeID(base + bits.TrailingZeros64(w))
 				w &= w - 1
+				if disjoint == nil {
+					dst = m.emit(to, dst)
+					continue
+				}
+				tx := &disjoint[m.goodFrom[to]]
+				dst = append(dst, Delivery{To: to, Value: tx.Value, From: tx.From})
 			}
 		}
 	}
@@ -423,7 +431,9 @@ func (m *Medium) emitBits(dst []Delivery) []Delivery {
 
 // ResolveDisjoint is the collision-free resolve: it appends to dst, in
 // ascending receiver id order, the delivery of every receiver in range of
-// one of txs for which skip is false, and returns the extended slice.
+// one of txs for which skip is false, and returns the extended slice. The
+// fast engine's frontier skips its settled receivers and its bad ones with
+// one mask.
 //
 // It does no collision bookkeeping and no half-duplex masking, so the
 // caller must guarantee both are dead work: txs are good (non-jam)
@@ -431,8 +441,10 @@ func (m *Medium) emitBits(dst []Delivery) []Delivery {
 // transmitter of the slot — one TDMA color class under a verified
 // distance-2 coloring (plan.DisjointClasses). Under that premise the
 // result is exactly ResolveAppend's deliveries minus the skipped
-// receivers. Slots that carry a jam, and callers that need every delivery
-// or the GoodGoodCollisions count, use ResolveAppend.
+// receivers. A slot of several transmitters writes one scratch entry per
+// receiver, the index of the transmission that reaches it, next to its
+// touched bit. Slots that carry a jam, and callers that need every
+// delivery or the GoodGoodCollisions count, use ResolveAppend.
 func (m *Medium) ResolveDisjoint(txs []Tx, skip []bool, dst []Delivery) ([]Delivery, error) {
 	for i := range txs {
 		tx := &txs[i]
@@ -452,23 +464,19 @@ func (m *Medium) ResolveDisjoint(txs []Tx, skip []bool, dst []Delivery) ([]Deliv
 		}
 		return dst, nil
 	}
-	// Several transmitters: record each surviving receiver's sole signal
-	// and let the touched bitset hand them back in id order, as
-	// ResolveAppend does for its big slots. Every field emit reads is written here, so
-	// the pass needs no epoch.
+	// Several transmitters: record which one reaches each surviving
+	// receiver and let the touched bitset hand them back in id order, as
+	// ResolveAppend does for its big slots. Every entry emission reads is
+	// written here, so the pass needs no epoch.
 	m.ensureBits()
 	for i := range txs {
-		tx := &txs[i]
-		for _, to := range m.adj.Neighbors(tx.From) {
+		for _, to := range m.adj.Neighbors(txs[i].From) {
 			if skip[to] {
 				continue
 			}
-			m.nGood[to] = 1
-			m.goodVal[to] = tx.Value
-			m.goodFrom[to] = tx.From
-			m.jammed[to] = false
+			m.goodFrom[to] = grid.NodeID(i)
 			m.touch(to)
 		}
 	}
-	return m.emitBits(dst), nil
+	return m.emitBits(txs, dst), nil
 }

@@ -42,15 +42,36 @@
 //
 // Most transmissions have no frontier at all: the sender's row is
 // settled — every neighbor bad or settled — by the time its redundant
-// copies go out (85 % of the transmissions of a 100k-node run). live[v]
-// counts v's good neighbors that have not settled, starting at v's degree
-// less its bad neighbors and losing one over the settler's row at every
-// settlement, and step 2 resolves only the transmissions with
-// live[from] > 0; a settled row is never read during the run. Settlements
+// copies go out (415 900 of the 490 000 of the benchmark's 100k-node
+// run). live[v] counts v's good neighbors that have not settled, starting
+// at v's degree less its bad neighbors and losing one over the settler's
+// row at every settlement; out marks the nodes taken out of those counts,
+// the bad and the settled ones, and is step 2's skip mask. Settlements
 // are seen through sends: the seam has the instance return a Send for
 // every node it settles (with N = 0 when nothing is to be sent), so the
 // walk that credits the node's supply to its neighbors (addPending) is
 // the walk that debits live, and a settlement costs one row walk.
+//
+// A settled row stays settled, so a threshold run does not emit its sends
+// one slot at a time: when a row settles with sends pending, or a node
+// whose row has settled is given sends, the engine retires them (retire)
+// — books them all on the instance's ledger at once
+// (protocol.ThresholdInstance.BookSends), spends the budget, Sent and
+// GoodMessages they would have spent and takes them off the queues,
+// keeping only the window of colour slots they would have occupied. Those
+// slots run only if something else transmits in them, and the run's slot
+// count still reaches the last of them. The one slot where a retired
+// transmission can still matter is a jammed one, where a jam can change
+// what its settled receivers hear: such a slot puts the retired
+// transmissions it would have carried back into its full resolve and
+// takes them off the ledger again (unretire). A send whose window would
+// reach MaxSlots is not retired; it, and every send of a run that does
+// not retire, leaves a settled row in its slot and is booked with the
+// slot, its row never read: step 2 resolves only the transmissions with
+// live[from] > 0. A run retires when nothing can tell (retireEligible):
+// a frontier run of the threshold instance, whose booking is one ledger
+// bump per transmission, with no OnSend or OnSlotStart hook to watch the
+// slots and sends it no longer makes.
 //
 // frontierEligible lists when a run qualifies — in short, when no one
 // could observe the difference: an instance with a settled mask, no
@@ -189,6 +210,17 @@ type Runner struct {
 	frontierSlots int
 	settledTxs    int
 
+	// ledger is set when the run retires settled transmitters (see the
+	// package comment and retireEligible): the threshold instance their
+	// sends are booked on. retFirst[v] and retEnd[v] bound the slots of
+	// v's retired transmissions, [first, last+1), and retiredEnd is one
+	// past the last slot a retired send occupies; retiredTxs counts the
+	// retired transmissions (exposed to tests, see export_test.go).
+	ledger           *protocol.ThresholdInstance
+	retFirst, retEnd []int32
+	retiredEnd       int
+	retiredTxs       int
+
 	// booking selects the booked slot body for this run (see the package
 	// comment and bookEligible); bookedSlots counts the slots it booked
 	// (exposed to tests, see export_test.go).
@@ -197,10 +229,12 @@ type Runner struct {
 
 	// Frontier-run state (see the package comment). live[v] counts v's
 	// good neighbors the instance has not settled — v's row is settled
-	// once it reaches 0; counted[v] records that v's settlement has been
-	// taken out of its neighbors' counts.
-	live    []int32
-	counted []bool
+	// once it reaches 0; out[v] records that v has been taken out of its
+	// neighbors' counts, as a bad node (initLive) or at its settlement
+	// (addPending). At every slot's start out is the settled mask plus the
+	// bad nodes: the receivers a frontier leaves out.
+	live []int32
+	out  []bool
 
 	// Scratch reused across slots.
 	txs       []radio.Tx
@@ -232,7 +266,9 @@ func (r *Runner) retarget() {
 	r.jamSeen = resized(r.jamSeen, n)
 	r.jamEpoch = 0
 	r.live = resized(r.live, n)
-	r.counted = resized(r.counted, n)
+	r.out = resized(r.out, n)
+	r.retFirst = resized(r.retFirst, n)
+	r.retEnd = resized(r.retEnd, n)
 	period := p.Period()
 	if cap(r.active) >= period {
 		r.active = r.active[:period]
@@ -252,7 +288,7 @@ func (r *Runner) reset() {
 	clear(r.pending)
 	clear(r.supplies)
 	clear(r.supply)
-	clear(r.counted)
+	clear(r.out)
 	for c := range r.active {
 		r.active[c] = r.active[c][:0]
 	}
@@ -273,6 +309,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// caller's placement, strategy, hooks or machine between runs.
 	r.release()
 	r.view = adversary.View{}
+	r.ledger = nil
 	r.builtin.Unbind()
 	return res, err
 }
@@ -294,8 +331,8 @@ func (r *Runner) neighbors(id grid.NodeID) []grid.NodeID {
 
 // initLive starts every live counter at the node's good-neighbor count:
 // its degree, less one per bad neighbor — debited from the bad side, so
-// only the bad nodes' rows are walked. Settlements take it from there (see
-// addPending).
+// only the bad nodes' rows are walked, and each bad node is out from the
+// start. Settlements take it from there (see addPending).
 func (r *Runner) initLive() {
 	for i := range r.live {
 		r.live[i] = int32(len(r.neighbors(grid.NodeID(i))))
@@ -304,6 +341,7 @@ func (r *Runner) initLive() {
 		if !b {
 			continue
 		}
+		r.out[i] = true
 		for _, nb := range r.neighbors(grid.NodeID(i)) {
 			r.live[nb]--
 		}
@@ -332,17 +370,86 @@ func (r *Runner) addPending(id grid.NodeID, n int) {
 		credit = int32(n)
 	}
 	switch {
-	case r.frontier && r.St.Settled[id] && !r.counted[id]:
-		r.counted[id] = true
+	case r.frontier && r.St.Settled[id] && !r.out[id]:
+		r.out[id] = true
+		// Locals keep the retire call from reloading the walk's state at
+		// every neighbor.
+		supply, live, pending := r.supply, r.live, r.pending
+		retiring := r.ledger != nil
 		for _, nb := range r.neighbors(id) {
-			r.supply[nb] += credit
-			r.live[nb]--
+			supply[nb] += credit
+			live[nb]--
+			if live[nb] == 0 && retiring && pending[nb] > 0 {
+				r.retire(nb)
+			}
 		}
 	case credit > 0:
 		for _, nb := range r.neighbors(id) {
 			r.supply[nb] += credit
 		}
 	}
+	if n > 0 && r.ledger != nil && r.live[id] == 0 {
+		r.retire(id)
+	}
+}
+
+// retire books every pending send of v, whose row has settled, in one go
+// (see the package comment and retireWindow): each sent one spends budget
+// as an emission would and is booked on the ledger, and the window they
+// occupy is kept for unretire. A window that would reach MaxSlots is left
+// to the slot loop. The threshold instance gives a node one Send, so v
+// retires at most once.
+func (r *Runner) retire(v grid.NodeID) {
+	k := int(r.pending[v])
+	period := r.Plan.Period()
+	sent, first, last := retireWindow(r.curSlot+1, int(r.colors[v]), period, k, r.GoodBudget[v].Left())
+	if last >= r.MaxSlots {
+		return
+	}
+	for i := 0; i < sent; i++ {
+		r.GoodBudget[v].TrySpend()
+	}
+	r.Sent[v] += int32(sent)
+	r.Res.GoodMessages += sent
+	r.ledger.BookSends(v, int32(sent))
+	r.retFirst[v], r.retEnd[v] = int32(first), int32(first+(sent-1)*period+1)
+	r.retiredEnd = max(r.retiredEnd, last+1)
+	r.retiredTxs += sent
+	r.pending[v] = 0
+	r.colorPending[r.colors[v]] -= int64(k)
+	r.pendingTotal -= int64(k)
+}
+
+// retireWindow places k sends pending at a node of colour c, with left
+// budget (negative: unlimited), on the schedule from slot next on: they
+// go out one per period at the node's colour slots, first at the first
+// of them, as the emission loop would send them. It returns how many the
+// budget lets out and the first and the last slot they occupy — a send
+// the budget refuses is dropped, with the rest, at its own slot, which the
+// run still reaches.
+func retireWindow(next, c, period, k, left int) (sent, first, last int) {
+	sent = k
+	if left >= 0 && left < k {
+		sent = left
+	}
+	first = next + (c-next%period+period)%period
+	if sent < k {
+		return sent, first, first + sent*period
+	}
+	return sent, first, first + (k-1)*period
+}
+
+// unretire appends to txs the retired transmissions slot would have
+// carried and takes each back off the ledger: a jammed slot is resolved
+// in full, and a jam can change what a settled receiver of one hears.
+func (r *Runner) unretire(slot int, txs []radio.Tx) []radio.Tx {
+	for _, v := range r.Plan.ColorClasses()[r.Plan.SlotColor(slot)] {
+		if int(r.retFirst[v]) <= slot && slot < int(r.retEnd[v]) {
+			txs = append(txs, radio.Tx{From: v, Value: r.St.Value[v]})
+			r.ledger.BookSends(v, -1)
+		}
+	}
+	return txs
 }
 
 // applySends schedules the instance's returned sends, clamping each
@@ -407,13 +514,20 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	r.frontier = r.frontierEligible()
 	r.booking = !r.frontier && r.bookEligible()
+	r.ledger = r.retireEligible()
 	r.frontierSlots, r.settledTxs, r.bookedSlots = 0, 0, 0
+	r.retiredEnd, r.retiredTxs = 0, 0
 	if r.frontier {
 		r.initLive()
 	}
+	if r.ledger != nil {
+		clear(r.retFirst)
+		clear(r.retEnd)
+	}
 
 	// Bootstrap: the instance pre-decides the source and schedules its
-	// opening sends.
+	// opening sends, ahead of slot 0.
+	r.curSlot = -1
 	r.sendBuf = r.Inst.Bootstrap(r.sendBuf[:0])
 	r.applySends(r.sendBuf)
 
@@ -497,7 +611,11 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 			// Resolve in full with the jams included; ResolveAppend reports
 			// the same deliveries in the same ascending-receiver order a
 			// callback resolve would. A frontier run's slot drops its
-			// frontier here and is delivered like any other engine's.
+			// frontier here and is delivered like any other engine's, with
+			// the retired transmissions it would have carried.
+			if slot < r.retiredEnd {
+				r.txs = r.unretire(slot, r.txs)
+			}
 			r.txs = append(r.txs, jams...)
 			r.tentative = r.tentative[:0]
 			var err error
@@ -531,7 +649,7 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 		slot++
 	}
 
-	return r.Finish(slot, r.pendingTotal > 0, r.medium.GoodGoodCollisions), nil
+	return r.Finish(max(slot, r.retiredEnd), r.pendingTotal > 0, r.medium.GoodGoodCollisions), nil
 }
 
 // consumePending removes one pending transmission from id, debiting the
@@ -543,7 +661,7 @@ func (r *Runner) consumePending(id grid.NodeID) {
 	r.pending[id]--
 	r.colorPending[r.colors[id]]--
 	r.pendingTotal--
-	if r.supplies[id] && !r.frontier {
+	if !r.frontier && r.supplies[id] {
 		for _, nb := range r.neighbors(id) {
 			r.supply[nb]--
 		}
@@ -581,6 +699,21 @@ func (r *Runner) frontierEligible() bool {
 		r.Plan.DisjointClasses() && r.deliveryDriven()
 }
 
+// retireEligible returns the run's threshold instance when a frontier run
+// may retire its settled transmitters (see the package comment), nil
+// otherwise. A retired send is booked on the instance's ledger without a
+// slot: nothing may watch its slot start or its transmission, and the
+// instance must book a transmission as one ledger bump — the threshold
+// instance does, the reactive machine's Book draws per transmission.
+func (r *Runner) retireEligible() *protocol.ThresholdInstance {
+	h := &r.Cfg.Hooks
+	if !r.frontier || h.OnSend != nil || h.OnSlotStart != nil {
+		return nil
+	}
+	t, _ := r.Inst.(*protocol.ThresholdInstance)
+	return t
+}
+
 // bookEligible decides, per run, whether the slot body may hand each slot
 // to the instance as its transmissions (see the package comment): the
 // instance books whole slots, no Strategy can jam (so every slot is
@@ -613,14 +746,16 @@ func (r *Runner) bookSlot(slot int, txs []radio.Tx) (heard bool, err error) {
 }
 
 // resolveFrontier fills r.tentative with the slot's frontier in
-// ascending receiver order, and debits the Vtrue supply of exactly those
-// receivers (see consumePending): supply is defined for undecided
-// receivers only, and each is debited here in every slot it is reached
-// while undecided, just as the per-transmission walk would have. Only the
-// rows with a good neighbor the instance has not settled are resolved; a
-// settled row has nothing to put on the frontier and is never read, so the
-// valueless transmission ResolveDisjoint refuses is refused here for it.
-// heard reports whether any transmission had a receiver.
+// ascending receiver order — ResolveDisjoint skips the out receivers, the
+// settled and the bad ones — and, on a run with a strategy to read it,
+// debits the Vtrue supply of exactly those receivers (see
+// consumePending): supply is defined for undecided receivers only, and
+// each is debited here in every slot it is reached while undecided, just
+// as the per-transmission walk would have. Only the rows with a good
+// neighbor the instance has not settled are resolved; a settled row has
+// nothing to put on the frontier and is never read, so the valueless
+// transmission ResolveDisjoint refuses is refused here for it. heard
+// reports whether any transmission had a receiver.
 func (r *Runner) resolveFrontier(txs []radio.Tx) (heard bool, err error) {
 	live := r.liveTxs[:0]
 	for i := range txs {
@@ -638,22 +773,16 @@ func (r *Runner) resolveFrontier(txs []radio.Tx) (heard bool, err error) {
 	if len(live) == 0 {
 		return heard, nil
 	}
-	ds, err := r.medium.ResolveDisjoint(live, r.St.Settled, r.tentative)
-	if err != nil {
+	if r.tentative, err = r.medium.ResolveDisjoint(live, r.out, r.tentative); err != nil {
 		return false, err
 	}
-	w := 0
-	for _, d := range ds {
-		if r.Bad[d.To] {
-			continue
+	if r.trackSupply {
+		for _, d := range r.tentative {
+			if r.supplies[d.From] {
+				r.supply[d.To]--
+			}
 		}
-		if r.supplies[d.From] {
-			r.supply[d.To]--
-		}
-		ds[w] = d
-		w++
 	}
-	r.tentative = ds[:w]
 	return true, nil
 }
 

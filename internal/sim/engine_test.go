@@ -322,3 +322,28 @@ func TestFrontierRejectsValuelessTransmission(t *testing.T) {
 		t.Fatalf("valueless transmission from settled row %d: err = %v", poisoned, err)
 	}
 }
+
+// TestRetireWindow pins where retirement places a settled transmitter's
+// sends — one per period at its colour slots from the next one on — and
+// how it honours the budget: a send past Left is dropped at its own slot,
+// which still ends the window, and an unlimited budget lets every send out.
+func TestRetireWindow(t *testing.T) {
+	for _, c := range []struct {
+		next, color, period, k, left int
+		sent, first, last            int
+	}{
+		{0, 3, 25, 5, -1, 5, 3, 103},   // from the bootstrap, unlimited
+		{28, 3, 25, 5, -1, 5, 28, 128}, // the colour's slot is next
+		{29, 3, 25, 5, 9, 5, 53, 153},  // budget to spare
+		{29, 3, 25, 5, 5, 5, 53, 153},  // budget exactly enough
+		{29, 3, 25, 5, 2, 2, 53, 103},  // two sent, the third dropped at 103
+		{29, 3, 25, 5, 0, 0, 53, 53},   // nothing sent, dropped at the first
+		{7, 0, 1, 4, -1, 4, 7, 10},     // a one-colour schedule
+	} {
+		sent, first, last := retireWindow(c.next, c.color, c.period, c.k, c.left)
+		if sent != c.sent || first != c.first || last != c.last {
+			t.Errorf("retireWindow(next %d, colour %d, period %d, k %d, left %d) = (%d, %d, %d), want (%d, %d, %d)",
+				c.next, c.color, c.period, c.k, c.left, sent, first, last, c.sent, c.first, c.last)
+		}
+	}
+}

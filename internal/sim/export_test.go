@@ -16,6 +16,11 @@ func (r *Runner) FrontierSlots() int { return r.frontierSlots }
 // slots came from a settled row, which the engine books without reading.
 func (r *Runner) SettledTxs() int { return r.settledTxs }
 
+// RetiredTxs exposes how many transmissions of the last run were retired
+// — booked at once when their sender's row settled, instead of emitted
+// slot by slot (see the package comment).
+func (r *Runner) RetiredTxs() int { return r.retiredTxs }
+
 // CheckLive recounts, against the instance's settled mask, every node's
 // good neighbors that are not settled and returns an error for the first
 // whose live counter disagrees — or for a settled node that is not a

@@ -307,10 +307,11 @@ func TestFrontierWrongValueRelays(t *testing.T) {
 
 // TestFrontierIneligibleRuns pins which machines reach the frontier
 // through the seam: the threshold machine attached as a custom Machine
-// publishes the built-in instance's settled mask, so it takes the frontier
-// and must reproduce the built-in run's Result; the multi-broadcast
-// machine behind the facade's WithBroadcasts publishes none and stays on
-// full resolution.
+// publishes the built-in instance's settled mask and is a
+// ThresholdInstance, so it takes the frontier, retires the same sends and
+// must reproduce the built-in run's Result; the multi-broadcast machine
+// behind the facade's WithBroadcasts publishes none and stays on full
+// resolution.
 func TestFrontierIneligibleRuns(t *testing.T) {
 	tor := grid.MustNew(20, 20, 2)
 	p := core.Params{R: 2, T: 2, MF: 2}
@@ -336,10 +337,10 @@ func TestFrontierIneligibleRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSlots, wantSettled := runner.FrontierSlots(), runner.SettledTxs()
-	if wantSlots == 0 || wantSettled == 0 || want.BadMessages == 0 {
-		t.Fatalf("baseline: frontier slots=%d settled transmissions=%d bad messages=%d, want all > 0",
-			wantSlots, wantSettled, want.BadMessages)
+	wantSlots, wantSettled, wantRetired := runner.FrontierSlots(), runner.SettledTxs(), runner.RetiredTxs()
+	if wantSlots == 0 || wantSettled+wantRetired == 0 || want.BadMessages == 0 {
+		t.Fatalf("baseline: frontier slots=%d settled transmissions=%d retired=%d bad messages=%d, want all but one count > 0",
+			wantSlots, wantSettled, wantRetired, want.BadMessages)
 	}
 
 	custom := build()
@@ -348,9 +349,9 @@ func TestFrontierIneligibleRuns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("custom machine: %v", err)
 	}
-	if n, settled := runner.FrontierSlots(), runner.SettledTxs(); n != wantSlots || settled != wantSettled {
-		t.Errorf("custom machine: %d frontier slots, %d settled transmissions; the built-in instance took %d, %d",
-			n, settled, wantSlots, wantSettled)
+	if n, settled, retired := runner.FrontierSlots(), runner.SettledTxs(), runner.RetiredTxs(); n != wantSlots || settled != wantSettled || retired != wantRetired {
+		t.Errorf("custom machine: %d frontier slots, %d settled, %d retired transmissions; the built-in instance took %d, %d, %d",
+			n, settled, retired, wantSlots, wantSettled, wantRetired)
 	}
 	if err := simtest.DiffResults(got, want); err != nil {
 		t.Errorf("custom machine: diverged from the built-in run: %v", err)
@@ -361,8 +362,9 @@ func TestFrontierIneligibleRuns(t *testing.T) {
 	if _, err := runner.RunContext(context.Background(), multi); err != nil {
 		t.Fatalf("multi machine: %v", err)
 	}
-	if n, settled := runner.FrontierSlots(), runner.SettledTxs(); n != 0 || settled != 0 {
-		t.Errorf("multi machine: took %d frontier slots and settled %d transmissions, want full resolution", n, settled)
+	if n, settled, retired := runner.FrontierSlots(), runner.SettledTxs(), runner.RetiredTxs(); n != 0 || settled != 0 || retired != 0 {
+		t.Errorf("multi machine: took %d frontier slots, settled %d and retired %d transmissions, want full resolution",
+			n, settled, retired)
 	}
 }
 
