@@ -14,10 +14,11 @@ import (
 )
 
 // FuzzLeaseBody holds POST /v1/jobs/{id}/lease to its contract on
-// arbitrary bodies. Each input goes to a fresh manager holding one sharded
-// job — the four points of gridDoc in a single lease range, on a stopped
-// clock so no lease expires — through the server's own mux, with no
-// socket. The answer must be a 4xx that leaves the lease table empty (the
+// arbitrary bodies. Each input goes to a fresh manager with no executors
+// of its own (so no range is leased before the input is), holding one
+// sharded job — the four points of gridDoc in a single lease range, on a
+// stopped clock so no lease expires — through the server's own mux, with
+// no socket. The answer must be a 4xx that leaves the lease table empty (the
 // manager then grants the range to the next caller), or a 200 whose grant
 // is the range [0, 4) of that job with the job's spec, after which a
 // second lease gets 204. The seed corpus (testdata/fuzz/FuzzLeaseBody)
@@ -34,7 +35,7 @@ func FuzzLeaseBody(f *testing.F) {
 
 	stopped := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		mgr, err := jobs.Open(jobs.Config{Dir: t.TempDir(), Workers: 1, Now: func() time.Time { return stopped }})
+		mgr, err := jobs.Open(jobs.Config{Dir: t.TempDir(), Workers: -1, Now: func() time.Time { return stopped }})
 		if err != nil {
 			t.Fatal(err)
 		}

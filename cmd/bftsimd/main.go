@@ -26,17 +26,18 @@
 //	GET  /v1/jobs/{id}/aggregate raw aggregate state bytes
 //	GET  /healthz                liveness
 //
-// Every job runs the same way; ?sharded=1 only says who may pull. A
-// plain submission waits in submission order for the -inflight window
-// and is leased by the daemon's own -workers executors, in ranges sized
-// from the grid. A sharded one serves leases at once to any number of
-// outside workers: `bftsimd -worker -coordinator URL` is the matching
-// pull worker, and `-shard-executors K` adds K in-process ones. Either
-// way the coordinator folds ranges in global point order, so the final
-// aggregate is byte-identical however the work was spread. Outside
-// leases carry deadlines: a worker that dies mid-range simply lets its
-// lease expire and the range is re-issued (points are deterministic and
-// idempotent).
+// Every job runs the same way: the daemon's own -workers executors lease
+// the ranges of every job in submission order, and ?sharded=1 only lets
+// outside workers pull too. A plain submission waits in submission order
+// for the -inflight window, in ranges sized from the grid. A sharded one
+// skips the queue and serves leases at once, to the executors and to any
+// number of outside workers: `bftsimd -worker -coordinator URL` is the
+// matching pull worker, and `-workers -1` leaves sharded jobs to them
+// alone. Either way the coordinator folds ranges in global point order,
+// so the final aggregate is byte-identical however the work was spread.
+// Outside leases carry deadlines: a worker that dies mid-range simply
+// lets its lease expire and the range is re-issued (points are
+// deterministic and idempotent).
 //
 // A pull worker lists jobs only when it holds no grant: at start, and
 // after a lease finds nothing for it (204, 410, 409, 503). Otherwise it
@@ -97,18 +98,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		addr         = fs.String("addr", "127.0.0.1:8580", "listen address (port 0 picks a free port)")
 		dir          = fs.String("dir", "bftsimd-jobs", "checkpoint directory; reopening resumes its jobs")
 		engineName   = fs.String("engine", "fast", "execution backend: fast | ref | actor")
-		workers      = fs.Int("workers", 0, "in-process executors running the ranges of non-sharded jobs; in -worker mode, the sweep pool of one leased range (0 = NumCPU)")
+		workers      = fs.Int("workers", 0, "in-process executors leasing the ranges of every job, plain or sharded (0 = NumCPU, -1 = none: sharded jobs go to pull workers only); in -worker mode, the sweep pool of one leased range")
 		queue        = fs.Int("queue", 64, "non-sharded jobs that may wait for their first range; beyond it submissions get 503")
 		inflight     = fs.Int("inflight", 1, "admission window: the first N non-sharded jobs in submission order are leasable")
 		ckptEvery    = fs.Int("checkpoint-every", 64, "checkpoint cadence in completed points")
 		ckptInterval = fs.Duration("checkpoint-interval", 250*time.Millisecond, "min time between mid-run checkpoint writes (negative = every count)")
 		drainAfter   = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on shutdown")
 
-		shardExecutors = fs.Int("shard-executors", 0, "in-process executors pulling leases of sharded jobs")
-		leasePoints    = fs.Int("lease-points", 64, "default points per lease for sharded submissions")
-		leaseTTL       = fs.Duration("lease-ttl", 30*time.Second, "default lease deadline; expired leases re-issue")
-		retain         = fs.Int("retain", 0, "keep at most N terminal job checkpoints (0 = all)")
-		retainAge      = fs.Duration("retain-age", 0, "expire terminal job checkpoints older than this (0 = never)")
+		leasePoints = fs.Int("lease-points", 64, "default points per lease for sharded submissions")
+		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "default lease deadline; expired leases re-issue")
+		retain      = fs.Int("retain", 0, "keep at most N terminal job checkpoints (0 = all)")
+		retainAge   = fs.Duration("retain-age", 0, "expire terminal job checkpoints older than this (0 = never)")
 
 		workerMode  = fs.Bool("worker", false, "run as a pull worker of -coordinator instead of a daemon")
 		coordinator = fs.String("coordinator", "", "coordinator base URL for -worker mode")
@@ -143,7 +143,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		MaxRunning:         *inflight,
 		CheckpointEvery:    *ckptEvery,
 		CheckpointInterval: *ckptInterval,
-		ShardExecutors:     *shardExecutors,
 		Retain:             *retain,
 		RetainAge:          *retainAge,
 	})

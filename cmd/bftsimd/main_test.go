@@ -474,6 +474,22 @@ func waitState(t *testing.T, base, id string, state jobs.State) jobs.Status {
 	}
 }
 
+// unshardedAggregate is the byte-identity reference of the sharded tests:
+// the raw aggregate of doc submitted as a plain job to a coordinator of
+// its own, run by two in-process executors.
+func unshardedAggregate(t *testing.T, doc string) []byte {
+	t.Helper()
+	ts, _ := newTestServer(t, jobs.Config{Workers: 2})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	control := decodeStatus(t, resp.Body)
+	resp.Body.Close()
+	waitState(t, ts.URL, control.ID, jobs.StateDone)
+	return getAggregate(t, ts.URL, control.ID)
+}
+
 // getAggregate fetches a job's raw aggregate bytes.
 func getAggregate(t *testing.T, base, id string) []byte {
 	t.Helper()
@@ -495,19 +511,20 @@ func getAggregate(t *testing.T, base, id string) []byte {
 // TestHandlerShardedLifecycle drives the lease protocol over real
 // HTTP: sharded submit, lease/partial loop to completion, and the raw
 // aggregate equal to the unsharded run of the same grid — plus the
-// endpoints' error statuses.
+// endpoints' error statuses. The coordinator runs no executor, so the
+// test's own leases are the only ones.
 func TestHandlerShardedLifecycle(t *testing.T) {
-	ts, _ := newTestServer(t, jobs.Config{Workers: 2})
+	ts, _ := newTestServer(t, jobs.Config{Workers: -1})
+	want := unshardedAggregate(t, gridDoc)
 
-	// Unsharded control of the identical grid.
+	// A plain job of the identical grid: it only queues here, and the
+	// lease endpoints refuse it.
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(gridDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	control := decodeStatus(t, resp.Body)
 	resp.Body.Close()
-	waitState(t, ts.URL, control.ID, jobs.StateDone)
-	want := getAggregate(t, ts.URL, control.ID)
 
 	resp, err = http.Post(ts.URL+"/v1/jobs?sharded=1&lease_points=1&lease_ttl=10s",
 		"application/json", strings.NewReader(gridDoc))
@@ -602,22 +619,15 @@ func TestHandlerShardedLifecycle(t *testing.T) {
 	}
 }
 
-// TestWorkerEndToEnd runs the real pull worker against a live server:
-// it drains a sharded grid, the aggregate matches the unsharded run,
-// and cancelling its context exits the loop cleanly.
+// TestWorkerEndToEnd runs the real pull worker against a live server
+// with no executors of its own: the worker drains a sharded grid, the
+// aggregate matches the unsharded run, and cancelling its context exits
+// the loop cleanly.
 func TestWorkerEndToEnd(t *testing.T) {
-	ts, _ := newTestServer(t, jobs.Config{Workers: 2})
+	ts, _ := newTestServer(t, jobs.Config{Workers: -1})
+	want := unshardedAggregate(t, gridDoc)
 
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(gridDoc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	control := decodeStatus(t, resp.Body)
-	resp.Body.Close()
-	waitState(t, ts.URL, control.ID, jobs.StateDone)
-	want := getAggregate(t, ts.URL, control.ID)
-
-	resp, err = http.Post(ts.URL+"/v1/jobs?sharded=1&lease_points=1", "application/json", strings.NewReader(gridDoc))
+	resp, err := http.Post(ts.URL+"/v1/jobs?sharded=1&lease_points=1", "application/json", strings.NewReader(gridDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -768,7 +778,7 @@ func TestRunBadFlags(t *testing.T) {
 // long-lived worker does not accumulate a topology per job it ever
 // leased.
 func TestWorkerEvictsFinishedJobs(t *testing.T) {
-	ts, mgr := newTestServer(t, jobs.Config{Workers: 1})
+	ts, mgr := newTestServer(t, jobs.Config{Workers: -1})
 	submit := func() jobs.Status {
 		resp, err := http.Post(ts.URL+"/v1/jobs?sharded=1&lease_points=2", "application/json", strings.NewReader(gridDoc))
 		if err != nil {
@@ -947,7 +957,7 @@ func submitSharded(t *testing.T, base, doc, query string) jobs.Status {
 func TestWorkerPipelineRequestCounts(t *testing.T) {
 	const n = 8
 	reqs := &requestLog{}
-	ts, _ := newLoggedTestServer(t, jobs.Config{Workers: 1}, reqs)
+	ts, _ := newLoggedTestServer(t, jobs.Config{Workers: -1}, reqs)
 	st := submitSharded(t, ts.URL, gridDocSeeds(n), "")
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -988,7 +998,7 @@ func TestWorkerPipelineOverlapsPartials(t *testing.T) {
 		n = 6
 		d = 100 * time.Millisecond
 	)
-	ts, _ := newTestServer(t, jobs.Config{Workers: 1})
+	ts, _ := newTestServer(t, jobs.Config{Workers: -1})
 	proxy := partialProxy(t, ts.URL, func() { time.Sleep(d) })
 	st := submitSharded(t, ts.URL, gridDocSeeds(n), "")
 
@@ -1020,16 +1030,8 @@ func TestWorkerShutdownWithQueuedGrant(t *testing.T) {
 	doc := gridDocSeeds(n)
 	clock := &testClock{now: time.Unix(1_700_000_000, 0)}
 	reqs := &requestLog{}
-	ts, mgr := newLoggedTestServer(t, jobs.Config{Workers: 2, Now: clock.Now}, reqs)
-
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	control := decodeStatus(t, resp.Body)
-	resp.Body.Close()
-	waitState(t, ts.URL, control.ID, jobs.StateDone)
-	want := getAggregate(t, ts.URL, control.ID)
+	ts, mgr := newLoggedTestServer(t, jobs.Config{Workers: -1, Now: clock.Now}, reqs)
+	want := unshardedAggregate(t, doc)
 	st := submitSharded(t, ts.URL, doc, "&lease_ttl=10s")
 
 	held, hold := make(chan struct{}), make(chan struct{})

@@ -15,7 +15,8 @@ import (
 )
 
 // FuzzPartialBody holds POST /v1/jobs/{id}/partial to its contract on
-// arbitrary bodies. Each input goes to a fresh manager holding one sharded
+// arbitrary bodies. Each input goes to a fresh manager with no executors
+// of its own (so only the input can fold the range), holding one sharded
 // job — the four points of gridDoc in a single lease range, leased on a
 // stopped clock so the lease stays live — through the server's own mux,
 // with no socket. The answer must be a 4xx that leaves the job as it was,
@@ -39,7 +40,7 @@ func FuzzPartialBody(f *testing.F) {
 
 	stopped := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		mgr, err := jobs.Open(jobs.Config{Dir: t.TempDir(), Workers: 1, Now: func() time.Time { return stopped }})
+		mgr, err := jobs.Open(jobs.Config{Dir: t.TempDir(), Workers: -1, Now: func() time.Time { return stopped }})
 		if err != nil {
 			t.Fatal(err)
 		}

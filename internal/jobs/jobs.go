@@ -3,10 +3,10 @@
 // workers lease ranges, run them and hand back per-point records, and
 // the job folds completed ranges into a constant-memory aggregate
 // strictly in point order, publishing each record to live subscribers
-// as it folds. Who may lease is the one thing that differs between
-// jobs — the manager's own Workers executors for a plain submission,
-// external pull workers (and ShardExecutors) for a sharded one.
-// Submissions queue in order behind a bounded in-flight window with
+// as it folds. The manager's own Workers executors lease every job in
+// submission order; a sharded job differs only in that external pull
+// workers may lease it too, and in skipping the queue. Plain
+// submissions queue in order behind a bounded in-flight window with
 // submit-time backpressure, and every job keeps one checkpoint file:
 // the fold cursor, the aggregate and the ranges completed ahead of it.
 //
@@ -99,8 +99,9 @@ type Status struct {
 	// Total is the job's point count; Aggregate.Done of them are done.
 	Total int    `json:"total"`
 	Err   string `json:"err,omitempty"`
-	// Sharded marks a job whose ranges external workers pull via the
-	// lease endpoints; the manager's own executors run the others.
+	// Sharded marks a job whose ranges external workers may also pull
+	// via the lease endpoints; the manager's own executors lease every
+	// job.
 	Sharded bool `json:"sharded,omitempty"`
 
 	Aggregate Summary `json:"aggregate"`
@@ -114,10 +115,9 @@ type Job struct {
 	spec     *bftbcast.GridSpec
 	specJSON json.RawMessage
 	total    int
-	// sharded says who may lease the job's ranges: external workers and
-	// the manager's ShardExecutors when set, only the manager's Workers
-	// executors otherwise. opts is the lease geometry. Both are fixed at
-	// submission and checkpointed.
+	// sharded opens the job's ranges to external workers next to the
+	// manager's Workers executors, which lease every job. opts is the
+	// lease geometry. Both are fixed at submission and checkpointed.
 	sharded bool
 	opts    ShardOptions
 	// ctx is what the job's in-process ranges run under: finishJob

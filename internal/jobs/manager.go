@@ -38,9 +38,11 @@ type Config struct {
 	Dir string
 	// Engine executes the points (nil means bftbcast.EngineFast).
 	Engine bftbcast.Engine
-	// Workers is the number of in-process executors that lease ranges of
-	// non-sharded jobs (<= 0 means NumCPU). They never lease a sharded
-	// job.
+	// Workers is the manager's one in-process executor pool: its
+	// executors lease ranges of every live job, plain or sharded, in
+	// submission order (0 means NumCPU). Negative means none — a pure
+	// coordinator: outside workers alone lease its sharded jobs, and its
+	// plain jobs queue and checkpoint but never run.
 	Workers int
 	// MaxQueue bounds the non-sharded jobs waiting for their first
 	// range; Submit fails with ErrQueueFull beyond it (<= 0 means 64).
@@ -60,9 +62,8 @@ type Config struct {
 	// jobs stop paying an fsync per CheckpointEvery points; the crash
 	// recompute bound loosens to the points done in one interval.
 	CheckpointInterval time.Duration
-	// ShardExecutors runs this many in-process executors that lease
-	// ranges of sharded jobs, next to whatever remote workers pull them
-	// (0 means none).
+	// ShardExecutors is ignored: the Workers pool leases sharded jobs
+	// too. It remains only for callers that still set it.
 	ShardExecutors int
 	// Retain, when > 0, bounds how many terminal jobs are kept: the
 	// retention sweep deletes the oldest-finished checkpoints beyond it.
@@ -86,7 +87,7 @@ func (c *Config) fill() error {
 	if c.Engine == nil {
 		c.Engine = bftbcast.EngineFast
 	}
-	if c.Workers <= 0 {
+	if c.Workers == 0 {
 		c.Workers = runtime.NumCPU()
 	}
 	if c.MaxQueue <= 0 {
@@ -108,12 +109,13 @@ func (c *Config) fill() error {
 }
 
 // localLeasePoints derives the range size of a non-sharded job from its
-// point count: about eight ranges per executor, so a handful of heavy
-// points still spreads over all Workers and the tail of a grid stays
-// short, capped at the sharded default of 64 so a large grid's ranges
-// stay small units of recompute.
+// point count: about eight ranges per executor (a pure coordinator's
+// plain jobs are cut as for one), so a handful of heavy points still
+// spreads over all Workers and the tail of a grid stays short, capped at
+// the sharded default of 64 so a large grid's ranges stay small units of
+// recompute.
 func (c *Config) localLeasePoints(total int) int {
-	return min(max(total/(8*c.Workers), 1), 64)
+	return min(max(total/(8*max(c.Workers, 1)), 1), 64)
 }
 
 // Manager owns the jobs, the checkpoint directory and the in-process
@@ -200,16 +202,10 @@ func Open(cfg Config) (*Manager, error) {
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
-		go m.runExecutor(fmt.Sprintf("local-%d", i), false)
+		go m.runExecutor(fmt.Sprintf("local-%d", i))
 	}
-	for i := 0; i < cfg.ShardExecutors; i++ {
-		m.wg.Add(1)
-		go m.runExecutor(fmt.Sprintf("exec-%d", i), true)
-	}
-	if cfg.ShardExecutors > 0 || cfg.Retain > 0 || cfg.RetainAge > 0 {
-		m.wg.Add(1)
-		go m.tick()
-	}
+	m.wg.Add(1)
+	go m.tick()
 	return m, nil
 }
 
@@ -296,9 +292,10 @@ func (m *Manager) openRanges(job *Job) {
 	}
 }
 
-// tick is the lease/retention heartbeat: it wakes idle shard executors
-// (an expired outside lease only reopens lazily, on the next lease scan)
-// and runs the retention sweep, once a second until the manager closes.
+// tick is the lease/retention heartbeat: it wakes idle executors (an
+// expired outside lease only reopens lazily, on the next lease scan, so
+// an executor waiting on a sharded job's last open range needs it) and
+// runs the retention sweep, once a second until the manager closes.
 func (m *Manager) tick() {
 	defer m.wg.Done()
 	t := time.NewTicker(time.Second)
@@ -329,10 +326,10 @@ func (m *Manager) Submit(spec *bftbcast.GridSpec) (*Job, error) {
 }
 
 // SubmitSharded validates and persists a grid like Submit, but opens
-// its ranges to external workers: the job bypasses the queue and the
-// admission window and immediately serves leases over the lease
-// endpoints (and to ShardExecutors). It completes when the last range
-// folds, however many workers pulled the leases.
+// its ranges to external workers too: the job bypasses the queue and
+// the admission window and immediately serves leases, over the lease
+// endpoints and to the Workers executors alike. It completes when the
+// last range folds, whoever ran the ranges.
 func (m *Manager) SubmitSharded(spec *bftbcast.GridSpec, opts ShardOptions) (*Job, error) {
 	return m.submit(spec, opts, true)
 }

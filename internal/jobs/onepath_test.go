@@ -59,9 +59,8 @@ func finalAggregate(t *testing.T, job *Job) []byte {
 // the two execution paths. testdata/aggregate_*.json are the Submit →
 // AggregateJSON bytes of the last commit that still had a separate FIFO
 // scheduler, recorded from that commit's binary; the manager-free fold
-// every other test uses as its reference, a plain submission run by two
-// Workers executors and a sharded one run by two ShardExecutors must all
-// reproduce them.
+// every other test uses as its reference, and a plain and a sharded
+// submission run by two Workers executors must all reproduce them.
 func TestAggregatesMatchParentGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -83,7 +82,7 @@ func TestAggregatesMatchParentGoldens(t *testing.T) {
 			if got := controlAggregate(t, tc.grid); !bytes.Equal(got, want) {
 				t.Fatalf("manager-free fold diverged from the recorded aggregate:\n%s\nvs\n%s", got, want)
 			}
-			m, err := Open(Config{Dir: t.TempDir(), Workers: 2, ShardExecutors: 2})
+			m, err := Open(Config{Dir: t.TempDir(), Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +202,7 @@ func TestLegacyCheckpointsReopen(t *testing.T) {
 	t.Run("sharded mid-run", func(t *testing.T) {
 		dir, id := installFixture(t, "legacy_sharded_midrun.json")
 		var counter pointCounter
-		m, err := Open(Config{Dir: dir, ShardExecutors: 1, Observe: counter.observe})
+		m, err := Open(Config{Dir: dir, Workers: 1, Observe: counter.observe})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +344,7 @@ func TestStoppedJobsReleaseRangeState(t *testing.T) {
 
 	tokens := make(chan struct{}, 8)
 	m, err := Open(Config{
-		Dir: t.TempDir(), Workers: 1, ShardExecutors: 1,
+		Dir: t.TempDir(), Workers: 1,
 		Engine: &throttleEngine{inner: bftbcast.EngineFast, tokens: tokens},
 	})
 	if err != nil {
@@ -405,6 +404,7 @@ func TestLocalLeaseSizeDerived(t *testing.T) {
 	}
 	for _, tc := range []struct{ total, workers, want int }{
 		{6, 2, 1}, {4096, 2, 64}, {4096, 64, 8}, {100, 2, 6}, {1 << 20, 4, 64}, {1, 8, 1},
+		{100, -1, 12}, // a pure coordinator cuts as for one executor
 	} {
 		cfg := Config{Workers: tc.workers}
 		if got := cfg.localLeasePoints(tc.total); got != tc.want {
@@ -460,18 +460,15 @@ func TestInProcessLeaseNeverExpires(t *testing.T) {
 	}
 }
 
-// TestAdmissionWindowOrder pins how two plain jobs share two executors
-// with MaxRunning 2: both are leasable, but executors scan in submission
-// order, so the second job's first point starts only once the first has
-// no open range left — and it does start while the first is still
-// running, which MaxRunning 1 would forbid.
+// TestAdmissionWindowOrder pins how live jobs share two executors. With
+// MaxRunning 2, two plain jobs are both leasable, but executors scan in
+// submission order, so the second job's first point starts only once the
+// first has no open range left — and it does start while the first is
+// still running, which MaxRunning 1 would forbid. At MaxRunning 1 a
+// sharded job sits outside the window: submitted first, the executors
+// drain it before a later plain job; submitted after a plain job, the
+// executors stay on the plain one while an outside lease serves it.
 func TestAdmissionWindowOrder(t *testing.T) {
-	eng := &gateEngine{tokens: make(chan struct{}, 8)}
-	m, err := Open(Config{Dir: t.TempDir(), Engine: eng, Workers: 2, MaxRunning: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mustClose(t, m)
 	seedsOf := func(grid *bftbcast.GridSpec) map[uint64]bool {
 		scs, err := grid.Scenarios(0, grid.NPoints())
 		if err != nil {
@@ -483,8 +480,37 @@ func TestAdmissionWindowOrder(t *testing.T) {
 		}
 		return out
 	}
+	// checkOrder requires the engine's starts to be, in order, n1 points
+	// of grid1 and then n2 of grid2.
+	checkOrder := func(t *testing.T, eng *gateEngine, grid1 *bftbcast.GridSpec, n1 int, grid2 *bftbcast.GridSpec) {
+		t.Helper()
+		first, second := seedsOf(grid1), seedsOf(grid2)
+		order := eng.startOrder()
+		for i, seed := range order {
+			if want := i < n1; first[seed] != want || second[seed] == want {
+				t.Fatalf("start order %v: want %d points of the first job, then the second's", order, n1)
+			}
+		}
+	}
+	waitDone := func(t *testing.T, jobs ...*Job) {
+		t.Helper()
+		for _, j := range jobs {
+			if err := j.Wait(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if st := j.Status(); st.State != StateDone || st.Aggregate.Done != 3 {
+				t.Fatalf("job %s ended %+v", j.ID(), st)
+			}
+		}
+	}
+
+	eng := &gateEngine{tokens: make(chan struct{}, 8)}
+	m, err := Open(Config{Dir: t.TempDir(), Engine: eng, Workers: 2, MaxRunning: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, m)
 	grid1, grid2 := smallGrid(1000, 3), smallGrid(2000, 3)
-	first, second := seedsOf(grid1), seedsOf(grid2)
 	j1, err := m.Submit(grid1)
 	if err != nil {
 		t.Fatal(err)
@@ -505,24 +531,80 @@ func TestAdmissionWindowOrder(t *testing.T) {
 	// The next freed executor finds job 1 with nothing open and moves on.
 	eng.tokens <- struct{}{}
 	waitFor(t, "job 2's first point started", func() bool { return len(eng.startOrder()) == 4 })
-	order := eng.startOrder()
-	for i, seed := range order {
-		if want := i < 3; first[seed] != want || second[seed] == want {
-			t.Fatalf("start order %v: want three points of job 1, then one of job 2", order)
-		}
-	}
+	checkOrder(t, eng, grid1, 3, grid2)
 	if s1, s2 := j1.Status().State, j2.Status().State; s1 != StateRunning || s2 != StateRunning {
 		t.Fatalf("states %q / %q, want both running inside a window of two", s1, s2)
 	}
 	for i := 0; i < 4; i++ {
 		eng.tokens <- struct{}{}
 	}
-	for _, j := range []*Job{j1, j2} {
-		if err := j.Wait(context.Background()); err != nil {
+	waitDone(t, j1, j2)
+
+	t.Run("sharded first", func(t *testing.T) {
+		eng := &gateEngine{tokens: make(chan struct{}, 8)}
+		m, err := Open(Config{Dir: t.TempDir(), Engine: eng, Workers: 2, MaxRunning: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if st := j.Status(); st.State != StateDone || st.Aggregate.Done != 3 {
-			t.Fatalf("job %s ended %+v", j.ID(), st)
+		defer mustClose(t, m)
+		grid1, grid2 := smallGrid(3000, 3), smallGrid(4000, 3)
+		sharded, err := m.SubmitSharded(grid1, ShardOptions{LeasePoints: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		plain, err := m.Submit(grid2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "two points of the sharded job started", func() bool { return len(eng.startOrder()) == 2 })
+		eng.tokens <- struct{}{}
+		waitFor(t, "the sharded job's last point started", func() bool { return len(eng.startOrder()) == 3 })
+		if st := plain.Status().State; st != StateQueued {
+			t.Fatalf("the plain job is %q while the sharded one still had an open range", st)
+		}
+		eng.tokens <- struct{}{}
+		waitFor(t, "the plain job's first point started", func() bool { return len(eng.startOrder()) == 4 })
+		checkOrder(t, eng, grid1, 3, grid2)
+		for i := 0; i < 4; i++ {
+			eng.tokens <- struct{}{}
+		}
+		waitDone(t, sharded, plain)
+	})
+
+	t.Run("plain first", func(t *testing.T) {
+		eng := &gateEngine{tokens: make(chan struct{}, 8)}
+		m, err := Open(Config{Dir: t.TempDir(), Engine: eng, Workers: 2, MaxRunning: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mustClose(t, m)
+		grid1, grid2 := smallGrid(5000, 3), smallGrid(6000, 3)
+		plain, err := m.Submit(grid1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded, err := m.SubmitSharded(grid2, ShardOptions{LeasePoints: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "two points of the plain job started", func() bool { return len(eng.startOrder()) == 2 })
+		// Both executors are busy on the plain job; an outside worker is
+		// served the sharded job's first range meanwhile.
+		g, err := m.Lease(sharded.ID(), "outside")
+		if err != nil || g.Lo != 0 {
+			t.Fatalf("outside lease = %+v, %v; want the sharded job's first range", g, err)
+		}
+		eng.tokens <- struct{}{}
+		waitFor(t, "the plain job's last point started", func() bool { return len(eng.startOrder()) == 3 })
+		if err := m.CompleteLease(sharded.ID(), Partial{LeaseID: g.LeaseID, Worker: "outside", Lo: g.Lo, Hi: g.Hi, Points: runGrant(t, g)}); err != nil {
+			t.Fatal(err)
+		}
+		eng.tokens <- struct{}{}
+		waitFor(t, "a sharded point started in process", func() bool { return len(eng.startOrder()) == 4 })
+		checkOrder(t, eng, grid1, 3, grid2)
+		for i := 0; i < 4; i++ {
+			eng.tokens <- struct{}{}
+		}
+		waitDone(t, plain, sharded)
+	})
 }

@@ -260,13 +260,12 @@ func checkRange(c *stats.RangeCursor, lo, hi int, recs []PointRecord) error {
 
 // runExecutor is one in-process executor: it leases ranges through the
 // same grant and completion path an outside worker's requests take and
-// runs each on a one-worker sweep. Workers of them serve the
-// non-sharded jobs inside the admission window, ShardExecutors of them
-// the sharded jobs; neither kind ever leases from the other's.
-func (m *Manager) runExecutor(worker string, sharded bool) {
+// runs each on a one-worker sweep, so a range it takes never crosses the
+// wire.
+func (m *Manager) runExecutor(worker string) {
 	defer m.wg.Done()
 	for {
-		job, grant, ok := m.nextLease(worker, sharded)
+		job, grant, ok := m.nextLease(worker)
 		if !ok {
 			return
 		}
@@ -287,22 +286,21 @@ func (m *Manager) runExecutor(worker string, sharded bool) {
 	}
 }
 
-// nextLease blocks until a job this executor may serve grants a range,
-// or the manager closes. Scanning under m.mu makes scan-then-wait
+// nextLease blocks until a live job grants a range, or the manager
+// closes. The scan walks the live list in submission order: a plain job
+// is leasable inside the admission window (the first MaxRunning plain
+// jobs), a sharded one always. Scanning under m.mu makes scan-then-wait
 // atomic against every event that can open work — a submission, a job
 // leaving the window, the tick — since each broadcasts under m.mu.
-func (m *Manager) nextLease(worker string, sharded bool) (*Job, LeaseGrant, bool) {
+func (m *Manager) nextLease(worker string) (*Job, LeaseGrant, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for !m.closed {
 		window := m.cfg.MaxRunning
 		for _, job := range m.live {
-			if job.sharded != sharded {
-				continue
-			}
-			if !sharded {
+			if !job.sharded {
 				if window == 0 {
-					break
+					continue
 				}
 				window--
 			}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -89,7 +90,7 @@ func TestShardedLeaseProtocolByteIdentical(t *testing.T) {
 	want := controlAggregate(t, grid)
 
 	clock := newFakeClock()
-	m, err := Open(Config{Dir: t.TempDir(), Now: clock.Now})
+	m, err := Open(Config{Dir: t.TempDir(), Workers: -1, Now: clock.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestShardedLeaseProtocolByteIdentical(t *testing.T) {
 // ErrBadPartial, and unknown jobs report ErrUnknownJob.
 func TestLeaseProtocolRejections(t *testing.T) {
 	eng := &gateEngine{tokens: make(chan struct{}, 4)}
-	m, err := Open(Config{Dir: t.TempDir(), Engine: eng})
+	m, err := Open(Config{Dir: t.TempDir(), Engine: eng, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestLeaseProtocolRejections(t *testing.T) {
 // satellite: completing the same range twice — against the fold prefix
 // or the reorder buffer — never double-counts Aggregate.Done.
 func TestDoubleLeaseCompletionIdempotent(t *testing.T) {
-	m, err := Open(Config{Dir: t.TempDir()})
+	m, err := Open(Config{Dir: t.TempDir(), Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,47 +278,125 @@ func TestDoubleLeaseCompletionIdempotent(t *testing.T) {
 	}
 }
 
-// TestShardExecutorsMatchUnsharded pins the in-process executor mode:
-// K local executors drain a sharded grid through the lease path, every
-// point runs exactly once, and the aggregate is byte-identical to the
-// unsharded run.
-func TestShardExecutorsMatchUnsharded(t *testing.T) {
+// TestWorkersPoolLeasesShardedJobs pins the one executor pool: with no
+// outside worker, the Workers executors drain a sharded grid through the
+// lease path, every point runs exactly once, and the aggregate is
+// byte-identical to the same grid's plain submission.
+func TestWorkersPoolLeasesShardedJobs(t *testing.T) {
 	grid := smallGrid(33, 10)
-	want := controlAggregate(t, grid)
-
-	var countMu sync.Mutex
-	attached := make(map[int]int)
-	observe := func(jobID string, index int) bftbcast.Observer {
-		countMu.Lock()
-		attached[index]++
-		countMu.Unlock()
-		return bftbcast.BaseObserver{}
-	}
-	m, err := Open(Config{Dir: t.TempDir(), ShardExecutors: 3, Observe: observe})
+	var counter pointCounter
+	m, err := Open(Config{Dir: t.TempDir(), Workers: 3, Observe: counter.observe})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mustClose(t, m)
 
-	job, err := m.SubmitSharded(grid, ShardOptions{LeasePoints: 2})
+	plain, err := m.Submit(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := job.Wait(context.Background()); err != nil {
+	sharded, err := m.SubmitSharded(grid, ShardOptions{LeasePoints: 2})
+	if err != nil {
 		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, job := range []*Job{plain, sharded} {
+		if err := job.Wait(ctx); err != nil {
+			t.Fatalf("job %s: %v (sharded: %v)", job.ID(), err, job.Status().Sharded)
+		}
+	}
+	want, err := plain.AggregateJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sharded.AggregateJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("executor-leased sharded aggregate diverged from Submit:\n%s\nvs\n%s", got, want)
+	}
+	for i := 0; i < 10; i++ {
+		if n := counter.count(sharded.ID(), i); n != 1 {
+			t.Errorf("point %d ran %d times, want exactly once", i, n)
+		}
+	}
+}
+
+// TestExpiredOutsideLeaseFoldsInProcess pins the tick: an outside worker
+// leases one range of a sharded job and never returns it. An in-process
+// executor runs the other range, scans once more while that lease is
+// live, and waits. Once the clock passes the lease's deadline, nothing
+// but the tick wakes it — no submission or job end follows — and it
+// re-leases the abandoned range and folds the job to the control bytes.
+func TestExpiredOutsideLeaseFoldsInProcess(t *testing.T) {
+	grid := smallGrid(45, 6)
+	want := controlAggregate(t, grid)
+
+	// armed makes the first clock read after it close scanned. The time
+	// is read first, so that read still sees the clock before Advance.
+	clock := newFakeClock()
+	var armed atomic.Bool
+	scanned := make(chan struct{})
+	closeScanned := sync.OnceFunc(func() { close(scanned) })
+	now := func() time.Time {
+		at := clock.Now()
+		if armed.Load() {
+			closeScanned()
+		}
+		return at
+	}
+	var counter pointCounter
+	tokens := make(chan struct{}, 6)
+	m, err := Open(Config{
+		Dir: t.TempDir(), Workers: 1, Now: now, Observe: counter.observe,
+		CheckpointEvery: 1 << 20, // no mid-run checkpoint reads the clock
+		Engine:          &throttleEngine{inner: bftbcast.EngineFast, tokens: tokens},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, m)
+	job, err := m.SubmitSharded(grid, ShardOptions{LeasePoints: 3, LeaseTTL: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	abandoned, err := m.Lease(job.ID(), "outside")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := 3 - abandoned.Lo // the range the executor holds, or will
+	waitFor(t, "the executor running the other range", func() bool { return counter.count(job.ID(), other) == 1 })
+
+	// From here on only the executor reads the clock: its next read is
+	// the scan after it folds its range.
+	armed.Store(true)
+	for i := 0; i < 6; i++ {
+		tokens <- struct{}{}
+	}
+	select {
+	case <-scanned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the executor never scanned again after its range")
+	}
+	clock.Advance(6 * time.Second)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := job.Wait(ctx); err != nil {
+		t.Fatalf("the abandoned range was not re-leased in process: %v", err)
 	}
 	got, err := job.AggregateJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("executor-sharded aggregate diverged:\n%s\nvs\n%s", got, want)
+		t.Fatalf("aggregate after the re-lease diverged:\n%s\nvs\n%s", got, want)
 	}
-	countMu.Lock()
-	defer countMu.Unlock()
-	for i := 0; i < 10; i++ {
-		if attached[i] != 1 {
-			t.Errorf("point %d ran %d times, want exactly once", i, attached[i])
+	for i := 0; i < 6; i++ {
+		if n := counter.count(job.ID(), i); n != 1 {
+			t.Errorf("point %d ran %d times in process, want once", i, n)
 		}
 	}
 }
@@ -332,7 +411,7 @@ func TestShardedCrashResume(t *testing.T) {
 	want := controlAggregate(t, grid)
 	dir := t.TempDir()
 
-	m1, err := Open(Config{Dir: dir})
+	m1, err := Open(Config{Dir: dir, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +451,7 @@ func TestShardedCrashResume(t *testing.T) {
 		t.Fatalf("parked shard checkpoint: done=%d pending=%+v", cps[0].Aggregate.Done, cps[0].Shard.Pending)
 	}
 
-	m2, err := Open(Config{Dir: dir})
+	m2, err := Open(Config{Dir: dir, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +605,7 @@ func TestCancelQueuedNeverStarted(t *testing.T) {
 // before the cancel that reaches the disk after it is dropped, not
 // renamed over the newer one.
 func TestConcurrentCheckpointWriters(t *testing.T) {
-	m, err := Open(Config{Dir: t.TempDir()})
+	m, err := Open(Config{Dir: t.TempDir(), Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

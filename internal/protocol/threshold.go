@@ -70,9 +70,9 @@ type ThresholdInstance struct {
 	tor    *grid.Torus // the plan's topology when it is a torus, else nil
 	st     State       // Settled aliases Decided
 	n      int
-	// counts[u*(MaxTrackedValue+1)+v] is the copies of value v != ValueTrue
-	// node u received (Correct[u] counts ValueTrue); exotic values share
-	// the last bucket.
+	// counts[u*wrongValues+v-ValueFalse] is the copies of wrong value v
+	// node u received (Correct[u] counts ValueTrue, and ValueNone is never
+	// delivered); exotic values share the last bucket.
 	counts []int32
 
 	lateTx                 []int32
@@ -81,6 +81,10 @@ type ThresholdInstance struct {
 	booked                 int     // the last slot passed to Book, -1 before the first
 	box                    []int32 // boxFold's scratch: n row sums, then W column sums
 }
+
+// wrongValues is the number of count buckets per node: one per tracked
+// value from ValueFalse to MaxTrackedValue.
+const wrongValues = MaxTrackedValue - int(radio.ValueFalse) + 1
 
 // NewThresholdInstance returns an unbound instance; Bind arms it.
 func NewThresholdInstance() *ThresholdInstance { return &ThresholdInstance{} }
@@ -104,7 +108,7 @@ func (t *ThresholdInstance) Bind(env Env, spec core.Spec) error {
 	t.adj = env.Plan.Adjacency()
 	t.tor, _ = env.Plan.Topo().(*grid.Torus)
 	t.n = n
-	t.counts = sized(t.counts, n*(MaxTrackedValue+1))
+	t.counts = sized(t.counts, n*wrongValues)
 	t.st.Decided = sized(t.st.Decided, n)
 	t.st.Value = sized(t.st.Value, n)
 	t.st.Decided[env.Source] = true
@@ -163,11 +167,11 @@ func (t *ThresholdInstance) Deliver(slot int, ds []radio.Delivery, hooks *Hooks,
 			copies = st.Correct[u]
 		} else {
 			st.Wrong[u]++
-			tracked := d.Value
-			if tracked < 0 || tracked > MaxTrackedValue {
-				tracked = MaxTrackedValue
+			tracked := int(d.Value) - int(radio.ValueFalse)
+			if tracked < 0 || tracked >= wrongValues {
+				tracked = wrongValues - 1
 			}
-			idx := int(u)*(MaxTrackedValue+1) + int(tracked)
+			idx := int(u)*wrongValues + tracked
 			t.counts[idx]++
 			copies = t.counts[idx]
 		}

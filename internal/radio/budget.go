@@ -1,16 +1,25 @@
 package radio
 
+import "math"
+
 // Budget tracks the message budget of one node. Energy-constrained nodes
 // in the model have a hard cap on the number of messages they may ever
 // transmit; a negative limit means unlimited (the base station). The zero
-// value is a zero budget.
+// value is a zero budget. Both counts are 32-bit, which halves the
+// per-node budget arrays of a large topology; a limit above MaxInt32
+// saturates, since no run spends that many messages.
 type Budget struct {
-	limit int
-	used  int
+	limit int32
+	used  int32
 }
 
 // NewBudget returns a budget with the given limit; limit < 0 is unlimited.
-func NewBudget(limit int) Budget { return Budget{limit: limit} }
+func NewBudget(limit int) Budget {
+	if limit < 0 {
+		return Unlimited()
+	}
+	return Budget{limit: int32(min(limit, math.MaxInt32))}
+}
 
 // Unlimited returns an unbounded budget (the base station's).
 func Unlimited() Budget { return Budget{limit: -1} }
@@ -30,5 +39,5 @@ func (b *Budget) Left() int {
 	if b.limit < 0 {
 		return -1
 	}
-	return b.limit - b.used
+	return int(b.limit - b.used)
 }

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"math"
 	"testing"
 
 	"bftbcast/internal/grid"
@@ -256,6 +257,19 @@ func TestBudgetUnlimited(t *testing.T) {
 	}
 	if b.Left() >= 0 {
 		t.Fatalf("Left = %d, want negative", b.Left())
+	}
+}
+
+// TestBudgetSaturates pins the 32-bit counts: a limit past MaxInt32
+// saturates instead of wrapping, and a negative one of any size is
+// unlimited.
+func TestBudgetSaturates(t *testing.T) {
+	b := NewBudget(math.MaxInt32 + 5)
+	if !b.TrySpend() || b.Left() != math.MaxInt32-1 {
+		t.Fatalf("Left = %d after one spend of a saturated budget", b.Left())
+	}
+	if b := NewBudget(math.MinInt32 - 5); !b.TrySpend() || b.Left() >= 0 {
+		t.Fatalf("a limit below MinInt32 is not unlimited: Left = %d", b.Left())
 	}
 }
 
