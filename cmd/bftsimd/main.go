@@ -21,20 +21,26 @@
 //	POST /v1/jobs/{id}/cancel    cancel a queued or running job
 //	POST /v1/jobs/{id}/lease     pull the next open range of a sharded
 //	                             job (200 grant, 204 none open now,
-//	                             410 job finished, 409 not sharded)
+//	                             410 job finished, 409 not sharded);
+//	                             waits while only the daemon's own
+//	                             executors hold what is left
 //	POST /v1/jobs/{id}/partial   deliver a completed range's records
 //	GET  /v1/jobs/{id}/aggregate raw aggregate state bytes
 //	GET  /healthz                liveness
 //
 // Every job runs the same way: the daemon's own -workers executors lease
-// the ranges of every job in submission order, and ?sharded=1 only lets
-// outside workers pull too. A plain submission waits in submission order
-// for the -inflight window, in ranges sized from the grid. A sharded one
-// skips the queue and serves leases at once, to the executors and to any
-// number of outside workers: `bftsimd -worker -coordinator URL` is the
-// matching pull worker, and `-workers -1` leaves sharded jobs to them
-// alone. Either way the coordinator folds ranges in global point order,
-// so the final aggregate is byte-identical however the work was spread.
+// the ranges of every job, and ?sharded=1 only lets outside workers pull
+// too. A plain submission waits in submission order for the -inflight
+// window, in ranges sized from the grid; the executors serve the plain
+// jobs in the window before any sharded one, since outside workers can
+// serve only the latter. A sharded submission skips the queue and serves
+// leases at once, to the executors and to any number of outside workers:
+// `bftsimd -worker -coordinator URL` is the matching pull worker, and
+// `-workers -1` leaves sharded jobs to them alone (plain jobs submitted
+// to such a daemon queue and checkpoint but run only once a daemon with
+// executors reopens its -dir). Either way the coordinator folds ranges
+// in global point order, so the final aggregate is byte-identical
+// however the work was spread.
 // Outside leases carry deadlines: a worker that dies mid-range simply
 // lets its lease expire and the range is re-issued (points are
 // deterministic and idempotent).
@@ -98,7 +104,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		addr         = fs.String("addr", "127.0.0.1:8580", "listen address (port 0 picks a free port)")
 		dir          = fs.String("dir", "bftsimd-jobs", "checkpoint directory; reopening resumes its jobs")
 		engineName   = fs.String("engine", "fast", "execution backend: fast | ref | actor")
-		workers      = fs.Int("workers", 0, "in-process executors leasing the ranges of every job, plain or sharded (0 = NumCPU, -1 = none: sharded jobs go to pull workers only); in -worker mode, the sweep pool of one leased range")
+		workers      = fs.Int("workers", 0, "in-process executors leasing the ranges of every job, plain or sharded (0 = NumCPU, -1 = none: sharded jobs go to pull workers only, plain jobs queue but never run); in -worker mode, the sweep pool of one leased range")
 		queue        = fs.Int("queue", 64, "non-sharded jobs that may wait for their first range; beyond it submissions get 503")
 		inflight     = fs.Int("inflight", 1, "admission window: the first N non-sharded jobs in submission order are leasable")
 		ckptEvery    = fs.Int("checkpoint-every", 64, "checkpoint cadence in completed points")
@@ -262,7 +268,9 @@ func (s *server) health(w http.ResponseWriter, r *http.Request) {
 
 // submit validates and enqueues a grid document. Validation failures
 // are the client's fault (400, typed through bftbcast.ErrBadSpec);
-// a full queue and a draining daemon are backpressure (503).
+// a full queue and a draining daemon are backpressure (503). A plain
+// job accepted by a daemon started with -workers -1 only queues: it runs
+// once a daemon with executors reopens the same -dir.
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
@@ -343,10 +351,11 @@ func (s *server) cancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // lease grants the next open range of a sharded job: 200 with a
-// LeaseGrant, 204 when nothing is open right now (poll again — an
-// expiring lease may reopen a range), 410 when the job is terminal,
+// LeaseGrant, 204 when outside leases hold everything left (poll again —
+// an expiring lease may reopen a range), 410 when the job is terminal,
 // 409 for a job only the daemon's own executors lease, 503 while
-// draining.
+// draining. While only the daemon's executors hold what is left, the
+// request waits for them: at most one range's run.
 func (s *server) lease(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Worker string `json:"worker"`

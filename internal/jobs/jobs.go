@@ -3,8 +3,9 @@
 // workers lease ranges, run them and hand back per-point records, and
 // the job folds completed ranges into a constant-memory aggregate
 // strictly in point order, publishing each record to live subscribers
-// as it folds. The manager's own Workers executors lease every job in
-// submission order; a sharded job differs only in that external pull
+// as it folds. The manager's own Workers executors lease every job: the
+// plain jobs in the admission window first, then the sharded ones, each
+// in submission order. A sharded job differs only in that external pull
 // workers may lease it too, and in skipping the queue. Plain
 // submissions queue in order behind a bounded in-flight window with
 // submit-time backpressure, and every job keeps one checkpoint file:
@@ -140,6 +141,7 @@ type Job struct {
 	pending    map[int][]PointRecord
 	leases     map[int]*lease
 	leaseSeq   uint64
+	released   *sync.Cond // on mu: a range folded or the job stopped serving; see leaseJob
 	topo       bftbcast.Topology
 	sinceCkpt  int       // points completed since the last mid-run checkpoint
 	lastCkpt   time.Time // when that checkpoint (or the submission's) was taken

@@ -39,10 +39,11 @@ type Config struct {
 	// Engine executes the points (nil means bftbcast.EngineFast).
 	Engine bftbcast.Engine
 	// Workers is the manager's one in-process executor pool: its
-	// executors lease ranges of every live job, plain or sharded, in
-	// submission order (0 means NumCPU). Negative means none — a pure
-	// coordinator: outside workers alone lease its sharded jobs, and its
-	// plain jobs queue and checkpoint but never run.
+	// executors lease ranges of every live job, the plain ones in the
+	// admission window before the sharded ones (0 means NumCPU; see
+	// nextLease). Negative means none — a pure coordinator: outside
+	// workers alone lease its sharded jobs, and its plain jobs queue and
+	// checkpoint but never run until a manager with executors reopens Dir.
 	Workers int
 	// MaxQueue bounds the non-sharded jobs waiting for their first
 	// range; Submit fails with ErrQueueFull beyond it (<= 0 means 64).
@@ -284,6 +285,7 @@ func (m *Manager) openRanges(job *Job) {
 	job.cursor = stats.NewRangeCursor(job.total, job.opts.LeasePoints)
 	job.pending = make(map[int][]PointRecord)
 	job.leases = make(map[int]*lease)
+	job.released = sync.NewCond(&job.mu)
 	job.ctx, job.cancel = context.WithCancel(m.baseCtx)
 	job.lastCkpt = m.now()
 	job.state = StateQueued
@@ -544,6 +546,7 @@ func (m *Manager) parkJob(job *Job) {
 func (j *Job) stopServingLocked() {
 	j.closeSubsLocked()
 	j.cursor.Pending, j.pending, j.leases, j.topo = nil, nil, nil, nil
+	j.released.Broadcast()
 }
 
 // checkpointJob atomically persists the job's current record. Callers

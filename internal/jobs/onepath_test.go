@@ -465,9 +465,11 @@ func TestInProcessLeaseNeverExpires(t *testing.T) {
 // submission order, so the second job's first point starts only once the
 // first has no open range left — and it does start while the first is
 // still running, which MaxRunning 1 would forbid. At MaxRunning 1 a
-// sharded job sits outside the window: submitted first, the executors
-// drain it before a later plain job; submitted after a plain job, the
-// executors stay on the plain one while an outside lease serves it.
+// sharded job sits outside the window, and executors take it only when
+// no plain job in the window has an open range: submitted first, it
+// yields its open range to a later plain job and an outside lease takes
+// that range; submitted after a plain job, the executors stay on the
+// plain one while an outside lease serves it.
 func TestAdmissionWindowOrder(t *testing.T) {
 	seedsOf := func(grid *bftbcast.GridSpec) map[uint64]bool {
 		scs, err := grid.Scenarios(0, grid.NPoints())
@@ -552,23 +554,30 @@ func TestAdmissionWindowOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		waitFor(t, "two points of the sharded job started", func() bool { return len(eng.startOrder()) == 2 })
 		plain, err := m.Submit(grid2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "two points of the sharded job started", func() bool { return len(eng.startOrder()) == 2 })
+		// The freed executor takes the plain job, not the sharded job's
+		// open last range.
 		eng.tokens <- struct{}{}
-		waitFor(t, "the sharded job's last point started", func() bool { return len(eng.startOrder()) == 3 })
-		if st := plain.Status().State; st != StateQueued {
-			t.Fatalf("the plain job is %q while the sharded one still had an open range", st)
+		waitFor(t, "a third point started", func() bool { return len(eng.startOrder()) == 3 })
+		if st := plain.Status().State; st != StateRunning {
+			t.Fatalf("the plain job is %q while the sharded one had an open range", st)
 		}
-		eng.tokens <- struct{}{}
-		waitFor(t, "the plain job's first point started", func() bool { return len(eng.startOrder()) == 4 })
-		checkOrder(t, eng, grid1, 3, grid2)
+		g, err := m.Lease(sharded.ID(), "outside")
+		if err != nil || g.Lo != 2 {
+			t.Fatalf("outside lease = %+v, %v; want the sharded job's last range", g, err)
+		}
 		for i := 0; i < 4; i++ {
 			eng.tokens <- struct{}{}
 		}
+		if err := m.CompleteLease(sharded.ID(), Partial{LeaseID: g.LeaseID, Worker: "outside", Lo: g.Lo, Hi: g.Hi, Points: runGrant(t, g)}); err != nil {
+			t.Fatal(err)
+		}
 		waitDone(t, sharded, plain)
+		checkOrder(t, eng, grid1, 2, grid2)
 	})
 
 	t.Run("plain first", func(t *testing.T) {

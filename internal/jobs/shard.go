@@ -13,8 +13,8 @@ import (
 
 var (
 	// ErrNoWork tells a leasing worker the job has no open range right
-	// now — everything is folded, pending or leased. Poll again later
-	// (HTTP 204): an expiring lease may reopen a range.
+	// now — everything is folded, pending or under outside leases. Poll
+	// again later (HTTP 204): an expiring lease may reopen a range.
 	ErrNoWork = errors.New("jobs: no open range")
 	// ErrJobDone tells a leasing worker the job reached a terminal state
 	// and will never hand out work again (HTTP 410).
@@ -109,7 +109,8 @@ func (m *Manager) lookup(jobID string) (*Job, error) {
 
 // Lease issues the next open range of a sharded job to worker. It
 // reclaims expired leases first, so a died worker's range is re-issued
-// here, lazily, with no background scan.
+// here, lazily, with no background scan. When only the manager's own
+// executors hold what is left, it waits for them (see leaseJob).
 func (m *Manager) Lease(jobID, worker string) (LeaseGrant, error) {
 	job, err := m.lookup(jobID)
 	if err != nil {
@@ -118,28 +119,47 @@ func (m *Manager) Lease(jobID, worker string) (LeaseGrant, error) {
 	return m.leaseJob(job, worker, false)
 }
 
-// leaseJob grants one range of job to worker, or a sentinel error.
+// leaseJob grants one range of job to worker, or a sentinel error. An
+// outside asker that finds no open range while an executor of this
+// manager holds one waits for it (such a lease never expires and ends
+// within a range's run) instead of taking ErrNoWork: ErrNoWork means
+// outside leases hold the rest, and a lone outside worker ends on
+// ErrJobDone with the job done.
 func (m *Manager) leaseJob(job *Job, worker string, inProcess bool) (LeaseGrant, error) {
 	now := m.now()
 	job.mu.Lock()
 	defer job.mu.Unlock()
-	if job.state.Terminal() {
-		return LeaseGrant{}, ErrJobDone
-	}
-	if job.ctx.Err() != nil {
-		return LeaseGrant{}, ErrClosed
-	}
-	for lo, l := range job.leases {
-		if !l.inProcess && now.After(l.deadline) {
-			delete(job.leases, lo)
+	var lo int
+	for {
+		if job.state.Terminal() {
+			return LeaseGrant{}, ErrJobDone
 		}
-	}
-	lo, ok := job.cursor.NextOpen(func(lo int) bool {
-		_, held := job.leases[lo]
-		return held
-	})
-	if !ok {
-		return LeaseGrant{}, ErrNoWork
+		if job.ctx.Err() != nil {
+			return LeaseGrant{}, ErrClosed
+		}
+		held := false // by an executor of this manager
+		for lo, l := range job.leases {
+			switch {
+			case l.inProcess:
+				held = true
+			case now.After(l.deadline):
+				delete(job.leases, lo)
+			}
+		}
+		var ok bool
+		if lo, ok = job.cursor.NextOpen(func(lo int) bool {
+			_, held := job.leases[lo]
+			return held
+		}); ok {
+			break
+		}
+		// The last fold leaves the job complete until finishJob makes it
+		// terminal: an outside asker waits that out too.
+		if inProcess || !held && !job.cursor.Complete() {
+			return LeaseGrant{}, ErrNoWork
+		}
+		job.released.Wait()
+		now = m.now()
 	}
 	hi, _ := job.cursor.Bounds(lo)
 	job.leaseSeq++
@@ -205,6 +225,7 @@ func (m *Manager) completeLease(job *Job, p Partial) error {
 		return fmt.Errorf("%w: %v", ErrBadPartial, err)
 	}
 	delete(job.leases, p.Lo)
+	job.released.Broadcast()
 	job.cursor.MarkPending(p.Lo)
 	job.pending[p.Lo] = p.Points
 	job.sinceCkpt += len(p.Points)
@@ -287,25 +308,31 @@ func (m *Manager) runExecutor(worker string) {
 }
 
 // nextLease blocks until a live job grants a range, or the manager
-// closes. The scan walks the live list in submission order: a plain job
-// is leasable inside the admission window (the first MaxRunning plain
-// jobs), a sharded one always. Scanning under m.mu makes scan-then-wait
-// atomic against every event that can open work — a submission, a job
-// leaving the window, the tick — since each broadcasts under m.mu.
+// closes. It scans the plain jobs in the admission window (the first
+// MaxRunning) before the sharded ones, each in submission order: outside
+// workers may serve a sharded job, a plain one has only these executors.
+// Scanning under m.mu makes scan-then-wait atomic against every event
+// that can open work — a submission, a job leaving the window, the tick
+// — since each broadcasts under m.mu.
 func (m *Manager) nextLease(worker string) (*Job, LeaseGrant, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for !m.closed {
 		window := m.cfg.MaxRunning
-		for _, job := range m.live {
-			if !job.sharded {
-				if window == 0 {
+		for _, sharded := range [...]bool{false, true} {
+			for _, job := range m.live {
+				if job.sharded != sharded {
 					continue
 				}
-				window--
-			}
-			if grant, err := m.leaseJob(job, worker, true); err == nil {
-				return job, grant, true
+				if !sharded {
+					if window == 0 {
+						break
+					}
+					window--
+				}
+				if grant, err := m.leaseJob(job, worker, true); err == nil {
+					return job, grant, true
+				}
 			}
 		}
 		m.wake.Wait()

@@ -401,6 +401,124 @@ func TestExpiredOutsideLeaseFoldsInProcess(t *testing.T) {
 	}
 }
 
+// TestOutsideLeaseWaitsForExecutors pins what an outside Lease answers
+// when the only unfinished range of a sharded job is held by one of the
+// manager's own executors: not ErrNoWork, since that lease never expires,
+// but — after waiting for it — ErrJobDone, with the job already done. So a
+// lone outside worker that leases until nothing is left finds the job
+// done and its aggregate final. The wait ends on ErrNoWork when an outside
+// lease holds what is left, and on ErrClosed across a drain.
+func TestOutsideLeaseWaitsForExecutors(t *testing.T) {
+	// start opens a one-executor manager on a two-range sharded job, takes
+	// one range as an outside worker and returns once the executor is
+	// running the other; tokens let that range finish.
+	start := func(t *testing.T, seed uint64) (*Manager, *Job, LeaseGrant, chan struct{}) {
+		t.Helper()
+		var counter pointCounter
+		tokens := make(chan struct{}, 2)
+		m, err := Open(Config{
+			Dir: t.TempDir(), Workers: 1, Observe: counter.observe,
+			Engine: &throttleEngine{inner: bftbcast.EngineFast, tokens: tokens},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := m.SubmitSharded(smallGrid(seed, 4), ShardOptions{LeasePoints: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := m.Lease(job.ID(), "outside")
+		if err != nil {
+			t.Fatal(err)
+		}
+		other := 2 - g.Lo
+		waitFor(t, "the executor running the other range", func() bool { return counter.count(job.ID(), other) == 1 })
+		return m, job, g, tokens
+	}
+	type answer struct {
+		err   error
+		state State
+	}
+	// lease asks for a range in the background and, once answered, reads
+	// the job's state.
+	lease := func(t *testing.T, m *Manager, job *Job) chan answer {
+		t.Helper()
+		res := make(chan answer, 1)
+		go func() {
+			_, err := m.Lease(job.ID(), "outside")
+			res <- answer{err, job.Status().State}
+		}()
+		select {
+		case a := <-res:
+			t.Fatalf("Lease answered %v while an executor held the last range", a.err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		return res
+	}
+	await := func(t *testing.T, res chan answer) answer {
+		t.Helper()
+		select {
+		case a := <-res:
+			return a
+		case <-time.After(10 * time.Second):
+			t.Fatal("the waiting Lease never returned")
+		}
+		return answer{}
+	}
+
+	grid := smallGrid(46, 4)
+	want := controlAggregate(t, grid)
+	m, job, g, tokens := start(t, 46)
+	defer mustClose(t, m)
+	if err := m.CompleteLease(job.ID(), Partial{LeaseID: g.LeaseID, Worker: "outside", Lo: g.Lo, Hi: g.Hi, Points: runGrant(t, g)}); err != nil {
+		t.Fatal(err)
+	}
+	res := lease(t, m, job)
+	tokens <- struct{}{}
+	tokens <- struct{}{}
+	if a := await(t, res); !errors.Is(a.err, ErrJobDone) || a.state != StateDone {
+		t.Fatalf("the waiting Lease answered %v with the job %q, want ErrJobDone with it done", a.err, a.state)
+	}
+	got, err := job.AggregateJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("aggregate diverged:\n%s\nvs\n%s", got, want)
+	}
+
+	// When the executor's range folds while an outside lease still holds
+	// the other, the wait ends on ErrNoWork: what is left may expire.
+	t.Run("outside lease left", func(t *testing.T) {
+		m, job, g, tokens := start(t, 48)
+		defer mustClose(t, m)
+		res := lease(t, m, job)
+		tokens <- struct{}{}
+		tokens <- struct{}{}
+		if a := await(t, res); !errors.Is(a.err, ErrNoWork) || a.state != StateRunning {
+			t.Fatalf("the waiting Lease answered %v with the job %q, want ErrNoWork with it running", a.err, a.state)
+		}
+		if err := m.CompleteLease(job.ID(), Partial{LeaseID: g.LeaseID, Worker: "outside", Lo: g.Lo, Hi: g.Hi, Points: runGrant(t, g)}); err != nil {
+			t.Fatal(err)
+		}
+		if st := job.Status().State; st != StateDone {
+			t.Fatalf("job %q after its last partial", st)
+		}
+	})
+
+	t.Run("drain", func(t *testing.T) {
+		m, job, g, _ := start(t, 47)
+		if err := m.CompleteLease(job.ID(), Partial{LeaseID: g.LeaseID, Worker: "outside", Lo: g.Lo, Hi: g.Hi, Points: runGrant(t, g)}); err != nil {
+			t.Fatal(err)
+		}
+		res := lease(t, m, job)
+		mustClose(t, m)
+		if a := await(t, res); !errors.Is(a.err, ErrClosed) {
+			t.Fatalf("the waiting Lease answered %v across a drain, want ErrClosed", a.err)
+		}
+	})
+}
+
 // TestShardedCrashResume kills a coordinator holding a half-sharded
 // grid — folded prefix, an out-of-order pending range in the reorder
 // buffer, one range leased-but-unfinished, one never leased — and
