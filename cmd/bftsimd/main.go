@@ -30,29 +30,32 @@
 //
 // Every job runs the same way: the daemon's own -workers executors lease
 // the ranges of every job, and ?sharded=1 only lets outside workers pull
-// too. A plain submission waits in submission order for the -inflight
-// window, in ranges sized from the grid; the executors serve the plain
-// jobs in the window before any sharded one, since outside workers can
-// serve only the latter. A sharded submission skips the queue and serves
-// leases at once, to the executors and to any number of outside workers:
-// `bftsimd -worker -coordinator URL` is the matching pull worker, and
-// `-workers -1` leaves sharded jobs to them alone (plain jobs submitted
-// to such a daemon queue and checkpoint but run only once a daemon with
-// executors reopens its -dir). Either way the coordinator folds ranges
-// in global point order, so the final aggregate is byte-identical
-// however the work was spread.
+// too. The executors serve the plain jobs before the sharded ones, each
+// in submission order, since outside workers can serve only the latter;
+// an executor moves to a later job only when every earlier one has no
+// open range. Plain jobs are cut into ranges sized from the grid, and
+// -queue bounds how many may wait for their first one. A sharded
+// submission skips the queue and serves leases at once, to the
+// executors and to any number of outside workers: `bftsimd -worker
+// -coordinator URL` is the matching pull worker, and `-workers -1`
+// leaves sharded jobs to them alone (plain jobs submitted to such a
+// daemon queue and checkpoint but run only once a daemon with executors
+// reopens its -dir). Either way the coordinator folds ranges in global
+// point order, so the final aggregate is byte-identical however the
+// work was spread.
 // Outside leases carry deadlines: a worker that dies mid-range simply
 // lets its lease expire and the range is re-issued (points are
 // deterministic and idempotent).
 //
-// A pull worker lists jobs only when it holds no grant: at start, and
-// after a lease finds nothing for it (204, 410, 409, 503). Otherwise it
-// stays on one job at two requests per range. While range k runs, one
-// background goroutine posts partial k-1 and then leases range k+1, so
-// the worker holds at most two grants and waits on the wire only when
-// the coordinator is slower than a range. -poll paces the listing alone.
-// On SIGTERM the worker waits for its request in flight and exits; the
-// grant it still holds expires and re-issues.
+// A pull worker is a pool of -workers serial executors, the daemon's own
+// loop over HTTP: each lists jobs only when it holds no grant, then
+// stays on one job, leasing a range, running it on one core and posting
+// its partial, until a lease brings no grant (204, 410, 409, 503). The
+// post and the next lease go out while the following range runs, so an
+// executor holds up to two ranges and waits on the wire only when the
+// coordinator is slower than a range.
+// -poll paces the listing alone. On SIGTERM every executor waits for its
+// request in flight and exits; a grant still held expires and re-issues.
 //
 // SIGTERM/SIGINT drain gracefully: every unfinished job is parked with
 // its folded prefix and its completed ranges checkpointed, and a daemon
@@ -104,9 +107,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		addr         = fs.String("addr", "127.0.0.1:8580", "listen address (port 0 picks a free port)")
 		dir          = fs.String("dir", "bftsimd-jobs", "checkpoint directory; reopening resumes its jobs")
 		engineName   = fs.String("engine", "fast", "execution backend: fast | ref | actor")
-		workers      = fs.Int("workers", 0, "in-process executors leasing the ranges of every job, plain or sharded (0 = NumCPU, -1 = none: sharded jobs go to pull workers only, plain jobs queue but never run); in -worker mode, the sweep pool of one leased range")
+		workers      = fs.Int("workers", 0, "in-process executors leasing the ranges of every job, plain or sharded (0 = NumCPU, -1 = none: sharded jobs go to pull workers only, plain jobs queue but never run); in -worker mode, the executors leasing from -coordinator (<= 0 = NumCPU)")
 		queue        = fs.Int("queue", 64, "non-sharded jobs that may wait for their first range; beyond it submissions get 503")
-		inflight     = fs.Int("inflight", 1, "admission window: the first N non-sharded jobs in submission order are leasable")
 		ckptEvery    = fs.Int("checkpoint-every", 64, "checkpoint cadence in completed points")
 		ckptInterval = fs.Duration("checkpoint-interval", 250*time.Millisecond, "min time between mid-run checkpoint writes (negative = every count)")
 		drainAfter   = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on shutdown")
@@ -146,7 +148,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Engine:             eng,
 		Workers:            *workers,
 		MaxQueue:           *queue,
-		MaxRunning:         *inflight,
 		CheckpointEvery:    *ckptEvery,
 		CheckpointInterval: *ckptInterval,
 		Retain:             *retain,

@@ -212,7 +212,7 @@ func TestHandlerLifecycle(t *testing.T) {
 // and the cancel endpoint on queued and running jobs.
 func TestHandlerBackpressureAndCancel(t *testing.T) {
 	eng := &blockingEngine{release: make(chan struct{})}
-	ts, _ := newTestServer(t, jobs.Config{Engine: eng, Workers: 1, MaxQueue: 1, MaxRunning: 1})
+	ts, _ := newTestServer(t, jobs.Config{Engine: eng, Workers: 1, MaxQueue: 1})
 
 	submit := func() (jobs.Status, int) {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(gridDoc))
@@ -789,18 +789,23 @@ func TestWorkerEvictsFinishedJobs(t *testing.T) {
 	}
 	st := submit()
 
-	w := newWorker(ts.URL, "w-evict", bftbcast.EngineFast, 1)
+	w := newWorker(ts.URL, "w-evict", bftbcast.EngineFast)
 	errs := &syncBuffer{}
 	w.stderr = errs
 	ctx := context.Background()
-	// One pull runs both ranges: the worker stays on the job from lease
-	// to lease, and the lease that ends its run answers 204, not 410.
+	// An outside lease holds the first range, so the worker's run of the
+	// second ends on a lease answered 204, with the job still running.
+	if _, err := mgr.Lease(st.ID, "other"); err != nil {
+		t.Fatal(err)
+	}
 	if worked, err := w.pullOnce(ctx); err != nil || !worked {
 		t.Fatalf("first pull: worked=%v err=%v", worked, err)
 	}
-	waitState(t, ts.URL, st.ID, jobs.StateDone)
 	if w.jobs[st.ID] == nil {
 		t.Fatal("a job's spec and topology are not cached between its leases")
+	}
+	if err := mgr.Cancel(st.ID); err != nil {
+		t.Fatal(err)
 	}
 	if worked, err := w.pullOnce(ctx); err != nil || worked {
 		t.Fatalf("pull with nothing leasable: worked=%v err=%v", worked, err)
@@ -819,7 +824,7 @@ func TestWorkerEvictsFinishedJobs(t *testing.T) {
 	if err := mgr.Cancel(st.ID); err != nil {
 		t.Fatal(err)
 	}
-	w.drive(ctx, g)
+	w.runJob(ctx, g)
 	if len(w.jobs) != 0 {
 		t.Fatalf("worker still caches %d job(s) after a lease answered 410", len(w.jobs))
 	}
@@ -907,6 +912,26 @@ func (e sleepEngine) Name() string { return "sleep" }
 func (e sleepEngine) Run(ctx context.Context, sc *bftbcast.Scenario) (*bftbcast.Report, error) {
 	select {
 	case <-time.After(e.d):
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return bftbcast.EngineFast.Run(ctx, sc)
+}
+
+// gateEngine announces every point it starts on started and runs it on
+// the fast engine only once it takes a token from release, or release
+// is closed.
+type gateEngine struct {
+	started chan struct{}
+	release chan struct{}
+}
+
+func (e *gateEngine) Name() string { return "gate" }
+
+func (e *gateEngine) Run(ctx context.Context, sc *bftbcast.Scenario) (*bftbcast.Report, error) {
+	e.started <- struct{}{}
+	select {
+	case <-e.release:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -1020,11 +1045,49 @@ func TestWorkerPipelineOverlapsPartials(t *testing.T) {
 	}
 }
 
-// TestWorkerShutdownWithQueuedGrant cancels a worker while its partial
-// is in flight and it holds the grant after it: runWorker waits for the
-// post, returns nil and leaks no goroutine; the grant it abandoned
-// expires on the coordinator's clock and re-issues to a second worker,
-// and the job ends on the unsharded run's aggregate bytes.
+// TestWorkerExecutorsOverlapRanges pins that -workers 2 is two executors
+// on one job: on a grid of single-point ranges, points of two different
+// ranges start before either is released. One executor running a range
+// on a two-worker sweep would start only one.
+func TestWorkerExecutorsOverlapRanges(t *testing.T) {
+	const n = 4
+	doc := gridDocSeeds(n)
+	ts, _ := newTestServer(t, jobs.Config{Workers: -1})
+	want := unshardedAggregate(t, doc)
+	st := submitSharded(t, ts.URL, doc, "")
+
+	eng := &gateEngine{started: make(chan struct{}, n), release: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	workerErr := make(chan error, 1)
+	go func() {
+		workerErr <- runWorker(ctx, io.Discard, io.Discard, ts.URL, "w-overlap", eng, 2, 5*time.Millisecond)
+	}()
+	for started := 0; started < 2; started++ {
+		select {
+		case <-eng.started:
+		case <-time.After(10 * time.Second):
+			close(eng.release)
+			t.Fatalf("%d range(s) started before any was released, want 2", started)
+		}
+	}
+	close(eng.release)
+	waitState(t, ts.URL, st.ID, jobs.StateDone)
+	cancel()
+	if err := <-workerErr; err != nil {
+		t.Fatalf("worker exit: %v", err)
+	}
+	if got := getAggregate(t, ts.URL, st.ID); !bytes.Equal(got, want) {
+		t.Fatalf("aggregate of two executors diverged:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestWorkerShutdownWithQueuedGrant cancels a two-executor worker while
+// one executor's partial is in flight and the other holds a grant
+// mid-range: runWorker waits for the post, returns nil and leaks no
+// goroutine; the grant it abandoned expires on the coordinator's clock
+// and re-issues to a second worker, and the job ends on the unsharded
+// run's aggregate bytes.
 func TestWorkerShutdownWithQueuedGrant(t *testing.T) {
 	const n = 8
 	doc := gridDocSeeds(n)
@@ -1049,18 +1112,24 @@ func TestWorkerShutdownWithQueuedGrant(t *testing.T) {
 	http.DefaultClient.CloseIdleConnections()
 	before := runtime.NumGoroutine()
 
+	// One token: the first range started runs, the other parks until
+	// the worker is cancelled.
+	eng := &gateEngine{started: make(chan struct{}, n), release: make(chan struct{}, 1)}
+	eng.release <- struct{}{}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	workerErr := make(chan error, 1)
 	go func() {
-		workerErr <- runWorker(ctx, io.Discard, io.Discard, proxy.URL, "w-stop", bftbcast.EngineFast, 1, 5*time.Millisecond)
+		workerErr <- runWorker(ctx, io.Discard, io.Discard, proxy.URL, "w-stop", eng, 2, 5*time.Millisecond)
 	}()
-	// The first partial is in flight, and the worker already holds the
-	// grant of the range after it.
-	select {
-	case <-held:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the worker never posted a partial")
+	// The first partial is in flight, and the other executor holds the
+	// grant of a range it is running.
+	for _, c := range []chan struct{}{held, eng.started, eng.started} {
+		select {
+		case <-c:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the worker never posted one partial while running another range")
+		}
 	}
 	cancel()
 	select {
@@ -1182,7 +1251,7 @@ func TestWorkerRequestTimeout(t *testing.T) {
 	defer stalled.Close()
 	defer close(release)
 
-	w := newWorker(stalled.URL, "w-timeout", bftbcast.EngineFast, 1)
+	w := newWorker(stalled.URL, "w-timeout", bftbcast.EngineFast)
 	if w.client.Timeout != requestTimeout || requestTimeout <= 0 {
 		t.Fatalf("worker client timeout = %v, want the %v request timeout", w.client.Timeout, requestTimeout)
 	}

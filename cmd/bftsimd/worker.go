@@ -2,41 +2,47 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"bftbcast"
 	"bftbcast/internal/jobs"
 )
 
-// worker is the pull half of the lease protocol. It finds a sharded
-// running job on one coordinator and then works through that job's
-// ranges back to back: it always holds the grant for its next range, and
-// while one range runs it posts the previous range's partial and leases
-// the range after in the background. Specs and compiled topologies are
-// cached per job until the coordinator says the job is over, so
-// consecutive leases of one grid share a plan.
+// worker is the pull half of the lease protocol: a pool of serial
+// executors, each the daemon's own executor loop over HTTP (runJob).
+// Specs and compiled topologies are cached per job, shared by the
+// executors, until the coordinator says the job is over, so consecutive
+// leases of one grid share a plan.
 type worker struct {
-	base    string // coordinator URL, no trailing slash
-	id      string
-	eng     bftbcast.Engine
-	workers int
-	client  *http.Client
-	stderr  io.Writer // where failed requests and ranges are logged
-	// jobs is touched only by the goroutine running the worker loop,
-	// never by the background post+lease.
+	base   string // coordinator URL, no trailing slash
+	id     string
+	eng    bftbcast.Engine
+	client *http.Client
+	stderr io.Writer // where failed requests and ranges are logged
+
+	mu   sync.Mutex
 	jobs map[string]*workerJob
 }
 
+// workerJob is one cached job. once builds it outside w.mu, so a compile
+// stalls only the executors granted the same job; only a job list
+// fetched after added may evict it.
 type workerJob struct {
-	spec *bftbcast.GridSpec
-	tp   bftbcast.Topology
+	once  sync.Once
+	spec  *bftbcast.GridSpec
+	tp    bftbcast.Topology
+	err   error
+	added time.Time
 }
 
 // requestTimeout bounds each list, lease and partial request from
@@ -47,43 +53,53 @@ type workerJob struct {
 // again, and an undelivered partial's lease expires and re-issues.
 const requestTimeout = 30 * time.Second
 
-func newWorker(coordinator, id string, eng bftbcast.Engine, workers int) *worker {
+func newWorker(coordinator, id string, eng bftbcast.Engine) *worker {
 	return &worker{
-		base:    strings.TrimRight(coordinator, "/"),
-		id:      id,
-		eng:     eng,
-		workers: workers,
-		client:  &http.Client{Timeout: requestTimeout},
-		stderr:  io.Discard,
-		jobs:    make(map[string]*workerJob),
+		base:   strings.TrimRight(coordinator, "/"),
+		id:     id,
+		eng:    eng,
+		client: &http.Client{Timeout: requestTimeout},
+		stderr: io.Discard,
+		jobs:   make(map[string]*workerJob),
 	}
 }
 
-// runWorker is the loop behind `bftsimd -worker`: find a job, run its
-// ranges, sleep when no job has one open. It returns nil when ctx fires
-// (a clean SIGTERM exit) — the ranges it still holds simply expire at
-// the coordinator and re-issue, which is safe because every point is
-// deterministic and idempotent.
-func runWorker(ctx context.Context, stdout, stderr io.Writer, coordinator, id string, eng bftbcast.Engine, workers int, poll time.Duration) error {
-	w := newWorker(coordinator, id, eng, workers)
+// runWorker is `bftsimd -worker`: it runs `executors` executors (<= 0
+// means NumCPU), each finding a job, running its ranges and sleeping when
+// no job has one open. It returns nil when ctx fires (a clean SIGTERM
+// exit) and every executor has finished its request in flight — the
+// ranges they still hold simply expire at the coordinator and re-issue,
+// which is safe because every point is deterministic and idempotent.
+func runWorker(ctx context.Context, stdout, stderr io.Writer, coordinator, id string, eng bftbcast.Engine, executors int, poll time.Duration) error {
+	w := newWorker(coordinator, id, eng)
 	w.stderr = stderr
-	fmt.Fprintf(stdout, "bftsimd worker %s pulling from %s\n", id, w.base)
-	for {
-		worked, err := w.pullOnce(ctx)
-		if ctx.Err() != nil {
-			fmt.Fprintf(stdout, "bftsimd worker %s draining\n", id)
-			return nil
-		}
-		w.log(err)
-		if !worked {
-			select {
-			case <-ctx.Done():
-				fmt.Fprintf(stdout, "bftsimd worker %s draining\n", id)
-				return nil
-			case <-time.After(poll):
-			}
-		}
+	if executors <= 0 {
+		executors = runtime.NumCPU()
 	}
+	fmt.Fprintf(stdout, "bftsimd worker %s pulling from %s\n", id, w.base)
+	var wg sync.WaitGroup
+	for range executors {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				worked, err := w.pullOnce(ctx)
+				if ctx.Err() != nil {
+					return
+				}
+				w.log(err)
+				if !worked {
+					select {
+					case <-ctx.Done():
+					case <-time.After(poll):
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	fmt.Fprintf(stdout, "bftsimd worker %s draining\n", id)
+	return nil
 }
 
 func (w *worker) log(err error) {
@@ -94,21 +110,25 @@ func (w *worker) log(err error) {
 
 // pullOnce lists the coordinator's jobs, leases a range from the first
 // sharded running one and runs that job's ranges until no grant is left
-// for this worker; it reports whether it ran any (the caller sleeps
-// otherwise). This is the only place the worker lists jobs.
+// for this executor; it reports whether it ran any (the caller sleeps
+// otherwise). This is the only place an executor lists jobs.
 func (w *worker) pullOnce(ctx context.Context) (bool, error) {
+	listed := time.Now()
 	var list []jobs.Status
-	if err := w.getJSON(ctx, "/v1/jobs", &list); err != nil {
-		return false, err
+	if code, err := w.do(ctx, http.MethodGet, "/v1/jobs", nil, &list); err != nil || code != http.StatusOK {
+		return false, cmp.Or(err, fmt.Errorf("GET /v1/jobs: HTTP %d", code))
 	}
 	leasable := func(st jobs.Status) bool { return st.Sharded && st.State == jobs.StateRunning }
 	// A job that finished, was cancelled or aged out of the list will
-	// never grant again: drop its decoded spec and compiled topology.
-	for id := range w.jobs {
-		if !slices.ContainsFunc(list, func(st jobs.Status) bool { return st.ID == id && leasable(st) }) {
+	// never grant again: drop its decoded spec and compiled topology. An
+	// entry another executor added after this list was asked for stays.
+	w.mu.Lock()
+	for id, wj := range w.jobs {
+		if wj.added.Before(listed) && !slices.ContainsFunc(list, func(st jobs.Status) bool { return st.ID == id && leasable(st) }) {
 			delete(w.jobs, id)
 		}
 	}
+	w.mu.Unlock()
 	for _, st := range list {
 		if !leasable(st) {
 			continue
@@ -118,88 +138,84 @@ func (w *worker) pullOnce(ctx context.Context) (bool, error) {
 			return false, err
 		}
 		if code == http.StatusOK {
-			w.drive(ctx, grant)
+			w.runJob(ctx, grant)
 			return true, nil
 		}
 	}
 	return false, nil
 }
 
-// ahead is what the background half of drive brings back: the outcome
-// of posting the previous range's partial, then of leasing the next
-// range. code is the lease's HTTP status, 0 when none was sent.
-type ahead struct {
-	postErr  error
-	grant    jobs.LeaseGrant
-	code     int
-	leaseErr error
-}
-
-// drive runs one job's ranges back to back, starting with g. While a
-// range runs, a single background goroutine posts the partial of the
-// range before it and then leases a range to run next, so the worker
-// waits on the wire only when the coordinator is slower than a range;
-// there is never more than one such goroutine, and posts go out in range
-// order. drive returns — to discovery — once a lease brings back no
-// grant (204, 410, 409, 503 or an error), after posting the range in
-// hand. A failed range is posted at once and stops the lookahead: the
-// coordinator fails the job on it. When ctx fires, drive waits for the
-// request in flight and abandons the grant it holds.
-func (w *worker) drive(ctx context.Context, g jobs.LeaseGrant) {
-	next := w.postThenLease(ctx, g.JobID, nil)
+// runJob runs one job's ranges back to back on one core, starting with
+// g. While a range runs, one background request posts the range before
+// it and then leases the range after, so the core waits on the wire only
+// when the coordinator is slower than a range. runJob returns once a
+// lease brings no grant (204, 410, 409, 503 or an error), after posting
+// the range in hand, or after posting a failed range: a point error is
+// deterministic, and the coordinator fails the job on it. A spec this
+// worker cannot build, or a shutdown, abandons the grants held: their
+// leases expire and re-issue. On shutdown runJob waits for the request
+// in flight and logs nothing the shutdown caused.
+func (w *worker) runJob(ctx context.Context, g jobs.LeaseGrant) {
+	jobID := g.JobID
+	type leased struct {
+		postErr, leaseErr error
+		grant             jobs.LeaseGrant
+		code              int
+	}
+	postThenLease := func(p *jobs.Partial) <-chan leased {
+		out := make(chan leased, 1)
+		go func() {
+			var l leased
+			if p != nil {
+				l.postErr = w.postPartial(ctx, jobID, *p)
+			}
+			if ctx.Err() == nil {
+				l.grant, l.code, l.leaseErr = w.lease(ctx, jobID)
+			}
+			out <- l
+		}()
+		return out
+	}
+	next := postThenLease(nil)
 	for {
-		p, err := w.execute(ctx, g)
-		a := <-next
+		p := jobs.Partial{LeaseID: g.LeaseID, Worker: w.id, Lo: g.Lo, Hi: g.Hi}
+		wj, err := w.job(g)
+		if err == nil {
+			if p.Points, err = jobs.RunRange(ctx, w.eng, 1, jobID, wj.spec, wj.tp, g.Lo, g.Hi, nil); err != nil && ctx.Err() == nil {
+				p.Err, err = err.Error(), nil
+			}
+		}
+		l := <-next
 		if ctx.Err() != nil {
 			return
 		}
-		w.log(a.postErr)
-		w.log(a.leaseErr)
-		if a.code == http.StatusGone {
-			delete(w.jobs, g.JobID)
+		w.log(l.postErr)
+		w.log(l.leaseErr)
+		if l.code == http.StatusGone {
+			w.mu.Lock()
+			delete(w.jobs, jobID)
+			w.mu.Unlock()
 		}
 		if err != nil {
-			// The range never ran; its lease expires and re-issues.
 			w.log(err)
 			return
 		}
-		if p.Err != "" || a.code != http.StatusOK {
-			w.log(w.postPartial(ctx, g.JobID, p))
+		if p.Err != "" || l.code != http.StatusOK {
+			w.log(w.postPartial(ctx, jobID, p))
 			return
 		}
-		g = a.grant
-		next = w.postThenLease(ctx, g.JobID, &p)
+		g = l.grant
+		next = postThenLease(&p)
 	}
-}
-
-// postThenLease starts the background half of drive: post p (when not
-// nil), then — unless ctx has fired — lease the job's next range. It
-// touches no worker state but the HTTP client.
-func (w *worker) postThenLease(ctx context.Context, jobID string, p *jobs.Partial) <-chan ahead {
-	out := make(chan ahead, 1)
-	go func() {
-		var a ahead
-		if p != nil {
-			a.postErr = w.postPartial(ctx, jobID, *p)
-		}
-		if ctx.Err() == nil {
-			a.grant, a.code, a.leaseErr = w.lease(ctx, jobID)
-		}
-		out <- a
-	}()
-	return out
 }
 
 // lease asks the coordinator for a range of one job and answers the HTTP
 // status. The no-work answers (204 empty, 410 finished, 409/503 not
-// leasable now) are not errors — the worker just moves on.
+// leasable now) are not errors — the executor just moves on.
 func (w *worker) lease(ctx context.Context, jobID string) (jobs.LeaseGrant, int, error) {
-	body, err := json.Marshal(map[string]string{"worker": w.id})
-	if err != nil {
-		return jobs.LeaseGrant{}, 0, err
-	}
+	body, _ := json.Marshal(map[string]string{"worker": w.id}) // a string map always encodes
 	var grant jobs.LeaseGrant
-	code, err := w.post(ctx, "/v1/jobs/"+jobID+"/lease", body, &grant)
+	code, err := w.do(ctx, http.MethodPost, "/v1/jobs/"+jobID+"/lease", body, &grant)
 	if err != nil {
 		return grant, 0, err
 	}
@@ -211,35 +227,26 @@ func (w *worker) lease(ctx context.Context, jobID string) (jobs.LeaseGrant, int,
 	}
 }
 
-// execute runs one granted range into its partial. A point error goes
-// into the partial (the coordinator fails the job — the error is
-// deterministic, every worker would hit it); a shutdown mid-range or a
-// spec this worker cannot build is an error, and the lease is abandoned.
-func (w *worker) execute(ctx context.Context, g jobs.LeaseGrant) (jobs.Partial, error) {
+// job returns the cached spec and topology of g's job, decoding and
+// compiling them on the job's first grant. Executors granted one new job
+// build it once; the others never wait for the compile.
+func (w *worker) job(g jobs.LeaseGrant) (*workerJob, error) {
+	w.mu.Lock()
 	wj := w.jobs[g.JobID]
 	if wj == nil {
-		spec, err := bftbcast.DecodeGridSpec(g.Spec)
-		if err != nil {
-			return jobs.Partial{}, fmt.Errorf("lease %s spec: %w", g.LeaseID, err)
-		}
-		tp, err := bftbcast.NewTopology(spec.Base.Topology)
-		if err != nil {
-			return jobs.Partial{}, fmt.Errorf("lease %s topology: %w", g.LeaseID, err)
-		}
-		wj = &workerJob{spec: spec, tp: tp}
+		wj = &workerJob{added: time.Now()}
 		w.jobs[g.JobID] = wj
 	}
-	recs, err := jobs.RunRange(ctx, w.eng, w.workers, g.JobID, wj.spec, wj.tp, g.Lo, g.Hi, nil)
-	p := jobs.Partial{LeaseID: g.LeaseID, Worker: w.id, Lo: g.Lo, Hi: g.Hi}
-	if err != nil {
-		if ctx.Err() != nil {
-			return p, err
+	w.mu.Unlock()
+	wj.once.Do(func() {
+		if wj.spec, wj.err = bftbcast.DecodeGridSpec(g.Spec); wj.err == nil {
+			wj.tp, wj.err = bftbcast.NewTopology(wj.spec.Base.Topology)
 		}
-		p.Err = err.Error()
-	} else {
-		p.Points = recs
-	}
-	return p, nil
+		if wj.err != nil {
+			wj.err = fmt.Errorf("job %s: %w", g.JobID, wj.err)
+		}
+	})
+	return wj, wj.err
 }
 
 // postPartial delivers a completed range, retrying transient failures;
@@ -261,7 +268,7 @@ func (w *worker) postPartial(ctx context.Context, jobID string, p jobs.Partial) 
 			case <-time.After(time.Duration(attempt) * 500 * time.Millisecond):
 			}
 		}
-		code, err := w.post(context.WithoutCancel(ctx), "/v1/jobs/"+jobID+"/partial", body, nil)
+		code, err := w.do(context.WithoutCancel(ctx), http.MethodPost, "/v1/jobs/"+jobID+"/partial", body, nil)
 		if err != nil {
 			last = err
 			continue
@@ -279,24 +286,10 @@ func (w *worker) postPartial(ctx context.Context, jobID string, p jobs.Partial) 
 	return last
 }
 
-func (w *worker) getJSON(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: HTTP %d", path, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func (w *worker) post(ctx context.Context, path string, body []byte, out any) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path, bytes.NewReader(body))
+// do sends one request and answers its HTTP status, decoding a 200
+// answer's body into out when out is not nil.
+func (w *worker) do(ctx context.Context, method, path string, body []byte, out any) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, method, w.base+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // checkpoint is the on-disk record of one job: identity, lifecycle
-// state, the verbatim grid document (so a restarted daemon re-expands
+// state, the job's encoded grid document (so a restarted daemon re-expands
 // the exact same point list), the constant-size aggregate whose Done
 // field is the fold cursor, and the range state around it. One JSON
 // file per job, replaced atomically, so a crash between writes leaves

@@ -4,12 +4,13 @@
 // the job folds completed ranges into a constant-memory aggregate
 // strictly in point order, publishing each record to live subscribers
 // as it folds. The manager's own Workers executors lease every job: the
-// plain jobs in the admission window first, then the sharded ones, each
-// in submission order. A sharded job differs only in that external pull
-// workers may lease it too, and in skipping the queue. Plain
-// submissions queue in order behind a bounded in-flight window with
-// submit-time backpressure, and every job keeps one checkpoint file:
-// the fold cursor, the aggregate and the ranges completed ahead of it.
+// plain jobs first, then the sharded ones, each in submission order, so
+// an executor moves to a later job only when every earlier one has no
+// open range. A sharded job differs only in that external pull workers
+// may lease it too, and in skipping the queue. Plain submissions wait
+// in a bounded queue with submit-time backpressure, and every job keeps
+// one checkpoint file: the fold cursor, the aggregate and the ranges
+// completed ahead of it.
 //
 // The resume guarantee rests on two deterministic layers beneath this
 // package: a GridSpec always expands to the same point list (so a
@@ -161,7 +162,7 @@ type Job struct {
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
 
-// Spec returns the job's grid document verbatim.
+// Spec returns the job's grid document, the one its grants carry.
 func (j *Job) Spec() json.RawMessage { return j.specJSON }
 
 // Status snapshots the job.

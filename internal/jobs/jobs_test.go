@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -105,7 +106,7 @@ func mustClose(t *testing.T, m *Manager) {
 // freeing a slot, and ErrClosed after drain.
 func TestManagerFIFOAndBackpressure(t *testing.T) {
 	eng := &gateEngine{tokens: make(chan struct{}, 16)}
-	m, err := Open(Config{Dir: t.TempDir(), Engine: eng, Workers: 1, MaxQueue: 2, MaxRunning: 1})
+	m, err := Open(Config{Dir: t.TempDir(), Engine: eng, Workers: 1, MaxQueue: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,25 +440,26 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunWorkersFieldAcceptedAndIgnored is the wire-compatibility check
-// for the retired "run_workers" scenario field: stored grid documents may
-// still carry it, DecodeGridSpec rejects unknown fields and Open refuses a
-// directory holding an undecodable spec, so the field must keep decoding.
-// A document with "run_workers": 4 decodes, a checkpoint holding it is
-// parked mid-job, reopened and resumed, and its final aggregate equals
-// that of the same grid without the field. A negative value is still a
-// bad limit.
-func TestRunWorkersFieldAcceptedAndIgnored(t *testing.T) {
+// TestStoredRunWorkersSpecReopens is the compatibility check for the
+// retired "run_workers" scenario field. A client document carrying it is
+// refused like any unknown field, but checkpoints written while it was
+// accepted may still hold it: a job parked with it in its stored spec
+// reopens, the spec its grants carry decodes strictly (runGrant decodes
+// it as an outside worker does), and the final aggregate equals that of
+// the grid without the field.
+func TestStoredRunWorkersSpecReopens(t *testing.T) {
 	const points = 8
 	doc := []byte(`{"base":{"topology":{"kind":"torus","w":15,"h":15,"r":2},"t":1,"mf":2,
-		"adversary":"random","density":0.08,"run_workers":4,"seed":31},"seeds":8}`)
+		"adversary":"random","density":0.08,"seed":31},"seeds":8}`)
 	grid, err := bftbcast.DecodeGridSpec(doc)
 	if err != nil {
-		t.Fatalf("grid document carrying run_workers: %v", err)
+		t.Fatal(err)
 	}
-	bad := bytes.Replace(doc, []byte(`"run_workers":4`), []byte(`"run_workers":-1`), 1)
-	if _, err := bftbcast.DecodeGridSpec(bad); !errors.Is(err, bftbcast.ErrBadLimits) {
-		t.Fatalf("run_workers -1: got %v, want ErrBadLimits", err)
+	withField := func(b []byte) []byte {
+		return bytes.Replace(b, []byte(`"seed":31`), []byte(`"run_workers":4,"seed":31`), 1)
+	}
+	if _, err := bftbcast.DecodeGridSpec(withField(doc)); !errors.Is(err, bftbcast.ErrBadSpec) {
+		t.Fatalf("client document carrying run_workers: got %v, want ErrBadSpec", err)
 	}
 
 	dir := t.TempDir()
@@ -474,13 +476,25 @@ func TestRunWorkersFieldAcceptedAndIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := m1.Submit(grid)
+	job, err := m1.SubmitSharded(grid, ShardOptions{LeasePoints: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "some checkpointed progress", func() bool { return job.Status().Aggregate.Done >= 2 })
 	mustClose(t, m1)
 
+	// Store the parked record as a daemon that accepted the field would have.
+	path := checkpointPath(dir, job.ID())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(data, []byte(`"seed":31`)); n != 1 {
+		t.Fatalf("checkpoint holds the spec's seed %d times", n)
+	}
+	if err := os.WriteFile(path, withField(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cps, err := readCheckpoints(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -490,11 +504,36 @@ func TestRunWorkersFieldAcceptedAndIgnored(t *testing.T) {
 		t.Fatalf("parked checkpoint is not a mid-job record carrying run_workers: %+v spec=%s", cps[0], cps[0].Spec)
 	}
 
-	m2, err := Open(Config{Dir: dir, Workers: 2})
+	// Only run_workers is forgiven: a stored spec with any other unknown
+	// field still refuses to reopen.
+	other := t.TempDir()
+	if err := os.WriteFile(checkpointPath(other, job.ID()),
+		bytes.Replace(data, []byte(`"seed":31`), []byte(`"future_field":4,"seed":31`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := Open(Config{Dir: other, Workers: -1}); err == nil {
+		mustClose(t, m)
+		t.Fatal("reopening a directory whose spec carries an unknown field other than run_workers succeeded")
+	}
+
+	m2, err := Open(Config{Dir: dir, Workers: -1})
 	if err != nil {
 		t.Fatalf("reopening a directory whose spec carries run_workers: %v", err)
 	}
 	defer mustClose(t, m2)
+	for {
+		g, err := m2.Lease(job.ID(), "outside")
+		if errors.Is(err, ErrJobDone) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Partial{LeaseID: g.LeaseID, Worker: "outside", Lo: g.Lo, Hi: g.Hi, Points: runGrant(t, g)}
+		if err := m2.CompleteLease(job.ID(), p); err != nil {
+			t.Fatal(err)
+		}
+	}
 	resumed, err := m2.Get(job.ID())
 	if err != nil {
 		t.Fatal(err)
@@ -506,12 +545,7 @@ func TestRunWorkersFieldAcceptedAndIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	plain, err := bftbcast.DecodeGridSpec(bytes.Replace(doc, []byte(`"run_workers":4,`), nil, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := controlAggregate(t, plain); !bytes.Equal(got, want) {
+	if want := controlAggregate(t, grid); !bytes.Equal(got, want) {
 		t.Fatalf("aggregate with run_workers differs from the one without:\n%s\nvs\n%s", got, want)
 	}
 }

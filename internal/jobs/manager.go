@@ -39,8 +39,8 @@ type Config struct {
 	// Engine executes the points (nil means bftbcast.EngineFast).
 	Engine bftbcast.Engine
 	// Workers is the manager's one in-process executor pool: its
-	// executors lease ranges of every live job, the plain ones in the
-	// admission window before the sharded ones (0 means NumCPU; see
+	// executors lease ranges of every live job, the plain ones before the
+	// sharded ones, each in submission order (0 means NumCPU; see
 	// nextLease). Negative means none — a pure coordinator: outside
 	// workers alone lease its sharded jobs, and its plain jobs queue and
 	// checkpoint but never run until a manager with executors reopens Dir.
@@ -48,10 +48,6 @@ type Config struct {
 	// MaxQueue bounds the non-sharded jobs waiting for their first
 	// range; Submit fails with ErrQueueFull beyond it (<= 0 means 64).
 	MaxQueue int
-	// MaxRunning bounds the admission window: only the first MaxRunning
-	// non-sharded jobs in submission order are leasable (<= 0 means 1:
-	// strict FIFO).
-	MaxRunning int
 	// CheckpointEvery is the checkpoint cadence in completed points
 	// (<= 0 means 64). A crash recomputes the ranges in flight plus at
 	// most this many completed points.
@@ -94,9 +90,6 @@ func (c *Config) fill() error {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 64
 	}
-	if c.MaxRunning <= 0 {
-		c.MaxRunning = 1
-	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 64
 	}
@@ -131,8 +124,7 @@ type Manager struct {
 	jobs map[string]*Job
 	// live holds the non-terminal jobs in submission order. It is the
 	// queue (MaxQueue counts its non-sharded entries still waiting for a
-	// first range), the admission window (its first MaxRunning
-	// non-sharded entries are leasable) and the executors' scan list.
+	// first range) and the executors' scan list.
 	live    []*Job
 	nextSeq uint64
 	closed  bool
@@ -210,6 +202,22 @@ func Open(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
+// decodeStoredSpec decodes a checkpoint's grid document as strictly as a
+// client's once the one retired field a stored spec may carry,
+// base.run_workers, is dropped — from the returned document too, which
+// outside workers decode strictly. Any other unknown field still fails:
+// a newer daemon's record must not resume under other point semantics.
+func decodeStoredSpec(doc json.RawMessage) (*bftbcast.GridSpec, json.RawMessage, error) {
+	var top, base map[string]json.RawMessage
+	if json.Unmarshal(doc, &top) == nil && json.Unmarshal(top["base"], &base) == nil && base["run_workers"] != nil {
+		delete(base, "run_workers")
+		top["base"], _ = json.Marshal(base)
+		doc, _ = json.Marshal(top)
+	}
+	spec, err := bftbcast.DecodeGridSpec(doc)
+	return spec, doc, err
+}
+
 // restoreJob rebuilds a job from its checkpoint. A terminal record loads
 // as it is. A non-terminal one gets its range state back: the fold
 // cursor at the aggregate's offset plus the out-of-order completed
@@ -220,7 +228,7 @@ func (m *Manager) restoreJob(cp *checkpoint) (*Job, error) {
 	if cp.Aggregate == nil {
 		cp.Aggregate = NewAggregate()
 	}
-	spec, err := bftbcast.DecodeGridSpec(cp.Spec)
+	spec, doc, err := decodeStoredSpec(cp.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: checkpoint %s holds an invalid spec: %w", cp.ID, err)
 	}
@@ -244,7 +252,7 @@ func (m *Manager) restoreJob(cp *checkpoint) (*Job, error) {
 		id:       cp.ID,
 		seq:      cp.Seq,
 		spec:     spec,
-		specJSON: append(json.RawMessage(nil), cp.Spec...),
+		specJSON: append(json.RawMessage(nil), doc...),
 		total:    total,
 		sharded:  !sc.Local,
 		opts:     ShardOptions{LeasePoints: sc.LeasePoints, LeaseTTL: time.Duration(sc.LeaseTTLMS) * time.Millisecond},
@@ -317,7 +325,7 @@ func (m *Manager) tick() {
 
 // Submit validates the grid, persists it as a queued checkpoint and
 // puts it on the live list for the manager's own Workers executors:
-// they lease its ranges once it is inside the admission window. The
+// they lease its ranges once every earlier plain job has none open. The
 // spec document is re-encoded and owned by the job; the caller's
 // GridSpec is not retained. Fails with ErrQueueFull when MaxQueue jobs
 // are already waiting and ErrClosed on a draining manager; validation
@@ -329,9 +337,9 @@ func (m *Manager) Submit(spec *bftbcast.GridSpec) (*Job, error) {
 
 // SubmitSharded validates and persists a grid like Submit, but opens
 // its ranges to external workers too: the job bypasses the queue and
-// the admission window and immediately serves leases, over the lease
-// endpoints and to the Workers executors alike. It completes when the
-// last range folds, whoever ran the ranges.
+// immediately serves leases, over the lease endpoints and to the
+// Workers executors alike. It completes when the last range folds,
+// whoever ran the ranges.
 func (m *Manager) SubmitSharded(spec *bftbcast.GridSpec, opts ShardOptions) (*Job, error) {
 	return m.submit(spec, opts, true)
 }
@@ -512,8 +520,6 @@ func (m *Manager) finishJob(job *Job, state State, runErr error) {
 	if i := slices.Index(m.live, job); i >= 0 {
 		m.live = slices.Delete(m.live, i, i+1)
 	}
-	// The admission window moved: the next queued job may be leasable.
-	m.wake.Broadcast()
 	m.mu.Unlock()
 	// The terminal checkpoint is best-effort: the in-memory state is
 	// already final, and a write failure here must not wedge the job or

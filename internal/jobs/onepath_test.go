@@ -460,16 +460,14 @@ func TestInProcessLeaseNeverExpires(t *testing.T) {
 	}
 }
 
-// TestAdmissionWindowOrder pins how live jobs share two executors. With
-// MaxRunning 2, two plain jobs are both leasable, but executors scan in
-// submission order, so the second job's first point starts only once the
-// first has no open range left — and it does start while the first is
-// still running, which MaxRunning 1 would forbid. At MaxRunning 1 a
-// sharded job sits outside the window, and executors take it only when
-// no plain job in the window has an open range: submitted first, it
-// yields its open range to a later plain job and an outside lease takes
-// that range; submitted after a plain job, the executors stay on the
-// plain one while an outside lease serves it.
+// TestAdmissionWindowOrder pins how live jobs share two executors.
+// Executors scan plain jobs in submission order, so the second job's
+// first point starts only once the first has no open range left — and it
+// does start while the first is still running. A sharded job is scanned
+// after every plain one: submitted first, it yields its open range to a
+// later plain job and an outside lease takes that range; submitted after
+// a plain job, the executors stay on the plain one while an outside
+// lease serves it.
 func TestAdmissionWindowOrder(t *testing.T) {
 	seedsOf := func(grid *bftbcast.GridSpec) map[uint64]bool {
 		scs, err := grid.Scenarios(0, grid.NPoints())
@@ -507,7 +505,7 @@ func TestAdmissionWindowOrder(t *testing.T) {
 	}
 
 	eng := &gateEngine{tokens: make(chan struct{}, 8)}
-	m, err := Open(Config{Dir: t.TempDir(), Engine: eng, Workers: 2, MaxRunning: 2})
+	m, err := Open(Config{Dir: t.TempDir(), Engine: eng, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +533,7 @@ func TestAdmissionWindowOrder(t *testing.T) {
 	waitFor(t, "job 2's first point started", func() bool { return len(eng.startOrder()) == 4 })
 	checkOrder(t, eng, grid1, 3, grid2)
 	if s1, s2 := j1.Status().State, j2.Status().State; s1 != StateRunning || s2 != StateRunning {
-		t.Fatalf("states %q / %q, want both running inside a window of two", s1, s2)
+		t.Fatalf("states %q / %q, want both running", s1, s2)
 	}
 	for i := 0; i < 4; i++ {
 		eng.tokens <- struct{}{}
@@ -544,7 +542,7 @@ func TestAdmissionWindowOrder(t *testing.T) {
 
 	t.Run("sharded first", func(t *testing.T) {
 		eng := &gateEngine{tokens: make(chan struct{}, 8)}
-		m, err := Open(Config{Dir: t.TempDir(), Engine: eng, Workers: 2, MaxRunning: 1})
+		m, err := Open(Config{Dir: t.TempDir(), Engine: eng, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -582,7 +580,7 @@ func TestAdmissionWindowOrder(t *testing.T) {
 
 	t.Run("plain first", func(t *testing.T) {
 		eng := &gateEngine{tokens: make(chan struct{}, 8)}
-		m, err := Open(Config{Dir: t.TempDir(), Engine: eng, Workers: 2, MaxRunning: 1})
+		m, err := Open(Config{Dir: t.TempDir(), Engine: eng, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -308,27 +308,21 @@ func (m *Manager) runExecutor(worker string) {
 }
 
 // nextLease blocks until a live job grants a range, or the manager
-// closes. It scans the plain jobs in the admission window (the first
-// MaxRunning) before the sharded ones, each in submission order: outside
-// workers may serve a sharded job, a plain one has only these executors.
-// Scanning under m.mu makes scan-then-wait atomic against every event
-// that can open work — a submission, a job leaving the window, the tick
-// — since each broadcasts under m.mu.
+// closes. It scans the plain jobs before the sharded ones, each in
+// submission order: outside workers may serve a sharded job, a plain one
+// has only these executors. A freed executor thus stays on the earliest
+// plain job with an open range, and moves to the next one only when
+// that job has none. Scanning under m.mu makes scan-then-wait atomic
+// against every event that can open work — a submission, the tick —
+// since each broadcasts under m.mu.
 func (m *Manager) nextLease(worker string) (*Job, LeaseGrant, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for !m.closed {
-		window := m.cfg.MaxRunning
 		for _, sharded := range [...]bool{false, true} {
 			for _, job := range m.live {
 				if job.sharded != sharded {
 					continue
-				}
-				if !sharded {
-					if window == 0 {
-						break
-					}
-					window--
 				}
 				if grant, err := m.leaseJob(job, worker, true); err == nil {
 					return job, grant, true

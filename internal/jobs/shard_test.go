@@ -673,7 +673,9 @@ func TestCancelQueuedNeverStarted(t *testing.T) {
 		return bftbcast.BaseObserver{}
 	}
 	dir := t.TempDir()
-	m, err := Open(Config{Dir: dir, Engine: eng, Observe: observe})
+	// One executor, held by the blocker: a free one would lease the
+	// second job's range as soon as it is submitted.
+	m, err := Open(Config{Dir: dir, Engine: eng, Workers: 1, Observe: observe})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,14 +188,6 @@ func (p *Plan) Size() int { return p.n }
 // Adjacency returns the shared CSR adjacency.
 func (p *Plan) Adjacency() *radio.Adjacency { return p.adj }
 
-// Neighbors returns the neighbor list of id in the topology's
-// deterministic iteration order (shared storage, read-only).
-func (p *Plan) Neighbors(id grid.NodeID) []grid.NodeID { return p.adj.Neighbors(id) }
-
-// Degree returns the number of neighbors of id (the open ball size; the
-// closed ball is Degree+1).
-func (p *Plan) Degree(id grid.NodeID) int { return p.adj.Degree(id) }
-
 // MaxDegree returns the largest degree over all nodes.
 func (p *Plan) MaxDegree() int { return p.maxDegree }
 

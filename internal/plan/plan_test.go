@@ -46,10 +46,10 @@ func TestPlanConformance(t *testing.T) {
 			for i := 0; i < n; i++ {
 				id := grid.NodeID(i)
 				want := tp.AppendNeighbors(nil, id)
-				if got := p.Neighbors(id); !slices.Equal(got, want) {
+				if got := p.Adjacency().Neighbors(id); !slices.Equal(got, want) {
 					t.Fatalf("node %d: CSR row %v, walk %v", i, got, want)
 				}
-				if got := p.Degree(id); got != len(want) {
+				if got := p.Adjacency().Degree(id); got != len(want) {
 					t.Fatalf("node %d: plan degree %d, topology %d", i, got, len(want))
 				}
 				sorted := slices.Clone(want)
@@ -269,7 +269,7 @@ func TestPlanCacheEvictionReleases(t *testing.T) {
 func TestPlanColoringError(t *testing.T) {
 	tor := grid.MustNew(16, 15, 2) // 16 not divisible by 2r+1=5
 	p := Compute(tor)
-	if p.Neighbors(0) == nil {
+	if p.Adjacency().Neighbors(0) == nil {
 		t.Fatal("adjacency missing on coloring failure")
 	}
 	gotErr := p.ColoringErr()

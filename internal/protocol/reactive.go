@@ -642,7 +642,7 @@ func (e *reactiveInstance) armedNeighbor(sender grid.NodeID) grid.NodeID {
 	if e.armed[sender] == 0 {
 		return grid.None
 	}
-	for _, nb := range e.env.Plan.Neighbors(sender) {
+	for _, nb := range e.adj.Neighbors(sender) {
 		if e.env.Bad[nb] && e.budget[nb].Left() != 0 {
 			return nb
 		}

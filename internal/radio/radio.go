@@ -228,18 +228,6 @@ func (m *Medium) nextEpoch() int32 {
 	return m.epoch
 }
 
-// Neighbors returns the flattened neighbor list of id, in the
-// topology's deterministic iteration order. The slice aliases the
-// shared CSR storage and must not be modified; the simulation engine
-// shares it for its own neighbor walks instead of building a second
-// copy of the adjacency.
-func (m *Medium) Neighbors(id grid.NodeID) []grid.NodeID {
-	return m.adj.Neighbors(id)
-}
-
-// Adjacency returns the shared CSR adjacency the Medium resolves on.
-func (m *Medium) Adjacency() *Adjacency { return m.adj }
-
 // ResetStats clears the accumulated statistics so the Medium can be
 // reused for a fresh run on the same topology. The per-slot scratch state
 // is epoch-stamped and needs no clearing.

@@ -171,10 +171,11 @@ type Runner struct {
 	// plan, placement, instance, budgets, sent tallies and slot cap.
 	Frame
 
-	// Per-topology state, rebuilt only when the plan changes. The medium's
-	// scratch is private but its CSR adjacency is the plan's, and it
-	// doubles as the engine's neighbor table. colors aliases the plan's
+	// Per-topology state, rebuilt only when the plan changes. adj is the
+	// plan's CSR adjacency, the engine's neighbor table; the medium
+	// resolves on it with private scratch. colors aliases the plan's
 	// (read-only) coloring.
+	adj    *radio.Adjacency
 	medium *radio.Medium
 	colors []int32 // TDMA color per node (shared, read-only)
 
@@ -257,7 +258,8 @@ func NewRunner() *Runner {
 // previous topology was at least as big.
 func (r *Runner) retarget() {
 	p := r.Plan
-	r.medium = radio.NewMediumShared(p.Adjacency())
+	r.adj = p.Adjacency()
+	r.medium = radio.NewMediumShared(r.adj)
 	r.colors = p.Colors()
 	n := p.Size()
 	r.pending = resized(r.pending, n)
@@ -323,26 +325,20 @@ func (r *Runner) bindBuiltin(env protocol.Env, spec core.Spec) (protocol.Instanc
 	return r.builtin, nil
 }
 
-// neighbors returns the flattened neighbor list of id (the medium's CSR
-// adjacency, shared read-only).
-func (r *Runner) neighbors(id grid.NodeID) []grid.NodeID {
-	return r.medium.Neighbors(id)
-}
-
 // initLive starts every live counter at the node's good-neighbor count:
 // its degree, less one per bad neighbor — debited from the bad side, so
 // only the bad nodes' rows are walked, and each bad node is out from the
 // start. Settlements take it from there (see addPending).
 func (r *Runner) initLive() {
 	for i := range r.live {
-		r.live[i] = int32(len(r.neighbors(grid.NodeID(i))))
+		r.live[i] = int32(r.adj.Degree(grid.NodeID(i)))
 	}
 	for i, b := range r.Bad {
 		if !b {
 			continue
 		}
 		r.out[i] = true
-		for _, nb := range r.neighbors(grid.NodeID(i)) {
+		for _, nb := range r.adj.Neighbors(grid.NodeID(i)) {
 			r.live[nb]--
 		}
 	}
@@ -376,7 +372,7 @@ func (r *Runner) addPending(id grid.NodeID, n int) {
 		// every neighbor.
 		supply, live, pending := r.supply, r.live, r.pending
 		retiring := r.ledger != nil
-		for _, nb := range r.neighbors(id) {
+		for _, nb := range r.adj.Neighbors(id) {
 			supply[nb] += credit
 			live[nb]--
 			if live[nb] == 0 && retiring && pending[nb] > 0 {
@@ -384,7 +380,7 @@ func (r *Runner) addPending(id grid.NodeID, n int) {
 			}
 		}
 	case credit > 0:
-		for _, nb := range r.neighbors(id) {
+		for _, nb := range r.adj.Neighbors(id) {
 			r.supply[nb] += credit
 		}
 	}
@@ -499,7 +495,7 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := r.Begin(cfg, r.bindBuiltin); err != nil {
 		return nil, err
 	}
-	if r.medium == nil || r.medium.Adjacency() != r.Plan.Adjacency() {
+	if r.adj != r.Plan.Adjacency() {
 		r.retarget()
 	} else {
 		r.reset()
@@ -507,7 +503,7 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 	r.trackSupply = cfg.Strategy != nil
 	if r.trackSupply {
 		r.view = adversary.View{
-			Topo: cfg.Topo, Adj: r.medium.Adjacency(),
+			Topo: cfg.Topo, Adj: r.adj,
 			Bad: r.Bad, Decided: r.St.Decided, Correct: r.St.Correct, Supply: r.supply,
 			Budget: r.BadBudget, Reach: r.Reach, Threshold: r.Inst.Threshold(),
 		}
@@ -662,7 +658,7 @@ func (r *Runner) consumePending(id grid.NodeID) {
 	r.colorPending[r.colors[id]]--
 	r.pendingTotal--
 	if !r.frontier && r.supplies[id] {
-		for _, nb := range r.neighbors(id) {
+		for _, nb := range r.adj.Neighbors(id) {
 			r.supply[nb]--
 		}
 	}
@@ -678,7 +674,7 @@ func (r *Runner) dropPending(id grid.NodeID) {
 	r.colorPending[r.colors[id]] -= int64(p)
 	r.pendingTotal -= int64(p)
 	if r.supplies[id] {
-		for _, nb := range r.neighbors(id) {
+		for _, nb := range r.adj.Neighbors(id) {
 			r.supply[nb] -= p
 		}
 	}
@@ -734,7 +730,7 @@ func (r *Runner) bookSlot(slot int, txs []radio.Tx) (heard bool, err error) {
 		if txs[i].Value == radio.ValueNone {
 			return false, fmt.Errorf("sim: transmission from %d carries ValueNone", txs[i].From)
 		}
-		if !heard && len(r.neighbors(txs[i].From)) > 0 {
+		if !heard && r.adj.Degree(txs[i].From) > 0 {
 			heard = true
 		}
 	}
@@ -765,7 +761,7 @@ func (r *Runner) resolveFrontier(txs []radio.Tx) (heard bool, err error) {
 			live = append(live, txs[i])
 		case txs[i].Value == radio.ValueNone:
 			return false, fmt.Errorf("sim: transmission from %d is not a plain good transmission", from)
-		case !heard && len(r.neighbors(from)) > 0:
+		case !heard && r.adj.Degree(from) > 0:
 			heard = true
 		}
 	}

@@ -37,7 +37,7 @@ func (r *Runner) CheckLive() error {
 			return fmt.Errorf("slot %d: node %d is settled but not a decided good node", r.curSlot, i)
 		}
 		var want int32
-		for _, nb := range r.neighbors(grid.NodeID(i)) {
+		for _, nb := range r.adj.Neighbors(grid.NodeID(i)) {
 			if !r.Bad[nb] && !st.Settled[nb] {
 				want++
 			}

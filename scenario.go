@@ -155,8 +155,7 @@ var (
 	ErrBadParams = errors.New("bftbcast: bad scenario Params")
 	// ErrBadSource rejects a source node outside the topology.
 	ErrBadSource = errors.New("bftbcast: scenario source out of range")
-	// ErrBadLimits rejects a negative MaxSlots (or, in a ScenarioSpec, a
-	// negative run_workers).
+	// ErrBadLimits rejects a negative MaxSlots.
 	ErrBadLimits = errors.New("bftbcast: negative scenario limit")
 	// ErrBadProtocol rejects an unknown ProtocolID, or a Strategy on
 	// ProtocolReactive (whose adversary acts through Reactive.Policy).

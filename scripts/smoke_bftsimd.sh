@@ -5,8 +5,9 @@
 # long-running job, run a sharded grid on the daemon's own executors
 # alone, shard the same grid across two separate pull-worker processes
 # on a second coordinator that runs no executors (-workers -1), killing
-# one worker mid-grid to force its leases — up to two, the range it runs
-# and the one it holds next — to re-issue, require both sharded
+# one worker mid-grid to force its leases — up to four: each of its
+# -workers 2 executors runs one range and holds the next — to re-issue,
+# require both sharded
 # aggregates to be byte-identical to the plain run and the surviving
 # worker to have logged no partial error, then SIGTERM both daemons and
 # require clean drains (exit 0, drain notice in the log). The CI
@@ -155,15 +156,15 @@ SID="$(curl -fsS -X POST --data-binary "$GRID" \
   "$BASE2/v1/jobs?sharded=1&lease_points=4&lease_ttl=2s" | job_id)"
 [ -n "$SID" ] || { echo "smoke_bftsimd: sharded submit returned no job id" >&2; exit 1; }
 
-"$DIR/bftsimd" -worker -coordinator "$BASE2" -worker-id w1 -poll 50ms >"$DIR/w1.log" 2>&1 &
+"$DIR/bftsimd" -worker -coordinator "$BASE2" -worker-id w1 -workers 2 -poll 50ms >"$DIR/w1.log" 2>&1 &
 W1=$!
-"$DIR/bftsimd" -worker -coordinator "$BASE2" -worker-id w2 -poll 50ms >"$DIR/w2.log" 2>&1 &
+"$DIR/bftsimd" -worker -coordinator "$BASE2" -worker-id w2 -workers 2 -poll 50ms >"$DIR/w2.log" 2>&1 &
 W2=$!
 
 # Kill worker 1 as soon as the grid has made progress but is not done:
-# the leases it holds (the range it runs and, with its one range of
-# lookahead, the next) are abandoned and must re-issue after their 2s
-# TTL for the job to ever finish.
+# the leases it holds (up to two ranges per executor: the one running
+# and the one leased ahead) are abandoned and must re-issue after their
+# 2s TTL for the job to ever finish.
 i=0
 while [ $i -lt 600 ]; do
   DONE="$(curl -fsS "$BASE2/v1/jobs/$SID" | sed -n 's/.*"done": \([0-9]*\).*/\1/p' | head -n 1)"

@@ -53,11 +53,6 @@ type ScenarioSpec struct {
 	Broadcasts int `json:"broadcasts,omitempty"`
 	// MaxSlots is the Scenario run limit.
 	MaxSlots int `json:"max_slots,omitempty"`
-	// RunWorkers is accepted and ignored: it selected an in-run parallel
-	// path whose results were bit-identical for every value, and stored
-	// checkpoints may still carry it. A negative value is still rejected
-	// (ErrBadLimits).
-	RunWorkers int `json:"run_workers,omitempty"`
 	// Seed drives the engine randomness, the adversary placement and —
 	// through deterministic derivation — every replica of a GridSpec.
 	Seed uint64 `json:"seed,omitempty"`
@@ -88,9 +83,6 @@ func (s *ScenarioSpec) scenarioOn(tp Topology, t, mf int, density float64, broad
 		// bad axis value classifies as ErrBadParams, not as whichever
 		// constructor tripped over it first.
 		return nil, fmt.Errorf("%w: %w: %w", ErrBadSpec, ErrBadParams, err)
-	}
-	if s.RunWorkers < 0 {
-		return nil, fmt.Errorf("%w: %w: run_workers %d must be >= 0", ErrBadSpec, ErrBadLimits, s.RunWorkers)
 	}
 	sc := &Scenario{
 		Topo:       tp,
