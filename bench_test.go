@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"bftbcast"
-	"bftbcast/internal/actor"
 	"bftbcast/internal/auedcode"
 	"bftbcast/internal/exper"
 	"bftbcast/internal/sim"
@@ -326,30 +325,6 @@ func BenchmarkProtocolBRun(b *testing.B) {
 			Placement: bftbcast.RandomPlacement{T: 3, Density: 0.1, Seed: 7},
 			Strategy:  bftbcast.NewCorruptor(),
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Completed {
-			b.Fatal("broadcast failed")
-		}
-	}
-}
-
-// BenchmarkActorRun measures the goroutine-per-node runtime on the same
-// workload, fault-free.
-func BenchmarkActorRun(b *testing.B) {
-	tor, err := bftbcast.NewTorus(20, 20, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := bftbcast.Params{R: 2, T: 3, MF: 2}
-	spec, err := bftbcast.NewProtocolB(params)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := actor.RunContext(context.Background(), sim.Config{Topo: tor, Params: params, Spec: spec})
 		if err != nil {
 			b.Fatal(err)
 		}

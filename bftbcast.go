@@ -28,8 +28,8 @@
 // # API layering
 //
 // A backend-neutral Scenario (topology, fault model, protocol,
-// adversary, seed, limits) is executed by an Engine — one of the three
-// backends EngineFast, EngineRef, EngineActor — into a unified Report; an Observer streams slot/send/deliver/decide events;
+// adversary, seed, limits) is executed by an Engine — one of the two
+// backends EngineFast, EngineRef — into a unified Report; an Observer streams slot/send/deliver/decide events;
 // Sweep runs many Scenarios over a deterministic worker pool with a
 // streaming results channel. See DESIGN.md §8.
 //

@@ -81,30 +81,6 @@ func TestFacadeReactive(t *testing.T) {
 	}
 }
 
-func TestFacadeActor(t *testing.T) {
-	tor, err := bftbcast.NewTorus(15, 15, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := bftbcast.Params{R: 1, T: 0, MF: 0}
-	spec, err := bftbcast.NewProtocolB(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := bftbcast.NewScenario(
-		bftbcast.WithTopology(tor), bftbcast.WithParams(params), bftbcast.WithSpec(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := bftbcast.EngineActor.Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Completed || rep.Engine != "actor" || rep.Sim == nil {
-		t.Fatalf("actor run failed: %+v", rep)
-	}
-}
-
 func TestFacadeCode(t *testing.T) {
 	c, err := bftbcast.NewCode(64, 1024, 4, 4096)
 	if err != nil {

@@ -1,16 +1,13 @@
 package bftbcast_test
 
-// Context-cancellation coverage for all four engines: a pre-cancelled
+// Context-cancellation coverage for every engine: a pre-cancelled
 // context and an expired deadline return promptly with ctx.Err() before
 // the scenario runs; an Observer-triggered cancel interrupts the run
-// mid-flight deterministically (no timing dependence); and the actor
-// backend tears its node goroutines down on the way out (counting
-// check; the suite runs under -race in CI).
+// mid-flight deterministically (no timing dependence).
 
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -18,7 +15,7 @@ import (
 )
 
 // runCase is one (engine, protocol) cell of the cancellation and observer
-// tests: the three backends on the threshold protocol, plus the reactive
+// tests: the backends on the threshold protocol, plus the reactive
 // protocol on the fast engine.
 type runCase struct {
 	name   string
@@ -63,13 +60,11 @@ func cancelScenario(t *testing.T, name string) *bftbcast.Scenario {
 			bftbcast.WithTopology(tor),
 			bftbcast.WithParams(params),
 			bftbcast.WithSpec(spec),
-		)
-		if name != "actor" {
-			opts = append(opts, bftbcast.WithAdversary(
+			bftbcast.WithAdversary(
 				bftbcast.RandomPlacement{T: 2, Density: 0.05, Seed: 5},
 				bftbcast.NewCorruptor(),
-			))
-		}
+			),
+		)
 	}
 	sc, err := bftbcast.NewScenario(opts...)
 	if err != nil {
@@ -152,45 +147,5 @@ func midRunCancel(t *testing.T, engine bftbcast.Engine, sc *bftbcast.Scenario) {
 	}
 	if slotStarts < 3 || slotStarts > 4 {
 		t.Fatalf("engine executed %d slots after the cancel point, want <= 1", slotStarts-3)
-	}
-}
-
-// TestActorCancellationNoGoroutineLeak cancels the goroutine-per-node
-// runtime mid-run and checks the goroutine count returns to its
-// baseline: the coordinator must stop and join every node.
-func TestActorCancellationNoGoroutineLeak(t *testing.T) {
-	sc := cancelScenario(t, "actor")
-	before := runtime.NumGoroutine()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	scObs, err := sc.With(bftbcast.WithObserver(bftbcast.FuncObserver{
-		OnSlotStart: func(slot int) {
-			if slot == 3 {
-				cancel()
-			}
-		},
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bftbcast.EngineActor.Run(ctx, scObs); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-
-	// The engine joins its node goroutines before returning, but give
-	// the runtime a few scheduling rounds to retire them before
-	// declaring a leak (400 nodes ran a moment ago).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		after := runtime.NumGoroutine()
-		if after <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before cancel, %d after — node goroutines leaked", before, after)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -39,7 +39,7 @@ func run() error {
 	seed := flag.Uint64("seed", 42, "random seed")
 	workers := flag.Int("workers", 1, "sweep workers of each experiment, and of -sweep (1 = sequential, 0 = NumCPU)")
 	sweepN := flag.Int("sweep", 0, "instead of the experiment suite, run an n-point protocol-B density sweep through the public Sweep API")
-	engineName := flag.String("engine", "fast", "execution backend for -sweep: fast | ref | actor")
+	engineName := flag.String("engine", "fast", "execution backend for -sweep: fast | ref")
 	flag.Parse()
 
 	if *workers <= 0 {
@@ -111,7 +111,7 @@ func runSweep(n int, engineName string, workers int, seed uint64) error {
 	for i := range scenarios {
 		densities[i] = 0.01 * float64(i)
 		opts := []bftbcast.ScenarioOption{bftbcast.WithSeed(seed + uint64(i))}
-		if densities[i] > 0 && engineName != "actor" {
+		if densities[i] > 0 {
 			placement := bftbcast.RandomPlacement{T: params.T, Density: densities[i], Seed: seed + uint64(i)}
 			opts = append(opts, bftbcast.WithAdversary(placement, bftbcast.NewCorruptor()))
 		}

@@ -3,14 +3,13 @@
 // optionally tracing acceptances as JSON Lines.
 //
 // Engine and protocol are orthogonal: -engine picks the execution
-// backend (fast | ref | actor), -protocol picks the node-level state
+// backend (fast | ref), -protocol picks the node-level state
 // machine (b | bheter | koo | full | reactive). The flags fill a
 // bftbcast.ScenarioSpec — the same document bftsimd accepts as JSON — so
 // protocol, adversary and policy names are resolved in one place, and
 // every combination runs through the same Scenario/Engine code path;
-// invalid combinations are rejected with actionable errors (the actor
-// backend is fault-free, the reactive protocol drives its adversary
-// through -policy, …).
+// invalid combinations are rejected with actionable errors (the reactive
+// protocol drives its adversary through -policy, …).
 //
 // Examples:
 //
@@ -18,7 +17,6 @@
 //	bftsim -w 45 -h 45 -r 4 -t 1 -mf 1000 -protocol full -m 59 -adversary figure2
 //	bftsim -protocol reactive -w 15 -h 15 -r 2 -t 1 -mf 3 -policy disrupt
 //	bftsim -engine ref -protocol reactive -topology grid -w 15 -h 15 -r 2 -t 1 -mf 3
-//	bftsim -engine actor -topology grid -w 20 -h 20 -r 2 -t 2 -mf 2
 //	bftsim -engine ref -topology rgg -n 300 -t 1 -mf 2 -adversary random
 //	bftsim -timeout 5s -w 45 -h 45 -r 4 -t 2 -mf 64 -adversary random
 //	bftsim -broadcasts 16 -w 45 -h 45 -r 2 -t 1 -mf 2
@@ -49,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bftsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		engineName = fs.String("engine", "fast", "execution backend: fast | ref | actor")
+		engineName = fs.String("engine", "fast", "execution backend: fast | ref")
 		topology   = fs.String("topology", "torus", "topology: torus | grid (bounded, border effects) | rgg (random geometric graph)")
 		w          = fs.Int("w", 20, "grid width (torus: multiple of 2r+1)")
 		h          = fs.Int("h", 20, "grid height (torus: multiple of 2r+1)")

@@ -26,7 +26,7 @@ func runCLI(t *testing.T, args ...string) (string, string, error) {
 var small = []string{"-w", "15", "-h", "15", "-r", "2", "-t", "1", "-mf", "2"}
 
 func TestEngineProtocolMatrix(t *testing.T) {
-	engines := []string{"fast", "ref", "actor"}
+	engines := []string{"fast", "ref"}
 	protocols := []string{"b", "bheter", "koo", "reactive"}
 	for _, eng := range engines {
 		for _, proto := range protocols {
@@ -89,8 +89,6 @@ func TestInvalidCombinations(t *testing.T) {
 		{"sandwich off-torus", []string{"-adversary", "sandwich", "-topology", "grid"}, "torus construction"},
 		{"figure2 off-torus", []string{"-adversary", "figure2", "-topology", "rgg", "-n", "100", "-t", "1"}, "torus construction"},
 		{"unknown adversary", []string{"-adversary", "gremlin"}, "unknown adversary"},
-		{"actor with adversary", []string{"-engine", "actor", "-adversary", "random"}, "fault-free"},
-		{"strategy adversary on actor via reactive", []string{"-engine", "actor", "-protocol", "reactive", "-adversary", "random"}, "fault-free"},
 		{"broadcasts with reactive", []string{"-protocol", "reactive", "-broadcasts", "4"}, "-broadcasts runs the threshold protocol family"},
 		{"negative broadcasts", []string{"-broadcasts", "-3"}, "Broadcasts"},
 	}
@@ -108,7 +106,7 @@ func TestInvalidCombinations(t *testing.T) {
 // CLI on every engine and checks the multi summary line appears with a
 // strict batching win.
 func TestBroadcastsFlag(t *testing.T) {
-	for _, eng := range []string{"fast", "ref", "actor"} {
+	for _, eng := range []string{"fast", "ref"} {
 		t.Run(eng, func(t *testing.T) {
 			args := append([]string{"-engine", eng, "-broadcasts", "8"}, small...)
 			out, _, err := runCLI(t, args...)
@@ -170,7 +168,6 @@ func TestGoldenOutput(t *testing.T) {
 		"broadcasts8":       "-w 45 -h 45 -r 2 -t 2 -mf 2 -broadcasts 8",
 		"bheter-random":     "-w 15 -h 15 -r 2 -t 1 -mf 2 -protocol bheter -adversary random -seed 3",
 		"koo-ref-random":    "-engine ref -w 15 -h 15 -r 2 -t 1 -mf 2 -protocol koo -adversary random -seed 3",
-		"actor-grid":        "-engine actor -topology grid -w 20 -h 20 -r 2 -t 2 -mf 2",
 	}
 	for name, args := range cases {
 		t.Run(name, func(t *testing.T) {

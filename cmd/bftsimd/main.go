@@ -106,7 +106,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var (
 		addr         = fs.String("addr", "127.0.0.1:8580", "listen address (port 0 picks a free port)")
 		dir          = fs.String("dir", "bftsimd-jobs", "checkpoint directory; reopening resumes its jobs")
-		engineName   = fs.String("engine", "fast", "execution backend: fast | ref | actor")
 		workers      = fs.Int("workers", 0, "in-process executors leasing the ranges of every job, plain or sharded (0 = NumCPU, -1 = none: sharded jobs go to pull workers only, plain jobs queue but never run); in -worker mode, the executors leasing from -coordinator (<= 0 = NumCPU)")
 		queue        = fs.Int("queue", 64, "non-sharded jobs that may wait for their first range; beyond it submissions get 503")
 		ckptEvery    = fs.Int("checkpoint-every", 64, "checkpoint cadence in completed points")
@@ -126,10 +125,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	eng, err := bftbcast.NewEngine(*engineName)
-	if err != nil {
-		return err
-	}
 	if *workerMode {
 		if *coordinator == "" {
 			return errors.New("-worker requires -coordinator URL")
@@ -141,11 +136,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		return runWorker(ctx, stdout, stderr, *coordinator, id, eng, *workers, *poll)
+		return runWorker(ctx, stdout, stderr, *coordinator, id, bftbcast.EngineFast, *workers, *poll)
 	}
 	mgr, err := jobs.Open(jobs.Config{
 		Dir:                *dir,
-		Engine:             eng,
 		Workers:            *workers,
 		MaxQueue:           *queue,
 		CheckpointEvery:    *ckptEvery,

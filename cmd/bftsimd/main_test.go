@@ -762,10 +762,6 @@ func TestRunSignalDrain(t *testing.T) {
 
 // TestRunBadFlags pins the CLI error paths.
 func TestRunBadFlags(t *testing.T) {
-	if err := run(context.Background(), []string{"-engine", "warp", "-dir", t.TempDir()},
-		io.Discard, io.Discard); err == nil {
-		t.Fatal("unknown engine: want an error")
-	}
 	if err := run(context.Background(), []string{"-nope"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unknown flag: want an error")
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"bftbcast/internal/actor"
 	"bftbcast/internal/grid"
 	"bftbcast/internal/protocol"
 	"bftbcast/internal/radio"
@@ -12,20 +11,18 @@ import (
 	"bftbcast/internal/sim/ref"
 )
 
-// Engine executes a backend-neutral Scenario. Three execution backends
-// are provided — EngineFast (the sparse slot-level simulation engine),
-// EngineRef (the dense reference engine, verified bit-identical to
-// EngineFast by the differential oracle) and EngineActor (the
-// goroutine-per-node concurrent runtime, fault-free only) — and each of
-// them drives the Scenario's protocol state machine (Scenario.Protocol):
-// the threshold family from Spec, or the Section 5 reactive protocol.
+// Engine executes a backend-neutral Scenario. Two execution backends
+// are provided — EngineFast (the sparse slot-level simulation engine)
+// and EngineRef (the dense reference engine, verified bit-identical to
+// EngineFast by the differential oracle) — and each of them drives the
+// Scenario's protocol state machine (Scenario.Protocol): the threshold
+// family from Spec, or the Section 5 reactive protocol.
 type Engine interface {
-	// Name identifies the engine ("fast", "ref", "actor").
+	// Name identifies the engine ("fast", "ref").
 	Name() string
 	// Run executes the scenario. Cancellation is cooperative: every
 	// backend checks ctx once per slot and returns ctx.Err() when it
-	// fires, honoring deadlines; the actor backend additionally tears
-	// down its node goroutines before returning.
+	// fires, honoring deadlines.
 	Run(ctx context.Context, sc *Scenario) (*Report, error)
 }
 
@@ -37,17 +34,14 @@ var (
 	// EngineRef is the dense reference engine: slower, deliberately
 	// simple, verified bit-identical to EngineFast.
 	EngineRef Engine = &engine{name: "ref", run: ref.RunContext}
-	// EngineActor is the goroutine-per-node concurrent runtime. It is
-	// fault-free only and rejects scenarios with an adversary.
-	EngineActor Engine = &engine{name: "actor", run: actor.RunContext}
 )
 
 // Engines returns the execution backends.
 func Engines() []Engine {
-	return []Engine{EngineFast, EngineRef, EngineActor}
+	return []Engine{EngineFast, EngineRef}
 }
 
-// NewEngine resolves a backend by name ("fast", "ref", "actor"); it backs
+// NewEngine resolves a backend by name ("fast", "ref"); it backs
 // the -engine flag of cmd/bftsim. The reactive protocol is a Scenario
 // property (WithProtocol(ProtocolReactive), -protocol reactive), not a
 // backend.
@@ -57,7 +51,7 @@ func NewEngine(name string) (Engine, error) {
 			return e, nil
 		}
 	}
-	return nil, fmt.Errorf("bftbcast: unknown engine %q (want fast, ref or actor; the reactive protocol runs on any of them: -protocol reactive, WithProtocol(ProtocolReactive))", name)
+	return nil, fmt.Errorf("bftbcast: unknown engine %q (want fast or ref; the reactive protocol runs on either: -protocol reactive, WithProtocol(ProtocolReactive))", name)
 }
 
 // scenarioMachine resolves the Scenario's protocol selection: nil for
@@ -124,7 +118,7 @@ func simConfig(sc *Scenario) (sim.Config, protocol.Machine) {
 	return cfg, machine
 }
 
-// runFunc is the one contract the three backends implement.
+// runFunc is the one contract the backends implement.
 type runFunc func(context.Context, sim.Config) (*sim.Result, error)
 
 // engine adapts a backend to Engine: normalize, lower, run, lift.

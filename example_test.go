@@ -128,8 +128,7 @@ func ExampleNewScenario() {
 		params.HomogeneousBudget(), spec.Threshold)
 
 	// A Scenario is backend-neutral: the same description also runs on
-	// the dense reference engine (bftbcast.EngineRef) or — without the
-	// adversary — the goroutine-per-node runtime (bftbcast.EngineActor).
+	// the dense reference engine (bftbcast.EngineRef).
 	sc, err := bftbcast.NewScenario(
 		bftbcast.WithTopology(tor),
 		bftbcast.WithParams(params),

@@ -14,11 +14,11 @@
 // multiples of 2r+1; other topologies bring their own coloring.
 //
 // A Plan is computed exactly once per topology and shared by reference:
-// the fast and reference slot engines, the actor runtime, the reactive
-// runtime, the adversary layer and every sweep worker all read the same
-// arrays. Plans are keyed by topology identity (topologies are immutable
-// pointer values), so Scenario.With derivations over one topology hit the
-// cache, and so does every worker of a Sweep.
+// the fast and reference slot engines, the reactive runtime, the
+// adversary layer and every sweep worker all read the same arrays. Plans
+// are keyed by topology identity (topologies are immutable pointer
+// values), so Scenario.With derivations over one topology hit the cache,
+// and so does every worker of a Sweep.
 //
 // Lifetime: the cache retains up to maxCached plans (with their
 // topologies), evicting the oldest beyond that, so hosts that churn

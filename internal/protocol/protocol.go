@@ -1,7 +1,7 @@
 // Package protocol is the single home of the paper's node-level
 // acceptance logic: a pluggable protocol state-machine layer between the
-// execution engines (internal/sim, internal/sim/ref, internal/actor) and
-// the protocols they run.
+// execution engines (internal/sim, internal/sim/ref) and the protocols
+// they run.
 //
 // The paper has two acceptance rules, and each has one owner here:
 // protocol B, Bheter and the Koo baseline count copies against the

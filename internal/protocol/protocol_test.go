@@ -1,7 +1,7 @@
 package protocol_test
 
 // Seam-equality and acceptance-core tests for the protocol layer. The
-// heavyweight differential matrices (fast vs ref vs actor across
+// heavyweight differential matrices (fast vs ref across
 // protocols and topologies) live in the facade's matrix tests; here we
 // pin the foundations they build on: (a) driving the engine through an
 // explicitly attached Threshold machine is bit-identical to the engine's
@@ -14,7 +14,6 @@ import (
 	"reflect"
 	"testing"
 
-	"bftbcast/internal/actor"
 	"bftbcast/internal/adversary"
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
@@ -22,6 +21,7 @@ import (
 	"bftbcast/internal/protocol"
 	"bftbcast/internal/radio"
 	"bftbcast/internal/sim"
+	"bftbcast/internal/sim/ref"
 )
 
 // TestThresholdMachineSeamEquality runs identical configurations through
@@ -61,11 +61,12 @@ func TestThresholdMachineSeamEquality(t *testing.T) {
 	}
 }
 
-// TestBudgetClampParityFastVsActor pins the seam contract that EVERY
+// TestBudgetClampParityFastVsRef pins the seam contract that EVERY
 // engine clamps scheduled sends against Instance.GoodBudget: a spec
-// whose budget is below its send count must produce the same (clamped)
-// emission totals on the fast engine and the machine-driven actor path.
-func TestBudgetClampParityFastVsActor(t *testing.T) {
+// whose budget is below its send count, run through the Threshold
+// machine, must produce the same (clamped) emission totals on the fast
+// and the reference engine.
+func TestBudgetClampParityFastVsRef(t *testing.T) {
 	tor, err := grid.New(12, 12, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -85,18 +86,18 @@ func TestBudgetClampParityFastVsActor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	actRes, err := actor.RunContext(context.Background(), sim.Config{
+	refRes, err := ref.RunContext(context.Background(), sim.Config{
 		Topo: tor, Params: params, Machine: protocol.NewThreshold(tight),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fastRes.GoodMessages != actRes.GoodMessages ||
-		!reflect.DeepEqual(fastRes.Sent, actRes.Sent) ||
-		fastRes.Slots != actRes.Slots {
-		t.Fatalf("budget clamping diverges across engines:\nfast:  msgs=%d slots=%d sent=%v\nactor: msgs=%d slots=%d sent=%v",
+	if fastRes.GoodMessages != refRes.GoodMessages ||
+		!reflect.DeepEqual(fastRes.Sent, refRes.Sent) ||
+		fastRes.Slots != refRes.Slots {
+		t.Fatalf("budget clamping diverges across engines:\nfast: msgs=%d slots=%d sent=%v\nref:  msgs=%d slots=%d sent=%v",
 			fastRes.GoodMessages, fastRes.Slots, fastRes.Sent,
-			actRes.GoodMessages, actRes.Slots, actRes.Sent)
+			refRes.GoodMessages, refRes.Slots, refRes.Sent)
 	}
 	if max := maxOf(fastRes.Sent); max != 1 {
 		t.Fatalf("budget 1 must clamp every node to 1 send, got max %d", max)

@@ -46,7 +46,7 @@
 // trace in the facade tests, and the protocol's guarantees — certified
 // propagation, Theorem 4 message bounds, forgery probability — are
 // asserted on this machine under Sweep, cancellation, observers and the
-// fast/ref/actor differential oracles.
+// fast/ref differential oracles.
 package protocol
 
 import (
@@ -302,7 +302,7 @@ func (e *reactiveInstance) Bootstrap(buf []Send) []Send {
 // counting pass, not a sort: count per sender into the per-node scratch,
 // order the slot's handful of distinct senders, scatter stably into the
 // senders' buckets. A bucket keeps the batch's receiver order, which the
-// fast, reference and actor engines all emit ascending (the order oracle
+// fast and reference engines both emit ascending (the order oracle
 // asserts it on their batches); each round checks that, and the sort
 // behind the check serves only a caller outside those engines.
 //

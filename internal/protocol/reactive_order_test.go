@@ -10,7 +10,6 @@ import (
 	"slices"
 	"testing"
 
-	"bftbcast/internal/actor"
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
 	"bftbcast/internal/plan"
@@ -180,8 +179,8 @@ func (o *orderPairInstance) Finish(slots int) {
 
 // TestReactiveDeliverOrderInvariant feeds every slot's batch of real
 // engine runs to the machine in (From, To) order and in three other
-// orders, under every attack policy, and checks on the way that the fast,
-// reference and actor engines all emit a sender's receivers ascending.
+// orders, under every attack policy, and checks on the way that the fast
+// and reference engines both emit a sender's receivers ascending.
 func TestReactiveDeliverOrderInvariant(t *testing.T) {
 	for _, policy := range []protocol.AttackPolicy{
 		protocol.PolicyDisrupt, protocol.PolicyForge, protocol.PolicyNackSpam, protocol.PolicyMixed,
@@ -203,17 +202,6 @@ func TestReactiveDeliverOrderInvariant(t *testing.T) {
 			}
 		})
 	}
-	t.Run("actor", func(t *testing.T) {
-		cfg, m := reactiveConfig(t, protocol.PolicyDisrupt, 1)
-		pair := &orderPair{t: t, spec: *m}
-		res, err := actor.RunContext(context.Background(), sim.Config{Topo: cfg.Topo, Params: cfg.Params, Machine: pair, Seed: cfg.Seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Completed || len(pair.machines) != len(permutations) {
-			t.Fatalf("the paired actor run did not run (completed %v, %d machines)", res.Completed, len(pair.machines))
-		}
-	})
 }
 
 // TestReactiveUnattackedRoundAllocatesNothing is the allocation contract

@@ -97,13 +97,13 @@
 // # Run frame
 //
 // Everything around a slot loop is written once, in Frame (frame.go), and
-// shared by all three engines — this one, the dense reference loop
-// (internal/sim/ref) and the goroutine-per-node runtime (internal/actor):
-// config validation, the compiled plan and its TDMA schedule, placement
-// and its t-local validation, machine attach, budget seeding, the default
-// slot cap, and the classification of the instance's final State into a
-// Result. What differs between the engines is only the loop and the state
-// it needs, and which instance a Spec run attaches.
+// shared by both engines — this one and the dense reference loop
+// (internal/sim/ref): config validation, the compiled plan and its TDMA
+// schedule, placement and its t-local validation, machine attach, budget
+// seeding, the default slot cap, and the classification of the
+// instance's final State into a Result. What differs between the
+// engines is only the loop and the state it needs, and which instance a
+// Spec run attaches.
 //
 // # Fast path
 //

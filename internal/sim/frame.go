@@ -15,8 +15,7 @@ import (
 
 // Config describes one simulation run. It is the input half of the one
 // contract every engine implements — func(ctx, Config) (*Result, error):
-// RunContext here, ref.RunContext, actor.RunContext (which refuses a
-// Placement or Strategy).
+// RunContext here and ref.RunContext.
 type Config struct {
 	// Topo is the network topology (grid.Torus, topo.Bounded, topo.RGG).
 	Topo   topo.Topology
@@ -123,8 +122,8 @@ type Frame struct {
 
 // Begin prepares a run of cfg. A Config without a Machine runs its Spec
 // through the instance attachSpec returns, which is each engine's own
-// choice: the fast engine's reusable protocol.ThresholdInstance, ref's
-// frozen dense acceptance, the actor's protocol.NewThreshold.
+// choice: the fast engine's reusable protocol.ThresholdInstance or ref's
+// frozen dense acceptance.
 func (f *Frame) Begin(cfg Config, attachSpec func(protocol.Env, core.Spec) (protocol.Instance, error)) error {
 	if cfg.Topo == nil {
 		return errors.New("sim: config needs a topology")

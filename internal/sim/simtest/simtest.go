@@ -6,7 +6,7 @@
 // (package sim) and the dense reference engine (package sim/ref) produce
 // bit-identical Results.
 //
-// It is imported by the test suites of sim, sim/ref, actor and the root
+// It is imported by the test suites of sim, sim/ref and the root
 // package; importing it from non-test code is harmless but pulls in the
 // reference engine.
 package simtest
@@ -71,7 +71,7 @@ func CheckInvariants(t testing.TB, cfg sim.Config, res *sim.Result) {
 
 // Safety checks a run's safety properties while it executes, on any
 // engine: it watches the OnSend and OnAccept hooks of Config.Hooks, which
-// the fast, reference and actor engines all fire. It never sets OnDeliver,
+// the fast and reference engines both fire. It never sets OnDeliver,
 // whose presence takes the fast engine off its frontier path, so the body
 // it checks is the one unobserved runs take. Err reports the first of
 // these events:
@@ -309,8 +309,7 @@ func (g *Gen) Next() Case {
 
 // NextFaultFree draws a randomized Case with no adversary: same
 // topology/spec/source fuzzing as Next, but placement and strategy are
-// stripped. The concurrent actor runtime only supports fault-free runs,
-// so its randomized equivalence check uses this variant.
+// stripped.
 func (g *Gen) NextFaultFree() Case {
 	c := g.Next()
 	inner := c.Build

@@ -11,9 +11,7 @@ import (
 
 // TestRunOnNonTorusTopologies exercises the topology seam at the engine
 // level: protocol B must complete fault-free on the bounded grid and on
-// a connected RGG, with zero schedule violations. (The actor runtime's
-// agreement on both is internal/actor's test of the same name: actor
-// imports this package.)
+// a connected RGG, with zero schedule violations.
 func TestRunOnNonTorusTopologies(t *testing.T) {
 	bounded, err := topo.NewBounded(15, 15, 2)
 	if err != nil {

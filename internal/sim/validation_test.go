@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"bftbcast/internal/actor"
 	"bftbcast/internal/adversary"
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
@@ -16,9 +15,8 @@ import (
 
 // TestConfigValidation runs one table of configs the run frame must
 // refuse through every engine: the frame (sim.Frame) does the refusing
-// once, so each row must fail on the fast, the reference and the actor
-// engine alike. Rows with a placement run on the fast and reference
-// engines only, since the actor refuses any placement first.
+// once, so each row must fail on the fast and the reference engine
+// alike.
 func TestConfigValidation(t *testing.T) {
 	tor := grid.MustNew(20, 20, 2)
 	p := core.Params{R: 2, T: 5, MF: 4}
@@ -36,13 +34,10 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"fast", sim.RunContext},
 		{"ref", ref.RunContext},
-		{"actor", actor.RunContext},
 	}
 	for _, row := range []struct {
 		name string
 		edit func(*sim.Config)
-		// placed rows run on the fast and reference engines only.
-		placed bool
 		// is, when non-nil, must be in the error's chain.
 		is error
 	}{
@@ -57,19 +52,16 @@ func TestConfigValidation(t *testing.T) {
 		{name: "source out of range", edit: func(c *sim.Config) { c.Source = grid.NodeID(tor.Size()) }},
 		{name: "negative source", edit: func(c *sim.Config) { c.Source = -1 }},
 		{name: "machine refuses", edit: func(c *sim.Config) { c.Machine = &protocol.Multi{Spec: c.Spec, M: tor.Size() + 1} }},
-		{name: "placement above t", placed: true, edit: func(c *sim.Config) {
+		{name: "placement above t", edit: func(c *sim.Config) {
 			c.Params = core.Params{R: 2, T: 1, MF: 4}
 			c.Spec = specB(c.Params)
 			c.Placement = adversary.Random{T: 3, Density: 0.2, Seed: 3} // t=3 > params.T=1
 		}},
-		{name: "placement fails", placed: true, edit: func(c *sim.Config) { c.Placement = adversary.Union{} }},
+		{name: "placement fails", edit: func(c *sim.Config) { c.Placement = adversary.Union{} }},
 	} {
 		cfg := good
 		row.edit(&cfg)
 		for _, eng := range engines {
-			if row.placed && eng.name == "actor" {
-				continue
-			}
 			t.Run(row.name+"/"+eng.name, func(t *testing.T) {
 				_, err := eng.run(context.Background(), cfg)
 				if err == nil {

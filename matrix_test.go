@@ -2,8 +2,8 @@ package bftbcast_test
 
 // The engine×protocol differential matrix: every protocol (B, Bheter,
 // Koo, reactive) on every topology kind (torus, bounded grid, RGG) runs
-// through the fast and dense-reference engines — and, fault-free,
-// through the actor runtime — asserting equality on the unified Report.
+// through the fast and dense-reference engines, asserting equality on
+// the unified Report.
 // This is the facade-level guarantee the protocol seam exists for: one
 // Scenario, any backend, the same answer.
 
@@ -149,44 +149,10 @@ func TestMatrixFastVsRef(t *testing.T) {
 	}
 }
 
-// TestMatrixFaultFreeActor asserts that the fault-free actor runtime
-// agrees with the fast engine on the whole Report (modulo the engine
-// name) — the Sim extension with its per-node receipt counters, or the
-// Reactive one, included — for both protocol families on every topology.
-func TestMatrixFaultFreeActor(t *testing.T) {
-	ctx := context.Background()
-	for _, kind := range []string{"torus", "grid", "rgg"} {
-		for _, proto := range matrixProtocols(kind) {
-			t.Run(kind+"/"+proto, func(t *testing.T) {
-				fastRep, err := bftbcast.EngineFast.Run(ctx, matrixScenario(t, kind, proto, 7, false))
-				if err != nil {
-					t.Fatalf("fast: %v", err)
-				}
-				actRep, err := bftbcast.EngineActor.Run(ctx, matrixScenario(t, kind, proto, 7, false))
-				if err != nil {
-					t.Fatalf("actor: %v", err)
-				}
-				if !fastRep.Completed || !actRep.Completed {
-					t.Fatalf("fault-free cell did not complete: fast=%v actor=%v",
-						fastRep.Completed, actRep.Completed)
-				}
-				if (proto == "reactive") != (fastRep.Sim == nil) {
-					t.Fatalf("wrong Report extension: %+v", fastRep)
-				}
-				actRep.Engine = fastRep.Engine
-				if !reflect.DeepEqual(fastRep, actRep) {
-					t.Fatalf("fast and actor reports diverge:\nfast:  %+v\nactor: %+v", fastRep, actRep)
-				}
-			})
-		}
-	}
-}
-
 // TestMatrixSlotCap pins the engines' classification of a run cut off by
 // WithMaxSlots right after its last decision: every node has decided
 // Vtrue, so the run is Completed, and relays are still pending at the
-// cap, so it is TimedOut too — on every engine (the actor used to report
-// such a run as not completed).
+// cap, so it is TimedOut too — on every engine.
 func TestMatrixSlotCap(t *testing.T) {
 	ctx := context.Background()
 	tor, err := bftbcast.NewTorus(15, 15, 2)
@@ -304,10 +270,9 @@ func slotSorted(evs []streamEvent) []streamEvent {
 // on a fault-free torus for each protocol machine (threshold B, the
 // multi-broadcast multiplexer, reactive). Every engine repeats its own
 // Send/Deliver/Decide stream run after run; the Decide sequence is one
-// and the same on fast, ref and actor; ref and actor, which both walk a
-// slot's colour class in node order, agree on the whole stream; fast
-// emits a slot's transmissions in queue order, so against ref it is
-// held to the same events per slot, in any order.
+// and the same on fast and ref; fast emits a slot's transmissions in
+// queue order where ref walks the colour class in node order, so against
+// ref it is held to the same events per slot, in any order.
 func TestMatrixObserverStreams(t *testing.T) {
 	for _, tc := range []struct {
 		name, proto string
@@ -335,10 +300,7 @@ func TestMatrixObserverStreams(t *testing.T) {
 				}
 				streams[engine.Name()] = first
 			}
-			fast, ref, act := streams["fast"], streams["ref"], streams["actor"]
-			if !reflect.DeepEqual(act, ref) { // the Decide sequence included
-				t.Fatal("actor and ref disagree on the Send/Deliver/Decide stream")
-			}
+			fast, ref := streams["fast"], streams["ref"]
 			if !reflect.DeepEqual(decidesOf(fast), decidesOf(ref)) {
 				t.Fatal("fast and ref disagree on the Decide sequence")
 			}

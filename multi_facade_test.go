@@ -4,7 +4,7 @@ package bftbcast_test
 // (Scenario.Broadcasts, DESIGN.md §12): the fast-vs-ref differential
 // oracle over randomized M × topology × adversary configs, the
 // "Broadcasts of 0 and 1 are the classic single-broadcast run"
-// regression, fault-free actor agreement, and Sweep determinism across
+// regression, and Sweep determinism across
 // worker counts. The machine-level M=1 bit-identity proof lives in
 // internal/protocol (TestMultiM1BitIdentical).
 
@@ -180,44 +180,6 @@ func TestMultiBroadcastsOneIsClassicRun(t *testing.T) {
 				t.Fatalf("Broadcasts=%d populated the Multi extension", m)
 			}
 		}
-	}
-}
-
-// TestMultiFaultFreeActor asserts the fault-free actor runtime agrees
-// with the fast engine on every Report field of a multi-broadcast run,
-// including the per-instance MultiResult.
-func TestMultiFaultFreeActor(t *testing.T) {
-	ctx := context.Background()
-	for _, kind := range []string{"torus", "grid", "rgg"} {
-		t.Run(kind, func(t *testing.T) {
-			const m = 6
-			fastRep, err := bftbcast.EngineFast.Run(ctx, multiScenario(t, kind, m, 7, false))
-			if err != nil {
-				t.Fatalf("fast: %v", err)
-			}
-			actRep, err := bftbcast.EngineActor.Run(ctx, multiScenario(t, kind, m, 7, false))
-			if err != nil {
-				t.Fatalf("actor: %v", err)
-			}
-			if !fastRep.Completed || !actRep.Completed {
-				t.Fatalf("fault-free multi cell did not complete: fast=%v actor=%v",
-					fastRep.Completed, actRep.Completed)
-			}
-			if fastRep.Slots != actRep.Slots ||
-				fastRep.TotalGood != actRep.TotalGood ||
-				fastRep.DecidedGood != actRep.DecidedGood ||
-				fastRep.WrongDecisions != actRep.WrongDecisions ||
-				fastRep.GoodMessages != actRep.GoodMessages ||
-				!reflect.DeepEqual(fastRep.Decided, actRep.Decided) ||
-				!reflect.DeepEqual(fastRep.DecidedValue, actRep.DecidedValue) ||
-				!reflect.DeepEqual(fastRep.Sent, actRep.Sent) {
-				t.Fatalf("fast and actor reports diverge:\nfast:  %+v\nactor: %+v", fastRep, actRep)
-			}
-			if !reflect.DeepEqual(fastRep.Multi, actRep.Multi) {
-				t.Fatalf("Multi extensions diverge:\nfast:  %+v\nactor: %+v", fastRep.Multi, actRep.Multi)
-			}
-			checkMultiExtension(t, fastRep, m)
-		})
 	}
 }
 

@@ -13,11 +13,10 @@ import (
 // Events are delivered synchronously on the engine's coordinator
 // goroutine, so an Observer needs no locking of its own, and every
 // engine repeats its own event order run after run. Across engines the
-// Decide sequence is the same. Within a slot, the ref and actor engines
-// emit transmissions (and so the Deliver events that follow) in node
-// order of the slot's colour class and agree on the whole stream; the
-// fast engine emits them in the order of its transmit queue — the same
-// events per slot, in another order. Observers must not mutate engine
+// Decide sequence is the same. Within a slot, the ref engine emits
+// transmissions (and so the Deliver events that follow) in node order of
+// the slot's colour class; the fast engine emits them in the order of its
+// transmit queue — the same events per slot, in another order. Observers must not mutate engine
 // state; an observed run returns the same Report as an unobserved one.
 //
 // The sparse fast engine skips provably idle slots wholesale, so its

@@ -9,7 +9,7 @@ import "bftbcast/internal/protocol"
 // detail (exactly one of them is non-nil).
 type Report struct {
 	// Engine is the name of the backend that produced the report
-	// ("fast", "ref", "actor").
+	// ("fast", "ref").
 	Engine string
 
 	// Completed is true when every good node decided Vtrue.

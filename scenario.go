@@ -11,8 +11,7 @@ import (
 // experiment: the network topology, the fault model, the protocol, the
 // adversary, and the run limits. Any Engine executes a Scenario and
 // returns a unified *Report, so the same description drives the sparse
-// simulation engine, the dense reference engine and the goroutine-per-node
-// actor runtime (see NewEngine).
+// simulation engine and the dense reference engine (see NewEngine).
 //
 // Build Scenarios with NewScenario and functional options; derive sweep
 // variants with With. The zero fields have engine-side defaults: Source
@@ -27,8 +26,7 @@ type Scenario struct {
 	// drives: ProtocolThreshold (the default; executes Spec) or
 	// ProtocolReactive (the Section 5 unknown-mf protocol, tuned by
 	// Reactive). Protocol and engine are orthogonal: any protocol runs
-	// on any backend, subject to the backend's own limits (the actor
-	// runtime is fault-free).
+	// on any backend.
 	Protocol ProtocolID
 	// Spec is the threshold protocol under test (ProtocolThreshold
 	// runs). ProtocolReactive derives its protocol from Params and
@@ -38,15 +36,15 @@ type Scenario struct {
 	Source NodeID
 	// Placement chooses where bad nodes sit; nil means fault-free.
 	Placement Placement
-	// Strategy drives what bad nodes transmit in the slot-level engines;
-	// nil means they stay silent. The actor engine (fault-free) and the
-	// reactive protocol (policy-driven, see Reactive) reject it.
+	// Strategy drives what bad nodes transmit; nil means they stay
+	// silent. The reactive protocol (policy-driven, see Reactive) rejects
+	// it.
 	Strategy Strategy
 	// Seed drives the run-level randomness of protocols that have any
 	// (the reactive protocol's coding patterns). Placements carry their
 	// own seeds.
 	Seed uint64
-	// MaxSlots caps slot-level and actor runs; 0 picks a generous
+	// MaxSlots caps the run; 0 picks a generous
 	// engine-derived default.
 	MaxSlots int
 	// Broadcasts is the number of concurrent broadcast instances
@@ -281,7 +279,7 @@ func WithSeed(seed uint64) ScenarioOption {
 	return func(sc *Scenario) { sc.Seed = seed }
 }
 
-// WithMaxSlots caps the run length of the slot-level and actor engines.
+// WithMaxSlots caps the run length.
 func WithMaxSlots(n int) ScenarioOption {
 	return func(sc *Scenario) { sc.MaxSlots = n }
 }

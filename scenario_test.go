@@ -117,7 +117,7 @@ func TestScenarioWithDoesNotMutateBase(t *testing.T) {
 }
 
 func TestNewEngine(t *testing.T) {
-	for _, want := range []string{"fast", "ref", "actor"} {
+	for _, want := range []string{"fast", "ref"} {
 		e, err := bftbcast.NewEngine(want)
 		if err != nil {
 			t.Fatal(err)
@@ -126,15 +126,17 @@ func TestNewEngine(t *testing.T) {
 			t.Fatalf("NewEngine(%q).Name() = %q", want, e.Name())
 		}
 	}
-	if _, err := bftbcast.NewEngine("warp"); err == nil {
-		t.Fatal("unknown engine: want an error")
+	for _, name := range []string{"warp", "actor"} {
+		if _, err := bftbcast.NewEngine(name); err == nil {
+			t.Fatalf("NewEngine(%q): want an error", name)
+		}
 	}
 	// The reactive protocol is not a backend; the error says where it went.
 	if _, err := bftbcast.NewEngine("reactive"); err == nil || !strings.Contains(err.Error(), "-protocol reactive") {
 		t.Fatalf("NewEngine(reactive): err = %v, want a pointer to -protocol reactive", err)
 	}
-	if got := len(bftbcast.Engines()); got != 3 {
-		t.Fatalf("Engines() returned %d backends, want 3", got)
+	if got := len(bftbcast.Engines()); got != 2 {
+		t.Fatalf("Engines() returned %d backends, want 2", got)
 	}
 }
 
@@ -165,8 +167,8 @@ func TestEngineRunDoesNotMutateScenario(t *testing.T) {
 }
 
 // TestTimedOutParityAcrossEngines runs one under-capped fault-free
-// scenario on the slot-level and actor backends: all must classify it
-// as TimedOut, not Stalled (the Report contract).
+// scenario on every backend: all must classify it as TimedOut, not
+// Stalled (the Report contract).
 func TestTimedOutParityAcrossEngines(t *testing.T) {
 	params := bftbcast.Params{R: 2, T: 0, MF: 0}
 	tor, err := bftbcast.NewTorus(20, 20, params.R)
@@ -186,7 +188,7 @@ func TestTimedOutParityAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []bftbcast.Engine{bftbcast.EngineFast, bftbcast.EngineRef, bftbcast.EngineActor} {
+	for _, engine := range bftbcast.Engines() {
 		rep, err := engine.Run(context.Background(), sc)
 		if err != nil {
 			t.Fatalf("%s: %v", engine.Name(), err)
@@ -221,10 +223,6 @@ func TestEngineScenarioMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := bftbcast.EngineActor.Run(ctx, adversarial); err == nil ||
-		!strings.Contains(err.Error(), "fault-free") {
-		t.Fatalf("actor engine on adversarial scenario: err = %v, want fault-free rejection", err)
-	}
 	// A Strategy on the reactive protocol is refused when the Scenario
 	// is built, and again by the engine for a hand-built one.
 	if _, err := adversarial.With(bftbcast.WithProtocol(bftbcast.ProtocolReactive)); !errors.Is(err, bftbcast.ErrBadProtocol) ||

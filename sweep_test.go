@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,10 +156,20 @@ func TestSweepPinnedRunnerMixedTopologies(t *testing.T) {
 	}
 }
 
+// refusingEngine is an Engine whose every Run fails.
+type refusingEngine struct{}
+
+var errRefused = errors.New("refusing engine: no run")
+
+func (refusingEngine) Name() string { return "refusing" }
+
+func (refusingEngine) Run(context.Context, *bftbcast.Scenario) (*bftbcast.Report, error) {
+	return nil, errRefused
+}
+
 // TestSweepRun checks the collecting wrapper and its first-error
-// contract (an actor-engine sweep over adversarial scenarios fails on
-// every point; Run must surface point 0's error and still return all
-// points).
+// contract (a sweep whose engine fails every point: Run must surface
+// point 0's error and still return all points).
 func TestSweepRun(t *testing.T) {
 	pts, err := (&bftbcast.Sweep{Workers: 2, Scenarios: sweepScenarios(t, 4)}).Run(context.Background())
 	if err != nil {
@@ -173,10 +184,10 @@ func TestSweepRun(t *testing.T) {
 		}
 	}
 
-	bad := bftbcast.Sweep{Engine: bftbcast.EngineActor, Workers: 2, Scenarios: sweepScenarios(t, 3)}
+	bad := bftbcast.Sweep{Engine: refusingEngine{}, Workers: 2, Scenarios: sweepScenarios(t, 3)}
 	pts, err = bad.Run(context.Background())
-	if err == nil {
-		t.Fatal("actor sweep over adversarial scenarios: want an error")
+	if !errors.Is(err, errRefused) || !strings.Contains(err.Error(), "sweep point 0:") {
+		t.Fatalf("sweep on a refusing engine: err = %v, want point 0's error", err)
 	}
 	if len(pts) != 3 {
 		t.Fatalf("got %d points with error, want all 3", len(pts))
@@ -216,9 +227,8 @@ func TestSweepWorkerCounts(t *testing.T) {
 }
 
 // waitNoGoroutineGrowth polls until the goroutine count returns to (near)
-// its baseline, mirroring the actor-cancellation leak check: the runtime
-// gets a few scheduling rounds to retire finished goroutines before the
-// test declares a leak.
+// its baseline: the runtime gets a few scheduling rounds to retire
+// finished goroutines before the test declares a leak.
 func waitNoGoroutineGrowth(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
