@@ -64,9 +64,10 @@ func allocsRGG100kRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Read 16 since the run frame keeps the jammers' reach; 29–32 when
-	// the corruptor built a per-run bad-neighbor index.
-	allocsAtMost(t, 5, 18, func() {
+	// Read 12 since the placement and the corruptor take their scratch
+	// from the runner; 16 since the run frame keeps the jammers' reach;
+	// 29–32 when the corruptor built a per-run bad-neighbor index.
+	allocsAtMost(t, 5, 14, func() {
 		sc, err := bftbcast.NewScenario(
 			bftbcast.WithTopology(g),
 			bftbcast.WithParams(params),
@@ -201,10 +202,11 @@ func allocsSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Read 174, ≈22 a point, since the run frame keeps the jammers'
-	// reach; 230 with the corruptor's per-run bad-neighbor index, 618 when
-	// Sweep built a cold runner per call.
-	allocsAtMost(t, 5, 192, func() {
+	// Read 110, ≈14 a point, since the placement and the corruptor take
+	// their scratch from the runner; 174 since the run frame keeps the
+	// jammers' reach; 230 with the corruptor's per-run bad-neighbor index,
+	// 618 when Sweep built a cold runner per call.
+	allocsAtMost(t, 5, 122, func() {
 		scenarios := make([]*bftbcast.Scenario, 8)
 		for j := range scenarios {
 			scenarios[j], err = base.With(bftbcast.WithAdversary(
@@ -256,10 +258,12 @@ func allocsJobGrid(t *testing.T) {
 		T:     []int{1, 2},
 		MF:    []int{1, 2},
 	}
-	// Read 1710–1712 since the run frame keeps the jammers' reach;
+	// Read 704–721 since a range runs its points tallies-only on the
+	// executor's goroutine, placement and corruptor scratch lent by the
+	// runner; 1710–1712 since the run frame keeps the jammers' reach;
 	// 2062–2064 with the corruptor's per-run bad-neighbor index, 4378–4385
 	// when a cold runner was built per leased range.
-	allocsAtMost(t, 10, 1885, func() {
+	allocsAtMost(t, 10, 795, func() {
 		job, err := m.Submit(spec)
 		if err != nil {
 			t.Fatal(err)

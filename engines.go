@@ -30,10 +30,10 @@ type Engine interface {
 var (
 	// EngineFast is the sparse slot-level simulation engine (the
 	// production path; reuses pooled engine state across runs).
-	EngineFast Engine = &engine{name: "fast", run: sim.RunContext}
+	EngineFast Engine = &engine{name: "fast", run: sim.RunContext, counts: sim.RunCounts}
 	// EngineRef is the dense reference engine: slower, deliberately
 	// simple, verified bit-identical to EngineFast.
-	EngineRef Engine = &engine{name: "ref", run: ref.RunContext}
+	EngineRef Engine = &engine{name: "ref", run: ref.RunContext, counts: ref.RunCounts}
 )
 
 // Engines returns the execution backends.
@@ -121,10 +121,13 @@ func simConfig(sc *Scenario) (sim.Config, protocol.Machine) {
 // runFunc is the one contract the backends implement.
 type runFunc func(context.Context, sim.Config) (*sim.Result, error)
 
-// engine adapts a backend to Engine: normalize, lower, run, lift.
+// engine adapts a backend to Engine: normalize, lower, run, lift. counts
+// is the backend's tallies-only run of the same contract (sim.RunCounts,
+// ref.RunCounts).
 type engine struct {
-	name string
-	run  runFunc
+	name   string
+	run    runFunc
+	counts func(context.Context, sim.Config) (sim.Result, error)
 }
 
 // Name implements Engine.
@@ -142,4 +145,24 @@ func (e *engine) Run(ctx context.Context, sc *Scenario) (*Report, error) {
 		return nil, err
 	}
 	return finishReport(reportFromSim(e.name, res), machine), nil
+}
+
+// RunCounts runs sc like Run and returns the Report without its per-node
+// state: Decided, DecidedValue and Sent are nil and so is the Sim
+// extension, while every other field equals Run's. It is how the job
+// service runs a grid point, whose record keeps only the tallies; the
+// method is not part of Engine, and callers find it by type assertion.
+func (e *engine) RunCounts(ctx context.Context, sc *Scenario) (Report, error) {
+	sc, err := sc.normalized()
+	if err != nil {
+		return Report{}, err
+	}
+	cfg, machine := simConfig(sc)
+	res, err := e.counts(ctx, cfg)
+	if err != nil {
+		return Report{}, err
+	}
+	rep := reportCounts(e.name, &res)
+	finishReport(&rep, machine)
+	return rep, nil
 }

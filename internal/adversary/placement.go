@@ -58,33 +58,8 @@ func requireTorus(t topo.Topology, name string) (*grid.Torus, error) {
 // of its ball over the compiled plan's CSR, O(|bad|·degree) instead of a
 // pass over every node's ball.
 func Validate(tor topo.Topology, bad []bool, source grid.NodeID, t int) (int, error) {
-	if int(source) < len(bad) && bad[source] {
-		return 0, ErrHitsSource
-	}
-	if len(bad) != tor.Size() {
-		return 0, fmt.Errorf("adversary: placement has %d entries, want %d", len(bad), tor.Size())
-	}
-	adj := plan.For(tor).Adjacency()
-	var counts []int32
-	maxC := int32(0)
-	for i, b := range bad {
-		if !b {
-			continue
-		}
-		if counts == nil { // fault-free runs allocate nothing
-			counts = make([]int32, len(bad))
-		}
-		counts[i]++
-		maxC = max(maxC, counts[i])
-		for _, nb := range adj.Neighbors(grid.NodeID(i)) {
-			counts[nb]++
-			maxC = max(maxC, counts[nb])
-		}
-	}
-	if int(maxC) > t {
-		return int(maxC), fmt.Errorf("adversary: placement has %d bad nodes in some neighborhood, bound is %d", maxC, t)
-	}
-	return int(maxC), nil
+	var s Scratch
+	return s.Validate(tor, bad, source, t)
 }
 
 // Count returns the number of marked nodes.
@@ -343,6 +318,12 @@ func (rp Random) Name() string { return fmt.Sprintf("random(t=%d,d=%.2f)", rp.T,
 
 // Place implements Placement.
 func (rp Random) Place(t topo.Topology, source grid.NodeID) ([]bool, error) {
+	var s Scratch
+	return rp.place(t, source, &s)
+}
+
+// place is Place with the permutation and the window counts in s.
+func (rp Random) place(t topo.Topology, source grid.NodeID, s *Scratch) ([]bool, error) {
 	if rp.T < 0 {
 		return nil, fmt.Errorf("adversary: random placement with negative t")
 	}
@@ -350,7 +331,8 @@ func (rp Random) Place(t topo.Topology, source grid.NodeID) ([]bool, error) {
 		return nil, fmt.Errorf("adversary: random placement density %v out of (0,1]", rp.Density)
 	}
 	rng := stats.NewRNG(rp.Seed)
-	bad := make([]bool, t.Size())
+	n := t.Size()
+	bad := make([]bool, n)
 	if rp.T == 0 {
 		return bad, nil
 	}
@@ -359,10 +341,15 @@ func (rp Random) Place(t topo.Topology, source grid.NodeID) ([]bool, error) {
 	// shared with the engine that will execute the placement.
 	adj := plan.For(t).Adjacency()
 	// counts[c] = bad nodes currently in the closed neighborhood of c.
-	counts := make([]int32, t.Size())
-	target := int(rp.Density * float64(t.Size()))
+	counts := s.countsFor(n)
+	if cap(s.perm) < n {
+		s.perm = make([]int, n)
+	}
+	perm := s.perm[:n]
+	rng.PermFill(perm)
+	target := int(rp.Density * float64(n))
 	placed := 0
-	for _, idx := range rng.Perm(t.Size()) {
+	for _, idx := range perm {
 		if placed >= target {
 			break
 		}

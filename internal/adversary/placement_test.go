@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bftbcast/internal/grid"
+	"bftbcast/internal/plan"
 	"bftbcast/internal/stats"
 	"bftbcast/internal/topo"
 )
@@ -319,6 +320,88 @@ func TestValidateMatchesMaxWindowCount(t *testing.T) {
 			wantErr := fmt.Sprintf("adversary: placement has %d bad nodes in some neighborhood, bound is %d", want, want-1)
 			if got != want || err == nil || err.Error() != wantErr {
 				t.Fatalf("%v trial %d: Validate at t=%d = %d, %v; want %d, %q", tp, trial, want-1, got, err, want, wantErr)
+			}
+		}
+	}
+}
+
+// randomPlaceRef is Random.Place as written before it drew its
+// permutation and window counts from a Scratch: a fresh Perm and fresh
+// counts per call.
+func randomPlaceRef(rp Random, t topo.Topology, source grid.NodeID) []bool {
+	rng := stats.NewRNG(rp.Seed)
+	bad := make([]bool, t.Size())
+	adj := plan.For(t).Adjacency()
+	counts := make([]int32, t.Size())
+	target := int(rp.Density * float64(t.Size()))
+	placed := 0
+	for _, idx := range rng.Perm(t.Size()) {
+		if placed >= target {
+			break
+		}
+		id := grid.NodeID(idx)
+		if id == source || counts[id] >= int32(rp.T) {
+			continue
+		}
+		ok := true
+		for _, nb := range adj.Neighbors(id) {
+			if counts[nb] >= int32(rp.T) {
+				ok = false
+				break
+			}
+		}
+		if !ok {
+			continue
+		}
+		bad[id] = true
+		counts[id]++
+		for _, nb := range adj.Neighbors(id) {
+			counts[nb]++
+		}
+		placed++
+	}
+	return bad
+}
+
+// TestScratchPlaceMatchesRandomPlace holds the buffered placement to the
+// allocating one: one Scratch, carried dirty across topologies of three
+// sizes and a seed × density × t set, must draw exactly the masks
+// Random.Place and the pre-Scratch algorithm draw, and validate them to
+// the same window maximum as Validate.
+func TestScratchPlaceMatchesRandomPlace(t *testing.T) {
+	bounded, err := topo.NewBounded(12, 17, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tops := []topo.Topology{grid.MustNew(45, 45, 2), grid.MustNew(15, 15, 2), bounded}
+	var s Scratch
+	for seed := uint64(1); seed <= 6; seed++ {
+		for _, density := range []float64{0.02, 0.08, 0.3} {
+			for tt := 1; tt <= 3; tt++ {
+				for _, tp := range tops {
+					rp := Random{T: tt, Density: density, Seed: seed}
+					src := grid.NodeID(seed % uint64(tp.Size()))
+					want, err := rp.Place(tp, src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := s.Place(rp, tp, src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					desc := fmt.Sprintf("seed %d density %v t %d on %d nodes", seed, density, tt, tp.Size())
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s: buffered mask differs from Random.Place's", desc)
+					}
+					if fmt.Sprint(want) != fmt.Sprint(randomPlaceRef(rp, tp, src)) {
+						t.Fatalf("%s: Random.Place differs from the allocating algorithm", desc)
+					}
+					wantMax, wantErr := Validate(tp, want, src, tt)
+					gotMax, gotErr := s.Validate(tp, got, src, tt)
+					if gotMax != wantMax || (gotErr == nil) != (wantErr == nil) || wantErr != nil {
+						t.Fatalf("%s: Scratch.Validate = %d, %v; Validate = %d, %v", desc, gotMax, gotErr, wantMax, wantErr)
+					}
+				}
 			}
 		}
 	}

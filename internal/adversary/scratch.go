@@ -1,0 +1,115 @@
+package adversary
+
+import (
+	"fmt"
+	"math"
+
+	"bftbcast/internal/grid"
+	"bftbcast/internal/plan"
+	"bftbcast/internal/radio"
+	"bftbcast/internal/topo"
+)
+
+// Scratch is working memory an engine keeps across runs and lends to
+// each run's adversary: Place and Validate draw the Random placement's
+// permutation and the window counts from it, and View.Scratch hands it
+// to the Corruptor and Targeted strategies for their per-slot state. A
+// sweep that builds a fresh single-run placement and strategy per point
+// then allocates none of that per point. The zero value is ready to use;
+// a Scratch serves one run at a time, and nothing a run returns aliases
+// it.
+type Scratch struct {
+	perm   []int
+	counts []int32
+	deny   denyScratch
+}
+
+// Place returns p's mask on t. A Random placement takes its permutation
+// and window counts from s, drawing the same mask as Random.Place; any
+// other placement runs as is. The mask is the caller's.
+func (s *Scratch) Place(p Placement, t topo.Topology, source grid.NodeID) ([]bool, error) {
+	if rp, ok := p.(Random); ok {
+		return rp.place(t, source, s)
+	}
+	return p.Place(t, source)
+}
+
+// Validate is the package-level Validate with its window counts in s.
+func (s *Scratch) Validate(tor topo.Topology, bad []bool, source grid.NodeID, t int) (int, error) {
+	if int(source) < len(bad) && bad[source] {
+		return 0, ErrHitsSource
+	}
+	if len(bad) != tor.Size() {
+		return 0, fmt.Errorf("adversary: placement has %d entries, want %d", len(bad), tor.Size())
+	}
+	adj := plan.For(tor).Adjacency()
+	var counts []int32
+	maxC := int32(0)
+	for i, b := range bad {
+		if !b {
+			continue
+		}
+		if counts == nil { // fault-free runs touch no counts
+			counts = s.countsFor(len(bad))
+		}
+		counts[i]++
+		maxC = max(maxC, counts[i])
+		for _, nb := range adj.Neighbors(grid.NodeID(i)) {
+			counts[nb]++
+			maxC = max(maxC, counts[nb])
+		}
+	}
+	if int(maxC) > t {
+		return int(maxC), fmt.Errorf("adversary: placement has %d bad nodes in some neighborhood, bound is %d", maxC, t)
+	}
+	return int(maxC), nil
+}
+
+// countsFor returns the scratch's window counts, zeroed at length n.
+func (s *Scratch) countsFor(n int) []int32 {
+	if cap(s.counts) < n {
+		s.counts = make([]int32, n)
+	} else {
+		s.counts = s.counts[:n]
+		clear(s.counts)
+	}
+	return s.counts
+}
+
+// denyScratch is corruptorCore's per-slot working memory: an engine's
+// Scratch lends one to every run it drives, and a strategy driven
+// without one keeps its own.
+type denyScratch struct {
+	// covered[u] == epoch marks u as denied by a jam chosen this slot.
+	// The epoch only grows (until it wraps, which clears the stamps), so
+	// a stamp left by an earlier slot, run or topology never matches.
+	covered []int32
+	epoch   int32
+	entries []denyEntry
+	used    []grid.NodeID // jammers spent this slot
+	jamBuf  []radio.Tx    // emitted jams; the engine consumes them before the next slot
+}
+
+// nextSlot opens a slot on an n-node topology: covered spans it and no
+// stamp in it is the new epoch.
+func (d *denyScratch) nextSlot(n int) {
+	if cap(d.covered) < n {
+		d.covered = make([]int32, n)
+	}
+	d.covered = d.covered[:n]
+	if d.epoch == math.MaxInt32 {
+		clear(d.covered[:cap(d.covered)])
+		d.epoch = 0
+	}
+	d.epoch++
+}
+
+// isUsed reports whether id already jammed this slot.
+func (d *denyScratch) isUsed(id grid.NodeID) bool {
+	for _, u := range d.used {
+		if u == id {
+			return true
+		}
+	}
+	return false
+}

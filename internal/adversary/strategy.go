@@ -47,6 +47,10 @@ type View struct {
 	Reach []int32
 	// Threshold is the protocol's acceptance threshold t·mf+1.
 	Threshold int
+	// Scratch, when non-nil, is the engine's working memory lent to the
+	// run's strategy (see Scratch); a strategy driven without one keeps
+	// its own.
+	Scratch *Scratch
 }
 
 // Strategy decides the adversarial transmissions of each slot. Jams is
@@ -128,19 +132,17 @@ func (Idle) DeliveryDriven() bool { return true }
 type corruptorCore struct {
 	wrongValue radio.Value
 	drop       bool
-	// isVictim filters denial candidates (already known undecided+good);
-	// nil admits every one.
-	isVictim func(id grid.NodeID) bool
+	// targeted limits denial candidates (already known undecided+good) to
+	// the nodes victims marks; an untargeted core admits every one.
+	targeted bool
+	victims  []bool
 	// checkFeasible gates spending on the remaining nearby adversary
 	// budget being able to finish the job; the proof constructions
 	// guarantee feasibility and disable the check.
 	checkFeasible bool
 
-	coveredEpoch []int32
-	epoch        int32
-	entries      []denyEntry
-	used         []grid.NodeID // jammers spent this slot (scratch)
-	jamBuf       []radio.Tx    // emitted jams (scratch; engine consumes before the next slot)
+	// own is the per-slot scratch of a run whose View lends none.
+	own denyScratch
 }
 
 type denyEntry struct {
@@ -155,19 +157,17 @@ func (c *corruptorCore) jams(v *View, tentative []radio.Delivery) []radio.Tx {
 	if len(tentative) == 0 {
 		return nil
 	}
-	n := len(v.Bad)
-	if len(c.coveredEpoch) != n {
-		// First slot on this topology: size the scratch.
-		c.coveredEpoch = make([]int32, n)
-		c.epoch = 0
+	s := &c.own
+	if v.Scratch != nil {
+		s = &v.Scratch.deny
 	}
-	c.epoch++
+	s.nextSlot(len(v.Bad))
 	threshold := v.Threshold
 
 	// Pass 1: collect candidate denials with their preferred jammer. The
 	// per-delivery state reads are pure array indexing; the expensive
 	// jammer choice only runs for the survivors.
-	c.entries = c.entries[:0]
+	s.entries = s.entries[:0]
 	for _, d := range tentative {
 		if d.Value != radio.ValueTrue {
 			continue
@@ -176,7 +176,7 @@ func (c *corruptorCore) jams(v *View, tentative []radio.Delivery) []radio.Tx {
 		if v.Bad[u] || v.Decided[u] {
 			continue
 		}
-		if c.isVictim != nil && !c.isVictim(u) {
+		if c.targeted && (int(u) >= len(c.victims) || !c.victims[u]) {
 			continue
 		}
 		if v.Reach[u] <= 0 {
@@ -192,9 +192,9 @@ func (c *corruptorCore) jams(v *View, tentative []radio.Delivery) []radio.Tx {
 			continue // blocking u is hopeless; do not waste budget
 		}
 		jammer := pickJammer(v, u, d.From, nil) // exists: Reach[u] > 0
-		c.entries = append(c.entries, denyEntry{u: u, from: d.From, jammer: jammer, must: must})
+		s.entries = append(s.entries, denyEntry{u: u, from: d.From, jammer: jammer, must: must})
 	}
-	if len(c.entries) == 0 {
+	if len(s.entries) == 0 {
 		return nil
 	}
 
@@ -202,14 +202,15 @@ func (c *corruptorCore) jams(v *View, tentative []radio.Delivery) []radio.Tx {
 	// victims would be denied at once; only true same-transmission
 	// sharing justifies a preemptive jam. The entry list is tiny (a few
 	// victims per slot), so a quadratic scan beats allocating a map.
-	for i := range c.entries {
-		if c.entries[i].shared {
+	entries := s.entries
+	for i := range entries {
+		if entries[i].shared {
 			continue
 		}
-		for j := i + 1; j < len(c.entries); j++ {
-			if c.entries[i].jammer == c.entries[j].jammer && c.entries[i].from == c.entries[j].from {
-				c.entries[i].shared = true
-				c.entries[j].shared = true
+		for j := i + 1; j < len(entries); j++ {
+			if entries[i].jammer == entries[j].jammer && entries[i].from == entries[j].from {
+				entries[i].shared = true
+				entries[j].shared = true
 			}
 		}
 	}
@@ -220,42 +221,32 @@ func (c *corruptorCore) jams(v *View, tentative []radio.Delivery) []radio.Tx {
 	if wrong == radio.ValueNone {
 		wrong = radio.ValueFalse
 	}
-	jams := c.jamBuf[:0]
-	c.used = c.used[:0]
-	for _, e := range c.entries {
-		if c.coveredEpoch[e.u] == c.epoch {
+	jams := s.jamBuf[:0]
+	s.used = s.used[:0]
+	for _, e := range entries {
+		if s.covered[e.u] == s.epoch {
 			continue // already denied by a jam chosen this slot
 		}
 		if !e.must && !e.shared {
 			continue // lone needy victim: defer to its crossing slot
 		}
 		jammer := e.jammer
-		if c.isUsed(jammer) || v.Budget[jammer].Left() <= 0 {
-			jammer = pickJammer(v, e.u, e.from, c.used)
+		if s.isUsed(jammer) || v.Budget[jammer].Left() <= 0 {
+			jammer = pickJammer(v, e.u, e.from, s.used)
 			if jammer == grid.None {
 				continue
 			}
 		}
-		c.used = append(c.used, jammer)
+		s.used = append(s.used, jammer)
 		jams = append(jams, radio.Tx{From: jammer, Value: wrong, Jam: true, Drop: c.drop})
 		// Everything within range of the jammer is corrupted this slot.
-		c.coveredEpoch[jammer] = c.epoch
+		s.covered[jammer] = s.epoch
 		for _, nb := range v.Adj.Neighbors(jammer) {
-			c.coveredEpoch[nb] = c.epoch
+			s.covered[nb] = s.epoch
 		}
 	}
-	c.jamBuf = jams
+	s.jamBuf = jams
 	return jams
-}
-
-// isUsed reports whether id already jammed this slot.
-func (c *corruptorCore) isUsed(id grid.NodeID) bool {
-	for _, u := range c.used {
-		if u == id {
-			return true
-		}
-	}
-	return false
 }
 
 // pickJammer returns the bad neighbor of u with remaining budget that is
@@ -347,14 +338,9 @@ func (t *Targeted) Jams(v *View, _ int, tentative []radio.Delivery) []radio.Tx {
 	t.core.wrongValue = t.WrongValue
 	t.core.drop = t.Drop
 	t.core.checkFeasible = false
-	if t.core.isVictim == nil {
-		t.core.isVictim = t.isVictim // bound once: a method value escapes
-	}
+	t.core.targeted = true
+	t.core.victims = t.Victims
 	return t.core.jams(v, tentative)
-}
-
-func (t *Targeted) isVictim(id grid.NodeID) bool {
-	return int(id) < len(t.Victims) && t.Victims[id]
 }
 
 // Spammer makes every bad node inject a wrong value in every slot until

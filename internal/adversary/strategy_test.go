@@ -253,6 +253,48 @@ func TestTargetedJamsAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestLentScratchFirstJamAllocatesNothing holds the point of View.Scratch:
+// with the engine's scratch lent and warm, a fresh single-run Corruptor or
+// Targeted — one per point of a sweep — allocates nothing at its first
+// jam, which it would otherwise spend sizing its own scratch.
+func TestLentScratchFirstJamAllocatesNothing(t *testing.T) {
+	v := newFakeView(t)
+	victim := v.tor.ID(5, 5)
+	badNode := v.tor.ID(4, 5)
+	v.bad[badNode] = true
+	v.budget[badNode] = 10
+	v.correct[victim] = v.threshold - 1
+	victims := make([]bool, v.tor.Size())
+	victims[victim] = true
+	view := v.view()
+	view.Scratch = new(Scratch)
+	d := []radio.Delivery{{To: victim, Value: radio.ValueTrue, From: v.tor.ID(6, 5)}}
+	for _, fresh := range []struct {
+		name string
+		new  func() Strategy
+	}{
+		{"corruptor", func() Strategy { return NewCorruptor() }},
+		{"targeted", func() Strategy { return NewTargeted(victims) }},
+	} {
+		if jams := fresh.new().Jams(view, 0, d); len(jams) != 1 { // warms the lent scratch
+			t.Fatalf("%s: jams = %v, want the victim's", fresh.name, jams)
+		}
+		const runs = 50
+		strategies := make([]Strategy, runs+1) // AllocsPerRun makes one warm-up call
+		for i := range strategies {
+			strategies[i] = fresh.new()
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			strategies[next].Jams(view, 0, d)
+			next++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a fresh strategy's first Jams allocated %.1f times, want 0", fresh.name, allocs)
+		}
+	}
+}
+
 func TestPickJammerPrefersTransmitterProximity(t *testing.T) {
 	v := newFakeView(t)
 	victim := v.tor.ID(5, 5)

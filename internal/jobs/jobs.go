@@ -56,7 +56,10 @@ func (s State) Terminal() bool {
 // PointRecord is one sweep point's outcome in the streamable form the
 // daemon writes as an NDJSON line: the Report's core tallies, without
 // the per-node slices (which would dwarf the rest and defeat the
-// constant-memory stream).
+// constant-memory stream). RunRange therefore builds it from the
+// engine's tallies-only run, which never copies those slices out; the
+// record equals the one a full Report yields
+// (TestRunRangeMatchesReports).
 type PointRecord struct {
 	Job   string `json:"job"`
 	Index int    `json:"index"`
@@ -75,7 +78,8 @@ type PointRecord struct {
 	AvgGoodSends float64 `json:"avg_good_sends"`
 }
 
-// pointRecord digests one sweep point (pt.Report must be non-nil).
+// pointRecord digests one sweep point (pt.Report must be non-nil; its
+// per-node state may be absent).
 func pointRecord(jobID string, pt bftbcast.SweepPoint) PointRecord {
 	rep := pt.Report
 	return PointRecord{

@@ -281,8 +281,8 @@ func checkRange(c *stats.RangeCursor, lo, hi int, recs []PointRecord) error {
 
 // runExecutor is one in-process executor: it leases ranges through the
 // same grant and completion path an outside worker's requests take and
-// runs each on a one-worker sweep, so a range it takes never crosses the
-// wire.
+// runs each with RunRange on its own goroutine, so a range it takes
+// never crosses the wire.
 func (m *Manager) runExecutor(worker string) {
 	defer m.wg.Done()
 	for {
@@ -356,42 +356,54 @@ func (j *Job) topology() (bftbcast.Topology, error) {
 // RunRange expands and executes points [lo, hi) of spec on tp and
 // returns their records in point order — the worker half of the lease
 // protocol, shared by the in-process executors and the remote -worker
-// mode of cmd/bftsimd. observe, when non-nil, is attached to every
-// point (a test seam for asserting a range is computed once).
+// mode of cmd/bftsimd. It runs the points one after another on the
+// calling goroutine, so workers must be 1: a range is one executor's
+// serial work, and parallelism comes from running many ranges at once.
+// A built-in engine runs each point tallies-only (countsEngine), since a
+// PointRecord drops the Report's per-node state; any other Engine goes
+// through Run. observe, when non-nil, is attached to every point (a test
+// seam for asserting a range is computed once).
 func RunRange(ctx context.Context, eng bftbcast.Engine, workers int, jobID string, spec *bftbcast.GridSpec, tp bftbcast.Topology, lo, hi int, observe func(jobID string, index int) bftbcast.Observer) ([]PointRecord, error) {
+	if workers != 1 {
+		return nil, fmt.Errorf("jobs: RunRange runs its points serially, workers must be 1 (got %d)", workers)
+	}
 	scenarios, err := spec.ScenariosOn(tp, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	if observe != nil {
-		for i := range scenarios {
-			sc, err := scenarios[i].With(bftbcast.WithObserver(observe(jobID, lo+i)))
-			if err != nil {
+	if eng == nil {
+		eng = bftbcast.EngineFast
+	}
+	counts, _ := eng.(countsEngine)
+	recs := make([]PointRecord, hi-lo)
+	for i, sc := range scenarios {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if observe != nil {
+			if sc, err = sc.With(bftbcast.WithObserver(observe(jobID, lo+i))); err != nil {
 				return nil, err
 			}
-			scenarios[i] = sc
 		}
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sweep := &bftbcast.Sweep{Engine: eng, Workers: workers, Scenarios: scenarios}
-	recs := make([]PointRecord, hi-lo)
-	var runErr error
-	for pt := range sweep.Stream(cctx) {
-		switch {
-		case runErr != nil:
-			// Draining: the stream closes once every worker has stopped.
-		case pt.Err != nil:
-			runErr = pt.Err
-			cancel() // the points still to run fail fast
-		default:
-			i := pt.Index
-			pt.Index += lo
-			recs[i] = pointRecord(jobID, pt)
+		pt := bftbcast.SweepPoint{Index: lo + i}
+		if counts != nil {
+			var rep bftbcast.Report
+			rep, err = counts.RunCounts(ctx, sc)
+			pt.Report = &rep
+		} else {
+			pt.Report, err = eng.Run(ctx, sc)
 		}
-	}
-	if runErr != nil {
-		return nil, runErr
+		if err != nil {
+			return nil, err
+		}
+		recs[i] = pointRecord(jobID, pt)
 	}
 	return recs, nil
+}
+
+// countsEngine is the tallies-only run the built-in engines offer next to
+// Engine.Run: the same Report less its per-node state, which a
+// PointRecord drops anyway.
+type countsEngine interface {
+	RunCounts(ctx context.Context, sc *bftbcast.Scenario) (bftbcast.Report, error)
 }

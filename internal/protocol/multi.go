@@ -135,15 +135,6 @@ type MultiStats struct {
 	Decisions int
 }
 
-// Name implements Machine.
-func (m *Multi) Name() string {
-	base := m.Spec.Name
-	if base == "" {
-		base = "threshold"
-	}
-	return fmt.Sprintf("multi(%s x%d)", base, m.M)
-}
-
 // TakeStats returns (and clears) the run record published by the last
 // instance that Finished. Engines call Finish before returning their
 // result, so a successful Run is always followed by a non-nil

@@ -188,8 +188,6 @@ type State struct {
 // reactive machine's coding and NACK rounds). Machines are cheap
 // descriptors; all run state lives in the Instance.
 type Machine interface {
-	// Name identifies the protocol in reports and errors.
-	Name() string
 	// Attach validates the machine against the environment and returns a
 	// run-ready Instance.
 	Attach(env Env) (Instance, error)

@@ -107,9 +107,6 @@ type ReactiveStats struct {
 	SubBitLength     int
 }
 
-// Name implements Machine.
-func (m *Reactive) Name() string { return "reactive" }
-
 // TakeStats returns (and clears) the run record published by the last
 // instance that Finished. Engines call Finish before returning their
 // result, so a successful Run is always followed by a non-nil TakeStats.

@@ -31,8 +31,6 @@ type orderPair struct {
 	machines []*protocol.Reactive
 }
 
-func (p *orderPair) Name() string { return "reactive-order-pair" }
-
 func (p *orderPair) Attach(env protocol.Env) (protocol.Instance, error) {
 	inst := &orderPairInstance{p: p, rng: stats.NewRNG(env.Seed ^ 0x5eed)}
 	for range permutations {

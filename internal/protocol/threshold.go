@@ -19,14 +19,6 @@ type Threshold struct {
 // NewThreshold wraps a spec as a Machine.
 func NewThreshold(spec core.Spec) *Threshold { return &Threshold{Spec: spec} }
 
-// Name implements Machine.
-func (m *Threshold) Name() string {
-	if m.Spec.Name != "" {
-		return m.Spec.Name
-	}
-	return "threshold"
-}
-
 // Attach implements Machine.
 func (m *Threshold) Attach(env Env) (Instance, error) {
 	inst := NewThresholdInstance()

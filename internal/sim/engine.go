@@ -139,10 +139,10 @@ import (
 // results.
 const maxTrackedValue = protocol.MaxTrackedValue
 
-// runnerPool recycles Runners across RunContext calls: it is the one
-// reuse path of the fast engine, so every Sweep worker, every leased range
-// of a job and every direct caller reuses warm engine state instead of
-// reallocating it per point.
+// runnerPool recycles Runners across RunContext and RunCounts calls: it
+// is the one reuse path of the fast engine, so every Sweep worker, every
+// leased range of a job and every direct caller reuses warm engine state
+// instead of reallocating it per point.
 var runnerPool = sync.Pool{New: func() any { return NewRunner() }}
 
 // RunContext executes the configured simulation and returns its Result.
@@ -153,6 +153,16 @@ var runnerPool = sync.Pool{New: func() any { return NewRunner() }}
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	r := runnerPool.Get().(*Runner)
 	res, err := r.RunContext(ctx, cfg)
+	runnerPool.Put(r)
+	return res, err
+}
+
+// RunCounts is RunContext for a caller that keeps only the tallies: the
+// same run, classified by Frame.Counts, so the Result carries no per-node
+// state and its other fields equal RunContext's.
+func RunCounts(ctx context.Context, cfg Config) (Result, error) {
+	r := runnerPool.Get().(*Runner)
+	res, err := r.runCounts(ctx, cfg)
 	runnerPool.Put(r)
 	return res, err
 }
@@ -303,17 +313,33 @@ func (r *Runner) reset() {
 // with cooperative cancellation checked once per executed slot. A nil ctx
 // behaves like context.Background().
 func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	var res *Result
+	err := r.run(ctx, cfg)
+	if err == nil {
+		res = r.Finish()
 	}
-	res, err := r.run(ctx, cfg)
-	// Drop the per-run references so a pooled Runner does not pin the
-	// caller's placement, strategy, hooks or machine between runs.
+	r.unbind()
+	return res, err
+}
+
+// runCounts is RunContext classified by Frame.Counts (see RunCounts).
+func (r *Runner) runCounts(ctx context.Context, cfg Config) (Result, error) {
+	var res Result
+	err := r.run(ctx, cfg)
+	if err == nil {
+		res = r.Counts()
+	}
+	r.unbind()
+	return res, err
+}
+
+// unbind drops the per-run references so a pooled Runner does not pin the
+// caller's placement, strategy, hooks or machine between runs.
+func (r *Runner) unbind() {
 	r.release()
 	r.view = adversary.View{}
 	r.ledger = nil
 	r.builtin.Unbind()
-	return res, err
 }
 
 // bindBuiltin is the fast engine's Spec instance: the Runner's reusable
@@ -491,9 +517,12 @@ func (r *Runner) nextBusySlot(slot, maxSlots int) int {
 	return maxSlots
 }
 
-func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
+func (r *Runner) run(ctx context.Context, cfg Config) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if err := r.Begin(cfg, r.bindBuiltin); err != nil {
-		return nil, err
+		return err
 	}
 	if r.adj != r.Plan.Adjacency() {
 		r.retarget()
@@ -506,6 +535,7 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 			Topo: cfg.Topo, Adj: r.adj,
 			Bad: r.Bad, Decided: r.St.Decided, Correct: r.St.Correct, Supply: r.supply,
 			Budget: r.BadBudget, Reach: r.Reach, Threshold: r.Inst.Threshold(),
+			Scratch: &r.adv,
 		}
 	}
 	r.frontier = r.frontierEligible()
@@ -532,7 +562,7 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 	slot := 0
 	for r.pendingTotal > 0 && slot < maxSlots {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		color := r.Plan.SlotColor(slot)
 		if r.colorPending[color] == 0 && canSkip {
@@ -594,7 +624,7 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 				heard = len(r.tentative) > 0
 			}
 			if err != nil {
-				return nil, err
+				return err
 			}
 		}
 
@@ -616,14 +646,14 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 			r.tentative = r.tentative[:0]
 			var err error
 			if r.tentative, err = r.medium.ResolveAppend(r.txs, r.tentative); err != nil {
-				return nil, err
+				return err
 			}
 			heard = len(r.tentative) > 0
 		} else if r.frontier && len(r.txs) > 0 {
 			// Jam-free: the frontier is the final batch, and the instance
 			// books the rest of what the slot delivered.
 			if err := r.Inst.Book(slot, r.txs); err != nil {
-				return nil, err
+				return err
 			}
 			r.frontierSlots++
 			r.settledTxs += len(r.txs) - len(r.liveTxs)
@@ -637,7 +667,7 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 			var err error
 			r.sendBuf, err = r.Inst.Deliver(slot, r.tentative, &r.Cfg.Hooks, r.sendBuf)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			r.sendBuf = r.Inst.Tick(slot, r.sendBuf)
 			r.applySends(r.sendBuf)
@@ -645,7 +675,8 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 		slot++
 	}
 
-	return r.Finish(max(slot, r.retiredEnd), r.pendingTotal > 0, r.medium.GoodGoodCollisions), nil
+	r.Stop(max(slot, r.retiredEnd), r.pendingTotal > 0, r.medium.GoodGoodCollisions)
+	return nil
 }
 
 // consumePending removes one pending transmission from id, debiting the

@@ -86,11 +86,13 @@ type Result struct {
 // and validates the bad set, attaches the protocol instance, seeds the
 // per-node budgets (and, for a Strategy, their reach) and derives the
 // slot cap; the engine then runs its own
-// loop over the frame's state, bumping Sent and the Res counters; Finish
-// lifts the instance's State into the Result. The frame's slices are
-// reused across runs when the topology size allows, so an engine that
-// keeps its Frame (the fast Runner embeds one) allocates nothing here
-// beyond the placement and the Result.
+// loop over the frame's state, bumping Sent and the Res counters, and
+// ends it with Stop; Finish lifts the instance's State into a Result, or
+// Counts classifies the run without the per-node state. The frame's
+// slices and its adversary scratch are reused across runs when the
+// topology size allows, so an engine that keeps its Frame (the fast
+// Runner embeds one) allocates nothing here beyond the placement mask
+// and the Result.
 type Frame struct {
 	// Cfg is the run's Config. Cfg.Hooks is the hook set the engine fires
 	// and hands to every Deliver.
@@ -116,8 +118,14 @@ type Frame struct {
 	// instance's sizing, the schedule period and the diameter hint.
 	MaxSlots int
 	// Res holds the counters the loop bumps — GoodMessages, BadMessages,
-	// RejectedJams — and BadCount; Finish fills in the rest.
+	// RejectedJams — and BadCount; Stop and then Finish or Counts fill in
+	// the rest.
 	Res Result
+
+	// adv is the adversary's working memory: Begin places and validates
+	// through it, and the fast Runner lends it to the strategy in its
+	// View.
+	adv adversary.Scratch
 }
 
 // Begin prepares a run of cfg. A Config without a Machine runs its Spec
@@ -154,11 +162,11 @@ func (f *Frame) Begin(cfg Config, attachSpec func(protocol.Env, core.Spec) (prot
 	if placement == nil {
 		placement = adversary.None{}
 	}
-	bad, err := placement.Place(cfg.Topo, cfg.Source)
+	bad, err := f.adv.Place(placement, cfg.Topo, cfg.Source)
 	if err != nil {
 		return fmt.Errorf("sim: placement %q: %w", placement.Name(), err)
 	}
-	if _, err := adversary.Validate(cfg.Topo, bad, cfg.Source, cfg.Params.T); err != nil {
+	if _, err := f.adv.Validate(cfg.Topo, bad, cfg.Source, cfg.Params.T); err != nil {
 		return err
 	}
 
@@ -221,18 +229,48 @@ func (f *Frame) SpendJam(id grid.NodeID) bool {
 	return true
 }
 
-// Finish ends a run that stopped after slots slots: it tells the instance,
-// then classifies the run and copies the per-node state into a Result the
-// caller owns. pending reports whether transmissions were still queued
-// (a timeout once the cap is reached); collisions is the medium's
-// good-good collision count.
-func (f *Frame) Finish(slots int, pending bool, collisions int) *Result {
-	f.Inst.Finish(slots)
-	res := f.Res
-	res.Slots = slots
-	res.TimedOut = pending && slots >= f.MaxSlots
-	res.GoodGoodCollisions = collisions
+// Stop ends the run's loop after slots slots: pending reports whether
+// transmissions were still queued (a timeout once the cap is reached),
+// collisions is the medium's good-good collision count.
+func (f *Frame) Stop(slots int, pending bool, collisions int) {
+	f.Res.Slots = slots
+	f.Res.TimedOut = pending && slots >= f.MaxSlots
+	f.Res.GoodGoodCollisions = collisions
+}
 
+// Finish tells the instance the stopped run is over, classifies it and
+// copies the per-node state into a Result the caller owns.
+func (f *Frame) Finish() *Result {
+	f.Inst.Finish(f.Res.Slots)
+	res := f.classify()
+	// Copy the per-node state out of the frame: its slices and the
+	// instance's are reset and reused by the next run, and handing them
+	// out would retroactively corrupt this Result (see
+	// TestResultNotAliased).
+	res.Decided = append([]bool(nil), f.St.Decided...)
+	res.DecidedValue = append([]radio.Value(nil), f.St.Value...)
+	res.Correct = append([]int32(nil), f.St.Correct...)
+	res.Wrong = append([]int32(nil), f.St.Wrong...)
+	res.Sent = append([]int32(nil), f.Sent...)
+	return &res
+}
+
+// Counts classifies the stopped run into a Result without per-node state
+// (every slice nil), for a caller that keeps only the tallies. The
+// instance of a Config.Machine is still told the run is over, since its
+// run record feeds the caller; the Spec instance is not, because its
+// ledger fold only completes Correct and Wrong.
+func (f *Frame) Counts() Result {
+	if f.Cfg.Machine != nil {
+		f.Inst.Finish(f.Res.Slots)
+	}
+	return f.classify()
+}
+
+// classify derives the tallies and the verdict from the instance's final
+// decisions and the Sent counts.
+func (f *Frame) classify() Result {
+	res := f.Res
 	var sumSends, goodNonSource int
 	for i, b := range f.Bad {
 		if b {
@@ -256,16 +294,7 @@ func (f *Frame) Finish(slots int, pending bool, collisions int) *Result {
 	if goodNonSource > 0 {
 		res.AvgGoodSends = float64(sumSends) / float64(goodNonSource)
 	}
-	// Copy the per-node state out of the frame: its slices and the
-	// instance's are reset and reused by the next run, and handing them
-	// out would retroactively corrupt this Result (see
-	// TestResultNotAliased).
-	res.Decided = append([]bool(nil), f.St.Decided...)
-	res.DecidedValue = append([]radio.Value(nil), f.St.Value...)
-	res.Correct = append([]int32(nil), f.St.Correct...)
-	res.Wrong = append([]int32(nil), f.St.Wrong...)
-	res.Sent = append([]int32(nil), f.Sent...)
-	return &res
+	return res
 }
 
 // release drops the run's references so a pooled engine does not pin the

@@ -66,6 +66,25 @@ type engine struct {
 // Config without a Machine runs its Spec through the package's own frozen
 // acceptance (threshold.go).
 func RunContext(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+	e, err := run(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.Finish(), nil
+}
+
+// RunCounts is RunContext for a caller that keeps only the tallies, like
+// sim.RunCounts: the same run, classified by sim.Frame.Counts.
+func RunCounts(ctx context.Context, cfg sim.Config) (sim.Result, error) {
+	e, err := run(ctx, cfg)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return e.Counts(), nil
+}
+
+// run builds the engine state for cfg and runs the slot loop to its end.
+func run(ctx context.Context, cfg sim.Config) (*engine, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -79,7 +98,7 @@ func RunContext(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	e.supplies = make([]bool, n)
 	e.supply = make([]int32, n)
 	e.applySends(e.Inst.Bootstrap(nil))
-	return e.run(ctx)
+	return e, e.loop(ctx)
 }
 
 // attachDense attaches the frozen acceptance a Spec run executes.
@@ -122,7 +141,9 @@ func (e *engine) applySends(sends []protocol.Send) {
 	}
 }
 
-func (e *engine) run(ctx context.Context) (*sim.Result, error) {
+// loop runs the slots until nothing is pending or the cap is reached, and
+// stops the frame there.
+func (e *engine) loop(ctx context.Context) error {
 	cfg := &e.Cfg
 	var (
 		txs        []radio.Tx
@@ -137,7 +158,7 @@ func (e *engine) run(ctx context.Context) (*sim.Result, error) {
 	slot := 0
 	for ; e.pendingTotal > 0 && slot < e.MaxSlots; slot++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		if cfg.Hooks.OnSlotStart != nil {
 			cfg.Hooks.OnSlotStart(slot)
@@ -169,7 +190,7 @@ func (e *engine) run(ctx context.Context) (*sim.Result, error) {
 			if err := e.medium.resolve(txs, func(d radio.Delivery) {
 				deliveries = append(deliveries, d)
 			}); err != nil {
-				return nil, err
+				return err
 			}
 		}
 
@@ -183,7 +204,7 @@ func (e *engine) run(ctx context.Context) (*sim.Result, error) {
 			if err := e.medium.resolve(txs, func(d radio.Delivery) {
 				deliveries = append(deliveries, d)
 			}); err != nil {
-				return nil, err
+				return err
 			}
 		}
 
@@ -192,14 +213,15 @@ func (e *engine) run(ctx context.Context) (*sim.Result, error) {
 			var err error
 			sendBuf, err = e.Inst.Deliver(slot, deliveries, &cfg.Hooks, sendBuf)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			sendBuf = e.Inst.Tick(slot, sendBuf)
 			e.applySends(sendBuf)
 		}
 	}
 
-	return e.Finish(slot, e.pendingTotal > 0, e.medium.goodGoodCollisions), nil
+	e.Stop(slot, e.pendingTotal > 0, e.medium.goodGoodCollisions)
+	return nil
 }
 
 // consumePending removes one pending transmission from id, debiting the

@@ -18,9 +18,6 @@ type denseThreshold struct {
 	spec core.Spec
 }
 
-// Name implements protocol.Machine.
-func (m denseThreshold) Name() string { return m.spec.Name }
-
 // Attach implements protocol.Machine. The engine hands it the resolved
 // placement, so env.Bad is never nil here.
 func (m denseThreshold) Attach(env protocol.Env) (protocol.Instance, error) {

@@ -115,10 +115,17 @@ func (r *RNG) Bernoulli(p float64) bool {
 // Perm returns a random permutation of [0, n), like math/rand.Perm.
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
+	r.PermFill(p)
+	return p
+}
+
+// PermFill overwrites p with a random permutation of [0, len(p)): the
+// permutation, and the Intn draws behind it, that Perm(len(p)) returns,
+// without allocating.
+func (r *RNG) PermFill(p []int) {
 	for i := range p {
 		j := r.Intn(i + 1)
 		p[i] = p[j]
 		p[j] = i
 	}
-	return p
 }

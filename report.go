@@ -86,7 +86,18 @@ type MultiResult struct {
 // reportFromSim lifts an engine result — the one lifting. The per-node
 // slices are shared with the SimResult, which already owns fresh copies.
 func reportFromSim(engine string, res *SimResult) *Report {
-	return &Report{
+	rep := reportCounts(engine, res)
+	rep.Decided = res.Decided
+	rep.DecidedValue = res.DecidedValue
+	rep.Sent = res.Sent
+	rep.Sim = res
+	return &rep
+}
+
+// reportCounts lifts an engine result's tallies: the Report without its
+// per-node slices and extensions.
+func reportCounts(engine string, res *SimResult) Report {
+	return Report{
 		Engine:         engine,
 		Completed:      res.Completed,
 		Stalled:        res.Stalled,
@@ -98,12 +109,8 @@ func reportFromSim(engine string, res *SimResult) *Report {
 		GoodMessages:   res.GoodMessages,
 		BadMessages:    res.BadMessages,
 		BadCount:       res.BadCount,
-		Decided:        res.Decided,
-		DecidedValue:   res.DecidedValue,
-		Sent:           res.Sent,
 		AvgGoodSends:   res.AvgGoodSends,
 		MaxGoodSends:   res.MaxGoodSends,
-		Sim:            res,
 	}
 }
 

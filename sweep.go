@@ -19,9 +19,10 @@ type SweepPoint struct {
 }
 
 // Sweep runs a list of Scenarios through one Engine on a deterministic
-// worker pool, streaming the results in scenario order. It is the one
-// batch path: the experiment harness (E1–E12) and the bftsimd job ranges
-// run on it too. Because every Scenario carries its own
+// worker pool, streaming the results in scenario order. It is the batch
+// path of the experiment harness (E1–E12); a bftsimd job range is one
+// executor's serial loop instead, which keeps only each point's
+// tallies. Because every Scenario carries its own
 // seeds, the reports are identical for any worker count; only the
 // wall-clock time changes.
 //
