@@ -64,10 +64,11 @@ func allocsRGG100kRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Read 12 since the placement and the corruptor take their scratch
-	// from the runner; 16 since the run frame keeps the jammers' reach;
-	// 29–32 when the corruptor built a per-run bad-neighbor index.
-	allocsAtMost(t, 5, 14, func() {
+	// Read 11 since Run keeps its normalized Scenario copy on the stack;
+	// 12 since the placement and the corruptor take their scratch from the
+	// runner; 16 since the run frame keeps the jammers' reach; 29–32 when
+	// the corruptor built a per-run bad-neighbor index.
+	allocsAtMost(t, 5, 13, func() {
 		sc, err := bftbcast.NewScenario(
 			bftbcast.WithTopology(g),
 			bftbcast.WithParams(params),
@@ -116,8 +117,9 @@ func allocsMultiBroadcast(t *testing.T) {
 			t.Fatalf("multi broadcast failed: %+v", rep)
 		}
 	}
-	// Read 33 when introduced.
-	allocsAtMost(t, 10, 36, run)
+	// Read 28 since Run keeps its normalized Scenario copy on the stack;
+	// 33 when introduced.
+	allocsAtMost(t, 10, 32, run)
 	// The machine allocates the receipt-count plane of a value on its
 	// first tally, so a fault-free run, which only ever counts ValueTrue,
 	// holds one of the eight: ≈0.97 MB a run, 2.78 MB with every plane
@@ -202,11 +204,12 @@ func allocsSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Read 110, ≈14 a point, since the placement and the corruptor take
-	// their scratch from the runner; 174 since the run frame keeps the
-	// jammers' reach; 230 with the corruptor's per-run bad-neighbor index,
-	// 618 when Sweep built a cold runner per call.
-	allocsAtMost(t, 5, 122, func() {
+	// Read 102, ≈13 a point, since Run keeps its normalized Scenario copy
+	// on the stack; 110 since the placement and the corruptor take their
+	// scratch from the runner; 174 since the run frame keeps the jammers'
+	// reach; 230 with the corruptor's per-run bad-neighbor index, 618 when
+	// Sweep built a cold runner per call.
+	allocsAtMost(t, 5, 113, func() {
 		scenarios := make([]*bftbcast.Scenario, 8)
 		for j := range scenarios {
 			scenarios[j], err = base.With(bftbcast.WithAdversary(
@@ -258,12 +261,13 @@ func allocsJobGrid(t *testing.T) {
 		T:     []int{1, 2},
 		MF:    []int{1, 2},
 	}
-	// Read 704–721 since a range runs its points tallies-only on the
+	// Read 654 since RunCounts keeps its normalized Scenario copy on the
+	// stack; 704–721 since a range runs its points tallies-only on the
 	// executor's goroutine, placement and corruptor scratch lent by the
 	// runner; 1710–1712 since the run frame keeps the jammers' reach;
 	// 2062–2064 with the corruptor's per-run bad-neighbor index, 4378–4385
 	// when a cold runner was built per leased range.
-	allocsAtMost(t, 10, 795, func() {
+	allocsAtMost(t, 10, 725, func() {
 		job, err := m.Submit(spec)
 		if err != nil {
 			t.Fatal(err)

@@ -135,11 +135,11 @@ func (e *engine) Name() string { return e.name }
 
 // Run implements Engine.
 func (e *engine) Run(ctx context.Context, sc *Scenario) (*Report, error) {
-	sc, err := sc.normalized()
+	norm, err := sc.normalized()
 	if err != nil {
 		return nil, err
 	}
-	cfg, machine := simConfig(sc)
+	cfg, machine := simConfig(&norm)
 	res, err := e.run(ctx, cfg)
 	if err != nil {
 		return nil, err
@@ -153,11 +153,11 @@ func (e *engine) Run(ctx context.Context, sc *Scenario) (*Report, error) {
 // service runs a grid point, whose record keeps only the tallies; the
 // method is not part of Engine, and callers find it by type assertion.
 func (e *engine) RunCounts(ctx context.Context, sc *Scenario) (Report, error) {
-	sc, err := sc.normalized()
+	norm, err := sc.normalized()
 	if err != nil {
 		return Report{}, err
 	}
-	cfg, machine := simConfig(sc)
+	cfg, machine := simConfig(&norm)
 	res, err := e.counts(ctx, cfg)
 	if err != nil {
 		return Report{}, err

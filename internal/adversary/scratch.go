@@ -2,7 +2,6 @@ package adversary
 
 import (
 	"fmt"
-	"math"
 
 	"bftbcast/internal/grid"
 	"bftbcast/internal/plan"
@@ -78,38 +77,10 @@ func (s *Scratch) countsFor(n int) []int32 {
 
 // denyScratch is corruptorCore's per-slot working memory: an engine's
 // Scratch lends one to every run it drives, and a strategy driven
-// without one keeps its own.
+// without one keeps its own. Both buffers are truncated before they are
+// written, so nothing one slot, run or topology leaves behind is ever
+// read by the next.
 type denyScratch struct {
-	// covered[u] == epoch marks u as denied by a jam chosen this slot.
-	// The epoch only grows (until it wraps, which clears the stamps), so
-	// a stamp left by an earlier slot, run or topology never matches.
-	covered []int32
-	epoch   int32
 	entries []denyEntry
-	used    []grid.NodeID // jammers spent this slot
-	jamBuf  []radio.Tx    // emitted jams; the engine consumes them before the next slot
-}
-
-// nextSlot opens a slot on an n-node topology: covered spans it and no
-// stamp in it is the new epoch.
-func (d *denyScratch) nextSlot(n int) {
-	if cap(d.covered) < n {
-		d.covered = make([]int32, n)
-	}
-	d.covered = d.covered[:n]
-	if d.epoch == math.MaxInt32 {
-		clear(d.covered[:cap(d.covered)])
-		d.epoch = 0
-	}
-	d.epoch++
-}
-
-// isUsed reports whether id already jammed this slot.
-func (d *denyScratch) isUsed(id grid.NodeID) bool {
-	for _, u := range d.used {
-		if u == id {
-			return true
-		}
-	}
-	return false
+	jamBuf  []radio.Tx // emitted jams; the engine consumes them before the next slot
 }

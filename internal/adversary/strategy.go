@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"slices"
+
 	"bftbcast/internal/grid"
 	"bftbcast/internal/radio"
 	"bftbcast/internal/topo"
@@ -161,7 +163,6 @@ func (c *corruptorCore) jams(v *View, tentative []radio.Delivery) []radio.Tx {
 	if v.Scratch != nil {
 		s = &v.Scratch.deny
 	}
-	s.nextSlot(len(v.Bad))
 	threshold := v.Threshold
 
 	// Pass 1: collect candidate denials with their preferred jammer. The
@@ -191,7 +192,7 @@ func (c *corruptorCore) jams(v *View, tentative []radio.Delivery) []radio.Tx {
 		if c.checkFeasible && sup+1 > int(v.Reach[u]) {
 			continue // blocking u is hopeless; do not waste budget
 		}
-		jammer := pickJammer(v, u, d.From, nil) // exists: Reach[u] > 0
+		jammer := pickJammer(v, u, d.From) // exists: Reach[u] > 0
 		s.entries = append(s.entries, denyEntry{u: u, from: d.From, jammer: jammer, must: must})
 	}
 	if len(s.entries) == 0 {
@@ -216,57 +217,52 @@ func (c *corruptorCore) jams(v *View, tentative []radio.Delivery) []radio.Tx {
 	}
 
 	// Pass 3: emit jams. A jam is worth its budget when it is a
-	// must-denial or when it serves two or more needy victims.
+	// must-denial or when it serves two or more needy victims. An entry's
+	// jammer has budget (pass 1 picked it so, and nothing is spent until
+	// the engine validates the jams) and is u's neighbor, so once it has
+	// jammed this slot u is in its range: every jam has its own jammer.
 	wrong := c.wrongValue
 	if wrong == radio.ValueNone {
 		wrong = radio.ValueFalse
 	}
 	jams := s.jamBuf[:0]
-	s.used = s.used[:0]
 	for _, e := range entries {
-		if s.covered[e.u] == s.epoch {
+		if inJamRange(v.Adj, jams, e.u) {
 			continue // already denied by a jam chosen this slot
 		}
 		if !e.must && !e.shared {
 			continue // lone needy victim: defer to its crossing slot
 		}
-		jammer := e.jammer
-		if s.isUsed(jammer) || v.Budget[jammer].Left() <= 0 {
-			jammer = pickJammer(v, e.u, e.from, s.used)
-			if jammer == grid.None {
-				continue
-			}
-		}
-		s.used = append(s.used, jammer)
-		jams = append(jams, radio.Tx{From: jammer, Value: wrong, Jam: true, Drop: c.drop})
-		// Everything within range of the jammer is corrupted this slot.
-		s.covered[jammer] = s.epoch
-		for _, nb := range v.Adj.Neighbors(jammer) {
-			s.covered[nb] = s.epoch
-		}
+		jams = append(jams, radio.Tx{From: e.jammer, Value: wrong, Jam: true, Drop: c.drop})
 	}
 	s.jamBuf = jams
 	return jams
 }
 
+// inJamRange reports whether one of jams reaches u: a jam corrupts its
+// jammer's whole range. A slot holds a few jams, and each jammer's row is
+// searched in its ascending copy. u is good, so it is never a jammer.
+func inJamRange(adj *radio.Adjacency, jams []radio.Tx, u grid.NodeID) bool {
+	for _, j := range jams {
+		if _, ok := slices.BinarySearch(adj.SortedNeighbors(j.From), u); ok {
+			return true
+		}
+	}
+	return false
+}
+
 // pickJammer returns the bad neighbor of u with remaining budget that is
-// closest to the transmitter (ties broken by id), skipping nodes in
-// exclude. Proximity to the transmitter maximizes how many of the
+// closest to the transmitter (ties broken by id), or grid.None when there
+// is none. Proximity to the transmitter maximizes how many of the
 // transmission's other receivers the jam also covers. It walks u's row,
 // but only for a victim that passed every gate; the (distance, id)
 // minimum does not depend on the walk order.
-func pickJammer(v *View, u, from grid.NodeID, exclude []grid.NodeID) grid.NodeID {
+func pickJammer(v *View, u, from grid.NodeID) grid.NodeID {
 	jammer := grid.None
 	best := int(^uint(0) >> 1)
-next:
 	for _, nb := range v.Adj.Neighbors(u) {
 		if !v.Bad[nb] || v.Budget[nb].Left() <= 0 {
 			continue
-		}
-		for _, x := range exclude {
-			if x == nb {
-				continue next
-			}
 		}
 		dist := v.Topo.Dist(nb, from)
 		if dist < best || (dist == best && nb < jammer) {

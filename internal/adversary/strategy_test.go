@@ -305,17 +305,17 @@ func TestPickJammerPrefersTransmitterProximity(t *testing.T) {
 	v.bad[far] = true
 	v.budget[near] = 1
 	v.budget[far] = 1
-	if got := pickJammer(v.view(), victim, from, nil); got != near {
+	if got := pickJammer(v.view(), victim, from); got != near {
 		t.Fatalf("pickJammer = %d, want %d", got, near)
 	}
-	// Excluding the near one falls back to the far one.
-	if got := pickJammer(v.view(), victim, from, []grid.NodeID{near}); got != far {
-		t.Fatalf("pickJammer with exclude = %d, want %d", got, far)
+	// A spent near one falls back to the far one.
+	v.budget[near] = 0
+	if got := pickJammer(v.view(), victim, from); got != far {
+		t.Fatalf("pickJammer with the near jammer spent = %d, want %d", got, far)
 	}
 	// No budget anywhere: none.
-	v.budget[near] = 0
 	v.budget[far] = 0
-	if got := pickJammer(v.view(), victim, from, nil); got != grid.None {
+	if got := pickJammer(v.view(), victim, from); got != grid.None {
 		t.Fatalf("pickJammer broke = %d, want None", got)
 	}
 }

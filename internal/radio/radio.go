@@ -147,27 +147,26 @@ func (a *Adjacency) Degree(id grid.NodeID) int {
 // Medium resolves transmissions into deliveries on a fixed topology. The
 // adjacency CSR is shared and read-only (see Adjacency); the per-slot
 // resolution scratch is private, so a Medium is not safe for concurrent
-// use — create one per goroutine. A Medium is reusable across runs on the
-// same topology (see ResetStats).
+// use — create one per goroutine. The scratch cleans itself: a receiver's
+// entries are reset when a slot first touches it, and the emission scan
+// clears its touched bit, so a Medium is reusable across slots and runs
+// on the same topology (see ResetStats).
 type Medium struct {
 	adj *Adjacency
 
-	epoch    int32
-	mark     []int32       // epoch stamp per node
 	nGood    []int16       // concurrent good transmissions heard
-	goodVal  []Value       // value of the (sole) good transmission heard
+	goodVal  []Value       // value of the last good transmission heard
 	goodFrom []grid.NodeID // its transmitter (ResolveDisjoint: its index in txs)
 	jamVal   []Value       // value chosen by the first jam heard, ValueNone = drop
-	jamFrom  []grid.NodeID // the winning jammer
-	jammed   []bool
-	sending  []bool // half-duplex: transmitters cannot receive this slot
+	jamFrom  []grid.NodeID // the first jammer heard, grid.None = unjammed
+	sending  []bool        // half-duplex: transmitters cannot receive this slot
 
 	// words/summary are the two-level touched bitset: words has one bit
-	// per node, summary one bit per word of words. Marking sets the bit of
-	// each first-touched receiver; emission scans set bits in ascending id
-	// order and clears as it goes, so multi-transmitter slots report
-	// deliveries in receiver order in O(touched + n/4096) without sorting.
-	// Allocated lazily on the first slot that needs them.
+	// per node, summary one bit per word of words. A receiver's bit is
+	// set when a slot first reaches it; emission scans set bits in
+	// ascending id order and clears as it goes, so multi-transmitter
+	// slots report deliveries in receiver order in O(touched + n/4096)
+	// without sorting, and the next slot starts with no bit set.
 	words   []uint64
 	summary []uint64
 
@@ -182,55 +181,38 @@ type Medium struct {
 // other consumer of the same plan.
 func NewMediumShared(adj *Adjacency) *Medium {
 	n := adj.Size()
+	nw := (n + 63) / 64
 	return &Medium{
 		adj:      adj,
-		mark:     make([]int32, n),
 		nGood:    make([]int16, n),
 		goodVal:  make([]Value, n),
 		goodFrom: make([]grid.NodeID, n),
 		jamVal:   make([]Value, n),
 		jamFrom:  make([]grid.NodeID, n),
-		jammed:   make([]bool, n),
 		sending:  make([]bool, n),
+		words:    make([]uint64, nw),
+		summary:  make([]uint64, (nw+63)/64),
 	}
 }
 
-// ensureBits sizes the touched bitset on first use, so runs that never
-// see a multi-transmitter slot pay nothing for it.
-func (m *Medium) ensureBits() {
-	if m.words != nil {
-		return
-	}
-	nw := (len(m.mark) + 63) / 64
-	m.words = make([]uint64, nw)
-	m.summary = make([]uint64, (nw+63)/64)
-}
-
-// touch sets to's bit in the touched bitset (sized by ensureBits).
-func (m *Medium) touch(to grid.NodeID) {
+// touch sets to's bit in the touched bitset and reports whether it was
+// clear, i.e. whether this is the slot's first touch of to.
+func (m *Medium) touch(to grid.NodeID) bool {
 	wi := uint32(to) >> 6
-	if m.words[wi] == 0 {
+	w, bit := m.words[wi], uint64(1)<<(uint32(to)&63)
+	if w&bit != 0 {
+		return false
+	}
+	if w == 0 {
 		m.summary[wi>>6] |= 1 << (wi & 63)
 	}
-	m.words[wi] |= 1 << (uint32(to) & 63)
-}
-
-// nextEpoch advances the per-slot scratch epoch, resetting the stamps on
-// wraparound (extremely long runs).
-func (m *Medium) nextEpoch() int32 {
-	m.epoch++
-	if m.epoch < 0 {
-		m.epoch = 1
-		for i := range m.mark {
-			m.mark[i] = 0
-		}
-	}
-	return m.epoch
+	m.words[wi] = w | bit
+	return true
 }
 
 // ResetStats clears the accumulated statistics so the Medium can be
-// reused for a fresh run on the same topology. The per-slot scratch state
-// is epoch-stamped and needs no clearing.
+// reused for a fresh run on the same topology. Every slot leaves the
+// per-slot scratch clean (no touched bit set), so it needs no clearing.
 func (m *Medium) ResetStats() { m.GoodGoodCollisions = 0 }
 
 // ResolveAppend computes the deliveries produced by the slot's
@@ -244,7 +226,7 @@ func (m *Medium) ResolveAppend(txs []Tx, dst []Delivery) ([]Delivery, error) {
 		if tx.Value == ValueNone && !tx.Drop {
 			return dst, fmt.Errorf("radio: transmission from %d carries ValueNone", tx.From)
 		}
-		if int(tx.From) < 0 || int(tx.From) >= len(m.mark) {
+		if int(tx.From) < 0 || int(tx.From) >= len(m.nGood) {
 			return dst, fmt.Errorf("radio: transmitter %d out of range", tx.From)
 		}
 	}
@@ -256,33 +238,22 @@ func (m *Medium) ResolveAppend(txs []Tx, dst []Delivery) ([]Delivery, error) {
 		return m.resolveSingle(&txs[0], dst), nil
 	}
 
-	epoch := m.nextEpoch()
-	useBits := len(txs) > mergeMaxTx
-	if useBits {
-		m.ensureBits()
-	}
-
 	for i := range txs {
 		m.sending[txs[i].From] = true
 	}
 
+	// A receiver's first touch resets the two entries whose stale value
+	// emit would read (goodVal and jamVal are written before every read).
 	for i := range txs {
 		tx := &txs[i]
 		from := tx.From
 		for _, to := range m.adj.Neighbors(from) {
-			if m.mark[to] != epoch {
-				m.mark[to] = epoch
+			if m.touch(to) {
 				m.nGood[to] = 0
-				m.goodVal[to] = ValueNone
-				m.jamVal[to] = ValueNone
-				m.jammed[to] = false
-				if useBits {
-					m.touch(to)
-				}
+				m.jamFrom[to] = grid.None
 			}
 			if tx.Jam {
-				if !m.jammed[to] {
-					m.jammed[to] = true
+				if m.jamFrom[to] == grid.None {
 					m.jamFrom[to] = from
 					if tx.Drop {
 						m.jamVal[to] = ValueNone
@@ -297,18 +268,7 @@ func (m *Medium) ResolveAppend(txs []Tx, dst []Delivery) ([]Delivery, error) {
 			m.goodFrom[to] = from
 		}
 	}
-
-	// Deliveries must be reported in ascending receiver id order. With
-	// only a few transmitters, merging their already-sorted CSR neighbor
-	// lists does that directly; bigger slots (dense waves of same-color
-	// transmitters) scan the touched bitset, which visits receivers in id
-	// order in O(touched + n/4096) — replacing the sort that used to
-	// dominate large-n runs.
-	if useBits {
-		dst = m.emitBits(nil, dst)
-	} else {
-		dst = m.emitMerged(txs, dst)
-	}
+	dst = m.emitBits(nil, dst)
 
 	for i := range txs {
 		m.sending[txs[i].From] = false
@@ -330,47 +290,13 @@ func (m *Medium) resolveSingle(tx *Tx, dst []Delivery) []Delivery {
 	return dst
 }
 
-// mergeMaxTx bounds the transmitter count for merge-based emission: the
-// per-receiver cost of the k-way merge grows with k, while sorting the
-// touched list is k-independent.
-const mergeMaxTx = 8
-
-// emitMerged visits the union of the transmitters' sorted neighbor lists
-// in ascending id order by k-way merge, emitting each receiver once. It
-// produces exactly the deliveries the sort-based path would, without
-// sorting.
-func (m *Medium) emitMerged(txs []Tx, dst []Delivery) []Delivery {
-	var heads [mergeMaxTx][]grid.NodeID
-	for i := range txs {
-		heads[i] = m.adj.SortedNeighbors(txs[i].From)
-	}
-	k := len(txs)
-	for {
-		min := grid.NodeID(-1)
-		for i := 0; i < k; i++ {
-			if len(heads[i]) > 0 && (min < 0 || heads[i][0] < min) {
-				min = heads[i][0]
-			}
-		}
-		if min < 0 {
-			return dst
-		}
-		for i := 0; i < k; i++ {
-			if len(heads[i]) > 0 && heads[i][0] == min {
-				heads[i] = heads[i][1:]
-			}
-		}
-		dst = m.emit(min, dst)
-	}
-}
-
 // emit appends the outcome of the slot at receiver to, if it hears one.
 func (m *Medium) emit(to grid.NodeID, dst []Delivery) []Delivery {
 	if m.sending[to] {
 		return dst // half-duplex
 	}
 	switch {
-	case m.jammed[to]:
+	case m.jamFrom[to] != grid.None:
 		v := m.jamVal[to]
 		if v == ValueNone {
 			return dst
@@ -430,13 +356,14 @@ func (m *Medium) emitBits(disjoint []Tx, dst []Delivery) []Delivery {
 // distance-2 coloring (plan.DisjointClasses). Under that premise the
 // result is exactly ResolveAppend's deliveries minus the skipped
 // receivers. A slot of several transmitters writes one scratch entry per
-// receiver, the index of the transmission that reaches it, next to its
-// touched bit. Slots that carry a jam, and callers that need every
-// delivery or the GoodGoodCollisions count, use ResolveAppend.
+// receiver, the index of the transmission that reaches it, and sets its
+// touched bit; emission reads both and clears the bit. Slots that carry a
+// jam, and callers that need every delivery or the GoodGoodCollisions
+// count, use ResolveAppend.
 func (m *Medium) ResolveDisjoint(txs []Tx, skip []bool, dst []Delivery) ([]Delivery, error) {
 	for i := range txs {
 		tx := &txs[i]
-		if int(tx.From) < 0 || int(tx.From) >= len(m.mark) {
+		if int(tx.From) < 0 || int(tx.From) >= len(m.nGood) {
 			return dst, fmt.Errorf("radio: transmitter %d out of range", tx.From)
 		}
 		if tx.Value == ValueNone || tx.Jam {
@@ -452,11 +379,6 @@ func (m *Medium) ResolveDisjoint(txs []Tx, skip []bool, dst []Delivery) ([]Deliv
 		}
 		return dst, nil
 	}
-	// Several transmitters: record which one reaches each surviving
-	// receiver and let the touched bitset hand them back in id order, as
-	// ResolveAppend does for its big slots. Every entry emission reads is
-	// written here, so the pass needs no epoch.
-	m.ensureBits()
 	for i := range txs {
 		for _, to := range m.adj.Neighbors(txs[i].From) {
 			if skip[to] {

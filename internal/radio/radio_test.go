@@ -2,9 +2,11 @@ package radio
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"bftbcast/internal/grid"
+	"bftbcast/internal/stats"
 	"bftbcast/internal/topo"
 )
 
@@ -228,6 +230,174 @@ func TestMediumReusableAcrossSlots(t *testing.T) {
 			t.Fatalf("slot %d: %d deliveries", slot, len(got))
 		}
 	}
+}
+
+// TestMediumRandomizedOracle drives one Medium through a long run of
+// consecutive slots with colliding good transmissions and jams, with and
+// without Drop, and holds every slot to a brute-force per-receiver rule.
+// Colour-class slots (good transmitters whose receiver sets are pairwise
+// disjoint and hold no transmitter) also hold ResolveDisjoint to
+// ResolveAppend minus the skipped receivers. Every slot runs on the
+// scratch the previous slot left behind, so a first-touch reset that
+// goes missing shows as a stale count, jam or value.
+func TestMediumRandomizedOracle(t *testing.T) {
+	rgg, err := topo.NewConnectedRGG(5000, 11) // past 4096 nodes: two summary words
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range []topo.Topology{grid.MustNew(30, 30, 2), rgg} {
+		t.Run(tp.String(), func(t *testing.T) { mediumOracle(t, tp) })
+	}
+}
+
+func mediumOracle(t *testing.T, tp topo.Topology) {
+	const slots = 600
+	n := tp.Size()
+	nbrs := make([][]grid.NodeID, n) // ascending, from the topology itself
+	for i := range nbrs {
+		nbrs[i] = tp.AppendNeighbors(nil, grid.NodeID(i))
+		slices.Sort(nbrs[i])
+	}
+	hears := func(to, from grid.NodeID) bool {
+		_, ok := slices.BinarySearch(nbrs[from], to)
+		return ok
+	}
+	m := newMedium(tp)
+	rng := stats.NewRNG(uint64(n))
+	var goodGood, jammed, dropped, disjointSlots int
+	for slot := 0; slot < slots; slot++ {
+		colour := rng.Intn(3) == 0
+		var txs []Tx
+		if colour {
+			txs = colourClass(rng, nbrs, 1+rng.Intn(20))
+		} else {
+			txs = randomSlot(rng, nbrs, 1+rng.Intn(20))
+		}
+
+		// The brute-force rule, receiver by receiver in id order.
+		var want []Delivery
+		wantGG := 0
+		for u := grid.NodeID(0); int(u) < n; u++ {
+			if slices.ContainsFunc(txs, func(tx Tx) bool { return tx.From == u }) {
+				continue // half-duplex
+			}
+			jam := slices.IndexFunc(txs, func(tx Tx) bool { return tx.Jam && hears(u, tx.From) })
+			if jam >= 0 { // the first jam heard wins
+				if tx := txs[jam]; !tx.Drop {
+					want = append(want, Delivery{To: u, Value: tx.Value, From: tx.From, Collided: true})
+				}
+				continue
+			}
+			heard := -1
+			nGood := 0
+			for i, tx := range txs {
+				if hears(u, tx.From) {
+					heard = i
+					nGood++
+				}
+			}
+			switch {
+			case nGood == 1:
+				want = append(want, Delivery{To: u, Value: txs[heard].Value, From: txs[heard].From})
+			case nGood >= 2:
+				wantGG++
+			}
+		}
+
+		before := m.GoodGoodCollisions
+		got, err := m.ResolveAppend(txs, nil)
+		if err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("slot %d (%d txs): ResolveAppend differs from the per-receiver rule\ngot  %v\nwant %v", slot, len(txs), got, want)
+		}
+		if d := m.GoodGoodCollisions - before; d != wantGG {
+			t.Fatalf("slot %d: GoodGoodCollisions grew by %d, want %d", slot, d, wantGG)
+		}
+		goodGood += wantGG
+		for _, d := range want {
+			if d.Collided {
+				jammed++
+			}
+		}
+		for _, tx := range txs {
+			if tx.Jam && tx.Drop {
+				dropped++
+			}
+		}
+
+		if !colour {
+			continue
+		}
+		disjointSlots++
+		skip := make([]bool, n)
+		for i := range skip {
+			skip[i] = rng.Intn(4) == 0
+		}
+		wantDisjoint := slices.DeleteFunc(slices.Clone(got), func(d Delivery) bool { return skip[d.To] })
+		gotDisjoint, err := m.ResolveDisjoint(txs, skip, nil)
+		if err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
+		if !slices.Equal(gotDisjoint, wantDisjoint) {
+			t.Fatalf("slot %d (%d txs): ResolveDisjoint differs from ResolveAppend minus skipped\ngot  %v\nwant %v", slot, len(txs), gotDisjoint, wantDisjoint)
+		}
+	}
+	// The run must have exercised every rule it checks.
+	if goodGood == 0 || jammed == 0 || dropped == 0 || disjointSlots == 0 {
+		t.Fatalf("vacuous run: %d good-good collisions, %d jammed deliveries, %d dropping jams, %d colour-class slots",
+			goodGood, jammed, dropped, disjointSlots)
+	}
+}
+
+// randomSlot draws k transmissions from distinct nodes. Half of them sit
+// two hops from an earlier transmitter, so good-good collisions and
+// overlapping jams are common; a quarter are jams, half of those Drop
+// (some with ValueNone, which a dropping jam may carry).
+func randomSlot(rng *stats.RNG, nbrs [][]grid.NodeID, k int) []Tx {
+	var txs []Tx
+	for len(txs) < k {
+		from := grid.NodeID(rng.Intn(len(nbrs)))
+		if len(txs) > 0 && rng.Bool() {
+			from = txs[rng.Intn(len(txs))].From
+			for hop := 0; hop < 2 && len(nbrs[from]) > 0; hop++ {
+				from = nbrs[from][rng.Intn(len(nbrs[from]))]
+			}
+		}
+		if slices.ContainsFunc(txs, func(tx Tx) bool { return tx.From == from }) {
+			continue
+		}
+		tx := Tx{From: from, Value: Value(1 + rng.Intn(3))}
+		if rng.Intn(4) == 0 {
+			tx.Jam = true
+			tx.Drop = rng.Bool()
+			if tx.Drop && rng.Bool() {
+				tx.Value = ValueNone
+			}
+		}
+		txs = append(txs, tx)
+	}
+	return txs
+}
+
+// colourClass draws up to k good transmissions whose receiver sets are
+// pairwise disjoint and hold no transmitter: the premise of
+// ResolveDisjoint, which one TDMA colour class meets.
+func colourClass(rng *stats.RNG, nbrs [][]grid.NodeID, k int) []Tx {
+	covered := map[grid.NodeID]bool{}
+	var txs []Tx
+	for try := 0; try < 20*k && len(txs) < k; try++ {
+		from := grid.NodeID(rng.Intn(len(nbrs)))
+		if covered[from] || slices.ContainsFunc(nbrs[from], func(to grid.NodeID) bool { return covered[to] }) {
+			continue
+		}
+		for _, to := range nbrs[from] {
+			covered[to] = true
+		}
+		txs = append(txs, Tx{From: from, Value: Value(1 + rng.Intn(3))})
+	}
+	return txs
 }
 
 func TestBudgetSpend(t *testing.T) {

@@ -252,8 +252,7 @@ type Runner struct {
 	liveTxs   []radio.Tx // the slot's transmissions from rows not yet settled
 	tentative []radio.Delivery
 	sendBuf   []protocol.Send
-	jamSeen   []int32 // epoch stamps replacing validateJams' map
-	jamEpoch  int32
+	jamSeen   []bool // validateJams' senders of the slot, false between slots
 }
 
 // NewRunner returns an empty Runner; the first Run sizes it.
@@ -276,7 +275,6 @@ func (r *Runner) retarget() {
 	r.supplies = resized(r.supplies, n)
 	r.supply = resized(r.supply, n)
 	r.jamSeen = resized(r.jamSeen, n)
-	r.jamEpoch = 0
 	r.live = resized(r.live, n)
 	r.out = resized(r.out, n)
 	r.retFirst = resized(r.retFirst, n)
@@ -816,23 +814,18 @@ func (r *Runner) resolveFrontier(txs []radio.Tx) (heard bool, err error) {
 // validateJams enforces the adversary rules: jams must come from distinct
 // bad nodes with remaining budget, carry a trackable value, and each costs
 // one budget unit (Frame.SpendJam, which keeps the view's Reach). Duplicate
-// senders are detected with an epoch-stamped array instead of a per-slot
-// map.
+// senders are detected by marking the accepted ones in jamSeen, cleared
+// again on exit.
 func (r *Runner) validateJams(jams []radio.Tx) []radio.Tx {
 	if len(jams) == 0 {
 		return nil
-	}
-	r.jamEpoch++
-	if r.jamEpoch < 0 {
-		r.jamEpoch = 1
-		clear(r.jamSeen)
 	}
 	valid := jams[:0]
 	for _, j := range jams {
 		switch {
 		case int(j.From) < 0 || int(j.From) >= r.Plan.Size(),
 			!r.Bad[j.From],
-			r.jamSeen[j.From] == r.jamEpoch,
+			r.jamSeen[j.From],
 			!j.Jam,
 			!j.Drop && (j.Value <= 0 || j.Value > maxTrackedValue):
 			r.Res.RejectedJams++
@@ -842,12 +835,15 @@ func (r *Runner) validateJams(jams []radio.Tx) []radio.Tx {
 			r.Res.RejectedJams++
 			continue
 		}
-		r.jamSeen[j.From] = r.jamEpoch
+		r.jamSeen[j.From] = true
 		r.Res.BadMessages++
 		if r.Cfg.Hooks.OnSend != nil {
 			r.Cfg.Hooks.OnSend(r.curSlot, j.From, j.Value, true)
 		}
 		valid = append(valid, j)
+	}
+	for _, j := range valid {
+		r.jamSeen[j.From] = false
 	}
 	return valid
 }

@@ -128,13 +128,14 @@ func (sc *Scenario) With(opts ...ScenarioOption) (*Scenario, error) {
 // normalized returns a validated copy with defaults filled, leaving the
 // receiver untouched. Engines run on the copy, so a hand-built Scenario
 // is never mutated by Run and one Scenario value can safely drive
-// concurrent runs.
-func (sc *Scenario) normalized() (*Scenario, error) {
+// concurrent runs. The copy is returned by value, so a caller that
+// keeps it on its stack allocates nothing for it.
+func (sc *Scenario) normalized() (Scenario, error) {
 	out := *sc
 	if err := out.validate(); err != nil {
-		return nil, err
+		return Scenario{}, err
 	}
-	return &out, nil
+	return out, nil
 }
 
 // The typed validation errors: every rejection from NewScenario,
