@@ -204,12 +204,13 @@ func allocsSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Read 102, ≈13 a point, since Run keeps its normalized Scenario copy
-	// on the stack; 110 since the placement and the corruptor take their
+	// Read 95, ≈12 a point, since Run fills its points from plain worker
+	// goroutines (no emitter, no done table); 102 since Run keeps its
+	// normalized Scenario copy on the stack; 110 since the placement and the corruptor take their
 	// scratch from the runner; 174 since the run frame keeps the jammers'
 	// reach; 230 with the corruptor's per-run bad-neighbor index, 618 when
 	// Sweep built a cold runner per call.
-	allocsAtMost(t, 5, 113, func() {
+	allocsAtMost(t, 5, 105, func() {
 		scenarios := make([]*bftbcast.Scenario, 8)
 		for j := range scenarios {
 			scenarios[j], err = base.With(bftbcast.WithAdversary(
@@ -261,13 +262,14 @@ func allocsJobGrid(t *testing.T) {
 		T:     []int{1, 2},
 		MF:    []int{1, 2},
 	}
-	// Read 654 since RunCounts keeps its normalized Scenario copy on the
-	// stack; 704–721 since a range runs its points tallies-only on the
+	// Read 495–514 since a spec's constant Sends and Budget share one
+	// func per value; 654 since RunCounts keeps its normalized Scenario
+	// copy on the stack; 704–721 since a range runs its points tallies-only on the
 	// executor's goroutine, placement and corruptor scratch lent by the
 	// runner; 1710–1712 since the run frame keeps the jammers' reach;
 	// 2062–2064 with the corruptor's per-run bad-neighbor index, 4378–4385
 	// when a cold runner was built per leased range.
-	allocsAtMost(t, 10, 725, func() {
+	allocsAtMost(t, 10, 565, func() {
 		job, err := m.Submit(spec)
 		if err != nil {
 			t.Fatal(err)

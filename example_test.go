@@ -45,7 +45,7 @@ func ExampleNewProtocolB() {
 }
 
 // ExampleSweep sweeps one Scenario over three adversary seeds on the
-// deterministic worker pool, streaming results in order.
+// deterministic worker pool; the points come back in scenario order.
 func ExampleSweep() {
 	params := bftbcast.Params{R: 2, T: 2, MF: 2}
 	tor, err := bftbcast.NewTorus(20, 20, params.R)
@@ -76,10 +76,11 @@ func ExampleSweep() {
 		scenarios = append(scenarios, sc)
 	}
 	sweep := bftbcast.Sweep{Workers: 2, Scenarios: scenarios}
-	for pt := range sweep.Stream(context.Background()) {
-		if pt.Err != nil {
-			panic(pt.Err)
-		}
+	pts, err := sweep.Run(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	for _, pt := range pts {
 		fmt.Println(pt.Index, pt.Report.Completed, pt.Report.WrongDecisions)
 	}
 	// Output:
@@ -229,8 +230,7 @@ func ExampleNewBheter() {
 // construction on one torus: the Theorem 1 stripe (as a sandwich, since a
 // single stripe does not disconnect a torus) starves a whole band when
 // good budgets fall below m0, while the same setup completes at m = 2m0
-// (Theorem 2). The three budget points run as a Sweep streaming its
-// results.
+// (Theorem 2). The three budget points run as one Sweep.
 func ExampleSandwichPlacement() {
 	params := bftbcast.Params{R: 2, T: 5, MF: 4}
 	m0 := bftbcast.M0(params.R, params.T, params.MF)
@@ -270,10 +270,11 @@ func ExampleSandwichPlacement() {
 		}
 	}
 	sweep := bftbcast.Sweep{Scenarios: scenarios}
-	for pt := range sweep.Stream(context.Background()) {
-		if pt.Err != nil {
-			panic(pt.Err)
-		}
+	pts, err := sweep.Run(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	for _, pt := range pts {
 		rep, m := pt.Report, budgets[pt.Index]
 		blocked := 0
 		for i, v := range victims {

@@ -52,10 +52,21 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// constSends adapts a constant to the Sends/Budget signature.
+// constSends adapts a constant to the Sends/Budget signature. Constants
+// below len(constFuncs) share one func, so a spec allocates none for them.
 func constSends(n int) func(grid.NodeID) int {
+	if uint(n) < uint(len(constFuncs)) {
+		return constFuncs[n]
+	}
 	return func(grid.NodeID) int { return n }
 }
+
+var constFuncs = func() (fs [256]func(grid.NodeID) int) {
+	for n := range fs {
+		fs[n] = func(grid.NodeID) int { return n }
+	}
+	return fs
+}()
 
 // NewProtocolB builds the Section 3 protocol B for the given fault model:
 // the source repeats 2·t·mf+1 times; every node, upon accepting a value,

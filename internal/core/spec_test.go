@@ -104,6 +104,20 @@ func TestNewFullBudget(t *testing.T) {
 	}
 }
 
+// TestConstSends: the shared funcs and the closures above the table
+// return their constant, and a constant inside the table allocates
+// nothing.
+func TestConstSends(t *testing.T) {
+	for _, n := range []int{0, 1, 17, len(constFuncs) - 1, len(constFuncs), 1000} {
+		if got := constSends(n)(grid.NodeID(3)); got != n {
+			t.Errorf("constSends(%d) returned %d", n, got)
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { constSends(9) }); a != 0 {
+		t.Errorf("constSends(9) allocates %.0f times, want 0", a)
+	}
+}
+
 func TestSpecValidate(t *testing.T) {
 	ok := Spec{Name: "x", SourceRepeats: 1, Threshold: 1,
 		Sends: constSends(1), Budget: constSends(1)}

@@ -7,8 +7,8 @@
 // pass/fail verdict on the paper's claim shape, so the suite doubles as
 // an integration test and as the benchmark harness behind bench_test.go
 // and cmd/bftbench. Every simulation is a bftbcast.Scenario, and every
-// batch of them runs through bftbcast.Sweep on Options.Workers workers —
-// the path users and the bftsimd daemon run.
+// batch of them runs through bftbcast.Sweep on Options.Workers workers,
+// the library's public batch path.
 package exper
 
 import (

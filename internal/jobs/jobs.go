@@ -78,13 +78,12 @@ type PointRecord struct {
 	AvgGoodSends float64 `json:"avg_good_sends"`
 }
 
-// pointRecord digests one sweep point (pt.Report must be non-nil; its
-// per-node state may be absent).
-func pointRecord(jobID string, pt bftbcast.SweepPoint) PointRecord {
-	rep := pt.Report
+// pointRecord digests the report of grid point index (its per-node
+// state may be absent).
+func pointRecord(jobID string, index int, rep *bftbcast.Report) PointRecord {
 	return PointRecord{
 		Job:            jobID,
-		Index:          pt.Index,
+		Index:          index,
 		Completed:      rep.Completed,
 		Stalled:        rep.Stalled,
 		TimedOut:       rep.TimedOut,

@@ -80,7 +80,7 @@ func TestRunRangeMatchesReports(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s point %d: %v", desc, i, err)
 				}
-				want := pointRecord("j", bftbcast.SweepPoint{Index: i, Report: rep})
+				want := pointRecord("j", i, rep)
 				if got[i] != want {
 					t.Fatalf("%s point %d: RunRange record\n%+v\nwant Run's\n%+v", desc, i, got[i], want)
 				}

@@ -385,18 +385,18 @@ func RunRange(ctx context.Context, eng bftbcast.Engine, workers int, jobID strin
 				return nil, err
 			}
 		}
-		pt := bftbcast.SweepPoint{Index: lo + i}
+		var rep *bftbcast.Report
 		if counts != nil {
-			var rep bftbcast.Report
-			rep, err = counts.RunCounts(ctx, sc)
-			pt.Report = &rep
+			var tallies bftbcast.Report
+			tallies, err = counts.RunCounts(ctx, sc)
+			rep = &tallies
 		} else {
-			pt.Report, err = eng.Run(ctx, sc)
+			rep, err = eng.Run(ctx, sc)
 		}
 		if err != nil {
 			return nil, err
 		}
-		recs[i] = pointRecord(jobID, pt)
+		recs[i] = pointRecord(jobID, lo+i, rep)
 	}
 	return recs, nil
 }

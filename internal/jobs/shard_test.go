@@ -71,7 +71,7 @@ func controlAggregate(t *testing.T, grid *bftbcast.GridSpec) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg.AddRecord(pointRecord("", bftbcast.SweepPoint{Index: i, Report: rep}))
+		agg.AddRecord(pointRecord("", i, rep))
 	}
 	data, err := json.Marshal(agg)
 	if err != nil {

@@ -110,39 +110,6 @@ func (o FuncObserver) Decide(slot int, id NodeID, v Value) {
 	}
 }
 
-// MultiObserver fans every event out to each observer in order.
-func MultiObserver(obs ...Observer) Observer { return multiObserver(obs) }
-
-type multiObserver []Observer
-
-// SlotStart implements Observer.
-func (m multiObserver) SlotStart(slot int) {
-	for _, o := range m {
-		o.SlotStart(slot)
-	}
-}
-
-// Send implements Observer.
-func (m multiObserver) Send(slot int, from NodeID, v Value, adversarial bool) {
-	for _, o := range m {
-		o.Send(slot, from, v, adversarial)
-	}
-}
-
-// Deliver implements Observer.
-func (m multiObserver) Deliver(slot int, from, to NodeID, v Value) {
-	for _, o := range m {
-		o.Deliver(slot, from, to, v)
-	}
-}
-
-// Decide implements Observer.
-func (m multiObserver) Decide(slot int, id NodeID, v Value) {
-	for _, o := range m {
-		o.Decide(slot, id, v)
-	}
-}
-
 // TraceObserver streams decisions as JSON Lines in the repository's
 // golden-trace format: one {"slot","node","kind":"accept","value"}
 // object per acceptance, and a terminal done/stall line written by

@@ -129,8 +129,12 @@ func (sc *Scenario) With(opts ...ScenarioOption) (*Scenario, error) {
 // receiver untouched. Engines run on the copy, so a hand-built Scenario
 // is never mutated by Run and one Scenario value can safely drive
 // concurrent runs. The copy is returned by value, so a caller that
-// keeps it on its stack allocates nothing for it.
+// keeps it on its stack allocates nothing for it. A nil Scenario has no
+// topology.
 func (sc *Scenario) normalized() (Scenario, error) {
+	if sc == nil {
+		return Scenario{}, fmt.Errorf("%w: nil Scenario", ErrNoTopology)
+	}
 	out := *sc
 	if err := out.validate(); err != nil {
 		return Scenario{}, err
@@ -169,8 +173,8 @@ var (
 // invariants without running it, returning nil or an error wrapping one
 // of the typed validation errors (ErrNoTopology, ErrBadParams, ...).
 // Defaults are filled on a copy, so the receiver is never mutated. It
-// is how the jobs layer rejects a malformed submission at submit time
-// instead of failing mid-sweep.
+// lets a caller refuse a hand-built Scenario before queueing it; a
+// bftsimd grid document is checked by GridSpec.Validate instead.
 func (sc *Scenario) Validate() error {
 	_, err := sc.normalized()
 	return err

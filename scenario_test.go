@@ -95,6 +95,29 @@ func TestScenarioTypedValidationErrors(t *testing.T) {
 	}
 }
 
+// TestNilScenario: a nil *Scenario is refused with ErrNoTopology by
+// Validate and by both engines' Run and RunCounts, not dereferenced.
+func TestNilScenario(t *testing.T) {
+	var sc *bftbcast.Scenario
+	if err := sc.Validate(); !errors.Is(err, bftbcast.ErrNoTopology) {
+		t.Errorf("Validate on nil: %v, want ErrNoTopology", err)
+	}
+	for _, eng := range bftbcast.Engines() {
+		if _, err := eng.Run(context.Background(), nil); !errors.Is(err, bftbcast.ErrNoTopology) {
+			t.Errorf("%s Run on nil: %v, want ErrNoTopology", eng.Name(), err)
+		}
+		counts, ok := eng.(interface {
+			RunCounts(context.Context, *bftbcast.Scenario) (bftbcast.Report, error)
+		})
+		if !ok {
+			t.Fatalf("%s has no RunCounts", eng.Name())
+		}
+		if _, err := counts.RunCounts(context.Background(), nil); !errors.Is(err, bftbcast.ErrNoTopology) {
+			t.Errorf("%s RunCounts on nil: %v, want ErrNoTopology", eng.Name(), err)
+		}
+	}
+}
+
 func TestScenarioWithDoesNotMutateBase(t *testing.T) {
 	tor, err := bftbcast.NewTorus(10, 10, 1)
 	if err != nil {

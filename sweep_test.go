@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,20 +47,17 @@ func sweepScenarios(t *testing.T, n int) []*bftbcast.Scenario {
 	return out
 }
 
-// TestSweepStreamOrderAndDeterminism streams the same sweep
-// sequentially and on a 4-worker pool: points must arrive in scenario
-// order and the reports must be identical for any worker count.
-func TestSweepStreamOrderAndDeterminism(t *testing.T) {
+// TestSweepOrderAndDeterminism runs the same sweep sequentially and on
+// a 4-worker pool: points must come back in scenario order and the
+// reports must be identical for any worker count.
+func TestSweepOrderAndDeterminism(t *testing.T) {
 	const n = 8
 	collect := func(workers int) []bftbcast.SweepPoint {
 		t.Helper()
 		sweep := bftbcast.Sweep{Workers: workers, Scenarios: sweepScenarios(t, n)}
-		var pts []bftbcast.SweepPoint
-		for pt := range sweep.Stream(context.Background()) {
-			if pt.Err != nil {
-				t.Fatalf("point %d: %v", pt.Index, pt.Err)
-			}
-			pts = append(pts, pt)
+		pts, err := sweep.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
 		return pts
 	}
@@ -70,7 +68,7 @@ func TestSweepStreamOrderAndDeterminism(t *testing.T) {
 	}
 	for i := range seq {
 		if seq[i].Index != i || par[i].Index != i {
-			t.Fatalf("out-of-order stream: seq[%d].Index=%d par[%d].Index=%d",
+			t.Fatalf("out-of-order points: seq[%d].Index=%d par[%d].Index=%d",
 				i, seq[i].Index, i, par[i].Index)
 		}
 		if !reflect.DeepEqual(seq[i].Report, par[i].Report) {
@@ -156,20 +154,10 @@ func TestSweepPinnedRunnerMixedTopologies(t *testing.T) {
 	}
 }
 
-// refusingEngine is an Engine whose every Run fails.
-type refusingEngine struct{}
-
-var errRefused = errors.New("refusing engine: no run")
-
-func (refusingEngine) Name() string { return "refusing" }
-
-func (refusingEngine) Run(context.Context, *bftbcast.Scenario) (*bftbcast.Report, error) {
-	return nil, errRefused
-}
-
-// TestSweepRun checks the collecting wrapper and its first-error
-// contract (a sweep whose engine fails every point: Run must surface
-// point 0's error and still return all points).
+// TestSweepRun checks Run's first-error contract: point 1 is nil and
+// point 3 an invalid Scenario, so Run must surface point 1's
+// ErrNoTopology, return every point with point 3's ErrBadLimits, and
+// still run the valid ones.
 func TestSweepRun(t *testing.T) {
 	pts, err := (&bftbcast.Sweep{Workers: 2, Scenarios: sweepScenarios(t, 4)}).Run(context.Background())
 	if err != nil {
@@ -184,20 +172,33 @@ func TestSweepRun(t *testing.T) {
 		}
 	}
 
-	bad := bftbcast.Sweep{Engine: refusingEngine{}, Workers: 2, Scenarios: sweepScenarios(t, 3)}
-	pts, err = bad.Run(context.Background())
-	if !errors.Is(err, errRefused) || !strings.Contains(err.Error(), "sweep point 0:") {
-		t.Fatalf("sweep on a refusing engine: err = %v, want point 0's error", err)
+	scenarios := sweepScenarios(t, 5)
+	scenarios[1] = nil
+	bad := *scenarios[3]
+	bad.MaxSlots = -1
+	scenarios[3] = &bad
+	pts, err = (&bftbcast.Sweep{Workers: 2, Scenarios: scenarios}).Run(context.Background())
+	if !errors.Is(err, bftbcast.ErrNoTopology) || !strings.Contains(err.Error(), "sweep point 1:") {
+		t.Fatalf("sweep with a nil point 1: err = %v, want point 1's ErrNoTopology", err)
 	}
-	if len(pts) != 3 {
-		t.Fatalf("got %d points with error, want all 3", len(pts))
+	if len(pts) != 5 {
+		t.Fatalf("got %d points with error, want all 5", len(pts))
+	}
+	if !errors.Is(pts[3].Err, bftbcast.ErrBadLimits) {
+		t.Fatalf("point 3: err = %v, want ErrBadLimits", pts[3].Err)
+	}
+	for i, pt := range pts {
+		failed := i == 1 || i == 3
+		if pt.Index != i || failed != (pt.Err != nil) || failed == (pt.Report != nil && pt.Report.Completed) {
+			t.Fatalf("point %d: Index %d, Err %v, Report %+v", i, pt.Index, pt.Err, pt.Report)
+		}
 	}
 }
 
 // TestSweepWorkerCounts pins the worker-count seam: Workers of 0 (auto),
 // 1 (sequential) and more than len(Scenarios) — whose surplus workers
 // find no point to run — all yield identical reports, and an empty sweep
-// closes cleanly for any Workers value.
+// returns no point and no error for any Workers value.
 func TestSweepWorkerCounts(t *testing.T) {
 	const n = 3
 	var baseline []bftbcast.SweepPoint
@@ -220,9 +221,37 @@ func TestSweepWorkerCounts(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{0, 1, 4} {
-		for range (&bftbcast.Sweep{Workers: workers}).Stream(context.Background()) {
-			t.Fatalf("empty sweep yielded a point at workers=%d", workers)
+		if pts, err := (&bftbcast.Sweep{Workers: workers}).Run(context.Background()); len(pts) != 0 || err != nil {
+			t.Fatalf("empty sweep at workers=%d: %d points, err %v", workers, len(pts), err)
 		}
+	}
+}
+
+// TestSweepRunsPointsConcurrently: on two workers, points 0 and 1 are in
+// flight at once — each one's first slot waits until the other's has
+// started, which a pool running one point at a time never satisfies.
+func TestSweepRunsPointsConcurrently(t *testing.T) {
+	scenarios := sweepScenarios(t, 2)
+	started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	for i := range scenarios {
+		var once sync.Once
+		var err error
+		scenarios[i], err = scenarios[i].With(bftbcast.WithObserver(bftbcast.FuncObserver{OnSlotStart: func(int) {
+			once.Do(func() {
+				close(started[i])
+				select {
+				case <-started[1-i]:
+				case <-time.After(10 * time.Second):
+					t.Errorf("point %d: point %d never ran alongside it", i, 1-i)
+				}
+			})
+		}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := (&bftbcast.Sweep{Workers: 2, Scenarios: scenarios}).Run(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -245,46 +274,34 @@ func waitNoGoroutineGrowth(t *testing.T, before int) {
 	}
 }
 
-// TestSweepStreamAbandonNoLeak drops the stream channel mid-sweep. The
-// doc comment promises abandoning the channel leaks nothing: it is
-// buffered for the whole sweep, so the producer finishes its points and
-// exits with no consumer.
-func TestSweepStreamAbandonNoLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
-	func() {
-		sweep := bftbcast.Sweep{Workers: 2, Scenarios: sweepScenarios(t, 6)}
-		ch := sweep.Stream(context.Background())
-		<-ch // consume one point, then abandon the channel mid-sweep
-	}()
-	waitNoGoroutineGrowth(t, before)
-}
-
-// TestSweepStreamCancelNoLeak cancels the context from inside a running
-// point and then abandons the channel: the workers must drain the
-// remaining points fail-fast and the producer must still close down.
-func TestSweepStreamCancelNoLeak(t *testing.T) {
+// TestSweepCancelNoLeak cancels the context from inside a running point
+// on a 2-worker pool: Run must return context.Canceled with every later
+// point failing fast, and leave no goroutine behind.
+func TestSweepCancelNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	func() {
-		scenarios := sweepScenarios(t, 8)
-		var err error
-		scenarios[2], err = scenarios[2].With(bftbcast.WithObserver(
-			bftbcast.FuncObserver{OnSlotStart: func(int) { cancel() }},
-		))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sweep := bftbcast.Sweep{Workers: 2, Scenarios: scenarios}
-		ch := sweep.Stream(ctx)
-		<-ch // one point, then walk away from a cancelled sweep
-	}()
+	scenarios := sweepScenarios(t, 8)
+	var err error
+	scenarios[2], err = scenarios[2].With(bftbcast.WithObserver(
+		bftbcast.FuncObserver{OnSlotStart: func(int) { cancel() }},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := (&bftbcast.Sweep{Workers: 2, Scenarios: scenarios}).Run(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sweep: err = %v, want context.Canceled", err)
+	}
+	if len(pts) != len(scenarios) {
+		t.Fatalf("got %d points, want %d", len(pts), len(scenarios))
+	}
 	waitNoGoroutineGrowth(t, before)
 }
 
 // TestSweepCancellation cancels mid-sweep — deterministically, from an
-// Observer inside point 5's own run on a sequential pool: the stream
-// must still close after yielding one point per scenario, with point 5
+// Observer inside point 5's own run on a sequential pool: Run must still
+// return one point per scenario, the earlier ones intact, point 5
 // interrupted mid-run and every later point failing fast, all with
 // context.Canceled.
 func TestSweepCancellation(t *testing.T) {
@@ -299,24 +316,25 @@ func TestSweepCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep := bftbcast.Sweep{Workers: 1, Scenarios: scenarios}
-	var got int
-	for pt := range sweep.Stream(ctx) {
-		if pt.Index != got {
-			t.Fatalf("out-of-order point %d at position %d", pt.Index, got)
+	pts, err := (&bftbcast.Sweep{Workers: 1, Scenarios: scenarios}).Run(ctx)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "sweep point 5:") {
+		t.Fatalf("err = %v, want point %d's context.Canceled", err, cancelAt)
+	}
+	if len(pts) != n {
+		t.Fatalf("got %d points, want %d", len(pts), n)
+	}
+	for i, pt := range pts {
+		if pt.Index != i {
+			t.Fatalf("out-of-order point %d at position %d", pt.Index, i)
 		}
-		got++
-		if pt.Index < cancelAt {
-			if pt.Err != nil {
-				t.Fatalf("point %d before the cancel: %v", pt.Index, pt.Err)
+		if i < cancelAt {
+			if pt.Err != nil || !pt.Report.Completed {
+				t.Fatalf("point %d before the cancel: err %v", i, pt.Err)
 			}
 			continue
 		}
 		if !errors.Is(pt.Err, context.Canceled) {
-			t.Fatalf("point %d after the cancel: err = %v, want context.Canceled", pt.Index, pt.Err)
+			t.Fatalf("point %d after the cancel: err = %v, want context.Canceled", i, pt.Err)
 		}
-	}
-	if got != n {
-		t.Fatalf("stream yielded %d points, want %d", got, n)
 	}
 }
