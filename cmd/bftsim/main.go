@@ -1,6 +1,7 @@
 // Command bftsim runs one broadcast scenario from command-line flags on
 // a selectable execution backend and prints the unified report,
-// optionally tracing acceptances as JSON Lines.
+// optionally tracing acceptances as JSON Lines and timing the engine's
+// phases (-timing).
 //
 // Engine and protocol are orthogonal: -engine picks the execution
 // backend (fast | ref), -protocol picks the node-level state
@@ -20,6 +21,7 @@
 //	bftsim -engine ref -topology rgg -n 300 -t 1 -mf 2 -adversary random
 //	bftsim -timeout 5s -w 45 -h 45 -r 4 -t 2 -mf 64 -adversary random
 //	bftsim -broadcasts 16 -w 45 -h 45 -r 2 -t 1 -mf 2
+//	bftsim -timing -broadcasts 32 -w 45 -h 45 -r 2 -t 2 -mf 2
 package main
 
 import (
@@ -29,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"bftbcast"
 )
@@ -65,6 +68,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		k          = fs.Int("k", 16, "payload bits for the reactive protocol")
 		broadcasts = fs.Int("broadcasts", 0, "concurrent broadcast instances (multi-broadcast traffic; threshold protocols only)")
 		traceFlag  = fs.Bool("trace", false, "emit acceptance events as JSON lines")
+		timing     = fs.Bool("timing", false, "print the engine's wall time by phase and the slot loop's counts")
 		timeout    = fs.Duration("timeout", 0, "wall-clock deadline for the run (0 = none)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -112,6 +116,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	sc.Timing = *timing
 	var tracer *bftbcast.TraceObserver
 	if *traceFlag {
 		tracer = bftbcast.NewTraceObserver(stdout)
@@ -155,5 +160,31 @@ func run(args []string, stdout, stderr io.Writer) error {
 			rr.MessageRounds, rr.ForgedDeliveries, rr.SubBitLength, rr.CodewordBits,
 			rr.MaxNodeMessages, 2*(sc.Params.T*sc.Params.MF+1), rr.MaxNodeSubSlots, rr.Theorem4SubSlots)
 	}
+	if tm := rep.Timing; tm != nil {
+		printTiming(stdout, tm)
+	}
 	return nil
+}
+
+// printTiming prints a run's Timing: one line per phase with its share of
+// the total, then the slot loop's counts.
+func printTiming(w io.Writer, tm *bftbcast.Timing) {
+	total := tm.Total()
+	fmt.Fprintf(w, "timing: total=%v\n", total)
+	for _, row := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"begin", tm.Begin}, {"loop", tm.Loop}, {"emit", tm.Emit}, {"resolve", tm.Resolve},
+		{"adversary", tm.Adversary}, {"deliver", tm.Deliver}, {"schedule", tm.Schedule}, {"finish", tm.Finish},
+	} {
+		share := 0.0
+		if total > 0 {
+			share = 100 * float64(row.d) / float64(total)
+		}
+		fmt.Fprintf(w, "timing: %-9s %12v %5.1f%%\n", row.name, row.d, share)
+	}
+	fmt.Fprintf(w, "timing: slots executed=%d skipped=%d\n", tm.SlotsExecuted, tm.SlotsSkipped)
+	fmt.Fprintf(w, "timing: sends full=%d frontier=%d booked=%d retired=%d\n",
+		tm.SendsFull, tm.SendsFrontier, tm.SendsBooked, tm.SendsRetired)
 }

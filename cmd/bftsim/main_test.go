@@ -185,3 +185,30 @@ func TestGoldenOutput(t *testing.T) {
 		})
 	}
 }
+
+// TestTimingFlag checks that -timing appends the phase rows and counts
+// and leaves the report lines as an untimed run prints them.
+func TestTimingFlag(t *testing.T) {
+	for _, eng := range []string{"fast", "ref"} {
+		t.Run(eng, func(t *testing.T) {
+			args := append([]string{"-engine", eng, "-broadcasts", "4"}, small...)
+			plain, _, err := runCLI(t, args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			timed, _, err := runCLI(t, append([]string{"-timing"}, args...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			report, rows, ok := strings.Cut(timed, "timing: total=")
+			if !ok || report != plain {
+				t.Fatalf("-timing changed the report or printed no total:\n%s\nuntimed:\n%s", timed, plain)
+			}
+			for _, want := range []string{"timing: begin", "timing: deliver", "timing: finish", "timing: slots executed=", "timing: sends full="} {
+				if !strings.Contains(rows, want) {
+					t.Fatalf("-timing output lacks %q:\n%s", want, timed)
+				}
+			}
+		})
+	}
+}

@@ -100,6 +100,7 @@ func simConfig(sc *Scenario) (sim.Config, protocol.Machine) {
 		Seed:      sc.Seed,
 		MaxSlots:  sc.MaxSlots,
 		Machine:   machine,
+		Timing:    sc.Timing,
 	}
 	if obs := sc.Observer; obs != nil {
 		cfg.Hooks = protocol.Hooks{

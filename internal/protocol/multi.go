@@ -22,12 +22,14 @@ import (
 // message-efficiency win over M sequential runs is measurable
 // (BatchedSends vs NaiveSends in MultiStats).
 //
-// Batching semantics. Per instance j and node u, relayRemaining[j][u]
-// is the number of future transmissions by u that still carry u's
-// instance-j entry; an acceptance (or a source release) sets it to the
-// protocol's send count. physOutstanding[u] tracks the physical
-// transmissions already scheduled at the engine but not yet observed,
-// so an acceptance only schedules the difference — overlapping
+// Batching semantics. From its acceptance (or its source release) on,
+// node u owes instance j an entry on each of its next transmissions, as
+// many as the protocol's send count: the pair records which of u's
+// transmissions carries the last one, so what u still owes is a
+// difference of two counts, and a transmission pops every owing instance
+// a mask word at a time (see multiInstance). physOutstanding[u] tracks
+// the physical transmissions already scheduled at the engine but not yet
+// observed, so an acceptance only schedules the difference — overlapping
 // instances share the same physical sends. A transmission by u is
 // observed through its first radio delivery of the slot (one
 // transmission per sender per slot; half-duplex keeps a transmitting
@@ -39,8 +41,8 @@ import (
 // identically on every engine.
 //
 // The engine transmits one value per node (State.Value); the receiver
-// applies the sender's per-instance accepted values from its own
-// relayRemaining bookkeeping, so the aggregate on-air value is a
+// applies the sender's per-instance accepted values from the machine's
+// own bookkeeping, so the aggregate on-air value is a
 // display/adversary-view summary: ValueTrue once any instance accepted,
 // sticky on the first wrong acceptance. Adversarial deliveries (bad
 // From) cannot be attributed to an instance and are counted once in
@@ -65,7 +67,10 @@ import (
 // unobserved run without a strategy, Book gets each slot as its
 // transmissions and applies it without building a delivery, and the
 // Deliver that follows, with no deliveries, makes the acceptances Book
-// found in the order a resolved batch would have (see Book).
+// found in the order a resolved batch would have (see Book). A booked
+// transmission's receipts go on a per-sender ledger that Finish folds
+// into Correct and Wrong, so those two are complete by Finish, not
+// slot by slot; the acceptance state is exact after every slot.
 //
 // With M = 1 the machine is bit-identical to ThresholdInstance: every
 // batch has exactly one entry (a node's observed transmissions never
@@ -191,36 +196,49 @@ func (m *Multi) Attach(env Env) (Instance, error) {
 		spec:      m.Spec,
 		m:         m.M,
 		n:         n,
-		bad:       env.Bad,
 		goodTotal: good,
 		threshold: int32(m.Spec.Threshold),
 		words:     (m.M + 63) / 64,
+		adj:       env.Plan.Adjacency(),
 	}
-	mi.st.Decided = make([]bool, n)
-	mi.st.Value = make([]radio.Value, n)
-	mi.st.Correct = make([]int32, n)
-	mi.st.Wrong = make([]int32, n)
+	if good < n {
+		mi.bad = env.Bad // nil when the placement marked no node
+	}
+	mi.tor, _ = env.Plan.Topo().(*grid.Torus)
 	mi.st.BooksSlots = true
-	mi.adj = env.Plan.Adjacency()
 
 	stride := m.M * n
 	mi.value = make([]radio.Value, stride)
-	mi.relayRemaining = make([]int32, stride)
 
-	// Every mask, per node and per run, is carved from one arena.
+	// Every mask, per node and per run, is carved from one arena, every
+	// int32 array from another and every flag from a third.
 	nm, nt := n*mi.words, (n+63)/64
-	masks := make([]uint64, 3*nm+mi.words+nt+(nt+63)/64)
-	mi.decided, masks = masks[:nm:nm], masks[nm:]
-	mi.owing, masks = masks[:nm:nm], masks[nm:]
-	mi.fresh, masks = masks[:nm:nm], masks[nm:]
-	mi.started, masks = masks[:mi.words:mi.words], masks[mi.words:]
-	mi.touched, mi.touchedSum = masks[:nt:nt], masks[nt:]
+	masks := make([]uint64, (4+expiryRing)*nm+mi.words+nt+(nt+63)/64)
+	mi.decided, masks = carve(masks, nm)
+	mi.owing, masks = carve(masks, nm)
+	mi.trueMask, masks = carve(masks, nm)
+	mi.fresh, masks = carve(masks, nm)
+	mi.due, masks = carve(masks, expiryRing*nm)
+	mi.started, masks = carve(masks, mi.words)
+	mi.touched, mi.touchedSum = carve(masks, nt)
+	box := 0
+	if mi.tor != nil {
+		box = n + mi.tor.Width()
+	}
+	ints := make([]int32, stride+7*n+box)
+	mi.lastTx, ints = carve(ints, stride)
+	mi.st.Correct, ints = carve(ints, n)
+	mi.st.Wrong, ints = carve(ints, n)
+	mi.ledTrue, ints = carve(ints, n)
+	mi.ledOther, ints = carve(ints, n)
+	mi.txCount, ints = carve(ints, n)
+	mi.decidedCount, ints = carve(ints, n)
+	mi.physOutstanding, mi.box = carve(ints, n)
+	flags := make([]bool, 3*n)
+	mi.st.Decided, flags = carve(flags, n)
+	mi.hasWrong, mi.isSource = carve(flags, n)
+	mi.st.Value = make([]radio.Value, n)
 	mi.batch = make([]carriedWord, n*mi.words)
-
-	mi.decidedCount = make([]int32, n)
-	mi.hasWrong = make([]bool, n)
-	mi.physOutstanding = make([]int32, n)
-	mi.isSource = make([]bool, n)
 	mi.batchStamp = make([]int, n)
 	for i := range mi.batchStamp {
 		mi.batchStamp[i] = -1
@@ -261,6 +279,16 @@ func (m *Multi) Attach(env Env) (Instance, error) {
 	return mi, nil
 }
 
+// carve splits the first k entries off an arena, capped so that an append
+// to them cannot reach the rest.
+func carve[T any](arena []T, k int) (head, rest []T) {
+	return arena[:k:k], arena[k:]
+}
+
+// expiryRing is the number of expiry buckets per node (see multiInstance);
+// a power of two.
+const expiryRing = 8
+
 // multiInstance is one multi-broadcast run's state. Per-instance arrays
 // are flat, sized M·n and laid out receiver-major (indexed u·m+j): node
 // u's M instance slots are one contiguous row. Which instances a node
@@ -273,15 +301,26 @@ func (m *Multi) Attach(env Env) (Instance, error) {
 // The aggregate State arrays are the engine-facing summary (Decided =
 // all M instances decided, Value = the on-air value, Correct/Wrong =
 // protocol-level entry counts).
+//
+// A transmission pops a word at a time as well. Node u's transmissions
+// are numbered by txCount[u]; an owed pair (u, j) records in lastTx the
+// number of the transmission that carries its last entry, and sits in
+// bucket lastTx % expiryRing of u's ring of due masks. Popping u's next
+// transmission reads owing (all it carries) and owing & trueMask (the
+// entries worth ValueTrue), bumps txCount[u] and pays off the pairs of
+// the bucket it lands on whose lastTx it is: with an owed count above
+// expiryRing a bucket also holds pairs due a lap or more later, which
+// stay. A pair owes at most once, from its only decision.
 type multiInstance struct {
 	machine   *Multi
 	spec      core.Spec
 	m, n      int
-	bad       []bool
+	bad       []bool // nil when no node is bad
 	goodTotal int
 	threshold int32
 	words     int              // mask words per node, ⌈m/64⌉
 	adj       *radio.Adjacency // the plan's rows, walked by Book
+	tor       *grid.Torus      // the plan's topology when it is a torus, else nil
 
 	st State
 
@@ -290,14 +329,26 @@ type multiInstance struct {
 	// landing on it are not tallied. One plane per tracked value, each
 	// allocated on its first tally, so a run that only ever hears
 	// ValueTrue allocates and works in 4 bytes per pair.
-	counts         [MaxTrackedValue + 1][]int32 // [tracked][u*m+j]
-	value          []radio.Value                // [u*m+j] accepted value
-	relayRemaining []int32                      // [u*m+j] entries u still owes instance j
+	counts [MaxTrackedValue + 1][]int32 // [tracked][u*m+j]
+	value  []radio.Value                // [u*m+j] accepted value
+	lastTx []int32                      // [u*m+j] u's transmission carrying its last owed j entry
+	// txCount[u] numbers u's observed transmissions (see multiInstance).
+	txCount []int32
 
 	// Instance masks, [u*words+k].
-	decided []uint64 // u accepted (or, as its source, released) instance j
-	owing   []uint64 // relayRemaining[u*m+j] > 0
-	fresh   []uint64 // u crossed the threshold in j in a Book; Deliver accepts it
+	decided  []uint64 // u accepted (or, as its source, released) instance j
+	owing    []uint64 // u still owes instance j entries
+	trueMask []uint64 // u's instance-j value is ValueTrue
+	fresh    []uint64 // u crossed the threshold in j in a Book; Deliver accepts it
+	// due is every node's ring of expiry buckets, [(u*expiryRing+b)*words+k]:
+	// the owing pairs whose lastTx % expiryRing is b.
+	due []uint64
+
+	// Booked receipts: per sender, the ValueTrue entries and the others its
+	// booked transmissions carried, folded into Correct and Wrong at Finish
+	// (see Book); box is the torus fold's scratch.
+	ledTrue, ledOther []int32
+	box               []int32
 
 	// touched has one bit per node holding a fresh bit and touchedSum one
 	// bit per word of touched, so Deliver finds the pending acceptances in
@@ -362,12 +413,20 @@ func (mi *multiInstance) Tick(slot int, buf []Send) []Send {
 // delivery. A sender with a non-empty row pops its batch once — an
 // isolated sender is never observed, as in Deliver, and a row of bad
 // receivers only is still popped — and every good receiver in the row
-// gets the batch as applyBatch would apply it, except that a threshold
-// crossing is not accepted here: it is marked fresh (its value recorded)
-// for the Deliver that follows. A receiver hears one transmission per
-// slot and transmits none, so no pair crosses twice and nothing the rest
-// of the slot reads depends on the acceptances being deferred.
+// gets the batch as applyBatch would apply it, with two differences.
+// The receipts are not counted per receiver: the batch's ValueTrue and
+// other entries go on the sender's ledger, which Finish folds into
+// Correct and Wrong over the sender's row, so by Finish they read as if
+// every entry had been delivered (no Strategy or per-delivery hook reads
+// them on a booked run). And a threshold crossing is not accepted here:
+// it is marked fresh (its value recorded) for the Deliver that follows.
+// A receiver hears one transmission per slot and transmits none, so no
+// pair crosses twice and nothing the rest of the slot reads depends on
+// the acceptances being deferred. The row is walked a mask word at a
+// time, and only the receivers with an undecided carried instance do
+// more than one word operation.
 func (mi *multiInstance) Book(slot int, txs []radio.Tx) error {
+	decided, bad, words := mi.decided, mi.bad, mi.words
 	for i := range txs {
 		w := txs[i].From
 		row := mi.adj.Neighbors(w)
@@ -375,28 +434,37 @@ func (mi *multiInstance) Book(slot int, txs []radio.Tx) error {
 			continue
 		}
 		tru, other := mi.popBatch(slot, w)
-		batch := mi.batch[int(w)*mi.words:][:mi.words]
+		mi.ledTrue[w] += tru
+		mi.ledOther[w] += other
 		vals := mi.value[int(w)*mi.m:][:mi.m]
-		for _, u := range row {
-			if mi.bad != nil && mi.bad[u] {
-				continue // adversary nodes do not run the protocol
+		for k, c := range mi.batch[int(w)*words:][:words] {
+			if c.all == 0 {
+				continue
 			}
-			mi.st.Correct[u] += tru
-			mi.st.Wrong[u] += other
-			lo := int(u) * mi.words
-			for k, c := range batch {
-				for walk := c.all &^ mi.decided[lo+k]; walk != 0; walk &= walk - 1 {
-					j := k<<6 + bits.TrailingZeros64(walk)
-					if mi.tally(u, j, vals[j]) {
-						mi.value[int(u)*mi.m+j] = vals[j]
-						mi.fresh[lo+k] |= walk & -walk
-						mi.touch(u)
-					}
+			for _, u := range row {
+				walk := c.all &^ decided[int(u)*words+k]
+				if walk == 0 || bad != nil && bad[u] {
+					continue // nothing live, or an adversary node, which does not run the protocol
 				}
+				mi.bookLive(u, k, walk, vals)
 			}
 		}
 	}
 	return nil
+}
+
+// bookLive tallies at good receiver u the entries of mask word k that u
+// has not decided (walk), worth vals[j], and marks each threshold
+// crossing fresh.
+func (mi *multiInstance) bookLive(u grid.NodeID, k int, walk uint64, vals []radio.Value) {
+	for ; walk != 0; walk &= walk - 1 {
+		j := k<<6 + bits.TrailingZeros64(walk)
+		if mi.tally(u, j, vals[j]) {
+			mi.value[int(u)*mi.m+j] = vals[j]
+			mi.fresh[int(u)*mi.words+k] |= walk & -walk
+			mi.touch(u)
+		}
+	}
 }
 
 // touch marks u as holding a fresh acceptance.
@@ -455,15 +523,35 @@ func (mi *multiInstance) release(j, slot int, buf []Send) []Send {
 	mi.released++
 	mi.started[j>>6] |= 1 << (j & 63)
 	src := mi.inst[j].Source
-	idx := int(src)*mi.m + j
-	mi.value[idx] = radio.ValueTrue
+	mi.value[int(src)*mi.m+j] = radio.ValueTrue
+	word, bit := mi.maskBit(src, j)
+	mi.trueMask[word] |= bit
 	mi.noteDecided(j, src, radio.ValueTrue, slot)
 	repeats := mi.spec.SourceRepeats // >= 1 (Spec.Validate)
 	mi.naiveSends += repeats
-	mi.relayRemaining[idx] = int32(repeats)
-	word, bit := mi.maskBit(src, j)
-	mi.owing[word] |= bit
+	mi.owe(src, j, int32(repeats))
 	return mi.schedule(src, repeats, buf)
+}
+
+// owe makes u owe its next k > 0 transmissions an instance-j entry: the
+// pair's lastTx and its bucket in u's ring (see multiInstance). A pair
+// owes only from its one decision, so it is in no bucket yet.
+func (mi *multiInstance) owe(u grid.NodeID, j int, k int32) {
+	last := mi.txCount[u] + k
+	mi.lastTx[int(u)*mi.m+j] = last
+	word, bit := mi.maskBit(u, j)
+	mi.owing[word] |= bit
+	mi.due[(int(u)*expiryRing+int(last)&(expiryRing-1))*mi.words+j>>6] |= bit
+}
+
+// owed returns how many of u's coming transmissions still carry an
+// instance-j entry.
+func (mi *multiInstance) owed(u grid.NodeID, j int) int32 {
+	word, bit := mi.maskBit(u, j)
+	if mi.owing[word]&bit == 0 {
+		return 0
+	}
+	return mi.lastTx[int(u)*mi.m+j] - mi.txCount[u]
 }
 
 // schedule requests enough physical transmissions at u to cover `want`
@@ -548,29 +636,28 @@ func (mi *multiInstance) Deliver(slot int, ds []radio.Delivery, hooks *Hooks, bu
 }
 
 // popBatch observes good sender w's transmission on its first delivery
-// of the slot: pop one owed entry from every instance w owes (clearing
-// the owing bit of an instance it has now paid off), record what the
-// transmission carries, and consume one outstanding physical send.
-// Later deliveries of the same transmission reuse the recorded batch.
-// The popped set is slot-deterministic: w transmits at most once per
-// slot and, being half-duplex, cannot accept (and so cannot change its
-// owed entries or their values) in a slot it transmits in. It returns how
-// many of the carried entries are worth ValueTrue and how many are not.
+// of the slot: it carries one entry of every instance w owes, and the
+// pairs whose last owed entry it carries are paid off (see
+// multiInstance); it records what the transmission carries and consumes
+// one outstanding physical send. Later deliveries of the same
+// transmission reuse the recorded batch. The popped set is
+// slot-deterministic: w transmits at most once per slot and, being
+// half-duplex, cannot accept (and so cannot change its owed entries or
+// their values) in a slot it transmits in. It returns how many of the
+// carried entries are worth ValueTrue and how many are not.
 func (mi *multiInstance) popBatch(slot int, w grid.NodeID) (tru, other int32) {
 	mi.batchStamp[w] = slot
-	row := int(w) * mi.m
-	for k, lo := 0, int(w)*mi.words; k < mi.words; k++ {
-		c := carriedWord{all: mi.owing[lo+k]}
-		for rest := c.all; rest != 0; rest &= rest - 1 {
-			bit := rest & -rest
-			idx := row + k<<6 + bits.TrailingZeros64(rest)
-			if mi.value[idx] == radio.ValueTrue {
-				c.tru |= bit
-			}
-			mi.relayRemaining[idx]--
-			if mi.relayRemaining[idx] == 0 {
-				mi.owing[lo+k] &^= bit
-			}
+	mi.txCount[w]++
+	tx := mi.txCount[w]
+	lo := int(w) * mi.words
+	due := mi.due[(int(w)*expiryRing+int(tx)&(expiryRing-1))*mi.words:][:mi.words]
+	for k, d := range due {
+		all := mi.owing[lo+k]
+		c := carriedWord{all: all, tru: all & mi.trueMask[lo+k]}
+		if d != 0 {
+			paid := mi.paidOff(w, k, d, tx)
+			due[k] = d &^ paid
+			mi.owing[lo+k] = all &^ paid
 		}
 		mi.batch[lo+k] = c
 		nt := bits.OnesCount64(c.tru)
@@ -582,6 +669,18 @@ func (mi *multiInstance) popBatch(slot int, w grid.NodeID) (tru, other int32) {
 		mi.physOutstanding[w]--
 	}
 	return tru, other
+}
+
+// paidOff returns the pairs of d, word k of one of w's expiry buckets,
+// whose last owed entry goes out with w's transmission tx.
+func (mi *multiInstance) paidOff(w grid.NodeID, k int, d uint64, tx int32) (paid uint64) {
+	last := mi.lastTx[int(w)*mi.m+k<<6:]
+	for ; d != 0; d &= d - 1 {
+		if last[bits.TrailingZeros64(d)] == tx {
+			paid |= d & -d
+		}
+	}
+	return paid
 }
 
 // applyBatch applies the batch recorded in sender w's row to good
@@ -668,18 +767,19 @@ func (mi *multiInstance) tally(u grid.NodeID, j int, v radio.Value) bool {
 // accept makes u's acceptance of v in instance j, scheduling the
 // acceptance relay through the shared physical-send pool.
 func (mi *multiInstance) accept(slot, j int, u grid.NodeID, v radio.Value, hooks *Hooks, buf []Send) []Send {
-	idx := int(u)*mi.m + j
-	mi.value[idx] = v
+	mi.value[int(u)*mi.m+j] = v
+	if v == radio.ValueTrue {
+		word, bit := mi.maskBit(u, j)
+		mi.trueMask[word] |= bit
+	}
 	mi.decisions++
 	mi.noteDecided(j, u, v, slot)
 	sends := mi.spec.Sends(u)
 	mi.naiveSends += sends
-	mi.relayRemaining[idx] += int32(sends)
-	if mi.relayRemaining[idx] > 0 {
-		word, bit := mi.maskBit(u, j)
-		mi.owing[word] |= bit
+	if sends > 0 {
+		mi.owe(u, j, int32(sends))
 	}
-	buf = mi.schedule(u, int(mi.relayRemaining[idx]), buf)
+	buf = mi.schedule(u, int(mi.owed(u, j)), buf)
 	if hooks.OnAccept != nil {
 		hooks.OnAccept(slot, u, v)
 	}
@@ -716,8 +816,10 @@ func (mi *multiInstance) Sizing() (sourceSends, maxSends int) {
 	return mi.spec.SourceRepeats, mi.m * specMaxSends(mi.spec, mi.n)
 }
 
-// Finish implements Instance: publish the run record to the machine.
+// Finish implements Instance: fold the booked receipts into Correct and
+// Wrong, and publish the run record to the machine.
 func (mi *multiInstance) Finish(slots int) {
+	mi.foldLedger()
 	out := make([]MultiInstanceStats, mi.m)
 	copy(out, mi.inst)
 	mi.machine.stats = &MultiStats{
@@ -727,5 +829,33 @@ func (mi *multiInstance) Finish(slots int) {
 		NaiveSends:     mi.naiveSends,
 		EntriesCarried: mi.entriesCarried,
 		Decisions:      mi.decisions,
+	}
+}
+
+// foldLedger adds each sender's booked receipts to the Correct and Wrong
+// of its row — on a torus as a box sum (boxFold), elsewhere by scattering
+// over each row — and leaves the adversary nodes at zero, as delivery
+// would have. A run that booked nothing has an empty ledger.
+func (mi *multiInstance) foldLedger() {
+	st := &mi.st
+	if mi.tor != nil {
+		boxFold(mi.tor, mi.box, st.Correct, mi.ledTrue)
+		boxFold(mi.tor, mi.box, st.Wrong, mi.ledOther)
+	} else {
+		for w, tru := range mi.ledTrue {
+			other := mi.ledOther[w]
+			if tru == 0 && other == 0 {
+				continue
+			}
+			for _, u := range mi.adj.Neighbors(grid.NodeID(w)) {
+				st.Correct[u] += tru
+				st.Wrong[u] += other
+			}
+		}
+	}
+	for i, b := range mi.bad {
+		if b {
+			st.Correct[i], st.Wrong[i] = 0, 0 // adversary nodes do not run the protocol
+		}
 	}
 }

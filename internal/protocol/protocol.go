@@ -62,8 +62,12 @@
 // each sender's row itself and leaves its acceptances pending, and then
 // calls Deliver with no deliveries, which makes them in ascending
 // (receiver, instance) order — the order a resolved batch would have
-// produced — firing the Sends and hooks. On any other run such an instance
-// is handed every delivery, as an instance with neither flag always is.
+// produced — firing the Sends and hooks. Its receipts follow the frontier
+// slots' contract: Book puts them on a per-sender ledger, and by Finish
+// Correct and Wrong read exactly as if every delivery had been made
+// (nothing reads them sooner on such a run, which has no Strategy). On
+// any other run such an instance is handed every delivery, as an instance
+// with neither flag always is.
 //
 // # Hot-path rules
 //
@@ -226,8 +230,10 @@ type Instance interface {
 	// deliveries to good receivers not settled at the slot's start, and
 	// may be empty. For an instance with State.BooksSlots (a booked slot),
 	// it carries none: Book applies the whole slot, and Deliver makes the
-	// acceptances Book left pending. Instances with neither flag are never
-	// booked and return an error.
+	// acceptances Book left pending. Either way the receipts of what Book
+	// took over are complete by Finish (Correct and Wrong may lag until
+	// then); decisions and values are exact after every slot. Instances
+	// with neither flag are never booked and return an error.
 	Book(slot int, txs []radio.Tx) error
 	// GoodBudget returns the message budget the engine enforces for good
 	// node id; negative means unlimited. The engine always leaves the

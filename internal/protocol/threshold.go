@@ -71,7 +71,7 @@ type ThresholdInstance struct {
 	rcptCorrect, rcptWrong []int32 // receipts outside booked slots, once ledger is set
 	ledger                 bool    // something was booked: Finish folds lateTx
 	booked                 int     // the last slot passed to Book, -1 before the first
-	box                    []int32 // boxFold's scratch: n row sums, then W column sums
+	box                    []int32 // boxFold's scratch: n row sums, W column sums, n class ledger
 }
 
 // wrongValues is the number of count buckets per node: one per tracked
@@ -286,37 +286,47 @@ func (t *ThresholdInstance) Finish(int) {
 }
 
 // boxFold adds to dst[u], for every node u of the torus, the ledger of
-// u's neighbors whose value class is correct (Value is Vtrue) or not. A
-// torus row is the (2r+1)×(2r+1) box around u less u itself, so the sum
-// is separable: a wrap-around sliding window along each line, then one
-// down each column over the line sums, then u's own entry taken out —
-// O(n) whatever r is, against the scatter's O(n·deg). Both windows cover
-// distinct cells because each side is at least 2r+1.
+// u's neighbors whose value class is correct (Value is Vtrue) or not: the
+// class's share of lateTx, staged in the tail of the box scratch, summed
+// by the package's boxFold.
 func (t *ThresholdInstance) boxFold(dst []int32, correct bool) {
-	w, h, r := t.tor.Width(), t.tor.Height(), t.tor.Range()
-	n := w * h
-	if len(t.box) != n+w {
-		t.box = make([]int32, n+w)
+	n := len(t.lateTx)
+	if len(t.box) != 2*n+t.tor.Width() {
+		t.box = make([]int32, 2*n+t.tor.Width())
 	}
-	lines, cols := t.box[:n], t.box[n:]
-	ledger := func(i int) int32 {
-		if (t.st.Value[i] == radio.ValueTrue) == correct {
-			return t.lateTx[i]
+	class := t.box[n+t.tor.Width():]
+	for i, k := range t.lateTx {
+		if (t.st.Value[i] == radio.ValueTrue) != correct {
+			k = 0
 		}
-		return 0
+		class[i] = k
 	}
+	boxFold(t.tor, t.box[:n+t.tor.Width()], dst, class)
+}
+
+// boxFold adds to dst[u], for every node u of torus tor, the sum of
+// ledger over u's neighbors, using box (n+W entries) as scratch. A torus
+// row is the (2r+1)×(2r+1) box around u less u itself, so the sum is
+// separable: a wrap-around sliding window along each line, then one down
+// each column over the line sums, then u's own entry taken out — O(n)
+// whatever r is, against a row scatter's O(n·deg). Both windows cover
+// distinct cells because each side is at least 2r+1.
+func boxFold(tor *grid.Torus, box, dst, ledger []int32) {
+	w, h, r := tor.Width(), tor.Height(), tor.Range()
+	n := w * h
+	lines, cols := box[:n], box[n:n+w]
 	nonzero := false
 	for y := 0; y < h; y++ {
 		line := y * w
 		var s int32
 		for dx := -r; dx <= r; dx++ {
-			s += ledger(line + (dx+w)%w)
+			s += ledger[line+(dx+w)%w]
 		}
 		in, out := r+1, w-r // the columns that enter and leave next
 		for x := 0; x < w; x++ {
 			lines[line+x] = s
 			nonzero = nonzero || s != 0
-			s += ledger(line+in) - ledger(line+out)
+			s += ledger[line+in] - ledger[line+out]
 			if in++; in == w {
 				in = 0
 			}
@@ -339,7 +349,7 @@ func (t *ThresholdInstance) boxFold(dst []int32, correct bool) {
 	for y := 0; y < h; y++ {
 		line := y * w
 		for x, s := range cols {
-			dst[line+x] += s - ledger(line+x)
+			dst[line+x] += s - ledger[line+x]
 		}
 		enter, leave := (in%h)*w, (out%h)*w
 		for x := range cols {

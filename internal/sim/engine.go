@@ -554,22 +554,35 @@ func (r *Runner) run(ctx context.Context, cfg Config) error {
 	r.curSlot = -1
 	r.sendBuf = r.Inst.Bootstrap(r.sendBuf[:0])
 	r.applySends(r.sendBuf)
+	r.StartLoop()
+	clock := &r.clock
 
 	maxSlots := r.MaxSlots
 	canSkip := r.deliveryDriven()
+	// ctx is polled without a lock: ctx.Err takes the context's mutex,
+	// which every executor running on one job's context would contend for
+	// once a slot. A context that can never be cancelled has no channel.
+	done := ctx.Done()
 	slot := 0
 	for r.pendingTotal > 0 && slot < maxSlots {
-		if err := ctx.Err(); err != nil {
-			return err
+		if done != nil {
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
+			}
 		}
 		color := r.Plan.SlotColor(slot)
 		if r.colorPending[color] == 0 && canSkip {
 			// Nothing transmits and the strategy stays silent on empty
 			// slots: fast-forward to the next busy color. The slot
 			// counter advances exactly as if the idle slots had run.
-			slot = r.nextBusySlot(slot+1, maxSlots)
+			next := r.nextBusySlot(slot+1, maxSlots)
+			clock.t.SlotsSkipped += next - slot
+			slot = next
 			continue
 		}
+		clock.lap(&clock.t.Loop)
 		r.curSlot = slot
 		if r.Cfg.Hooks.OnSlotStart != nil {
 			r.Cfg.Hooks.OnSlotStart(slot)
@@ -605,6 +618,7 @@ func (r *Runner) run(ctx context.Context, cfg Config) error {
 			r.active[color] = q[:w]
 		}
 		r.txs = txs
+		clock.lap(&clock.t.Emit)
 
 		// heard: the slot's full batch is non-empty, so the instance gets
 		// a Deliver call and a Tick, even when a frontier slot's is empty.
@@ -615,11 +629,15 @@ func (r *Runner) run(ctx context.Context, cfg Config) error {
 			switch {
 			case r.booking:
 				heard, err = r.bookSlot(slot, txs)
+				clock.t.SendsBooked += len(txs)
+				clock.lap(&clock.t.Deliver)
 			case r.frontier:
 				heard, err = r.resolveFrontier(txs)
+				clock.lap(&clock.t.Resolve)
 			default:
 				r.tentative, err = r.medium.ResolveAppend(txs, r.tentative)
 				heard = len(r.tentative) > 0
+				clock.lap(&clock.t.Resolve)
 			}
 			if err != nil {
 				return err
@@ -638,7 +656,9 @@ func (r *Runner) run(ctx context.Context, cfg Config) error {
 			// frontier here and is delivered like any other engine's, with
 			// the retired transmissions it would have carried.
 			if slot < r.retiredEnd {
+				before := len(r.txs)
 				r.txs = r.unretire(slot, r.txs)
+				clock.t.SendsRetired -= len(r.txs) - before
 			}
 			r.txs = append(r.txs, jams...)
 			r.tentative = r.tentative[:0]
@@ -647,14 +667,21 @@ func (r *Runner) run(ctx context.Context, cfg Config) error {
 				return err
 			}
 			heard = len(r.tentative) > 0
+			clock.lap(&clock.t.Adversary)
 		} else if r.frontier && len(r.txs) > 0 {
 			// Jam-free: the frontier is the final batch, and the instance
 			// books the rest of what the slot delivered.
+			clock.lap(&clock.t.Adversary)
 			if err := r.Inst.Book(slot, r.txs); err != nil {
 				return err
 			}
+			clock.lap(&clock.t.Deliver)
 			r.frontierSlots++
 			r.settledTxs += len(r.txs) - len(r.liveTxs)
+			clock.t.SendsFrontier += len(r.liveTxs)
+			clock.t.SendsBooked += len(r.txs) - len(r.liveTxs)
+		} else {
+			clock.lap(&clock.t.Adversary)
 		}
 
 		// Hand the slot's final deliveries to the protocol as one batch
@@ -668,11 +695,15 @@ func (r *Runner) run(ctx context.Context, cfg Config) error {
 				return err
 			}
 			r.sendBuf = r.Inst.Tick(slot, r.sendBuf)
+			clock.lap(&clock.t.Deliver)
 			r.applySends(r.sendBuf)
+			clock.lap(&clock.t.Schedule)
 		}
 		slot++
 	}
 
+	clock.t.SendsRetired += r.retiredTxs
+	clock.t.SlotsSkipped += max(r.retiredEnd-slot, 0)
 	r.Stop(max(slot, r.retiredEnd), r.pendingTotal > 0, r.medium.GoodGoodCollisions)
 	return nil
 }

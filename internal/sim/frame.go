@@ -44,6 +44,8 @@ type Config struct {
 	// OnSend of its own transmissions and hands the set to the instance,
 	// which fires the rest (see protocol.Hooks).
 	Hooks protocol.Hooks
+	// Timing asks for the run's Result.Timing.
+	Timing bool
 }
 
 // Result reports the outcome of a run. All slices are owned by the
@@ -79,6 +81,9 @@ type Result struct {
 
 	AvgGoodSends float64 // mean Sent over good non-source nodes
 	MaxGoodSends int
+
+	// Timing is the run's wall time by phase, nil unless Config.Timing.
+	Timing *Timing
 }
 
 // Frame is the part of a run every engine shares: everything around the
@@ -126,6 +131,8 @@ type Frame struct {
 	// through it, and the fast Runner lends it to the strategy in its
 	// View.
 	adv adversary.Scratch
+	// clock keeps the run's Timing (see StartLoop).
+	clock stopwatch
 }
 
 // Begin prepares a run of cfg. A Config without a Machine runs its Spec
@@ -133,6 +140,7 @@ type Frame struct {
 // choice: the fast engine's reusable protocol.ThresholdInstance or ref's
 // frozen dense acceptance.
 func (f *Frame) Begin(cfg Config, attachSpec func(protocol.Env, core.Spec) (protocol.Instance, error)) error {
+	f.clock.start(cfg.Timing)
 	if cfg.Topo == nil {
 		return errors.New("sim: config needs a topology")
 	}
@@ -233,6 +241,7 @@ func (f *Frame) SpendJam(id grid.NodeID) bool {
 // transmissions were still queued (a timeout once the cap is reached),
 // collisions is the medium's good-good collision count.
 func (f *Frame) Stop(slots int, pending bool, collisions int) {
+	f.clock.lap(&f.clock.t.Loop)
 	f.Res.Slots = slots
 	f.Res.TimedOut = pending && slots >= f.MaxSlots
 	f.Res.GoodGoodCollisions = collisions
@@ -252,6 +261,7 @@ func (f *Frame) Finish() *Result {
 	res.Correct = append([]int32(nil), f.St.Correct...)
 	res.Wrong = append([]int32(nil), f.St.Wrong...)
 	res.Sent = append([]int32(nil), f.Sent...)
+	res.Timing = f.timing()
 	return &res
 }
 
@@ -264,7 +274,9 @@ func (f *Frame) Counts() Result {
 	if f.Cfg.Machine != nil {
 		f.Inst.Finish(f.Res.Slots)
 	}
-	return f.classify()
+	res := f.classify()
+	res.Timing = f.timing()
+	return res
 }
 
 // classify derives the tallies and the verdict from the instance's final

@@ -34,6 +34,8 @@ const refFingerprintFile = "testdata/ref_fingerprints.txt"
 
 // resultFingerprint folds every field of res, in declaration order, into
 // FNV-64a (scalars as 8 little-endian bytes, slices length-prefixed).
+// Timing, the run's wall time and nil on these untimed runs, is no
+// outcome and is left out.
 func resultFingerprint(res *sim.Result) string {
 	h := fnv.New64a()
 	var b [8]byte
@@ -65,6 +67,9 @@ func resultFingerprint(res *sim.Result) string {
 	}
 	rv := reflect.ValueOf(*res)
 	for i := 0; i < rv.NumField(); i++ {
+		if rv.Type().Field(i).Name == "Timing" {
+			continue
+		}
 		fold(rv.Field(i))
 	}
 	return fmt.Sprintf("%016x", h.Sum64())

@@ -155,10 +155,19 @@ func (e *engine) loop(ctx context.Context) error {
 		Bad: e.Bad, Decided: e.St.Decided, Correct: e.St.Correct, Supply: e.supply,
 		Budget: e.BadBudget, Reach: e.Reach, Threshold: e.Inst.Threshold(),
 	}
+	// ctx is polled without a lock: ctx.Err takes the context's mutex,
+	// which every engine running on one job's context would contend for
+	// once a slot. A context that can never be cancelled has no channel.
+	done := ctx.Done()
+	e.StartLoop()
 	slot := 0
 	for ; e.pendingTotal > 0 && slot < e.MaxSlots; slot++ {
-		if err := ctx.Err(); err != nil {
-			return err
+		if done != nil {
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
+			}
 		}
 		if cfg.Hooks.OnSlotStart != nil {
 			cfg.Hooks.OnSlotStart(slot)

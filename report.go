@@ -1,6 +1,9 @@
 package bftbcast
 
-import "bftbcast/internal/protocol"
+import (
+	"bftbcast/internal/protocol"
+	"bftbcast/internal/sim"
+)
 
 // Report is the unified outcome of an Engine run. Every backend returns
 // the same result type underneath, so the core fields and the extension
@@ -41,12 +44,21 @@ type Report struct {
 	AvgGoodSends float64 // mean Sent over good non-source nodes
 	MaxGoodSends int
 
+	// Timing is the engine's wall time by phase with the slot loop's
+	// counts, nil unless the Scenario asked for it (WithTiming). The
+	// reference engine fills Begin, Loop and Finish only.
+	Timing *Timing
+
 	// Protocol extensions: exactly one is non-nil, whichever engine
 	// executed the run.
 	Sim      *SimResult      // single-broadcast threshold protocols
 	Reactive *ReactiveResult // ProtocolReactive runs
 	Multi    *MultiResult    // multi-broadcast runs, Broadcasts >= 2
 }
+
+// Timing is a run's engine wall time by phase (see Report.Timing): the
+// rows sum to Total by construction.
+type Timing = sim.Timing
 
 // MultiInstance is one broadcast instance's outcome inside a
 // multi-broadcast run (see MultiResult.Instances).
@@ -111,6 +123,7 @@ func reportCounts(engine string, res *SimResult) Report {
 		BadCount:       res.BadCount,
 		AvgGoodSends:   res.AvgGoodSends,
 		MaxGoodSends:   res.MaxGoodSends,
+		Timing:         res.Timing,
 	}
 }
 

@@ -61,6 +61,9 @@ type Scenario struct {
 	Reactive ReactiveSpec
 	// Observer, when non-nil, streams engine events (see Observer).
 	Observer Observer
+	// Timing asks the engine for the run's wall time by phase
+	// (Report.Timing).
+	Timing bool
 }
 
 // ProtocolID names a node-level protocol state machine (see
@@ -305,4 +308,9 @@ func WithReactive(r ReactiveSpec) ScenarioOption {
 // WithObserver attaches a streaming event observer.
 func WithObserver(o Observer) ScenarioOption {
 	return func(sc *Scenario) { sc.Observer = o }
+}
+
+// WithTiming asks the engine to time the run's phases (Report.Timing).
+func WithTiming() ScenarioOption {
+	return func(sc *Scenario) { sc.Timing = true }
 }
