@@ -29,9 +29,9 @@
 //
 // A backend-neutral Scenario (topology, fault model, protocol,
 // adversary, seed, limits) is executed by an Engine — one of the two
-// backends EngineFast, EngineRef — into a unified Report; an Observer streams slot/send/deliver/decide events;
-// Sweep runs many Scenarios over a deterministic worker pool with a
-// streaming results channel. See DESIGN.md §8.
+// backends EngineFast, EngineRef — into a unified Report; an Observer
+// watches decisions and, through optional refinements, other events;
+// Sweep runs Scenarios over a deterministic worker pool (DESIGN.md §8).
 //
 // Quick start:
 //

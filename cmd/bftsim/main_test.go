@@ -6,6 +6,7 @@ package main
 // or spec field.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -144,6 +145,18 @@ func TestTraceFlag(t *testing.T) {
 	}
 	if !strings.Contains(out, `"kind":"accept"`) {
 		t.Fatalf("trace output missing accept events:\n%s", out[:min(400, len(out))])
+	}
+	// The trace watches decisions alone, so a traced threshold run still
+	// retires its settled transmitters.
+	out, _, err = runCLI(t, append([]string{"-trace", "-timing"}, small...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full, frontier, booked, retired int
+	_, sends, _ := strings.Cut(out, "timing: sends ")
+	if _, err := fmt.Sscanf(sends, "full=%d frontier=%d booked=%d retired=%d", &full, &frontier, &booked, &retired); err != nil ||
+		retired == 0 || !strings.Contains(out, `"kind":"accept"`) {
+		t.Fatalf("a traced threshold run shows no accept events or no retired sends (%v):\n%s", err, out)
 	}
 }
 

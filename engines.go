@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"bftbcast/internal/grid"
 	"bftbcast/internal/protocol"
 	"bftbcast/internal/radio"
 	"bftbcast/internal/sim"
@@ -84,10 +83,9 @@ func finishReport(rep *Report, machine protocol.Machine) *Report {
 }
 
 // simConfig lowers a Scenario to the engines' config — the one lowering
-// — including the Observer-to-hooks bridge (an InstanceObserver also gets
-// Multi's per-instance events) and the protocol machine, which it also
-// returns for finishReport (nil for the default single-broadcast
-// threshold protocol).
+// — including the Observer-to-hooks bridge (observerHooks) and the
+// protocol machine, which it also returns for finishReport (nil for the
+// default single-broadcast threshold protocol).
 func simConfig(sc *Scenario) (sim.Config, protocol.Machine) {
 	machine := scenarioMachine(sc)
 	cfg := sim.Config{
@@ -102,21 +100,44 @@ func simConfig(sc *Scenario) (sim.Config, protocol.Machine) {
 		Machine:   machine,
 		Timing:    sc.Timing,
 	}
-	if obs := sc.Observer; obs != nil {
-		cfg.Hooks = protocol.Hooks{
-			OnSlotStart: obs.SlotStart,
-			OnSend: func(slot int, from grid.NodeID, v radio.Value, adversarial bool) {
-				obs.Send(slot, from, v, adversarial)
-			},
-			OnDeliver: func(slot int, d radio.Delivery) { obs.Deliver(slot, d.From, d.To, d.Value) },
-			OnAccept:  func(slot int, id grid.NodeID, v radio.Value) { obs.Decide(slot, id, v) },
-		}
-		if io, ok := obs.(InstanceObserver); ok {
-			cfg.Hooks.OnInstanceDeliver = io.DeliverInstance
-			cfg.Hooks.OnInstanceDecide = io.DecideInstance
-		}
+	if sc.Observer != nil {
+		cfg.Hooks = observerHooks(sc.Observer)
 	}
 	return cfg, machine
+}
+
+// observerHooks lowers an Observer to the engines' hooks. It installs a
+// hook only for an event the Observer watches — a refinement it
+// implements, or a FuncObserver field that is set — since a slot-start,
+// send or deliver hook switches fast slot bodies off (see Observer).
+func observerHooks(obs Observer) protocol.Hooks {
+	var f FuncObserver
+	switch o := obs.(type) {
+	case FuncObserver:
+		f = o
+	case *FuncObserver:
+		f = *o
+	default:
+		f.OnDecide = obs.Decide
+		if so, ok := obs.(SlotObserver); ok {
+			f.OnSlotStart = so.SlotStart
+		}
+		if so, ok := obs.(SendObserver); ok {
+			f.OnSend = so.Send
+		}
+		if do, ok := obs.(DeliverObserver); ok {
+			f.OnDeliver = do.Deliver
+		}
+	}
+	h := protocol.Hooks{OnSlotStart: f.OnSlotStart, OnSend: f.OnSend, OnAccept: f.OnDecide}
+	if deliver := f.OnDeliver; deliver != nil {
+		h.OnDeliver = func(slot int, d radio.Delivery) { deliver(slot, d.From, d.To, d.Value) }
+	}
+	if io, ok := obs.(InstanceObserver); ok {
+		h.OnInstanceDeliver = io.DeliverInstance
+		h.OnInstanceDecide = io.DecideInstance
+	}
+	return h
 }
 
 // runFunc is the one contract the backends implement.

@@ -69,7 +69,7 @@ func TestGoldenReactiveTrace(t *testing.T) {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d events)", path, tracer.Count())
+		t.Logf("rewrote %s (%d events)", path, bytes.Count(buf.Bytes(), []byte("\n")))
 		return
 	}
 	want, err := os.ReadFile(path)
@@ -78,6 +78,6 @@ func TestGoldenReactiveTrace(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("reactive trace diverged from %s (%d events; regenerate with -update-reactive-golden if intentional)",
-			path, tracer.Count())
+			path, bytes.Count(buf.Bytes(), []byte("\n")))
 	}
 }

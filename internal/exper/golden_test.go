@@ -9,7 +9,7 @@ package exper
 // different decided set, a different stall shape — fail loudly here even
 // if the experiment's aggregate verdict still passes. The facade lowers
 // Observer.Decide onto the engines' acceptance hook, so these traces pin
-// that hook too.
+// that hook too, on both the lightest slot bodies and the full one.
 //
 // Regenerate after an intentional behavior change with:
 //
@@ -31,27 +31,47 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files u
 
 // recordTrace builds a Scenario and runs it on the fast engine with a
 // TraceObserver attached: one line per acceptance and a terminal
-// done/stall line carrying the final decided count.
+// done/stall line carrying the final decided count. The tracer watches
+// decisions alone, so the run takes the engine's lightest slot bodies;
+// the trace is taken again with a no-op Deliver watcher beside it, which
+// resolves every slot in full, and the two must be byte-equal.
 func recordTrace(t *testing.T, build func() (*bftbcast.Scenario, error)) []byte {
 	t.Helper()
-	sc, err := build()
-	if err != nil {
-		t.Fatal(err)
+	var traces [2][]byte
+	for i := range traces {
+		sc, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		tracer := bftbcast.NewTraceObserver(&buf)
+		var obs bftbcast.Observer = tracer
+		if i == 1 {
+			obs = deliverWatcher{tracer}
+		}
+		if sc, err = sc.With(bftbcast.WithObserver(obs)); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := bftbcast.EngineFast.Run(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tracer.Finish(rep); err != nil {
+			t.Fatal(err)
+		}
+		traces[i] = buf.Bytes()
 	}
-	var buf bytes.Buffer
-	obs := bftbcast.NewTraceObserver(&buf)
-	if sc, err = sc.With(bftbcast.WithObserver(obs)); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(traces[0], traces[1]) {
+		t.Fatalf("the trace differs when every slot resolves in full:\n decide-only %d bytes\n full body   %d bytes", len(traces[0]), len(traces[1]))
 	}
-	rep, err := bftbcast.EngineFast.Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.Finish(rep); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return traces[0]
 }
+
+// deliverWatcher adds a no-op Deliver watcher to an Observer, which
+// turns the fast engine's frontier, retired and booked slot bodies off.
+type deliverWatcher struct{ bftbcast.Observer }
+
+func (deliverWatcher) Deliver(int, bftbcast.NodeID, bftbcast.NodeID, bftbcast.Value) {}
 
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()

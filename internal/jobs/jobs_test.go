@@ -351,7 +351,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 		countMu.Lock()
 		attached[index]++
 		countMu.Unlock()
-		return bftbcast.BaseObserver{}
+		return bftbcast.FuncObserver{}
 	}
 
 	dir := t.TempDir()

@@ -143,7 +143,7 @@ func (c *pointCounter) observe(jobID string, index int) bftbcast.Observer {
 		c.runs[jobID] = make(map[int]int)
 	}
 	c.runs[jobID][index]++
-	return bftbcast.BaseObserver{}
+	return bftbcast.FuncObserver{}
 }
 
 // count returns how often point index of jobID was scheduled.

@@ -670,7 +670,7 @@ func TestCancelQueuedNeverStarted(t *testing.T) {
 		attachMu.Lock()
 		attach[jobID]++
 		attachMu.Unlock()
-		return bftbcast.BaseObserver{}
+		return bftbcast.FuncObserver{}
 	}
 	dir := t.TempDir()
 	// One executor, held by the blocker: a free one would lease the

@@ -63,8 +63,8 @@ import (
 // once per carried entry, late or live, in ascending instance order, each acceptance
 // right after the entry that caused it (DESIGN.md §12).
 //
-// Booked slots. The machine books whole slots (State.BooksSlots): on an
-// unobserved run without a strategy, Book gets each slot as its
+// Booked slots. The machine books whole slots (State.BooksSlots): on a
+// run with no strategy and no delivery hook, Book gets each slot as its
 // transmissions and applies it without building a delivery, and the
 // Deliver that follows, with no deliveries, makes the acceptances Book
 // found in the order a resolved batch would have (see Book). A booked

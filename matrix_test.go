@@ -211,21 +211,23 @@ type streamEvent struct {
 	v        bftbcast.Value
 }
 
-// recordStream runs sc on engine with a recording Observer attached.
-func recordStream(t *testing.T, engine bftbcast.Engine, sc *bftbcast.Scenario) []streamEvent {
+// recordStream runs sc on engine with a recording Observer attached: one
+// that watches sends, deliveries and decisions, or decisions alone.
+func recordStream(t *testing.T, engine bftbcast.Engine, sc *bftbcast.Scenario, decideOnly bool) []streamEvent {
 	t.Helper()
 	var evs []streamEvent
-	observed, err := sc.With(bftbcast.WithObserver(bftbcast.FuncObserver{
-		OnSend: func(slot int, from bftbcast.NodeID, v bftbcast.Value, _ bool) {
+	obs := bftbcast.FuncObserver{OnDecide: func(slot int, id bftbcast.NodeID, v bftbcast.Value) {
+		evs = append(evs, streamEvent{'a', slot, id, id, v})
+	}}
+	if !decideOnly {
+		obs.OnSend = func(slot int, from bftbcast.NodeID, v bftbcast.Value, _ bool) {
 			evs = append(evs, streamEvent{'s', slot, from, from, v})
-		},
-		OnDeliver: func(slot int, from, to bftbcast.NodeID, v bftbcast.Value) {
+		}
+		obs.OnDeliver = func(slot int, from, to bftbcast.NodeID, v bftbcast.Value) {
 			evs = append(evs, streamEvent{'d', slot, from, to, v})
-		},
-		OnDecide: func(slot int, id bftbcast.NodeID, v bftbcast.Value) {
-			evs = append(evs, streamEvent{'a', slot, id, id, v})
-		},
-	}))
+		}
+	}
+	observed, err := sc.With(bftbcast.WithObserver(obs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +236,7 @@ func recordStream(t *testing.T, engine bftbcast.Engine, sc *bftbcast.Scenario) [
 		t.Fatalf("%s: %v", engine.Name(), err)
 	}
 	if !rep.Completed {
-		t.Fatalf("%s: fault-free run did not complete", engine.Name())
+		t.Fatalf("%s: run did not complete", engine.Name())
 	}
 	return evs
 }
@@ -267,34 +269,42 @@ func slotSorted(evs []streamEvent) []streamEvent {
 }
 
 // TestMatrixObserverStreams pins what an Observer sees across engines,
-// on a fault-free torus for each protocol machine (threshold B, the
-// multi-broadcast multiplexer, reactive). Every engine repeats its own
-// Send/Deliver/Decide stream run after run; the Decide sequence is one
-// and the same on fast and ref; fast emits a slot's transmissions in
-// queue order where ref walks the colour class in node order, so against
-// ref it is held to the same events per slot, in any order.
+// on a torus for each protocol machine (threshold B fault-free and under
+// the corruptor, the multi-broadcast multiplexer, reactive). Every
+// engine repeats its own Send/Deliver/Decide stream run after run; the
+// Decide sequence is one and the same on fast and ref; fast emits a
+// slot's transmissions in queue order where ref walks the colour class
+// in node order, so against ref it is held to the same events per slot,
+// in any order. A Decide-only Observer, which lets fast take its
+// frontier, retired and booked slot bodies, sees ref's Decide sequence
+// too.
 func TestMatrixObserverStreams(t *testing.T) {
 	for _, tc := range []struct {
 		name, proto string
 		broadcasts  int
+		adversarial bool
 	}{
-		{"b", "b", 1},
-		{"broadcasts4", "b", 4},
-		{"reactive", "reactive", 1},
+		{"b", "b", 1, false},
+		{"b-corruptor", "b", 1, true},
+		{"broadcasts4", "b", 4, false},
+		{"reactive", "reactive", 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sc, err := matrixScenario(t, "torus", tc.proto, 7, false).With(bftbcast.WithBroadcasts(tc.broadcasts))
-			if err != nil {
-				t.Fatal(err)
+			scenario := func() *bftbcast.Scenario {
+				sc, err := matrixScenario(t, "torus", tc.proto, 7, tc.adversarial).With(bftbcast.WithBroadcasts(tc.broadcasts))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sc
 			}
 			streams := map[string][]streamEvent{}
 			for _, engine := range bftbcast.Engines() {
-				first := recordStream(t, engine, sc)
+				first := recordStream(t, engine, scenario(), false)
 				if len(decidesOf(first)) == 0 {
 					t.Fatalf("%s: no Decide event", engine.Name())
 				}
 				for run := 1; run < 5; run++ {
-					if again := recordStream(t, engine, sc); !reflect.DeepEqual(first, again) {
+					if again := recordStream(t, engine, scenario(), false); !reflect.DeepEqual(first, again) {
 						t.Fatalf("%s: run %d saw a different event stream than run 0", engine.Name(), run)
 					}
 				}
@@ -306,6 +316,11 @@ func TestMatrixObserverStreams(t *testing.T) {
 			}
 			if !reflect.DeepEqual(slotSorted(fast), slotSorted(ref)) {
 				t.Fatal("fast and ref disagree on some slot's set of events")
+			}
+			for _, engine := range bftbcast.Engines() {
+				if decides := recordStream(t, engine, scenario(), true); !reflect.DeepEqual(decides, decidesOf(ref)) {
+					t.Fatalf("%s: a Decide-only Observer saw another Decide sequence than ref's", engine.Name())
+				}
 			}
 		})
 	}

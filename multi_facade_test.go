@@ -223,9 +223,10 @@ func TestMultiSweep(t *testing.T) {
 
 // instanceCounter is a minimal InstanceObserver.
 type instanceCounter struct {
-	bftbcast.BaseObserver
 	delivers, decides int
 }
+
+func (c *instanceCounter) Decide(int, bftbcast.NodeID, bftbcast.Value) {}
 
 func (c *instanceCounter) DeliverInstance(int, int, bftbcast.NodeID, bftbcast.NodeID, bftbcast.Value) {
 	c.delivers++

@@ -6,9 +6,10 @@ import (
 	"io"
 )
 
-// Observer receives the streaming event feed of an Engine run. All
-// backends emit the same four events; the slot argument is the TDMA
-// slot.
+// Observer receives the decisions of an Engine run; the slot argument
+// of every event is the TDMA slot. An Observer that also implements
+// SlotObserver, SendObserver, DeliverObserver or InstanceObserver
+// receives those events too.
 //
 // Events are delivered synchronously on the engine's coordinator
 // goroutine, so an Observer needs no locking of its own, and every
@@ -16,25 +17,42 @@ import (
 // Decide sequence is the same. Within a slot, the ref engine emits
 // transmissions (and so the Deliver events that follow) in node order of
 // the slot's colour class; the fast engine emits them in the order of its
-// transmit queue — the same events per slot, in another order. Observers must not mutate engine
-// state; an observed run returns the same Report as an unobserved one.
+// transmit queue — the same events per slot, in another order. Observers
+// must not mutate engine state; an observed run returns the same Report
+// as an unobserved one.
 //
-// The sparse fast engine skips provably idle slots wholesale, so its
-// SlotStart feed only covers executed slots (the slot numbering still
-// matches the reference engine's). Embed BaseObserver to implement only
-// the events you care about.
+// What an Observer watches picks the fast engine's slot bodies. A
+// Decide-only Observer keeps them all, as an unobserved run does; a
+// SlotObserver or SendObserver keeps settled transmitters from retiring;
+// a DeliverObserver resolves every slot in full, with no frontier and no
+// booked slots; an InstanceObserver keeps booked slots off.
 type Observer interface {
-	// SlotStart fires before the slot's transmissions are emitted.
-	SlotStart(slot int)
-	// Send fires for every admitted transmission; adversarial marks
-	// validated adversary messages (jams, attacks, NACK spam).
-	Send(slot int, from NodeID, v Value, adversarial bool)
-	// Deliver fires for every delivery (from the radio medium, or from
-	// the reactive coding layer when a receiver trusts a payload).
-	Deliver(slot int, from, to NodeID, v Value)
 	// Decide fires when a node accepts a value. The pre-decided source
 	// produces no event.
 	Decide(slot int, id NodeID, v Value)
+}
+
+// SlotObserver is an optional Observer refinement. The sparse fast
+// engine skips provably idle slots wholesale, so its SlotStart feed only
+// covers executed slots (the slot numbering still matches the reference
+// engine's).
+type SlotObserver interface {
+	// SlotStart fires before the slot's transmissions are emitted.
+	SlotStart(slot int)
+}
+
+// SendObserver is an optional Observer refinement.
+type SendObserver interface {
+	// Send fires for every admitted transmission; adversarial marks
+	// validated adversary messages (jams, attacks, NACK spam).
+	Send(slot int, from NodeID, v Value, adversarial bool)
+}
+
+// DeliverObserver is an optional Observer refinement.
+type DeliverObserver interface {
+	// Deliver fires for every delivery (from the radio medium, or from
+	// the reactive coding layer when a receiver trusts a payload).
+	Deliver(slot int, from, to NodeID, v Value)
 }
 
 // InstanceObserver is an optional Observer refinement for
@@ -58,49 +76,19 @@ type InstanceObserver interface {
 	DecideInstance(slot, instance int, id NodeID, v Value)
 }
 
-// BaseObserver is a no-op Observer, meant for embedding.
+// BaseObserver is a no-op Observer.
 type BaseObserver struct{}
-
-// SlotStart implements Observer.
-func (BaseObserver) SlotStart(int) {}
-
-// Send implements Observer.
-func (BaseObserver) Send(int, NodeID, Value, bool) {}
-
-// Deliver implements Observer.
-func (BaseObserver) Deliver(int, NodeID, NodeID, Value) {}
 
 // Decide implements Observer.
 func (BaseObserver) Decide(int, NodeID, Value) {}
 
-// FuncObserver adapts optional event functions to Observer; nil fields
-// ignore their event.
+// FuncObserver adapts optional event functions to Observer; the engines
+// watch exactly the events whose fields are set.
 type FuncObserver struct {
 	OnSlotStart func(slot int)
 	OnSend      func(slot int, from NodeID, v Value, adversarial bool)
 	OnDeliver   func(slot int, from, to NodeID, v Value)
 	OnDecide    func(slot int, id NodeID, v Value)
-}
-
-// SlotStart implements Observer.
-func (o FuncObserver) SlotStart(slot int) {
-	if o.OnSlotStart != nil {
-		o.OnSlotStart(slot)
-	}
-}
-
-// Send implements Observer.
-func (o FuncObserver) Send(slot int, from NodeID, v Value, adversarial bool) {
-	if o.OnSend != nil {
-		o.OnSend(slot, from, v, adversarial)
-	}
-}
-
-// Deliver implements Observer.
-func (o FuncObserver) Deliver(slot int, from, to NodeID, v Value) {
-	if o.OnDeliver != nil {
-		o.OnDeliver(slot, from, to, v)
-	}
 }
 
 // Decide implements Observer.
@@ -114,11 +102,10 @@ func (o FuncObserver) Decide(slot int, id NodeID, v Value) {
 // golden-trace format: one {"slot","node","kind":"accept","value"}
 // object per acceptance, and a terminal done/stall line written by
 // Finish. It records the golden E1/E2 traces (internal/exper) and the
-// reactive trace (testdata/), and backs bftsim -trace.
+// reactive trace (testdata/), and backs bftsim -trace. It watches
+// decisions alone, so a traced run takes an unobserved run's slot bodies.
 type TraceObserver struct {
-	BaseObserver
 	enc *json.Encoder
-	n   int
 	err error
 }
 
@@ -143,9 +130,7 @@ func (t *TraceObserver) record(e traceEvent) {
 	}
 	if err := t.enc.Encode(e); err != nil {
 		t.err = fmt.Errorf("trace: encoding event: %w", err)
-		return
 	}
-	t.n++
 }
 
 // Decide implements Observer.
@@ -164,9 +149,3 @@ func (t *TraceObserver) Finish(rep *Report) error {
 	t.record(traceEvent{Slot: rep.Slots, Kind: kind, Value: int32(rep.DecidedGood)})
 	return t.err
 }
-
-// Err returns the first recording error, if any.
-func (t *TraceObserver) Err() error { return t.err }
-
-// Count returns the number of events written so far.
-func (t *TraceObserver) Count() int { return t.n }
