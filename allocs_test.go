@@ -263,14 +263,15 @@ func allocsJobGrid(t *testing.T) {
 		T:     []int{1, 2},
 		MF:    []int{1, 2},
 	}
-	// Read 495–514 since a spec's constant Sends and Budget share one
-	// func per value; 654 since RunCounts keeps its normalized Scenario
+	// Read 424–441 since grid expansion shares one corruptor, a
+	// descriptor with no run state, across its points; 495–514 since a
+	// spec's constant Sends and Budget share one func per value; 654 since RunCounts keeps its normalized Scenario
 	// copy on the stack; 704–721 since a range runs its points tallies-only on the
 	// executor's goroutine, placement and corruptor scratch lent by the
 	// runner; 1710–1712 since the run frame keeps the jammers' reach;
 	// 2062–2064 with the corruptor's per-run bad-neighbor index, 4378–4385
 	// when a cold runner was built per leased range.
-	allocsAtMost(t, 10, 565, func() {
+	allocsAtMost(t, 10, 484, func() {
 		job, err := m.Submit(spec)
 		if err != nil {
 			t.Fatal(err)

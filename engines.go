@@ -55,10 +55,10 @@ func NewEngine(name string) (Engine, error) {
 
 // scenarioMachine resolves the Scenario's protocol selection: nil for
 // the default single-broadcast threshold protocol (the engines execute
-// Spec through their built-in instance), or a freshly built machine —
-// reactive, or the multi-broadcast multiplexer for Broadcasts >= 2.
-// Machines are single-run-in-flight, so every Run builds its own. The
-// Scenario has been validated, so no combination is left to refuse.
+// Spec through their built-in instance), or the machine the Scenario
+// describes — reactive, or the multi-broadcast multiplexer for
+// Broadcasts >= 2. The Scenario has been validated, so no combination is
+// left to refuse.
 func scenarioMachine(sc *Scenario) protocol.Machine {
 	if sc.Broadcasts > 1 {
 		return &protocol.Multi{Spec: sc.Spec, M: sc.Broadcasts}
@@ -70,24 +70,27 @@ func scenarioMachine(sc *Scenario) protocol.Machine {
 	return &m
 }
 
-// finishReport decorates an engine report with the machine's run record
-// (a no-op for the default threshold protocol), whichever backend ran.
-func finishReport(rep *Report, machine protocol.Machine) *Report {
-	switch m := machine.(type) {
-	case *protocol.Reactive:
-		attachReactive(rep, m.TakeStats())
-	case *protocol.Multi:
-		attachMulti(rep, m.TakeStats())
+// finishReport decorates an engine report with the run record of the
+// run's machine (none for the default threshold protocol), whichever
+// backend ran.
+func finishReport(rep *Report, rec *sim.Recorder) *Report {
+	if rec == nil {
+		return rep
+	}
+	switch r := rec.Record().(type) {
+	case *protocol.ReactiveStats:
+		attachReactive(rep, r)
+	case *protocol.MultiStats:
+		attachMulti(rep, r)
 	}
 	return rep
 }
 
 // simConfig lowers a Scenario to the engines' config — the one lowering
 // — including the Observer-to-hooks bridge (observerHooks) and the
-// protocol machine, which it also returns for finishReport (nil for the
-// default single-broadcast threshold protocol).
-func simConfig(sc *Scenario) (sim.Config, protocol.Machine) {
-	machine := scenarioMachine(sc)
+// protocol machine, recorded for finishReport (nil for the default
+// single-broadcast threshold protocol).
+func simConfig(sc *Scenario) (sim.Config, *sim.Recorder) {
 	cfg := sim.Config{
 		Topo:      sc.Topo,
 		Params:    sc.Params,
@@ -97,13 +100,17 @@ func simConfig(sc *Scenario) (sim.Config, protocol.Machine) {
 		Strategy:  sc.Strategy,
 		Seed:      sc.Seed,
 		MaxSlots:  sc.MaxSlots,
-		Machine:   machine,
 		Timing:    sc.Timing,
+	}
+	var rec *sim.Recorder
+	if m := scenarioMachine(sc); m != nil {
+		rec = &sim.Recorder{Machine: m}
+		cfg.Machine = rec
 	}
 	if sc.Observer != nil {
 		cfg.Hooks = observerHooks(sc.Observer)
 	}
-	return cfg, machine
+	return cfg, rec
 }
 
 // observerHooks lowers an Observer to the engines' hooks. It installs a
@@ -161,12 +168,12 @@ func (e *engine) Run(ctx context.Context, sc *Scenario) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, machine := simConfig(&norm)
+	cfg, rec := simConfig(&norm)
 	res, err := e.run(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return finishReport(reportFromSim(e.name, res), machine), nil
+	return finishReport(reportFromSim(e.name, res), rec), nil
 }
 
 // RunCounts runs sc like Run and returns the Report without its per-node
@@ -179,12 +186,12 @@ func (e *engine) RunCounts(ctx context.Context, sc *Scenario) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	cfg, machine := simConfig(&norm)
+	cfg, rec := simConfig(&norm)
 	res, err := e.counts(ctx, cfg)
 	if err != nil {
 		return Report{}, err
 	}
 	rep := reportCounts(e.name, &res)
-	finishReport(&rep, machine)
+	finishReport(&rep, rec)
 	return rep, nil
 }

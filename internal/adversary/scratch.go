@@ -12,11 +12,11 @@ import (
 // Scratch is working memory an engine keeps across runs and lends to
 // each run's adversary: Place and Validate draw the Random placement's
 // permutation and the window counts from it, and View.Scratch hands it
-// to the Corruptor and Targeted strategies for their per-slot state. A
-// sweep that builds a fresh single-run placement and strategy per point
-// then allocates none of that per point. The zero value is ready to use;
-// a Scratch serves one run at a time, and nothing a run returns aliases
-// it.
+// to the built-in strategies for their per-slot state. Placements and
+// strategies are then stateless values that allocate nothing per run,
+// and one of them may drive concurrent runs, each with its engine's
+// Scratch. The zero value is ready to use; a Scratch serves one run at a
+// time, and nothing a run returns aliases it.
 type Scratch struct {
 	perm   []int
 	counts []int32
@@ -75,11 +75,10 @@ func (s *Scratch) countsFor(n int) []int32 {
 	return s.counts
 }
 
-// denyScratch is corruptorCore's per-slot working memory: an engine's
-// Scratch lends one to every run it drives, and a strategy driven
-// without one keeps its own. Both buffers are truncated before they are
-// written, so nothing one slot, run or topology leaves behind is ever
-// read by the next.
+// denyScratch is the strategies' per-slot working memory: corruptorCore's
+// denial entries and the emitted jams of every built-in strategy. Both
+// buffers are truncated before they are written, so nothing one slot,
+// run or topology leaves behind is ever read by the next.
 type denyScratch struct {
 	entries []denyEntry
 	jamBuf  []radio.Tx // emitted jams; the engine consumes them before the next slot

@@ -49,9 +49,10 @@ type View struct {
 	Reach []int32
 	// Threshold is the protocol's acceptance threshold t·mf+1.
 	Threshold int
-	// Scratch, when non-nil, is the engine's working memory lent to the
-	// run's strategy (see Scratch); a strategy driven without one keeps
-	// its own.
+	// Scratch is the engine's working memory lent to the run's strategy
+	// (see Scratch): every engine lends one (sim.Frame.View), and a
+	// built-in strategy keeps its per-slot state there and none of its
+	// own.
 	Scratch *Scratch
 }
 
@@ -65,9 +66,10 @@ type View struct {
 // budget; the engine deducts one budget unit per jam and rejects invalid
 // ones (counting them in the run result, where tests assert zero).
 //
-// Strategy values are single-run objects: implementations may cache
-// per-run facts between slots (the spammer's bad list), so construct a
-// fresh Strategy for every run.
+// A built-in strategy keeps no state: it holds only its configuration,
+// reads the run from the View and keeps its per-slot memory in the lent
+// Scratch, so one value may drive any number of runs, concurrent ones
+// included.
 type Strategy interface {
 	// Name identifies the strategy in reports.
 	Name() string
@@ -142,9 +144,6 @@ type corruptorCore struct {
 	// budget being able to finish the job; the proof constructions
 	// guarantee feasibility and disable the check.
 	checkFeasible bool
-
-	// own is the per-slot scratch of a run whose View lends none.
-	own denyScratch
 }
 
 type denyEntry struct {
@@ -155,14 +154,11 @@ type denyEntry struct {
 	shared bool // two or more needy victims share (jammer, from)
 }
 
-func (c *corruptorCore) jams(v *View, tentative []radio.Delivery) []radio.Tx {
+func (c corruptorCore) jams(v *View, tentative []radio.Delivery) []radio.Tx {
 	if len(tentative) == 0 {
 		return nil
 	}
-	s := &c.own
-	if v.Scratch != nil {
-		s = &v.Scratch.deny
-	}
+	s := &v.Scratch.deny
 	threshold := v.Threshold
 
 	// Pass 1: collect candidate denials with their preferred jammer. The
@@ -281,8 +277,6 @@ type Corruptor struct {
 	// zero). When Drop is set, corrupted receivers hear nothing instead.
 	WrongValue radio.Value
 	Drop       bool
-
-	core corruptorCore
 }
 
 // NewCorruptor returns a general greedy Corruptor.
@@ -297,10 +291,7 @@ func (c *Corruptor) DeliveryDriven() bool { return true }
 
 // Jams implements Strategy.
 func (c *Corruptor) Jams(v *View, _ int, tentative []radio.Delivery) []radio.Tx {
-	c.core.wrongValue = c.WrongValue
-	c.core.drop = c.Drop
-	c.core.checkFeasible = true
-	return c.core.jams(v, tentative)
+	return corruptorCore{wrongValue: c.WrongValue, drop: c.Drop, checkFeasible: true}.jams(v, tentative)
 }
 
 // Targeted is the construction adversary used by the Theorem 1 and
@@ -315,8 +306,6 @@ type Targeted struct {
 	// WrongValue / Drop as in Corruptor.
 	WrongValue radio.Value
 	Drop       bool
-
-	core corruptorCore
 }
 
 // NewTargeted returns a Targeted corruptor for the given victim mask.
@@ -331,12 +320,7 @@ func (t *Targeted) DeliveryDriven() bool { return true }
 
 // Jams implements Strategy.
 func (t *Targeted) Jams(v *View, _ int, tentative []radio.Delivery) []radio.Tx {
-	t.core.wrongValue = t.WrongValue
-	t.core.drop = t.Drop
-	t.core.checkFeasible = false
-	t.core.targeted = true
-	t.core.victims = t.Victims
-	return t.core.jams(v, tentative)
+	return corruptorCore{wrongValue: t.WrongValue, drop: t.Drop, targeted: true, victims: t.Victims}.jams(v, tentative)
 }
 
 // Spammer makes every bad node inject a wrong value in every slot until
@@ -346,10 +330,6 @@ func (t *Targeted) Jams(v *View, _ int, tentative []radio.Delivery) []radio.Tx {
 type Spammer struct {
 	// WrongValue is the injected value (ValueFalse when zero).
 	WrongValue radio.Value
-
-	badList []grid.NodeID
-	jamBuf  []radio.Tx // scratch; engine consumes before the next slot
-	primed  bool
 }
 
 // NewSpammer returns a Spammer.
@@ -359,25 +339,20 @@ func NewSpammer() *Spammer { return &Spammer{} }
 func (s *Spammer) Name() string { return "spammer" }
 
 // Jams implements Strategy.
+// It walks the bad mask every slot, since it keeps no bad list of its
+// own; the spammer is a correctness stress, not a hot path.
 func (s *Spammer) Jams(v *View, _ int, _ []radio.Delivery) []radio.Tx {
-	if !s.primed {
-		s.primed = true
-		for i, b := range v.Bad {
-			if b {
-				s.badList = append(s.badList, grid.NodeID(i))
-			}
-		}
-	}
 	wrong := s.WrongValue
 	if wrong == radio.ValueNone {
 		wrong = radio.ValueFalse
 	}
-	jams := s.jamBuf[:0]
-	for _, b := range s.badList {
-		if v.Budget[b].Left() > 0 {
-			jams = append(jams, radio.Tx{From: b, Value: wrong, Jam: true})
+	ds := &v.Scratch.deny
+	jams := ds.jamBuf[:0]
+	for i, bad := range v.Bad {
+		if bad && v.Budget[i].Left() > 0 {
+			jams = append(jams, radio.Tx{From: grid.NodeID(i), Value: wrong, Jam: true})
 		}
 	}
-	s.jamBuf = jams
+	ds.jamBuf = jams
 	return jams
 }

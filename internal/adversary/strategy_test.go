@@ -23,9 +23,9 @@ type fakeView struct {
 	threshold int
 }
 
-// view snapshots the scripted state into a View. Strategies cache only
-// what is fixed for a run (the bad set), so a fresh snapshot per Jams
-// call reads like one engine's live arrays.
+// view snapshots the scripted state into a View that lends a Scratch, as
+// every engine's does. Strategies keep no state, so a fresh snapshot per
+// Jams call reads like one engine's live arrays.
 func (f *fakeView) view() *View {
 	n := f.tor.Size()
 	v := &View{
@@ -33,6 +33,7 @@ func (f *fakeView) view() *View {
 		Bad: make([]bool, n), Decided: make([]bool, n),
 		Correct: make([]int32, n), Supply: make([]int32, n),
 		Budget: make([]radio.Budget, n), Reach: make([]int32, n), Threshold: f.threshold,
+		Scratch: new(Scratch),
 	}
 	for i := 0; i < n; i++ {
 		id := grid.NodeID(i)
@@ -254,9 +255,9 @@ func TestTargetedJamsAllocatesNothing(t *testing.T) {
 }
 
 // TestLentScratchFirstJamAllocatesNothing holds the point of View.Scratch:
-// with the engine's scratch lent and warm, a fresh single-run Corruptor or
-// Targeted — one per point of a sweep — allocates nothing at its first
-// jam, which it would otherwise spend sizing its own scratch.
+// with the engine's scratch lent and warm, a fresh Corruptor or Targeted
+// allocates nothing at its first jam, since it keeps no memory of its
+// own to size.
 func TestLentScratchFirstJamAllocatesNothing(t *testing.T) {
 	v := newFakeView(t)
 	victim := v.tor.ID(5, 5)
@@ -267,7 +268,6 @@ func TestLentScratchFirstJamAllocatesNothing(t *testing.T) {
 	victims := make([]bool, v.tor.Size())
 	victims[victim] = true
 	view := v.view()
-	view.Scratch = new(Scratch)
 	d := []radio.Delivery{{To: victim, Value: radio.ValueTrue, From: v.tor.ID(6, 5)}}
 	for _, fresh := range []struct {
 		name string

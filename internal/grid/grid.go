@@ -96,11 +96,6 @@ func (t *Torus) Range() int { return t.r }
 // Size returns the number of nodes, W*H.
 func (t *Torus) Size() int { return t.w * t.h }
 
-// HalfNeighborhood returns r(2r+1), the paper's recurring quantity: the
-// number of neighborhood nodes strictly on one side of an axis-aligned
-// line through the centre.
-func (t *Torus) HalfNeighborhood() int { return t.r * (2*t.r + 1) }
-
 // MaxDegree returns (2r+1)²−1, the number of nodes within range of any
 // node on the torus (part of the topo.Topology contract).
 func (t *Torus) MaxDegree() int { return (2*t.r+1)*(2*t.r+1) - 1 }

@@ -155,18 +155,6 @@ func TestNeighborhoodSizeExact(t *testing.T) {
 	}
 }
 
-func TestHalfNeighborhood(t *testing.T) {
-	tests := []struct{ r, want int }{
-		{1, 3}, {2, 10}, {3, 21}, {4, 36}, {5, 55},
-	}
-	for _, tc := range tests {
-		tor := MustNew(6*tc.r, 6*tc.r, tc.r)
-		if got := tor.HalfNeighborhood(); got != tc.want {
-			t.Errorf("r=%d HalfNeighborhood = %d, want %d", tc.r, got, tc.want)
-		}
-	}
-}
-
 func TestNeighborSymmetry(t *testing.T) {
 	tor := MustNew(9, 9, 2)
 	// b in N(a) iff a in N(b): follows from metric symmetry, check anyway

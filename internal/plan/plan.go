@@ -56,8 +56,7 @@ type Plan struct {
 	// on this adjacency — see DisjointClasses.
 	disjoint bool
 
-	maxDegree int
-	diamHint  int
+	diamHint int
 }
 
 // maxCached bounds the cache so a host that churns through distinct
@@ -127,11 +126,6 @@ func Compute(t topo.Topology) *Plan {
 		adj:      radio.NewAdjacency(t),
 		diamHint: t.DiameterHint(),
 	}
-	for i := 0; i < p.n; i++ {
-		if d := p.adj.Degree(grid.NodeID(i)); d > p.maxDegree {
-			p.maxDegree = d
-		}
-	}
 	colors, period, err := t.Coloring()
 	switch {
 	case err != nil:
@@ -187,9 +181,6 @@ func (p *Plan) Size() int { return p.n }
 
 // Adjacency returns the shared CSR adjacency.
 func (p *Plan) Adjacency() *radio.Adjacency { return p.adj }
-
-// MaxDegree returns the largest degree over all nodes.
-func (p *Plan) MaxDegree() int { return p.maxDegree }
 
 // DiameterHint returns the topology's generous hop-diameter bound.
 func (p *Plan) DiameterHint() int { return p.diamHint }

@@ -42,7 +42,6 @@ func TestPlanConformance(t *testing.T) {
 			}
 
 			// CSR rows and ball sizes vs a fresh topology walk.
-			maxDeg := 0
 			for i := 0; i < n; i++ {
 				id := grid.NodeID(i)
 				want := tp.AppendNeighbors(nil, id)
@@ -57,10 +56,6 @@ func TestPlanConformance(t *testing.T) {
 				if got := p.Adjacency().SortedNeighbors(id); !slices.Equal(got, sorted) {
 					t.Fatalf("node %d: sorted CSR row %v, want %v", i, got, sorted)
 				}
-				maxDeg = max(maxDeg, len(want))
-			}
-			if got := p.MaxDegree(); got != maxDeg || got != tp.MaxDegree() {
-				t.Fatalf("max degree %d, want %d (topology reports %d)", got, maxDeg, tp.MaxDegree())
 			}
 			if got, want := p.DiameterHint(), tp.DiameterHint(); got != want {
 				t.Fatalf("diameter hint %d, want %d", got, want)

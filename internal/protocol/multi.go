@@ -78,17 +78,14 @@ import (
 // only acceptance, and the per-delivery event order matches — the
 // facade's regression pins this.
 //
-// Like Reactive, a Multi value is single-run-in-flight: the run record
-// hands off through the machine (Finish → TakeStats), so concurrent
-// runs must each attach their own machine value.
+// The run record (MultiStats) is published on the instance's State at
+// Finish, so a Multi value holds only its configuration and may drive
+// concurrent runs.
 type Multi struct {
 	// Spec is the threshold protocol every instance runs.
 	Spec core.Spec
 	// M is the number of concurrent broadcast instances (>= 1).
 	M int
-
-	// stats is the last finished instance's run record (see TakeStats).
-	stats *MultiStats
 }
 
 // MultiInstanceStats is one broadcast instance's outcome inside a
@@ -116,8 +113,8 @@ type MultiInstanceStats struct {
 	Completed bool
 }
 
-// MultiStats is the run record a multi instance publishes at Finish,
-// backing the facade's MultiResult extension.
+// MultiStats is the run record a multi instance publishes at Finish
+// (State.Record), backing the facade's MultiResult extension.
 type MultiStats struct {
 	// M is the instance count.
 	M int
@@ -138,16 +135,6 @@ type MultiStats struct {
 	// (excluding pre-decided sources); Decisions/Slots is the run's
 	// aggregate decision throughput.
 	Decisions int
-}
-
-// TakeStats returns (and clears) the run record published by the last
-// instance that Finished. Engines call Finish before returning their
-// result, so a successful Run is always followed by a non-nil
-// TakeStats.
-func (m *Multi) TakeStats() *MultiStats {
-	s := m.stats
-	m.stats = nil
-	return s
 }
 
 // multiSeedSalt decorrelates the machine's source/stagger draws from
@@ -192,7 +179,6 @@ func (m *Multi) Attach(env Env) (Instance, error) {
 	}
 
 	mi := &multiInstance{
-		machine:   m,
 		spec:      m.Spec,
 		m:         m.M,
 		n:         n,
@@ -312,7 +298,6 @@ const expiryRing = 8
 // expiryRing a bucket also holds pairs due a lap or more later, which
 // stay. A pair owes at most once, from its only decision.
 type multiInstance struct {
-	machine   *Multi
 	spec      core.Spec
 	m, n      int
 	bad       []bool // nil when no node is bad
@@ -817,12 +802,12 @@ func (mi *multiInstance) Sizing() (sourceSends, maxSends int) {
 }
 
 // Finish implements Instance: fold the booked receipts into Correct and
-// Wrong, and publish the run record to the machine.
+// Wrong, and publish the run record.
 func (mi *multiInstance) Finish(slots int) {
 	mi.foldLedger()
 	out := make([]MultiInstanceStats, mi.m)
 	copy(out, mi.inst)
-	mi.machine.stats = &MultiStats{
+	mi.st.Record = &MultiStats{
 		M:              mi.m,
 		Instances:      out,
 		BatchedSends:   mi.batchedSends,

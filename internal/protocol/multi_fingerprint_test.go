@@ -9,7 +9,6 @@ package protocol_test
 // Deliver; this can, at every M the word masks care about.
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"flag"
@@ -151,7 +150,7 @@ const (
 
 // config assembles the cell's engine config; every call builds fresh
 // strategy and machine values (both are single-run objects).
-func (c multiCell) config(t *testing.T) (sim.Config, *protocol.Multi) {
+func (c multiCell) config(t *testing.T) sim.Config {
 	t.Helper()
 	var (
 		tp  topo.Topology
@@ -186,9 +185,8 @@ func (c multiCell) config(t *testing.T) (sim.Config, *protocol.Multi) {
 		cfg.Placement = adversary.Random{T: 2, Density: 0.3, Seed: c.seed}
 		cfg.Strategy = &wrongValueJammer{}
 	}
-	m := &protocol.Multi{Spec: spec, M: c.m}
-	cfg.Machine = m
-	return cfg, m
+	cfg.Machine = &protocol.Multi{Spec: spec, M: c.m}
+	return cfg
 }
 
 // multiFingerprintCells lists the matrix: torus/grid/rgg × the M values
@@ -220,18 +218,13 @@ func multiFingerprintCells() []multiCell {
 // the Result.
 func fingerprintCell(t *testing.T, c multiCell) multiFingerprint {
 	t.Helper()
-	cfg, m := c.config(t)
-	res, err := sim.RunContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("%s: %v", c.key(), err)
-	}
-	ms := m.TakeStats()
+	res, ms := runMulti(t, c.config(t))
 	out := multiFingerprint{Report: resultFingerprint(res, ms)}
 	for _, in := range ms.Instances {
 		out.Wrong += in.WrongDecisions
 	}
 
-	cfg, m = c.config(t)
+	cfg := c.config(t)
 	ev := newFingerprinter()
 	cfg.Hooks.OnInstanceDeliver = func(slot, instance int, from, to grid.NodeID, v radio.Value) {
 		out.Deliveries++
@@ -244,11 +237,7 @@ func fingerprintCell(t *testing.T, c multiCell) multiFingerprint {
 	cfg.Hooks.OnAccept = func(slot int, id grid.NodeID, v radio.Value) {
 		ev.add(3, int64(slot), int64(id), int64(v))
 	}
-	res, err = sim.RunContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("%s observed: %v", c.key(), err)
-	}
-	if got := resultFingerprint(res, m.TakeStats()); got != out.Report {
+	if got := resultFingerprint(runMulti(t, cfg)); got != out.Report {
 		t.Errorf("%s: observed run's Result %s differs from the unobserved run's %s", c.key(), got, out.Report)
 	}
 	out.Events = ev.hex()
@@ -323,13 +312,9 @@ func TestMultiObservedMatchesUnobserved(t *testing.T) {
 		{"torus", 130, 1, legWrong},
 	} {
 		run := func(hooks protocol.Hooks) (*sim.Result, *protocol.MultiStats) {
-			cfg, m := c.config(t)
+			cfg := c.config(t)
 			cfg.Hooks = hooks
-			res, err := sim.RunContext(context.Background(), cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", c.key(), err)
-			}
-			return res, m.TakeStats()
+			return runMulti(t, cfg)
 		}
 		bare, bareStats := run(protocol.Hooks{})
 		raw, rawStats := run(protocol.Hooks{OnDeliver: func(int, radio.Delivery) {}})

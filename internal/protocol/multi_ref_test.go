@@ -376,16 +376,15 @@ func driveBookedTwins(t *testing.T, pl *plan.Plan, spec core.Spec, m int, seed u
 	t.Helper()
 	n := pl.Size()
 	env := Env{Plan: pl, Source: src, Bad: bad, Seed: seed}
-	attach := func() (*Multi, *multiInstance) {
-		machine := &Multi{Spec: spec, M: m}
+	machine := &Multi{Spec: spec, M: m} // a descriptor: both twins attach it
+	attach := func() *multiInstance {
 		inst, err := machine.Attach(env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return machine, inst.(*multiInstance)
+		return inst.(*multiInstance)
 	}
-	bookedMachine, booked := attach()
-	deliveredMachine, delivered := attach()
+	booked, delivered := attach(), attach()
 	var bookedRec, deliveredRec multiRecorder
 	hooksOf := func(rec *multiRecorder) *Hooks {
 		h := rec.hooks()
@@ -468,7 +467,7 @@ func driveBookedTwins(t *testing.T, pl *plan.Plan, spec core.Spec, m int, seed u
 	if !reflect.DeepEqual(booked.st, delivered.st) {
 		t.Fatal("State diverges after Finish")
 	}
-	if got, want := bookedMachine.TakeStats(), deliveredMachine.TakeStats(); !reflect.DeepEqual(got, want) {
+	if got, want := booked.st.Record, delivered.st.Record; got == nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("MultiStats diverge:\n booked    %+v\n delivered %+v", got, want)
 	}
 	return booked, sent
@@ -595,7 +594,7 @@ func driveMultiAgainstRef(t *testing.T, pl *plan.Plan, params core.Params, spec 
 		compare(slot, mi.Tick(slot, gotSends), ref.tick(slot, ref.deliver(slot, ds, wantHooks, nil)))
 	}
 	mi.Finish(600)
-	gotStats, wantStats := machine.TakeStats(), ref.finish()
+	gotStats, wantStats := mi.st.Record.(*MultiStats), ref.finish()
 	if !reflect.DeepEqual(gotStats, wantStats) {
 		t.Fatalf("MultiStats diverge:\n got  %+v\n want %+v", gotStats, wantStats)
 	}

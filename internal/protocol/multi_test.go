@@ -77,19 +77,11 @@ func TestMultiSourceDraws(t *testing.T) {
 	}
 	run := func(seed uint64) *protocol.MultiStats {
 		m := &protocol.Multi{Spec: spec, M: 6}
-		res, err := sim.RunContext(context.Background(), sim.Config{
+		_, ms := runMulti(t, sim.Config{
 			Topo: tor, Params: params, Machine: m,
 			Placement: adversary.Random{T: params.T, Density: 0.05, Seed: seed},
 			Seed:      seed,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = res
-		ms := m.TakeStats()
-		if ms == nil {
-			t.Fatal("machine published no stats")
-		}
 		return ms
 	}
 	a, b, c := run(7), run(7), run(8)
@@ -159,17 +151,9 @@ func TestMultiFaultFreeCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &protocol.Multi{Spec: spec, M: 8}
-	res, err := sim.RunContext(context.Background(), sim.Config{Topo: tor, Params: params, Machine: m, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, ms := runMulti(t, sim.Config{Topo: tor, Params: params, Machine: &protocol.Multi{Spec: spec, M: 8}, Seed: 3})
 	if !res.Completed || res.WrongDecisions != 0 {
 		t.Fatalf("fault-free multi run: completed=%v wrong=%d", res.Completed, res.WrongDecisions)
-	}
-	ms := m.TakeStats()
-	if ms == nil {
-		t.Fatal("machine published no stats")
 	}
 	for j, in := range ms.Instances {
 		if !in.Completed || in.WrongDecisions != 0 || in.DecidedGood != tor.Size() {
@@ -192,4 +176,21 @@ func TestMultiFaultFreeCompletes(t *testing.T) {
 	if res.GoodMessages != ms.BatchedSends {
 		t.Fatalf("engine sent %d messages, machine scheduled %d", res.GoodMessages, ms.BatchedSends)
 	}
+}
+
+// runMulti runs cfg on the fast engine and returns the Result with the
+// run's Multi record, failing t when the run fails or publishes none.
+func runMulti(t *testing.T, cfg sim.Config) (*sim.Result, *protocol.MultiStats) {
+	t.Helper()
+	rec := &sim.Recorder{Machine: cfg.Machine}
+	cfg.Machine = rec
+	res, err := sim.RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, ok := rec.Record().(*protocol.MultiStats)
+	if !ok || ms == nil {
+		t.Fatalf("the run published no Multi record (%T)", rec.Record())
+	}
+	return res, ms
 }

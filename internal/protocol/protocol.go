@@ -185,6 +185,12 @@ type State struct {
 	// package comment and Instance.Book). An instance sets at most one of
 	// Settled and BooksSlots.
 	BooksSlots bool
+	// Record is the run record an instance publishes at Finish — a
+	// *MultiStats, a *ReactiveStats — and nil before Finish or for an
+	// instance that keeps none. It is the run's, not the machine's: the
+	// caller that attached the instance reads it once the run is over
+	// and owns it.
+	Record any
 }
 
 // Machine is a reusable protocol description: the acceptance rule, the
@@ -246,6 +252,7 @@ type Instance interface {
 	// single node may schedule.
 	Sizing() (sourceSends, maxSends int)
 	// Finish signals the end of the run (slots executed), letting the
-	// instance publish run statistics to its machine.
+	// instance complete its State and publish its run record
+	// (State.Record).
 	Finish(slots int)
 }

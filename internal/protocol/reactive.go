@@ -64,10 +64,9 @@ import (
 // Reactive is the Section 5 protocol machine. The protocol does not know
 // the adversary budget mf (Env.Params.MF); it only knows MMax.
 //
-// A Reactive value is single-run-in-flight: the run record hands off
-// through the machine (Finish → TakeStats), so concurrent runs must
-// each attach their own machine value — the facade builds one per
-// Engine.Run, and Sweep derives per-point scenarios that do the same.
+// An instance publishes its run record (ReactiveStats) on its State at
+// Finish, so a Reactive value holds only its configuration and may drive
+// concurrent runs.
 type Reactive struct {
 	// MMax is the loose budget bound known to the protocol (sets the
 	// sub-bit length L). Must be >= max(1, mf).
@@ -76,13 +75,10 @@ type Reactive struct {
 	PayloadBits int
 	// Policy selects the adversary behavior (0 = PolicyDisrupt).
 	Policy AttackPolicy
-
-	// stats is the last finished instance's run record (see TakeStats).
-	stats *ReactiveStats
 }
 
 // ReactiveStats is the run record a reactive instance publishes at
-// Finish; the facade hands it out as Report.Reactive (ReactiveResult).
+// Finish (State.Record); the facade hands it out as Report.Reactive.
 // It holds what only the machine knows: completion, decisions and the
 // bad-node count are the engine result's own fields.
 type ReactiveStats struct {
@@ -105,17 +101,6 @@ type ReactiveStats struct {
 	AttacksSpent     int // adversary messages consumed
 	CodewordBits     int
 	SubBitLength     int
-}
-
-// TakeStats returns (and clears) the run record published by the last
-// instance that Finished. Engines call Finish before returning their
-// result, so a successful Run is always followed by a non-nil TakeStats.
-// Like Attach, it is part of the machine's single-run-in-flight
-// contract: overlapping runs on one machine value race on the handoff.
-func (m *Reactive) TakeStats() *ReactiveStats {
-	s := m.stats
-	m.stats = nil
-	return s
 }
 
 // CheckParams is the reactive parameter rule, the one place it lives:
@@ -170,7 +155,7 @@ func (m *Reactive) Attach(env Env) (Instance, error) {
 	}
 	adj := env.Plan.Adjacency()
 	inst := &reactiveInstance{
-		m:         m,
+		k:         m.PayloadBits,
 		env:       env,
 		code:      code,
 		acc:       acc,
@@ -225,7 +210,7 @@ func (m *Reactive) Attach(env Env) (Instance, error) {
 
 // reactiveInstance is one run's reactive protocol state.
 type reactiveInstance struct {
-	m      *Reactive
+	k      int // PayloadBits, the broadcast message size
 	env    Env
 	code   *auedcode.Code
 	acc    *Acceptance
@@ -649,22 +634,22 @@ func (e *reactiveInstance) armedNeighbor(sender grid.NodeID) grid.NodeID {
 
 // payloadFor encodes a protocol value into the k-bit payload.
 func (e *reactiveInstance) payloadFor(v radio.Value) auedcode.BitString {
-	p := auedcode.NewBitString(e.m.PayloadBits)
-	width := e.m.PayloadBits
+	p := auedcode.NewBitString(e.k)
+	width := e.k
 	if width > 16 {
 		width = 16
 	}
-	p.WriteUint(uint(v), e.m.PayloadBits-width, width)
+	p.WriteUint(uint(v), e.k-width, width)
 	return p
 }
 
 // valueFor decodes a payload back into a protocol value.
 func (e *reactiveInstance) valueFor(p auedcode.BitString) radio.Value {
-	width := e.m.PayloadBits
+	width := e.k
 	if width > 16 {
 		width = 16
 	}
-	return radio.Value(p.ReadUint(e.m.PayloadBits-width, width))
+	return radio.Value(p.ReadUint(e.k-width, width))
 }
 
 // Tick implements Instance: the reactive rounds are delivery-driven
@@ -686,9 +671,9 @@ func (e *reactiveInstance) Sizing() (sourceSends, maxSends int) {
 }
 
 // Finish implements Instance: book what the frontier slots skipped and
-// publish the run record to the machine. A receiver that was settled when
-// a booked round of s went out heard s's payload intact, so the edge is
-// served and counted once unless a delivered round already served it
+// publish the run record. A receiver that was settled when a booked
+// round of s went out heard s's payload intact, so the edge is served
+// and counted once unless a delivered round already served it
 // (settledness is monotone, so s's last booked round decides).
 func (e *reactiveInstance) Finish(int) {
 	for s, last := range e.lastBook {
@@ -728,5 +713,5 @@ func (e *reactiveInstance) Finish(int) {
 	out := *rs
 	out.DataSends = append([]int32(nil), rs.DataSends...)
 	out.NackSends = append([]int32(nil), rs.NackSends...)
-	e.m.stats = &out
+	e.st.Record = &out
 }

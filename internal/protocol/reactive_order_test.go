@@ -28,19 +28,18 @@ import (
 type orderPair struct {
 	t        *testing.T
 	spec     protocol.Reactive
-	machines []*protocol.Reactive
+	attached int // instances attached, one per permutation
 }
 
 func (p *orderPair) Attach(env protocol.Env) (protocol.Instance, error) {
 	inst := &orderPairInstance{p: p, rng: stats.NewRNG(env.Seed ^ 0x5eed)}
 	for range permutations {
-		m := p.spec // one machine value per instance: the stats handoff is single-run
-		p.machines = append(p.machines, &m)
-		in, err := m.Attach(env)
+		in, err := p.spec.Attach(env) // one machine value attaches every instance
 		if err != nil {
 			return nil, err
 		}
 		inst.insts = append(inst.insts, in)
+		p.attached++
 	}
 	return inst, nil
 }
@@ -161,7 +160,7 @@ func (o *orderPairInstance) Finish(slots int) {
 	var lead *protocol.ReactiveStats
 	for i, in := range o.insts {
 		in.Finish(slots)
-		rs := o.p.machines[i].TakeStats()
+		rs := in.State().Record.(*protocol.ReactiveStats)
 		if i == 0 {
 			lead = rs
 			continue
@@ -186,15 +185,15 @@ func TestReactiveDeliverOrderInvariant(t *testing.T) {
 		t.Run(policy.String(), func(t *testing.T) {
 			for seed := uint64(1); seed <= 4; seed++ {
 				for name, run := range map[string]func(context.Context, sim.Config) (*sim.Result, error){"fast": sim.RunContext, "ref": ref.RunContext} {
-					cfg, m := reactiveConfig(t, policy, seed)
-					pair := &orderPair{t: t, spec: *m}
+					cfg := reactiveConfig(t, policy, seed)
+					pair := &orderPair{t: t, spec: *cfg.Machine.(*protocol.Reactive)}
 					cfg.Machine = pair
 					res, err := run(context.Background(), cfg)
 					if err != nil {
 						t.Fatalf("%s seed %d: %v", name, seed, err)
 					}
-					if res.GoodMessages == 0 || len(pair.machines) != len(permutations) {
-						t.Fatalf("%s seed %d: the paired run did not run (%d messages, %d machines)", name, seed, res.GoodMessages, len(pair.machines))
+					if res.GoodMessages == 0 || pair.attached != len(permutations) {
+						t.Fatalf("%s seed %d: the paired run did not run (%d messages, %d instances)", name, seed, res.GoodMessages, pair.attached)
 					}
 				}
 			}

@@ -33,7 +33,7 @@ type reactiveRun struct {
 	seed      uint64
 }
 
-func (r reactiveRun) config(t *testing.T) (sim.Config, *protocol.Reactive) {
+func (r reactiveRun) config(t *testing.T) sim.Config {
 	t.Helper()
 	if r.side == 0 {
 		r.side = 15
@@ -48,38 +48,39 @@ func (r reactiveRun) config(t *testing.T) (sim.Config, *protocol.Reactive) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &protocol.Reactive{MMax: r.mmax, PayloadBits: r.k, Policy: r.policy}
 	cfg := sim.Config{
 		Topo:    tor,
 		Params:  core.Params{R: 2, T: r.t, MF: r.mf},
-		Machine: m,
+		Machine: &protocol.Reactive{MMax: r.mmax, PayloadBits: r.k, Policy: r.policy},
 		Seed:    r.seed,
 	}
 	if r.density > 0 {
 		cfg.Placement = adversary.Random{T: r.t, Density: r.density, Seed: r.placeSeed}
 	}
-	return cfg, m
+	return cfg
 }
 
 // run executes the configuration and returns the engine result with the
 // machine's run record.
 func (r reactiveRun) run(t *testing.T) (*sim.Result, *protocol.ReactiveStats) {
 	t.Helper()
-	cfg, m := r.config(t)
+	cfg := r.config(t)
+	rec := &sim.Recorder{Machine: cfg.Machine}
+	cfg.Machine = rec
 	res, err := sim.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("%+v: %v", r, err)
 	}
-	rs := m.TakeStats()
-	if rs == nil {
-		t.Fatalf("%+v: machine published no stats", r)
+	rs, ok := rec.Record().(*protocol.ReactiveStats)
+	if !ok || rs == nil {
+		t.Fatalf("%+v: the run published no reactive record", r)
 	}
 	return res, rs
 }
 
 // reactiveConfig is the suite's standard attacked run: t = 1, mf = 3,
 // density 0.06, placement and coding seeded alike.
-func reactiveConfig(t *testing.T, policy protocol.AttackPolicy, seed uint64) (sim.Config, *protocol.Reactive) {
+func reactiveConfig(t *testing.T, policy protocol.AttackPolicy, seed uint64) sim.Config {
 	t.Helper()
 	return reactiveRun{t: 1, mf: 3, policy: policy, density: 0.06, placeSeed: seed, seed: seed}.config(t)
 }

@@ -2,8 +2,8 @@ package sim_test
 
 // The booked slot body (see the package comment) hands a Multi instance
 // each slot's transmissions instead of its deliveries. These tests prove
-// which runs take it — through the Runner's booked-slot counter, so no
-// comparison can go vacuous — that those runs give the reference
+// which runs take it — through the run's count of booked transmissions
+// (Timing.SendsBooked), so no comparison can go vacuous — that those runs give the reference
 // engine's Result and run record, and that their observer stream is
 // the reference engine's event for event.
 
@@ -66,30 +66,43 @@ func multiConfig(t *testing.T, tc bookedTopology, m int, seed uint64, placed boo
 	return cfg
 }
 
-// multiRun is one run's Result, Multi run record and booked-slot count.
+// multiRun is one run's Result, Multi run record and the good
+// transmissions it booked (Timing.SendsBooked; ref books none).
 type multiRun struct {
 	res    *sim.Result
 	stats  *protocol.MultiStats
 	booked int
 }
 
-// runFast runs cfg on r; runRef runs it on the reference engine.
+// runFast runs cfg on r, timed for its send counts; runRef runs it on the
+// reference engine.
 func runFast(t *testing.T, r *sim.Runner, cfg sim.Config) multiRun {
 	t.Helper()
-	res, err := r.RunContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return multiRun{res, cfg.Machine.(*protocol.Multi).TakeStats(), r.BookedSlots()}
+	cfg.Timing = true
+	run := runMulti(t, r.RunContext, cfg)
+	run.booked = untime(run.res).SendsBooked
+	return run
 }
 
 func runRef(t *testing.T, cfg sim.Config) multiRun {
 	t.Helper()
-	res, err := ref.RunContext(context.Background(), cfg)
+	return runMulti(t, ref.RunContext, cfg)
+}
+
+// runMulti runs cfg on run and requires the run's Multi record.
+func runMulti(t *testing.T, run func(context.Context, sim.Config) (*sim.Result, error), cfg sim.Config) multiRun {
+	t.Helper()
+	rec := &sim.Recorder{Machine: cfg.Machine}
+	cfg.Machine = rec
+	res, err := run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return multiRun{res: res, stats: cfg.Machine.(*protocol.Multi).TakeStats()}
+	ms, ok := rec.Record().(*protocol.MultiStats)
+	if !ok || ms == nil {
+		t.Fatalf("the run published no Multi record (%T)", rec.Record())
+	}
+	return multiRun{res: res, stats: ms}
 }
 
 // sameRun fails t unless a and b agree on the Result and the run record.
@@ -121,8 +134,8 @@ func TestMultiBookedSlots(t *testing.T) {
 				for seed := uint64(1); seed <= seeds; seed++ {
 					desc := fmt.Sprintf("%s/placed=%v/M%d/seed %d", tc.name, placed, m, seed)
 					fast := runFast(t, runner, multiConfig(t, tc, m, seed, placed))
-					if fast.booked == 0 {
-						t.Fatalf("%s: booked no slot", desc)
+					if fast.booked == 0 || fast.booked != fast.res.GoodMessages {
+						t.Fatalf("%s: booked %d of %d transmissions, want every one", desc, fast.booked, fast.res.GoodMessages)
 					}
 					if placed && fast.res.BadCount == 0 {
 						t.Fatalf("%s: the placement put no bad node", desc)
@@ -141,7 +154,7 @@ func TestMultiBookedSlots(t *testing.T) {
 		for name, cfg := range map[string]sim.Config{"OnDeliver": observed, "OnInstanceDeliver": tagged} {
 			got := runFast(t, runner, cfg)
 			if got.booked != 0 {
-				t.Fatalf("%s/%s: booked %d slots", tc.name, name, got.booked)
+				t.Fatalf("%s/%s: booked %d transmissions", tc.name, name, got.booked)
 			}
 			sameRun(t, tc.name+"/"+name+" vs bare", got, bare)
 		}
@@ -152,7 +165,7 @@ func TestMultiBookedSlots(t *testing.T) {
 		}
 		got := runFast(t, runner, jammed())
 		if got.booked != 0 {
-			t.Fatalf("%s/Strategy: booked %d slots", tc.name, got.booked)
+			t.Fatalf("%s/Strategy: booked %d transmissions", tc.name, got.booked)
 		}
 		sameRun(t, tc.name+"/Strategy: fast vs ref", got, runRef(t, jammed()))
 	}
@@ -173,7 +186,7 @@ func TestMultiBookedSlots(t *testing.T) {
 	}
 	got := runFast(t, runner, miscolored())
 	if got.booked != 0 {
-		t.Fatalf("miscolored: booked %d slots", got.booked)
+		t.Fatalf("miscolored: booked %d transmissions", got.booked)
 	}
 	if got.res.GoodGoodCollisions == 0 {
 		t.Fatal("miscolored: the shared color produced no collision; the test topology is not doing its job")
@@ -242,8 +255,8 @@ func TestMultiBookedEventOrder(t *testing.T) {
 			fastCfg, refCfg := multiConfig(t, tc, m, 3, placed), multiConfig(t, tc, m, 3, placed)
 			fastLog, refLog := recordOrder(&fastCfg), recordOrder(&refCfg)
 			fast, dense := runFast(t, runner, fastCfg), runRef(t, refCfg)
-			if fast.booked == 0 {
-				t.Fatalf("%s: booked no slot", desc)
+			if fast.booked == 0 || fast.booked != fast.res.GoodMessages {
+				t.Fatalf("%s: booked %d of %d transmissions, want every one", desc, fast.booked, fast.res.GoodMessages)
 			}
 			sameRun(t, desc+": fast vs ref", fast, dense)
 			accepts := 0

@@ -214,29 +214,23 @@ type Runner struct {
 	view adversary.View
 
 	// frontier selects the frontier-only slot body for this run (see the
-	// package comment and frontierEligible); frontierSlots counts the
-	// slots that completed on it and settledTxs the transmissions of those
-	// slots whose row was never read (exposed to tests, see export_test.go).
-	frontier      bool
-	frontierSlots int
-	settledTxs    int
+	// package comment and frontierEligible). Which body carried each
+	// transmission is counted in the run's Timing (SendsFrontier,
+	// SendsBooked, SendsRetired), whether or not the run is timed.
+	frontier bool
 
 	// ledger is set when the run retires settled transmitters (see the
 	// package comment and retireEligible): the threshold instance their
 	// sends are booked on. retFirst[v] and retEnd[v] bound the slots of
 	// v's retired transmissions, [first, last+1), and retiredEnd is one
-	// past the last slot a retired send occupies; retiredTxs counts the
-	// retired transmissions (exposed to tests, see export_test.go).
+	// past the last slot a retired send occupies.
 	ledger           *protocol.ThresholdInstance
 	retFirst, retEnd []int32
 	retiredEnd       int
-	retiredTxs       int
 
 	// booking selects the booked slot body for this run (see the package
-	// comment and bookEligible); bookedSlots counts the slots it booked
-	// (exposed to tests, see export_test.go).
-	booking     bool
-	bookedSlots int
+	// comment and bookEligible).
+	booking bool
 
 	// Frontier-run state (see the package comment). live[v] counts v's
 	// good neighbors the instance has not settled — v's row is settled
@@ -434,7 +428,7 @@ func (r *Runner) retire(v grid.NodeID) {
 	r.ledger.BookSends(v, int32(sent))
 	r.retFirst[v], r.retEnd[v] = int32(first), int32(first+(sent-1)*period+1)
 	r.retiredEnd = max(r.retiredEnd, last+1)
-	r.retiredTxs += sent
+	r.clock.t.SendsRetired += sent
 	r.pending[v] = 0
 	r.colorPending[r.colors[v]] -= int64(k)
 	r.pendingTotal -= int64(k)
@@ -529,18 +523,12 @@ func (r *Runner) run(ctx context.Context, cfg Config) error {
 	}
 	r.trackSupply = cfg.Strategy != nil
 	if r.trackSupply {
-		r.view = adversary.View{
-			Topo: cfg.Topo, Adj: r.adj,
-			Bad: r.Bad, Decided: r.St.Decided, Correct: r.St.Correct, Supply: r.supply,
-			Budget: r.BadBudget, Reach: r.Reach, Threshold: r.Inst.Threshold(),
-			Scratch: &r.adv,
-		}
+		r.view = r.View(r.supply)
 	}
 	r.frontier = r.frontierEligible()
 	r.booking = !r.frontier && r.bookEligible()
 	r.ledger = r.retireEligible()
-	r.frontierSlots, r.settledTxs, r.bookedSlots = 0, 0, 0
-	r.retiredEnd, r.retiredTxs = 0, 0
+	r.retiredEnd = 0
 	if r.frontier {
 		r.initLive()
 	}
@@ -676,8 +664,6 @@ func (r *Runner) run(ctx context.Context, cfg Config) error {
 				return err
 			}
 			clock.lap(&clock.t.Deliver)
-			r.frontierSlots++
-			r.settledTxs += len(r.txs) - len(r.liveTxs)
 			clock.t.SendsFrontier += len(r.liveTxs)
 			clock.t.SendsBooked += len(r.txs) - len(r.liveTxs)
 		} else {
@@ -702,7 +688,6 @@ func (r *Runner) run(ctx context.Context, cfg Config) error {
 		slot++
 	}
 
-	clock.t.SendsRetired += r.retiredTxs
 	clock.t.SlotsSkipped += max(r.retiredEnd-slot, 0)
 	r.Stop(max(slot, r.retiredEnd), r.pendingTotal > 0, r.medium.GoodGoodCollisions)
 	return nil
@@ -797,7 +782,6 @@ func (r *Runner) bookSlot(slot int, txs []radio.Tx) (heard bool, err error) {
 	if err := r.Inst.Book(slot, txs); err != nil {
 		return false, err
 	}
-	r.bookedSlots++
 	return heard, nil
 }
 

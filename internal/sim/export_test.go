@@ -6,21 +6,6 @@ import (
 	"bftbcast/internal/grid"
 )
 
-// FrontierSlots exposes how many slots of the last run completed on the
-// frontier path (see the package comment), so tests can prove a
-// configuration took it — or stayed off it — instead of inferring that
-// from timing.
-func (r *Runner) FrontierSlots() int { return r.frontierSlots }
-
-// SettledTxs exposes how many transmissions of the last run's frontier
-// slots came from a settled row, which the engine books without reading.
-func (r *Runner) SettledTxs() int { return r.settledTxs }
-
-// RetiredTxs exposes how many transmissions of the last run were retired
-// — booked at once when their sender's row settled, instead of emitted
-// slot by slot (see the package comment).
-func (r *Runner) RetiredTxs() int { return r.retiredTxs }
-
 // CheckLive recounts, against the instance's settled mask, every node's
 // good neighbors that are not settled and returns an error for the first
 // whose live counter disagrees — or for a settled node that is not a
@@ -52,8 +37,3 @@ func (r *Runner) CheckLive() error {
 // Figure2Params hands the Figure 2 parameters (see figure2_test.go) to
 // the external test package.
 var Figure2Params = figure2Params
-
-// BookedSlots exposes how many slots of the last run were booked whole
-// (see the package comment), so tests can prove a configuration took that
-// path — or stayed off it.
-func (r *Runner) BookedSlots() int { return r.bookedSlots }

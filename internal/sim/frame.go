@@ -48,6 +48,33 @@ type Config struct {
 	Timing bool
 }
 
+// Recorder is the protocol machine of one run: it attaches Machine and
+// keeps the instance, so that the run's caller can read the run record
+// the instance published at Finish. A machine is a descriptor that keeps
+// no run state and may drive concurrent runs; the Recorder around it is
+// the run's own, so build one per run.
+type Recorder struct {
+	protocol.Machine
+	inst protocol.Instance
+}
+
+// Attach implements protocol.Machine, keeping the instance.
+func (r *Recorder) Attach(env protocol.Env) (protocol.Instance, error) {
+	inst, err := r.Machine.Attach(env)
+	r.inst = inst
+	return inst, err
+}
+
+// Record returns the run record the attached instance published at
+// Finish (protocol.State.Record): nil before a run attaches one, and for
+// an instance that keeps none.
+func (r *Recorder) Record() any {
+	if r.inst == nil {
+		return nil
+	}
+	return r.inst.State().Record
+}
+
 // Result reports the outcome of a run. All slices are owned by the
 // caller: the engine copies its internal state into fresh slices before
 // returning, so Results stay valid however the engine is reused.
@@ -128,8 +155,7 @@ type Frame struct {
 	Res Result
 
 	// adv is the adversary's working memory: Begin places and validates
-	// through it, and the fast Runner lends it to the strategy in its
-	// View.
+	// through it, and View lends it to the run's strategy.
 	adv adversary.Scratch
 	// clock keeps the run's Timing (see StartLoop).
 	clock stopwatch
@@ -224,6 +250,18 @@ func (f *Frame) Begin(cfg Config, attachSpec func(protocol.Env, core.Spec) (prot
 	return nil
 }
 
+// View returns what the run's Strategy sees: the frame's state and the
+// engine's Vtrue supply estimate, with the frame's adversary scratch lent
+// to the strategy. Every engine shows its strategy this view.
+func (f *Frame) View(supply []int32) adversary.View {
+	return adversary.View{
+		Topo: f.Cfg.Topo, Adj: f.Plan.Adjacency(),
+		Bad: f.Bad, Decided: f.St.Decided, Correct: f.St.Correct, Supply: supply,
+		Budget: f.BadBudget, Reach: f.Reach, Threshold: f.Inst.Threshold(),
+		Scratch: &f.adv,
+	}
+}
+
 // SpendJam spends one unit of bad node id's budget for a jam and debits
 // Reach over id's row; it reports false, spending nothing, when id is
 // broke. Every engine's jam validation spends through it.
@@ -268,8 +306,9 @@ func (f *Frame) Finish() *Result {
 // Counts classifies the stopped run into a Result without per-node state
 // (every slice nil), for a caller that keeps only the tallies. The
 // instance of a Config.Machine is still told the run is over, since its
-// run record feeds the caller; the Spec instance is not, because its
-// ledger fold only completes Correct and Wrong.
+// run record (protocol.State.Record) feeds the caller; the Spec
+// instance is not, because its ledger fold only completes Correct and
+// Wrong.
 func (f *Frame) Counts() Result {
 	if f.Cfg.Machine != nil {
 		f.Inst.Finish(f.Res.Slots)

@@ -5,10 +5,10 @@ package sim_test
 // it gets a differential test of its own: every configuration runs twice
 // on one Runner — bare, which takes the frontier path when eligible, and
 // with a no-op OnDeliver attached, which forces full resolution — and the
-// two legs must agree on the whole Result, on the reactive machine's run
-// record, and on the slot-start, OnSend and OnAccept streams. The Runner's
-// frontier-slot counter proves which path each leg took, so neither half
-// of the comparison can go vacuous. The bare leg also has the engine's
+// two legs must agree on the whole Result, on the machine's run record,
+// and on the slot-start, OnSend and OnAccept streams. Each leg's send counts
+// (Result.Timing) prove which path it took, so neither half of the
+// comparison can go vacuous. The bare leg also has the engine's
 // live counters — what lets it skip settled rows — recounted against the
 // instance's settled mask at every executed slot, and its safety
 // properties checked as it runs (simtest.Safety, on OnSend and OnAccept
@@ -61,16 +61,28 @@ func observe(cfg *sim.Config) *[]event {
 	return log
 }
 
-// frontierLeg is one observed run: Result, the reactive machine's run
-// record (nil for other protocols), event stream, how many of its slots
-// completed on the frontier path, and how many transmissions of those
-// slots were booked without reading their (settled) row.
+// frontierLeg is one observed run: Result, the machine's run record (nil
+// for the threshold protocols), event stream and the run's Timing, whose
+// send counts say which slot body carried each transmission. The legs'
+// hooks keep retirement off, so a frontier slot's sends are SendsFrontier
+// and — those from a settled row, booked without reading it — SendsBooked.
 type frontierLeg struct {
-	res     *sim.Result
-	stats   *protocol.ReactiveStats
-	events  []event
-	slots   int
-	settled int
+	res    *sim.Result
+	record any
+	events []event
+	timing sim.Timing
+}
+
+// frontierSends counts the transmissions of the slots that completed on
+// the frontier path.
+func (l *frontierLeg) frontierSends() int { return l.timing.SendsFrontier + l.timing.SendsBooked }
+
+// untime returns the Timing of res, a run made with Config.Timing, and
+// drops it from res, so res compares equal to an untimed run's Result.
+func untime(res *sim.Result) sim.Timing {
+	tm := *res.Timing
+	res.Timing = nil
+	return tm
 }
 
 // runFrontierLeg runs cfg on r with every observer hook logging (see
@@ -82,6 +94,7 @@ type frontierLeg struct {
 // simtest.Safety (noWrong: it decides no value but Vtrue), whose first
 // violation is returned the same way.
 func runFrontierLeg(r *sim.Runner, cfg sim.Config, onDeliver func(int, radio.Delivery), noWrong bool) (frontierLeg, error) {
+	cfg.Timing = true
 	log := observe(&cfg)
 	cfg.Hooks.OnDeliver = onDeliver
 	var safety *simtest.Safety
@@ -99,6 +112,11 @@ func runFrontierLeg(r *sim.Runner, cfg sim.Config, onDeliver func(int, radio.Del
 			liveErr = r.CheckLive()
 		}
 	}
+	var rec *sim.Recorder
+	if cfg.Machine != nil {
+		rec = &sim.Recorder{Machine: cfg.Machine}
+		cfg.Machine = rec
+	}
 	res, err := r.RunContext(context.Background(), cfg)
 	if err == nil {
 		err = liveErr
@@ -106,11 +124,14 @@ func runFrontierLeg(r *sim.Runner, cfg sim.Config, onDeliver func(int, radio.Del
 	if err == nil && safety != nil {
 		err = safety.Err()
 	}
-	leg := frontierLeg{res: res, events: *log, slots: r.FrontierSlots(), settled: r.SettledTxs()}
-	if m, ok := cfg.Machine.(*protocol.Reactive); ok {
-		leg.stats = m.TakeStats()
+	if err != nil {
+		return frontierLeg{}, err
 	}
-	return leg, err
+	leg := frontierLeg{res: res, events: *log, timing: untime(res)}
+	if rec != nil {
+		leg.record = rec.Record()
+	}
+	return leg, nil
 }
 
 // diffFrontier runs build's config bare and with a no-op OnDeliver on r
@@ -127,15 +148,15 @@ func diffFrontier(t *testing.T, r *sim.Runner, desc string, noWrong bool, build 
 	if bareErr != nil {
 		return nil
 	}
-	if full.slots != 0 || full.settled != 0 {
-		t.Fatalf("%s: %d frontier slots, %d settled transmissions with OnDeliver attached",
-			desc, full.slots, full.settled)
+	if n := full.timing.SendsFull; n != full.res.GoodMessages {
+		t.Fatalf("%s: with OnDeliver attached, %d of %d transmissions were resolved in full",
+			desc, n, full.res.GoodMessages)
 	}
 	if err := simtest.DiffResults(bare.res, full.res); err != nil {
 		t.Fatalf("%s: frontier vs full resolution: %v", desc, err)
 	}
-	if !reflect.DeepEqual(bare.stats, full.stats) {
-		t.Fatalf("%s: reactive run records differ:\nfrontier %+v\nfull     %+v", desc, bare.stats, full.stats)
+	if !reflect.DeepEqual(bare.record, full.record) {
+		t.Fatalf("%s: run records differ:\nfrontier %+v\nfull     %+v", desc, bare.record, full.record)
 	}
 	if !reflect.DeepEqual(bare.events, full.events) {
 		t.Fatalf("%s: slot/send/accept streams differ (%d vs %d events)",
@@ -206,20 +227,20 @@ func TestFrontierMatchesFullResolution(t *testing.T) {
 			}
 			cfg := build()
 			if _, spam := cfg.Strategy.(*adversary.Spammer); spam {
-				if bare.slots != 0 || bare.settled != 0 {
-					t.Fatalf("%s: Spammer run took %d frontier slots, settled %d transmissions",
-						c.Desc, bare.slots, bare.settled)
+				if n := bare.timing.SendsFull; n != bare.res.GoodMessages {
+					t.Fatalf("%s: Spammer run resolved %d of %d transmissions in full",
+						c.Desc, n, bare.res.GoodMessages)
 				}
 				spammed++
 				continue
 			}
-			if bare.slots == 0 {
+			if bare.frontierSends() == 0 {
 				t.Fatalf("%s (variant %d): eligible run took no frontier slot", c.Desc, v)
 			}
 			// A row settles once its whole neighborhood has decided, which
 			// any run that gets somewhere reaches; only one cut short by
 			// MaxSlots or starved by the spec may end before that.
-			if bare.settled == 0 && bare.res.Completed {
+			if bare.timing.SendsBooked == 0 && bare.res.Completed {
 				t.Fatalf("%s (variant %d): completed without one settled transmission", c.Desc, v)
 			}
 			if bare.res.Stalled {
@@ -264,8 +285,8 @@ func TestFrontierFigure2(t *testing.T) {
 			Strategy:  adversary.NewTargeted(adversary.Figure2Victims(tor)),
 		}
 	})
-	if bare.slots == 0 || bare.res.BadMessages == 0 {
-		t.Fatalf("frontier slots=%d bad messages=%d, want both > 0", bare.slots, bare.res.BadMessages)
+	if bare.frontierSends() == 0 || bare.res.BadMessages == 0 {
+		t.Fatalf("frontier sends=%d bad messages=%d, want both > 0", bare.frontierSends(), bare.res.BadMessages)
 	}
 	if !bare.res.Stalled || bare.res.DecidedGood != 84 {
 		t.Fatalf("stalled=%v decided=%d, want the Figure 2 stall at 84", bare.res.Stalled, bare.res.DecidedGood)
@@ -292,9 +313,9 @@ func TestFrontierWrongValueRelays(t *testing.T) {
 			Strategy:  &adversary.Targeted{Victims: everyone, WrongValue: 3},
 		}
 	})
-	if bare.res.WrongDecisions == 0 || bare.settled == 0 {
+	if bare.res.WrongDecisions == 0 || bare.timing.SendsBooked == 0 {
 		t.Fatalf("wrong decisions=%d settled transmissions=%d, want both > 0",
-			bare.res.WrongDecisions, bare.settled)
+			bare.res.WrongDecisions, bare.timing.SendsBooked)
 	}
 	var wrong int32
 	for _, w := range bare.res.Wrong {
@@ -327,20 +348,25 @@ func TestFrontierIneligibleRuns(t *testing.T) {
 	}
 	build := func() sim.Config {
 		return sim.Config{
-			Topo: tor, Params: p, Spec: spec,
+			Topo: tor, Params: p, Spec: spec, Timing: true,
 			Placement: adversary.Random{T: 2, Density: 0.06, Seed: 11},
 			Strategy:  adversary.NewTargeted(victims),
 		}
+	}
+	// counts is what a Timing says about the slot bodies, its durations
+	// left out.
+	counts := func(tm sim.Timing) [6]int {
+		return [6]int{tm.SlotsExecuted, tm.SlotsSkipped, tm.SendsFull, tm.SendsFrontier, tm.SendsBooked, tm.SendsRetired}
 	}
 	runner := sim.NewRunner()
 	want, err := runner.RunContext(context.Background(), build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSlots, wantSettled, wantRetired := runner.FrontierSlots(), runner.SettledTxs(), runner.RetiredTxs()
-	if wantSlots == 0 || wantSettled+wantRetired == 0 || want.BadMessages == 0 {
-		t.Fatalf("baseline: frontier slots=%d settled transmissions=%d retired=%d bad messages=%d, want all but one count > 0",
-			wantSlots, wantSettled, wantRetired, want.BadMessages)
+	wantTiming := untime(want)
+	if wantTiming.SendsFrontier+wantTiming.SendsBooked == 0 || wantTiming.SendsBooked+wantTiming.SendsRetired == 0 || want.BadMessages == 0 {
+		t.Fatalf("baseline: frontier sends=%d settled=%d retired=%d bad messages=%d, want all but one count > 0",
+			wantTiming.SendsFrontier, wantTiming.SendsBooked, wantTiming.SendsRetired, want.BadMessages)
 	}
 
 	custom := build()
@@ -349,9 +375,8 @@ func TestFrontierIneligibleRuns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("custom machine: %v", err)
 	}
-	if n, settled, retired := runner.FrontierSlots(), runner.SettledTxs(), runner.RetiredTxs(); n != wantSlots || settled != wantSettled || retired != wantRetired {
-		t.Errorf("custom machine: %d frontier slots, %d settled, %d retired transmissions; the built-in instance took %d, %d, %d",
-			n, settled, retired, wantSlots, wantSettled, wantRetired)
+	if g, w := counts(untime(got)), counts(wantTiming); g != w {
+		t.Errorf("custom machine: slots executed, skipped and sends full, frontier, booked, retired %v; the built-in instance took %v", g, w)
 	}
 	if err := simtest.DiffResults(got, want); err != nil {
 		t.Errorf("custom machine: diverged from the built-in run: %v", err)
@@ -359,12 +384,12 @@ func TestFrontierIneligibleRuns(t *testing.T) {
 
 	multi := build()
 	multi.Machine = &protocol.Multi{Spec: spec, M: 3}
-	if _, err := runner.RunContext(context.Background(), multi); err != nil {
+	res, err := runner.RunContext(context.Background(), multi)
+	if err != nil {
 		t.Fatalf("multi machine: %v", err)
 	}
-	if n, settled, retired := runner.FrontierSlots(), runner.SettledTxs(), runner.RetiredTxs(); n != 0 || settled != 0 || retired != 0 {
-		t.Errorf("multi machine: took %d frontier slots, settled %d and retired %d transmissions, want full resolution",
-			n, settled, retired)
+	if n := res.Timing.SendsFull; n != res.GoodMessages {
+		t.Errorf("multi machine: resolved %d of %d transmissions in full, want every one", n, res.GoodMessages)
 	}
 }
 
@@ -419,16 +444,20 @@ func TestFrontierReactive(t *testing.T) {
 					continue
 				}
 				ran++
-				if bare.slots == 0 {
+				if bare.frontierSends() == 0 {
 					t.Fatalf("%s: took no frontier slot", desc)
 				}
-				if bare.stats.AttacksSpent > 0 {
+				rs, ok := bare.record.(*protocol.ReactiveStats)
+				if !ok || rs == nil {
+					t.Fatalf("%s: the run carries no reactive record", desc)
+				}
+				if rs.AttacksSpent > 0 {
 					attacked++
 				}
-				for _, n := range bare.stats.NackSends {
+				for _, n := range rs.NackSends {
 					nacked += int(n)
 				}
-				settledRounds += bare.settled
+				settledRounds += bare.timing.SendsBooked
 			}
 		}
 	}
@@ -453,13 +482,14 @@ func TestFrontierNeedsVerifiedColoring(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sim.Config{Topo: tp, Params: p, Spec: spec, Source: b.ID(5, 1)}
-	runner := sim.NewRunner()
-	fast, err := runner.RunContext(context.Background(), cfg)
+	timed := cfg
+	timed.Timing = true
+	fast, err := sim.NewRunner().RunContext(context.Background(), timed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := runner.FrontierSlots(); n != 0 {
-		t.Fatalf("%d frontier slots on an unverified coloring", n)
+	if n := untime(fast).SendsFull; n != fast.GoodMessages {
+		t.Fatalf("resolved %d of %d transmissions in full on an unverified coloring", n, fast.GoodMessages)
 	}
 	if fast.GoodGoodCollisions == 0 {
 		t.Fatal("the shared color produced no collision; the test topology is not doing its job")

@@ -19,7 +19,8 @@
 // protocol seam). From the run frame every engine shares (sim.Frame):
 // config validation, the compiled plan and its schedule, placement and its
 // validation, machine attach, budget seeding, the adversary's Reach (jams
-// are spent through Frame.SpendJam), the default slot cap and
+// are spent through Frame.SpendJam) and View (Frame.View, which lends the
+// frame's adversary scratch to the strategy), the default slot cap and
 // the classification of the final State into a Result — and the
 // Machine/Instance seam itself, so a Config.Machine (protocol.Multi,
 // protocol.Reactive) runs the same machine code on every engine and for
@@ -33,7 +34,6 @@ package ref
 import (
 	"context"
 
-	"bftbcast/internal/adversary"
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
 	"bftbcast/internal/protocol"
@@ -150,11 +150,7 @@ func (e *engine) loop(ctx context.Context) error {
 		deliveries []radio.Delivery
 		sendBuf    []protocol.Send
 	)
-	view := &adversary.View{
-		Topo: cfg.Topo, Adj: e.Plan.Adjacency(),
-		Bad: e.Bad, Decided: e.St.Decided, Correct: e.St.Correct, Supply: e.supply,
-		Budget: e.BadBudget, Reach: e.Reach, Threshold: e.Inst.Threshold(),
-	}
+	view := e.View(e.supply)
 	// ctx is polled without a lock: ctx.Err takes the context's mutex,
 	// which every engine running on one job's context would contend for
 	// once a slot. A context that can never be cancelled has no channel.
@@ -205,7 +201,7 @@ func (e *engine) loop(ctx context.Context) error {
 
 		var jams []radio.Tx
 		if cfg.Strategy != nil {
-			jams = e.validateJams(slot, cfg.Strategy.Jams(view, slot, deliveries))
+			jams = e.validateJams(slot, cfg.Strategy.Jams(&view, slot, deliveries))
 		}
 		if len(jams) > 0 {
 			txs = append(txs, jams...)

@@ -5,8 +5,8 @@ package sim_test
 // never executed. The frontier differential cannot see it — its legs
 // carry OnSlotStart and OnSend, which keep a run off the path — so these
 // tests compare bare fast runs with the dense reference engine, whose
-// loop emits every send at its own slot, and use the Runner's
-// retired-transmission counter to prove which runs retire.
+// loop emits every send at its own slot, and use the run's count of
+// retired transmissions (Timing.SendsRetired) to prove which runs retire.
 
 import (
 	"context"
@@ -94,8 +94,9 @@ func TestRetiredSendsMatchRef(t *testing.T) {
 						return cfg
 					}
 					desc := fmt.Sprintf("%s/%s/seed %d/strategy %d", tc.name, spec.Name, seed, strat)
-					full := diffRetired(t, runner, desc, func() sim.Config { return build(0) })
-					retired := runner.RetiredTxs()
+					full, timing := diffRetired(t, runner, desc, func() sim.Config { return build(0) })
+					simtest.CheckInvariants(t, build(0), full)
+					retired := timing.SendsRetired
 					if retired == 0 {
 						t.Fatalf("%s: no transmission retired", desc)
 					}
@@ -113,8 +114,9 @@ func TestRetiredSendsMatchRef(t *testing.T) {
 						if cut <= 0 {
 							continue
 						}
-						capped := diffRetired(t, runner, fmt.Sprintf("%s/MaxSlots %d", desc, cut), func() sim.Config { return build(cut) })
-						if capped.TimedOut && runner.RetiredTxs() < retired {
+						capped, cappedTiming := diffRetired(t, runner, fmt.Sprintf("%s/MaxSlots %d", desc, cut), func() sim.Config { return build(cut) })
+						simtest.CheckInvariants(t, build(cut), capped)
+						if capped.TimedOut && cappedTiming.SendsRetired < retired {
 							cutWindows++
 						}
 					}
@@ -129,13 +131,17 @@ func TestRetiredSendsMatchRef(t *testing.T) {
 }
 
 // diffRetired runs build's config bare on r and on the reference engine
-// and fails unless the Results are equal; it returns the fast Result.
-func diffRetired(t *testing.T, r *sim.Runner, desc string, build func() sim.Config) *sim.Result {
+// and fails unless the Results are equal; it returns the fast Result and
+// its Timing (the fast run is timed for its send counts).
+func diffRetired(t *testing.T, r *sim.Runner, desc string, build func() sim.Config) (*sim.Result, sim.Timing) {
 	t.Helper()
-	fast, err := r.RunContext(context.Background(), build())
+	cfg := build()
+	cfg.Timing = true
+	fast, err := r.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("%s: fast: %v", desc, err)
 	}
+	timing := untime(fast)
 	dense, err := ref.RunContext(context.Background(), build())
 	if err != nil {
 		t.Fatalf("%s: ref: %v", desc, err)
@@ -143,7 +149,7 @@ func diffRetired(t *testing.T, r *sim.Runner, desc string, build func() sim.Conf
 	if err := simtest.DiffResults(fast, dense); err != nil {
 		t.Fatalf("%s: fast vs ref: %v", desc, err)
 	}
-	return fast
+	return fast, timing
 }
 
 // TestRetirementPath pins which runs retire: unobserved threshold runs on
@@ -162,8 +168,8 @@ func TestRetirementPath(t *testing.T) {
 	// and returns the run's retired transmissions.
 	retired := func(desc string, build func() sim.Config) int {
 		t.Helper()
-		diffRetired(t, runner, desc, build)
-		return runner.RetiredTxs()
+		_, timing := diffRetired(t, runner, desc, build)
+		return timing.SendsRetired
 	}
 
 	for _, c := range []struct {
@@ -204,9 +210,9 @@ func TestRetirementPath(t *testing.T) {
 			Placement: adversary.Random{T: 1, Density: 0.06, Seed: 2}, Seed: 2,
 		}
 	}
-	if n := retired("reactive", reactive); n != 0 || runner.FrontierSlots() == 0 {
-		t.Errorf("reactive run: %d retired transmissions, %d frontier slots; want 0 retired on the frontier",
-			n, runner.FrontierSlots())
+	if _, timing := diffRetired(t, runner, "reactive", reactive); timing.SendsRetired != 0 || timing.SendsFrontier+timing.SendsBooked == 0 {
+		t.Errorf("reactive run: %d retired transmissions, %d sent on frontier slots; want 0 retired on the frontier",
+			timing.SendsRetired, timing.SendsFrontier+timing.SendsBooked)
 	}
 
 	b := topo.MustNewBounded(12, 12, 1)

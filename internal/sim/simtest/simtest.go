@@ -72,9 +72,12 @@ func CheckInvariants(t testing.TB, cfg sim.Config, res *sim.Result) {
 // Safety checks a run's safety properties while it executes, on any
 // engine: it watches the OnSend and OnAccept hooks of Config.Hooks, which
 // the fast and reference engines both fire. It never sets OnDeliver,
-// whose presence takes the fast engine off its frontier path, so the body
-// it checks is the one unobserved runs take. Err reports the first of
-// these events:
+// whose presence takes the fast engine off its frontier path, so a
+// watched run keeps its frontier and booked slots; its OnSend hook does
+// switch retirement off, since a retired send is never emitted, so a
+// retiring run is held to the reference engine and to CheckInvariants
+// instead (TestRetiredSendsMatchRef). Err reports the first of these
+// events:
 //
 //   - a good node accepts twice (the source is accepted from the start);
 //   - a bad node accepts;

@@ -46,17 +46,14 @@ func mustRGG(t *testing.T, n int, seed uint64) *topo.RGG {
 }
 
 // TestTorusBallSizes pins the paper's closed-form counts on the torus:
-// degree (2r+1)²−1 everywhere, half-neighborhood r(2r+1), and the
-// distance-d ball (2d+1)²−1 for d below the wrap threshold.
+// degree (2r+1)²−1 everywhere and the distance-d ball (2d+1)²−1 for d
+// below the wrap threshold.
 func TestTorusBallSizes(t *testing.T) {
 	for _, r := range []int{1, 2, 3} {
 		tor := grid.MustNew(7*(2*r+1), 7*(2*r+1), r)
 		side := 2*r + 1
 		if got, want := tor.MaxDegree(), side*side-1; got != want {
 			t.Errorf("r=%d: MaxDegree = %d, want (2r+1)²−1 = %d", r, got, want)
-		}
-		if got, want := tor.HalfNeighborhood(), r*side; got != want {
-			t.Errorf("r=%d: HalfNeighborhood = %d, want r(2r+1) = %d", r, got, want)
 		}
 		for _, d := range []int{r, 2 * r} {
 			count := 0

@@ -1,9 +1,9 @@
 package bftbcast
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // Observer receives the decisions of an Engine run; the slot argument
@@ -105,37 +105,41 @@ func (o FuncObserver) Decide(slot int, id NodeID, v Value) {
 // reactive trace (testdata/), and backs bftsim -trace. It watches
 // decisions alone, so a traced run takes an unobserved run's slot bodies.
 type TraceObserver struct {
-	enc *json.Encoder
+	w   io.Writer
+	buf []byte // the line being written, reused for every line
 	err error
-}
-
-// traceEvent is one trace line; its JSON tags are the golden-trace
-// format, so changing them changes every recorded trace.
-type traceEvent struct {
-	Slot  int    `json:"slot"`
-	Node  int32  `json:"node,omitempty"`
-	Kind  string `json:"kind"`
-	Value int32  `json:"value,omitempty"`
 }
 
 // NewTraceObserver returns a TraceObserver writing to w.
 func NewTraceObserver(w io.Writer) *TraceObserver {
-	return &TraceObserver{enc: json.NewEncoder(w)}
+	return &TraceObserver{w: w}
 }
 
-// record writes one event unless an earlier one failed.
-func (t *TraceObserver) record(e traceEvent) {
+// record writes one trace line, in one Write, unless an earlier one
+// failed. The line is the golden-trace format, so changing it changes
+// every recorded trace: the keys in the order slot, node, kind, value,
+// with a zero node or value left out.
+func (t *TraceObserver) record(slot int, node int32, kind string, value int32) {
 	if t.err != nil {
 		return
 	}
-	if err := t.enc.Encode(e); err != nil {
-		t.err = fmt.Errorf("trace: encoding event: %w", err)
+	b := strconv.AppendInt(append(t.buf[:0], `{"slot":`...), int64(slot), 10)
+	if node != 0 {
+		b = strconv.AppendInt(append(b, `,"node":`...), int64(node), 10)
+	}
+	b = append(append(append(b, `,"kind":"`...), kind...), '"')
+	if value != 0 {
+		b = strconv.AppendInt(append(b, `,"value":`...), int64(value), 10)
+	}
+	t.buf = append(b, "}\n"...)
+	if _, err := t.w.Write(t.buf); err != nil {
+		t.err = fmt.Errorf("trace: writing event: %w", err)
 	}
 }
 
 // Decide implements Observer.
 func (t *TraceObserver) Decide(slot int, id NodeID, v Value) {
-	t.record(traceEvent{Slot: slot, Node: int32(id), Kind: "accept", Value: int32(v)})
+	t.record(slot, int32(id), "accept", int32(v))
 }
 
 // Finish writes the terminal event for the run's Report — kind "done"
@@ -146,6 +150,6 @@ func (t *TraceObserver) Finish(rep *Report) error {
 	if rep.Stalled {
 		kind = "stall"
 	}
-	t.record(traceEvent{Slot: rep.Slots, Kind: kind, Value: int32(rep.DecidedGood)})
+	t.record(rep.Slots, 0, kind, int32(rep.DecidedGood))
 	return t.err
 }

@@ -1,7 +1,10 @@
 package bftbcast_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -124,5 +127,44 @@ func TestFuncObserver(t *testing.T) {
 	}
 	if want := rep.DecidedGood - 1; decides != want {
 		t.Fatalf("FuncObserver saw %d decisions, want %d", decides, want)
+	}
+}
+
+// TestTraceObserverLines holds TraceObserver's lines to the golden-trace
+// format as encoding/json writes it from the format's tags — a zero node
+// or value left out — for acceptances and both terminal kinds, over
+// zero, small, negative and extreme numbers.
+func TestTraceObserverLines(t *testing.T) {
+	type line struct {
+		Slot  int    `json:"slot"`
+		Node  int32  `json:"node,omitempty"`
+		Kind  string `json:"kind"`
+		Value int32  `json:"value,omitempty"`
+	}
+	var got, want bytes.Buffer
+	tracer, enc := bftbcast.NewTraceObserver(&got), json.NewEncoder(&want)
+	for _, d := range []line{
+		{0, 0, "accept", 0}, {0, 7, "accept", 1}, {12, 0, "accept", 2},
+		{math.MaxInt64, math.MaxInt32, "accept", math.MinInt32}, {3, 5, "accept", -1},
+	} {
+		tracer.Decide(d.Slot, bftbcast.NodeID(d.Node), bftbcast.Value(d.Value))
+		if err := enc.Encode(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rep := range []bftbcast.Report{{Slots: 649, DecidedGood: 2024}, {Slots: 84, Stalled: true}, {}} {
+		if err := tracer.Finish(&rep); err != nil {
+			t.Fatal(err)
+		}
+		kind := "done"
+		if rep.Stalled {
+			kind = "stall"
+		}
+		if err := enc.Encode(line{Slot: rep.Slots, Kind: kind, Value: int32(rep.DecidedGood)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got.String() != want.String() {
+		t.Fatalf("trace lines\n%s\nencoding/json writes\n%s", got.String(), want.String())
 	}
 }

@@ -18,6 +18,10 @@ import (
 // submission failure to a client error with errors.Is.
 var ErrBadSpec = errors.New("bftbcast: bad scenario spec")
 
+// corruptor is the strategy of every "random" threshold point: a
+// strategy keeps no run state, so every expanded point shares this one.
+var corruptor = NewCorruptor()
+
 // ScenarioSpec is the JSON-codable description of one Scenario: the
 // topology by name, the fault model, the protocol and adversary by
 // name, and the run limits. It is what cmd/bftsim fills from its flags
@@ -114,9 +118,8 @@ func (s *ScenarioSpec) scenarioOn(tp Topology, t, mf int, density float64, broad
 		sc.Placement = RandomPlacement{T: t, Density: density, Seed: seed}
 		if !reactive {
 			// The reactive adversary acts through Policy, not a jamming
-			// strategy; it only needs the placement. Strategies are
-			// single-run: every expanded point gets its own corruptor.
-			sc.Strategy = NewCorruptor()
+			// strategy; it only needs the placement.
+			sc.Strategy = corruptor
 		}
 	case "sandwich", "figure2":
 		if reactive {

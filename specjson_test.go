@@ -135,8 +135,8 @@ func TestGridSpecExpansion(t *testing.T) {
 		}
 	}
 	for i := 1; i < len(pts); i++ {
-		if pts[i].Strategy == pts[i-1].Strategy {
-			t.Fatalf("points %d and %d share a strategy; strategies are single-run", i-1, i)
+		if pts[i].Strategy == nil || pts[i].Strategy != pts[0].Strategy {
+			t.Fatalf("point %d does not share point 0's strategy; a strategy keeps no run state, so expansion builds one", i)
 		}
 	}
 
