@@ -20,8 +20,10 @@ import (
 	"time"
 
 	"bftbcast"
+	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
 	"bftbcast/internal/jobs"
+	"bftbcast/internal/plan"
 	"bftbcast/internal/protocol"
 	"bftbcast/internal/radio"
 )
@@ -36,6 +38,7 @@ func TestAllocs(t *testing.T) {
 	t.Run("Sweep", allocsSweep)
 	t.Run("JobGrid", allocsJobGrid)
 	t.Run("ReactiveRun", allocsReactiveRun)
+	t.Run("ThresholdBindBytes", allocsThresholdBindBytes)
 }
 
 // allocsAtMost fails t when op allocates more than bound times per run,
@@ -117,14 +120,16 @@ func allocsMultiBroadcast(t *testing.T) {
 			t.Fatalf("multi broadcast failed: %+v", rep)
 		}
 	}
-	// Read 23 since the machine carves its int32 arrays and its flags
-	// from one arena each; 28 since Run keeps its normalized Scenario copy
-	// on the stack; 33 when introduced.
+	// Read 25 since the receipt ledger, shared with the threshold
+	// instance, takes an arena of its own (24 before); 23 since the
+	// machine carves its int32 arrays and its flags from one arena each;
+	// 28 since Run keeps its normalized Scenario copy on the stack; 33 when
+	// introduced.
 	allocsAtMost(t, 10, 26, run)
-	// The machine allocates the receipt-count plane of a value on its
-	// first tally, so a fault-free run, which only ever counts ValueTrue,
-	// holds one of the eight: ≈0.97 MB a run, 2.78 MB with every plane
-	// allocated up front.
+	// Both copies-rule instances allocate the count plane of a value on
+	// its first copy, so a fault-free run, which only ever counts
+	// ValueTrue, holds one of the seven: ≈0.97 MB a run, 2.78 MB when all
+	// eight planes of the time were allocated up front.
 	const maxBytes = 1_300_000
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -318,4 +323,34 @@ func allocsReactiveRun(t *testing.T) {
 			t.Fatalf("reactive run failed: completed=%v", rep.Completed)
 		}
 	})
+}
+
+// allocsThresholdBindBytes holds the footprint of the copies rule's
+// single-broadcast instance: one fresh ThresholdInstance.Bind on the
+// 100,000-node RGG, before any wrong copy, allocates its State, its
+// receipts and its ledger — about 29 bytes a node — and no count plane,
+// which the first copy of a wrong value allocates.
+func allocsThresholdBindBytes(t *testing.T) {
+	g, err := bftbcast.NewRGG(100_000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := core.NewProtocolB(core.Params{R: 1, T: 1, MF: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := protocol.Env{Plan: plan.For(g)}
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := protocol.NewThresholdInstance().Bind(env, spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// Read 29.2 when introduced; 49.2 when six wrong-value count planes
+	// were allocated at Bind.
+	const maxBytesPerNode = 32
+	if got := float64(res.AllocedBytesPerOp()) / float64(g.Size()); got > maxBytesPerNode {
+		t.Fatalf("%.1f bytes a node per Bind, the contract is at most %d", got, maxBytesPerNode)
+	}
 }

@@ -144,18 +144,12 @@ const multiSeedSalt = 0x6d756c7469626373 // "multibcs"
 
 // Attach implements Machine.
 func (m *Multi) Attach(env Env) (Instance, error) {
-	if env.Plan == nil {
-		return nil, errors.New("protocol: multi machine needs a plan")
-	}
-	if err := m.Spec.Validate(); err != nil {
+	n, err := env.checkCopies(m.Spec, "multi machine")
+	if err != nil {
 		return nil, err
 	}
 	if m.M < 1 {
 		return nil, fmt.Errorf("protocol: multi machine needs M >= 1, got %d", m.M)
-	}
-	n := env.Plan.Size()
-	if int(env.Source) < 0 || int(env.Source) >= n {
-		return nil, errors.New("protocol: source out of range")
 	}
 	period := env.Plan.Period()
 	if period <= 0 {
@@ -190,8 +184,9 @@ func (m *Multi) Attach(env Env) (Instance, error) {
 	if good < n {
 		mi.bad = env.Bad // nil when the placement marked no node
 	}
-	mi.tor, _ = env.Plan.Topo().(*grid.Torus)
 	mi.st.BooksSlots = true
+	mi.tally.reset(m.M * n)
+	mi.ledger.reset(env.Plan)
 
 	stride := m.M * n
 	mi.value = make([]radio.Value, stride)
@@ -207,19 +202,12 @@ func (m *Multi) Attach(env Env) (Instance, error) {
 	mi.due, masks = carve(masks, expiryRing*nm)
 	mi.started, masks = carve(masks, mi.words)
 	mi.touched, mi.touchedSum = carve(masks, nt)
-	box := 0
-	if mi.tor != nil {
-		box = n + mi.tor.Width()
-	}
-	ints := make([]int32, stride+7*n+box)
+	ints := make([]int32, stride+5*n)
 	mi.lastTx, ints = carve(ints, stride)
 	mi.st.Correct, ints = carve(ints, n)
 	mi.st.Wrong, ints = carve(ints, n)
-	mi.ledTrue, ints = carve(ints, n)
-	mi.ledOther, ints = carve(ints, n)
 	mi.txCount, ints = carve(ints, n)
-	mi.decidedCount, ints = carve(ints, n)
-	mi.physOutstanding, mi.box = carve(ints, n)
+	mi.decidedCount, mi.physOutstanding = carve(ints, n)
 	flags := make([]bool, 3*n)
 	mi.st.Decided, flags = carve(flags, n)
 	mi.hasWrong, mi.isSource = carve(flags, n)
@@ -305,18 +293,14 @@ type multiInstance struct {
 	threshold int32
 	words     int              // mask words per node, ⌈m/64⌉
 	adj       *radio.Adjacency // the plan's rows, walked by Book
-	tor       *grid.Torus      // the plan's topology when it is a torus, else nil
 
 	st State
 
-	// counts is per-value receipt tallies of the pairs still undecided:
-	// once (u, j) decides nothing reads its tallies again, so entries
-	// landing on it are not tallied. One plane per tracked value, each
-	// allocated on its first tally, so a run that only ever hears
-	// ValueTrue allocates and works in 4 bytes per pair.
-	counts [MaxTrackedValue + 1][]int32 // [tracked][u*m+j]
-	value  []radio.Value                // [u*m+j] accepted value
-	lastTx []int32                      // [u*m+j] u's transmission carrying its last owed j entry
+	// tally has a cell per pair u*m+j, counted only while it is undecided:
+	// nothing reads a decided pair's copies again.
+	tally  copyTally
+	value  []radio.Value // [u*m+j] accepted value
+	lastTx []int32       // [u*m+j] u's transmission carrying its last owed j entry
 	// txCount[u] numbers u's observed transmissions (see multiInstance).
 	txCount []int32
 
@@ -329,11 +313,7 @@ type multiInstance struct {
 	// the owing pairs whose lastTx % expiryRing is b.
 	due []uint64
 
-	// Booked receipts: per sender, the ValueTrue entries and the others its
-	// booked transmissions carried, folded into Correct and Wrong at Finish
-	// (see Book); box is the torus fold's scratch.
-	ledTrue, ledOther []int32
-	box               []int32
+	ledger receiptLedger // what booked transmissions carried, per sender (see Book)
 
 	// touched has one bit per node holding a fresh bit and touchedSum one
 	// bit per word of touched, so Deliver finds the pending acceptances in
@@ -419,8 +399,8 @@ func (mi *multiInstance) Book(slot int, txs []radio.Tx) error {
 			continue
 		}
 		tru, other := mi.popBatch(slot, w)
-		mi.ledTrue[w] += tru
-		mi.ledOther[w] += other
+		mi.ledger.tru[w] += tru
+		mi.ledger.other[w] += other
 		vals := mi.value[int(w)*mi.m:][:mi.m]
 		for k, c := range mi.batch[int(w)*words:][:words] {
 			if c.all == 0 {
@@ -444,7 +424,7 @@ func (mi *multiInstance) Book(slot int, txs []radio.Tx) error {
 func (mi *multiInstance) bookLive(u grid.NodeID, k int, walk uint64, vals []radio.Value) {
 	for ; walk != 0; walk &= walk - 1 {
 		j := k<<6 + bits.TrailingZeros64(walk)
-		if mi.tally(u, j, vals[j]) {
+		if mi.tally.add(int(u)*mi.m+j, vals[j]) == mi.threshold {
 			mi.value[int(u)*mi.m+j] = vals[j]
 			mi.fresh[int(u)*mi.words+k] |= walk & -walk
 			mi.touch(u)
@@ -726,27 +706,10 @@ func (mi *multiInstance) countEntry(u grid.NodeID, v radio.Value) {
 // value v delivered to good node u, undecided in j.
 func (mi *multiInstance) applyLive(slot, j int, u grid.NodeID, v radio.Value, hooks *Hooks, buf []Send) []Send {
 	mi.countEntry(u, v)
-	if !mi.tally(u, j, v) {
+	if mi.tally.add(int(u)*mi.m+j, v) != mi.threshold {
 		return buf
 	}
 	return mi.accept(slot, j, u, v, hooks, buf)
-}
-
-// tally counts one instance-j entry of value v at good node u, undecided
-// in j, and reports whether it brought v to the threshold.
-func (mi *multiInstance) tally(u grid.NodeID, j int, v radio.Value) bool {
-	tracked := v
-	if tracked < 0 || tracked > MaxTrackedValue {
-		tracked = MaxTrackedValue // clamp exotic values into the last bucket
-	}
-	plane := mi.counts[tracked]
-	if plane == nil {
-		plane = make([]int32, mi.m*mi.n)
-		mi.counts[tracked] = plane
-	}
-	idx := int(u)*mi.m + j
-	plane[idx]++
-	return plane[idx] == mi.threshold
 }
 
 // accept makes u's acceptance of v in instance j, scheduling the
@@ -804,7 +767,7 @@ func (mi *multiInstance) Sizing() (sourceSends, maxSends int) {
 // Finish implements Instance: fold the booked receipts into Correct and
 // Wrong, and publish the run record.
 func (mi *multiInstance) Finish(slots int) {
-	mi.foldLedger()
+	mi.ledger.fold(mi.st.Correct, mi.st.Wrong, mi.bad)
 	out := make([]MultiInstanceStats, mi.m)
 	copy(out, mi.inst)
 	mi.st.Record = &MultiStats{
@@ -814,33 +777,5 @@ func (mi *multiInstance) Finish(slots int) {
 		NaiveSends:     mi.naiveSends,
 		EntriesCarried: mi.entriesCarried,
 		Decisions:      mi.decisions,
-	}
-}
-
-// foldLedger adds each sender's booked receipts to the Correct and Wrong
-// of its row — on a torus as a box sum (boxFold), elsewhere by scattering
-// over each row — and leaves the adversary nodes at zero, as delivery
-// would have. A run that booked nothing has an empty ledger.
-func (mi *multiInstance) foldLedger() {
-	st := &mi.st
-	if mi.tor != nil {
-		boxFold(mi.tor, mi.box, st.Correct, mi.ledTrue)
-		boxFold(mi.tor, mi.box, st.Wrong, mi.ledOther)
-	} else {
-		for w, tru := range mi.ledTrue {
-			other := mi.ledOther[w]
-			if tru == 0 && other == 0 {
-				continue
-			}
-			for _, u := range mi.adj.Neighbors(grid.NodeID(w)) {
-				st.Correct[u] += tru
-				st.Wrong[u] += other
-			}
-		}
-	}
-	for i, b := range mi.bad {
-		if b {
-			st.Correct[i], st.Wrong[i] = 0, 0 // adversary nodes do not run the protocol
-		}
 	}
 }

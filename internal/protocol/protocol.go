@@ -87,8 +87,10 @@ import (
 )
 
 // MaxTrackedValue bounds the distinct broadcast values the copies rule
-// (ThresholdInstance) tracks per node. The protocols use ValueTrue and
-// adversaries typically a single wrong value; a handful of extra slots
+// tracks per node — per (node, instance) pair under Multi: its tally
+// keeps one count plane per value from ValueTrue to MaxTrackedValue, the
+// last shared by every value above. The protocols use ValueTrue and
+// adversaries typically a single wrong value; a handful of extra planes
 // accommodates multi-value attacks. internal/sim/ref keeps its own copy of
 // the constant beside its own copy of the copies rule (ref's
 // threshold.go, the one acceptance this package does not supply); the two

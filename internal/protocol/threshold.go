@@ -1,8 +1,6 @@
 package protocol
 
 import (
-	"errors"
-
 	"bftbcast/internal/core"
 	"bftbcast/internal/grid"
 	"bftbcast/internal/radio"
@@ -37,46 +35,31 @@ func (m *Threshold) Attach(env Env) (Instance, error) {
 //
 // Its settled mask is the decided mask: a decided node only counts what
 // it receives, and every decision, the source's at Bootstrap included,
-// already returns the relay Send that announces a settlement. A booked
-// slot is one ledger bump per transmission, lateTx[from]++, which is
-// exact because each transmission of a booked slot reached its sender's
-// whole row and a good sender's value is fixed once it decides; the
-// engine books a settled transmitter's remaining sends the same way, all
-// at once (BookSends). Finish adds lateTx[v] to the receipts of v's row
-// by Value[v] — on a torus as a box sum (see boxFold), elsewhere by
-// scattering over each row.
+// already returns the relay Send that announces a settlement. Book, and
+// BookSends for a settled transmitter's remaining sends, put each booked
+// transmission on its sender's ledger line for the sender's Value: it
+// reached the sender's whole row, and a good sender's value is fixed
+// once it decides.
 //
 // Every Deliver counts its deliveries into Correct and Wrong, so both are
 // complete for undecided nodes while the run lasts (all adversary.View
-// promises); Correct doubles as the copies counter of ValueTrue. The
-// ledger already counts the deliveries of booked slots, so from the first
-// booking on only the receipts of the slots that were not booked (jammed
-// ones) are kept again, in rcptCorrect/rcptWrong, which the first booking
-// seeds with everything received before it; Finish sets Correct and Wrong
-// to those receipts plus the ledger fold, complete for every node.
+// promises); Correct doubles as the copies counter of ValueTrue. From
+// the first booking on, the ledger counts the booked slots, so only the
+// receipts of the other (jammed) slots are kept again, in rcptCorrect/
+// rcptWrong, seeded with everything received before; Finish adds the
+// ledger fold to them, complete for every node.
 type ThresholdInstance struct {
 	spec   core.Spec
 	bad    []bool
 	source grid.NodeID
-	adj    *radio.Adjacency
-	tor    *grid.Torus // the plan's topology when it is a torus, else nil
-	st     State       // Settled aliases Decided
-	n      int
-	// counts[u*wrongValues+v-ValueFalse] is the copies of wrong value v
-	// node u received (Correct[u] counts ValueTrue, and ValueNone is never
-	// delivered); exotic values share the last bucket.
-	counts []int32
+	st     State     // Settled aliases Decided
+	tally  copyTally // copies of the values other than ValueTrue, a cell per node
+	ledger receiptLedger
 
-	lateTx                 []int32
-	rcptCorrect, rcptWrong []int32 // receipts outside booked slots, once ledger is set
-	ledger                 bool    // something was booked: Finish folds lateTx
+	rcptCorrect, rcptWrong []int32 // receipts outside booked slots, once opened is set
+	opened                 bool    // something was booked: Finish folds the ledger
 	booked                 int     // the last slot passed to Book, -1 before the first
-	box                    []int32 // boxFold's scratch: n row sums, W column sums, n class ledger
 }
-
-// wrongValues is the number of count buckets per node: one per tracked
-// value from ValueFalse to MaxTrackedValue.
-const wrongValues = MaxTrackedValue - int(radio.ValueFalse) + 1
 
 // NewThresholdInstance returns an unbound instance; Bind arms it.
 func NewThresholdInstance() *ThresholdInstance { return &ThresholdInstance{} }
@@ -84,23 +67,15 @@ func NewThresholdInstance() *ThresholdInstance { return &ThresholdInstance{} }
 // Bind validates the spec and re-arms the instance for a new run,
 // reusing its arrays when the topology size is unchanged.
 func (t *ThresholdInstance) Bind(env Env, spec core.Spec) error {
-	if env.Plan == nil {
-		return errors.New("protocol: threshold instance needs a plan")
-	}
-	if err := spec.Validate(); err != nil {
+	n, err := env.checkCopies(spec, "threshold instance")
+	if err != nil {
 		return err
-	}
-	n := env.Plan.Size()
-	if int(env.Source) < 0 || int(env.Source) >= n {
-		return errors.New("protocol: source out of range")
 	}
 	t.spec = spec
 	t.bad = env.Bad
 	t.source = env.Source
-	t.adj = env.Plan.Adjacency()
-	t.tor, _ = env.Plan.Topo().(*grid.Torus)
-	t.n = n
-	t.counts = sized(t.counts, n*wrongValues)
+	t.tally.reset(n)
+	t.ledger.reset(env.Plan)
 	t.st.Decided = sized(t.st.Decided, n)
 	t.st.Value = sized(t.st.Value, n)
 	t.st.Decided[env.Source] = true
@@ -108,10 +83,9 @@ func (t *ThresholdInstance) Bind(env Env, spec core.Spec) error {
 	t.st.Settled = t.st.Decided
 	t.st.Correct = sized(t.st.Correct, n)
 	t.st.Wrong = sized(t.st.Wrong, n)
-	t.lateTx = sized(t.lateTx, n)
 	t.rcptCorrect = sized(t.rcptCorrect, n)
 	t.rcptWrong = sized(t.rcptWrong, n)
-	t.ledger, t.booked = false, -1
+	t.opened, t.booked = false, -1
 	return nil
 }
 
@@ -159,13 +133,7 @@ func (t *ThresholdInstance) Deliver(slot int, ds []radio.Delivery, hooks *Hooks,
 			copies = st.Correct[u]
 		} else {
 			st.Wrong[u]++
-			tracked := int(d.Value) - int(radio.ValueFalse)
-			if tracked < 0 || tracked >= wrongValues {
-				tracked = wrongValues - 1
-			}
-			idx := int(u)*wrongValues + tracked
-			t.counts[idx]++
-			copies = t.counts[idx]
+			copies = t.tally.add(int(u), d.Value)
 		}
 		if st.Decided[u] || copies != int32(t.spec.Threshold) {
 			continue
@@ -177,7 +145,7 @@ func (t *ThresholdInstance) Deliver(slot int, ds []radio.Delivery, hooks *Hooks,
 			hooks.OnAccept(slot, u, d.Value)
 		}
 	}
-	if t.ledger && slot != t.booked {
+	if t.opened && slot != t.booked {
 		// The ledger does not count these (see the type comment).
 		for _, d := range ds {
 			if d.Value == radio.ValueTrue {
@@ -198,7 +166,8 @@ func (t *ThresholdInstance) Tick(_ int, buf []Send) []Send { return buf }
 func (t *ThresholdInstance) Book(slot int, txs []radio.Tx) error {
 	t.openLedger()
 	for i := range txs {
-		t.lateTx[txs[i].From]++
+		from := txs[i].From
+		t.ledger.book(from, t.st.Value[from], 1)
 	}
 	t.booked = slot
 	return nil
@@ -211,16 +180,16 @@ func (t *ThresholdInstance) Book(slot int, txs []radio.Tx) error {
 // full after all.
 func (t *ThresholdInstance) BookSends(from grid.NodeID, k int32) {
 	t.openLedger()
-	t.lateTx[from] += k
+	t.ledger.book(from, t.st.Value[from], k)
 }
 
 // openLedger starts the booked run's receipts at the first booking with
 // everything received so far (see the type comment).
 func (t *ThresholdInstance) openLedger() {
-	if t.ledger {
+	if t.opened {
 		return
 	}
-	t.ledger = true
+	t.opened = true
 	copy(t.rcptCorrect, t.st.Correct)
 	copy(t.rcptWrong, t.st.Wrong)
 }
@@ -233,7 +202,7 @@ func (t *ThresholdInstance) Threshold() int { return t.spec.Threshold }
 
 // Sizing implements Instance.
 func (t *ThresholdInstance) Sizing() (sourceSends, maxSends int) {
-	return t.spec.SourceRepeats, specMaxSends(t.spec, t.n)
+	return t.spec.SourceRepeats, specMaxSends(t.spec, len(t.st.Decided))
 }
 
 // specMaxSends is the maximum of spec.Sends over n nodes: the
@@ -255,106 +224,11 @@ func specMaxSends(spec core.Spec, n int) int {
 // Finish implements Instance: a run that was booked turns its ledger
 // into per-receiver receipts (see the type comment).
 func (t *ThresholdInstance) Finish(int) {
-	if !t.ledger {
+	if !t.opened {
 		return
 	}
 	st := &t.st
 	copy(st.Correct, t.rcptCorrect)
 	copy(st.Wrong, t.rcptWrong)
-	if t.tor != nil {
-		t.boxFold(st.Correct, true)
-		t.boxFold(st.Wrong, false)
-	} else {
-		for i, k := range t.lateTx {
-			if k == 0 {
-				continue
-			}
-			counts := st.Wrong
-			if st.Value[i] == radio.ValueTrue {
-				counts = st.Correct
-			}
-			for _, to := range t.adj.Neighbors(grid.NodeID(i)) {
-				counts[to] += k
-			}
-		}
-	}
-	for i, b := range t.bad {
-		if b {
-			st.Correct[i], st.Wrong[i] = 0, 0 // adversary nodes do not run the protocol
-		}
-	}
-}
-
-// boxFold adds to dst[u], for every node u of the torus, the ledger of
-// u's neighbors whose value class is correct (Value is Vtrue) or not: the
-// class's share of lateTx, staged in the tail of the box scratch, summed
-// by the package's boxFold.
-func (t *ThresholdInstance) boxFold(dst []int32, correct bool) {
-	n := len(t.lateTx)
-	if len(t.box) != 2*n+t.tor.Width() {
-		t.box = make([]int32, 2*n+t.tor.Width())
-	}
-	class := t.box[n+t.tor.Width():]
-	for i, k := range t.lateTx {
-		if (t.st.Value[i] == radio.ValueTrue) != correct {
-			k = 0
-		}
-		class[i] = k
-	}
-	boxFold(t.tor, t.box[:n+t.tor.Width()], dst, class)
-}
-
-// boxFold adds to dst[u], for every node u of torus tor, the sum of
-// ledger over u's neighbors, using box (n+W entries) as scratch. A torus
-// row is the (2r+1)×(2r+1) box around u less u itself, so the sum is
-// separable: a wrap-around sliding window along each line, then one down
-// each column over the line sums, then u's own entry taken out — O(n)
-// whatever r is, against a row scatter's O(n·deg). Both windows cover
-// distinct cells because each side is at least 2r+1.
-func boxFold(tor *grid.Torus, box, dst, ledger []int32) {
-	w, h, r := tor.Width(), tor.Height(), tor.Range()
-	n := w * h
-	lines, cols := box[:n], box[n:n+w]
-	nonzero := false
-	for y := 0; y < h; y++ {
-		line := y * w
-		var s int32
-		for dx := -r; dx <= r; dx++ {
-			s += ledger[line+(dx+w)%w]
-		}
-		in, out := r+1, w-r // the columns that enter and leave next
-		for x := 0; x < w; x++ {
-			lines[line+x] = s
-			nonzero = nonzero || s != 0
-			s += ledger[line+in] - ledger[line+out]
-			if in++; in == w {
-				in = 0
-			}
-			if out++; out == w {
-				out = 0
-			}
-		}
-	}
-	if !nonzero {
-		return
-	}
-	clear(cols)
-	for dy := -r; dy <= r; dy++ {
-		line := (dy + h) % h * w
-		for x := range cols {
-			cols[x] += lines[line+x]
-		}
-	}
-	in, out := r+1, h-r // the lines that enter and leave next
-	for y := 0; y < h; y++ {
-		line := y * w
-		for x, s := range cols {
-			dst[line+x] += s - ledger[line+x]
-		}
-		enter, leave := (in%h)*w, (out%h)*w
-		for x := range cols {
-			cols[x] += lines[enter+x] - lines[leave+x]
-		}
-		in, out = in+1, out+1
-	}
+	t.ledger.fold(st.Correct, st.Wrong, t.bad)
 }
