@@ -189,28 +189,33 @@ func (c multiCell) config(t *testing.T) sim.Config {
 	return cfg
 }
 
-// multiFingerprintCells lists the matrix: torus/grid/rgg × the M values
-// either side of a word boundary × 3 seeds × {fault-free, Corruptor},
-// plus the wrong-value leg. Every topology has more than 130 good nodes
-// under every leg, so no M needs capping. The -short subset keeps one
-// seed, every leg and an M on each side of 64.
+// multiFingerprintCells lists the cells the test keeps out of the
+// recorded matrix (torus/grid/rgg × M ∈ {1, 2, 9, 32, 63, 64, 65, 130}
+// × seeds 1–3 × {fault-free, Corruptor, wrong-value}, 216 cells). A cell
+// stays when it catches a mutant of mutants/table.txt that no other kept
+// cell catches — the first four below — and the rest keep every
+// topology × leg pair and every M the word masks care about exercised,
+// each by its cheapest cell (DESIGN.md §7). Every topology has more than
+// 130 good nodes under every leg, so no M needs capping.
 func multiFingerprintCells() []multiCell {
-	ms := []int{1, 2, 9, 32, 63, 64, 65, 130}
-	seeds := []uint64{1, 2, 3}
-	if testing.Short() {
-		ms, seeds = []int{1, 9, 65}, seeds[:1]
+	return []multiCell{
+		// Each catches a mutant no other kept cell does.
+		{"grid", 2, 1, legFaultFree},
+		{"grid", 2, 1, legWrong},
+		{"torus", 1, 1, legFaultFree},
+		{"torus", 65, 2, legCorruptor},
+		// The cheapest cell of each remaining topology × leg pair and M.
+		{"grid", 1, 1, legCorruptor},
+		{"grid", 32, 1, legFaultFree},
+		{"rgg", 1, 1, legFaultFree},
+		{"rgg", 1, 2, legCorruptor},
+		{"rgg", 1, 3, legWrong},
+		{"rgg", 63, 3, legWrong},
+		{"rgg", 64, 3, legWrong},
+		{"rgg", 130, 2, legWrong},
+		{"torus", 1, 2, legWrong},
+		{"torus", 9, 1, legFaultFree},
 	}
-	var cells []multiCell
-	for _, kind := range []string{"torus", "grid", "rgg"} {
-		for _, m := range ms {
-			for _, seed := range seeds {
-				for _, leg := range []string{legFaultFree, legCorruptor, legWrong} {
-					cells = append(cells, multiCell{kind, m, seed, leg})
-				}
-			}
-		}
-	}
-	return cells
 }
 
 // fingerprintCell runs the cell twice — unobserved for the Result,
@@ -244,14 +249,11 @@ func fingerprintCell(t *testing.T, c multiCell) multiFingerprint {
 	return out
 }
 
-// TestMultiFingerprints asserts every cell against the parent-recorded
-// fingerprints.
+// TestMultiFingerprints asserts every cell, each a subtest, against the
+// parent-recorded fingerprints.
 func TestMultiFingerprints(t *testing.T) {
 	cells := multiFingerprintCells()
 	if *updateMultiFingerprints {
-		if testing.Short() {
-			t.Fatal("-update-multi-fingerprints records the full matrix; drop -short")
-		}
 		rec := make(map[string]multiFingerprint, len(cells))
 		for _, c := range cells {
 			rec[c.key()] = fingerprintCell(t, c)
@@ -273,25 +275,31 @@ func TestMultiFingerprints(t *testing.T) {
 	if err := json.Unmarshal(data, &rec); err != nil {
 		t.Fatalf("%s: %v", multiFingerprintFile, err)
 	}
+	if len(rec) != len(cells) {
+		t.Errorf("%s holds %d cells, the test runs %d: an entry goes only with its cell", multiFingerprintFile, len(rec), len(cells))
+	}
 	wrongLegs := 0
 	for _, c := range cells {
-		want, ok := rec[c.key()]
-		if !ok {
-			t.Errorf("%s: no recorded fingerprint", c.key())
-			continue
-		}
-		got := fingerprintCell(t, c)
-		if got != want {
-			t.Errorf("%s:\n got  %+v\n want %+v", c.key(), got, want)
-		}
 		if c.leg == legWrong {
 			wrongLegs++
-			if got.Wrong == 0 {
-				t.Errorf("%s: the under-provisioned leg decided nothing wrong; it no longer reaches the wrong-value paths", c.key())
-			}
-		} else if got.Wrong != 0 {
-			t.Errorf("%s: %d wrong decisions under a valid placement (Lemma 1)", c.key(), got.Wrong)
 		}
+		t.Run(c.key(), func(t *testing.T) {
+			want, ok := rec[c.key()]
+			if !ok {
+				t.Fatalf("%s: no recorded fingerprint", c.key())
+			}
+			got := fingerprintCell(t, c)
+			if got != want {
+				t.Errorf("%s:\n got  %+v\n want %+v", c.key(), got, want)
+			}
+			if c.leg == legWrong {
+				if got.Wrong == 0 {
+					t.Errorf("%s: the under-provisioned leg decided nothing wrong; it no longer reaches the wrong-value paths", c.key())
+				}
+			} else if got.Wrong != 0 {
+				t.Errorf("%s: %d wrong decisions under a valid placement (Lemma 1)", c.key(), got.Wrong)
+			}
+		})
 	}
 	if wrongLegs == 0 {
 		t.Fatal("matrix has no wrong-value cell")

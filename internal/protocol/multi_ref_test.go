@@ -11,6 +11,7 @@ package protocol
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bftbcast/internal/core"
@@ -286,20 +287,21 @@ func TestMultiDeliverMatchesPerEntryReference(t *testing.T) {
 			specMs = []int{9, 65}
 		}
 		for _, m := range specMs {
-			correct, wrong := 0, 0
+			correct, wrong, ran := 0, 0, 0
 			for seed := uint64(1); seed <= uint64(seeds); seed++ {
 				for _, observed := range []bool{false, true} {
 					name := fmt.Sprintf("%s/M%d/seed%d/observed=%v", spec.Name, m, seed, observed)
 					t.Run(name, func(t *testing.T) {
 						c, w := driveMultiAgainstRef(t, plan.For(tor), params, spec, m, seed, observed)
-						correct, wrong = correct+c, wrong+w
+						correct, wrong, ran = correct+c, wrong+w, ran+1
 					})
 				}
 			}
 			// Source-release decisions count as neither, so M = 1 can
 			// legitimately go all one way; from M = 2 up both kinds of
-			// entry must have been decided on and carried.
-			if m > 1 && (correct == 0 || wrong == 0) {
+			// entry must have been decided on and carried. A -run filter
+			// that drops some of the cells leaves the check out.
+			if m > 1 && ran == 2*seeds && (correct == 0 || wrong == 0) {
 				t.Errorf("%s/M%d: %d correct and %d wrong decisions; the drive no longer mixes values", spec.Name, m, correct, wrong)
 			}
 		}
@@ -473,6 +475,20 @@ func driveBookedTwins(t *testing.T, pl *plan.Plan, spec core.Spec, m int, seed u
 	return booked, sent
 }
 
+// sameState is reflect.DeepEqual(a, b) with the per-node arrays compared
+// as typed slices, which keeps the per-slot check of a 600-slot drive
+// from dominating the test's run time.
+func sameState(a, b State) bool {
+	if !slices.Equal(a.Decided, b.Decided) || !slices.Equal(a.Value, b.Value) ||
+		!slices.Equal(a.Correct, b.Correct) || !slices.Equal(a.Wrong, b.Wrong) ||
+		!slices.Equal(a.Settled, b.Settled) {
+		return false
+	}
+	a.Decided, a.Value, a.Correct, a.Wrong, a.Settled = nil, nil, nil, nil, nil
+	b.Decided, b.Value, b.Correct, b.Wrong, b.Settled = nil, nil, nil, nil, nil
+	return reflect.DeepEqual(a, b)
+}
+
 // withoutReceipts is st with Correct and Wrong left out.
 func withoutReceipts(st State) State {
 	st.Correct, st.Wrong = nil, nil
@@ -509,13 +525,13 @@ func driveMultiAgainstRef(t *testing.T, pl *plan.Plan, params core.Params, spec 
 	accepted := make([]bool, n)
 	compare := func(slot int, gotSends, wantSends []Send) {
 		t.Helper()
-		if !reflect.DeepEqual(gotSends, wantSends) {
+		if !slices.Equal(gotSends, wantSends) {
 			t.Fatalf("slot %d: sends diverge:\n got  %v\n want %v", slot, gotSends, wantSends)
 		}
-		if !reflect.DeepEqual(got.events, want.events) {
+		if !slices.Equal(got.events, want.events) {
 			t.Fatalf("slot %d: hook streams diverge (%d vs %d events)", slot, len(got.events), len(want.events))
 		}
-		if !reflect.DeepEqual(mi.st, ref.st) {
+		if !sameState(mi.st, ref.st) {
 			t.Fatalf("slot %d: State diverges:\n got  %+v\n want %+v", slot, mi.st, ref.st)
 		}
 		// The on-air value is sticky on the first wrong acceptance and

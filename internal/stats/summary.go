@@ -57,8 +57,8 @@ func summarize(xs []float64) (summary, error) {
 	}, nil
 }
 
-// Percentile returns the p-th percentile (p in [0,1]) of an already sorted
-// sample using nearest-rank interpolation. It returns NaN for empty input.
+// Percentile returns the p-th percentile (p in [0,1]) of a sorted sample,
+// interpolated linearly between the two ranks around p·(n−1); NaN if empty.
 func Percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return math.NaN()

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -143,13 +144,14 @@ func checkAgainstRef(t *testing.T, label string, g *RGG, ref refRGG) {
 // one-cell grids (radius >= 1) and neighborhoods dense enough to need
 // more than 64 and more than 128 colors (the bitset-widening path of the
 // coloring); a share of the draws carries duplicate coordinates.
+//
+// The stream draws 120 cells and checks the kept ones (rggKeptDraws);
+// the others are drawn and skipped, so every kept cell is the same graph
+// it was when all 120 ran.
 func TestRGGMatchesReference(t *testing.T) {
-	draws := 120
-	if testing.Short() {
-		draws = 12
-	}
+	const draws = 120
 	rng := stats.NewRNG(15)
-	maxPeriod := 0
+	maxPeriod, ran := 0, 0
 	for d := 0; d < draws; d++ {
 		n := 2 + rng.Intn(1499)
 		threshold := math.Sqrt(math.Log(float64(n)+1) / (math.Pi * float64(n)))
@@ -179,17 +181,32 @@ func TestRGGMatchesReference(t *testing.T) {
 				xs[i], ys[i] = xs[j], ys[j]
 			}
 		}
-		g, err := newRGGFromPoints(xs, ys, radius)
-		if err != nil {
-			t.Fatalf("draw %d (n=%d radius=%v): %v", d, n, radius, err)
+		if !slices.Contains(rggKeptDraws, d) {
+			continue
 		}
-		checkAgainstRef(t, g.String(), g, refBuild(xs, ys, radius))
-		maxPeriod = max(maxPeriod, g.period)
+		t.Run(fmt.Sprintf("draw%03d", d), func(t *testing.T) {
+			g, err := newRGGFromPoints(xs, ys, radius)
+			if err != nil {
+				t.Fatalf("draw %d (n=%d radius=%v): %v", d, n, radius, err)
+			}
+			checkAgainstRef(t, g.String(), g, refBuild(xs, ys, radius))
+			maxPeriod, ran = max(maxPeriod, g.period), ran+1
+		})
 	}
-	if maxPeriod <= 128 {
+	if ran == len(rggKeptDraws) && maxPeriod <= 128 { // a -run filter may leave the widest draw out
 		t.Fatalf("widest coloring drawn has %d colors; the oracle must cross 128", maxPeriod)
 	}
 }
+
+// rggKeptDraws are the cells of TestRGGMatchesReference that run. Draws
+// 23 and 27 between them catch every mutant of mutants/table.txt that
+// any of the 120 draws catches (DESIGN.md §7); the others keep each
+// radius regime and the widest coloring exercised by its cheapest draw:
+// 54 far below the connectivity threshold, 31 around it (with duplicate
+// points), 14 comfortably connected, 28 one cell, 94 over 128 colors.
+// 23 (cell side barely above the radius) and 27 (dense) carry duplicate
+// points.
+var rggKeptDraws = []int{14, 23, 27, 28, 31, 54, 94}
 
 // rggFingerprint is FNV-64a over the little-endian int32 images of the
 // CSR offsets, the CSR rows and the coloring, then period, maxDeg and
