@@ -8,13 +8,13 @@
 //	go run -C mutants .                      the full matrix: every row, the whole of each package in its scope
 //	go run -C mutants . -run 'M4[0-9]'       only the rows whose id matches
 //	go run -C mutants . -o after.json        the matrix, also saved
-//	go run -C mutants . -tests 'TestMulti'   the matrix over the matching tests only
 //	go run -C mutants . -check               each row against its expected catchers only; non-zero on a survivor
-//	go run -C mutants . -diff a.json b.json  mutants caught in a and missed in b (no run)
+//	go run -C mutants . -diff a.json b.json  each test's catches in a that b misses (no run)
 //
 // A row's scope is the packages its catch lines name plus the package of
-// the mutated file. Before anything runs, every anchor must occur exactly
-// once and every catch line must name a test go test -list finds. -check
+// the mutated file. Before any mutant runs, every anchor must occur
+// exactly once, every catch line must name a test go test -list finds,
+// and the unmutated copy must pass everything the rows will run. -check
 // skips the known survivors (rows with a survives line) and fails on an
 // expected catcher that passes or a mutant that does not compile.
 package main
@@ -52,10 +52,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		table   = fs.String("table", "table.txt", "the mutation table")
 		sel     = fs.String("run", "", "only rows whose id matches this regexp")
 		check   = fs.Bool("check", false, "run each row's expected catchers only and fail on a survivor")
-		tests   = fs.String("tests", "", "matrix: run only the tests matching this regexp (go test -run)")
 		outPath = fs.String("o", "", "also write the matrix as JSON to this file")
 		diff    = fs.Bool("diff", false, "compare two saved matrices given as arguments; no run")
-		timeout = fs.Duration("timeout", 3*time.Minute, "go test -timeout for each run; a mutant that hangs a test is caught when it expires")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -93,9 +91,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := copyTree(*tree, dir); err != nil {
 		return err
 	}
-	r := &runner{dir: dir, module: module, timeout: *timeout, log: stderr}
+	r := &runner{dir: dir, module: module, log: stderr}
 	if err := r.checkNames(rows); err != nil {
 		return err
+	}
+	if err := r.checkBaseline(rows, *check); err != nil {
+		return err
+	}
+	goArgs := scope
+	if *check {
+		goArgs = checkArgs
 	}
 
 	matrix := map[string]result{}
@@ -106,15 +111,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "%-4s survivor  %s — %s\n", m.ID, m.What, m.Survives)
 			continue
 		}
-		goArgs := checkArgs(m)
-		if !*check {
-			goArgs = scope(m)
-			if *tests != "" {
-				goArgs = append([]string{"-run", *tests}, goArgs...)
-			}
-		}
 		t0 := time.Now()
-		out, err := r.runMutant(m, goArgs)
+		out, err := r.runMutant(m, goArgs(m))
 		if err != nil {
 			return fmt.Errorf("%s: %w", m.ID, err)
 		}
@@ -216,9 +214,12 @@ func leafTests(failed []string) []string {
 	return out
 }
 
-// diffMatrices prints, for every row of a, how b differs: a mutant a
-// caught and b misses is LOST (and the exit status is non-zero); a row
-// whose set of catching top-level tests changed is listed with them.
+// diffMatrices compares two saved matrices row by row, a row's catchers
+// being its failing top-level tests and the packages that broke without
+// one. A catcher of a row in a that is not one in b is dropped: a trim
+// must leave each test catching what it caught, so any drop makes the
+// exit status non-zero. A row caught in a and not at all in b is also
+// LOST; a row that b's catchers only extend is listed as gained.
 func diffMatrices(aPath, bPath string, w io.Writer) error {
 	read := func(path string) (map[string]result, error) {
 		data, err := os.ReadFile(path)
@@ -241,36 +242,53 @@ func diffMatrices(aPath, bPath string, w io.Writer) error {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	lost, same := 0, 0
+	lost, dropped, same := 0, 0, 0
 	for _, id := range ids {
-		ra := a[id]
-		rb, ok := b[id]
-		switch {
-		case !ok:
+		ra, rb := a[id], b[id]
+		if _, ok := b[id]; !ok {
 			fmt.Fprintf(w, "%-4s missing from %s\n", id, bPath)
-		case ra.Status == "caught" && rb.Status != "caught":
-			lost++
-			fmt.Fprintf(w, "%-4s LOST      %s caught it with %s\n", id, aPath, summary(ra.outcome))
-		case !slices.Equal(tops(ra.Failed), tops(rb.Failed)):
-			fmt.Fprintf(w, "%-4s changed   %s\n     -> %s\n", id, summary(ra.outcome), summary(rb.outcome))
+		}
+		ca, cb := catchers(ra.outcome), catchers(rb.outcome)
+		var gone []string
+		for _, c := range ca {
+			if !slices.Contains(cb, c) {
+				gone = append(gone, c)
+			}
+		}
+		switch {
+		case len(gone) > 0:
+			dropped += len(gone)
+			tag := "dropped"
+			if len(cb) == 0 {
+				tag = "LOST"
+				lost++
+			}
+			fmt.Fprintf(w, "%-4s %-9s %s\n", id, tag, strings.Join(gone, " "))
+		case !slices.Equal(ca, cb):
+			fmt.Fprintf(w, "%-4s gained    %s\n     -> %s\n", id, summary(ra.outcome), summary(rb.outcome))
 		default:
 			same++
 		}
 	}
-	fmt.Fprintf(w, "%d rows in %s: %d lost, %d caught by the same tests\n", len(ids), aPath, lost, same)
-	if lost > 0 {
-		return fmt.Errorf("%d mutants caught in %s are missed in %s", lost, aPath, bPath)
+	fmt.Fprintf(w, "%d rows in %s: %d lost, %d catches dropped, %d rows caught by the same tests\n",
+		len(ids), aPath, lost, dropped, same)
+	if dropped > 0 {
+		return fmt.Errorf("%d catches in %s are missing in %s (%d rows lost)", dropped, aPath, bPath, lost)
 	}
 	return nil
 }
 
-// tops is the sorted set of top-level tests among failing names.
-func tops(failed []string) []string {
+// catchers is the sorted set of an outcome's failing top-level tests and
+// of its packages that broke without a failing test, as pkg:(package).
+func catchers(o outcome) []string {
 	var out []string
-	for _, f := range failed {
+	for _, f := range o.Failed {
 		if top := topOf(f); !slices.Contains(out, top) {
 			out = append(out, top)
 		}
+	}
+	for _, p := range o.Broken {
+		out = append(out, p+":(package)")
 	}
 	slices.Sort(out)
 	return out

@@ -6,18 +6,23 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // tinyRun runs the tool over testdata/tiny with the given table text.
 func tinyRun(t *testing.T, table string, args ...string) (string, error) {
+	t.Helper()
+	return treeRun(t, "testdata/tiny", table, args...)
+}
+
+// treeRun runs the tool over tree with the given table text.
+func treeRun(t *testing.T, tree, table string, args ...string) (string, error) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "table.txt")
 	if err := writeFile(path, table); err != nil {
 		t.Fatal(err)
 	}
 	var out, errOut bytes.Buffer
-	err := run(append([]string{"-tree", "testdata/tiny", "-table", path, "-timeout", time.Minute.String()}, args...), &out, &errOut)
+	err := run(append([]string{"-tree", tree, "-table", path}, args...), &out, &errOut)
 	return out.String(), err
 }
 
@@ -60,6 +65,77 @@ func TestIdentityMutantSurvivesCheck(t *testing.T) {
 	}
 	if !strings.Contains(out, "T01  survived") {
 		t.Fatalf("no survived line for T01:\n%s", out)
+	}
+}
+
+// A catcher that already fails on the unmutated tree would count as a
+// catch under any mutant, so the run is refused before a row is applied.
+func TestBaselineFailureIsRefused(t *testing.T) {
+	tree := t.TempDir()
+	if err := copyTree("testdata/tiny", tree); err != nil {
+		t.Fatal(err)
+	}
+	src := filepath.Join(tree, "tiny.go")
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFile(src, strings.Replace(string(data), "return a + b", "return a - b", 1)); err != nil {
+		t.Fatal(err)
+	}
+	row := strings.Replace(caughtRow, "anchor  return a + b", "anchor  return a - b", 1)
+	row = strings.Replace(row, "replace return a - b", "replace return a * b", 1)
+	for _, args := range [][]string{{"-check"}, nil} {
+		out, err := treeRun(t, tree, row, args...)
+		if err == nil || !strings.Contains(err.Error(), "unmutated copy already fails") ||
+			!strings.Contains(err.Error(), ".:TestAdd") {
+			t.Errorf("%v: err %v, want the baseline failure of TestAdd", args, err)
+		}
+		if strings.Contains(out, "T01") {
+			t.Errorf("%v: the row ran:\n%s", args, out)
+		}
+	}
+}
+
+// -diff fails when a test stops catching a row, even if another test
+// still catches it; a row a test newly catches is not a failure.
+func TestDiffPerTest(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, text string) string {
+		path := filepath.Join(dir, name)
+		if err := writeFile(path, text); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	a := write("a.json", `{
+  "X1": {"failed": [".:TestA", ".:TestB/cell1"], "status": "caught"},
+  "X2": {"failed": [".:TestA"], "status": "caught"},
+  "X3": {"status": "survived"}
+}`)
+	gained := write("gained.json", `{
+  "X1": {"failed": [".:TestA", ".:TestB/cell2"], "status": "caught"},
+  "X2": {"failed": [".:TestA", ".:TestB"], "status": "caught"},
+  "X3": {"failed": [".:TestB"], "status": "caught"}
+}`)
+	dropped := write("dropped.json", `{
+  "X1": {"failed": [".:TestA"], "status": "caught"},
+  "X2": {"status": "survived"},
+  "X3": {"status": "survived"}
+}`)
+	var out bytes.Buffer
+	if err := diffMatrices(a, gained, &out); err != nil {
+		t.Fatalf("a -> gained: %v\n%s", err, out.String())
+	}
+	out.Reset()
+	err := diffMatrices(a, dropped, &out)
+	if err == nil || !strings.Contains(err.Error(), "2 catches") {
+		t.Fatalf("a -> dropped: err %v\n%s", err, out.String())
+	}
+	for _, want := range []string{"X1   dropped   .:TestB", "X2   LOST      .:TestA"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("no %q in:\n%s", want, out.String())
+		}
 	}
 }
 

@@ -95,12 +95,15 @@ func (o outcome) failed(ref testRef) bool {
 	return slices.Contains(o.Failed, ref.String())
 }
 
+// testTimeout is go test's -timeout for each run: a mutant that hangs a
+// test is caught when it expires.
+const testTimeout = 3 * time.Minute
+
 // runner runs go test in a copy of the tree.
 type runner struct {
-	dir     string // the copy
-	module  string
-	timeout time.Duration
-	log     io.Writer // go test's stderr and the runner's progress
+	dir    string // the copy
+	module string
+	log    io.Writer // go test's stderr and the runner's progress
 }
 
 // rel maps an import path to the table's package form.
@@ -114,7 +117,7 @@ func (r *runner) rel(importPath string) string {
 // goTest runs go test -json with args in the copy and folds its events.
 func (r *runner) goTest(args ...string) (outcome, error) {
 	cmd := exec.Command("go", append([]string{"test", "-json", "-count=1", "-vet=off",
-		"-timeout", r.timeout.String()}, args...)...)
+		"-timeout", testTimeout.String()}, args...)...)
 	cmd.Dir = r.dir
 	cmd.Stderr = r.log
 	stdout, err := cmd.StdoutPipe()
@@ -225,6 +228,43 @@ func (r *runner) checkNames(ms []mutant) error {
 	}
 	if len(errs) > 0 {
 		return fmt.Errorf("catch lines:\n  %s", strings.Join(errs, "\n  "))
+	}
+	return nil
+}
+
+// checkBaseline runs on the unmutated copy everything the rows will run
+// (under -check, every expected catcher but the survivors') and refuses
+// to go on when any of it fails: a test that fails without a mutant
+// would count as a catch under every row.
+func (r *runner) checkBaseline(ms []mutant, check bool) error {
+	var (
+		catch []testRef
+		pkgs  []string
+	)
+	for _, m := range ms {
+		if check && m.Survives != "" {
+			continue
+		}
+		catch = append(catch, m.Catch...)
+		for _, p := range scope(m) {
+			if !slices.Contains(pkgs, p) {
+				pkgs = append(pkgs, p)
+			}
+		}
+	}
+	if len(pkgs) == 0 {
+		return nil
+	}
+	args := pkgs
+	if check {
+		args = checkArgs(mutant{Catch: catch})
+	}
+	out, err := r.goTest(args...)
+	if err != nil {
+		return fmt.Errorf("unmutated copy: %w", err)
+	}
+	if out.caught() {
+		return fmt.Errorf("the unmutated copy already fails what the rows run: %s", summary(out))
 	}
 	return nil
 }
