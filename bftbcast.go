@@ -17,7 +17,7 @@
 //     built on the cryptography-free AUED coding scheme;
 //   - a deterministic slot-level simulator with worst-case adversary
 //     strategies, including the Theorem 1 stripe and Figure 2 lattice
-//     constructions, and a goroutine-per-node concurrent runtime;
+//     constructions;
 //   - pluggable network topologies (the paper's torus, a bounded grid
 //     with border effects, a random geometric graph) behind the
 //     Topology interface;

@@ -148,8 +148,8 @@ const (
 	legWrong     = "wrong"
 )
 
-// config assembles the cell's engine config; every call builds fresh
-// strategy and machine values (both are single-run objects).
+// config assembles the cell's engine config. Strategy and machine values
+// keep no run state, so building them per call is a convenience only.
 func (c multiCell) config(t *testing.T) sim.Config {
 	t.Helper()
 	var (
