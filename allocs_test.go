@@ -16,6 +16,8 @@ package bftbcast_test
 
 import (
 	"context"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,6 +41,7 @@ func TestAllocs(t *testing.T) {
 	t.Run("JobGrid", allocsJobGrid)
 	t.Run("ReactiveRun", allocsReactiveRun)
 	t.Run("ThresholdBindBytes", allocsThresholdBindBytes)
+	t.Run("MultiAttachBytes", allocsMultiAttachBytes)
 }
 
 // allocsAtMost fails t when op allocates more than bound times per run,
@@ -53,11 +56,10 @@ func allocsAtMost(t *testing.T, runs int, bound float64, op func()) {
 // allocsRGG100kRun holds the large-scale fast path's steady-state
 // reuse: one adversarial protocol-B broadcast on a connected 100,000-node
 // random geometric graph (t=1 random placement, corruptor), scenario and
-// a fresh corruptor included — strategies are single-run objects —
-// allocates a dozen or two times, not in proportion to nodes or slots (it
+// a new corruptor included, allocates a dozen or two times, not in proportion to nodes or slots (it
 // was ~200k before the runner kept its arenas).
 func allocsRGG100kRun(t *testing.T) {
-	g, err := bftbcast.NewRGG(100_000, 7)
+	g, err := rgg100k()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +128,12 @@ func allocsMultiBroadcast(t *testing.T) {
 	// 28 since Run keeps its normalized Scenario copy on the stack; 33 when
 	// introduced.
 	allocsAtMost(t, 10, 26, run)
-	// Both copies-rule instances allocate the count plane of a value on
-	// its first copy, so a fault-free run, which only ever counts
-	// ValueTrue, holds one of the seven: ≈0.97 MB a run, 2.78 MB when all
-	// eight planes of the time were allocated up front.
-	const maxBytes = 1_300_000
+	// Both copies-rule instances count ValueTrue outside the count planes
+	// and allocate the plane of another value on its first copy, so a
+	// fault-free run holds none: ≈0.94 MB a run, ≈1.16 MB while Multi kept
+	// a ValueTrue plane, 2.78 MB when all eight planes of the time were
+	// allocated up front.
+	const maxBytes = 1_040_000
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			run()
@@ -331,7 +334,36 @@ func allocsReactiveRun(t *testing.T) {
 // receipts and its ledger — about 29 bytes a node — and no count plane,
 // which the first copy of a wrong value allocates.
 func allocsThresholdBindBytes(t *testing.T) {
-	g, err := bftbcast.NewRGG(100_000, 7)
+	// Read 29.2 when introduced; 49.2 when six wrong-value count planes
+	// were allocated at Bind.
+	footprintAtMost(t, 32, func(env protocol.Env, spec core.Spec) error {
+		return protocol.NewThresholdInstance().Bind(env, spec)
+	})
+}
+
+// allocsMultiAttachBytes holds the footprint of the multi-broadcast
+// machine at one instance: one Multi{M: 1}.Attach on the 100,000-node
+// RGG allocates its State, its instance masks and expiry ring, its
+// bit-sliced ValueTrue counters, its batch rows and its ledger, and no
+// count plane, which the first copy of a wrong value allocates.
+func allocsMultiAttachBytes(t *testing.T) {
+	// Read 179.3 when introduced; 163.4 before the ValueTrue counters
+	// (two levels of 8 bytes a node at threshold 3) left the count planes.
+	footprintAtMost(t, 197, func(env protocol.Env, spec core.Spec) error {
+		_, err := (&protocol.Multi{Spec: spec, M: 1}).Attach(env)
+		return err
+	})
+}
+
+// rgg100k is the connected 100,000-node RGG the large-scale contracts
+// share, built once.
+var rgg100k = sync.OnceValues(func() (*bftbcast.RGG, error) { return bftbcast.NewRGG(100_000, 7) })
+
+// footprintAtMost fails t when one op on rgg100k's plan, with protocol B
+// at t = 1, allocates more than bound bytes a node.
+func footprintAtMost(t *testing.T, bound float64, op func(protocol.Env, core.Spec) error) {
+	t.Helper()
+	g, err := rgg100k()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,17 +372,14 @@ func allocsThresholdBindBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := protocol.Env{Plan: plan.For(g)}
-	res := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := protocol.NewThresholdInstance().Bind(env, spec); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// Read 29.2 when introduced; 49.2 when six wrong-value count planes
-	// were allocated at Bind.
-	const maxBytesPerNode = 32
-	if got := float64(res.AllocedBytesPerOp()) / float64(g.Size()); got > maxBytesPerNode {
-		t.Fatalf("%.1f bytes a node per Bind, the contract is at most %d", got, maxBytesPerNode)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = op(env, spec)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.Size()); got > bound {
+		t.Fatalf("%.1f bytes a node, the contract is at most %.0f", got, bound)
 	}
 }

@@ -135,13 +135,6 @@ func midRunCancel(t *testing.T, engine bftbcast.Engine, sc *bftbcast.Scenario) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Strategy != nil {
-		// Strategies are single-run; give the observed run a fresh one.
-		scObs, err = scObs.With(bftbcast.WithStrategy(bftbcast.NewCorruptor()))
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
 	if _, err := engine.Run(ctx, scObs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel: err = %v, want context.Canceled", err)
 	}

@@ -204,8 +204,7 @@ func ExampleNewBheter() {
 		{"Bheter (cross m', rest m0)", heter},
 		{"B     (everyone 2m0)     ", homog},
 	} {
-		// Strategies are single-run objects, so each variant gets a
-		// fresh corruptor along with its protocol.
+		// Each variant gets its protocol and a corruptor.
 		sc, err := base.With(
 			bftbcast.WithSpec(tc.spec),
 			bftbcast.WithStrategy(bftbcast.NewCorruptor()),

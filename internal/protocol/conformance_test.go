@@ -54,6 +54,14 @@ func TestInstanceConformance(t *testing.T) {
 	for _, m := range []int{1, 2, 64, 65, 130} {
 		machines = append(machines, named{fmt.Sprintf("multi-M%d", m), &protocol.Multi{Spec: protocolB, M: m}})
 	}
+	// Multi counts ValueTrue in bit-sliced counters bits.Len(threshold)
+	// wide: thresholds on their level edges, one level (1), the top bit
+	// only (4, 8) and all ones (7).
+	for _, th := range []int{1, 4, 7, 8} {
+		sends := func(grid.NodeID) int { return th }
+		spec := core.Spec{Name: fmt.Sprintf("threshold-%d", th), SourceRepeats: th, Threshold: th, Sends: sends, Budget: sends, MaxSends: th}
+		machines = append(machines, named{fmt.Sprintf("multi-threshold-%d", th), &protocol.Multi{Spec: spec, M: 2}})
+	}
 	for p := protocol.PolicyDisrupt; p <= protocol.PolicyMixed; p++ {
 		machines = append(machines, named{"reactive-" + p.String(), &protocol.Reactive{MMax: 2, PayloadBits: 16, Policy: p}})
 	}
@@ -222,8 +230,10 @@ func driveConformance(t *testing.T, m protocol.Machine, env protocol.Env, c *con
 		ds, frontier     []radio.Delivery
 		err              error
 	)
+	// The horizon leaves thresholds 7 and 8 on the sparse RGG, whose last
+	// acceptances come late, room to drain.
 	slot, randomSlots := 0, 12*pl.Period()
-	for ; slot < 60*pl.Period() && (slot < randomSlots || pendingTotal > 0); slot++ {
+	for ; slot < 90*pl.Period() && (slot < randomSlots || pendingTotal > 0); slot++ {
 		drain := slot >= randomSlots // every pending node transmits, nothing is jammed
 		txs = txs[:0]
 		for _, v := range pl.ColorClasses()[pl.SlotColor(slot)] {

@@ -28,10 +28,12 @@ func (e *Env) checkCopies(spec core.Spec, who string) (int, error) {
 
 // copyTally counts the copies of each value every cell — a node, or a
 // (node, instance) pair under Multi — has received, in one plane per
-// tracked value, allocated on the value's first copy. Values outside
-// [ValueTrue, MaxTrackedValue] share the last plane; ValueNone is never
-// delivered (the medium refuses to send it, and the engines a jam that is
-// not a drop and carries a value ≤ 0).
+// tracked value, allocated on the value's first copy. Both copies-rule
+// instances count ValueTrue outside it (ThresholdInstance in Correct,
+// Multi in bit-sliced counters), so a fault-free run allocates no plane.
+// Values outside [ValueTrue, MaxTrackedValue] share the last plane;
+// ValueNone is never delivered (the medium refuses to send it, and the
+// engines a jam that is not a drop and carries a value ≤ 0).
 type copyTally struct {
 	size   int
 	planes [MaxTrackedValue][]int32 // planes[v-ValueTrue][cell]

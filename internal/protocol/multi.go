@@ -179,10 +179,8 @@ func (m *Multi) Attach(env Env) (Instance, error) {
 		goodTotal: good,
 		threshold: int32(m.Spec.Threshold),
 		words:     (m.M + 63) / 64,
+		levels:    bits.Len(uint(m.Spec.Threshold)),
 		adj:       env.Plan.Adjacency(),
-	}
-	if good < n {
-		mi.bad = env.Bad // nil when the placement marked no node
 	}
 	mi.st.BooksSlots = true
 	mi.tally.reset(m.M * n)
@@ -194,14 +192,28 @@ func (m *Multi) Attach(env Env) (Instance, error) {
 	// Every mask, per node and per run, is carved from one arena, every
 	// int32 array from another and every flag from a third.
 	nm, nt := n*mi.words, (n+63)/64
-	masks := make([]uint64, (4+expiryRing)*nm+mi.words+nt+(nt+63)/64)
+	masks := make([]uint64, (4+expiryRing+mi.levels)*nm+mi.levels+mi.words+nt+(nt+63)/64)
 	mi.decided, masks = carve(masks, nm)
 	mi.owing, masks = carve(masks, nm)
 	mi.trueMask, masks = carve(masks, nm)
 	mi.fresh, masks = carve(masks, nm)
 	mi.due, masks = carve(masks, expiryRing*nm)
+	mi.trueCopies, masks = carve(masks, mi.levels*nm)
+	mi.thresholdMask, masks = carve(masks, mi.levels)
 	mi.started, masks = carve(masks, mi.words)
 	mi.touched, mi.touchedSum = carve(masks, nt)
+	for l := range mi.thresholdMask {
+		mi.thresholdMask[l] = -uint64(m.Spec.Threshold >> l & 1)
+	}
+	if good < n {
+		mi.bad = env.Bad // nil when the placement marked no node
+		for u, b := range env.Bad {
+			for k := 0; b && k < mi.words; k++ {
+				mi.decided[u*mi.words+k] = ^uint64(0) // nothing is live at an adversary node
+			}
+		}
+	}
+	mi.live = make([]rowHit, env.Plan.Topo().MaxDegree())
 	ints := make([]int32, stride+5*n)
 	mi.lastTx, ints = carve(ints, stride)
 	mi.st.Correct, ints = carve(ints, n)
@@ -271,7 +283,9 @@ const expiryRing = 8
 // j%64 of word j/64 — so a delivery is applied a word at a time: the
 // carried entries that land on an already-decided (receiver, instance)
 // pair, almost all of them once the first copies have gone round, are
-// booked as two popcounts, and only the rest walk the threshold rule.
+// booked as two popcounts, and only the rest run the threshold rule: a
+// word of ValueTrue copies as one add to bit-sliced counters, the other
+// values a pair at a time.
 // The aggregate State arrays are the engine-facing summary (Decided =
 // all M instances decided, Value = the on-air value, Correct/Wrong =
 // protocol-level entry counts).
@@ -292,20 +306,28 @@ type multiInstance struct {
 	goodTotal int
 	threshold int32
 	words     int              // mask words per node, ⌈m/64⌉
+	levels    int              // bits of a ValueTrue counter, bits.Len(threshold)
 	adj       *radio.Adjacency // the plan's rows, walked by Book
 
 	st State
 
-	// tally has a cell per pair u*m+j, counted only while it is undecided:
-	// nothing reads a decided pair's copies again.
-	tally  copyTally
-	value  []radio.Value // [u*m+j] accepted value
-	lastTx []int32       // [u*m+j] u's transmission carrying its last owed j entry
+	// A pair is counted only while it is undecided: nothing reads a
+	// decided pair's copies again, so no count passes the threshold.
+	// trueCopies holds the ValueTrue counts bit-sliced,
+	// [(u*words+k)*levels+l] being bit l of the counts of word k's
+	// instances at u, so a word of copies is one ripple-carry add (see
+	// countTrue); thresholdMask[l] is all ones where bit l of the
+	// threshold is. tally has a cell per pair u*m+j for the other values.
+	trueCopies    []uint64
+	thresholdMask []uint64
+	tally         copyTally
+	value         []radio.Value // [u*m+j] accepted value
+	lastTx        []int32       // [u*m+j] u's transmission carrying its last owed j entry
 	// txCount[u] numbers u's observed transmissions (see multiInstance).
 	txCount []int32
 
 	// Instance masks, [u*words+k].
-	decided  []uint64 // u accepted (or, as its source, released) instance j
+	decided  []uint64 // u accepted (or, as its source, released) instance j; all ones at a bad u
 	owing    []uint64 // u still owes instance j entries
 	trueMask []uint64 // u's instance-j value is ValueTrue
 	fresh    []uint64 // u crossed the threshold in j in a Book; Deliver accepts it
@@ -331,6 +353,7 @@ type multiInstance struct {
 	// holds the forged copy being applied (see Deliver).
 	batchStamp []int
 	batch      []carriedWord
+	live       []rowHit // Book's scratch, a row long (see bookWord)
 
 	inst     []MultiInstanceStats
 	released int      // instances released so far
@@ -346,9 +369,10 @@ type multiInstance struct {
 // it carries an entry for, and the subset whose entry is ValueTrue.
 type carriedWord struct{ all, tru uint64 }
 
-// maskBit locates instance j in node u's row of an instance mask.
-func (mi *multiInstance) maskBit(u grid.NodeID, j int) (word int, bit uint64) {
-	return int(u)*mi.words + j>>6, 1 << (j & 63)
+// rowHit is a receiver and a word of its instances.
+type rowHit struct {
+	u    grid.NodeID
+	mask uint64
 }
 
 // State implements Instance.
@@ -387,11 +411,8 @@ func (mi *multiInstance) Tick(slot int, buf []Send) []Send {
 // it is marked fresh (its value recorded) for the Deliver that follows.
 // A receiver hears one transmission per slot and transmits none, so no
 // pair crosses twice and nothing the rest of the slot reads depends on
-// the acceptances being deferred. The row is walked a mask word at a
-// time, and only the receivers with an undecided carried instance do
-// more than one word operation.
+// the acceptances being deferred.
 func (mi *multiInstance) Book(slot int, txs []radio.Tx) error {
-	decided, bad, words := mi.decided, mi.bad, mi.words
 	for i := range txs {
 		w := txs[i].From
 		row := mi.adj.Neighbors(w)
@@ -402,34 +423,74 @@ func (mi *multiInstance) Book(slot int, txs []radio.Tx) error {
 		mi.ledger.tru[w] += tru
 		mi.ledger.other[w] += other
 		vals := mi.value[int(w)*mi.m:][:mi.m]
-		for k, c := range mi.batch[int(w)*words:][:words] {
-			if c.all == 0 {
-				continue
-			}
-			for _, u := range row {
-				walk := c.all &^ decided[int(u)*words+k]
-				if walk == 0 || bad != nil && bad[u] {
-					continue // nothing live, or an adversary node, which does not run the protocol
-				}
-				mi.bookLive(u, k, walk, vals)
+		for k, c := range mi.batch[int(w)*mi.words:][:mi.words] {
+			if c.all != 0 {
+				mi.bookWord(k, c, row, vals)
 			}
 		}
 	}
 	return nil
 }
 
-// bookLive tallies at good receiver u the entries of mask word k that u
-// has not decided (walk), worth vals[j], and marks each threshold
-// crossing fresh.
-func (mi *multiInstance) bookLive(u grid.NodeID, k int, walk uint64, vals []radio.Value) {
-	for ; walk != 0; walk &= walk - 1 {
-		j := k<<6 + bits.TrailingZeros64(walk)
-		if mi.tally.add(int(u)*mi.m+j, vals[j]) == mi.threshold {
-			mi.value[int(u)*mi.m+j] = vals[j]
-			mi.fresh[int(u)*mi.words+k] |= walk & -walk
-			mi.touch(u)
+// bookWord books word k of a transmission, c, worth vals, at every
+// receiver of row, a mask word at a time. Most receivers have decided
+// every carried instance, so a branch on each would mispredict: like
+// topo.within, each pass stores every candidate and advances its cursor
+// only on a hit. The first keeps the receivers with a live entry (bad
+// receivers read as decided in every instance), the second those whose
+// copies crossed the threshold, which are marked fresh.
+func (mi *multiInstance) bookWord(k int, c carriedWord, row []grid.NodeID, vals []radio.Value) {
+	live, n := mi.live[:len(row)], 0
+	decided, words := mi.decided, mi.words
+	for _, u := range row {
+		walk := c.all &^ decided[int(u)*words+k]
+		live[n] = rowHit{u, walk}
+		hit := 0
+		if walk != 0 {
+			hit = 1
 		}
+		n += hit
 	}
+	crossed := 0
+	for _, x := range live[:n] {
+		u := x.u
+		cross := mi.countTrue(int(u)*words+k, x.mask&c.tru)
+		for o := x.mask &^ c.tru; o != 0; o &= o - 1 {
+			j := k<<6 + bits.TrailingZeros64(o)
+			if mi.tally.add(int(u)*mi.m+j, vals[j]) == mi.threshold {
+				cross |= o & -o
+			}
+		}
+		live[crossed] = rowHit{u, cross}
+		hit := 0
+		if cross != 0 {
+			hit = 1
+		}
+		crossed += hit
+	}
+	for _, x := range live[:crossed] {
+		mi.fresh[int(x.u)*mi.words+k] |= x.mask
+		for f := x.mask; f != 0; f &= f - 1 {
+			j := k<<6 + bits.TrailingZeros64(f)
+			mi.value[int(x.u)*mi.m+j] = vals[j]
+		}
+		mi.touch(x.u)
+	}
+}
+
+// countTrue adds one ValueTrue copy in each instance of add to word i of
+// the bit-sliced counters (see multiInstance) and returns the instances
+// whose count is now the threshold. No count passes the threshold, which
+// fits in levels bits, so the carry never leaves the top level.
+func (mi *multiInstance) countTrue(i int, add uint64) uint64 {
+	carry, at := add, add
+	lv := mi.trueCopies[i*mi.levels:][:mi.levels]
+	for l, s := range lv {
+		lv[l] = s ^ carry
+		carry &= s
+		at &^= lv[l] ^ mi.thresholdMask[l]
+	}
+	return at
 }
 
 // touch marks u as holding a fresh acceptance.
@@ -458,9 +519,8 @@ func (mi *multiInstance) acceptBooked(slot int, hooks *Hooks, buf []Send) []Send
 				fresh := mi.fresh[int(u)*mi.words:][:mi.words]
 				for k, f := range fresh {
 					fresh[k] = 0
-					for ; f != 0; f &= f - 1 {
-						j := k<<6 + bits.TrailingZeros64(f)
-						buf = mi.accept(slot, j, u, mi.value[int(u)*mi.m+j], hooks, buf)
+					if f != 0 {
+						buf = mi.acceptWord(slot, u, k, f, hooks, buf)
 					}
 				}
 			}
@@ -487,36 +547,26 @@ func (mi *multiInstance) release(j, slot int, buf []Send) []Send {
 	mi.inst[j].ReleaseSlot = slot
 	mi.released++
 	mi.started[j>>6] |= 1 << (j & 63)
-	src := mi.inst[j].Source
+	src, k, bit := mi.inst[j].Source, j>>6, uint64(1)<<(j&63)
 	mi.value[int(src)*mi.m+j] = radio.ValueTrue
-	word, bit := mi.maskBit(src, j)
-	mi.trueMask[word] |= bit
-	mi.noteDecided(j, src, radio.ValueTrue, slot)
+	mi.decide(slot, src, k, bit)
 	repeats := mi.spec.SourceRepeats // >= 1 (Spec.Validate)
 	mi.naiveSends += repeats
-	mi.owe(src, j, int32(repeats))
+	mi.owe(src, k, bit, int32(repeats))
 	return mi.schedule(src, repeats, buf)
 }
 
-// owe makes u owe its next k > 0 transmissions an instance-j entry: the
-// pair's lastTx and its bucket in u's ring (see multiInstance). A pair
-// owes only from its one decision, so it is in no bucket yet.
-func (mi *multiInstance) owe(u grid.NodeID, j int, k int32) {
-	last := mi.txCount[u] + k
-	mi.lastTx[int(u)*mi.m+j] = last
-	word, bit := mi.maskBit(u, j)
-	mi.owing[word] |= bit
-	mi.due[(int(u)*expiryRing+int(last)&(expiryRing-1))*mi.words+j>>6] |= bit
-}
-
-// owed returns how many of u's coming transmissions still carry an
-// instance-j entry.
-func (mi *multiInstance) owed(u grid.NodeID, j int) int32 {
-	word, bit := mi.maskBit(u, j)
-	if mi.owing[word]&bit == 0 {
-		return 0
+// owe makes u owe its next n > 0 transmissions an entry of each instance
+// of f, mask word k: the pairs' lastTx and their bucket in u's ring (see
+// multiInstance). A pair owes only from its one decision, so it is in no
+// bucket yet.
+func (mi *multiInstance) owe(u grid.NodeID, k int, f uint64, n int32) {
+	last := mi.txCount[u] + n
+	for b := f; b != 0; b &= b - 1 {
+		mi.lastTx[int(u)*mi.m+k<<6+bits.TrailingZeros64(b)] = last
 	}
-	return mi.lastTx[int(u)*mi.m+j] - mi.txCount[u]
+	mi.owing[int(u)*mi.words+k] |= f
+	mi.due[(int(u)*expiryRing+int(last)&(expiryRing-1))*mi.words+k] |= f
 }
 
 // schedule requests enough physical transmissions at u to cover `want`
@@ -531,29 +581,36 @@ func (mi *multiInstance) schedule(u grid.NodeID, want int, buf []Send) []Send {
 	return append(buf, Send{ID: u, N: need})
 }
 
-// noteDecided marks the (j, u) pair decided and updates the per-node
-// and per-instance aggregates: the all-instances Decided flag, the
-// sticky on-air Value, and the instance's completion bookkeeping.
-func (mi *multiInstance) noteDecided(j int, u grid.NodeID, v radio.Value, slot int) {
-	word, bit := mi.maskBit(u, j)
-	mi.decided[word] |= bit
-	mi.decidedCount[u]++
+// decide marks u decided in the instances of f, mask word k, whose
+// values mi.value holds, and updates the per-node and per-instance
+// aggregates in ascending instance order: the all-instances Decided flag,
+// the sticky on-air Value, and each instance's completion bookkeeping.
+func (mi *multiInstance) decide(slot int, u grid.NodeID, k int, f uint64) {
+	word := int(u)*mi.words + k
+	mi.decided[word] |= f
+	mi.decidedCount[u] += int32(bits.OnesCount64(f))
 	if int(mi.decidedCount[u]) == mi.m {
 		mi.st.Decided[u] = true
 	}
-	if v != radio.ValueTrue {
-		if !mi.hasWrong[u] {
-			mi.hasWrong[u] = true
-			mi.st.Value[u] = v
+	for b := f; b != 0; b &= b - 1 {
+		j := k<<6 + bits.TrailingZeros64(b)
+		if v := mi.value[int(u)*mi.m+j]; v != radio.ValueTrue {
+			if !mi.hasWrong[u] {
+				mi.hasWrong[u] = true
+				mi.st.Value[u] = v
+			}
+			mi.inst[j].WrongDecisions++
+		} else {
+			mi.trueMask[word] |= b & -b
+			if !mi.hasWrong[u] && mi.st.Value[u] == radio.ValueNone {
+				mi.st.Value[u] = radio.ValueTrue
+			}
 		}
-		mi.inst[j].WrongDecisions++
-	} else if !mi.hasWrong[u] && mi.st.Value[u] == radio.ValueNone {
-		mi.st.Value[u] = radio.ValueTrue
-	}
-	mi.inst[j].DecidedGood++
-	if mi.inst[j].DecidedGood == mi.goodTotal {
-		mi.inst[j].DoneSlot = slot
-		mi.inst[j].Completed = true
+		mi.inst[j].DecidedGood++
+		if mi.inst[j].DecidedGood == mi.goodTotal {
+			mi.inst[j].DoneSlot = slot
+			mi.inst[j].Completed = true
+		}
 	}
 }
 
@@ -706,33 +763,47 @@ func (mi *multiInstance) countEntry(u grid.NodeID, v radio.Value) {
 // value v delivered to good node u, undecided in j.
 func (mi *multiInstance) applyLive(slot, j int, u grid.NodeID, v radio.Value, hooks *Hooks, buf []Send) []Send {
 	mi.countEntry(u, v)
-	if mi.tally.add(int(u)*mi.m+j, v) != mi.threshold {
+	k, bit := j>>6, uint64(1)<<(j&63)
+	if v == radio.ValueTrue {
+		bit = mi.countTrue(int(u)*mi.words+k, bit)
+	} else if mi.tally.add(int(u)*mi.m+j, v) != mi.threshold {
+		bit = 0
+	}
+	if bit == 0 {
 		return buf
 	}
-	return mi.accept(slot, j, u, v, hooks, buf)
+	mi.value[int(u)*mi.m+j] = v
+	return mi.acceptWord(slot, u, k, bit, hooks, buf)
 }
 
-// accept makes u's acceptance of v in instance j, scheduling the
-// acceptance relay through the shared physical-send pool.
-func (mi *multiInstance) accept(slot, j int, u grid.NodeID, v radio.Value, hooks *Hooks, buf []Send) []Send {
-	mi.value[int(u)*mi.m+j] = v
-	if v == radio.ValueTrue {
-		word, bit := mi.maskBit(u, j)
-		mi.trueMask[word] |= bit
-	}
-	mi.decisions++
-	mi.noteDecided(j, u, v, slot)
-	sends := mi.spec.Sends(u)
-	mi.naiveSends += sends
+// acceptWord makes good node u's acceptances in the instances of f, mask
+// word k, whose values mi.value holds. The masks and counts move once
+// for the word, and u owes each instance its protocol sends, scheduled
+// once through the shared physical-send pool: the first acceptance of a
+// node in a slot asks for what is not outstanding, and the rest, owing
+// the same sends, ask for nothing more. Hooks.OnAccept and
+// Hooks.OnInstanceDecide then fire per instance, in ascending order.
+func (mi *multiInstance) acceptWord(slot int, u grid.NodeID, k int, f uint64, hooks *Hooks, buf []Send) []Send {
+	mi.decide(slot, u, k, f)
+	nf, sends := bits.OnesCount64(f), mi.spec.Sends(u)
+	mi.decisions += nf
+	mi.naiveSends += nf * sends
 	if sends > 0 {
-		mi.owe(u, j, int32(sends))
+		mi.owe(u, k, f, int32(sends))
 	}
-	buf = mi.schedule(u, int(mi.owed(u, j)), buf)
-	if hooks.OnAccept != nil {
-		hooks.OnAccept(slot, u, v)
+	buf = mi.schedule(u, sends, buf)
+	if hooks.OnAccept == nil && hooks.OnInstanceDecide == nil {
+		return buf
 	}
-	if hooks.OnInstanceDecide != nil {
-		hooks.OnInstanceDecide(slot, j, u, v)
+	for ; f != 0; f &= f - 1 {
+		j := k<<6 + bits.TrailingZeros64(f)
+		v := mi.value[int(u)*mi.m+j]
+		if hooks.OnAccept != nil {
+			hooks.OnAccept(slot, u, v)
+		}
+		if hooks.OnInstanceDecide != nil {
+			hooks.OnInstanceDecide(slot, j, u, v)
+		}
 	}
 	return buf
 }

@@ -87,11 +87,13 @@ import (
 )
 
 // MaxTrackedValue bounds the distinct broadcast values the copies rule
-// tracks per node — per (node, instance) pair under Multi: its tally
-// keeps one count plane per value from ValueTrue to MaxTrackedValue, the
-// last shared by every value above. The protocols use ValueTrue and
-// adversaries typically a single wrong value; a handful of extra planes
-// accommodates multi-value attacks. internal/sim/ref keeps its own copy of
+// tracks per node — per (node, instance) pair under Multi: ValueTrue and
+// every value up to MaxTrackedValue are counted apart, and every value
+// above shares the last count. Both copies-rule instances count ValueTrue
+// outside their tally (ThresholdInstance in Correct, Multi in bit-sliced
+// counters), which keeps a plane per other value. The protocols use
+// ValueTrue and adversaries typically a single wrong value; a handful of
+// extra planes accommodates multi-value attacks. internal/sim/ref keeps its own copy of
 // the constant beside its own copy of the copies rule (ref's
 // threshold.go, the one acceptance this package does not supply); the two
 // must stay equal for bit-identical results.

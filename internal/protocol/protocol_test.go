@@ -49,7 +49,6 @@ func TestThresholdMachineSeamEquality(t *testing.T) {
 		}
 		viaMachine := base
 		viaMachine.Machine = protocol.NewThreshold(spec)
-		viaMachine.Strategy = adversary.NewCorruptor() // strategies are single-run
 		machineRes, err := sim.RunContext(context.Background(), viaMachine)
 		if err != nil {
 			t.Fatal(err)

@@ -343,14 +343,15 @@ func byFrom(a, b roundHead) int    { return int(a.from - b.from) }
 func byTo(a, b radio.Delivery) int { return int(a.To - b.To) }
 
 // Book implements Instance: it records the slot's rounds for the Deliver
-// that follows — every transmission with a receiver, in sender order —
-// and notes each sender's booked slot for Finish.
+// that follows — every transmission, in sender order — and notes each
+// sender's booked slot for Finish. A sender with no neighbour has no
+// round in a full batch, but none shares a slot with another sender: a
+// node with no neighbour never accepts, so it transmits only as the
+// source, before any other node has a send, and a slot no one hears gets
+// no Deliver.
 func (e *reactiveInstance) Book(slot int, txs []radio.Tx) error {
 	heads := e.heads[:0]
 	for _, tx := range txs {
-		if e.adj.Degree(tx.From) == 0 {
-			continue // a full batch holds no round for it either
-		}
 		heads = append(heads, roundHead{from: tx.From, v: tx.Value})
 		e.lastBook[tx.From] = int32(slot + 1)
 	}

@@ -270,8 +270,8 @@ func (g *Gen) Next() Case {
 
 	source := grid.NodeID(g.rng.Intn(n))
 
-	// Placement and strategy. Strategies are built inside Build so each
-	// engine run gets fresh scratch state.
+	// Placement and strategy. Build makes the strategy too, so two
+	// Configs of one case share nothing.
 	var placement adversary.Placement
 	strategyKind := 0
 	if p.T > 0 {

@@ -159,7 +159,6 @@ func TestMultiBroadcastsOneIsClassicRun(t *testing.T) {
 	ctx := context.Background()
 	for _, engine := range []bftbcast.Engine{bftbcast.EngineFast, bftbcast.EngineRef} {
 		for _, m := range []int{0, 1} {
-			// Fresh scenarios per run: strategies are single-run objects.
 			plainRep, err := engine.Run(ctx, matrixScenario(t, "torus", "b", 3, true))
 			if err != nil {
 				t.Fatal(err)
@@ -208,7 +207,6 @@ func TestMultiSweep(t *testing.T) {
 		}
 		return pts
 	}
-	// Fresh strategies per sweep: strategies are single-run objects.
 	seq, par := run(1, scenarios), run(4, build())
 	for i := range seq {
 		if !reflect.DeepEqual(seq[i].Report, par[i].Report) {

@@ -16,7 +16,10 @@
 // exactly once, every catch line must name a test go test -list finds,
 // and the unmutated copy must pass everything the rows will run. -check
 // skips the known survivors (rows with a survives line) and fails on an
-// expected catcher that passes or a mutant that does not compile.
+// expected catcher that passes or a mutant that does not compile. A test
+// that an earlier panic kept from running is run again on its own; one
+// that still reports nothing is printed as not run, and -diff does not
+// count it as a drop.
 package main
 
 import (
@@ -98,9 +101,39 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := r.checkBaseline(rows, *check); err != nil {
 		return err
 	}
-	goArgs := scope
+	goArgs, want := scope, func(m mutant) []string { return nil }
 	if *check {
 		goArgs = checkArgs
+		want = func(m mutant) []string {
+			var refs []string
+			for _, c := range m.Catch {
+				refs = append(refs, c.String())
+			}
+			return refs
+		}
+	} else {
+		var pkgs []string
+		for _, m := range rows {
+			for _, p := range scope(m) {
+				if !slices.Contains(pkgs, p) {
+					pkgs = append(pkgs, p)
+				}
+			}
+		}
+		listed, err := r.listTests(pkgs)
+		if err != nil {
+			return err
+		}
+		want = func(m mutant) []string {
+			var refs []string
+			for ref := range listed {
+				if pkg, _, _ := strings.Cut(ref, ":"); slices.Contains(scope(m), pkg) {
+					refs = append(refs, ref)
+				}
+			}
+			slices.Sort(refs)
+			return refs
+		}
 	}
 
 	matrix := map[string]result{}
@@ -112,7 +145,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			continue
 		}
 		t0 := time.Now()
-		out, err := r.runMutant(m, goArgs(m))
+		out, err := r.runMutant(m, goArgs(m), want(m))
 		if err != nil {
 			return fmt.Errorf("%s: %w", m.ID, err)
 		}
@@ -126,6 +159,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		matrix[m.ID] = res
 		fmt.Fprintf(stdout, "%-4s %-8s %s\n", m.ID, res.Status, summary(out))
+		if len(out.NotRun) > 0 {
+			fmt.Fprintf(stdout, "     not run: %s\n", strings.Join(out.NotRun, " "))
+		}
 		fmt.Fprintf(stderr, "[%d/%d %s %.0fs, %.0fs total]\n", i+1, len(rows), m.ID,
 			time.Since(t0).Seconds(), time.Since(start).Seconds())
 		switch {
@@ -134,7 +170,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "     known survivor is caught: replace its survives line with catch lines\n")
 		case m.Survives == "":
 			for _, c := range m.Catch {
-				if !out.failed(c) {
+				switch {
+				case slices.Contains(out.NotRun, c.String()):
+					problems = append(problems, fmt.Sprintf("%s: %s (%s): %s did not run", m.ID, m.What, m.File, c))
+				case !out.failed(c):
 					problems = append(problems, fmt.Sprintf("%s: %s (%s) survives %s", m.ID, m.What, m.File, c))
 				}
 			}
@@ -218,8 +257,10 @@ func leafTests(failed []string) []string {
 // being its failing top-level tests and the packages that broke without
 // one. A catcher of a row in a that is not one in b is dropped: a trim
 // must leave each test catching what it caught, so any drop makes the
-// exit status non-zero. A row caught in a and not at all in b is also
-// LOST; a row that b's catchers only extend is listed as gained.
+// exit status non-zero. A catcher that b lists as not run is reported as
+// such and is not a drop: nothing says it would pass. A row caught in a
+// and not at all in b is also LOST; a row that b's catchers only extend
+// is listed as gained.
 func diffMatrices(aPath, bPath string, w io.Writer) error {
 	read := func(path string) (map[string]result, error) {
 		data, err := os.ReadFile(path)
@@ -249,11 +290,17 @@ func diffMatrices(aPath, bPath string, w io.Writer) error {
 			fmt.Fprintf(w, "%-4s missing from %s\n", id, bPath)
 		}
 		ca, cb := catchers(ra.outcome), catchers(rb.outcome)
-		var gone []string
+		var gone, notRun []string
 		for _, c := range ca {
-			if !slices.Contains(cb, c) {
+			switch {
+			case slices.Contains(rb.NotRun, c):
+				notRun = append(notRun, c)
+			case !slices.Contains(cb, c):
 				gone = append(gone, c)
 			}
+		}
+		if len(notRun) > 0 {
+			fmt.Fprintf(w, "%-4s not run   %s\n", id, strings.Join(notRun, " "))
 		}
 		switch {
 		case len(gone) > 0:
@@ -264,6 +311,7 @@ func diffMatrices(aPath, bPath string, w io.Writer) error {
 				lost++
 			}
 			fmt.Fprintf(w, "%-4s %-9s %s\n", id, tag, strings.Join(gone, " "))
+		case len(notRun) > 0:
 		case !slices.Equal(ca, cb):
 			fmt.Fprintf(w, "%-4s gained    %s\n     -> %s\n", id, summary(ra.outcome), summary(rb.outcome))
 		default:

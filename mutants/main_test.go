@@ -191,3 +191,46 @@ func TestTopOf(t *testing.T) {
 }
 
 func writeFile(path, text string) error { return os.WriteFile(path, []byte(text), 0o644) }
+
+// A mutant that panics in TestAdd stops the package's test binary, so
+// TestTwice and TestSum report nothing; each is run again on its own,
+// which shows that TestSum, which calls Add, catches the row and
+// TestTwice does not.
+func TestPanicReRunsSilentTests(t *testing.T) {
+	row := strings.Replace(caughtRow, "replace return a - b", `replace panic("boom")`, 1)
+	out, err := tinyRun(t, row)
+	if err != nil {
+		t.Fatalf("matrix: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, ".:TestAdd[1] .:TestSum") || strings.Contains(out, "TestTwice") || strings.Contains(out, "not run") {
+		t.Fatalf("want TestAdd and, run again alone, TestSum caught:\n%s", out)
+	}
+	if out, err := tinyRun(t, strings.Replace(row, "catch   . TestAdd", "catch   . TestAdd TestSum", 1), "-check"); err != nil {
+		t.Fatalf("-check: %v\n%s", err, out)
+	}
+}
+
+// A mutant that panics while the package initialises leaves every test
+// silent, alone or not: they are listed as not run, an expected catcher
+// among them is reported as not run rather than as a survivor, and -diff
+// does not count a catch of one as dropped.
+func TestNotRunIsNotSurvived(t *testing.T) {
+	row := "id T02\nfile tiny.go\nanchor package tiny\nreplace package tiny; var _ = func() int { panic(\"init\") }()\nwhat init panics\ncatch . TestSum\n"
+	dir := t.TempDir()
+	matrix := filepath.Join(dir, "b.json")
+	out, err := tinyRun(t, row, "-o", matrix)
+	if err == nil || !strings.Contains(err.Error(), ".:TestSum did not run") {
+		t.Fatalf("matrix: err %v, want TestSum reported as not run", err)
+	}
+	if !strings.Contains(out, "not run: .:TestAdd .:TestSum .:TestTwice") {
+		t.Fatalf("want every test listed as not run:\n%s", out)
+	}
+	a := filepath.Join(dir, "a.json")
+	if err := writeFile(a, `{"T02": {"failed": [".:TestSum"], "status": "caught"}}`); err != nil {
+		t.Fatal(err)
+	}
+	var diff bytes.Buffer
+	if err := diffMatrices(a, matrix, &diff); err != nil || !strings.Contains(diff.String(), "T02  not run   .:TestSum") {
+		t.Fatalf("-diff: err %v\n%s", err, diff.String())
+	}
+}

@@ -86,6 +86,14 @@ type outcome struct {
 	Broken []string `json:"broken,omitempty"`
 	// Build is set when the mutant did not compile.
 	Build bool `json:"build_failed,omitempty"`
+	// NotRun lists, as pkg:Name, the top-level tests that reported
+	// nothing, even when run on their own: a test that an earlier panic
+	// kept from running is run again under its own -run, and lands here
+	// only if that run cannot report either.
+	NotRun []string `json:"not_run,omitempty"`
+
+	reported map[string]bool // the top-level tests that passed, failed or skipped
+	stopped  []string        // the packages whose test binary failed after building
 }
 
 func (o outcome) caught() bool { return len(o.Failed) > 0 || len(o.Broken) > 0 }
@@ -128,7 +136,7 @@ func (r *runner) goTest(args ...string) (outcome, error) {
 		return outcome{}, err
 	}
 	var (
-		out         outcome
+		out         = outcome{reported: map[string]bool{}}
 		pkgFailed   = map[string]bool{}
 		pkgHasFail  = map[string]bool{}
 		failedTests = map[string]bool{}
@@ -141,6 +149,9 @@ func (r *runner) goTest(args ...string) (outcome, error) {
 			continue
 		}
 		pkg := r.rel(e.Package)
+		if e.Test != "" && !strings.Contains(e.Test, "/") && (e.Action == "pass" || e.Action == "fail" || e.Action == "skip") {
+			out.reported[pkg+":"+e.Test] = true
+		}
 		switch {
 		case e.Action == "build-fail":
 			out.Build = true
@@ -169,10 +180,44 @@ func (r *runner) goTest(args ...string) (outcome, error) {
 		if !pkgHasFail[p] {
 			out.Broken = append(out.Broken, p)
 		}
+		if !out.Build {
+			out.stopped = append(out.stopped, p)
+		}
 	}
 	slices.Sort(out.Failed)
 	slices.Sort(out.Broken)
+	slices.Sort(out.stopped)
 	return out, nil
+}
+
+// rerunSilent runs on its own, under its own -run, each test of want that
+// out heard nothing from in a package whose binary failed — an earlier
+// panic stops the binary before later tests run — and folds in what it
+// shows: a failure is a catch, and a test that reports nothing again is
+// listed as not run, never as survived.
+func (r *runner) rerunSilent(out *outcome, want []string) error {
+	for _, ref := range want {
+		pkg, test, _ := strings.Cut(ref, ":")
+		if out.reported[ref] || !slices.Contains(out.stopped, pkg) {
+			continue
+		}
+		alone, err := r.goTest("-run", "^"+test+"$", pkg)
+		if err != nil {
+			return err
+		}
+		switch {
+		case slices.Contains(alone.Failed, ref):
+			for _, f := range alone.Failed {
+				if f == ref || strings.HasPrefix(f, ref+"/") {
+					out.Failed = append(out.Failed, f)
+				}
+			}
+		case !alone.reported[ref]:
+			out.NotRun = append(out.NotRun, ref)
+		}
+	}
+	slices.Sort(out.Failed)
+	return nil
 }
 
 var testName = regexp.MustCompile(`^(Test|Example|Fuzz)\w*$`)
@@ -285,9 +330,10 @@ func scope(m mutant) []string {
 	return pkgs
 }
 
-// runMutant applies m to the copy, runs go test with args and puts the
-// file back.
-func (r *runner) runMutant(m mutant, args []string) (outcome, error) {
+// runMutant applies m to the copy, runs go test with args, runs again
+// each test of want a failed binary kept from reporting (see
+// rerunSilent) and puts the file back.
+func (r *runner) runMutant(m mutant, args, want []string) (outcome, error) {
 	path := filepath.Join(r.dir, filepath.FromSlash(m.File))
 	orig, err := os.ReadFile(path)
 	if err != nil {
@@ -297,6 +343,9 @@ func (r *runner) runMutant(m mutant, args []string) (outcome, error) {
 		return outcome{}, err
 	}
 	out, err := r.goTest(args...)
+	if err == nil {
+		err = r.rerunSilent(&out, want)
+	}
 	if werr := os.WriteFile(path, orig, 0o644); err == nil {
 		err = werr // the next row must start from the original file
 	}

@@ -17,3 +17,9 @@ func TestTwice(t *testing.T) {
 		t.Fatal("Twice(4) != 8")
 	}
 }
+
+func TestSum(t *testing.T) {
+	if Sum(1, 2, 3) != 6 {
+		t.Fatal("Sum(1, 2, 3) != 6")
+	}
+}

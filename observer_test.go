@@ -100,15 +100,11 @@ func sumInt32(xs []int32) int {
 	return s
 }
 
-// freshScenario derives the scenario with the extra options and a fresh
-// strategy (strategies are single-run objects).
+// freshScenario derives the scenario with the extra options. A strategy
+// keeps no run state, so the derived scenario shares sc's.
 func freshScenario(t *testing.T, sc *bftbcast.Scenario, extra ...bftbcast.ScenarioOption) *bftbcast.Scenario {
 	t.Helper()
-	opts := extra
-	if sc.Strategy != nil {
-		opts = append(opts, bftbcast.WithStrategy(bftbcast.NewCorruptor()))
-	}
-	out, err := sc.With(opts...)
+	out, err := sc.With(extra...)
 	if err != nil {
 		t.Fatal(err)
 	}

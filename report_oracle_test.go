@@ -47,8 +47,7 @@ func TestReportDifferentialOracle(t *testing.T) {
 	var completed, failed, attacked int
 	for i := 0; i < cases; i++ {
 		c := gen.Next()
-		// Build twice: strategies are single-run objects, so each
-		// engine needs its own instance.
+		// Build twice, so the two engines share nothing but the case.
 		fastRep, fastErr := bftbcast.EngineFast.Run(ctx, scenarioFromSimConfig(t, c.Build()))
 		refRep, refErr := bftbcast.EngineRef.Run(ctx, scenarioFromSimConfig(t, c.Build()))
 		if (fastErr == nil) != (refErr == nil) {

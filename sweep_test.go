@@ -14,7 +14,7 @@ import (
 )
 
 // sweepScenarios builds n protocol-B points with varying adversary
-// seeds. Strategies are single-run, so each point carries its own.
+// seeds, each point with its own corruptor.
 func sweepScenarios(t *testing.T, n int) []*bftbcast.Scenario {
 	t.Helper()
 	params := bftbcast.Params{R: 2, T: 2, MF: 2}
